@@ -73,10 +73,14 @@ func walk(n, events int, seed int64) (initial []float64, moves []struct {
 
 // BenchmarkProtocolStep measures the single-tenant protocol step — the
 // paper's server loop: deliver one update, run the hosted protocol's
-// maintenance phase, account the messages — at steady state for the two
-// protocol families the multi-tenant runtime hosts. The warmed path must
-// not allocate: the regression gate pins allocs/op at the committed
-// baseline (0).
+// maintenance phase, account the messages — at steady state for the
+// protocol families the multi-tenant runtime hosts: the range family
+// (ft-nrp), and the three shapes of rank rebuild — RTP's k+r+1 nearest
+// plus a broadcast, FT-RP's k+1 nearest plus a boundary-nearest selection
+// over everything outside, and the planar RTP2D. The rank rows are the
+// gate on the selection kernel: a slide back to ordering all n streams per
+// rebuild costs them several-fold. The warmed path must not allocate: the
+// regression gate pins allocs/op at the committed baseline (0).
 func BenchmarkProtocolStep(b *testing.B) {
 	const (
 		n      = 2000
@@ -96,6 +100,10 @@ func BenchmarkProtocolStep(b *testing.B) {
 		{"rtp", func(h server.Host) server.Protocol {
 			return core.NewRTP(h, query.At(500), core.RankTolerance{K: 20, R: 5})
 		}},
+		{"ft-rp", func(h server.Host) server.Protocol {
+			return core.NewFTRP(h, query.At(500), 20,
+				core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+		}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -112,6 +120,32 @@ func BenchmarkProtocolStep(b *testing.B) {
 			measure(b, "protocol-step/"+tc.name, events, true, deliver)
 		})
 	}
+	b.Run("rtp2d", func(b *testing.B) {
+		// The 1-D walk supplies the stream choice and the x axis; a second
+		// seeded stream walks the same point's y by the same step law.
+		xs, xmoves := walk(n, events, 11)
+		rng := sim.NewRNG(12)
+		pts := make([]filter.Point, n)
+		for i := range pts {
+			pts[i] = filter.Point{X: xs[i], Y: rng.Uniform(0, 1000)}
+		}
+		cur := append([]filter.Point(nil), pts...)
+		moves := make([]filter.Point, events)
+		for i, mv := range xmoves {
+			cur[mv.id] = filter.Point{X: mv.v, Y: cur[mv.id].Y + rng.Normal(0, 20)}
+			moves[i] = cur[mv.id]
+		}
+		c := server.NewSpatialCluster(pts)
+		c.SetProtocol(multidim.NewRTP2D(c, filter.Point{X: 500, Y: 500}, core.RankTolerance{K: 20, R: 5}))
+		c.Initialize()
+		deliver := func() {
+			for i, mv := range xmoves {
+				c.Deliver(mv.id, moves[i])
+			}
+		}
+		deliver()
+		measure(b, "protocol-step/rtp2d", events, true, deliver)
+	})
 }
 
 // benchSpecs builds heterogeneous tenants (alternating FT-NRP and RTP,

@@ -73,11 +73,10 @@ type FTNRP struct {
 	// Reusable scratch for the (re-)initialization fan-out, so protocol
 	// re-initializations triggered from the maintenance path allocate
 	// nothing once warm: the probe table, the inside/outside candidate
-	// partitions, the selection keys and the selection sorter.
+	// partitions and the selection keys.
 	valsBuf               []float64
 	insideBuf, outsideBuf []int
 	keyBuf                []float64
-	ks                    keyedSorter
 
 	// Reinits counts maintenance-phase re-initializations (for reports).
 	Reinits uint64
@@ -162,7 +161,7 @@ func (p *FTNRP) pickSilent(ids []int, vals []float64, n int) []int {
 	for _, id := range ids {
 		p.keyBuf = append(p.keyBuf, p.rng.BoundaryDist(vals[id]))
 	}
-	return p.cfg.Selection.pickKeyed(&p.ks, ids, p.keyBuf, n, p.sel.Rand)
+	return p.cfg.Selection.pickKeyed(ids, p.keyBuf, n, p.sel.Rand)
 }
 
 // FilterFor returns the constraint this protocol wants installed at stream

@@ -9,6 +9,7 @@ import (
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
 // FTRPConfig parameterizes the fraction-based tolerance protocol for k-NN
@@ -65,10 +66,9 @@ type FTRP struct {
 	// Reusable scratch for the rebuild fan-out (ranking, probe table,
 	// selection keys), so window-triggered recomputations on the
 	// maintenance path allocate nothing once warm.
-	rk      ranker
+	rk      topk.Ranking
 	valsBuf []float64
 	keyBuf  []float64
-	ks      keyedSorter
 
 	// Recomputes counts full bound recomputations; exported for reports.
 	Recomputes uint64
@@ -162,8 +162,17 @@ func (p *FTRP) Initialize() {
 // rebuild recomputes R around the k nearest per the server table, resets the
 // answer to those k streams, and re-assigns silent filters with budgets
 // floor(k·ρ⁺) and floor(k·ρ⁻).
+//
+// R needs the k+1 nearest and boundary-nearest selection re-ranks whatever
+// order it is handed, so the ranking stops there. SelectRandom shuffles the
+// ranked outside slice, whose order therefore decides who is drawn: it
+// asks for the whole order.
 func (p *FTRP) rebuild() {
-	sorted := p.rk.rank(p.c, p.q)
+	m := p.k + 1
+	if p.cfg.Selection == SelectRandom {
+		m = p.c.N()
+	}
+	sorted, dists := rankNearest(&p.rk, p.c, p.q, m)
 	p.ans.clear()
 	p.fp.clear()
 	p.fn.clear()
@@ -173,9 +182,7 @@ func (p *FTRP) rebuild() {
 	for _, id := range inside {
 		p.ans.add(id)
 	}
-	inner := tableDist(p.c, p.q, sorted[p.k-1])
-	outer := tableDist(p.c, p.q, sorted[p.k])
-	p.d = midpoint(inner, outer)
+	p.d = midpoint(dists[p.k-1], dists[p.k])
 	p.cur = p.q.BallConstraint(p.d)
 
 	nPlus := p.nPlusBudget
@@ -183,8 +190,8 @@ func (p *FTRP) rebuild() {
 	// Boundary-nearest for a ball region: inside streams closest to the
 	// boundary have the largest distance from q; outside streams closest to
 	// the boundary have the smallest distance beyond it. The picks reorder
-	// sorted[:k] and sorted[k:] in place; the ranking is not consulted
-	// again below.
+	// sorted[:k] and sorted[k:] in place (ids only, so dists no longer
+	// lines up); the ranking is not consulted again below.
 	for _, id := range p.pickSilent(inside, nPlus, true) {
 		p.fp.add(id)
 	}
@@ -219,7 +226,7 @@ func (p *FTRP) pickSilent(ids []int, n int, insideRegion bool) []int {
 			p.keyBuf = append(p.keyBuf, d-p.d)
 		}
 	}
-	return p.cfg.Selection.pickKeyed(&p.ks, ids, p.keyBuf, n, p.sel.Rand)
+	return p.cfg.Selection.pickKeyed(ids, p.keyBuf, n, p.sel.Rand)
 }
 
 // HandleUpdate runs the FT-NRP maintenance machinery against the current R

@@ -8,7 +8,19 @@ import (
 
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
+	"adaptivefilters/internal/topk"
 )
+
+// pickScored drives pickKeyed the way the protocols do: a private copy of
+// the candidates and one precomputed score per id.
+func pickScored(sel Selection, candidates []int, score func(id int) float64, n int, rng *rand.Rand) []int {
+	ids := append([]int(nil), candidates...)
+	keys := make([]float64, len(ids))
+	for i, id := range ids {
+		keys[i] = score(id)
+	}
+	return sel.pickKeyed(ids, keys, n, rng)
+}
 
 func TestIntSetBasics(t *testing.T) {
 	s := newIntSet()
@@ -39,11 +51,30 @@ func TestIntSetBasics(t *testing.T) {
 		t.Fatal("remove failed")
 	}
 	s.remove(100) // absent: no-op
+
+	// Members on both sides of a word boundary come out ascending, and
+	// addAll counts only the ids it actually adds.
+	o := newIntSet()
+	for _, id := range []int{130, 9, 64, 63} {
+		o.add(id)
+	}
+	s.addAll(&o) // s = {5, 9}; 9 is shared
+	if got := s.appendMembers(nil); len(got) != 5 || s.len() != 5 ||
+		got[0] != 5 || got[1] != 9 || got[2] != 63 || got[3] != 64 || got[4] != 130 {
+		t.Fatalf("after addAll: members %v, len %d; want [5 9 63 64 130]", got, s.len())
+	}
+	s.clear()
+	if s.len() != 0 || s.has(64) {
+		t.Fatal("clear left members behind")
+	}
+	if _, ok := s.min(); ok {
+		t.Fatal("min of cleared set returned ok")
+	}
 }
 
 func TestSelectionPickBoundaryNearest(t *testing.T) {
 	score := func(id int) float64 { return float64(10 - id) } // id 9 scores 1
-	got := SelectBoundaryNearest.pick([]int{1, 5, 9, 3}, score, 2, rand.New(rand.NewSource(1)))
+	got := pickScored(SelectBoundaryNearest, []int{1, 5, 9, 3}, score, 2, rand.New(rand.NewSource(1)))
 	if len(got) != 2 || got[0] != 9 || got[1] != 5 {
 		t.Fatalf("pick = %v, want [9 5] (smallest scores)", got)
 	}
@@ -51,7 +82,7 @@ func TestSelectionPickBoundaryNearest(t *testing.T) {
 
 func TestSelectionPickTieBreaksByID(t *testing.T) {
 	score := func(int) float64 { return 1 }
-	got := SelectBoundaryNearest.pick([]int{7, 3, 5}, score, 2, rand.New(rand.NewSource(1)))
+	got := pickScored(SelectBoundaryNearest, []int{7, 3, 5}, score, 2, rand.New(rand.NewSource(1)))
 	if got[0] != 3 || got[1] != 5 {
 		t.Fatalf("tied pick = %v, want [3 5]", got)
 	}
@@ -60,13 +91,13 @@ func TestSelectionPickTieBreaksByID(t *testing.T) {
 func TestSelectionPickBounds(t *testing.T) {
 	score := func(int) float64 { return 0 }
 	rng := rand.New(rand.NewSource(2))
-	if got := SelectBoundaryNearest.pick(nil, score, 3, rng); got != nil {
+	if got := pickScored(SelectBoundaryNearest, nil, score, 3, rng); got != nil {
 		t.Fatalf("pick from empty = %v", got)
 	}
-	if got := SelectBoundaryNearest.pick([]int{1}, score, 0, rng); got != nil {
+	if got := pickScored(SelectBoundaryNearest, []int{1}, score, 0, rng); got != nil {
 		t.Fatalf("pick 0 = %v", got)
 	}
-	if got := SelectBoundaryNearest.pick([]int{1, 2}, score, 5, rng); len(got) != 2 {
+	if got := pickScored(SelectBoundaryNearest, []int{1, 2}, score, 5, rng); len(got) != 2 {
 		t.Fatalf("pick beyond population = %v", got)
 	}
 }
@@ -74,17 +105,11 @@ func TestSelectionPickBounds(t *testing.T) {
 func TestSelectionPickRandomIsSeededAndComplete(t *testing.T) {
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	score := func(int) float64 { return 0 }
-	a := SelectRandom.pick(ids, score, 4, rand.New(rand.NewSource(3)))
-	b := SelectRandom.pick(ids, score, 4, rand.New(rand.NewSource(3)))
+	a := pickScored(SelectRandom, ids, score, 4, rand.New(rand.NewSource(3)))
+	b := pickScored(SelectRandom, ids, score, 4, rand.New(rand.NewSource(3)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("random pick not reproducible for equal seeds")
-		}
-	}
-	// Input slice must not be mutated.
-	for i, v := range ids {
-		if v != i {
-			t.Fatal("pick mutated its input")
 		}
 	}
 	// All picks are members, no duplicates.
@@ -113,7 +138,7 @@ func TestQuickSelectionPickProperties(t *testing.T) {
 			sel = SelectRandom
 		}
 		score := func(id int) float64 { return float64(id % 5) }
-		got := sel.pick(ids, score, int(n%40), rand.New(rand.NewSource(seed)))
+		got := pickScored(sel, ids, score, int(n%40), rand.New(rand.NewSource(seed)))
 		want := int(n % 40)
 		if want > len(ids) {
 			want = len(ids)
@@ -140,14 +165,22 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	c.ProbeAll()
-	got := rankTable(c, query.At(25))
+	var rk topk.Ranking
+	got, dists := rankNearest(&rk, c, query.At(25), c.N())
 	// dists: id0=15, id1=5, id2=5, id3=5 → order [1 2 3 0]... ids 1,3 share
 	// value 30 (dist 5) and id2 has dist 5 as well: tie broken by id.
 	want := []int{1, 2, 3, 0}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("rankTable = %v, want %v", got, want)
+			t.Fatalf("rankNearest = %v, want %v", got, want)
 		}
+	}
+	if dists[0] != 5 || dists[3] != 15 {
+		t.Fatalf("distances %v do not travel with their ids", dists)
+	}
+	// A partial ranking orders only what was asked for, and the same ids.
+	if part, _ := rankNearest(&rk, c, query.At(25), 2); part[0] != 1 || part[1] != 2 || len(part) != 4 {
+		t.Fatalf("rankNearest(m=2) = %v, want [1 2 ...] over all 4 ids", part)
 	}
 }
 
@@ -156,9 +189,11 @@ func TestRankTableChargesServerOps(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	before := c.Counter().ServerOps
-	rankTable(c, query.Top())
+	// The charge is one touch per stream, however few are ordered.
+	var rk topk.Ranking
+	rankNearest(&rk, c, query.Top(), 2)
 	if got := c.Counter().ServerOps - before; got != 7 {
-		t.Fatalf("rankTable charged %d ops, want 7", got)
+		t.Fatalf("rankNearest charged %d ops, want 7", got)
 	}
 }
 
@@ -177,7 +212,8 @@ func TestSortByTableDist(t *testing.T) {
 	c.Initialize()
 	c.ProbeAll()
 	ids := []int{0, 1, 2}
-	sortByTableDist(c, query.At(300), ids)
+	var keyBuf []float64
+	nearestOf(&keyBuf, c, query.At(300), ids, len(ids))
 	if !sort.SliceIsSorted(ids, func(a, b int) bool {
 		return tableDist(c, query.At(300), ids[a]) <= tableDist(c, query.At(300), ids[b])
 	}) {
@@ -194,3 +230,42 @@ func (nopProto) Name() string              { return "nop" }
 func (nopProto) Initialize()               {}
 func (nopProto) HandleUpdate(int, float64) {}
 func (nopProto) Answer() []int             { return nil }
+
+// TestRTPExpandSearchGrowsPrefix drives the expanding search over a stale,
+// useless ranking (r=0 keeps X−A empty; redrawn values outdate the table)
+// and checks the lazy ordering did what it is for: searches ran off the
+// first 2(ε+1)-entry prefix and extended it, and at least one of them still
+// finished without ordering the whole table. The trajectory itself is
+// pinned against the full-sort recording by TestProtocolPins' rtp-expand
+// walk, which uses the same recipe.
+func TestRTPExpandSearchGrowsPrefix(t *testing.T) {
+	const n = 120
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(rng.Intn(2000)) / 2
+	}
+	c := server.NewCluster(vals)
+	p := NewRTP(c, query.At(500), RankTolerance{K: 3, R: 0})
+	c.SetProtocol(p)
+	c.Initialize()
+	first := 2 * (p.tol.Eps() + 1)
+	grown, partial := 0, 0
+	for ev := 0; ev < 5000; ev++ {
+		deploys := p.Deploys
+		c.Deliver(rng.Intn(n), float64(rng.Intn(2000))/2)
+		if p.Deploys == deploys {
+			continue
+		}
+		if o := p.rk.Ordered(); o > first {
+			grown++
+			if o < n {
+				partial++
+			}
+		}
+	}
+	if grown == 0 || partial == 0 {
+		t.Fatalf("ordered prefix grew past %d on %d deploys, %d of them short of n=%d; want both > 0",
+			first, grown, partial, n)
+	}
+}

@@ -1,0 +1,111 @@
+package core_test
+
+import (
+	"flag"
+	"math/rand"
+	"testing"
+
+	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/pintest"
+	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/server"
+)
+
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/protocol_pins.txt from the current code")
+
+// pinWalk is one seeded walk of a rank protocol whose whole observable
+// trajectory is pinned: after every event the answer, every message
+// counter, ServerOps and the protocol's own rebuild counters are folded
+// into a running digest, and the digest is recorded every pinEvery events.
+// The pins were recorded with the full-sort rank tables, so any ranking
+// shortcut that changes a tie-break, a charge or a message shows up as the
+// first differing checkpoint.
+type pinWalk struct {
+	name  string
+	n     int
+	seed  int64
+	jumpy bool // redraw values uniformly instead of stepping them
+	build func(c *server.Cluster) (p server.Protocol, stats func() [2]uint64)
+}
+
+const (
+	pinEvents = 20000
+	pinEvery  = 2500
+)
+
+func rtpPin(q query.Center, tol core.RankTolerance) func(*server.Cluster) (server.Protocol, func() [2]uint64) {
+	return func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+		p := core.NewRTP(c, q, tol)
+		return p, func() [2]uint64 { return [2]uint64{p.Deploys, p.Reinits} }
+	}
+}
+
+func ftrpPin(sel core.Selection) func(*server.Cluster) (server.Protocol, func() [2]uint64) {
+	return func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+		cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
+		cfg.Selection, cfg.Seed = sel, 11
+		p := core.NewFTRP(c, query.At(500), 12, cfg)
+		return p, func() [2]uint64 { return [2]uint64{p.Recomputes, 0} }
+	}
+}
+
+func pinWalks() []pinWalk {
+	return []pinWalk{
+		{name: "rtp", n: 300, seed: 1, build: rtpPin(query.At(500), core.RankTolerance{K: 6, R: 4})},
+		{name: "rtp-top", n: 300, seed: 2, build: rtpPin(query.Top(), core.RankTolerance{K: 6, R: 4})},
+		// r=0 keeps X−A empty, so every departing answer runs the expanding
+		// search; redrawn values make the stale ranking useless, so the
+		// search walks far past its first ordered prefix
+		// (TestRTPExpandSearchGrowsPrefix checks that on the same walk).
+		{name: "rtp-expand", n: 120, seed: 3, jumpy: true, build: rtpPin(query.At(500), core.RankTolerance{K: 3, R: 0})},
+		{name: "zt-rp", n: 300, seed: 4, build: func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+			p := core.NewZTRP(c, query.At(500), 6)
+			return p, func() [2]uint64 { return [2]uint64{p.Recomputes, 0} }
+		}},
+		{name: "ft-rp", n: 300, seed: 5, build: ftrpPin(core.SelectBoundaryNearest)},
+		{name: "ft-rp-random", n: 300, seed: 6, build: ftrpPin(core.SelectRandom)},
+	}
+}
+
+// run plays the walk and returns one line per checkpoint.
+func (w pinWalk) run() (lines []string) {
+	rng := rand.New(rand.NewSource(w.seed))
+	vals := make([]float64, w.n)
+	for i := range vals {
+		// A coarse grid makes equal distances common, so the id tie-break
+		// is exercised on every walk.
+		vals[i] = float64(rng.Intn(2000)) / 2
+	}
+	c := server.NewCluster(vals)
+	p, st := w.build(c)
+	c.SetProtocol(p)
+	c.Initialize()
+
+	d := pintest.NewDigest()
+	for ev := 1; ev <= pinEvents; ev++ {
+		id := rng.Intn(w.n)
+		if w.jumpy {
+			vals[id] = float64(rng.Intn(2000)) / 2
+		} else {
+			vals[id] += float64(rng.Intn(121)-60) / 2
+		}
+		c.Deliver(id, vals[id])
+		stats := st()
+		d.Event(p.Answer(), c.Counter(), stats[0], stats[1])
+		if ev%pinEvery == 0 {
+			lines = append(lines, d.Checkpoint(w.name, ev, c.Counter(), stats[0], stats[1]))
+		}
+	}
+	return lines
+}
+
+// TestProtocolPins replays every walk and compares its checkpoints with
+// testdata/protocol_pins.txt.
+func TestProtocolPins(t *testing.T) {
+	const path = "testdata/protocol_pins.txt"
+	var got []string
+	for _, w := range pinWalks() {
+		got = append(got, w.run()...)
+	}
+	pintest.Check(t, path, got, *updatePins)
+}

@@ -1,64 +1,41 @@
 package core
 
 import (
-	"sort"
-
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
+	"adaptivefilters/internal/topk"
 )
 
-// ranker is reusable scratch for ranking streams by table distance. Each
-// rank-based protocol owns one, so the steady-state rebuild paths sort into
-// long-lived buffers: no table snapshot copy, no closure, no reflect-based
-// swapper — zero allocations once the buffers have grown to the stream
-// count.
-type ranker struct {
-	ids []int
-	ks  keyedSorter
-}
-
-// rank fills the scratch with all stream ids sorted by (distance from q,
-// id) ascending over the server's value table — the "old ranking scores
-// kept by the server" the protocols consult. The returned slice aliases the
-// scratch and is valid until the next ranker call. The pass is charged to
-// the server computation metric.
-func (r *ranker) rank(c server.Host, q query.Center) []int {
+// rankNearest snapshots every stream's table distance from q — the "old
+// ranking scores kept by the server" the protocols consult — into rk and
+// orders the m nearest by (distance, id) at the front; the rest follow
+// unordered. A rebuild asks for exactly the prefix it reads (k+r+1 for
+// Deploy_bound, k+1 for the k-NN-as-range protocols); rk.Order can extend
+// the prefix later over the same snapshot. The returned slices alias rk and
+// are valid until its next fill. The pass is charged to the server
+// computation metric as one touch per stream, whatever m is.
+func rankNearest(rk *topk.Ranking, c server.Host, q query.Center, m int) (ids []int, dists []float64) {
 	n := c.N()
-	r.ids = r.ids[:0]
-	r.ks.keys = r.ks.keys[:0]
+	rk.Reset()
 	for i := 0; i < n; i++ {
 		v, _ := c.Table(i)
-		r.ids = append(r.ids, i)
-		r.ks.keys = append(r.ks.keys, q.Dist(v))
+		rk.Add(i, q.Dist(v))
 	}
-	r.ks.ids = r.ids
-	sort.Sort(&r.ks)
-	r.ks.ids = nil
 	c.AddServerOps(n)
-	return r.ids
+	return rk.Order(m)
 }
 
-// sortIDs orders ids ascending by (table distance from q, id) in place,
-// reusing the ranker's key buffer.
-func (r *ranker) sortIDs(c server.Host, q query.Center, ids []int) {
-	r.ks.keys = r.ks.keys[:0]
+// nearestOf reorders ids in place so its m nearest by (table distance from
+// q, id) lead in ascending order, using keyBuf as key scratch, and charges
+// one server op per id.
+func nearestOf(keyBuf *[]float64, c server.Host, q query.Center, ids []int, m int) {
+	keys := (*keyBuf)[:0]
 	for _, id := range ids {
-		r.ks.keys = append(r.ks.keys, tableDist(c, q, id))
+		keys = append(keys, tableDist(c, q, id))
 	}
-	r.ks.ids = ids
-	sort.Sort(&r.ks)
-	r.ks.ids = nil
+	*keyBuf = keys
+	topk.Select(ids, keys, m)
 	c.AddServerOps(len(ids))
-}
-
-// rankTable is the allocating convenience form of ranker.rank, kept for
-// callers outside the per-event hot path (and their tests).
-func rankTable(c server.Host, q query.Center) []int {
-	var r ranker
-	ids := r.rank(c, q)
-	out := make([]int, len(ids))
-	copy(out, ids)
-	return out
 }
 
 // tableDist returns the distance of stream id's table value from q.
@@ -71,9 +48,3 @@ func tableDist(c server.Host, q query.Center, id int) float64 {
 // paper's placement for R ("halfway between the (k+r)th and the (k+r+1)st
 // object").
 func midpoint(inner, outer float64) float64 { return (inner + outer) / 2 }
-
-// sortByTableDist orders ids ascending by (table distance from q, id).
-func sortByTableDist(c server.Host, q query.Center, ids []int) {
-	var r ranker
-	r.sortIDs(c, q, ids)
-}

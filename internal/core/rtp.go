@@ -8,6 +8,7 @@ import (
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
 // RTP is the rank-based tolerance protocol for k-NN queries (paper §4,
@@ -30,7 +31,8 @@ type RTP struct {
 	// Reusable scratch for the maintenance-phase repair paths (replacement
 	// ranking, expanding search, X refresh), so steady-state event handling
 	// allocates nothing once the buffers have grown to the stream count.
-	rk       ranker
+	rk       topk.Ranking
+	keyBuf   []float64 // nearestOf key scratch
 	valsBuf  []float64
 	idBuf    []int  // replacement candidates / probe fan-out
 	pendBuf  []int  // expanding search: candidates awaiting a reply
@@ -75,30 +77,21 @@ func (p *RTP) Initialize() {
 
 // rebuildFromRanking recomputes A and X from the current server table and
 // redeploys the bound (shared by Initialize and the Case 3 X refresh).
+//
+// Deploy_bound places R halfway between the ε_k^r-th and (ε_k^r+1)-st table
+// distances, so the ε_k^r+1 nearest are all the ranking it needs.
 func (p *RTP) rebuildFromRanking() {
-	sorted := p.rk.rank(p.c, p.q)
+	e := p.tol.Eps()
+	nearest, dists := rankNearest(&p.rk, p.c, p.q, e+1)
 	p.inA.clear()
 	p.inX.clear()
-	for i, id := range sorted {
+	for i, id := range nearest[:e] {
 		if i < p.tol.K {
 			p.inA.add(id)
 		}
-		if i < p.tol.Eps() {
-			p.inX.add(id)
-		} else {
-			break
-		}
+		p.inX.add(id)
 	}
-	p.deployBound(sorted)
-}
-
-// deployBound places R halfway between the ε_k^r-th and (ε_k^r+1)-st
-// table distances and installs it on every stream (Figure 5 Deploy_bound).
-func (p *RTP) deployBound(sorted []int) {
-	e := p.tol.Eps()
-	inner := tableDist(p.c, p.q, sorted[e-1])
-	outer := tableDist(p.c, p.q, sorted[e])
-	p.install(midpoint(inner, outer))
+	p.install(midpoint(dists[e-1], dists[e]))
 }
 
 func (p *RTP) install(d float64) {
@@ -139,14 +132,15 @@ func (p *RTP) answerLeft(id stream.ID) {
 	// Step 3: replace from X−A when possible — pick the member with the
 	// highest rank (smallest table distance).
 	if p.inX.len() > p.inA.len() {
-		candidates := p.idBuf[:0]
-		for x, in := range p.inX.bits {
-			if in && !p.inA.has(x) {
+		members := p.inX.appendMembers(p.idBuf[:0])
+		candidates := members[:0]
+		for _, x := range members {
+			if !p.inA.has(x) {
 				candidates = append(candidates, x)
 			}
 		}
-		p.idBuf = candidates
-		p.rk.sortIDs(p.c, p.q, candidates)
+		p.idBuf = members
+		nearestOf(&p.keyBuf, p.c, p.q, candidates, 1)
 		p.inA.add(candidates[0])
 		return
 	}
@@ -165,9 +159,16 @@ func (p *RTP) answerLeft(id stream.ID) {
 // least two respond, then rebuild A and X and redeploy the bound. All
 // working storage is protocol scratch; the hit bitmap is cleaned before
 // every return.
+//
+// The stale ranking is consumed front to back and the search usually stops
+// a few steps past ε_k^r, so it is ordered lazily: 2(ε_k^r+1) entries to
+// start, doubled whenever the walk runs off the ordered prefix. The
+// extension ranks the distances captured on entry — never the live table,
+// which ProbeIf has been refreshing since.
 func (p *RTP) expandSearch() bool {
-	sorted := p.rk.rank(p.c, p.q)
 	e := p.tol.Eps()
+	prefix := 2 * (e + 1)
+	sorted, dists := rankNearest(&p.rk, p.c, p.q, prefix)
 	if n := p.c.N(); len(p.isHit) < n {
 		p.isHit = make([]bool, n)
 	}
@@ -184,7 +185,11 @@ func (p *RTP) expandSearch() bool {
 		}
 	}
 	for j := e + 1; j <= len(sorted); j++ {
-		dPrime := tableDist(p.c, p.q, sorted[j-1])
+		if j > prefix {
+			prefix *= 2
+			p.rk.Order(prefix)
+		}
+		dPrime := dists[j-1]
 		region := p.q.BallConstraint(dPrime)
 		if !p.inA.has(sorted[j-1]) {
 			pending = append(pending, sorted[j-1])
@@ -208,17 +213,16 @@ func (p *RTP) expandSearch() bool {
 			continue
 		}
 		// Found enough candidates: the closest joins A; X keeps up to r+1
-		// of the closest hits alongside A. (sorted is dead past this point,
-		// so reusing the ranker's key buffer for the hit sort is safe.)
+		// of the closest hits alongside A, and u[limit] caps the new bound.
 		u := hits
-		p.rk.sortIDs(p.c, p.q, u) // hits' table values are fresh
-		p.inA.add(u[0])
-		p.inX.clear()
-		p.inX.addAll(&p.inA)
 		limit := p.tol.R + 1
 		if limit > len(u) {
 			limit = len(u)
 		}
+		nearestOf(&p.keyBuf, p.c, p.q, u, limit+1) // hits' table values are fresh
+		p.inA.add(u[0])
+		p.inX.clear()
+		p.inX.addAll(&p.inA)
 		for _, idm := range u[:limit] {
 			p.inX.add(idm)
 		}
@@ -249,10 +253,8 @@ func (p *RTP) expandSearch() bool {
 
 func (p *RTP) maxXDist() float64 {
 	max := math.Inf(-1)
-	for x, in := range p.inX.bits {
-		if !in {
-			continue
-		}
+	p.idBuf = p.inX.appendMembers(p.idBuf[:0])
+	for _, x := range p.idBuf {
 		if d := tableDist(p.c, p.q, x); d > max {
 			max = d
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
+
+	"adaptivefilters/internal/topk"
 )
 
 // Labels for sim.RNG.Split deriving each protocol's selection stream from
@@ -36,32 +38,15 @@ func (s Selection) String() string {
 	return "boundary-nearest"
 }
 
-// pick returns up to n ids from candidates. For boundary-nearest, ids with
-// the smallest score are chosen (score = distance to the query boundary);
-// ties break by id for determinism. For random, a seeded shuffle decides.
-// The input slice is not modified. Hot paths use pickKeyed with protocol
-// scratch buffers instead; pick keeps the allocating convenience contract.
-func (s Selection) pick(candidates []int, score func(id int) float64, n int, rng *rand.Rand) []int {
-	if n <= 0 || len(candidates) == 0 {
-		return nil
-	}
-	ids := append([]int(nil), candidates...)
-	keys := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		keys = append(keys, score(id))
-	}
-	var ks keyedSorter
-	return s.pickKeyed(&ks, ids, keys, n, rng)
-}
-
-// pickKeyed is pick without the defensive copy or the score closure: keys[i]
-// is the caller-computed score of ids[i], both slices are reordered in
-// place, and the chosen ids occupy ids[:min(n,len(ids))], which is
-// returned. A warmed caller (scratch ids/keys buffers, pointer sorter)
-// allocates nothing. The RNG consumption (one Shuffle of len(ids) for
-// SelectRandom, none otherwise) is identical to pick's, keeping seeded
-// trajectories unchanged.
-func (s Selection) pickKeyed(ks *keyedSorter, ids []int, keys []float64, n int, rng *rand.Rand) []int {
+// pickKeyed returns up to n of ids: keys[i] is the caller-computed score of
+// ids[i], both slices are reordered in place, and the chosen ids occupy
+// ids[:min(n,len(ids))], which is returned. For boundary-nearest, the ids
+// with the smallest score are chosen (score = distance to the query
+// boundary), ties broken by id for determinism, and only the chosen prefix
+// is ordered; for random, a seeded shuffle of the whole slice decides (one
+// Shuffle of len(ids), so the RNG consumption does not depend on n). A
+// caller passing scratch buffers allocates nothing.
+func (s Selection) pickKeyed(ids []int, keys []float64, n int, rng *rand.Rand) []int {
 	if n <= 0 || len(ids) == 0 {
 		return nil
 	}
@@ -72,96 +57,82 @@ func (s Selection) pickKeyed(ks *keyedSorter, ids []int, keys []float64, n int, 
 	case SelectRandom:
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	default:
-		ks.ids, ks.keys = ids, keys
-		sort.Sort(ks)
-		ks.ids, ks.keys = nil, nil
+		topk.Select(ids, keys, n)
 	}
 	return ids[:n]
 }
 
-// keyedSorter sorts an id slice by (precomputed key, id) ascending without
-// per-call allocations: callers point it at their scratch slices and it
-// reaches sort.Sort as a pointer, so nothing is boxed. It replaces the
-// sort.Slice calls that used to allocate a closure and a reflect-based
-// swapper on every ranking pass.
-type keyedSorter struct {
-	ids  []int
-	keys []float64
-}
-
-func (ks *keyedSorter) Len() int { return len(ks.ids) }
-
-func (ks *keyedSorter) Less(i, j int) bool {
-	if ks.keys[i] != ks.keys[j] {
-		return ks.keys[i] < ks.keys[j]
-	}
-	return ks.ids[i] < ks.ids[j]
-}
-
-func (ks *keyedSorter) Swap(i, j int) {
-	ks.ids[i], ks.ids[j] = ks.ids[j], ks.ids[i]
-	ks.keys[i], ks.keys[j] = ks.keys[j], ks.keys[i]
-}
-
 // intSet is a small deterministic set of dense stream ids (0..n-1) used for
-// answer and filter bookkeeping. It is a membership bitmap rather than a
-// map: add/remove/has are branch-and-store on a slice, clear keeps the
-// backing storage, and iteration is naturally in ascending id order — so
-// the steady-state maintenance path allocates nothing once the bitmap has
-// grown to the stream count.
+// answer and filter bookkeeping. It is a membership bitmap packed 64 ids to
+// the word rather than a map: add/remove/has are a shift and a mask, clear
+// keeps the backing storage, and iteration skips empty words and pulls
+// members out of the others with TrailingZeros — naturally in ascending id
+// order, and costing n/64 word loads plus the member count rather than one
+// load per stream, which matters when a rank protocol over thousands of
+// streams tracks a couple of dozen. The steady-state maintenance path
+// allocates nothing once the bitmap has grown to the stream count.
 type intSet struct {
-	bits []bool
-	n    int
+	words []uint64
+	n     int
 }
 
 func newIntSet() intSet { return intSet{} }
 
-func (s *intSet) add(id int) {
-	if id >= len(s.bits) {
-		grown := make([]bool, id+1)
-		copy(grown, s.bits)
-		s.bits = grown
+// grow extends the bitmap to hold at least nw words.
+func (s *intSet) grow(nw int) {
+	if nw > len(s.words) {
+		grown := make([]uint64, nw)
+		copy(grown, s.words)
+		s.words = grown
 	}
-	if !s.bits[id] {
-		s.bits[id] = true
+}
+
+func (s *intSet) add(id int) {
+	w, bit := id>>6, uint64(1)<<(uint(id)&63)
+	s.grow(w + 1)
+	if s.words[w]&bit == 0 {
+		s.words[w] |= bit
 		s.n++
 	}
 }
 
 func (s *intSet) remove(id int) {
-	if id < len(s.bits) && s.bits[id] {
-		s.bits[id] = false
+	w, bit := id>>6, uint64(1)<<(uint(id)&63)
+	if w < len(s.words) && s.words[w]&bit != 0 {
+		s.words[w] &^= bit
 		s.n--
 	}
 }
 
-func (s *intSet) has(id int) bool { return id >= 0 && id < len(s.bits) && s.bits[id] }
-func (s *intSet) len() int        { return s.n }
+func (s *intSet) has(id int) bool {
+	w := uint(id) >> 6 // a negative id lands past any bitmap
+	return w < uint(len(s.words)) && s.words[w]>>(uint(id)&63)&1 != 0
+}
+
+func (s *intSet) len() int { return s.n }
 
 // clear empties the set but keeps the backing bitmap, so rebuild-heavy
 // protocols (RTP, FT-RP) reset their answer sets without reallocating.
 func (s *intSet) clear() {
-	for i := range s.bits {
-		s.bits[i] = false
-	}
+	clear(s.words)
 	s.n = 0
 }
 
 // addAll inserts every member of o.
 func (s *intSet) addAll(o *intSet) {
-	for id, in := range o.bits {
-		if in {
-			s.add(id)
-		}
+	s.grow(len(o.words))
+	for i, w := range o.words {
+		s.n += bits.OnesCount64(w &^ s.words[i])
+		s.words[i] |= w
 	}
 }
 
 // appendMembers appends the members ascending to dst and returns it; hot
 // paths pass a reusable scratch slice (dst[:0]) to avoid allocating.
 func (s *intSet) appendMembers(dst []int) []int {
-	for id, in := range s.bits {
-		if in {
-			dst = append(dst, id)
+	for i, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return dst
@@ -172,12 +143,9 @@ func (s *intSet) sorted() []int { return s.appendMembers(make([]int, 0, s.n)) }
 
 // min returns the smallest member; ok is false when empty.
 func (s *intSet) min() (int, bool) {
-	if s.n == 0 {
-		return 0, false
-	}
-	for id, in := range s.bits {
-		if in {
-			return id, true
+	for i, w := range s.words {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w), true
 		}
 	}
 	return 0, false

@@ -37,10 +37,8 @@ var (
 // exportSet writes an intSet as its ascending member list.
 func exportSet(w *snapshot.Writer, s *intSet) {
 	w.Int(s.len())
-	for id, in := range s.bits {
-		if in {
-			w.Int(id)
-		}
+	for _, id := range s.sorted() {
+		w.Int(id)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
 // ZTRP is the zero-tolerance k-NN protocol of paper §5.2.1: the k-NN query
@@ -24,7 +25,7 @@ type ZTRP struct {
 
 	// Reusable scratch for rebuilds, so the zero-tolerance repair paths
 	// allocate nothing once warm.
-	rk      ranker
+	rk      topk.Ranking
 	valsBuf []float64
 	idBuf   []int
 
@@ -55,14 +56,12 @@ func (p *ZTRP) Initialize() {
 
 // rebuild recomputes A and R from the current server table and redeploys.
 func (p *ZTRP) rebuild() {
-	sorted := p.rk.rank(p.c, p.q)
+	nearest, dists := rankNearest(&p.rk, p.c, p.q, p.k+1)
 	p.ans.clear()
-	for _, id := range sorted[:p.k] {
+	for _, id := range nearest[:p.k] {
 		p.ans.add(id)
 	}
-	inner := tableDist(p.c, p.q, sorted[p.k-1])
-	outer := tableDist(p.c, p.q, sorted[p.k])
-	p.d = midpoint(inner, outer)
+	p.d = midpoint(dists[p.k-1], dists[p.k])
 	p.cur = p.q.BallConstraint(p.d)
 	p.c.InstallAll(p.cur)
 	p.Recomputes++

@@ -8,6 +8,7 @@ import (
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
 // FTRP2D is the fraction-based tolerance k-NN protocol (paper §5.2) over
@@ -34,7 +35,7 @@ type FTRP2D struct {
 	count int
 	cur   filter.Region
 
-	rs rankScratch
+	rs topk.Ranking
 
 	// Recomputes counts full bound recomputations.
 	Recomputes uint64
@@ -114,14 +115,21 @@ func (p *FTRP2D) Initialize() {
 	p.rebuild()
 }
 
+// rebuild recomputes R, the answer and the silent disks from the host
+// table. It reads the ranking up to the (k+1)-st distance and the last
+// false-negative holder, so that is all it orders.
 func (p *FTRP2D) rebuild() {
-	ids := p.rs.rank(p.h, p.q)
+	m := p.k + 1
+	if fnEnd := p.k + p.nMinusBudget; fnEnd > m {
+		m = fnEnd
+	}
+	ids, dists := rankNearest(&p.rs, p.h, p.q, m)
 
 	clear(p.ans)
 	clear(p.fp)
 	clear(p.fn)
 	p.count = 0
-	p.cur = filter.NewDisk(p.q, (p.rs.dist[p.k-1]+p.rs.dist[p.k])/2)
+	p.cur = filter.NewDisk(p.q, (dists[p.k-1]+dists[p.k])/2)
 
 	// Boundary-nearest placement: inside streams with the largest distance,
 	// outside streams with the smallest.
@@ -137,8 +145,11 @@ func (p *FTRP2D) rebuild() {
 
 	// One Install message per stream, each routed through the host so the
 	// charge rules stay the shared ones (the legacy path bulk-charged the
-	// counter and poked sources directly).
-	for _, id := range ids {
+	// counter and poked sources directly). Streams are visited by ascending
+	// id, as in 1-D FT-RP: every rebuild follows a ProbeAll, so the table
+	// is the truth, no install can mismatch and draw a report, and the
+	// visiting order is unobservable (TestFTRP2DInstallsNeverMismatch).
+	for id, n := 0, p.h.N(); id < n; id++ {
 		switch {
 		case p.fp[id]:
 			p.h.Install(id, filter.WideOpenRegion(p.q), true)

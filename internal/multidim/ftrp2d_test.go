@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/filter"
 )
 
 // check2DFraction validates Definition 3 for a 2-D k-NN answer by brute
@@ -175,4 +176,50 @@ func TestFTRP2DPanics(t *testing.T) {
 		}()
 		NewFTRP2D(c, Point{}, 2, core.FractionTolerance{EpsPlus: 0.7})
 	}()
+}
+
+// installAuditHost checks every Install a protocol issues against ground
+// truth: the side the server claims must be the side the stream is on.
+type installAuditHost struct {
+	*Cluster
+	t        *testing.T
+	installs int
+}
+
+func (h *installAuditHost) Install(id int, reg filter.Region, expectInside bool) {
+	h.installs++
+	if truth := reg.Contains(h.TruePoint(id)); truth != expectInside {
+		h.t.Fatalf("install on stream %d claims inside=%v, truth is %v: the stream would report, "+
+			"and the order rebuild visits streams in would become observable", id, expectInside, truth)
+	}
+	h.Cluster.Install(id, reg, expectInside)
+}
+
+// TestFTRP2DInstallsNeverMismatch is why FTRP2D.rebuild may visit streams
+// by ascending id instead of ranked order (and so needs no full ranking):
+// every rebuild follows a ProbeAll, the table is the truth, and an install
+// whose claimed side is right draws no report — so the only trace the
+// installs leave is their count. (TestProtocolPins' ft-rp2d walk, recorded
+// with ranked-order installs, pins the same thing end to end.)
+func TestFTRP2DInstallsNeverMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	q := pt(250, 250)
+	pts := make([]Point, 200)
+	for i := range pts {
+		pts[i] = pt(float64(rng.Intn(500)), float64(rng.Intn(500)))
+	}
+	h := &installAuditHost{Cluster: NewCluster(pts), t: t}
+	p := NewFTRP2D(h, q, 12, core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
+	h.SetProtocol(p)
+	h.Initialize()
+	for ev := 0; ev < 10000; ev++ {
+		id := rng.Intn(len(pts))
+		pts[id].X += float64(rng.Intn(81) - 40)
+		pts[id].Y += float64(rng.Intn(81) - 40)
+		h.Deliver(id, pts[id])
+	}
+	if p.Recomputes < 10 || h.installs < 10*len(pts) {
+		t.Fatalf("only %d rebuilds / %d audited installs; the walk is too quiet to prove anything",
+			p.Recomputes, h.installs)
+	}
 }

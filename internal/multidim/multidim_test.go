@@ -11,6 +11,7 @@ import (
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
 // pt builds a Point without fighting vet over unkeyed literals of the
@@ -298,8 +299,8 @@ func TestRankTablePanicsOnNaN(t *testing.T) {
 			t.Error("NaN distance did not panic the rank table")
 		}
 	}()
-	var rs rankScratch
-	rs.rank(nanTableHost{}, Point{})
+	var rk topk.Ranking
+	rankNearest(&rk, nanTableHost{}, Point{}, 1)
 }
 
 // TestDeliverNaNPanics pins the façade's ingest trust boundary: a NaN

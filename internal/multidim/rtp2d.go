@@ -2,63 +2,31 @@ package multidim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
+	"adaptivefilters/internal/topk"
 )
 
-// rankScratch owns the reusable buffers behind distance ranking: stream ids
-// and their parallel distances to the query point, sorted together by
-// (distance, id). Reuse keeps repeated rebuilds off the allocator, and the
-// keyed sorter replaces the legacy sort.Slice closure whose comparator
-// silently corrupted the order when a NaN distance slipped in (the ostree
-// bug class PR 6 fixed in 1-D): distances are validated as they are filled,
-// so a NaN — impossible via validated ingest/restore, hence a caller bug —
-// panics instead of scrambling the ranking.
-type rankScratch struct {
-	ids  []int
-	dist []float64
-}
-
-func (s *rankScratch) Len() int { return len(s.ids) }
-func (s *rankScratch) Less(a, b int) bool {
-	da, db := s.dist[a], s.dist[b]
-	if da != db {
-		return da < db
-	}
-	return s.ids[a] < s.ids[b]
-}
-func (s *rankScratch) Swap(a, b int) {
-	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
-	s.dist[a], s.dist[b] = s.dist[b], s.dist[a]
-}
-
-// rank fills the scratch with every stream id ranked by (distance to q,
-// id), reading locations from the host table, and charges n server ops for
-// the ranking work. It panics on NaN distances.
-func (s *rankScratch) rank(h server.SpatialHost, q Point) []int {
+// rankNearest snapshots every stream's table distance to q into rk and
+// orders the m nearest by (distance, id) at the front, the rest following
+// unordered — the planar twin of core's rank pass over the same kernel. It
+// charges n server ops for the ranking work whatever m is, and panics on a
+// NaN distance (topk.Ranking.Add): impossible via validated ingest/restore,
+// hence a caller bug, and a NaN would silently scramble the order. The
+// returned slices alias rk.
+func rankNearest(rk *topk.Ranking, h server.SpatialHost, q Point, m int) (ids []int, dists []float64) {
 	n := h.N()
-	if cap(s.ids) < n {
-		s.ids = make([]int, n)
-		s.dist = make([]float64, n)
-	}
-	s.ids, s.dist = s.ids[:n], s.dist[:n]
+	rk.Reset()
 	for i := 0; i < n; i++ {
-		s.ids[i] = i
 		pt, _ := h.Table(i)
-		d := Dist(q, pt)
-		if math.IsNaN(d) {
-			panic("multidim: NaN distance in rank table")
-		}
-		s.dist[i] = d
+		rk.Add(i, Dist(q, pt))
 	}
-	sort.Sort(s)
 	h.AddServerOps(n)
-	return s.ids
+	return rk.Order(m)
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -90,8 +58,8 @@ type RTP2D struct {
 	inX map[int]bool
 	cur filter.Region
 
-	rs      rankScratch
-	us      rankScratch   // expandSearch responder ranking scratch
+	rs      topk.Ranking
+	us      topk.Ranking  // expandSearch responder ranking scratch
 	pending []int         // expandSearch candidate scratch
 	hits    map[int]Point // expandSearch responder scratch
 	probeXs []int         // entered() batch-probe scratch
@@ -141,22 +109,21 @@ func (p *RTP2D) Initialize() {
 	p.rebuildFromTable()
 }
 
+// rebuildFromTable recomputes A and X from the host table and redeploys;
+// the bound sits between the ε-th and (ε+1)-st distances, so the ε+1
+// nearest are all the ranking it needs.
 func (p *RTP2D) rebuildFromTable() {
-	sorted := p.rs.rank(p.h, p.q)
+	e := p.tol.Eps()
+	nearest, dists := rankNearest(&p.rs, p.h, p.q, e+1)
 	clear(p.inA)
 	clear(p.inX)
-	for i, id := range sorted {
+	for i, id := range nearest[:e] {
 		if i < p.tol.K {
 			p.inA[id] = true
 		}
-		if i < p.tol.Eps() {
-			p.inX[id] = true
-		} else {
-			break
-		}
+		p.inX[id] = true
 	}
-	e := p.tol.Eps()
-	p.install((p.rs.dist[e-1] + p.rs.dist[e]) / 2)
+	p.install((dists[e-1] + dists[e]) / 2)
 }
 
 func (p *RTP2D) install(r float64) {
@@ -216,10 +183,14 @@ func (p *RTP2D) answerLeft(id int) {
 // respond. Every conditional probe is a SpatialHost.ProbeIf round — the
 // request always charged, the reply only on a hit — so the 2-D costs are
 // priced by the same charge rules as server.Cluster's
-// (TestSpatialChargeParity pins this).
+// (TestSpatialChargeParity pins this). As in 1-D the stale ranking is
+// ordered lazily — 2(ε+1) entries, doubled when the walk runs off them —
+// always over the distances captured on entry, not the table ProbeIf is
+// refreshing.
 func (p *RTP2D) expandSearch() bool {
-	sorted := p.rs.rank(p.h, p.q)
 	e := p.tol.Eps()
+	prefix := 2 * (e + 1)
+	sorted, dists := rankNearest(&p.rs, p.h, p.q, prefix)
 	clear(p.hits)
 	p.pending = p.pending[:0]
 	for _, id := range sorted[:e] {
@@ -228,8 +199,11 @@ func (p *RTP2D) expandSearch() bool {
 		}
 	}
 	for j := e + 1; j <= len(sorted); j++ {
-		tp, _ := p.h.Table(sorted[j-1])
-		dPrime := Dist(p.q, tp)
+		if j > prefix {
+			prefix *= 2
+			p.rs.Order(prefix)
+		}
+		dPrime := dists[j-1]
 		region := filter.NewDisk(p.q, dPrime)
 		if !p.inA[sorted[j-1]] {
 			p.pending = append(p.pending, sorted[j-1])
@@ -249,21 +223,19 @@ func (p *RTP2D) expandSearch() bool {
 		if len(p.hits) < 2 {
 			continue
 		}
-		p.us.ids, p.us.dist = p.us.ids[:0], p.us.dist[:0]
+		p.us.Reset()
 		for id, pt := range p.hits {
-			p.us.ids = append(p.us.ids, id)
-			p.us.dist = append(p.us.dist, Dist(p.q, pt))
+			p.us.Add(id, Dist(p.q, pt))
 		}
-		sort.Sort(&p.us)
-		u := p.us.ids
+		limit := p.tol.R + 1
+		if limit > len(p.hits) {
+			limit = len(p.hits)
+		}
+		u, _ := p.us.Order(limit + 1)
 		p.inA[u[0]] = true
 		clear(p.inX)
 		for a := range p.inA {
 			p.inX[a] = true
-		}
-		limit := p.tol.R + 1
-		if limit > len(u) {
-			limit = len(u)
 		}
 		for _, id := range u[:limit] {
 			p.inX[id] = true

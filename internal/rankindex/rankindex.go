@@ -13,10 +13,10 @@ package rankindex
 
 import (
 	"math"
-	"sort"
 
 	"adaptivefilters/internal/ostree"
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/topk"
 )
 
 // Index is a dynamic value index over streams 0..n-1. Streams may be absent
@@ -26,11 +26,7 @@ type Index struct {
 	vals    []float64
 	present []bool
 
-	// sortByDistID scratch: keys are recomputed per sort, the sorter struct
-	// is pointed at the live slices so sort.Sort sees a pointer receiver and
-	// nothing escapes (same idiom as core's keyedSorter).
-	skeys  []float64
-	sorter distSorter
+	skeys []float64 // sortByDistID key scratch, recomputed per sort
 }
 
 // New returns an empty index sized for n streams.
@@ -238,39 +234,18 @@ func keyAt(t *ostree.Tree, i int) (ostree.Key, bool) {
 	return t.Select(i)
 }
 
-// distSorter sorts ids by precomputed (distance, id) keys. A concrete
-// pointer-receiver sort.Interface over index-owned scratch, so sorting
-// allocates nothing — sort.Slice's capturing closure allocated on every
-// call, which matters now that KNearest sits on the ingest hot path.
-type distSorter struct {
-	ids  []int
-	keys []float64
-}
-
-func (s *distSorter) Len() int { return len(s.ids) }
-
-func (s *distSorter) Less(a, b int) bool {
-	if s.keys[a] != s.keys[b] {
-		return s.keys[a] < s.keys[b]
-	}
-	return s.ids[a] < s.ids[b]
-}
-
-func (s *distSorter) Swap(a, b int) {
-	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-}
-
-// sortByDistID orders ids ascending by (distance from q, id).
+// sortByDistID orders ids ascending by (distance from q, id) through the
+// shared selection kernel over index-owned key scratch, so it allocates
+// nothing — which matters now that KNearest sits on the ingest hot path.
+// The candidate lists are k plus boundary ties, so the whole list is
+// ordered.
 func (ix *Index) sortByDistID(ids []int, q query.Center) {
 	keys := ix.skeys[:0]
 	for _, id := range ids {
 		keys = append(keys, q.Dist(ix.vals[id]))
 	}
 	ix.skeys = keys
-	ix.sorter.ids, ix.sorter.keys = ids, keys
-	sort.Sort(&ix.sorter)
-	ix.sorter.ids, ix.sorter.keys = nil, nil
+	topk.Select(ids, keys, len(ids))
 }
 
 // KthDist returns the distance from q of the k-th nearest present stream

@@ -1,0 +1,144 @@
+// Package topk is the partial-selection kernel behind every distance
+// ranking in the repository: the 1-D rank protocols (internal/core), their
+// planar twins (internal/multidim) and the oracle's k-NN index
+// (internal/rankindex).
+//
+// Figure 5's Deploy_bound needs the (k+r)-th and (k+r+1)-st distances and
+// nothing past them, so a rebuild asks for the m nearest of n streams, not
+// for the whole order: Select places the m smallest (key, id) pairs sorted
+// at the front in O(n + m log m) typical time and leaves the rest as an
+// unordered permutation. (key, id) with distinct ids is a strict total
+// order, so the ordered prefix is unique — it equals the first m entries of
+// a full sort, which is what makes the shortcut unobservable. m ≥ n is a
+// full sort by the same code; there is no second path.
+//
+// Everything is concrete ([]int ids, []float64 keys): no sort.Interface
+// dispatch, no closures, no allocation once a Ranking's buffers have grown
+// to the stream count.
+package topk
+
+// Select reorders the parallel slices ids and keys (keys[i] is the key of
+// ids[i]; len(keys) >= len(ids)) so that the m smallest pairs under
+// (key, then id) occupy positions [0, m) in ascending order. Positions
+// [m, len(ids)) hold the remaining pairs in unspecified order. m is
+// clamped to [0, len(ids)].
+//
+// Because the tail is a permutation of everything not selected, a caller
+// extends an ordered prefix of length p to length p' by calling Select on
+// ids[p:], keys[p:] with m = p'−p: the keys travel with their ids, so the
+// extension ranks the same snapshot the prefix was taken from.
+//
+// Keys must not be NaN for the result to be meaningful (Ranking.Add
+// enforces that for rank tables); with NaN keys Select still terminates
+// and still permutes its input, but the order is unspecified.
+func Select(ids []int, keys []float64, m int) {
+	n := len(ids)
+	keys = keys[:n]
+	if m > n {
+		m = n
+	}
+	if m <= 0 {
+		return
+	}
+	// Max-heap of the first m pairs: the root is the worst pair kept.
+	for i := m/2 - 1; i >= 0; i-- {
+		siftDown(ids, keys, i, m)
+	}
+	// One pass over the rest: a pair better than the root replaces it.
+	// For m << n nearly every pair fails the first comparison, so the pass
+	// is n float compares with no data movement.
+	topKey, topID := keys[0], ids[0]
+	for i := m; i < n; i++ {
+		k := keys[i]
+		if k < topKey || (k == topKey && ids[i] < topID) {
+			ids[0], ids[i] = ids[i], ids[0]
+			keys[0], keys[i] = keys[i], topKey
+			siftDown(ids, keys, 0, m)
+			topKey, topID = keys[0], ids[0]
+		}
+	}
+	// Heapsort the kept prefix into ascending order.
+	for end := m - 1; end > 0; end-- {
+		ids[0], ids[end] = ids[end], ids[0]
+		keys[0], keys[end] = keys[end], keys[0]
+		siftDown(ids, keys, 0, end)
+	}
+}
+
+// siftDown restores the max-heap property of the first n pairs below
+// position root.
+func siftDown(ids []int, keys []float64, root, n int) {
+	id, key := ids[root], keys[root]
+	for {
+		child := 2*root + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && less(keys[child], ids[child], keys[r], ids[r]) {
+			child = r
+		}
+		if !less(key, id, keys[child], ids[child]) {
+			break
+		}
+		ids[root], keys[root] = ids[child], keys[child]
+		root = child
+	}
+	ids[root], keys[root] = id, key
+}
+
+// less is the strict (key, id) order.
+func less(ka float64, ia int, kb float64, ib int) bool {
+	if ka != kb {
+		return ka < kb
+	}
+	return ia < ib
+}
+
+// Ranking is a reusable snapshot of (key, id) pairs with an ordered
+// prefix that can be grown on demand: fill it with Reset + Add, ask for
+// the m best with Order, and ask again with a larger m later — the second
+// call ranks the keys captured at fill time, not whatever they were
+// computed from, which is what RTP's expanding search needs once its
+// conditional probes have started refreshing the live table. The zero
+// value is ready to use; buffers are kept across Resets.
+type Ranking struct {
+	ids     []int
+	keys    []float64
+	ordered int
+}
+
+// Reset empties the ranking, keeping its storage.
+func (r *Ranking) Reset() {
+	r.ids, r.keys, r.ordered = r.ids[:0], r.keys[:0], 0
+}
+
+// Add appends one pair. It panics on a NaN key: a NaN compares false with
+// everything and would silently scramble the order, and validated ingest
+// and restore make it impossible short of a caller bug.
+func (r *Ranking) Add(id int, key float64) {
+	if key != key {
+		panic("topk: NaN key in rank table")
+	}
+	r.ids = append(r.ids, id)
+	r.keys = append(r.keys, key)
+	r.ordered = 0
+}
+
+// Ordered returns the length of the ordered prefix.
+func (r *Ranking) Ordered() int { return r.ordered }
+
+// Order grows the ordered prefix to m pairs, or to all of them if there
+// are fewer (never shrinking it), and returns all ids and keys: the first
+// Ordered() are ascending by (key, id), the rest are the unselected pairs
+// in unspecified order. The slices alias the ranking and are valid until
+// the next Reset or Add.
+func (r *Ranking) Order(m int) (ids []int, keys []float64) {
+	if m > len(r.ids) {
+		m = len(r.ids)
+	}
+	if m > r.ordered {
+		Select(r.ids[r.ordered:], r.keys[r.ordered:], m-r.ordered)
+		r.ordered = m
+	}
+	return r.ids, r.keys
+}
