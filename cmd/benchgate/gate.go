@@ -22,8 +22,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxRegress    = fs.Float64("max-regress", 0.15, "tolerated fractional events/sec drop")
 		maxLatRegress = fs.Float64("max-lat-regress", 0.5,
 			"tolerated fractional growth of recorded p50/p99/p999 latency")
-		flatFactor = fs.Float64("flat-factor", 10,
-			"per-event cost bound on the wide-M multi-query points, as a factor of m=1")
+		flatFactor = fs.Float64("flat-factor", 3,
+			"per-event cost bound on the wide-M multi-query points, as a factor of m=1 (measured about 1.3; dispatching every report to all M queries costs 5 or more)")
 		minScale = fs.Float64("min-scale", 1.8,
 			"required events/sec speedup of ingesters=4/shards=8 over ingesters=1/shards=1 (enforced only at GOMAXPROCS >= 4)")
 	)

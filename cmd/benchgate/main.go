@@ -9,13 +9,15 @@
 // Usage:
 //
 //	benchgate -baseline BENCH_baseline.json -current BENCH_suite.json \
-//	    [-max-regress 0.15] [-max-lat-regress 0.5] [-flat-factor 10]
+//	    [-max-regress 0.15] [-max-lat-regress 0.5] [-flat-factor 3]
 //
 // The near-flat rule is intra-run and machine-independent: within the
 // current suite, the per-event cost of the M=64 and M=256 composite points
-// must stay within -flat-factor of the M=1 point. A regression back to
-// scanning every standing query per event scales per-event cost with M and
-// cannot pass, no matter how fast the machine is.
+// must stay within -flat-factor of the M=1 point (measured about 1.3). A
+// regression back to scanning every standing query per event, or to
+// dispatching every report to all M queries (5.7× at M=256 when that was
+// the design), scales per-event cost with M and cannot pass, no matter how
+// fast the machine is.
 //
 // On a passing gate it prints a per-benchmark delta table (throughput,
 // per-op cost, allocations, p99 latency against the baseline) so CI logs

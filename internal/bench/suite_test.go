@@ -443,6 +443,47 @@ func mqWideQueries(m int) []runtime.QuerySpec {
 	return qs
 }
 
+// mqActiveQueries builds a population whose m queries are all active over
+// the walk's [0,1000] band — the end-to-end benchmark's node-multiquery mix
+// (benchmark/workloads.go) at any m: 7/16 FT-NRP over 16 replicated bands
+// (asked more than once, so they share evaluation classes), 7/16 FT-NRP
+// over distinct overlapping ranges, the rest ZT-NRP. Nearly every event
+// crosses somebody's boundary, so this row times the report path — the
+// dispatch to the queries that crossed — where mqWideQueries times the
+// no-report path.
+func mqActiveQueries(m int) []runtime.QuerySpec {
+	ranged := func(name string, zero bool, lo, hi float64) runtime.QuerySpec {
+		return runtime.QuerySpec{
+			Name: name,
+			NewProtocol: func(h server.Host, seed int64) server.Protocol {
+				if zero {
+					return core.NewZTNRP(h, query.NewRange(lo, hi))
+				}
+				return core.NewFTNRP(h, query.NewRange(lo, hi), core.FTNRPConfig{
+					Tol:       core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2},
+					Selection: core.SelectBoundaryNearest,
+					Seed:      seed,
+				})
+			},
+		}
+	}
+	bands := m * 7 / 16
+	qs := make([]runtime.QuerySpec, 0, m)
+	for i := 0; i < bands; i++ {
+		lo := 60 * float64(i%16)
+		qs = append(qs, ranged(fmt.Sprintf("band-%d", i), false, lo, lo+100))
+	}
+	for i := 0; i < bands; i++ {
+		lo := 100 + 25*float64(i)
+		qs = append(qs, ranged(fmt.Sprintf("range-%d", i), false, lo, lo+200))
+	}
+	for i := 0; len(qs) < m; i++ {
+		lo := 120 * float64(i)
+		qs = append(qs, ranged(fmt.Sprintf("zt-%d", i), true, lo, lo+80))
+	}
+	return qs
+}
+
 // mqActiveCore is the active-query count inside the wide-M populations.
 const mqActiveCore = 2
 
@@ -523,8 +564,10 @@ func runSharingSide(b *testing.B, name string, specs []runtime.TenantSpec,
 // every M > 1. Two composite-only points at M = 64 and 256 then stress the
 // per-stream query index: cmd/benchgate's near-flat rule bounds their
 // per-event cost at a fixed factor of M = 1, which a return to linear
-// constraint scanning cannot satisfy. All figures land in BENCH_suite.json
-// under the gate.
+// constraint scanning cannot satisfy. A last composite-only point hosts 64
+// queries that are all active (mqActiveQueries), which gates the report
+// path: crossed-only dispatch at 0 allocs/op. All figures land in
+// BENCH_suite.json under the gate.
 func BenchmarkMultiQuerySharing(b *testing.B) {
 	const (
 		streams   = 300
@@ -618,6 +661,16 @@ func BenchmarkMultiQuerySharing(b *testing.B) {
 				compSpecs, compBatches, steps, msgs)
 		})
 	}
+
+	// The all-active point: 64 queries that every report concerns a few
+	// of, so the crossed-only dispatch — not only the dormant path above —
+	// sits under the throughput, message and 0 allocs/op rules.
+	activeSpecs := []runtime.TenantSpec{{Name: "mq", Initial: initial, Queries: mqActiveQueries(64)}}
+	activeMsgs := runNodeOnce(b, activeSpecs, compBatches)
+	b.Run("composite-active/m=64", func(b *testing.B) {
+		runSharingSide(b, "multi-query-sharing/composite-active/m=64",
+			activeSpecs, compBatches, steps, activeMsgs)
+	})
 }
 
 // benchSpatialSpecs builds the spatial tenant population: alternating

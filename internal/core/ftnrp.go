@@ -260,3 +260,10 @@ func (p *FTNRP) maybeReinit() {
 
 // Answer implements server.Protocol.
 func (p *FTNRP) Answer() []stream.ID { return p.ans.sorted() }
+
+// CrossingDriven declares server.CrossingDriven: a stream holding the query
+// interval is in ans exactly when its recorded side is inside, so an update
+// that stays on that side takes HandleUpdate's "already an answer" / "not an
+// answer" early return after its one server op; streams holding a silent
+// filter are never dispatched at all.
+func (p *FTNRP) CrossingDriven() {}

@@ -50,3 +50,9 @@ func (p *ZTNRP) HandleUpdate(id stream.ID, v float64) {
 
 // Answer implements server.Protocol.
 func (p *ZTNRP) Answer() []stream.ID { return p.ans.sorted() }
+
+// CrossingDriven declares server.CrossingDriven: every stream holds the
+// query interval and is in ans exactly when its recorded side is inside, so
+// an update that stays on that side re-adds a member or re-removes a
+// non-member — one server op and nothing else.
+func (p *ZTNRP) CrossingDriven() {}

@@ -190,9 +190,6 @@ func TestNaNKeyRejected(t *testing.T) {
 	if got := tr.CountRange(nan, nan); got != 0 {
 		t.Fatalf("CountRange(NaN, NaN) = %d, want 0", got)
 	}
-	if got := tr.AppendRange(Key{V: nan, ID: minInt}, Key{V: 5, ID: maxInt}, nil); len(got) != 0 {
-		t.Fatalf("AppendRange with NaN bound returned %d keys", len(got))
-	}
 	// The failed insert must not have disturbed the tree.
 	if tr.Len() != 8 {
 		t.Fatalf("Len() = %d after rejected insert, want 8", tr.Len())
@@ -201,98 +198,6 @@ func TestNaNKeyRejected(t *testing.T) {
 		if !tr.Contains(Key{V: float64(i), ID: i}) {
 			t.Fatalf("key %d lost after rejected insert", i)
 		}
-	}
-}
-
-func TestAppendRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	tr := New()
-	var all []Key
-	for i := 0; i < 200; i++ {
-		k := Key{V: float64(rng.Intn(50)), ID: rng.Intn(6)}
-		if tr.Insert(k) {
-			all = append(all, k)
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
-	for trial := 0; trial < 200; trial++ {
-		lo, hi := float64(rng.Intn(60)-5), float64(rng.Intn(60)-5)
-		ge := Key{V: lo, ID: minInt}
-		le := Key{V: hi, ID: maxInt}
-		got := tr.AppendRange(ge, le, nil)
-		var want []Key
-		for _, k := range all {
-			if !k.Less(ge) && !le.Less(k) {
-				want = append(want, k)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("AppendRange[%g,%g]: %d keys, want %d", lo, hi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("AppendRange[%g,%g][%d] = %v, want %v", lo, hi, i, got[i], want[i])
-			}
-		}
-	}
-	// Inverted bounds match nothing.
-	if got := tr.AppendRange(Key{V: 10}, Key{V: 5}, nil); len(got) != 0 {
-		t.Fatalf("inverted AppendRange returned %d keys", len(got))
-	}
-	// dst is reused, not reallocated, when capacity suffices.
-	buf := make([]Key, 0, 256)
-	out := tr.AppendRange(Key{V: math.Inf(-1), ID: minInt}, Key{V: math.Inf(1), ID: maxInt}, buf)
-	if len(out) != tr.Len() || &out[0] != &buf[:1][0] {
-		t.Fatal("AppendRange did not reuse the provided buffer")
-	}
-}
-
-// TestBracketValue checks the open-interval bracket against a naive scan:
-// tightest key values either side of v, ±Inf at the extremes, and the exact
-// flag whenever some key value equals v (including duplicate-V keys).
-func TestBracketValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	tr := New()
-	var vals []float64
-	for i := 0; i < 300; i++ {
-		k := Key{V: float64(rng.Intn(80)), ID: rng.Intn(8)}
-		if tr.Insert(k) {
-			vals = append(vals, k.V)
-		}
-	}
-	probe := func(v float64) {
-		t.Helper()
-		lo, hi, exact := tr.BracketValue(v)
-		wantLo, wantHi, wantExact := math.Inf(-1), math.Inf(1), false
-		for _, b := range vals {
-			switch {
-			case b < v && b > wantLo:
-				wantLo = b
-			case b > v && b < wantHi:
-				wantHi = b
-			case b == v:
-				wantExact = true
-			}
-		}
-		if exact != wantExact {
-			t.Fatalf("BracketValue(%g) exact = %v, want %v", v, exact, wantExact)
-		}
-		if !exact && (lo != wantLo || hi != wantHi) {
-			t.Fatalf("BracketValue(%g) = (%g, %g), want (%g, %g)", v, lo, hi, wantLo, wantHi)
-		}
-	}
-	for trial := 0; trial < 400; trial++ {
-		probe(float64(rng.Intn(100)) - 10 + rng.Float64())
-		probe(float64(rng.Intn(100) - 10)) // integer probes hit stored values
-	}
-	probe(math.Inf(1))
-	probe(math.Inf(-1))
-	if _, _, exact := tr.BracketValue(math.NaN()); !exact {
-		t.Fatal("BracketValue(NaN) must refuse a bracket via exact")
-	}
-	empty := New()
-	if lo, hi, exact := empty.BracketValue(5); exact || !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
-		t.Fatalf("empty BracketValue = (%g, %g, %v)", lo, hi, exact)
 	}
 }
 

@@ -48,14 +48,18 @@ type schedOp struct {
 
 // propQuerySpec builds one standing-query spec for a composite tenant,
 // rotating through protocols so the composite snapshot path sees
-// heterogeneous per-query state (including RNG positions).
+// heterogeneous per-query state (including RNG positions) and the
+// composite's dispatch sees both kinds of query: range queries it may skip
+// on reports their own filter did not cause (over ranges that differ by
+// admission, so they fire apart) and rank queries that see every report.
 func propQuerySpec(j int) QuerySpec {
 	name := fmt.Sprintf("pq-%d", j)
-	switch j % 4 {
+	shift := 35 * float64(j/6)
+	switch j % 6 {
 	case 0:
 		return QuerySpec{Name: name,
 			NewProtocol: func(h server.Host, seed int64) server.Protocol {
-				return core.NewFTNRP(h, query.NewRange(200+40*float64(j%4), 650), core.FTNRPConfig{
+				return core.NewFTNRP(h, query.NewRange(200+shift, 650+shift), core.FTNRPConfig{
 					Tol:       core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3},
 					Selection: core.SelectRandom, // RNG-position restore path
 					Seed:      seed,
@@ -74,12 +78,39 @@ func propQuerySpec(j int) QuerySpec {
 			NewProtocol: func(h server.Host, seed int64) server.Protocol {
 				return core.NewVBKNN(h, query.NewKNN(query.At(500), 3), 60)
 			}}
+	case 3:
+		return QuerySpec{Name: name,
+			NewProtocol: func(h server.Host, seed int64) server.Protocol {
+				return core.NewZTNRP(h, query.NewRange(350+shift, 800))
+			}}
+	case 4:
+		// Shares [200, 650] with slot 0 at first admission: one evaluation
+		// class, two protocols with different silent-filter choices.
+		return QuerySpec{Name: name,
+			NewProtocol: func(h server.Host, seed int64) server.Protocol {
+				return core.NewFTNRP(h, query.NewRange(200+shift, 650+shift), core.FTNRPConfig{
+					Tol:       core.FractionTolerance{EpsPlus: 0.15, EpsMinus: 0.15},
+					Selection: core.SelectBoundaryNearest,
+					Seed:      seed,
+					Faithful:  true,
+				})
+			}}
 	default:
 		return QuerySpec{Name: name,
 			NewProtocol: func(h server.Host, seed int64) server.Protocol {
-				return core.NewZTNRP(h, query.NewRange(350, 800))
+				return core.NewZTNRP(h, query.NewRange(100+shift, 420))
 			}}
 	}
+}
+
+// propQueries is a composite tenant's t0 population: four range queries,
+// one RTP and one VB-kNN.
+func propQueries() []QuerySpec {
+	qs := make([]QuerySpec, 6)
+	for j := range qs {
+		qs[j] = propQuerySpec(j)
+	}
+	return qs
 }
 
 // propSpec builds the tenant spec for admission number adm, rotating
@@ -107,8 +138,7 @@ func propSpec(adm int, initial, ys []float64) TenantSpec {
 	case 2:
 		// A multi-query composite tenant: its query plane takes part in the
 		// schedule via opAddQuery/opRemoveQuery.
-		return TenantSpec{Name: name, Initial: initial,
-			Queries: []QuerySpec{propQuerySpec(0), propQuerySpec(1)}}
+		return TenantSpec{Name: name, Initial: initial, Queries: propQueries()}
 	case 3:
 		// A spatial 2-D tenant: its k-NN disk protocols snapshot through the
 		// version-3 spatial record, alternating between the two protocols
@@ -265,7 +295,7 @@ func genSchedule(seed int64, nOps int) (initial []TenantSpec, added []TenantSpec
 			alive[ti] = false
 			ops = append(ops, schedOp{kind: opRemove, ti: ti})
 		case draw == 8:
-			cand := composites(func(_, slots int) bool { return slots < 6 })
+			cand := composites(func(_, slots int) bool { return slots < 10 })
 			if len(cand) == 0 {
 				ops = append(ops, schedOp{kind: opSnapshot})
 				continue
@@ -497,12 +527,18 @@ func TestScheduleProperty(t *testing.T) {
 // AddQuery/RemoveQuery interleaved — and across a restore cut at every
 // snapshot barrier, where the restored node rebuilds its indexes from the
 // linear run's snapshot bytes and must still reproduce the linear tail.
+// The composite tenants are mixed (propQueries: range queries the indexed
+// dispatch may skip beside an RTP and a VB-kNN it may not, plus whatever
+// the schedule admits and removes), and the linear run dispatches every
+// report to every live query, so the counters compared here — ServerOps
+// among them — pin the crossed-only dispatch too. The schedule is three
+// times the length TestScheduleProperty plays, to give it reports to skip.
 func TestSchedulePropertyIndexEquivalence(t *testing.T) {
 	shardCounts := []int{1, 4, 8}
 	for _, seed := range []int64{11, 29} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			initial, added, ops := genSchedule(seed, 40)
+			initial, added, ops := genSchedule(seed, 120)
 			kinds := make(map[opKind]int)
 			for _, o := range ops {
 				kinds[o.kind]++

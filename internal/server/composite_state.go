@@ -147,14 +147,15 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 			return fmt.Errorf("server: query slot %d: %w", slot, err)
 		}
 		q.proto = proto
-		c.queries = append(c.queries, q)
+		c.admit(q)
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	// The index is never encoded: rebuild it from the restored constraint
-	// vectors so it cannot drift from fabric state across a save/load cycle
-	// (and the snapshot format predating the index keeps working).
+	// The index is never encoded (nor is the dispatch bookkeeping admit
+	// just refiled): rebuild it from the restored constraint vectors so it
+	// cannot drift from fabric state across a save/load cycle (and the
+	// snapshot format predating the index keeps working).
 	if c.idx != nil {
 		c.idx.rebuild(c)
 	}

@@ -4,18 +4,18 @@ import (
 	"math"
 
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/ostree"
 )
 
 // This file makes Composite.Deliver sub-linear in the number of standing
 // queries M. The linear fabric walks all M constraint entries of the
 // delivered stream on every update; at M=256 that scan dominates ingest
 // even though almost no entry can possibly cross. The query index replaces
-// only that crossing-detection scan — the report path (counter charges,
-// table refresh, per-query HandleUpdate fan-out) is untouched, so message
-// accounting and protocol trajectories stay bit-identical to the linear
-// evaluation (pinned by the equivalence tests and the runtime property
-// harness).
+// that crossing-detection scan and, for a stream that reports, names the
+// query slots whose own entry fired, so Composite.Deliver dispatches to
+// those (plus the protocols that are not CrossingDriven) instead of to all
+// M. Message accounting, server ops and protocol trajectories stay
+// bit-identical to the linear evaluation (pinned by the equivalence tests
+// and the runtime property harness).
 //
 // Two structures per stream:
 //
@@ -25,14 +25,14 @@ import (
 //     update instead of once per query. M queries installing the same band
 //     cost one check, not M.
 //
-//   - The finite boundaries of each class's inside region live in an
-//     order-statistic treap (ostree) keyed by (boundary value, class id).
+//   - The finite boundaries of each class's inside region live in a sorted
+//     flat list (boundList) keyed by (boundary value, class id·2 + side).
 //     A value move u→v can only change Contains for a class with a boundary
 //     inside [min(u,v), max(u,v)] — the proven fabric invariant is that
 //     inside[s][q] == cons[s][q].Contains(vals[s]) at all times, so an
 //     interval crossing is exactly a sign change of Contains over the move.
-//     Deliver therefore walks AppendRange(u, v) — O(log M + hits) — instead
-//     of all M entries.
+//     Deliver therefore binary-searches the window's first key and walks
+//     the hits — O(log B + hits) — instead of all M entries.
 //
 // Three escape hatches keep the walk exactly equivalent to the scan:
 //
@@ -63,9 +63,9 @@ import (
 // is unchanged and index state can never drift from fabric state across a
 // save/load cycle.
 //
-// Everything on the Deliver path reuses scratch owned by the index
-// (boundary key buffer, touched-class list, treap nodes via ostree's free
-// list), keeping the steady-state ingest path at 0 allocs/op.
+// Everything on the Deliver path reuses scratch owned by the index (the
+// touched-class and fired-slot lists, the boundary lists' own capacity),
+// keeping the steady-state ingest path at 0 allocs/op.
 
 // enableQueryIndex gates the indexed Deliver path for composites built
 // after it changes. Production always runs indexed; equivalence tests
@@ -99,10 +99,10 @@ type qclass struct {
 	structural bool // degenerate band: stays armed until rewritten
 }
 
-// qstream is one stream's index: its classes, their boundary treap, and the
+// qstream is one stream's index: its classes, their boundary list, and the
 // escape-hatch lists.
 type qstream struct {
-	bounds  ostree.Tree
+	bounds  boundList
 	classes []qclass
 	freeCls []int32 // recycled class ids
 	classOf []int32 // per query slot: class id, catNone or catAlways
@@ -110,11 +110,11 @@ type qstream struct {
 	always  int     // live filter.None entries
 
 	// guard caches a boundary-free open value interval (gLo, gHi): while
-	// guardOK holds, the treap provably has no key value inside it, so a
+	// guardOK holds, the list provably has no key value inside it, so a
 	// move contained in it cannot touch any class and skips the boundary
 	// walk entirely — the steady-state cost of a standing query that the
-	// update doesn't concern is two float compares, not a treap descent.
-	// Any treap mutation drops the guard; the next walk recomputes it.
+	// update doesn't concern is two float compares, not a search.
+	// Any boundary mutation drops the guard; the next walk recomputes it.
 	gLo, gHi float64
 	guardOK  bool
 
@@ -133,9 +133,9 @@ type qstream struct {
 // deliver scratch.
 type queryIndex struct {
 	streams []qstream
-	keys    []ostree.Key // boundary walk scratch
-	touched []int32      // candidate class ids scratch
-	gen     uint64       // deliver generation for class dedupe
+	touched []int32 // candidate class ids scratch
+	fired   []int32 // member slots of the classes the last deliver fired
+	gen     uint64  // deliver generation for class dedupe
 }
 
 func newQueryIndex(n int) *queryIndex {
@@ -168,7 +168,7 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	st := &x.streams[s]
 	// Reinstalling what is already categorized — a maintenance round
 	// refreshing a query's standing constraint — must not churn the class
-	// or its treap boundaries (churn drops the stream's walk-skipping
+	// or its boundary keys (churn drops the stream's walk-skipping
 	// guard). Sides are compared against a member other than qi itself,
 	// since the install may have just rewritten qi's recorded side.
 	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
@@ -322,7 +322,7 @@ func structuralBand(cons filter.Constraint) bool {
 		math.IsInf(lo, 1) || math.IsInf(hi, -1)
 }
 
-// addBounds inserts class cid's finite region boundaries into the treap.
+// addBounds inserts class cid's finite region boundaries into the list.
 // Non-finite boundaries are unindexable: an infinite interval end can never
 // be crossed into (half-open intervals transition only over their finite
 // bound) and degenerate bands are structurally armed instead.
@@ -333,10 +333,10 @@ func (st *qstream) addBounds(cid int32, cons filter.Constraint) {
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.Insert(ostree.Key{V: lo, ID: int(cid) * 2})
+		st.bounds.insert(lo, cid*2)
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.Insert(ostree.Key{V: hi, ID: int(cid)*2 + 1})
+		st.bounds.insert(hi, cid*2+1)
 	}
 }
 
@@ -348,10 +348,10 @@ func (st *qstream) removeBounds(cid int32, cons filter.Constraint) {
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.Delete(ostree.Key{V: lo, ID: int(cid) * 2})
+		st.bounds.remove(lo, cid*2)
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.Delete(ostree.Key{V: hi, ID: int(cid)*2 + 1})
+		st.bounds.remove(hi, cid*2+1)
 	}
 }
 
@@ -369,12 +369,15 @@ func (st *qstream) disarm(cid int32) {
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
 // the value move u→v on stream s (c.vals[s] already holds v). It reports
 // whether the stream reports — with decisions and side effects (recorded
-// sides, band re-centering) exactly matching the linear scan's.
-func (x *queryIndex) deliver(c *Composite, s int, u, v float64) bool {
+// sides, band re-centering) exactly matching the linear scan's — and whether
+// the report concerns every live slot (all: an unfiltered entry stands, or
+// the scan ran). When it does not, x.fired holds the slots whose own entry
+// fired, unordered.
+func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bool) {
 	if math.IsNaN(u) || math.IsNaN(v) {
-		crossed := c.deliverScan(s, v)
+		crossed = c.deliverScan(s, v)
 		x.rebuildStream(c, s)
-		return crossed
+		return crossed, true
 	}
 	st := &x.streams[s]
 	lo, hi := u, v
@@ -386,19 +389,21 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) bool {
 	// (and the always count) can matter. With nothing armed this is the
 	// steady-state cost of every standing query the update doesn't touch.
 	inGuard := st.guardOK && st.gLo < lo && hi < st.gHi
+	all = st.always > 0
 	if inGuard && len(st.armed) == 0 {
-		return st.always > 0
+		return all, all
 	}
 	x.gen++
-	crossed := st.always > 0
-	x.keys = x.keys[:0]
-	if !inGuard {
-		x.keys = st.bounds.AppendRange(
-			ostree.Key{V: lo, ID: minInt}, ostree.Key{V: hi, ID: maxInt}, x.keys[:0])
-	}
+	x.fired = x.fired[:0]
+	crossed = all
+	// Class ids are collected before any class is evaluated: a band fire
+	// re-centres its class and so rewrites the list being walked.
 	touched := x.touched[:0]
-	for _, k := range x.keys {
-		touched = append(touched, int32(k.ID>>1))
+	if !inGuard {
+		b := st.bounds
+		for i := b.from(lo); i < len(b) && b[i].v <= hi; i++ {
+			touched = append(touched, b[i].id>>1)
+		}
 	}
 	touched = append(touched, st.armed...)
 	x.touched = touched
@@ -415,16 +420,17 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) bool {
 	if !inGuard {
 		// Re-center the guard on where the value landed. Class evaluation
 		// above may have moved boundaries (band re-centering), so this runs
-		// after it; BracketValue refuses a guard when a boundary sits
-		// exactly at v (exact), since no open interval can contain v then.
-		gLo, gHi, exact := st.bounds.BracketValue(v)
+		// after it; bracket refuses a guard when a boundary sits exactly at
+		// v (exact), since no open interval can contain v then.
+		gLo, gHi, exact := st.bounds.bracket(v)
 		st.gLo, st.gHi, st.guardOK = gLo, gHi, !exact
 	}
-	return crossed
+	return crossed, all
 }
 
 // evalClass applies one class's crossing semantics to the new value v,
-// mirroring the linear scan's per-entry switch for every member at once.
+// mirroring the linear scan's per-entry switch for every member at once. A
+// class that fires adds its members to x.fired.
 func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v float64) bool {
 	cl := &st.classes[cid]
 	if cl.cons.Kind == filter.Band {
@@ -441,6 +447,7 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 			row[sl] = nc
 			ins[sl] = true
 		}
+		x.fired = append(x.fired, cl.slots...)
 		x.rekeyBand(st, cid, nc, v)
 		return true
 	}
@@ -457,6 +464,7 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 	for _, sl := range cl.slots {
 		ins[sl] = now
 	}
+	x.fired = append(x.fired, cl.slots...)
 	return true
 }
 
@@ -499,7 +507,7 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 // index's back).
 func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st := &x.streams[s]
-	st.bounds.Clear()
+	st.bounds = st.bounds[:0]
 	st.guardOK = false
 	st.classes = st.classes[:0]
 	st.freeCls = st.freeCls[:0]
@@ -530,8 +538,3 @@ func (x *queryIndex) rebuild(c *Composite) {
 		x.rebuildStream(c, s)
 	}
 }
-
-const (
-	maxInt = int(^uint(0) >> 1)
-	minInt = -maxInt - 1
-)

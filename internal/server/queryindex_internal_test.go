@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/ostree"
+	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
 )
 
@@ -18,16 +18,67 @@ func (nopProto) Initialize()                     {}
 func (nopProto) HandleUpdate(stream.ID, float64) {}
 func (nopProto) Answer() []stream.ID             { return nil }
 
+// Stateless, so its snapshot state is empty (the restore cut below needs a
+// StatefulProtocol).
+func (nopProto) ExportState(*snapshot.Writer)       {}
+func (nopProto) ImportState(*snapshot.Reader) error { return nil }
+
+// drivenProto is nopProto declaring CrossingDriven, so the dispatch
+// bookkeeping has both kinds of slot to file.
+type drivenProto struct{ nopProto }
+
+func (drivenProto) CrossingDriven() {}
+
+// checkDispatch recounts the dispatch bookkeeping from the slots: the
+// CrossingDriven count, the ascending list of every other live slot, and
+// the O(1) LiveQueries they add up to.
+func checkDispatch(t *testing.T, c *Composite) {
+	t.Helper()
+	driven, live := 0, 0
+	var others []int32
+	for qi, q := range c.queries {
+		if q == nil {
+			continue
+		}
+		live++
+		_, isDriven := q.proto.(CrossingDriven)
+		if q.driven != isDriven {
+			t.Fatalf("slot %d: driven flag %v, protocol says %v", qi, q.driven, isDriven)
+		}
+		if isDriven {
+			driven++
+		} else {
+			others = append(others, int32(qi))
+		}
+	}
+	if c.driven != driven {
+		t.Fatalf("driven = %d, recount %d", c.driven, driven)
+	}
+	if len(c.others) != len(others) {
+		t.Fatalf("others = %v, recount %v", c.others, others)
+	}
+	for i := range others {
+		if c.others[i] != others[i] {
+			t.Fatalf("others = %v, recount %v", c.others, others)
+		}
+	}
+	if c.LiveQueries() != live {
+		t.Fatalf("LiveQueries = %d, recount %d", c.LiveQueries(), live)
+	}
+}
+
 // checkIndex verifies the full structural invariant set of the query index
 // against the fabric: slot categorization, class membership and
-// homogeneity, the exact boundary key set, and the armed list (no leaks,
-// no duplicates, every must-evaluate class present).
+// homogeneity, the exact boundary key list (sorted, duplicate-free), the
+// armed list (no leaks, no duplicates, every must-evaluate class present)
+// and the dispatch bookkeeping.
 func checkIndex(t *testing.T, c *Composite) {
 	t.Helper()
 	x := c.idx
 	if x == nil {
 		t.Fatal("composite has no index")
 	}
+	checkDispatch(t, c)
 	for s := range x.streams {
 		st := &x.streams[s]
 		if len(st.classOf) != len(c.queries) {
@@ -66,7 +117,7 @@ func checkIndex(t *testing.T, c *Composite) {
 		if always != st.always {
 			t.Fatalf("stream %d: always = %d, want %d", s, st.always, always)
 		}
-		var wantKeys []ostree.Key
+		var wantKeys []bkey
 		for cid := range st.classes {
 			cl := &st.classes[cid]
 			if !cl.live {
@@ -102,10 +153,10 @@ func checkIndex(t *testing.T, c *Composite) {
 			lo, hi := cl.cons.Bounds()
 			if !(lo > hi) {
 				if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-					wantKeys = append(wantKeys, ostree.Key{V: lo, ID: cid * 2})
+					wantKeys = append(wantKeys, bkey{v: lo, id: int32(cid) * 2})
 				}
 				if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-					wantKeys = append(wantKeys, ostree.Key{V: hi, ID: cid*2 + 1})
+					wantKeys = append(wantKeys, bkey{v: hi, id: int32(cid)*2 + 1})
 				}
 			}
 			// Must-evaluate classes are armed.
@@ -119,8 +170,14 @@ func checkIndex(t *testing.T, c *Composite) {
 				t.Fatalf("stream %d class %d (%v): must-evaluate but not armed", s, cid, cl.cons)
 			}
 		}
-		sort.Slice(wantKeys, func(a, b int) bool { return wantKeys[a].Less(wantKeys[b]) })
-		gotKeys := st.bounds.Keys()
+		sort.Slice(wantKeys, func(a, b int) bool { return keyLess(wantKeys[a], wantKeys[b]) })
+		gotKeys := st.bounds
+		for i := 1; i < len(gotKeys); i++ {
+			if !keyLess(gotKeys[i-1], gotKeys[i]) {
+				t.Fatalf("stream %d: boundary keys %d,%d out of order or duplicated: %v, %v",
+					s, i-1, i, gotKeys[i-1], gotKeys[i])
+			}
+		}
 		if len(gotKeys) != len(wantKeys) {
 			t.Fatalf("stream %d: %d boundary keys, want %d", s, len(gotKeys), len(wantKeys))
 		}
@@ -135,7 +192,7 @@ func checkIndex(t *testing.T, c *Composite) {
 		// update, so it is audited structurally here).
 		if st.guardOK {
 			for _, k := range gotKeys {
-				if st.gLo < k.V && k.V < st.gHi {
+				if st.gLo < k.v && k.v < st.gHi {
 					t.Fatalf("stream %d: guard (%v, %v) claims boundary-free but key %v is inside",
 						s, st.gLo, st.gHi, k)
 				}
@@ -160,10 +217,13 @@ func checkIndex(t *testing.T, c *Composite) {
 	}
 }
 
+// keyLess is the boundary list's strict (value, id) order.
+func keyLess(a, b bkey) bool { return a.v < b.v || (a.v == b.v && a.id < b.id) }
+
 // TestQueryIndexInvariants churns the index through every mutation path —
 // installs from an adversarial palette, deliveries (including NaN and ±Inf
-// fallbacks), slot addition and removal — and fully audits the structures
-// after every operation. The black-box equivalence test proves behaviour;
+// fallbacks), slot addition and removal, a snapshot restore into a fresh
+// composite — and fully audits the structures after every operation. The black-box equivalence test proves behaviour;
 // this one catches silent structural leaks (stale boundary keys, leaked
 // armed entries) that would only show as performance decay.
 func TestQueryIndexInvariants(t *testing.T) {
@@ -177,9 +237,16 @@ func TestQueryIndexInvariants(t *testing.T) {
 	if c.idx == nil {
 		t.Skip("query index disabled")
 	}
-	build := func(Host) Protocol { return nopProto{} }
+	build := func(seedID int64) func(Host) Protocol {
+		return func(Host) Protocol {
+			if seedID%2 == 0 {
+				return drivenProto{}
+			}
+			return nopProto{}
+		}
+	}
 	for qi := 0; qi < 4; qi++ {
-		c.AddQuery("q", int64(qi), build)
+		c.AddQuery("q", int64(qi), build(int64(qi)))
 	}
 	palette := func(v float64) filter.Constraint {
 		w := 5 + rng.Float64()*40
@@ -217,7 +284,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 			qi := live[rng.Intn(len(live))]
 			c.setConstraint(s, qi, palette(c.vals[s]))
 		case r < 38 && slots < 10:
-			c.AddQuery("q", int64(slots), build)
+			c.AddQuery("q", int64(slots), build(int64(slots)))
 			live = append(live, slots)
 			slots++
 		case r < 41 && len(live) > 1:
@@ -226,6 +293,19 @@ func TestQueryIndexInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live[:j], live[j+1:]...)
+		case r < 43:
+			w := snapshot.NewWriter()
+			c.ExportState(w)
+			if err := w.Err(); err != nil {
+				t.Fatal(err)
+			}
+			restored := NewComposite(initial)
+			err := restored.ImportState(snapshot.NewReader(w.Bytes()),
+				func(_ int, _ string, seedID int64, h Host) (Protocol, error) { return build(seedID)(h), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = restored
 		default:
 			v := rng.NormFloat64()*40 + 150
 			switch rng.Intn(30) {

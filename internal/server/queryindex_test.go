@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
@@ -104,43 +106,161 @@ func (p *churner) Answer() []stream.ID { return nil }
 func (p *churner) ExportState(w *snapshot.Writer)       { w.Uint64(p.updates) }
 func (p *churner) ImportState(r *snapshot.Reader) error { p.updates = r.Uint64(); return r.Err() }
 
+// population is one query mix of the equivalence harness: build returns the
+// protocol factory for the query admitted under seed label seedID (the same
+// function serves admission and restore, so a restored slot resumes the
+// same configuration), queries is how many stand at t0, and nan says whether
+// the schedule may deliver NaN (the rank tables of RTP and VB-kNN reject a
+// NaN key by design, so the mix that hosts them gets ±Inf only).
+type population struct {
+	name    string
+	queries int
+	nan     bool
+	build   func(seedID int64) func(server.Host) server.Protocol
+}
+
+func churnerBuild(seedID int64) func(server.Host) server.Protocol {
+	return func(h server.Host) server.Protocol {
+		return &churner{h: h, seed: uint64(seedID)*0x9E3779B97F4A7C15 + 1}
+	}
+}
+
+// rangeBuild rotates through the CrossingDriven protocols — strict and
+// Faithful FT-NRP under both re-initialization policies, ZT-NRP — over
+// ranges that share boundaries with each other (and with the schedule's
+// exact-boundary deliveries) or are distinct, by seed label.
+func rangeBuild(seedID int64) func(server.Host) server.Protocol {
+	ranges := [][2]float64{{100, 200}, {125, 175}, {100, 200}, {150, 260}, {60, 140}, {175, 300}}
+	r := ranges[int(seedID)%len(ranges)]
+	rng := query.NewRange(r[0], r[1])
+	return func(h server.Host) server.Protocol {
+		if seedID%3 == 2 {
+			return core.NewZTNRP(h, rng)
+		}
+		cfg := core.FTNRPConfig{
+			Tol:       core.FractionTolerance{EpsPlus: 0.25, EpsMinus: 0.25},
+			Selection: core.SelectBoundaryNearest,
+			Seed:      seedID,
+			Faithful:  seedID%2 == 1,
+		}
+		if seedID%4 == 3 {
+			cfg.Selection, cfg.Reinit = core.SelectRandom, core.ReinitNever
+		}
+		return core.NewFTNRP(h, rng, cfg)
+	}
+}
+
+// mixedBuild is the serving mix: range queries that Deliver may skip, one
+// RTP and one VB-kNN that see every report (VB-kNN's bands re-centre under
+// the index), and a churner rewriting its entries adversarially.
+func mixedBuild(seedID int64) func(server.Host) server.Protocol {
+	switch seedID {
+	case 1:
+		return func(h server.Host) server.Protocol {
+			return core.NewRTP(h, query.At(150), core.RankTolerance{K: 3, R: 2})
+		}
+	case 3:
+		return func(h server.Host) server.Protocol {
+			return core.NewVBKNN(h, query.NewKNN(query.At(150), 3), 40)
+		}
+	case 5:
+		return churnerBuild(seedID)
+	}
+	return rangeBuild(seedID)
+}
+
+func populations() []population {
+	return []population{
+		{name: "churners", queries: 3, nan: true, build: churnerBuild},
+		{name: "ranges", queries: 6, nan: true, build: func(seedID int64) func(server.Host) server.Protocol {
+			if seedID == 4 {
+				return churnerBuild(seedID)
+			}
+			return rangeBuild(seedID)
+		}},
+		{name: "mixed", queries: 8, nan: false, build: mixedBuild},
+	}
+}
+
 // compOp is one step of a recorded composite schedule.
 type compOp struct {
-	kind int // 0 deliver, 1 add query, 2 remove query, 3 snapshot cut
+	kind int // see the op* constants
 	s    int
 	v    float64
 	qi   int
 }
 
+const (
+	opDeliver = iota
+	opAddQuery
+	opRemoveQuery
+	opCut
+	opAddUnfiltered // AddQuery without InitializeQuery: a filter.None entry at every stream
+	opInitQuery     // InitializeQuery of the slot opAddUnfiltered left pending
+)
+
 // genCompOps records a deterministic schedule over n streams: mostly
-// deliveries (with exact-boundary, ±Inf and NaN values mixed in), plus
-// query admissions, removals and snapshot cuts. Liveness is simulated here
-// so removals always target a live slot on both replays.
-func genCompOps(seed int64, n, steps, initialQueries int) []compOp {
+// deliveries (with exact-boundary, ±Inf and — where the population allows —
+// NaN values mixed in), plus query admissions, removals and snapshot cuts.
+// Now and then a query is admitted but not yet initialized, so every stream
+// holds a live filter.None entry for a while; it is initialized a few steps
+// later, or removed if a cut came first (a restored slot counts as
+// initialized). Liveness is simulated here so removals always target a live
+// slot on both replays.
+func genCompOps(seed int64, n, steps int, pop population) []compOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]compOp, 0, steps)
-	live := make([]int, 0, 8)
-	slots := initialQueries
-	for qi := 0; qi < initialQueries; qi++ {
+	live := make([]int, 0, 16)
+	slots := pop.queries
+	for qi := 0; qi < slots; qi++ {
 		live = append(live, qi)
 	}
+	drop := func(qi int) {
+		for j, l := range live {
+			if l == qi {
+				live = append(live[:j], live[j+1:]...)
+				return
+			}
+		}
+	}
+	pending, pendingCut := -1, false
 	for i := 0; i < steps; i++ {
 		switch r := rng.Intn(100); {
-		case r < 3 && slots < 12:
-			ops = append(ops, compOp{kind: 1, qi: slots})
+		case r < 3 && slots < pop.queries+9:
+			ops = append(ops, compOp{kind: opAddQuery, qi: slots})
 			live = append(live, slots)
 			slots++
 		case r < 5 && len(live) > 1:
-			j := rng.Intn(len(live))
-			ops = append(ops, compOp{kind: 2, qi: live[j]})
-			live = append(live[:j], live[j+1:]...)
+			qi := live[rng.Intn(len(live))]
+			ops = append(ops, compOp{kind: opRemoveQuery, qi: qi})
+			drop(qi)
+			if qi == pending {
+				pending = -1
+			}
 		case r < 8:
-			ops = append(ops, compOp{kind: 3})
+			ops = append(ops, compOp{kind: opCut})
+			pendingCut = pending >= 0
+		case r < 10 && pending < 0 && slots < pop.queries+14:
+			ops = append(ops, compOp{kind: opAddUnfiltered, qi: slots})
+			live = append(live, slots)
+			pending, pendingCut = slots, false
+			slots++
+		case r < 18 && pending >= 0:
+			if pendingCut {
+				ops = append(ops, compOp{kind: opRemoveQuery, qi: pending})
+				drop(pending)
+			} else {
+				ops = append(ops, compOp{kind: opInitQuery, qi: pending})
+			}
+			pending = -1
 		default:
 			v := rng.NormFloat64()*60 + 150
 			switch rng.Intn(40) {
 			case 0:
-				v = math.NaN() // linear-scan fallback + stream rebuild
+				v = math.Inf(1)
+				if pop.nan {
+					v = math.NaN() // linear-scan fallback + stream rebuild
+				}
 			case 1:
 				v = math.Inf(1)
 			case 2:
@@ -148,95 +268,126 @@ func genCompOps(seed int64, n, steps, initialQueries int) []compOp {
 			case 3, 4:
 				v = []float64{100, 200, 150, 125, 175}[rng.Intn(5)]
 			}
-			ops = append(ops, compOp{kind: 0, s: rng.Intn(n), v: v})
+			ops = append(ops, compOp{kind: opDeliver, s: rng.Intn(n), v: v})
 		}
 	}
 	return ops
 }
 
+// compCut is what the harness compares at every snapshot cut: the full
+// fabric snapshot, and ServerOps beside it so a divergence in the skipped
+// queries' charge reads as such.
+type compCut struct {
+	snap      []byte
+	serverOps uint64
+}
+
 // replayComposite runs one recorded schedule with the query index on or
-// off, returning the snapshot taken at every cut plus the final one. Each
-// cut round-trips the fabric through ExportState/ImportState into a fresh
+// off, returning the state at every cut plus the final one. Each cut
+// round-trips the fabric through ExportState/ImportState into a fresh
 // composite, so the restore-rebuild path is exercised mid-schedule, not
 // just compared at the end.
-func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp, initialQueries int) [][]byte {
+func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp, pop population) []compCut {
 	t.Helper()
 	prev := server.SetQueryIndexEnabled(indexed)
 	defer server.SetQueryIndexEnabled(prev)
 
-	build := func(seedID int64) func(server.Host) server.Protocol {
-		return func(h server.Host) server.Protocol {
-			return &churner{h: h, seed: uint64(seedID)*0x9E3779B97F4A7C15 + 1}
-		}
-	}
 	factory := func(slot int, name string, seedID int64, h server.Host) (server.Protocol, error) {
-		return build(seedID)(h), nil
+		return pop.build(seedID)(h), nil
 	}
-	export := func(c *server.Composite) []byte {
+	export := func(c *server.Composite) compCut {
 		w := snapshot.NewWriter()
 		c.ExportState(w)
 		if err := w.Err(); err != nil {
 			t.Fatalf("export: %v", err)
 		}
-		return w.Bytes()
+		return compCut{snap: w.Bytes(), serverOps: c.Counter().ServerOps}
 	}
 
 	comp := server.NewComposite(initial)
-	for qi := 0; qi < initialQueries; qi++ {
-		comp.AddQuery(fmt.Sprintf("q%d", qi), int64(qi), build(int64(qi)))
+	for qi := 0; qi < pop.queries; qi++ {
+		comp.AddQuery(fmt.Sprintf("q%d", qi), int64(qi), pop.build(int64(qi)))
 	}
 	comp.Initialize()
 
-	var cuts [][]byte
+	var cuts []compCut
 	for _, op := range ops {
 		switch op.kind {
-		case 0:
+		case opDeliver:
 			comp.Deliver(stream.ID(op.s), op.v)
-		case 1:
-			qi := comp.AddQuery(fmt.Sprintf("q%d", op.qi), int64(op.qi), build(int64(op.qi)))
-			comp.InitializeQuery(qi)
-		case 2:
+		case opAddQuery, opAddUnfiltered:
+			qi := comp.AddQuery(fmt.Sprintf("q%d", op.qi), int64(op.qi), pop.build(int64(op.qi)))
+			if qi != op.qi {
+				t.Fatalf("AddQuery slot = %d, schedule expects %d", qi, op.qi)
+			}
+			if op.kind == opAddQuery {
+				comp.InitializeQuery(qi)
+			}
+		case opInitQuery:
+			comp.InitializeQuery(op.qi)
+		case opRemoveQuery:
 			if err := comp.RemoveQuery(op.qi); err != nil {
 				t.Fatalf("RemoveQuery(%d): %v", op.qi, err)
 			}
-		case 3:
-			b := export(comp)
-			cuts = append(cuts, b)
+		case opCut:
+			cut := export(comp)
+			cuts = append(cuts, cut)
 			restored := server.NewComposite(initial)
-			if err := restored.ImportState(snapshot.NewReader(b), factory); err != nil {
+			if err := restored.ImportState(snapshot.NewReader(cut.snap), factory); err != nil {
 				t.Fatalf("restore at cut %d: %v", len(cuts), err)
 			}
 			comp = restored
 		}
 	}
-	cuts = append(cuts, export(comp))
-	return cuts
+	return append(cuts, export(comp))
 }
 
-// TestQueryIndexEquivalence pins the indexed Deliver bit-identical to the
-// linear reference scan — full fabric snapshots (constraint vectors,
-// recorded sides, tables, counters, protocol state) compared at every
-// snapshot cut and at the end — across adversarial constraint churn, query
-// admission/removal, NaN/±Inf deliveries and mid-schedule restores.
+// TestQueryIndexEquivalence pins the indexed Deliver — crossing detection
+// and crossed-only dispatch — bit-identical to the linear reference, which
+// scans every entry and dispatches to every live query: full fabric
+// snapshots (constraint vectors, recorded sides, tables, counters, protocol
+// state) and ServerOps compared at every snapshot cut and at the end. Three
+// populations: adversarial constraint churn; CrossingDriven range queries;
+// and the serving mix of range queries, one RTP, one VB-kNN and a churner —
+// each with query admission/removal, a not-yet-filtered slot, ±Inf and
+// (where the protocols allow) NaN deliveries, and mid-schedule restores.
 func TestQueryIndexEquivalence(t *testing.T) {
 	const n = 24
-	for _, seed := range []int64{1, 7, 23, 61} {
-		rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-		initial := make([]float64, n)
-		for s := range initial {
-			initial[s] = rng.NormFloat64()*60 + 150
-		}
-		ops := genCompOps(seed, n, 1500, 3)
-		linear := replayComposite(t, false, initial, ops, 3)
-		indexed := replayComposite(t, true, initial, ops, 3)
-		if len(linear) != len(indexed) {
-			t.Fatalf("seed %d: %d cuts linear, %d indexed", seed, len(linear), len(indexed))
-		}
-		for i := range linear {
-			if !bytes.Equal(linear[i], indexed[i]) {
-				t.Fatalf("seed %d: snapshot at cut %d/%d differs between linear and indexed evaluation",
-					seed, i+1, len(linear))
+	for _, pop := range populations() {
+		pop := pop
+		t.Run(pop.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 7, 23, 61} {
+				rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+				initial := make([]float64, n)
+				for s := range initial {
+					initial[s] = rng.NormFloat64()*60 + 150
+				}
+				ops := genCompOps(seed, n, 1500, pop)
+				kinds := map[int]int{}
+				for _, op := range ops {
+					kinds[op.kind]++
+				}
+				for k := opDeliver; k <= opInitQuery; k++ {
+					if kinds[k] == 0 {
+						t.Fatalf("seed %d: schedule has no op of kind %d; adjust the generator", seed, k)
+					}
+				}
+				linear := replayComposite(t, false, initial, ops, pop)
+				indexed := replayComposite(t, true, initial, ops, pop)
+				if len(linear) != len(indexed) {
+					t.Fatalf("seed %d: %d cuts linear, %d indexed", seed, len(linear), len(indexed))
+				}
+				for i := range linear {
+					if linear[i].serverOps != indexed[i].serverOps {
+						t.Fatalf("seed %d: ServerOps at cut %d/%d: linear %d, indexed %d",
+							seed, i+1, len(linear), linear[i].serverOps, indexed[i].serverOps)
+					}
+					if !bytes.Equal(linear[i].snap, indexed[i].snap) {
+						t.Fatalf("seed %d: snapshot at cut %d/%d differs between linear and indexed evaluation",
+							seed, i+1, len(linear))
+					}
+				}
 			}
-		}
+		})
 	}
 }
