@@ -1,79 +1,30 @@
 // Cluster mode: -cluster N hosts the configured tenants on N in-process
 // runtime nodes behind internal/cluster's consistent-hash router instead of
-// one node. The tenants are admitted through declarative specs (protospec),
-// so every one of them is migratable; -migrate-every forces round-robin
-// live migrations mid-stream. The -answers dump renders through the same
-// runtime.Report.Text as every other mode and must be byte-identical to a
-// single-node run — CI's cluster job diffs members 1 and 3 against the
-// -tenants reference, with a migration cut in the middle.
+// one node. The tenants are admitted declaratively, so every one of them is
+// migratable; -migrate-every forces round-robin live migrations mid-stream.
+// The -answers dump must be byte-identical to a single-node run.
 package main
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"time"
+	"io"
 
 	"adaptivefilters/internal/cluster"
-	"adaptivefilters/internal/comm"
-	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
-	"adaptivefilters/internal/sim"
-	"adaptivefilters/internal/wire"
-	"adaptivefilters/internal/workload"
 )
 
-// buildWireSpecs is buildSpecs' declarative twin: the same tenant names,
-// initial values and per-query shifts, expressed as wire.TenantSpecs the
-// cluster can serialize for migration.
-func buildWireSpecs(cfg tenantsConfig,
-	mkWorkload func(int64) (workload.Workload, error),
-	declQuery func(j int) protospec.Spec) ([]wire.TenantSpec, []workload.Iterator, error) {
-
-	specs := make([]wire.TenantSpec, cfg.tenants)
-	iters := make([]workload.Iterator, cfg.tenants)
-	for i := 0; i < cfg.tenants; i++ {
-		w, err := mkWorkload(sim.DeriveSeed(cfg.seed, tenantWorkloadStream, int64(i)))
-		if err != nil {
-			return nil, nil, err
-		}
-		specs[i] = wire.TenantSpec{
-			Name:    fmt.Sprintf("%s/%s-%d", cfg.proto, w.Name(), i),
-			Initial: w.Initial(),
-		}
-		if cfg.queries > 1 {
-			qs := make([]wire.QuerySpec, cfg.queries)
-			for j := 0; j < cfg.queries; j++ {
-				qs[j] = wire.QuerySpec{Name: fmt.Sprintf("q%d", j), Spec: declQuery(j)}
-			}
-			specs[i].Queries = qs
-		} else {
-			specs[i].Spec = declQuery(0)
-		}
-		iters[i] = w.Events()
-	}
-	return specs, iters, nil
-}
-
-// runClusterSim plays the merged multi-tenant stream through a cluster of
-// `members` in-process nodes. With migrateEvery > 0 a live tenant is
-// migrated round-robin to the next member about every migrateEvery ingested
-// events (at the following batch boundary) — the mid-stream cut the
-// determinism invariant is tested against.
-func runClusterSim(cfg tenantsConfig, members, migrateEvery int,
-	mkWorkload func(int64) (workload.Workload, error),
-	declQuery func(j int) protospec.Spec) error {
-
-	specs, iters, err := buildWireSpecs(cfg, mkWorkload, declQuery)
+// runCluster plays the tenants through the cluster router — its one lane —
+// into the cluster itself as target.
+func runCluster(p simParams, stdout io.Writer) error {
+	ts, err := p.buildTenants()
 	if err != nil {
 		return err
 	}
-	merge := workload.MergeIterators(iters)
-
-	mems := make([]cluster.Member, members)
-	nodes := make([]*runtime.Node, members)
-	for m := 0; m < members; m++ {
-		node, err := runtime.NewNodeLabeled(runtime.Config{Shards: cfg.shards, Seed: cfg.seed}, nil, nil)
+	mems := make([]cluster.Member, p.Cluster)
+	shards := 0
+	for m := range mems {
+		node, err := runtime.NewNodeLabeled(runtime.Config{Shards: p.Shards, Seed: p.Seed}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -81,91 +32,49 @@ func runClusterSim(cfg tenantsConfig, members, migrateEvery int,
 			return err
 		}
 		defer node.Stop()
-		nodes[m] = node
-		mems[m] = cluster.NewLocalMember(node)
+		mems[m], shards = cluster.NewLocalMember(node), node.Shards()
 	}
 	c, err := cluster.New(cluster.Config{}, mems)
 	if err != nil {
 		return err
 	}
-	for _, spec := range specs {
+	for _, spec := range ts.specs {
 		if _, err := c.AddTenant(spec); err != nil {
 			return err
 		}
 	}
-	// Settle t0 initialization before the clock starts, as runTenants does.
+	// Settle t0 initialization before the clock starts, as runNode does.
 	if err := c.Drain(); err != nil {
 		return err
 	}
 
-	start := time.Now()
-	var ingested, migrations uint64
-	nextMig := uint64(0)
-	if migrateEvery > 0 {
-		nextMig = uint64(migrateEvery)
-	}
-	buf := make([]runtime.Event, 0, cfg.batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if err := c.Ingest(buf); err != nil {
+	// Round-robin cut: tenant (migrations % tenants) hops to the next member.
+	migrations := 0
+	migrate := periodically(0, p.MigrateEvery, func() error {
+		g := migrations % p.Tenants
+		m, err := c.MemberOf(g)
+		if err != nil {
 			return err
 		}
-		ingested += uint64(len(buf))
-		buf = buf[:0]
-		for nextMig > 0 && ingested >= nextMig {
-			// Round-robin cut: tenant (migrations % tenants) hops to the next
-			// member. Deterministic, so reruns cut at the same points.
-			g := int(migrations) % cfg.tenants
-			m, err := c.MemberOf(g)
-			if err != nil {
-				return err
-			}
-			if err := c.MigrateTenant(g, (m+1)%members); err != nil {
-				return err
-			}
-			migrations++
-			nextMig += uint64(migrateEvery)
-		}
-		return nil
-	}
-	for {
-		tev, ok := merge.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, runtime.Event{Tenant: tev.Source, Stream: tev.Event.Stream, Value: tev.Event.Value})
-		if len(buf) == cfg.batch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	rep, err := c.Report()
+		migrations++
+		return c.MigrateTenant(g, (m+1)%p.Cluster)
+	})
+	res, err := play([]lane{c}, c, ts.iters, p.Batch, 0, migrate)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster:    members=%d tenants=%d queries/tenant=%d shards=%d batch=%d\n",
-		members, cfg.tenants, cfg.queries, nodes[0].Shards(), cfg.batch)
-	if migrateEvery > 0 {
-		fmt.Printf("migrations: %d forced (about every %d events)\n", migrations, migrateEvery)
-	}
-	fmt.Printf("ingested:   %d events in %v (%.0f events/sec)\n",
-		ingested, elapsed.Round(time.Millisecond), float64(ingested)/elapsed.Seconds())
+
 	stats, err := c.MemberStats()
 	if err != nil {
 		return err
 	}
-	owned := make([]int, members)
+	fmt.Fprintf(stdout, "cluster:    members=%d tenants=%d queries/tenant=%d shards=%d batch=%d\n",
+		p.Cluster, p.Tenants, p.Queries, shards, p.Batch)
+	if p.MigrateEvery > 0 {
+		fmt.Fprintf(stdout, "migrations: %d forced (about every %d events)\n", migrations, p.MigrateEvery)
+	}
+	printIngested(stdout, res)
+	owned := make([]int, p.Cluster)
 	for g := 0; g < c.NumTenants(); g++ {
 		if m, err := c.MemberOf(g); err == nil {
 			owned[m]++
@@ -174,14 +83,7 @@ func runClusterSim(cfg tenantsConfig, members, migrateEvery int,
 	for m, s := range stats {
 		// s.Tenants counts every member-local slot ever used (migration
 		// leaves dead slots behind); owned is the live placement.
-		fmt.Printf("  member %d: tenants=%d events=%d\n", m, owned[m], s.TotalEvents)
+		fmt.Fprintf(stdout, "  member %d: tenants=%d events=%d\n", m, owned[m], s.TotalEvents)
 	}
-	fmt.Printf("node totals: init=%d maintenance=%d serverOps=%d\n",
-		rep.Totals.PhaseTotal(comm.Init), rep.Totals.Maintenance(), rep.Totals.ServerOps)
-	if cfg.answers != "" {
-		if err := os.WriteFile(cfg.answers, []byte(rep.Text()), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.finish(stdout, res.report)
 }

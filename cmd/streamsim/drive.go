@@ -1,0 +1,318 @@
+// The driver: every mode compiles the flags into one tenant description
+// (buildTenants), plays it into a target through ingest lanes (play), and
+// renders the target's runtime.Report (finish). What differs between
+// -tenants, -cluster and -connect is only which existing types stand in as
+// lanes and target.
+package main
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"strings"
+	"sync"
+	"time"
+
+	"adaptivefilters/internal/comm"
+	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/runtime"
+	"adaptivefilters/internal/sim"
+	"adaptivefilters/internal/wire"
+	"adaptivefilters/internal/workload"
+)
+
+// tenantWorkloadStream labels per-tenant workload seed derivation, keeping
+// workload randomness independent from the protocol seeds runtime.Node
+// derives itself.
+const tenantWorkloadStream int64 = 0x7EA1
+
+// tenantSet is the flags' tenant description: declarative specs plus the
+// workload iterator that drives each tenant.
+type tenantSet struct {
+	specs []wire.TenantSpec
+	// points holds a spatial tenant's initial positions, which the wire form
+	// does not carry (validate keeps spatial tenants in-process); nil for
+	// 1-D runs.
+	points [][]filter.Point
+	iters  []workload.Iterator
+}
+
+// workload builds the configured 1-D workload from one seed.
+func (p simParams) workload(seed int64) (workload.Workload, error) {
+	switch p.Workload {
+	case "synthetic":
+		return workload.NewSynthetic(workload.SyntheticConfig{
+			N: p.N, Lo: 0, Hi: 1000, MeanGap: 20, Sigma: p.Sigma,
+			Horizon: float64(p.Events) * 20 / float64(p.N), Seed: seed,
+		})
+	case "tcp":
+		cfg := workload.DefaultTCPLike(p.Events, seed)
+		cfg.N = p.N
+		return workload.NewTCPLike(cfg)
+	case "replay":
+		f, err := os.Open(p.Trace)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return workload.ParseCSV(p.Trace, f, 0)
+	default:
+		return nil, fmt.Errorf("unknown workload %q", p.Workload)
+	}
+}
+
+// buildTenants derives every tenant from the flags: tenant i's workload is
+// seeded from the base seed and i, and with -queries M > 1 it hosts M
+// shifted copies of the configured query on one composite fabric. Spatial
+// tenants walk the plane instead of the line.
+func (p simParams) buildTenants() (tenantSet, error) {
+	ts := tenantSet{
+		specs: make([]wire.TenantSpec, p.Tenants),
+		iters: make([]workload.Iterator, p.Tenants),
+	}
+	if p.spatialMode() {
+		ts.points = make([][]filter.Point, p.Tenants)
+	}
+	for i := range ts.specs {
+		seed := sim.DeriveSeed(p.Seed, tenantWorkloadStream, int64(i))
+		spec := &ts.specs[i]
+		var name string
+		if ts.points != nil {
+			w, err := workload.NewSpatial2D(workload.Spatial2DConfig{
+				N: p.N, Lo: 0, Hi: 1000, MeanGap: 20, Sigma: p.Sigma,
+				Horizon: float64(p.Events) * 20 / float64(p.N), Seed: seed,
+			})
+			if err != nil {
+				return tenantSet{}, err
+			}
+			name, ts.points[i], ts.iters[i] = w.Name(), w.InitialPoints(), w.Events()
+		} else {
+			w, err := p.workload(seed)
+			if err != nil {
+				return tenantSet{}, err
+			}
+			name, spec.Initial, ts.iters[i] = w.Name(), w.Initial(), w.Events()
+		}
+		spec.Name = fmt.Sprintf("%s/%s-%d", p.Proto, name, i)
+		if p.Queries == 1 {
+			spec.Spec = p.spec(0)
+			continue
+		}
+		spec.Queries = make([]wire.QuerySpec, p.Queries)
+		for j := range spec.Queries {
+			spec.Queries[j] = wire.QuerySpec{Name: fmt.Sprintf("q%d", j), Spec: p.spec(j)}
+		}
+	}
+	return ts, nil
+}
+
+// runtimeSpecs validates the tenants against their real partition sizes and
+// compiles them to the factory form runtime.Node hosts: 1-D tenants exactly
+// as an admission off the network would, spatial ones through protospec
+// directly.
+func (ts tenantSet) runtimeSpecs() ([]runtime.TenantSpec, error) {
+	out := make([]runtime.TenantSpec, len(ts.specs))
+	for i, spec := range ts.specs {
+		if ts.points == nil {
+			rs, err := spec.Runtime()
+			if err != nil {
+				return nil, err
+			}
+			out[i] = rs
+			continue
+		}
+		if err := spec.Spec.Validate(len(ts.points[i])); err != nil {
+			return nil, err
+		}
+		build, err := spec.Spec.SpatialFactory()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = runtime.TenantSpec{Name: spec.Name, SpatialInitial: ts.points[i], NewSpatial: build}
+	}
+	return out, nil
+}
+
+// lane is one ordered ingest path into the target: a *runtime.Ingester, a
+// *cluster.Cluster, or one -connect connection.
+type lane interface {
+	Ingest([]runtime.Event) error
+}
+
+// target is what the lanes feed, seen from the control side.
+type target interface {
+	Drain() error
+	Report() (*runtime.Report, error)
+}
+
+// played is what one pass of the workload produced.
+type played struct {
+	events  uint64 // ingested by this run (a restored prefix excluded)
+	elapsed time.Duration
+	report  *runtime.Report
+}
+
+// play drives the tenants' workloads into tgt. Tenant i plays on lane
+// i mod len(lanes): each lane merges its own tenants on event time (ties by
+// tenant index) and ingests them in batches, so every tenant's events reach
+// the target in order through exactly one lane — the schedule under which
+// answers are byte-identical at any lane count — while lanes run
+// concurrently. The first skip merged events are dropped (a restored
+// snapshot already holds them); afterFlush, if set, runs after every
+// ingested batch with the lane's position in its merged stream. Both
+// presume a single lane, whose order is the global one. The clock covers
+// ingest and the final drain.
+func play(lanes []lane, tgt target, iters []workload.Iterator, batch int,
+	skip uint64, afterFlush func(pos uint64) error) (played, error) {
+
+	n := len(lanes)
+	ids := make([][]int, n)
+	subs := make([][]workload.Iterator, n)
+	for i, it := range iters {
+		ids[i%n] = append(ids[i%n], i)
+		subs[i%n] = append(subs[i%n], it)
+	}
+	start := time.Now()
+	counts := make([]uint64, n) // counts[g], errs[g]: written by lane g only, read after Wait
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := range lanes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], batch, skip, afterFlush)
+		}(g)
+	}
+	wg.Wait()
+	var res played
+	for g := range lanes {
+		if errs[g] != nil {
+			return played{}, errs[g]
+		}
+		res.events += counts[g]
+	}
+	if err := tgt.Drain(); err != nil {
+		return played{}, err
+	}
+	res.elapsed = time.Since(start)
+	var err error
+	res.report, err = tgt.Report()
+	return res, err
+}
+
+// playLane is the ingest loop: merge, batch, flush. ids[j] is the global
+// tenant id of iters[j].
+func playLane(l lane, ids []int, iters []workload.Iterator, batch int,
+	skip uint64, afterFlush func(pos uint64) error) (uint64, error) {
+
+	merge := workload.MergeIterators(iters)
+	buf := make([]runtime.Event, 0, batch)
+	var pos, ingested uint64
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		if err := l.Ingest(buf); err != nil {
+			return err
+		}
+		ingested += uint64(len(buf))
+		buf = buf[:0]
+		if afterFlush != nil {
+			return afterFlush(pos)
+		}
+		return nil
+	}
+	for {
+		tev, ok := merge.Next()
+		if !ok {
+			err := flush()
+			return ingested, err
+		}
+		if pos++; pos <= skip {
+			continue
+		}
+		buf = append(buf, runtime.Event{
+			Tenant: ids[tev.Source], Stream: tev.Event.Stream,
+			Value: tev.Event.Value, Y: tev.Event.Y,
+		})
+		if len(buf) == batch {
+			if err := flush(); err != nil {
+				return ingested, err
+			}
+		}
+	}
+}
+
+// periodically is the per-flush hook behind -snapshot-every and
+// -migrate-every: fn runs once for each multiple of every (counted from
+// first) that the stream position has passed, i.e. at the batch boundary
+// following it — deterministic, so reruns cut at the same points.
+func periodically(first uint64, every int, fn func() error) func(pos uint64) error {
+	if every <= 0 {
+		return nil
+	}
+	next := first + uint64(every)
+	return func(pos uint64) error {
+		for ; pos >= next; next += uint64(every) {
+			if err := fn(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// finish renders a run's report — per-tenant lines (with -v, or for at most
+// 8 tenants) and the totals — and writes the -answers dump. The dump is
+// runtime.Report.Text whichever mode produced the report, with nothing
+// time-, placement- or transport-dependent in it: that is what the
+// determinism matrix byte-compares.
+func (p simParams) finish(stdout io.Writer, rep *runtime.Report) error {
+	var worst, total uint64
+	live := 0
+	for ti := range rep.Tenants {
+		t := &rep.Tenants[ti]
+		if !t.Alive {
+			continue
+		}
+		maint := t.Counter.Maintenance()
+		if p.Verbose || len(rep.Tenants) <= 8 {
+			fmt.Fprintf(stdout, "  %-28s events=%-7d maint=%-7d answers=%s\n",
+				t.Name, t.Events, maint, answerSizes(t))
+		}
+		if maint > worst {
+			worst = maint
+		}
+		total += maint
+		live++
+	}
+	fmt.Fprintf(stdout, "node totals: init=%d maintenance=%d serverOps=%d (worst tenant maint=%d, mean=%.1f)\n",
+		rep.Totals.PhaseTotal(comm.Init), rep.Totals.Maintenance(), rep.Totals.ServerOps,
+		worst, float64(total)/float64(live))
+	if p.Answers == "" {
+		return nil
+	}
+	return os.WriteFile(p.Answers, []byte(rep.Text()), 0o644)
+}
+
+// answerSizes renders a tenant's answer-set size — per query slot for a
+// multi-query tenant.
+func answerSizes(t *runtime.TenantReport) string {
+	if !t.MultiQuery {
+		return fmt.Sprint(len(t.Answer))
+	}
+	sizes := make([]string, len(t.Queries))
+	for qi, q := range t.Queries {
+		sizes[qi] = "-"
+		if q.Alive {
+			sizes[qi] = fmt.Sprint(len(q.Answer))
+		}
+	}
+	return strings.Join(sizes, "/")
+}
+
+// printIngested is the throughput line of the in-process modes.
+func printIngested(stdout io.Writer, res played) {
+	fmt.Fprintf(stdout, "ingested:   %d events in %v (%.0f events/sec)\n",
+		res.events, res.elapsed.Round(time.Millisecond), float64(res.events)/res.elapsed.Seconds())
+}

@@ -26,632 +26,266 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
-	"sync"
-	"time"
 
-	"adaptivefilters/internal/comm"
+	"adaptivefilters/internal/cluster"
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
-	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/runtime"
-	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/workload"
+	"adaptivefilters/internal/wire"
 )
 
-// tenantWorkloadStream labels per-tenant workload seed derivation in
-// -tenants mode, keeping workload randomness independent from the protocol
-// seeds runtime.Node derives itself.
-const tenantWorkloadStream int64 = 0x7EA1
-
 func main() {
-	var (
-		wl        = flag.String("workload", "synthetic", "workload: synthetic | tcp | replay")
-		trace     = flag.String("trace", "", "CSV trace file for -workload replay (time,stream,value)")
-		proto     = flag.String("protocol", "ft-nrp", "protocol: no-filter | zt-nrp | ft-nrp | rtp | zt-rp | ft-rp | vb-knn | rtp2d | ft-rp2d")
-		n         = flag.Int("n", 1000, "number of streams")
-		events    = flag.Int("events", 50000, "approximate number of events")
-		sigma     = flag.Float64("sigma", 20, "synthetic random-walk step deviation")
-		seed      = flag.Int64("seed", 1, "determinism seed")
-		lo        = flag.Float64("lo", 400, "range query lower bound")
-		hi        = flag.Float64("hi", 600, "range query upper bound")
-		k         = flag.Int("k", 20, "rank requirement for k-NN/top-k protocols")
-		r         = flag.Int("r", 5, "rank slack for rtp")
-		qpoint    = flag.Float64("q", 500, "k-NN query point (use -top for q=+inf)")
-		qx        = flag.Float64("qx", 500, "spatial query point X for rtp2d/ft-rp2d")
-		qy        = flag.Float64("qy", 500, "spatial query point Y for rtp2d/ft-rp2d")
-		top       = flag.Bool("top", false, "use the top-k (q=+inf) transform")
-		eps       = flag.Float64("eps", 0.2, "symmetric fraction tolerance ε⁺=ε⁻")
-		width     = flag.Float64("width", 100, "value tolerance ε_v for vb-knn")
-		epsP      = flag.Float64("eps-plus", -1, "explicit ε⁺ (overrides -eps)")
-		epsM      = flag.Float64("eps-minus", -1, "explicit ε⁻ (overrides -eps)")
-		sel       = flag.String("selection", "boundary", "silent filter selection: boundary | random")
-		check     = flag.Bool("check", false, "verify answers against the ground-truth oracle")
-		every     = flag.Int("check-every", 10, "oracle sampling period")
-		verbose   = flag.Bool("v", false, "print the final answer set")
-		tenants   = flag.Int("tenants", 1, "host this many independent (workload × query) tenants on one node")
-		queries   = flag.Int("queries", 1, "standing queries per tenant: with -queries M > 1 each tenant is a composite multi-query tenant whose M queries (shifted copies of the configured query) share one value table, one counter and composite filters")
-		shards    = flag.Int("shards", 1, "event-loop goroutines for -tenants mode (-1 = GOMAXPROCS)")
-		batch     = flag.Int("batch", 512, "ingest batch size for -tenants mode")
-		ingesters = flag.Int("ingesters", 1, "concurrent ingest goroutines for -tenants mode, each with its own runtime.Ingester; tenant i's traffic flows through ingester i mod N, so answers stay byte-identical at any count")
-		conns     = flag.Int("conns", 1, "TCP connections for -connect, each with its own pipeline; tenant i's traffic flows through connection i mod N")
-		answers   = flag.String("answers", "", "write a timing-free per-tenant answer/counter dump to this file (-tenants mode); byte-identical at any -shards, the CI determinism job diffs it")
-		snapEvery = flag.Int("snapshot-every", 0, "take a barrier-consistent node snapshot about every N ingested events (-tenants mode; 0 = off)")
-		snapFile  = flag.String("snapshot-file", "streamsim.snap", "file the latest -snapshot-every snapshot is written to")
-		restore   = flag.String("restore", "", "resume from a node snapshot file instead of starting fresh (-tenants mode; pass the same workload/protocol flags as the snapshotting run)")
-		clusterN  = flag.Int("cluster", 0, "host the tenants on this many in-process cluster members behind a consistent-hash router instead of one node (0 = off); answers stay byte-identical to a single node at any member count")
-		migEvery  = flag.Int("migrate-every", 0, "with -cluster, force a round-robin live tenant migration about every N ingested events (0 = no forced migrations)")
-		readyFile = flag.String("ready-file", "", "with -listen, write the resolved listen address to this file once the server is accepting (scripts poll it instead of sleeping)")
-		listen    = flag.String("listen", "", "serve the configured node over TCP on this address (e.g. :7070) instead of ingesting locally")
-		connect   = flag.String("connect", "", "drive a -listen process at this address with the configured workload instead of hosting a node")
-		rate      = flag.Float64("rate", 0, "open-loop target ingest rate in events/sec for -connect (0 = unpaced)")
-		latOut    = flag.String("latency-out", "", "write a bench suite JSON with the -connect run's throughput and p50/p99/p999 ack latency to this file")
-		shutdownR = flag.Bool("shutdown", false, "ask the remote process to stop after a -connect run")
-	)
-	flag.Parse()
-
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "streamsim: "+format+"\n", args...)
-		fmt.Fprintln(os.Stderr, "run with -h for usage")
-		os.Exit(2)
-	}
-	ep, em := *eps, *eps
-	if *epsP >= 0 {
-		ep = *epsP
-	}
-	if *epsM >= 0 {
-		em = *epsM
-	}
-	params := simParams{
-		Tenants: *tenants, Queries: *queries, Shards: *shards,
-		N: *n, Events: *events, Batch: *batch,
-		Ingesters: *ingesters, Conns: *conns,
-		CheckEvery: *every, SnapEvery: *snapEvery, Restore: *restore,
-		Proto: *proto, K: *k, R: *r, QX: *qx, QY: *qy,
-		Width: *width, EpsPlus: ep, EpsMinus: em,
-		Cluster: *clusterN, MigrateEvery: *migEvery,
-		Listen: *listen, Connect: *connect, Rate: *rate,
-		LatencyOut: *latOut, Shutdown: *shutdownR, ReadyFile: *readyFile,
-	}
-	if err := params.validate(); err != nil {
-		fail("%v", err)
-	}
-	tenantsMode := params.tenantsMode()
-
-	mkWorkload := func(wseed int64) (workload.Workload, error) {
-		switch *wl {
-		case "synthetic":
-			cfg := workload.SyntheticConfig{
-				N: *n, Lo: 0, Hi: 1000, MeanGap: 20, Sigma: *sigma,
-				Horizon: float64(*events) * 20 / float64(*n), Seed: wseed,
-			}
-			return workload.NewSynthetic(cfg)
-		case "tcp":
-			cfg := workload.DefaultTCPLike(*events, wseed)
-			cfg.N = *n
-			return workload.NewTCPLike(cfg)
-		case "replay":
-			f, err := os.Open(*trace)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return workload.ParseCSV(*trace, f, 0)
-		default:
-			return nil, fmt.Errorf("unknown workload %q", *wl)
-		}
-	}
-
-	// Spatial protocols always run on a runtime.Node (even with -tenants 1):
-	// there is no 1-D experiment harness for them, and validate has already
-	// rejected the modes the spatial plane does not reach yet.
-	if params.spatialMode() {
-		if *check {
-			fmt.Fprintln(os.Stderr, "streamsim: -check is not supported for spatial protocols and is ignored")
-		}
-		cfg := tenantsConfig{
-			tenants: *tenants, queries: 1, shards: *shards, batch: *batch,
-			ingesters: *ingesters, seed: *seed,
-			proto: *proto, verbose: *verbose, answers: *answers,
-			snapEvery: *snapEvery, snapFile: *snapFile, restore: *restore,
-		}
-		sspec := protospec.Spec{
-			Protocol: *proto, K: *k, R: *r, QX: *qx, QY: *qy, EpsPlus: ep, EpsMinus: em,
-		}
-		if err := runSpatialTenants(cfg, sspec, *n, *events, *sigma); err != nil {
-			fmt.Fprintln(os.Stderr, "streamsim:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	tol := core.FractionTolerance{EpsPlus: ep, EpsMinus: em}
-	selection := core.SelectBoundaryNearest
-	if strings.HasPrefix(*sel, "r") {
-		selection = core.SelectRandom
-	}
-	rng := query.NewRange(*lo, *hi)
-	center := query.At(*qpoint)
-	if *top {
-		center = query.Top()
-	}
-
-	// mk builds the configured protocol's factory for one concrete query
-	// (range or center); -queries derives shifted variants of the base query
-	// through it, so every protocol works on the multi-query plane.
-	var spec *experiment.CheckSpec
-	var mk func(rng query.Range, center query.Center) func(c server.Host, seed int64) server.Protocol
-	switch *proto {
-	case "no-filter":
-		mk = func(rng query.Range, _ query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, _ int64) server.Protocol { return core.NewNoFilterRange(c, rng) }
-		}
-		if *check {
-			spec = experiment.CheckFractionRange(rng, core.FractionTolerance{}, *every)
-		}
-	case "zt-nrp":
-		mk = func(rng query.Range, _ query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, _ int64) server.Protocol { return core.NewZTNRP(c, rng) }
-		}
-		if *check {
-			spec = experiment.CheckFractionRange(rng, core.FractionTolerance{}, *every)
-		}
-	case "ft-nrp":
-		mk = func(rng query.Range, _ query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, seed int64) server.Protocol {
-				return core.NewFTNRP(c, rng, core.FTNRPConfig{Tol: tol, Selection: selection, Seed: seed})
-			}
-		}
-		if *check {
-			spec = experiment.CheckFractionRange(rng, tol, *every)
-		}
-	case "rtp":
-		rt := core.RankTolerance{K: *k, R: *r}
-		mk = func(_ query.Range, center query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, _ int64) server.Protocol { return core.NewRTP(c, center, rt) }
-		}
-		if *check {
-			spec = experiment.CheckRank(center, rt, *every)
-		}
-	case "zt-rp":
-		mk = func(_ query.Range, center query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, _ int64) server.Protocol { return core.NewZTRP(c, center, *k) }
-		}
-		if *check {
-			spec = experiment.CheckRank(center, core.RankTolerance{K: *k}, *every)
-		}
-	case "ft-rp":
-		mk = func(_ query.Range, center query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, seed int64) server.Protocol {
-				fc := core.DefaultFTRPConfig(tol)
-				fc.Selection = selection
-				fc.Seed = seed
-				return core.NewFTRP(c, center, *k, fc)
-			}
-		}
-		if *check {
-			spec = experiment.CheckFractionKNN(query.KNN{Q: center, K: *k}, tol, *every)
-		}
-	case "vb-knn":
-		mk = func(_ query.Range, center query.Center) func(server.Host, int64) server.Protocol {
-			return func(c server.Host, _ int64) server.Protocol {
-				return core.NewVBKNN(c, query.KNN{Q: center, K: *k}, *width)
-			}
-		}
-		if *check {
-			// The value-based baseline offers no rank guarantee; checking it
-			// against a rank tolerance quantifies exactly that (Figure 1).
-			spec = experiment.CheckRank(center, core.RankTolerance{K: *k, R: *r}, *every)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "streamsim: unknown protocol %q\n", *proto)
-		os.Exit(2)
-	}
-	build := mk(rng, center)
-	// buildQuery derives query j's factory: range windows shift by a quarter
-	// span per query (staying overlapped, where composite sharing matters),
-	// k-NN centers by an eighth span of the range flags. Query 0 is exactly
-	// the base query.
-	buildQuery := func(j int) func(c server.Host, seed int64) server.Protocol {
-		span := *hi - *lo
-		shift := float64(j) * span / 4
-		qrng := query.NewRange(*lo+shift, *hi+shift)
-		qcenter := query.At(*qpoint + float64(j)*span/8)
-		if *top {
-			qcenter = query.Top()
-		}
-		return mk(qrng, qcenter)
-	}
-	// declQuery is buildQuery's declarative twin: the same query-j shift,
-	// compiled into a protospec the cluster's migration plane can serialize.
-	// protospec.Spec.Factory constructs protocols exactly as mk does, so the
-	// two forms are interchangeable bit for bit.
-	declQuery := func(j int) protospec.Spec {
-		span := *hi - *lo
-		shift := float64(j) * span / 4
-		s := protospec.Spec{
-			Protocol: *proto, Lo: *lo + shift, Hi: *hi + shift,
-			K: *k, R: *r, Q: *qpoint + float64(j)*span/8, Top: *top,
-			EpsPlus: ep, EpsMinus: em, Width: *width,
-		}
-		if selection == core.SelectRandom {
-			s.Selection = protospec.SelectRandom
-		}
-		return s
-	}
-
-	if params.wireMode() || tenantsMode || params.clusterMode() {
-		if *check {
-			fmt.Fprintln(os.Stderr, "streamsim: -check is ignored in -tenants and wire modes")
-		}
-		cfg := tenantsConfig{
-			tenants: *tenants, queries: *queries, shards: *shards, batch: *batch,
-			ingesters: *ingesters, seed: *seed,
-			proto: *proto, verbose: *verbose, answers: *answers,
-			snapEvery: *snapEvery, snapFile: *snapFile, restore: *restore,
-		}
-		var err error
-		switch {
-		case *listen != "":
-			err = runListen(*listen, *readyFile, cfg, mkWorkload, build, buildQuery)
-		case *connect != "":
-			err = runConnect(*connect, cfg,
-				wireDrive{rate: *rate, latOut: *latOut, shutdown: *shutdownR, conns: *conns},
-				mkWorkload, build, buildQuery)
-		case *clusterN > 0:
-			err = runClusterSim(cfg, *clusterN, *migEvery, mkWorkload, declQuery)
-		default:
-			err = runTenants(cfg, mkWorkload, build, buildQuery)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "streamsim:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	w, err := mkWorkload(*seed)
-	if err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "streamsim:", err)
 		os.Exit(2)
 	}
-	cfg := experiment.Config{Workload: w, Seed: *seed, NewProtocol: build, Check: spec}
+}
 
-	res := experiment.Run(cfg)
+// parseFlags binds every flag to its simParams field.
+func parseFlags(args []string, stderr io.Writer) (simParams, error) {
+	var p simParams
+	fs := flag.NewFlagSet("streamsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&p.Workload, "workload", "synthetic", "workload: synthetic | tcp | replay")
+	fs.StringVar(&p.Trace, "trace", "", "CSV trace file for -workload replay (time,stream,value)")
+	fs.StringVar(&p.Proto, "protocol", "ft-nrp", "protocol: no-filter | zt-nrp | ft-nrp | rtp | zt-rp | ft-rp | vb-knn | rtp2d | ft-rp2d")
+	fs.IntVar(&p.N, "n", 1000, "number of streams")
+	fs.IntVar(&p.Events, "events", 50000, "approximate number of events")
+	fs.Float64Var(&p.Sigma, "sigma", 20, "synthetic random-walk step deviation")
+	fs.Int64Var(&p.Seed, "seed", 1, "determinism seed")
+	fs.Float64Var(&p.Lo, "lo", 400, "range query lower bound")
+	fs.Float64Var(&p.Hi, "hi", 600, "range query upper bound")
+	fs.IntVar(&p.K, "k", 20, "rank requirement for k-NN/top-k protocols")
+	fs.IntVar(&p.R, "r", 5, "rank slack for rtp")
+	fs.Float64Var(&p.Q, "q", 500, "k-NN query point (use -top for q=+inf)")
+	fs.Float64Var(&p.QX, "qx", 500, "spatial query point X for rtp2d/ft-rp2d")
+	fs.Float64Var(&p.QY, "qy", 500, "spatial query point Y for rtp2d/ft-rp2d")
+	fs.BoolVar(&p.Top, "top", false, "use the top-k (q=+inf) transform")
+	eps := fs.Float64("eps", 0.2, "symmetric fraction tolerance ε⁺=ε⁻")
+	fs.Float64Var(&p.Width, "width", 100, "value tolerance ε_v for vb-knn")
+	fs.Float64Var(&p.EpsPlus, "eps-plus", -1, "explicit ε⁺ (overrides -eps)")
+	fs.Float64Var(&p.EpsMinus, "eps-minus", -1, "explicit ε⁻ (overrides -eps)")
+	fs.StringVar(&p.Selection, "selection", "boundary", "silent filter selection: boundary | random")
+	fs.BoolVar(&p.Check, "check", false, "verify answers against the ground-truth oracle")
+	fs.IntVar(&p.CheckEvery, "check-every", 10, "oracle sampling period")
+	fs.BoolVar(&p.Verbose, "v", false, "print the final answer set")
+	fs.IntVar(&p.Tenants, "tenants", 1, "host this many independent (workload × query) tenants on one node")
+	fs.IntVar(&p.Queries, "queries", 1, "standing queries per tenant: with -queries M > 1 each tenant is a composite multi-query tenant whose M queries (shifted copies of the configured query) share one value table, one counter and composite filters")
+	fs.IntVar(&p.Shards, "shards", 1, "event-loop goroutines for -tenants mode (-1 = GOMAXPROCS)")
+	fs.IntVar(&p.Batch, "batch", 512, "ingest batch size for -tenants mode")
+	fs.IntVar(&p.Ingesters, "ingesters", 1, "concurrent ingest goroutines for -tenants mode, each with its own runtime.Ingester; tenant i's traffic flows through ingester i mod N, so answers stay byte-identical at any count")
+	fs.IntVar(&p.Conns, "conns", 1, "TCP connections for -connect, each with its own pipeline; tenant i's traffic flows through connection i mod N")
+	fs.StringVar(&p.Answers, "answers", "", "write a timing-free per-tenant answer/counter dump to this file (-tenants mode); byte-identical at any -shards, the determinism matrix diffs it")
+	fs.IntVar(&p.SnapEvery, "snapshot-every", 0, "take a barrier-consistent node snapshot about every N ingested events (-tenants mode; 0 = off)")
+	fs.StringVar(&p.SnapFile, "snapshot-file", "streamsim.snap", "file the latest -snapshot-every snapshot is written to")
+	fs.StringVar(&p.Restore, "restore", "", "resume from a node snapshot file instead of starting fresh (-tenants mode; pass the same workload/protocol flags as the snapshotting run)")
+	fs.IntVar(&p.Cluster, "cluster", 0, "host the tenants on this many in-process cluster members behind a consistent-hash router instead of one node (0 = off); answers stay byte-identical to a single node at any member count")
+	fs.IntVar(&p.MigrateEvery, "migrate-every", 0, "with -cluster, force a round-robin live tenant migration about every N ingested events (0 = no forced migrations)")
+	fs.StringVar(&p.ReadyFile, "ready-file", "", "with -listen, write the resolved listen address to this file once the server is accepting (scripts poll it instead of sleeping)")
+	fs.StringVar(&p.Listen, "listen", "", "serve the configured node over TCP on this address (e.g. :7070) instead of ingesting locally")
+	fs.StringVar(&p.Connect, "connect", "", "drive a -listen process at this address with the configured workload instead of hosting a node")
+	fs.Float64Var(&p.Rate, "rate", 0, "open-loop target ingest rate in events/sec for -connect (0 = unpaced)")
+	fs.StringVar(&p.LatencyOut, "latency-out", "", "write a bench suite JSON with the -connect run's throughput and p50/p99/p999 ack latency to this file")
+	fs.BoolVar(&p.Shutdown, "shutdown", false, "ask the remote process to stop after a -connect run")
+	if err := fs.Parse(args); err != nil {
+		return p, err
+	}
+	if p.EpsPlus < 0 {
+		p.EpsPlus = *eps
+	}
+	if p.EpsMinus < 0 {
+		p.EpsMinus = *eps
+	}
+	return p, nil
+}
 
-	fmt.Printf("workload:   %s\n", res.Workload)
-	fmt.Printf("protocol:   %s\n", res.Protocol)
-	fmt.Printf("events:     %d\n", res.Events)
-	fmt.Printf("init msgs:  %d (excluded from the paper's metric)\n", res.InitMessages)
-	fmt.Printf("maintenance messages: %d\n", res.MaintMessages)
+// run is the whole command: parse, validate, pick the mode. It never exits
+// the process, so tests drive every mode in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	p, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if err := p.validate(); err != nil {
+		return fmt.Errorf("%w\nrun with -h for usage", err)
+	}
+	single := !p.wireMode() && !p.clusterMode() && !p.tenantsMode() && !p.spatialMode()
+	if p.Check && !single {
+		fmt.Fprintln(stderr, "streamsim: -check audits single 1-D simulations only and is ignored")
+	}
+	switch {
+	case single:
+		return runSingle(p, stdout)
+	case p.Listen != "":
+		return runListen(p, stdout)
+	case p.Connect != "":
+		return runConnect(p, stdout)
+	case p.clusterMode():
+		return runCluster(p, stdout)
+	default:
+		return runNode(p, stdout)
+	}
+}
+
+// checkSpec is the oracle audit -check runs: the guarantee the configured
+// protocol sells, sampled every -check-every events.
+func (p simParams) checkSpec() *experiment.CheckSpec {
+	if !p.Check {
+		return nil
+	}
+	rng := query.NewRange(p.Lo, p.Hi)
+	center := query.At(p.Q)
+	if p.Top {
+		center = query.Top()
+	}
+	tol := core.FractionTolerance{EpsPlus: p.EpsPlus, EpsMinus: p.EpsMinus}
+	switch p.Proto {
+	case "no-filter", "zt-nrp":
+		return experiment.CheckFractionRange(rng, core.FractionTolerance{}, p.CheckEvery)
+	case "ft-nrp":
+		return experiment.CheckFractionRange(rng, tol, p.CheckEvery)
+	case "zt-rp":
+		return experiment.CheckRank(center, core.RankTolerance{K: p.K}, p.CheckEvery)
+	case "ft-rp":
+		return experiment.CheckFractionKNN(query.KNN{Q: center, K: p.K}, tol, p.CheckEvery)
+	default:
+		// rtp's own guarantee — and for vb-knn, which offers no rank
+		// guarantee, the measure of exactly that (Figure 1).
+		return experiment.CheckRank(center, core.RankTolerance{K: p.K, R: p.R}, p.CheckEvery)
+	}
+}
+
+// runSingle runs one 1-D simulation under the experiment harness, with
+// message accounting by kind and the optional oracle audit.
+func runSingle(p simParams, stdout io.Writer) error {
+	w, err := p.workload(p.Seed)
+	if err != nil {
+		return err
+	}
+	rs, err := wire.TenantSpec{Name: w.Name(), Initial: w.Initial(), Spec: p.spec(0)}.Runtime()
+	if err != nil {
+		return err
+	}
+	check := p.checkSpec()
+	res := experiment.Run(experiment.Config{Workload: w, Seed: p.Seed, NewProtocol: rs.NewProtocol, Check: check})
+
+	fmt.Fprintf(stdout, "workload:   %s\n", res.Workload)
+	fmt.Fprintf(stdout, "protocol:   %s\n", res.Protocol)
+	fmt.Fprintf(stdout, "events:     %d\n", res.Events)
+	fmt.Fprintf(stdout, "init msgs:  %d (excluded from the paper's metric)\n", res.InitMessages)
+	fmt.Fprintf(stdout, "maintenance messages: %d\n", res.MaintMessages)
 	kinds := make([]string, 0, len(res.ByKind))
 	for kind := range res.ByKind {
 		kinds = append(kinds, kind)
 	}
 	sort.Strings(kinds)
 	for _, kind := range kinds {
-		fmt.Printf("  %-12s %d\n", kind, res.ByKind[kind])
+		fmt.Fprintf(stdout, "  %-12s %d\n", kind, res.ByKind[kind])
 	}
-	fmt.Printf("server ops: %d\n", res.ServerOps)
-	if spec != nil {
-		fmt.Printf("oracle:     %d checks, %d violations", res.Checks, res.Violations)
+	fmt.Fprintf(stdout, "server ops: %d\n", res.ServerOps)
+	if check != nil {
+		fmt.Fprintf(stdout, "oracle:     %d checks, %d violations", res.Checks, res.Violations)
 		if res.FirstViolation != "" {
-			fmt.Printf(" (first: %s)", res.FirstViolation)
+			fmt.Fprintf(stdout, " (first: %s)", res.FirstViolation)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if res.MaxFPlus > 0 || res.MaxFMinus > 0 {
-			fmt.Printf("worst observed F⁺=%.3f F⁻=%.3f\n", res.MaxFPlus, res.MaxFMinus)
+			fmt.Fprintf(stdout, "worst observed F⁺=%.3f F⁻=%.3f\n", res.MaxFPlus, res.MaxFMinus)
 		}
 	}
-	if *verbose {
-		fmt.Printf("answer (%d): %v\n", len(res.FinalAnswer), res.FinalAnswer)
+	if p.Verbose {
+		fmt.Fprintf(stdout, "answer (%d): %v\n", len(res.FinalAnswer), res.FinalAnswer)
 	} else {
-		fmt.Printf("answer size: %d\n", len(res.FinalAnswer))
-	}
-}
-
-// tenantsConfig bundles the -tenants mode flags.
-type tenantsConfig struct {
-	tenants, queries, shards, batch int
-	ingesters                       int
-	seed                            int64
-	proto                           string
-	verbose                         bool
-	answers                         string
-	snapEvery                       int
-	snapFile                        string
-	restore                         string
-}
-
-// runTenants hosts `tenants` independent copies of the configured
-// (workload × protocol) pair on one runtime.Node: tenant i's workload is
-// derived from the base seed and i, its protocol seed from the node seed
-// via the runtime's own derivation. Events from all tenants are merged into
-// one time-ordered ingress stream and ingested in batches, mimicking a
-// mixed multi-tenant uplink. With queries > 1 each tenant instead hosts
-// that many standing queries — shifted variants of the configured query,
-// built by buildQuery — on one composite fabric, so one update message
-// covers every query it affects.
-//
-// With snapEvery > 0 the node snapshots itself about every snapEvery
-// ingested events (at the next batch boundary), overwriting snapFile each
-// time. With restore set, the node resumes from that snapshot instead of
-// initializing, skips the merged events the snapshot already covers, and
-// continues — with the same flags, the final answers are byte-identical to
-// an uninterrupted run at any shard count.
-func runTenants(cfg tenantsConfig,
-	mkWorkload func(int64) (workload.Workload, error),
-	build func(c server.Host, seed int64) server.Protocol,
-	buildQuery func(j int) func(c server.Host, seed int64) server.Protocol) error {
-
-	specs, iters, err := buildSpecs(cfg, mkWorkload, build, buildQuery)
-	if err != nil {
-		return err
-	}
-	return runNodeSim(cfg, specs, iters)
-}
-
-// runNodeSim hosts the given tenant specs on one runtime.Node and plays the
-// per-tenant iterators into it as a merged time-ordered ingress stream —
-// the shared back half of -tenants mode and the spatial mode (which differ
-// only in how they build specs and workloads). Spatial events carry their
-// second coordinate in Event.Y; 1-D workloads leave it zero.
-func runNodeSim(cfg tenantsConfig, specs []runtime.TenantSpec, iters []workload.Iterator) error {
-	merge := workload.MergeIterators(iters)
-
-	var node *runtime.Node
-	var skip uint64
-	if cfg.restore != "" {
-		data, err := os.ReadFile(cfg.restore)
-		if err != nil {
-			return err
-		}
-		node, err = runtime.RestoreNode(runtime.Config{Shards: cfg.shards, Seed: cfg.seed}, specs, data)
-		if err != nil {
-			return fmt.Errorf("restoring %s: %w", cfg.restore, err)
-		}
-		// The merged ingress order is deterministic, so the events already
-		// applied before the snapshot barrier are exactly its first
-		// TotalEvents() entries.
-		skip = node.TotalEvents()
-		fmt.Printf("restored:   %s (%d events already applied)\n", cfg.restore, skip)
-	} else {
-		var err error
-		node, err = runtime.NewNode(runtime.Config{Shards: cfg.shards, Seed: cfg.seed}, specs)
-		if err != nil {
-			return err
-		}
-	}
-	if err := node.Start(context.Background()); err != nil {
-		return err
-	}
-	defer node.Stop()
-
-	// Wait out the t0 initialization running in the shard loops, so the
-	// throughput figure measures steady-state ingest, not setup.
-	if err := node.Drain(); err != nil {
-		return err
-	}
-	start := time.Now()
-	var ingested uint64
-	if cfg.ingesters > 1 {
-		// validate has already rejected -snapshot-every/-restore here: the
-		// snapshot's replay cut assumes a sequential global ingest prefix.
-		var err error
-		if ingested, err = fanOutIngest(node, merge, cfg.ingesters, cfg.batch); err != nil {
-			return err
-		}
-	} else if err := sequentialIngest(node, merge, cfg, skip, &ingested); err != nil {
-		return err
-	}
-	if err := node.Drain(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	node.Stop()
-
-	ningest := cfg.ingesters
-	if ningest < 1 {
-		ningest = 1
-	}
-	fmt.Printf("tenants:    %d   queries/tenant: %d   shards: %d   batch: %d   ingesters: %d\n",
-		cfg.tenants, cfg.queries, node.Shards(), cfg.batch, ningest)
-	fmt.Printf("ingested:   %d events in %v (%.0f events/sec)\n",
-		ingested, elapsed.Round(time.Millisecond), float64(ingested)/elapsed.Seconds())
-	var worst, total uint64
-	for i := 0; i < cfg.tenants; i++ {
-		c := node.Counter(i)
-		if cfg.verbose || cfg.tenants <= 8 {
-			fmt.Printf("  %-28s events=%-7d maint=%-7d answers=%s\n",
-				node.TenantName(i), node.Events(i), c.Maintenance(), answerSizes(node, i))
-		}
-		if m := c.Maintenance(); m > worst {
-			worst = m
-		}
-		total += c.Maintenance()
-	}
-	totals := node.Totals()
-	fmt.Printf("node totals: init=%d maintenance=%d serverOps=%d (worst tenant maint=%d, mean=%.1f)\n",
-		totals.PhaseTotal(comm.Init), totals.Maintenance(), totals.ServerOps,
-		worst, float64(total)/float64(cfg.tenants))
-	if cfg.verbose {
-		for _, st := range node.ShardStats() {
-			fmt.Printf("  shard %-3d queued=%-4d applied=%-8d tenants=%d\n",
-				st.Shard, st.Queued, st.Applied, st.Tenants)
-		}
-	}
-	if cfg.answers != "" {
-		if err := writeAnswers(cfg.answers, node); err != nil {
-			return err
-		}
+		fmt.Fprintf(stdout, "answer size: %d\n", len(res.FinalAnswer))
 	}
 	return nil
 }
 
-// sequentialIngest is the single-caller ingest path: the merged stream is
-// batched in arrival order through Node.Ingest, the first skip events are
-// dropped (already applied before a restored snapshot's barrier), and with
-// cfg.snapEvery > 0 the node snapshots itself at batch boundaries. Only this
-// path supports snapshots — its global ingest order is what a restore replays.
-func sequentialIngest(node *runtime.Node, merge *workload.TaggedIterator,
-	cfg tenantsConfig, skip uint64, ingested *uint64) error {
-
-	nextSnap := uint64(0)
-	if cfg.snapEvery > 0 {
-		nextSnap = skip + uint64(cfg.snapEvery)
+// startNode hosts the tenants on one started runtime.Node — fresh, or with
+// -restore resumed from that snapshot — whose t0 initialization has
+// finished, so throughput figures measure steady-state ingest.
+func startNode(ctx context.Context, p simParams, ts tenantSet, stdout io.Writer) (*runtime.Node, error) {
+	specs, err := ts.runtimeSpecs()
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]runtime.Event, 0, cfg.batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	cfg := runtime.Config{Shards: p.Shards, Seed: p.Seed}
+	var node *runtime.Node
+	if p.Restore != "" {
+		data, err := os.ReadFile(p.Restore)
+		if err != nil {
+			return nil, err
 		}
-		if err := node.Ingest(buf); err != nil {
+		if node, err = runtime.RestoreNode(cfg, specs, data); err != nil {
+			return nil, fmt.Errorf("restoring %s: %w", p.Restore, err)
+		}
+		fmt.Fprintf(stdout, "restored:   %s (%d events already applied)\n", p.Restore, node.TotalEvents())
+	} else if node, err = runtime.NewNode(cfg, specs); err != nil {
+		return nil, err
+	}
+	if err := node.Start(ctx); err != nil {
+		return nil, err
+	}
+	if err := node.Drain(); err != nil {
+		node.Stop()
+		return nil, err
+	}
+	return node, nil
+}
+
+// runNode hosts the tenants on one runtime.Node and plays them in through
+// -ingesters lanes. With -snapshot-every the node snapshots itself at batch
+// boundaries, overwriting -snapshot-file; a -restore run with the same
+// flags finishes byte-identical to an uninterrupted one at any shard count.
+func runNode(p simParams, stdout io.Writer) error {
+	ts, err := p.buildTenants()
+	if err != nil {
+		return err
+	}
+	node, err := startNode(context.Background(), p, ts, stdout)
+	if err != nil {
+		return err
+	}
+	defer node.Stop()
+	// The merged ingress order is deterministic, so the events a restored
+	// snapshot already holds are exactly its first TotalEvents() entries.
+	skip := node.TotalEvents()
+	lanes := make([]lane, p.Ingesters)
+	for g := range lanes {
+		lanes[g] = node.NewIngester()
+	}
+	// validate keeps snapshots to one lane: a restore replays a sequential
+	// global ingest prefix.
+	snapshot := periodically(skip, p.SnapEvery, func() error {
+		snap, err := node.Snapshot()
+		if err != nil {
 			return err
 		}
-		*ingested += uint64(len(buf))
-		buf = buf[:0]
-		if nextSnap > 0 && skip+*ingested >= nextSnap {
-			snap, err := node.Snapshot()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(cfg.snapFile, snap, 0o644); err != nil {
-				return err
-			}
-			for nextSnap <= skip+*ingested {
-				nextSnap += uint64(cfg.snapEvery)
-			}
-		}
-		return nil
+		return os.WriteFile(p.SnapFile, snap, 0o644)
+	})
+	res, err := play(lanes, cluster.NewLocalMember(node), ts.iters, p.Batch, skip, snapshot)
+	if err != nil {
+		return err
 	}
-	// The per-tenant streams merge on event time (ties by tenant index), so
-	// the ingress order is deterministic and globally time-sorted.
-	var seen uint64
-	for {
-		tev, ok := merge.Next()
-		if !ok {
-			break
-		}
-		seen++
-		if seen <= skip {
-			continue // already applied before the snapshot barrier
-		}
-		buf = append(buf, runtime.Event{
-			Tenant: tev.Source, Stream: tev.Event.Stream,
-			Value: tev.Event.Value, Y: tev.Event.Y,
-		})
-		if len(buf) == cfg.batch {
-			if err := flush(); err != nil {
-				return err
-			}
+	fmt.Fprintf(stdout, "tenants:    %d   queries/tenant: %d   shards: %d   batch: %d   ingesters: %d\n",
+		p.Tenants, p.Queries, node.Shards(), p.Batch, p.Ingesters)
+	printIngested(stdout, res)
+	if err := p.finish(stdout, res.report); err != nil {
+		return err
+	}
+	if p.Verbose {
+		for _, st := range node.ShardStats() {
+			fmt.Fprintf(stdout, "  shard %-3d queued=%-4d applied=%-8d tenants=%d\n",
+				st.Shard, st.Queued, st.Applied, st.Tenants)
 		}
 	}
-	return flush()
-}
-
-// fanOutIngest plays the merged ingress stream through n concurrent ingest
-// goroutines, each owning one runtime.Ingester. Tenant i's events stage into
-// goroutine i mod n's batches, so every tenant's traffic flows through
-// exactly one ingester — the schedule the runtime guarantees bit-identical
-// to a single-caller run — while different tenant groups route concurrently.
-// Each lane's batches are sent in staging order over an in-order channel, so
-// per-tenant event order is preserved end to end.
-func fanOutIngest(node *runtime.Node, merge *workload.TaggedIterator, n, batchSize int) (uint64, error) {
-	type lane struct {
-		in   chan []runtime.Event // full batches, in per-lane order
-		free chan []runtime.Event // recycled batch buffers
-	}
-	lanes := make([]lane, n)
-	errs := make([]error, n) // errs[g] written only by goroutine g, read after Wait
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		lanes[g] = lane{
-			in:   make(chan []runtime.Event, 2),
-			free: make(chan []runtime.Event, 4),
-		}
-		for i := 0; i < 4; i++ {
-			lanes[g].free <- make([]runtime.Event, 0, batchSize)
-		}
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ing := node.NewIngester()
-			for b := range lanes[g].in {
-				if errs[g] == nil {
-					errs[g] = ing.Ingest(b)
-				}
-				lanes[g].free <- b[:0]
-			}
-		}(g)
-	}
-	stage := make([][]runtime.Event, n)
-	for g := range stage {
-		stage[g] = <-lanes[g].free
-	}
-	var ingested uint64
-	for {
-		tev, ok := merge.Next()
-		if !ok {
-			break
-		}
-		g := tev.Source % n
-		stage[g] = append(stage[g], runtime.Event{
-			Tenant: tev.Source, Stream: tev.Event.Stream,
-			Value: tev.Event.Value, Y: tev.Event.Y,
-		})
-		ingested++
-		if len(stage[g]) == batchSize {
-			lanes[g].in <- stage[g]
-			stage[g] = <-lanes[g].free
-		}
-	}
-	for g := 0; g < n; g++ {
-		if len(stage[g]) > 0 {
-			lanes[g].in <- stage[g]
-		}
-		close(lanes[g].in)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ingested, err
-		}
-	}
-	return ingested, nil
-}
-
-// answerSizes renders a tenant's answer-set size — per query slot for a
-// multi-query tenant.
-func answerSizes(node *runtime.Node, ti int) string {
-	if !node.MultiQuery(ti) {
-		return fmt.Sprintf("%d", len(node.Answer(ti)))
-	}
-	var b strings.Builder
-	for qi := 0; qi < node.NumQueries(ti); qi++ {
-		if qi > 0 {
-			b.WriteString("/")
-		}
-		if !node.QueryAlive(ti, qi) {
-			b.WriteString("-")
-			continue
-		}
-		fmt.Fprintf(&b, "%d", len(node.QueryAnswer(ti, qi)))
-	}
-	return b.String()
-}
-
-// writeAnswers dumps every tenant's final answer set (every query's, for
-// multi-query tenants) and message counter plus the node totals, with
-// nothing time- or shard-dependent: the same (seed, tenants, queries,
-// workload) must produce byte-identical dumps at any shard count. CI's
-// determinism job runs -shards 1 and -shards 4 and diffs; the wire job
-// additionally diffs this dump against one rendered from a report decoded
-// off the network (runtime.Report.Text is the single renderer both use).
-func writeAnswers(path string, node *runtime.Node) error {
-	return os.WriteFile(path, []byte(node.Report().Text()), 0o644)
+	return nil
 }

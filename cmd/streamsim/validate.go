@@ -3,31 +3,40 @@ package main
 import (
 	"fmt"
 
-	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/protospec"
 )
 
-// simParams collects every parsed flag value the run shape depends on, so
-// flag validation is one pure function with table-driven tests instead of
-// a switch buried in main. A bad combination must exit non-zero with a
-// message, not panic in a protocol constructor or silently run a default.
+// simParams holds every parsed flag value, so flag validation is one pure
+// function with table-driven tests and every mode reads one description. A
+// bad combination must exit non-zero with a message, not panic in a
+// protocol constructor or silently run a default.
 type simParams struct {
-	Tenants, Queries, Shards int
-	N, Events, Batch         int
-	Ingesters, Conns         int
-	CheckEvery, SnapEvery    int
-	Restore                  string
+	Workload, Trace          string
 	Proto                    string
+	N, Events                int
+	Sigma                    float64
+	Seed                     int64
+	Lo, Hi                   float64
 	K, R                     int
-	QX, QY                   float64
+	Q, QX, QY                float64
+	Top                      bool
 	Width                    float64
 	EpsPlus, EpsMinus        float64 // resolved: -eps overridden by -eps-plus/-eps-minus
+	Selection                string
+	Check                    bool
+	CheckEvery               int
+	Verbose                  bool
+	Tenants, Queries, Shards int
+	Batch, Ingesters, Conns  int
+	Answers                  string
+	SnapEvery                int
+	SnapFile, Restore        string
 	Cluster, MigrateEvery    int
 	Listen, Connect          string
+	ReadyFile                string
 	Rate                     float64
 	LatencyOut               string
 	Shutdown                 bool
-	ReadyFile                string
 }
 
 // tenantsMode reports whether the run hosts a runtime.Node: more than one
@@ -42,12 +51,26 @@ func (p simParams) clusterMode() bool { return p.Cluster > 0 }
 
 // spatialMode reports whether the run hosts 2-D spatial tenants (which
 // always run on a runtime.Node, even with -tenants 1).
-func (p simParams) spatialMode() bool {
-	return (protospec.Spec{Protocol: p.Proto}).Spatial()
+func (p simParams) spatialMode() bool { return p.spec(0).Spatial() }
+
+// spec is standing query j's declarative description — the only form in
+// which this command knows a protocol. Range windows shift by a quarter
+// span per query (staying overlapped, where composite sharing matters),
+// k-NN centers by an eighth span of the range flags; query 0 is exactly
+// the configured query.
+func (p simParams) spec(j int) protospec.Spec {
+	span := p.Hi - p.Lo
+	shift := float64(j) * span / 4
+	return protospec.Spec{
+		Protocol: p.Proto, Lo: p.Lo + shift, Hi: p.Hi + shift,
+		K: p.K, R: p.R, Q: p.Q + float64(j)*span/8, Top: p.Top,
+		EpsPlus: p.EpsPlus, EpsMinus: p.EpsMinus, Width: p.Width,
+		Selection: p.Selection, QX: p.QX, QY: p.QY,
+	}
 }
 
-// validate returns the first violated flag constraint. The protocol
-// checks mirror the constructors' own panics.
+// validate returns the first violated flag constraint. The protocol's own
+// parameters are protospec's to judge, in every mode alike.
 func (p simParams) validate() error {
 	switch {
 	case p.Tenants < 1:
@@ -109,30 +132,6 @@ func (p simParams) validate() error {
 	case p.Conns > 1 && p.Connect == "":
 		return fmt.Errorf("-conns needs -connect")
 	}
-	switch p.Proto {
-	case "ft-nrp", "ft-rp":
-		tol := core.FractionTolerance{EpsPlus: p.EpsPlus, EpsMinus: p.EpsMinus}
-		if err := tol.Validate(); err != nil {
-			return err
-		}
-	}
-	switch p.Proto {
-	case "rtp":
-		if p.K < 1 || p.R < 0 || p.K+p.R >= p.N {
-			return fmt.Errorf("rtp needs k >= 1, r >= 0 and k+r < n; got k=%d r=%d n=%d", p.K, p.R, p.N)
-		}
-	case "zt-rp", "ft-rp":
-		if p.K < 1 || p.K >= p.N {
-			return fmt.Errorf("%s needs 1 <= k < n; got k=%d n=%d", p.Proto, p.K, p.N)
-		}
-	case "vb-knn":
-		if p.K < 1 || p.K > p.N {
-			return fmt.Errorf("vb-knn needs 1 <= k <= n; got k=%d n=%d", p.K, p.N)
-		}
-		if p.Width < 0 {
-			return fmt.Errorf("vb-knn needs -width >= 0, got %g", p.Width)
-		}
-	}
 	if p.spatialMode() {
 		switch {
 		case p.Queries > 1:
@@ -142,15 +141,6 @@ func (p simParams) validate() error {
 		case p.clusterMode():
 			return fmt.Errorf("%s runs in-process only; the cluster plane does not place spatial tenants yet (drop -cluster)", p.Proto)
 		}
-		// The protospec invariants double as the flag checks, exactly as the
-		// 1-D switches above mirror the constructors' panics.
-		spec := protospec.Spec{
-			Protocol: p.Proto, K: p.K, R: p.R, QX: p.QX, QY: p.QY,
-			EpsPlus: p.EpsPlus, EpsMinus: p.EpsMinus,
-		}
-		if err := spec.Validate(p.N); err != nil {
-			return err
-		}
 	}
-	return nil
+	return p.spec(0).Validate(p.N)
 }

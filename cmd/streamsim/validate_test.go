@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -11,8 +12,8 @@ func okParams() simParams {
 		Tenants: 1, Queries: 1, Shards: 1,
 		N: 1000, Events: 50000, Batch: 512, CheckEvery: 10,
 		Ingesters: 1, Conns: 1,
-		Proto: "ft-nrp", K: 20, R: 5, Width: 100,
-		EpsPlus: 0.2, EpsMinus: 0.2,
+		Proto: "ft-nrp", Lo: 400, Hi: 600, K: 20, R: 5, Q: 500, Width: 100,
+		EpsPlus: 0.2, EpsMinus: 0.2, Selection: "boundary",
 	}
 }
 
@@ -115,7 +116,7 @@ func TestValidateRejects(t *testing.T) {
 		{"zt-rp-bad-k", func(p *simParams) { p.Proto, p.K = "zt-rp", 0 }, "zt-rp needs"},
 		{"ft-rp-bad-k", func(p *simParams) { p.Proto, p.K = "ft-rp", 1000 }, "ft-rp needs"},
 		{"vb-knn-bad-k", func(p *simParams) { p.Proto, p.K = "vb-knn", 1001 }, "vb-knn needs"},
-		{"vb-knn-bad-width", func(p *simParams) { p.Proto, p.Width = "vb-knn", -1 }, "-width"},
+		{"vb-knn-bad-width", func(p *simParams) { p.Proto, p.Width = "vb-knn", -1 }, "width >= 0"},
 		{"spatial-multi-query", func(p *simParams) { p.Proto, p.Queries = "rtp2d", 3 }, "single standing query"},
 		{"spatial-listen", func(p *simParams) { p.Proto, p.Listen = "rtp2d", ":1" }, "in-process only"},
 		{"spatial-connect", func(p *simParams) { p.Proto, p.Connect = "ft-rp2d", ":1" }, "in-process only"},
@@ -123,6 +124,12 @@ func TestValidateRejects(t *testing.T) {
 		{"rtp2d-bad-rank", func(p *simParams) { p.Proto, p.K, p.R = "rtp2d", 900, 200 }, "rtp2d needs"},
 		{"ft-rp2d-bad-k", func(p *simParams) { p.Proto, p.K = "ft-rp2d", 1000 }, "ft-rp2d needs"},
 		{"ft-rp2d-bad-tol", func(p *simParams) { p.Proto, p.EpsPlus = "ft-rp2d", -2 }, "ft-rp2d"},
+		{"selection-typo", func(p *simParams) { p.Selection = "bondary" }, "unknown selection"},
+		{"inverted-range", func(p *simParams) { p.Tenants, p.Lo, p.Hi = 2, 600, 400 }, "empty range [600,400]"},
+		{"inverted-range-single", func(p *simParams) { p.Lo, p.Hi = 600, 400 }, "empty range [600,400]"},
+		{"non-finite-query-point", func(p *simParams) { p.Proto, p.Q = "rtp", math.Inf(1) }, "q is not finite"},
+		{"nan-range-bound", func(p *simParams) { p.Lo = math.NaN() }, "not finite"},
+		{"unknown-protocol", func(p *simParams) { p.Proto = "ft-npr" }, "unknown protocol"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,14 +1,15 @@
 // Wire mode: the -listen and -connect halves of the serving plane. Both
-// ends are configured with the same flags; the listener compiles them into
-// a hosted runtime.Node behind internal/netserve, the connector compiles
-// them into workload iterators and drives the listener through the client
-// package as an open-loop load generator.
+// ends are configured with the same flags; the listener hosts the tenants
+// on a runtime.Node behind internal/netserve, the connector plays their
+// workloads at it through the client package as an open-loop load
+// generator — one lane per connection.
 package main
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -20,116 +21,53 @@ import (
 	"adaptivefilters/internal/bench"
 	"adaptivefilters/internal/netserve"
 	"adaptivefilters/internal/runtime"
-	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/wire"
-	"adaptivefilters/internal/workload"
 )
-
-// buildSpecs derives every tenant's runtime spec and workload iterator from
-// the configured flags. It is the single construction all three node-hosting
-// modes share: -tenants hosts the specs locally, -listen hosts them behind
-// TCP, -connect discards them and plays only the iterators (the remote
-// -listen process, started with the same flags, owns the node).
-func buildSpecs(cfg tenantsConfig,
-	mkWorkload func(int64) (workload.Workload, error),
-	build func(c server.Host, seed int64) server.Protocol,
-	buildQuery func(j int) func(c server.Host, seed int64) server.Protocol) ([]runtime.TenantSpec, []workload.Iterator, error) {
-
-	specs := make([]runtime.TenantSpec, cfg.tenants)
-	iters := make([]workload.Iterator, cfg.tenants)
-	for i := 0; i < cfg.tenants; i++ {
-		w, err := mkWorkload(sim.DeriveSeed(cfg.seed, tenantWorkloadStream, int64(i)))
-		if err != nil {
-			return nil, nil, err
-		}
-		specs[i] = runtime.TenantSpec{
-			Name:    fmt.Sprintf("%s/%s-%d", cfg.proto, w.Name(), i),
-			Initial: w.Initial(),
-		}
-		if cfg.queries > 1 {
-			qs := make([]runtime.QuerySpec, cfg.queries)
-			for j := 0; j < cfg.queries; j++ {
-				qs[j] = runtime.QuerySpec{
-					Name:        fmt.Sprintf("q%d", j),
-					NewProtocol: buildQuery(j),
-				}
-			}
-			specs[i].Queries = qs
-		} else {
-			specs[i].NewProtocol = build
-		}
-		iters[i] = w.Events()
-	}
-	return specs, iters, nil
-}
 
 // runListen hosts the configured node behind a TCP front end and serves
 // until a client's -shutdown request or SIGINT. The resolved address is
 // printed first (so -listen :0 runs are scriptable); with -ready-file it is
 // also written to a file once the listener is accepting, so scripts can
-// poll for readiness instead of sleeping. With -answers the node's final
-// local dump is written after serving stops — byte-comparable against both
-// an in-process run and a report fetched over the wire.
-func runListen(addr, readyFile string, cfg tenantsConfig,
-	mkWorkload func(int64) (workload.Workload, error),
-	build func(c server.Host, seed int64) server.Protocol,
-	buildQuery func(j int) func(c server.Host, seed int64) server.Protocol) error {
-
-	specs, _, err := buildSpecs(cfg, mkWorkload, build, buildQuery)
-	if err != nil {
-		return err
-	}
-	node, err := runtime.NewNode(runtime.Config{Shards: cfg.shards, Seed: cfg.seed}, specs)
+// poll for readiness instead of sleeping. After serving stops the node's
+// own report is rendered — byte-comparable against both an in-process run
+// and a report fetched over the wire.
+func runListen(p simParams, stdout io.Writer) error {
+	ts, err := p.buildTenants()
 	if err != nil {
 		return err
 	}
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
-	if err := node.Start(ctx); err != nil {
+	node, err := startNode(ctx, p, ts, stdout)
+	if err != nil {
 		return err
 	}
 	defer node.Stop()
-	// Finish t0 initialization before taking traffic, as the local modes do.
-	if err := node.Drain(); err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", p.Listen)
 	if err != nil {
 		return err
 	}
 	s := netserve.Serve(ln, node, netserve.Options{})
 	defer context.AfterFunc(ctx, s.Close)()
-	fmt.Printf("listening:  %s   tenants=%d queries/tenant=%d shards=%d\n",
-		s.Addr(), cfg.tenants, cfg.queries, node.Shards())
-	if readyFile != "" {
+	fmt.Fprintf(stdout, "listening:  %s   tenants=%d queries/tenant=%d shards=%d\n",
+		s.Addr(), p.Tenants, p.Queries, node.Shards())
+	if p.ReadyFile != "" {
 		// Written after Serve: the listener accepts from this point on, so a
 		// reader that sees the file can connect without racing the server.
 		// Write-then-rename keeps partial reads impossible.
-		tmp := readyFile + ".tmp"
+		tmp := p.ReadyFile + ".tmp"
 		if err := os.WriteFile(tmp, []byte(s.Addr().String()+"\n"), 0o644); err != nil {
 			return err
 		}
-		if err := os.Rename(tmp, readyFile); err != nil {
+		if err := os.Rename(tmp, p.ReadyFile); err != nil {
 			return err
 		}
 	}
 	s.Wait()
 	// The driver goroutine has exited (Wait synchronizes with it), so the
 	// node is ours to inspect again.
-	fmt.Printf("served:     %d events applied\n", node.TotalEvents())
-	if cfg.answers != "" {
-		return writeAnswers(cfg.answers, node)
-	}
-	return nil
-}
-
-// wireDrive bundles the -connect-only flags.
-type wireDrive struct {
-	rate     float64 // target events/sec across all connections; 0 = unpaced
-	latOut   string  // bench suite JSON path; "" = none
-	shutdown bool    // ask the remote process to stop afterwards
-	conns    int     // concurrent connections; tenant i drives over conn i mod conns
+	fmt.Fprintf(stdout, "served:     %d events applied\n", node.TotalEvents())
+	return p.finish(stdout, node.Report())
 }
 
 // sendRec records one in-flight batch: its intended deadline and event
@@ -146,10 +84,14 @@ type ackRec struct {
 	status byte
 }
 
-// wireConn is one -connect connection: a pipelined client plus the ack
-// bookkeeping its reader goroutine and sender goroutine share.
+// wireConn is one -connect connection — one lane: a pipelined client plus
+// the ack bookkeeping its reader goroutine and sender goroutine share.
 type wireConn struct {
 	cl *client.Client
+	// Open-loop pacing (-rate): batch i is due at start + i·gap; gap 0 is
+	// unpaced.
+	gap   time.Duration
+	start time.Time
 
 	mu                   sync.Mutex
 	inflight             map[uint64]sendRec
@@ -163,8 +105,9 @@ type wireConn struct {
 
 // dialWireConn dials one connection and wires its ack callback into the
 // connection's own bookkeeping, so connections never contend on a lock.
-func dialWireConn(addr string) (*wireConn, error) {
+func dialWireConn(addr string, gap time.Duration) (*wireConn, error) {
 	wc := &wireConn{
+		gap:      gap,
 		inflight: make(map[uint64]sendRec),
 		early:    make(map[uint64]ackRec),
 	}
@@ -202,158 +145,113 @@ func (wc *wireConn) settle(rec sendRec, at time.Time, status byte) {
 	}
 }
 
-// drive plays this connection's tenant subset as an open-loop sender: batch
-// i is due at start + i·gap regardless of how long earlier sends took, and
-// each ack's latency is measured against that intended deadline — a stalled
+// Ingest sends one batch as an open-loop sender: the batch is due at its
+// scheduled instant regardless of how long earlier sends took, and its
+// ack's latency is measured against that intended deadline — a stalled
 // server inflates the recorded percentiles instead of silently slowing the
-// generator down (coordinated omission is measured, not hidden). With gap 0
+// generator down (coordinated omission is measured, not hidden). Unpaced,
 // the deadline is the send instant and the pipeline runs as fast as the
-// window allows. tenants[j] is the global tenant id of iters[j], so staged
-// events carry node-side ids while the merge stays local to the subset.
-func (wc *wireConn) drive(cfg tenantsConfig, tenants []int, iters []workload.Iterator,
-	gap time.Duration, start time.Time) error {
-
-	merge := workload.MergeIterators(iters)
-	buf := make([]runtime.Event, 0, cfg.batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		due := time.Now()
-		if gap > 0 {
-			due = start.Add(time.Duration(wc.batches) * gap)
-			if wait := time.Until(due); wait > 0 {
-				time.Sleep(wait)
-			}
-		}
-		wc.batches++
-		n := len(buf)
-		seq, err := wc.cl.Ingest(buf)
-		buf = buf[:0]
-		if err != nil {
-			if errors.Is(err, client.ErrDisconnected) {
-				// The link is redialing: drop the batch and keep pace rather
-				// than stalling the schedule.
-				wc.droppedEv += uint64(n)
-				return nil
-			}
-			return err
-		}
-		wc.sentEv += uint64(n)
-		wc.mu.Lock()
-		if a, ok := wc.early[seq]; ok {
-			delete(wc.early, seq)
-			wc.settle(sendRec{due, n}, a.at, a.status)
-		} else {
-			wc.inflight[seq] = sendRec{due, n}
-		}
-		wc.mu.Unlock()
+// window allows.
+func (wc *wireConn) Ingest(events []runtime.Event) error {
+	due := time.Now()
+	if wc.gap > 0 {
+		due = wc.start.Add(time.Duration(wc.batches) * wc.gap)
+		time.Sleep(time.Until(due))
+	}
+	wc.batches++
+	n := len(events)
+	seq, err := wc.cl.Ingest(events)
+	if errors.Is(err, client.ErrDisconnected) {
+		// The link is redialing: drop the batch and keep pace rather than
+		// stalling the schedule.
+		wc.droppedEv += uint64(n)
 		return nil
 	}
-	for {
-		tev, ok := merge.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, runtime.Event{Tenant: tenants[tev.Source], Stream: tev.Event.Stream, Value: tev.Event.Value})
-		if len(buf) == cfg.batch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// runConnect plays the configured workload against a remote -listen process
-// over drv.conns pipelined connections. Tenant i's traffic flows through
-// connection i mod conns, so each tenant's events arrive in order on one
-// connection — the schedule under which the remote node's answers stay
-// byte-identical to a local run — while connections ingest concurrently
-// against the server's per-connection readers. The open-loop rate budget is
-// global: each connection paces at rate/conns.
-func runConnect(addr string, cfg tenantsConfig, drv wireDrive,
-	mkWorkload func(int64) (workload.Workload, error),
-	build func(c server.Host, seed int64) server.Protocol,
-	buildQuery func(j int) func(c server.Host, seed int64) server.Protocol) error {
-
-	_, iters, err := buildSpecs(cfg, mkWorkload, build, buildQuery)
 	if err != nil {
 		return err
 	}
-	nconn := drv.conns
-	if nconn < 1 {
-		nconn = 1
+	wc.sentEv += uint64(n)
+	wc.mu.Lock()
+	if a, ok := wc.early[seq]; ok {
+		delete(wc.early, seq)
+		wc.settle(sendRec{due, n}, a.at, a.status)
+	} else {
+		wc.inflight[seq] = sendRec{due, n}
 	}
-	if nconn > cfg.tenants {
-		nconn = cfg.tenants // an idle extra connection would only add noise
-	}
-	ids := make([][]int, nconn)
-	subs := make([][]workload.Iterator, nconn)
-	for i := 0; i < cfg.tenants; i++ {
-		c := i % nconn
-		ids[c] = append(ids[c], i)
-		subs[c] = append(subs[c], iters[i])
-	}
-	var gap time.Duration
-	if drv.rate > 0 {
-		gap = time.Duration(float64(cfg.batch) * float64(nconn) / drv.rate * float64(time.Second))
-	}
+	wc.mu.Unlock()
+	return nil
+}
 
-	conns := make([]*wireConn, nconn)
-	for c := range conns {
-		wc, err := dialWireConn(addr)
-		if err != nil {
-			for _, prev := range conns[:c] {
-				prev.cl.Close()
-			}
-			return err
-		}
-		conns[c] = wc
-	}
-	defer func() {
-		for _, wc := range conns {
-			wc.cl.Close()
-		}
-	}()
-	rateLabel := "unpaced"
-	if drv.rate > 0 {
-		rateLabel = fmt.Sprintf("%.0f events/sec", drv.rate)
-	}
-	fmt.Printf("connected:  %s   tenants=%d queries/tenant=%d batch=%d conns=%d rate=%s\n",
-		addr, cfg.tenants, cfg.queries, cfg.batch, nconn, rateLabel)
+// wireConns is the -connect target: the remote node, seen through every
+// connection the lanes sent on.
+type wireConns []*wireConn
 
-	start := time.Now()
-	sendErrs := make([]error, nconn)
-	var wg sync.WaitGroup
-	for c := range conns {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			sendErrs[c] = conns[c].drive(cfg, ids[c], subs[c], gap, start)
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range sendErrs {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Barrier: each connection's drain ack proves every earlier pipelined
-	// batch on that connection was answered, so the report below is stable.
-	for _, wc := range conns {
+// Drain is the barrier: each connection's drain ack proves every earlier
+// pipelined batch on that connection was answered, so a report fetched
+// afterwards is stable.
+func (cs wireConns) Drain() error {
+	for _, wc := range cs {
 		if err := retryWire(wc.cl.Drain); err != nil {
 			return err
 		}
 	}
-	elapsed := time.Since(start)
-	var rep *runtime.Report
-	if err := retryWire(func() error {
-		var e error
-		rep, e = conns[0].cl.Report()
-		return e
-	}); err != nil {
+	return nil
+}
+
+func (cs wireConns) Report() (rep *runtime.Report, err error) {
+	err = retryWire(func() error {
+		rep, err = cs[0].cl.Report()
+		return err
+	})
+	return rep, err
+}
+
+func (cs wireConns) Close() {
+	for _, wc := range cs {
+		wc.cl.Close()
+	}
+}
+
+// runConnect plays the configured workload against a remote -listen process
+// over -conns pipelined connections, concurrently against the server's
+// per-connection readers. The remote process, started with the same flags,
+// owns the node; only the iterators are used here. The open-loop rate
+// budget is global: each connection paces at rate/conns.
+func runConnect(p simParams, stdout io.Writer) error {
+	ts, err := p.buildTenants()
+	if err != nil {
+		return err
+	}
+	nconn := p.Conns
+	if nconn > p.Tenants {
+		nconn = p.Tenants // an idle extra connection would only add noise
+	}
+	var gap time.Duration
+	rateLabel := "unpaced"
+	if p.Rate > 0 {
+		gap = time.Duration(float64(p.Batch) * float64(nconn) / p.Rate * float64(time.Second))
+		rateLabel = fmt.Sprintf("%.0f events/sec", p.Rate)
+	}
+	var conns wireConns
+	defer func() { conns.Close() }()
+	for len(conns) < nconn {
+		wc, err := dialWireConn(p.Connect, gap)
+		if err != nil {
+			return err
+		}
+		conns = append(conns, wc)
+	}
+	fmt.Fprintf(stdout, "connected:  %s   tenants=%d queries/tenant=%d batch=%d conns=%d rate=%s\n",
+		p.Connect, p.Tenants, p.Queries, p.Batch, nconn, rateLabel)
+
+	lanes := make([]lane, nconn)
+	start := time.Now()
+	for c, wc := range conns {
+		wc.start = start
+		lanes[c] = wc
+	}
+	res, err := play(lanes, conns, ts.iters, p.Batch, 0, nil)
+	if err != nil {
 		return err
 	}
 
@@ -378,52 +276,47 @@ func runConnect(addr string, cfg tenantsConfig, drv wireDrive,
 	}
 	p50, p99, p999 := bench.LatencyPercentiles(samples)
 
-	fmt.Printf("sent:       %d events in %d batches (%d events dropped while disconnected)\n",
+	fmt.Fprintf(stdout, "sent:       %d events in %d batches (%d events dropped while disconnected)\n",
 		sentEv, batches, droppedEv)
-	fmt.Printf("acks:       ok=%d shed=%d lost=%d batches (events ok=%d shed=%d lost=%d)\n",
+	fmt.Fprintf(stdout, "acks:       ok=%d shed=%d lost=%d batches (events ok=%d shed=%d lost=%d)\n",
 		ackedB, shedB, lostB, okEvents, shedEvents, lostEvents)
-	fmt.Printf("throughput: %.0f events/sec applied in %v\n",
-		float64(okEvents)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "throughput: %.0f events/sec applied in %v\n",
+		float64(okEvents)/res.elapsed.Seconds(), res.elapsed.Round(time.Millisecond))
 	if len(samples) > 0 {
-		fmt.Printf("latency:    p50=%v p99=%v p999=%v over %d acks (vs intended deadlines)\n",
+		fmt.Fprintf(stdout, "latency:    p50=%v p99=%v p999=%v over %d acks (vs intended deadlines)\n",
 			time.Duration(p50).Round(time.Microsecond),
 			time.Duration(p99).Round(time.Microsecond),
 			time.Duration(p999).Round(time.Microsecond), len(samples))
 	}
-	if cfg.answers != "" {
-		// The dump renders through runtime.Report.Text — the same renderer
-		// writeAnswers uses in-process — so a wire-fetched dump must be
-		// byte-identical to the local one; CI diffs them.
-		if err := os.WriteFile(cfg.answers, []byte(rep.Text()), 0o644); err != nil {
-			return err
-		}
+	if err := p.finish(stdout, res.report); err != nil {
+		return err
 	}
-	if drv.latOut != "" {
+	if p.LatencyOut != "" {
 		suite := &bench.Suite{Benchmark: "streamsim-wire", GoMaxProcs: gort.GOMAXPROCS(0)}
-		name := fmt.Sprintf("wire-loopback-ingest/batch=%d", cfg.batch)
+		name := fmt.Sprintf("wire-loopback-ingest/batch=%d", p.Batch)
 		if nconn > 1 {
 			name += fmt.Sprintf("/conns=%d", nconn)
 		}
 		var nsPerOp float64
 		if batches > 0 {
-			nsPerOp = float64(elapsed) / float64(batches)
+			nsPerOp = float64(res.elapsed) / float64(batches)
 		}
 		suite.Add(bench.Result{
 			Name:         name,
-			EventsPerOp:  cfg.batch,
+			EventsPerOp:  p.Batch,
 			NsPerOp:      nsPerOp,
-			EventsPerSec: float64(okEvents) / elapsed.Seconds(),
+			EventsPerSec: float64(okEvents) / res.elapsed.Seconds(),
 			P50Ns:        p50, P99Ns: p99, P999Ns: p999,
 		})
-		if err := suite.WriteFile(drv.latOut); err != nil {
+		if err := suite.WriteFile(p.LatencyOut); err != nil {
 			return err
 		}
 	}
-	if drv.shutdown {
+	if p.Shutdown {
 		if err := conns[0].cl.Shutdown(); err != nil {
 			return err
 		}
-		fmt.Println("shutdown:   remote acknowledged")
+		fmt.Fprintln(stdout, "shutdown:   remote acknowledged")
 	}
 	return nil
 }

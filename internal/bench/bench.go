@@ -1,9 +1,10 @@
 // Package bench defines the repository's benchmark result schema, its JSON
 // serialization, and the regression-gate comparison CI applies to it.
 //
-// Three things emit Suite documents: the steady-state benchmark suite in
-// this package (BENCH_suite.json), internal/runtime's throughput benchmark
-// (BENCH_runtime.json), and any future BENCH_*.json producer. The committed
+// Two things emit Suite documents: the steady-state benchmark suite in
+// this package (BENCH_suite.json; its multi-tenant-ingest/shards=* rows are
+// the runtime's throughput-vs-shards figures) and streamsim -connect
+// -latency-out (BENCH_wire_*.json). The committed
 // BENCH_baseline.json at the repository root pins the suite's expected
 // numbers; cmd/benchgate compares a fresh run against it and fails CI on a
 // throughput regression or any allocation creep on the ingest path. See

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaptivefilters/internal/comm"
@@ -447,79 +448,21 @@ func TestMultiQuerySnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreDecodesVersion1 pins backward compatibility: a version-1
-// snapshot — the pre-query-plane encoding, reconstructed here byte for
-// byte — must restore onto the current runtime and continue bit-identically
-// with an uninterrupted current-version run.
-func TestRestoreDecodesVersion1(t *testing.T) {
-	specs := testSpecs(3, 15)
-	batches := testEvents(specs, 120, 37)
-	cut := len(batches) / 2
-
-	// Reference: the uninterrupted run on the current runtime.
-	ref := runNode(t, 2, specs, batches)
-
-	// Reconstruct the v1 encoding of the node state at the cut barrier by
-	// replaying the prefix into private clusters (bit-identical to the
-	// node's own tenants) and writing the version-1 layout around their
-	// exported state.
-	w := snapshot.NewWriter()
-	w.String(snapshotMagic)
-	w.Uint64(1)
-	w.Int64(42)                // node seed
-	w.Int64(int64(len(specs))) // nextSeedID
-	var ingested uint64
-	for _, b := range batches[:cut] {
-		ingested += uint64(len(b))
-	}
-	w.Uint64(ingested)
-	w.Int(len(specs))
-	for i, spec := range specs {
-		cluster := server.NewClusterWith(spec.Initial, spec.Server)
-		proto := spec.NewProtocol(cluster, sim.DeriveSeed(42, tenantSeedStream, int64(i)))
-		cluster.SetProtocol(proto)
-		cluster.Initialize()
-		var events uint64
-		for _, b := range batches[:cut] {
-			for _, ev := range b {
-				if ev.Tenant == i {
-					cluster.Deliver(ev.Stream, ev.Value)
-					events++
-				}
-			}
+// TestRestoreRefusesOldVersions: no snapshot was ever deployed at encoding
+// versions 1 or 2, so RestoreNode refuses them instead of decoding them.
+func TestRestoreRefusesOldVersions(t *testing.T) {
+	for _, version := range []uint64{1, 2} {
+		w := snapshot.NewWriter()
+		w.String(snapshotMagic)
+		w.Uint64(version)
+		payload := w.Bytes()
+		var trailer [8]byte
+		binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
+		_, err := RestoreNode(Config{}, testSpecs(1, 15), append(payload, trailer[:]...))
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Errorf("version %d: err = %v, want unsupported snapshot version", version, err)
 		}
-		w.Bool(true)
-		w.String(spec.Name)
-		w.Int64(int64(i))
-		w.String(proto.Name())
-		w.Uint64(events)
-		cluster.ExportState(w)
-		proto.(server.StatefulProtocol).ExportState(w)
 	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	payload := w.Bytes()
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
-	v1 := append(payload, trailer[:]...)
-
-	rn, err := RestoreNode(Config{Shards: 4}, specs, v1)
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	if got := rn.TotalEvents(); got != ingested {
-		t.Fatalf("TotalEvents = %d, want %d", got, ingested)
-	}
-	if err := rn.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(t, rn, batches[cut:])
-	if err := rn.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	rn.Stop()
-	compareLive(t, rn, ref)
 }
 
 // TestCompositeIngestStaysAllocationFree extends the zero-allocation

@@ -15,15 +15,14 @@ import (
 // rejects versions it does not know (DESIGN.md §6).
 const (
 	snapshotMagic = "adaptivefilters/node-snapshot"
-	// SnapshotVersion is the current encoding version. Version 3 widened the
-	// per-tenant kind discriminator from a bool to an integer to admit
-	// spatial (2-D) tenants; version 2 added multi-query composite tenants;
-	// version 1 snapshots — single-query tenants only — still decode, as do
-	// version 2 ones (DESIGN.md §7.4, §11).
+	// SnapshotVersion is the current encoding version, the only one
+	// RestoreNode accepts: every tenant record opens with an integer kind
+	// discriminator (DESIGN.md §7.4, §11). No snapshot was ever deployed at
+	// versions 1 or 2, so they are refused rather than decoded.
 	SnapshotVersion = 3
 )
 
-// Per-tenant kind discriminators in version-3 snapshots.
+// Per-tenant kind discriminators.
 const (
 	tenantKindSingle  = 0
 	tenantKindMulti   = 1
@@ -91,9 +90,6 @@ func (n *Node) Snapshot() ([]byte, error) {
 			t.spatial.ExportState(w)
 			sp.ExportState(w)
 		default:
-			// Single-query records keep the version-1 field order after the
-			// kind discriminator, so the v1 decode path below shares this
-			// layout.
 			sp, ok := t.proto.(server.StatefulProtocol)
 			if !ok {
 				return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
@@ -135,9 +131,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // The restored node continues bit-identically: started (Start skips the t0
 // phase for restored tenants) and fed the events after the snapshot
 // barrier, its answers and counters match an uninterrupted run at any shard
-// count. Both encoding version 2 and the pre-query-plane version 1 are
-// accepted. Corrupted, truncated or mismatched snapshots return an error;
-// decoding never panics.
+// count. Corrupted, truncated or mismatched snapshots — and any encoding
+// version but SnapshotVersion — return an error; decoding never panics.
 func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("runtime: not a node snapshot")
@@ -151,7 +146,7 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 		return nil, fmt.Errorf("runtime: not a node snapshot")
 	}
 	version := r.Uint64()
-	if r.Err() != nil || version < 1 || version > SnapshotVersion {
+	if r.Err() != nil || version != SnapshotVersion {
 		return nil, fmt.Errorf("runtime: unsupported snapshot version %d (have %d)", version, SnapshotVersion)
 	}
 	seed := r.Int64()
@@ -180,19 +175,7 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 			n.tenants = append(n.tenants, nil)
 			continue
 		}
-		// Version 1 predates the query plane: every record is single-query
-		// and carries no kind discriminator. Version 2 wrote the kind as a
-		// multi-query bool; version 3 widened it to an integer for spatial
-		// tenants.
-		kind := int64(tenantKindSingle)
-		switch {
-		case version == 2:
-			if r.Bool() {
-				kind = tenantKindMulti
-			}
-		case version >= 3:
-			kind = r.Int64()
-		}
+		kind := r.Int64()
 		name := r.String()
 		seedID := r.Int64()
 		if err := r.Err(); err != nil {
@@ -252,7 +235,7 @@ func kindName(kind int64) string {
 	}
 }
 
-// tenantKind returns a live tenant's version-3 kind discriminator.
+// tenantKind returns a live tenant's kind discriminator.
 func tenantKind(t *tenant) int64 {
 	switch {
 	case t.comp != nil:
@@ -287,7 +270,7 @@ func restoreSpatial(r *snapshot.Reader, t *tenant) (uint64, error) {
 }
 
 // restoreSingle decodes a single-query tenant record — protocol name, event
-// count, cluster state, protocol state, in the version-1 field order — into
+// count, cluster state, protocol state — into
 // the freshly built tenant, returning the event count.
 func restoreSingle(r *snapshot.Reader, t *tenant) (uint64, error) {
 	protoName := r.String()
