@@ -9,42 +9,61 @@
 // keeps a single-goroutine contract for control ops — Drain, Report,
 // lifecycle, snapshots. The server splits along exactly that line:
 //
-//	conn 1 reader ──ingest──→ Node ←─┐            ┌─ conn 1 writer
-//	conn 2 reader ──ingest──→ Node ←─┼─ driver ───┼─ conn 2 writer
-//	conn 3 reader ──control ops──────┘ (control)  └─ conn 3 writer
+//	conn 1 ⇄ socket ──ingest──→ Node ←──┐
+//	conn 2 ⇄ socket ──ingest──→ Node ←──┼── driver (control side)
+//	conn 3 ⇄ socket ──control op, wait──┘
 //
-// Each connection gets one reader goroutine and one writer goroutine
-// (replies → frames, coalescing flushes). The reader owns a private
-// runtime.Ingester and serves OpIngest itself — decode, shed check, route,
-// ack — so ingest from K connections runs on K cores and never queues
-// behind the driver. Control ops still flow to the single driver
-// goroutine, the only caller into the node's control side; after
-// forwarding one, the reader waits for the driver to enqueue its reply
-// before decoding the next frame. Per-connection reply order therefore
-// still matches request order — the invariant pipelining clients match
-// acks against — because every reply, ingest ack or driver reply, is
-// enqueued before the reader touches the next request.
+// Each connection is one goroutine that reads, ingests and writes. It owns
+// a private runtime.Ingester and serves OpIngest itself, so ingest from K
+// connections runs on K cores and never queues behind the driver. A control
+// op goes to the single driver goroutine, the only caller into the node's
+// control side; the connection waits, the driver hands the reply back, and
+// the connection writes it. Only a connection's own goroutine ever touches
+// its socket, so replies leave in request order by construction — the
+// invariant pipelining clients match acks against — and a peer that stops
+// reading can stall nobody but itself.
 //
-// Events on one connection apply in arrival order (the reader routes a
-// batch before decoding the next); a tenant fed from several connections
-// interleaves at batch granularity in scheduling order, exactly the
-// runtime.Ingester contract.
+// # Bursts
+//
+// The unit of work is not a frame but a read burst: the run of complete
+// frames already sitting in the connection's read buffer
+// (wire.FrameReader.Ready). The connection decodes every OpIngest frame of
+// the burst into one event buffer, remembering which events each frame
+// brought, and closes the burst when going on would block on the socket,
+// when a control op arrives, or when burstEvents events are staged. Closing
+// a burst is one shed check and one Ingester.Ingest for all of it, then one
+// ack frame per ingest frame, in request order. Ingest is all-or-nothing,
+// so a refused burst is replayed frame by frame: the error ack lands on the
+// frame that earned it, its neighbours apply, nothing applies twice. Acks
+// collect in the write buffer and are flushed once, just before the
+// connection blocks on the socket (or hands a control op to the driver). A
+// burst never waits for more input: a client that sends one frame and
+// waits gets its ack at once.
+//
+// Events on one connection apply in arrival order; a tenant fed from
+// several connections interleaves at burst granularity in scheduling
+// order, exactly the runtime.Ingester contract.
 //
 // # Backpressure
 //
 // Two regimes, deliberately different:
 //
 //   - Stall: the request queue is bounded. When the driver falls behind,
-//     readers block enqueueing, stop draining their sockets, and TCP flow
-//     control pushes back to the sender. Nothing is dropped.
+//     connections block enqueueing, stop draining their sockets, and TCP
+//     flow control pushes back to the sender. Nothing is dropped.
 //   - Shed: when the node's deepest shard backlog reaches the shed
-//     watermark, ingest batches are acked StatusShed and dropped before
-//     touching the node. Load shedding is visible to the client (the ack
-//     says so), bounded in cost (the batch dies before the shard queues),
-//     and leaves non-ingest traffic — drains, reports, lifecycle — intact.
+//     watermark, ingest is acked StatusShed and dropped before touching the
+//     node — a burst at a time, every frame of it acked. Load shedding is
+//     visible to the client (the ack says so) and to the operator
+//     (Stats.ShedFrames), bounded in cost (the events die before the shard
+//     queues), and leaves non-ingest traffic — drains, reports, lifecycle —
+//     intact.
 //
-// A connection whose peer stops reading replies is aborted after
-// WriteTimeout, so one dead client cannot wedge the driver.
+// The write deadline is armed once per burst, before the burst's first
+// reply byte is encoded (the write buffer may write through mid-encode), so
+// a connection whose peer stops reading replies is aborted after
+// WriteTimeout. The driver never touches a socket and cannot be wedged by
+// one.
 package netserve
 
 import (
@@ -52,6 +71,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivefilters/internal/runtime"
@@ -62,7 +82,7 @@ import (
 type Options struct {
 	// MaxFrame bounds frame payloads both ways (0 = wire.DefaultMaxFrame).
 	MaxFrame int
-	// QueueDepth bounds the request queue feeding the driver; readers
+	// QueueDepth bounds the request queue feeding the driver; connections
 	// stall when it is full (0 = 64).
 	QueueDepth int
 	// ShedWatermark sheds ingest batches while the node's deepest shard
@@ -71,8 +91,8 @@ type Options struct {
 	// shard queue is full and ingest would otherwise block the driver.
 	// Negative disables shedding entirely.
 	ShedWatermark int
-	// WriteTimeout bounds how long a connection's writer may block on the
-	// socket before the connection is aborted (0 = 30s).
+	// WriteTimeout bounds how long a connection may block writing replies
+	// to the socket before it is aborted (0 = 30s).
 	WriteTimeout time.Duration
 }
 
@@ -97,8 +117,17 @@ func (o Options) writeTimeout() time.Duration {
 	return o.WriteTimeout
 }
 
-// request is one decoded control frame travelling from a reader to the
-// driver (OpIngest never becomes a request — readers serve it in place).
+// burstEvents caps how many events a connection stages before it closes a
+// burst. It bounds coalescing, not frame size: a frame that takes a burst
+// over the cap is served on its own, never split. Every pooled shard
+// buffer grows (by doubling) to the largest Ingest call it has carried, so
+// the cap is what the serving heap pays for coalescing: on 32-event frames
+// 64 is heap-neutral, 128 costs +5.6% heap for a sixth more throughput
+// (DESIGN.md §9.2).
+const burstEvents = 64
+
+// request is one decoded control frame travelling from a connection to the
+// driver (OpIngest never becomes a request — connections serve it in place).
 type request struct {
 	c   *conn
 	hdr wire.Header
@@ -112,45 +141,56 @@ type request struct {
 	snap  []byte
 }
 
-// reply is one outbound frame travelling from the driver to a writer.
+// reply is the driver's answer to one request, handed back to the
+// connection that asked; hdr.Op says which of the payloads it carries.
 type reply struct {
 	hdr             wire.Header // request header the reply answers
 	status          byte
 	value           uint64
 	msg             string
-	report          *runtime.Report // OpReport success payload
-	hello           bool            // encode a HelloAck body
-	shards, tenants int
-	snap            []byte     // OpExportTenant success payload
-	stats           wire.Stats // OpStats success payload
-	last            bool       // graceful shutdown: flush, close, stop the server
+	report          *runtime.Report // OpReport
+	shards, tenants int             // OpHello
+	snap            []byte          // OpExportTenant
+	stats           wire.Stats      // OpStats
 }
 
-// conn is one accepted connection.
+// staged is one ingest frame of the open burst: its header, the events it
+// brought (buf[lo:hi]) and, once the burst has closed, why they were
+// refused.
+type staged struct {
+	hdr    wire.Header
+	lo, hi int
+	err    error
+}
+
+// conn is one accepted connection, served by one goroutine.
 type conn struct {
-	nc  net.Conn
-	out chan reply
-	// ing is the reader's private ingest handle; buf is its reused decode
-	// buffer (the ingester copies events into pooled shard buffers, so one
-	// buffer per connection suffices and steady state allocates nothing).
-	ing *runtime.Ingester
-	buf []runtime.Event
-	// handled is the driver's per-request completion signal: the reader
-	// forwards a control op and blocks here until the driver has enqueued
-	// its reply, keeping per-connection reply order equal to request order.
-	handled chan struct{}
-	// closed signals abort: the peer is gone or misbehaved. The writer
-	// stops, the driver drops this connection's replies.
-	closed    chan struct{}
-	closeOnce sync.Once
+	nc net.Conn
+	fr *wire.FrameReader
+	fw *wire.FrameWriter
+	// ing is the connection's private ingest handle; buf holds the open
+	// burst's events and frames says which frame brought which (the ingester
+	// copies events into pooled shard buffers, so both are reused and steady
+	// state allocates nothing).
+	ing    *runtime.Ingester
+	buf    []runtime.Event
+	frames []staged
+	// unflushed is set while the write buffer may hold reply bytes.
+	unflushed bool
+	// handled carries the driver's reply to the control op this connection
+	// forwarded and is waiting on.
+	handled chan reply
 }
 
-// abort tears the connection down from any goroutine.
-func (c *conn) abort() {
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		c.nc.Close()
-	})
+// Stats counts what the ingest path has served since Serve. Frames ÷
+// Bursts is the coalescing factor: how many ingest frames share one shed
+// check, one Ingest call and one deadline.
+type Stats struct {
+	Frames     uint64 // ingest frames decoded
+	Bursts     uint64 // bursts closed (shed checks made)
+	Events     uint64 // events those frames carried
+	ShedFrames uint64 // ingest frames acked StatusShed
+	Flushes    uint64 // write-buffer flushes
 }
 
 // Server serves one runtime.Node over one listener. The caller owns the
@@ -168,6 +208,9 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[*conn]struct{}
+
+	// Bumped once per burst (or flush), never per frame or per event.
+	frames, bursts, events, shedFrames, flushes atomic.Uint64
 }
 
 // Serve starts serving node on ln and returns immediately.
@@ -193,6 +236,17 @@ func Serve(ln net.Listener, node *runtime.Node, opts Options) *Server {
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
+// Stats returns the ingest path's counters so far. Safe from any goroutine.
+func (s *Server) Stats() Stats {
+	return Stats{
+		Frames:     s.frames.Load(),
+		Bursts:     s.bursts.Load(),
+		Events:     s.events.Load(),
+		ShedFrames: s.shedFrames.Load(),
+		Flushes:    s.flushes.Load(),
+	}
+}
+
 // Close stops the server: the listener closes, live connections abort,
 // the driver exits. Safe to call more than once and from any goroutine.
 func (s *Server) Close() {
@@ -201,7 +255,7 @@ func (s *Server) Close() {
 		s.ln.Close()
 		s.mu.Lock()
 		for c := range s.conns {
-			c.abort()
+			c.nc.Close()
 		}
 		s.mu.Unlock()
 	})
@@ -220,10 +274,10 @@ func (s *Server) acceptLoop() {
 		}
 		c := &conn{
 			nc:      nc,
-			out:     make(chan reply, s.opts.queueDepth()),
+			fr:      wire.NewFrameReader(nc, s.opts.maxFrame()),
+			fw:      wire.NewFrameWriter(nc, s.opts.maxFrame()),
 			ing:     s.node.NewIngester(),
-			handled: make(chan struct{}),
-			closed:  make(chan struct{}),
+			handled: make(chan reply),
 		}
 		s.mu.Lock()
 		select {
@@ -235,9 +289,8 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		s.wg.Add(2)
-		go s.readLoop(c)
-		go s.writeLoop(c)
+		s.wg.Add(1)
+		go s.serveConn(c)
 	}
 }
 
@@ -247,21 +300,25 @@ func (s *Server) dropConn(c *conn) {
 	s.mu.Unlock()
 }
 
-// readLoop decodes frames and serves OpIngest in place on the
-// connection's private Ingester — decode, shed check, route, ack — so
-// ingest parallelizes across connections. Control ops are forwarded to the
-// driver, and the reader then waits for the driver to enqueue the reply
-// before decoding the next frame (per-conn reply order stays request
-// order). Anything that breaks the protocol — a corrupt frame, an unknown
-// op, a malformed body — aborts the connection; per-request failures (a
-// bad tenant id, an admission the node refuses) are answered with error
-// acks.
-func (s *Server) readLoop(c *conn) {
+// serveConn is a connection's one goroutine: it stages the ingest frames
+// of each read burst, closes the burst (closeBurst) when it would block,
+// hit the cap or met a control op, and forwards control ops to the driver,
+// writing the reply the driver hands back. Anything that breaks the
+// protocol — a corrupt frame, an unknown op, a malformed body — or a
+// socket error aborts the connection; per-request failures (a bad tenant
+// id, an admission the node refuses) are answered with error acks.
+func (s *Server) serveConn(c *conn) {
 	defer s.wg.Done()
-	defer c.abort()
-	fr := wire.NewFrameReader(c.nc, s.opts.maxFrame())
+	defer s.dropConn(c)
+	defer c.nc.Close()
 	for {
-		r, err := fr.Next()
+		if !c.fr.Ready() {
+			// The next read may block: everything owed goes out first.
+			if s.closeBurst(c) != nil || s.flush(c) != nil {
+				return
+			}
+		}
+		r, err := c.fr.Next()
 		if err != nil {
 			return
 		}
@@ -269,126 +326,158 @@ func (s *Server) readLoop(c *conn) {
 		if err != nil {
 			return
 		}
+		if hdr.Op == wire.OpIngest {
+			lo := len(c.buf)
+			c.buf, err = wire.DecodeIngestInto(r, c.buf)
+			if err != nil || r.Done() != nil {
+				return
+			}
+			c.frames = append(c.frames, staged{hdr: hdr, lo: lo, hi: len(c.buf)})
+			if len(c.buf) >= burstEvents && s.closeBurst(c) != nil {
+				return
+			}
+			continue
+		}
 		req := request{c: c, hdr: hdr}
 		switch hdr.Op {
 		case wire.OpHello:
-			if _, err := wire.DecodeHello(r); err != nil {
-				return
-			}
-		case wire.OpIngest:
-			if c.buf, err = wire.DecodeIngestInto(r, c.buf[:0]); err != nil {
-				return
-			}
-			if r.Done() != nil {
-				return // trailing garbage inside the frame
-			}
-			rep := reply{hdr: hdr, status: wire.StatusOK}
-			if s.shed >= 0 && s.node.PendingBatches() >= s.shed {
-				rep.status = wire.StatusShed
-			} else if err := c.ing.Ingest(c.buf); err != nil {
-				rep.status, rep.msg = wire.StatusError, err.Error()
-			}
-			s.send(c, rep)
-			continue
+			_, err = wire.DecodeHello(r)
 		case wire.OpDrain, wire.OpReport, wire.OpShutdown, wire.OpStats:
 			// Header-only bodies.
 		case wire.OpAddTenant:
-			if req.tenant, err = wire.DecodeAddTenant(r); err != nil {
-				return
-			}
+			req.tenant, err = wire.DecodeAddTenant(r)
 		case wire.OpAddTenantLabeled:
-			if req.label, req.tenant, err = wire.DecodeAddTenantLabeled(r); err != nil {
-				return
-			}
+			req.label, req.tenant, err = wire.DecodeAddTenantLabeled(r)
 		case wire.OpExportTenant:
-			if req.ti, err = wire.DecodeExportTenant(r); err != nil {
-				return
-			}
+			req.ti, err = wire.DecodeExportTenant(r)
 		case wire.OpImportTenant:
-			if req.tenant, req.snap, err = wire.DecodeImportTenant(r); err != nil {
-				return
-			}
+			req.tenant, req.snap, err = wire.DecodeImportTenant(r)
 		case wire.OpAddQuery:
-			if req.ti, req.query, err = wire.DecodeAddQuery(r); err != nil {
-				return
-			}
+			req.ti, req.query, err = wire.DecodeAddQuery(r)
 		case wire.OpRemoveTenant:
-			if req.ti, err = wire.DecodeRemoveTenant(r); err != nil {
-				return
-			}
+			req.ti, err = wire.DecodeRemoveTenant(r)
 		case wire.OpRemoveQuery:
-			if req.ti, req.qi, err = wire.DecodeRemoveQuery(r); err != nil {
-				return
-			}
+			req.ti, req.qi, err = wire.DecodeRemoveQuery(r)
 		default:
 			return
 		}
-		if r.Done() != nil {
-			return // trailing garbage inside the frame
+		if err != nil || r.Done() != nil {
+			return // a malformed body, or trailing garbage inside the frame
+		}
+		// The control op must see every earlier ingest applied, and the
+		// driver may take a while: acks already earned do not wait for it.
+		if s.closeBurst(c) != nil || s.flush(c) != nil {
+			return
 		}
 		select {
 		case s.reqs <- req: // stall here is the backpressure path
 		case <-s.done:
 			return
 		}
-		// Wait for the driver's reply to land in c.out: the next frame may
-		// be an ingest this reader acks itself, and that ack must not
-		// overtake the control reply.
+		var rep reply
 		select {
-		case <-c.handled:
-		case <-c.closed:
-			return
+		case rep = <-c.handled:
 		case <-s.done:
+			return
+		}
+		s.arm(c)
+		if encodeReply(c.fw, rep) != nil {
+			return
+		}
+		if hdr.Op == wire.OpShutdown {
+			// Graceful shutdown: the ack goes out, then the server stops.
+			s.flush(c)
+			s.Close()
 			return
 		}
 	}
 }
 
-// writeLoop frames replies back out, flushing whenever the queue runs
-// dry so pipelined acks coalesce into few syscalls.
-func (s *Server) writeLoop(c *conn) {
-	defer s.wg.Done()
-	defer s.dropConn(c)
-	defer c.abort()
-	fw := wire.NewFrameWriter(c.nc, s.opts.maxFrame())
-	flush := func() error {
-		c.nc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout()))
-		return fw.Flush()
+// arm sets the write deadline for the reply bytes about to be encoded. It
+// runs before the first of them, not at the flush: the write buffer writes
+// through when it fills, so any encode may reach the socket.
+func (s *Server) arm(c *conn) {
+	c.nc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout()))
+	c.unflushed = true
+}
+
+// flush pushes the buffered replies to the socket, under the deadline the
+// last arm set.
+func (s *Server) flush(c *conn) error {
+	if !c.unflushed {
+		return nil
 	}
-	for {
-		select {
-		case rep := <-c.out:
-			c.nc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout()))
-			if err := encodeReply(fw, rep); err != nil {
-				return
+	c.unflushed = false
+	s.flushes.Add(1)
+	return c.fw.Flush()
+}
+
+// closeBurst serves the staged ingest frames: one shed check and one
+// Ingest for all of them, then one ack per frame in request order. A frame
+// that took the burst over burstEvents is served separately, after the
+// frames before it.
+func (s *Server) closeBurst(c *conn) error {
+	frames := c.frames
+	if len(frames) == 0 {
+		return nil
+	}
+	var err error
+	if n := len(frames) - 1; n > 0 && frames[n].hi > burstEvents {
+		err = s.serveBurst(c, frames[:n])
+		frames = frames[n:]
+	}
+	if err == nil {
+		err = s.serveBurst(c, frames)
+	}
+	c.frames, c.buf = c.frames[:0], c.buf[:0]
+	return err
+}
+
+func (s *Server) serveBurst(c *conn, frames []staged) error {
+	events := c.buf[frames[0].lo:frames[len(frames)-1].hi]
+	s.bursts.Add(1)
+	s.frames.Add(uint64(len(frames)))
+	s.events.Add(uint64(len(events)))
+	status := wire.StatusOK
+	if s.shed >= 0 && s.node.PendingBatches() >= s.shed {
+		status = wire.StatusShed
+		s.shedFrames.Add(uint64(len(frames)))
+	} else if err := c.ing.Ingest(events); err != nil {
+		// Ingest routes all or nothing, so nothing has applied. Replay the
+		// burst a frame at a time: the frames that earned the refusal get it,
+		// their neighbours apply, exactly once.
+		for i := range frames {
+			if len(frames) > 1 {
+				err = c.ing.Ingest(c.buf[frames[i].lo:frames[i].hi])
 			}
-			if rep.last {
-				flush()
-				c.nc.Close()
-				s.Close()
-				return
-			}
-			if len(c.out) == 0 {
-				if flush() != nil {
-					return
-				}
-			}
-		case <-c.closed:
-			return
+			frames[i].err = err
 		}
 	}
+	s.arm(c)
+	for i := range frames {
+		f := &frames[i]
+		st, msg := status, ""
+		if f.err != nil {
+			st, msg = wire.StatusError, f.err.Error()
+		}
+		wire.EncodeAck(c.fw.Begin(), f.hdr.Op, f.hdr.Seq, st, 0, msg)
+		if err := c.fw.End(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func encodeReply(fw *wire.FrameWriter, rep reply) error {
 	p := fw.Begin()
-	switch {
-	case rep.hello && rep.status == wire.StatusOK:
+	switch rep.hdr.Op {
+	case wire.OpHello:
 		wire.EncodeHelloAck(p, rep.hdr.Seq, rep.shards, rep.tenants)
-	case rep.report != nil || rep.hdr.Op == wire.OpReport:
+	case wire.OpReport:
 		wire.EncodeReportReply(p, rep.hdr.Seq, rep.status, rep.msg, rep.report)
-	case rep.hdr.Op == wire.OpExportTenant:
+	case wire.OpExportTenant:
 		wire.EncodeExportTenantReply(p, rep.hdr.Seq, rep.status, rep.msg, rep.snap)
-	case rep.hdr.Op == wire.OpStats && rep.status == wire.StatusOK:
+	case wire.OpStats:
 		wire.EncodeStatsReply(p, rep.hdr.Seq, rep.stats)
 	default:
 		wire.EncodeAck(p, rep.hdr.Op, rep.hdr.Seq, rep.status, rep.value, rep.msg)
@@ -397,100 +486,59 @@ func encodeReply(fw *wire.FrameWriter, rep reply) error {
 }
 
 // drive is the hub: the single goroutine that talks to the Node's control
-// side (readers ingest directly through their own handles).
+// side (connections ingest directly through their own handles). It never
+// touches a socket — each reply goes back to the connection that asked —
+// so no peer can wedge it.
 func (s *Server) drive() {
 	defer s.wg.Done()
 	for {
 		select {
 		case req := <-s.reqs:
-			s.handle(req)
+			rep := s.handle(req)
+			select {
+			case req.c.handled <- rep: // the connection is waiting right here
+			case <-s.done:
+			}
 		case <-s.done:
 			return
 		}
 	}
 }
 
-// send enqueues a reply without ever blocking forever: an aborted
-// connection or a stopping server drops it.
-func (s *Server) send(c *conn, rep reply) {
-	select {
-	case c.out <- rep:
-	case <-c.closed:
-	case <-s.done:
-	}
-}
-
-func (s *Server) handle(req request) {
+// handle runs one control op against the node. A failed op is answered
+// with an error ack carrying the node's message; an admission's slot id
+// rides in the ack value.
+func (s *Server) handle(req request) reply {
 	rep := reply{hdr: req.hdr, status: wire.StatusOK}
+	var slot int
+	var err error
 	switch req.hdr.Op {
 	case wire.OpHello:
-		rep.hello = true
-		rep.shards = s.node.Shards()
-		rep.tenants = s.node.NumTenants()
-
+		rep.shards, rep.tenants = s.node.Shards(), s.node.NumTenants()
 	case wire.OpDrain:
-		if err := s.node.Drain(); err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
+		err = s.node.Drain()
 	case wire.OpReport:
 		rep.report = s.node.Report()
-
-	case wire.OpAddTenant:
-		spec, err := req.tenant.Runtime()
-		if err == nil {
-			var ti int
-			if ti, err = s.node.AddTenant(spec); err == nil {
-				rep.value = uint64(ti)
-			}
+	case wire.OpAddTenant, wire.OpAddTenantLabeled, wire.OpImportTenant:
+		var spec runtime.TenantSpec
+		if spec, err = req.tenant.Runtime(); err != nil {
+			break
 		}
-		if err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
+		switch req.hdr.Op {
+		case wire.OpAddTenant:
+			slot, err = s.node.AddTenant(spec)
+		case wire.OpAddTenantLabeled:
+			slot, err = s.node.AddTenantLabeled(spec, req.label)
+		case wire.OpImportTenant:
+			slot, err = s.node.ImportTenant(spec, req.snap)
 		}
-
 	case wire.OpAddQuery:
-		rspec, err := wireQueryRuntime(s.node, req.ti, req.query)
-		if err == nil {
-			var qi int
-			if qi, err = s.node.AddQuery(req.ti, rspec); err == nil {
-				rep.value = uint64(qi)
-			}
+		var spec runtime.QuerySpec
+		if spec, err = wireQueryRuntime(s.node, req.ti, req.query); err == nil {
+			slot, err = s.node.AddQuery(req.ti, spec)
 		}
-		if err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
-	case wire.OpAddTenantLabeled:
-		spec, err := req.tenant.Runtime()
-		if err == nil {
-			var ti int
-			if ti, err = s.node.AddTenantLabeled(spec, req.label); err == nil {
-				rep.value = uint64(ti)
-			}
-		}
-		if err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
 	case wire.OpExportTenant:
-		if snap, err := s.node.ExportTenant(req.ti); err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		} else {
-			rep.snap = snap
-		}
-
-	case wire.OpImportTenant:
-		spec, err := req.tenant.Runtime()
-		if err == nil {
-			var ti int
-			if ti, err = s.node.ImportTenant(spec, req.snap); err == nil {
-				rep.value = uint64(ti)
-			}
-		}
-		if err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
+		rep.snap, err = s.node.ExportTenant(req.ti)
 	case wire.OpStats:
 		rep.stats = wire.Stats{
 			Pending:     s.node.PendingBatches(),
@@ -498,28 +546,17 @@ func (s *Server) handle(req request) {
 			TotalEvents: s.node.TotalEvents(),
 			Tenants:     s.node.NumTenants(),
 		}
-
 	case wire.OpRemoveTenant:
-		if err := s.node.RemoveTenant(req.ti); err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
+		err = s.node.RemoveTenant(req.ti)
 	case wire.OpRemoveQuery:
-		if err := s.node.RemoveQuery(req.ti, req.qi); err != nil {
-			rep.status, rep.msg = wire.StatusError, err.Error()
-		}
-
-	case wire.OpShutdown:
-		rep.last = true
+		err = s.node.RemoveQuery(req.ti, req.qi)
 	}
-	s.send(req.c, rep)
-	// Release the reader: its reply is enqueued (or its connection is
-	// gone), so the next frame it decodes cannot reorder around this one.
-	select {
-	case req.c.handled <- struct{}{}:
-	case <-req.c.closed:
-	case <-s.done:
+	if err != nil {
+		rep.status, rep.msg = wire.StatusError, err.Error()
+	} else {
+		rep.value = uint64(slot)
 	}
+	return rep
 }
 
 // wireQueryRuntime validates and compiles a wire query spec against the

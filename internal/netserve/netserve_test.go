@@ -335,8 +335,11 @@ func (p slowProto) HandleUpdate(id stream.ID, v float64) {
 }
 
 // TestShedBackpressure pins the shed regime: with a one-deep shard queue, a
-// slow consumer and watermark 1, a pipelined flood must get some batches
-// acked StatusShed — and the node must stay fully serviceable after.
+// slow consumer and watermark 1, a flood must get some batches acked
+// StatusShed — and counted in Stats.ShedFrames — and the node must stay
+// fully serviceable after. The shed decision is made once per read burst,
+// so each frame goes out in its own write and its ack is read before the
+// next: ten frames in one write would be one burst and one decision.
 func TestShedBackpressure(t *testing.T) {
 	specs := []runtime.TenantSpec{{
 		Name:    "slow",
@@ -350,27 +353,14 @@ func TestShedBackpressure(t *testing.T) {
 	c := dialT(t, s.Addr().String())
 
 	const flood = 10
-	firstSeq := c.seq + 1
-	for i := 0; i < flood; i++ {
-		wire.EncodeIngest(c.fw.Begin(), c.nextSeq(),
-			[]runtime.Event{{Tenant: 0, Stream: 0, Value: float64(i)}})
-		if err := c.fw.End(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var ok, shed int
 	for i := 0; i < flood; i++ {
-		r, hdr := c.read()
-		if hdr.Seq != firstSeq+uint64(i) {
-			t.Fatalf("ack %d out of order: %+v", i, hdr)
-		}
-		a, err := wire.DecodeAck(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Every event crosses the range boundary, so every applied one costs
+		// the shard slowProto's delay and the queue stays full behind it.
+		// ack checks the reply's sequence number: acks return in order.
+		a := c.ack(func(p *snapshot.Writer, seq uint64) {
+			wire.EncodeIngest(p, seq, []runtime.Event{{Tenant: 0, Stream: 0, Value: float64(200 - 100*(i%2))}})
+		})
 		switch a.Status {
 		case wire.StatusOK:
 			ok++
@@ -382,6 +372,9 @@ func TestShedBackpressure(t *testing.T) {
 	}
 	if ok == 0 || shed == 0 {
 		t.Fatalf("flood of %d: ok=%d shed=%d; want both regimes exercised", flood, ok, shed)
+	}
+	if st := s.Stats(); st.ShedFrames != uint64(shed) || st.Frames != flood || st.Bursts != flood {
+		t.Fatalf("server stats %+v after ok=%d shed=%d", st, ok, shed)
 	}
 	// The node survived shedding: a drain and report still work.
 	rep := c.report()

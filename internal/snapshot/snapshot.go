@@ -200,6 +200,20 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
+// Rest returns the undecoded bytes without consuming them (nil after a
+// failure). With Skip it lets a hot-path codec run its own decode loop over
+// the raw payload and hand the Reader back positioned where that loop
+// stopped.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.off:]
+}
+
+// Skip consumes n bytes without decoding them, failing on truncation.
+func (r *Reader) Skip(n int) { r.take(n) }
+
 // Uint64 decodes a fixed-width unsigned integer.
 func (r *Reader) Uint64() uint64 {
 	b := r.take(8)

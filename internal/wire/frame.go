@@ -92,6 +92,22 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	return &FrameReader{r: bufio.NewReader(r), maxFrame: maxFrame}
 }
 
+// Ready reports whether the next Next will be served entirely from bytes
+// already buffered, without touching the underlying reader: a whole frame
+// is buffered, or a buffered header carries a length Next refuses outright.
+// A server uses it to find the end of a read burst — the point where going
+// on would mean blocking on the socket (DESIGN.md §9.2). A frame too large
+// for the read buffer is never Ready; it is simply read on its own.
+func (fr *FrameReader) Ready() bool {
+	have := fr.r.Buffered()
+	if have < frameHeaderSize {
+		return false
+	}
+	hdr, _ := fr.r.Peek(frameHeaderSize)
+	n := int(binary.LittleEndian.Uint32(hdr))
+	return n > fr.maxFrame || have-frameHeaderSize >= n
+}
+
 // Next reads one frame and returns a decoder over its payload. A clean
 // end of stream at a frame boundary returns io.EOF; a stream cut mid-
 // frame returns io.ErrUnexpectedEOF. Steady-state reads allocate nothing

@@ -2,6 +2,9 @@ package wire_test
 
 import (
 	"bytes"
+	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"adaptivefilters/internal/protospec"
@@ -101,6 +104,8 @@ func decodeAny(r *snapshot.Reader) {
 
 // FuzzFrame feeds arbitrary byte streams through the frame reader and the
 // full op dispatch: no input may panic or allocate beyond the frame bound.
+// A second arm replays the same bytes in chunks and holds FrameReader.Ready
+// to its contract at every frame boundary.
 func FuzzFrame(f *testing.F) {
 	f.Add(seedStream())
 	f.Add([]byte{})
@@ -111,9 +116,108 @@ func FuzzFrame(f *testing.F) {
 		for {
 			r, err := fr.Next()
 			if err != nil {
-				return
+				break
 			}
 			decodeAny(r)
+		}
+		checkReady(t, data)
+	})
+}
+
+// chunkReader hands out data in chunks whose sizes it draws from the data
+// itself, and counts Read calls — how the Ready arm sees whether a Next
+// touched the "socket".
+type chunkReader struct {
+	data  []byte
+	off   int
+	state uint32
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if c.off == len(c.data) {
+		return 0, io.EOF
+	}
+	c.state = c.state*1664525 + 1013904223 + uint32(c.data[c.off])
+	n := min(1+int(c.state>>24)%97, len(p), len(c.data)-c.off)
+	copy(p, c.data[c.off:c.off+n])
+	c.off += n
+	return n, nil
+}
+
+// checkReady walks data through a FrameReader over arbitrary chunkings.
+// Before every Next: if Ready says yes, that Next must issue no Read, and
+// an oversized length must be what makes it fail; if fewer bytes are
+// buffered than a header, or than the frame the header announces, Ready
+// must say no. Chunked reading must also yield the frames whole reading
+// yields.
+func checkReady(t *testing.T, data []byte) {
+	const maxFrame = 1 << 16
+	whole := wire.NewFrameReader(bytes.NewReader(data), maxFrame)
+	src := &chunkReader{data: data}
+	fr := wire.NewFrameReader(src, maxFrame)
+	for {
+		ready, before := fr.Ready(), src.reads
+		r, err := fr.Next()
+		if ready && src.reads != before {
+			t.Fatalf("Ready() was true but Next issued %d reads", src.reads-before)
+		}
+		wr, werr := whole.Next()
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("chunked Next: %v, whole Next: %v", err, werr)
+		}
+		if err != nil {
+			if ready && !strings.Contains(err.Error(), "exceeds max") {
+				t.Fatalf("Ready() was true but Next failed without a refused length: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(r.Rest(), wr.Rest()) {
+			t.Fatal("chunked reading changed a frame's payload")
+		}
+		if !ready && src.reads == before {
+			t.Fatal("Ready() was false but Next was served from the buffer alone")
+		}
+	}
+}
+
+// FuzzDecodeIngest holds DecodeIngestInto's fused loop to the checked loop
+// it falls back on: on arbitrary payload bytes both must produce the same
+// events, fail or succeed together with the same message, and leave the
+// Reader at the same offset.
+func FuzzDecodeIngest(f *testing.F) {
+	var p snapshot.Writer
+	body := func(events []runtime.Event) []byte {
+		p.Reset()
+		wire.EncodeIngest(&p, 1, events)
+		return append([]byte(nil), p.Bytes()[2:]...) // past the (op, seq) header
+	}
+	f.Add(body(nil))
+	f.Add(body([]runtime.Event{{Tenant: 1, Stream: 3, Value: 42.5}}))
+	f.Add(body([]runtime.Event{{Tenant: 127, Stream: 128, Value: 1}, {Tenant: 128, Stream: 16383, Value: 2},
+		{Tenant: 16384, Stream: 5, Value: 3}, {Tenant: 2, Stream: 1 << 40, Value: 4}, {Tenant: 0, Stream: 0, Value: 5}}))
+	f.Add([]byte{3, 0x80, 0x00, 0x81, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fast, slow := snapshot.NewReader(data), snapshot.NewReader(data)
+		got, gerr := wire.DecodeIngestInto(fast, nil)
+		want, werr := wire.DecodeIngestChecked(slow, nil)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("fused loop: %v, checked loop: %v", gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("fused loop decoded %d events, checked loop %d", len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Tenant != w.Tenant || g.Stream != w.Stream || g.Y != w.Y ||
+				math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("event %d: fused loop %+v, checked loop %+v", i, g, w)
+			}
+		}
+		if fast.Remaining() != slow.Remaining() {
+			t.Fatalf("fused loop left %d bytes, checked loop %d", fast.Remaining(), slow.Remaining())
 		}
 	})
 }

@@ -29,6 +29,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -242,15 +243,70 @@ func EncodeIngest(p *snapshot.Writer, seq uint64, events []runtime.Event) {
 // sliced to zero length; steady-state decoding allocates nothing once the
 // slice has grown to the working batch size). The event count is bounds-
 // checked against the payload before anything is appended.
+//
+// Decoding is the server's largest per-event cost, so the events go through
+// two loops. The fused loop handles the shape honest traffic has — tenant
+// and stream ids of one or two varint bytes, then the fixed64 — reading the
+// raw payload directly while ingestFastMin bytes remain, so none of its
+// reads can run off the end. The first event it does not recognise (a
+// longer varint, the tail of the payload) falls through, at that event's
+// first byte, to the checked loop, which decodes anything and reports every
+// error. FuzzDecodeIngest holds the two to the same events, the same error
+// and the same bytes consumed on arbitrary input.
 func DecodeIngestInto(r *snapshot.Reader, dst []runtime.Event) ([]runtime.Event, error) {
-	count := r.Uvarint()
-	if err := r.Err(); err != nil {
+	count, err := decodeIngestCount(r)
+	if err != nil {
 		return dst, err
 	}
+	b := r.Rest()
+	rest := count
+	for ; rest > 0 && len(b) >= ingestFastMin; rest-- {
+		n := 1
+		tenant := uint64(b[0])
+		if tenant >= 0x80 {
+			if b[1] >= 0x80 {
+				break
+			}
+			tenant, n = tenant&0x7f|uint64(b[1])<<7, 2
+		}
+		strm := uint64(b[n])
+		n++
+		if strm >= 0x80 {
+			if b[n] >= 0x80 {
+				break
+			}
+			strm = strm&0x7f | uint64(b[n])<<7
+			n++
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[n:]))
+		dst = append(dst, runtime.Event{Tenant: int(tenant), Stream: stream.ID(strm), Value: v})
+		b = b[n+8:]
+	}
+	r.Skip(r.Remaining() - len(b))
+	return decodeEventsChecked(r, dst, rest)
+}
+
+// ingestFastMin is the longest event the fused loop decodes: two two-byte
+// varints and a fixed64.
+const ingestFastMin = 2 + 2 + 8
+
+// decodeIngestCount reads a batch's event count and bounds it by the
+// payload actually present.
+func decodeIngestCount(r *snapshot.Reader) (uint64, error) {
+	count := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
 	if count > uint64(r.Remaining())/eventWireMin {
-		return dst, fmt.Errorf("wire: ingest count %d exceeds payload (%d bytes left)",
+		return 0, fmt.Errorf("wire: ingest count %d exceeds payload (%d bytes left)",
 			count, r.Remaining())
 	}
+	return count, nil
+}
+
+// decodeEventsChecked appends count events through the Reader's checked
+// primitives: DecodeIngestInto's slow path and its oracle.
+func decodeEventsChecked(r *snapshot.Reader, dst []runtime.Event, count uint64) ([]runtime.Event, error) {
 	for i := uint64(0); i < count; i++ {
 		tenant, err := wireInt(r, "tenant id")
 		if err != nil {
