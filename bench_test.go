@@ -9,7 +9,6 @@ import (
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
 	"adaptivefilters/internal/metrics"
-	"adaptivefilters/internal/multiquery"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -260,65 +259,6 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkMultiQueryShared compares shared composite filters against one
-// independent cluster per query (the §7 future-work extension).
-func BenchmarkMultiQueryShared(b *testing.B) {
-	specs := []multiquery.QuerySpec{
-		{Range: query.NewRange(100, 300), Tol: core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},
-		{Range: query.NewRange(250, 500), Tol: core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},
-		{Range: query.NewRange(700, 900), Tol: core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}},
-	}
-	n, steps := 500, 30000
-	mkMoves := func() ([]float64, [][2]float64) {
-		rng := rand.New(rand.NewSource(3))
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.Float64() * 1000
-		}
-		cur := append([]float64(nil), vals...)
-		moves := make([][2]float64, steps)
-		for s := range moves {
-			id := rng.Intn(n)
-			cur[id] += rng.NormFloat64() * 50
-			moves[s] = [2]float64{float64(id), cur[id]}
-		}
-		return vals, moves
-	}
-	b.Run("shared", func(b *testing.B) {
-		reportMsgs(b, func() uint64 {
-			vals, moves := mkMoves()
-			m, err := multiquery.NewManager(vals, specs, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Initialize()
-			for _, mv := range moves {
-				m.Deliver(int(mv[0]), mv[1])
-			}
-			return m.Counter().Maintenance()
-		})
-	})
-	b.Run("independent", func(b *testing.B) {
-		reportMsgs(b, func() uint64 {
-			vals, moves := mkMoves()
-			var total uint64
-			for _, spec := range specs {
-				c := server.NewCluster(vals)
-				p := core.NewFTNRP(c, spec.Range, core.FTNRPConfig{
-					Tol: spec.Tol, Selection: core.SelectBoundaryNearest, Seed: 3,
-				})
-				c.SetProtocol(p)
-				c.Initialize()
-				for _, mv := range moves {
-					c.Deliver(int(mv[0]), mv[1])
-				}
-				total += c.Counter().Maintenance()
-			}
-			return total
-		})
-	})
 }
 
 // BenchmarkDeliverThroughput measures raw event-processing speed of the

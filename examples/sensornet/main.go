@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"adaptivefilters/internal/core"
-	"adaptivefilters/internal/multiquery"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -67,30 +66,40 @@ func main() {
 		100*(1-float64(cluster.Counter().Maintenance())/float64(events)))
 
 	// --- multiple consoles over the same sensors ---------------------------
-	specs := []multiquery.QuerySpec{
-		{Range: query.NewRange(0, 150), Tol: core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},    // frost watch
-		{Range: query.NewRange(400, 600), Tol: core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},  // comfort band
-		{Range: query.NewRange(850, 1000), Tol: core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}}, // fire watch
+	consoles := []struct {
+		rng query.Range
+		tol core.FractionTolerance
+	}{
+		{query.NewRange(0, 150), core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},    // frost watch
+		{query.NewRange(400, 600), core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},  // comfort band
+		{query.NewRange(850, 1000), core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}}, // fire watch
 	}
-	mgr, err := multiquery.NewManager(initial, specs, 7)
-	if err != nil {
-		panic(err)
+	comp := server.NewComposite(initial)
+	for qi, c := range consoles {
+		// ReinitNever: a re-initialization would cost a per-query ProbeAll,
+		// defeating the shared-probe economics; a depleted query degrades to
+		// ZT-NRP exactly as the single-query protocol would.
+		comp.AddQuery(fmt.Sprintf("console-%d", qi), int64(qi), func(h server.Host) server.Protocol {
+			return core.NewFTNRP(h, c.rng, core.FTNRPConfig{
+				Tol: c.tol, Selection: core.SelectBoundaryNearest, Seed: 7, Reinit: core.ReinitNever,
+			})
+		})
 	}
-	mgr.Initialize()
+	comp.Initialize()
 	it = w.Events()
 	for {
 		ev, ok := it.Next()
 		if !ok {
 			break
 		}
-		mgr.Deliver(ev.Stream, ev.Value)
+		comp.Deliver(ev.Stream, ev.Value)
 	}
 	fmt.Printf("three consoles sharing composite filters (multi-query extension):\n")
 	fmt.Printf("  shared maintenance messages: %d for %d events\n",
-		mgr.Counter().Maintenance(), events)
-	for qi, spec := range specs {
+		comp.Counter().Maintenance(), events)
+	for qi, c := range consoles {
 		fmt.Printf("  console %d %v → %d sensors in answer\n",
-			qi, spec.Range, len(mgr.Answer(qi)))
+			qi, c.rng, len(comp.Answer(qi)))
 	}
-	fmt.Printf("  fully shut-down sensors: %d\n", mgr.SilentStreams())
+	fmt.Printf("  fully shut-down sensors: %d\n", comp.SilentStreams())
 }

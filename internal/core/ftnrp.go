@@ -124,8 +124,8 @@ func (p *FTNRP) Initialize() {
 
 // InitializeFromTable computes the initial answer set and the silent-filter
 // assignments from the given table snapshot without exchanging any
-// messages. Hosts that probe once on behalf of several protocols
-// (multiquery.Manager) call it directly and deploy the resulting filters
+// messages. Hosts that probe once on behalf of several protocols call it
+// directly and deploy the resulting filters
 // themselves via FilterFor; Initialize composes it with a ProbeAll and
 // per-stream installs.
 func (p *FTNRP) InitializeFromTable(vals []float64) {

@@ -20,6 +20,41 @@ package filter
 import (
 	"fmt"
 	"math"
+
+	"adaptivefilters/internal/snapshot"
+)
+
+// Of is everything a stream source and its host need from a filter
+// constraint type C over stream values of type V. Constraint implements
+// Of[float64, Constraint] and Region implements Of[Point, Region]; the
+// source, host and cluster are written once against it (stream.Source,
+// server.HostOf, server.ClusterOf).
+//
+// A source reports when its value crosses the constraint boundary — the
+// side Contains puts it on changes — or on every update when Unfiltered,
+// which the zero C must be: a new source holds it.
+// The single asymmetry between the kinds is Recentre: a constraint that
+// follows its stream (the 1-D Band) returns its replacement centered on v
+// and true, and the source then swaps it in locally instead of recording a
+// side. Every other constraint returns false.
+//
+// The snapshot half encodes constraints and values. ImportState,
+// ExportValue and ImportValue ignore their receiver: a value type such as
+// float64 cannot carry methods, so its codec lives on its constraint type.
+type Of[V, C any] interface {
+	Contains(v V) bool
+	Silent() bool
+	Unfiltered() bool
+	Recentre(v V) (C, bool)
+	ExportState(w *snapshot.Writer)
+	ImportState(r *snapshot.Reader) (C, error)
+	ExportValue(w *snapshot.Writer, v V)
+	ImportValue(r *snapshot.Reader) V
+}
+
+var (
+	_ Of[float64, Constraint] = Constraint{}
+	_ Of[Point, Region]       = Region{}
 )
 
 // Kind discriminates the constraint forms.

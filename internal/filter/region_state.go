@@ -39,3 +39,25 @@ func ImportRegion(rd *snapshot.Reader) (Region, error) {
 	}
 	return Region{Kind: RegionKind(kind), C: Point{X: cx, Y: cy}, A: a, B: b}, nil
 }
+
+// Unfiltered reports whether no region is installed: the stream reports
+// every update.
+func (r Region) Unfiltered() bool { return r.Kind == RegionNone }
+
+// Recentre is the Of hook; no region follows its stream.
+func (r Region) Recentre(Point) (Region, bool) { return r, false }
+
+// ImportState decodes a region written by ExportState; the receiver is
+// unused (see Of).
+func (Region) ImportState(rd *snapshot.Reader) (Region, error) { return ImportRegion(rd) }
+
+// ExportValue appends one planar stream value to a snapshot.
+func (Region) ExportValue(w *snapshot.Writer, p Point) {
+	w.Float64(p.X)
+	w.Float64(p.Y)
+}
+
+// ImportValue reads a value written by ExportValue.
+func (Region) ImportValue(rd *snapshot.Reader) Point {
+	return Point{X: rd.Float64(), Y: rd.Float64()}
+}

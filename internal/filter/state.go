@@ -64,3 +64,26 @@ func ImportConstraints(r *snapshot.Reader) ([]Constraint, error) {
 	}
 	return out, nil
 }
+
+// Unfiltered reports whether no filter is installed: the stream reports
+// every update.
+func (c Constraint) Unfiltered() bool { return c.Kind == None }
+
+// Recentre is the Of hook: a Band follows its stream, so on a deviation it
+// is replaced by the same band centered on v. Every other kind stays put.
+func (c Constraint) Recentre(v float64) (Constraint, bool) {
+	if c.Kind != Band {
+		return c, false
+	}
+	return NewBand(v, c.Hi), true
+}
+
+// ImportState decodes a constraint written by ExportState; the receiver is
+// unused (see Of).
+func (Constraint) ImportState(r *snapshot.Reader) (Constraint, error) { return ImportConstraint(r) }
+
+// ExportValue appends one 1-D stream value to a snapshot.
+func (Constraint) ExportValue(w *snapshot.Writer, v float64) { w.Float64(v) }
+
+// ImportValue reads a value written by ExportValue.
+func (Constraint) ImportValue(r *snapshot.Reader) float64 { return r.Float64() }

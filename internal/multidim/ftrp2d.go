@@ -35,7 +35,8 @@ type FTRP2D struct {
 	count int
 	cur   filter.Region
 
-	rs topk.Ranking
+	rs     topk.Ranking
+	ptsBuf []Point // ProbeAllInto scratch; values are read back through Table
 
 	// Recomputes counts full bound recomputations.
 	Recomputes uint64
@@ -111,7 +112,7 @@ func (p *FTRP2D) NMinus() int { return len(p.fn) }
 // Initialize probes everything and deploys R plus the silent disks.
 // Accounting phases are switched by the host.
 func (p *FTRP2D) Initialize() {
-	p.h.ProbeAll()
+	p.ptsBuf = p.h.ProbeAllInto(p.ptsBuf)
 	p.rebuild()
 }
 
@@ -210,7 +211,7 @@ func (p *FTRP2D) checkWindow() {
 	if n := len(p.ans); n >= p.minA && n <= p.maxA {
 		return
 	}
-	p.h.ProbeAll()
+	p.ptsBuf = p.h.ProbeAllInto(p.ptsBuf)
 	p.rebuild()
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/server"
 )
 
 // check2DFraction validates Definition 3 for a 2-D k-NN answer by brute
@@ -57,7 +58,7 @@ func check2DFraction(t *testing.T, pts []Point, q Point, ans []int, k int,
 
 func TestFTRP2DInitialization(t *testing.T) {
 	q := pt(50, 50)
-	c := NewCluster(ringPoints(30, q))
+	c := server.NewSpatialCluster(ringPoints(30, q))
 	tol := core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}
 	p := NewFTRP2D(c, q, 10, tol)
 	c.SetProtocol(p)
@@ -90,7 +91,7 @@ func TestFTRP2DFractionInvariantUnderRandomWalk(t *testing.T) {
 	}
 	tol := core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}
 	k := 12
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := NewFTRP2D(c, q, k, tol)
 	c.SetProtocol(p)
 	c.Initialize()
@@ -127,7 +128,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 
 	// Tolerant run.
 	pts := mkPts()
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := NewFTRP2D(c, q, 10, core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4})
 	c.SetProtocol(p)
 	c.Initialize()
@@ -141,7 +142,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 
 	// Zero-tolerance run (window [k,k] forces a rebuild on every change).
 	pts = mkPts()
-	c2 := NewCluster(append([]Point(nil), pts...))
+	c2 := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p2 := NewFTRP2D(c2, q, 10, core.FractionTolerance{})
 	c2.SetProtocol(p2)
 	c2.Initialize()
@@ -159,7 +160,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 }
 
 func TestFTRP2DPanics(t *testing.T) {
-	c := NewCluster(ringPoints(5, Point{}))
+	c := server.NewSpatialCluster(ringPoints(5, Point{}))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -181,18 +182,18 @@ func TestFTRP2DPanics(t *testing.T) {
 // installAuditHost checks every Install a protocol issues against ground
 // truth: the side the server claims must be the side the stream is on.
 type installAuditHost struct {
-	*Cluster
+	*server.SpatialCluster
 	t        *testing.T
 	installs int
 }
 
 func (h *installAuditHost) Install(id int, reg filter.Region, expectInside bool) {
 	h.installs++
-	if truth := reg.Contains(h.TruePoint(id)); truth != expectInside {
+	if truth := reg.Contains(h.TrueValue(id)); truth != expectInside {
 		h.t.Fatalf("install on stream %d claims inside=%v, truth is %v: the stream would report, "+
 			"and the order rebuild visits streams in would become observable", id, expectInside, truth)
 	}
-	h.Cluster.Install(id, reg, expectInside)
+	h.SpatialCluster.Install(id, reg, expectInside)
 }
 
 // TestFTRP2DInstallsNeverMismatch is why FTRP2D.rebuild may visit streams
@@ -208,7 +209,7 @@ func TestFTRP2DInstallsNeverMismatch(t *testing.T) {
 	for i := range pts {
 		pts[i] = pt(float64(rng.Intn(500)), float64(rng.Intn(500)))
 	}
-	h := &installAuditHost{Cluster: NewCluster(pts), t: t}
+	h := &installAuditHost{SpatialCluster: server.NewSpatialCluster(pts), t: t}
 	p := NewFTRP2D(h, q, 12, core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
 	h.SetProtocol(p)
 	h.Initialize()

@@ -5,24 +5,15 @@
 // point, and the rank- and fraction-based tolerance protocols carry over
 // with |V−q| replaced by Euclidean distance.
 //
-// Since the spatial plane became a first-class citizen of the serving
-// stack, the geometry lives in internal/filter (Point, Region), the sources
-// in internal/stream (SpatialSource) and the hosting in internal/server
-// (SpatialCluster, the canonical SpatialHost): this package holds the 2-D
-// protocols themselves — FTRP2D and RTP2D, both server.SpatialStatefulProtocol
-// implementations that run under any SpatialHost, including runtime.Node's
-// shard event loops — plus a thin synchronous Cluster façade kept for the
-// single-tenant experiment style and equivalence-tested against the runtime
-// port.
+// The geometry lives in internal/filter (Point, Region) and the sources and
+// hosting are the planar instantiations of the one generic stack
+// (stream.Source, server.SpatialCluster): this package holds the 2-D
+// protocols themselves — FTRP2D and RTP2D, both
+// server.SpatialStatefulProtocol implementations that run under any
+// server.SpatialHost, including runtime.Node's shard event loops.
 package multidim
 
-import (
-	"fmt"
-	"math"
-
-	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/server"
-)
+import "adaptivefilters/internal/filter"
 
 // Point is a location in the plane (an alias of filter.Point, where the
 // spatial geometry now lives).
@@ -30,74 +21,3 @@ type Point = filter.Point
 
 // Dist returns the Euclidean distance between two points.
 func Dist(a, b Point) float64 { return filter.Dist(a, b) }
-
-// Disk is the legacy 2-D filter constraint: the closed disk of radius R
-// around C. A negative radius is the empty (shut) constraint; an infinite
-// radius is the wide-open constraint. New code should use filter.Region
-// (Disk remains as the package's historical vocabulary and converts via
-// Region()).
-type Disk struct {
-	C Point
-	R float64
-}
-
-// Region converts the disk to the canonical filter.Region representation.
-func (d Disk) Region() filter.Region { return filter.NewDisk(d.C, d.R) }
-
-// Contains reports whether p lies inside the disk. Wide-open disks contain
-// every point and shut disks none, exactly (delegated to filter.Region's
-// short-circuits — the legacy direct Dist comparison silently "lost" NaN
-// points even from wide-open disks).
-func (d Disk) Contains(p Point) bool { return d.Region().Contains(p) }
-
-// Silent reports whether the disk can never be violated by any finite
-// point: either every point is inside (wide open) or none is (shut) — the
-// disk analogues of filter.WideOpen() and filter.Shut().
-func (d Disk) Silent() bool { return d.R < 0 || math.IsInf(d.R, 1) }
-
-// WideOpenDisk returns the never-violated all-inside constraint: every
-// point lies within it, so its stream is presumed inside and can never
-// report — the spatial analogue of filter.WideOpen()'s [−∞, +∞]
-// false-positive filter.
-func WideOpenDisk() Disk { return Disk{R: math.Inf(1)} }
-
-// ShutDisk returns the never-violated all-outside constraint: the empty
-// disk contains no point, so its stream is presumed outside and can never
-// report — the spatial analogue of filter.Shut()'s [+∞, +∞] false-negative
-// filter.
-func ShutDisk() Disk { return Disk{R: -1} }
-
-// String renders the disk, reusing filter.Shut()'s silent vocabulary: the
-// empty disk renders as shut, the all-inside disk as wide-open.
-func (d Disk) String() string {
-	switch {
-	case d.R < 0:
-		return "disk(shut)"
-	case d.Silent():
-		return "disk(wide-open)"
-	default:
-		return fmt.Sprintf("disk(c=(%g,%g),r=%g)", d.C.X, d.C.Y, d.R)
-	}
-}
-
-// Cluster is the synchronous single-tenant façade over the canonical
-// spatial host: it wires 2-D sources to a hosted protocol with exact
-// message accounting, in the style of the pre-runtime experiments. All
-// behavior — charge rules, drain cascades, snapshot state — is
-// server.SpatialCluster's; the façade only preserves this package's
-// historical construction idiom and is equivalence-tested against the
-// runtime-hosted port (TestFacadeMatchesRuntime).
-type Cluster struct {
-	*server.SpatialCluster
-}
-
-// NewCluster creates a 2-D cluster over the initial points.
-func NewCluster(initial []Point) *Cluster {
-	return &Cluster{server.NewSpatialCluster(initial)}
-}
-
-var _ server.SpatialHost = (*Cluster)(nil)
-
-// TrueValue exposes ground truth for oracle/tests only (legacy name for
-// SpatialCluster.TruePoint).
-func (c *Cluster) TrueValue(id int) Point { return c.TruePoint(id) }

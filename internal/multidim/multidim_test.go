@@ -24,54 +24,6 @@ func TestDist(t *testing.T) {
 	}
 }
 
-func TestDiskContains(t *testing.T) {
-	d := Disk{C: pt(0, 0), R: 5}
-	if !d.Contains(pt(3, 4)) {
-		t.Fatal("boundary point excluded (closed disk)")
-	}
-	if d.Contains(pt(3, 4.1)) {
-		t.Fatal("outside point included")
-	}
-}
-
-// TestDiskContainsNaN is the regression for the NaN drift the legacy direct
-// Dist comparison had: a NaN coordinate made even the wide-open disk "lose"
-// the point, and the shut disk kept excluding it only by accident. The
-// silent answers are now exact for any bit pattern.
-func TestDiskContainsNaN(t *testing.T) {
-	nan := pt(math.NaN(), 0)
-	if !WideOpenDisk().Contains(nan) {
-		t.Fatal("wide-open disk lost a NaN point")
-	}
-	if ShutDisk().Contains(nan) {
-		t.Fatal("shut disk contained a NaN point")
-	}
-}
-
-func TestSilentDisks(t *testing.T) {
-	if !WideOpenDisk().Silent() || !ShutDisk().Silent() {
-		t.Fatal("silent disks not silent")
-	}
-	if !WideOpenDisk().Contains(pt(1e9, -1e9)) {
-		t.Fatal("wide-open disk excluded a point")
-	}
-	if ShutDisk().Contains(Point{}) {
-		t.Fatal("shut disk contained a point")
-	}
-	if (Disk{R: 5}).Silent() {
-		t.Fatal("finite disk silent")
-	}
-	for _, d := range []Disk{WideOpenDisk(), ShutDisk(), {C: pt(1, 2), R: 3}} {
-		if d.String() == "" {
-			t.Fatal("empty disk string")
-		}
-	}
-	// Disk and its canonical filter.Region agree on classification.
-	if !WideOpenDisk().Region().IsWideOpen() || !ShutDisk().Region().IsShut() {
-		t.Fatal("disk/region classification disagrees")
-	}
-}
-
 func ringPoints(n int, q Point) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
@@ -83,7 +35,7 @@ func ringPoints(n int, q Point) []Point {
 }
 
 // newRTP2D wires protocol and façade together in the canonical order.
-func newRTP2D(c *Cluster, q Point, tol core.RankTolerance) *RTP2D {
+func newRTP2D(c *server.SpatialCluster, q Point, tol core.RankTolerance) *RTP2D {
 	p := NewRTP2D(c, q, tol)
 	c.SetProtocol(p)
 	c.Initialize()
@@ -92,7 +44,7 @@ func newRTP2D(c *Cluster, q Point, tol core.RankTolerance) *RTP2D {
 
 func TestRTP2DInitialization(t *testing.T) {
 	q := pt(50, 50)
-	c := NewCluster(ringPoints(10, q))
+	c := server.NewSpatialCluster(ringPoints(10, q))
 	p := newRTP2D(c, q, core.RankTolerance{K: 2, R: 2})
 	if got := p.Answer(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("A(t0) = %v, want [0 1]", got)
@@ -139,7 +91,7 @@ func TestRTP2DCorrectnessUnderRandomWalk(t *testing.T) {
 		pts[i] = pt(rng.Float64()*200-100, rng.Float64()*200-100)
 	}
 	tol := core.RankTolerance{K: 3, R: 2}
-	c := NewCluster(pts)
+	c := server.NewSpatialCluster(pts)
 	p := newRTP2D(c, q, tol)
 	check2D(t, pts, q, p.Answer(), tol, -1)
 	for step := 0; step < 3000; step++ {
@@ -165,7 +117,7 @@ func TestRTP2DEqualDistanceTies(t *testing.T) {
 		pt(40, 0), // dist 40
 	}
 	tol := core.RankTolerance{K: 4, R: 2}
-	c := NewCluster(pts)
+	c := server.NewSpatialCluster(pts)
 	p := newRTP2D(c, q, tol)
 	// Ranking: 5 (d=1), 6 (d=2), then the tie group 0,1,2,3,4 by id.
 	if got := p.Answer(); len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 5 || got[3] != 6 {
@@ -175,7 +127,7 @@ func TestRTP2DEqualDistanceTies(t *testing.T) {
 		t.Fatalf("X(t0) = %v, want 6 members", x)
 	}
 	// Rerun with a permuted construction; same ids must win the ties.
-	c2 := NewCluster(pts)
+	c2 := server.NewSpatialCluster(pts)
 	p2 := newRTP2D(c2, q, tol)
 	got1, got2 := p.Answer(), p2.Answer()
 	for i := range got1 {
@@ -197,7 +149,7 @@ func TestRTP2DEpsilonNMinusOne(t *testing.T) {
 		pts[i] = pt(rng.Float64()*100-50, rng.Float64()*100-50)
 	}
 	tol := core.RankTolerance{K: 3, R: n - 1 - 3} // ε = n−1
-	c := NewCluster(pts)
+	c := server.NewSpatialCluster(pts)
 	p := newRTP2D(c, q, tol)
 	check2D(t, pts, q, p.Answer(), tol, -1)
 	for step := 0; step < 1500; step++ {
@@ -218,7 +170,7 @@ func TestRTP2DBatchedCrossings(t *testing.T) {
 	q := pt(0, 0)
 	pts := ringPoints(10, q) // dist i+1
 	tol := core.RankTolerance{K: 2, R: 3}
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := newRTP2D(c, q, tol)
 	ans := p.Answer()
 	xs := p.X()
@@ -254,7 +206,7 @@ func TestRTP2DSavesMessagesVsReportAll(t *testing.T) {
 	for i := range pts {
 		pts[i] = pt(rng.Float64()*200-100, rng.Float64()*200-100)
 	}
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := newRTP2D(c, q, core.RankTolerance{K: 3, R: 5})
 	_ = p
 	events := 6000
@@ -270,7 +222,7 @@ func TestRTP2DSavesMessagesVsReportAll(t *testing.T) {
 }
 
 func TestRTP2DPanicsOnBadTolerance(t *testing.T) {
-	c := NewCluster(ringPoints(3, Point{}))
+	c := server.NewSpatialCluster(ringPoints(3, Point{}))
 	defer func() {
 		if recover() == nil {
 			t.Error("ε >= n accepted")
@@ -306,7 +258,7 @@ func TestRankTablePanicsOnNaN(t *testing.T) {
 // TestDeliverNaNPanics pins the façade's ingest trust boundary: a NaN
 // location is rejected at the source, before it can reach geometry.
 func TestDeliverNaNPanics(t *testing.T) {
-	c := NewCluster(ringPoints(4, Point{}))
+	c := server.NewSpatialCluster(ringPoints(4, Point{}))
 	c.SetProtocol(NewRTP2D(c, Point{}, core.RankTolerance{K: 1, R: 1}))
 	c.Initialize()
 	defer func() {
@@ -318,7 +270,7 @@ func TestDeliverNaNPanics(t *testing.T) {
 }
 
 func TestClusterProbeAccounting(t *testing.T) {
-	c := NewCluster(ringPoints(4, Point{}))
+	c := server.NewSpatialCluster(ringPoints(4, Point{}))
 	c.Counter().SetPhase(comm.Maintenance)
 	c.Probe(2)
 	ctr := c.Counter()

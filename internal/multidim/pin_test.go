@@ -21,7 +21,7 @@ type pinWalk2D struct {
 	n     int
 	seed  int64
 	jumpy bool // redraw points uniformly instead of stepping them
-	build func(c *Cluster) (p server.SpatialProtocol, stats func() [2]uint64)
+	build func(c *server.SpatialCluster) (p server.SpatialProtocol, stats func() [2]uint64)
 }
 
 const (
@@ -29,8 +29,8 @@ const (
 	pinEvery  = 2500
 )
 
-func rtp2dPin(tol core.RankTolerance) func(*Cluster) (server.SpatialProtocol, func() [2]uint64) {
-	return func(c *Cluster) (server.SpatialProtocol, func() [2]uint64) {
+func rtp2dPin(tol core.RankTolerance) func(*server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
+	return func(c *server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
 		p := NewRTP2D(c, pt(250, 250), tol)
 		return p, func() [2]uint64 { return [2]uint64{p.Deploys, p.Reinits} }
 	}
@@ -42,7 +42,7 @@ func pinWalks2D() []pinWalk2D {
 		// r=0 and redrawn points: every departing answer runs the expanding
 		// search over a useless stale ranking, far past its first prefix.
 		{name: "rtp2d-expand", n: 120, seed: 22, jumpy: true, build: rtp2dPin(core.RankTolerance{K: 3, R: 0})},
-		{name: "ft-rp2d", n: 300, seed: 23, build: func(c *Cluster) (server.SpatialProtocol, func() [2]uint64) {
+		{name: "ft-rp2d", n: 300, seed: 23, build: func(c *server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
 			p := NewFTRP2D(c, pt(250, 250), 12, core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
 			return p, func() [2]uint64 { return [2]uint64{p.Recomputes, 0} }
 		}},
@@ -58,7 +58,7 @@ func (w pinWalk2D) run() (lines []string) {
 	for i := range pts {
 		pts[i] = draw()
 	}
-	c := NewCluster(pts)
+	c := server.NewSpatialCluster(pts)
 	p, st := w.build(c)
 	c.SetProtocol(p)
 	c.Initialize()

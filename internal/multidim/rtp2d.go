@@ -47,7 +47,7 @@ func sortedKeys(m map[int]bool) []int {
 // is the shared charge table's, not the protocol's own arithmetic.
 //
 // RTP2D is a server.SpatialStatefulProtocol: it runs under any SpatialHost
-// (the synchronous Cluster façade or runtime.Node's shard loops) and
+// (a bare server.SpatialCluster or runtime.Node's shard loops) and
 // snapshots via ExportState/ImportState.
 type RTP2D struct {
 	h   server.SpatialHost
@@ -63,6 +63,7 @@ type RTP2D struct {
 	pending []int         // expandSearch candidate scratch
 	hits    map[int]Point // expandSearch responder scratch
 	probeXs []int         // entered() batch-probe scratch
+	ptsBuf  []Point       // ProbeAllInto scratch; values are read back through Table
 
 	// Deploys and Reinits mirror core.RTP's counters.
 	Deploys uint64
@@ -105,7 +106,7 @@ func (p *RTP2D) X() []int { return sortedKeys(p.inX) }
 // Initialize runs the initialization phase: probe all, seed A and X,
 // deploy. Accounting phases are switched by the host.
 func (p *RTP2D) Initialize() {
-	p.h.ProbeAll()
+	p.ptsBuf = p.h.ProbeAllInto(p.ptsBuf)
 	p.rebuildFromTable()
 }
 
@@ -174,7 +175,7 @@ func (p *RTP2D) answerLeft(id int) {
 		return
 	}
 	p.Reinits++
-	p.h.ProbeAll()
+	p.ptsBuf = p.h.ProbeAllInto(p.ptsBuf)
 	p.rebuildFromTable()
 }
 

@@ -13,13 +13,13 @@ import (
 	"adaptivefilters/internal/stream"
 )
 
-// countingHost wraps the façade cluster and independently tallies the
+// countingHost wraps the cluster and independently tallies the
 // charges each host primitive is specified to make, so the test can assert
 // the cluster's counter equals the tally — i.e. that every message a 2-D
 // protocol causes goes through the shared charge table and nothing pokes
 // the counter directly (the legacy expandSearch drift).
 type countingHost struct {
-	c *Cluster
+	c *server.SpatialCluster
 
 	probes       uint64 // Probe messages
 	replies      uint64 // ProbeReply messages
@@ -45,11 +45,13 @@ func (h *countingHost) ProbeIf(id stream.ID, reg filter.Region) (filter.Point, b
 	return p, ok
 }
 
-func (h *countingHost) ProbeAll() {
+func (h *countingHost) ProbeAll() []filter.Point { return h.ProbeAllInto(nil) }
+
+func (h *countingHost) ProbeAllInto(dst []filter.Point) []filter.Point {
 	n := uint64(h.c.N())
 	h.probes += n
 	h.replies += n
-	h.c.ProbeAll()
+	return h.c.ProbeAllInto(dst)
 }
 
 func (h *countingHost) ProbeBatch(ids []stream.ID) {
@@ -69,6 +71,7 @@ func (h *countingHost) InstallAll(reg filter.Region) {
 }
 
 func (h *countingHost) Table(id stream.ID) (filter.Point, bool) { return h.c.Table(id) }
+func (h *countingHost) TableValues() []filter.Point             { return h.c.TableValues() }
 func (h *countingHost) AddServerOps(n int)                      { h.c.AddServerOps(n) }
 
 // TestSpatialChargeParity runs RTP2D through a churn-heavy walk behind the
@@ -83,7 +86,7 @@ func TestSpatialChargeParity(t *testing.T) {
 	for i := range pts {
 		pts[i] = pt(rng.Float64()*120-60, rng.Float64()*120-60)
 	}
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	h := &countingHost{c: c}
 	p := NewRTP2D(h, q, core.RankTolerance{K: 4, R: 3})
 	c.SetProtocol(p)
@@ -114,14 +117,14 @@ func TestSpatialChargeParity(t *testing.T) {
 
 // exportAll snapshots cluster and protocol state as one record, the way
 // runtime.Node composes them.
-func exportAll(c *Cluster, p server.SpatialStatefulProtocol) []byte {
+func exportAll(c *server.SpatialCluster, p server.SpatialStatefulProtocol) []byte {
 	w := snapshot.NewWriter()
 	c.ExportState(w)
 	p.ExportState(w)
 	return w.Bytes()
 }
 
-func importAll(c *Cluster, p server.SpatialStatefulProtocol, data []byte) error {
+func importAll(c *server.SpatialCluster, p server.SpatialStatefulProtocol, data []byte) error {
 	r := snapshot.NewReader(data)
 	if err := c.ImportState(r); err != nil {
 		return err
@@ -151,19 +154,19 @@ func runRestoreCut(t *testing.T, build func(h server.SpatialHost) server.Spatial
 
 	// Uninterrupted run.
 	ptsA := append([]Point(nil), initial...)
-	cA := NewCluster(append([]Point(nil), initial...))
+	cA := server.NewSpatialCluster(append([]Point(nil), initial...))
 	pA := build(cA)
 	cA.SetProtocol(pA)
 	cA.Initialize()
 	// Restored run: same prefix, then a snapshot/restore cut.
 	ptsB := append([]Point(nil), initial...)
-	cB := NewCluster(append([]Point(nil), initial...))
+	cB := server.NewSpatialCluster(append([]Point(nil), initial...))
 	pB := build(cB)
 	cB.SetProtocol(pB)
 	cB.Initialize()
 
 	half := len(moves) / 2
-	apply := func(c *Cluster, pts []Point, mv move) {
+	apply := func(c *server.SpatialCluster, pts []Point, mv move) {
 		pts[mv.id].X += mv.x
 		pts[mv.id].Y += mv.y
 		c.Deliver(mv.id, pts[mv.id])
@@ -175,7 +178,7 @@ func runRestoreCut(t *testing.T, build func(h server.SpatialHost) server.Spatial
 
 	// Cut: export B, restore into a fresh cluster/protocol pair.
 	cut := exportAll(cB, pB)
-	cR := NewCluster(append([]Point(nil), initial...))
+	cR := server.NewSpatialCluster(append([]Point(nil), initial...))
 	pR := build(cR)
 	cR.SetProtocol(pR)
 	if err := importAll(cR, pR, cut); err != nil {
@@ -219,7 +222,7 @@ func TestFTRP2DRestoreCut(t *testing.T) {
 // TestImportStateRejectsCorruption sweeps truncations and a scrambled set
 // through the protocol importers: errors, never panics.
 func TestImportStateRejectsCorruption(t *testing.T) {
-	c := NewCluster(ringPoints(8, Point{}))
+	c := server.NewSpatialCluster(ringPoints(8, Point{}))
 	p := NewRTP2D(c, Point{}, core.RankTolerance{K: 2, R: 2})
 	c.SetProtocol(p)
 	c.Initialize()
@@ -228,7 +231,7 @@ func TestImportStateRejectsCorruption(t *testing.T) {
 	good := w.Bytes()
 
 	fresh := func() *RTP2D {
-		c2 := NewCluster(ringPoints(8, Point{}))
+		c2 := server.NewSpatialCluster(ringPoints(8, Point{}))
 		p2 := NewRTP2D(c2, Point{}, core.RankTolerance{K: 2, R: 2})
 		c2.SetProtocol(p2)
 		return p2

@@ -8,11 +8,43 @@ import (
 )
 
 // fuzzSpecs is the fixed tenant configuration every fuzz input is decoded
-// against: small, heterogeneous (FT-NRP with random selection, RTP, and a
-// multi-query composite tenant), so cluster state, composite fabric state,
-// protocol state and RNG positions all appear in the encoding.
+// against: small, heterogeneous (FT-NRP with random selection, RTP, a
+// multi-query composite tenant and a spatial RTP2D tenant), so cluster
+// state in both dimensions, composite fabric state, protocol state and RNG
+// positions all appear in the encoding.
 func fuzzSpecs() []TenantSpec {
-	return append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5))
+	return append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5), spatialSpec("fz-2d", 10, 7))
+}
+
+// churn drives tenant ti through three sweeps that move every stream
+// across the whole value range, so every rank protocol rebuilds from its
+// table several times: state a decoder let through corrupted surfaces here,
+// not in production. It then drains.
+func churn(t *testing.T, node *Node, ti int, spatial bool) {
+	n := node.StreamCount(ti)
+	evs := make([]Event, 0, 3*n)
+	for round := 0; round < 3; round++ {
+		for s := 0; s < n; s++ {
+			ev := Event{Tenant: ti, Stream: s, Value: float64((s*37 + round*211) % 1000)}
+			if spatial {
+				ev.Y = float64((s*91 + round*53) % 1000)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	if err := node.Ingest(evs); err != nil {
+		t.Fatalf("restored tenant %d refused events: %v", ti, err)
+	}
+	if err := node.Drain(); err != nil {
+		t.Fatalf("restored node failed to drain: %v", err)
+	}
+}
+
+// sealed appends a valid checksum trailer to payload, so a mutated payload
+// reaches the structural decoder behind the integrity check.
+func sealed(payload []byte) []byte {
+	out := append([]byte(nil), payload...)
+	return binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, crcTable)))
 }
 
 // validFuzzSnapshot produces a pristine snapshot of a short run, used both
@@ -56,10 +88,11 @@ func FuzzRestoreNode(f *testing.F) {
 		f.Add(mut)
 	}
 	// tryRestore asserts the contract on one input: either a clean error,
-	// or a node that can serve — start, answer, ingest, drain, re-snapshot
-	// — so latent decode corruption cannot hide until first use.
+	// or a node that can serve — start, answer, churn every tenant, drain,
+	// re-snapshot — so latent decode corruption cannot hide until first use.
 	tryRestore := func(t *testing.T, data []byte) {
-		node, err := RestoreNode(Config{Shards: 2}, fuzzSpecs(), data)
+		specs := fuzzSpecs()
+		node, err := RestoreNode(Config{Shards: 2}, specs, data)
 		if err != nil {
 			return // rejected cleanly: exactly the contract
 		}
@@ -81,12 +114,7 @@ func FuzzRestoreNode(f *testing.F) {
 				_ = node.Answer(ti)
 			}
 			_ = node.Counter(ti)
-			if err := node.Ingest([]Event{{Tenant: ti, Stream: 0, Value: 500}}); err != nil {
-				t.Fatalf("restored node refused an event for live tenant %d: %v", ti, err)
-			}
-		}
-		if err := node.Drain(); err != nil {
-			t.Fatalf("restored node failed to drain: %v", err)
+			churn(t, node, ti, len(specs[ti].SpatialInitial) > 0)
 		}
 		if _, err := node.Snapshot(); err != nil {
 			t.Fatalf("restored node failed to re-snapshot: %v", err)
@@ -95,13 +123,68 @@ func FuzzRestoreNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw path: arbitrary bytes mostly die on the checksum trailer.
 		tryRestore(t, data)
-		// Decoder path: treat the input as a payload and append a valid
-		// checksum, so mutations reach the structural decoder behind the
-		// integrity check.
-		fixed := make([]byte, len(data)+8)
-		copy(fixed, data)
-		sum := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-		binary.LittleEndian.PutUint64(fixed[len(data):], uint64(sum))
-		tryRestore(t, fixed)
+		// Decoder path: treat the input as a payload.
+		tryRestore(t, sealed(data))
+	})
+}
+
+// FuzzImportTenant is FuzzRestoreNode for the migration primitive, whose
+// bytes arrive off the wire (OpImportTenant): arbitrary input against a
+// fixed spec of each tenant kind must yield a clean error or a tenant that
+// ingests, drains and re-exports.
+func FuzzImportTenant(f *testing.F) {
+	specs := fuzzSpecs()
+	src, err := NewNode(Config{Shards: 2, Seed: 21}, specs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := src.Start(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range testEvents(specs, 40, 17) {
+		if err := src.Ingest(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for ti := range specs {
+		valid, err := src.ExportTenant(ti)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(ti), valid)
+		f.Add(uint8(ti), valid[:len(valid)-8])
+		f.Add(uint8(ti), valid[:len(valid)/2])
+		for i := 0; i < len(valid); i += 101 {
+			mut := append([]byte(nil), valid...)
+			mut[i] ^= 0x5A
+			f.Add(uint8(ti), mut)
+		}
+	}
+	src.Stop()
+	tryImport := func(t *testing.T, spec TenantSpec, data []byte) {
+		dst, err := NewNodeLabeled(Config{Seed: 21}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer dst.Stop()
+		ti, err := dst.ImportTenant(spec, data)
+		if err != nil {
+			if dst.NumTenants() != 0 {
+				t.Fatal("refused import still admitted a tenant")
+			}
+			return
+		}
+		churn(t, dst, ti, len(spec.SpatialInitial) > 0)
+		if _, err := dst.ExportTenant(ti); err != nil {
+			t.Fatalf("imported tenant failed to re-export: %v", err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		spec := specs[int(kind)%len(specs)]
+		tryImport(t, spec, data)
+		tryImport(t, spec, sealed(data))
 	})
 }

@@ -39,8 +39,8 @@ func (n *Node) publishTable() {
 		}
 		recs[i] = routeRecord{
 			shard:   int32(t.shard),
-			n:       int32(t.n()),
-			spatial: t.spatial != nil,
+			n:       int32(t.N()),
+			spatial: t.kind() == tenantKindSpatial,
 		}
 	}
 	n.table.Store(&routingTable{recs: recs})

@@ -111,6 +111,72 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLossyRestoreBitIdentical cuts a run with injected uplink loss: the
+// loss RNG's position rides in the tenant record, so a node restored at
+// another shard count drops exactly the updates the uninterrupted run
+// drops. One record layout serves both kinds, so the same check runs on a
+// 1-D and on a spatial tenant.
+func TestLossyRestoreBitIdentical(t *testing.T) {
+	lossy := server.Config{DropUpdateProb: 0.3, DropSeed: 77}
+	kinds := map[string]TenantSpec{"1d": testSpecs(2, 30)[1], "spatial": spatialSpec("fleet", 30, 9)}
+	for name, spec := range kinds {
+		t.Run(name, func(t *testing.T) {
+			spec.Server = lossy
+			specs := []TenantSpec{spec}
+			batches := testEvents(specs, 2000, 83)
+			cut := len(batches) / 2
+			ref := runNode(t, 3, specs, batches)
+			var dropped uint64
+			switch b := ref.tenants[0].backend.(type) {
+			case *scalar:
+				dropped = b.DroppedUpdates
+			case *planar:
+				dropped = b.DroppedUpdates
+			}
+			if dropped == 0 {
+				t.Fatal("the reference run dropped no update; the loss RNG was never consulted")
+			}
+
+			node, err := NewNode(Config{Shards: 2, Seed: 42}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer node.Stop()
+			ingestAll(t, node, batches[:cut])
+			snap, err := node.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, node, batches[cut:])
+			finalSnap, err := node.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rn, err := RestoreNode(Config{Shards: 4}, specs, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rn.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer rn.Stop()
+			ingestAll(t, rn, batches[cut:])
+			rnSnap, err := rn.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLive(t, rn, ref)
+			if !bytes.Equal(rnSnap, finalSnap) {
+				t.Error("final snapshot after a lossy restore differs from the uninterrupted run's")
+			}
+		})
+	}
+}
+
 // lifecycleSchedule drives one full live-lifecycle schedule: 4 initial
 // tenants, two live admissions, one eviction, mixed ingest phases. The
 // returned node is quiesced but still running (caller stops it).

@@ -22,7 +22,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -31,6 +30,7 @@ import (
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
+	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
 )
 
@@ -95,14 +95,13 @@ type TenantSpec struct {
 	// Queries, when non-empty, makes this a multi-query composite tenant.
 	Queries []QuerySpec
 	// Server tunes the tenant's message accounting and fault injection
-	// (single-query tenants only; the composite fabric models neither
+	// (single-query and spatial tenants; the composite fabric models neither
 	// uplink loss nor broadcast installs).
 	Server server.Config
 	// SpatialInitial, when non-empty, makes this a spatial (2-D) tenant: its
 	// partition's streams are planar locations served by a private
 	// server.SpatialCluster, and events carry (Value, Y) coordinates. Set
-	// NewSpatial with it; Initial, NewProtocol, Queries and Server must stay
-	// zero.
+	// NewSpatial with it; Initial, NewProtocol and Queries must stay zero.
 	SpatialInitial []filter.Point
 	// NewSpatial builds a spatial tenant's protocol over its host. The seed
 	// derives exactly as NewProtocol's does and must be the factory's only
@@ -141,82 +140,181 @@ func (c Config) queue() int {
 }
 
 // tenant is one hosted serving instance, owned by exactly one shard after
-// Start: a single-query server.Cluster, a multi-query server.Composite or a
-// spatial server.SpatialCluster (exactly one of cluster/comp/spatial is
-// non-nil).
+// Start.
 type tenant struct {
-	name    string
-	cluster *server.Cluster        // single-query tenants
-	proto   server.Protocol        // single-query tenants
-	comp    *server.Composite      // multi-query tenants
-	spatial *server.SpatialCluster // spatial tenants
-	sproto  server.SpatialProtocol // spatial tenants
-	shard   int
-	events  uint64
+	name string
+	backend
+	shard  int
+	events uint64
 	// seedID is the label the tenant's protocol seed was derived with. It is
 	// assigned from a monotonic admission counter, never reused after an
 	// eviction, and recorded in snapshots — so a tenant's randomness depends
 	// only on (node seed, admission order), not on placement, shard count or
 	// the lifecycle of its neighbors.
 	seedID int64
-	// nextQuerySeed is the composite tenant's monotonic query-admission
-	// counter, the per-query analogue of the node's nextSeedID: query seed
-	// labels are never reused after a RemoveQuery, and the counter rides in
-	// snapshots so admissions after a restore continue the sequence.
-	nextQuerySeed int64
 	// initialized marks tenants whose t0 phase already ran (or was restored
 	// from a snapshot); the shard loops skip Initialize for them.
 	initialized bool
 }
 
-// initialize runs the tenant's t0 phase on whichever backend serves it.
-func (t *tenant) initialize() {
-	switch {
-	case t.comp != nil:
-		t.comp.Initialize()
-	case t.spatial != nil:
-		t.spatial.Initialize()
-	default:
-		t.cluster.Initialize()
-	}
+// backend is whatever serves a tenant — a cluster hosting one protocol in
+// one or two dimensions, or a multi-query composite fabric — reduced to
+// what the shard loop, the lifecycle calls and the snapshot codecs ask of
+// it. Deliver is the shard-loop hot path and allocation-free in steady
+// state on every backend; y is the second coordinate of a spatial tenant's
+// event and zero otherwise.
+type backend interface {
+	Initialize()
+	Deliver(s stream.ID, v, y float64)
+	// N returns the stream-partition size.
+	N() int
+	// Counter returns the message counter (shared across all queries of a
+	// composite tenant).
+	Counter() *comm.Counter
+	// answer returns a single-protocol backend's answer set; a composite
+	// panics (its answers are per query).
+	answer() []stream.ID
+	// kind returns the snapshot kind discriminator.
+	kind() int64
+	// export appends the tenant record's body — everything after the kind,
+	// name and seed label — and restore decodes it into a freshly built
+	// backend, returning the event count; spec is the tenant's own.
+	export(w *snapshot.Writer, events uint64) error
+	restore(r *snapshot.Reader, spec TenantSpec) (events uint64, err error)
 }
 
-// deliver applies one event on the serving backend (the shard-loop hot
-// path; all branches are allocation-free in steady state).
-func (t *tenant) deliver(s stream.ID, v, y float64) {
-	switch {
-	case t.comp != nil:
-		t.comp.Deliver(s, v)
-	case t.spatial != nil:
-		t.spatial.Deliver(s, filter.Point{X: v, Y: y})
-	default:
-		t.cluster.Deliver(s, v)
-	}
+// hosted is the single-protocol backend over values of type V: a private
+// cluster and the protocol it hosts. Initialize, N and Counter are the
+// embedded cluster's; its Deliver is shadowed by the two instantiations
+// below, which differ only in how an event's (v, y) becomes a V.
+type hosted[V comparable, C filter.Of[V, C]] struct {
+	*server.ClusterOf[V, C]
+	proto server.ProtocolOf[V]
 }
 
-// n returns the tenant's stream-partition size.
-func (t *tenant) n() int {
-	switch {
-	case t.comp != nil:
-		return t.comp.N()
-	case t.spatial != nil:
-		return t.spatial.N()
-	default:
-		return t.cluster.N()
-	}
+func newHosted[V comparable, C filter.Of[V, C]](initial []V, cfg server.Config,
+	build func(server.HostOf[V, C], int64) server.ProtocolOf[V], seed int64) hosted[V, C] {
+	c := server.NewClusterOf[V, C](initial, cfg)
+	p := build(c, seed)
+	c.SetProtocol(p)
+	return hosted[V, C]{c, p}
 }
 
-// counter returns the tenant's message counter (shared across all queries
-// of a composite tenant).
-func (t *tenant) counter() *comm.Counter {
-	switch {
-	case t.comp != nil:
-		return t.comp.Counter()
-	case t.spatial != nil:
-		return t.spatial.Counter()
-	default:
-		return t.cluster.Counter()
+func (h *hosted[V, C]) answer() []stream.ID { return h.proto.Answer() }
+
+// export writes protocol name, event count, cluster state, protocol state —
+// one layout for both kinds.
+func (h *hosted[V, C]) export(w *snapshot.Writer, events uint64) error {
+	sp, ok := h.proto.(server.StatefulProtocolOf[V])
+	if !ok {
+		return fmt.Errorf("protocol %q does not support snapshots", h.proto.Name())
 	}
+	w.String(h.proto.Name())
+	w.Uint64(events)
+	h.ExportState(w)
+	sp.ExportState(w)
+	return nil
+}
+
+func (h *hosted[V, C]) restore(r *snapshot.Reader, _ TenantSpec) (uint64, error) {
+	protoName := r.String()
+	events := r.Uint64()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if got := h.proto.Name(); got != protoName {
+		return 0, fmt.Errorf("spec builds protocol %q, snapshot holds %q", got, protoName)
+	}
+	sp, ok := h.proto.(server.StatefulProtocolOf[V])
+	if !ok {
+		return 0, fmt.Errorf("protocol %q does not support snapshots", protoName)
+	}
+	if err := h.ImportState(r); err != nil {
+		return 0, fmt.Errorf("cluster: %w", err)
+	}
+	return events, sp.ImportState(r)
+}
+
+type scalar struct {
+	hosted[float64, filter.Constraint]
+}
+
+func (t *scalar) Deliver(s stream.ID, v, _ float64) { t.ClusterOf.Deliver(s, v) }
+func (*scalar) kind() int64                         { return tenantKindSingle }
+
+type planar struct {
+	hosted[filter.Point, filter.Region]
+}
+
+func (t *planar) Deliver(s stream.ID, v, y float64) { t.ClusterOf.Deliver(s, filter.Point{X: v, Y: y}) }
+func (*planar) kind() int64                         { return tenantKindSpatial }
+
+// multi is the multi-query backend: a composite fabric plus the state the
+// runtime keeps about its query admissions.
+type multi struct {
+	*server.Composite
+	// querySeed derives a query's protocol seed from the node seed, the
+	// tenant's admission label and the query's.
+	querySeed func(qid int64) int64
+	// nextQuerySeed is the monotonic query-admission counter, the per-query
+	// analogue of the node's nextSeedID: query seed labels are never reused
+	// after a RemoveQuery, and the counter rides in snapshots so admissions
+	// after a restore continue the sequence.
+	nextQuerySeed int64
+}
+
+func (m *multi) Deliver(s stream.ID, v, _ float64) { m.Composite.Deliver(s, v) }
+func (*multi) kind() int64                         { return tenantKindMulti }
+
+func (m *multi) answer() []stream.ID {
+	panic(fmt.Sprintf("runtime: tenant hosts %d queries; use QueryAnswer", m.QuerySlots()))
+}
+
+// addQuery appends one query slot, running the protocol factory (on the
+// caller's goroutine) with the slot's derived seed. The slot is not
+// initialized.
+func (m *multi) addQuery(qs QuerySpec, qid int64) int {
+	name := qs.Name
+	if name == "" {
+		name = fmt.Sprintf("query-%d", m.QuerySlots())
+	}
+	seed := m.querySeed(qid)
+	return m.AddQuery(name, qid, func(h server.Host) server.Protocol {
+		return qs.NewProtocol(h, seed)
+	})
+}
+
+func (m *multi) export(w *snapshot.Writer, events uint64) error {
+	w.Uint64(events)
+	w.Int64(m.nextQuerySeed)
+	m.ExportState(w)
+	return nil
+}
+
+// restore decodes a multi-query record: the event count, the
+// query-admission counter, then the whole composite fabric, rebuilding each
+// live query slot from the spec's QuerySpec at that slot with its recorded
+// seed label.
+func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
+	events := r.Uint64()
+	nextQuerySeed := r.Int64()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if nextQuerySeed < 0 {
+		return 0, fmt.Errorf("query admission counter %d negative", nextQuerySeed)
+	}
+	m.nextQuerySeed = nextQuerySeed
+	return events, m.ImportState(r,
+		func(slot int, name string, seedID int64, h server.Host) (server.Protocol, error) {
+			if slot >= len(spec.Queries) {
+				return nil, fmt.Errorf("snapshot holds query slot %d, spec lists %d queries", slot, len(spec.Queries))
+			}
+			if seedID < 0 || seedID >= nextQuerySeed {
+				return nil, fmt.Errorf("query %d seed label %d outside [0,%d)", slot, seedID, nextQuerySeed)
+			}
+			return spec.Queries[slot].NewProtocol(h, m.querySeed(seedID)), nil
+		})
 }
 
 // batch is one unit of shard work: events (all for this shard's tenants, in
@@ -351,119 +449,87 @@ func NewNodeLabeled(cfg Config, specs []TenantSpec, labels []int64) (*Node, erro
 // whether the spec's queries are built too (NewNode/AddTenant) or left for
 // the snapshot decoder to rebuild slot by slot (RestoreNode).
 func (n *Node) buildTenant(spec TenantSpec, ti int, seedID int64, withQueries bool) (*tenant, error) {
+	b, err := n.buildBackend(spec, seedID, withQueries)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: tenant %d %w", ti, err)
+	}
+	name := spec.Name
+	if name == "" {
+		name = fmt.Sprintf("tenant-%d", ti)
+	}
+	return &tenant{name: name, backend: b, shard: ti % n.cfg.shards(), seedID: seedID}, nil
+}
+
+// buildBackend validates spec and builds the backend it describes. The
+// single-protocol kinds share one seed derivation and one construction;
+// which of them a spec means is decided by which initial-value field it
+// fills.
+func (n *Node) buildBackend(spec TenantSpec, seedID int64, withQueries bool) (backend, error) {
+	seed := sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID)
 	if len(spec.SpatialInitial) > 0 {
-		return n.buildSpatialTenant(spec, ti, seedID)
+		if spec.NewProtocol != nil || len(spec.Queries) > 0 || len(spec.Initial) > 0 {
+			return nil, fmt.Errorf("mixes spatial and 1-D configuration")
+		}
+		if spec.NewSpatial == nil {
+			return nil, fmt.Errorf("has no spatial protocol factory")
+		}
+		if err := checkInitial(spec.SpatialInitial); err != nil {
+			return nil, err
+		}
+		return &planar{newHosted(spec.SpatialInitial, spec.Server, spec.NewSpatial, seed)}, nil
 	}
 	if spec.NewSpatial != nil {
-		return nil, fmt.Errorf("runtime: tenant %d sets NewSpatial without SpatialInitial", ti)
+		return nil, fmt.Errorf("sets NewSpatial without SpatialInitial")
 	}
 	if len(spec.Initial) == 0 {
-		return nil, fmt.Errorf("runtime: tenant %d has an empty stream partition", ti)
+		return nil, fmt.Errorf("has an empty stream partition")
 	}
-	// A NaN initial value would reach the ranking indexes through the
-	// protocols' t0 probe fan-out, where it is a panic, not an error.
-	for s, v := range spec.Initial {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("runtime: tenant %d initial value for stream %d is NaN", ti, s)
+	if err := checkInitial(spec.Initial); err != nil {
+		return nil, err
+	}
+	if len(spec.Queries) == 0 {
+		if spec.NewProtocol == nil {
+			return nil, fmt.Errorf("has no protocol factory")
 		}
+		return &scalar{newHosted(spec.Initial, spec.Server, spec.NewProtocol, seed)}, nil
 	}
-	name := spec.Name
-	if name == "" {
-		name = fmt.Sprintf("tenant-%d", ti)
-	}
-	t := &tenant{
-		name:   name,
-		shard:  ti % n.cfg.shards(),
-		seedID: seedID,
-	}
-	if len(spec.Queries) > 0 {
-		if spec.NewProtocol != nil {
-			return nil, fmt.Errorf("runtime: tenant %d sets both NewProtocol and Queries", ti)
-		}
-		if spec.Server != (server.Config{}) {
-			return nil, fmt.Errorf("runtime: tenant %d: Server config is not supported on multi-query tenants", ti)
-		}
-		for qi, qs := range spec.Queries {
-			if qs.NewProtocol == nil {
-				return nil, fmt.Errorf("runtime: tenant %d query %d has no protocol factory", ti, qi)
-			}
-		}
-		t.comp = server.NewComposite(spec.Initial)
-		if withQueries {
-			for qi, qs := range spec.Queries {
-				n.addQuerySlot(t, qs, int64(qi))
-			}
-			t.nextQuerySeed = int64(len(spec.Queries))
-		}
-		return t, nil
-	}
-	if spec.NewProtocol == nil {
-		return nil, fmt.Errorf("runtime: tenant %d has no protocol factory", ti)
-	}
-	cluster := server.NewClusterWith(spec.Initial, spec.Server)
-	proto := spec.NewProtocol(cluster, sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID))
-	cluster.SetProtocol(proto)
-	t.cluster = cluster
-	t.proto = proto
-	return t, nil
-}
-
-// buildSpatialTenant constructs a spatial (2-D) tenant: a private
-// server.SpatialCluster over the initial locations, its protocol built by
-// the NewSpatial factory with the same seed derivation single-query tenants
-// use.
-func (n *Node) buildSpatialTenant(spec TenantSpec, ti int, seedID int64) (*tenant, error) {
-	if spec.NewProtocol != nil || len(spec.Queries) > 0 || len(spec.Initial) > 0 {
-		return nil, fmt.Errorf("runtime: tenant %d mixes spatial and 1-D configuration", ti)
+	if spec.NewProtocol != nil {
+		return nil, fmt.Errorf("sets both NewProtocol and Queries")
 	}
 	if spec.Server != (server.Config{}) {
-		return nil, fmt.Errorf("runtime: tenant %d: Server config is not supported on spatial tenants", ti)
+		return nil, fmt.Errorf("sets a Server config, which multi-query tenants do not support")
 	}
-	if spec.NewSpatial == nil {
-		return nil, fmt.Errorf("runtime: tenant %d has no spatial protocol factory", ti)
-	}
-	// A NaN initial location would reach the spatial sources, where it is a
-	// panic, not an error.
-	for s, p := range spec.SpatialInitial {
-		if p.IsNaN() {
-			return nil, fmt.Errorf("runtime: tenant %d initial location for stream %d is NaN", ti, s)
+	for qi, qs := range spec.Queries {
+		if qs.NewProtocol == nil {
+			return nil, fmt.Errorf("query %d has no protocol factory", qi)
 		}
 	}
-	name := spec.Name
-	if name == "" {
-		name = fmt.Sprintf("tenant-%d", ti)
+	nodeSeed := n.cfg.Seed
+	m := &multi{
+		Composite: server.NewComposite(spec.Initial),
+		querySeed: func(qid int64) int64 {
+			return sim.DeriveSeed(nodeSeed, tenantSeedStream, seedID, querySeedStream, qid)
+		},
 	}
-	t := &tenant{
-		name:   name,
-		shard:  ti % n.cfg.shards(),
-		seedID: seedID,
+	if withQueries {
+		for qi, qs := range spec.Queries {
+			m.addQuery(qs, int64(qi))
+		}
+		m.nextQuerySeed = int64(len(spec.Queries))
 	}
-	spatial := server.NewSpatialCluster(spec.SpatialInitial)
-	sproto := spec.NewSpatial(spatial, sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID))
-	spatial.SetProtocol(sproto)
-	t.spatial = spatial
-	t.sproto = sproto
-	return t, nil
+	return m, nil
 }
 
-// querySeed derives query qid of tenant t's protocol seed from the node
-// seed and both admission labels.
-func (n *Node) querySeed(t *tenant, qid int64) int64 {
-	return sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, t.seedID, querySeedStream, qid)
-}
-
-// addQuerySlot appends one query slot to a composite tenant, running the
-// protocol factory (on the caller's goroutine) with the slot's derived
-// seed. The slot is not initialized.
-func (n *Node) addQuerySlot(t *tenant, qs QuerySpec, qid int64) int {
-	name := qs.Name
-	if name == "" {
-		name = fmt.Sprintf("query-%d", t.comp.QuerySlots())
+// checkInitial refuses a NaN initial value: it would reach the sources and,
+// through the protocols' t0 probe fan-out, the ranking kernel, where it is
+// a panic, not an error.
+func checkInitial[V comparable](initial []V) error {
+	for s, v := range initial {
+		if v != v {
+			return fmt.Errorf("initial value for stream %d is NaN", s)
+		}
 	}
-	seed := n.querySeed(t, qid)
-	return t.comp.AddQuery(name, qid, func(h server.Host) server.Protocol {
-		return qs.NewProtocol(h, seed)
-	})
+	return nil
 }
 
 // initChannels sets up the shard channel pairs and buffer pools, publishes
@@ -513,7 +579,7 @@ func (n *Node) TenantName(ti int) string { return n.live(ti).name }
 // StreamCount returns the size of tenant ti's stream partition — the n
 // protocol parameters are validated against when a query is admitted onto
 // an already-running tenant (netserve's OpAddQuery path).
-func (n *Node) StreamCount(ti int) int { return n.live(ti).n() }
+func (n *Node) StreamCount(ti int) int { return n.live(ti).N() }
 
 // Start launches the shard loops. Each loop first runs the initialization
 // phase of every tenant pinned to it (so t0 setup parallelizes across
@@ -559,7 +625,7 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 		if n.ctx.Err() != nil {
 			return
 		}
-		t.initialize()
+		t.Initialize()
 	}
 	for {
 		select {
@@ -577,7 +643,7 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 			}
 			for _, ev := range b.events {
 				t := n.tenants[ev.Tenant]
-				t.deliver(ev.Stream, ev.Value, ev.Y)
+				t.Deliver(ev.Stream, ev.Value, ev.Y)
 				t.events++
 			}
 			if b.events != nil {
@@ -715,31 +781,24 @@ func (n *Node) Stop() {
 // Answer returns a single-query tenant ti's current answer set. Only call
 // quiesced (after Drain or Stop). For multi-query tenants use QueryAnswer.
 func (n *Node) Answer(ti int) []stream.ID {
-	t := n.live(ti)
-	if t.comp != nil {
-		panic(fmt.Sprintf("runtime: tenant %d hosts %d queries; use QueryAnswer", ti, t.comp.QuerySlots()))
-	}
-	if t.spatial != nil {
-		return t.sproto.Answer()
-	}
-	return t.proto.Answer()
+	return n.live(ti).answer()
 }
 
 // Counter returns tenant ti's message counter — for a multi-query tenant,
 // the single counter its whole composite fabric shares. Only call quiesced.
-func (n *Node) Counter(ti int) *comm.Counter { return n.live(ti).counter() }
+func (n *Node) Counter(ti int) *comm.Counter { return n.live(ti).Counter() }
 
 // MultiQuery reports whether tenant ti is served by a composite fabric.
-func (n *Node) MultiQuery(ti int) bool { return n.live(ti).comp != nil }
+func (n *Node) MultiQuery(ti int) bool { return n.live(ti).kind() == tenantKindMulti }
 
 // comp returns tenant ti's composite fabric or panics — query-plane calls
 // on a single-query tenant are caller bugs, matching live's semantics.
-func (n *Node) comp(ti int) *server.Composite {
-	t := n.live(ti)
-	if t.comp == nil {
+func (n *Node) comp(ti int) *multi {
+	m, ok := n.live(ti).backend.(*multi)
+	if !ok {
 		panic(fmt.Sprintf("runtime: tenant %d is single-query; build it with Queries", ti))
 	}
-	return t.comp
+	return m
 }
 
 // NumQueries returns tenant ti's query slot count, including removed slots
@@ -766,7 +825,7 @@ func (n *Node) Totals() comm.Counter {
 	var total comm.Counter
 	for _, t := range n.tenants {
 		if t != nil {
-			total.Merge(t.counter())
+			total.Merge(t.Counter())
 		}
 	}
 	return total
@@ -821,7 +880,7 @@ func (n *Node) AddTenantLabeled(spec TenantSpec, label int64) (int, error) {
 	}
 	n.tenants = append(n.tenants, t)
 	n.publishTable()
-	if err := n.runOnShard(t.shard, t.initialize); err != nil {
+	if err := n.runOnShard(t.shard, t.Initialize); err != nil {
 		return 0, err
 	}
 	t.initialized = true
@@ -869,7 +928,8 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("runtime: tenant %d was removed", ti)
 	}
-	if t.comp == nil {
+	m, ok := t.backend.(*multi)
+	if !ok {
 		return 0, fmt.Errorf("runtime: tenant %d is single-query; build it with Queries", ti)
 	}
 	if spec.NewProtocol == nil {
@@ -878,11 +938,9 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 	if err := n.drainLocked(); err != nil {
 		return 0, err
 	}
-	qid := t.nextQuerySeed
-	qi := n.addQuerySlot(t, spec, qid)
-	t.nextQuerySeed = qid + 1
-	comp := t.comp
-	if err := n.runOnShard(t.shard, func() { comp.InitializeQuery(qi) }); err != nil {
+	qi := m.addQuery(spec, m.nextQuerySeed)
+	m.nextQuerySeed++
+	if err := n.runOnShard(t.shard, func() { m.InitializeQuery(qi) }); err != nil {
 		return 0, err
 	}
 	return qi, nil
@@ -907,13 +965,14 @@ func (n *Node) RemoveQuery(ti, qi int) error {
 	if t == nil {
 		return fmt.Errorf("runtime: tenant %d was removed", ti)
 	}
-	if t.comp == nil {
+	m, ok := t.backend.(*multi)
+	if !ok {
 		return fmt.Errorf("runtime: tenant %d is single-query; build it with Queries", ti)
 	}
 	if err := n.drainLocked(); err != nil {
 		return err
 	}
-	return t.comp.RemoveQuery(qi)
+	return m.RemoveQuery(qi)
 }
 
 // RemoveTenant evicts tenant ti from the live node. A drain barrier first

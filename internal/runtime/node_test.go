@@ -43,12 +43,18 @@ func testSpecs(tenants, streams int) []TenantSpec {
 }
 
 // testEvents generates a per-tenant random walk and interleaves the tenants
-// round-robin into ingest batches, mimicking a mixed ingress stream.
+// round-robin into ingest batches, mimicking a mixed ingress stream. A
+// spatial tenant walks both coordinates.
 func testEvents(specs []TenantSpec, perTenant, batchSize int) [][]Event {
 	walks := make([][]float64, len(specs))
+	ys := make([][]float64, len(specs))
 	rngs := make([]*sim.RNG, len(specs))
 	for i, spec := range specs {
 		walks[i] = append([]float64(nil), spec.Initial...)
+		for _, p := range spec.SpatialInitial {
+			walks[i] = append(walks[i], p.X)
+			ys[i] = append(ys[i], p.Y)
+		}
 		rngs[i] = sim.NewRNG(sim.DeriveSeed(2000, int64(i)))
 	}
 	var all []Event
@@ -57,7 +63,12 @@ func testEvents(specs []TenantSpec, perTenant, batchSize int) [][]Event {
 			rng := rngs[i]
 			s := rng.Intn(len(walks[i]))
 			walks[i][s] += rng.Normal(0, 40)
-			all = append(all, Event{Tenant: i, Stream: s, Value: walks[i][s]})
+			ev := Event{Tenant: i, Stream: s, Value: walks[i][s]}
+			if ys[i] != nil {
+				ys[i][s] += rng.Normal(0, 40)
+				ev.Y = ys[i][s]
+			}
+			all = append(all, ev)
 		}
 	}
 	var batches [][]Event

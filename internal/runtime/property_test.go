@@ -141,7 +141,7 @@ func propSpec(adm int, initial, ys []float64) TenantSpec {
 		return TenantSpec{Name: name, Initial: initial, Queries: propQueries()}
 	case 3:
 		// A spatial 2-D tenant: its k-NN disk protocols snapshot through the
-		// version-3 spatial record, alternating between the two protocols
+		// spatial record, alternating between the two protocols
 		// across admissions.
 		pts := make([]filter.Point, len(initial))
 		for i := range pts {

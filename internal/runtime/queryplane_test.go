@@ -3,9 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -448,19 +446,34 @@ func TestMultiQuerySnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesOldVersions: no snapshot was ever deployed at encoding
-// versions 1 or 2, so RestoreNode refuses them instead of decoding them.
+// TestRestoreRefusesOldVersions: no snapshot was ever deployed at an
+// earlier encoding version, so RestoreNode and ImportTenant refuse them by
+// name instead of misdecoding them.
 func TestRestoreRefusesOldVersions(t *testing.T) {
-	for _, version := range []uint64{1, 2} {
+	seal := func(magic string, version uint64) []byte {
 		w := snapshot.NewWriter()
-		w.String(snapshotMagic)
+		w.String(magic)
 		w.Uint64(version)
-		payload := w.Bytes()
-		var trailer [8]byte
-		binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
-		_, err := RestoreNode(Config{}, testSpecs(1, 15), append(payload, trailer[:]...))
+		return sealed(w.Bytes())
+	}
+	for version := uint64(1); version < SnapshotVersion; version++ {
+		_, err := RestoreNode(Config{}, testSpecs(1, 15), seal(snapshotMagic, version))
 		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
-			t.Errorf("version %d: err = %v, want unsupported snapshot version", version, err)
+			t.Errorf("node version %d: err = %v, want unsupported snapshot version", version, err)
+		}
+	}
+	dst, err := NewNodeLabeled(Config{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Stop()
+	for version := uint64(1); version < TenantSnapshotVersion; version++ {
+		_, err := dst.ImportTenant(testSpecs(1, 15)[0], seal(tenantSnapshotMagic, version))
+		if err == nil || !strings.Contains(err.Error(), "unsupported tenant snapshot version") {
+			t.Errorf("tenant version %d: err = %v, want unsupported tenant snapshot version", version, err)
 		}
 	}
 }

@@ -68,25 +68,22 @@ func (n *Node) Report() *Report {
 		tr.Alive = true
 		tr.Name = t.name
 		tr.Events = t.events
-		tr.Counter = *t.counter()
-		if t.spatial != nil {
-			tr.Answer = append([]stream.ID(nil), t.sproto.Answer()...)
-			continue
-		}
-		if t.comp == nil {
-			tr.Answer = append([]stream.ID(nil), t.proto.Answer()...)
+		tr.Counter = *t.Counter()
+		m, ok := t.backend.(*multi)
+		if !ok {
+			tr.Answer = append([]stream.ID(nil), t.answer()...)
 			continue
 		}
 		tr.MultiQuery = true
-		tr.Queries = make([]QueryReport, t.comp.QuerySlots())
+		tr.Queries = make([]QueryReport, m.QuerySlots())
 		for qi := range tr.Queries {
-			if !t.comp.QueryAlive(qi) {
+			if !m.QueryAlive(qi) {
 				continue
 			}
 			tr.Queries[qi] = QueryReport{
 				Alive:  true,
-				Name:   t.comp.QueryName(qi),
-				Answer: append([]stream.ID(nil), t.comp.Answer(qi)...),
+				Name:   m.QueryName(qi),
+				Answer: append([]stream.ID(nil), m.Answer(qi)...),
 			}
 		}
 	}

@@ -1,0 +1,103 @@
+package runtime
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"math"
+	"strings"
+	"testing"
+
+	"adaptivefilters/internal/snapshot"
+)
+
+// TestRestoreRefusesNaN pins the restore trust boundary for 1-D tenants: a
+// NaN in the server table, the pending queue or a source is refused by
+// RestoreNode and ImportTenant. Accepted, it would sit in the rank table
+// until the next RTP rebuild and panic the shard there (topk: NaN key).
+func TestRestoreRefusesNaN(t *testing.T) {
+	specs := testSpecs(2, 12) // tenant 1 is the RTP tenant, n = 13
+	node, err := NewNode(Config{Shards: 1, Seed: 5}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	ingestAll(t, node, testEvents(specs, 40, 17))
+	nodeSnap, err := node.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantSnap, err := node.ExportTenant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tenant's cluster record as it sits inside both snapshots. Its
+	// layout is fixed: stream count, length-prefixed table, …, pending
+	// count, then 49 bytes per source starting with the source's value.
+	w := snapshot.NewWriter()
+	node.tenants[1].backend.(*scalar).ExportState(w)
+	rec := w.Bytes()
+	n := node.tenants[1].N()
+	pendingAt := len(rec) - 49*n - 8
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+
+	pokes := map[string]func() []byte{
+		"table": func() []byte {
+			out := append([]byte(nil), rec...)
+			copy(out[16+8*3:], nan) // table[3]
+			return out
+		},
+		"pending": func() []byte {
+			out := append([]byte(nil), rec[:pendingAt]...)
+			out = binary.LittleEndian.AppendUint64(out, 1) // one queued update…
+			out = binary.LittleEndian.AppendUint64(out, 2) // …for stream 2…
+			out = append(out, nan...)                      // …carrying NaN
+			return append(out, rec[pendingAt+8:]...)
+		},
+		"source": func() []byte {
+			out := append([]byte(nil), rec...)
+			copy(out[len(rec)-49*(n-5):], nan) // source 5's value
+			return out
+		},
+	}
+	// splice swaps the cluster record inside a checksummed snapshot for a
+	// poked one and re-seals it, as FuzzRestoreNode's decoder path does.
+	splice := func(snap, poked []byte) []byte {
+		payload := snap[:len(snap)-8]
+		at := bytes.Index(payload, rec)
+		if at < 0 || bytes.Contains(payload[at+1:], rec) {
+			t.Fatal("cluster record not found exactly once in the snapshot")
+		}
+		return sealed(append(append(append([]byte(nil), payload[:at]...), poked...), payload[at+len(rec):]...))
+	}
+
+	if _, err := RestoreNode(Config{}, specs, splice(nodeSnap, rec)); err != nil {
+		t.Fatalf("splicing the unpoked record broke the snapshot: %v", err)
+	}
+	for name, poke := range pokes {
+		t.Run(name, func(t *testing.T) {
+			_, err := RestoreNode(Config{}, specs, splice(nodeSnap, poke()))
+			if err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("RestoreNode: err = %v, want a NaN refusal", err)
+			}
+			dst, err := NewNodeLabeled(Config{Seed: 5}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Stop()
+			_, err = dst.ImportTenant(specs[1], splice(tenantSnap, poke()))
+			if err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("ImportTenant: err = %v, want a NaN refusal", err)
+			}
+			if dst.NumTenants() != 0 {
+				t.Error("refused import still admitted a tenant")
+			}
+		})
+	}
+}

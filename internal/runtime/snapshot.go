@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 )
 
@@ -17,9 +16,10 @@ const (
 	snapshotMagic = "adaptivefilters/node-snapshot"
 	// SnapshotVersion is the current encoding version, the only one
 	// RestoreNode accepts: every tenant record opens with an integer kind
-	// discriminator (DESIGN.md §7.4, §11). No snapshot was ever deployed at
-	// versions 1 or 2, so they are refused rather than decoded.
-	SnapshotVersion = 3
+	// discriminator, and single-query and spatial records share one layout
+	// (DESIGN.md §6.3). No snapshot was ever deployed at an earlier version,
+	// so they are refused rather than decoded.
+	SnapshotVersion = 4
 )
 
 // Per-tenant kind discriminators.
@@ -69,36 +69,11 @@ func (n *Node) Snapshot() ([]byte, error) {
 		if t == nil {
 			continue
 		}
-		w.Int64(tenantKind(t))
+		w.Int64(t.kind())
 		w.String(t.name)
 		w.Int64(t.seedID)
-		switch {
-		case t.comp != nil:
-			w.Uint64(t.events)
-			w.Int64(t.nextQuerySeed)
-			t.comp.ExportState(w)
-		case t.spatial != nil:
-			// Spatial records keep the single-query field order — protocol
-			// name, event count, backend state, protocol state.
-			sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-			if !ok {
-				return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-					ti, t.name, t.sproto.Name())
-			}
-			w.String(t.sproto.Name())
-			w.Uint64(t.events)
-			t.spatial.ExportState(w)
-			sp.ExportState(w)
-		default:
-			sp, ok := t.proto.(server.StatefulProtocol)
-			if !ok {
-				return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-					ti, t.name, t.proto.Name())
-			}
-			w.String(t.proto.Name())
-			w.Uint64(t.events)
-			t.cluster.ExportState(w)
-			sp.ExportState(w)
+		if err := t.export(w, t.events); err != nil {
+			return nil, fmt.Errorf("runtime: tenant %d (%s): %w", ti, t.name, err)
 		}
 	}
 	if err := w.Err(); err != nil {
@@ -191,25 +166,13 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if kind != tenantKind(t) {
+		if kind != t.kind() {
 			return nil, fmt.Errorf("runtime: tenant %d snapshot holds a %s tenant, spec builds a %s tenant",
-				ti, kindName(kind), kindName(tenantKind(t)))
+				ti, kindName(kind), kindName(t.kind()))
 		}
-		var events uint64
-		switch kind {
-		case tenantKindMulti:
-			events = r.Uint64()
-			if err := n.restoreComposite(r, t, specs[ti]); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
-		case tenantKindSpatial:
-			if events, err = restoreSpatial(r, t); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
-		default:
-			if events, err = restoreSingle(r, t); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
+		events, err := t.restore(r, specs[ti])
+		if err != nil {
+			return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
 		}
 		t.name = name
 		t.events = events
@@ -233,86 +196,6 @@ func kindName(kind int64) string {
 	default:
 		return "single-query"
 	}
-}
-
-// tenantKind returns a live tenant's kind discriminator.
-func tenantKind(t *tenant) int64 {
-	switch {
-	case t.comp != nil:
-		return tenantKindMulti
-	case t.spatial != nil:
-		return tenantKindSpatial
-	default:
-		return tenantKindSingle
-	}
-}
-
-// restoreSpatial decodes a spatial tenant record — protocol name, event
-// count, spatial-cluster state, protocol state — into the freshly built
-// tenant, returning the event count.
-func restoreSpatial(r *snapshot.Reader, t *tenant) (uint64, error) {
-	protoName := r.String()
-	events := r.Uint64()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if got := t.sproto.Name(); got != protoName {
-		return 0, fmt.Errorf("spec builds protocol %q, snapshot holds %q", got, protoName)
-	}
-	sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-	if !ok {
-		return 0, fmt.Errorf("protocol %q does not support snapshots", protoName)
-	}
-	if err := t.spatial.ImportState(r); err != nil {
-		return 0, fmt.Errorf("spatial cluster: %w", err)
-	}
-	return events, sp.ImportState(r)
-}
-
-// restoreSingle decodes a single-query tenant record — protocol name, event
-// count, cluster state, protocol state — into
-// the freshly built tenant, returning the event count.
-func restoreSingle(r *snapshot.Reader, t *tenant) (uint64, error) {
-	protoName := r.String()
-	events := r.Uint64()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if got := t.proto.Name(); got != protoName {
-		return 0, fmt.Errorf("spec builds protocol %q, snapshot holds %q", got, protoName)
-	}
-	sp, ok := t.proto.(server.StatefulProtocol)
-	if !ok {
-		return 0, fmt.Errorf("protocol %q does not support snapshots", protoName)
-	}
-	if err := t.cluster.ImportState(r); err != nil {
-		return 0, fmt.Errorf("cluster: %w", err)
-	}
-	return events, sp.ImportState(r)
-}
-
-// restoreComposite decodes a multi-query tenant record: the query-admission
-// counter, then the whole composite fabric, rebuilding each live query slot
-// from the spec's QuerySpec at that slot with its recorded seed label.
-func (n *Node) restoreComposite(r *snapshot.Reader, t *tenant, spec TenantSpec) error {
-	nextQuerySeed := r.Int64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nextQuerySeed < 0 {
-		return fmt.Errorf("query admission counter %d negative", nextQuerySeed)
-	}
-	t.nextQuerySeed = nextQuerySeed
-	return t.comp.ImportState(r,
-		func(slot int, name string, seedID int64, h server.Host) (server.Protocol, error) {
-			if slot >= len(spec.Queries) {
-				return nil, fmt.Errorf("snapshot holds query slot %d, spec lists %d queries", slot, len(spec.Queries))
-			}
-			if seedID < 0 || seedID >= nextQuerySeed {
-				return nil, fmt.Errorf("query %d seed label %d outside [0,%d)", slot, seedID, nextQuerySeed)
-			}
-			return spec.Queries[slot].NewProtocol(h, n.querySeed(t, seedID)), nil
-		})
 }
 
 // TotalEvents returns how many events the node has accepted over its whole

@@ -128,7 +128,6 @@ func TestSpatialSpecValidation(t *testing.T) {
 			s.NewProtocol = func(h server.Host, seed int64) server.Protocol { return nil }
 		}},
 		{"mixed-queries", func(s *TenantSpec) { s.Queries = []QuerySpec{{}} }},
-		{"server-config", func(s *TenantSpec) { s.Server = server.Config{DropUpdateProb: 0.5} }},
 		{"nan-point", func(s *TenantSpec) {
 			s.SpatialInitial = append([]filter.Point(nil), s.SpatialInitial...)
 			s.SpatialInitial[3] = filter.Point{X: math.NaN()}
@@ -148,7 +147,7 @@ func TestSpatialSpecValidation(t *testing.T) {
 }
 
 // TestSpatialTenantLifecycle admits and evicts a spatial tenant on a live
-// node and snapshots through the cut, exercising the version-3 spatial
+// node and snapshots through the cut, exercising the spatial
 // record through AddTenant's shard-loop t0 path.
 func TestSpatialTenantLifecycle(t *testing.T) {
 	specs := []TenantSpec{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 )
 
@@ -17,11 +16,10 @@ import (
 // world longer than a drain barrier.
 const (
 	tenantSnapshotMagic = "adaptivefilters/tenant-snapshot"
-	// TenantSnapshotVersion is the current single-tenant encoding version.
-	// Version 2 widened the kind discriminator from a multi-query bool to the
-	// node snapshot's integer kinds, admitting spatial tenants; version 1
-	// records still decode.
-	TenantSnapshotVersion = 2
+	// TenantSnapshotVersion is the current single-tenant encoding version,
+	// the only one ImportTenant accepts; it moves with SnapshotVersion, whose
+	// per-tenant record layout it shares.
+	TenantSnapshotVersion = 3
 )
 
 // ExportTenant captures a barrier-consistent, versioned encoding of one
@@ -62,32 +60,9 @@ func (n *Node) ExportTenant(ti int) ([]byte, error) {
 	w.Int64(n.cfg.Seed)
 	w.String(t.name)
 	w.Int64(t.seedID)
-	w.Int64(tenantKind(t))
-	switch {
-	case t.comp != nil:
-		w.Uint64(t.events)
-		w.Int64(t.nextQuerySeed)
-		t.comp.ExportState(w)
-	case t.spatial != nil:
-		sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-		if !ok {
-			return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-				ti, t.name, t.sproto.Name())
-		}
-		w.String(t.sproto.Name())
-		w.Uint64(t.events)
-		t.spatial.ExportState(w)
-		sp.ExportState(w)
-	default:
-		sp, ok := t.proto.(server.StatefulProtocol)
-		if !ok {
-			return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-				ti, t.name, t.proto.Name())
-		}
-		w.String(t.proto.Name())
-		w.Uint64(t.events)
-		t.cluster.ExportState(w)
-		sp.ExportState(w)
+	w.Int64(t.kind())
+	if err := t.export(w, t.events); err != nil {
+		return nil, fmt.Errorf("runtime: tenant %d (%s): %w", ti, t.name, err)
 	}
 	if err := w.Err(); err != nil {
 		return nil, err
@@ -129,23 +104,14 @@ func (n *Node) ImportTenant(spec TenantSpec, data []byte) (int, error) {
 		return 0, fmt.Errorf("runtime: not a tenant snapshot")
 	}
 	version := r.Uint64()
-	if r.Err() != nil || version < 1 || version > TenantSnapshotVersion {
+	if r.Err() != nil || version != TenantSnapshotVersion {
 		return 0, fmt.Errorf("runtime: unsupported tenant snapshot version %d (have %d)",
 			version, TenantSnapshotVersion)
 	}
 	seed := r.Int64()
 	name := r.String()
 	seedID := r.Int64()
-	// Version 1 wrote the kind as a multi-query bool; version 2 uses the
-	// node snapshot's integer kinds.
-	kind := int64(tenantKindSingle)
-	if version == 1 {
-		if r.Bool() {
-			kind = tenantKindMulti
-		}
-	} else {
-		kind = r.Int64()
-	}
+	kind := r.Int64()
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
@@ -172,25 +138,13 @@ func (n *Node) ImportTenant(spec TenantSpec, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if kind != tenantKind(t) {
+	if kind != t.kind() {
 		return 0, fmt.Errorf("runtime: tenant snapshot holds a %s tenant, spec builds a %s tenant",
-			kindName(kind), kindName(tenantKind(t)))
+			kindName(kind), kindName(t.kind()))
 	}
-	var events uint64
-	switch kind {
-	case tenantKindMulti:
-		events = r.Uint64()
-		if err := n.restoreComposite(r, t, spec); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
-	case tenantKindSpatial:
-		if events, err = restoreSpatial(r, t); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
-	default:
-		if events, err = restoreSingle(r, t); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
+	events, err := t.restore(r, spec)
+	if err != nil {
+		return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
 	}
 	if err := r.Done(); err != nil {
 		return 0, err

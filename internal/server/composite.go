@@ -11,9 +11,9 @@ import (
 
 // Composite hosts M standing queries over one shared population of n
 // streams behind composite filters — the paper's §7 multi-query extension,
-// promoted to a first-class fabric any Host consumer can embed (the
-// multiquery.Manager façade for the single-population model, a tenant slot
-// of runtime.Node for the sharded serving plane).
+// promoted to a first-class fabric any Host consumer can embed (driven
+// synchronously, as examples/sensornet does, or as a tenant slot of
+// runtime.Node on the sharded serving plane).
 //
 // Each stream holds one filter constraint *per query slot*. A value change
 // is reported iff it crosses the boundary of at least one live, non-silent

@@ -18,53 +18,56 @@ import (
 	"adaptivefilters/internal/stream"
 )
 
-// Host is the narrow server-side surface a protocol programs against: the
+// HostOf is the narrow server-side surface a protocol programs against: the
 // communication primitives (probes, installs), the server value table and
-// the computation metric. A *Cluster is the canonical Host, but anything
-// that can answer probes, deploy filters and account messages — a per-query
-// view inside multiquery.Manager, a tenant slot inside runtime.Node, a mock
-// in tests — can host a protocol. Every message a protocol can cause flows
-// through this interface, so accounting stays exact no matter who hosts it.
-type Host interface {
+// the computation metric, over stream values of type V and filter
+// constraints of type C. A *ClusterOf is the canonical implementation, but
+// anything that can answer probes, deploy filters and account messages — a
+// per-query view inside a Composite, a mock in tests — can host a protocol.
+// Every message a protocol can cause flows through this interface and is
+// charged by the rules in charges.go, so accounting stays exact no matter
+// who hosts it or in how many dimensions.
+type HostOf[V, C any] interface {
 	// N returns the number of streams.
 	N() int
 	// Probe requests stream id's current value (one Probe plus one
 	// ProbeReply message) and refreshes the server table.
-	Probe(id stream.ID) float64
+	Probe(id stream.ID) V
 	// ProbeIf asks stream id to reply only when its value lies inside cons;
 	// the probe is always counted, the reply only on a hit.
-	ProbeIf(id stream.ID, cons filter.Constraint) (float64, bool)
+	ProbeIf(id stream.ID, cons C) (V, bool)
 	// ProbeAll probes every stream (2n messages) and returns the refreshed
 	// table.
-	ProbeAll() []float64
+	ProbeAll() []V
 	// ProbeAllInto is ProbeAll writing into dst when its capacity suffices
 	// (allocating only otherwise), so periodic re-initializations inside the
 	// ingest hot path can reuse one buffer. The message accounting is
 	// identical to ProbeAll.
-	ProbeAllInto(dst []float64) []float64
+	ProbeAllInto(dst []V) []V
 	// ProbeBatch probes every listed stream (2·len(ids) messages, counted in
 	// one batched counter update) and refreshes the table; callers read the
 	// fresh values back through Table. It replaces per-stream Probe fan-out
 	// loops on the maintenance path.
 	ProbeBatch(ids []stream.ID)
 	// Install deploys a filter constraint to one stream (one Install
-	// message). expectInside is the side of the interval the server's table
-	// implies.
-	Install(id stream.ID, cons filter.Constraint, expectInside bool)
+	// message). expectInside is the side of the constraint the server's
+	// table implies.
+	Install(id stream.ID, cons C, expectInside bool)
 	// InstallAll deploys the same constraint to every stream.
-	InstallAll(cons filter.Constraint)
+	InstallAll(cons C)
 	// Table returns the server's belief about stream id's value and whether
 	// the stream has ever been heard from.
-	Table(id stream.ID) (float64, bool)
+	Table(id stream.ID) (V, bool)
 	// TableValues returns a snapshot copy of the server value table.
-	TableValues() []float64
+	TableValues() []V
 	// AddServerOps records server-side ranking work (computation metric).
 	AddServerOps(n int)
 }
 
-// Protocol is a filter-bound assignment protocol hosted by a Cluster: one of
-// the paper's RTP, ZT-NRP, FT-NRP, ZT-RP, FT-RP or the no-filter baseline.
-type Protocol interface {
+// ProtocolOf is a filter-bound assignment protocol hosted by a ClusterOf
+// over values of type V: one of the paper's RTP, ZT-NRP, FT-NRP, ZT-RP,
+// FT-RP or the no-filter baseline in 1-D, RTP2D or FT-RP2D in the plane.
+type ProtocolOf[V any] interface {
 	// Name identifies the protocol in reports.
 	Name() string
 	// Initialize performs the time-t0 Initialization Phase: probe streams,
@@ -73,11 +76,22 @@ type Protocol interface {
 	// HandleUpdate is the Maintenance Phase entry point: the server received
 	// an update (filter violation or unfiltered report) from stream id with
 	// value v.
-	HandleUpdate(id stream.ID, v float64)
+	HandleUpdate(id stream.ID, v V)
 	// Answer returns the current answer set A(t) as stream IDs, in
 	// unspecified order.
 	Answer() []stream.ID
 }
+
+// The paper's 1-D model and its §7 planar extension are the two
+// instantiations in use.
+type (
+	Host            = HostOf[float64, filter.Constraint]
+	Protocol        = ProtocolOf[float64]
+	Cluster         = ClusterOf[float64, filter.Constraint]
+	SpatialHost     = HostOf[filter.Point, filter.Region]
+	SpatialProtocol = ProtocolOf[filter.Point]
+	SpatialCluster  = ClusterOf[filter.Point, filter.Region]
+)
 
 // Config tunes cluster message accounting and fault injection.
 type Config struct {
@@ -102,28 +116,28 @@ type Config struct {
 // internal/core).
 const lossSeedStream int64 = 0x1CEB
 
-type pendingUpdate struct {
+type pendingUpdate[V any] struct {
 	id stream.ID
-	v  float64
+	v  V
 }
 
-// Cluster wires n stream sources to a hosted protocol and accounts every
-// message. It is the canonical Host implementation.
-type Cluster struct {
+// ClusterOf wires n stream sources to a hosted protocol and accounts every
+// message. It is the canonical HostOf implementation.
+type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	cfg     Config
-	sources []*stream.Source
-	proto   Protocol
+	sources []*stream.Source[V, C]
+	proto   ProtocolOf[V]
 
 	// table is the server's last known value per stream (V̂): updated by
 	// reports and probes. known marks streams heard from at least once.
-	table []float64
+	table []V
 	known []bool
 
 	ctr comm.Counter
 	// pending is a reusable FIFO of updates awaiting protocol handling:
 	// receive appends at the tail, drain consumes via head and resets both
 	// once empty, so the steady-state delivery path never reallocates it.
-	pending  []pendingUpdate
+	pending  []pendingUpdate[V]
 	head     int
 	draining bool
 	lossRng  *sim.RNG
@@ -131,35 +145,53 @@ type Cluster struct {
 	DroppedUpdates uint64
 }
 
-var _ Host = (*Cluster)(nil)
+var (
+	_ Host        = (*Cluster)(nil)
+	_ SpatialHost = (*SpatialCluster)(nil)
+)
 
-// NewCluster creates a cluster over the given initial true stream values.
-// The server table starts unknown: protocols learn values by probing.
+// NewCluster creates a 1-D cluster over the given initial true stream
+// values (see NewClusterOf).
 func NewCluster(initial []float64) *Cluster { return NewClusterWith(initial, Config{}) }
 
 // NewClusterWith is NewCluster with explicit accounting configuration.
 func NewClusterWith(initial []float64, cfg Config) *Cluster {
-	c := &Cluster{
+	return NewClusterOf[float64, filter.Constraint](initial, cfg)
+}
+
+// NewSpatialCluster creates a planar cluster over the given initial true
+// stream locations (see NewClusterOf).
+func NewSpatialCluster(initial []filter.Point) *SpatialCluster {
+	return NewClusterOf[filter.Point, filter.Region](initial, Config{})
+}
+
+// NewClusterOf creates a cluster over the given initial true stream values.
+// The server table starts unknown: protocols learn values by probing. A NaN
+// initial value is a caller bug and panics — runtime admission validates
+// them before construction.
+func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V, cfg Config) *ClusterOf[V, C] {
+	c := &ClusterOf[V, C]{
 		cfg:   cfg,
-		table: make([]float64, len(initial)),
+		table: make([]V, len(initial)),
 		known: make([]bool, len(initial)),
 	}
 	if cfg.DropUpdateProb > 0 {
 		c.lossRng = sim.NewRNG(sim.DeriveSeed(cfg.DropSeed, lossSeedStream))
 	}
-	c.sources = make([]*stream.Source, len(initial))
+	c.sources = make([]*stream.Source[V, C], len(initial))
+	receive := c.receive // one uplink closure shared by every source
 	for i, v := range initial {
-		c.sources[i] = stream.New(i, v, c.receive)
+		c.sources[i] = stream.NewSource[V, C](i, v, receive)
 	}
 	return c
 }
 
 // N returns the number of streams.
-func (c *Cluster) N() int { return len(c.sources) }
+func (c *ClusterOf[V, C]) N() int { return len(c.sources) }
 
 // SetProtocol installs the hosted protocol. It must be called exactly once
 // before Initialize.
-func (c *Cluster) SetProtocol(p Protocol) {
+func (c *ClusterOf[V, C]) SetProtocol(p ProtocolOf[V]) {
 	if c.proto != nil {
 		panic("server: protocol already set")
 	}
@@ -167,15 +199,15 @@ func (c *Cluster) SetProtocol(p Protocol) {
 }
 
 // Protocol returns the hosted protocol.
-func (c *Cluster) Protocol() Protocol { return c.proto }
+func (c *ClusterOf[V, C]) Protocol() ProtocolOf[V] { return c.proto }
 
 // Counter exposes the message counter (read-mostly; the experiment harness
 // switches phases through it).
-func (c *Cluster) Counter() *comm.Counter { return &c.ctr }
+func (c *ClusterOf[V, C]) Counter() *comm.Counter { return &c.ctr }
 
 // Initialize runs the protocol's initialization phase in the Init accounting
 // bucket and then switches to Maintenance.
-func (c *Cluster) Initialize() {
+func (c *ClusterOf[V, C]) Initialize() {
 	if c.proto == nil {
 		panic("server: Initialize without protocol")
 	}
@@ -187,7 +219,7 @@ func (c *Cluster) Initialize() {
 
 // receive is the uplink callback given to every source: counts the update,
 // refreshes the table and queues the update for protocol handling.
-func (c *Cluster) receive(id stream.ID, v float64) {
+func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 	c.ctr.Add(comm.Update, 1)
 	if c.lossRng != nil && c.lossRng.Float64() < c.cfg.DropUpdateProb {
 		// The sensor transmitted (and flipped its recorded side), but the
@@ -197,21 +229,24 @@ func (c *Cluster) receive(id stream.ID, v float64) {
 	}
 	c.table[id] = v
 	c.known[id] = true
-	c.pending = append(c.pending, pendingUpdate{id, v})
+	c.pending = append(c.pending, pendingUpdate[V]{id, v})
 }
 
-// Deliver applies a workload value change to stream id and then drains all
-// resulting protocol work (including cascaded install-mismatch reports).
-func (c *Cluster) Deliver(id stream.ID, v float64) {
-	c.sources[id].Set(v)
-	c.drain()
+// Deliver applies a workload value change to stream id and, when the source
+// reported it, drains all resulting protocol work (including cascaded
+// install-mismatch reports). A filtered-out update queues nothing, so there
+// is nothing to drain.
+func (c *ClusterOf[V, C]) Deliver(id stream.ID, v V) {
+	if c.sources[id].Set(v) {
+		c.drain()
+	}
 }
 
 // drain feeds queued updates to the protocol one at a time. Updates that
 // arrive while the protocol is handling one (e.g. mismatch reports caused by
 // installs) are appended behind head and processed after the current handler
 // returns, in order. The queue storage is reused across deliveries.
-func (c *Cluster) drain() {
+func (c *ClusterOf[V, C]) drain() {
 	if c.draining {
 		return
 	}
@@ -230,7 +265,7 @@ func (c *Cluster) drain() {
 
 // Probe requests the current value of stream id (one Probe plus one
 // ProbeReply message) and refreshes the server table.
-func (c *Cluster) Probe(id stream.ID) float64 {
+func (c *ClusterOf[V, C]) Probe(id stream.ID) V {
 	chargeProbes(&c.ctr, 1)
 	v := c.sources[id].Probe()
 	c.table[id] = v
@@ -241,26 +276,30 @@ func (c *Cluster) Probe(id stream.ID) float64 {
 // ProbeAll probes every stream (2n messages) and returns a copy of the
 // refreshed table. This is the paper's "request all streams to send their
 // values" initialization step.
-func (c *Cluster) ProbeAll() []float64 { return c.ProbeAllInto(nil) }
+func (c *ClusterOf[V, C]) ProbeAll() []V { return c.ProbeAllInto(nil) }
 
 // ProbeAllInto is ProbeAll writing into dst when cap(dst) >= n; protocols
 // that re-initialize on the maintenance path pass a reusable buffer so the
 // fan-out allocates nothing. The per-stream accounting is identical.
-func (c *Cluster) ProbeAllInto(dst []float64) []float64 {
+func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	n := c.N()
 	if cap(dst) < n {
-		dst = make([]float64, n)
+		dst = make([]V, n)
 	}
 	dst = dst[:n]
-	for i := range c.sources {
-		dst[i] = c.Probe(i)
+	chargeProbes(&c.ctr, uint64(n))
+	for i, s := range c.sources {
+		v := s.Probe()
+		c.table[i] = v
+		c.known[i] = true
+		dst[i] = v
 	}
 	return dst
 }
 
 // ProbeBatch probes every listed stream, refreshing the table; the 2·len(ids)
 // messages land on the counter in one batched update per kind.
-func (c *Cluster) ProbeBatch(ids []stream.ID) {
+func (c *ClusterOf[V, C]) ProbeBatch(ids []stream.ID) {
 	if len(ids) == 0 {
 		return
 	}
@@ -276,11 +315,12 @@ func (c *Cluster) ProbeBatch(ids []stream.ID) {
 // cons (RTP step 4: "the server then queries the clients if their values are
 // within the expanded region"). The probe message is always counted; the
 // reply — and the table refresh — happen only on a hit.
-func (c *Cluster) ProbeIf(id stream.ID, cons filter.Constraint) (float64, bool) {
+func (c *ClusterOf[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 	chargeProbeRequest(&c.ctr)
 	v := c.sources[id].Probe() // the source evaluates the predicate locally
 	if !cons.Contains(v) {
-		return 0, false
+		var none V
+		return none, false
 	}
 	chargeProbeReply(&c.ctr)
 	c.table[id] = v
@@ -289,9 +329,9 @@ func (c *Cluster) ProbeIf(id stream.ID, cons filter.Constraint) (float64, bool) 
 }
 
 // Install deploys a filter constraint to one stream (one Install message).
-// expectInside is the side of the interval the server's table implies; on
+// expectInside is the side of the constraint the server's table implies; on
 // mismatch the source reports immediately (counted as an update and queued).
-func (c *Cluster) Install(id stream.ID, cons filter.Constraint, expectInside bool) {
+func (c *ClusterOf[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 	chargeInstalls(&c.ctr, 1)
 	c.sources[id].Install(cons, expectInside)
 	c.drain() // no-op when already inside a delivery cycle
@@ -300,50 +340,48 @@ func (c *Cluster) Install(id stream.ID, cons filter.Constraint, expectInside boo
 // InstallAll deploys the same constraint to every stream, deriving each
 // stream's expected side from the server table. It costs n Install messages
 // (or 1 when BroadcastInstall is set).
-func (c *Cluster) InstallAll(cons filter.Constraint) {
+func (c *ClusterOf[V, C]) InstallAll(cons C) {
 	if c.cfg.BroadcastInstall {
 		chargeInstalls(&c.ctr, 1)
 	} else {
 		chargeInstalls(&c.ctr, uint64(c.N()))
 	}
-	for i, s := range c.sources {
-		s.Install(cons, cons.Contains(c.table[i]))
-	}
+	stream.InstallAll(c.sources, c.table, cons)
 	c.drain() // no-op when already inside a delivery cycle
 }
 
 // Table returns the server's current belief about stream id's value and
 // whether the stream has ever been heard from.
-func (c *Cluster) Table(id stream.ID) (float64, bool) { return c.table[id], c.known[id] }
+func (c *ClusterOf[V, C]) Table(id stream.ID) (V, bool) { return c.table[id], c.known[id] }
 
 // TableValues returns a snapshot copy of the server value table. Entries for
 // never-heard streams are zero; see Table for the known flag.
-func (c *Cluster) TableValues() []float64 {
-	out := make([]float64, len(c.table))
+func (c *ClusterOf[V, C]) TableValues() []V {
+	out := make([]V, len(c.table))
 	copy(out, c.table)
 	return out
 }
 
 // Constraint returns the filter currently installed at stream id (the server
 // knows what it installed; this does not cost a message).
-func (c *Cluster) Constraint(id stream.ID) filter.Constraint {
+func (c *ClusterOf[V, C]) Constraint(id stream.ID) C {
 	return c.sources[id].Constraint()
 }
 
 // AddServerOps records server-side ranking work for the computation metric.
-func (c *Cluster) AddServerOps(n int) { c.ctr.AddServerOps(uint64(n)) }
+func (c *ClusterOf[V, C]) AddServerOps(n int) { c.ctr.AddServerOps(uint64(n)) }
 
 // --- inspection (oracle / tests only) ---------------------------------------
 
 // TrueValue returns the ground-truth value of stream id. Protocols must not
 // call this; it exists for the oracle and tests.
-func (c *Cluster) TrueValue(id stream.ID) float64 { return c.sources[id].Value() }
+func (c *ClusterOf[V, C]) TrueValue(id stream.ID) V { return c.sources[id].Value() }
 
 // Source exposes the underlying source for tests.
-func (c *Cluster) Source(id stream.ID) *stream.Source { return c.sources[id] }
+func (c *ClusterOf[V, C]) Source(id stream.ID) *stream.Source[V, C] { return c.sources[id] }
 
 // String summarizes the cluster.
-func (c *Cluster) String() string {
+func (c *ClusterOf[V, C]) String() string {
 	name := "<none>"
 	if c.proto != nil {
 		name = c.proto.Name()

@@ -160,7 +160,7 @@ func TestSpatialClusterStateRoundTrip(t *testing.T) {
 		t.Fatal("restored cluster re-exports different bytes")
 	}
 	for i := 0; i < c.N(); i++ {
-		if restored.TruePoint(i) != c.TruePoint(i) || restored.Region(i) != c.Region(i) {
+		if restored.TrueValue(i) != c.TrueValue(i) || restored.Constraint(i) != c.Constraint(i) {
 			t.Fatalf("stream %d state mismatch after restore", i)
 		}
 		tp1, k1 := c.Table(i)

@@ -3,14 +3,15 @@ package server
 import (
 	"fmt"
 
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/snapshot"
 )
 
-// StatefulProtocol is a Protocol whose full dynamic state can be exported
-// into a snapshot and imported into a freshly constructed instance of the
-// same configuration. All of internal/core implements it; runtime.Node
-// requires it for Snapshot/RestoreNode.
+// StatefulProtocolOf is a ProtocolOf whose full dynamic state can be
+// exported into a snapshot and imported into a freshly constructed instance
+// of the same configuration. All of internal/core and internal/multidim
+// implements it; runtime.Node requires it for Snapshot/RestoreNode.
 //
 // The contract mirrors the runtime's restore path: ImportState must be
 // called exactly once, on a protocol just built by its constructor (with
@@ -18,8 +19,8 @@ import (
 // Initialize or HandleUpdate. Configuration is deliberately not part of the
 // encoding — it lives in the caller's TenantSpec — so a snapshot carries
 // only what the constructor cannot recompute.
-type StatefulProtocol interface {
-	Protocol
+type StatefulProtocolOf[V any] interface {
+	ProtocolOf[V]
 	// ExportState appends the protocol's dynamic state to the snapshot.
 	ExportState(w *snapshot.Writer)
 	// ImportState restores state written by ExportState. It returns an
@@ -27,18 +28,28 @@ type StatefulProtocol interface {
 	ImportState(r *snapshot.Reader) error
 }
 
+// The two instantiations in use.
+type (
+	StatefulProtocol        = StatefulProtocolOf[float64]
+	SpatialStatefulProtocol = StatefulProtocolOf[filter.Point]
+)
+
 // ExportState appends the cluster's full dynamic state to a snapshot: the
 // server value table, the message counter, loss-injection progress, any
 // queued-but-unhandled updates, and every source's value/constraint/side.
 // Export during an in-flight delivery cascade is a programming error; the
 // runtime only exports at a drain barrier, where the pending queue is empty
 // and no delivery is active.
-func (c *Cluster) ExportState(w *snapshot.Writer) {
+func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 	if c.draining {
 		panic("server: ExportState during delivery")
 	}
 	w.Int(c.N())
-	w.Float64s(c.table)
+	var codec C
+	w.Int(len(c.table))
+	for _, v := range c.table {
+		codec.ExportValue(w, v)
+	}
 	w.Bools(c.known)
 	c.ctr.ExportState(w)
 	w.Uint64(c.DroppedUpdates)
@@ -55,7 +66,7 @@ func (c *Cluster) ExportState(w *snapshot.Writer) {
 	w.Int(len(pend))
 	for _, u := range pend {
 		w.Int(u.id)
-		w.Float64(u.v)
+		codec.ExportValue(w, u.v)
 	}
 	for _, s := range c.sources {
 		s.ExportState(w)
@@ -65,17 +76,30 @@ func (c *Cluster) ExportState(w *snapshot.Writer) {
 // ImportState restores state written by ExportState into a freshly
 // constructed cluster with the same stream count and Config. The loss RNG
 // is fast-forwarded to its recorded position, so injected losses continue
-// exactly where the exporting run left off. It returns an error on
-// corrupted or mismatched input and never panics.
-func (c *Cluster) ImportState(r *snapshot.Reader) error {
+// exactly where the exporting run left off. A NaN value — in the table, the
+// pending queue or a source — is refused: restore is a trust boundary, and
+// a NaN past it panics the ranking kernel on the next rebuild. It returns
+// an error on corrupted or mismatched input and never panics.
+func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
+	var codec C
 	n := r.Int()
+	tableLen := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if n != c.N() {
 		return fmt.Errorf("server: snapshot has %d streams, cluster has %d", n, c.N())
 	}
-	table := r.Float64s()
+	if tableLen != n {
+		return fmt.Errorf("server: snapshot table sized %d, want %d", tableLen, n)
+	}
+	table := make([]V, n)
+	for i := range table {
+		table[i] = codec.ImportValue(r)
+		if table[i] != table[i] {
+			return fmt.Errorf("server: snapshot holds NaN table value for stream %d", i)
+		}
+	}
 	known := r.Bools()
 	if err := c.ctr.ImportState(r); err != nil {
 		return err
@@ -86,25 +110,30 @@ func (c *Cluster) ImportState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(table) != n || len(known) != n {
-		return fmt.Errorf("server: snapshot table sized %d/%d, want %d", len(table), len(known), n)
+	if len(known) != n {
+		return fmt.Errorf("server: snapshot known vector sized %d, want %d", len(known), n)
 	}
 	if lossPos > 0 && c.lossRng == nil {
 		return fmt.Errorf("server: snapshot has loss-RNG state but cluster has no loss injection")
 	}
 	if pendLen < 0 || pendLen > r.Remaining()/16 {
-		// Each entry is 16 encoded bytes; a length beyond the remaining
-		// input is corruption, caught before allocating for it.
+		// Each entry is at least 16 encoded bytes; a length beyond the
+		// remaining input is corruption, caught before allocating for it.
 		return fmt.Errorf("server: snapshot pending queue length %d exceeds remaining input", pendLen)
 	}
-	pending := make([]pendingUpdate, 0, pendLen)
+	pending := make([]pendingUpdate[V], 0, pendLen)
 	for i := 0; i < pendLen; i++ {
 		id := r.Int()
-		v := r.Float64()
-		if r.Err() == nil && (id < 0 || id >= n) {
-			return fmt.Errorf("server: snapshot pending update for unknown stream %d", id)
+		v := codec.ImportValue(r)
+		if r.Err() == nil {
+			if id < 0 || id >= n {
+				return fmt.Errorf("server: snapshot pending update for unknown stream %d", id)
+			}
+			if v != v {
+				return fmt.Errorf("server: snapshot pending update with NaN value for stream %d", id)
+			}
 		}
-		pending = append(pending, pendingUpdate{id: id, v: v})
+		pending = append(pending, pendingUpdate[V]{id: id, v: v})
 	}
 	if err := r.Err(); err != nil {
 		return err

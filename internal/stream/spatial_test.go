@@ -158,7 +158,7 @@ func TestSpatialSourceStateRoundTrip(t *testing.T) {
 	if err := restored.ImportState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Point() != s.Point() || restored.Region() != s.Region() ||
+	if restored.Value() != s.Value() || restored.Constraint() != s.Constraint() ||
 		restored.Inside() != s.Inside() || restored.Updates != s.Updates ||
 		restored.Reports != s.Reports {
 		t.Fatalf("round-trip mismatch: %v vs %v", restored, s)
