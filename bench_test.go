@@ -8,7 +8,6 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
-	"adaptivefilters/internal/metrics"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -22,14 +21,14 @@ const benchScale = 0.05
 // benchFigure runs one paper figure per iteration and reports the total of
 // its message cells so regressions in protocol efficiency show up as metric
 // changes.
-func benchFigure(b *testing.B, run func(experiment.Options) *metrics.Table, cols []string) {
+func benchFigure(b *testing.B, run func(experiment.Options) *experiment.Table, cols []string) {
 	b.Helper()
 	benchFigureWorkers(b, run, cols, 0)
 }
 
 // benchFigureWorkers is benchFigure with an explicit cell-engine pool size
 // (0 = sequential).
-func benchFigureWorkers(b *testing.B, run func(experiment.Options) *metrics.Table, cols []string, workers int) {
+func benchFigureWorkers(b *testing.B, run func(experiment.Options) *experiment.Table, cols []string, workers int) {
 	b.Helper()
 	opts := experiment.Options{Scale: benchScale, Seed: 1, Workers: workers}
 	var total uint64
@@ -98,7 +97,7 @@ func BenchmarkFigure15(b *testing.B) {
 func BenchmarkFigureEngine(b *testing.B) {
 	figs := []struct {
 		name string
-		run  func(experiment.Options) *metrics.Table
+		run  func(experiment.Options) *experiment.Table
 		cols []string
 	}{
 		{"Figure12", experiment.Figure12, []string{"0.0", "0.5"}},

@@ -59,7 +59,7 @@ func runCluster(p simParams, stdout io.Writer) error {
 		migrations++
 		return c.MigrateTenant(g, (m+1)%p.Cluster)
 	})
-	res, err := play([]lane{c}, c, ts.iters, p.Batch, 0, migrate)
+	res, err := p.play([]lane{c}, c, ts, 0, migrate)
 	if err != nil {
 		return err
 	}
@@ -85,5 +85,5 @@ func runCluster(p simParams, stdout io.Writer) error {
 		// leaves dead slots behind); owned is the live placement.
 		fmt.Fprintf(stdout, "  member %d: tenants=%d events=%d\n", m, owned[m], s.TotalEvents)
 	}
-	return p.finish(stdout, res.report)
+	return p.finish(stdout, res.report, ts)
 }

@@ -15,6 +15,8 @@ import (
 
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/oracle"
+	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/wire"
@@ -35,6 +37,10 @@ type tenantSet struct {
 	// 1-D runs.
 	points [][]filter.Point
 	iters  []workload.Iterator
+	// audit is -check (nil without it): audit[i] holds one auditor per
+	// standing query of tenant i, each over its own copy of the tenant's
+	// ground truth.
+	audit [][]*oracle.Auditor
 }
 
 // workload builds the configured 1-D workload from one seed.
@@ -103,7 +109,91 @@ func (p simParams) buildTenants() (tenantSet, error) {
 			spec.Queries[j] = wire.QuerySpec{Name: fmt.Sprintf("q%d", j), Spec: p.spec(j)}
 		}
 	}
+	if p.Check {
+		ts.audit = make([][]*oracle.Auditor, p.Tenants)
+		for i := range ts.audit {
+			for j := 0; j < p.Queries; j++ {
+				a, err := ts.auditor(i, p.spec(j), p.CheckEvery)
+				if err != nil {
+					return tenantSet{}, err
+				}
+				ts.audit[i] = append(ts.audit[i], a)
+			}
+		}
+	}
 	return ts, nil
+}
+
+// auditor holds one standing query of tenant i to the guarantee its spec
+// sells, starting from the tenant's initial values and sampled every
+// `every` events.
+func (ts tenantSet) auditor(i int, spec protospec.Spec, every int) (*oracle.Auditor, error) {
+	g, err := spec.Guarantee()
+	if err != nil {
+		return nil, err
+	}
+	if ts.points != nil {
+		return oracle.NewPlanarAuditor(ts.points[i], g, every), nil
+	}
+	return oracle.NewAuditor(ts.specs[i].Initial, g, every), nil
+}
+
+// check shows every auditor the served answer of its query, as rep has it.
+// rep must cover exactly the events the lanes have played so far.
+func (ts tenantSet) check(pos uint64, rep *runtime.Report) {
+	for i, qs := range ts.audit {
+		switch t := &rep.Tenants[i]; {
+		case !t.Alive:
+		case !t.MultiQuery:
+			qs[0].Audit(pos, t.Answer)
+		default:
+			for j, q := range t.Queries {
+				if q.Alive {
+					qs[j].Audit(pos, q.Answer)
+				}
+			}
+		}
+	}
+}
+
+// sampler is the mid-run audit as a per-flush hook: at the first batch
+// boundary after each multiple of the auditors' period (counted from the
+// first event played) it drains tgt and audits its report. Only a single
+// lane's position is the target's, so play installs it on one-lane runs only.
+func (ts tenantSet) sampler(tgt target, first uint64) func(pos uint64) error {
+	every := uint64(ts.audit[0][0].Every)
+	next := first + every
+	return func(pos uint64) error {
+		if pos < next {
+			return nil
+		}
+		next = pos - pos%every + every
+		if err := tgt.Drain(); err != nil {
+			return err
+		}
+		rep, err := tgt.Report()
+		if err != nil {
+			return err
+		}
+		ts.check(pos, rep)
+		return nil
+	}
+}
+
+// printOracle renders what -check found: how often the guarantee was
+// checked and broken, the first breach, and how deep the worst answer went.
+func printOracle(stdout io.Writer, tally oracle.Tally) {
+	fmt.Fprintf(stdout, "oracle:     %d checks, %d violations", tally.Checks, tally.Violations)
+	if tally.First != "" {
+		fmt.Fprintf(stdout, " (first: %s)", tally.First)
+	}
+	fmt.Fprintln(stdout)
+	if tally.MaxFPlus > 0 || tally.MaxFMinus > 0 {
+		fmt.Fprintf(stdout, "worst observed F⁺=%.3f F⁻=%.3f\n", tally.MaxFPlus, tally.MaxFMinus)
+	}
+	if tally.WorstRank > 0 {
+		fmt.Fprintf(stdout, "worst observed rank %d\n", tally.WorstRank)
+	}
 }
 
 // runtimeSpecs validates the tenants against their real partition sizes and
@@ -162,15 +252,28 @@ type played struct {
 // ingested batch with the lane's position in its merged stream. Both
 // presume a single lane, whose order is the global one. The clock covers
 // ingest and the final drain.
-func play(lanes []lane, tgt target, iters []workload.Iterator, batch int,
-	skip uint64, afterFlush func(pos uint64) error) (played, error) {
+//
+// Under -check each lane feeds its tenants' auditors the truth as it plays
+// (the skipped prefix included); the final report is audited in every mode,
+// and a single lane is also sampled about every -check-every events.
+func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
+	afterFlush func(pos uint64) error) (played, error) {
 
 	n := len(lanes)
 	ids := make([][]int, n)
 	subs := make([][]workload.Iterator, n)
-	for i, it := range iters {
+	for i, it := range ts.iters {
 		ids[i%n] = append(ids[i%n], i)
 		subs[i%n] = append(subs[i%n], it)
+	}
+	if ts.audit != nil && n == 1 {
+		sample, then := ts.sampler(tgt, skip), afterFlush
+		afterFlush = func(pos uint64) error {
+			if err := sample(pos); err != nil || then == nil {
+				return err
+			}
+			return then(pos)
+		}
 	}
 	start := time.Now()
 	counts := make([]uint64, n) // counts[g], errs[g]: written by lane g only, read after Wait
@@ -180,7 +283,7 @@ func play(lanes []lane, tgt target, iters []workload.Iterator, batch int,
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], batch, skip, afterFlush)
+			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], ts.audit, p.Batch, skip, afterFlush)
 		}(g)
 	}
 	wg.Wait()
@@ -196,14 +299,16 @@ func play(lanes []lane, tgt target, iters []workload.Iterator, batch int,
 	}
 	res.elapsed = time.Since(start)
 	var err error
-	res.report, err = tgt.Report()
+	if res.report, err = tgt.Report(); err == nil && ts.audit != nil {
+		ts.check(skip+res.events, res.report)
+	}
 	return res, err
 }
 
 // playLane is the ingest loop: merge, batch, flush. ids[j] is the global
-// tenant id of iters[j].
-func playLane(l lane, ids []int, iters []workload.Iterator, batch int,
-	skip uint64, afterFlush func(pos uint64) error) (uint64, error) {
+// tenant id of iters[j]; audit, when non-nil, learns every event's truth.
+func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Auditor,
+	batch int, skip uint64, afterFlush func(pos uint64) error) (uint64, error) {
 
 	merge := workload.MergeIterators(iters)
 	buf := make([]runtime.Event, 0, batch)
@@ -228,13 +333,19 @@ func playLane(l lane, ids []int, iters []workload.Iterator, batch int,
 			err := flush()
 			return ingested, err
 		}
+		ev := runtime.Event{
+			Tenant: ids[tev.Source], Stream: tev.Event.Stream,
+			Value: tev.Event.Value, Y: tev.Event.Y,
+		}
+		if audit != nil {
+			for _, a := range audit[ev.Tenant] {
+				a.Apply(ev.Stream, ev.Value, ev.Y)
+			}
+		}
 		if pos++; pos <= skip {
 			continue
 		}
-		buf = append(buf, runtime.Event{
-			Tenant: ids[tev.Source], Stream: tev.Event.Stream,
-			Value: tev.Event.Value, Y: tev.Event.Y,
-		})
+		buf = append(buf, ev)
 		if len(buf) == batch {
 			if err := flush(); err != nil {
 				return ingested, err
@@ -266,8 +377,9 @@ func periodically(first uint64, every int, fn func() error) func(pos uint64) err
 // 8 tenants) and the totals — and writes the -answers dump. The dump is
 // runtime.Report.Text whichever mode produced the report, with nothing
 // time-, placement- or transport-dependent in it: that is what the
-// determinism matrix byte-compares.
-func (p simParams) finish(stdout io.Writer, rep *runtime.Report) error {
+// determinism matrix byte-compares. Under -check the oracle line sums the
+// run's auditors.
+func (p simParams) finish(stdout io.Writer, rep *runtime.Report, ts tenantSet) error {
 	var worst, total uint64
 	live := 0
 	for ti := range rep.Tenants {
@@ -289,6 +401,18 @@ func (p simParams) finish(stdout io.Writer, rep *runtime.Report) error {
 	fmt.Fprintf(stdout, "node totals: init=%d maintenance=%d serverOps=%d (worst tenant maint=%d, mean=%.1f)\n",
 		rep.Totals.PhaseTotal(comm.Init), rep.Totals.Maintenance(), rep.Totals.ServerOps,
 		worst, float64(total)/float64(live))
+	if ts.audit != nil {
+		var sum oracle.Tally
+		for i, qs := range ts.audit {
+			for j, a := range qs {
+				if sum.First == "" && a.First != "" {
+					sum.First = fmt.Sprintf("tenant %d query %d: %s", i, j, a.First)
+				}
+				sum.Add(a.Tally)
+			}
+		}
+		printOracle(stdout, sum)
+	}
 	if p.Answers == "" {
 		return nil
 	}

@@ -32,11 +32,12 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"adaptivefilters/internal/cluster"
-	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
-	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/oracle"
+	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/wire"
 )
@@ -56,7 +57,7 @@ func parseFlags(args []string, stderr io.Writer) (simParams, error) {
 	fs.SetOutput(stderr)
 	fs.StringVar(&p.Workload, "workload", "synthetic", "workload: synthetic | tcp | replay")
 	fs.StringVar(&p.Trace, "trace", "", "CSV trace file for -workload replay (time,stream,value)")
-	fs.StringVar(&p.Proto, "protocol", "ft-nrp", "protocol: no-filter | zt-nrp | ft-nrp | rtp | zt-rp | ft-rp | vb-knn | rtp2d | ft-rp2d")
+	fs.StringVar(&p.Proto, "protocol", "ft-nrp", "protocol: "+strings.Join(protospec.Protocols, " | "))
 	fs.IntVar(&p.N, "n", 1000, "number of streams")
 	fs.IntVar(&p.Events, "events", 50000, "approximate number of events")
 	fs.Float64Var(&p.Sigma, "sigma", 20, "synthetic random-walk step deviation")
@@ -118,9 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w\nrun with -h for usage", err)
 	}
 	single := !p.wireMode() && !p.clusterMode() && !p.tenantsMode() && !p.spatialMode()
-	if p.Check && !single {
-		fmt.Fprintln(stderr, "streamsim: -check audits single 1-D simulations only and is ignored")
-	}
 	switch {
 	case single:
 		return runSingle(p, stdout)
@@ -135,34 +133,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// checkSpec is the oracle audit -check runs: the guarantee the configured
-// protocol sells, sampled every -check-every events.
-func (p simParams) checkSpec() *experiment.CheckSpec {
-	if !p.Check {
-		return nil
-	}
-	rng := query.NewRange(p.Lo, p.Hi)
-	center := query.At(p.Q)
-	if p.Top {
-		center = query.Top()
-	}
-	tol := core.FractionTolerance{EpsPlus: p.EpsPlus, EpsMinus: p.EpsMinus}
-	switch p.Proto {
-	case "no-filter", "zt-nrp":
-		return experiment.CheckFractionRange(rng, core.FractionTolerance{}, p.CheckEvery)
-	case "ft-nrp":
-		return experiment.CheckFractionRange(rng, tol, p.CheckEvery)
-	case "zt-rp":
-		return experiment.CheckRank(center, core.RankTolerance{K: p.K}, p.CheckEvery)
-	case "ft-rp":
-		return experiment.CheckFractionKNN(query.KNN{Q: center, K: p.K}, tol, p.CheckEvery)
-	default:
-		// rtp's own guarantee — and for vb-knn, which offers no rank
-		// guarantee, the measure of exactly that (Figure 1).
-		return experiment.CheckRank(center, core.RankTolerance{K: p.K, R: p.R}, p.CheckEvery)
-	}
-}
-
 // runSingle runs one 1-D simulation under the experiment harness, with
 // message accounting by kind and the optional oracle audit.
 func runSingle(p simParams, stdout io.Writer) error {
@@ -174,7 +144,14 @@ func runSingle(p simParams, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	check := p.checkSpec()
+	var check *oracle.Auditor
+	if p.Check {
+		g, err := p.spec(0).Guarantee()
+		if err != nil {
+			return err
+		}
+		check = oracle.NewAuditor(rs.Initial, g, p.CheckEvery)
+	}
 	res := experiment.Run(experiment.Config{Workload: w, Seed: p.Seed, NewProtocol: rs.NewProtocol, Check: check})
 
 	fmt.Fprintf(stdout, "workload:   %s\n", res.Workload)
@@ -192,14 +169,7 @@ func runSingle(p simParams, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "server ops: %d\n", res.ServerOps)
 	if check != nil {
-		fmt.Fprintf(stdout, "oracle:     %d checks, %d violations", res.Checks, res.Violations)
-		if res.FirstViolation != "" {
-			fmt.Fprintf(stdout, " (first: %s)", res.FirstViolation)
-		}
-		fmt.Fprintln(stdout)
-		if res.MaxFPlus > 0 || res.MaxFMinus > 0 {
-			fmt.Fprintf(stdout, "worst observed F⁺=%.3f F⁻=%.3f\n", res.MaxFPlus, res.MaxFMinus)
-		}
+		printOracle(stdout, res.Tally)
 	}
 	if p.Verbose {
 		fmt.Fprintf(stdout, "answer (%d): %v\n", len(res.FinalAnswer), res.FinalAnswer)
@@ -271,14 +241,14 @@ func runNode(p simParams, stdout io.Writer) error {
 		}
 		return os.WriteFile(p.SnapFile, snap, 0o644)
 	})
-	res, err := play(lanes, cluster.NewLocalMember(node), ts.iters, p.Batch, skip, snapshot)
+	res, err := p.play(lanes, cluster.NewLocalMember(node), ts, skip, snapshot)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "tenants:    %d   queries/tenant: %d   shards: %d   batch: %d   ingesters: %d\n",
 		p.Tenants, p.Queries, node.Shards(), p.Batch, p.Ingesters)
 	printIngested(stdout, res)
-	if err := p.finish(stdout, res.report); err != nil {
+	if err := p.finish(stdout, res.report, ts); err != nil {
 		return err
 	}
 	if p.Verbose {

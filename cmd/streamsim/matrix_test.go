@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,11 @@ type matrixGroup struct {
 	name   string
 	common string // workload and protocol flags every run of the group shares
 	ref    string // the reference run's own flags
-	checks []matrixCheck
+	// unaudited runs the group without -check: rank protocols on the
+	// multi-query fabric do not hold Definition 1 yet (ROADMAP "Known
+	// breach"); their rows are byte-compared only.
+	unaudited bool
+	checks    []matrixCheck
 }
 
 // matrixCheck is one variant. By default it is a single in-process run with
@@ -26,7 +31,11 @@ type matrixGroup struct {
 // with the restore flags resumes from its last snapshot. With connect set,
 // flags is a loopback -listen run and a -connect run with the connect flags
 // drives it; the served node's dump and the wire-fetched one are both
-// compared. Every dump a check produces must equal the reference's.
+// compared. Every dump a check produces must equal the reference's, and
+// every run that plays the workload — all but the listeners and the
+// unaudited groups — runs under -check and must report zero oracle
+// violations: the rows are lossless, so the paper's guarantee holds on each
+// of these paths or the row fails.
 type matrixCheck struct {
 	name    string
 	flags   string
@@ -92,10 +101,12 @@ var determinismMatrix = []matrixGroup{
 	},
 	{
 		name: "multiquery-rtp", common: "-tenants 2 -queries 4 -n 100 -events 2000 -protocol rtp", ref: "-shards 1",
-		checks: []matrixCheck{{name: "shards=4", flags: "-shards 4"}},
+		unaudited: true,
+		checks:    []matrixCheck{{name: "shards=4", flags: "-shards 4"}},
 	},
 	{
 		name: "multiquery-rtp-cluster", common: "-tenants 4 -queries 3 -n 120 -events 3000 -protocol rtp", ref: "-shards 2",
+		unaudited: true,
 		checks: []matrixCheck{
 			{name: "cluster=3/migrating", flags: "-shards 2 -cluster 3 -migrate-every 1500"},
 		},
@@ -124,32 +135,46 @@ var determinismMatrix = []matrixGroup{
 }
 
 // simulate runs the command in-process with an -answers dump under dir and
-// returns the dump.
-func simulate(dir string, flags ...string) ([]byte, error) {
-	dump := filepath.Join(dir, "answers.txt")
+// returns the dump and what the run printed.
+func simulate(dir string, flags ...string) (dump []byte, stdout string, err error) {
+	file := filepath.Join(dir, "answers.txt")
 	var args []string
 	for _, f := range flags {
 		args = append(args, strings.Fields(f)...)
 	}
-	if err := run(append(args, "-answers", dump), io.Discard, io.Discard); err != nil {
-		return nil, fmt.Errorf("streamsim %s: %w", strings.Join(args, " "), err)
+	var out bytes.Buffer
+	if err := run(append(args, "-answers", file), &out, io.Discard); err != nil {
+		return nil, "", fmt.Errorf("streamsim %s: %w", strings.Join(args, " "), err)
 	}
-	return os.ReadFile(dump)
+	dump, err = os.ReadFile(file)
+	return dump, out.String(), err
 }
 
-// mustSimulate is simulate for the test's own goroutine.
-func mustSimulate(t *testing.T, flags ...string) []byte {
+// oracleClean matches the oracle line of a run that audited something and
+// found nothing: "0 checks, 0 violations" certifies no path.
+var oracleClean = regexp.MustCompile(`(?m) [1-9][0-9]* checks, 0 violations$`)
+
+// mustSimulate is simulate for the test's own goroutine. With audit set the
+// run is under -check and must hold the paper's guarantee at one sample at
+// least.
+func mustSimulate(t *testing.T, audit bool, flags ...string) []byte {
 	t.Helper()
-	data, err := simulate(t.TempDir(), flags...)
+	if audit {
+		flags = append(flags, "-check")
+	}
+	data, stdout, err := simulate(t.TempDir(), flags...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if audit && !oracleClean.MatchString(stdout) {
+		t.Fatalf("streamsim %s: oracle did not report checks with zero violations:\n%s", strings.Join(flags, " "), stdout)
 	}
 	return data
 }
 
 // loopback serves one -listen run and drives it with one -connect run,
 // returning the served node's dump and the wire-fetched one.
-func loopback(t *testing.T, listen, connect string) (served, fetched []byte) {
+func loopback(t *testing.T, audit bool, listen, connect string) (served, fetched []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	ready := filepath.Join(dir, "ready.txt")
@@ -157,7 +182,7 @@ func loopback(t *testing.T, listen, connect string) (served, fetched []byte) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		served, listenErr = simulate(dir, listen, "-listen 127.0.0.1:0 -ready-file", ready)
+		served, _, listenErr = simulate(dir, listen, "-listen 127.0.0.1:0 -ready-file", ready)
 	}()
 	var addr []byte
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
@@ -174,7 +199,7 @@ func loopback(t *testing.T, listen, connect string) (served, fetched []byte) {
 			t.Fatal("listener never became ready")
 		}
 	}
-	fetched = mustSimulate(t, connect, "-shutdown -connect", string(addr),
+	fetched = mustSimulate(t, audit, connect, "-shutdown -connect", string(addr),
 		"-latency-out", filepath.Join(dir, "latency.json"))
 	<-done
 	if listenErr != nil {
@@ -190,7 +215,8 @@ func TestDeterminismMatrix(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			want := mustSimulate(t, g.common, g.ref)
+			audit := !g.unaudited
+			want := mustSimulate(t, audit, g.common, g.ref)
 			if !bytes.Contains(want, []byte("totals {")) {
 				t.Fatalf("reference dump looks wrong:\n%s", want)
 			}
@@ -202,12 +228,12 @@ func TestDeterminismMatrix(t *testing.T) {
 				switch {
 				case c.restore != "":
 					snap := filepath.Join(t.TempDir(), "cut.snap")
-					dumps["snapshotting"] = mustSimulate(t, g.common, c.flags, "-snapshot-file", snap)
-					dumps["restored"] = mustSimulate(t, g.common, c.restore, "-restore", snap)
+					dumps["snapshotting"] = mustSimulate(t, audit, g.common, c.flags, "-snapshot-file", snap)
+					dumps["restored"] = mustSimulate(t, audit, g.common, c.restore, "-restore", snap)
 				case c.connect != "":
-					dumps["served"], dumps["wire-fetched"] = loopback(t, g.common+" "+c.flags, g.common+" "+c.connect)
+					dumps["served"], dumps["wire-fetched"] = loopback(t, audit, g.common+" "+c.flags, g.common+" "+c.connect)
 				default:
-					dumps["run"] = mustSimulate(t, g.common, c.flags)
+					dumps["run"] = mustSimulate(t, audit, g.common, c.flags)
 				}
 				for what, got := range dumps {
 					if !bytes.Equal(got, want) {
@@ -223,21 +249,19 @@ func TestDeterminismMatrix(t *testing.T) {
 // TestSingleSimulationCheck drives the protospec-compiled single-simulation
 // path under the oracle for every 1-D protocol.
 func TestSingleSimulationCheck(t *testing.T) {
-	cases := []struct {
-		name, flags string
-		guaranteed  bool
-	}{
-		{"no-filter", "-protocol no-filter", true},
-		{"zt-nrp", "-protocol zt-nrp", true},
-		{"ft-nrp", "-protocol ft-nrp -eps 0.2", true},
-		{"ft-nrp-random", "-protocol ft-nrp -eps 0.2 -selection random", true},
-		{"rtp", "-protocol rtp -k 10 -r 4", true},
-		{"rtp-top", "-protocol rtp -k 10 -r 4 -top", true},
-		{"zt-rp", "-protocol zt-rp -k 10", true},
-		{"ft-rp", "-protocol ft-rp -k 10 -eps 0.3 -selection boundary", true},
-		{"ft-rp-random", "-protocol ft-rp -k 10 -eps 0.3 -selection random", true},
-		// The value-based baseline offers no rank guarantee; it only has to run.
-		{"vb-knn", "-protocol vb-knn -k 10 -width 40", false},
+	cases := []struct{ name, flags string }{
+		{"no-filter", "-protocol no-filter"},
+		{"zt-nrp", "-protocol zt-nrp"},
+		{"ft-nrp", "-protocol ft-nrp -eps 0.2"},
+		{"ft-nrp-random", "-protocol ft-nrp -eps 0.2 -selection random"},
+		{"rtp", "-protocol rtp -k 10 -r 4"},
+		{"rtp-top", "-protocol rtp -k 10 -r 4 -top"},
+		{"zt-rp", "-protocol zt-rp -k 10"},
+		{"ft-rp", "-protocol ft-rp -k 10 -eps 0.3 -selection boundary"},
+		{"ft-rp-random", "-protocol ft-rp -k 10 -eps 0.3 -selection random"},
+		// The value-based baseline promises no rank, only that no member is
+		// more than the width farther than the true k-th nearest.
+		{"vb-knn", "-protocol vb-knn -k 10 -width 40"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -247,11 +271,8 @@ func TestSingleSimulationCheck(t *testing.T) {
 			if err := run(args, &out, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(out.String(), " checks, ") {
-				t.Fatalf("no oracle line in:\n%s", &out)
-			}
-			if tc.guaranteed && !strings.Contains(out.String(), " checks, 0 violations\n") {
-				t.Fatalf("oracle violations:\n%s", &out)
+			if !oracleClean.MatchString(out.String()) {
+				t.Fatalf("oracle did not report checks with zero violations:\n%s", &out)
 			}
 		})
 	}

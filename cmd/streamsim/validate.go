@@ -113,6 +113,8 @@ func (p simParams) validate() error {
 		return fmt.Errorf("-rate, -latency-out and -shutdown need -connect")
 	case p.ReadyFile != "" && p.Listen == "":
 		return fmt.Errorf("-ready-file needs -listen")
+	case p.Check && p.Listen != "":
+		return fmt.Errorf("-check audits against the workload's ground truth, which a listener never sees (it applies what clients send); pass -check to the -connect side")
 	case p.wireMode() && (p.SnapEvery > 0 || p.Restore != ""):
 		return fmt.Errorf("snapshots are driven by the node owner's local flags, not over the wire; drop -snapshot-every/-restore from -listen/-connect runs")
 	}

@@ -103,6 +103,7 @@ func TestValidateRejects(t *testing.T) {
 		{"cluster-and-connect", func(p *simParams) { p.Cluster, p.Connect = 2, ":1" }, "mutually exclusive"},
 		{"cluster-and-snapshot", func(p *simParams) { p.Tenants, p.Cluster, p.SnapEvery = 2, 2, 100 }, "-cluster runs"},
 		{"ready-file-without-listen", func(p *simParams) { p.ReadyFile = "addr.txt" }, "-ready-file needs -listen"},
+		{"listen-check", func(p *simParams) { p.Tenants, p.Listen, p.Check = 4, ":1", true }, "a listener never sees"},
 		{"zero-ingesters", func(p *simParams) { p.Ingesters = 0 }, "-ingesters must"},
 		{"ingesters-over-wire", func(p *simParams) { p.Tenants, p.Listen, p.Ingesters = 2, ":1", 2 }, "use -conns"},
 		{"ingesters-with-cluster", func(p *simParams) { p.Tenants, p.Cluster, p.Ingesters = 2, 2, 2 }, "drop -ingesters"},

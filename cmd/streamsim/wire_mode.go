@@ -67,7 +67,7 @@ func runListen(p simParams, stdout io.Writer) error {
 	// The driver goroutine has exited (Wait synchronizes with it), so the
 	// node is ours to inspect again.
 	fmt.Fprintf(stdout, "served:     %d events applied\n", node.TotalEvents())
-	return p.finish(stdout, node.Report())
+	return p.finish(stdout, node.Report(), ts)
 }
 
 // sendRec records one in-flight batch: its intended deadline and event
@@ -250,7 +250,7 @@ func runConnect(p simParams, stdout io.Writer) error {
 		wc.start = start
 		lanes[c] = wc
 	}
-	res, err := play(lanes, conns, ts.iters, p.Batch, 0, nil)
+	res, err := p.play(lanes, conns, ts, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -288,7 +288,7 @@ func runConnect(p simParams, stdout io.Writer) error {
 			time.Duration(p99).Round(time.Microsecond),
 			time.Duration(p999).Round(time.Microsecond), len(samples))
 	}
-	if err := p.finish(stdout, res.report); err != nil {
+	if err := p.finish(stdout, res.report, ts); err != nil {
 		return err
 	}
 	if p.LatencyOut != "" {

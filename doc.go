@@ -3,8 +3,8 @@
 // Kwan, Tu; VLDB 2005).
 //
 // The implementation lives under internal/: the paper's protocols in
-// internal/core, the distributed-stream substrate in internal/sim,
-// internal/stream, internal/server and internal/comm, the evaluation
+// internal/core, the distributed-stream substrate in internal/stream,
+// internal/server and internal/comm, the evaluation
 // harness in internal/experiment, and the workload generators in
 // internal/workload; the sharded multi-tenant serving layer is
 // internal/runtime. See README.md for a tour and DESIGN.md for the system

@@ -13,6 +13,7 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -49,7 +50,7 @@ func main() {
 	var rtp *core.RTP
 	res := experiment.Run(experiment.Config{
 		Workload: w,
-		Check:    experiment.CheckRank(query.Top(), tol, 25),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.Rank(query.Top(), tol), 25),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			rtp = core.NewRTP(c, query.Top(), tol)
 			return rtp

@@ -10,6 +10,7 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -39,7 +40,7 @@ func main() {
 			NewProtocol: build,
 			Seed:        1,
 			// Validate every answer against ground truth while running.
-			Check: experiment.CheckFractionRange(rng, tol, 1),
+			Check: oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, tol), 1),
 		})
 		fmt.Printf("%-22s %8d events %8d maintenance messages  (violations: %d)\n",
 			name, res.Events, res.MaintMessages, res.Violations)

@@ -65,7 +65,7 @@ func (o Options) ctx() context.Context {
 
 // RunCells executes every cell under o's worker policy and returns outputs
 // positionally: out[i] is cells[i]'s result regardless of completion order,
-// so assembling a metrics.Table from the slice is deterministic for any
+// so assembling a Table from the slice is deterministic for any
 // worker count.
 //
 // Workers <= 1 runs the cells inline in index order; larger pools fan the

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"adaptivefilters/internal/metrics"
 )
 
 // TestParallelMatchesSequential is the engine's core guarantee: the same
@@ -15,7 +13,7 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	figs := []struct {
 		name string
-		run  func(Options) *metrics.Table
+		run  func(Options) *Table
 	}{
 		{"Figure9", Figure9},
 		{"Figure14", Figure14},

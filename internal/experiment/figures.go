@@ -7,7 +7,8 @@ import (
 	"sort"
 
 	"adaptivefilters/internal/core"
-	"adaptivefilters/internal/metrics"
+	"adaptivefilters/internal/oracle"
+	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -36,9 +37,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// DefaultOptions returns Scale 1, seed 1, sequential execution.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
-
 func (o Options) scaled(base int) int {
 	s := o.Scale
 	if s <= 0 {
@@ -51,21 +49,66 @@ func (o Options) scaled(base int) int {
 	return n
 }
 
-func (o Options) every() int {
-	if o.CheckEvery > 0 {
-		return o.CheckEvery
-	}
-	return 1
+// specCell is the figure cell that serves one declarative spec over w and
+// reports its maintenance messages. An audited cell runs, under
+// Options.Check, against the guarantee the same spec sells, sampled every
+// CheckEvery events.
+func (o Options) specCell(fig, row, col int, w workload.Workload, s protospec.Spec, audited bool) Cell {
+	return Cell{Figure: fig, Row: row, Col: col, Run: func(seed int64) CellOut {
+		build, err := s.Factory()
+		must(err)
+		cfg := Config{Workload: w, Seed: seed, NewProtocol: build}
+		if audited && o.Check {
+			g, err := s.Guarantee()
+			must(err)
+			cfg.Check = oracle.NewAuditor(w.Initial(), g, max(o.CheckEvery, 1))
+		}
+		res := Run(cfg)
+		return CellOut{Value: res.MaintMessages, Violations: res.Violations}
+	}}
+}
+
+// ftnrp is the figures' FT-NRP over the range [400,600] (boundary-nearest
+// selection unless the caller says otherwise).
+func ftnrp(epsPlus, epsMinus float64) protospec.Spec {
+	return protospec.Spec{Protocol: "ft-nrp", Lo: 400, Hi: 600, EpsPlus: epsPlus, EpsMinus: epsMinus}
 }
 
 // epsGrid is the tolerance axis used throughout the paper's figures.
 var epsGrid = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 
+// epsHeads heads one table row per epsGrid entry.
+func epsHeads() [][]any {
+	heads := make([][]any, len(epsGrid))
+	for i, e := range epsGrid {
+		heads[i] = []any{fmt.Sprintf("%.1f", e)}
+	}
+	return heads
+}
+
+// addGrid fills t from a grid of cells: one row per head — its own cells,
+// then the next len(out)/len(heads) values of out, row-major. For an
+// audited grid under Options.Check it adds the note summing the cells'
+// oracle violations.
+func (o Options) addGrid(t *Table, heads [][]any, out []CellOut, audited bool) {
+	cols, violations := len(out)/len(heads), 0
+	for ri, head := range heads {
+		for _, c := range out[ri*cols : (ri+1)*cols] {
+			head = append(head, c.Value)
+			violations += c.Violations
+		}
+		t.AddRow(head...)
+	}
+	if audited && o.Check {
+		t.AddNote("oracle violations across all cells: %d", violations)
+	}
+}
+
 // Figure is one reproducible experiment from the paper's evaluation.
 type Figure struct {
 	ID    int
 	Title string
-	Run   func(Options) *metrics.Table
+	Run   func(Options) *Table
 }
 
 // Figures returns the registry of all reproduced figures in order.
@@ -122,7 +165,7 @@ func synWorkload(o Options, sigma float64, events int) workload.Workload {
 // Figure9 reproduces "RTP: Effect of r": maintenance messages of the
 // rank-based tolerance protocol for a continuous top-k query as the rank
 // slack r grows, against the no-filter baseline.
-func Figure9(o Options) *metrics.Table {
+func Figure9(o Options) *Table {
 	conns := o.scaled(40_000)
 	w := tcpWorkload(o, 800, conns)
 	rs := []int{0, 1, 2, 3, 5, 8, 12, 16, 20}
@@ -139,17 +182,8 @@ func Figure9(o Options) *metrics.Table {
 	}})
 	for ri, r := range rs {
 		for ci, k := range ks {
-			cells = append(cells, Cell{Figure: 9, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				var chk *CheckSpec
-				if o.Check {
-					chk = CheckRank(query.Top(), core.RankTolerance{K: k, R: r}, o.every())
-				}
-				res := Run(Config{Workload: w, Check: chk, Seed: seed,
-					NewProtocol: func(c server.Host, _ int64) server.Protocol {
-						return core.NewRTP(c, query.Top(), core.RankTolerance{K: k, R: r})
-					}})
-				return CellOut{Value: res.MaintMessages, Violations: res.Violations}
-			}})
+			rtp := protospec.Spec{Protocol: "rtp", K: k, R: r, Top: true}
+			cells = append(cells, o.specCell(9, ri, ci, w, rtp, true))
 		}
 	}
 	out := RunCells(o, cells)
@@ -161,46 +195,23 @@ func Figure9(o Options) *metrics.Table {
 	for _, k := range ks {
 		cols = append(cols, fmt.Sprintf("k=%d", k))
 	}
-	t := metrics.NewTable("Figure 9 — RTP: effect of r (maintenance messages)", cols...)
+	t := NewTable("Figure 9 — RTP: effect of r (maintenance messages)", cols...)
 	t.AddNote("workload %s, %d events; top-k query (q=+inf)", w.Name(), base.Events)
-	violations := 0
-	idx := 1
-	for _, r := range rs {
-		row := []any{r, base.MaintMessages}
-		for range ks {
-			row = append(row, out[idx].Value)
-			violations += out[idx].Violations
-			idx++
-		}
-		t.AddRow(row...)
+	heads := make([][]any, len(rs))
+	for i, r := range rs {
+		heads[i] = []any{r, base.MaintMessages}
 	}
-	if o.Check {
-		t.AddNote("oracle violations across all cells: %d", violations)
-	}
+	o.addGrid(t, heads, out[1:], true)
 	return t
 }
 
 // --- Figures 10 and 12 ------------------------------------------------------
 
-func ftnrpGrid(o Options, figID int, w workload.Workload, title string) *metrics.Table {
-	rng := query.NewRange(400, 600)
+func ftnrpGrid(o Options, figID int, w workload.Workload, title string) *Table {
 	cells := make([]Cell, 0, len(epsGrid)*len(epsGrid))
 	for ri, ep := range epsGrid {
 		for ci, em := range epsGrid {
-			tol := core.FractionTolerance{EpsPlus: ep, EpsMinus: em}
-			cells = append(cells, Cell{Figure: figID, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				var chk *CheckSpec
-				if o.Check {
-					chk = CheckFractionRange(rng, tol, o.every())
-				}
-				res := Run(Config{Workload: w, Check: chk, Seed: seed,
-					NewProtocol: func(c server.Host, seed int64) server.Protocol {
-						return core.NewFTNRP(c, rng, core.FTNRPConfig{
-							Tol: tol, Selection: core.SelectBoundaryNearest, Seed: seed,
-						})
-					}})
-				return CellOut{Value: res.MaintMessages, Violations: res.Violations}
-			}})
+			cells = append(cells, o.specCell(figID, ri, ci, w, ftnrp(ep, em), true))
 		}
 	}
 	out := RunCells(o, cells)
@@ -209,33 +220,20 @@ func ftnrpGrid(o Options, figID int, w workload.Workload, title string) *metrics
 	for _, em := range epsGrid {
 		cols = append(cols, fmt.Sprintf("%.1f", em))
 	}
-	t := metrics.NewTable(title, cols...)
+	t := NewTable(title, cols...)
 	t.AddNote("workload %s; cells are maintenance messages of FT-NRP", w.Name())
-	violations := 0
-	idx := 0
-	for _, ep := range epsGrid {
-		row := []any{fmt.Sprintf("%.1f", ep)}
-		for range epsGrid {
-			row = append(row, out[idx].Value)
-			violations += out[idx].Violations
-			idx++
-		}
-		t.AddRow(row...)
-	}
-	if o.Check {
-		t.AddNote("oracle violations across all cells: %d", violations)
-	}
+	o.addGrid(t, epsHeads(), out, true)
 	return t
 }
 
 // Figure10 reproduces the TCP-data FT-NRP tolerance surface.
-func Figure10(o Options) *metrics.Table {
+func Figure10(o Options) *Table {
 	w := tcpWorkload(o, 800, o.scaled(40_000))
 	return ftnrpGrid(o, 10, w, "Figure 10 — FT-NRP: effect of ε⁺/ε⁻ (TCP-like)")
 }
 
 // Figure12 reproduces the synthetic-data FT-NRP tolerance surface.
-func Figure12(o Options) *metrics.Table {
+func Figure12(o Options) *Table {
 	w := synWorkload(o, 20, o.scaled(100_000))
 	return ftnrpGrid(o, 12, w, "Figure 12 — FT-NRP: effect of ε⁺/ε⁻ (synthetic)")
 }
@@ -245,8 +243,7 @@ func Figure12(o Options) *metrics.Table {
 // Figure11 reproduces FT-NRP scalability: maintenance messages against the
 // number of streams for several symmetric tolerances (ε⁺=ε⁻=ε; ε=0 is
 // ZT-NRP).
-func Figure11(o Options) *metrics.Table {
-	rng := query.NewRange(400, 600)
+func Figure11(o Options) *Table {
 	ns := []int{200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000}
 	eps := []float64{0, 0.2, 0.3, 0.4, 0.5}
 
@@ -256,21 +253,12 @@ func Figure11(o Options) *metrics.Table {
 	}
 	cells := make([]Cell, 0, len(ns)*len(eps))
 	for ri := range ns {
-		w := ws[ri]
 		for ci, e := range eps {
-			tol := core.FractionTolerance{EpsPlus: e, EpsMinus: e}
-			cells = append(cells, Cell{Figure: 11, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				res := Run(Config{Workload: w, Seed: seed,
-					NewProtocol: func(c server.Host, seed int64) server.Protocol {
-						if tol.Zero() {
-							return core.NewZTNRP(c, rng)
-						}
-						return core.NewFTNRP(c, rng, core.FTNRPConfig{
-							Tol: tol, Selection: core.SelectBoundaryNearest, Seed: seed,
-						})
-					}})
-				return CellOut{Value: res.MaintMessages}
-			}})
+			spec := ftnrp(e, e)
+			if e == 0 {
+				spec.Protocol = "zt-nrp"
+			}
+			cells = append(cells, o.specCell(11, ri, ci, ws[ri], spec, false))
 		}
 	}
 	out := RunCells(o, cells)
@@ -279,17 +267,13 @@ func Figure11(o Options) *metrics.Table {
 	for _, e := range eps {
 		cols = append(cols, fmt.Sprintf("ε=%.1f", e))
 	}
-	t := metrics.NewTable("Figure 11 — FT-NRP scalability (maintenance messages)", cols...)
+	t := NewTable("Figure 11 — FT-NRP scalability (maintenance messages)", cols...)
 	t.AddNote("TCP-like workload, 50 connections per subnet on average")
-	idx := 0
-	for _, n := range ns {
-		row := []any{n}
-		for range eps {
-			row = append(row, out[idx].Value)
-			idx++
-		}
-		t.AddRow(row...)
+	heads := make([][]any, len(ns))
+	for i, n := range ns {
+		heads[i] = []any{n}
 	}
+	o.addGrid(t, heads, out, false)
 	return t
 }
 
@@ -297,8 +281,7 @@ func Figure11(o Options) *metrics.Table {
 
 // Figure13 reproduces the data-fluctuation experiment: FT-NRP maintenance
 // messages against symmetric tolerance for several random-walk deviations σ.
-func Figure13(o Options) *metrics.Table {
-	rng := query.NewRange(400, 600)
+func Figure13(o Options) *Table {
 	sigmas := []float64{20, 40, 60, 80, 100}
 	events := o.scaled(100_000)
 
@@ -308,18 +291,8 @@ func Figure13(o Options) *metrics.Table {
 	}
 	cells := make([]Cell, 0, len(epsGrid)*len(sigmas))
 	for ri, e := range epsGrid {
-		tol := core.FractionTolerance{EpsPlus: e, EpsMinus: e}
 		for ci := range sigmas {
-			w := ws[ci]
-			cells = append(cells, Cell{Figure: 13, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				res := Run(Config{Workload: w, Seed: seed,
-					NewProtocol: func(c server.Host, seed int64) server.Protocol {
-						return core.NewFTNRP(c, rng, core.FTNRPConfig{
-							Tol: tol, Selection: core.SelectBoundaryNearest, Seed: seed,
-						})
-					}})
-				return CellOut{Value: res.MaintMessages}
-			}})
+			cells = append(cells, o.specCell(13, ri, ci, ws[ci], ftnrp(e, e), false))
 		}
 	}
 	out := RunCells(o, cells)
@@ -328,16 +301,8 @@ func Figure13(o Options) *metrics.Table {
 	for _, s := range sigmas {
 		cols = append(cols, fmt.Sprintf("σ=%.0f", s))
 	}
-	t := metrics.NewTable("Figure 13 — FT-NRP: data fluctuation (synthetic)", cols...)
-	idx := 0
-	for _, e := range epsGrid {
-		row := []any{fmt.Sprintf("%.1f", e)}
-		for range sigmas {
-			row = append(row, out[idx].Value)
-			idx++
-		}
-		t.AddRow(row...)
-	}
+	t := NewTable("Figure 13 — FT-NRP: data fluctuation (synthetic)", cols...)
+	o.addGrid(t, epsHeads(), out, false)
 	return t
 }
 
@@ -345,40 +310,24 @@ func Figure13(o Options) *metrics.Table {
 
 // Figure14 reproduces the selection-heuristic comparison: random vs
 // boundary-nearest assignment of the silent filters.
-func Figure14(o Options) *metrics.Table {
-	rng := query.NewRange(400, 600)
+func Figure14(o Options) *Table {
 	w := synWorkload(o, 20, o.scaled(100_000))
-	sels := []core.Selection{core.SelectRandom, core.SelectBoundaryNearest}
+	sels := []string{protospec.SelectRandom, protospec.SelectBoundary}
 
 	cells := make([]Cell, 0, len(epsGrid)*len(sels))
 	for ri, e := range epsGrid {
-		tol := core.FractionTolerance{EpsPlus: e, EpsMinus: e}
 		for ci, sel := range sels {
-			cells = append(cells, Cell{Figure: 14, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				res := Run(Config{Workload: w, Seed: seed,
-					NewProtocol: func(c server.Host, seed int64) server.Protocol {
-						return core.NewFTNRP(c, rng, core.FTNRPConfig{
-							Tol: tol, Selection: sel, Seed: seed,
-						})
-					}})
-				return CellOut{Value: res.MaintMessages}
-			}})
+			spec := ftnrp(e, e)
+			spec.Selection = sel
+			cells = append(cells, o.specCell(14, ri, ci, w, spec, false))
 		}
 	}
 	out := RunCells(o, cells)
 
-	t := metrics.NewTable("Figure 14 — FT-NRP: selection heuristics (synthetic)",
+	t := NewTable("Figure 14 — FT-NRP: selection heuristics (synthetic)",
 		"ε⁺=ε⁻", "random", "boundary-nearest")
 	t.AddNote("workload %s", w.Name())
-	idx := 0
-	for _, e := range epsGrid {
-		row := []any{fmt.Sprintf("%.1f", e)}
-		for range sels {
-			row = append(row, out[idx].Value)
-			idx++
-		}
-		t.AddRow(row...)
-	}
+	o.addGrid(t, epsHeads(), out, false)
 	return t
 }
 
@@ -386,31 +335,20 @@ func Figure14(o Options) *metrics.Table {
 
 // Figure15 reproduces the k-NN tolerance experiment: ZT-RP at ε=0 against
 // FT-RP for growing symmetric tolerance, for several k.
-func Figure15(o Options) *metrics.Table {
+func Figure15(o Options) *Table {
 	ks := []int{20, 60, 100}
 	w := synWorkload(o, 20, o.scaled(30_000))
-	q := query.At(500)
 
 	cells := make([]Cell, 0, len(epsGrid)*len(ks))
 	for ri, e := range epsGrid {
-		tol := core.FractionTolerance{EpsPlus: e, EpsMinus: e}
 		for ci, k := range ks {
-			cells = append(cells, Cell{Figure: 15, Row: ri, Col: ci, Run: func(seed int64) CellOut {
-				var chk *CheckSpec
-				if o.Check && e > 0 {
-					chk = CheckFractionKNN(query.KNN{Q: q, K: k}, tol, o.every())
-				}
-				res := Run(Config{Workload: w, Check: chk, Seed: seed,
-					NewProtocol: func(c server.Host, seed int64) server.Protocol {
-						if tol.Zero() {
-							return core.NewZTRP(c, q, k)
-						}
-						cfg := core.DefaultFTRPConfig(tol)
-						cfg.Seed = seed
-						return core.NewFTRP(c, q, k, cfg)
-					}})
-				return CellOut{Value: res.MaintMessages, Violations: res.Violations}
-			}})
+			// Only the FT-RP rows are audited, against the fraction tolerance
+			// the figure is about.
+			spec := protospec.Spec{Protocol: "ft-rp", Q: 500, K: k, EpsPlus: e, EpsMinus: e}
+			if e == 0 {
+				spec.Protocol = "zt-rp"
+			}
+			cells = append(cells, o.specCell(15, ri, ci, w, spec, e > 0))
 		}
 	}
 	out := RunCells(o, cells)
@@ -419,29 +357,16 @@ func Figure15(o Options) *metrics.Table {
 	for _, k := range ks {
 		cols = append(cols, fmt.Sprintf("k=%d", k))
 	}
-	t := metrics.NewTable("Figure 15 — ZT-RP/FT-RP: effect of ε⁺/ε⁻ (maintenance messages, log-scale in paper)", cols...)
+	t := NewTable("Figure 15 — ZT-RP/FT-RP: effect of ε⁺/ε⁻ (maintenance messages, log-scale in paper)", cols...)
 	t.AddNote("workload %s; k-NN query point q=500; ε=0 row is ZT-RP", w.Name())
-	violations := 0
-	idx := 0
-	for _, e := range epsGrid {
-		row := []any{fmt.Sprintf("%.1f", e)}
-		for range ks {
-			row = append(row, out[idx].Value)
-			violations += out[idx].Violations
-			idx++
-		}
-		t.AddRow(row...)
-	}
-	if o.Check {
-		t.AddNote("oracle violations across all cells: %d", violations)
-	}
+	o.addGrid(t, epsHeads(), out, true)
 	return t
 }
 
 // --- shape helpers for reports and tests ------------------------------------
 
 // ColumnUint extracts a numeric column (by header name) from a table.
-func ColumnUint(t *metrics.Table, col string) ([]uint64, error) {
+func ColumnUint(t *Table, col string) ([]uint64, error) {
 	idx := -1
 	for i, c := range t.Cols {
 		if c == col {

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"testing"
-
-	"adaptivefilters/internal/metrics"
-)
+import "testing"
 
 // tiny returns options small enough for unit tests but large enough for the
 // paper's qualitative shapes to emerge.
@@ -61,7 +57,7 @@ func TestFigure9Shape(t *testing.T) {
 func TestFigure10And12Shape(t *testing.T) {
 	for _, fig := range []struct {
 		name string
-		run  func(Options) *metrics.Table
+		run  func(Options) *Table
 	}{
 		{"Figure10", Figure10},
 		{"Figure12", Figure12},

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"adaptivefilters/internal/metrics"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden tables under testdata/")
@@ -22,7 +20,7 @@ var goldenWorkers = flag.Int("golden-workers", 0, "cell-engine workers for golde
 // with `go test ./internal/experiment -run TestGolden -update`.
 func goldenOpts() Options { return Options{Scale: 0.02, Seed: 1, Workers: *goldenWorkers} }
 
-func checkGolden(t *testing.T, name string, tbl *metrics.Table) {
+func checkGolden(t *testing.T, name string, tbl *Table) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")
 	got := tbl.String()

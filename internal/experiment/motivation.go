@@ -4,19 +4,10 @@ import (
 	"fmt"
 
 	"adaptivefilters/internal/core"
-	"adaptivefilters/internal/metrics"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/workload"
 )
-
-// rankQuality is the per-row payload of the Figure 1 cells.
-type rankQuality struct {
-	msgs    uint64
-	worst   int
-	violPct float64
-}
 
 // Figure1 quantifies the paper's Figure 1 motivation: value-based tolerance
 // is the wrong knob for an entity-based query. A continuous top-k query is
@@ -30,7 +21,7 @@ type rankQuality struct {
 // ε_v keeps ranks tight but forfeits the message savings, large ε_v saves
 // messages but returns streams that "rank far from the true maximum"; RTP
 // gets the savings *with* the rank guarantee.
-func Figure1(o Options) *metrics.Table {
+func Figure1(o Options) *Table {
 	conns := o.scaled(40_000)
 	w := tcpWorkload(o, 800, conns)
 	const (
@@ -41,93 +32,50 @@ func Figure1(o Options) *metrics.Table {
 	widths := []float64{0, 100, 1_000, 10_000, 100_000}
 	slacks := []int{r, 5}
 
-	cells := make([]Cell, 0, len(widths)+len(slacks))
-	for ri, width := range widths {
-		cells = append(cells, Cell{Figure: 1, Row: ri, Col: 0, Run: func(seed int64) CellOut {
-			q := runRankQuality(w, tol, func(c server.Host, _ int64) server.Protocol {
-				return core.NewVBKNN(c, query.TopK(k), width)
-			}, seed)
-			return CellOut{Value: q}
-		}})
+	// Every row is one Run held to an explicit rank guarantee, sampled every
+	// few events whether or not Options.Check is set: for the value rows that
+	// is a promise VB-kNN never made, and measuring how badly it misses it is
+	// the figure.
+	const sampleEvery = 10
+	cell := func(row int, tol core.RankTolerance, build func(server.Host, int64) server.Protocol) Cell {
+		return Cell{Figure: 1, Row: row, Col: 0, Run: func(seed int64) CellOut {
+			aud := oracle.NewAuditor(w.Initial(), oracle.Rank(query.Top(), tol), sampleEvery)
+			return CellOut{Value: Run(Config{Workload: w, Seed: seed, Check: aud, NewProtocol: build})}
+		}}
 	}
-	for ri, rr := range slacks {
+	cells := make([]Cell, 0, len(widths)+len(slacks))
+	for _, width := range widths {
+		cells = append(cells, cell(len(cells), tol, func(c server.Host, _ int64) server.Protocol {
+			return core.NewVBKNN(c, query.TopK(k), width)
+		}))
+	}
+	for _, rr := range slacks {
 		rtol := core.RankTolerance{K: k, R: rr}
-		cells = append(cells, Cell{Figure: 1, Row: len(widths) + ri, Col: 0, Run: func(seed int64) CellOut {
-			q := runRankQuality(w, rtol, func(c server.Host, _ int64) server.Protocol {
-				return core.NewRTP(c, query.Top(), rtol)
-			}, seed)
-			return CellOut{Value: q}
-		}})
+		cells = append(cells, cell(len(cells), rtol, func(c server.Host, _ int64) server.Protocol {
+			return core.NewRTP(c, query.Top(), rtol)
+		}))
 	}
 	out := RunCells(o, cells)
 
-	t := metrics.NewTable(
+	t := NewTable(
 		"Figure 1 (motivation) — value-based vs rank-based tolerance (top-k, TCP-like)",
 		"method", "maint msgs", "worst rank", "rank>k+r (% of checks)")
 	t.AddNote("k=%d, rank tolerance ε=k+r=%d; workload %s", k, tol.Eps(), w.Name())
 	// Comma-ok: on context cancellation unstarted cells hold nil Values and
 	// the table is abandoned by the caller; don't panic assembling it.
+	row := func(i int, method string) {
+		res, _ := out[i].Value.(Result)
+		violPct := 0.0
+		if res.Checks > 0 {
+			violPct = 100 * float64(res.Violations) / float64(res.Checks)
+		}
+		t.AddRow(method, res.MaintMessages, res.WorstRank, fmt.Sprintf("%.1f", violPct))
+	}
 	for i, width := range widths {
-		q, _ := out[i].Value.(rankQuality)
-		t.AddRow(fmt.Sprintf("value ε_v=%g", width), q.msgs, q.worst, fmt.Sprintf("%.1f", q.violPct))
+		row(i, fmt.Sprintf("value ε_v=%g", width))
 	}
 	for i, rr := range slacks {
-		q, _ := out[len(widths)+i].Value.(rankQuality)
-		t.AddRow(fmt.Sprintf("rank r=%d (RTP)", rr), q.msgs, q.worst, fmt.Sprintf("%.1f", q.violPct))
+		row(len(widths)+i, fmt.Sprintf("rank r=%d (RTP)", rr))
 	}
 	return t
-}
-
-// runRankQuality drives one protocol over the workload, sampling the true
-// rank quality of its answers every few events. The seed is handed to the
-// protocol constructor so randomized protocols stay cell-reproducible.
-func runRankQuality(w workload.Workload, tol core.RankTolerance,
-	build func(c server.Host, seed int64) server.Protocol, seed int64) rankQuality {
-
-	initial := w.Initial()
-	cluster := server.NewCluster(initial)
-	proto := build(cluster, seed)
-	cluster.SetProtocol(proto)
-	chk := oracle.New(initial)
-	cluster.Initialize()
-
-	var q rankQuality
-	const sampleEvery = 10
-	checks, violations := 0, 0
-	events := 0
-	it := w.Events()
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
-		events++
-		chk.Apply(ev.Stream, ev.Value)
-		cluster.Deliver(ev.Stream, ev.Value)
-		if events%sampleEvery != 0 {
-			continue
-		}
-		checks++
-		bad := false
-		for _, id := range proto.Answer() {
-			rank, ok := chk.Index().RankOf(id, query.Top())
-			if !ok {
-				continue
-			}
-			if rank > q.worst {
-				q.worst = rank
-			}
-			if rank > tol.Eps() {
-				bad = true
-			}
-		}
-		if bad {
-			violations++
-		}
-	}
-	if checks > 0 {
-		q.violPct = 100 * float64(violations) / float64(checks)
-	}
-	q.msgs = cluster.Counter().Maintenance()
-	return q
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
@@ -25,55 +26,55 @@ func TestProtocolsSatisfyTolerance(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		check *CheckSpec
+		sells oracle.Guarantee
 		build func(c server.Host, seed int64) server.Protocol
 	}{
 		{"no-filter-range",
-			CheckFractionRange(rng, core.FractionTolerance{}, 1),
+			oracle.FractionRange(rng, core.FractionTolerance{}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewNoFilterRange(c, rng)
 			}},
 		{"no-filter-knn",
-			CheckRank(q, core.RankTolerance{K: 10}, 1),
+			oracle.Rank(q, core.RankTolerance{K: 10}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewNoFilterKNN(c, query.KNN{Q: q, K: 10})
 			}},
 		{"zt-nrp",
-			CheckFractionRange(rng, core.FractionTolerance{}, 1),
+			oracle.FractionRange(rng, core.FractionTolerance{}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewZTNRP(c, rng)
 			}},
 		{"zt-rp",
-			CheckRank(q, core.RankTolerance{K: 8}, 1),
+			oracle.Rank(q, core.RankTolerance{K: 8}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewZTRP(c, q, 8)
 			}},
 		{"rtp",
-			CheckRank(q, core.RankTolerance{K: 6, R: 3}, 1),
+			oracle.Rank(q, core.RankTolerance{K: 6, R: 3}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewRTP(c, q, core.RankTolerance{K: 6, R: 3})
 			}},
 		{"rtp-top",
-			CheckRank(query.Top(), core.RankTolerance{K: 5, R: 2}, 1),
+			oracle.Rank(query.Top(), core.RankTolerance{K: 5, R: 2}),
 			func(c server.Host, _ int64) server.Protocol {
 				return core.NewRTP(c, query.Top(), core.RankTolerance{K: 5, R: 2})
 			}},
 		{"ft-nrp-boundary",
-			CheckFractionRange(rng, frac, 1),
+			oracle.FractionRange(rng, frac),
 			func(c server.Host, seed int64) server.Protocol {
 				return core.NewFTNRP(c, rng, core.FTNRPConfig{
 					Tol: frac, Selection: core.SelectBoundaryNearest, Seed: seed,
 				})
 			}},
 		{"ft-nrp-random",
-			CheckFractionRange(rng, frac, 1),
+			oracle.FractionRange(rng, frac),
 			func(c server.Host, seed int64) server.Protocol {
 				return core.NewFTNRP(c, rng, core.FTNRPConfig{
 					Tol: frac, Selection: core.SelectRandom, Seed: seed,
 				})
 			}},
 		{"ft-nrp-asymmetric",
-			CheckFractionRange(rng, core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.1}, 1),
+			oracle.FractionRange(rng, core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.1}),
 			func(c server.Host, seed int64) server.Protocol {
 				return core.NewFTNRP(c, rng, core.FTNRPConfig{
 					Tol:       core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.1},
@@ -81,7 +82,7 @@ func TestProtocolsSatisfyTolerance(t *testing.T) {
 				})
 			}},
 		{"ft-rp",
-			CheckFractionKNN(query.KNN{Q: q, K: 10}, frac, 1),
+			oracle.FractionKNN(query.KNN{Q: q, K: 10}, frac),
 			func(c server.Host, seed int64) server.Protocol {
 				cfg := core.DefaultFTRPConfig(frac)
 				cfg.Seed = seed
@@ -105,7 +106,7 @@ func TestProtocolsSatisfyTolerance(t *testing.T) {
 					}
 					res := Run(Config{
 						Workload:    w,
-						Check:       tc.check,
+						Check:       oracle.NewAuditor(w.Initial(), tc.sells, 1),
 						Seed:        sim.DeriveSeed(wseed, 1),
 						NewProtocol: tc.build,
 					})
@@ -115,7 +116,7 @@ func TestProtocolsSatisfyTolerance(t *testing.T) {
 					}
 					if res.Violations != 0 {
 						t.Fatalf("%s: %d/%d checks violated tolerance; first: %s",
-							id, res.Violations, res.Checks, res.FirstViolation)
+							id, res.Violations, res.Checks, res.First)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 )
@@ -19,13 +20,13 @@ func TestLossFreeRunIsCorrect(t *testing.T) {
 	rng := query.NewRange(400, 600)
 	res := Run(Config{
 		Workload: w,
-		Check:    CheckFractionRange(rng, core.FractionTolerance{}, 1),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			return core.NewZTNRP(c, rng)
 		},
 	})
 	if res.Violations != 0 {
-		t.Fatalf("loss-free run violated tolerance: %s", res.FirstViolation)
+		t.Fatalf("loss-free run violated tolerance: %s", res.First)
 	}
 }
 
@@ -36,7 +37,7 @@ func TestUplinkLossBreaksZeroTolerance(t *testing.T) {
 	res := Run(Config{
 		Workload: w,
 		Cluster:  server.Config{DropUpdateProb: 0.2, DropSeed: 7},
-		Check:    CheckFractionRange(rng, core.FractionTolerance{}, 1),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			cl = c.(*server.Cluster)
 			return core.NewZTNRP(c, rng)
@@ -61,7 +62,7 @@ func TestFractionToleranceAbsorbsSomeLoss(t *testing.T) {
 		res := Run(Config{
 			Workload: w,
 			Cluster:  server.Config{DropUpdateProb: 0.05, DropSeed: 3},
-			Check:    CheckFractionRange(rng, tol, 1),
+			Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, tol), 1),
 			NewProtocol: func(c server.Host, _ int64) server.Protocol {
 				return core.NewFTNRP(c, rng, core.FTNRPConfig{
 					Tol: tol, Selection: core.SelectBoundaryNearest,
@@ -86,7 +87,7 @@ func TestLossIsReproducible(t *testing.T) {
 		res := Run(Config{
 			Workload: w,
 			Cluster:  server.Config{DropUpdateProb: 0.1, DropSeed: 5},
-			Check:    CheckFractionRange(rng, core.FractionTolerance{}, 1),
+			Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
 			NewProtocol: func(c server.Host, _ int64) server.Protocol {
 				cl = c.(*server.Cluster)
 				return core.NewZTNRP(c, rng)

@@ -6,74 +6,34 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"adaptivefilters/internal/comm"
-	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/oracle"
-	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/workload"
 )
-
-// CheckSpec asks the runner to validate the protocol answer against ground
-// truth while the simulation runs. Exactly one of the three query/tolerance
-// combinations must be set via the constructor helpers.
-type CheckSpec struct {
-	// Every validates after every Every-th delivered event (1 = always).
-	Every int
-
-	kind    checkKind
-	rng     query.Range
-	knn     query.KNN
-	rankTol core.RankTolerance
-	fracTol core.FractionTolerance
-}
-
-type checkKind int
-
-const (
-	checkNone checkKind = iota
-	checkRank
-	checkFracRange
-	checkFracKNN
-)
-
-// CheckRank validates Definition 1 (rank tolerance) for a k-NN query.
-func CheckRank(q query.Center, tol core.RankTolerance, every int) *CheckSpec {
-	return &CheckSpec{Every: every, kind: checkRank,
-		knn: query.KNN{Q: q, K: tol.K}, rankTol: tol}
-}
-
-// CheckFractionRange validates Definition 3 for a range query.
-func CheckFractionRange(rng query.Range, tol core.FractionTolerance, every int) *CheckSpec {
-	return &CheckSpec{Every: every, kind: checkFracRange, rng: rng, fracTol: tol}
-}
-
-// CheckFractionKNN validates Definition 3 plus the answer-size window for a
-// k-NN query.
-func CheckFractionKNN(q query.KNN, tol core.FractionTolerance, every int) *CheckSpec {
-	return &CheckSpec{Every: every, kind: checkFracKNN, knn: q, fracTol: tol}
-}
 
 // Config describes one simulation run.
 type Config struct {
 	// Workload drives the stream values.
 	Workload workload.Workload
-	// NewProtocol builds the protocol under test over the serving host (the
-	// runner always passes a *server.Cluster; runtime.Node reuses the same
-	// factory shape for its tenants). The seed
-	// argument is Config.Seed — in figure grids, the per-cell seed derived by
-	// the engine — and must be the constructor's only randomness source so
-	// runs stay reproducible under any cell scheduling.
+	// NewProtocol builds the protocol under test over the serving host (a
+	// *server.Cluster, the one a runtime.Node gives any single-query
+	// tenant). The seed argument is Config.Seed — in figure grids, the
+	// per-cell seed derived by the engine — and must be the constructor's
+	// only randomness source so runs stay reproducible under any cell
+	// scheduling.
 	NewProtocol func(c server.Host, seed int64) server.Protocol
 	// Seed is handed to NewProtocol for protocol-internal randomness.
 	Seed int64
 	// Cluster tunes message accounting.
 	Cluster server.Config
-	// Check optionally validates answers against ground truth.
-	Check *CheckSpec
+	// Check optionally holds the served answer to a guarantee: a fresh
+	// auditor over Workload.Initial(), asked every Check.Every events.
+	Check *oracle.Auditor
 	// MaxEvents caps delivered events (0 = whole workload).
 	MaxEvents int
 }
@@ -85,70 +45,70 @@ type Result struct {
 	Events       int
 	InitMessages uint64
 	// MaintMessages is the paper's metric: all messages after t0.
-	MaintMessages  uint64
-	ByKind         map[string]uint64
-	ServerOps      uint64
-	Checks         int
-	Violations     int
-	FirstViolation string
-	FinalAnswer    []int
-	// MaxFPlus / MaxFMinus record the worst observed fractions when a
-	// fraction check is active (diagnostics for the evaluation; DESIGN.md §3).
-	MaxFPlus, MaxFMinus float64
+	MaintMessages uint64
+	ByKind        map[string]uint64
+	ServerOps     uint64
+	FinalAnswer   []int
+	// Tally is what Config.Check saw (zero without one).
+	oracle.Tally
 }
 
-// Run executes one simulation to completion and returns its summary.
+// runBatch is the ingest batch of the stretches of a run nobody audits.
+const runBatch = 512
+
+// Run executes one simulation to completion and returns its summary. The
+// cell is served the way a deployment serves it — as the one tenant of a
+// one-shard runtime.Node — so what a figure measures is the serving stack,
+// and an audit sees the answer a client would be handed. A sample costs a
+// Drain barrier: ingest batches end on each sampling point.
 func Run(cfg Config) Result {
 	if cfg.Workload == nil || cfg.NewProtocol == nil {
 		panic("experiment: Config needs Workload and NewProtocol")
 	}
-	initial := cfg.Workload.Initial()
-	cluster := server.NewClusterWith(initial, cfg.Cluster)
-	proto := cfg.NewProtocol(cluster, cfg.Seed)
-	cluster.SetProtocol(proto)
-
-	var chk *oracle.Checker
-	if cfg.Check != nil {
-		chk = oracle.New(initial)
-	}
-
-	cluster.Initialize()
+	var proto server.Protocol
+	node, err := runtime.NewNode(runtime.Config{}, []runtime.TenantSpec{{
+		Initial: cfg.Workload.Initial(),
+		Server:  cfg.Cluster,
+		// The protocol draws from the cell's seed, not from the one the node
+		// derives for tenant 0: a figure's bytes must not depend on its host.
+		NewProtocol: func(h server.Host, _ int64) server.Protocol {
+			proto = cfg.NewProtocol(h, cfg.Seed)
+			return proto
+		},
+	}})
+	must(err)
+	must(node.Start(context.Background()))
+	defer node.Stop()
 
 	res := Result{Protocol: proto.Name(), Workload: cfg.Workload.Name()}
-	engine := sim.New()
+	aud := cfg.Check
+	buf := make([]runtime.Event, 0, runBatch)
 	it := cfg.Workload.Events()
-
-	var deliver func()
-	var nextEv workload.Event
-	var haveNext bool
-	advance := func() {
-		nextEv, haveNext = it.Next()
-		if !haveNext {
-			return
+	for cfg.MaxEvents == 0 || res.Events < cfg.MaxEvents {
+		ev, ok := it.Next()
+		if !ok {
+			break
 		}
-		engine.MustAt(nextEv.Time, deliver)
-	}
-	deliver = func() {
-		ev := nextEv
 		res.Events++
-		if chk != nil {
-			chk.Apply(ev.Stream, ev.Value)
+		buf = append(buf, runtime.Event{Stream: ev.Stream, Value: ev.Value})
+		due := false
+		if aud != nil {
+			aud.Apply(ev.Stream, ev.Value, 0)
+			due = aud.Every > 0 && res.Events%aud.Every == 0
 		}
-		cluster.Deliver(ev.Stream, ev.Value)
-		if chk != nil && cfg.Check.Every > 0 && res.Events%cfg.Check.Every == 0 {
-			res.Checks++
-			check(cfg.Check, chk, proto, &res)
+		if due || len(buf) == runBatch {
+			must(node.Ingest(buf))
+			buf = buf[:0]
 		}
-		if cfg.MaxEvents > 0 && res.Events >= cfg.MaxEvents {
-			engine.Stop()
-			return
+		if due {
+			must(node.Drain())
+			aud.Audit(uint64(res.Events), node.Answer(0))
 		}
-		advance()
 	}
-	advance()
-	engine.Run()
+	must(node.Ingest(buf))
+	must(node.Drain())
 
-	ctr := cluster.Counter()
+	ctr := node.Counter(0)
 	res.InitMessages = ctr.PhaseTotal(comm.Init)
 	res.MaintMessages = ctr.Maintenance()
 	res.ServerOps = ctr.ServerOps
@@ -156,39 +116,17 @@ func Run(cfg Config) Result {
 	for _, k := range comm.Kinds() {
 		res.ByKind[k.String()] = ctr.Get(comm.Maintenance, k)
 	}
-	res.FinalAnswer = proto.Answer()
+	res.FinalAnswer = node.Answer(0)
+	if aud != nil {
+		res.Tally = aud.Tally
+	}
 	return res
 }
 
-func check(spec *CheckSpec, chk *oracle.Checker, proto server.Protocol, res *Result) {
-	ans := proto.Answer()
-	var err error
-	switch spec.kind {
-	case checkRank:
-		err = chk.CheckRank(ans, spec.knn.Q, spec.rankTol)
-	case checkFracRange:
-		fp, fm := chk.FractionStats(ans, spec.rng)
-		if fp > res.MaxFPlus {
-			res.MaxFPlus = fp
-		}
-		if fm > res.MaxFMinus {
-			res.MaxFMinus = fm
-		}
-		err = chk.CheckFractionRange(ans, spec.rng, spec.fracTol)
-	case checkFracKNN:
-		fp, fm := chk.FractionStatsKNN(ans, spec.knn)
-		if fp > res.MaxFPlus {
-			res.MaxFPlus = fp
-		}
-		if fm > res.MaxFMinus {
-			res.MaxFMinus = fm
-		}
-		err = chk.CheckFractionKNN(ans, spec.knn, spec.fracTol)
-	}
+// must panics on a node error: the node is private to the run, so one means
+// a workload event no tenant could take (an unknown stream, a NaN).
+func must(err error) {
 	if err != nil {
-		res.Violations++
-		if res.FirstViolation == "" {
-			res.FirstViolation = fmt.Sprintf("event %d: %v", res.Events, err)
-		}
+		panic(fmt.Sprintf("experiment: %v", err))
 	}
 }

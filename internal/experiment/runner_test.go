@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/workload"
@@ -48,7 +49,7 @@ func TestRunWithOracleChecksFTNRP(t *testing.T) {
 	tol := core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}
 	res := Run(Config{
 		Workload: w,
-		Check:    CheckFractionRange(rng, tol, 1),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, tol), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			return core.NewFTNRP(c, rng, core.FTNRPConfig{
 				Tol: tol, Selection: core.SelectBoundaryNearest,
@@ -59,7 +60,7 @@ func TestRunWithOracleChecksFTNRP(t *testing.T) {
 		t.Fatalf("checks = %d, events = %d", res.Checks, res.Events)
 	}
 	if res.Violations != 0 {
-		t.Fatalf("%d violations; first: %s", res.Violations, res.FirstViolation)
+		t.Fatalf("%d violations; first: %s", res.Violations, res.First)
 	}
 	if res.MaxFPlus > tol.EpsPlus || res.MaxFMinus > tol.EpsMinus {
 		t.Fatalf("observed fractions %v/%v exceed tolerance", res.MaxFPlus, res.MaxFMinus)
@@ -71,13 +72,13 @@ func TestRunWithRankCheckRTP(t *testing.T) {
 	tol := core.RankTolerance{K: 5, R: 3}
 	res := Run(Config{
 		Workload: w,
-		Check:    CheckRank(query.At(500), tol, 1),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.Rank(query.At(500), tol), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			return core.NewRTP(c, query.At(500), tol)
 		},
 	})
 	if res.Violations != 0 {
-		t.Fatalf("%d violations; first: %s", res.Violations, res.FirstViolation)
+		t.Fatalf("%d violations; first: %s", res.Violations, res.First)
 	}
 	if len(res.FinalAnswer) != tol.K {
 		t.Fatalf("|final answer| = %d, want %d", len(res.FinalAnswer), tol.K)
@@ -90,13 +91,13 @@ func TestRunWithKNNFractionCheckFTRP(t *testing.T) {
 	q := query.KNN{Q: query.At(500), K: 10}
 	res := Run(Config{
 		Workload: w,
-		Check:    CheckFractionKNN(q, tol, 1),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionKNN(q, tol), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			return core.NewFTRP(c, q.Q, q.K, core.DefaultFTRPConfig(tol))
 		},
 	})
 	if res.Violations != 0 {
-		t.Fatalf("%d violations; first: %s", res.Violations, res.FirstViolation)
+		t.Fatalf("%d violations; first: %s", res.Violations, res.First)
 	}
 }
 
@@ -116,7 +117,7 @@ func TestRunCheckSampling(t *testing.T) {
 	rng := query.NewRange(400, 600)
 	res := Run(Config{
 		Workload: w,
-		Check:    CheckFractionRange(rng, core.FractionTolerance{}, 10),
+		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 10),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			return core.NewZTNRP(c, rng)
 		},

@@ -1,6 +1,4 @@
-// Package metrics renders experiment results as aligned text tables or CSV,
-// mirroring the series the paper's figures plot.
-package metrics
+package experiment
 
 import (
 	"fmt"
@@ -8,7 +6,8 @@ import (
 	"strings"
 )
 
-// Table is a titled grid of result rows.
+// Table is a titled grid of result rows, rendered as aligned text or CSV — the
+// series the paper's figures plot.
 type Table struct {
 	Title string
 	Notes []string // free-form annotations printed under the title

@@ -49,20 +49,31 @@ func (v *Violation) Error() string { return "oracle: " + v.Reason }
 // CheckRank validates Definition 1: |A| = k and every member's true rank is
 // at most k+r. Ranks are favorable under ties (see rankindex).
 func (o *Checker) CheckRank(answer []int, q query.Center, tol core.RankTolerance) error {
+	_, err := o.worstRank(answer, q, tol)
+	return err
+}
+
+// worstRank is Definition 1 with depth: the largest true rank among the
+// members, and the first breach of the definition.
+func (o *Checker) worstRank(answer []int, q query.Center, tol core.RankTolerance) (worst int, err error) {
 	if len(answer) != tol.K {
-		return &Violation{fmt.Sprintf("rank: |A|=%d, want exactly k=%d", len(answer), tol.K)}
+		err = &Violation{fmt.Sprintf("rank: |A|=%d, want exactly k=%d", len(answer), tol.K)}
 	}
 	for _, id := range answer {
 		rank, ok := o.ix.RankOf(id, q)
 		if !ok {
-			return &Violation{fmt.Sprintf("rank: answer stream %d unknown to oracle", id)}
+			if err == nil {
+				err = &Violation{fmt.Sprintf("rank: answer stream %d unknown to oracle", id)}
+			}
+			continue
 		}
-		if rank > tol.Eps() {
-			return &Violation{fmt.Sprintf("rank: stream %d has true rank %d > ε=%d",
+		worst = max(worst, rank)
+		if rank > tol.Eps() && err == nil {
+			err = &Violation{fmt.Sprintf("rank: stream %d has true rank %d > ε=%d",
 				id, rank, tol.Eps())}
 		}
 	}
-	return nil
+	return worst, err
 }
 
 // FractionStats computes the true false-positive and false-negative
@@ -127,13 +138,19 @@ func (o *Checker) CheckFractionRange(answer []int, rng query.Range, tol core.Fra
 // CheckFractionKNN validates Definition 3 for a k-NN query, including the
 // answer-size window of Equations 7–10.
 func (o *Checker) CheckFractionKNN(answer []int, q query.KNN, tol core.FractionTolerance) error {
+	_, _, err := o.fractionKNN(answer, q, tol)
+	return err
+}
+
+// fractionKNN is CheckFractionKNN with depth: the fractions it judged.
+func (o *Checker) fractionKNN(answer []int, q query.KNN, tol core.FractionTolerance) (fPlus, fMinus float64, err error) {
+	fPlus, fMinus = o.FractionStatsKNN(answer, q)
 	minA, maxA := tol.AnswerBounds(q.K)
 	if len(answer) < minA || len(answer) > maxA {
-		return &Violation{fmt.Sprintf("knn-fraction: |A|=%d outside [%d,%d]",
+		return fPlus, fMinus, &Violation{fmt.Sprintf("knn-fraction: |A|=%d outside [%d,%d]",
 			len(answer), minA, maxA)}
 	}
-	fp, fm := o.FractionStatsKNN(answer, q)
-	return checkFractions(fp, fm, tol)
+	return fPlus, fMinus, checkFractions(fPlus, fMinus, tol)
 }
 
 func checkFractions(fPlus, fMinus float64, tol core.FractionTolerance) error {

@@ -2,10 +2,12 @@ package oracle
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
 )
 
@@ -164,6 +166,11 @@ func TestViolationErrorString(t *testing.T) {
 	}
 }
 
+// TestOracleMatchesBruteForceOnRandomAnswers scores the incremental oracle
+// the way an approximate index is scored against exact search: random
+// answers, and for each the verdict and the depth recomputed from a full
+// rescan (or re-sort) of the truth. Fractions first, then the auditor's
+// value-kNN and planar rank guarantees while the truth keeps moving.
 func TestOracleMatchesBruteForceOnRandomAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vals := make([]float64, 40)
@@ -212,4 +219,115 @@ func TestOracleMatchesBruteForceOnRandomAnswers(t *testing.T) {
 			t.Fatalf("trial %d: got F+=%v F-=%v, want %v/%v", trial, fp, fm, wantFP, wantFM)
 		}
 	}
+
+	// bruteRanks re-sorts the distances: each member's favorable rank (one
+	// more than the streams strictly closer), and the k-th smallest distance.
+	bruteRanks := func(dist []float64, ans []int, k int) (ranks []int, kth float64) {
+		for _, id := range ans {
+			rank := 1
+			for _, d := range dist {
+				if d < dist[id] {
+					rank++
+				}
+			}
+			ranks = append(ranks, rank)
+		}
+		sorted := append([]float64(nil), dist...)
+		sort.Float64s(sorted)
+		return ranks, sorted[k-1]
+	}
+	// randomAnswer draws k distinct streams, biased to the near ones so that
+	// both verdicts occur; one trial in ten it is a member short.
+	randomAnswer := func(dist []float64, k int) []int {
+		byDist := make([]int, len(dist))
+		for i := range byDist {
+			byDist[i] = i
+		}
+		sort.Slice(byDist, func(a, b int) bool { return dist[byDist[a]] < dist[byDist[b]] })
+		pool := byDist[:k+1+rng.Intn(2*k)]
+		rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
+		if rng.Intn(10) == 0 {
+			return pool[:k-1]
+		}
+		return pool[:k]
+	}
+	const n, k = 60, 6
+
+	t.Run("value-knn", func(t *testing.T) {
+		const width = 12
+		q := query.KNN{Q: query.At(50), K: k}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(200))
+		}
+		a := NewAuditor(x, ValueKNN(q, width), 1)
+		dist := make([]float64, n)
+		worst, violations := 0, 0
+		for trial := 0; trial < 300; trial++ {
+			id := rng.Intn(n)
+			x[id] = float64(rng.Intn(200))
+			a.Apply(id, x[id], 0)
+			for i, v := range x {
+				dist[i] = q.Q.Dist(v)
+			}
+			ans := randomAnswer(dist, k)
+			ranks, kth := bruteRanks(dist, ans, k)
+			bad := len(ans) != k
+			for i, id := range ans {
+				worst = max(worst, ranks[i])
+				bad = bad || dist[id] > kth+width
+			}
+			if bad {
+				violations++
+			}
+			if err := a.Audit(uint64(trial), ans); (err != nil) != bad {
+				t.Fatalf("trial %d: auditor said %v, brute force says violated=%v (answer %v)", trial, err, bad, ans)
+			}
+			if a.WorstRank != worst || a.Violations != violations || a.Checks != trial+1 {
+				t.Fatalf("trial %d: tally %+v, brute force worst rank %d, %d violations", trial, a.Tally, worst, violations)
+			}
+		}
+		if violations == 0 || violations == a.Checks {
+			t.Fatalf("%d of %d trials violated: the cases do not exercise both verdicts", violations, a.Checks)
+		}
+	})
+
+	t.Run("planar-rank", func(t *testing.T) {
+		tol := core.RankTolerance{K: k, R: 3}
+		at := filter.Point{X: 480, Y: 510}
+		pts := make([]filter.Point, n)
+		for i := range pts {
+			pts[i] = filter.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		}
+		a := NewPlanarAuditor(pts, RankAround(at, tol), 1)
+		dist := make([]float64, n)
+		worst, violations := 0, 0
+		for trial := 0; trial < 300; trial++ {
+			id := rng.Intn(n)
+			pts[id] = filter.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+			a.Apply(id, pts[id].X, pts[id].Y)
+			for i, p := range pts {
+				dist[i] = filter.Dist(p, at)
+			}
+			ans := randomAnswer(dist, k)
+			ranks, _ := bruteRanks(dist, ans, k)
+			bad := len(ans) != k
+			for _, rank := range ranks {
+				worst = max(worst, rank)
+				bad = bad || rank > tol.Eps()
+			}
+			if bad {
+				violations++
+			}
+			if err := a.Audit(uint64(trial), ans); (err != nil) != bad {
+				t.Fatalf("trial %d: auditor said %v, brute force says violated=%v (answer %v)", trial, err, bad, ans)
+			}
+			if a.WorstRank != worst || a.Violations != violations {
+				t.Fatalf("trial %d: tally %+v, brute force worst rank %d, %d violations", trial, a.Tally, worst, violations)
+			}
+		}
+		if violations == 0 || violations == a.Checks {
+			t.Fatalf("%d of %d trials violated: the cases do not exercise both verdicts", violations, a.Checks)
+		}
+	})
 }

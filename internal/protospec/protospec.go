@@ -20,10 +20,12 @@ package protospec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/multidim"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
@@ -38,11 +40,14 @@ const (
 	SelectRandom = "random"
 )
 
+// Protocols lists every protocol name a Spec may carry; Validate refuses
+// anything else.
+var Protocols = []string{"no-filter", "zt-nrp", "ft-nrp", "rtp", "zt-rp", "ft-rp", "vb-knn", "rtp2d", "ft-rp2d"}
+
 // Spec describes one protocol instance declaratively. The zero value is
 // not valid; Protocol must name one of the internal/core protocols.
 type Spec struct {
-	// Protocol is one of: no-filter | zt-nrp | ft-nrp | rtp | zt-rp |
-	// ft-rp | vb-knn | rtp2d | ft-rp2d.
+	// Protocol is one of Protocols.
 	Protocol string
 	// Lo, Hi bound the range query of the non-rank protocols.
 	Lo, Hi float64
@@ -94,6 +99,9 @@ func (s Spec) rangeBased() bool {
 func (s Spec) Validate(n int) error {
 	if n < 1 {
 		return fmt.Errorf("protospec: need at least 1 stream, got %d", n)
+	}
+	if !slices.Contains(Protocols, s.Protocol) {
+		return fmt.Errorf("protospec: unknown protocol %q", s.Protocol)
 	}
 	for name, v := range map[string]float64{
 		"lo": s.Lo, "hi": s.Hi, "q": s.Q, "qx": s.QX, "qy": s.QY,
@@ -152,8 +160,6 @@ func (s Spec) Validate(n int) error {
 		if err := tol.Validate(); err != nil {
 			return fmt.Errorf("protospec: ft-rp2d: %w", err)
 		}
-	default:
-		return fmt.Errorf("protospec: unknown protocol %q", s.Protocol)
 	}
 	if s.rangeBased() && s.Lo > s.Hi {
 		return fmt.Errorf("protospec: %s: empty range [%g,%g]", s.Protocol, s.Lo, s.Hi)
@@ -250,6 +256,35 @@ func (s Spec) SpatialFactory() (func(h server.SpatialHost, seed int64) server.Sp
 		}, nil
 	}
 	return nil, fmt.Errorf("protospec: %s is not a spatial protocol; use Factory", s.Protocol)
+}
+
+// Guarantee is what the spec's protocol promises about its answer — the
+// rule an oracle.Auditor holds the served answer to, and the only place a
+// protocol name is mapped to one. Call Validate first.
+func (s Spec) Guarantee() (oracle.Guarantee, error) {
+	rng := query.NewRange(s.Lo, s.Hi)
+	knn := query.KNN{Q: s.center(), K: s.K}
+	at := filter.Point{X: s.QX, Y: s.QY}
+	tol := core.FractionTolerance{EpsPlus: s.EpsPlus, EpsMinus: s.EpsMinus}
+	switch s.Protocol {
+	case "no-filter", "zt-nrp":
+		return oracle.FractionRange(rng, core.FractionTolerance{}), nil
+	case "ft-nrp":
+		return oracle.FractionRange(rng, tol), nil
+	case "rtp":
+		return oracle.Rank(knn.Q, core.RankTolerance{K: s.K, R: s.R}), nil
+	case "zt-rp":
+		return oracle.Rank(knn.Q, core.RankTolerance{K: s.K}), nil
+	case "ft-rp":
+		return oracle.FractionKNN(knn, tol), nil
+	case "vb-knn":
+		return oracle.ValueKNN(knn, s.Width), nil
+	case "rtp2d":
+		return oracle.RankAround(at, core.RankTolerance{K: s.K, R: s.R}), nil
+	case "ft-rp2d":
+		return oracle.FractionKNNAround(at, s.K, tol), nil
+	}
+	return oracle.Guarantee{}, fmt.Errorf("protospec: unknown protocol %q", s.Protocol)
 }
 
 // Encode appends the spec to a wire payload. The field order is part of

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
@@ -21,6 +22,48 @@ func valid() map[string]protospec.Spec {
 		"zt-rp":     {Protocol: "zt-rp", Q: 500, K: 20},
 		"ft-rp":     {Protocol: "ft-rp", Q: 500, K: 20, EpsPlus: 0.2, EpsMinus: 0.2},
 		"vb-knn":    {Protocol: "vb-knn", Q: 500, K: 20, Width: 50},
+	}
+}
+
+// everyProtocol is valid() plus the two planar protocols: a canonical spec
+// for each of protospec.Protocols.
+func everyProtocol() map[string]protospec.Spec {
+	all := valid()
+	all["rtp2d"] = protospec.Spec{Protocol: "rtp2d", QX: 500, QY: 500, K: 20, R: 5}
+	all["ft-rp2d"] = protospec.Spec{Protocol: "ft-rp2d", QX: 500, QY: 500, K: 20, EpsPlus: 0.2, EpsMinus: 0.2}
+	return all
+}
+
+// TestEveryProtocolHasAGuarantee: a protocol Validate lets in must name the
+// promise it is audited against — a new name in Protocols without a
+// Guarantee arm (or without a canonical spec above) fails here, not as an
+// unaudited row in some matrix.
+func TestEveryProtocolHasAGuarantee(t *testing.T) {
+	all := everyProtocol()
+	for _, name := range protospec.Protocols {
+		s, ok := all[name]
+		if !ok {
+			t.Errorf("%s: no canonical spec in everyProtocol", name)
+			continue
+		}
+		if err := s.Validate(100); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		g, err := s.Guarantee()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		// The guarantee must be auditable over the kind of stream the
+		// protocol serves (the constructors panic on a mismatch).
+		if s.Spatial() {
+			oracle.NewPlanarAuditor(make([]filter.Point, 100), g, 0)
+		} else {
+			oracle.NewAuditor(make([]float64, 100), g, 0)
+		}
+	}
+	if _, err := (protospec.Spec{Protocol: "nope"}).Guarantee(); err == nil {
+		t.Error("unknown protocol has a guarantee")
 	}
 }
 

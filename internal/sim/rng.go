@@ -1,3 +1,12 @@
+// Package sim is the repository's seeded randomness: RNG, the distributions
+// the workload generators draw from over a position-counting source (so a
+// snapshot can resume a stream of draws exactly), and DeriveSeed, which
+// turns a base seed and a coordinate path into an independent seed — the
+// reason figure cells, tenants and queries can run in any order, on any
+// shard, and stay byte-identical. It replaces the randomness of the
+// commercial CSIM 19 simulator the paper used; that simulator's event
+// scheduler has no counterpart here, because a workload iterator already
+// yields its events in time order and runtime.Node applies them in it.
 package sim
 
 import (
