@@ -96,7 +96,7 @@ func (m *LocalMember) ImportTenant(spec wire.TenantSpec, snap []byte) (int, erro
 
 func (m *LocalMember) Stats() (wire.Stats, error) {
 	return wire.Stats{
-		Pending:     m.node.PendingBatches(),
+		Pending:     m.node.PendingEvents(),
 		QueueCap:    m.node.QueueCap(),
 		TotalEvents: m.node.TotalEvents(),
 		Tenants:     m.node.NumTenants(),

@@ -19,7 +19,7 @@ type RebalanceOptions struct {
 	// HotFactor × the member mean (0 = 1.25).
 	HotFactor float64
 	// PendingFrac marks a member hot when its deepest shard backlog is at
-	// or above PendingFrac × its queue capacity — the instantaneous
+	// or above PendingFrac × its mailbox capacity — the instantaneous
 	// signal, catching a hot spot before lifetime counts show it
 	// (0 = 0.5; negative disables the pending signal).
 	PendingFrac float64
@@ -62,10 +62,10 @@ func (o RebalanceOptions) minEvents() uint64 {
 // Plan proposes migrations off the hottest member, without executing
 // them. A member is hot when its lifetime event count (wire.Stats
 // TotalEvents) exceeds HotFactor × the mean, or its shard backlog
-// (PendingBatches) crosses PendingFrac × queue capacity. Tenants move
-// heaviest-first (by routed event count, tenant id breaking ties) to the
-// coldest member, until the hot member's projected load falls to the mean
-// or MaxMoves is reached. The plan is a pure function of member stats and
+// (PendingEvents) crosses PendingFrac × mailbox capacity, both counted in
+// events. Tenants move heaviest-first (by routed event count, tenant id
+// breaking ties) to the coldest member, until the hot member's projected
+// load falls to the mean or MaxMoves is reached. The plan is a pure function of member stats and
 // the placement map, so identical load states plan identical moves.
 func (c *Cluster) Plan(opts RebalanceOptions) ([]Move, error) {
 	if len(c.members) < 2 {

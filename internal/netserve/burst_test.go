@@ -94,7 +94,7 @@ func burstScript(t *testing.T, cfg runtime.Config) ([]byte, []scriptOp, string) 
 		case k < 70: // a good ingest frame; one in ten is larger than a whole burst
 			n := 1 + rng.Intn(24)
 			if rng.Intn(10) == 0 {
-				n = 130 + rng.Intn(60)
+				n = netserve.BurstEvents + 2 + rng.Intn(60)
 			}
 			events := make([]runtime.Event, n)
 			for j := range events {
@@ -150,12 +150,12 @@ func burstScript(t *testing.T, cfg runtime.Config) ([]byte, []scriptOp, string) 
 }
 
 // TestBurstEquivalence pins what coalescing must not change. One request
-// stream reaches a live server one byte per write, one frame per write and
-// all at once; however the reads fall into bursts, replies return in
-// request order, every frame gets the status and message a frame-at-a-time
-// in-process node gives it (so a refused frame's neighbours, staged in the
-// same burst, still applied), and the final report is byte-identical to
-// that node's (so nothing applied twice).
+// stream reaches a live server one byte per write, one frame per write, one
+// read buffer's worth per write and all at once; however the reads fall
+// into bursts, replies return in request order, every frame gets the status
+// and message a frame-at-a-time in-process node gives it (so a refused
+// frame's neighbours, staged in the same burst, still applied), and the
+// final report is byte-identical to that node's (so nothing applied twice).
 func TestBurstEquivalence(t *testing.T) {
 	cfg := runtime.Config{Shards: 2, Seed: 11}
 	data, ops, wantFinal := burstScript(t, cfg)
@@ -188,6 +188,13 @@ func TestBurstEquivalence(t *testing.T) {
 				cuts[i] = op.end
 			}
 			return cuts
+		}},
+		{"16KiB", func() []int { // one read buffer's worth per write: frames straddle the cuts
+			var cuts []int
+			for at := 16 << 10; at < len(data); at += 16 << 10 {
+				cuts = append(cuts, at)
+			}
+			return append(cuts, len(data))
 		}},
 		{"all", func() []int { return []int{len(data)} }},
 	}
@@ -317,7 +324,8 @@ func TestOversizeFrameClosesBurstBeforeIt(t *testing.T) {
 	s := startServer(t, runtime.Config{Shards: 1, Seed: 1}, compileSpecs(t, wireSpecs()), netserve.Options{})
 	c := dialT(t, s.Addr().String())
 	first := c.seq + 1
-	for _, n := range []int{3, 4, 200} {
+	sizes := []int{3, 4, 3 * netserve.BurstEvents}
+	for _, n := range sizes {
 		events := make([]runtime.Event, n)
 		for i := range events {
 			events[i] = runtime.Event{Tenant: 0, Stream: stream.ID(i % 40), Value: float64(i)}
@@ -337,7 +345,7 @@ func TestOversizeFrameClosesBurstBeforeIt(t *testing.T) {
 		}
 	}
 	c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
-	if st := s.Stats(); st.Frames != 3 || st.Bursts != 2 || st.Events != 207 {
+	if st := s.Stats(); st.Frames != 3 || st.Bursts != 2 || st.Events != uint64(sizes[0]+sizes[1]+sizes[2]) {
 		t.Fatalf("server stats %+v, want 3 frames in 2 bursts", st)
 	}
 }

@@ -383,6 +383,68 @@ func TestShedBackpressure(t *testing.T) {
 	}
 }
 
+// TestShedUnitIsEvents pins the watermark's unit. Behind 256-event frames a
+// 512-event mailbox is full after two frames — two "batches", far short of
+// any batch-counted watermark — so the backlog must be counted in events
+// for overload to keep both its shapes: with the default watermark (0 =
+// capacity) a slow tenant's flood is visibly shed once its inbox is full,
+// and with shedding off the connection stalls instead and loses nothing.
+func TestShedUnitIsEvents(t *testing.T) {
+	const flood, frameEvents = 8, 256
+	for _, tt := range []struct {
+		name      string
+		watermark int
+	}{{"shed", 0}, {"stall", -1}} {
+		t.Run(tt.name, func(t *testing.T) {
+			specs := []runtime.TenantSpec{{
+				Name:    "slow",
+				Initial: []float64{100, 200, 300},
+				NewProtocol: func(h server.Host, _ int64) server.Protocol {
+					return slowProto{Protocol: core.NewZTNRP(h, query.NewRange(150, 250)), d: time.Millisecond}
+				},
+			}}
+			s := startServer(t, runtime.Config{Shards: 1, Seed: 1, Queue: 512}, specs,
+				netserve.Options{ShedWatermark: tt.watermark})
+			c := dialT(t, s.Addr().String())
+			// Every eighth event crosses the range boundary and costs the shard
+			// slowProto's delay, 32 to a frame; one frame per write, its ack
+			// read before the next, so each frame is its own burst and its own
+			// shed decision.
+			events := make([]runtime.Event, frameEvents)
+			for i := range events {
+				events[i] = runtime.Event{Tenant: 0, Stream: 0, Value: float64(200 - 100*(i/8%2))}
+			}
+			var ok, shed int
+			for i := 0; i < flood; i++ {
+				a := c.ack(func(p *snapshot.Writer, seq uint64) { wire.EncodeIngest(p, seq, events) })
+				switch a.Status {
+				case wire.StatusOK:
+					ok++
+				case wire.StatusShed:
+					shed++
+				default:
+					t.Fatalf("ack %d: %+v", i, a)
+				}
+			}
+			if tt.watermark < 0 {
+				if ok != flood {
+					t.Fatalf("stall regime: ok=%d shed=%d of %d frames; want none shed", ok, shed, flood)
+				}
+			} else if ok == 0 || shed == 0 {
+				t.Fatalf("flood of %d: ok=%d shed=%d; want both regimes exercised", flood, ok, shed)
+			}
+			if st := s.Stats(); st.ShedFrames != uint64(shed) || st.Frames != flood {
+				t.Fatalf("server stats %+v after ok=%d shed=%d", st, ok, shed)
+			}
+			// Every frame acked OK applied, whole; nothing else did.
+			rep := c.report()
+			if got, want := rep.Tenants[0].Events, uint64(ok*frameEvents); got != want {
+				t.Fatalf("tenant applied %d events, acked frames carried %d", got, want)
+			}
+		})
+	}
+}
+
 // TestRequestErrorsKeepConnection checks request-level failures come back
 // as error acks on a connection that stays serviceable.
 func TestRequestErrorsKeepConnection(t *testing.T) {

@@ -46,11 +46,12 @@ func (n *Node) publishTable() {
 	n.table.Store(&routingTable{recs: recs})
 }
 
-// Ingester is a per-caller ingest handle: it owns its own per-shard fill
-// buffers and validates events against the node's atomically-published
-// routing table, so N ingesters on N goroutines route into the per-shard
-// work channels concurrently with no lock contention on the hot path (the
-// quiescence RLock is uncontended except while a barrier is running).
+// Ingester is a per-caller ingest handle: it owns its own per-shard staging
+// slices and validates events against the node's atomically-published
+// routing table, so N ingesters on N goroutines convert and group their
+// batches concurrently and meet only at the mailbox locks, one short
+// append per shard per batch (the quiescence RLock is uncontended except
+// while a barrier is running).
 //
 // A single Ingester is not safe for concurrent use — it is a handle for one
 // goroutine, and each goroutine should hold its own (NewIngester). Per-tenant
@@ -62,29 +63,27 @@ func (n *Node) publishTable() {
 // non-deterministic.
 type Ingester struct {
 	n *Node
-	// fill[s] is the pooled buffer this ingester is currently filling for
-	// shard s (nil when none) — the per-caller analogue of the old router's
-	// node-wide fill slots.
-	fill [][]Event
+	// stage[s] is the part of the batch being routed that belongs to shard
+	// s, already in mailbox form; empty between Ingest calls. Converting
+	// here keeps the mailbox lock down to one copy.
+	stage []packed
 }
 
 // NewIngester returns a fresh ingest handle for one concurrent caller.
-// Handles are cheap (one small slice) and need no teardown: an abandoned
-// ingester's staged buffers return to the pools on its next error, or are
-// dropped with it (the pools self-heal by allocating replacements, and the
-// steady state stays allocation-free for however many handles actually
-// ingest).
+// Handles are cheap and need no teardown: the staging slices grow to the
+// caller's largest batch and die with the handle.
 func (n *Node) NewIngester() *Ingester {
-	return &Ingester{n: n, fill: make([][]Event, len(n.shards))}
+	return &Ingester{n: n, stage: make([]packed, len(n.shards))}
 }
 
 // Ingest routes a batch of events to the shard loops: Node.Ingest's contract,
 // minus the single-caller restriction. Events are validated and grouped by
 // owning shard in one pass over the routing table, with their relative order
-// preserved; an error routes nothing. Events are copied into buffers from
-// the per-shard pools (allocation-free once warm), so the caller may reuse
-// its slice immediately; when a shard's queue and pool are exhausted Ingest
-// blocks until that shard frees a buffer. Concurrent batches from other
+// preserved; an error routes nothing. Events are copied into the shard
+// mailboxes (allocation-free once warm), so the caller may reuse its slice
+// immediately; while a shard's mailbox holds its capacity in events Ingest
+// blocks until that shard's loop swaps it out, or returns the context's
+// error if the node shuts down first. Concurrent batches from other
 // ingesters interleave at batch granularity per shard; barriers (Drain,
 // lifecycle, snapshots) wait for every in-flight Ingest to finish and hold
 // new ones out until the barrier completes.
@@ -98,55 +97,41 @@ func (g *Ingester) Ingest(events []Event) error {
 	if err := n.ctx.Err(); err != nil {
 		return err
 	}
+	// Whatever happens below, the handle's staging is empty when it returns.
+	defer g.unstage()
 	// One pass over the routing table validates and stages each event. A
 	// malformed event would otherwise surface as an index panic inside a
 	// shard goroutine, where the caller cannot recover it — so on the first
-	// invalid event every staged buffer goes back to its pool and the whole
-	// batch is refused.
+	// invalid event the whole batch is refused, before any of it is posted.
 	recs := n.table.Load().recs
 	for _, ev := range events {
 		if ev.Tenant < 0 || ev.Tenant >= len(recs) {
-			g.unstage()
 			return fmt.Errorf("runtime: event for unknown tenant %d", ev.Tenant)
 		}
 		rec := recs[ev.Tenant]
 		if rec.n < 0 {
-			g.unstage()
 			return fmt.Errorf("runtime: event for removed tenant %d", ev.Tenant)
 		}
 		if ev.Stream < 0 || int(ev.Stream) >= int(rec.n) {
-			g.unstage()
 			return fmt.Errorf("runtime: event for unknown stream %d of tenant %d (n=%d)",
 				ev.Stream, ev.Tenant, rec.n)
 		}
 		if math.IsNaN(ev.Value) || math.IsNaN(ev.Y) {
-			g.unstage()
 			return fmt.Errorf("runtime: event for stream %d of tenant %d carries a NaN value",
 				ev.Stream, ev.Tenant)
 		}
 		if ev.Y != 0 && !rec.spatial {
-			g.unstage()
 			return fmt.Errorf("runtime: event for stream %d of 1-D tenant %d carries a Y coordinate",
 				ev.Stream, ev.Tenant)
 		}
-		s := rec.shard
-		if g.fill[s] == nil {
-			buf, err := n.takeBuf(int(s))
-			if err != nil {
-				return err
-			}
-			g.fill[s] = buf
+		st := &g.stage[rec.shard]
+		st.recs = append(st.recs, record{tenant: int32(ev.Tenant), stream: int32(ev.Stream), value: ev.Value})
+		if rec.spatial {
+			st.ys = append(st.ys, ev.Y)
 		}
-		g.fill[s] = append(g.fill[s], ev)
 	}
-	for s := range n.shards {
-		if len(g.fill[s]) == 0 {
-			continue
-		}
-		select {
-		case n.shards[s].work <- batch{events: g.fill[s]}:
-			g.fill[s] = nil
-		case <-n.ctx.Done():
+	for s, st := range g.stage {
+		if len(st.recs) > 0 && !n.shards[s].post(st) {
 			return n.ctx.Err()
 		}
 	}
@@ -154,21 +139,10 @@ func (g *Ingester) Ingest(events []Event) error {
 	return nil
 }
 
-// unstage returns every staged fill buffer to its shard pool — the error
-// path's guarantee that a refused batch routes nothing and leaks nothing.
-// Buffers are interchangeable (identity never observable), so pool order
-// differences on error paths cannot perturb determinism.
+// unstage empties the handle's staging slices, keeping their storage.
 func (g *Ingester) unstage() {
-	for s, buf := range g.fill {
-		if buf == nil {
-			continue
-		}
-		g.fill[s] = nil
-		select {
-		case g.n.shards[s].free <- buf[:0]:
-		default:
-			// Pool full — only possible with foreign buffers; drop it.
-		}
+	for s, st := range g.stage {
+		g.stage[s] = st.emptied()
 	}
 }
 
@@ -180,11 +154,13 @@ func (g *Ingester) unstage() {
 type ShardStat struct {
 	// Shard is the shard index.
 	Shard int
-	// Queued is the work-channel depth in batches — a racy snapshot, same
-	// caveats as PendingBatches.
+	// Queued is the number of routed batches waiting in the shard's mailbox
+	// (a batch is one Ingest call's share for this shard) — a racy snapshot,
+	// same caveats as PendingEvents.
 	Queued int
-	// Applied counts event batches the shard loop has applied (barrier and
-	// lifecycle batches excluded).
+	// Applied counts the routed batches the shard loop has applied (barrier
+	// and lifecycle messages excluded), so Applied + Queued is the number
+	// routed, give or take the swap in progress.
 	Applied uint64
 	// Tenants is the number of live tenants pinned to this shard.
 	Tenants int
@@ -198,7 +174,7 @@ func (n *Node) ShardStats() []ShardStat {
 	for s := range n.shards {
 		stats[s] = ShardStat{
 			Shard:   s,
-			Queued:  len(n.shards[s].work),
+			Queued:  n.shards[s].queued(),
 			Applied: n.shards[s].applied.Load(),
 		}
 	}

@@ -12,11 +12,11 @@
 // merge into node totals, and shutdown is context-cancellable in the style
 // of experiment.RunCells.
 //
-// The ingest path is allocation-free in steady state: every shard owns a
-// fixed pool of event buffers that circulate router → queue → shard loop →
-// router (see DESIGN.md, "Hot path & benchmarking"). Ingest copies the
-// caller's events into pooled buffers, so callers may reuse their batch
-// slice immediately after Ingest returns.
+// The ingest path is allocation-free in steady state: every shard is one
+// bounded mailbox whose two sets of slices alternate between the ingesters
+// and the shard loop (see DESIGN.md, "Hot path & benchmarking"). Ingest
+// copies the caller's events into the mailboxes, so callers may reuse their
+// batch slice immediately after Ingest returns.
 package runtime
 
 import (
@@ -117,7 +117,9 @@ type Config struct {
 	// Seed is the node's base determinism seed; tenant i's protocol seed is
 	// sim.DeriveSeed(Seed, tenantSeedStream, i).
 	Seed int64
-	// Queue is the per-shard ingest buffer in batches (default 64).
+	// Queue is the per-shard mailbox capacity in events (default 4096): a
+	// routed batch is admitted whenever fewer than that many events wait on
+	// its shard, and is never split.
 	Queue int
 }
 
@@ -136,7 +138,7 @@ func (c Config) queue() int {
 	if c.Queue > 0 {
 		return c.Queue
 	}
-	return 64
+	return 4096
 }
 
 // tenant is one hosted serving instance, owned by exactly one shard after
@@ -146,6 +148,9 @@ type tenant struct {
 	backend
 	shard  int
 	events uint64
+	// planar marks a 2-D tenant: its records take their Y from the mailbox's
+	// side array.
+	planar bool
 	// seedID is the label the tenant's protocol seed was derived with. It is
 	// assigned from a monotonic admission counter, never reused after an
 	// eviction, and recorded in snapshots — so a tenant's randomness depends
@@ -317,33 +322,6 @@ func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
 		})
 }
 
-// batch is one unit of shard work: events (all for this shard's tenants, in
-// arrival order), a lifecycle initialization (a tenant or query admission's
-// t0, run on the owning shard's loop), or a drain acknowledgement.
-type batch struct {
-	events []Event
-	init   func()
-	ack    chan<- struct{}
-}
-
-// shard is one event loop's channel pair. Event buffers circulate between
-// work and free: an ingester takes an empty buffer from free, fills it, and
-// sends it on work; the loop applies it and returns it to free. free holds
-// queue+2 buffers — enough for a full work queue plus one buffer in flight
-// on each side — so in steady state a lone ingester never allocates and
-// never finds free empty unless the work queue is genuinely full. The work
-// channel is MPSC: any number of ingesters send, only the shard loop
-// receives, and buffer identity is never observable, so concurrent senders
-// cannot perturb a tenant's event order as long as that tenant's traffic
-// flows through one ingester.
-type shard struct {
-	work chan batch
-	free chan []Event
-	// applied counts event batches the loop has applied — ShardStats'
-	// per-shard progress figure (barrier/lifecycle batches excluded).
-	applied atomic.Uint64
-}
-
 // Node hosts tenants on sharded event loops. Ingest is concurrent: any
 // number of goroutines may route events, each through its own Ingester
 // handle (Node.Ingest wraps a default handle for single-caller code). The
@@ -360,8 +338,8 @@ type Node struct {
 	// appends. The slice is only mutated by the control-side goroutine while
 	// every ingester is held out by ingestMu and every shard loop is
 	// quiescent behind a Drain barrier; publishTable then republishes the
-	// routing table and the next channel send publishes the new header to
-	// the loops.
+	// routing table and the next post under a mailbox lock publishes the new
+	// header to the loops.
 	tenants []*tenant
 	// nextSeedID is the monotonic admission counter seeding new tenants.
 	nextSeedID int64
@@ -370,7 +348,8 @@ type Node struct {
 	// snapshot records exactly how far into the merged ingress stream the
 	// barrier sits (TotalEvents). Atomic: concurrent ingesters add to it.
 	ingested atomic.Uint64
-	shards   []shard
+	// shards holds one mailbox per event loop.
+	shards []mailbox
 	// table is the published routing table ingesters validate against; see
 	// publishTable for the replace-only protocol.
 	table atomic.Pointer[routingTable]
@@ -439,7 +418,7 @@ func NewNodeLabeled(cfg Config, specs []TenantSpec, labels []int64) (*Node, erro
 			n.nextSeedID = labels[i] + 1
 		}
 	}
-	n.initChannels(shards)
+	n.initShards(shards)
 	return n, nil
 }
 
@@ -457,7 +436,8 @@ func (n *Node) buildTenant(spec TenantSpec, ti int, seedID int64, withQueries bo
 	if name == "" {
 		name = fmt.Sprintf("tenant-%d", ti)
 	}
-	return &tenant{name: name, backend: b, shard: ti % n.cfg.shards(), seedID: seedID}, nil
+	return &tenant{name: name, backend: b, shard: ti % n.cfg.shards(), seedID: seedID,
+		planar: b.kind() == tenantKindSpatial}, nil
 }
 
 // buildBackend validates spec and builds the backend it describes. The
@@ -532,19 +512,13 @@ func checkInitial[V comparable](initial []V) error {
 	return nil
 }
 
-// initChannels sets up the shard channel pairs and buffer pools, publishes
-// the initial routing table and builds the default ingest handle.
-func (n *Node) initChannels(shards int) {
-	n.shards = make([]shard, shards)
+// initShards sets up the shard mailboxes, publishes the initial routing
+// table and builds the default ingest handle.
+func (n *Node) initShards(shards int) {
+	n.shards = make([]mailbox, shards)
 	n.acks = make(chan struct{}, shards)
 	for s := range n.shards {
-		n.shards[s].work = make(chan batch, n.cfg.queue())
-		// Pre-populate the buffer pool; the buffers grow to the observed
-		// batch sizes during warmup and are then recycled forever.
-		n.shards[s].free = make(chan []Event, n.cfg.queue()+2)
-		for b := 0; b < n.cfg.queue()+2; b++ {
-			n.shards[s].free <- nil
-		}
+		n.shards[s].init(n.cfg.queue())
 	}
 	n.publishTable()
 	n.def = n.NewIngester()
@@ -595,6 +569,16 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	n.started = true
 	n.ctx, n.cancel = context.WithCancel(ctx)
+	// The loops and blocked ingesters wait on condition variables, which a
+	// context cannot interrupt: cancellation closes the mailboxes instead.
+	// Stop always cancels, so its wg.Wait covers the hook as well.
+	n.wg.Add(1)
+	context.AfterFunc(n.ctx, func() {
+		defer n.wg.Done()
+		for s := range n.shards {
+			n.shards[s].close()
+		}
+	})
 	for s := range n.shards {
 		owned := make([]*tenant, 0, (len(n.tenants)+len(n.shards)-1)/len(n.shards))
 		for _, t := range n.tenants {
@@ -613,10 +597,10 @@ func (n *Node) Start(ctx context.Context) error {
 	return nil
 }
 
-// loop is one shard's event loop: initialize owned tenants, then apply
-// batches in arrival order, recycling each batch's buffer into the shard's
-// pool once applied.
-func (n *Node) loop(sh *shard, owned []*tenant) {
+// loop is one shard's event loop: initialize owned tenants, then take
+// whatever the mailbox holds, apply it in posting order and come back for
+// more — one lock round trip per swap, however many batches it carried.
+func (n *Node) loop(sh *mailbox, owned []*tenant) {
 	defer n.wg.Done()
 	for _, t := range owned {
 		// Checked between tenants so cancellation interrupts t0 setup too —
@@ -627,38 +611,31 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 		}
 		t.Initialize()
 	}
-	for {
-		select {
-		case <-n.ctx.Done():
-			return
-		case b, ok := <-sh.work:
-			if !ok {
-				return
+	var l load
+	for sh.swap(&l) {
+		ys := l.ys
+		for _, r := range l.recs {
+			t := n.tenants[r.tenant]
+			var y float64
+			if t.planar {
+				y, ys = ys[0], ys[1:]
 			}
-			if b.init != nil {
+			t.Deliver(stream.ID(r.stream), r.value, y)
+			t.events++
+		}
+		sh.applied.Add(uint64(l.batches))
+		for _, c := range l.ctl {
+			if c.init != nil {
 				// A live admission (tenant or query): run its t0 phase here,
 				// on the owning shard loop, exactly where NewNode tenants run
 				// theirs.
-				b.init()
+				c.init()
 			}
-			for _, ev := range b.events {
-				t := n.tenants[ev.Tenant]
-				t.Deliver(ev.Stream, ev.Value, ev.Y)
-				t.events++
-			}
-			if b.events != nil {
-				sh.applied.Add(1)
-				select {
-				case sh.free <- b.events[:0]:
-				default:
-					// The pool is full (cannot happen with pooled buffers,
-					// but keeps foreign buffers from wedging the loop).
-				}
-			}
-			if b.ack != nil {
-				b.ack <- struct{}{}
+			if c.ack != nil {
+				c.ack <- struct{}{}
 			}
 		}
+		clear(l.ctl) // drop the init closures
 	}
 }
 
@@ -666,11 +643,11 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 // default ingest handle. Events are grouped by owning shard with their
 // relative order preserved; a tenant lives on exactly one shard, so
 // per-tenant order is exactly the arrival order no matter how many shards
-// the node runs. One Ingest costs at most one channel send per shard —
+// the node runs. One Ingest costs at most one mailbox append per shard —
 // callers feeding high-rate streams should batch accordingly. Events are
-// copied into buffers from the per-shard pools (allocation-free once warm),
-// so the caller may reuse its slice immediately; when a shard's queue and
-// pool are exhausted Ingest blocks until that shard frees a buffer.
+// copied into the shard mailboxes (allocation-free once warm), so the
+// caller may reuse its slice immediately; while a shard's mailbox is at
+// capacity Ingest blocks until that shard's loop swaps it out.
 //
 // Like any single Ingester, the default handle serves one goroutine at a
 // time; concurrent callers each take their own handle from NewIngester.
@@ -678,40 +655,25 @@ func (n *Node) Ingest(events []Event) error {
 	return n.def.Ingest(events)
 }
 
-// takeBuf borrows an empty event buffer from shard s's pool, blocking until
-// the shard loop recycles one (i.e. only when the shard is a full queue
-// behind) or the node shuts down. Buffers start nil and are grown by the
-// router's appends, so the pool adapts to the caller's batch sizes.
-func (n *Node) takeBuf(s int) ([]Event, error) {
-	select {
-	case buf := <-n.shards[s].free:
-		return buf, nil
-	case <-n.ctx.Done():
-		return nil, n.ctx.Err()
-	}
-}
-
-// PendingBatches returns the deepest per-shard backlog: the largest number
-// of routed-but-unapplied batches queued on any shard's work channel. The
-// network serving plane reads it as its admission watermark — when the
-// deepest shard is a near-full queue behind, accepting more ingest would
-// only move the queueing from the node's bounded pools into unbounded
-// server memory, so netserve sheds or stalls instead. The figure is a
-// racy snapshot (shard loops drain concurrently), which is exactly what a
-// watermark wants: erring a batch late never breaks correctness, only
-// shifts when backpressure engages.
-func (n *Node) PendingBatches() int {
-	max := 0
+// PendingEvents returns the deepest per-shard backlog: the largest number
+// of routed events waiting in any shard's mailbox (those the loop has taken
+// and is applying are not counted). The network serving plane reads it as
+// its admission watermark — when the deepest shard is a near-full mailbox
+// behind, accepting more ingest would only move the queueing from the
+// node's bounded mailboxes into unbounded server memory, so netserve sheds
+// or stalls instead. The figure is a racy snapshot (shard loops drain
+// concurrently), which is exactly what a watermark wants: erring a batch
+// late never breaks correctness, only shifts when backpressure engages.
+func (n *Node) PendingEvents() int {
+	var deepest int64
 	for s := range n.shards {
-		if d := len(n.shards[s].work); d > max {
-			max = d
-		}
+		deepest = max(deepest, n.shards[s].depth.Load())
 	}
-	return max
+	return int(deepest)
 }
 
-// QueueCap returns the per-shard work-queue capacity in batches — the
-// denominator PendingBatches is judged against when picking a watermark.
+// QueueCap returns the per-shard mailbox capacity in events — the
+// denominator PendingEvents is judged against when picking a watermark.
 func (n *Node) QueueCap() int { return n.cfg.queue() }
 
 // Drain blocks until every shard has applied all batches ingested so far
@@ -731,9 +693,8 @@ func (n *Node) Drain() error {
 // ingestMu write side, so no ingester can route between the markers and the
 // acknowledgements — the barrier observes exactly the events routed before
 // it. The write lock always becomes available: an in-flight ingester blocked
-// on a full queue or an empty pool is waiting on a shard loop, and shard
-// loops always make progress (their recycle sends are non-blocking and their
-// ack sends are bounded by the barrier protocol).
+// on a full mailbox is waiting on a shard loop, and shard loops always make
+// progress (their ack sends are bounded by the barrier protocol).
 func (n *Node) drainLocked() error {
 	if !n.started || n.stopped {
 		return fmt.Errorf("runtime: node not running")
@@ -745,36 +706,46 @@ func (n *Node) drainLocked() error {
 		return err
 	}
 	for s := range n.shards {
-		select {
-		case n.shards[s].work <- batch{ack: n.acks}:
-		case <-n.ctx.Done():
-			return n.ctx.Err()
-		}
+		n.shards[s].postControl(control{ack: n.acks})
 	}
 	for range n.shards {
-		select {
-		case <-n.acks:
-		case <-n.ctx.Done():
-			return n.ctx.Err()
+		if err := n.awaitAck(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Stop shuts the shard loops down and waits for them to exit. Batches still
-// queued are dropped (call Drain first for a graceful shutdown). Stop is
+// awaitAck waits for one shard loop's acknowledgement, or for the node to
+// shut down.
+func (n *Node) awaitAck() error {
+	select {
+	case <-n.acks:
+		return nil
+	case <-n.ctx.Done():
+		return n.ctx.Err()
+	}
+}
+
+// Stop shuts the shard loops down and waits for them to exit. Events still
+// queued are dropped (call Drain first for a graceful shutdown), and an
+// Ingest blocked on a full mailbox returns the context's error. Stop is
 // idempotent. Cancelling the Start context makes the loops wind down on
 // their own, but only Stop waits for that to finish — call it before
 // reading tenant state even after an external cancellation.
 func (n *Node) Stop() {
-	n.ingestMu.Lock()
-	if !n.started || n.stopped {
-		n.ingestMu.Unlock()
+	n.ingestMu.RLock()
+	running := n.started && !n.stopped
+	n.ingestMu.RUnlock()
+	if !running {
 		return
 	}
+	// Cancel first: it releases every ingester blocked on a full mailbox,
+	// so the write lock below is not held up behind a slow shard.
+	n.cancel()
+	n.ingestMu.Lock()
 	n.stopped = true
 	n.ingestMu.Unlock()
-	n.cancel()
 	n.wg.Wait()
 }
 
@@ -834,7 +805,7 @@ func (n *Node) Totals() comm.Counter {
 // AddTenant admits a tenant onto the live node and returns its slot id. The
 // admission flows through the same machinery as events: a full drain
 // barrier quiesces the shard loops (publishing the grown tenant table to
-// them through the work channels — no locks touch the ingest hot path), the
+// them through the mailboxes — no new lock touches the ingest hot path), the
 // protocol factory runs on the caller's goroutine, and the tenant's t0
 // initialization runs on its owning shard loop. The protocol seed derives
 // from the node seed and a monotonic admission counter, so a tenant's
@@ -891,17 +862,8 @@ func (n *Node) AddTenantLabeled(spec TenantSpec, label int64) (int, error) {
 // acknowledgement — the lifecycle path a t0 initialization takes to run
 // exactly where the tenant's events will be applied.
 func (n *Node) runOnShard(s int, fn func()) error {
-	select {
-	case n.shards[s].work <- batch{init: fn, ack: n.acks}:
-	case <-n.ctx.Done():
-		return n.ctx.Err()
-	}
-	select {
-	case <-n.acks:
-	case <-n.ctx.Done():
-		return n.ctx.Err()
-	}
-	return nil
+	n.shards[s].postControl(control{init: fn, ack: n.acks})
+	return n.awaitAck()
 }
 
 // AddQuery admits a standing query onto live multi-query tenant ti and

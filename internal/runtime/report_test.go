@@ -128,9 +128,9 @@ func TestReportTextMatchesLegacyDump(t *testing.T) {
 	}
 }
 
-// TestPendingBatchesQuiescent checks the watermark accessor reads zero on a
-// drained node and stays within the configured queue capacity.
-func TestPendingBatchesQuiescent(t *testing.T) {
+// TestPendingEventsQuiescent checks the watermark accessor reads zero on a
+// drained node and QueueCap reports the configured capacity in events.
+func TestPendingEventsQuiescent(t *testing.T) {
 	node, err := runtime.NewNode(runtime.Config{Shards: 2, Seed: 1, Queue: 8}, reportSpecs())
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestPendingBatchesQuiescent(t *testing.T) {
 	if err := node.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := node.PendingBatches(); got != 0 {
-		t.Fatalf("PendingBatches on a drained node = %d, want 0", got)
+	if got := node.PendingEvents(); got != 0 {
+		t.Fatalf("PendingEvents on a drained node = %d, want 0", got)
 	}
 }

@@ -182,7 +182,7 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	n.initChannels(shards)
+	n.initShards(shards)
 	return n, nil
 }
 

@@ -155,7 +155,7 @@ func (n *Node) ImportTenant(spec TenantSpec, data []byte) (int, error) {
 	if seedID >= n.nextSeedID {
 		n.nextSeedID = seedID + 1
 	}
-	// No t0 to run: the next work-channel send publishes the grown tenant
+	// No t0 to run: the next mailbox post publishes the grown tenant
 	// table to the shard loops, exactly as AddTenant's barrier protocol does.
 	n.tenants = append(n.tenants, t)
 	n.publishTable()

@@ -12,6 +12,13 @@ import (
 // frameHeaderSize is the fixed length prefix: a little-endian uint32.
 const frameHeaderSize = 4
 
+// ioBufSize is the buffered reader's and writer's size on both ends of a
+// connection. A socket read or write costs about the same whatever it
+// carries, so the buffer sets how many small frames share one: bufio's
+// default 4 KiB holds 11 32-event ingest frames, 16 KiB holds 45
+// (DESIGN.md §9.2).
+const ioBufSize = 16 << 10
+
 // FrameWriter frames payloads onto a stream. One FrameWriter serves one
 // connection direction; it owns a payload scratch buffer (reused across
 // frames, so steady-state encoding allocates nothing) and a buffered
@@ -33,7 +40,7 @@ func NewFrameWriter(w io.Writer, maxFrame int) *FrameWriter {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &FrameWriter{w: bufio.NewWriter(w), maxFrame: maxFrame}
+	return &FrameWriter{w: bufio.NewWriterSize(w, ioBufSize), maxFrame: maxFrame}
 }
 
 // Begin starts a frame and returns the payload encoder (reset and ready).
@@ -89,7 +96,7 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &FrameReader{r: bufio.NewReader(r), maxFrame: maxFrame}
+	return &FrameReader{r: bufio.NewReaderSize(r, ioBufSize), maxFrame: maxFrame}
 }
 
 // Ready reports whether the next Next will be served entirely from bytes

@@ -570,9 +570,10 @@ func DecodeImportTenant(r *snapshot.Reader) (TenantSpec, []byte, error) {
 
 // Stats is a node's load figures — the rebalancer's placement signal.
 type Stats struct {
-	// Pending is the deepest per-shard batch backlog (instantaneous).
+	// Pending is the deepest per-shard backlog in events (instantaneous).
 	Pending int
-	// QueueCap is the per-shard queue capacity Pending is judged against.
+	// QueueCap is the per-shard mailbox capacity in events that Pending is
+	// judged against; consumers use only the ratio.
 	QueueCap int
 	// TotalEvents counts every event the node accepted over its life.
 	TotalEvents uint64
@@ -603,7 +604,7 @@ func DecodeStatsReply(r *snapshot.Reader) (Stats, Ack, error) {
 		return Stats{}, ack, nil
 	}
 	var s Stats
-	if s.Pending, err = wireInt(r, "pending batches"); err != nil {
+	if s.Pending, err = wireInt(r, "pending events"); err != nil {
 		return Stats{}, ack, err
 	}
 	if s.QueueCap, err = wireInt(r, "queue capacity"); err != nil {
