@@ -21,7 +21,7 @@
 //
 //	streamsim -tenants 16 -shards 4 -listen :7070
 //	streamsim -tenants 16 -connect localhost:7070 -rate 100000 \
-//	    -latency-out BENCH_wire.json -answers remote.txt -shutdown
+//	    -answers remote.txt -shutdown
 package main
 
 import (
@@ -94,7 +94,6 @@ func parseFlags(args []string, stderr io.Writer) (simParams, error) {
 	fs.StringVar(&p.Listen, "listen", "", "serve the configured node over TCP on this address (e.g. :7070) instead of ingesting locally")
 	fs.StringVar(&p.Connect, "connect", "", "drive a -listen process at this address with the configured workload instead of hosting a node")
 	fs.Float64Var(&p.Rate, "rate", 0, "open-loop target ingest rate in events/sec for -connect (0 = unpaced)")
-	fs.StringVar(&p.LatencyOut, "latency-out", "", "write a bench suite JSON with the -connect run's throughput and p50/p99/p999 ack latency to this file")
 	fs.BoolVar(&p.Shutdown, "shutdown", false, "ask the remote process to stop after a -connect run")
 	if err := fs.Parse(args); err != nil {
 		return p, err

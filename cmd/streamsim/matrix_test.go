@@ -199,8 +199,7 @@ func loopback(t *testing.T, audit bool, listen, connect string) (served, fetched
 			t.Fatal("listener never became ready")
 		}
 	}
-	fetched = mustSimulate(t, audit, connect, "-shutdown -connect", string(addr),
-		"-latency-out", filepath.Join(dir, "latency.json"))
+	fetched = mustSimulate(t, audit, connect, "-shutdown -connect", string(addr))
 	<-done
 	if listenErr != nil {
 		t.Fatal(listenErr)

@@ -35,7 +35,6 @@ type simParams struct {
 	Listen, Connect          string
 	ReadyFile                string
 	Rate                     float64
-	LatencyOut               string
 	Shutdown                 bool
 }
 
@@ -109,8 +108,8 @@ func (p simParams) validate() error {
 		return fmt.Errorf("-listen and -connect are mutually exclusive: a process is one end of the wire")
 	case p.Rate < 0:
 		return fmt.Errorf("-rate must be non-negative, got %g", p.Rate)
-	case (p.Rate > 0 || p.LatencyOut != "" || p.Shutdown) && p.Connect == "":
-		return fmt.Errorf("-rate, -latency-out and -shutdown need -connect")
+	case (p.Rate > 0 || p.Shutdown) && p.Connect == "":
+		return fmt.Errorf("-rate and -shutdown need -connect")
 	case p.ReadyFile != "" && p.Listen == "":
 		return fmt.Errorf("-ready-file needs -listen")
 	case p.Check && p.Listen != "":

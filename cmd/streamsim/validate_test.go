@@ -28,7 +28,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = okParams()
-	p.Tenants, p.Connect, p.Rate, p.LatencyOut, p.Shutdown = 4, "localhost:7070", 1e5, "lat.json", true
+	p.Tenants, p.Connect, p.Rate, p.Shutdown = 4, "localhost:7070", 1e5, true
 	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,6 @@ func TestValidateRejects(t *testing.T) {
 		{"listen-and-connect", func(p *simParams) { p.Listen, p.Connect = ":1", ":2" }, "mutually exclusive"},
 		{"negative-rate", func(p *simParams) { p.Connect, p.Rate = ":1", -5 }, "-rate"},
 		{"rate-without-connect", func(p *simParams) { p.Rate = 100 }, "need -connect"},
-		{"latency-out-without-connect", func(p *simParams) { p.LatencyOut = "l.json" }, "need -connect"},
 		{"shutdown-without-connect", func(p *simParams) { p.Shutdown = true }, "need -connect"},
 		{"snapshot-over-wire", func(p *simParams) { p.Tenants, p.Listen, p.SnapEvery = 2, ":1", 100 }, "not over the wire"},
 		{"negative-cluster", func(p *simParams) { p.Cluster = -1 }, "-cluster"},

@@ -13,12 +13,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	gort "runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"adaptivefilters/client"
-	"adaptivefilters/internal/bench"
 	"adaptivefilters/internal/netserve"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/wire"
@@ -274,7 +273,7 @@ func runConnect(p simParams, stdout io.Writer) error {
 		shedB += st.Shed
 		lostB += st.Lost
 	}
-	p50, p99, p999 := bench.LatencyPercentiles(samples)
+	p50, p99, p999 := latencyPercentiles(samples)
 
 	fmt.Fprintf(stdout, "sent:       %d events in %d batches (%d events dropped while disconnected)\n",
 		sentEv, batches, droppedEv)
@@ -291,27 +290,6 @@ func runConnect(p simParams, stdout io.Writer) error {
 	if err := p.finish(stdout, res.report, ts); err != nil {
 		return err
 	}
-	if p.LatencyOut != "" {
-		suite := &bench.Suite{Benchmark: "streamsim-wire", GoMaxProcs: gort.GOMAXPROCS(0)}
-		name := fmt.Sprintf("wire-loopback-ingest/batch=%d", p.Batch)
-		if nconn > 1 {
-			name += fmt.Sprintf("/conns=%d", nconn)
-		}
-		var nsPerOp float64
-		if batches > 0 {
-			nsPerOp = float64(res.elapsed) / float64(batches)
-		}
-		suite.Add(bench.Result{
-			Name:         name,
-			EventsPerOp:  p.Batch,
-			NsPerOp:      nsPerOp,
-			EventsPerSec: float64(okEvents) / res.elapsed.Seconds(),
-			P50Ns:        p50, P99Ns: p99, P999Ns: p999,
-		})
-		if err := suite.WriteFile(p.LatencyOut); err != nil {
-			return err
-		}
-	}
 	if p.Shutdown {
 		if err := conns[0].cl.Shutdown(); err != nil {
 			return err
@@ -319,6 +297,20 @@ func runConnect(p simParams, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "shutdown:   remote acknowledged")
 	}
 	return nil
+}
+
+// latencyPercentiles reduces ack latencies to their p50/p99/p999 by nearest
+// rank — the smallest sample at least that share of the samples are ≤ — as
+// benchmark/ does. The rank is ⌈p·n⌉ with p in per-mille, taken in integers
+// so a float product like 0.99·n cannot step over an integer. The input is
+// not modified; no samples yield zeros.
+func latencyPercentiles(samples []float64) (p50, p99, p999 float64) {
+	if len(samples) == 0 {
+		return 0, 0, 0
+	}
+	sorted := slices.Sorted(slices.Values(samples))
+	at := func(perMille int) float64 { return sorted[(perMille*len(sorted)+999)/1000-1] }
+	return at(500), at(990), at(999)
 }
 
 // retryWire retries a synchronous call across a background redial: while

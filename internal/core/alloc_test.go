@@ -1,0 +1,67 @@
+package core_test
+
+import (
+	"testing"
+
+	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/server"
+	"adaptivefilters/internal/sim"
+)
+
+// TestProtocolStepAllocFree pins the paper's server loop at zero
+// allocations: once one pass has warmed the protocol's scratch and the
+// cluster's pending queue, delivering a whole 20k-event walk — every
+// maintenance phase and every message it charges — allocates nothing. The
+// rank rows hold the selection kernel to it: RTP's k+r+1 nearest plus a
+// broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over
+// everything outside.
+func TestProtocolStepAllocFree(t *testing.T) {
+	const n, events = 2000, 20000
+	rng := sim.NewRNG(11)
+	initial := make([]float64, n)
+	for i := range initial {
+		initial[i] = rng.Uniform(0, 1000)
+	}
+	cur := append([]float64(nil), initial...)
+	ids, values := make([]int, events), make([]float64, events)
+	for i := range ids {
+		id := rng.Intn(n)
+		cur[id] += rng.Normal(0, 20)
+		ids[i], values[i] = id, cur[id]
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(h server.Host) server.Protocol
+	}{
+		{"ft-nrp", func(h server.Host) server.Protocol {
+			return core.NewFTNRP(h, query.NewRange(400, 600), core.FTNRPConfig{
+				Tol:       core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3},
+				Selection: core.SelectBoundaryNearest,
+				Seed:      7,
+			})
+		}},
+		{"rtp", func(h server.Host) server.Protocol {
+			return core.NewRTP(h, query.At(500), core.RankTolerance{K: 20, R: 5})
+		}},
+		{"ft-rp", func(h server.Host) server.Protocol {
+			return core.NewFTRP(h, query.At(500), 20,
+				core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := server.NewCluster(initial)
+			c.SetProtocol(tc.build(c))
+			c.Initialize()
+			pass := func() {
+				for i, id := range ids {
+					c.Deliver(id, values[i])
+				}
+			}
+			pass()
+			if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+				t.Errorf("a warm %d-event pass allocated %.1f objects, want 0", events, allocs)
+			}
+		})
+	}
+}

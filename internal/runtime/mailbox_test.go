@@ -344,7 +344,11 @@ func TestMailboxProperty(t *testing.T) {
 // ordinary test: once the mailboxes, the staging slices and the protocols'
 // scratch are warm, Ingest + Drain of a mixed 1-D / planar / composite
 // batch set allocates exactly nothing, at one shard and at four, from
-// one-event batches to a full netserve burst.
+// one-event batches to a full netserve burst, through one ingester and
+// through two. The second composite tenant's 64 queries are all active, so
+// nearly every event reports and the crossed-only dispatch is on the path.
+// Two ingesters own disjoint tenants and are driven alternately from the
+// test goroutine, so the schedule stays the test's to choose.
 //
 // A mailbox's slices grow to the deepest backlog they have held, which
 // depends on how the ingester and the loops were scheduled. So that "warm"
@@ -355,58 +359,86 @@ func TestMailboxProperty(t *testing.T) {
 // gate, out of it, and the Drain's, which the test posts only once the
 // second is done — so two held passes grow both alternating slice sets.
 func TestIngestPathAllocFree(t *testing.T) {
+	active, _ := mqWalk(40, 0, 53)
 	specs := []TenantSpec{
 		testSpecs(1, 40)[0],
 		spatialSpec("fleet", 40, 5),
 		qpSpec("plane", 4, 40, 51),
+		{Name: "active", Initial: active, Queries: mqActiveQueries(64)},
 	}
-	for _, shards := range []int{1, 4} {
-		for _, size := range []int{1, 32, 512} {
-			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, size), func(t *testing.T) {
-				batches := testEvents(specs, 1024, size)
-				node, err := NewNode(Config{Shards: shards, Seed: 42}, specs)
-				if err != nil {
-					t.Fatal(err)
+	for _, ingesters := range []int{1, 2} {
+		for _, shards := range []int{1, 4} {
+			for _, size := range []int{1, 32, 512} {
+				name := fmt.Sprintf("shards=%d/batch=%d", shards, size)
+				if ingesters > 1 {
+					name += fmt.Sprintf("/ingesters=%d", ingesters)
 				}
-				if err := node.Start(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				defer node.Stop()
-				route := func() {
-					for _, b := range batches {
-						if err := node.Ingest(b); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				pass := func() {
-					route()
-					if err := node.Drain(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				pass() // t0 and protocol scratch
-				for i := 0; i < 2; i++ {
-					gate, held := make(chan struct{}), make(chan struct{}, shards)
-					for s := range node.shards {
-						node.shards[s].postControl(control{init: func() { held <- struct{}{}; <-gate }})
-					}
-					for range node.shards {
-						<-held
-					}
-					route()
-					close(gate)
-					for node.PendingEvents() != 0 {
-						time.Sleep(time.Millisecond)
-					}
-					if err := node.Drain(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
-					t.Errorf("Ingest + Drain allocated %.1f objects per pass, want 0", allocs)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					ingestPathAllocFree(t, specs, shards, size, ingesters)
+				})
+			}
 		}
+	}
+}
+
+// ingestPathAllocFree is one TestIngestPathAllocFree case.
+func ingestPathAllocFree(t *testing.T, specs []TenantSpec, shards, size, ingesters int) {
+	batches := testEvents(specs, 1000, size)
+	node, err := NewNode(Config{Shards: shards, Seed: 42}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	// Ingester g owns the tenants t ≡ g (mod ingesters); each batch is split
+	// into per-ingester lanes ahead of time.
+	ings := make([]*Ingester, ingesters)
+	lanes := make([][][]Event, len(batches))
+	for g := range ings {
+		ings[g] = node.NewIngester()
+	}
+	for i, b := range batches {
+		lanes[i] = make([][]Event, ingesters)
+		for _, ev := range b {
+			lanes[i][ev.Tenant%ingesters] = append(lanes[i][ev.Tenant%ingesters], ev)
+		}
+	}
+	route := func() {
+		for _, lane := range lanes {
+			for g, evs := range lane {
+				if err := ings[g].Ingest(evs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	pass := func() {
+		route()
+		if err := node.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // t0 and protocol scratch
+	for i := 0; i < 2; i++ {
+		gate, held := make(chan struct{}), make(chan struct{}, shards)
+		for s := range node.shards {
+			node.shards[s].postControl(control{init: func() { held <- struct{}{}; <-gate }})
+		}
+		for range node.shards {
+			<-held
+		}
+		route()
+		close(gate)
+		for node.PendingEvents() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if err := node.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Errorf("Ingest + Drain allocated %.1f objects per pass, want 0", allocs)
 	}
 }

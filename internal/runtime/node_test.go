@@ -71,16 +71,18 @@ func testEvents(specs []TenantSpec, perTenant, batchSize int) [][]Event {
 			all = append(all, ev)
 		}
 	}
-	var batches [][]Event
-	for len(all) > 0 {
-		n := batchSize
-		if n > len(all) {
-			n = len(all)
-		}
-		batches = append(batches, all[:n])
-		all = all[n:]
+	return batched(all, batchSize)
+}
+
+// batched cuts events into ingest batches of at most size.
+func batched(events []Event, size int) [][]Event {
+	var out [][]Event
+	for len(events) > 0 {
+		n := min(size, len(events))
+		out = append(out, events[:n])
+		events = events[n:]
 	}
-	return batches
+	return out
 }
 
 // runNode drives one full node lifecycle and returns it quiesced (stopped).

@@ -148,75 +148,6 @@ func TestMultiQueryMatchesSynchronousComposite(t *testing.T) {
 	}
 }
 
-// TestCompositeSharingBeatsIndependentTenants pins the acceptance
-// criterion carried over from the multiquery package: a composite tenant
-// serving M queries must cost strictly fewer maintenance messages than M
-// independent single-query tenants watching the same partition.
-func TestCompositeSharingBeatsIndependentTenants(t *testing.T) {
-	const m, streams, steps = 4, 80, 6000
-	spec := qpSpec("shared", m, streams, 11)
-	moves := qpMoves(spec.Initial, steps, 12)
-
-	shared, err := NewNode(Config{Shards: 2, Seed: 42}, []TenantSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shared.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Stop()
-	if err := shared.Ingest(moves); err != nil {
-		t.Fatal(err)
-	}
-	if err := shared.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	sharedMaint := shared.Counter(0).Maintenance()
-
-	// M single-query tenants, each a full copy of the partition fed the
-	// same walk: the independent-clusters deployment of the same workload.
-	indSpecs := make([]TenantSpec, m)
-	for j := 0; j < m; j++ {
-		qs := spec.Queries[j]
-		indSpecs[j] = TenantSpec{
-			Name:        qs.Name,
-			Initial:     spec.Initial,
-			NewProtocol: qs.NewProtocol,
-		}
-	}
-	ind, err := NewNode(Config{Shards: 2, Seed: 42}, indSpecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ind.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer ind.Stop()
-	fanout := make([]Event, 0, m)
-	for _, mv := range moves {
-		fanout = fanout[:0]
-		for j := 0; j < m; j++ {
-			fanout = append(fanout, Event{Tenant: j, Stream: mv.Stream, Value: mv.Value})
-		}
-		if err := ind.Ingest(fanout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ind.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	var indMaint uint64
-	for j := 0; j < m; j++ {
-		indMaint += ind.Counter(j).Maintenance()
-	}
-	if sharedMaint >= indMaint {
-		t.Fatalf("composite = %d maintenance messages, independent = %d; sharing must win",
-			sharedMaint, indMaint)
-	}
-	t.Logf("composite %d vs independent %d maintenance messages (%.1f%%)",
-		sharedMaint, indMaint, 100*float64(sharedMaint)/float64(indMaint))
-}
-
 // TestQueryLifecycle drives AddQuery/RemoveQuery on a live node at several
 // shard counts: trajectories must be identical everywhere, removed slots
 // must become inert and never be reused, and admissions after a restore
@@ -479,14 +410,16 @@ func TestRestoreRefusesOldVersions(t *testing.T) {
 }
 
 // TestCompositeIngestStaysAllocationFree extends the zero-allocation
-// invariant to the composite delivery path: once warm, routing events
-// through a multi-query tenant's fabric on the shard loops must not touch
-// the allocator.
+// invariant to the composite delivery path under backpressure: once warm,
+// routing events through a multi-query tenant's fabric on the shard loops
+// must not touch the allocator, even when every Ingest waits for room.
 func TestCompositeIngestStaysAllocationFree(t *testing.T) {
 	spec := qpSpec("alloc", 4, 50, 51)
 	moves := qpMoves(spec.Initial, 2000, 52)
-	// A small queue keeps the buffer pool coverable by the warmup passes
-	// (every pooled buffer must have grown to the batch size once).
+	// Queue counts events, so a 4-event mailbox is full after any 250-event
+	// batch: each one waits for the loop's swap before it is admitted. This
+	// is the only allocation test of the blocked-admission path (the others
+	// size a pass to fit the default capacity).
 	node, err := NewNode(Config{Shards: 2, Seed: 42, Queue: 4}, []TenantSpec{spec})
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +443,7 @@ func TestCompositeIngestStaysAllocationFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		pass() // warm pools and protocol scratch
+		pass() // warm the mailboxes and protocol scratch
 	}
 	allocs := testing.AllocsPerRun(3, pass)
 	if allocs > 0 {

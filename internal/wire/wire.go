@@ -15,7 +15,7 @@
 //
 //   - FrameWriter and FrameReader own reusable payload buffers; encoding
 //     or decoding a steady-state ingest batch is 0 allocs/op (pinned by
-//     TestIngestCodecAllocs and the wire-codec rows of BENCH_suite.json).
+//     TestIngestCodecAllocs).
 //   - Decoding never trusts input: lengths are validated against the
 //     bytes actually present before anything is allocated, oversized
 //     frames are refused at the header, and corrupt payloads surface as
