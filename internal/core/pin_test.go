@@ -64,6 +64,22 @@ func pinWalks() []pinWalk {
 		}},
 		{name: "ft-rp", n: 300, seed: 5, build: ftrpPin(core.SelectBoundaryNearest)},
 		{name: "ft-rp-random", n: 300, seed: 6, build: ftrpPin(core.SelectRandom)},
+		// The rank-index baselines: one VB-kNN walk per KNearest branch
+		// (two-pointer walk, top-k tie extension, bottom-k prefix), and the
+		// no-filter k-NN under redrawn values, whose every update moves a
+		// stream far through the index.
+		{name: "vb-knn", n: 300, seed: 7, build: vbknnPin(query.At(500))},
+		{name: "vb-knn-top", n: 300, seed: 8, build: vbknnPin(query.Top())},
+		{name: "vb-knn-bottom", n: 300, seed: 9, build: vbknnPin(query.Bottom())},
+		{name: "no-filter-knn", n: 300, seed: 10, jumpy: true, build: func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+			return core.NewNoFilterKNN(c, query.NewKNN(query.At(500), 6)), func() [2]uint64 { return [2]uint64{} }
+		}},
+	}
+}
+
+func vbknnPin(q query.Center) func(*server.Cluster) (server.Protocol, func() [2]uint64) {
+	return func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+		return core.NewVBKNN(c, query.NewKNN(q, 6), 20), func() [2]uint64 { return [2]uint64{} }
 	}
 }
 
