@@ -15,7 +15,9 @@ import (
 // maintenance phase and every message it charges — allocates nothing. The
 // rank rows hold the selection kernel to it: RTP's k+r+1 nearest plus a
 // broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over
-// everything outside.
+// everything outside. The baselines hold the rank index to it: every
+// VB-kNN and no-filter k-NN update moves one key inside the index's ordered
+// slice.
 func TestProtocolStepAllocFree(t *testing.T) {
 	const n, events = 2000, 20000
 	rng := sim.NewRNG(11)
@@ -47,6 +49,12 @@ func TestProtocolStepAllocFree(t *testing.T) {
 		{"ft-rp", func(h server.Host) server.Protocol {
 			return core.NewFTRP(h, query.At(500), 20,
 				core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+		}},
+		{"vb-knn", func(h server.Host) server.Protocol {
+			return core.NewVBKNN(h, query.NewKNN(query.At(500), 20), 10)
+		}},
+		{"no-filter-knn", func(h server.Host) server.Protocol {
+			return core.NewNoFilterKNN(h, query.NewKNN(query.At(500), 20))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

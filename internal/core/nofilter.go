@@ -68,9 +68,7 @@ func (p *NoFilterKNN) Name() string { return "no-filter-knn" }
 
 // Initialize probes every stream and indexes the values.
 func (p *NoFilterKNN) Initialize() {
-	for id, v := range p.c.ProbeAll() {
-		p.ix.Set(id, v)
-	}
+	p.ix.Load(p.c.ProbeAll(), nil)
 	p.c.AddServerOps(p.c.N())
 }
 

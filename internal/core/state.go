@@ -116,8 +116,8 @@ func exportIndex(w *snapshot.Writer, ix *rankindex.Index) {
 	}
 }
 
-// importIndex rebuilds a rankindex written by exportIndex into a fresh,
-// empty index of the same capacity.
+// importIndex rebuilds a rankindex written by exportIndex into an index of
+// the same capacity, replacing its contents in one bulk load.
 func importIndex(r *snapshot.Reader, ix *rankindex.Index) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -126,24 +126,22 @@ func importIndex(r *snapshot.Reader, ix *rankindex.Index) error {
 	if n != ix.N() {
 		return fmt.Errorf("core: snapshot index capacity %d, host has %d", n, ix.N())
 	}
+	vals, has := make([]float64, n), make([]bool, n)
 	for id := 0; id < n; id++ {
-		if r.Bool() {
-			v := r.Float64()
-			if err := r.Err(); err != nil {
-				return err
-			}
+		if has[id] = r.Bool(); has[id] {
+			vals[id] = r.Float64()
 			// The codec round-trips NaN bit-exactly, so a corrupt snapshot
-			// can carry one; rankindex.Set treats NaN as a caller bug
+			// can carry one; rankindex.Load treats NaN as a caller bug
 			// (panic), so reject it here as the input error it is.
-			if math.IsNaN(v) {
+			if math.IsNaN(vals[id]) {
 				return fmt.Errorf("core: snapshot index value for stream %d is NaN", id)
 			}
-			ix.Set(id, v)
 		}
 		if err := r.Err(); err != nil {
 			return err
 		}
 	}
+	ix.Load(vals, has)
 	return nil
 }
 

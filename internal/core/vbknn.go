@@ -44,8 +44,8 @@ func (p *VBKNN) Name() string { return fmt.Sprintf("vb-knn(k=%d,εv=%g)", p.q.K,
 // Initialize probes every stream and installs the band filters.
 func (p *VBKNN) Initialize() {
 	vals := p.c.ProbeAll()
+	p.ix.Load(vals, nil)
 	for id, v := range vals {
-		p.ix.Set(id, v)
 		p.c.Install(id, filter.NewBand(v, p.Width/2), true)
 	}
 	p.c.AddServerOps(len(vals))

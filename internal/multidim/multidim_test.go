@@ -243,7 +243,8 @@ func (h nanTableHost) AddServerOps(int) {}
 
 // TestRankTablePanicsOnNaN is the regression for the rankTable sort drift:
 // the legacy sort.Slice comparator silently corrupted the ranking order
-// when a NaN distance slipped in (the ostree bug class PR 6 fixed in 1-D).
+// when a NaN distance slipped in (the bug class the 1-D rank index rejects
+// at Set).
 // A NaN now panics at the fill, before any comparison can go wrong.
 func TestRankTablePanicsOnNaN(t *testing.T) {
 	defer func() {

@@ -78,6 +78,91 @@ func BenchmarkSortByDistID(b *testing.B) {
 	}
 }
 
+// TestSetRemoveAllocFree holds the index's churn at zero allocations: the
+// ordered key slice is sized for every stream up front, so moving, removing
+// and re-adding streams only shifts keys inside it.
+func TestSetRemoveAllocFree(t *testing.T) {
+	const n = 64
+	ix := New(n)
+	allocs := testing.AllocsPerRun(50, func() {
+		for id := 0; id < n; id++ {
+			ix.Set(id, float64((id*37)%n))
+		}
+		for id := 0; id < n; id++ {
+			ix.Set(id, float64((id*11)%n)/2) // moves
+		}
+		for id := 0; id < n; id += 2 {
+			ix.Remove(id)
+		}
+		for id := 0; id < n; id++ {
+			ix.Remove(id)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Set/Remove churn allocates %v allocs/run, want 0", allocs)
+	}
+}
+
+// benchLoad fills an index with n streams drawn uniformly from [0, 1000)
+// and returns it with a fixed event sequence: which stream moves, and by
+// how much (a Normal(0, 20) step) or to where (a fresh uniform draw).
+func benchLoad(n int) (ix *Index, ids []int, steps, draws []float64) {
+	rng := rand.New(rand.NewSource(9))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	const events = 1 << 16
+	ids, steps, draws = make([]int, events), make([]float64, events), make([]float64, events)
+	for i := range ids {
+		ids[i], steps[i], draws[i] = rng.Intn(n), rng.NormFloat64()*20, rng.Float64()*1000
+	}
+	return FromValues(vals), ids, steps, draws
+}
+
+// BenchmarkSet prices one Set of a present stream. walk is the paper's
+// random-walk update (a stream steps a little; a step that would leave
+// [0, 1000] is taken the other way);
+// jump redraws the value uniformly, so the stream moves a third of the
+// index on average: the worst case for an ordered array.
+func BenchmarkSet(b *testing.B) {
+	b.Run("walk/n=2000", func(b *testing.B) {
+		ix, ids, steps, _ := benchLoad(2000)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			j := i & (len(ids) - 1)
+			id := ids[j]
+			v := ix.vals[id] + steps[j]
+			if v < 0 || v > 1000 {
+				v = ix.vals[id] - steps[j]
+			}
+			ix.Set(id, v)
+		}
+	})
+	b.Run("jump/n=5000", func(b *testing.B) {
+		ix, ids, _, draws := benchLoad(5000)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			j := i & (len(ids) - 1)
+			ix.Set(ids[j], draws[j])
+		}
+	})
+}
+
+// BenchmarkFromValues prices a bulk load, the path every VB-kNN and no-filter
+// k-NN initialization, oracle and snapshot restore takes.
+func BenchmarkFromValues(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	vals := make([]float64, 5000)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		FromValues(vals)
+	}
+}
+
 // BenchmarkKNearest covers the full query path now feeding the composite
 // hot path.
 func BenchmarkKNearest(b *testing.B) {

@@ -1,28 +1,72 @@
 // Package rankindex maintains a dynamic set of (stream id → value) pairs and
 // answers the ranking questions the paper's queries need: k nearest streams
-// to a query center, the rank of a stream, and range-membership counts.
+// to a query center, the rank of a stream, and range-membership counts. It
+// backs the ground-truth oracle and the server-side VB-kNN and no-filter
+// k-NN baselines.
 //
-// It is built on the order-statistic treap and is shared by the ground-truth
-// oracle and the server-side no-filter baseline.
+// Layout: beside the per-id value and presence arrays, the index keeps one
+// dense slice of (value, id) keys for the present streams, in ascending
+// (value, id) order. Values order first and ids break ties, so the order is
+// total and deterministic (DESIGN.md §3.5).
+//
+// Cost model: every count is a binary search and the key of rank i is
+// keys[i], so rank queries cost O(log n) and KNearest walks the slice by
+// index. Moving a present stream costs O(log n + d), where d is the number
+// of keys it passes: the key is found by binary search and the keys between
+// its old and new slot shift by one with a single copy. Adding and removing
+// a stream shift the tail, O(n) memory movement at worst. Bulk loads sort
+// once, O(n log n).
+//
+// Under the paper's random-walk workloads a stream steps a small distance
+// per update, so it passes only the few streams whose values lie within
+// that step and d stays small. The worst case is an update that redraws the
+// value uniformly: the key then passes a third of the index on average.
 //
 // Ranks are defined favorably under ties: rank(S) = 1 + number of streams
 // strictly closer to the query center. Streams tied in distance therefore
 // share the better rank, so an answer tied with the true k-th neighbor is
 // not counted as an error (see DESIGN.md §3 on tie handling).
+//
+// NaN values are rejected: they admit no order, so Set and Load panic on
+// one, and a NaN bound or radius counts nothing.
 package rankindex
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
-	"adaptivefilters/internal/ostree"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/topk"
 )
 
+// key is one present stream in the ordered slice.
+type key struct {
+	V  float64
+	ID int
+}
+
+// less is the index order: value ascending, then id ascending.
+func less(a, b key) bool { return a.V < b.V || a.V == b.V && a.ID < b.ID }
+
+// search returns the number of keys in ks ordered before k.
+func search(ks []key, k key) int {
+	lo, hi := 0, len(ks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(ks[m], k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Index is a dynamic value index over streams 0..n-1. Streams may be absent
 // (not yet observed); use Set to add or move them.
 type Index struct {
-	tree    *ostree.Tree
+	keys    []key // present streams, ascending (value, id); capacity n
 	vals    []float64
 	present []bool
 
@@ -31,20 +75,18 @@ type Index struct {
 
 // New returns an empty index sized for n streams.
 func New(n int) *Index {
-	return &Index{tree: ostree.New(), vals: make([]float64, n), present: make([]bool, n)}
+	return &Index{keys: make([]key, 0, n), vals: make([]float64, n), present: make([]bool, n)}
 }
 
 // FromValues builds an index holding every stream at the given value.
 func FromValues(vals []float64) *Index {
 	ix := New(len(vals))
-	for id, v := range vals {
-		ix.Set(id, v)
-	}
+	ix.Load(vals, nil)
 	return ix
 }
 
 // Len returns the number of streams currently present.
-func (ix *Index) Len() int { return ix.tree.Len() }
+func (ix *Index) Len() int { return len(ix.keys) }
 
 // N returns the index capacity (total stream count).
 func (ix *Index) N() int { return len(ix.vals) }
@@ -57,20 +99,38 @@ func (ix *Index) Value(id int) (float64, bool) { return ix.vals[id], ix.present[
 
 // Set inserts stream id at value v, or moves it if already present.
 //
-// Set panics if v is NaN — a NaN value would corrupt the underlying tree
-// order (see ostree.Insert) and poison every later ranking answer. Paths
-// that carry untrusted values (snapshot restore, wire ingest) validate
-// before calling Set, so the panic marks a caller bug, not bad input.
+// Set panics if v is NaN — a NaN value has no place in the order and would
+// poison every later ranking answer. Paths that carry untrusted values
+// (snapshot restore, wire ingest) validate before calling Set, so the panic
+// marks a caller bug, not bad input.
 func (ix *Index) Set(id int, v float64) {
 	if math.IsNaN(v) {
 		panic("rankindex: Set with NaN value")
 	}
-	if ix.present[id] {
-		ix.tree.Delete(ostree.Key{V: ix.vals[id], ID: id})
+	ks, k := ix.keys, key{V: v, ID: id}
+	if !ix.present[id] {
+		i := search(ks, k)
+		ks = append(ks, key{})
+		copy(ks[i+1:], ks[i:])
+		ks[i] = k
+		ix.keys, ix.vals[id], ix.present[id] = ks, v, true
+		return
 	}
+	old := key{V: ix.vals[id], ID: id}
 	ix.vals[id] = v
-	ix.present[id] = true
-	ix.tree.Insert(ostree.Key{V: v, ID: id})
+	i := search(ks, old)
+	if less(k, old) {
+		// Moving down: the keys in [j, i) shift up one slot.
+		j := search(ks[:i], k)
+		copy(ks[j+1:i+1], ks[j:i])
+		ks[j] = k
+		return
+	}
+	// Moving up (or staying): the keys after i that order before k shift
+	// down one slot.
+	j := i + search(ks[i+1:], k)
+	copy(ks[i:j], ks[i+1:j+1])
+	ks[j] = k
 }
 
 // Remove deletes stream id from the index if present.
@@ -78,44 +138,98 @@ func (ix *Index) Remove(id int) {
 	if !ix.present[id] {
 		return
 	}
-	ix.tree.Delete(ostree.Key{V: ix.vals[id], ID: id})
+	ks := ix.keys
+	i := search(ks, key{V: ix.vals[id], ID: id})
+	copy(ks[i:], ks[i+1:])
+	ix.keys = ks[:len(ks)-1]
 	ix.present[id] = false
 }
 
+// Load replaces the whole index in one sort: stream id is present at
+// vals[id] when has is nil or has[id] is set, and absent otherwise. It
+// panics, leaving the index untouched, if vals or has is not N long or a
+// present value is NaN.
+func (ix *Index) Load(vals []float64, has []bool) {
+	if len(vals) != len(ix.vals) || has != nil && len(has) != len(vals) {
+		panic("rankindex: Load size differs from the index capacity")
+	}
+	for id, v := range vals {
+		if (has == nil || has[id]) && math.IsNaN(v) {
+			panic("rankindex: Load with NaN value")
+		}
+	}
+	ks := ix.keys[:0]
+	for id, v := range vals {
+		p := has == nil || has[id]
+		ix.vals[id], ix.present[id] = v, p
+		if p {
+			ks = append(ks, key{V: v, ID: id})
+		}
+	}
+	slices.SortFunc(ks, func(a, b key) int {
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
+		}
+		return a.ID - b.ID
+	})
+	ix.keys = ks
+}
+
+// countLess returns the number of present streams with value < v; NaN
+// counts nothing.
+func (ix *Index) countLess(v float64) int { return search(ix.keys, key{V: v, ID: minInt}) }
+
+// countLE returns the number of present streams with value <= v; NaN counts
+// nothing.
+func (ix *Index) countLE(v float64) int { return search(ix.keys, key{V: v, ID: maxInt}) }
+
 // CountRange returns the number of present streams with lo <= value <= hi.
-func (ix *Index) CountRange(lo, hi float64) int { return ix.tree.CountRange(lo, hi) }
+// It returns 0 when lo > hi or either bound is NaN.
+func (ix *Index) CountRange(lo, hi float64) int {
+	if !(lo <= hi) {
+		return 0
+	}
+	return ix.countLE(hi) - ix.countLess(lo)
+}
 
 // CountCloser returns the number of present streams strictly closer to q
-// than distance d.
+// than distance d. A NaN d counts nothing.
 func (ix *Index) CountCloser(q query.Center, d float64) int {
+	if math.IsNaN(d) {
+		return 0
+	}
 	switch q.Kind {
 	case query.PosInf:
 		// dist = -v < d  <=>  v > -d
-		return ix.tree.Len() - ix.tree.CountLE(-d)
+		return ix.Len() - ix.countLE(-d)
 	case query.NegInf:
 		// dist = v < d
-		return ix.tree.CountLess(d)
+		return ix.countLess(d)
 	default:
 		// |v - x| < d  <=>  x-d < v < x+d (empty when d <= 0)
 		if d <= 0 {
 			return 0
 		}
-		return ix.tree.CountLess(q.X+d) - ix.tree.CountLE(q.X-d)
+		return ix.countLess(q.X+d) - ix.countLE(q.X-d)
 	}
 }
 
-// CountWithin returns the number of present streams at distance <= d from q.
+// CountWithin returns the number of present streams at distance <= d from
+// q. A NaN d counts nothing.
 func (ix *Index) CountWithin(q query.Center, d float64) int {
+	if math.IsNaN(d) {
+		return 0
+	}
 	switch q.Kind {
 	case query.PosInf:
-		return ix.tree.Len() - ix.tree.CountLess(-d)
+		return ix.Len() - ix.countLess(-d)
 	case query.NegInf:
-		return ix.tree.CountLE(d)
+		return ix.countLE(d)
 	default:
 		if d < 0 {
 			return 0
 		}
-		return ix.tree.CountRange(q.X-d, q.X+d)
+		return ix.CountRange(q.X-d, q.X+d)
 	}
 }
 
@@ -134,7 +248,8 @@ func (ix *Index) RankOf(id int, q query.Center) (int, bool) {
 // ascending from center q. Ties at the k-th distance resolve to the smallest
 // ids, keeping the result deterministic.
 func (ix *Index) KNearest(q query.Center, k int) []int {
-	n := ix.tree.Len()
+	ks := ix.keys
+	n := len(ks)
 	if k > n {
 		k = n
 	}
@@ -143,11 +258,10 @@ func (ix *Index) KNearest(q query.Center, k int) []int {
 	}
 	switch q.Kind {
 	case query.NegInf:
-		// Tree order (value asc, id asc) equals (distance asc, id asc).
-		out := make([]int, 0, k)
-		for i := 0; i < k; i++ {
-			key, _ := ix.tree.Select(i)
-			out = append(out, key.ID)
+		// Index order (value asc, id asc) equals (distance asc, id asc).
+		out := make([]int, k)
+		for i := range out {
+			out[i] = ks[i].ID
 		}
 		return out
 	case query.PosInf:
@@ -155,83 +269,45 @@ func (ix *Index) KNearest(q query.Center, k int) []int {
 		// boundary must resolve to the smallest ids: extend the window
 		// through the tie and re-rank.
 		start := n - k
-		bound, _ := ix.tree.Select(start)
-		for start > 0 {
-			prev, _ := ix.tree.Select(start - 1)
-			if prev.V != bound.V {
-				break
-			}
+		for start > 0 && ks[start-1].V == ks[n-k].V {
 			start--
 		}
 		cands := make([]int, 0, n-start)
-		for i := start; i < n; i++ {
-			key, _ := ix.tree.Select(i)
-			cands = append(cands, key.ID)
+		for _, e := range ks[start:] {
+			cands = append(cands, e.ID)
 		}
 		ix.sortByDistID(cands, q)
 		return cands[:k]
 	default:
 		// Two-pointer walk outward from the insertion position of q.X,
 		// collecting k candidates plus everything tied with the k-th
-		// distance, then re-rank for deterministic tie order.
-		r := ix.tree.Rank(ostree.Key{V: q.X, ID: minInt})
+		// distance, then re-rank for deterministic tie order. k <= n, so
+		// one side always has a key left while fewer than k are taken.
+		r := ix.countLess(q.X)
 		l := r - 1
 		cands := make([]int, 0, k+4)
 		var dk float64
-		take := func(key ostree.Key) { cands = append(cands, key.ID) }
 		for len(cands) < k {
-			lk, lok := keyAt(ix.tree, l)
-			rk, rok := keyAt(ix.tree, r)
 			switch {
-			case lok && rok:
-				if q.Dist(lk.V) <= q.Dist(rk.V) {
-					take(lk)
-					dk = q.Dist(lk.V)
-					l--
-				} else {
-					take(rk)
-					dk = q.Dist(rk.V)
-					r++
-				}
-			case lok:
-				take(lk)
-				dk = q.Dist(lk.V)
+			case l >= 0 && (r >= n || q.Dist(ks[l].V) <= q.Dist(ks[r].V)):
+				cands = append(cands, ks[l].ID)
+				dk = q.Dist(ks[l].V)
 				l--
-			case rok:
-				take(rk)
-				dk = q.Dist(rk.V)
-				r++
 			default:
-				ix.sortByDistID(cands, q)
-				return cands
+				cands = append(cands, ks[r].ID)
+				dk = q.Dist(ks[r].V)
+				r++
 			}
 		}
-		for {
-			lk, lok := keyAt(ix.tree, l)
-			if !lok || q.Dist(lk.V) != dk {
-				break
-			}
-			take(lk)
-			l--
+		for ; l >= 0 && q.Dist(ks[l].V) == dk; l-- {
+			cands = append(cands, ks[l].ID)
 		}
-		for {
-			rk, rok := keyAt(ix.tree, r)
-			if !rok || q.Dist(rk.V) != dk {
-				break
-			}
-			take(rk)
-			r++
+		for ; r < n && q.Dist(ks[r].V) == dk; r++ {
+			cands = append(cands, ks[r].ID)
 		}
 		ix.sortByDistID(cands, q)
 		return cands[:k]
 	}
-}
-
-func keyAt(t *ostree.Tree, i int) (ostree.Key, bool) {
-	if i < 0 {
-		return ostree.Key{}, false
-	}
-	return t.Select(i)
 }
 
 // sortByDistID orders ids ascending by (distance from q, id) through the
@@ -274,4 +350,7 @@ func (ix *Index) MaxDist(q query.Center, ids []int) (float64, bool) {
 	return best, ok
 }
 
-const minInt = -int(^uint(0)>>1) - 1
+const (
+	maxInt = int(^uint(0) >> 1)
+	minInt = -maxInt - 1
+)

@@ -1,7 +1,9 @@
 package rankindex
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -39,6 +41,33 @@ func TestFromValues(t *testing.T) {
 	}
 	if got := ix.KNearest(query.Bottom(), 3); got[0] != 1 || got[1] != 2 || got[2] != 0 {
 		t.Fatalf("KNearest(Bottom) = %v", got)
+	}
+}
+
+// TestLoad checks the bulk load against the same streams set one by one:
+// absent streams stay absent, and a reload replaces everything.
+func TestLoad(t *testing.T) {
+	vals := []float64{5, 1, 5, -0.0, 0, 3}
+	has := []bool{true, false, true, true, true, false}
+	ix, ref := New(len(vals)), New(len(vals))
+	ix.Set(1, 99) // replaced by the load
+	ix.Load(vals, has)
+	for id, ok := range has {
+		if ok {
+			ref.Set(id, vals[id])
+		}
+	}
+	if !reflect.DeepEqual(ix.keys, ref.keys) || !reflect.DeepEqual(ix.present, ref.present) {
+		t.Fatalf("Load keys %v present %v, Set gives %v %v", ix.keys, ix.present, ref.keys, ref.present)
+	}
+	mustPanic(t, "Load(NaN)", func() { ix.Load([]float64{0, 0, 0, math.NaN(), 0, 0}, nil) })
+	mustPanic(t, "Load(short)", func() { ix.Load(vals[:2], nil) })
+	if !reflect.DeepEqual(ix.keys, ref.keys) {
+		t.Fatalf("a rejected Load changed the index: %v", ix.keys)
+	}
+	ix.Load(vals, nil)
+	if ix.Len() != len(vals) || !ix.Has(1) {
+		t.Fatalf("reload with has=nil left Len %d", ix.Len())
 	}
 }
 
