@@ -19,9 +19,12 @@ var boundPalette = []float64{
 }
 
 // runBoundProgram interprets data as a sequence of 10-byte boundary-list
-// operations — insert, remove, walk the window from the previous value to
-// this one, bracket this value — and checks every result, and the list
-// after every mutation, against a reference kept by append + sort.Slice.
+// operations — insert, remove, move the finger from the current value to
+// this one, ask whether the window between them is quiet — and checks every
+// result, the list after every op and the finger against a reference kept
+// by append + sort.Slice. The current value is where the last move landed
+// (0 before any); insert and remove are told it, as the index tells them
+// the stream's value.
 //
 //	byte 0    op (low 2 bits) and value source (next 2 bits: 0 = the
 //	          float64 in bytes 1..8, otherwise palette[byte 1])
@@ -54,17 +57,20 @@ func runBoundProgram(t *testing.T, data []byte) {
 		k := bkey{v: v, id: id}
 
 		if math.IsNaN(v) {
-			// The index never stores or walks a NaN (addBounds filters, NaN
-			// moves take the scan); bracket must still refuse a guard.
-			_, _, exact := list.bracket(v)
-			if exact != (len(ref) > 0) {
-				t.Fatalf("bracket(NaN) exact = %v on %d keys", exact, len(ref))
-			}
+			// The index never stores or walks a NaN: addBounds filters it,
+			// and a NaN move takes the scan and rebuilds the stream.
 			continue
+		}
+		lo, hi := min(last, v), max(last, v)
+		var want []bkey
+		for _, r := range ref {
+			if lo <= r.v && r.v <= hi {
+				want = append(want, r)
+			}
 		}
 		switch op {
 		case 0:
-			if got, want := list.insert(v, id), find(k) < 0; got != want {
+			if got, want := list.insert(v, id, last), find(k) < 0; got != want {
 				t.Fatalf("insert(%v) = %v, want %v", k, got, want)
 			} else if got {
 				ref = append(ref, k)
@@ -72,64 +78,44 @@ func runBoundProgram(t *testing.T, data []byte) {
 			}
 		case 1:
 			i := find(k)
-			if got, want := list.remove(v, id), i >= 0; got != want {
+			if got, want := list.remove(v, id, last), i >= 0; got != want {
 				t.Fatalf("remove(%v) = %v, want %v", k, got, want)
 			} else if got {
 				ref = append(ref[:i], ref[i+1:]...)
 			}
 		case 2:
-			lo, hi := last, v
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			var got, want []bkey
-			for i := list.from(lo); i < len(list) && list[i].v <= hi; i++ {
-				got = append(got, list[i])
-			}
-			for _, r := range ref {
-				if lo <= r.v && r.v <= hi {
-					want = append(want, r)
-				}
-			}
+			got := list.move(last, v, nil)
 			if len(got) != len(want) {
-				t.Fatalf("window [%v, %v]: %d keys %v, want %d %v", lo, hi, len(got), got, len(want), want)
+				t.Fatalf("move %v→%v: %d keys %v, want %d %v", last, v, len(got), got, len(want), want)
 			}
 			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("window [%v, %v] key %d = %v, want %v", lo, hi, i, got[i], want[i])
+				if got[i] != want[i].id>>1 {
+					t.Fatalf("move %v→%v: class %d = %d, want %d (key %v)", last, v, i, got[i], want[i].id>>1, want[i])
 				}
 			}
+			last = v
 		default:
-			lo, hi, exact := list.bracket(v)
-			wantLo, wantHi, wantExact := math.Inf(-1), math.Inf(1), false
-			for _, r := range ref {
-				switch {
-				case r.v < v && r.v > wantLo:
-					wantLo = r.v
-				case r.v > v && r.v < wantHi:
-					wantHi = r.v
-				case r.v == v:
-					wantExact = true
-				}
-			}
-			if exact != wantExact {
-				t.Fatalf("bracket(%v) exact = %v, want %v", v, exact, wantExact)
-			}
-			if !exact && (lo != wantLo || hi != wantHi) {
-				t.Fatalf("bracket(%v) = (%v, %v), want (%v, %v)", v, lo, hi, wantLo, wantHi)
+			if got := list.quiet(lo, hi); got != (len(want) == 0) {
+				t.Fatalf("quiet(%v, %v) = %v with keys %v in the window", lo, hi, got, want)
 			}
 		}
-		last = v
-		if len(list) != len(ref) {
-			t.Fatalf("list holds %d keys, reference %d", len(list), len(ref))
+		if len(list.keys) != len(ref) {
+			t.Fatalf("list holds %d keys, reference %d", len(list.keys), len(ref))
 		}
-		for i := range list {
-			if list[i] != ref[i] {
-				t.Fatalf("key %d = %v, reference %v", i, list[i], ref[i])
+		below := 0
+		for i, key := range list.keys {
+			if key != ref[i] {
+				t.Fatalf("key %d = %v, reference %v", i, key, ref[i])
 			}
-			if i > 0 && !keyLess(list[i-1], list[i]) {
-				t.Fatalf("keys %d,%d out of order or duplicated: %v, %v", i-1, i, list[i-1], list[i])
+			if i > 0 && !keyLess(list.keys[i-1], key) {
+				t.Fatalf("keys %d,%d out of order or duplicated: %v, %v", i-1, i, list.keys[i-1], key)
 			}
+			if key.v < last {
+				below++
+			}
+		}
+		if int(list.at) != below {
+			t.Fatalf("finger at %d, but %d keys lie below the current value %v", list.at, below, last)
 		}
 	}
 }
@@ -138,8 +124,9 @@ func runBoundProgram(t *testing.T, data []byte) {
 // programs against the sort.Slice reference (see runBoundProgram). The
 // checked-in corpus under testdata/fuzz/FuzzBoundList holds the hand-written
 // cases — equal values under different ids, the adjacent ±MaxFloat64
-// neighbours, a bracket exactly on a key and a window ending on one, NaN and
-// both zeros on a near-empty list — and runs on every `go test`.
+// neighbours, moves landing exactly on a key and the quiet test refusing
+// the key the current value sits on, NaN and both zeros on a near-empty
+// list — and runs on every `go test`.
 func FuzzBoundList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runBoundProgram(t, data) })
 }

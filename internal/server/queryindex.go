@@ -31,8 +31,10 @@ import (
 //     inside [min(u,v), max(u,v)] — the proven fabric invariant is that
 //     inside[s][q] == cons[s][q].Contains(vals[s]) at all times, so an
 //     interval crossing is exactly a sign change of Contains over the move.
-//     Deliver therefore binary-searches the window's first key and walks
-//     the hits — O(log B + hits) — instead of all M entries.
+//     The list keeps a finger at the stream's current value, so Deliver
+//     walks from it over the keys the move crosses — O(keys crossed), no
+//     search — instead of all M entries. A move that crosses none is seen
+//     from the two keys beside the finger.
 //
 // Three escape hatches keep the walk exactly equivalent to the scan:
 //
@@ -99,8 +101,8 @@ type qclass struct {
 	structural bool // degenerate band: stays armed until rewritten
 }
 
-// qstream is one stream's index: its classes, their boundary list, and the
-// escape-hatch lists.
+// qstream is one stream's index: its classes, their boundary list (with its
+// finger at the stream's current value), and the escape-hatch lists.
 type qstream struct {
 	bounds  boundList
 	classes []qclass
@@ -108,15 +110,6 @@ type qstream struct {
 	classOf []int32 // per query slot: class id, catNone or catAlways
 	armed   []int32 // class ids to evaluate on every update
 	always  int     // live filter.None entries
-
-	// guard caches a boundary-free open value interval (gLo, gHi): while
-	// guardOK holds, the list provably has no key value inside it, so a
-	// move contained in it cannot touch any class and skips the boundary
-	// walk entirely — the steady-state cost of a standing query that the
-	// update doesn't concern is two float compares, not a search.
-	// Any boundary mutation drops the guard; the next walk recomputes it.
-	gLo, gHi float64
-	guardOK  bool
 
 	// recent ring-buffers the last classes classFor resolved. Protocol
 	// maintenance reinstalls a small working set of constraints over and
@@ -168,9 +161,9 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	st := &x.streams[s]
 	// Reinstalling what is already categorized — a maintenance round
 	// refreshing a query's standing constraint — must not churn the class
-	// or its boundary keys (churn drops the stream's walk-skipping
-	// guard). Sides are compared against a member other than qi itself,
-	// since the install may have just rewritten qi's recorded side.
+	// or its boundary keys. Sides are compared against a member other than
+	// qi itself, since the install may have just rewritten qi's recorded
+	// side.
 	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
 		cl := &st.classes[cid]
 		ok := cons.Kind == filter.Band || len(cl.slots) == 1
@@ -189,7 +182,7 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	case cid == catAlways:
 		st.always--
 	case cid >= 0:
-		x.detach(st, cid, int32(qi))
+		x.detach(st, cid, int32(qi), c.vals[s])
 	}
 	st.classOf[qi] = catNone
 	if !live {
@@ -208,8 +201,9 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	}
 }
 
-// detach removes slot qi from class cid, freeing the class when it empties.
-func (x *queryIndex) detach(st *qstream, cid, qi int32) {
+// detach removes slot qi from class cid, freeing the class when it empties;
+// cur is the stream's current value.
+func (x *queryIndex) detach(st *qstream, cid, qi int32, cur float64) {
 	cl := &st.classes[cid]
 	for i, sl := range cl.slots {
 		if sl == qi {
@@ -219,7 +213,7 @@ func (x *queryIndex) detach(st *qstream, cid, qi int32) {
 		}
 	}
 	if len(cl.slots) == 0 {
-		st.removeBounds(cid, cl.cons)
+		st.removeBounds(cid, cl.cons, cur)
 		st.freeClass(cid)
 	}
 }
@@ -279,7 +273,7 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 	// been accounted for this update; stamping it now prevents a recycled
 	// class id from being evaluated twice in one walk.
 	cl.stamp = x.gen
-	st.addBounds(cid, cons)
+	st.addBounds(cid, cons, c.vals[s])
 	cl.structural = cons.Kind == filter.Band && structuralBand(cons)
 	armed := cl.structural
 	if !armed {
@@ -322,36 +316,35 @@ func structuralBand(cons filter.Constraint) bool {
 		math.IsInf(lo, 1) || math.IsInf(hi, -1)
 }
 
-// addBounds inserts class cid's finite region boundaries into the list.
-// Non-finite boundaries are unindexable: an infinite interval end can never
-// be crossed into (half-open intervals transition only over their finite
-// bound) and degenerate bands are structurally armed instead.
-func (st *qstream) addBounds(cid int32, cons filter.Constraint) {
-	st.guardOK = false
+// addBounds inserts class cid's finite region boundaries into the list,
+// keeping its finger at the stream's current value cur. Non-finite
+// boundaries are unindexable: an infinite interval end can never be crossed
+// into (half-open intervals transition only over their finite bound) and
+// degenerate bands are structurally armed instead.
+func (st *qstream) addBounds(cid int32, cons filter.Constraint, cur float64) {
 	lo, hi := cons.Bounds()
 	if lo > hi { // empty region: no transitions over these "boundaries"
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.insert(lo, cid*2)
+		st.bounds.insert(lo, cid*2, cur)
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.insert(hi, cid*2+1)
+		st.bounds.insert(hi, cid*2+1, cur)
 	}
 }
 
 // removeBounds undoes addBounds for class cid.
-func (st *qstream) removeBounds(cid int32, cons filter.Constraint) {
-	st.guardOK = false
+func (st *qstream) removeBounds(cid int32, cons filter.Constraint, cur float64) {
 	lo, hi := cons.Bounds()
 	if lo > hi {
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.remove(lo, cid*2)
+		st.bounds.remove(lo, cid*2, cur)
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.remove(hi, cid*2+1)
+		st.bounds.remove(hi, cid*2+1, cur)
 	}
 }
 
@@ -380,31 +373,21 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		return crossed, true
 	}
 	st := &x.streams[s]
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	// Guard fast path: the whole move sits inside a cached boundary-free
-	// interval, so the walk below would find nothing — only armed classes
-	// (and the always count) can matter. With nothing armed this is the
-	// steady-state cost of every standing query the update doesn't touch.
-	inGuard := st.guardOK && st.gLo < lo && hi < st.gHi
 	all = st.always > 0
-	if inGuard && len(st.armed) == 0 {
+	// Fast path: no key lies in the move's window, so the walk would find
+	// nothing and only armed classes (and the always count) can matter.
+	// With nothing armed this is the steady-state cost of every event that
+	// crosses no boundary: two compares beside the finger.
+	if len(st.armed) == 0 && st.bounds.quiet(min(u, v), max(u, v)) {
 		return all, all
 	}
 	x.gen++
 	x.fired = x.fired[:0]
 	crossed = all
-	// Class ids are collected before any class is evaluated: a band fire
-	// re-centres its class and so rewrites the list being walked.
-	touched := x.touched[:0]
-	if !inGuard {
-		b := st.bounds
-		for i := b.from(lo); i < len(b) && b[i].v <= hi; i++ {
-			touched = append(touched, b[i].id>>1)
-		}
-	}
+	// The finger moves to v, and class ids are collected, before any class
+	// is evaluated: a band fire re-centres its class and so rewrites the
+	// list being walked, relative to the current value v.
+	touched := st.bounds.move(u, v, x.touched[:0])
 	touched = append(touched, st.armed...)
 	x.touched = touched
 	for _, cid := range touched {
@@ -416,14 +399,6 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		if x.evalClass(c, st, s, cid, v) {
 			crossed = true
 		}
-	}
-	if !inGuard {
-		// Re-center the guard on where the value landed. Class evaluation
-		// above may have moved boundaries (band re-centering), so this runs
-		// after it; bracket refuses a guard when a boundary sits exactly at
-		// v (exact), since no open interval can contain v then.
-		gLo, gHi, exact := st.bounds.bracket(v)
-		st.gLo, st.gHi, st.guardOK = gLo, gHi, !exact
 	}
 	return crossed, all
 }
@@ -474,7 +449,7 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 // collapse to one class after their first shared fire.
 func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v float64) {
 	cl := &st.classes[cid]
-	st.removeBounds(cid, cl.cons)
+	st.removeBounds(cid, cl.cons, v)
 	for tid := range st.classes {
 		tgt := &st.classes[tid]
 		if int32(tid) == cid || !tgt.live || !sameConstraint(tgt.cons, nc) {
@@ -489,7 +464,7 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 		return
 	}
 	cl.cons = nc
-	st.addBounds(cid, nc)
+	st.addBounds(cid, nc, v)
 	cl.structural = structuralBand(nc)
 	armed := cl.structural || !nc.Contains(v)
 	if armed != cl.armed {
@@ -507,8 +482,7 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 // index's back).
 func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st := &x.streams[s]
-	st.bounds = st.bounds[:0]
-	st.guardOK = false
+	st.bounds = boundList{keys: st.bounds.keys[:0]}
 	st.classes = st.classes[:0]
 	st.freeCls = st.freeCls[:0]
 	st.armed = st.armed[:0]

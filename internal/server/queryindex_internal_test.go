@@ -69,8 +69,8 @@ func checkDispatch(t *testing.T, c *Composite) {
 
 // checkIndex verifies the full structural invariant set of the query index
 // against the fabric: slot categorization, class membership and
-// homogeneity, the exact boundary key list (sorted, duplicate-free), the
-// armed list (no leaks, no duplicates, every must-evaluate class present)
+// homogeneity, the exact boundary key list (sorted, duplicate-free) and its
+// finger, the armed list (no leaks, no duplicates, every must-evaluate class present)
 // and the dispatch bookkeeping.
 func checkIndex(t *testing.T, c *Composite) {
 	t.Helper()
@@ -171,7 +171,7 @@ func checkIndex(t *testing.T, c *Composite) {
 			}
 		}
 		sort.Slice(wantKeys, func(a, b int) bool { return keyLess(wantKeys[a], wantKeys[b]) })
-		gotKeys := st.bounds
+		gotKeys := st.bounds.keys
 		for i := 1; i < len(gotKeys); i++ {
 			if !keyLess(gotKeys[i-1], gotKeys[i]) {
 				t.Fatalf("stream %d: boundary keys %d,%d out of order or duplicated: %v, %v",
@@ -186,17 +186,19 @@ func checkIndex(t *testing.T, c *Composite) {
 				t.Fatalf("stream %d: boundary key %d = %v, want %v", s, i, gotKeys[i], wantKeys[i])
 			}
 		}
-		// The guard's certificate: while it stands, its open interval must
-		// be free of boundary key values (a stale guard would silently skip
-		// real crossings — behaviorally invisible until a query misses an
-		// update, so it is audited structurally here).
-		if st.guardOK {
-			for _, k := range gotKeys {
-				if st.gLo < k.v && k.v < st.gHi {
-					t.Fatalf("stream %d: guard (%v, %v) claims boundary-free but key %v is inside",
-						s, st.gLo, st.gHi, k)
-				}
+		// The finger: exactly the keys below the current value precede it
+		// (a NaN value lies above none). A drifted finger would silently
+		// skip real crossings — behaviorally invisible until a query misses
+		// an update, so it is audited structurally here.
+		below := 0
+		for _, k := range gotKeys {
+			if k.v < c.vals[s] {
+				below++
 			}
+		}
+		if int(st.bounds.at) != below {
+			t.Fatalf("stream %d: finger at %d, but %d keys lie below the value %v",
+				s, st.bounds.at, below, c.vals[s])
 		}
 		seen := map[int32]bool{}
 		for _, cid := range st.armed {

@@ -342,6 +342,81 @@ func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp
 	return append(cuts, export(comp))
 }
 
+// BenchmarkCompositeDeliver prices Composite.Deliver at the end-to-end
+// benchmark's node-multiquery shape: 64 streams under its 64 standing
+// queries — 28 FT-NRP drawn from 16 ranges 60 apart, 28 overlapping FT-NRP
+// 25 apart and 8 ZT-NRP, about 100 boundary keys per stream — fed a seeded
+// random walk with Normal(0, 20) steps reflected into [0, 1000]. One op
+// replays the walk forward and back, so every stream ends where it started;
+// ns/event is the figure to compare, at 0 allocs/op.
+func BenchmarkCompositeDeliver(b *testing.B) {
+	const n, steps, sigma = 64, 4096, 20.0
+	rng := rand.New(rand.NewSource(1))
+	reflect := func(v float64) float64 {
+		for v < 0 || v > 1000 {
+			if v < 0 {
+				v = -v
+			} else {
+				v = 2000 - v
+			}
+		}
+		return v
+	}
+	initial := make([]float64, n)
+	for s := range initial {
+		initial[s] = rng.Float64() * 1000
+	}
+	type move struct {
+		s stream.ID
+		v float64
+	}
+	walk, back := make([]move, steps), make([]move, steps)
+	cur := append([]float64(nil), initial...)
+	for i := range walk {
+		s := rng.Intn(n)
+		back[steps-1-i] = move{stream.ID(s), cur[s]}
+		cur[s] = reflect(cur[s] + rng.NormFloat64()*sigma)
+		walk[i] = move{stream.ID(s), cur[s]}
+	}
+	walk = append(walk, back...)
+
+	c := server.NewComposite(initial)
+	ftnrp := func(seed int64, lo, hi float64) func(server.Host) server.Protocol {
+		return func(h server.Host) server.Protocol {
+			return core.NewFTNRP(h, query.NewRange(lo, hi), core.FTNRPConfig{
+				Tol:       core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2},
+				Selection: core.SelectBoundaryNearest,
+				Seed:      seed,
+			})
+		}
+	}
+	for i := 0; i < 28; i++ {
+		lo := 60 * float64(i%16)
+		c.AddQuery(fmt.Sprintf("band-%d", i), int64(i), ftnrp(int64(i), lo, lo+100))
+	}
+	for i := 0; i < 28; i++ {
+		lo := 100 + 25*float64(i)
+		c.AddQuery(fmt.Sprintf("range-%d", i), int64(28+i), ftnrp(int64(28+i), lo, lo+200))
+	}
+	for i := 0; i < 8; i++ {
+		rg := query.NewRange(120*float64(i), 120*float64(i)+80)
+		c.AddQuery(fmt.Sprintf("zt-%d", i), int64(56+i), func(h server.Host) server.Protocol { return core.NewZTNRP(h, rg) })
+	}
+	c.Initialize()
+	replay := func() {
+		for _, m := range walk {
+			c.Deliver(m.s, m.v)
+		}
+	}
+	replay() // grow the index and protocol scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(walk)), "ns/event")
+}
+
 // TestQueryIndexEquivalence pins the indexed Deliver — crossing detection
 // and crossed-only dispatch — bit-identical to the linear reference, which
 // scans every entry and dispatches to every live query: full fabric
