@@ -63,12 +63,11 @@ type FTRP struct {
 	d   float64
 	cur filter.Constraint
 
-	// Reusable scratch for the rebuild fan-out (ranking, probe table,
-	// selection keys), so window-triggered recomputations on the
-	// maintenance path allocate nothing once warm.
+	// Reusable scratch for the rebuild fan-out (ranking, probe table), so
+	// window-triggered recomputations on the maintenance path allocate
+	// nothing once warm.
 	rk      topk.Ranking
 	valsBuf []float64
-	keyBuf  []float64
 
 	// Recomputes counts full bound recomputations; exported for reports.
 	Recomputes uint64
@@ -185,48 +184,42 @@ func (p *FTRP) rebuild() {
 	p.d = midpoint(dists[p.k-1], dists[p.k])
 	p.cur = p.q.BallConstraint(p.d)
 
-	nPlus := p.nPlusBudget
-	nMinus := p.nMinusBudget
 	// Boundary-nearest for a ball region: inside streams closest to the
 	// boundary have the largest distance from q; outside streams closest to
 	// the boundary have the smallest distance beyond it. The picks reorder
-	// sorted[:k] and sorted[k:] in place (ids only, so dists no longer
-	// lines up); the ranking is not consulted again below.
-	for _, id := range p.pickSilent(inside, nPlus, true) {
+	// each half in place and lead it, so the ranking — a permutation of all
+	// n ids — splits into the four batches deployed below. Every rebuild
+	// follows a ProbeAll, so the table is the truth and no install draws a
+	// mismatch report: the ranked install order is unobservable
+	// (TestFTRPInstallsNeverMismatch).
+	fp := p.pickSilent(inside, dists[:p.k], p.nPlusBudget, true)
+	fn := p.pickSilent(outside, dists[p.k:], p.nMinusBudget, false)
+	for _, id := range fp {
 		p.fp.add(id)
 	}
-	for _, id := range p.pickSilent(outside, nMinus, false) {
+	for _, id := range fn {
 		p.fn.add(id)
 	}
-
-	for id := 0; id < p.c.N(); id++ {
-		switch {
-		case p.fp.has(id):
-			p.c.Install(id, filter.WideOpen(), true)
-		case p.fn.has(id):
-			p.c.Install(id, filter.Shut(), false)
-		default:
-			v, _ := p.c.Table(id)
-			p.c.Install(id, p.cur, p.cur.Contains(v))
-		}
-	}
+	p.c.InstallBatch(fp, filter.WideOpen())
+	p.c.InstallBatch(inside[len(fp):], p.cur)
+	p.c.InstallBatch(fn, filter.Shut())
+	p.c.InstallBatch(outside[len(fn):], p.cur)
 	p.Recomputes++
 }
 
 // pickSilent selects up to n silent-filter holders from ids (reordering
-// them), scoring by distance to the ball boundary. All buffers are
-// protocol-owned scratch, so a warmed call allocates nothing.
-func (p *FTRP) pickSilent(ids []int, n int, insideRegion bool) []int {
-	p.keyBuf = p.keyBuf[:0]
-	for _, id := range ids {
-		d := tableDist(p.c, p.q, id)
+// them), scoring by distance to the ball boundary. dists holds the ranking's
+// table distances of ids and is overwritten with the scores, so a call
+// allocates nothing and recomputes no distance.
+func (p *FTRP) pickSilent(ids []int, dists []float64, n int, insideRegion bool) []int {
+	for i, d := range dists {
 		if insideRegion {
-			p.keyBuf = append(p.keyBuf, p.d-d)
+			dists[i] = p.d - d
 		} else {
-			p.keyBuf = append(p.keyBuf, d-p.d)
+			dists[i] = d - p.d
 		}
 	}
-	return p.cfg.Selection.pickKeyed(ids, p.keyBuf, n, p.sel.Rand)
+	return p.cfg.Selection.pickKeyed(ids, dists, n, p.sel.Rand)
 }
 
 // HandleUpdate runs the FT-NRP maintenance machinery against the current R

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
@@ -322,6 +323,65 @@ func TestFTRPTopKFlavor(t *testing.T) {
 		c.Deliver(id, v)
 		if err := chk.CheckFractionKNN(p.Answer(), q, tol); err != nil {
 			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// installAuditHost checks every install a protocol issues against ground
+// truth: the side the server claims — for a batch, the side the constraint
+// puts the table value on — must be the side the stream is on.
+type installAuditHost struct {
+	*server.Cluster
+	t        *testing.T
+	installs int
+}
+
+func (h *installAuditHost) Install(id int, cons filter.Constraint, expectInside bool) {
+	h.audit(id, cons, expectInside)
+	h.Cluster.Install(id, cons, expectInside)
+}
+
+func (h *installAuditHost) InstallBatch(ids []int, cons filter.Constraint) {
+	for _, id := range ids {
+		v, _ := h.Table(id)
+		h.audit(id, cons, cons.Contains(v))
+	}
+	h.Cluster.InstallBatch(ids, cons)
+}
+
+func (h *installAuditHost) audit(id int, cons filter.Constraint, expectInside bool) {
+	h.installs++
+	if truth := cons.Contains(h.TrueValue(id)); truth != expectInside {
+		h.t.Fatalf("install on stream %d claims inside=%v, truth is %v: the stream would report, "+
+			"and the order rebuild visits streams in would become observable", id, expectInside, truth)
+	}
+}
+
+// TestFTRPInstallsNeverMismatch is why FTRP.rebuild may install in ranked
+// order, one batch per ranked slice: every rebuild follows a ProbeAll, the
+// table is the truth, and an install whose claimed side is right draws no
+// report — so the only trace the installs leave is their count.
+func TestFTRPInstallsNeverMismatch(t *testing.T) {
+	for _, sel := range []core.Selection{core.SelectBoundaryNearest, core.SelectRandom} {
+		rng := rand.New(rand.NewSource(31))
+		vals := make([]float64, 200)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(1000))
+		}
+		h := &installAuditHost{Cluster: server.NewCluster(vals), t: t}
+		cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
+		cfg.Selection = sel
+		p := core.NewFTRP(h, query.At(500), 12, cfg)
+		h.SetProtocol(p)
+		h.Initialize()
+		for ev := 0; ev < 10000; ev++ {
+			id := rng.Intn(len(vals))
+			vals[id] += float64(rng.Intn(81) - 40)
+			h.Deliver(id, vals[id])
+		}
+		if p.Recomputes < 10 || h.installs < 10*len(vals) {
+			t.Fatalf("%v: only %d rebuilds / %d audited installs; the walk is too quiet to prove anything",
+				sel, p.Recomputes, h.installs)
 		}
 	}
 }

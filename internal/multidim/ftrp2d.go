@@ -133,34 +133,29 @@ func (p *FTRP2D) rebuild() {
 	p.cur = filter.NewDisk(p.q, (dists[p.k-1]+dists[p.k])/2)
 
 	// Boundary-nearest placement: inside streams with the largest distance,
-	// outside streams with the smallest.
-	for i := 0; i < p.k; i++ {
-		p.ans[ids[i]] = true
+	// outside streams with the smallest. The ranking is a permutation of all
+	// n ids, so inside ids[:k] the false-positive holders are its tail and
+	// outside it the false-negative holders lead: four ranked slices, four
+	// batched installs. Every rebuild follows a ProbeAll, so the table is
+	// the truth, no install can mismatch and draw a report, and the ranked
+	// install order is unobservable (TestFTRP2DInstallsNeverMismatch).
+	inside, outside := ids[:p.k], ids[p.k:]
+	fpFrom := max(p.k-p.nPlusBudget, 0)
+	fp := inside[fpFrom:]
+	fn := outside[:min(p.nMinusBudget, len(outside))]
+	for _, id := range inside {
+		p.ans[id] = true
 	}
-	for i := p.k - 1; i >= p.k-p.nPlusBudget && i >= 0; i-- {
-		p.fp[ids[i]] = true
+	for _, id := range fp {
+		p.fp[id] = true
 	}
-	for i := p.k; i < p.k+p.nMinusBudget && i < len(ids); i++ {
-		p.fn[ids[i]] = true
+	for _, id := range fn {
+		p.fn[id] = true
 	}
-
-	// One Install message per stream, each routed through the host so the
-	// charge rules stay the shared ones (the legacy path bulk-charged the
-	// counter and poked sources directly). Streams are visited by ascending
-	// id, as in 1-D FT-RP: every rebuild follows a ProbeAll, so the table
-	// is the truth, no install can mismatch and draw a report, and the
-	// visiting order is unobservable (TestFTRP2DInstallsNeverMismatch).
-	for id, n := 0, p.h.N(); id < n; id++ {
-		switch {
-		case p.fp[id]:
-			p.h.Install(id, filter.WideOpenRegion(p.q), true)
-		case p.fn[id]:
-			p.h.Install(id, filter.ShutRegion(p.q), false)
-		default:
-			tp, _ := p.h.Table(id)
-			p.h.Install(id, p.cur, p.cur.Contains(tp))
-		}
-	}
+	p.h.InstallBatch(fp, filter.WideOpenRegion(p.q))
+	p.h.InstallBatch(inside[:fpFrom], p.cur)
+	p.h.InstallBatch(fn, filter.ShutRegion(p.q))
+	p.h.InstallBatch(outside[len(fn):], p.cur)
 	p.Recomputes++
 }
 

@@ -179,8 +179,9 @@ func TestFTRP2DPanics(t *testing.T) {
 	}()
 }
 
-// installAuditHost checks every Install a protocol issues against ground
-// truth: the side the server claims must be the side the stream is on.
+// installAuditHost checks every install a protocol issues against ground
+// truth: the side the server claims — for a batch, the side the region puts
+// the table value on — must be the side the stream is on.
 type installAuditHost struct {
 	*server.SpatialCluster
 	t        *testing.T
@@ -188,20 +189,31 @@ type installAuditHost struct {
 }
 
 func (h *installAuditHost) Install(id int, reg filter.Region, expectInside bool) {
+	h.audit(id, reg, expectInside)
+	h.SpatialCluster.Install(id, reg, expectInside)
+}
+
+func (h *installAuditHost) InstallBatch(ids []int, reg filter.Region) {
+	for _, id := range ids {
+		tp, _ := h.Table(id)
+		h.audit(id, reg, reg.Contains(tp))
+	}
+	h.SpatialCluster.InstallBatch(ids, reg)
+}
+
+func (h *installAuditHost) audit(id int, reg filter.Region, expectInside bool) {
 	h.installs++
 	if truth := reg.Contains(h.TrueValue(id)); truth != expectInside {
 		h.t.Fatalf("install on stream %d claims inside=%v, truth is %v: the stream would report, "+
 			"and the order rebuild visits streams in would become observable", id, expectInside, truth)
 	}
-	h.SpatialCluster.Install(id, reg, expectInside)
 }
 
-// TestFTRP2DInstallsNeverMismatch is why FTRP2D.rebuild may visit streams
-// by ascending id instead of ranked order (and so needs no full ranking):
-// every rebuild follows a ProbeAll, the table is the truth, and an install
-// whose claimed side is right draws no report — so the only trace the
-// installs leave is their count. (TestProtocolPins' ft-rp2d walk, recorded
-// with ranked-order installs, pins the same thing end to end.)
+// TestFTRP2DInstallsNeverMismatch is why FTRP2D.rebuild may install in
+// ranked order, one batch per ranked slice: every rebuild follows a
+// ProbeAll, the table is the truth, and an install whose claimed side is
+// right draws no report — so the only trace the installs leave is their
+// count. (TestProtocolPins' ft-rp2d walk pins the same thing end to end.)
 func TestFTRP2DInstallsNeverMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	q := pt(250, 250)

@@ -65,6 +65,11 @@ func (h *countingHost) Install(id stream.ID, reg filter.Region, expectInside boo
 	h.c.Install(id, reg, expectInside)
 }
 
+func (h *countingHost) InstallBatch(ids []stream.ID, reg filter.Region) {
+	h.installs += uint64(len(ids))
+	h.c.InstallBatch(ids, reg)
+}
+
 func (h *countingHost) InstallAll(reg filter.Region) {
 	h.installs += uint64(h.c.N())
 	h.c.InstallAll(reg)

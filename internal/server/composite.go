@@ -602,6 +602,14 @@ func (v *compositeView) Install(id stream.ID, cons filter.Constraint, _ bool) {
 	c.setConstraint(id, v.qi, cons)
 }
 
+// InstallBatch implements Host as Install in a loop, so an init epoch
+// charges only each stream's first install, exactly as for Install.
+func (v *compositeView) InstallBatch(ids []stream.ID, cons filter.Constraint) {
+	for _, id := range ids {
+		v.Install(id, cons, cons.Contains(v.c.table[id]))
+	}
+}
+
 // InstallAll rewrites this query's entry at every stream (n installs, minus
 // the streams whose composite install this epoch already carries it).
 func (v *compositeView) InstallAll(cons filter.Constraint) {

@@ -252,6 +252,7 @@ func (p *hostProbe) Initialize() {
 	p.h.ProbeBatch([]int{0, 1})
 	p.h.Probe(0)
 	p.h.ProbeIf(1, filter.WideOpen())
+	p.h.InstallBatch([]int{0, 1, 0}, filter.NewInterval(100, 500))
 	p.h.InstallAll(filter.NewInterval(100, 500))
 	p.h.Install(0, filter.NewInterval(100, 500), true)
 	p.h.AddServerOps(1)
@@ -282,7 +283,7 @@ func TestCompositeViewHostSurface(t *testing.T) {
 		t.Errorf("init probes = %d, want %d (epoch must dedupe every probe variant)", got, want)
 	}
 	if got, want := ctr.Get(comm.Init, comm.Install), n; got != want {
-		t.Errorf("init installs = %d, want %d (epoch must dedupe InstallAll and Install)", got, want)
+		t.Errorf("init installs = %d, want %d (epoch must dedupe InstallBatch, InstallAll and Install)", got, want)
 	}
 	if ctr.ServerOps != 2 {
 		t.Errorf("server ops = %d, want 2", ctr.ServerOps)
@@ -324,9 +325,11 @@ func TestCompositeViewHostSurface(t *testing.T) {
 	v.ProbeAll()
 	v.InstallAll(filter.NewInterval(0, 1000))
 	v.Install(2, filter.NewInterval(0, 1000), true)
+	v.InstallBatch([]int{0, 2}, filter.NewInterval(0, 1000))
+	v.InstallBatch(nil, filter.NewInterval(0, 1000))
 	wantProbe := before.Get(comm.Maintenance, comm.Probe) + 1 + 2 + 2 + n
 	wantReply := before.Get(comm.Maintenance, comm.ProbeReply) + 1 + 1 + 2 + n
-	wantInstall := before.Get(comm.Maintenance, comm.Install) + n + 1
+	wantInstall := before.Get(comm.Maintenance, comm.Install) + n + 1 + 2
 	if got := ctr.Get(comm.Maintenance, comm.Probe); got != wantProbe {
 		t.Errorf("maintenance probes = %d, want %d", got, wantProbe)
 	}

@@ -53,6 +53,12 @@ type HostOf[V, C any] interface {
 	// message). expectInside is the side of the constraint the server's
 	// table implies.
 	Install(id stream.ID, cons C, expectInside bool)
+	// InstallBatch deploys the same constraint to every listed stream
+	// (len(ids) Install messages, counted in one batched counter update and
+	// never broadcast-priced); each stream expects the side cons puts its
+	// table value on. It is the batch twin of Install, as ProbeBatch is of
+	// Probe.
+	InstallBatch(ids []stream.ID, cons C)
 	// InstallAll deploys the same constraint to every stream.
 	InstallAll(cons C)
 	// Table returns the server's belief about stream id's value and whether
@@ -125,7 +131,7 @@ type pendingUpdate[V any] struct {
 // message. It is the canonical HostOf implementation.
 type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	cfg     Config
-	sources []*stream.Source[V, C]
+	sources []stream.Source[V, C] // by value: one less hop per Deliver
 	proto   ProtocolOf[V]
 
 	// table is the server's last known value per stream (V̂): updated by
@@ -178,10 +184,10 @@ func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V, cfg Config) *Clu
 	if cfg.DropUpdateProb > 0 {
 		c.lossRng = sim.NewRNG(sim.DeriveSeed(cfg.DropSeed, lossSeedStream))
 	}
-	c.sources = make([]*stream.Source[V, C], len(initial))
+	c.sources = make([]stream.Source[V, C], len(initial))
 	receive := c.receive // one uplink closure shared by every source
 	for i, v := range initial {
-		c.sources[i] = stream.NewSource[V, C](i, v, receive)
+		c.sources[i] = *stream.NewSource[V, C](i, v, receive)
 	}
 	return c
 }
@@ -288,8 +294,8 @@ func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	}
 	dst = dst[:n]
 	chargeProbes(&c.ctr, uint64(n))
-	for i, s := range c.sources {
-		v := s.Probe()
+	for i := range c.sources {
+		v := c.sources[i].Probe()
 		c.table[i] = v
 		c.known[i] = true
 		dst[i] = v
@@ -337,6 +343,19 @@ func (c *ClusterOf[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 	c.drain() // no-op when already inside a delivery cycle
 }
 
+// InstallBatch deploys cons to every listed stream, classifying it once and
+// deriving each stream's expected side from the server table. It costs
+// len(ids) Install messages, BroadcastInstall or not: a broadcast reaches
+// every stream, and a batch is addressed.
+func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
+	if len(ids) == 0 {
+		return
+	}
+	chargeInstalls(&c.ctr, uint64(len(ids)))
+	stream.InstallEach(c.sources, ids, c.table, cons)
+	c.drain() // no-op when already inside a delivery cycle
+}
+
 // InstallAll deploys the same constraint to every stream, deriving each
 // stream's expected side from the server table. It costs n Install messages
 // (or 1 when BroadcastInstall is set).
@@ -378,7 +397,7 @@ func (c *ClusterOf[V, C]) AddServerOps(n int) { c.ctr.AddServerOps(uint64(n)) }
 func (c *ClusterOf[V, C]) TrueValue(id stream.ID) V { return c.sources[id].Value() }
 
 // Source exposes the underlying source for tests.
-func (c *ClusterOf[V, C]) Source(id stream.ID) *stream.Source[V, C] { return c.sources[id] }
+func (c *ClusterOf[V, C]) Source(id stream.ID) *stream.Source[V, C] { return &c.sources[id] }
 
 // String summarizes the cluster.
 func (c *ClusterOf[V, C]) String() string {

@@ -165,6 +165,45 @@ func TestInstallAllBroadcastCountsOnce(t *testing.T) {
 	}
 }
 
+// TestInstallBatchCharges pins InstallBatch's price on a 1-D Cluster:
+// len(ids) Installs, with or without BroadcastInstall (a batch is
+// addressed, not broadcast), and nothing for an empty batch.
+func TestInstallBatchCharges(t *testing.T) {
+	for _, broadcast := range []bool{false, true} {
+		c := NewClusterWith(make([]float64, 5), Config{BroadcastInstall: broadcast})
+		c.SetProtocol(&fakeProto{c: c})
+		c.Initialize()
+		c.InstallBatch(nil, filter.NewInterval(0, 1))
+		if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 0 {
+			t.Fatalf("broadcast=%v: empty batch charged %d, want 0", broadcast, got)
+		}
+		c.InstallBatch([]stream.ID{4, 1, 3}, filter.NewInterval(0, 1))
+		if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 3 {
+			t.Fatalf("broadcast=%v: install count = %d, want len(ids)=3", broadcast, got)
+		}
+		for _, id := range []stream.ID{4, 1, 3} {
+			if got := c.Constraint(id); got != filter.NewInterval(0, 1) {
+				t.Errorf("broadcast=%v: stream %d holds %v", broadcast, id, got)
+			}
+		}
+		if got := c.Constraint(0); got != (filter.Constraint{}) {
+			t.Errorf("broadcast=%v: unlisted stream 0 holds %v", broadcast, got)
+		}
+	}
+}
+
+// TestInstallBatchUsesTableForExpectations is InstallAll's table rule for
+// a batch: stream 1 was never heard from (table 0, inside [0,10]) but
+// truly sits at 700, so it reports; the unlisted stream 0 does not.
+func TestInstallBatchUsesTableForExpectations(t *testing.T) {
+	c, p := newTestCluster([]float64{700, 700})
+	c.Initialize()
+	c.InstallBatch([]stream.ID{1}, filter.NewInterval(0, 10))
+	if len(p.updates) != 1 || p.updates[0] != 1 {
+		t.Fatalf("mismatch updates = %v, want [1]", p.updates)
+	}
+}
+
 func TestInstallAllUsesTableForExpectations(t *testing.T) {
 	// Stream 0's true value is outside [0,10] but the server never heard
 	// from it (table zero value 0 is inside), so InstallAll must trigger a

@@ -103,6 +103,14 @@ func TestSpatialClusterCharges(t *testing.T) {
 	if get(comm.Install) != 4 {
 		t.Fatalf("InstallAll charged %d, want 1+n=4", get(comm.Install))
 	}
+	c.InstallBatch([]stream.ID{0, 2}, filter.NewDisk(filter.Point{}, 15))
+	if get(comm.Install) != 6 {
+		t.Fatalf("InstallBatch charged %d, want 4+len(ids)=6", get(comm.Install))
+	}
+	c.InstallBatch(nil, filter.NewDisk(filter.Point{}, 15))
+	if get(comm.Install) != 6 {
+		t.Fatalf("empty InstallBatch charged %d, want 0", get(comm.Install)-6)
+	}
 }
 
 // TestSpatialClusterDeliverCascade checks the drain discipline: an install

@@ -68,8 +68,8 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 		w.Int(u.id)
 		codec.ExportValue(w, u.v)
 	}
-	for _, s := range c.sources {
-		s.ExportState(w)
+	for i := range c.sources {
+		c.sources[i].ExportState(w)
 	}
 }
 
@@ -150,8 +150,8 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	}
 	c.pending = pending
 	c.head = 0
-	for _, s := range c.sources {
-		if err := s.ImportState(r); err != nil {
+	for i := range c.sources {
+		if err := c.sources[i].ImportState(r); err != nil {
 			return err
 		}
 	}

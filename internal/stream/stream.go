@@ -145,11 +145,22 @@ func (s *Source[V, C]) Install(c C, expectInside bool) bool {
 // InstallAll installs c on every source, expecting source i on the side c
 // puts believed[i] — the server's table. It is Install in a loop with c
 // classified once, which is most of what a broadcast deployment costs.
-func InstallAll[V comparable, C filter.Of[V, C]](sources []*Source[V, C], believed []V, c C) {
+func InstallAll[V comparable, C filter.Of[V, C]](sources []Source[V, C], believed []V, c C) {
 	var v V
 	m := classify(c, v)
-	for i, s := range sources {
-		s.install(c, m, c.Contains(believed[i]))
+	for i := range sources {
+		sources[i].install(c, m, c.Contains(believed[i]))
+	}
+}
+
+// InstallEach is InstallAll restricted to the listed sources: source id
+// expects the side c puts believed[id] on, and c is classified once for
+// the whole batch.
+func InstallEach[V comparable, C filter.Of[V, C]](sources []Source[V, C], ids []ID, believed []V, c C) {
+	var v V
+	m := classify(c, v)
+	for _, id := range ids {
+		sources[id].install(c, m, c.Contains(believed[id]))
 	}
 }
 
