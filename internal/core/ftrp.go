@@ -63,9 +63,9 @@ type FTRP struct {
 	d   float64
 	cur filter.Constraint
 
-	// Reusable scratch for the rebuild fan-out (ranking, probe table), so
-	// window-triggered recomputations on the maintenance path allocate
-	// nothing once warm.
+	// Reusable scratch for the rebuild fan-out (ranking, probe fan-out and
+	// rank-pass table copy), so window-triggered recomputations on the
+	// maintenance path allocate nothing once warm.
 	rk      topk.Ranking
 	valsBuf []float64
 
@@ -171,7 +171,7 @@ func (p *FTRP) rebuild() {
 	if p.cfg.Selection == SelectRandom {
 		m = p.c.N()
 	}
-	sorted, dists := rankNearest(&p.rk, p.c, p.q, m)
+	sorted, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, m)
 	p.ans.clear()
 	p.fp.clear()
 	p.fn.clear()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -166,7 +167,8 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 	c.Initialize()
 	c.ProbeAll()
 	var rk topk.Ranking
-	got, dists := rankNearest(&rk, c, query.At(25), c.N())
+	var vals []float64
+	got, dists := rankNearest(&rk, &vals, c, query.At(25), c.N())
 	// dists: id0=15, id1=5, id2=5, id3=5 → order [1 2 3 0]... ids 1,3 share
 	// value 30 (dist 5) and id2 has dist 5 as well: tie broken by id.
 	want := []int{1, 2, 3, 0}
@@ -179,9 +181,30 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 		t.Fatalf("distances %v do not travel with their ids", dists)
 	}
 	// A partial ranking orders only what was asked for, and the same ids.
-	if part, _ := rankNearest(&rk, c, query.At(25), 2); part[0] != 1 || part[1] != 2 || len(part) != 4 {
+	if part, _ := rankNearest(&rk, &vals, c, query.At(25), 2); part[0] != 1 || part[1] != 2 || len(part) != 4 {
 		t.Fatalf("rankNearest(m=2) = %v, want [1 2 ...] over all 4 ids", part)
 	}
+}
+
+// nanTableHost's table holds a NaN, which validated ingest and restore can
+// never produce.
+type nanTableHost struct{ server.Host }
+
+func (nanTableHost) TableValues(dst []float64) []float64 {
+	return append(dst[:0], 1, math.NaN(), 2)
+}
+
+// TestRankTablePanicsOnNaN: a NaN distance panics the fill, before any
+// comparison can scramble the order (the planar twin is in multidim).
+func TestRankTablePanicsOnNaN(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "topk: NaN key in rank table" {
+			t.Errorf("NaN distance panicked the rank table with %v", r)
+		}
+	}()
+	var rk topk.Ranking
+	var vals []float64
+	rankNearest(&rk, &vals, nanTableHost{}, query.At(0), 1)
 }
 
 func TestRankTableChargesServerOps(t *testing.T) {
@@ -191,7 +214,8 @@ func TestRankTableChargesServerOps(t *testing.T) {
 	before := c.Counter().ServerOps
 	// The charge is one touch per stream, however few are ordered.
 	var rk topk.Ranking
-	rankNearest(&rk, c, query.Top(), 2)
+	var vals []float64
+	rankNearest(&rk, &vals, c, query.Top(), 2)
 	if got := c.Counter().ServerOps - before; got != 7 {
 		t.Fatalf("rankNearest charged %d ops, want 7", got)
 	}

@@ -9,19 +9,25 @@ import (
 // rankNearest snapshots every stream's table distance from q — the "old
 // ranking scores kept by the server" the protocols consult — into rk and
 // orders the m nearest by (distance, id) at the front; the rest follow
-// unordered. A rebuild asks for exactly the prefix it reads (k+r+1 for
-// Deploy_bound, k+1 for the k-NN-as-range protocols); rk.Order can extend
-// the prefix later over the same snapshot. The returned slices alias rk and
-// are valid until its next fill. The pass is charged to the server
-// computation metric as one touch per stream, whatever m is.
-func rankNearest(rk *topk.Ranking, c server.Host, q query.Center, m int) (ids []int, dists []float64) {
-	n := c.N()
-	rk.Reset()
-	for i := 0; i < n; i++ {
-		v, _ := c.Table(i)
-		rk.Add(i, q.Dist(v))
+// unordered. The table is copied once into *vals (the protocol's probe
+// scratch) and the keys are filled from it in one loop, which panics on a
+// NaN distance as topk.Ranking.Add does. A rebuild asks for exactly the
+// prefix it reads (k+r+1 for Deploy_bound, k+1 for the k-NN-as-range
+// protocols); rk.Order can extend the prefix later over the same snapshot.
+// The returned slices alias rk and are valid until its next fill. The pass
+// is charged to the server computation metric as one touch per stream,
+// whatever m is.
+func rankNearest(rk *topk.Ranking, vals *[]float64, c server.Host, q query.Center, m int) (ids []int, dists []float64) {
+	*vals = c.TableValues(*vals)
+	keys := rk.Load(len(*vals))
+	for i, v := range *vals {
+		d := q.Dist(v)
+		if d != d {
+			panic("topk: NaN key in rank table")
+		}
+		keys[i] = d
 	}
-	c.AddServerOps(n)
+	c.AddServerOps(len(keys))
 	return rk.Order(m)
 }
 

@@ -33,12 +33,12 @@ type RTP struct {
 	// allocates nothing once the buffers have grown to the stream count.
 	rk       topk.Ranking
 	keyBuf   []float64 // nearestOf key scratch
-	valsBuf  []float64
-	idBuf    []int  // replacement candidates / probe fan-out
-	pendBuf  []int  // expanding search: candidates awaiting a reply
-	spareBuf []int  // expanding search: ping-pong partner of pendBuf
-	hitBuf   []int  // expanding search: conditional-probe hits, discovery order
-	isHit    []bool // expanding search: dense hit membership
+	valsBuf  []float64 // probe fan-out and rank-pass table copy
+	idBuf    []int     // replacement candidates / probe fan-out
+	pendBuf  []int     // expanding search: candidates awaiting a reply
+	spareBuf []int     // expanding search: ping-pong partner of pendBuf
+	hitBuf   []int     // expanding search: conditional-probe hits, discovery order
+	isHit    []bool    // expanding search: dense hit membership
 
 	// Deploys counts bound deployments; Reinits counts full
 	// re-initializations from the expanding-search fallback (reports/tests).
@@ -82,7 +82,7 @@ func (p *RTP) Initialize() {
 // distances, so the ε_k^r+1 nearest are all the ranking it needs.
 func (p *RTP) rebuildFromRanking() {
 	e := p.tol.Eps()
-	nearest, dists := rankNearest(&p.rk, p.c, p.q, e+1)
+	nearest, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, e+1)
 	p.inA.clear()
 	p.inX.clear()
 	for i, id := range nearest[:e] {
@@ -168,7 +168,7 @@ func (p *RTP) answerLeft(id stream.ID) {
 func (p *RTP) expandSearch() bool {
 	e := p.tol.Eps()
 	prefix := 2 * (e + 1)
-	sorted, dists := rankNearest(&p.rk, p.c, p.q, prefix)
+	sorted, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, prefix)
 	if n := p.c.N(); len(p.isHit) < n {
 		p.isHit = make([]bool, n)
 	}

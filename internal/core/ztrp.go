@@ -26,7 +26,7 @@ type ZTRP struct {
 	// Reusable scratch for rebuilds, so the zero-tolerance repair paths
 	// allocate nothing once warm.
 	rk      topk.Ranking
-	valsBuf []float64
+	valsBuf []float64 // probe fan-out and rank-pass table copy
 	idBuf   []int
 
 	// Recomputes counts bound recomputations (reports/tests).
@@ -56,7 +56,7 @@ func (p *ZTRP) Initialize() {
 
 // rebuild recomputes A and R from the current server table and redeploys.
 func (p *ZTRP) rebuild() {
-	nearest, dists := rankNearest(&p.rk, p.c, p.q, p.k+1)
+	nearest, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, p.k+1)
 	p.ans.clear()
 	for _, id := range nearest[:p.k] {
 		p.ans.add(id)

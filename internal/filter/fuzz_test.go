@@ -64,19 +64,17 @@ func FuzzIntervalInvariants(f *testing.F) {
 		if math.IsNaN(prev) || math.IsNaN(v) {
 			return
 		}
-		reports := 0
-		src := stream.New(0, prev, func(stream.ID, float64) { reports++ })
-		src.Install(c, c.Contains(prev))
-		if reports != 0 {
-			t.Fatalf("install with the true side reported %d times", reports)
+		src := stream.New(prev)
+		if src.Install(c, c.Contains(prev)) || src.Reports != 0 {
+			t.Fatalf("install with the true side reported %d times", src.Reports)
 		}
 		sent := src.Set(v)
 		if want := c.Violates(prev, v); sent != want {
 			t.Fatalf("source with %v at %g: Set(%g) reported %v, Violates says %v",
 				c, prev, v, sent, want)
 		}
-		if sent != (reports == 1) {
-			t.Fatalf("Set return %v but uplink saw %d reports", sent, reports)
+		if sent != (src.Reports == 1) {
+			t.Fatalf("Set return %v but the source counted %d reports", sent, src.Reports)
 		}
 	})
 }

@@ -36,7 +36,7 @@ type FTRP2D struct {
 	cur   filter.Region
 
 	rs     topk.Ranking
-	ptsBuf []Point // ProbeAllInto scratch; values are read back through Table
+	ptsBuf []Point // probe fan-out and rank-pass table copy
 
 	// Recomputes counts full bound recomputations.
 	Recomputes uint64
@@ -124,7 +124,7 @@ func (p *FTRP2D) rebuild() {
 	if fnEnd := p.k + p.nMinusBudget; fnEnd > m {
 		m = fnEnd
 	}
-	ids, dists := rankNearest(&p.rs, p.h, p.q, m)
+	ids, dists := rankNearest(&p.rs, &p.ptsBuf, p.h, p.q, m)
 
 	clear(p.ans)
 	clear(p.fp)

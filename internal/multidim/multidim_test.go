@@ -10,7 +10,6 @@ import (
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/stream"
 	"adaptivefilters/internal/topk"
 )
 
@@ -161,43 +160,6 @@ func TestRTP2DEpsilonNMinusOne(t *testing.T) {
 	}
 }
 
-// TestRTP2DBatchedCrossings delivers an answer-set member's exit and an
-// X-set member's exit as one batch (both reports queued before the
-// protocol handles either), exercising the drain ordering: the A-exit
-// repair must see the already-recorded X-exit, and the invariant holds
-// after the batch drains.
-func TestRTP2DBatchedCrossings(t *testing.T) {
-	q := pt(0, 0)
-	pts := ringPoints(10, q) // dist i+1
-	tol := core.RankTolerance{K: 2, R: 3}
-	c := server.NewSpatialCluster(append([]Point(nil), pts...))
-	p := newRTP2D(c, q, tol)
-	ans := p.Answer()
-	xs := p.X()
-	var xOnly int = -1
-	inAns := map[int]bool{}
-	for _, id := range ans {
-		inAns[id] = true
-	}
-	for _, id := range xs {
-		if !inAns[id] {
-			xOnly = id
-			break
-		}
-	}
-	if xOnly < 0 {
-		t.Fatal("no X-only member at t0")
-	}
-	// Queue both exits before any protocol handling: the X member and an
-	// answer member leave the disk in the same batch.
-	far := pt(500, 500)
-	pts[xOnly] = far
-	pts[ans[0]] = pt(-500, -500)
-	c.Source(xOnly).Set(pts[xOnly]) // queued, not yet drained
-	c.Deliver(ans[0], pts[ans[0]])  // drains both, in queue order
-	check2D(t, pts, q, p.Answer(), tol, 0)
-}
-
 func TestRTP2DSavesMessagesVsReportAll(t *testing.T) {
 	q := pt(0, 0)
 	rng := rand.New(rand.NewSource(10))
@@ -231,13 +193,15 @@ func TestRTP2DPanicsOnBadTolerance(t *testing.T) {
 	NewRTP2D(c, Point{}, core.RankTolerance{K: 2, R: 1})
 }
 
-// nanTableHost feeds the rank scratch a NaN distance: Table returns a NaN
+// nanTableHost feeds the rank scratch a NaN distance: its table holds a NaN
 // point, something the validated ingest/restore paths can never produce.
 type nanTableHost struct{ server.SpatialHost }
 
 func (h nanTableHost) N() int { return 4 }
-func (h nanTableHost) Table(id stream.ID) (filter.Point, bool) {
-	return filter.Point{X: math.NaN()}, true
+func (h nanTableHost) TableValues(dst []filter.Point) []filter.Point {
+	dst = append(dst[:0], make([]filter.Point, h.N())...)
+	dst[2].X = math.NaN()
+	return dst
 }
 func (h nanTableHost) AddServerOps(int) {}
 
@@ -248,12 +212,13 @@ func (h nanTableHost) AddServerOps(int) {}
 // A NaN now panics at the fill, before any comparison can go wrong.
 func TestRankTablePanicsOnNaN(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("NaN distance did not panic the rank table")
+		if r := recover(); r != "topk: NaN key in rank table" {
+			t.Errorf("NaN distance panicked the rank table with %v", r)
 		}
 	}()
 	var rk topk.Ranking
-	rankNearest(&rk, nanTableHost{}, Point{}, 1)
+	var pts []Point
+	rankNearest(&rk, &pts, nanTableHost{}, Point{}, 1)
 }
 
 // TestDeliverNaNPanics pins the façade's ingest trust boundary: a NaN

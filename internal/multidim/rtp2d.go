@@ -13,19 +13,23 @@ import (
 
 // rankNearest snapshots every stream's table distance to q into rk and
 // orders the m nearest by (distance, id) at the front, the rest following
-// unordered — the planar twin of core's rank pass over the same kernel. It
-// charges n server ops for the ranking work whatever m is, and panics on a
-// NaN distance (topk.Ranking.Add): impossible via validated ingest/restore,
-// hence a caller bug, and a NaN would silently scramble the order. The
-// returned slices alias rk.
-func rankNearest(rk *topk.Ranking, h server.SpatialHost, q Point, m int) (ids []int, dists []float64) {
-	n := h.N()
-	rk.Reset()
-	for i := 0; i < n; i++ {
-		pt, _ := h.Table(i)
-		rk.Add(i, Dist(q, pt))
+// unordered — the planar twin of core's rank pass over the same kernel:
+// one table copy into *pts, one key fill. It charges n server ops for the
+// ranking work whatever m is, and panics on a NaN distance, as
+// topk.Ranking.Add does: impossible via validated ingest/restore, hence a
+// caller bug, and a NaN would silently scramble the order. The returned
+// slices alias rk.
+func rankNearest(rk *topk.Ranking, pts *[]Point, h server.SpatialHost, q Point, m int) (ids []int, dists []float64) {
+	*pts = h.TableValues(*pts)
+	keys := rk.Load(len(*pts))
+	for i, pt := range *pts {
+		d := Dist(q, pt)
+		if d != d {
+			panic("topk: NaN key in rank table")
+		}
+		keys[i] = d
 	}
-	h.AddServerOps(n)
+	h.AddServerOps(len(keys))
 	return rk.Order(m)
 }
 
@@ -63,7 +67,7 @@ type RTP2D struct {
 	pending []int         // expandSearch candidate scratch
 	hits    map[int]Point // expandSearch responder scratch
 	probeXs []int         // entered() batch-probe scratch
-	ptsBuf  []Point       // ProbeAllInto scratch; values are read back through Table
+	ptsBuf  []Point       // probe fan-out and rank-pass table copy
 
 	// Deploys and Reinits mirror core.RTP's counters.
 	Deploys uint64
@@ -115,7 +119,7 @@ func (p *RTP2D) Initialize() {
 // nearest are all the ranking it needs.
 func (p *RTP2D) rebuildFromTable() {
 	e := p.tol.Eps()
-	nearest, dists := rankNearest(&p.rs, p.h, p.q, e+1)
+	nearest, dists := rankNearest(&p.rs, &p.ptsBuf, p.h, p.q, e+1)
 	clear(p.inA)
 	clear(p.inX)
 	for i, id := range nearest[:e] {
@@ -191,7 +195,7 @@ func (p *RTP2D) answerLeft(id int) {
 func (p *RTP2D) expandSearch() bool {
 	e := p.tol.Eps()
 	prefix := 2 * (e + 1)
-	sorted, dists := rankNearest(&p.rs, p.h, p.q, prefix)
+	sorted, dists := rankNearest(&p.rs, &p.ptsBuf, p.h, p.q, prefix)
 	clear(p.hits)
 	p.pending = p.pending[:0]
 	for _, id := range sorted[:e] {

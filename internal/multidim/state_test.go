@@ -76,8 +76,10 @@ func (h *countingHost) InstallAll(reg filter.Region) {
 }
 
 func (h *countingHost) Table(id stream.ID) (filter.Point, bool) { return h.c.Table(id) }
-func (h *countingHost) TableValues() []filter.Point             { return h.c.TableValues() }
-func (h *countingHost) AddServerOps(n int)                      { h.c.AddServerOps(n) }
+func (h *countingHost) TableValues(dst []filter.Point) []filter.Point {
+	return h.c.TableValues(dst)
+}
+func (h *countingHost) AddServerOps(n int) { h.c.AddServerOps(n) }
 
 // TestSpatialChargeParity runs RTP2D through a churn-heavy walk behind the
 // counting wrapper and asserts the cluster's counter holds exactly the

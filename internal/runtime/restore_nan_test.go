@@ -16,6 +16,53 @@ import (
 // RestoreNode and ImportTenant. Accepted, it would sit in the rank table
 // until the next RTP rebuild and panic the shard there (topk: NaN key).
 func TestRestoreRefusesNaN(t *testing.T) {
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	checkRestoreRefuses(t, "NaN", func(rec []byte, n, pendingAt int) map[string]func() []byte {
+		return map[string]func() []byte{
+			"table": func() []byte {
+				out := append([]byte(nil), rec...)
+				copy(out[16+8*3:], nan) // table[3]
+				return out
+			},
+			"pending": func() []byte {
+				out := append([]byte(nil), rec[:pendingAt]...)
+				out = binary.LittleEndian.AppendUint64(out, 1) // one queued update…
+				out = binary.LittleEndian.AppendUint64(out, 2) // …for stream 2…
+				out = append(out, nan...)                      // …carrying NaN
+				return append(out, rec[pendingAt+8:]...)
+			},
+			"source": func() []byte {
+				out := append([]byte(nil), rec...)
+				copy(out[len(rec)-49*(n-5):], nan) // source 5's value
+				return out
+			},
+		}
+	})
+}
+
+// TestRestoreRefusesContradictedSide flips the recorded side of a source
+// under the RTP tenant's interval filter. Accepted, the source would stay
+// silent on the crossing that corrects it, and the server would keep a
+// stream on the wrong side of R: RestoreNode and ImportTenant refuse it.
+func TestRestoreRefusesContradictedSide(t *testing.T) {
+	checkRestoreRefuses(t, "side", func(rec []byte, n, _ int) map[string]func() []byte {
+		return map[string]func() []byte{
+			"source": func() []byte {
+				out := append([]byte(nil), rec...)
+				out[len(rec)-49*(n-5)+32] ^= 1 // source 5's side, after value and interval
+				return out
+			},
+		}
+	})
+}
+
+// checkRestoreRefuses pokes the RTP tenant's cluster record inside a node
+// snapshot and a tenant snapshot, and expects RestoreNode and ImportTenant
+// to refuse every poked record with an error mentioning want, admitting
+// nothing. pokes receives the record, its stream count and the offset of
+// its pending-queue count.
+func checkRestoreRefuses(t *testing.T, want string, pokes func(rec []byte, n, pendingAt int) map[string]func() []byte) {
+	t.Helper()
 	specs := testSpecs(2, 12) // tenant 1 is the RTP tenant, n = 13
 	node, err := NewNode(Config{Shards: 1, Seed: 5}, specs)
 	if err != nil {
@@ -41,28 +88,6 @@ func TestRestoreRefusesNaN(t *testing.T) {
 	node.tenants[1].backend.(*scalar).ExportState(w)
 	rec := w.Bytes()
 	n := node.tenants[1].N()
-	pendingAt := len(rec) - 49*n - 8
-	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
-
-	pokes := map[string]func() []byte{
-		"table": func() []byte {
-			out := append([]byte(nil), rec...)
-			copy(out[16+8*3:], nan) // table[3]
-			return out
-		},
-		"pending": func() []byte {
-			out := append([]byte(nil), rec[:pendingAt]...)
-			out = binary.LittleEndian.AppendUint64(out, 1) // one queued update…
-			out = binary.LittleEndian.AppendUint64(out, 2) // …for stream 2…
-			out = append(out, nan...)                      // …carrying NaN
-			return append(out, rec[pendingAt+8:]...)
-		},
-		"source": func() []byte {
-			out := append([]byte(nil), rec...)
-			copy(out[len(rec)-49*(n-5):], nan) // source 5's value
-			return out
-		},
-	}
 	// splice swaps the cluster record inside a checksummed snapshot for a
 	// poked one and re-seals it, as FuzzRestoreNode's decoder path does.
 	splice := func(snap, poked []byte) []byte {
@@ -77,11 +102,11 @@ func TestRestoreRefusesNaN(t *testing.T) {
 	if _, err := RestoreNode(Config{}, specs, splice(nodeSnap, rec)); err != nil {
 		t.Fatalf("splicing the unpoked record broke the snapshot: %v", err)
 	}
-	for name, poke := range pokes {
+	for name, poke := range pokes(rec, n, len(rec)-49*n-8) {
 		t.Run(name, func(t *testing.T) {
 			_, err := RestoreNode(Config{}, specs, splice(nodeSnap, poke()))
-			if err == nil || !strings.Contains(err.Error(), "NaN") {
-				t.Errorf("RestoreNode: err = %v, want a NaN refusal", err)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("RestoreNode: err = %v, want a %s refusal", err, want)
 			}
 			dst, err := NewNodeLabeled(Config{Seed: 5}, nil, nil)
 			if err != nil {
@@ -92,8 +117,8 @@ func TestRestoreRefusesNaN(t *testing.T) {
 			}
 			defer dst.Stop()
 			_, err = dst.ImportTenant(specs[1], splice(tenantSnap, poke()))
-			if err == nil || !strings.Contains(err.Error(), "NaN") {
-				t.Errorf("ImportTenant: err = %v, want a NaN refusal", err)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ImportTenant: err = %v, want a %s refusal", err, want)
 			}
 			if dst.NumTenants() != 0 {
 				t.Error("refused import still admitted a tenant")

@@ -442,7 +442,7 @@ func (c *Composite) TrueValue(s stream.ID) float64 { return c.vals[s] }
 
 // refresh records stream s's exact value in the server table and re-records
 // the stream's side of every live constraint entry — what a stream does
-// whenever it answers the server (cf. stream.Source.Probe).
+// whenever it answers the server.
 func (c *Composite) refresh(s stream.ID) {
 	c.table[s] = c.vals[s]
 	c.known[s] = true
@@ -509,9 +509,9 @@ func (v *compositeView) Probe(id stream.ID) float64 {
 
 // ProbeIf implements Host: the request is always charged, the reply — and
 // the table refresh — only on a hit. The probed source re-evaluates its
-// recorded sides locally even on a miss (cf. stream.Source.Probe). Inside
-// an init epoch a stream whose exact value the server already holds is
-// evaluated server-side for free.
+// recorded sides locally even on a miss. Inside an init epoch a stream
+// whose exact value the server already holds is evaluated server-side for
+// free.
 func (v *compositeView) ProbeIf(id stream.ID, cons filter.Constraint) (float64, bool) {
 	c := v.c
 	if c.inEpoch && c.probeGen[id] == c.epoch {
@@ -540,14 +540,8 @@ func (v *compositeView) ProbeAll() []float64 { return v.ProbeAllInto(nil) }
 
 // ProbeAllInto implements Host reusing dst for the table snapshot.
 func (v *compositeView) ProbeAllInto(dst []float64) []float64 {
-	c := v.c
-	c.probeAll()
-	if cap(dst) < len(c.table) {
-		dst = make([]float64, len(c.table))
-	}
-	dst = dst[:len(c.table)]
-	copy(dst, c.table)
-	return dst
+	v.c.probeAll()
+	return v.TableValues(dst)
 }
 
 // probeAll refreshes the whole table, charging only the streams not already
@@ -630,11 +624,9 @@ func (v *compositeView) InstallAll(cons filter.Constraint) {
 // Table implements Host.
 func (v *compositeView) Table(id stream.ID) (float64, bool) { return v.c.table[id], v.c.known[id] }
 
-// TableValues implements Host.
-func (v *compositeView) TableValues() []float64 {
-	out := make([]float64, len(v.c.table))
-	copy(out, v.c.table)
-	return out
+// TableValues implements Host reusing dst for the table copy.
+func (v *compositeView) TableValues(dst []float64) []float64 {
+	return append(dst[:0], v.c.table...)
 }
 
 // AddServerOps implements Host on the shared computation metric.

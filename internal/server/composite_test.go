@@ -342,7 +342,7 @@ func TestCompositeViewHostSurface(t *testing.T) {
 	if val, known := v.Table(0); !known || val != 200 {
 		t.Errorf("Table(0) = %g/%v", val, known)
 	}
-	if got := v.TableValues(); len(got) != len(initial) || got[2] != 800 {
+	if got := v.TableValues(nil); len(got) != len(initial) || got[2] != 800 {
 		t.Errorf("TableValues = %v", got)
 	}
 	if v.N() != len(initial) {

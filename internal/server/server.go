@@ -1,7 +1,7 @@
 // Package server implements the central stream processor of the paper's
-// Figure 3: it owns the stream sources' uplinks, the server-side value table,
-// message accounting, and hosts a Protocol (the query processing unit plus
-// constraint assignment unit).
+// Figure 3: it is the stream sources' uplink, owns the server-side value
+// table and message accounting, and hosts a Protocol (the query processing
+// unit plus constraint assignment unit).
 //
 // All communication primitives the protocols may use — probing a stream,
 // conditionally probing, installing a filter, broadcasting a bound — live
@@ -64,8 +64,10 @@ type HostOf[V, C any] interface {
 	// Table returns the server's belief about stream id's value and whether
 	// the stream has ever been heard from.
 	Table(id stream.ID) (V, bool)
-	// TableValues returns a snapshot copy of the server value table.
-	TableValues() []V
+	// TableValues copies the server value table into dst, growing it only
+	// when it is too short, and returns the n values (the ProbeAllInto
+	// idiom: a rank pass reuses one buffer).
+	TableValues(dst []V) []V
 	// AddServerOps records server-side ranking work (computation metric).
 	AddServerOps(n int)
 }
@@ -131,8 +133,11 @@ type pendingUpdate[V any] struct {
 // message. It is the canonical HostOf implementation.
 type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	cfg     Config
-	sources []stream.Source[V, C] // by value: one less hop per Deliver
+	sources []stream.Source[V, C] // by value and pointer-free: plain data
 	proto   ProtocolOf[V]
+	// uplink is receive, bound once so the batch installs hand their
+	// mismatch reports to it without allocating.
+	uplink func(stream.ID, V)
 
 	// table is the server's last known value per stream (V̂): updated by
 	// reports and probes. known marks streams heard from at least once.
@@ -184,10 +189,10 @@ func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V, cfg Config) *Clu
 	if cfg.DropUpdateProb > 0 {
 		c.lossRng = sim.NewRNG(sim.DeriveSeed(cfg.DropSeed, lossSeedStream))
 	}
+	c.uplink = c.receive
 	c.sources = make([]stream.Source[V, C], len(initial))
-	receive := c.receive // one uplink closure shared by every source
 	for i, v := range initial {
-		c.sources[i] = *stream.NewSource[V, C](i, v, receive)
+		c.sources[i] = stream.NewSource[V, C](v)
 	}
 	return c
 }
@@ -223,8 +228,9 @@ func (c *ClusterOf[V, C]) Initialize() {
 	c.ctr.SetPhase(comm.Maintenance)
 }
 
-// receive is the uplink callback given to every source: counts the update,
-// refreshes the table and queues the update for protocol handling.
+// receive is every source's uplink: it carries a report a source owes (from
+// Set or an install), counts the update, refreshes the table and queues the
+// update for protocol handling.
 func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 	c.ctr.Add(comm.Update, 1)
 	if c.lossRng != nil && c.lossRng.Float64() < c.cfg.DropUpdateProb {
@@ -244,6 +250,7 @@ func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 // is nothing to drain.
 func (c *ClusterOf[V, C]) Deliver(id stream.ID, v V) {
 	if c.sources[id].Set(v) {
+		c.receive(id, v)
 		c.drain()
 	}
 }
@@ -339,7 +346,9 @@ func (c *ClusterOf[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 // mismatch the source reports immediately (counted as an update and queued).
 func (c *ClusterOf[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 	chargeInstalls(&c.ctr, 1)
-	c.sources[id].Install(cons, expectInside)
+	if s := &c.sources[id]; s.Install(cons, expectInside) {
+		c.receive(id, s.Value())
+	}
 	c.drain() // no-op when already inside a delivery cycle
 }
 
@@ -352,7 +361,7 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 		return
 	}
 	chargeInstalls(&c.ctr, uint64(len(ids)))
-	stream.InstallEach(c.sources, ids, c.table, cons)
+	stream.InstallEach(c.sources, ids, c.table, cons, c.uplink)
 	c.drain() // no-op when already inside a delivery cycle
 }
 
@@ -365,7 +374,7 @@ func (c *ClusterOf[V, C]) InstallAll(cons C) {
 	} else {
 		chargeInstalls(&c.ctr, uint64(c.N()))
 	}
-	stream.InstallAll(c.sources, c.table, cons)
+	stream.InstallAll(c.sources, c.table, cons, c.uplink)
 	c.drain() // no-op when already inside a delivery cycle
 }
 
@@ -373,12 +382,11 @@ func (c *ClusterOf[V, C]) InstallAll(cons C) {
 // whether the stream has ever been heard from.
 func (c *ClusterOf[V, C]) Table(id stream.ID) (V, bool) { return c.table[id], c.known[id] }
 
-// TableValues returns a snapshot copy of the server value table. Entries for
-// never-heard streams are zero; see Table for the known flag.
-func (c *ClusterOf[V, C]) TableValues() []V {
-	out := make([]V, len(c.table))
-	copy(out, c.table)
-	return out
+// TableValues copies the server value table into dst, allocating only when
+// cap(dst) < n, and returns it. Entries for never-heard streams are zero;
+// see Table for the known flag.
+func (c *ClusterOf[V, C]) TableValues(dst []V) []V {
+	return append(dst[:0], c.table...)
 }
 
 // Constraint returns the filter currently installed at stream id (the server

@@ -241,7 +241,7 @@ func TestTrueValueAndSourceInspection(t *testing.T) {
 	if c.TrueValue(0) != 42 {
 		t.Fatalf("TrueValue = %v", c.TrueValue(0))
 	}
-	if c.Source(0).ID() != 0 {
+	if s := c.Source(0); s != c.Source(0) || s.Value() != 42 {
 		t.Fatal("Source accessor broken")
 	}
 	if c.N() != 1 {
@@ -263,10 +263,15 @@ func TestTableValuesSnapshotIsCopy(t *testing.T) {
 	c, _ := newTestCluster([]float64{5})
 	c.Initialize()
 	c.Probe(0)
-	snap := c.TableValues()
+	snap := c.TableValues(nil)
 	snap[0] = 999
 	if v, _ := c.Table(0); v != 5 {
 		t.Fatal("TableValues returned a live reference")
+	}
+	// A long enough buffer is reused, not reallocated.
+	buf := make([]float64, 0, 4)
+	if got := c.TableValues(buf); len(got) != 1 || got[0] != 5 || &got[:1][0] != &buf[:1][0] {
+		t.Fatalf("TableValues(buf) = %v, want [5] in buf", got)
 	}
 }
 

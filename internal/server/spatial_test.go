@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"math"
 	"testing"
 
 	"adaptivefilters/internal/comm"
+	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/multidim"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
@@ -200,6 +203,61 @@ func TestSpatialClusterImportRejectsCorruption(t *testing.T) {
 		fresh := server.NewSpatialCluster(pts(0, 0, 10, 0))
 		if err := fresh.ImportState(snapshot.NewReader(good[:cut])); err == nil {
 			t.Fatalf("truncation at %d imported without error", cut)
+		}
+	}
+}
+
+// TestRTP2DBatchedCrossings delivers an answer-set member's exit and an
+// X-set member's exit as one batch (both reports queued before the
+// protocol handles either), exercising the drain ordering: the A-exit
+// repair must see the already-recorded X-exit, and the invariant holds
+// after the batch drains.
+func TestRTP2DBatchedCrossings(t *testing.T) {
+	q := filter.Point{}
+	ring := make([]filter.Point, 10) // stream i at distance i+1
+	for i := range ring {
+		d, angle := float64(i+1), float64(i)*0.7
+		ring[i] = filter.Point{X: d * math.Cos(angle), Y: d * math.Sin(angle)}
+	}
+	tol := core.RankTolerance{K: 2, R: 3}
+	c := server.NewSpatialCluster(append([]filter.Point(nil), ring...))
+	p := multidim.NewRTP2D(c, q, tol)
+	c.SetProtocol(p)
+	c.Initialize()
+	ans := p.Answer()
+	inAns := map[int]bool{}
+	for _, id := range ans {
+		inAns[id] = true
+	}
+	xOnly := -1
+	for _, id := range p.X() {
+		if !inAns[id] {
+			xOnly = id
+			break
+		}
+	}
+	if xOnly < 0 {
+		t.Fatal("no X-only member at t0")
+	}
+	// Queue both exits before any protocol handling: the X member and an
+	// answer member leave the disk in the same batch.
+	ring[xOnly] = filter.Point{X: 500, Y: 500}
+	ring[ans[0]] = filter.Point{X: -500, Y: -500}
+	c.Queue(xOnly, ring[xOnly])     // queued, not yet drained
+	c.Deliver(ans[0], ring[ans[0]]) // drains both, in queue order
+	got := p.Answer()
+	if len(got) != tol.K {
+		t.Fatalf("|A| = %d, want %d", len(got), tol.K)
+	}
+	for _, id := range got {
+		d, rank := multidim.Dist(q, ring[id]), 1
+		for j, pt := range ring {
+			if j != id && multidim.Dist(q, pt) < d {
+				rank++
+			}
+		}
+		if rank > tol.Eps() {
+			t.Fatalf("stream %d has rank %d > ε=%d", id, rank, tol.Eps())
 		}
 	}
 }

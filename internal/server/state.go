@@ -152,7 +152,7 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	c.head = 0
 	for i := range c.sources {
 		if err := c.sources[i].ImportState(r); err != nil {
-			return err
+			return fmt.Errorf("server: source %d: %w", i, err)
 		}
 	}
 	return r.Err()

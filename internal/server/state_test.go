@@ -65,7 +65,7 @@ func TestClusterStateRoundTrip(t *testing.T) {
 	if restored.DroppedUpdates != orig.DroppedUpdates {
 		t.Fatalf("DroppedUpdates = %d, want %d", restored.DroppedUpdates, orig.DroppedUpdates)
 	}
-	if !reflect.DeepEqual(restored.TableValues(), orig.TableValues()) {
+	if !reflect.DeepEqual(restored.TableValues(nil), orig.TableValues(nil)) {
 		t.Fatal("table diverged")
 	}
 

@@ -11,11 +11,36 @@ import (
 
 func pt(x, y float64) filter.Point { return filter.Point{X: x, Y: y} }
 
+// planar is a planar source with the server's side of its uplink: every
+// report the source owes is appended to reports, as the cluster's Deliver
+// and Install do.
+type planar struct {
+	stream.Source[filter.Point, filter.Region]
+	reports []filter.Point
+}
+
+func newPlanar(initial filter.Point) *planar {
+	return &planar{Source: stream.NewSpatial(initial)}
+}
+
+func (p *planar) Set(v filter.Point) bool {
+	if !p.Source.Set(v) {
+		return false
+	}
+	p.reports = append(p.reports, p.Value())
+	return true
+}
+
+func (p *planar) Install(c filter.Region, expectInside bool) bool {
+	if !p.Source.Install(c, expectInside) {
+		return false
+	}
+	p.reports = append(p.reports, p.Value())
+	return true
+}
+
 func TestSpatialSourceCrossingSemantics(t *testing.T) {
-	var reports []filter.Point
-	s := stream.NewSpatial(0, pt(0, 0), func(_ stream.ID, p filter.Point) {
-		reports = append(reports, p)
-	})
+	s := newPlanar(pt(0, 0))
 
 	// No filter: every update reports.
 	if !s.Set(pt(1, 1)) || !s.Set(pt(2, 2)) {
@@ -27,7 +52,7 @@ func TestSpatialSourceCrossingSemantics(t *testing.T) {
 	if s.Install(filter.NewDisk(pt(0, 0), 5), true) {
 		t.Fatal("matching install reported")
 	}
-	n := len(reports)
+	n := len(s.reports)
 	if s.Set(pt(3, 0)) { // still inside
 		t.Fatal("inside move reported")
 	}
@@ -40,7 +65,7 @@ func TestSpatialSourceCrossingSemantics(t *testing.T) {
 	if s.Set(pt(2, 0)) {
 		t.Fatal("inside move reported after crossings")
 	}
-	if got := len(reports) - n; got != 2 {
+	if got := len(s.reports) - n; got != 2 {
 		t.Fatalf("crossings sent %d reports, want 2", got)
 	}
 	if s.Updates != 6 || s.Reports != 4 {
@@ -49,15 +74,14 @@ func TestSpatialSourceCrossingSemantics(t *testing.T) {
 }
 
 func TestSpatialSourceInstallMismatch(t *testing.T) {
-	reports := 0
-	s := stream.NewSpatial(3, pt(10, 0), func(stream.ID, filter.Point) { reports++ })
+	s := newPlanar(pt(10, 0))
 
 	// Server believes inside, point is actually outside: convergence report.
 	if !s.Install(filter.NewDisk(pt(0, 0), 5), true) {
 		t.Fatal("mismatched install did not report")
 	}
-	if reports != 1 {
-		t.Fatalf("reports = %d, want 1", reports)
+	if len(s.reports) != 1 || s.reports[0] != pt(10, 0) {
+		t.Fatalf("reports = %v, want [(10,0)]", s.reports)
 	}
 	if s.Inside() {
 		t.Fatal("recorded side not corrected to outside")
@@ -80,8 +104,7 @@ func TestSpatialSourceInstallMismatch(t *testing.T) {
 // is owed. This mirrors stream.Source.Install's c.Silent() guard for
 // [+∞,+∞] / [−∞,+∞] interval constraints.
 func TestSpatialSourceSilentInstallMismatch(t *testing.T) {
-	reports := 0
-	s := stream.NewSpatial(0, pt(10, 0), func(stream.ID, filter.Point) { reports++ })
+	s := newPlanar(pt(10, 0))
 
 	// Shut region: the point is outside (shut contains nothing), server
 	// wrongly expects inside — still silent.
@@ -100,8 +123,8 @@ func TestSpatialSourceSilentInstallMismatch(t *testing.T) {
 	if !s.Inside() {
 		t.Fatal("wide-open region recorded as outside")
 	}
-	if reports != 0 {
-		t.Fatalf("silent installs sent %d reports, want 0", reports)
+	if len(s.reports) != 0 {
+		t.Fatalf("silent installs sent %d reports, want 0", len(s.reports))
 	}
 
 	// And a silent region never fires afterwards, wherever the point goes.
@@ -111,7 +134,7 @@ func TestSpatialSourceSilentInstallMismatch(t *testing.T) {
 }
 
 func TestSpatialSourceProbeRefreshesSide(t *testing.T) {
-	s := stream.NewSpatial(0, pt(0, 0), func(stream.ID, filter.Point) {})
+	s := stream.NewSpatial(pt(0, 0))
 	s.Install(filter.NewDisk(pt(0, 0), 5), true)
 	// Force a stale side without going through Set's report path.
 	s.Install(filter.NewDisk(pt(100, 100), 5), true) // actually outside → reports, side false
@@ -128,9 +151,9 @@ func TestSpatialSourceProbeRefreshesSide(t *testing.T) {
 
 func TestSpatialSourceNaNPanics(t *testing.T) {
 	cases := []func(){
-		func() { stream.NewSpatial(0, pt(math.NaN(), 0), func(stream.ID, filter.Point) {}) },
+		func() { stream.NewSpatial(pt(math.NaN(), 0)) },
 		func() {
-			s := stream.NewSpatial(0, pt(0, 0), func(stream.ID, filter.Point) {})
+			s := stream.NewSpatial(pt(0, 0))
 			s.Set(pt(0, math.NaN()))
 		},
 	}
@@ -147,14 +170,14 @@ func TestSpatialSourceNaNPanics(t *testing.T) {
 }
 
 func TestSpatialSourceStateRoundTrip(t *testing.T) {
-	s := stream.NewSpatial(7, pt(3, 4), func(stream.ID, filter.Point) {})
+	s := stream.NewSpatial(pt(3, 4))
 	s.Install(filter.NewDisk(pt(0, 0), 10), true)
 	s.Set(pt(20, 0)) // crossing: bumps Updates and Reports
 
 	w := snapshot.NewWriter()
 	s.ExportState(w)
 
-	restored := stream.NewSpatial(7, pt(0, 0), func(stream.ID, filter.Point) {})
+	restored := stream.NewSpatial(pt(0, 0))
 	if err := restored.ImportState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +197,38 @@ func TestSpatialSourceStateRoundTrip(t *testing.T) {
 	w2.Uint64(0)
 	if err := restored.ImportState(snapshot.NewReader(w2.Bytes())); err == nil {
 		t.Fatal("NaN location imported without error")
+	}
+}
+
+// TestSpatialSourceImportRefusesContradictedSide is the planar twin of
+// TestSourceImportRefusesContradictedSide: a disk and a rectangle record
+// whose side is flipped against its point is refused, and the target is
+// left untouched.
+func TestSpatialSourceImportRefusesContradictedSide(t *testing.T) {
+	for _, reg := range []filter.Region{filter.NewDisk(pt(0, 0), 5), filter.NewRect(pt(0, 0), 2, 3)} {
+		src := stream.NewSpatial(pt(1, 1))
+		src.Install(reg, true)
+		w := snapshot.NewWriter()
+		src.ExportState(w)
+		good := w.Bytes()
+		// Layout: point (16 B), region (kind, centre, A, B: 40 B), side.
+		const sideAt = 16 + 40
+		if good[sideAt] != 1 {
+			t.Fatalf("%v: side byte = %d, want 1 (inside)", reg, good[sideAt])
+		}
+		bad := append([]byte(nil), good...)
+		bad[sideAt] = 0
+		target := stream.NewSpatial(pt(9, 9))
+		target.Install(reg, false)
+		before := target
+		if err := target.ImportState(snapshot.NewReader(bad)); err == nil {
+			t.Fatalf("%v: import of a side contradicting the point succeeded", reg)
+		}
+		if target != before {
+			t.Fatalf("%v: failed import changed the source: %v, was %v", reg, target, before)
+		}
+		if err := target.ImportState(snapshot.NewReader(good)); err != nil || !target.Inside() {
+			t.Fatalf("%v: import of the true record: err=%v inside=%v", reg, err, target.Inside())
+		}
 	}
 }

@@ -2,9 +2,15 @@
 // paper's system model (§3.1, Figure 3).
 //
 // Each source holds its current value and an adaptive filter constraint. When
-// the value changes it reports to the server only if the filter is violated
-// (the value crossed the constraint boundary) or if no filter is installed.
-// Sources also answer server probes and accept filter installations.
+// the value changes it owes the server a report only if the filter is
+// violated (the value crossed the constraint boundary) or if no filter is
+// installed. Sources also answer server probes and accept filter
+// installations.
+//
+// A source is plain data: it holds no identity and no uplink. Set and
+// Install return whether a report is owed, and the caller — the server's
+// cluster, which knows the stream's index — delivers it; the batch installs
+// (InstallAll, InstallEach) take that uplink once per batch.
 package stream
 
 import (
@@ -24,13 +30,15 @@ type ID = int
 // — is recognised without knowing V's shape; a NaN reaching a source is a
 // caller bug and panics, because validation belongs to the trust boundaries
 // in front of it (runtime admission and ingest, snapshot restore).
+//
+// Under a crossing-mode constraint the recorded side always equals the side
+// the constraint puts the value on: Set and every install establish it, and
+// ImportState refuses a record that breaks it. So a probe is a plain read.
 type Source[V comparable, C filter.Of[V, C]] struct {
-	id     ID
 	val    V
 	cons   C
 	inside bool // side of the constraint of the last value known to the server
 	mode   mode
-	report func(id ID, v V)
 	// Updates counts value changes applied to the source (its raw stream
 	// rate); Reports counts how many were actually sent to the server.
 	Updates uint64
@@ -58,32 +66,25 @@ func classify[V any, C filter.Of[V, C]](c C, v V) mode {
 }
 
 // NewSource returns a source with the given initial value and no filter
-// installed; report is its uplink to the server, which counts the message
-// and queues it for protocol handling. An unfiltered source reports every
-// update (paper §3.1: "If no filter is installed at a stream, all updates
-// from the stream are reported").
-func NewSource[V comparable, C filter.Of[V, C]](id ID, initial V, report func(id ID, v V)) *Source[V, C] {
-	if report == nil {
-		panic("stream: nil report func")
-	}
+// installed. An unfiltered source reports every update (paper §3.1: "If no
+// filter is installed at a stream, all updates from the stream are
+// reported").
+func NewSource[V comparable, C filter.Of[V, C]](initial V) Source[V, C] {
 	if initial != initial {
 		panic("stream: NaN initial value")
 	}
-	return &Source[V, C]{id: id, val: initial, report: report}
+	return Source[V, C]{val: initial}
 }
 
 // New returns a 1-D source (see NewSource).
-func New(id ID, initial float64, report func(ID, float64)) *Source[float64, filter.Constraint] {
-	return NewSource[float64, filter.Constraint](id, initial, report)
+func New(initial float64) Source[float64, filter.Constraint] {
+	return NewSource[float64, filter.Constraint](initial)
 }
 
 // NewSpatial returns a planar source (see NewSource).
-func NewSpatial(id ID, initial filter.Point, report func(ID, filter.Point)) *Source[filter.Point, filter.Region] {
-	return NewSource[filter.Point, filter.Region](id, initial, report)
+func NewSpatial(initial filter.Point) Source[filter.Point, filter.Region] {
+	return NewSource[filter.Point, filter.Region](initial)
 }
-
-// ID returns the source identifier.
-func (s *Source[V, C]) ID() ID { return s.id }
 
 // Value returns the true current value. Only the workload driver, probes and
 // the ground-truth oracle may call this; protocols must rely on reported
@@ -97,9 +98,10 @@ func (s *Source[V, C]) Constraint() C { return s.cons }
 // side the server believes the stream is on.
 func (s *Source[V, C]) Inside() bool { return s.inside }
 
-// Set applies a new value from the workload. It reports to the server when
-// the filter is violated (or always, when unfiltered) and returns whether a
-// report was sent.
+// Set applies a new value from the workload. It returns whether the server
+// is owed a report of the new value: when the filter is violated, or
+// always, when unfiltered. The caller delivers it; Reports already counts
+// it.
 func (s *Source[V, C]) Set(v V) bool {
 	if v != v {
 		panic("stream: NaN value delivered to source")
@@ -122,89 +124,130 @@ func (s *Source[V, C]) Set(v V) bool {
 		}
 		s.inside = nowInside
 	}
-	s.send()
+	s.Reports++
 	return true
 }
 
 // Install sets a new filter constraint. expectInside is the side of the new
 // constraint the server believes this stream is on (from its value table).
-// If the true side differs, the source immediately reports its value so the
-// server's view converges — unless the constraint is silent (wide-open or
-// shut constraints can never be violated, so no report is owed); the report
-// travels through the normal uplink and is counted as an update message.
-// Install returns whether such a mismatch report was sent.
+// If the true side differs, the source owes the server an immediate report
+// of its value so the server's view converges — unless the constraint is
+// silent (wide-open or shut constraints can never be violated, so no report
+// is owed); the report travels through the normal uplink and is counted as
+// an update message. Install returns whether such a mismatch report is
+// owed; the caller delivers it.
 //
 // The paper's correctness argument assumes stream values do not change
 // during constraint resolution; this handshake is what makes the assumption
 // implementable when bounds are computed from partially stale values (see
 // DESIGN.md §3).
 func (s *Source[V, C]) Install(c C, expectInside bool) bool {
-	return s.install(c, classify(c, s.val), expectInside)
+	if m := classify(c, s.val); m != crossing {
+		return s.installOther(c, m)
+	}
+	if !s.cross(c, expectInside, c.Contains(s.val)) {
+		return false
+	}
+	s.Reports++
+	return true
 }
 
 // InstallAll installs c on every source, expecting source i on the side c
-// puts believed[i] — the server's table. It is Install in a loop with c
+// puts believed[i] — the server's table — and hands every owed mismatch
+// report to report, in source order. It is Install in a loop with c
 // classified once, which is most of what a broadcast deployment costs.
-func InstallAll[V comparable, C filter.Of[V, C]](sources []Source[V, C], believed []V, c C) {
-	var v V
-	m := classify(c, v)
+//
+// Under a crossing constraint each source costs one Contains, on its table
+// value: when the source's value equals it (NaN never reaches a source, so
+// == is exact) that side is also the true one, and only a stale source
+// pays a second Contains.
+func InstallAll[V comparable, C filter.Of[V, C]](sources []Source[V, C], believed []V, c C, report func(ID, V)) {
+	var zero V
+	if m := classify(c, zero); m != crossing {
+		for i := range sources {
+			if sources[i].installOther(c, m) {
+				report(i, sources[i].val)
+			}
+		}
+		return
+	}
+	believed = believed[:len(sources)]
 	for i := range sources {
-		sources[i].install(c, m, c.Contains(believed[i]))
+		s, b := &sources[i], believed[i]
+		expect := c.Contains(b)
+		actual := expect
+		if s.val != b {
+			actual = c.Contains(s.val)
+		}
+		if s.cross(c, expect, actual) {
+			s.Reports++
+			report(i, s.val)
+		}
 	}
 }
 
 // InstallEach is InstallAll restricted to the listed sources: source id
 // expects the side c puts believed[id] on, and c is classified once for
 // the whole batch.
-func InstallEach[V comparable, C filter.Of[V, C]](sources []Source[V, C], ids []ID, believed []V, c C) {
-	var v V
-	m := classify(c, v)
+func InstallEach[V comparable, C filter.Of[V, C]](sources []Source[V, C], ids []ID, believed []V, c C, report func(ID, V)) {
+	var zero V
+	if m := classify(c, zero); m != crossing {
+		for _, id := range ids {
+			if sources[id].installOther(c, m) {
+				report(id, sources[id].val)
+			}
+		}
+		return
+	}
 	for _, id := range ids {
-		sources[id].install(c, m, c.Contains(believed[id]))
+		s, b := &sources[id], believed[id]
+		expect := c.Contains(b)
+		actual := expect
+		if s.val != b {
+			actual = c.Contains(s.val)
+		}
+		if s.cross(c, expect, actual) {
+			s.Reports++
+			report(id, s.val)
+		}
 	}
 }
 
-func (s *Source[V, C]) install(c C, m mode, expectInside bool) bool {
+// cross is the crossing-mode install rule, the one every install path
+// shares: install c, record actual — the side c puts the value on — and
+// say whether a report is owed to a server that expects expect. Silent is
+// asked only on a mismatch: a silent constraint never owes one. The rule is
+// small enough to inline into the batch loops; the caller counts the
+// report it owes.
+func (s *Source[V, C]) cross(c C, expect, actual bool) bool {
+	s.cons, s.mode, s.inside = c, crossing, actual
+	return actual != expect && !c.Silent()
+}
+
+// installOther installs an unfiltered or following constraint c (mode m)
+// and says whether a report is owed.
+func (s *Source[V, C]) installOther(c C, m mode) bool {
 	s.cons = c
 	s.mode = m
-	switch m {
-	case unfiltered:
+	if m == unfiltered {
 		s.inside = false
 		return false
-	case following:
-		// If the server centered the band on a stale value the stream is
-		// already outside it: report and re-center immediately.
-		s.inside = true
-		if c.Contains(s.val) {
-			return false
-		}
-		s.cons, _ = c.Recentre(s.val)
-		s.send()
-		return true
 	}
-	actual := c.Contains(s.val)
-	s.inside = actual
-	if actual != expectInside && !c.Silent() {
-		s.send()
-		return true
+	// Following: if the server centered the band on a stale value the
+	// stream is already outside it, so it reports and re-centers at once.
+	s.inside = true
+	if c.Contains(s.val) {
+		return false
 	}
-	return false
+	s.cons, _ = c.Recentre(s.val)
+	s.Reports++
+	return true
 }
 
 // Probe returns the current value, modelling a server probe request plus the
 // stream's reply. Message accounting is done by the caller (the cluster).
-// Probing refreshes the recorded side of the constraint.
-func (s *Source[V, C]) Probe() V {
-	if s.mode == crossing {
-		s.inside = s.cons.Contains(s.val)
-	}
-	return s.val
-}
-
-func (s *Source[V, C]) send() {
-	s.Reports++
-	s.report(s.id, s.val)
-}
+// The recorded side needs no refresh: it already is the value's side.
+func (s *Source[V, C]) Probe() V { return s.val }
 
 // ExportState appends the source's full dynamic state — value, installed
 // constraint, recorded side, update/report counters — to a snapshot.
@@ -217,9 +260,11 @@ func (s *Source[V, C]) ExportState(w *snapshot.Writer) {
 }
 
 // ImportState restores state written by ExportState, overwriting the
-// source's value, constraint, side and counters (id and uplink are kept).
-// A NaN value is refused: restore is a trust boundary. It returns an error
-// on corrupted input and never panics.
+// source's value, constraint, side and counters. Restore is a trust
+// boundary, so it refuses a NaN value and, under a crossing constraint, a
+// recorded side that contradicts the value: the source would stay silent
+// on the crossing that fixes it. It returns an error on corrupted input,
+// leaving the source untouched, and never panics.
 func (s *Source[V, C]) ImportState(r *snapshot.Reader) error {
 	val := s.cons.ImportValue(r)
 	cons, err := s.cons.ImportState(r)
@@ -233,11 +278,15 @@ func (s *Source[V, C]) ImportState(r *snapshot.Reader) error {
 		return err
 	}
 	if val != val {
-		return fmt.Errorf("stream: snapshot holds NaN value for source %d", s.id)
+		return fmt.Errorf("stream: snapshot holds NaN value")
+	}
+	m := classify(cons, val)
+	if m == crossing && inside != cons.Contains(val) {
+		return fmt.Errorf("stream: snapshot records side inside=%v of %v for value %v", inside, cons, val)
 	}
 	s.val = val
 	s.cons = cons
-	s.mode = classify(cons, val)
+	s.mode = m
 	s.inside = inside
 	s.Updates = updates
 	s.Reports = reports
@@ -246,5 +295,5 @@ func (s *Source[V, C]) ImportState(r *snapshot.Reader) error {
 
 // String renders the source state for debugging.
 func (s *Source[V, C]) String() string {
-	return fmt.Sprintf("S%d{v=%v cons=%v inside=%v}", s.id, s.val, s.cons, s.inside)
+	return fmt.Sprintf("S{v=%v cons=%v inside=%v}", s.val, s.cons, s.inside)
 }

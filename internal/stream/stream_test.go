@@ -8,6 +8,8 @@ import (
 	"adaptivefilters/internal/snapshot"
 )
 
+// recorder stands in for the server's uplink: it records every report a
+// source owes, in order.
 type recorder struct {
 	ids  []ID
 	vals []float64
@@ -18,11 +20,31 @@ func (r *recorder) report(id ID, v float64) {
 	r.vals = append(r.vals, v)
 }
 
+// set applies v to source id (s) and hands the report it owes to the
+// recorder, as the cluster's Deliver does.
+func (r *recorder) set(s *Source[float64, filter.Constraint], id ID, v float64) bool {
+	if !s.Set(v) {
+		return false
+	}
+	r.report(id, s.Value())
+	return true
+}
+
+// install is Install with the owed report handed to the recorder, as the
+// cluster's Install does.
+func (r *recorder) install(s *Source[float64, filter.Constraint], id ID, c filter.Constraint, expectInside bool) bool {
+	if !s.Install(c, expectInside) {
+		return false
+	}
+	r.report(id, s.Value())
+	return true
+}
+
 func TestUnfilteredReportsEverything(t *testing.T) {
 	var rec recorder
-	s := New(3, 10, rec.report)
+	s := New(10)
 	for i, v := range []float64{11, 11, 12, -5} {
-		if !s.Set(v) {
+		if !rec.set(&s, 3, v) {
 			t.Fatalf("Set #%d did not report without a filter", i)
 		}
 	}
@@ -38,8 +60,7 @@ func TestUnfilteredReportsEverything(t *testing.T) {
 }
 
 func TestIntervalFilterReportsOnlyCrossings(t *testing.T) {
-	var rec recorder
-	s := New(0, 500, rec.report)
+	s := New(500)
 	s.Install(filter.NewInterval(400, 600), true)
 	steps := []struct {
 		v      float64
@@ -64,8 +85,8 @@ func TestIntervalFilterReportsOnlyCrossings(t *testing.T) {
 
 func TestInstallMismatchTriggersReport(t *testing.T) {
 	var rec recorder
-	s := New(0, 700, rec.report) // truly outside [400,600]
-	if reported := s.Install(filter.NewInterval(400, 600), true); !reported {
+	s := New(700) // truly outside [400,600]
+	if reported := rec.install(&s, 0, filter.NewInterval(400, 600), true); !reported {
 		t.Fatal("Install with wrong expected side did not report")
 	}
 	if len(rec.ids) != 1 || rec.vals[0] != 700 {
@@ -79,8 +100,8 @@ func TestInstallMismatchTriggersReport(t *testing.T) {
 
 func TestInstallMatchIsSilent(t *testing.T) {
 	var rec recorder
-	s := New(0, 500, rec.report)
-	if s.Install(filter.NewInterval(400, 600), true) {
+	s := New(500)
+	if rec.install(&s, 0, filter.NewInterval(400, 600), true) {
 		t.Fatal("Install with correct expected side reported")
 	}
 	if len(rec.ids) != 0 {
@@ -89,8 +110,7 @@ func TestInstallMatchIsSilent(t *testing.T) {
 }
 
 func TestSilentFiltersNeverReport(t *testing.T) {
-	var rec recorder
-	s := New(0, 500, rec.report)
+	s := New(500)
 	// A wide-open filter silences even though the expectation is wrong on
 	// purpose: silent filters must not generate mismatch reports.
 	if s.Install(filter.WideOpen(), false) {
@@ -115,12 +135,11 @@ func TestSilentFiltersNeverReport(t *testing.T) {
 }
 
 func TestProbeReturnsTruthAndResyncs(t *testing.T) {
-	var rec recorder
-	s := New(0, 500, rec.report)
+	s := New(500)
 	s.Install(filter.NewInterval(400, 600), true)
-	// Drift outside silently is impossible with an interval filter, but the
-	// filter may be re-installed with a stale expectation; Probe must refresh
-	// the recorded side.
+	// Drifting outside silently is impossible with an interval filter, and
+	// every install records the true side, so a probe finds the recorded
+	// side already in sync with the value it returns.
 	s.Set(650) // reports (leaves)
 	if got := s.Probe(); got != 650 {
 		t.Fatalf("Probe() = %v, want 650", got)
@@ -131,8 +150,7 @@ func TestProbeReturnsTruthAndResyncs(t *testing.T) {
 }
 
 func TestRemovingFilterRestoresReportEverything(t *testing.T) {
-	var rec recorder
-	s := New(0, 500, rec.report)
+	s := New(500)
 	s.Install(filter.NewInterval(0, 1000), true)
 	if s.Set(600) {
 		t.Fatal("reported while inside interval")
@@ -143,20 +161,10 @@ func TestRemovingFilterRestoresReportEverything(t *testing.T) {
 	}
 }
 
-func TestNilReportPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New with nil report did not panic")
-		}
-	}()
-	New(0, 0, nil)
-}
-
-func TestValueAndIDAccessors(t *testing.T) {
-	var rec recorder
-	s := New(9, 123, rec.report)
-	if s.ID() != 9 || s.Value() != 123 {
-		t.Fatalf("accessors = %d/%v", s.ID(), s.Value())
+func TestValueAccessors(t *testing.T) {
+	s := New(123)
+	if s.Value() != 123 {
+		t.Fatalf("Value() = %v", s.Value())
 	}
 	s.Set(456)
 	if s.Value() != 456 {
@@ -168,8 +176,7 @@ func TestValueAndIDAccessors(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	var rec recorder
-	s := New(2, 5, rec.report)
+	s := New(5)
 	if got := s.String(); got == "" {
 		t.Fatal("String() empty")
 	}
@@ -183,8 +190,7 @@ func TestQuickReportIffMembershipChanges(t *testing.T) {
 		if lo != lo || hi != hi {
 			return true
 		}
-		var rec recorder
-		s := New(0, 0, rec.report)
+		s := New(0)
 		cons := filter.NewInterval(lo, hi)
 		s.Install(cons, cons.Contains(0))
 		prevInside := cons.Contains(s.Value())
@@ -207,9 +213,7 @@ func TestQuickReportIffMembershipChanges(t *testing.T) {
 }
 
 func TestSourceStateRoundTrip(t *testing.T) {
-	var reports []float64
-	uplink := func(_ ID, v float64) { reports = append(reports, v) }
-	src := New(3, 100, uplink)
+	src := New(100)
 	src.Install(filter.NewInterval(50, 150), true)
 	src.Set(120)
 	src.Set(200) // crossing: reports
@@ -217,7 +221,7 @@ func TestSourceStateRoundTrip(t *testing.T) {
 	w := snapshot.NewWriter()
 	src.ExportState(w)
 
-	restored := New(3, 0, uplink)
+	restored := New(0)
 	r := snapshot.NewReader(w.Bytes())
 	if err := restored.ImportState(r); err != nil {
 		t.Fatal(err)
@@ -240,20 +244,55 @@ func TestSourceStateRoundTrip(t *testing.T) {
 }
 
 func TestSourceImportRejects(t *testing.T) {
-	src := New(0, 1, func(ID, float64) {})
+	src := New(1)
 	w := snapshot.NewWriter()
 	src.ExportState(w)
 	data := w.Bytes()
 	for cut := 0; cut < len(data); cut += 7 {
-		got := New(0, 0, func(ID, float64) {})
+		got := New(0)
 		if err := got.ImportState(snapshot.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	bad := append([]byte(nil), data...)
 	bad[8] = 0x66 // constraint kind discriminator
-	got := New(0, 0, func(ID, float64) {})
+	got := New(0)
 	if err := got.ImportState(snapshot.NewReader(bad)); err == nil {
 		t.Fatal("invalid constraint kind accepted")
+	}
+}
+
+// TestSourceImportRefusesContradictedSide flips the recorded side of an
+// exported crossing-mode source: the record says outside while the value
+// is inside. Adopting it would leave the source silent when the value
+// later leaves, so restore refuses it and leaves the target untouched.
+func TestSourceImportRefusesContradictedSide(t *testing.T) {
+	src := New(500)
+	src.Install(filter.NewInterval(400, 600), true)
+	w := snapshot.NewWriter()
+	src.ExportState(w)
+	good := w.Bytes()
+	// Layout: value (8 B), constraint (kind 8 B, lo 8 B, hi 8 B), side.
+	const sideAt = 8 + 8 + 8 + 8
+	if good[sideAt] != 1 {
+		t.Fatalf("side byte = %d, want 1 (inside)", good[sideAt])
+	}
+	for _, cons := range []filter.Constraint{filter.NewInterval(400, 600), filter.NewInterval(0, 100)} {
+		target := New(7)
+		target.Install(cons, cons.Contains(7))
+		before := target
+		bad := append([]byte(nil), good...)
+		bad[sideAt] = 0
+		if err := target.ImportState(snapshot.NewReader(bad)); err == nil {
+			t.Fatal("import of a side contradicting the value succeeded")
+		}
+		if target != before {
+			t.Fatalf("failed import changed the source: %v, was %v", target, before)
+		}
+	}
+	// The unmodified record still imports.
+	ok := New(0)
+	if err := ok.ImportState(snapshot.NewReader(good)); err != nil || !ok.Inside() {
+		t.Fatalf("import of the true record: err=%v inside=%v", err, ok.Inside())
 	}
 }

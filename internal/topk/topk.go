@@ -95,12 +95,13 @@ func less(ka float64, ia int, kb float64, ib int) bool {
 }
 
 // Ranking is a reusable snapshot of (key, id) pairs with an ordered
-// prefix that can be grown on demand: fill it with Reset + Add, ask for
-// the m best with Order, and ask again with a larger m later — the second
-// call ranks the keys captured at fill time, not whatever they were
-// computed from, which is what RTP's expanding search needs once its
-// conditional probes have started refreshing the live table. The zero
-// value is ready to use; buffers are kept across Resets.
+// prefix that can be grown on demand: fill it with Load (a whole table)
+// or Reset + Add (a subset), ask for the m best with Order, and ask again
+// with a larger m later — the second call ranks the keys captured at fill
+// time, not whatever they were computed from, which is what RTP's
+// expanding search needs once its conditional probes have started
+// refreshing the live table. The zero value is ready to use; buffers are
+// kept across fills.
 type Ranking struct {
 	ids     []int
 	keys    []float64
@@ -110,6 +111,21 @@ type Ranking struct {
 // Reset empties the ranking, keeping its storage.
 func (r *Ranking) Reset() {
 	r.ids, r.keys, r.ordered = r.ids[:0], r.keys[:0], 0
+}
+
+// Load resets the ranking to the ids 0..n−1 and returns their n keys,
+// aliasing the ranking, for the caller to fill in place: a rank pass over a
+// whole table is one key store per stream, with no append. The caller must
+// refuse NaN keys as Add does.
+func (r *Ranking) Load(n int) []float64 {
+	if cap(r.ids) < n || cap(r.keys) < n {
+		r.ids, r.keys = make([]int, n), make([]float64, n)
+	}
+	r.ids, r.keys, r.ordered = r.ids[:n], r.keys[:n], 0
+	for i := range r.ids {
+		r.ids[i] = i
+	}
+	return r.keys
 }
 
 // Add appends one pair. It panics on a NaN key: a NaN compares false with
@@ -131,7 +147,7 @@ func (r *Ranking) Ordered() int { return r.ordered }
 // are fewer (never shrinking it), and returns all ids and keys: the first
 // Ordered() are ascending by (key, id), the rest are the unselected pairs
 // in unspecified order. The slices alias the ranking and are valid until
-// the next Reset or Add.
+// the next Reset, Add or Load.
 func (r *Ranking) Order(m int) (ids []int, keys []float64) {
 	if m > len(r.ids) {
 		m = len(r.ids)

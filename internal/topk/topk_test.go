@@ -147,9 +147,39 @@ func TestAddPanicsOnNaN(t *testing.T) {
 	r.Add(1, math.NaN())
 }
 
+// TestLoadMatchesAdd fills one ranking through Load and another through
+// Reset + Add with the same dense ids and keys, reusing both across rounds
+// of different sizes (so Load must restore ids a previous Order permuted),
+// and expects the same ordered prefixes at every step.
+func TestLoadMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var loaded, added Ranking
+	for _, n := range []int{40, 7, 64, 1, 0, 40} {
+		keys := loaded.Load(n)
+		if len(keys) != n {
+			t.Fatalf("Load(%d) returned %d keys", n, len(keys))
+		}
+		added.Reset()
+		for i := range keys {
+			keys[i] = float64(rng.Intn(8)) // ties are common
+			added.Add(i, keys[i])
+		}
+		for _, m := range edgeSteps(n) {
+			lids, lkeys := loaded.Order(m)
+			aids, akeys := added.Order(m)
+			for i := 0; i < loaded.Ordered(); i++ {
+				if lids[i] != aids[i] || lkeys[i] != akeys[i] {
+					t.Fatalf("n=%d m=%d position %d: Load gives (%v, %d), Add gives (%v, %d)",
+						n, m, i, lkeys[i], lids[i], akeys[i], aids[i])
+				}
+			}
+		}
+	}
+}
+
 // TestWarmRankingAllocatesNothing pins the reason the kernel is concrete:
-// a refill, a partial order, a growth step and a full order on warmed
-// buffers allocate nothing.
+// a refill, a partial order, a growth step, a full order and a Load on
+// warmed buffers allocate nothing.
 func TestWarmRankingAllocatesNothing(t *testing.T) {
 	const n = 512
 	rng := rand.New(rand.NewSource(2))
@@ -166,6 +196,8 @@ func TestWarmRankingAllocatesNothing(t *testing.T) {
 		r.Order(26)
 		r.Order(52)
 		r.Order(n)
+		copy(r.Load(n), keys)
+		r.Order(26)
 	}
 	round()
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
