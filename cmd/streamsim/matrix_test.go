@@ -125,6 +125,16 @@ var determinismMatrix = []matrixGroup{
 		},
 	},
 	{
+		// Random selection in the plane: the tenant seed reaches ft-rp2d and
+		// its record carries the selection RNG's position, so a restore
+		// resumes the same draws. k = 20 gives FT-RP silent-filter budgets
+		// to draw for (at k = 6 they round to zero and nothing is drawn).
+		name: "ft-rp2d-random", common: "-tenants 4 -n 120 -events 4000 -protocol ft-rp2d -k 20 -eps 0.3 -selection random", ref: "-shards 4",
+		checks: []matrixCheck{
+			{name: "restore/4to1", flags: "-shards 4 -snapshot-every 6000", restore: "-shards 1"},
+		},
+	},
+	{
 		name: "wire", common: "-tenants 8 -queries 2 -n 150 -events 4000 -protocol ft-nrp", ref: "-shards 1",
 		checks: []matrixCheck{
 			{name: "loopback/shards=1", flags: "-shards 1", connect: "-rate 150000"},

@@ -6,7 +6,8 @@
 //     fraction-based tolerance — FT-RP against the zero-tolerance ZT-RP.
 //  2. 2-D: a moving-objects fleet on the real runtime — delivery drones
 //     over a city hosted as a spatial tenant on a sharded runtime.Node,
-//     with disk filters and rank-based tolerance (RTP2D). The same event
+//     with disk filters and rank-based tolerance (RTP around a planar
+//     center: the same protocol as in 1-D, §7). The same event
 //     sequence is ingested at two shard counts to show the spatial plane's
 //     determinism guarantee: answers and message accounting are identical.
 //
@@ -21,7 +22,6 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/multidim"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/server"
@@ -92,13 +92,13 @@ func drones() {
 		n, k, tol.R)
 
 	// The fleet is an ordinary spatial tenant: initial locations plus an
-	// RTP2D factory, hosted on a sharded node exactly like the 1-D tenants
+	// RTP factory around the depot, hosted on a sharded node exactly like the 1-D tenants
 	// cmd/streamsim runs.
 	spec := runtime.TenantSpec{
 		Name:           "drones",
 		SpatialInitial: pts,
 		NewSpatial: func(h server.SpatialHost, seed int64) server.SpatialProtocol {
-			return multidim.NewRTP2D(h, depot, tol)
+			return core.NewRTP(h, query.Around(depot), tol)
 		},
 	}
 	// One deterministic movement batch, ingested at two shard counts.

@@ -4,50 +4,63 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 )
 
 // stepCases are the protocols the step fixture hosts: node-rank's rank
-// tenants at k = 20 plus FT-NRP and the no-filter k-NN baseline.
+// tenants at k = 20 — the planar ones around (500, 500) — plus FT-NRP and
+// the no-filter k-NN baseline. warm builds the case on a fresh cluster and
+// returns a warmed pass over its walk.
 var stepCases = []struct {
-	name  string
-	build func(h server.Host) server.Protocol
+	name string
+	warm func() (pass func())
 }{
-	{"ft-nrp", func(h server.Host) server.Protocol {
+	{"ft-nrp", step1D(func(h server.Host) server.Protocol {
 		return core.NewFTNRP(h, query.NewRange(400, 600), core.FTNRPConfig{
 			Tol:       core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3},
 			Selection: core.SelectBoundaryNearest,
 			Seed:      7,
 		})
-	}},
-	{"rtp", func(h server.Host) server.Protocol {
+	})},
+	{"rtp", step1D(func(h server.Host) server.Protocol {
 		return core.NewRTP(h, query.At(500), core.RankTolerance{K: 20, R: 5})
-	}},
-	{"ft-rp", func(h server.Host) server.Protocol {
+	})},
+	{"ft-rp", step1D(func(h server.Host) server.Protocol {
 		return core.NewFTRP(h, query.At(500), 20,
 			core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
-	}},
-	{"vb-knn", func(h server.Host) server.Protocol {
+	})},
+	{"vb-knn", step1D(func(h server.Host) server.Protocol {
 		return core.NewVBKNN(h, query.NewKNN(query.At(500), 20), 10)
-	}},
-	{"no-filter-knn", func(h server.Host) server.Protocol {
+	})},
+	{"no-filter-knn", step1D(func(h server.Host) server.Protocol {
 		return core.NewNoFilterKNN(h, query.NewKNN(query.At(500), 20))
-	}},
+	})},
+	{"rtp2d", stepPlanar(func(h server.SpatialHost) server.SpatialProtocol {
+		return core.NewRTP(h, query.Around(pt(500, 500)), core.RankTolerance{K: 20, R: 5})
+	})},
+	{"ft-rp2d", stepPlanar(func(h server.SpatialHost) server.SpatialProtocol {
+		return core.NewFTRP(h, query.Around(pt(500, 500)), 20,
+			core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+	})},
 }
+
+// stepEvents is the length of every step walk.
+const stepEvents = 20000
 
 // stepWalk is node-rank's shape: n = 2000 streams uniform on [0, 1000] and
 // a seeded 20k-event σ = 20 random walk over them.
 func stepWalk() (initial []float64, ids []int, values []float64) {
-	const n, events = 2000, 20000
+	const n = 2000
 	rng := sim.NewRNG(11)
 	initial = make([]float64, n)
 	for i := range initial {
 		initial[i] = rng.Uniform(0, 1000)
 	}
 	cur := append([]float64(nil), initial...)
-	ids, values = make([]int, events), make([]float64, events)
+	ids, values = make([]int, stepEvents), make([]float64, stepEvents)
 	for i := range ids {
 		id := rng.Intn(n)
 		cur[id] += rng.Normal(0, 20)
@@ -56,11 +69,46 @@ func stepWalk() (initial []float64, ids []int, values []float64) {
 	return initial, ids, values
 }
 
+// stepWalkPlanar is stepWalk in the plane: 2000 points uniform on
+// [0, 1000]² and a seeded 20k-event σ = 20 walk over them.
+func stepWalkPlanar() (initial []filter.Point, ids []int, moves []filter.Point) {
+	const n = 2000
+	rng := sim.NewRNG(11)
+	initial = make([]filter.Point, n)
+	for i := range initial {
+		initial[i] = pt(rng.Uniform(0, 1000), rng.Uniform(0, 1000))
+	}
+	cur := append([]filter.Point(nil), initial...)
+	ids, moves = make([]int, stepEvents), make([]filter.Point, stepEvents)
+	for i := range ids {
+		id := rng.Intn(n)
+		cur[id].X += rng.Normal(0, 20)
+		cur[id].Y += rng.Normal(0, 20)
+		ids[i], moves[i] = id, cur[id]
+	}
+	return initial, ids, moves
+}
+
+func step1D(build func(server.Host) server.Protocol) func() (pass func()) {
+	return func() (pass func()) {
+		initial, ids, values := stepWalk()
+		return warmStep(initial, ids, values, build)
+	}
+}
+
+func stepPlanar(build func(server.SpatialHost) server.SpatialProtocol) func() (pass func()) {
+	return func() (pass func()) {
+		initial, ids, moves := stepWalkPlanar()
+		return warmStep(initial, ids, moves, build)
+	}
+}
+
 // warmStep hosts build on a fresh cluster over initial, initializes it and
 // returns a pass delivering the whole walk, already run once to warm the
 // protocol's scratch and the cluster's pending queue.
-func warmStep(initial []float64, ids []int, values []float64, build func(server.Host) server.Protocol) (pass func()) {
-	c := server.NewCluster(initial)
+func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []V,
+	build func(server.HostOf[V, C]) server.ProtocolOf[V]) (pass func()) {
+	c := server.NewClusterOf[V, C](initial, server.Config{})
 	c.SetProtocol(build(c))
 	c.Initialize()
 	pass = func() {
@@ -80,14 +128,14 @@ func warmStep(initial []float64, ids []int, values []float64, build func(server.
 // broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over
 // everything outside. The baselines hold the rank index to it: every
 // VB-kNN and no-filter k-NN update moves one key inside the index's ordered
-// slice.
+// slice. The planar rows hold the generic bodies to the same bound in the
+// plane.
 func TestProtocolStepAllocFree(t *testing.T) {
-	initial, ids, values := stepWalk()
 	for _, tc := range stepCases {
 		t.Run(tc.name, func(t *testing.T) {
-			pass := warmStep(initial, ids, values, tc.build)
+			pass := tc.warm()
 			if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
-				t.Errorf("a warm %d-event pass allocated %.1f objects, want 0", len(ids), allocs)
+				t.Errorf("a warm %d-event pass allocated %.1f objects, want 0", stepEvents, allocs)
 			}
 		})
 	}
@@ -96,16 +144,15 @@ func TestProtocolStepAllocFree(t *testing.T) {
 // BenchmarkProtocolStep prices the same warm walk: one op is a whole
 // 20k-event pass, reported as ns/event (allocs/op must stay 0).
 func BenchmarkProtocolStep(b *testing.B) {
-	initial, ids, values := stepWalk()
 	for _, tc := range stepCases {
 		b.Run(tc.name, func(b *testing.B) {
-			pass := warmStep(initial, ids, values, tc.build)
+			pass := tc.warm()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
 				pass()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/event")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepEvents), "ns/event")
 		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
-	"adaptivefilters/internal/topk"
 )
 
 // FTRPConfig parameterizes the fraction-based tolerance protocol for k-NN
@@ -37,16 +36,20 @@ func DefaultFTRPConfig(tol FractionTolerance) FTRPConfig {
 	return FTRPConfig{Tol: tol, Lambda: 0.5, Selection: SelectBoundaryNearest}
 }
 
-// FTRP is the fraction-based tolerance protocol for k-NN queries (paper
-// §5.2.2–5.2.3). It transforms the k-NN query into a range query over the
-// region R enclosing the k-th nearest neighbor and runs the FT-NRP machinery
-// with derived tolerances (ρ⁺, ρ⁻) satisfying Equation 16, so the user's
-// (ε⁺, ε⁻) hold despite rank-shuffle effects (Figure 8). Unlike ZT-RP, R is
-// only recomputed when the answer size leaves the admissible window
+// FTRPOf is the fraction-based tolerance protocol for k-NN queries (paper
+// §5.2.2–5.2.3) over stream values of type V and filter constraints of
+// type C. It transforms the k-NN query into a range query over the region R
+// enclosing the k-th nearest neighbor and runs the FT-NRP machinery with
+// derived tolerances (ρ⁺, ρ⁻) satisfying Equation 16, so the user's (ε⁺, ε⁻)
+// hold despite rank-shuffle effects (Figure 8). Unlike ZT-RP, R is only
+// recomputed when the answer size leaves the admissible window
 // k(1−ε⁻) <= |A(t)| <= k/(1−ε⁺) (Equations 7 and 9).
-type FTRP struct {
-	c   server.Host
-	q   query.Center
+//
+// The center supplies the distance, R's shape and the silent filters: in
+// 1-D (FTRP) an interval, [−∞, +∞] and [+∞, +∞]; in the plane a disk, the
+// all-containing disk and the empty one.
+type FTRPOf[V any, C filter.Of[V, C]] struct {
+	ranker[V, C]
 	k   int
 	cfg FTRPConfig
 	sel *sim.RNG
@@ -56,34 +59,33 @@ type FTRP struct {
 	minA, maxA                int
 
 	ans   intSet // A(t): streams believed inside R
-	fp    intSet // false-positive (WideOpen) filter holders
-	fn    intSet // false-negative (Shut) filter holders
+	fp    intSet // false-positive (wide-open) filter holders
+	fn    intSet // false-negative (shut) filter holders
 	count int
 
 	d   float64
-	cur filter.Constraint
-
-	// Reusable scratch for the rebuild fan-out (ranking, probe fan-out and
-	// rank-pass table copy), so window-triggered recomputations on the
-	// maintenance path allocate nothing once warm.
-	rk      topk.Ranking
-	valsBuf []float64
+	cur C
 
 	// Recomputes counts full bound recomputations; exported for reports.
 	Recomputes uint64
 }
 
+// FTRP is the paper's one-dimensional FT-RP.
+type FTRP = FTRPOf[float64, filter.Constraint]
+
 // NewFTRP returns the fraction-based k-NN protocol. It panics on an invalid
-// tolerance or k.
-func NewFTRP(c server.Host, q query.Center, k int, cfg FTRPConfig) *FTRP {
+// tolerance or k, or a NaN center.
+func NewFTRP[V any, C filter.Of[V, C]](c server.HostOf[V, C], q query.CenterOf[V, C], k int, cfg FTRPConfig) *FTRPOf[V, C] {
 	if err := cfg.Tol.Validate(); err != nil {
 		panic(err)
 	}
 	if k <= 0 || k >= c.N() {
 		panic(fmt.Sprintf("core: ft-rp needs 1 <= k < n, got k=%d n=%d", k, c.N()))
 	}
-	p := &FTRP{
-		c: c, q: q, k: k, cfg: cfg,
+	checkCenter(q)
+	p := &FTRPOf[V, C]{
+		ranker: ranker[V, C]{c: c, q: q},
+		k:      k, cfg: cfg,
 		sel: sim.NewRNG(cfg.Seed).Split(ftrpSelStream),
 		ans: newIntSet(), fp: newIntSet(), fn: newIntSet(),
 	}
@@ -108,7 +110,7 @@ func NewFTRP(c server.Host, q query.Center, k int, cfg FTRPConfig) *FTRP {
 // and, when no window containing k exists, shed silent filters first. This
 // keeps Definition 3 verifiable by the oracle at every instant (see
 // DESIGN.md §3 and the FT-RP property tests).
-func (p *FTRP) deriveWindow() {
+func (p *FTRPOf[V, C]) deriveWindow() {
 	eps := p.cfg.Tol
 	for {
 		s := p.nPlusBudget + p.nMinusBudget
@@ -136,25 +138,25 @@ func (p *FTRP) deriveWindow() {
 }
 
 // Name implements server.Protocol.
-func (p *FTRP) Name() string {
+func (p *FTRPOf[V, C]) Name() string {
 	return fmt.Sprintf("ft-rp(k=%d,%v,λ=%g)", p.k, p.cfg.Tol, p.cfg.Lambda)
 }
 
 // Rho returns the derived (ρ⁺, ρ⁻) pair (tests).
-func (p *FTRP) Rho() (rhoPlus, rhoMinus float64) { return p.rhoPlus, p.rhoMinus }
+func (p *FTRPOf[V, C]) Rho() (rhoPlus, rhoMinus float64) { return p.rhoPlus, p.rhoMinus }
 
 // Bound returns the deployed region (tests).
-func (p *FTRP) Bound() filter.Constraint { return p.cur }
+func (p *FTRPOf[V, C]) Bound() C { return p.cur }
 
 // NPlus returns the current number of false-positive filters.
-func (p *FTRP) NPlus() int { return p.fp.len() }
+func (p *FTRPOf[V, C]) NPlus() int { return p.fp.len() }
 
 // NMinus returns the current number of false-negative filters.
-func (p *FTRP) NMinus() int { return p.fn.len() }
+func (p *FTRPOf[V, C]) NMinus() int { return p.fn.len() }
 
 // Initialize probes everything and deploys R plus the silent filters.
-func (p *FTRP) Initialize() {
-	p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
+func (p *FTRPOf[V, C]) Initialize() {
+	p.probeAll()
 	p.rebuild()
 }
 
@@ -166,12 +168,12 @@ func (p *FTRP) Initialize() {
 // order it is handed, so the ranking stops there. SelectRandom shuffles the
 // ranked outside slice, whose order therefore decides who is drawn: it
 // asks for the whole order.
-func (p *FTRP) rebuild() {
+func (p *FTRPOf[V, C]) rebuild() {
 	m := p.k + 1
 	if p.cfg.Selection == SelectRandom {
 		m = p.c.N()
 	}
-	sorted, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, m)
+	sorted, dists := p.rankNearest(m)
 	p.ans.clear()
 	p.fp.clear()
 	p.fn.clear()
@@ -200,9 +202,9 @@ func (p *FTRP) rebuild() {
 	for _, id := range fn {
 		p.fn.add(id)
 	}
-	p.c.InstallBatch(fp, filter.WideOpen())
+	p.c.InstallBatch(fp, p.q.WideOpen())
 	p.c.InstallBatch(inside[len(fp):], p.cur)
-	p.c.InstallBatch(fn, filter.Shut())
+	p.c.InstallBatch(fn, p.q.Shut())
 	p.c.InstallBatch(outside[len(fn):], p.cur)
 	p.Recomputes++
 }
@@ -211,7 +213,7 @@ func (p *FTRP) rebuild() {
 // them), scoring by distance to the ball boundary. dists holds the ranking's
 // table distances of ids and is overwritten with the scores, so a call
 // allocates nothing and recomputes no distance.
-func (p *FTRP) pickSilent(ids []int, dists []float64, n int, insideRegion bool) []int {
+func (p *FTRPOf[V, C]) pickSilent(ids []int, dists []float64, n int, insideRegion bool) []int {
 	for i, d := range dists {
 		if insideRegion {
 			dists[i] = p.d - d
@@ -224,7 +226,7 @@ func (p *FTRP) pickSilent(ids []int, dists []float64, n int, insideRegion bool) 
 
 // HandleUpdate runs the FT-NRP maintenance machinery against the current R
 // and recomputes R when the answer size leaves the admissible window.
-func (p *FTRP) HandleUpdate(id stream.ID, v float64) {
+func (p *FTRPOf[V, C]) HandleUpdate(id stream.ID, v V) {
 	p.c.AddServerOps(1)
 	if p.cur.Contains(v) {
 		if !p.ans.has(id) {
@@ -243,7 +245,7 @@ func (p *FTRP) HandleUpdate(id stream.ID, v float64) {
 }
 
 // fixError mirrors FT-NRP's Fix_Error with the range replaced by R.
-func (p *FTRP) fixError() {
+func (p *FTRPOf[V, C]) fixError() {
 	if p.fp.len() > 0 {
 		sy, _ := p.fp.min()
 		vy := p.c.Probe(sy)
@@ -274,13 +276,13 @@ func (p *FTRP) fixError() {
 // checkWindow enforces §5.2.3(2): when |A(t)| exceeds k/(1−ε⁺) the region is
 // too loose, when it drops below k(1−ε⁻) it is too tight; either way R must
 // be recomputed around the current k nearest neighbors.
-func (p *FTRP) checkWindow() {
+func (p *FTRPOf[V, C]) checkWindow() {
 	if n := p.ans.len(); n >= p.minA && n <= p.maxA {
 		return
 	}
-	p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
+	p.probeAll()
 	p.rebuild()
 }
 
 // Answer implements server.Protocol.
-func (p *FTRP) Answer() []stream.ID { return p.ans.sorted() }
+func (p *FTRPOf[V, C]) Answer() []stream.ID { return p.ans.sorted() }

@@ -283,22 +283,33 @@ func TestFTRPBeatsZTRPOnMessages(t *testing.T) {
 
 func TestFTRPPanics(t *testing.T) {
 	c := server.NewCluster(make([]float64, 5))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("bad tolerance accepted")
-			}
+	planar := server.NewSpatialCluster(ringPoints(5, filter.Point{}))
+	origin := query.Around(filter.Point{})
+	for name, fn := range map[string]func(){
+		"bad tolerance": func() {
+			core.NewFTRP(c, query.At(0), 2, core.FTRPConfig{Tol: core.FractionTolerance{EpsPlus: 2}})
+		},
+		"bad k": func() { core.NewFTRP(c, query.At(0), 9, core.DefaultFTRPConfig(core.FractionTolerance{})) },
+		"nan center": func() {
+			core.NewFTRP(c, query.At(math.NaN()), 2, core.DefaultFTRPConfig(core.FractionTolerance{}))
+		},
+		"planar/bad k": func() { core.NewFTRP(planar, origin, 5, core.DefaultFTRPConfig(core.FractionTolerance{})) },
+		"planar/bad tolerance": func() {
+			core.NewFTRP(planar, origin, 2, core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.7}))
+		},
+		"planar/nan center": func() {
+			core.NewFTRP(planar, query.Around(pt(math.NaN(), 0)), 2, core.DefaultFTRPConfig(core.FractionTolerance{}))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			fn()
 		}()
-		core.NewFTRP(c, query.At(0), 2, core.FTRPConfig{Tol: core.FractionTolerance{EpsPlus: 2}})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("bad k accepted")
-			}
-		}()
-		core.NewFTRP(c, query.At(0), 9, core.DefaultFTRPConfig(core.FractionTolerance{}))
-	}()
+	}
 }
 
 func TestFTRPTopKFlavor(t *testing.T) {
@@ -330,26 +341,26 @@ func TestFTRPTopKFlavor(t *testing.T) {
 // installAuditHost checks every install a protocol issues against ground
 // truth: the side the server claims — for a batch, the side the constraint
 // puts the table value on — must be the side the stream is on.
-type installAuditHost struct {
-	*server.Cluster
+type installAuditHost[V comparable, C filter.Of[V, C]] struct {
+	*server.ClusterOf[V, C]
 	t        *testing.T
 	installs int
 }
 
-func (h *installAuditHost) Install(id int, cons filter.Constraint, expectInside bool) {
+func (h *installAuditHost[V, C]) Install(id int, cons C, expectInside bool) {
 	h.audit(id, cons, expectInside)
-	h.Cluster.Install(id, cons, expectInside)
+	h.ClusterOf.Install(id, cons, expectInside)
 }
 
-func (h *installAuditHost) InstallBatch(ids []int, cons filter.Constraint) {
+func (h *installAuditHost[V, C]) InstallBatch(ids []int, cons C) {
 	for _, id := range ids {
 		v, _ := h.Table(id)
 		h.audit(id, cons, cons.Contains(v))
 	}
-	h.Cluster.InstallBatch(ids, cons)
+	h.ClusterOf.InstallBatch(ids, cons)
 }
 
-func (h *installAuditHost) audit(id int, cons filter.Constraint, expectInside bool) {
+func (h *installAuditHost[V, C]) audit(id int, cons C, expectInside bool) {
 	h.installs++
 	if truth := cons.Contains(h.TrueValue(id)); truth != expectInside {
 		h.t.Fatalf("install on stream %d claims inside=%v, truth is %v: the stream would report, "+
@@ -357,26 +368,26 @@ func (h *installAuditHost) audit(id int, cons filter.Constraint, expectInside bo
 	}
 }
 
-// TestFTRPInstallsNeverMismatch is why FTRP.rebuild may install in ranked
-// order, one batch per ranked slice: every rebuild follows a ProbeAll, the
-// table is the truth, and an install whose claimed side is right draws no
-// report — so the only trace the installs leave is their count.
-func TestFTRPInstallsNeverMismatch(t *testing.T) {
+// auditInstalls runs FT-RP around q behind an installAuditHost over a
+// seeded walk — draw places a value, step moves one — under both selection
+// heuristics.
+func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T, q query.CenterOf[V, C],
+	draw func(*rand.Rand) V, step func(*rand.Rand, V) V) {
 	for _, sel := range []core.Selection{core.SelectBoundaryNearest, core.SelectRandom} {
 		rng := rand.New(rand.NewSource(31))
-		vals := make([]float64, 200)
+		vals := make([]V, 200)
 		for i := range vals {
-			vals[i] = float64(rng.Intn(1000))
+			vals[i] = draw(rng)
 		}
-		h := &installAuditHost{Cluster: server.NewCluster(vals), t: t}
+		h := &installAuditHost[V, C]{ClusterOf: server.NewClusterOf[V, C](vals, server.Config{}), t: t}
 		cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
 		cfg.Selection = sel
-		p := core.NewFTRP(h, query.At(500), 12, cfg)
+		p := core.NewFTRP(h, q, 12, cfg)
 		h.SetProtocol(p)
 		h.Initialize()
 		for ev := 0; ev < 10000; ev++ {
 			id := rng.Intn(len(vals))
-			vals[id] += float64(rng.Intn(81) - 40)
+			vals[id] = step(rng, vals[id])
 			h.Deliver(id, vals[id])
 		}
 		if p.Recomputes < 10 || h.installs < 10*len(vals) {
@@ -384,4 +395,20 @@ func TestFTRPInstallsNeverMismatch(t *testing.T) {
 				sel, p.Recomputes, h.installs)
 		}
 	}
+}
+
+// TestFTRPInstallsNeverMismatch is why FTRP.rebuild may install in ranked
+// order, one batch per ranked slice: every rebuild follows a ProbeAll, the
+// table is the truth, and an install whose claimed side is right draws no
+// report — so the only trace the installs leave is their count.
+// (TestProtocolPins' ft-rp walks pin the same thing end to end.)
+func TestFTRPInstallsNeverMismatch(t *testing.T) {
+	t.Run("line", func(t *testing.T) {
+		auditInstalls(t, query.At(500),
+			func(rng *rand.Rand) float64 { return float64(rng.Intn(1000)) },
+			func(rng *rand.Rand, v float64) float64 { return v + float64(rng.Intn(81)-40) })
+	})
+	t.Run("planar", func(t *testing.T) {
+		auditInstalls(t, query.Around(pt(250, 250)), pinDrawPlanar, pinStepPlanar)
+	})
 }

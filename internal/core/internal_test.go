@@ -7,9 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/topk"
 )
 
 // pickScored drives pickKeyed the way the protocols do: a private copy of
@@ -166,9 +166,8 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	c.ProbeAll()
-	var rk topk.Ranking
-	var vals []float64
-	got, dists := rankNearest(&rk, &vals, c, query.At(25), c.N())
+	r := ranker[float64, filter.Constraint]{c: c, q: query.At(25)}
+	got, dists := r.rankNearest(c.N())
 	// dists: id0=15, id1=5, id2=5, id3=5 → order [1 2 3 0]... ids 1,3 share
 	// value 30 (dist 5) and id2 has dist 5 as well: tie broken by id.
 	want := []int{1, 2, 3, 0}
@@ -181,7 +180,7 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 		t.Fatalf("distances %v do not travel with their ids", dists)
 	}
 	// A partial ranking orders only what was asked for, and the same ids.
-	if part, _ := rankNearest(&rk, &vals, c, query.At(25), 2); part[0] != 1 || part[1] != 2 || len(part) != 4 {
+	if part, _ := r.rankNearest(2); part[0] != 1 || part[1] != 2 || len(part) != 4 {
 		t.Fatalf("rankNearest(m=2) = %v, want [1 2 ...] over all 4 ids", part)
 	}
 }
@@ -194,17 +193,36 @@ func (nanTableHost) TableValues(dst []float64) []float64 {
 	return append(dst[:0], 1, math.NaN(), 2)
 }
 
+// nanPlanarHost is nanTableHost in the plane: one point has a NaN
+// coordinate.
+type nanPlanarHost struct{ server.SpatialHost }
+
+func (nanPlanarHost) TableValues(dst []filter.Point) []filter.Point {
+	return append(dst[:0], filter.Point{}, filter.Point{X: math.NaN()}, filter.Point{Y: 2})
+}
+
 // TestRankTablePanicsOnNaN: a NaN distance panics the fill, before any
-// comparison can scramble the order (the planar twin is in multidim).
+// comparison can scramble the order.
 func TestRankTablePanicsOnNaN(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "topk: NaN key in rank table" {
-			t.Errorf("NaN distance panicked the rank table with %v", r)
-		}
-	}()
-	var rk topk.Ranking
-	var vals []float64
-	rankNearest(&rk, &vals, nanTableHost{}, query.At(0), 1)
+	for name, fill := range map[string]func(){
+		"1-D": func() {
+			r := ranker[float64, filter.Constraint]{c: nanTableHost{}, q: query.At(0)}
+			r.rankNearest(1)
+		},
+		"planar": func() {
+			r := ranker[filter.Point, filter.Region]{c: nanPlanarHost{}, q: query.Around(filter.Point{})}
+			r.rankNearest(1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "topk: NaN key in rank table" {
+					t.Errorf("NaN distance panicked the rank table with %v", r)
+				}
+			}()
+			fill()
+		})
+	}
 }
 
 func TestRankTableChargesServerOps(t *testing.T) {
@@ -213,9 +231,8 @@ func TestRankTableChargesServerOps(t *testing.T) {
 	c.Initialize()
 	before := c.Counter().ServerOps
 	// The charge is one touch per stream, however few are ordered.
-	var rk topk.Ranking
-	var vals []float64
-	rankNearest(&rk, &vals, c, query.Top(), 2)
+	r := ranker[float64, filter.Constraint]{c: c, q: query.Top()}
+	r.rankNearest(2)
 	if got := c.Counter().ServerOps - before; got != 7 {
 		t.Fatalf("rankNearest charged %d ops, want 7", got)
 	}
@@ -236,15 +253,13 @@ func TestSortByTableDist(t *testing.T) {
 	c.Initialize()
 	c.ProbeAll()
 	ids := []int{0, 1, 2}
-	var keyBuf []float64
-	nearestOf(&keyBuf, c, query.At(300), ids, len(ids))
-	if !sort.SliceIsSorted(ids, func(a, b int) bool {
-		return tableDist(c, query.At(300), ids[a]) <= tableDist(c, query.At(300), ids[b])
-	}) {
-		t.Fatalf("not sorted: %v", ids)
+	r := ranker[float64, filter.Constraint]{c: c, q: query.At(300)}
+	keys := r.nearestOf(ids, len(ids))
+	if !sort.Float64sAreSorted(keys) {
+		t.Fatalf("not sorted: %v (keys %v)", ids, keys)
 	}
-	if ids[0] != 2 || ids[1] != 1 || ids[2] != 0 {
-		t.Fatalf("order = %v, want [2 1 0]", ids)
+	if ids[0] != 2 || ids[1] != 1 || ids[2] != 0 || keys[0] != 50 || keys[2] != 200 {
+		t.Fatalf("order = %v (keys %v), want [2 1 0] ([50 100 200])", ids, keys)
 	}
 }
 

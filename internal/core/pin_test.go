@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/pintest"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 )
 
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/protocol_pins.txt from the current code")
+var updatePins = flag.Bool("update-pins", false, "rewrite the testdata pin files from the current code")
 
 // pinWalk is one seeded walk of a rank protocol whose whole observable
 // trajectory is pinned: after every event the answer, every message
@@ -20,12 +21,12 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/protocol_pins
 // The pins were recorded with the full-sort rank tables, so any ranking
 // shortcut that changes a tie-break, a charge or a message shows up as the
 // first differing checkpoint.
-type pinWalk struct {
+type pinWalk[V comparable, C filter.Of[V, C]] struct {
 	name  string
 	n     int
 	seed  int64
 	jumpy bool // redraw values uniformly instead of stepping them
-	build func(c *server.Cluster) (p server.Protocol, stats func() [2]uint64)
+	build func(c *server.ClusterOf[V, C]) (p server.ProtocolOf[V], stats func() [2]uint64)
 }
 
 const (
@@ -49,8 +50,8 @@ func ftrpPin(sel core.Selection) func(*server.Cluster) (server.Protocol, func() 
 	}
 }
 
-func pinWalks() []pinWalk {
-	return []pinWalk{
+func pinWalks() []pinWalk[float64, filter.Constraint] {
+	return []pinWalk[float64, filter.Constraint]{
 		{name: "rtp", n: 300, seed: 1, build: rtpPin(query.At(500), core.RankTolerance{K: 6, R: 4})},
 		{name: "rtp-top", n: 300, seed: 2, build: rtpPin(query.Top(), core.RankTolerance{K: 6, R: 4})},
 		// r=0 keeps X−A empty, so every departing answer runs the expanding
@@ -83,16 +84,54 @@ func vbknnPin(q query.Center) func(*server.Cluster) (server.Protocol, func() [2]
 	}
 }
 
-// run plays the walk and returns one line per checkpoint.
-func (w pinWalk) run() (lines []string) {
-	rng := rand.New(rand.NewSource(w.seed))
-	vals := make([]float64, w.n)
-	for i := range vals {
-		// A coarse grid makes equal distances common, so the id tie-break
-		// is exercised on every walk.
-		vals[i] = float64(rng.Intn(2000)) / 2
+// pinWalksPlanar are the planar rank protocols' walks around (250, 250).
+func pinWalksPlanar() []pinWalk[filter.Point, filter.Region] {
+	return []pinWalk[filter.Point, filter.Region]{
+		{name: "rtp2d", n: 300, seed: 21, build: rtpPlanarPin(core.RankTolerance{K: 6, R: 4})},
+		// r=0 and redrawn points: every departing answer runs the expanding
+		// search over a useless stale ranking, far past its first prefix.
+		{name: "rtp2d-expand", n: 120, seed: 22, jumpy: true, build: rtpPlanarPin(core.RankTolerance{K: 3, R: 0})},
+		{name: "ft-rp2d", n: 300, seed: 23, build: func(c *server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
+			p := core.NewFTRP(c, query.Around(pt(250, 250)), 12,
+				core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+			return p, func() [2]uint64 { return [2]uint64{p.Recomputes, 0} }
+		}},
 	}
-	c := server.NewCluster(vals)
+}
+
+func rtpPlanarPin(tol core.RankTolerance) func(*server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
+	return func(c *server.SpatialCluster) (server.SpatialProtocol, func() [2]uint64) {
+		p := core.NewRTP(c, query.Around(pt(250, 250)), tol)
+		return p, func() [2]uint64 { return [2]uint64{p.Deploys, p.Reinits} }
+	}
+}
+
+// A coarse grid makes equal distances common, so the id tie-break is
+// exercised on every walk: half-units on [0, 1000) on the line, the
+// integer grid [0, 500)² (3-4-5 and its kin) in the plane.
+func pinDrawLine(rng *rand.Rand) float64 { return float64(rng.Intn(2000)) / 2 }
+
+func pinStepLine(rng *rand.Rand, v float64) float64 { return v + float64(rng.Intn(121)-60)/2 }
+
+func pinDrawPlanar(rng *rand.Rand) filter.Point {
+	return pt(float64(rng.Intn(500)), float64(rng.Intn(500)))
+}
+
+func pinStepPlanar(rng *rand.Rand, p filter.Point) filter.Point {
+	p.X += float64(rng.Intn(81) - 40)
+	p.Y += float64(rng.Intn(81) - 40)
+	return p
+}
+
+// run plays the walk — draw places a value, step moves one — and returns
+// one line per checkpoint.
+func (w pinWalk[V, C]) run(draw func(*rand.Rand) V, step func(*rand.Rand, V) V) (lines []string) {
+	rng := rand.New(rand.NewSource(w.seed))
+	vals := make([]V, w.n)
+	for i := range vals {
+		vals[i] = draw(rng)
+	}
+	c := server.NewClusterOf[V, C](vals, server.Config{})
 	p, st := w.build(c)
 	c.SetProtocol(p)
 	c.Initialize()
@@ -101,9 +140,9 @@ func (w pinWalk) run() (lines []string) {
 	for ev := 1; ev <= pinEvents; ev++ {
 		id := rng.Intn(w.n)
 		if w.jumpy {
-			vals[id] = float64(rng.Intn(2000)) / 2
+			vals[id] = draw(rng)
 		} else {
-			vals[id] += float64(rng.Intn(121)-60) / 2
+			vals[id] = step(rng, vals[id])
 		}
 		c.Deliver(id, vals[id])
 		stats := st()
@@ -116,12 +155,20 @@ func (w pinWalk) run() (lines []string) {
 }
 
 // TestProtocolPins replays every walk and compares its checkpoints with
-// testdata/protocol_pins.txt.
+// testdata/protocol_pins.txt (the line) and testdata/planar_pins.txt.
 func TestProtocolPins(t *testing.T) {
-	const path = "testdata/protocol_pins.txt"
-	var got []string
-	for _, w := range pinWalks() {
-		got = append(got, w.run()...)
-	}
-	pintest.Check(t, path, got, *updatePins)
+	t.Run("line", func(t *testing.T) {
+		var got []string
+		for _, w := range pinWalks() {
+			got = append(got, w.run(pinDrawLine, pinStepLine)...)
+		}
+		pintest.Check(t, "testdata/protocol_pins.txt", got, *updatePins)
+	})
+	t.Run("planar", func(t *testing.T) {
+		var got []string
+		for _, w := range pinWalksPlanar() {
+			got = append(got, w.run(pinDrawPlanar, pinStepPlanar)...)
+		}
+		pintest.Check(t, "testdata/planar_pins.txt", got, *updatePins)
+	})
 }

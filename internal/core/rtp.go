@@ -8,37 +8,35 @@ import (
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
-	"adaptivefilters/internal/topk"
 )
 
-// RTP is the rank-based tolerance protocol for k-NN queries (paper §4,
-// Figure 5). The server maintains a closed region R around the query point
-// q that encloses at least the answer set and at most ε_k^r = k+r streams;
-// R's boundary sits halfway between the (k+r)-th and (k+r+1)-st closest
-// values known to the server. Every stream's filter is R, so the server only
-// hears about streams crossing R, and Definition 1 correctness holds as long
-// as A(t) ⊆ X(t) ⊆ {streams inside R}.
-type RTP struct {
-	c   server.Host
-	q   query.Center
+// RTPOf is the rank-based tolerance protocol for k-NN queries (paper §4,
+// Figure 5) over stream values of type V and filter constraints of type C.
+// The server maintains a closed region R around the query center q that
+// encloses at least the answer set and at most ε_k^r = k+r streams; R's
+// boundary sits halfway between the (k+r)-th and (k+r+1)-st closest values
+// known to the server. Every stream's filter is R, so the server only hears
+// about streams crossing R, and Definition 1 correctness holds as long as
+// A(t) ⊆ X(t) ⊆ {streams inside R}.
+//
+// The center supplies the distance and R's shape: an interval [q−d, q+d]
+// in 1-D (RTP), a disk in the plane (§7), through one body.
+type RTPOf[V any, C filter.Of[V, C]] struct {
+	ranker[V, C]
 	tol RankTolerance
 
 	inA intSet // A(t): the k answers
 	inX intSet // X(t): streams the server believes inside R (A ⊆ X)
 	d   float64
-	cur filter.Constraint
+	cur C
 
 	// Reusable scratch for the maintenance-phase repair paths (replacement
-	// ranking, expanding search, X refresh), so steady-state event handling
-	// allocates nothing once the buffers have grown to the stream count.
-	rk       topk.Ranking
-	keyBuf   []float64 // nearestOf key scratch
-	valsBuf  []float64 // probe fan-out and rank-pass table copy
-	idBuf    []int     // replacement candidates / probe fan-out
-	pendBuf  []int     // expanding search: candidates awaiting a reply
-	spareBuf []int     // expanding search: ping-pong partner of pendBuf
-	hitBuf   []int     // expanding search: conditional-probe hits, discovery order
-	isHit    []bool    // expanding search: dense hit membership
+	// candidates, expanding search, X refresh).
+	idBuf    []int  // replacement candidates / probe fan-out
+	pendBuf  []int  // expanding search: candidates awaiting a reply
+	spareBuf []int  // expanding search: ping-pong partner of pendBuf
+	hitBuf   []int  // expanding search: conditional-probe hits, discovery order
+	isHit    []bool // expanding search: dense hit membership
 
 	// Deploys counts bound deployments; Reinits counts full
 	// re-initializations from the expanding-search fallback (reports/tests).
@@ -46,9 +44,12 @@ type RTP struct {
 	Reinits uint64
 }
 
+// RTP is the paper's one-dimensional RTP.
+type RTP = RTPOf[float64, filter.Constraint]
+
 // NewRTP returns the rank-based tolerance protocol for the k-NN query
-// around q. It panics on an invalid tolerance.
-func NewRTP(c server.Host, q query.Center, tol RankTolerance) *RTP {
+// around q. It panics on an invalid tolerance or a NaN center.
+func NewRTP[V any, C filter.Of[V, C]](c server.HostOf[V, C], q query.CenterOf[V, C], tol RankTolerance) *RTPOf[V, C] {
 	if err := tol.Validate(); err != nil {
 		panic(err)
 	}
@@ -56,22 +57,25 @@ func NewRTP(c server.Host, q query.Center, tol RankTolerance) *RTP {
 		panic(fmt.Sprintf("core: rank tolerance k+r=%d needs at least %d streams, have %d",
 			tol.Eps(), tol.Eps()+1, c.N()))
 	}
-	return &RTP{c: c, q: q, tol: tol, inA: newIntSet(), inX: newIntSet()}
+	checkCenter(q)
+	return &RTPOf[V, C]{ranker: ranker[V, C]{c: c, q: q}, tol: tol, inA: newIntSet(), inX: newIntSet()}
 }
 
 // Name implements server.Protocol.
-func (p *RTP) Name() string { return fmt.Sprintf("rtp(k=%d,r=%d,%v)", p.tol.K, p.tol.R, p.q) }
+func (p *RTPOf[V, C]) Name() string {
+	return fmt.Sprintf("rtp(k=%d,r=%d,%v)", p.tol.K, p.tol.R, p.q)
+}
 
 // Bound returns the currently deployed region constraint (tests).
-func (p *RTP) Bound() filter.Constraint { return p.cur }
+func (p *RTPOf[V, C]) Bound() C { return p.cur }
 
 // X returns X(t) as sorted ids (tests).
-func (p *RTP) X() []int { return p.inX.sorted() }
+func (p *RTPOf[V, C]) X() []int { return p.inX.sorted() }
 
 // Initialize implements the Figure 5 Initialization phase: probe everything,
 // seed A and X from the true ranking, deploy R.
-func (p *RTP) Initialize() {
-	p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
+func (p *RTPOf[V, C]) Initialize() {
+	p.probeAll()
 	p.rebuildFromRanking()
 }
 
@@ -80,9 +84,9 @@ func (p *RTP) Initialize() {
 //
 // Deploy_bound places R halfway between the ε_k^r-th and (ε_k^r+1)-st table
 // distances, so the ε_k^r+1 nearest are all the ranking it needs.
-func (p *RTP) rebuildFromRanking() {
+func (p *RTPOf[V, C]) rebuildFromRanking() {
 	e := p.tol.Eps()
-	nearest, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, e+1)
+	nearest, dists := p.rankNearest(e + 1)
 	p.inA.clear()
 	p.inX.clear()
 	for i, id := range nearest[:e] {
@@ -94,7 +98,7 @@ func (p *RTP) rebuildFromRanking() {
 	p.install(midpoint(dists[e-1], dists[e]))
 }
 
-func (p *RTP) install(d float64) {
+func (p *RTPOf[V, C]) install(d float64) {
 	p.d = d
 	p.cur = p.q.BallConstraint(d)
 	p.c.InstallAll(p.cur)
@@ -102,7 +106,7 @@ func (p *RTP) install(d float64) {
 }
 
 // HandleUpdate implements the Figure 5 Maintenance phase.
-func (p *RTP) HandleUpdate(id stream.ID, v float64) {
+func (p *RTPOf[V, C]) HandleUpdate(id stream.ID, v V) {
 	p.c.AddServerOps(1)
 	inside := p.cur.Contains(v)
 	switch {
@@ -126,7 +130,7 @@ func (p *RTP) HandleUpdate(id stream.ID, v float64) {
 }
 
 // answerLeft is Figure 5 Case 2: an answer stream left R.
-func (p *RTP) answerLeft(id stream.ID) {
+func (p *RTPOf[V, C]) answerLeft(id stream.ID) {
 	p.inA.remove(id)
 	p.inX.remove(id)
 	// Step 3: replace from X−A when possible — pick the member with the
@@ -140,7 +144,7 @@ func (p *RTP) answerLeft(id stream.ID) {
 			}
 		}
 		p.idBuf = members
-		nearestOf(&p.keyBuf, p.c, p.q, candidates, 1)
+		p.nearestOf(candidates, 1)
 		p.inA.add(candidates[0])
 		return
 	}
@@ -165,10 +169,10 @@ func (p *RTP) answerLeft(id stream.ID) {
 // start, doubled whenever the walk runs off the ordered prefix. The
 // extension ranks the distances captured on entry — never the live table,
 // which ProbeIf has been refreshing since.
-func (p *RTP) expandSearch() bool {
+func (p *RTPOf[V, C]) expandSearch() bool {
 	e := p.tol.Eps()
 	prefix := 2 * (e + 1)
-	sorted, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, prefix)
+	sorted, dists := p.rankNearest(prefix)
 	if n := p.c.N(); len(p.isHit) < n {
 		p.isHit = make([]bool, n)
 	}
@@ -219,7 +223,7 @@ func (p *RTP) expandSearch() bool {
 		if limit > len(u) {
 			limit = len(u)
 		}
-		nearestOf(&p.keyBuf, p.c, p.q, u, limit+1) // hits' table values are fresh
+		keys := p.nearestOf(u, limit+1) // hits' table values are fresh
 		p.inA.add(u[0])
 		p.inX.clear()
 		p.inX.addAll(&p.inA)
@@ -229,14 +233,13 @@ func (p *RTP) expandSearch() bool {
 		// Place the new bound between the farthest X member and the nearest
 		// excluded candidate, capped by the probed region so conditional-
 		// probe misses are guaranteed to lie outside the new R (see
-		// DESIGN.md §3 on bound placement).
-		inner := p.maxXDist()
+		// DESIGN.md §3 on bound placement). keys share scratch with
+		// maxXDist, so the cap is read first.
 		outer := dPrime
-		if limit < len(u) {
-			if d := tableDist(p.c, p.q, u[limit]); d < outer {
-				outer = d
-			}
+		if limit < len(u) && keys[limit] < outer {
+			outer = keys[limit]
 		}
+		inner := p.maxXDist()
 		if outer < inner {
 			outer = inner
 		}
@@ -251,11 +254,11 @@ func (p *RTP) expandSearch() bool {
 	return found
 }
 
-func (p *RTP) maxXDist() float64 {
+func (p *RTPOf[V, C]) maxXDist() float64 {
 	max := math.Inf(-1)
 	p.idBuf = p.inX.appendMembers(p.idBuf[:0])
-	for _, x := range p.idBuf {
-		if d := tableDist(p.c, p.q, x); d > max {
+	for _, d := range p.tableDists(p.idBuf) {
+		if d > max {
 			max = d
 		}
 	}
@@ -263,7 +266,7 @@ func (p *RTP) maxXDist() float64 {
 }
 
 // entered is Figure 5 Case 3: a stream outside X entered R.
-func (p *RTP) entered(id stream.ID) {
+func (p *RTPOf[V, C]) entered(id stream.ID) {
 	if p.inX.len() < p.tol.Eps() {
 		// Step 6: room in X — just track it.
 		p.inX.add(id)
@@ -276,4 +279,4 @@ func (p *RTP) entered(id stream.ID) {
 }
 
 // Answer implements server.Protocol.
-func (p *RTP) Answer() []stream.ID { return p.inA.sorted() }
+func (p *RTPOf[V, C]) Answer() []stream.ID { return p.inA.sorted() }

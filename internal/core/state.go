@@ -32,6 +32,9 @@ var (
 	_ server.StatefulProtocol = (*NoFilterRange)(nil)
 	_ server.StatefulProtocol = (*NoFilterKNN)(nil)
 	_ server.StatefulProtocol = (*VBKNN)(nil)
+
+	_ server.SpatialStatefulProtocol = (*RTPOf[filter.Point, filter.Region])(nil)
+	_ server.SpatialStatefulProtocol = (*FTRPOf[filter.Point, filter.Region])(nil)
 )
 
 // exportSet writes an intSet as its ascending member list.
@@ -181,7 +184,7 @@ func (p *FTNRP) ImportState(r *snapshot.Reader) error {
 // --- FT-RP ---------------------------------------------------------------
 
 // ExportState implements server.StatefulProtocol.
-func (p *FTRP) ExportState(w *snapshot.Writer) {
+func (p *FTRPOf[V, C]) ExportState(w *snapshot.Writer) {
 	exportSet(w, &p.ans)
 	exportSet(w, &p.fp)
 	exportSet(w, &p.fn)
@@ -193,7 +196,7 @@ func (p *FTRP) ExportState(w *snapshot.Writer) {
 }
 
 // ImportState implements server.StatefulProtocol.
-func (p *FTRP) ImportState(r *snapshot.Reader) error {
+func (p *FTRPOf[V, C]) ImportState(r *snapshot.Reader) error {
 	n := p.c.N()
 	if err := importSet(r, &p.ans, n); err != nil {
 		return err
@@ -210,7 +213,7 @@ func (p *FTRP) ImportState(r *snapshot.Reader) error {
 	}
 	p.count = count
 	p.d = r.Float64()
-	cur, err := filter.ImportConstraint(r)
+	cur, err := p.cur.ImportState(r)
 	if err != nil {
 		return err
 	}
@@ -222,7 +225,7 @@ func (p *FTRP) ImportState(r *snapshot.Reader) error {
 // --- RTP -----------------------------------------------------------------
 
 // ExportState implements server.StatefulProtocol.
-func (p *RTP) ExportState(w *snapshot.Writer) {
+func (p *RTPOf[V, C]) ExportState(w *snapshot.Writer) {
 	exportSet(w, &p.inA)
 	exportSet(w, &p.inX)
 	w.Float64(p.d)
@@ -232,7 +235,7 @@ func (p *RTP) ExportState(w *snapshot.Writer) {
 }
 
 // ImportState implements server.StatefulProtocol.
-func (p *RTP) ImportState(r *snapshot.Reader) error {
+func (p *RTPOf[V, C]) ImportState(r *snapshot.Reader) error {
 	n := p.c.N()
 	if err := importSet(r, &p.inA, n); err != nil {
 		return err
@@ -241,7 +244,7 @@ func (p *RTP) ImportState(r *snapshot.Reader) error {
 		return err
 	}
 	p.d = r.Float64()
-	cur, err := filter.ImportConstraint(r)
+	cur, err := p.cur.ImportState(r)
 	if err != nil {
 		return err
 	}

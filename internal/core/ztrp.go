@@ -7,7 +7,6 @@ import (
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
-	"adaptivefilters/internal/topk"
 )
 
 // ZTRP is the zero-tolerance k-NN protocol of paper §5.2.1: the k-NN query
@@ -16,18 +15,13 @@ import (
 // allowed, any crossing of R forces R to be recomputed and re-announced to
 // every stream — the sensitivity the fraction-based FT-RP protocol removes.
 type ZTRP struct {
-	c   server.Host
-	q   query.Center
+	ranker[float64, filter.Constraint]
 	k   int
 	ans intSet
 	d   float64
 	cur filter.Constraint
 
-	// Reusable scratch for rebuilds, so the zero-tolerance repair paths
-	// allocate nothing once warm.
-	rk      topk.Ranking
-	valsBuf []float64 // probe fan-out and rank-pass table copy
-	idBuf   []int
+	idBuf []int // entering-stream probe fan-out scratch
 
 	// Recomputes counts bound recomputations (reports/tests).
 	Recomputes uint64
@@ -38,7 +32,8 @@ func NewZTRP(c server.Host, q query.Center, k int) *ZTRP {
 	if k <= 0 || k >= c.N() {
 		panic(fmt.Sprintf("core: zt-rp needs 1 <= k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &ZTRP{c: c, q: q, k: k, ans: newIntSet()}
+	checkCenter(q)
+	return &ZTRP{ranker: ranker[float64, filter.Constraint]{c: c, q: q}, k: k, ans: newIntSet()}
 }
 
 // Name implements server.Protocol.
@@ -50,13 +45,13 @@ func (p *ZTRP) Bound() filter.Constraint { return p.cur }
 // Initialize probes everything, computes the k nearest and deploys R halfway
 // between the k-th and (k+1)-st distances.
 func (p *ZTRP) Initialize() {
-	p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
+	p.probeAll()
 	p.rebuild()
 }
 
 // rebuild recomputes A and R from the current server table and redeploys.
 func (p *ZTRP) rebuild() {
-	nearest, dists := rankNearest(&p.rk, &p.valsBuf, p.c, p.q, p.k+1)
+	nearest, dists := p.rankNearest(p.k + 1)
 	p.ans.clear()
 	for _, id := range nearest[:p.k] {
 		p.ans.add(id)
@@ -75,7 +70,7 @@ func (p *ZTRP) HandleUpdate(id stream.ID, v float64) {
 	case p.ans.has(id) && !inside:
 		// An answer left R: the new k-th neighbor may be anywhere outside,
 		// so the server must probe everything again.
-		p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
+		p.probeAll()
 		p.rebuild()
 	case !p.ans.has(id) && inside:
 		// A stream entered R: R now holds k+1 streams. Refresh the members

@@ -1,8 +1,7 @@
-// Package pintest is the shared half of the protocol pin tests in
-// internal/core and internal/multidim: a running digest of everything a
-// hosted protocol lets an observer see, and the golden-file comparison of
-// its checkpoints. The walks themselves (hosts, protocols, event laws)
-// stay with the packages they exercise.
+// Package pintest is the digest half of internal/core's protocol pin
+// tests: a running digest of everything a hosted protocol lets an observer
+// see, and the golden-file comparison of its checkpoints. The walks
+// themselves (hosts, protocols, event laws) stay with the tests.
 package pintest
 
 import (

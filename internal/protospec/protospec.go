@@ -24,7 +24,6 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/multidim"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
@@ -238,21 +237,25 @@ func (s Spec) Factory() (func(h server.Host, seed int64) server.Protocol, error)
 }
 
 // SpatialFactory compiles a spatial spec into the 2-D protocol-factory
-// closure runtime.TenantSpec.NewSpatial consumes. Call Validate first.
-// Non-spatial specs compile through Factory and are an error here.
+// closure runtime.TenantSpec.NewSpatial consumes: the protocols of Factory
+// around the planar center (QX, QY). Call Validate first. Non-spatial
+// specs compile through Factory and are an error here.
 func (s Spec) SpatialFactory() (func(h server.SpatialHost, seed int64) server.SpatialProtocol, error) {
-	q := filter.Point{X: s.QX, Y: s.QY}
+	q := query.Around(filter.Point{X: s.QX, Y: s.QY})
 	switch s.Protocol {
 	case "rtp2d":
 		rt := core.RankTolerance{K: s.K, R: s.R}
 		return func(h server.SpatialHost, _ int64) server.SpatialProtocol {
-			return multidim.NewRTP2D(h, q, rt)
+			return core.NewRTP(h, q, rt)
 		}, nil
 	case "ft-rp2d":
-		k := s.K
+		k, sel := s.K, s.selection()
 		tol := core.FractionTolerance{EpsPlus: s.EpsPlus, EpsMinus: s.EpsMinus}
-		return func(h server.SpatialHost, _ int64) server.SpatialProtocol {
-			return multidim.NewFTRP2D(h, q, k, tol)
+		return func(h server.SpatialHost, seed int64) server.SpatialProtocol {
+			fc := core.DefaultFTRPConfig(tol)
+			fc.Selection = sel
+			fc.Seed = seed
+			return core.NewFTRP(h, q, k, fc)
 		}, nil
 	}
 	return nil, fmt.Errorf("protospec: %s is not a spatial protocol; use Factory", s.Protocol)

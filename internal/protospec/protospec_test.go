@@ -2,6 +2,7 @@ package protospec_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,7 +200,7 @@ func TestSpatialSpecs(t *testing.T) {
 		"ft-rp2d": {Protocol: "ft-rp2d", QX: 500, QY: 500, K: 5, EpsPlus: 0.2, EpsMinus: 0.2},
 	}
 	wantName := map[string]string{
-		"rtp2d": "rtp2d(k=4,r=3)", "ft-rp2d": "ft-rp2d(k=5,",
+		"rtp2d": "rtp(k=4,r=3,q=(500,500))", "ft-rp2d": "ft-rp(k=5,",
 	}
 	for name, s := range specs {
 		if !s.Spatial() {
@@ -253,6 +254,44 @@ func TestSpatialSpecs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSpatialSelectionIsWired: ft-rp2d compiles like ft-rp, so
+// Spec.Selection and the tenant seed reach the planar protocol — random and
+// boundary-nearest selection silence different streams on the same seed.
+func TestSpatialSelectionIsWired(t *testing.T) {
+	silent := func(selection string) []int {
+		s := protospec.Spec{Protocol: "ft-rp2d", QX: 500, QY: 500, K: 40,
+			EpsPlus: 0.3, EpsMinus: 0.3, Selection: selection}
+		if err := s.Validate(200); err != nil {
+			t.Fatal(err)
+		}
+		build, err := s.SpatialFactory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := make([]filter.Point, 200)
+		for i := range initial {
+			initial[i] = filter.Point{X: float64(i*37%1000) + 0.5, Y: float64(i*91%1000) + 0.25}
+		}
+		c := server.NewSpatialCluster(initial)
+		c.SetProtocol(build(c, 7))
+		c.Initialize()
+		var ids []int
+		for id := range initial {
+			if c.Constraint(id).Silent() {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	boundary, random := silent(protospec.SelectBoundary), silent(protospec.SelectRandom)
+	if len(boundary) == 0 || len(random) != len(boundary) {
+		t.Fatalf("silent filters: boundary %v, random %v; want equal, non-zero budgets", boundary, random)
+	}
+	if slices.Equal(boundary, random) {
+		t.Fatalf("random and boundary selection silenced the same streams %v: Selection is ignored", boundary)
 	}
 }
 

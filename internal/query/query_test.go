@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"adaptivefilters/internal/filter"
 )
 
 func TestRangeContains(t *testing.T) {
@@ -137,5 +139,62 @@ func TestStrings(t *testing.T) {
 	}
 	if TopK(3).String() != "knn(k=3,q=+inf(top))" {
 		t.Fatalf("KNN.String() = %q", TopK(3).String())
+	}
+}
+
+// TestCenterDistsMatchesDist: the batch fill equals Dist element by
+// element for every center kind (the rank protocols use only the batch).
+func TestCenterDistsMatchesDist(t *testing.T) {
+	vals := []float64{-3, 0, 2.5, 100, math.Inf(1), -1e300}
+	for _, c := range []Center{At(2), Top(), Bottom()} {
+		keys := make([]float64, len(vals))
+		c.Dists(keys, vals)
+		for i, v := range vals {
+			if keys[i] != c.Dist(v) {
+				t.Fatalf("%v: Dists[%d] = %v, Dist(%v) = %v", c, i, keys[i], v, c.Dist(v))
+			}
+		}
+	}
+}
+
+// TestCenterSilentFilters: a 1-D center's silent filters are exactly
+// filter.WideOpen and filter.Shut.
+func TestCenterSilentFilters(t *testing.T) {
+	c := At(7)
+	if c.WideOpen() != filter.WideOpen() || c.Shut() != filter.Shut() {
+		t.Fatalf("silent filters %v / %v", c.WideOpen(), c.Shut())
+	}
+	if !At(math.NaN()).IsNaN() || At(0).IsNaN() || Top().IsNaN() || Bottom().IsNaN() {
+		t.Fatal("IsNaN wrong")
+	}
+}
+
+// TestPlanarCenter: Euclidean distance, disk balls and silent disks around
+// the point.
+func TestPlanarCenter(t *testing.T) {
+	c := Around(filter.Point{X: 1, Y: 1})
+	vals := []filter.Point{{X: 4, Y: 5}, {X: 1, Y: 1}, {X: -2, Y: -3}}
+	keys := make([]float64, len(vals))
+	c.Dists(keys, vals)
+	if keys[0] != 5 || keys[1] != 0 || keys[2] != 5 {
+		t.Fatalf("Dists = %v, want [5 0 5]", keys)
+	}
+	for i, v := range vals {
+		if c.BallConstraint(5).Contains(v) != (keys[i] <= 5) || c.BallConstraint(4.9).Contains(v) != (keys[i] <= 4.9) {
+			t.Fatalf("ball membership of %v disagrees with Dist", v)
+		}
+		if !c.WideOpen().Contains(v) || c.Shut().Contains(v) {
+			t.Fatalf("silent disks misplace %v", v)
+		}
+	}
+	if c.BallConstraint(2) != filter.NewDisk(c.P, 2) ||
+		c.WideOpen() != filter.WideOpenRegion(c.P) || c.Shut() != filter.ShutRegion(c.P) {
+		t.Fatal("planar filters are not the filter package's disks")
+	}
+	if c.IsNaN() || !Around(filter.Point{Y: math.NaN()}).IsNaN() {
+		t.Fatal("IsNaN wrong")
+	}
+	if c.String() != "q=(1,1)" {
+		t.Fatalf("String() = %q", c.String())
 	}
 }

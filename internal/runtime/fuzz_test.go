@@ -9,7 +9,7 @@ import (
 
 // fuzzSpecs is the fixed tenant configuration every fuzz input is decoded
 // against: small, heterogeneous (FT-NRP with random selection, RTP, a
-// multi-query composite tenant and a spatial RTP2D tenant), so cluster
+// multi-query composite tenant and a spatial rtp2d tenant), so cluster
 // state in both dimensions, composite fabric state, protocol state and RNG
 // positions all appear in the encoding.
 func fuzzSpecs() []TenantSpec {

@@ -9,7 +9,6 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/multidim"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
@@ -147,16 +146,16 @@ func propSpec(adm int, initial, ys []float64) TenantSpec {
 		for i := range pts {
 			pts[i] = filter.Point{X: initial[i], Y: ys[i]}
 		}
-		q := filter.Point{X: 500, Y: 500}
+		q := query.Around(filter.Point{X: 500, Y: 500})
 		if (adm/7)%2 == 0 {
 			return TenantSpec{Name: name, SpatialInitial: pts,
 				NewSpatial: func(h server.SpatialHost, seed int64) server.SpatialProtocol {
-					return multidim.NewRTP2D(h, q, core.RankTolerance{K: 3, R: 2})
+					return core.NewRTP(h, q, core.RankTolerance{K: 3, R: 2})
 				}}
 		}
 		return TenantSpec{Name: name, SpatialInitial: pts,
 			NewSpatial: func(h server.SpatialHost, seed int64) server.SpatialProtocol {
-				return multidim.NewFTRP2D(h, q, 4, core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3})
+				return core.NewFTRP(h, q, 4, core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}))
 			}}
 	case 4:
 		return TenantSpec{Name: name, Initial: initial,

@@ -16,10 +16,11 @@ const (
 	snapshotMagic = "adaptivefilters/node-snapshot"
 	// SnapshotVersion is the current encoding version, the only one
 	// RestoreNode accepts: every tenant record opens with an integer kind
-	// discriminator, and single-query and spatial records share one layout
-	// (DESIGN.md §6.3). No snapshot was ever deployed at an earlier version,
-	// so they are refused rather than decoded.
-	SnapshotVersion = 4
+	// discriminator, single-query and spatial records share one layout, and
+	// planar RTP and FT-RP write the 1-D protocols' state (DESIGN.md §6.3).
+	// No snapshot was ever deployed at an earlier version, so they are
+	// refused rather than decoded.
+	SnapshotVersion = 5
 )
 
 // Per-tenant kind discriminators.

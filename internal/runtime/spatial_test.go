@@ -8,7 +8,7 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/multidim"
+	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 )
@@ -23,7 +23,7 @@ func spatialSpec(name string, n int, seed int64) TenantSpec {
 	}
 	return TenantSpec{Name: name, SpatialInitial: pts,
 		NewSpatial: func(h server.SpatialHost, seed int64) server.SpatialProtocol {
-			return multidim.NewRTP2D(h, filter.Point{X: 500, Y: 500}, core.RankTolerance{K: 3, R: 2})
+			return core.NewRTP(h, query.Around(filter.Point{X: 500, Y: 500}), core.RankTolerance{K: 3, R: 2})
 		}}
 }
 

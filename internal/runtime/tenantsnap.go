@@ -19,7 +19,7 @@ const (
 	// TenantSnapshotVersion is the current single-tenant encoding version,
 	// the only one ImportTenant accepts; it moves with SnapshotVersion, whose
 	// per-tenant record layout it shares.
-	TenantSnapshotVersion = 3
+	TenantSnapshotVersion = 4
 )
 
 // ExportTenant captures a barrier-consistent, versioned encoding of one

@@ -74,7 +74,8 @@ type HostOf[V, C any] interface {
 
 // ProtocolOf is a filter-bound assignment protocol hosted by a ClusterOf
 // over values of type V: one of the paper's RTP, ZT-NRP, FT-NRP, ZT-RP,
-// FT-RP or the no-filter baseline in 1-D, RTP2D or FT-RP2D in the plane.
+// FT-RP or the no-filter baselines in 1-D, and RTP or FT-RP around a
+// planar center in the plane.
 type ProtocolOf[V any] interface {
 	// Name identifies the protocol in reports.
 	Name() string

@@ -7,7 +7,7 @@ import (
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/multidim"
+	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
@@ -221,7 +221,7 @@ func TestRTP2DBatchedCrossings(t *testing.T) {
 	}
 	tol := core.RankTolerance{K: 2, R: 3}
 	c := server.NewSpatialCluster(append([]filter.Point(nil), ring...))
-	p := multidim.NewRTP2D(c, q, tol)
+	p := core.NewRTP(c, query.Around(q), tol)
 	c.SetProtocol(p)
 	c.Initialize()
 	ans := p.Answer()
@@ -250,9 +250,9 @@ func TestRTP2DBatchedCrossings(t *testing.T) {
 		t.Fatalf("|A| = %d, want %d", len(got), tol.K)
 	}
 	for _, id := range got {
-		d, rank := multidim.Dist(q, ring[id]), 1
+		d, rank := filter.Dist(q, ring[id]), 1
 		for j, pt := range ring {
-			if j != id && multidim.Dist(q, pt) < d {
+			if j != id && filter.Dist(q, pt) < d {
 				rank++
 			}
 		}
@@ -260,4 +260,19 @@ func TestRTP2DBatchedCrossings(t *testing.T) {
 			t.Fatalf("stream %d has rank %d > ε=%d", id, rank, tol.Eps())
 		}
 	}
+}
+
+// TestSpatialClusterDeliverNaNPanics pins the cluster's ingest trust
+// boundary: a NaN location is rejected at the source, before it can reach
+// geometry.
+func TestSpatialClusterDeliverNaNPanics(t *testing.T) {
+	c := server.NewSpatialCluster(pts(0, 0, 1, 0, 2, 0, 3, 0))
+	c.SetProtocol(&recorderProto{host: c})
+	c.Initialize()
+	defer func() {
+		if recover() == nil {
+			t.Error("NaN delivery did not panic")
+		}
+	}()
+	c.Deliver(0, filter.Point{X: math.NaN()})
 }

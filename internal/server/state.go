@@ -10,8 +10,9 @@ import (
 
 // StatefulProtocolOf is a ProtocolOf whose full dynamic state can be
 // exported into a snapshot and imported into a freshly constructed instance
-// of the same configuration. All of internal/core and internal/multidim
-// implements it; runtime.Node requires it for Snapshot/RestoreNode.
+// of the same configuration. Every protocol in internal/core implements it,
+// in both instantiations; runtime.Node requires it for
+// Snapshot/RestoreNode.
 //
 // The contract mirrors the runtime's restore path: ImportState must be
 // called exactly once, on a protocol just built by its constructor (with

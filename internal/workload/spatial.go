@@ -7,8 +7,9 @@ import (
 	"adaptivefilters/internal/sim"
 )
 
-// Spatial2DConfig extends the §6.2 synthetic model to the plane, for the 2-D
-// protocols of internal/multidim: N objects start uniformly distributed in
+// Spatial2DConfig extends the §6.2 synthetic model to the plane, for the
+// planar rank protocols (internal/core's RTP and FT-RP around a
+// query.PlanarCenter): N objects start uniformly distributed in
 // the square [Lo, Hi]², each updates after exponentially distributed gaps
 // (MeanGap), and each update moves both coordinates by independent
 // Normal(0, Sigma) steps, reflecting at the square's boundary.
