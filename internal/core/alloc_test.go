@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"adaptivefilters/internal/core"
@@ -10,14 +11,16 @@ import (
 	"adaptivefilters/internal/sim"
 )
 
-// stepCases are the protocols the step fixture hosts: node-rank's rank
-// tenants at k = 20 — the planar ones around (500, 500) — plus FT-NRP and
-// the no-filter k-NN baseline. warm builds the case on a fresh cluster and
-// returns a warmed pass over its walk.
-var stepCases = []struct {
+// stepCase is one protocol the step fixture hosts: warm builds it on a
+// fresh cluster and returns a warmed pass over its walk.
+type stepCase struct {
 	name string
 	warm func() (pass func())
-}{
+}
+
+// stepCases are node-rank's 1-D rank tenants at k = 20 plus FT-NRP and the
+// no-filter k-NN baseline.
+var stepCases = []stepCase{
 	{"ft-nrp", step1D(func(h server.Host) server.Protocol {
 		return core.NewFTNRP(h, query.NewRange(400, 600), core.FTNRPConfig{
 			Tol:       core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3},
@@ -38,6 +41,10 @@ var stepCases = []struct {
 	{"no-filter-knn", step1D(func(h server.Host) server.Protocol {
 		return core.NewNoFilterKNN(h, query.NewKNN(query.At(500), 20))
 	})},
+}
+
+// planarStepCases are node-rank's planar rank tenants, around (500, 500).
+var planarStepCases = []stepCase{
 	{"rtp2d", stepPlanar(func(h server.SpatialHost) server.SpatialProtocol {
 		return core.NewRTP(h, query.Around(pt(500, 500)), core.RankTolerance{K: 20, R: 5})
 	})},
@@ -128,23 +135,27 @@ func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []
 // broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over
 // everything outside. The baselines hold the rank index to it: every
 // VB-kNN and no-filter k-NN update moves one key inside the index's ordered
-// slice. The planar rows hold the generic bodies to the same bound in the
+// slice. The planar group holds the generic bodies to the same bound in the
 // plane.
 func TestProtocolStepAllocFree(t *testing.T) {
-	for _, tc := range stepCases {
-		t.Run(tc.name, func(t *testing.T) {
-			pass := tc.warm()
-			if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
-				t.Errorf("a warm %d-event pass allocated %.1f objects, want 0", stepEvents, allocs)
-			}
-		})
+	check := func(t *testing.T, cases []stepCase) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				pass := tc.warm()
+				if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+					t.Errorf("a warm %d-event pass allocated %.1f objects, want 0", stepEvents, allocs)
+				}
+			})
+		}
 	}
+	check(t, stepCases)
+	t.Run("planar", func(t *testing.T) { check(t, planarStepCases) })
 }
 
 // BenchmarkProtocolStep prices the same warm walk: one op is a whole
 // 20k-event pass, reported as ns/event (allocs/op must stay 0).
 func BenchmarkProtocolStep(b *testing.B) {
-	for _, tc := range stepCases {
+	for _, tc := range slices.Concat(stepCases, planarStepCases) {
 		b.Run(tc.name, func(b *testing.B) {
 			pass := tc.warm()
 			b.ReportAllocs()

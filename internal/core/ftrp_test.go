@@ -283,9 +283,7 @@ func TestFTRPBeatsZTRPOnMessages(t *testing.T) {
 
 func TestFTRPPanics(t *testing.T) {
 	c := server.NewCluster(make([]float64, 5))
-	planar := server.NewSpatialCluster(ringPoints(5, filter.Point{}))
-	origin := query.Around(filter.Point{})
-	for name, fn := range map[string]func(){
+	requirePanics(t, map[string]func(){
 		"bad tolerance": func() {
 			core.NewFTRP(c, query.At(0), 2, core.FTRPConfig{Tol: core.FractionTolerance{EpsPlus: 2}})
 		},
@@ -293,23 +291,7 @@ func TestFTRPPanics(t *testing.T) {
 		"nan center": func() {
 			core.NewFTRP(c, query.At(math.NaN()), 2, core.DefaultFTRPConfig(core.FractionTolerance{}))
 		},
-		"planar/bad k": func() { core.NewFTRP(planar, origin, 5, core.DefaultFTRPConfig(core.FractionTolerance{})) },
-		"planar/bad tolerance": func() {
-			core.NewFTRP(planar, origin, 2, core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.7}))
-		},
-		"planar/nan center": func() {
-			core.NewFTRP(planar, query.Around(pt(math.NaN(), 0)), 2, core.DefaultFTRPConfig(core.FractionTolerance{}))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	})
 }
 
 func TestFTRPTopKFlavor(t *testing.T) {

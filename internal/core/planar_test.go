@@ -31,6 +31,21 @@ func ringPoints(n int, q filter.Point) []filter.Point {
 	return pts
 }
 
+// requirePanics runs every case and reports the ones that return normally.
+func requirePanics(t *testing.T, cases map[string]func()) {
+	t.Helper()
+	for name, fn := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // randomPoints draws n points uniform on [lo, hi)².
 func randomPoints(rng *rand.Rand, n int, lo, hi float64) []filter.Point {
 	pts := make([]filter.Point, n)
@@ -220,6 +235,30 @@ func TestRTPPlanarSavesMessagesVsReportAll(t *testing.T) {
 	if got := c.Counter().Maintenance(); got >= uint64(events) {
 		t.Fatalf("planar RTP used %d messages for %d events; no savings", got, events)
 	}
+}
+
+func TestRTPPlanarPanicsOnBadTolerance(t *testing.T) {
+	c := server.NewSpatialCluster(ringPoints(3, filter.Point{}))
+	origin := query.Around(filter.Point{})
+	requirePanics(t, map[string]func(){
+		"k=0":    func() { core.NewRTP(c, origin, core.RankTolerance{K: 0, R: 0}) },
+		"ε>=n":   func() { core.NewRTP(c, origin, core.RankTolerance{K: 2, R: 1}) },
+		"nan-qy": func() { core.NewRTP(c, query.Around(pt(0, math.NaN())), core.RankTolerance{K: 1, R: 0}) },
+	})
+}
+
+func TestFTRPPlanarPanics(t *testing.T) {
+	c := server.NewSpatialCluster(ringPoints(5, filter.Point{}))
+	origin := query.Around(filter.Point{})
+	requirePanics(t, map[string]func(){
+		"bad k": func() { core.NewFTRP(c, origin, 5, core.DefaultFTRPConfig(core.FractionTolerance{})) },
+		"bad tolerance": func() {
+			core.NewFTRP(c, origin, 2, core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.7}))
+		},
+		"nan center": func() {
+			core.NewFTRP(c, query.Around(pt(math.NaN(), 0)), 2, core.DefaultFTRPConfig(core.FractionTolerance{}))
+		},
+	})
 }
 
 func TestFTRPPlanarInitialization(t *testing.T) {

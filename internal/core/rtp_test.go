@@ -7,7 +7,6 @@ import (
 
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
-	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
@@ -220,25 +219,11 @@ func TestRTPTopKCorrectnessUnderJumpyValues(t *testing.T) {
 
 func TestRTPInvalidToleranceOrPopulationPanics(t *testing.T) {
 	c := server.NewCluster(make([]float64, 3))
-	planar := server.NewSpatialCluster(ringPoints(3, filter.Point{}))
-	origin := query.Around(filter.Point{})
-	for name, fn := range map[string]func(){
-		"k=0":           func() { core.NewRTP(c, query.At(0), core.RankTolerance{K: 0, R: 0}) },
-		"ε>=n":          func() { core.NewRTP(c, query.At(0), core.RankTolerance{K: 2, R: 1}) }, // ε=3 ≥ n
-		"nan-center":    func() { core.NewRTP(c, query.At(math.NaN()), core.RankTolerance{K: 1, R: 0}) },
-		"planar/k=0":    func() { core.NewRTP(planar, origin, core.RankTolerance{K: 0, R: 0}) },
-		"planar/ε>=n":   func() { core.NewRTP(planar, origin, core.RankTolerance{K: 2, R: 1}) },
-		"planar/nan-qy": func() { core.NewRTP(planar, query.Around(pt(0, math.NaN())), core.RankTolerance{K: 1, R: 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	requirePanics(t, map[string]func(){
+		"k=0":        func() { core.NewRTP(c, query.At(0), core.RankTolerance{K: 0, R: 0}) },
+		"ε>=n":       func() { core.NewRTP(c, query.At(0), core.RankTolerance{K: 2, R: 1}) }, // ε=3 ≥ n
+		"nan-center": func() { core.NewRTP(c, query.At(math.NaN()), core.RankTolerance{K: 1, R: 0}) },
+	})
 }
 
 func TestRTPNameMentionsParameters(t *testing.T) {
