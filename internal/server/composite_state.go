@@ -30,7 +30,11 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 	w.Bools(c.known)
 	for s := range c.cons {
 		filter.ExportConstraints(w, c.cons[s])
-		w.Bools(c.inside[s])
+		// The bytes of w.Bools over one bool per slot.
+		w.Uint64(uint64(len(c.queries)))
+		for qi := range c.queries {
+			w.Bool(c.inside[s].has(qi))
+		}
 	}
 	c.ctr.ExportState(w)
 	for qi, q := range c.queries {
@@ -86,7 +90,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 			len(vals), len(table), len(known), n)
 	}
 	cons := make([][]filter.Constraint, n)
-	inside := make([][]bool, n)
+	inside := make([]slotSet, n)
 	for s := 0; s < n; s++ {
 		cs, err := filter.ImportConstraints(r)
 		if err != nil {
@@ -101,7 +105,10 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 				s, len(cs), len(ins), slots)
 		}
 		cons[s] = cs
-		inside[s] = ins
+		inside[s] = make(slotSet, words(slots))
+		for qi, in := range ins {
+			inside[s].put(qi, in)
+		}
 	}
 	if err := c.ctr.ImportState(r); err != nil {
 		return err
@@ -113,6 +120,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 	c.known = known
 	c.cons = cons
 	c.inside = inside
+	c.drivenMask, c.othersMask = make(slotSet, words(slots)), make(slotSet, words(slots))
 	for slot := 0; slot < slots; slot++ {
 		alive := r.Bool()
 		if err := r.Err(); err != nil {

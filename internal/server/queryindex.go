@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/bits"
 
 	"adaptivefilters/internal/filter"
 )
@@ -10,12 +11,12 @@ import (
 // queries M. The linear fabric walks all M constraint entries of the
 // delivered stream on every update; at M=256 that scan dominates ingest
 // even though almost no entry can possibly cross. The query index replaces
-// that crossing-detection scan and, for a stream that reports, names the
-// query slots whose own entry fired, so Composite.Deliver dispatches to
-// those (plus the protocols that are not CrossingDriven) instead of to all
-// M. Message accounting, server ops and protocol trajectories stay
-// bit-identical to the linear evaluation (pinned by the equivalence tests
-// and the runtime property harness).
+// that crossing-detection scan and, for a stream that reports, hands back
+// the slot bitmap of the queries whose own entry fired, so Composite.Deliver
+// dispatches to those (plus the protocols that are not CrossingDriven)
+// instead of to all M. Message accounting, server ops and protocol
+// trajectories stay bit-identical to the linear evaluation (pinned by the
+// equivalence tests and the runtime property harness).
 //
 // Two structures per stream:
 //
@@ -23,7 +24,11 @@ import (
 //     entries whose constraints are bit-identical (and, for intervals, whose
 //     recorded sides agree) share one class and are evaluated once per
 //     update instead of once per query. M queries installing the same band
-//     cost one check, not M.
+//     cost one check, not M. A class's members are a slot bitmap, so a
+//     class that fires updates its members' recorded sides and the fired
+//     set a word at a time; an interval class caches the side its members
+//     share, which recordInside's resync hook re-reads whenever a probe
+//     re-records the stream's sides.
 //
 //   - The finite boundaries of each class's inside region live in a sorted
 //     flat list (boundList) keyed by (boundary value, class id·2 + side).
@@ -66,7 +71,7 @@ import (
 // save/load cycle.
 //
 // Everything on the Deliver path reuses scratch owned by the index (the
-// touched-class and fired-slot lists, the boundary lists' own capacity),
+// touched-class list, the fired bitmap, the boundary lists' own capacity),
 // keeping the steady-state ingest path at 0 allocs/op.
 
 // enableQueryIndex gates the indexed Deliver path for composites built
@@ -91,12 +96,13 @@ const (
 )
 
 // qclass is one evaluation class: the queries of one stream sharing a
-// bit-identical constraint (and recorded side, for intervals).
+// bit-identical constraint (and recorded side, for intervals). Its members
+// are a slot bitmap in its stream's members array.
 type qclass struct {
 	cons       filter.Constraint
-	slots      []int32 // member query slots, unordered
-	stamp      uint64  // last deliver generation this class was evaluated in
+	stamp      uint64 // last deliver generation this class was evaluated in
 	live       bool
+	side       bool // interval: the recorded side every member shares
 	armed      bool // on the always-evaluate list
 	structural bool // degenerate band: stays armed until rewritten
 }
@@ -106,10 +112,11 @@ type qclass struct {
 type qstream struct {
 	bounds  boundList
 	classes []qclass
-	freeCls []int32 // recycled class ids
-	classOf []int32 // per query slot: class id, catNone or catAlways
-	armed   []int32 // class ids to evaluate on every update
-	always  int     // live filter.None entries
+	members []uint64 // class cid's member bitmap is members[cid*words:][:words]
+	freeCls []int32  // recycled class ids, their member bitmaps all zero
+	classOf []int32  // per query slot: class id, catNone or catAlways
+	armed   []int32  // class ids to evaluate on every update
+	always  int      // live filter.None entries
 
 	// recent ring-buffers the last classes classFor resolved. Protocol
 	// maintenance reinstalls a small working set of constraints over and
@@ -126,8 +133,9 @@ type qstream struct {
 // deliver scratch.
 type queryIndex struct {
 	streams []qstream
+	words   int     // stride of every stream's members array
 	touched []int32 // candidate class ids scratch
-	fired   []int32 // member slots of the classes the last deliver fired
+	fired   slotSet // members of the classes the last deliver fired
 	gen     uint64  // deliver generation for class dedupe
 }
 
@@ -135,10 +143,35 @@ func newQueryIndex(n int) *queryIndex {
 	return &queryIndex{streams: make([]qstream, n)}
 }
 
+// members returns class cid's member bitmap on stream st.
+func (x *queryIndex) members(st *qstream, cid int32) slotSet {
+	return st.members[int(cid)*x.words:][:x.words]
+}
+
+// restride re-lays every stream's member bitmaps at the stride that holds
+// slots query slots, once the slot count crosses a multiple of 64.
+func (x *queryIndex) restride(slots int) {
+	w := words(slots)
+	if w == x.words {
+		return
+	}
+	for s := range x.streams {
+		st := &x.streams[s]
+		m := make([]uint64, len(st.classes)*w)
+		for cid := range st.classes {
+			copy(m[cid*w:], x.members(st, int32(cid)))
+		}
+		st.members = m
+	}
+	x.words = w
+	x.fired = make(slotSet, w)
+}
+
 // addSlot registers a freshly appended query slot (AddQuery just wrote a
 // live filter.None entry for it at every stream).
 func (x *queryIndex) addSlot(c *Composite) {
 	qi := len(c.queries) - 1
+	x.restride(len(c.queries))
 	for s := range x.streams {
 		x.streams[s].classOf = append(x.streams[s].classOf, catNone)
 		x.set(c, s, qi, filter.NoFilter(), true)
@@ -159,22 +192,19 @@ func (x *queryIndex) removeSlot(c *Composite, qi int) {
 // never disagree about one entry.
 func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live bool) {
 	st := &x.streams[s]
+	in := c.inside[s].has(qi)
 	// Reinstalling what is already categorized — a maintenance round
 	// refreshing a query's standing constraint — must not churn the class
-	// or its boundary keys. Sides are compared against a member other than
-	// qi itself, since the install may have just rewritten qi's recorded
-	// side.
+	// or its boundary keys. The install may have just rewritten qi's
+	// recorded side: a class of one takes it as its own, a larger class
+	// keeps qi only if the sides still agree.
 	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
 		cl := &st.classes[cid]
-		ok := cons.Kind == filter.Band || len(cl.slots) == 1
-		if !ok {
-			ref := cl.slots[0]
-			if ref == int32(qi) {
-				ref = cl.slots[1]
-			}
-			ok = c.inside[s][ref] == c.inside[s][qi]
+		if cons.Kind == filter.Band || cl.side == in {
+			return
 		}
-		if ok {
+		if x.members(st, cid).count() == 1 {
+			cl.side = in
 			return
 		}
 	}
@@ -182,7 +212,7 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	case cid == catAlways:
 		st.always--
 	case cid >= 0:
-		x.detach(st, cid, int32(qi), c.vals[s])
+		x.detach(st, cid, qi, c.vals[s])
 	}
 	st.classOf[qi] = catNone
 	if !live {
@@ -195,25 +225,19 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	case cons.Silent():
 		// Can never cross; recordInside keeps its side correct for free.
 	default:
-		cid := x.classFor(c, st, s, cons, c.inside[s][qi])
-		st.classes[cid].slots = append(st.classes[cid].slots, int32(qi))
+		cid := x.classFor(c, st, s, cons, in)
+		x.members(st, cid).put(qi, true)
 		st.classOf[qi] = cid
 	}
 }
 
 // detach removes slot qi from class cid, freeing the class when it empties;
 // cur is the stream's current value.
-func (x *queryIndex) detach(st *qstream, cid, qi int32, cur float64) {
-	cl := &st.classes[cid]
-	for i, sl := range cl.slots {
-		if sl == qi {
-			cl.slots[i] = cl.slots[len(cl.slots)-1]
-			cl.slots = cl.slots[:len(cl.slots)-1]
-			break
-		}
-	}
-	if len(cl.slots) == 0 {
-		st.removeBounds(cid, cl.cons, cur)
+func (x *queryIndex) detach(st *qstream, cid int32, qi int, cur float64) {
+	m := x.members(st, cid)
+	m.put(qi, false)
+	if m.count() == 0 {
+		st.removeBounds(cid, st.classes[cid].cons, cur)
 		st.freeClass(cid)
 	}
 }
@@ -243,15 +267,13 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 			continue
 		}
 		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) &&
-			(cons.Kind == filter.Band || c.inside[s][cl.slots[0]] == ins) {
+		if cl.live && sameConstraint(cl.cons, cons) && (cons.Kind == filter.Band || cl.side == ins) {
 			return cid
 		}
 	}
 	for cid := range st.classes {
 		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) &&
-			(cons.Kind == filter.Band || c.inside[s][cl.slots[0]] == ins) {
+		if cl.live && sameConstraint(cl.cons, cons) && (cons.Kind == filter.Band || cl.side == ins) {
 			st.recent[st.recentN&7] = int32(cid)
 			st.recentN++
 			return int32(cid)
@@ -263,12 +285,13 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 		st.freeCls = st.freeCls[:k-1]
 	} else {
 		st.classes = append(st.classes, qclass{})
+		st.members = append(st.members, make([]uint64, x.words)...)
 		cid = int32(len(st.classes) - 1)
 	}
 	cl := &st.classes[cid]
 	cl.cons = cons
 	cl.live = true
-	cl.slots = cl.slots[:0]
+	cl.side = ins
 	// A class born inside a Deliver (a band fire created it) has already
 	// been accounted for this update; stamping it now prevents a recycled
 	// class id from being evaluated twice in one walk.
@@ -359,13 +382,26 @@ func (st *qstream) disarm(cid int32) {
 	}
 }
 
+// resync re-reads, after recordInside re-recorded every member's side of
+// stream s against its value v, the side each interval class caches for
+// its members. Without it a class would keep comparing against a side its
+// members no longer hold.
+func (x *queryIndex) resync(s int, v float64) {
+	st := &x.streams[s]
+	for cid := range st.classes {
+		if cl := &st.classes[cid]; cl.live && cl.cons.Kind != filter.Band {
+			cl.side = cl.cons.Contains(v)
+		}
+	}
+}
+
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
 // the value move u→v on stream s (c.vals[s] already holds v). It reports
 // whether the stream reports — with decisions and side effects (recorded
 // sides, band re-centering) exactly matching the linear scan's — and whether
 // the report concerns every live slot (all: an unfiltered entry stands, or
-// the scan ran). When it does not, x.fired holds the slots whose own entry
-// fired, unordered.
+// the scan ran). When it does not, x.fired is the bitmap of the slots whose
+// own entry fired.
 func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bool) {
 	if math.IsNaN(u) || math.IsNaN(v) {
 		crossed = c.deliverScan(s, v)
@@ -382,7 +418,7 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		return all, all
 	}
 	x.gen++
-	x.fired = x.fired[:0]
+	clear(x.fired)
 	crossed = all
 	// The finger moves to v, and class ids are collected, before any class
 	// is evaluated: a band fire re-centres its class and so rewrites the
@@ -405,9 +441,10 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 
 // evalClass applies one class's crossing semantics to the new value v,
 // mirroring the linear scan's per-entry switch for every member at once. A
-// class that fires adds its members to x.fired.
+// class that fires ORs its member bitmap into x.fired.
 func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v float64) bool {
 	cl := &st.classes[cid]
+	m, ins := x.members(st, cid), c.inside[s]
 	if cl.cons.Kind == filter.Band {
 		if cl.cons.Contains(v) {
 			if cl.armed && !cl.structural {
@@ -417,12 +454,14 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 			return false
 		}
 		nc := filter.NewBand(v, cl.cons.BandHalfWidth())
-		row, ins := c.cons[s], c.inside[s]
-		for _, sl := range cl.slots {
-			row[sl] = nc
-			ins[sl] = true
+		row := c.cons[s]
+		for w, b := range m {
+			x.fired[w] |= b
+			ins[w] |= b
+			for ; b != 0; b &= b - 1 {
+				row[w<<6|bits.TrailingZeros64(b)] = nc
+			}
 		}
-		x.fired = append(x.fired, cl.slots...)
 		x.rekeyBand(st, cid, nc, v)
 		return true
 	}
@@ -432,14 +471,18 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 		st.disarm(cid)
 		cl.armed = false
 	}
-	if now == c.inside[s][cl.slots[0]] {
+	if now == cl.side {
 		return false
 	}
-	ins := c.inside[s]
-	for _, sl := range cl.slots {
-		ins[sl] = now
+	cl.side = now
+	var on uint64
+	if now {
+		on = ^uint64(0)
 	}
-	x.fired = append(x.fired, cl.slots...)
+	for w, b := range m {
+		x.fired[w] |= b
+		ins[w] = ins[w]&^b | b&on
+	}
 	return true
 }
 
@@ -455,11 +498,14 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 		if int32(tid) == cid || !tgt.live || !sameConstraint(tgt.cons, nc) {
 			continue
 		}
-		tgt.slots = append(tgt.slots, cl.slots...)
-		for _, sl := range cl.slots {
-			st.classOf[sl] = int32(tid)
+		tm, m := x.members(st, int32(tid)), x.members(st, cid)
+		for w, b := range m {
+			tm[w] |= b
+			m[w] = 0
+			for ; b != 0; b &= b - 1 {
+				st.classOf[w<<6|bits.TrailingZeros64(b)] = int32(tid)
+			}
 		}
-		cl.slots = cl.slots[:0]
 		st.freeClass(cid)
 		return
 	}
@@ -484,6 +530,7 @@ func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st := &x.streams[s]
 	st.bounds = boundList{keys: st.bounds.keys[:0]}
 	st.classes = st.classes[:0]
+	st.members = st.members[:0]
 	st.freeCls = st.freeCls[:0]
 	st.armed = st.armed[:0]
 	st.always = 0
@@ -503,6 +550,7 @@ func (x *queryIndex) rebuildStream(c *Composite, s int) {
 // constraint vectors is the invariant that keeps the snapshot encoding
 // unchanged and the index incapable of drifting across a save/load cycle.
 func (x *queryIndex) rebuild(c *Composite) {
+	x.restride(len(c.queries))
 	for s := range x.streams {
 		st := &x.streams[s]
 		st.classOf = st.classOf[:0]

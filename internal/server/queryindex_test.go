@@ -179,6 +179,14 @@ func populations() []population {
 			return rangeBuild(seedID)
 		}},
 		{name: "mixed", queries: 8, nan: false, build: mixedBuild},
+		// Past one bitmap word: classes, recorded sides and both dispatch
+		// masks span slots on either side of 63/64.
+		{name: "wide", queries: 70, nan: true, build: func(seedID int64) func(server.Host) server.Protocol {
+			if seedID%10 == 4 {
+				return churnerBuild(seedID)
+			}
+			return rangeBuild(seedID)
+		}},
 	}
 }
 
@@ -349,7 +357,14 @@ func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp
 // random walk with Normal(0, 20) steps reflected into [0, 1000]. One op
 // replays the walk forward and back, so every stream ends where it started;
 // ns/event is the figure to compare, at 0 allocs/op.
-func BenchmarkCompositeDeliver(b *testing.B) {
+func BenchmarkCompositeDeliver(b *testing.B) { benchCompositeDeliver(b, 1) }
+
+// BenchmarkCompositeDeliverWide is the same walk under 256 standing
+// queries, four bitmap words: the 64-query mix four times over, each copy's
+// ranges 15 above the last one's.
+func BenchmarkCompositeDeliverWide(b *testing.B) { benchCompositeDeliver(b, 4) }
+
+func benchCompositeDeliver(b *testing.B, copies int) {
 	const n, steps, sigma = 64, 4096, 20.0
 	rng := rand.New(rand.NewSource(1))
 	reflect := func(v float64) float64 {
@@ -390,17 +405,23 @@ func BenchmarkCompositeDeliver(b *testing.B) {
 			})
 		}
 	}
-	for i := 0; i < 28; i++ {
-		lo := 60 * float64(i%16)
-		c.AddQuery(fmt.Sprintf("band-%d", i), int64(i), ftnrp(int64(i), lo, lo+100))
-	}
-	for i := 0; i < 28; i++ {
-		lo := 100 + 25*float64(i)
-		c.AddQuery(fmt.Sprintf("range-%d", i), int64(28+i), ftnrp(int64(28+i), lo, lo+200))
-	}
-	for i := 0; i < 8; i++ {
-		rg := query.NewRange(120*float64(i), 120*float64(i)+80)
-		c.AddQuery(fmt.Sprintf("zt-%d", i), int64(56+i), func(h server.Host) server.Protocol { return core.NewZTNRP(h, rg) })
+	for k := 0; k < copies; k++ {
+		id, off := int64(64*k), 15*float64(k)
+		for i := 0; i < 28; i++ {
+			lo := off + 60*float64(i%16)
+			c.AddQuery(fmt.Sprintf("band-%d", 28*k+i), id, ftnrp(id, lo, lo+100))
+			id++
+		}
+		for i := 0; i < 28; i++ {
+			lo := off + 100 + 25*float64(i)
+			c.AddQuery(fmt.Sprintf("range-%d", 28*k+i), id, ftnrp(id, lo, lo+200))
+			id++
+		}
+		for i := 0; i < 8; i++ {
+			rg := query.NewRange(off+120*float64(i), off+120*float64(i)+80)
+			c.AddQuery(fmt.Sprintf("zt-%d", 8*k+i), id, func(h server.Host) server.Protocol { return core.NewZTNRP(h, rg) })
+			id++
+		}
 	}
 	c.Initialize()
 	replay := func() {
@@ -421,11 +442,12 @@ func BenchmarkCompositeDeliver(b *testing.B) {
 // and crossed-only dispatch — bit-identical to the linear reference, which
 // scans every entry and dispatches to every live query: full fabric
 // snapshots (constraint vectors, recorded sides, tables, counters, protocol
-// state) and ServerOps compared at every snapshot cut and at the end. Three
+// state) and ServerOps compared at every snapshot cut and at the end. Four
 // populations: adversarial constraint churn; CrossingDriven range queries;
-// and the serving mix of range queries, one RTP, one VB-kNN and a churner —
-// each with query admission/removal, a not-yet-filtered slot, ±Inf and
-// (where the protocols allow) NaN deliveries, and mid-schedule restores.
+// the serving mix of range queries, one RTP, one VB-kNN and a churner; and
+// 70 range queries and churners, two bitmap words wide — each with query
+// admission/removal, a not-yet-filtered slot, ±Inf and (where the
+// protocols allow) NaN deliveries, and mid-schedule restores.
 func TestQueryIndexEquivalence(t *testing.T) {
 	const n = 24
 	for _, pop := range populations() {
