@@ -14,13 +14,13 @@ import (
 
 var updatePins = flag.Bool("update-pins", false, "rewrite the testdata pin files from the current code")
 
-// pinWalk is one seeded walk of a rank protocol whose whole observable
+// pinWalk is one seeded walk of a protocol whose whole observable
 // trajectory is pinned: after every event the answer, every message
 // counter, ServerOps and the protocol's own rebuild counters are folded
 // into a running digest, and the digest is recorded every pinEvery events.
-// The pins were recorded with the full-sort rank tables, so any ranking
-// shortcut that changes a tie-break, a charge or a message shows up as the
-// first differing checkpoint.
+// The rank protocols' pins were recorded with the full-sort rank tables,
+// so any ranking shortcut that changes a tie-break, a charge or a message
+// shows up as the first differing checkpoint.
 type pinWalk[V comparable, C filter.Of[V, C]] struct {
 	name  string
 	n     int
@@ -75,6 +75,24 @@ func pinWalks() []pinWalk[float64, filter.Constraint] {
 		{name: "no-filter-knn", n: 300, seed: 10, jumpy: true, build: func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
 			return core.NewNoFilterKNN(c, query.NewKNN(query.At(500), 6)), func() [2]uint64 { return [2]uint64{} }
 		}},
+		// FT-NRP over [400, 600] under both heuristics, the pseudocode's
+		// Fix_Error, and with re-initialization off. Redrawn values drain
+		// the silent pools, so the first two walks re-initialize and pin a
+		// redeploy's installs and selection draws.
+		{name: "ft-nrp", n: 300, seed: 12, jumpy: true, build: ftnrpPin(core.FTNRPConfig{})},
+		{name: "ft-nrp-random", n: 300, seed: 13, jumpy: true, build: ftnrpPin(core.FTNRPConfig{Selection: core.SelectRandom})},
+		{name: "ft-nrp-faithful", n: 300, seed: 14, jumpy: true, build: ftnrpPin(core.FTNRPConfig{Faithful: true})},
+		{name: "ft-nrp-reinit-never", n: 300, seed: 15, build: ftnrpPin(core.FTNRPConfig{Reinit: core.ReinitNever})},
+	}
+}
+
+// ftnrpPin builds FT-NRP over [400, 600] at ε⁺ = ε⁻ = 0.1 with cfg's
+// selection, Fix_Error variant and re-initialization policy.
+func ftnrpPin(cfg core.FTNRPConfig) func(*server.Cluster) (server.Protocol, func() [2]uint64) {
+	return func(c *server.Cluster) (server.Protocol, func() [2]uint64) {
+		cfg.Tol, cfg.Seed = core.FractionTolerance{EpsPlus: 0.1, EpsMinus: 0.1}, 11
+		p := core.NewFTNRP(c, query.NewRange(400, 600), cfg)
+		return p, func() [2]uint64 { return [2]uint64{0, p.Reinits} }
 	}
 }
 
