@@ -412,3 +412,23 @@ func TestZTNRPAlwaysExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFTNRPInstallsNeverMismatch is why FT-NRP's t0 and re-initialization
+// may deploy in four batches (silent holders first, then the interval on
+// the rest of each side): every deploy follows a ProbeAll, so the side a
+// batch claims — the side the constraint puts the table value on — is the
+// true side and no install draws a report. The population starts inside
+// [400, 600] and is redrawn over [0, 1000), so exits outrun entries and
+// drain the silent pools again and again.
+func TestFTNRPInstallsNeverMismatch(t *testing.T) {
+	auditInstalls(t, func(h server.Host, sel core.Selection) (server.Protocol, func() uint64) {
+		p := core.NewFTNRP(h, testRange, core.FTNRPConfig{
+			Tol:       core.FractionTolerance{EpsPlus: 0.05, EpsMinus: 0.05},
+			Selection: sel,
+			Reinit:    core.ReinitAlways,
+		})
+		return p, func() uint64 { return p.Reinits }
+	},
+		func(rng *rand.Rand) float64 { return float64(400 + rng.Intn(201)) },
+		func(rng *rand.Rand, _ float64) float64 { return float64(rng.Intn(1000)) })
+}

@@ -350,10 +350,13 @@ func (h *installAuditHost[V, C]) audit(id int, cons C, expectInside bool) {
 	}
 }
 
-// auditInstalls runs FT-RP around q behind an installAuditHost over a
-// seeded walk — draw places a value, step moves one — under both selection
-// heuristics.
-func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T, q query.CenterOf[V, C],
+// auditInstalls runs the protocol build returns behind an installAuditHost
+// over a seeded walk — draw places a value, step moves one — under both
+// selection heuristics. redeploys reads the protocol's count of full
+// redeploys (FT-RP's rebuilds, FT-NRP's re-initializations); the walk must
+// make at least ten.
+func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T,
+	build func(h server.HostOf[V, C], sel core.Selection) (p server.ProtocolOf[V], redeploys func() uint64),
 	draw func(*rand.Rand) V, step func(*rand.Rand, V) V) {
 	for _, sel := range []core.Selection{core.SelectBoundaryNearest, core.SelectRandom} {
 		rng := rand.New(rand.NewSource(31))
@@ -362,9 +365,7 @@ func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T, q query.Center
 			vals[i] = draw(rng)
 		}
 		h := &installAuditHost[V, C]{ClusterOf: server.NewClusterOf[V, C](vals, server.Config{}), t: t}
-		cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
-		cfg.Selection = sel
-		p := core.NewFTRP(h, q, 12, cfg)
+		p, redeploys := build(h, sel)
 		h.SetProtocol(p)
 		h.Initialize()
 		for ev := 0; ev < 10000; ev++ {
@@ -372,10 +373,20 @@ func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T, q query.Center
 			vals[id] = step(rng, vals[id])
 			h.Deliver(id, vals[id])
 		}
-		if p.Recomputes < 10 || h.installs < 10*len(vals) {
-			t.Fatalf("%v: only %d rebuilds / %d audited installs; the walk is too quiet to prove anything",
-				sel, p.Recomputes, h.installs)
+		if redeploys() < 10 || h.installs < 10*len(vals) {
+			t.Fatalf("%v: only %d redeploys / %d audited installs; the walk is too quiet to prove anything",
+				sel, redeploys(), h.installs)
 		}
+	}
+}
+
+// ftrpAudit builds FT-RP around q for auditInstalls.
+func ftrpAudit[V comparable, C filter.Of[V, C]](q query.CenterOf[V, C]) func(server.HostOf[V, C], core.Selection) (server.ProtocolOf[V], func() uint64) {
+	return func(h server.HostOf[V, C], sel core.Selection) (server.ProtocolOf[V], func() uint64) {
+		cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
+		cfg.Selection = sel
+		p := core.NewFTRP(h, q, 12, cfg)
+		return p, func() uint64 { return p.Recomputes }
 	}
 }
 
@@ -386,11 +397,11 @@ func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T, q query.Center
 // (TestProtocolPins' ft-rp walks pin the same thing end to end.)
 func TestFTRPInstallsNeverMismatch(t *testing.T) {
 	t.Run("line", func(t *testing.T) {
-		auditInstalls(t, query.At(500),
+		auditInstalls(t, ftrpAudit(query.At(500)),
 			func(rng *rand.Rand) float64 { return float64(rng.Intn(1000)) },
 			func(rng *rand.Rand, v float64) float64 { return v + float64(rng.Intn(81)-40) })
 	})
 	t.Run("planar", func(t *testing.T) {
-		auditInstalls(t, query.Around(pt(250, 250)), pinDrawPlanar, pinStepPlanar)
+		auditInstalls(t, ftrpAudit(query.Around(pt(250, 250))), pinDrawPlanar, pinStepPlanar)
 	})
 }
