@@ -66,14 +66,11 @@ func (m *LocalMember) AddQuery(ti int, q wire.QuerySpec) (int, error) {
 	if ti < 0 || ti >= m.node.NumTenants() || !m.node.Alive(ti) {
 		return 0, fmt.Errorf("cluster: no live tenant %d", ti)
 	}
-	if err := q.Spec.Validate(m.node.StreamCount(ti)); err != nil {
-		return 0, err
-	}
-	build, err := q.Spec.Factory()
+	rq, err := q.Runtime(m.node.StreamCount(ti))
 	if err != nil {
 		return 0, err
 	}
-	return m.node.AddQuery(ti, runtime.QuerySpec{Name: q.Name, NewProtocol: build})
+	return m.node.AddQuery(ti, rq)
 }
 
 func (m *LocalMember) RemoveQuery(ti, qi int) error { return m.node.RemoveQuery(ti, qi) }

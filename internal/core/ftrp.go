@@ -7,7 +7,6 @@ import (
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
 )
 
@@ -50,18 +49,13 @@ func DefaultFTRPConfig(tol FractionTolerance) FTRPConfig {
 // all-containing disk and the empty one.
 type FTRPOf[V any, C filter.Of[V, C]] struct {
 	ranker[V, C]
+	fraction
 	k   int
 	cfg FTRPConfig
-	sel *sim.RNG
 
 	rhoPlus, rhoMinus         float64
 	nPlusBudget, nMinusBudget int
 	minA, maxA                int
-
-	ans   intSet // A(t): streams believed inside R
-	fp    intSet // false-positive (wide-open) filter holders
-	fn    intSet // false-negative (shut) filter holders
-	count int
 
 	d   float64
 	cur C
@@ -84,10 +78,9 @@ func NewFTRP[V any, C filter.Of[V, C]](c server.HostOf[V, C], q query.CenterOf[V
 	}
 	checkCenter(q)
 	p := &FTRPOf[V, C]{
-		ranker: ranker[V, C]{c: c, q: q},
-		k:      k, cfg: cfg,
-		sel: sim.NewRNG(cfg.Seed).Split(ftrpSelStream),
-		ans: newIntSet(), fp: newIntSet(), fn: newIntSet(),
+		ranker:   ranker[V, C]{c: c, q: q},
+		fraction: newFraction(cfg.Selection, cfg.Faithful, cfg.Seed, ftrpSelStream),
+		k:        k, cfg: cfg,
 	}
 	p.rhoPlus, p.rhoMinus = cfg.Tol.DeriveRho(cfg.Lambda)
 	p.nPlusBudget = int(float64(k) * p.rhoPlus)
@@ -148,12 +141,6 @@ func (p *FTRPOf[V, C]) Rho() (rhoPlus, rhoMinus float64) { return p.rhoPlus, p.r
 // Bound returns the deployed region (tests).
 func (p *FTRPOf[V, C]) Bound() C { return p.cur }
 
-// NPlus returns the current number of false-positive filters.
-func (p *FTRPOf[V, C]) NPlus() int { return p.fp.len() }
-
-// NMinus returns the current number of false-negative filters.
-func (p *FTRPOf[V, C]) NMinus() int { return p.fn.len() }
-
 // Initialize probes everything and deploys R plus the silent filters.
 func (p *FTRPOf[V, C]) Initialize() {
 	p.probeAll()
@@ -174,103 +161,35 @@ func (p *FTRPOf[V, C]) rebuild() {
 		m = p.c.N()
 	}
 	sorted, dists := p.rankNearest(m)
-	p.ans.clear()
-	p.fp.clear()
-	p.fn.clear()
-	p.count = 0
-	inside := sorted[:p.k]
-	outside := sorted[p.k:]
-	for _, id := range inside {
-		p.ans.add(id)
-	}
 	p.d = midpoint(dists[p.k-1], dists[p.k])
 	p.cur = p.q.BallConstraint(p.d)
 
 	// Boundary-nearest for a ball region: inside streams closest to the
 	// boundary have the largest distance from q; outside streams closest to
-	// the boundary have the smallest distance beyond it. The picks reorder
-	// each half in place and lead it, so the ranking — a permutation of all
-	// n ids — splits into the four batches deployed below. Every rebuild
-	// follows a ProbeAll, so the table is the truth and no install draws a
-	// mismatch report: the ranked install order is unobservable
-	// (TestFTRPInstallsNeverMismatch).
-	fp := p.pickSilent(inside, dists[:p.k], p.nPlusBudget, true)
-	fn := p.pickSilent(outside, dists[p.k:], p.nMinusBudget, false)
-	for _, id := range fp {
-		p.fp.add(id)
-	}
-	for _, id := range fn {
-		p.fn.add(id)
-	}
-	p.c.InstallBatch(fp, p.q.WideOpen())
-	p.c.InstallBatch(inside[len(fp):], p.cur)
-	p.c.InstallBatch(fn, p.q.Shut())
-	p.c.InstallBatch(outside[len(fn):], p.cur)
-	p.Recomputes++
-}
-
-// pickSilent selects up to n silent-filter holders from ids (reordering
-// them), scoring by distance to the ball boundary. dists holds the ranking's
-// table distances of ids and is overwritten with the scores, so a call
-// allocates nothing and recomputes no distance.
-func (p *FTRPOf[V, C]) pickSilent(ids []int, dists []float64, n int, insideRegion bool) []int {
+	// the boundary have the smallest distance beyond it. The ranking's
+	// distances are overwritten with those scores, so the deploy allocates
+	// nothing and recomputes no distance; it splits the ranking — a
+	// permutation of all n ids — into its four batches.
 	for i, d := range dists {
-		if insideRegion {
+		if i < p.k {
 			dists[i] = p.d - d
 		} else {
 			dists[i] = d - p.d
 		}
 	}
-	return p.cfg.Selection.pickKeyed(ids, dists, n, p.sel.Rand)
+	deploy(&p.fraction, p.c, sorted[:p.k], sorted[p.k:], dists[:p.k], dists[p.k:],
+		p.nPlusBudget, p.nMinusBudget, p.cur, p.q.WideOpen(), p.q.Shut())
+	p.Recomputes++
 }
 
 // HandleUpdate runs the FT-NRP maintenance machinery against the current R
 // and recomputes R when the answer size leaves the admissible window.
 func (p *FTRPOf[V, C]) HandleUpdate(id stream.ID, v V) {
 	p.c.AddServerOps(1)
-	if p.cur.Contains(v) {
-		if !p.ans.has(id) {
-			p.ans.add(id)
-			p.count++
-		}
-	} else if p.ans.has(id) {
-		p.ans.remove(id)
-		if p.count > 0 {
-			p.count--
-		} else {
-			p.fixError()
-		}
+	if p.step(id, p.cur.Contains(v)) {
+		fixError(&p.fraction, p.c, p.cur)
 	}
 	p.checkWindow()
-}
-
-// fixError mirrors FT-NRP's Fix_Error with the range replaced by R.
-func (p *FTRPOf[V, C]) fixError() {
-	if p.fp.len() > 0 {
-		sy, _ := p.fp.min()
-		vy := p.c.Probe(sy)
-		if p.cur.Contains(vy) {
-			p.ans.add(sy)
-			p.c.Install(sy, p.cur, true)
-			p.fp.remove(sy)
-			return
-		}
-		p.ans.remove(sy)
-		if !p.cfg.Faithful {
-			p.c.Install(sy, p.cur, false)
-			p.fp.remove(sy)
-		}
-	}
-	if p.fn.len() > 0 {
-		sz, _ := p.fn.min()
-		vz := p.c.Probe(sz)
-		inside := p.cur.Contains(vz)
-		if inside {
-			p.ans.add(sz)
-		}
-		p.c.Install(sz, p.cur, inside)
-		p.fn.remove(sz)
-	}
 }
 
 // checkWindow enforces §5.2.3(2): when |A(t)| exceeds k/(1−ε⁺) the region is
@@ -283,6 +202,3 @@ func (p *FTRPOf[V, C]) checkWindow() {
 	p.probeAll()
 	p.rebuild()
 }
-
-// Answer implements server.Protocol.
-func (p *FTRPOf[V, C]) Answer() []stream.ID { return p.ans.sorted() }

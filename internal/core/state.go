@@ -73,18 +73,6 @@ func importSet(r *snapshot.Reader, s *intSet, n int) error {
 	return nil
 }
 
-// importCount decodes Figure 7's non-negative count variable.
-func importCount(r *snapshot.Reader) (int, error) {
-	c := r.Int()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if c < 0 {
-		return 0, fmt.Errorf("core: snapshot count %d negative", c)
-	}
-	return c, nil
-}
-
 // exportSel writes a selection RNG's position, failing the export when the
 // position has grown past the bound Skip can replay — minting a snapshot
 // that no restore could accept would be worse than refusing to snapshot.
@@ -148,47 +136,27 @@ func importIndex(r *snapshot.Reader, ix *rankindex.Index) error {
 	return nil
 }
 
-// --- FT-NRP --------------------------------------------------------------
+// --- FT-NRP and FT-RP: the shared Figure 7 prefix, then each one's tail --
 
 // ExportState implements server.StatefulProtocol.
 func (p *FTNRP) ExportState(w *snapshot.Writer) {
-	exportSet(w, &p.ans)
-	exportSet(w, &p.fp)
-	exportSet(w, &p.fn)
-	w.Int(p.count)
+	p.exportState(w)
 	w.Uint64(p.Reinits)
 	exportSel(w, p.sel)
 }
 
 // ImportState implements server.StatefulProtocol.
 func (p *FTNRP) ImportState(r *snapshot.Reader) error {
-	n := p.c.N()
-	if err := importSet(r, &p.ans, n); err != nil {
+	if err := p.importState(r, p.c.N()); err != nil {
 		return err
 	}
-	if err := importSet(r, &p.fp, n); err != nil {
-		return err
-	}
-	if err := importSet(r, &p.fn, n); err != nil {
-		return err
-	}
-	count, err := importCount(r)
-	if err != nil {
-		return err
-	}
-	p.count = count
 	p.Reinits = r.Uint64()
 	return importSel(r, p.sel)
 }
 
-// --- FT-RP ---------------------------------------------------------------
-
 // ExportState implements server.StatefulProtocol.
 func (p *FTRPOf[V, C]) ExportState(w *snapshot.Writer) {
-	exportSet(w, &p.ans)
-	exportSet(w, &p.fp)
-	exportSet(w, &p.fn)
-	w.Int(p.count)
+	p.exportState(w)
 	w.Float64(p.d)
 	p.cur.ExportState(w)
 	w.Uint64(p.Recomputes)
@@ -197,21 +165,9 @@ func (p *FTRPOf[V, C]) ExportState(w *snapshot.Writer) {
 
 // ImportState implements server.StatefulProtocol.
 func (p *FTRPOf[V, C]) ImportState(r *snapshot.Reader) error {
-	n := p.c.N()
-	if err := importSet(r, &p.ans, n); err != nil {
+	if err := p.importState(r, p.c.N()); err != nil {
 		return err
 	}
-	if err := importSet(r, &p.fp, n); err != nil {
-		return err
-	}
-	if err := importSet(r, &p.fn, n); err != nil {
-		return err
-	}
-	count, err := importCount(r)
-	if err != nil {
-		return err
-	}
-	p.count = count
 	p.d = r.Float64()
 	cur, err := p.cur.ImportState(r)
 	if err != nil {

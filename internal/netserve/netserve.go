@@ -67,7 +67,6 @@
 package netserve
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -569,36 +568,5 @@ func wireQueryRuntime(node *runtime.Node, ti int, q wire.QuerySpec) (runtime.Que
 	if ti < 0 || ti >= node.NumTenants() || !node.Alive(ti) {
 		return runtime.QuerySpec{}, fmt.Errorf("netserve: no live tenant %d", ti)
 	}
-	if err := q.Spec.Validate(node.StreamCount(ti)); err != nil {
-		return runtime.QuerySpec{}, err
-	}
-	build, err := q.Spec.Factory()
-	if err != nil {
-		return runtime.QuerySpec{}, err
-	}
-	return runtime.QuerySpec{Name: q.Name, NewProtocol: build}, nil
-}
-
-// ListenAndServe is the one-call embedding wrapper: build and start a
-// node, listen on addr, serve until a Shutdown request or ctx
-// cancellation, then stop the node. (cmd/streamsim assembles the pieces
-// itself instead, to print the resolved address and drain t0 first.)
-func ListenAndServe(ctx context.Context, addr string, cfg runtime.Config, specs []runtime.TenantSpec, opts Options) error {
-	node, err := runtime.NewNode(cfg, specs)
-	if err != nil {
-		return err
-	}
-	if err := node.Start(ctx); err != nil {
-		return err
-	}
-	defer node.Stop()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s := Serve(ln, node, opts)
-	stop := context.AfterFunc(ctx, s.Close)
-	defer stop()
-	s.Wait()
-	return nil
+	return q.Runtime(node.StreamCount(ti))
 }

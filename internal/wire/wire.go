@@ -373,6 +373,19 @@ type QuerySpec struct {
 	Spec protospec.Spec
 }
 
+// Runtime validates the query against a partition of n streams and
+// compiles it to the factory form runtime.Node admits.
+func (q QuerySpec) Runtime(n int) (runtime.QuerySpec, error) {
+	if err := q.Spec.Validate(n); err != nil {
+		return runtime.QuerySpec{}, err
+	}
+	build, err := q.Spec.Factory()
+	if err != nil {
+		return runtime.QuerySpec{}, err
+	}
+	return runtime.QuerySpec{Name: q.Name, NewProtocol: build}, nil
+}
+
 // TenantSpec is the wire form of runtime.TenantSpec: declarative protocol
 // specs instead of factories, so it can cross the process boundary. A
 // single-query tenant sets Spec; a multi-query tenant sets Queries.
@@ -397,26 +410,20 @@ func (t TenantSpec) Runtime() (runtime.TenantSpec, error) {
 	}
 	spec := runtime.TenantSpec{Name: t.Name, Initial: t.Initial}
 	if len(t.Queries) == 0 {
-		if err := t.Spec.Validate(len(t.Initial)); err != nil {
-			return runtime.TenantSpec{}, err
-		}
-		build, err := t.Spec.Factory()
+		q, err := QuerySpec{Spec: t.Spec}.Runtime(len(t.Initial))
 		if err != nil {
 			return runtime.TenantSpec{}, err
 		}
-		spec.NewProtocol = build
+		spec.NewProtocol = q.NewProtocol
 		return spec, nil
 	}
 	spec.Queries = make([]runtime.QuerySpec, len(t.Queries))
 	for qi, qs := range t.Queries {
-		if err := qs.Spec.Validate(len(t.Initial)); err != nil {
-			return runtime.TenantSpec{}, fmt.Errorf("query %d: %w", qi, err)
-		}
-		build, err := qs.Spec.Factory()
+		q, err := qs.Runtime(len(t.Initial))
 		if err != nil {
 			return runtime.TenantSpec{}, fmt.Errorf("query %d: %w", qi, err)
 		}
-		spec.Queries[qi] = runtime.QuerySpec{Name: qs.Name, NewProtocol: build}
+		spec.Queries[qi] = q
 	}
 	return spec, nil
 }
