@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
-	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
 )
 
@@ -133,31 +130,4 @@ func deploy[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], inside
 	c.InstallBatch(inside[len(fp):], region)
 	c.InstallBatch(fn, shut)
 	c.InstallBatch(outside[len(fn):], region)
-}
-
-// exportState writes the answer, the two pools and count: the snapshot
-// prefix both protocols share.
-func (f *fraction) exportState(w *snapshot.Writer) {
-	exportSet(w, &f.ans)
-	exportSet(w, &f.fp)
-	exportSet(w, &f.fn)
-	w.Int(f.count)
-}
-
-// importState reads what exportState wrote, for a host of n streams.
-func (f *fraction) importState(r *snapshot.Reader, n int) error {
-	for _, s := range []*intSet{&f.ans, &f.fp, &f.fn} {
-		if err := importSet(r, s, n); err != nil {
-			return err
-		}
-	}
-	count := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if count < 0 {
-		return fmt.Errorf("core: snapshot count %d negative", count)
-	}
-	f.count = count
-	return nil
 }

@@ -138,6 +138,33 @@ func importIndex(r *snapshot.Reader, ix *rankindex.Index) error {
 
 // --- FT-NRP and FT-RP: the shared Figure 7 prefix, then each one's tail --
 
+// exportState writes the answer, the two pools and count: the snapshot
+// prefix both protocols share.
+func (f *fraction) exportState(w *snapshot.Writer) {
+	exportSet(w, &f.ans)
+	exportSet(w, &f.fp)
+	exportSet(w, &f.fn)
+	w.Int(f.count)
+}
+
+// importState reads what exportState wrote, for a host of n streams.
+func (f *fraction) importState(r *snapshot.Reader, n int) error {
+	for _, s := range []*intSet{&f.ans, &f.fp, &f.fn} {
+		if err := importSet(r, s, n); err != nil {
+			return err
+		}
+	}
+	count := r.Int()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if count < 0 {
+		return fmt.Errorf("core: snapshot count %d negative", count)
+	}
+	f.count = count
+	return nil
+}
+
 // ExportState implements server.StatefulProtocol.
 func (p *FTNRP) ExportState(w *snapshot.Writer) {
 	p.exportState(w)
