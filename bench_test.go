@@ -233,33 +233,6 @@ func BenchmarkAblationRhoSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBroadcast compares per-stream bound announcements (the
-// paper's accounting) with a broadcast medium where one install reaches all
-// streams.
-func BenchmarkAblationBroadcast(b *testing.B) {
-	for _, broadcast := range []bool{false, true} {
-		name := "per-stream"
-		if broadcast {
-			name = "broadcast"
-		}
-		broadcast := broadcast
-		b.Run(name, func(b *testing.B) {
-			w := synWorkload(b, 1000, 20000, 20)
-			tol := core.RankTolerance{K: 20, R: 5}
-			reportMsgs(b, func() uint64 {
-				res := experiment.Run(experiment.Config{
-					Workload: w,
-					Cluster:  server.Config{BroadcastInstall: broadcast},
-					NewProtocol: func(c server.Host, _ int64) server.Protocol {
-						return core.NewRTP(c, query.At(500), tol)
-					},
-				})
-				return res.MaintMessages
-			})
-		})
-	}
-}
-
 // BenchmarkDeliverThroughput measures raw event-processing speed of the
 // cluster + FT-NRP stack (events per op).
 func BenchmarkDeliverThroughput(b *testing.B) {

@@ -19,11 +19,7 @@ type matrixGroup struct {
 	name   string
 	common string // workload and protocol flags every run of the group shares
 	ref    string // the reference run's own flags
-	// unaudited runs the group without -check: rank protocols on the
-	// multi-query fabric do not hold Definition 1 yet (ROADMAP "Known
-	// breach"); their rows are byte-compared only.
-	unaudited bool
-	checks    []matrixCheck
+	checks []matrixCheck
 }
 
 // matrixCheck is one variant. By default it is a single in-process run with
@@ -32,8 +28,8 @@ type matrixGroup struct {
 // flags is a loopback -listen run and a -connect run with the connect flags
 // drives it; the served node's dump and the wire-fetched one are both
 // compared. Every dump a check produces must equal the reference's, and
-// every run that plays the workload — all but the listeners and the
-// unaudited groups — runs under -check and must report zero oracle
+// every run that plays the workload — all but the listeners — runs under
+// -check and must report zero oracle
 // violations: the rows are lossless, so the paper's guarantee holds on each
 // of these paths or the row fails.
 type matrixCheck struct {
@@ -101,12 +97,10 @@ var determinismMatrix = []matrixGroup{
 	},
 	{
 		name: "multiquery-rtp", common: "-tenants 2 -queries 4 -n 100 -events 2000 -protocol rtp", ref: "-shards 1",
-		unaudited: true,
-		checks:    []matrixCheck{{name: "shards=4", flags: "-shards 4"}},
+		checks: []matrixCheck{{name: "shards=4", flags: "-shards 4"}},
 	},
 	{
 		name: "multiquery-rtp-cluster", common: "-tenants 4 -queries 3 -n 120 -events 3000 -protocol rtp", ref: "-shards 2",
-		unaudited: true,
 		checks: []matrixCheck{
 			{name: "cluster=3/migrating", flags: "-shards 2 -cluster 3 -migrate-every 1500"},
 		},
@@ -164,19 +158,16 @@ func simulate(dir string, flags ...string) (dump []byte, stdout string, err erro
 // found nothing: "0 checks, 0 violations" certifies no path.
 var oracleClean = regexp.MustCompile(`(?m) [1-9][0-9]* checks, 0 violations$`)
 
-// mustSimulate is simulate for the test's own goroutine. With audit set the
-// run is under -check and must hold the paper's guarantee at one sample at
-// least.
-func mustSimulate(t *testing.T, audit bool, flags ...string) []byte {
+// mustSimulate is simulate for the test's own goroutine. The run is under
+// -check and must hold the paper's guarantee at one sample at least.
+func mustSimulate(t *testing.T, flags ...string) []byte {
 	t.Helper()
-	if audit {
-		flags = append(flags, "-check")
-	}
+	flags = append(flags, "-check")
 	data, stdout, err := simulate(t.TempDir(), flags...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if audit && !oracleClean.MatchString(stdout) {
+	if !oracleClean.MatchString(stdout) {
 		t.Fatalf("streamsim %s: oracle did not report checks with zero violations:\n%s", strings.Join(flags, " "), stdout)
 	}
 	return data
@@ -184,7 +175,7 @@ func mustSimulate(t *testing.T, audit bool, flags ...string) []byte {
 
 // loopback serves one -listen run and drives it with one -connect run,
 // returning the served node's dump and the wire-fetched one.
-func loopback(t *testing.T, audit bool, listen, connect string) (served, fetched []byte) {
+func loopback(t *testing.T, listen, connect string) (served, fetched []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	ready := filepath.Join(dir, "ready.txt")
@@ -209,7 +200,7 @@ func loopback(t *testing.T, audit bool, listen, connect string) (served, fetched
 			t.Fatal("listener never became ready")
 		}
 	}
-	fetched = mustSimulate(t, audit, connect, "-shutdown -connect", string(addr))
+	fetched = mustSimulate(t, connect, "-shutdown -connect", string(addr))
 	<-done
 	if listenErr != nil {
 		t.Fatal(listenErr)
@@ -224,8 +215,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			audit := !g.unaudited
-			want := mustSimulate(t, audit, g.common, g.ref)
+			want := mustSimulate(t, g.common, g.ref)
 			if !bytes.Contains(want, []byte("totals {")) {
 				t.Fatalf("reference dump looks wrong:\n%s", want)
 			}
@@ -237,12 +227,12 @@ func TestDeterminismMatrix(t *testing.T) {
 				switch {
 				case c.restore != "":
 					snap := filepath.Join(t.TempDir(), "cut.snap")
-					dumps["snapshotting"] = mustSimulate(t, audit, g.common, c.flags, "-snapshot-file", snap)
-					dumps["restored"] = mustSimulate(t, audit, g.common, c.restore, "-restore", snap)
+					dumps["snapshotting"] = mustSimulate(t, g.common, c.flags, "-snapshot-file", snap)
+					dumps["restored"] = mustSimulate(t, g.common, c.restore, "-restore", snap)
 				case c.connect != "":
-					dumps["served"], dumps["wire-fetched"] = loopback(t, audit, g.common+" "+c.flags, g.common+" "+c.connect)
+					dumps["served"], dumps["wire-fetched"] = loopback(t, g.common+" "+c.flags, g.common+" "+c.connect)
 				default:
-					dumps["run"] = mustSimulate(t, audit, g.common, c.flags)
+					dumps["run"] = mustSimulate(t, g.common, c.flags)
 				}
 				for what, got := range dumps {
 					if !bytes.Equal(got, want) {

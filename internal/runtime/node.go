@@ -94,9 +94,8 @@ type TenantSpec struct {
 	NewProtocol func(h server.Host, seed int64) server.Protocol
 	// Queries, when non-empty, makes this a multi-query composite tenant.
 	Queries []QuerySpec
-	// Server tunes the tenant's message accounting and fault injection
-	// (single-query and spatial tenants; the composite fabric models neither
-	// uplink loss nor broadcast installs).
+	// Server tunes the tenant's fault injection (single-query and spatial
+	// tenants; the composite fabric does not model uplink loss).
 	Server server.Config
 	// SpatialInitial, when non-empty, makes this a spatial (2-D) tenant: its
 	// partition's streams are planar locations served by a private

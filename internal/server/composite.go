@@ -26,9 +26,11 @@ import (
 // composite fabric — the per-stream constraint vectors, the shared table
 // and the single message counter — lives in the Composite.
 //
-// Unlike Cluster, the composite model has no install handshake: constraint
-// entries are recomputed against ground truth at install time (see
-// DESIGN.md §3.1), so installs never cascade mismatch reports.
+// The stream rule is Cluster's: an entry's side is the side its
+// constraint puts the stream's true value on, never stored, and an install
+// runs the handshake (DESIGN.md §3.1) — a stream the server believes on the
+// wrong side of a new interval reports at once, and the installing query
+// handles that report after its current handler returns.
 //
 // Query slots are never reused: RemoveQuery nils the slot and clears its
 // constraint entries, AddQuery appends. All methods must be driven from a
@@ -38,14 +40,14 @@ type Composite struct {
 	table []float64 // server view
 	known []bool
 
-	// cons[s][q] is stream s's constraint entry for query slot q; inside[s]
-	// records, bit q, the stream-side "last reported side" of each entry,
-	// which is what boundary-crossing detection compares against.
-	cons   [][]filter.Constraint
-	inside []slotSet
+	// cons[s][q] is stream s's constraint entry for query slot q. Its side
+	// is cons[s][q].Contains(vals[s]).
+	cons [][]filter.Constraint
 
 	queries []*compositeQuery // nil = removed slot
 	ctr     comm.Counter
+	// reports holds the reports queued for the query each one concerns.
+	reports reportQueue[queryReport]
 
 	// Dispatch bookkeeping for Deliver: drivenMask holds the live slots
 	// whose protocol is CrossingDriven, othersMask the live slots whose
@@ -106,6 +108,13 @@ type compositeQuery struct {
 	initialized bool
 }
 
+// queryReport is a report queued for query slot qi: stream s reported v.
+type queryReport struct {
+	qi int
+	s  stream.ID
+	v  float64
+}
+
 // slotSet is a set of query slots kept as a bitmap: slot qi is bit qi&63 of
 // word qi>>6. Every slotSet of a composite is words(len(queries)) long.
 type slotSet []uint64
@@ -140,7 +149,6 @@ func NewComposite(initial []float64) *Composite {
 		table:      make([]float64, n),
 		known:      make([]bool, n),
 		cons:       make([][]filter.Constraint, n),
-		inside:     make([]slotSet, n),
 		probeGen:   make([]uint64, n),
 		installGen: make([]uint64, n),
 	}
@@ -217,9 +225,6 @@ func (c *Composite) AddQuery(name string, seedID int64, build func(h Host) Proto
 	if qi&63 == 0 { // every slot bitmap gains a word
 		c.drivenMask = append(c.drivenMask, 0)
 		c.othersMask = append(c.othersMask, 0)
-		for s := range c.inside {
-			c.inside[s] = append(c.inside[s], 0)
-		}
 	}
 	c.admit(q)
 	for s := range c.cons {
@@ -258,7 +263,6 @@ func (c *Composite) RemoveQuery(qi int) error {
 	c.queries[qi] = nil
 	for s := range c.cons {
 		c.cons[s][qi] = filter.Constraint{}
-		c.inside[s].put(qi, false)
 	}
 	if c.idx != nil {
 		c.idx.removeSlot(c, qi)
@@ -311,9 +315,10 @@ func (c *Composite) endEpoch()   { c.inEpoch = false }
 // Deliver applies a true value change to stream s; the stream reports iff
 // at least one live per-query entry demands it (one update message total),
 // and the maintenance of every query the report concerns then runs against
-// the new value. Each entry applies its own kind's source-side semantics,
-// exactly as stream.Source.Set does for a single filter: an interval entry
-// reports on a boundary crossing against its recorded side, a band entry
+// the new value, in slot order, before any mismatch report that maintenance
+// raised. Each entry applies its own kind's source-side semantics, exactly
+// as stream.Source.Set does for a single filter: an interval entry reports
+// when the move changes the side it puts the value on, a band entry
 // reports on deviation beyond its half-width and re-centers locally (no
 // install message — Olston-style), and a None entry — an unfiltered query —
 // makes the stream report every update. Steady state allocates nothing.
@@ -331,7 +336,7 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 	if c.idx != nil {
 		crossed, all = c.idx.deliver(c, int(s), u, v)
 	} else {
-		crossed = c.deliverScan(s, v)
+		crossed = c.deliverScan(s, u, v)
 	}
 	if !crossed {
 		return
@@ -344,7 +349,9 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 	// CrossingDriven slot left out of it is charged its HandleUpdate's one
 	// server op instead. Maintenance may reinstall, and so regroup the
 	// index's classes, but it never touches the fired bitmap, the masks or
-	// another slot's entry.
+	// another slot's entry; the reports its installs raise wait in the
+	// queue until the walk is done.
+	c.reports.draining = true
 	ops := 0
 	for w, driven := range c.drivenMask {
 		others, fired := c.othersMask[w], uint64(0)
@@ -370,16 +377,21 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 		}
 	}
 	c.ctr.AddServerOps(uint64(ops))
+	c.reports.draining = false
+	c.reports.drain(c)
 }
 
-// deliverScan is the linear crossing-detection reference: it walks every
-// entry of stream s's constraint vector, applies each kind's source-side
-// semantics, and reports whether the stream reports. The indexed path
-// (queryindex.go) must make exactly the decisions and side effects of this
-// loop; it also falls back to it for NaN values, which the boundary index
-// cannot order.
-func (c *Composite) deliverScan(s stream.ID, v float64) bool {
-	row, ins := c.cons[s], c.inside[s]
+// handle runs one queued report through the maintenance of its query.
+func (c *Composite) handle(r queryReport) { c.queries[r.qi].proto.HandleUpdate(r.s, r.v) }
+
+// deliverScan is the linear crossing-detection reference for the move u→v:
+// it walks every entry of stream s's constraint vector, applies each
+// kind's source-side semantics, and reports whether the stream reports. The
+// indexed path (queryindex.go) must make exactly the decisions and side
+// effects of this loop; it also falls back to it for NaN values, which the
+// boundary index cannot order.
+func (c *Composite) deliverScan(s stream.ID, u, v float64) bool {
+	row := c.cons[s]
 	crossed := false
 	for qi := range row {
 		if c.queries[qi] == nil {
@@ -392,16 +404,10 @@ func (c *Composite) deliverScan(s stream.ID, v float64) bool {
 		case filter.Band:
 			if !cons.Contains(v) {
 				row[qi] = filter.NewBand(v, cons.BandHalfWidth())
-				ins.put(qi, true)
 				crossed = true
 			}
 		default:
-			if cons.Silent() {
-				continue
-			}
-			now := cons.Contains(v)
-			if now != ins.has(qi) {
-				ins.put(qi, now)
+			if !cons.Silent() && cons.Contains(u) != cons.Contains(v) {
 				crossed = true
 			}
 		}
@@ -440,41 +446,37 @@ func (c *Composite) Constraint(s stream.ID, qi int) filter.Constraint { return c
 // call this; it exists for the oracle and tests.
 func (c *Composite) TrueValue(s stream.ID) float64 { return c.vals[s] }
 
-// refresh records stream s's exact value in the server table and re-records
-// the stream's side of every live constraint entry — what a stream does
-// whenever it answers the server.
+// refresh records stream s's exact value in the server table — what a
+// stream's answer to the server does.
 func (c *Composite) refresh(s stream.ID) {
 	c.table[s] = c.vals[s]
 	c.known[s] = true
-	c.recordInside(s)
 }
 
-// recordInside re-evaluates stream s's side of every live per-query entry
-// against ground truth, and the index's copy of the sides its interval
-// classes share.
-func (c *Composite) recordInside(s stream.ID) {
-	row, ins, v := c.cons[s], c.inside[s], c.vals[s]
-	for qi, q := range c.queries {
-		if q != nil {
-			ins.put(qi, row[qi].Contains(v))
-		}
-	}
-	if c.idx != nil {
-		c.idx.resync(int(s), v)
-	}
-}
-
-// setConstraint rewrites one entry of the composite filter and re-records
-// the stream's side of it against ground truth. The composite model has no
-// install handshake: entries are recomputed where table and true value
-// agree by construction (right after a probe, or inside an init epoch — see
-// DESIGN.md §3.1 and §7).
-func (c *Composite) setConstraint(s stream.ID, qi int, cons filter.Constraint) {
+// install rewrites query qi's entry at stream s and runs the install
+// handshake on it, the rule stream.Source.Install applies to one filter:
+// when cons is a non-silent interval that puts the true value on the other
+// side than the server expects, the stream reports at once (one update and
+// a table refresh) and the report is queued for query qi. It says whether
+// the install costs a message: inside an init epoch only a stream's first
+// install does, and every sibling's entry rides in that composite install.
+func (c *Composite) install(s stream.ID, qi int, cons filter.Constraint, expectInside bool) bool {
 	c.cons[s][qi] = cons
-	c.inside[s].put(qi, cons.Contains(c.vals[s]))
 	if c.idx != nil {
 		c.idx.set(c, int(s), qi, cons, true)
 	}
+	if cons.Kind == filter.Interval && cons.Contains(c.vals[s]) != expectInside && !cons.Silent() {
+		c.ctr.Add(comm.Update, 1)
+		c.refresh(s)
+		c.reports.push(queryReport{qi, s, c.vals[s]})
+	}
+	if c.inEpoch {
+		if c.installGen[s] == c.epoch {
+			return false
+		}
+		c.installGen[s] = c.epoch
+	}
+	return true
 }
 
 // compositeView adapts one query slot to the Host interface its protocol
@@ -510,10 +512,8 @@ func (v *compositeView) Probe(id stream.ID) float64 {
 }
 
 // ProbeIf implements Host: the request is always charged, the reply — and
-// the table refresh — only on a hit. The probed source re-evaluates its
-// recorded sides locally even on a miss. Inside an init epoch a stream
-// whose exact value the server already holds is evaluated server-side for
-// free.
+// the table refresh — only on a hit. Inside an init epoch a stream whose
+// exact value the server already holds is evaluated server-side for free.
 func (v *compositeView) ProbeIf(id stream.ID, cons filter.Constraint) (float64, bool) {
 	c := v.c
 	if c.inEpoch && c.probeGen[id] == c.epoch {
@@ -523,13 +523,11 @@ func (v *compositeView) ProbeIf(id stream.ID, cons filter.Constraint) (float64, 
 		return c.vals[id], true
 	}
 	chargeProbeRequest(&c.ctr)
-	c.recordInside(id)
 	if !cons.Contains(c.vals[id]) {
 		return 0, false
 	}
 	chargeProbeReply(&c.ctr)
-	c.table[id] = c.vals[id]
-	c.known[id] = true
+	c.refresh(id)
 	if c.inEpoch {
 		c.probeGen[id] = c.epoch
 	}
@@ -581,46 +579,42 @@ func (v *compositeView) ProbeBatch(ids []stream.ID) {
 	chargeProbes(&c.ctr, missed)
 }
 
-// Install rewrites this query's entry in stream id's composite filter.
-// Inside an init epoch the first install to a stream pays the one message
-// and every sibling's entry rides in it (the composite install carries all
-// per-query entries); outside an epoch every install is one message.
-// expectInside is ignored: the composite model has no install handshake
-// (the entry is recomputed against ground truth).
-func (v *compositeView) Install(id stream.ID, cons filter.Constraint, _ bool) {
+// Install implements Host: it rewrites this query's entry in stream id's
+// composite filter (one message, shared inside an init epoch) and drains
+// any mismatch report the handshake queued.
+func (v *compositeView) Install(id stream.ID, cons filter.Constraint, expectInside bool) {
 	c := v.c
-	if !(c.inEpoch && c.installGen[id] == c.epoch) {
+	if c.install(id, v.qi, cons, expectInside) {
 		chargeInstalls(&c.ctr, 1)
-		if c.inEpoch {
-			c.installGen[id] = c.epoch
+	}
+	c.reports.drain(c)
+}
+
+// InstallBatch implements Host as Install in a loop, each stream expecting
+// the side cons puts its table value on, with the charge batched.
+func (v *compositeView) InstallBatch(ids []stream.ID, cons filter.Constraint) {
+	c := v.c
+	var charged uint64
+	for _, id := range ids {
+		if c.install(id, v.qi, cons, cons.Contains(c.table[id])) {
+			charged++
 		}
 	}
-	c.setConstraint(id, v.qi, cons)
+	chargeInstalls(&c.ctr, charged)
+	c.reports.drain(c)
 }
 
-// InstallBatch implements Host as Install in a loop, so an init epoch
-// charges only each stream's first install, exactly as for Install.
-func (v *compositeView) InstallBatch(ids []stream.ID, cons filter.Constraint) {
-	for _, id := range ids {
-		v.Install(id, cons, cons.Contains(v.c.table[id]))
-	}
-}
-
-// InstallAll rewrites this query's entry at every stream (n installs, minus
-// the streams whose composite install this epoch already carries it).
+// InstallAll implements Host as InstallBatch over every stream.
 func (v *compositeView) InstallAll(cons filter.Constraint) {
 	c := v.c
 	var charged uint64
 	for s := range c.cons {
-		if !(c.inEpoch && c.installGen[s] == c.epoch) {
+		if c.install(s, v.qi, cons, cons.Contains(c.table[s])) {
 			charged++
-			if c.inEpoch {
-				c.installGen[s] = c.epoch
-			}
 		}
-		c.setConstraint(s, v.qi, cons)
 	}
 	chargeInstalls(&c.ctr, charged)
+	c.reports.drain(c)
 }
 
 // Table implements Host.

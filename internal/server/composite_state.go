@@ -16,8 +16,9 @@ type QueryFactory func(slot int, name string, seedID int64, h Host) (Protocol, e
 
 // ExportState appends the composite fabric's full dynamic state to a
 // snapshot: ground truth, the shared table, every stream's constraint
-// vector and recorded sides, the shared counter, and every query slot
-// (liveness, name, seed label, protocol name and the protocol's own state).
+// vector and the sides it puts the stream's value on, the shared counter,
+// and every query slot (liveness, name, seed label, protocol name and the
+// protocol's own state).
 // The encoding is canonical and placement-free, so CI can byte-diff
 // composite snapshots taken at different shard counts. Every live query's
 // protocol must implement StatefulProtocol; one that does not fails the
@@ -32,8 +33,8 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 		filter.ExportConstraints(w, c.cons[s])
 		// The bytes of w.Bools over one bool per slot.
 		w.Uint64(uint64(len(c.queries)))
-		for qi := range c.queries {
-			w.Bool(c.inside[s].has(qi))
+		for _, cons := range c.cons[s] {
+			w.Bool(cons.Contains(c.vals[s]))
 		}
 	}
 	c.ctr.ExportState(w)
@@ -60,8 +61,10 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 // rebuild is called once per live slot, in slot order, to reconstruct its
 // protocol; the protocol's Name is cross-checked against the snapshot (so
 // configuration drift is an error, not silent divergence) before its own
-// ImportState runs. Corrupted or mismatched input returns an error and
-// never panics.
+// ImportState runs. A side is derived, never stored, so a recorded side
+// that contradicts its entry and value is corruption, refused as
+// stream.Source.ImportState refuses one. Corrupted or mismatched input
+// returns an error and never panics.
 func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error {
 	if len(c.queries) != 0 {
 		return fmt.Errorf("server: ImportState on a composite that already has queries")
@@ -90,7 +93,6 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 			len(vals), len(table), len(known), n)
 	}
 	cons := make([][]filter.Constraint, n)
-	inside := make([]slotSet, n)
 	for s := 0; s < n; s++ {
 		cs, err := filter.ImportConstraints(r)
 		if err != nil {
@@ -104,11 +106,13 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 			return fmt.Errorf("server: snapshot stream %d holds %d/%d filter entries, want %d",
 				s, len(cs), len(ins), slots)
 		}
-		cons[s] = cs
-		inside[s] = make(slotSet, words(slots))
 		for qi, in := range ins {
-			inside[s].put(qi, in)
+			if in != cs[qi].Contains(vals[s]) {
+				return fmt.Errorf("server: snapshot stream %d records side inside=%v of %v for value %v",
+					s, in, cs[qi], vals[s])
+			}
 		}
+		cons[s] = cs
 	}
 	if err := c.ctr.ImportState(r); err != nil {
 		return err
@@ -119,7 +123,6 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 	c.table = table
 	c.known = known
 	c.cons = cons
-	c.inside = inside
 	c.drivenMask, c.othersMask = make(slotSet, words(slots)), make(slotSet, words(slots))
 	for slot := 0; slot < slots; slot++ {
 		alive := r.Bool()

@@ -3,12 +3,16 @@ package server_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/oracle"
+	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
@@ -403,6 +407,87 @@ func TestCompositeKindSemanticsMatchCluster(t *testing.T) {
 			}
 			if got, want := *comp.Counter(), *cl.Counter(); !reflect.DeepEqual(got, want) {
 				t.Errorf("counter = %+v, cluster says %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestCompositeOfOneIsCluster pins that the composite and the cluster run
+// one stream rule: a composite hosting one query is the cluster hosting
+// it, for every 1-D protocol. Each run is a seeded walk with a ±Inf move
+// every 97 events (a shut filter contains +Inf, and a silent filter must
+// still never report). After every event the two hosts must agree on the
+// whole counter and on the answer, and an oracle audits the answer.
+func TestCompositeOfOneIsCluster(t *testing.T) {
+	const n, events, infEvery = 150, 6000, 97
+	eps := func(s protospec.Spec) protospec.Spec { s.EpsPlus, s.EpsMinus = 0.2, 0.2; return s }
+	specs := []protospec.Spec{
+		{Protocol: "zt-nrp", Lo: 300, Hi: 700},
+		eps(protospec.Spec{Protocol: "ft-nrp", Lo: 300, Hi: 700}),
+		eps(protospec.Spec{Protocol: "ft-nrp", Lo: 300, Hi: 700, Selection: protospec.SelectRandom}),
+		{Protocol: "rtp", Q: 500, K: 10, R: 5},
+		{Protocol: "rtp", Top: true, K: 10, R: 5},
+		eps(protospec.Spec{Protocol: "ft-rp", Q: 500, K: 10}),
+		{Protocol: "zt-rp", Q: 500, K: 10},
+		{Protocol: "vb-knn", Q: 500, K: 10, Width: 40},
+		{Protocol: "no-filter", Lo: 300, Hi: 700},
+	}
+	for _, spec := range specs {
+		name := spec.Protocol
+		if spec.Top {
+			name += "-top"
+		}
+		if spec.Selection != "" {
+			name += "-" + spec.Selection
+		}
+		t.Run(name, func(t *testing.T) {
+			if err := spec.Validate(n); err != nil {
+				t.Fatal(err)
+			}
+			factory, err := spec.Factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := spec.Guarantee()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := sim.NewRNG(seed)
+				initial := make([]float64, n)
+				for i := range initial {
+					initial[i] = rng.Uniform(0, 1000)
+				}
+				cl := server.NewCluster(initial)
+				cl.SetProtocol(factory(cl, seed))
+				cl.Initialize()
+				comp := server.NewComposite(initial)
+				comp.AddQuery("q", seed, func(h server.Host) server.Protocol { return factory(h, seed) })
+				comp.Initialize()
+				audit := oracle.NewAuditor(initial, g, 1)
+				walk := append([]float64(nil), initial...)
+				for e := 0; e < events; e++ {
+					s := rng.Intn(n)
+					walk[s] += rng.Normal(0, 20)
+					v := walk[s]
+					if e%infEvery == infEvery-1 {
+						v = math.Inf(1 - 2*(e/infEvery%2))
+					}
+					cl.Deliver(s, v)
+					comp.Deliver(s, v)
+					audit.Apply(s, v, 0)
+					want := slices.Sorted(slices.Values(cl.Protocol().Answer()))
+					if got := slices.Sorted(slices.Values(comp.Answer(0))); !slices.Equal(got, want) {
+						t.Fatalf("seed %d event %d: composite answers %v, cluster %v", seed, e, got, want)
+					}
+					if *comp.Counter() != *cl.Counter() {
+						t.Fatalf("seed %d event %d: composite counter %v, cluster %v", seed, e, comp.Counter(), cl.Counter())
+					}
+					audit.Audit(uint64(e), want)
+				}
+				if audit.Violations != 0 {
+					t.Fatalf("seed %d: %d of %d audits violated; first: %s", seed, audit.Violations, audit.Checks, audit.First)
+				}
 			}
 		})
 	}

@@ -21,21 +21,18 @@ import (
 // Two structures per stream:
 //
 //   - A planner groups that stream's live entries into evaluation classes:
-//     entries whose constraints are bit-identical (and, for intervals, whose
-//     recorded sides agree) share one class and are evaluated once per
-//     update instead of once per query. M queries installing the same band
-//     cost one check, not M. A class's members are a slot bitmap, so a
-//     class that fires updates its members' recorded sides and the fired
-//     set a word at a time; an interval class caches the side its members
-//     share, which recordInside's resync hook re-reads whenever a probe
-//     re-records the stream's sides.
+//     entries whose constraints are bit-identical share one class and are
+//     evaluated once per update instead of once per query. M queries
+//     installing the same band cost one check, not M. A class's members are
+//     a slot bitmap, so a class that fires updates the fired set a word at
+//     a time.
 //
 //   - The finite boundaries of each class's inside region live in a sorted
 //     flat list (boundList) keyed by (boundary value, class id·2 + side).
 //     A value move u→v can only change Contains for a class with a boundary
-//     inside [min(u,v), max(u,v)] — the proven fabric invariant is that
-//     inside[s][q] == cons[s][q].Contains(vals[s]) at all times, so an
-//     interval crossing is exactly a sign change of Contains over the move.
+//     inside [min(u,v), max(u,v)] — an entry's side is, by definition,
+//     cons[s][q].Contains(vals[s]), so an interval crossing is exactly a
+//     sign change of Contains over the move.
 //     The list keeps a finger at the stream's current value, so Deliver
 //     walks from it over the keys the move crosses — O(keys crossed), no
 //     search — instead of all M entries. A move that crosses none is seen
@@ -51,18 +48,16 @@ import (
 //     boundary walk cannot see their next fire. A band whose region
 //     excludes the current value fires on the next update wherever it
 //     lands ("stays outside on the same side" crosses no boundary), as do
-//     degenerate bands (NaN or inverted regions, ±Inf centers) and — after
-//     a corrupted restore — interval entries whose recorded side disagrees
-//     with ground truth. Transient arming clears itself on first
-//     evaluation; structural arming (degenerate bands) persists until the
-//     class is rewritten.
+//     degenerate bands (NaN or inverted regions, ±Inf centers). Transient
+//     arming clears itself on first evaluation; structural arming
+//     (degenerate bands) persists until the class is rewritten.
 //
 //   - NaN updates: a NaN value admits no ordering, so the boundary walk is
 //     meaningless; Deliver falls back to the linear scan for that update
 //     and rebuilds the stream's index afterwards.
 //
-// Mutations funnel through set(): AddQuery, RemoveQuery, setConstraint
-// (installs), and the restore rebuild all re-categorize one (stream, slot)
+// Mutations funnel through set(): AddQuery, RemoveQuery, install and the
+// restore rebuild all re-categorize one (stream, slot)
 // entry; band re-centering inside Deliver moves whole classes at once
 // (rekeyBand), merging into an existing class when re-centering makes two
 // bands identical. ExportState/ImportState never encode the index — restore
@@ -96,13 +91,12 @@ const (
 )
 
 // qclass is one evaluation class: the queries of one stream sharing a
-// bit-identical constraint (and recorded side, for intervals). Its members
-// are a slot bitmap in its stream's members array.
+// bit-identical constraint. Its members are a slot bitmap in its stream's
+// members array.
 type qclass struct {
 	cons       filter.Constraint
 	stamp      uint64 // last deliver generation this class was evaluated in
 	live       bool
-	side       bool // interval: the recorded side every member shares
 	armed      bool // on the always-evaluate list
 	structural bool // degenerate band: stays armed until rewritten
 }
@@ -192,21 +186,11 @@ func (x *queryIndex) removeSlot(c *Composite, qi int) {
 // never disagree about one entry.
 func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live bool) {
 	st := &x.streams[s]
-	in := c.inside[s].has(qi)
 	// Reinstalling what is already categorized — a maintenance round
 	// refreshing a query's standing constraint — must not churn the class
-	// or its boundary keys. The install may have just rewritten qi's
-	// recorded side: a class of one takes it as its own, a larger class
-	// keeps qi only if the sides still agree.
+	// or its boundary keys.
 	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
-		cl := &st.classes[cid]
-		if cons.Kind == filter.Band || cl.side == in {
-			return
-		}
-		if x.members(st, cid).count() == 1 {
-			cl.side = in
-			return
-		}
+		return
 	}
 	switch cid := st.classOf[qi]; {
 	case cid == catAlways:
@@ -223,9 +207,9 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 		st.always++
 		st.classOf[qi] = catAlways
 	case cons.Silent():
-		// Can never cross; recordInside keeps its side correct for free.
+		// Can never cross.
 	default:
-		cid := x.classFor(c, st, s, cons, in)
+		cid := x.classFor(c, st, s, cons)
 		x.members(st, cid).put(qi, true)
 		st.classOf[qi] = cid
 	}
@@ -255,25 +239,22 @@ func (st *qstream) freeClass(cid int32) {
 	st.freeCls = append(st.freeCls, cid)
 }
 
-// classFor returns the class for (cons, recorded side ins), creating it if
-// no live class matches. Class identity is bit-equality of the constraint
-// (math.Float64bits, so NaN bounds and ±0 group deterministically) plus,
-// for intervals, the shared recorded side — after a corrupted restore two
-// entries may hold the same interval on different recorded sides, and they
-// must then fire independently.
-func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Constraint, ins bool) int32 {
+// classFor returns the class for cons, creating it if no live class
+// matches. Class identity is bit-equality of the constraint
+// (math.Float64bits, so NaN bounds and ±0 group deterministically).
+func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Constraint) int32 {
 	for _, cid := range st.recent {
 		if int(cid) >= len(st.classes) {
 			continue
 		}
 		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) && (cons.Kind == filter.Band || cl.side == ins) {
+		if cl.live && sameConstraint(cl.cons, cons) {
 			return cid
 		}
 	}
 	for cid := range st.classes {
 		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) && (cons.Kind == filter.Band || cl.side == ins) {
+		if cl.live && sameConstraint(cl.cons, cons) {
 			st.recent[st.recentN&7] = int32(cid)
 			st.recentN++
 			return int32(cid)
@@ -291,26 +272,15 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 	cl := &st.classes[cid]
 	cl.cons = cons
 	cl.live = true
-	cl.side = ins
 	// A class born inside a Deliver (a band fire created it) has already
 	// been accounted for this update; stamping it now prevents a recycled
 	// class id from being evaluated twice in one walk.
 	cl.stamp = x.gen
 	st.addBounds(cid, cons, c.vals[s])
+	// A band outside its region fires on the next update no matter where
+	// the value lands; the boundary walk cannot see that.
 	cl.structural = cons.Kind == filter.Band && structuralBand(cons)
-	armed := cl.structural
-	if !armed {
-		in := cons.Contains(c.vals[s])
-		if cons.Kind == filter.Band {
-			// A band outside its region fires on the next update no matter
-			// where the value lands; the boundary walk cannot see that.
-			armed = !in
-		} else {
-			// Recorded side disagreeing with ground truth (corrupted
-			// restore): the next update fires regardless of boundaries.
-			armed = ins != in
-		}
-	}
+	armed := cl.structural || cons.Kind == filter.Band && !cons.Contains(c.vals[s])
 	if armed {
 		cl.armed = true
 		st.armed = append(st.armed, cid)
@@ -382,29 +352,16 @@ func (st *qstream) disarm(cid int32) {
 	}
 }
 
-// resync re-reads, after recordInside re-recorded every member's side of
-// stream s against its value v, the side each interval class caches for
-// its members. Without it a class would keep comparing against a side its
-// members no longer hold.
-func (x *queryIndex) resync(s int, v float64) {
-	st := &x.streams[s]
-	for cid := range st.classes {
-		if cl := &st.classes[cid]; cl.live && cl.cons.Kind != filter.Band {
-			cl.side = cl.cons.Contains(v)
-		}
-	}
-}
-
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
 // the value move u→v on stream s (c.vals[s] already holds v). It reports
-// whether the stream reports — with decisions and side effects (recorded
-// sides, band re-centering) exactly matching the linear scan's — and whether
+// whether the stream reports — with decisions and side effects (band
+// re-centering) exactly matching the linear scan's — and whether
 // the report concerns every live slot (all: an unfiltered entry stands, or
 // the scan ran). When it does not, x.fired is the bitmap of the slots whose
 // own entry fired.
 func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bool) {
 	if math.IsNaN(u) || math.IsNaN(v) {
-		crossed = c.deliverScan(s, v)
+		crossed = c.deliverScan(s, u, v)
 		x.rebuildStream(c, s)
 		return crossed, true
 	}
@@ -432,19 +389,19 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 			continue
 		}
 		cl.stamp = x.gen
-		if x.evalClass(c, st, s, cid, v) {
+		if x.evalClass(c, st, s, cid, u, v) {
 			crossed = true
 		}
 	}
 	return crossed, all
 }
 
-// evalClass applies one class's crossing semantics to the new value v,
+// evalClass applies one class's crossing semantics to the move u→v,
 // mirroring the linear scan's per-entry switch for every member at once. A
 // class that fires ORs its member bitmap into x.fired.
-func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v float64) bool {
+func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, u, v float64) bool {
 	cl := &st.classes[cid]
-	m, ins := x.members(st, cid), c.inside[s]
+	m := x.members(st, cid)
 	if cl.cons.Kind == filter.Band {
 		if cl.cons.Contains(v) {
 			if cl.armed && !cl.structural {
@@ -457,7 +414,6 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 		row := c.cons[s]
 		for w, b := range m {
 			x.fired[w] |= b
-			ins[w] |= b
 			for ; b != 0; b &= b - 1 {
 				row[w<<6|bits.TrailingZeros64(b)] = nc
 			}
@@ -465,23 +421,11 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 		x.rekeyBand(st, cid, nc, v)
 		return true
 	}
-	now := cl.cons.Contains(v)
-	if cl.armed {
-		// Evaluated: the recorded side is about to agree with ground truth.
-		st.disarm(cid)
-		cl.armed = false
-	}
-	if now == cl.side {
+	if cl.cons.Contains(u) == cl.cons.Contains(v) {
 		return false
-	}
-	cl.side = now
-	var on uint64
-	if now {
-		on = ^uint64(0)
 	}
 	for w, b := range m {
 		x.fired[w] |= b
-		ins[w] = ins[w]&^b | b&on
 	}
 	return true
 }

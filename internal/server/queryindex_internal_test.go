@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
@@ -74,10 +73,9 @@ func checkDispatch(t *testing.T, c *Composite) {
 
 // checkIndex verifies the full structural invariant set of the query index
 // against the fabric: bitmap sizes, slot categorization, class membership
-// and homogeneity, each interval class's cached side, the exact boundary
-// key list (sorted, duplicate-free) and its finger, the armed list (no
-// leaks, no duplicates, every must-evaluate class present) and the
-// dispatch bookkeeping.
+// and homogeneity, the exact boundary key list (sorted, duplicate-free) and
+// its finger, the armed list (no leaks, no duplicates, every must-evaluate
+// band present, no interval) and the dispatch bookkeeping.
 func checkIndex(t *testing.T, c *Composite) {
 	t.Helper()
 	x := c.idx
@@ -93,7 +91,6 @@ func checkIndex(t *testing.T, c *Composite) {
 		if len(st.classOf) != len(c.queries) {
 			t.Fatalf("stream %d: classOf sized %d, want %d", s, len(st.classOf), len(c.queries))
 		}
-		checkSet(t, fmt.Sprintf("stream %d inside", s), c.inside[s], len(c.queries))
 		if len(st.members) != len(st.classes)*x.words {
 			t.Fatalf("stream %d: %d member words for %d classes", s, len(st.members), len(st.classes))
 		}
@@ -159,15 +156,6 @@ func checkIndex(t *testing.T, c *Composite) {
 			if len(got) == 0 {
 				t.Fatalf("stream %d: live class %d is empty", s, cid)
 			}
-			// Interval classes cache the one recorded side their members share.
-			if cl.cons.Kind == filter.Interval {
-				for _, sl := range got {
-					if c.inside[s].has(int(sl)) != cl.side {
-						t.Fatalf("stream %d class %d: slot %d side %v, class side %v",
-							s, cid, sl, c.inside[s].has(int(sl)), cl.side)
-					}
-				}
-			}
 			lo, hi := cl.cons.Bounds()
 			if !(lo > hi) {
 				if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
@@ -177,14 +165,13 @@ func checkIndex(t *testing.T, c *Composite) {
 					wantKeys = append(wantKeys, bkey{v: hi, id: int32(cid)*2 + 1})
 				}
 			}
-			// Must-evaluate classes are armed.
-			needArmed := false
-			if cl.cons.Kind == filter.Band {
-				needArmed = structuralBand(cl.cons) || !cl.cons.Contains(c.vals[s])
-			} else {
-				needArmed = cl.side != cl.cons.Contains(c.vals[s])
-			}
-			if needArmed && !cl.armed {
+			// Must-evaluate bands are armed; an interval's crossings are all
+			// boundary crossings, so it never is.
+			if cl.cons.Kind != filter.Band {
+				if cl.armed {
+					t.Fatalf("stream %d class %d (%v): interval armed", s, cid, cl.cons)
+				}
+			} else if (structuralBand(cl.cons) || !cl.cons.Contains(c.vals[s])) && !cl.armed {
 				t.Fatalf("stream %d class %d (%v): must-evaluate but not armed", s, cid, cl.cons)
 			}
 		}
@@ -241,12 +228,13 @@ func checkIndex(t *testing.T, c *Composite) {
 func keyLess(a, b bkey) bool { return a.v < b.v || (a.v == b.v && a.id < b.id) }
 
 // TestQueryIndexInvariants churns the index through every mutation path —
-// installs from an adversarial palette, deliveries (including NaN and ±Inf
-// fallbacks), probes that re-record sides, slot addition and removal, a
-// snapshot restore into a fresh composite, plain or with tampered recorded
-// sides — and fully audits the structures after every operation. The walk
-// starts at 62 slots and grows past 64 and 128, so every bitmap runs over
-// several words. The black-box equivalence test proves behaviour; this one
+// installs from an adversarial palette (each expecting a random side, so
+// the handshake reports some), deliveries (including NaN and ±Inf
+// fallbacks), probes, slot addition and removal, a snapshot restore into a
+// fresh composite, or a snapshot with a tampered recorded side, which
+// ImportState must refuse — and fully audits the structures after every
+// operation. The walk starts at 62 slots and grows past 64 and 128, so
+// every bitmap runs over several words. The black-box equivalence test proves behaviour; this one
 // catches silent structural leaks (stale boundary keys, leaked armed
 // entries) that would only show as performance decay.
 func TestQueryIndexInvariants(t *testing.T) {
@@ -300,38 +288,30 @@ func TestQueryIndexInvariants(t *testing.T) {
 			return filter.NewInterval(v-w, v+w)
 		}
 	}
-	// restore round-trips c through a snapshot. tamper flips every live
-	// slot's recorded side of one stream in the bytes it writes (c is
-	// replaced, so its own index never sees the flips), then reinstalls a
-	// few standing entries there, which puts their sides right.
+	// restore round-trips c through a snapshot. tamper flips one live
+	// slot's recorded side in the bytes instead, and the restore must be
+	// refused (c stays).
 	restore := func(tamper bool) {
-		s := rng.Intn(n)
-		if tamper {
-			for _, qi := range live {
-				c.inside[s].put(qi, !c.inside[s].has(qi))
-			}
-		}
-		defer func() {
-			if tamper {
-				checkIndex(t, c)
-				for k := 0; k < 4; k++ {
-					qi := live[rng.Intn(len(live))]
-					c.setConstraint(stream.ID(s), qi, c.cons[s][qi])
-				}
-			}
-		}()
 		w := snapshot.NewWriter()
 		c.ExportState(w)
 		if err := w.Err(); err != nil {
 			t.Fatal(err)
 		}
-		restored := NewComposite(initial)
-		err := restored.ImportState(snapshot.NewReader(w.Bytes()),
-			func(_ int, _ string, seedID int64, h Host) (Protocol, error) { return build(seedID)(h), nil })
-		if err != nil {
-			t.Fatal(err)
+		b := w.Bytes()
+		if tamper {
+			b[sideOffset(c, rng.Intn(n), live[rng.Intn(len(live))])] ^= 1
 		}
-		c = restored
+		restored := NewComposite(initial)
+		err := restored.ImportState(snapshot.NewReader(b),
+			func(_ int, _ string, seedID int64, h Host) (Protocol, error) { return build(seedID)(h), nil })
+		switch {
+		case tamper && err == nil:
+			t.Fatal("a snapshot with a contradicting side was restored")
+		case !tamper && err != nil:
+			t.Fatal(err)
+		case !tamper:
+			c = restored
+		}
 	}
 	slots := first
 	var removedLow, removedHigh, wideRestore, tampered bool
@@ -339,8 +319,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 		switch r := rng.Intn(100); {
 		case r < 35:
 			s := stream.ID(rng.Intn(n))
-			qi := live[rng.Intn(len(live))]
-			c.setConstraint(s, qi, palette(c.vals[s]))
+			c.queries[live[rng.Intn(len(live))]].view.Install(s, palette(c.vals[s]), rng.Intn(2) == 0)
 		case r < 40 && slots < most:
 			c.AddQuery("q", int64(slots), build(int64(slots)))
 			live = append(live, slots)
@@ -386,77 +365,59 @@ func TestQueryIndexInvariants(t *testing.T) {
 	}
 }
 
-// sideProto installs one interval at every stream and answers with the
-// streams it was handed reports for, in order. It sees every report.
-type sideProto struct {
-	h   Host
-	got []stream.ID
+// sideOffset is the offset, in c's snapshot, of the side stream s records
+// for slot qi: the bytes ExportState writes before that bool.
+func sideOffset(c *Composite, s, qi int) int {
+	w := snapshot.NewWriter()
+	w.Int(c.N())
+	w.Int(len(c.queries))
+	w.Float64s(c.vals)
+	w.Float64s(c.table)
+	w.Bools(c.known)
+	for t := 0; t < s; t++ {
+		filter.ExportConstraints(w, c.cons[t])
+		w.Bools(make([]bool, len(c.queries)))
+	}
+	filter.ExportConstraints(w, c.cons[s])
+	w.Uint64(uint64(len(c.queries)))
+	return w.Len() + qi
 }
 
-func (p *sideProto) Name() string                       { return "side" }
-func (p *sideProto) Initialize()                        { p.h.InstallAll(filter.NewInterval(100, 200)) }
-func (p *sideProto) Answer() []stream.ID                { return p.got }
-func (p *sideProto) ExportState(*snapshot.Writer)       {}
-func (p *sideProto) ImportState(*snapshot.Reader) error { return nil }
-
-func (p *sideProto) HandleUpdate(id stream.ID, _ float64) {
-	p.h.AddServerOps(1)
-	p.got = append(p.got, id)
-}
-
-// TestQueryIndexSideResync pins the hook that keeps each interval class's
-// cached side in step with its members' recorded sides. Two queries share
-// one interval on a stream whose sides a tampered snapshot recorded
-// against ground truth; a probe (a hit, or a miss, which re-records the
-// sides all the same) puts them right, and a move that stays on the same
-// side must then report nothing, indexed as linear. A class still holding
-// the tampered side would fire on that move.
-func TestQueryIndexSideResync(t *testing.T) {
-	for _, miss := range []bool{false, true} {
-		t.Run(fmt.Sprintf("miss=%v", miss), func(t *testing.T) {
-			run := func(indexed bool) *Composite {
-				prev := SetQueryIndexEnabled(indexed)
-				defer SetQueryIndexEnabled(prev)
-				build := func(h Host) Protocol { return &sideProto{h: h} }
-				c := NewComposite([]float64{150})
-				c.AddQuery("a", 0, build)
-				c.AddQuery("b", 1, build)
-				c.Initialize()
-				c.inside[0].put(0, false) // 150 lies inside [100, 200]
-				c.inside[0].put(1, false)
-				w := snapshot.NewWriter()
-				c.ExportState(w)
-				c = NewComposite([]float64{150})
-				err := c.ImportState(snapshot.NewReader(w.Bytes()),
-					func(_ int, _ string, _ int64, h Host) (Protocol, error) { return build(h), nil })
-				if err != nil {
-					t.Fatal(err)
-				}
-				view := &c.queries[0].view
-				if !miss {
-					view.Probe(0)
-				} else if _, hit := view.ProbeIf(0, filter.NewInterval(300, 400)); hit {
-					t.Fatal("ProbeIf hit")
-				}
-				c.Deliver(0, 160)
-				if indexed {
-					checkIndex(t, c)
-				}
-				return c
+// TestCompositeImportRefusesContradictingSide pins that a side is derived,
+// not restored: two queries share [100, 200] on one stream, and a snapshot
+// whose recorded side for either contradicts the stream's value — inside
+// recorded as outside, or outside as inside — is refused, while the
+// untampered snapshot restores and exports the same bytes again.
+func TestCompositeImportRefusesContradictingSide(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{{"inside", 150}, {"outside", 250}} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(Host) Protocol { return nopProto{} }
+			rebuild := func(_ int, _ string, _ int64, h Host) (Protocol, error) { return build(h), nil }
+			c := NewComposite([]float64{tc.v})
+			for qi := 0; qi < 2; qi++ {
+				c.AddQuery("q", int64(qi), build)
+				c.queries[qi].view.InstallAll(filter.NewInterval(100, 200))
 			}
-			linear, indexed := run(false), run(true)
-			if got := linear.ctr.Get(comm.Maintenance, comm.Update); got != 0 {
-				t.Fatalf("linear reported %d times; the move should stay inside", got)
+			w := snapshot.NewWriter()
+			c.ExportState(w)
+			good := w.Bytes()
+			restored := NewComposite([]float64{tc.v})
+			if err := restored.ImportState(snapshot.NewReader(good), rebuild); err != nil {
+				t.Fatal(err)
 			}
-			if linear.ctr != indexed.ctr {
-				t.Fatalf("counters: linear %v, indexed %v", linear.ctr.String(), indexed.ctr.String())
+			again := snapshot.NewWriter()
+			restored.ExportState(again)
+			if !slices.Equal(again.Bytes(), good) {
+				t.Fatal("a restored composite exports different bytes")
 			}
 			for qi := 0; qi < 2; qi++ {
-				if l, x := linear.inside[0].has(qi), indexed.inside[0].has(qi); l != x {
-					t.Fatalf("slot %d side: linear %v, indexed %v", qi, l, x)
-				}
-				if l, x := linear.Answer(qi), indexed.Answer(qi); !slices.Equal(l, x) {
-					t.Fatalf("slot %d answer: linear %v, indexed %v", qi, l, x)
+				bad := slices.Clone(good)
+				bad[sideOffset(c, 0, qi)] ^= 1
+				if err := NewComposite([]float64{tc.v}).ImportState(snapshot.NewReader(bad), rebuild); err == nil {
+					t.Fatalf("slot %d: a contradicting side was restored", qi)
 				}
 			}
 		})

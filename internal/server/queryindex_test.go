@@ -94,7 +94,7 @@ func (p *churner) HandleUpdate(id stream.ID, v float64) {
 		tv := p.h.Probe(tid)
 		p.h.Install(tid, p.pick(r>>16, tv), false)
 	case 2:
-		// ProbeIf re-records the probed stream's sides even on a miss.
+		// A conditional probe, hit or miss.
 		p.h.ProbeIf(stream.ID((r>>8)%n), filter.NewInterval(100, 500))
 	case 3:
 		p.h.AddServerOps(1)

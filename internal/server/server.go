@@ -102,13 +102,8 @@ type (
 	SpatialCluster  = ClusterOf[filter.Point, filter.Region]
 )
 
-// Config tunes cluster message accounting and fault injection.
+// Config tunes cluster fault injection.
 type Config struct {
-	// BroadcastInstall, when true, counts an InstallAll as a single message
-	// instead of n. The paper charges one message per stream ("the new R has
-	// to be announced to every stream"), which is the default; the broadcast
-	// variant is an ablation (BenchmarkAblationBroadcast).
-	BroadcastInstall bool
 	// DropUpdateProb injects uplink loss: each stream→server update message
 	// is lost in transit with this probability. The message is still counted
 	// (the sensor transmitted it) but the server never sees it, so its value
@@ -130,6 +125,40 @@ type pendingUpdate[V any] struct {
 	v  V
 }
 
+// reportQueue is the FIFO of reports awaiting protocol handling that both
+// hosts drain: a report raised while a handler runs (an install's mismatch
+// report) is appended behind head and handled after that handler returns,
+// in order. The storage is reused, so the steady-state delivery path never
+// reallocates it.
+type reportQueue[R any] struct {
+	pending  []R
+	head     int
+	draining bool
+}
+
+// reportHandler hands one queued report to the protocol it is for.
+type reportHandler[R any] interface{ handle(R) }
+
+func (q *reportQueue[R]) push(r R) { q.pending = append(q.pending, r) }
+
+// drain hands every queued report to h, one at a time. A drain started
+// from inside a handler returns at once: the running loop reaches its
+// reports.
+func (q *reportQueue[R]) drain(h reportHandler[R]) {
+	if q.draining || q.head == len(q.pending) {
+		return
+	}
+	q.draining = true
+	defer func() { q.draining = false }()
+	for q.head < len(q.pending) {
+		r := q.pending[q.head]
+		q.head++
+		h.handle(r)
+	}
+	q.pending = q.pending[:0]
+	q.head = 0
+}
+
 // ClusterOf wires n stream sources to a hosted protocol and accounts every
 // message. It is the canonical HostOf implementation.
 type ClusterOf[V comparable, C filter.Of[V, C]] struct {
@@ -146,13 +175,9 @@ type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	known []bool
 
 	ctr comm.Counter
-	// pending is a reusable FIFO of updates awaiting protocol handling:
-	// receive appends at the tail, drain consumes via head and resets both
-	// once empty, so the steady-state delivery path never reallocates it.
-	pending  []pendingUpdate[V]
-	head     int
-	draining bool
-	lossRng  *sim.RNG
+	// reports holds the updates receive queued for the protocol.
+	reports reportQueue[pendingUpdate[V]]
+	lossRng *sim.RNG
 	// DroppedUpdates counts update messages lost to injected uplink loss.
 	DroppedUpdates uint64
 }
@@ -225,7 +250,7 @@ func (c *ClusterOf[V, C]) Initialize() {
 	}
 	c.ctr.SetPhase(comm.Init)
 	c.proto.Initialize()
-	c.drain()
+	c.reports.drain(c)
 	c.ctr.SetPhase(comm.Maintenance)
 }
 
@@ -242,7 +267,7 @@ func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 	}
 	c.table[id] = v
 	c.known[id] = true
-	c.pending = append(c.pending, pendingUpdate[V]{id, v})
+	c.reports.push(pendingUpdate[V]{id, v})
 }
 
 // Deliver applies a workload value change to stream id and, when the source
@@ -252,28 +277,12 @@ func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 func (c *ClusterOf[V, C]) Deliver(id stream.ID, v V) {
 	if c.sources[id].Set(v) {
 		c.receive(id, v)
-		c.drain()
+		c.reports.drain(c)
 	}
 }
 
-// drain feeds queued updates to the protocol one at a time. Updates that
-// arrive while the protocol is handling one (e.g. mismatch reports caused by
-// installs) are appended behind head and processed after the current handler
-// returns, in order. The queue storage is reused across deliveries.
-func (c *ClusterOf[V, C]) drain() {
-	if c.draining {
-		return
-	}
-	c.draining = true
-	defer func() { c.draining = false }()
-	for c.head < len(c.pending) {
-		u := c.pending[c.head]
-		c.head++
-		c.proto.HandleUpdate(u.id, u.v)
-	}
-	c.pending = c.pending[:0]
-	c.head = 0
-}
+// handle feeds one queued update to the protocol.
+func (c *ClusterOf[V, C]) handle(u pendingUpdate[V]) { c.proto.HandleUpdate(u.id, u.v) }
 
 // --- primitives available to protocols -------------------------------------
 
@@ -350,33 +359,28 @@ func (c *ClusterOf[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 	if s := &c.sources[id]; s.Install(cons, expectInside) {
 		c.receive(id, s.Value())
 	}
-	c.drain() // no-op when already inside a delivery cycle
+	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
 // InstallBatch deploys cons to every listed stream, classifying it once and
 // deriving each stream's expected side from the server table. It costs
-// len(ids) Install messages, BroadcastInstall or not: a broadcast reaches
-// every stream, and a batch is addressed.
+// len(ids) Install messages.
 func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 	if len(ids) == 0 {
 		return
 	}
 	chargeInstalls(&c.ctr, uint64(len(ids)))
 	stream.InstallEach(c.sources, ids, c.table, cons, c.uplink)
-	c.drain() // no-op when already inside a delivery cycle
+	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
 // InstallAll deploys the same constraint to every stream, deriving each
-// stream's expected side from the server table. It costs n Install messages
-// (or 1 when BroadcastInstall is set).
+// stream's expected side from the server table. It costs n Install
+// messages.
 func (c *ClusterOf[V, C]) InstallAll(cons C) {
-	if c.cfg.BroadcastInstall {
-		chargeInstalls(&c.ctr, 1)
-	} else {
-		chargeInstalls(&c.ctr, uint64(c.N()))
-	}
+	chargeInstalls(&c.ctr, uint64(c.N()))
 	stream.InstallAll(c.sources, c.table, cons, c.uplink)
-	c.drain() // no-op when already inside a delivery cycle
+	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
 // Table returns the server's current belief about stream id's value and

@@ -154,41 +154,27 @@ func TestInstallAllCountsPerStream(t *testing.T) {
 	}
 }
 
-func TestInstallAllBroadcastCountsOnce(t *testing.T) {
-	c := NewClusterWith(make([]float64, 5), Config{BroadcastInstall: true})
-	p := &fakeProto{c: c}
-	c.SetProtocol(p)
-	c.Initialize()
-	c.InstallAll(filter.NewInterval(0, 1))
-	if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 1 {
-		t.Fatalf("broadcast install count = %d, want 1", got)
-	}
-}
-
 // TestInstallBatchCharges pins InstallBatch's price on a 1-D Cluster:
-// len(ids) Installs, with or without BroadcastInstall (a batch is
-// addressed, not broadcast), and nothing for an empty batch.
+// len(ids) Installs, and nothing for an empty batch.
 func TestInstallBatchCharges(t *testing.T) {
-	for _, broadcast := range []bool{false, true} {
-		c := NewClusterWith(make([]float64, 5), Config{BroadcastInstall: broadcast})
-		c.SetProtocol(&fakeProto{c: c})
-		c.Initialize()
-		c.InstallBatch(nil, filter.NewInterval(0, 1))
-		if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 0 {
-			t.Fatalf("broadcast=%v: empty batch charged %d, want 0", broadcast, got)
+	c := NewCluster(make([]float64, 5))
+	c.SetProtocol(&fakeProto{c: c})
+	c.Initialize()
+	c.InstallBatch(nil, filter.NewInterval(0, 1))
+	if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 0 {
+		t.Fatalf("empty batch charged %d, want 0", got)
+	}
+	c.InstallBatch([]stream.ID{4, 1, 3}, filter.NewInterval(0, 1))
+	if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 3 {
+		t.Fatalf("install count = %d, want len(ids)=3", got)
+	}
+	for _, id := range []stream.ID{4, 1, 3} {
+		if got := c.Constraint(id); got != filter.NewInterval(0, 1) {
+			t.Errorf("stream %d holds %v", id, got)
 		}
-		c.InstallBatch([]stream.ID{4, 1, 3}, filter.NewInterval(0, 1))
-		if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 3 {
-			t.Fatalf("broadcast=%v: install count = %d, want len(ids)=3", broadcast, got)
-		}
-		for _, id := range []stream.ID{4, 1, 3} {
-			if got := c.Constraint(id); got != filter.NewInterval(0, 1) {
-				t.Errorf("broadcast=%v: stream %d holds %v", broadcast, id, got)
-			}
-		}
-		if got := c.Constraint(0); got != (filter.Constraint{}) {
-			t.Errorf("broadcast=%v: unlisted stream 0 holds %v", broadcast, got)
-		}
+	}
+	if got := c.Constraint(0); got != (filter.Constraint{}) {
+		t.Errorf("unlisted stream 0 holds %v", got)
 	}
 }
 

@@ -42,7 +42,7 @@ type (
 // runtime only exports at a drain barrier, where the pending queue is empty
 // and no delivery is active.
 func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
-	if c.draining {
+	if c.reports.draining {
 		panic("server: ExportState during delivery")
 	}
 	w.Int(c.N())
@@ -63,7 +63,7 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 	} else {
 		w.Uint64(0)
 	}
-	pend := c.pending[c.head:]
+	pend := c.reports.pending[c.reports.head:]
 	w.Int(len(pend))
 	for _, u := range pend {
 		w.Int(u.id)
@@ -149,8 +149,7 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 			return err
 		}
 	}
-	c.pending = pending
-	c.head = 0
+	c.reports = reportQueue[pendingUpdate[V]]{pending: pending}
 	for i := range c.sources {
 		if err := c.sources[i].ImportState(r); err != nil {
 			return fmt.Errorf("server: source %d: %w", i, err)

@@ -68,10 +68,13 @@ func runLoops[V comparable, C interface {
 	for step := 0; len(r.data) > 0; step++ {
 		op := r.next() % 7
 		switch op {
-		case 0: // Set
+		case 0: // Set; a silent constraint never owes a report
 			id, v := int(r.next())%n, gen.value(r.next())
+			c := h.got[id].cons
 			if a, b := h.got[id].Set(v), h.ref[id].Set(v); a != b {
 				t.Fatalf("step %d: Set(%v) on source %d: %v vs %v", step, v, id, a, b)
+			} else if a && c.Silent() {
+				t.Fatalf("step %d: Set(%v) on source %d reported through silent %v", step, v, id, c)
 			} else if a {
 				h.gotRep = append(h.gotRep, loopReport[V]{id, v})
 				h.refRep = append(h.refRep, loopReport[V]{id, v})
@@ -267,9 +270,10 @@ var scalarGen = loopGen[float64, filter.Constraint]{
 
 // FuzzInstallLoops checks the batch installs (InstallAll, InstallEach)
 // against a per-source Install loop, and Install against the handshake's
-// specification, over up to 16 sources on a ½-grid with a believed table
-// one step stale or exact, every 1-D constraint kind, Set, Probe and
-// snapshot round trips.
+// specification, over up to 16 sources on a ½-grid with ±Inf at its ends
+// and a believed table one step stale or exact, every 1-D constraint kind,
+// Set (never reporting through a silent constraint), Probe and snapshot
+// round trips.
 func FuzzInstallLoops(f *testing.F) {
 	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 2, 0, 8, 4, 3, 255, 0, 0, 6, 8, 2, 1, 2, 3, 5, 0, 1, 18})
 	f.Add([]byte{15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -279,6 +283,8 @@ func FuzzInstallLoops(f *testing.F) {
 	// by InstallAll and by InstallEach: the stale side owes a report.
 	f.Add([]byte{0, 8, 1, 2, 0, 9, 0})
 	f.Add([]byte{0, 8, 1, 3, 1, 0, 0, 0, 9, 0})
+	// One source at 0 under Shut = [+∞, +∞] moving to +∞: no report.
+	f.Add([]byte{0, 8, 0, 1, 0, 4, 0, 0, 1, 0, 0, 18})
 	f.Fuzz(func(t *testing.T, data []byte) { runLoops(t, scalarGen, data) })
 }
 

@@ -53,6 +53,7 @@ const (
 	unfiltered mode = iota // report every update
 	crossing               // report when the recorded side flips
 	following              // report a deviation and re-centre (filter.Of.Recentre)
+	silent                 // never report: a wide-open or shut constraint
 )
 
 func classify[V any, C filter.Of[V, C]](c C, v V) mode {
@@ -61,6 +62,9 @@ func classify[V any, C filter.Of[V, C]](c C, v V) mode {
 	}
 	if _, ok := c.Recentre(v); ok {
 		return following
+	}
+	if c.Silent() {
+		return silent
 	}
 	return crossing
 }
@@ -110,6 +114,10 @@ func (s *Source[V, C]) Set(v V) bool {
 	s.val = v
 	switch s.mode {
 	case unfiltered:
+	case silent:
+		// Shut is [+∞, +∞], so a value can reach it, but a silent
+		// constraint owes no report.
+		return false
 	case following:
 		// Value-based filter: report on deviation beyond the half-width and
 		// re-center locally (no server round-trip; Olston-style).
@@ -132,8 +140,8 @@ func (s *Source[V, C]) Set(v V) bool {
 // constraint the server believes this stream is on (from its value table).
 // If the true side differs, the source owes the server an immediate report
 // of its value so the server's view converges — unless the constraint is
-// silent (wide-open or shut constraints can never be violated, so no report
-// is owed); the report travels through the normal uplink and is counted as
+// silent (wide-open and shut constraints never owe a report, here or in
+// Set); the report travels through the normal uplink and is counted as
 // an update message. Install returns whether such a mismatch report is
 // owed; the caller delivers it.
 //
@@ -215,22 +223,25 @@ func InstallEach[V comparable, C filter.Of[V, C]](sources []Source[V, C], ids []
 
 // cross is the crossing-mode install rule, the one every install path
 // shares: install c, record actual — the side c puts the value on — and
-// say whether a report is owed to a server that expects expect. Silent is
-// asked only on a mismatch: a silent constraint never owes one. The rule is
-// small enough to inline into the batch loops; the caller counts the
+// say whether a report is owed to a server that expects expect. The rule
+// is small enough to inline into the batch loops; the caller counts the
 // report it owes.
 func (s *Source[V, C]) cross(c C, expect, actual bool) bool {
 	s.cons, s.mode, s.inside = c, crossing, actual
-	return actual != expect && !c.Silent()
+	return actual != expect
 }
 
-// installOther installs an unfiltered or following constraint c (mode m)
-// and says whether a report is owed.
+// installOther installs an unfiltered, silent or following constraint c
+// (mode m) and says whether a report is owed.
 func (s *Source[V, C]) installOther(c C, m mode) bool {
 	s.cons = c
 	s.mode = m
-	if m == unfiltered {
+	switch m {
+	case unfiltered:
 		s.inside = false
+		return false
+	case silent:
+		s.inside = c.Contains(s.val)
 		return false
 	}
 	// Following: if the server centered the band on a stale value the
