@@ -115,7 +115,7 @@ func stepPlanar(build func(server.SpatialHost) server.SpatialProtocol) func() (p
 // protocol's scratch and the cluster's pending queue.
 func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []V,
 	build func(server.HostOf[V, C]) server.ProtocolOf[V]) (pass func()) {
-	c := server.NewClusterOf[V, C](initial, server.Config{})
+	c := server.NewClusterOf[V, C](initial)
 	c.SetProtocol(build(c))
 	c.Initialize()
 	pass = func() {

@@ -364,7 +364,7 @@ func auditInstalls[V comparable, C filter.Of[V, C]](t *testing.T,
 		for i := range vals {
 			vals[i] = draw(rng)
 		}
-		h := &installAuditHost[V, C]{ClusterOf: server.NewClusterOf[V, C](vals, server.Config{}), t: t}
+		h := &installAuditHost[V, C]{ClusterOf: server.NewClusterOf[V, C](vals), t: t}
 		p, redeploys := build(h, sel)
 		h.SetProtocol(p)
 		h.Initialize()

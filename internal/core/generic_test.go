@@ -104,7 +104,7 @@ func walk3(t *testing.T, seed int64, q vec3, build func(server.HostOf[vec3, ball
 	for i := range pts {
 		pts[i] = vec3{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 	}
-	c := server.NewClusterOf[vec3, ball3](append([]vec3(nil), pts...), server.Config{})
+	c := server.NewClusterOf[vec3, ball3](append([]vec3(nil), pts...))
 	p := build(c)
 	c.SetProtocol(p)
 	c.Initialize()

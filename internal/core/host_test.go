@@ -94,7 +94,7 @@ func chargeParity[V comparable, C filter.Of[V, C]](t *testing.T, draw func(*rand
 	for i := range vals {
 		vals[i] = draw(rng)
 	}
-	c := server.NewClusterOf[V, C](append([]V(nil), vals...), server.Config{})
+	c := server.NewClusterOf[V, C](append([]V(nil), vals...))
 	h := &countingHost[V, C]{c: c}
 	c.SetProtocol(build(h))
 	c.Initialize()
@@ -186,7 +186,7 @@ func facadeMatchesRuntime[V comparable, C filter.Of[V, C]](t *testing.T, draw fu
 		moves[j] = move{id, cur[id]}
 	}
 
-	c := server.NewClusterOf[V, C](initial(), server.Config{})
+	c := server.NewClusterOf[V, C](initial())
 	c.SetProtocol(build(c))
 	c.Initialize()
 	for _, m := range moves {

@@ -149,7 +149,7 @@ func (w pinWalk[V, C]) run(draw func(*rand.Rand) V, step func(*rand.Rand, V) V) 
 	for i := range vals {
 		vals[i] = draw(rng)
 	}
-	c := server.NewClusterOf[V, C](vals, server.Config{})
+	c := server.NewClusterOf[V, C](vals)
 	p, st := w.build(c)
 	c.SetProtocol(p)
 	c.Initialize()

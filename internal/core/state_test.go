@@ -128,7 +128,7 @@ func (g stateRig[V, C]) continuation(t *testing.T) {
 	initial := g.values(30, 500)
 	mk := func() (*server.ClusterOf[V, C], server.ProtocolOf[V], []V) {
 		vals := append([]V(nil), initial...)
-		cluster := server.NewClusterOf[V, C](vals, server.Config{})
+		cluster := server.NewClusterOf[V, C](vals)
 		proto := g.build(cluster, 987)
 		cluster.SetProtocol(proto)
 		return cluster, proto, vals
@@ -177,12 +177,12 @@ func (g stateRig[V, C]) continuation(t *testing.T) {
 func (g stateRig[V, C]) truncation(t *testing.T) {
 	initial := g.values(20, 3)
 	fresh := func() server.StatefulProtocolOf[V] {
-		c := server.NewClusterOf[V, C](initial, server.Config{})
+		c := server.NewClusterOf[V, C](initial)
 		p := g.build(c, 3)
 		c.SetProtocol(p)
 		return p.(server.StatefulProtocolOf[V])
 	}
-	cluster := server.NewClusterOf[V, C](initial, server.Config{})
+	cluster := server.NewClusterOf[V, C](initial)
 	proto := g.build(cluster, 3)
 	cluster.SetProtocol(proto)
 	cluster.Initialize()

@@ -35,15 +35,16 @@ func TestUplinkLossBreaksZeroTolerance(t *testing.T) {
 	rng := query.NewRange(400, 600)
 	var cl *server.Cluster
 	res := Run(Config{
-		Workload: w,
-		Cluster:  server.Config{DropUpdateProb: 0.2, DropSeed: 7},
-		Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
+		Workload:   w,
+		UplinkLoss: 0.2,
+		Seed:       7,
+		Check:      oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
 		NewProtocol: func(c server.Host, _ int64) server.Protocol {
 			cl = c.(*server.Cluster)
 			return core.NewZTNRP(c, rng)
 		},
 	})
-	if cl.DroppedUpdates == 0 {
+	if cl.DroppedUpdates() == 0 {
 		t.Fatal("fault injection inactive")
 	}
 	if res.Violations == 0 {
@@ -60,9 +61,10 @@ func TestFractionToleranceAbsorbsSomeLoss(t *testing.T) {
 	rng := query.NewRange(400, 600)
 	run := func(tol core.FractionTolerance) int {
 		res := Run(Config{
-			Workload: w,
-			Cluster:  server.Config{DropUpdateProb: 0.05, DropSeed: 3},
-			Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, tol), 1),
+			Workload:   w,
+			UplinkLoss: 0.05,
+			Seed:       3,
+			Check:      oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, tol), 1),
 			NewProtocol: func(c server.Host, _ int64) server.Protocol {
 				return core.NewFTNRP(c, rng, core.FTNRPConfig{
 					Tol: tol, Selection: core.SelectBoundaryNearest,
@@ -85,15 +87,16 @@ func TestLossIsReproducible(t *testing.T) {
 		rng := query.NewRange(400, 600)
 		var cl *server.Cluster
 		res := Run(Config{
-			Workload: w,
-			Cluster:  server.Config{DropUpdateProb: 0.1, DropSeed: 5},
-			Check:    oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
+			Workload:   w,
+			UplinkLoss: 0.1,
+			Seed:       5,
+			Check:      oracle.NewAuditor(w.Initial(), oracle.FractionRange(rng, core.FractionTolerance{}), 1),
 			NewProtocol: func(c server.Host, _ int64) server.Protocol {
 				cl = c.(*server.Cluster)
 				return core.NewZTNRP(c, rng)
 			},
 		})
-		return cl.DroppedUpdates, res.Violations
+		return cl.DroppedUpdates(), res.Violations
 	}
 	d1, v1 := mk()
 	d2, v2 := mk()

@@ -27,10 +27,10 @@ type Config struct {
 	// only randomness source so runs stay reproducible under any cell
 	// scheduling.
 	NewProtocol func(c server.Host, seed int64) server.Protocol
-	// Seed is handed to NewProtocol for protocol-internal randomness.
+	// Seed seeds NewProtocol and the serving node (hence uplink loss).
 	Seed int64
-	// Cluster tunes message accounting.
-	Cluster server.Config
+	// UplinkLoss is the tenant's runtime.TenantSpec.UplinkLoss.
+	UplinkLoss float64
 	// Check optionally holds the served answer to a guarantee: a fresh
 	// auditor over Workload.Initial(), asked every Check.Every events.
 	Check *oracle.Auditor
@@ -66,9 +66,9 @@ func Run(cfg Config) Result {
 		panic("experiment: Config needs Workload and NewProtocol")
 	}
 	var proto server.Protocol
-	node, err := runtime.NewNode(runtime.Config{}, []runtime.TenantSpec{{
-		Initial: cfg.Workload.Initial(),
-		Server:  cfg.Cluster,
+	node, err := runtime.NewNode(runtime.Config{Seed: cfg.Seed}, []runtime.TenantSpec{{
+		Initial:    cfg.Workload.Initial(),
+		UplinkLoss: cfg.UplinkLoss,
 		// The protocol draws from the cell's seed, not from the one the node
 		// derives for tenant 0: a figure's bytes must not depend on its host.
 		NewProtocol: func(h server.Host, _ int64) server.Protocol {

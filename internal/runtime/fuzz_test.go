@@ -2,18 +2,23 @@ package runtime
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 )
 
 // fuzzSpecs is the fixed tenant configuration every fuzz input is decoded
 // against: small, heterogeneous (FT-NRP with random selection, RTP, a
-// multi-query composite tenant and a spatial rtp2d tenant), so cluster
-// state in both dimensions, composite fabric state, protocol state and RNG
-// positions all appear in the encoding.
+// multi-query composite tenant and a spatial rtp2d tenant, then a lossy
+// twin of each kind), so cluster state in both dimensions, composite
+// fabric state, protocol state, RNG positions and nonzero dropped-update
+// counts all appear in the encoding.
 func fuzzSpecs() []TenantSpec {
-	return append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5), spatialSpec("fz-2d", 10, 7))
+	specs := append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5), spatialSpec("fz-2d", 10, 7))
+	for _, spec := range specs[1:] {
+		spec.Name += "-lossy"
+		spec.UplinkLoss = 0.3
+		specs = append(specs, spec)
+	}
+	return specs
 }
 
 // churn drives tenant ti through three sweeps that move every stream
@@ -40,12 +45,10 @@ func churn(t *testing.T, node *Node, ti int, spatial bool) {
 	}
 }
 
-// sealed appends a valid checksum trailer to payload, so a mutated payload
-// reaches the structural decoder behind the integrity check.
-func sealed(payload []byte) []byte {
-	out := append([]byte(nil), payload...)
-	return binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, crcTable)))
-}
+// sealed appends a valid checksum trailer to a copy of payload, so a
+// mutated payload reaches the structural decoder behind the integrity
+// check.
+func sealed(payload []byte) []byte { return seal(append([]byte(nil), payload...)) }
 
 // validFuzzSnapshot produces a pristine snapshot of a short run, used both
 // as the seed input and as the baseline the fuzzer mutates.
@@ -59,7 +62,7 @@ func validFuzzSnapshot(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	defer node.Stop()
-	for _, b := range testEvents(specs, 40, 17) {
+	for _, b := range testEvents(specs, 120, 17) {
 		if err := node.Ingest(b); err != nil {
 			tb.Fatal(err)
 		}
@@ -68,7 +71,19 @@ func validFuzzSnapshot(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	requireDrops(tb, node, specs)
 	return snap
+}
+
+// requireDrops fails unless every lossy tenant of a quiesced node has lost
+// an update, so the seed inputs carry dropped counts for the fuzzer to
+// mutate into the lossless-host refusal.
+func requireDrops(tb testing.TB, node *Node, specs []TenantSpec) {
+	for ti, spec := range specs {
+		if spec.UplinkLoss > 0 && dropped(node, ti) == 0 {
+			tb.Fatalf("lossy tenant %s dropped no update", spec.Name)
+		}
+	}
 }
 
 // FuzzRestoreNode pins the decode contract of ISSUE 4: RestoreNode must
@@ -141,7 +156,7 @@ func FuzzImportTenant(f *testing.F) {
 	if err := src.Start(context.Background()); err != nil {
 		f.Fatal(err)
 	}
-	for _, b := range testEvents(specs, 40, 17) {
+	for _, b := range testEvents(specs, 120, 17) {
 		if err := src.Ingest(b); err != nil {
 			f.Fatal(err)
 		}
@@ -150,6 +165,11 @@ func FuzzImportTenant(f *testing.F) {
 		valid, err := src.ExportTenant(ti)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if specs[ti].UplinkLoss > 0 {
+			// The record against its lossless twin, three slots earlier in
+			// fuzzSpecs, is the refusal the fuzzer must reach.
+			f.Add(uint8(ti-3), valid)
 		}
 		f.Add(uint8(ti), valid)
 		f.Add(uint8(ti), valid[:len(valid)-8])
@@ -160,6 +180,7 @@ func FuzzImportTenant(f *testing.F) {
 			f.Add(uint8(ti), mut)
 		}
 	}
+	requireDrops(f, src, specs)
 	src.Stop()
 	tryImport := func(t *testing.T, spec TenantSpec, data []byte) {
 		dst, err := NewNodeLabeled(Config{Seed: 21}, nil, nil)

@@ -111,30 +111,32 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// dropped returns the updates tenant ti's uplink has lost.
+func dropped(node *Node, ti int) uint64 {
+	return node.tenants[ti].backend.(interface{ DroppedUpdates() uint64 }).DroppedUpdates()
+}
+
 // TestLossyRestoreBitIdentical cuts a run with injected uplink loss: the
-// loss RNG's position rides in the tenant record, so a node restored at
-// another shard count drops exactly the updates the uninterrupted run
-// drops. One record layout serves both kinds, so the same check runs on a
-// 1-D and on a spatial tenant.
+// loss position is the update count, which rides in the tenant record, so
+// a node restored at another shard count drops exactly the updates the
+// uninterrupted run drops. Every host writes the same uplink word, so the
+// same check runs on a 1-D, a spatial and a multi-query tenant (the last
+// compared through its report: it has no single answer).
 func TestLossyRestoreBitIdentical(t *testing.T) {
-	lossy := server.Config{DropUpdateProb: 0.3, DropSeed: 77}
-	kinds := map[string]TenantSpec{"1d": testSpecs(2, 30)[1], "spatial": spatialSpec("fleet", 30, 9)}
+	kinds := map[string]TenantSpec{
+		"1d":      testSpecs(2, 30)[1],
+		"spatial": spatialSpec("fleet", 30, 9),
+		"multi":   qpSpec("mq", 3, 30, 5),
+	}
 	for name, spec := range kinds {
 		t.Run(name, func(t *testing.T) {
-			spec.Server = lossy
+			spec.UplinkLoss = 0.3
 			specs := []TenantSpec{spec}
 			batches := testEvents(specs, 2000, 83)
 			cut := len(batches) / 2
 			ref := runNode(t, 3, specs, batches)
-			var dropped uint64
-			switch b := ref.tenants[0].backend.(type) {
-			case *scalar:
-				dropped = b.DroppedUpdates
-			case *planar:
-				dropped = b.DroppedUpdates
-			}
-			if dropped == 0 {
-				t.Fatal("the reference run dropped no update; the loss RNG was never consulted")
+			if dropped(ref, 0) == 0 {
+				t.Fatal("the reference run dropped no update; loss was never injected")
 			}
 
 			node, err := NewNode(Config{Shards: 2, Seed: 42}, specs)
@@ -169,7 +171,16 @@ func TestLossyRestoreBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareLive(t, rn, ref)
+			if name == "multi" {
+				if got, want := rn.Report().Text(), ref.Report().Text(); got != want {
+					t.Errorf("restored report:\n%s\nwant:\n%s", got, want)
+				}
+			} else {
+				compareLive(t, rn, ref)
+			}
+			if got, want := dropped(rn, 0), dropped(ref, 0); got != want {
+				t.Errorf("restored tenant dropped %d updates, want %d", got, want)
+			}
 			if !bytes.Equal(rnSnap, finalSnap) {
 				t.Error("final snapshot after a lossy restore differs from the uninterrupted run's")
 			}
@@ -246,7 +257,7 @@ func TestLifecycleMatchesIndependentClusters(t *testing.T) {
 	}
 	refs := make(map[int]ref)
 	for slot, phs := range present {
-		cluster := server.NewClusterWith(all[slot].Initial, all[slot].Server)
+		cluster := server.NewCluster(all[slot].Initial)
 		proto := all[slot].NewProtocol(cluster, sim.DeriveSeed(42, tenantSeedStream, int64(slot)))
 		cluster.SetProtocol(proto)
 		cluster.Initialize()

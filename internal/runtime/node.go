@@ -82,7 +82,8 @@ type QuerySpec struct {
 // server.Cluster. A multi-query tenant sets Queries instead and is served
 // by a server.Composite: all its queries share one value table, one message
 // counter and per-stream composite filters, so one update message covers
-// every query it affects. The two forms are mutually exclusive.
+// every query it affects. The two forms are mutually exclusive. Every kind
+// may set UplinkLoss.
 type TenantSpec struct {
 	// Name labels the tenant in reports (defaults to "tenant-<i>").
 	Name string
@@ -94,9 +95,11 @@ type TenantSpec struct {
 	NewProtocol func(h server.Host, seed int64) server.Protocol
 	// Queries, when non-empty, makes this a multi-query composite tenant.
 	Queries []QuerySpec
-	// Server tunes the tenant's fault injection (single-query and spatial
-	// tenants; the composite fabric does not model uplink loss).
-	Server server.Config
+	// UplinkLoss is the probability that any one stream→server update is
+	// lost in transit (0, the default, is the paper's reliable channel; see
+	// server's SetUplinkLoss). The loss process is seeded by the tenant's
+	// own seed, so it is as reproducible as its protocols.
+	UplinkLoss float64
 	// SpatialInitial, when non-empty, makes this a spatial (2-D) tenant: its
 	// partition's streams are planar locations served by a private
 	// server.SpatialCluster, and events carry (Value, Y) coordinates. Set
@@ -113,8 +116,8 @@ type Config struct {
 	// Shards is the number of event-loop goroutines. 0 means 1; negative
 	// means GOMAXPROCS.
 	Shards int
-	// Seed is the node's base determinism seed; tenant i's protocol seed is
-	// sim.DeriveSeed(Seed, tenantSeedStream, i).
+	// Seed is the node's base determinism seed; tenant i's protocol and
+	// uplink-loss seed is sim.DeriveSeed(Seed, tenantSeedStream, i).
 	Seed int64
 	// Queue is the per-shard mailbox capacity in events (default 4096): a
 	// routed batch is admitted whenever fewer than that many events wait on
@@ -175,6 +178,8 @@ type backend interface {
 	// Counter returns the message counter (shared across all queries of a
 	// composite tenant).
 	Counter() *comm.Counter
+	// SetUplinkLoss injects update loss (see TenantSpec.UplinkLoss).
+	SetUplinkLoss(rate float64, seed int64)
 	// answer returns a single-protocol backend's answer set; a composite
 	// panics (its answers are per query).
 	answer() []stream.ID
@@ -196,9 +201,9 @@ type hosted[V comparable, C filter.Of[V, C]] struct {
 	proto server.ProtocolOf[V]
 }
 
-func newHosted[V comparable, C filter.Of[V, C]](initial []V, cfg server.Config,
+func newHosted[V comparable, C filter.Of[V, C]](initial []V,
 	build func(server.HostOf[V, C], int64) server.ProtocolOf[V], seed int64) hosted[V, C] {
-	c := server.NewClusterOf[V, C](initial, cfg)
+	c := server.NewClusterOf[V, C](initial)
 	p := build(c, seed)
 	c.SetProtocol(p)
 	return hosted[V, C]{c, p}
@@ -410,7 +415,7 @@ func NewNodeLabeled(cfg Config, specs []TenantSpec, labels []int64) (*Node, erro
 		seen[labels[i]] = true
 		t, err := n.buildTenant(spec, i, labels[i], true)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("runtime: tenant %d %w", i, err)
 		}
 		n.tenants = append(n.tenants, t)
 		if labels[i] >= n.nextSeedID {
@@ -427,10 +432,12 @@ func NewNodeLabeled(cfg Config, specs []TenantSpec, labels []int64) (*Node, erro
 // whether the spec's queries are built too (NewNode/AddTenant) or left for
 // the snapshot decoder to rebuild slot by slot (RestoreNode).
 func (n *Node) buildTenant(spec TenantSpec, ti int, seedID int64, withQueries bool) (*tenant, error) {
-	b, err := n.buildBackend(spec, seedID, withQueries)
+	seed := sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID)
+	b, err := n.buildBackend(spec, seed, seedID, withQueries)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: tenant %d %w", ti, err)
+		return nil, err
 	}
+	b.SetUplinkLoss(spec.UplinkLoss, seed)
 	name := spec.Name
 	if name == "" {
 		name = fmt.Sprintf("tenant-%d", ti)
@@ -439,12 +446,11 @@ func (n *Node) buildTenant(spec TenantSpec, ti int, seedID int64, withQueries bo
 		planar: b.kind() == tenantKindSpatial}, nil
 }
 
-// buildBackend validates spec and builds the backend it describes. The
-// single-protocol kinds share one seed derivation and one construction;
-// which of them a spec means is decided by which initial-value field it
-// fills.
-func (n *Node) buildBackend(spec TenantSpec, seedID int64, withQueries bool) (backend, error) {
-	seed := sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID)
+// buildBackend validates spec and builds the backend it describes; seed is
+// the tenant's own, derived from its seed label. The single-protocol kinds
+// share one construction; which of them a spec means is decided by which
+// initial-value field it fills.
+func (n *Node) buildBackend(spec TenantSpec, seed, seedID int64, withQueries bool) (backend, error) {
 	if len(spec.SpatialInitial) > 0 {
 		if spec.NewProtocol != nil || len(spec.Queries) > 0 || len(spec.Initial) > 0 {
 			return nil, fmt.Errorf("mixes spatial and 1-D configuration")
@@ -455,7 +461,7 @@ func (n *Node) buildBackend(spec TenantSpec, seedID int64, withQueries bool) (ba
 		if err := checkInitial(spec.SpatialInitial); err != nil {
 			return nil, err
 		}
-		return &planar{newHosted(spec.SpatialInitial, spec.Server, spec.NewSpatial, seed)}, nil
+		return &planar{newHosted(spec.SpatialInitial, spec.NewSpatial, seed)}, nil
 	}
 	if spec.NewSpatial != nil {
 		return nil, fmt.Errorf("sets NewSpatial without SpatialInitial")
@@ -470,13 +476,10 @@ func (n *Node) buildBackend(spec TenantSpec, seedID int64, withQueries bool) (ba
 		if spec.NewProtocol == nil {
 			return nil, fmt.Errorf("has no protocol factory")
 		}
-		return &scalar{newHosted(spec.Initial, spec.Server, spec.NewProtocol, seed)}, nil
+		return &scalar{newHosted(spec.Initial, spec.NewProtocol, seed)}, nil
 	}
 	if spec.NewProtocol != nil {
 		return nil, fmt.Errorf("sets both NewProtocol and Queries")
-	}
-	if spec.Server != (server.Config{}) {
-		return nil, fmt.Errorf("sets a Server config, which multi-query tenants do not support")
 	}
 	for qi, qs := range spec.Queries {
 		if qs.NewProtocol == nil {
@@ -843,7 +846,7 @@ func (n *Node) AddTenantLabeled(spec TenantSpec, label int64) (int, error) {
 	ti := len(n.tenants)
 	t, err := n.buildTenant(spec, ti, label, true)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("runtime: tenant %d %w", ti, err)
 	}
 	if label >= n.nextSeedID {
 		n.nextSeedID = label + 1

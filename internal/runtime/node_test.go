@@ -122,7 +122,7 @@ func TestNodeMatchesIndependentClusters(t *testing.T) {
 	}
 	refs := make([]ref, len(specs))
 	for i, spec := range specs {
-		cluster := server.NewClusterWith(spec.Initial, spec.Server)
+		cluster := server.NewCluster(spec.Initial)
 		proto := spec.NewProtocol(cluster, sim.DeriveSeed(42, tenantSeedStream, int64(i)))
 		cluster.SetProtocol(proto)
 		cluster.Initialize()

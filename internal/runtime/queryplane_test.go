@@ -464,11 +464,6 @@ func TestMultiQueryValidation(t *testing.T) {
 			Initial: []float64{1, 2},
 			Queries: []QuerySpec{{Name: "broken"}},
 		},
-		"server config on composite": {
-			Initial: []float64{1, 2},
-			Queries: good,
-			Server:  server.Config{DropUpdateProb: 0.1},
-		},
 	}
 	for name, spec := range cases {
 		if _, err := NewNode(Config{}, []TenantSpec{spec}); err == nil {

@@ -16,11 +16,12 @@ const (
 	snapshotMagic = "adaptivefilters/node-snapshot"
 	// SnapshotVersion is the current encoding version, the only one
 	// RestoreNode accepts: every tenant record opens with an integer kind
-	// discriminator, single-query and spatial records share one layout, and
-	// planar RTP and FT-RP write the 1-D protocols' state (DESIGN.md §6.3).
+	// discriminator, single-query and spatial records share one layout,
+	// planar RTP and FT-RP write the 1-D protocols' state, and every host
+	// writes one uplink word, its dropped-update count (DESIGN.md §6.3).
 	// No snapshot was ever deployed at an earlier version, so they are
 	// refused rather than decoded.
-	SnapshotVersion = 5
+	SnapshotVersion = 6
 )
 
 // Per-tenant kind discriminators.
@@ -32,11 +33,12 @@ const (
 
 // Snapshot captures a barrier-consistent, versioned encoding of the node's
 // full tenant state: for every live slot, the server value table, message
-// counters, pending queue, every source's value/filter/side, the protocol's
-// dynamic state (including its selection-RNG position), and the event
-// count; for multi-query tenants, the whole composite fabric (ground
-// truth, shared table, per-stream constraint vectors and sides, the shared
-// counter, and every query slot's protocol state and seed label). It
+// counter, dropped-update count, pending queue, every source's
+// value/filter/side, the protocol's dynamic state (including its
+// selection-RNG position), and the event count; for multi-query tenants,
+// the whole composite fabric (ground truth, shared table, per-stream
+// constraint vectors and sides, the shared counter and dropped count, and
+// every query slot's protocol state and seed label). It
 // drains first, so the snapshot reflects exactly the events ingested
 // before the call — the barrier every shard loop has passed.
 //
@@ -70,24 +72,83 @@ func (n *Node) Snapshot() ([]byte, error) {
 		if t == nil {
 			continue
 		}
-		w.Int64(t.kind())
-		w.String(t.name)
-		w.Int64(t.seedID)
-		if err := t.export(w, t.events); err != nil {
+		if err := writeTenant(w, t); err != nil {
 			return nil, fmt.Errorf("runtime: tenant %d (%s): %w", ti, t.name, err)
 		}
 	}
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	// Trailing checksum: the structural validation in RestoreNode catches
-	// truncation and implausible values, but a flipped bit inside a float
-	// payload is a legal encoding of different state — only an integrity
-	// check can tell. Appended outside the Writer, which Bytes retires.
-	payload := w.Bytes()
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
-	return append(payload, trailer[:]...), nil
+	return seal(w.Bytes()), nil
+}
+
+// writeTenant appends one tenant record: the head (kind, name, seed
+// label), then the backend's body. Node and tenant snapshots share it.
+func writeTenant(w *snapshot.Writer, t *tenant) error {
+	w.Int64(t.kind())
+	w.String(t.name)
+	w.Int64(t.seedID)
+	return t.export(w, t.events)
+}
+
+// readTenant decodes one tenant record written by writeTenant into a
+// tenant built from spec for slot ti; label vets the recorded seed label
+// before anything is built. The restored tenant is initialized.
+func (n *Node) readTenant(r *snapshot.Reader, spec TenantSpec, ti int, label func(int64) error) (*tenant, error) {
+	kind := r.Int64()
+	name := r.String()
+	seedID := r.Int64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if kind < tenantKindSingle || kind > tenantKindSpatial {
+		return nil, fmt.Errorf("kind %d unknown", kind)
+	}
+	if err := label(seedID); err != nil {
+		return nil, err
+	}
+	t, err := n.buildTenant(spec, ti, seedID, false)
+	if err != nil {
+		return nil, err
+	}
+	if kind != t.kind() {
+		return nil, fmt.Errorf("snapshot holds a %s tenant, spec builds a %s tenant",
+			kindName(kind), kindName(t.kind()))
+	}
+	if t.events, err = t.restore(r, spec); err != nil {
+		return nil, err
+	}
+	t.name = name
+	t.initialized = true
+	return t, nil
+}
+
+// seal ends a snapshot payload with its trailing checksum: the structural
+// validation on restore catches truncation and implausible values, but a
+// flipped bit inside a float payload is a legal encoding of different
+// state — only an integrity check can tell. It appends to payload.
+func seal(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint64(payload, uint64(crc32.Checksum(payload, crcTable)))
+}
+
+// unseal checks a sealed snapshot's checksum, magic and version, and
+// returns a reader over the rest; what names the snapshot in errors.
+func unseal(data []byte, magic string, version uint64, what string) (*snapshot.Reader, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("runtime: not a %s", what)
+	}
+	payload, trailer := data[:len(data)-8], data[len(data)-8:]
+	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
+		return nil, fmt.Errorf("runtime: %s checksum mismatch (stored %x, computed %x)", what, got, want)
+	}
+	r := snapshot.NewReader(payload)
+	if m := r.String(); r.Err() != nil || m != magic {
+		return nil, fmt.Errorf("runtime: not a %s", what)
+	}
+	if v := r.Uint64(); r.Err() != nil || v != version {
+		return nil, fmt.Errorf("runtime: unsupported %s version %d (have %d)", what, v, version)
+	}
+	return r, nil
 }
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
@@ -97,11 +158,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // RestoreNode rebuilds a node from a Snapshot. specs must describe the same
 // tenants as the snapshotting node, one per slot in slot order — including
 // slots that were already evicted (their specs are ignored) — with the same
-// Initial values, Server config and protocol configuration; a multi-query
+// Initial values, UplinkLoss and protocol configuration; a multi-query
 // tenant's spec must list one QuerySpec per query slot the tenant ever
 // admitted, in admission order (for a node that never saw lifecycle changes
 // that is simply the spec list NewNode was given). The snapshot's own seed
-// overrides cfg.Seed, so protocol and loss-injection randomness resume at
+// overrides cfg.Seed, so protocol randomness and uplink loss resume at
 // their recorded positions no matter what the caller passes.
 //
 // The restored node continues bit-identically: started (Start skips the t0
@@ -110,20 +171,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // count. Corrupted, truncated or mismatched snapshots — and any encoding
 // version but SnapshotVersion — return an error; decoding never panics.
 func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("runtime: not a node snapshot")
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
-		return nil, fmt.Errorf("runtime: snapshot checksum mismatch (stored %x, computed %x)", got, want)
-	}
-	r := snapshot.NewReader(payload)
-	if magic := r.String(); r.Err() != nil || magic != snapshotMagic {
-		return nil, fmt.Errorf("runtime: not a node snapshot")
-	}
-	version := r.Uint64()
-	if r.Err() != nil || version != SnapshotVersion {
-		return nil, fmt.Errorf("runtime: unsupported snapshot version %d (have %d)", version, SnapshotVersion)
+	r, err := unseal(data, snapshotMagic, SnapshotVersion, "snapshot")
+	if err != nil {
+		return nil, err
 	}
 	seed := r.Int64()
 	nextSeedID := r.Int64()
@@ -141,49 +191,29 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 	cfg.Seed = seed
 	n := &Node{cfg: cfg, nextSeedID: nextSeedID}
 	n.ingested.Store(ingested)
-	shards := cfg.shards()
+	label := func(seedID int64) error {
+		if seedID < 0 || seedID >= nextSeedID {
+			return fmt.Errorf("seed label %d outside [0,%d)", seedID, nextSeedID)
+		}
+		return nil
+	}
 	for ti := 0; ti < slots; ti++ {
 		alive := r.Bool()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if !alive {
-			n.tenants = append(n.tenants, nil)
-			continue
+		var t *tenant
+		if alive {
+			if t, err = n.readTenant(r, specs[ti], ti, label); err != nil {
+				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
+			}
 		}
-		kind := r.Int64()
-		name := r.String()
-		seedID := r.Int64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if kind < tenantKindSingle || kind > tenantKindSpatial {
-			return nil, fmt.Errorf("runtime: tenant %d snapshot kind %d unknown", ti, kind)
-		}
-		if seedID < 0 || seedID >= nextSeedID {
-			return nil, fmt.Errorf("runtime: tenant %d seed label %d outside [0,%d)", ti, seedID, nextSeedID)
-		}
-		t, err := n.buildTenant(specs[ti], ti, seedID, false)
-		if err != nil {
-			return nil, err
-		}
-		if kind != t.kind() {
-			return nil, fmt.Errorf("runtime: tenant %d snapshot holds a %s tenant, spec builds a %s tenant",
-				ti, kindName(kind), kindName(t.kind()))
-		}
-		events, err := t.restore(r, specs[ti])
-		if err != nil {
-			return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-		}
-		t.name = name
-		t.events = events
-		t.initialized = true
 		n.tenants = append(n.tenants, t)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	n.initShards(shards)
+	n.initShards(cfg.shards())
 	return n, nil
 }
 

@@ -1,25 +1,24 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"adaptivefilters/internal/snapshot"
 )
 
 // tenantSnapshotMagic and TenantSnapshotVersion head every single-tenant
 // snapshot — the migration primitive of the cluster layer (DESIGN.md §10).
-// A tenant snapshot is a node snapshot scoped to one slot: the same
-// per-tenant record layout, the same crc32c trailer, but no node-wide
-// header, so one tenant can leave a node without freezing the rest of the
-// world longer than a drain barrier.
+// A tenant snapshot is a node snapshot scoped to one slot: the node
+// header's first fields (magic, version, node seed), then the same
+// per-tenant record and crc32c trailer but no tenant table, so one tenant
+// can leave a node without freezing the rest of the world longer than a
+// drain barrier.
 const (
 	tenantSnapshotMagic = "adaptivefilters/tenant-snapshot"
 	// TenantSnapshotVersion is the current single-tenant encoding version,
 	// the only one ImportTenant accepts; it moves with SnapshotVersion, whose
 	// per-tenant record layout it shares.
-	TenantSnapshotVersion = 4
+	TenantSnapshotVersion = 5
 )
 
 // ExportTenant captures a barrier-consistent, versioned encoding of one
@@ -58,26 +57,20 @@ func (n *Node) ExportTenant(ti int) ([]byte, error) {
 	w.String(tenantSnapshotMagic)
 	w.Uint64(TenantSnapshotVersion)
 	w.Int64(n.cfg.Seed)
-	w.String(t.name)
-	w.Int64(t.seedID)
-	w.Int64(t.kind())
-	if err := t.export(w, t.events); err != nil {
+	if err := writeTenant(w, t); err != nil {
 		return nil, fmt.Errorf("runtime: tenant %d (%s): %w", ti, t.name, err)
 	}
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	payload := w.Bytes()
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
-	return append(payload, trailer[:]...), nil
+	return seal(w.Bytes()), nil
 }
 
 // ImportTenant admits a tenant onto the live node, restoring its state
 // from an ExportTenant record instead of running a t0 phase — the receiving
 // half of a migration. spec must describe the exported tenant exactly as
 // RestoreNode's specs describe a snapshotting node's (same Initial values,
-// Server config and protocol configuration; for a multi-query tenant, one
+// UplinkLoss and protocol configuration; for a multi-query tenant, one
 // QuerySpec per query slot it ever admitted, in admission order). The
 // tenant resumes with its recorded seed label, event count, counters and
 // RNG positions; fed the events after the export barrier, its trajectory is
@@ -92,68 +85,41 @@ func (n *Node) ImportTenant(spec TenantSpec, data []byte) (int, error) {
 	if !n.started || n.stopped {
 		return 0, fmt.Errorf("runtime: node not running")
 	}
-	if len(data) < 8 {
-		return 0, fmt.Errorf("runtime: not a tenant snapshot")
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
-		return 0, fmt.Errorf("runtime: tenant snapshot checksum mismatch (stored %x, computed %x)", got, want)
-	}
-	r := snapshot.NewReader(payload)
-	if magic := r.String(); r.Err() != nil || magic != tenantSnapshotMagic {
-		return 0, fmt.Errorf("runtime: not a tenant snapshot")
-	}
-	version := r.Uint64()
-	if r.Err() != nil || version != TenantSnapshotVersion {
-		return 0, fmt.Errorf("runtime: unsupported tenant snapshot version %d (have %d)",
-			version, TenantSnapshotVersion)
-	}
-	seed := r.Int64()
-	name := r.String()
-	seedID := r.Int64()
-	kind := r.Int64()
-	if err := r.Err(); err != nil {
+	r, err := unseal(data, tenantSnapshotMagic, TenantSnapshotVersion, "tenant snapshot")
+	if err != nil {
 		return 0, err
 	}
-	if kind < tenantKindSingle || kind > tenantKindSpatial {
-		return 0, fmt.Errorf("runtime: tenant snapshot kind %d unknown", kind)
+	seed := r.Int64()
+	if err := r.Err(); err != nil {
+		return 0, err
 	}
 	if seed != n.cfg.Seed {
 		return 0, fmt.Errorf("runtime: tenant snapshot was taken under node seed %d, this node runs %d",
 			seed, n.cfg.Seed)
 	}
-	if seedID < 0 {
-		return 0, fmt.Errorf("runtime: tenant snapshot seed label %d is negative", seedID)
-	}
-	for _, t := range n.tenants {
-		if t != nil && t.seedID == seedID {
-			return 0, fmt.Errorf("runtime: seed label %d already hosts tenant %q", seedID, t.name)
-		}
-	}
 	if err := n.drainLocked(); err != nil {
 		return 0, err
 	}
 	ti := len(n.tenants)
-	t, err := n.buildTenant(spec, ti, seedID, false)
-	if err != nil {
-		return 0, err
+	t, err := n.readTenant(r, spec, ti, func(seedID int64) error {
+		if seedID < 0 {
+			return fmt.Errorf("seed label %d is negative", seedID)
+		}
+		for _, t := range n.tenants {
+			if t != nil && t.seedID == seedID {
+				return fmt.Errorf("seed label %d already hosts tenant %q", seedID, t.name)
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = r.Done()
 	}
-	if kind != t.kind() {
-		return 0, fmt.Errorf("runtime: tenant snapshot holds a %s tenant, spec builds a %s tenant",
-			kindName(kind), kindName(t.kind()))
-	}
-	events, err := t.restore(r, spec)
 	if err != nil {
 		return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
 	}
-	if err := r.Done(); err != nil {
-		return 0, err
-	}
-	t.name = name
-	t.events = events
-	t.initialized = true
-	if seedID >= n.nextSeedID {
-		n.nextSeedID = seedID + 1
+	if t.seedID >= n.nextSeedID {
+		n.nextSeedID = t.seedID + 1
 	}
 	// No t0 to run: the next mailbox post publishes the grown tenant
 	// table to the shard loops, exactly as AddTenant's barrier protocol does.

@@ -26,16 +26,17 @@ import (
 // composite fabric — the per-stream constraint vectors, the shared table
 // and the single message counter — lives in the Composite.
 //
-// The stream rule is Cluster's: an entry's side is the side its
-// constraint puts the stream's true value on, never stored, and an install
-// runs the handshake (DESIGN.md §3.1) — a stream the server believes on the
-// wrong side of a new interval reports at once, and the installing query
-// handles that report after its current handler returns.
+// The stream rule and the uplink are Cluster's: an entry's side is the side
+// its constraint puts the stream's true value on, never stored, and an
+// install runs the handshake (DESIGN.md §3.1) — a stream the server believes
+// on the wrong side of a new interval reports at once, and the installing
+// query handles that report after its current handler returns.
 //
 // Query slots are never reused: RemoveQuery nils the slot and clears its
 // constraint entries, AddQuery appends. All methods must be driven from a
 // single goroutine (in the runtime, the owning shard loop).
 type Composite struct {
+	uplink
 	vals  []float64 // ground truth (driven by Deliver)
 	table []float64 // server view
 	known []bool
@@ -338,10 +339,9 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 	} else {
 		crossed = c.deliverScan(s, u, v)
 	}
-	if !crossed {
+	if !crossed || !c.chargeUpdate(&c.ctr) {
 		return
 	}
-	c.ctr.Add(comm.Update, 1)
 	c.table[s] = v
 	c.known[s] = true
 	row := c.cons[s]
@@ -456,8 +456,8 @@ func (c *Composite) refresh(s stream.ID) {
 // install rewrites query qi's entry at stream s and runs the install
 // handshake on it, the rule stream.Source.Install applies to one filter:
 // when cons is a non-silent interval that puts the true value on the other
-// side than the server expects, the stream reports at once (one update and
-// a table refresh) and the report is queued for query qi. It says whether
+// side than the server expects, the stream reports at once (one update; a
+// heard one refreshes the table and is queued for query qi). It says whether
 // the install costs a message: inside an init epoch only a stream's first
 // install does, and every sibling's entry rides in that composite install.
 func (c *Composite) install(s stream.ID, qi int, cons filter.Constraint, expectInside bool) bool {
@@ -465,8 +465,8 @@ func (c *Composite) install(s stream.ID, qi int, cons filter.Constraint, expectI
 	if c.idx != nil {
 		c.idx.set(c, int(s), qi, cons, true)
 	}
-	if cons.Kind == filter.Interval && cons.Contains(c.vals[s]) != expectInside && !cons.Silent() {
-		c.ctr.Add(comm.Update, 1)
+	if cons.Kind == filter.Interval && cons.Contains(c.vals[s]) != expectInside && !cons.Silent() &&
+		c.chargeUpdate(&c.ctr) {
 		c.refresh(s)
 		c.reports.push(queryReport{qi, s, c.vals[s]})
 	}

@@ -16,9 +16,9 @@ type QueryFactory func(slot int, name string, seedID int64, h Host) (Protocol, e
 
 // ExportState appends the composite fabric's full dynamic state to a
 // snapshot: ground truth, the shared table, every stream's constraint
-// vector and the sides it puts the stream's value on, the shared counter,
-// and every query slot (liveness, name, seed label, protocol name and the
-// protocol's own state).
+// vector and the sides it puts the stream's value on, the shared counter
+// and dropped count, and every query slot (liveness, name, seed label,
+// protocol name and the protocol's own state).
 // The encoding is canonical and placement-free, so CI can byte-diff
 // composite snapshots taken at different shard counts. Every live query's
 // protocol must implement StatefulProtocol; one that does not fails the
@@ -38,6 +38,7 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 		}
 	}
 	c.ctr.ExportState(w)
+	w.Uint64(c.dropped)
 	for qi, q := range c.queries {
 		w.Bool(q != nil)
 		if q == nil {
@@ -63,8 +64,9 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 // configuration drift is an error, not silent divergence) before its own
 // ImportState runs. A side is derived, never stored, so a recorded side
 // that contradicts its entry and value is corruption, refused as
-// stream.Source.ImportState refuses one. Corrupted or mismatched input
-// returns an error and never panics.
+// stream.Source.ImportState refuses one (as are lost updates bound for a
+// reliable composite). Corrupted or mismatched input returns an error and
+// never panics.
 func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error {
 	if len(c.queries) != 0 {
 		return fmt.Errorf("server: ImportState on a composite that already has queries")
@@ -114,7 +116,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 		}
 		cons[s] = cs
 	}
-	if err := c.ctr.ImportState(r); err != nil {
+	if err := c.importCounter(r, &c.ctr); err != nil {
 		return err
 	}
 	// Fabric state installed before the slots are rebuilt, so protocol

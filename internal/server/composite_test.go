@@ -413,11 +413,13 @@ func TestCompositeKindSemanticsMatchCluster(t *testing.T) {
 }
 
 // TestCompositeOfOneIsCluster pins that the composite and the cluster run
-// one stream rule: a composite hosting one query is the cluster hosting
-// it, for every 1-D protocol. Each run is a seeded walk with a ±Inf move
-// every 97 events (a shut filter contains +Inf, and a silent filter must
-// still never report). After every event the two hosts must agree on the
-// whole counter and on the answer, and an oracle audits the answer.
+// one stream rule over one uplink: a composite hosting one query is the
+// cluster hosting it, for every 1-D protocol, reliable or lossy. Each run
+// is a seeded walk with a ±Inf move every 97 events (a shut filter
+// contains +Inf, and a silent filter must still never report), once at
+// each loss rate with the same (rate, seed) on both hosts. After every
+// event the two hosts must agree on the whole counter, on the answer and
+// on DroppedUpdates; at rate 0 an oracle audits the answer.
 func TestCompositeOfOneIsCluster(t *testing.T) {
 	const n, events, infEvery = 150, 6000, 97
 	eps := func(s protospec.Spec) protospec.Spec { s.EpsPlus, s.EpsMinus = 0.2, 0.2; return s }
@@ -452,41 +454,54 @@ func TestCompositeOfOneIsCluster(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for seed := int64(1); seed <= 8; seed++ {
-				rng := sim.NewRNG(seed)
-				initial := make([]float64, n)
-				for i := range initial {
-					initial[i] = rng.Uniform(0, 1000)
-				}
-				cl := server.NewCluster(initial)
-				cl.SetProtocol(factory(cl, seed))
-				cl.Initialize()
-				comp := server.NewComposite(initial)
-				comp.AddQuery("q", seed, func(h server.Host) server.Protocol { return factory(h, seed) })
-				comp.Initialize()
-				audit := oracle.NewAuditor(initial, g, 1)
-				walk := append([]float64(nil), initial...)
-				for e := 0; e < events; e++ {
-					s := rng.Intn(n)
-					walk[s] += rng.Normal(0, 20)
-					v := walk[s]
-					if e%infEvery == infEvery-1 {
-						v = math.Inf(1 - 2*(e/infEvery%2))
+			for _, rate := range []float64{0, 0.2} {
+				for seed := int64(1); seed <= 8; seed++ {
+					rng := sim.NewRNG(seed)
+					initial := make([]float64, n)
+					for i := range initial {
+						initial[i] = rng.Uniform(0, 1000)
 					}
-					cl.Deliver(s, v)
-					comp.Deliver(s, v)
-					audit.Apply(s, v, 0)
-					want := slices.Sorted(slices.Values(cl.Protocol().Answer()))
-					if got := slices.Sorted(slices.Values(comp.Answer(0))); !slices.Equal(got, want) {
-						t.Fatalf("seed %d event %d: composite answers %v, cluster %v", seed, e, got, want)
+					cl := server.NewCluster(initial)
+					cl.SetUplinkLoss(rate, seed)
+					cl.SetProtocol(factory(cl, seed))
+					cl.Initialize()
+					comp := server.NewComposite(initial)
+					comp.SetUplinkLoss(rate, seed)
+					comp.AddQuery("q", seed, func(h server.Host) server.Protocol { return factory(h, seed) })
+					comp.Initialize()
+					audit := oracle.NewAuditor(initial, g, 1)
+					walk := append([]float64(nil), initial...)
+					for e := 0; e < events; e++ {
+						s := rng.Intn(n)
+						walk[s] += rng.Normal(0, 20)
+						v := walk[s]
+						if e%infEvery == infEvery-1 {
+							v = math.Inf(1 - 2*(e/infEvery%2))
+						}
+						cl.Deliver(s, v)
+						comp.Deliver(s, v)
+						audit.Apply(s, v, 0)
+						want := slices.Sorted(slices.Values(cl.Protocol().Answer()))
+						if got := slices.Sorted(slices.Values(comp.Answer(0))); !slices.Equal(got, want) {
+							t.Fatalf("rate %v seed %d event %d: composite answers %v, cluster %v", rate, seed, e, got, want)
+						}
+						if *comp.Counter() != *cl.Counter() {
+							t.Fatalf("rate %v seed %d event %d: composite counter %v, cluster %v", rate, seed, e, comp.Counter(), cl.Counter())
+						}
+						if comp.DroppedUpdates() != cl.DroppedUpdates() {
+							t.Fatalf("rate %v seed %d event %d: composite dropped %d updates, cluster %d",
+								rate, seed, e, comp.DroppedUpdates(), cl.DroppedUpdates())
+						}
+						if rate == 0 {
+							audit.Audit(uint64(e), want)
+						}
 					}
-					if *comp.Counter() != *cl.Counter() {
-						t.Fatalf("seed %d event %d: composite counter %v, cluster %v", seed, e, comp.Counter(), cl.Counter())
+					if rate > 0 && cl.DroppedUpdates() == 0 {
+						t.Fatalf("rate %v seed %d: no update was lost", rate, seed)
 					}
-					audit.Audit(uint64(e), want)
-				}
-				if audit.Violations != 0 {
-					t.Fatalf("seed %d: %d of %d audits violated; first: %s", seed, audit.Violations, audit.Checks, audit.First)
+					if audit.Violations != 0 {
+						t.Fatalf("seed %d: %d of %d audits violated; first: %s", seed, audit.Violations, audit.Checks, audit.First)
+					}
 				}
 			}
 		})

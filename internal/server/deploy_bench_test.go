@@ -26,7 +26,7 @@ const deployStreams = 2000
 // move(v), which stays on v's side of every constraint the benchmark
 // deploys, so nothing reports and the table keeps the old value.
 func staleCluster[V comparable, C filter.Of[V, C]](vals []V, cons C, move func(V) V) *server.ClusterOf[V, C] {
-	c := server.NewClusterOf[V, C](append([]V(nil), vals...), server.Config{})
+	c := server.NewClusterOf[V, C](append([]V(nil), vals...))
 	c.SetProtocol(idle[V]{})
 	c.Initialize()
 	c.ProbeAll()

@@ -14,7 +14,6 @@ import (
 
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
 )
 
@@ -102,24 +101,6 @@ type (
 	SpatialCluster  = ClusterOf[filter.Point, filter.Region]
 )
 
-// Config tunes cluster fault injection.
-type Config struct {
-	// DropUpdateProb injects uplink loss: each stream→server update message
-	// is lost in transit with this probability. The message is still counted
-	// (the sensor transmitted it) but the server never sees it, so its value
-	// table and the protocol's answer silently diverge — the paper assumes
-	// reliable delivery, and the robustness tests quantify what that
-	// assumption buys. Probe replies and installs are never dropped.
-	DropUpdateProb float64
-	// DropSeed makes the loss process reproducible.
-	DropSeed int64
-}
-
-// lossSeedStream labels the uplink-loss RNG stream derived from
-// Config.DropSeed via sim.DeriveSeed (cf. the selection-stream labels in
-// internal/core).
-const lossSeedStream int64 = 0x1CEB
-
 type pendingUpdate[V any] struct {
 	id stream.ID
 	v  V
@@ -162,12 +143,12 @@ func (q *reportQueue[R]) drain(h reportHandler[R]) {
 // ClusterOf wires n stream sources to a hosted protocol and accounts every
 // message. It is the canonical HostOf implementation.
 type ClusterOf[V comparable, C filter.Of[V, C]] struct {
-	cfg     Config
+	uplink
 	sources []stream.Source[V, C] // by value and pointer-free: plain data
 	proto   ProtocolOf[V]
-	// uplink is receive, bound once so the batch installs hand their
+	// recv is receive, bound once so the batch installs hand their
 	// mismatch reports to it without allocating.
-	uplink func(stream.ID, V)
+	recv func(stream.ID, V)
 
 	// table is the server's last known value per stream (V̂): updated by
 	// reports and probes. known marks streams heard from at least once.
@@ -177,9 +158,6 @@ type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	ctr comm.Counter
 	// reports holds the updates receive queued for the protocol.
 	reports reportQueue[pendingUpdate[V]]
-	lossRng *sim.RNG
-	// DroppedUpdates counts update messages lost to injected uplink loss.
-	DroppedUpdates uint64
 }
 
 var (
@@ -189,33 +167,24 @@ var (
 
 // NewCluster creates a 1-D cluster over the given initial true stream
 // values (see NewClusterOf).
-func NewCluster(initial []float64) *Cluster { return NewClusterWith(initial, Config{}) }
-
-// NewClusterWith is NewCluster with explicit accounting configuration.
-func NewClusterWith(initial []float64, cfg Config) *Cluster {
-	return NewClusterOf[float64, filter.Constraint](initial, cfg)
-}
+func NewCluster(initial []float64) *Cluster { return NewClusterOf[float64, filter.Constraint](initial) }
 
 // NewSpatialCluster creates a planar cluster over the given initial true
 // stream locations (see NewClusterOf).
 func NewSpatialCluster(initial []filter.Point) *SpatialCluster {
-	return NewClusterOf[filter.Point, filter.Region](initial, Config{})
+	return NewClusterOf[filter.Point, filter.Region](initial)
 }
 
 // NewClusterOf creates a cluster over the given initial true stream values.
 // The server table starts unknown: protocols learn values by probing. A NaN
 // initial value is a caller bug and panics — runtime admission validates
 // them before construction.
-func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V, cfg Config) *ClusterOf[V, C] {
+func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V) *ClusterOf[V, C] {
 	c := &ClusterOf[V, C]{
-		cfg:   cfg,
 		table: make([]V, len(initial)),
 		known: make([]bool, len(initial)),
 	}
-	if cfg.DropUpdateProb > 0 {
-		c.lossRng = sim.NewRNG(sim.DeriveSeed(cfg.DropSeed, lossSeedStream))
-	}
-	c.uplink = c.receive
+	c.recv = c.receive
 	c.sources = make([]stream.Source[V, C], len(initial))
 	for i, v := range initial {
 		c.sources[i] = stream.NewSource[V, C](v)
@@ -254,21 +223,19 @@ func (c *ClusterOf[V, C]) Initialize() {
 	c.ctr.SetPhase(comm.Maintenance)
 }
 
-// receive is every source's uplink: it carries a report a source owes (from
-// Set or an install), counts the update, refreshes the table and queues the
-// update for protocol handling.
+// receive carries a report a source owes (from Set or an install) over the
+// uplink: it charges the update and, when the server hears it, refreshes
+// the table and queues the update for protocol handling.
 func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
-	c.ctr.Add(comm.Update, 1)
-	if c.lossRng != nil && c.lossRng.Float64() < c.cfg.DropUpdateProb {
-		// The sensor transmitted (and flipped its recorded side), but the
-		// server never hears it: table and answers silently diverge.
-		c.DroppedUpdates++
+	if !c.chargeUpdate(&c.ctr) {
 		return
 	}
-	c.table[id] = v
-	c.known[id] = true
+	c.learn(id, v)
 	c.reports.push(pendingUpdate[V]{id, v})
 }
+
+// learn records v as stream id's value in the server table.
+func (c *ClusterOf[V, C]) learn(id stream.ID, v V) { c.table[id], c.known[id] = v, true }
 
 // Deliver applies a workload value change to stream id and, when the source
 // reported it, drains all resulting protocol work (including cascaded
@@ -291,8 +258,7 @@ func (c *ClusterOf[V, C]) handle(u pendingUpdate[V]) { c.proto.HandleUpdate(u.id
 func (c *ClusterOf[V, C]) Probe(id stream.ID) V {
 	chargeProbes(&c.ctr, 1)
 	v := c.sources[id].Probe()
-	c.table[id] = v
-	c.known[id] = true
+	c.learn(id, v)
 	return v
 }
 
@@ -313,8 +279,7 @@ func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	chargeProbes(&c.ctr, uint64(n))
 	for i := range c.sources {
 		v := c.sources[i].Probe()
-		c.table[i] = v
-		c.known[i] = true
+		c.learn(i, v)
 		dst[i] = v
 	}
 	return dst
@@ -329,8 +294,7 @@ func (c *ClusterOf[V, C]) ProbeBatch(ids []stream.ID) {
 	chargeProbes(&c.ctr, uint64(len(ids)))
 	for _, id := range ids {
 		v := c.sources[id].Probe()
-		c.table[id] = v
-		c.known[id] = true
+		c.learn(id, v)
 	}
 }
 
@@ -346,8 +310,7 @@ func (c *ClusterOf[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 		return none, false
 	}
 	chargeProbeReply(&c.ctr)
-	c.table[id] = v
-	c.known[id] = true
+	c.learn(id, v)
 	return v, true
 }
 
@@ -370,7 +333,7 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 		return
 	}
 	chargeInstalls(&c.ctr, uint64(len(ids)))
-	stream.InstallEach(c.sources, ids, c.table, cons, c.uplink)
+	stream.InstallEach(c.sources, ids, c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
@@ -379,7 +342,7 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 // messages.
 func (c *ClusterOf[V, C]) InstallAll(cons C) {
 	chargeInstalls(&c.ctr, uint64(c.N()))
-	stream.InstallAll(c.sources, c.table, cons, c.uplink)
+	stream.InstallAll(c.sources, c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 

@@ -3,8 +3,8 @@ package server
 import (
 	"fmt"
 
+	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/snapshot"
 )
 
@@ -36,7 +36,7 @@ type (
 )
 
 // ExportState appends the cluster's full dynamic state to a snapshot: the
-// server value table, the message counter, loss-injection progress, any
+// server value table, the message counter, the dropped-update count, any
 // queued-but-unhandled updates, and every source's value/constraint/side.
 // Export during an in-flight delivery cascade is a programming error; the
 // runtime only exports at a drain barrier, where the pending queue is empty
@@ -53,16 +53,7 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 	}
 	w.Bools(c.known)
 	c.ctr.ExportState(w)
-	w.Uint64(c.DroppedUpdates)
-	if c.lossRng != nil {
-		pos := c.lossRng.Pos()
-		if pos > sim.MaxSkip {
-			w.Fail(fmt.Errorf("server: loss RNG position %d exceeds the restorable bound %d", pos, uint64(sim.MaxSkip)))
-		}
-		w.Uint64(pos)
-	} else {
-		w.Uint64(0)
-	}
+	w.Uint64(c.dropped)
 	pend := c.reports.pending[c.reports.head:]
 	w.Int(len(pend))
 	for _, u := range pend {
@@ -75,12 +66,11 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 }
 
 // ImportState restores state written by ExportState into a freshly
-// constructed cluster with the same stream count and Config. The loss RNG
-// is fast-forwarded to its recorded position, so injected losses continue
-// exactly where the exporting run left off. A NaN value — in the table, the
-// pending queue or a source — is refused: restore is a trust boundary, and
-// a NaN past it panics the ranking kernel on the next rebuild. It returns
-// an error on corrupted or mismatched input and never panics.
+// constructed cluster with the same stream count and uplink loss, whose
+// position is the restored counter. A NaN value — in the table, the pending
+// queue or a source — is refused: restore is a trust boundary, and a NaN
+// past it panics the ranking kernel on the next rebuild. It returns an
+// error on corrupted or mismatched input and never panics.
 func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	var codec C
 	n := r.Int()
@@ -102,20 +92,15 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 		}
 	}
 	known := r.Bools()
-	if err := c.ctr.ImportState(r); err != nil {
+	if err := c.importCounter(r, &c.ctr); err != nil {
 		return err
 	}
-	dropped := r.Uint64()
-	lossPos := r.Uint64()
 	pendLen := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if len(known) != n {
 		return fmt.Errorf("server: snapshot known vector sized %d, want %d", len(known), n)
-	}
-	if lossPos > 0 && c.lossRng == nil {
-		return fmt.Errorf("server: snapshot has loss-RNG state but cluster has no loss injection")
 	}
 	if pendLen < 0 || pendLen > r.Remaining()/16 {
 		// Each entry is at least 16 encoded bytes; a length beyond the
@@ -143,17 +128,23 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	// at worst a partially restored cluster that the caller discards.
 	copy(c.table, table)
 	copy(c.known, known)
-	c.DroppedUpdates = dropped
-	if c.lossRng != nil {
-		if err := c.lossRng.Skip(lossPos); err != nil {
-			return err
-		}
-	}
 	c.reports = reportQueue[pendingUpdate[V]]{pending: pending}
 	for i := range c.sources {
 		if err := c.sources[i].ImportState(r); err != nil {
 			return fmt.Errorf("server: source %d: %w", i, err)
 		}
+	}
+	return r.Err()
+}
+
+// importCounter decodes a host's counter (its loss position) and dropped
+// count, refusing lost updates bound for a reliable host.
+func (u *uplink) importCounter(r *snapshot.Reader, ctr *comm.Counter) error {
+	if err := ctr.ImportState(r); err != nil {
+		return err
+	}
+	if u.dropped = r.Uint64(); u.dropped > 0 && u.rate == 0 {
+		return fmt.Errorf("server: snapshot has %d lost updates but the host injects no loss", u.dropped)
 	}
 	return r.Err()
 }

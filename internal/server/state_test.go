@@ -24,7 +24,8 @@ func driveLossy(c *Cluster, rounds int) {
 func newLossy(t *testing.T) *Cluster {
 	t.Helper()
 	initial := []float64{100, 200, 300, 400, 500}
-	c := NewClusterWith(initial, Config{DropUpdateProb: 0.4, DropSeed: 77})
+	c := NewCluster(initial)
+	c.SetUplinkLoss(0.4, 77)
 	// The install decision must be a pure function of the update: protocol
 	// state is snapshotted separately (by the protocol's own ExportState),
 	// so a stateful fake here would diverge after restore by design.
@@ -39,7 +40,7 @@ func newLossy(t *testing.T) *Cluster {
 
 // TestClusterStateRoundTrip checks ExportState → ImportState reproduces a
 // lossy, filter-carrying cluster exactly: same continuation behavior (the
-// loss RNG resumes at its recorded position), same counters, same encoded
+// restored counter is the loss position), same counters, same encoded
 // bytes.
 func TestClusterStateRoundTrip(t *testing.T) {
 	orig := newLossy(t)
@@ -62,8 +63,8 @@ func TestClusterStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(*restored.Counter(), *orig.Counter()) {
 		t.Fatalf("counter = %+v, want %+v", *restored.Counter(), *orig.Counter())
 	}
-	if restored.DroppedUpdates != orig.DroppedUpdates {
-		t.Fatalf("DroppedUpdates = %d, want %d", restored.DroppedUpdates, orig.DroppedUpdates)
+	if restored.DroppedUpdates() != orig.DroppedUpdates() {
+		t.Fatalf("DroppedUpdates = %d, want %d", restored.DroppedUpdates(), orig.DroppedUpdates())
 	}
 	if !reflect.DeepEqual(restored.TableValues(nil), orig.TableValues(nil)) {
 		t.Fatal("table diverged")
@@ -73,8 +74,8 @@ func TestClusterStateRoundTrip(t *testing.T) {
 	// including which updates the loss process drops.
 	driveLossy(orig, 200)
 	driveLossy(restored, 200)
-	if restored.DroppedUpdates != orig.DroppedUpdates {
-		t.Fatalf("post-restore drops diverged: %d vs %d", restored.DroppedUpdates, orig.DroppedUpdates)
+	if restored.DroppedUpdates() != orig.DroppedUpdates() {
+		t.Fatalf("post-restore drops diverged: %d vs %d", restored.DroppedUpdates(), orig.DroppedUpdates())
 	}
 	if !reflect.DeepEqual(*restored.Counter(), *orig.Counter()) {
 		t.Fatalf("post-restore counter = %+v, want %+v", *restored.Counter(), *orig.Counter())
@@ -101,11 +102,43 @@ func TestClusterImportRejects(t *testing.T) {
 	if err := small.ImportState(snapshot.NewReader(data)); err == nil {
 		t.Fatal("stream-count mismatch accepted")
 	}
-	// Loss state without loss injection configured.
+	// Lost updates without loss injection configured.
+	if orig.DroppedUpdates() == 0 {
+		t.Fatal("the lossy cluster dropped no update")
+	}
 	lossless := NewCluster([]float64{1, 2, 3, 4, 5})
 	lossless.SetProtocol(&fakeProto{})
 	if err := lossless.ImportState(snapshot.NewReader(data)); err == nil {
-		t.Fatal("loss-RNG state accepted by lossless cluster")
+		t.Fatal("lost updates accepted by lossless cluster")
+	}
+	// Its composite twin: an unfiltered query makes every move report, and
+	// the slot is removed before the export (the fake has no state codec).
+	comp := NewComposite([]float64{1, 2, 3, 4, 5})
+	comp.SetUplinkLoss(0.4, 77)
+	comp.AddQuery("q", 0, func(Host) Protocol { return &fakeProto{} })
+	comp.Initialize()
+	for i := 0; i < 50; i++ {
+		comp.Deliver(i%5, float64(i))
+	}
+	if comp.DroppedUpdates() == 0 {
+		t.Fatal("the lossy composite dropped no update")
+	}
+	if err := comp.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	cw := snapshot.NewWriter()
+	comp.ExportState(cw)
+	compData := cw.Bytes()
+	if err := NewComposite([]float64{1, 2, 3, 4, 5}).ImportState(snapshot.NewReader(compData), nil); err == nil {
+		t.Fatal("lost updates accepted by lossless composite")
+	}
+	lossyComp := NewComposite([]float64{1, 2, 3, 4, 5})
+	lossyComp.SetUplinkLoss(0.4, 77)
+	if err := lossyComp.ImportState(snapshot.NewReader(compData), nil); err != nil {
+		t.Fatalf("lossy composite refused its own record: %v", err)
+	}
+	if lossyComp.DroppedUpdates() != comp.DroppedUpdates() {
+		t.Fatalf("restored DroppedUpdates = %d, want %d", lossyComp.DroppedUpdates(), comp.DroppedUpdates())
 	}
 	// Truncations anywhere must error, never panic.
 	for cut := 0; cut < len(data); cut += 9 {

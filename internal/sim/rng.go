@@ -23,8 +23,8 @@ import (
 // top-level draw advances the underlying source a deterministic number of
 // steps, a position fully identifies the RNG state for a given seed: Skip
 // fast-forwards a freshly seeded RNG to any recorded position, which is how
-// snapshot restore resumes protocol and loss-injection randomness exactly
-// where an interrupted run left off.
+// snapshot restore resumes protocol randomness exactly where an interrupted
+// run left off.
 type RNG struct {
 	*rand.Rand
 	src *countingSource
