@@ -7,13 +7,15 @@ import (
 
 // routeRecord is one tenant slot's entry in the routing table: everything an
 // ingester needs to validate and route an event without touching the tenant
-// itself. n is the slot's stream-partition size, or -1 for an evicted (or
-// never-occupied) slot; spatial marks 2-D tenants, whose events may carry a
-// Y coordinate.
+// itself. n is the slot's stream-partition size, or -1 for a slot that
+// refuses events: an evicted (or never-occupied) one, or, with quarantined
+// set, a quarantined tenant's. spatial marks 2-D tenants, whose events may
+// carry a Y coordinate.
 type routeRecord struct {
-	shard   int32
-	n       int32
-	spatial bool
+	shard       int32
+	n           int32
+	spatial     bool
+	quarantined bool
 }
 
 // routingTable is an immutable dense snapshot of the tenant table, indexed
@@ -21,7 +23,8 @@ type routeRecord struct {
 // the control-side goroutine republishes a fresh table at every lifecycle
 // barrier that mutates the tenant set (admission, eviction, import,
 // restore), while every shard loop is quiescent and every ingester is held
-// out by the quiescence lock — so a published table is never mutated, only
+// out by the quiescence lock, and a shard loop republishes it when it
+// quarantines a tenant — so a published table is never mutated, only
 // replaced.
 type routingTable struct {
 	recs []routeRecord
@@ -37,13 +40,21 @@ func (n *Node) publishTable() {
 			recs[i] = routeRecord{n: -1}
 			continue
 		}
-		recs[i] = routeRecord{
-			shard:   int32(t.shard),
-			n:       int32(t.N()),
-			spatial: t.kind() == tenantKindSpatial,
-		}
+		recs[i] = route(t)
 	}
 	n.table.Store(&routingTable{recs: recs})
+}
+
+// route returns live tenant t's routing record.
+func route(t *tenant) routeRecord {
+	if t.fault != "" {
+		return routeRecord{shard: int32(t.shard), n: -1, quarantined: true}
+	}
+	return routeRecord{
+		shard:   int32(t.shard),
+		n:       int32(t.N()),
+		spatial: t.kind() == tenantKindSpatial,
+	}
 }
 
 // Ingester is a per-caller ingest handle: it owns its own per-shard staging
@@ -110,6 +121,9 @@ func (g *Ingester) Ingest(events []Event) error {
 		}
 		rec := recs[ev.Tenant]
 		if rec.n < 0 {
+			if rec.quarantined {
+				return quarantined(ev.Tenant, n.tenants[ev.Tenant])
+			}
 			return fmt.Errorf("runtime: event for removed tenant %d", ev.Tenant)
 		}
 		if ev.Stream < 0 || int(ev.Stream) >= int(rec.n) {
@@ -162,8 +176,11 @@ type ShardStat struct {
 	// and lifecycle messages excluded), so Applied + Queued is the number
 	// routed, give or take the swap in progress.
 	Applied uint64
-	// Tenants is the number of live tenants pinned to this shard.
+	// Tenants is the number of live tenants pinned to this shard,
+	// quarantined ones included.
 	Tenants int
+	// Quarantined is the number of those a panic has quarantined.
+	Quarantined int
 }
 
 // ShardStats returns a per-shard observability snapshot. Safe to call
@@ -179,7 +196,10 @@ func (n *Node) ShardStats() []ShardStat {
 		}
 	}
 	for _, rec := range n.table.Load().recs {
-		if rec.n >= 0 {
+		if rec.quarantined {
+			stats[rec.shard].Quarantined++
+		}
+		if rec.n >= 0 || rec.quarantined {
 			stats[rec.shard].Tenants++
 		}
 	}

@@ -29,10 +29,12 @@ func (p packed) emptied() packed { return packed{p.recs[:0], p.ys[:0]} }
 
 // control is a message to the shard loop itself: a lifecycle
 // initialization (a tenant or query admission's t0, run on the owning
-// loop), a barrier acknowledgement, or both.
+// loop, which quarantines owner if it panics), a barrier acknowledgement,
+// or both.
 type control struct {
-	init func()
-	ack  chan<- struct{}
+	init  func()
+	owner *tenant
+	ack   chan<- struct{}
 }
 
 // load is what one swap hands the shard loop, in the loop's own slices:

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -162,6 +163,11 @@ type tenant struct {
 	// initialized marks tenants whose t0 phase already ran (or was restored
 	// from a snapshot); the shard loops skip Initialize for them.
 	initialized bool
+	// fault is empty while the tenant is healthy. A panic in its Deliver or
+	// in a t0 phase sets it, on the owning shard loop, to the panic value:
+	// the tenant is quarantined, its events are refused and skipped, and
+	// the node keeps serving the rest (see quarantine).
+	fault string
 }
 
 // backend is whatever serves a tenant — a cluster hosting one protocol in
@@ -611,19 +617,12 @@ func (n *Node) loop(sh *mailbox, owned []*tenant) {
 		if n.ctx.Err() != nil {
 			return
 		}
-		t.Initialize()
+		n.guard(t, t.Initialize)
 	}
 	var l load
 	for sh.swap(&l) {
-		ys := l.ys
-		for _, r := range l.recs {
-			t := n.tenants[r.tenant]
-			var y float64
-			if t.planar {
-				y, ys = ys[0], ys[1:]
-			}
-			t.Deliver(stream.ID(r.stream), r.value, y)
-			t.events++
+		for i, yi := 0, 0; i < len(l.recs); {
+			i, yi = n.apply(&l.packed, i, yi)
 		}
 		sh.applied.Add(uint64(l.batches))
 		for _, c := range l.ctl {
@@ -631,7 +630,7 @@ func (n *Node) loop(sh *mailbox, owned []*tenant) {
 				// A live admission (tenant or query): run its t0 phase here,
 				// on the owning shard loop, exactly where NewNode tenants run
 				// theirs.
-				c.init()
+				n.guard(c.owner, c.init)
 			}
 			if c.ack != nil {
 				c.ack <- struct{}{}
@@ -639,6 +638,74 @@ func (n *Node) loop(sh *mailbox, owned []*tenant) {
 		}
 		clear(l.ctl) // drop the init closures
 	}
+}
+
+// apply delivers p.recs[i:], whose planar Ys start at p.ys[yi], in posting
+// order, skipping the records of quarantined tenants, and returns the cursor
+// at the end. One deferred recover covers the whole run: if a tenant panics,
+// apply quarantines it and returns the cursor just past the faulting record
+// instead, so the loop resumes there with the Ys still aligned.
+func (n *Node) apply(p *packed, i, yi int) (next, nextY int) {
+	ys := p.ys[yi:]
+	defer func() {
+		if v := recover(); v != nil {
+			n.quarantine(n.tenants[p.recs[i].tenant], v)
+			next, nextY = i+1, len(p.ys)-len(ys)
+		}
+	}()
+	for ; i < len(p.recs); i++ {
+		r := p.recs[i]
+		t := n.tenants[r.tenant]
+		var y float64
+		if t.planar {
+			y, ys = ys[0], ys[1:]
+		}
+		if t.fault != "" {
+			continue
+		}
+		t.Deliver(stream.ID(r.stream), r.value, y)
+		t.events++
+	}
+	return i, len(p.ys) - len(ys)
+}
+
+// guard runs fn, a t0 phase of tenant t, on t's shard loop, quarantining t
+// if it panics.
+func (n *Node) guard(t *tenant, fn func()) {
+	defer func() {
+		if v := recover(); v != nil {
+			n.quarantine(t, v)
+		}
+	}()
+	fn()
+}
+
+// quarantine records the panic v on tenant t and republishes the routing
+// table with t's record refusing its events. It runs on t's shard loop,
+// which may race only other loops' quarantines for the table (the control
+// side publishes while every loop is parked behind a barrier), so it
+// replaces the table by compare-and-swap. The fault is written before the
+// table is published, so an ingester that sees the refusing record reads it.
+func (n *Node) quarantine(t *tenant, v any) {
+	t.fault = fmt.Sprint("panic: ", v)
+	ti := slices.Index(n.tenants, t)
+	for {
+		old := n.table.Load()
+		recs := slices.Clone(old.recs)
+		recs[ti] = route(t)
+		if n.table.CompareAndSwap(old, &routingTable{recs: recs}) {
+			return
+		}
+	}
+}
+
+// quarantined returns the error a control call on quarantined tenant ti
+// returns, or nil for a healthy tenant.
+func quarantined(ti int, t *tenant) error {
+	if t.fault == "" {
+		return nil
+	}
+	return fmt.Errorf("runtime: tenant %d (%s) is quarantined: %s", ti, t.name, t.fault)
 }
 
 // Ingest routes a batch of events to the shard loops through the node's
@@ -853,18 +920,20 @@ func (n *Node) AddTenantLabeled(spec TenantSpec, label int64) (int, error) {
 	}
 	n.tenants = append(n.tenants, t)
 	n.publishTable()
-	if err := n.runOnShard(t.shard, t.Initialize); err != nil {
+	if err := n.runOnShard(t, t.Initialize); err != nil {
 		return 0, err
 	}
 	t.initialized = true
 	return ti, nil
 }
 
-// runOnShard executes fn on shard s's event loop and waits for its
-// acknowledgement — the lifecycle path a t0 initialization takes to run
-// exactly where the tenant's events will be applied.
-func (n *Node) runOnShard(s int, fn func()) error {
-	n.shards[s].postControl(control{init: fn, ack: n.acks})
+// runOnShard executes fn, a t0 phase of tenant t, on t's shard loop and
+// waits for its acknowledgement — the lifecycle path a t0 initialization
+// takes to run exactly where the tenant's events will be applied. If fn
+// panics, t is quarantined and the admission still completes: its slot
+// stays, and Report, ShardStats and the next Ingest show the quarantine.
+func (n *Node) runOnShard(t *tenant, fn func()) error {
+	n.shards[t.shard].postControl(control{init: fn, owner: t, ack: n.acks})
 	return n.awaitAck()
 }
 
@@ -902,9 +971,13 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 	if err := n.drainLocked(); err != nil {
 		return 0, err
 	}
+	// Read behind the barrier: the loop that quarantines t writes fault.
+	if err := quarantined(ti, t); err != nil {
+		return 0, err
+	}
 	qi := m.addQuery(spec, m.nextQuerySeed)
 	m.nextQuerySeed++
-	if err := n.runOnShard(t.shard, func() { m.InitializeQuery(qi) }); err != nil {
+	if err := n.runOnShard(t, func() { m.InitializeQuery(qi) }); err != nil {
 		return 0, err
 	}
 	return qi, nil
@@ -934,6 +1007,9 @@ func (n *Node) RemoveQuery(ti, qi int) error {
 		return fmt.Errorf("runtime: tenant %d is single-query; build it with Queries", ti)
 	}
 	if err := n.drainLocked(); err != nil {
+		return err
+	}
+	if err := quarantined(ti, t); err != nil {
 		return err
 	}
 	return m.RemoveQuery(qi)

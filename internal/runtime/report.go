@@ -35,6 +35,10 @@ type TenantReport struct {
 	// Counter is the tenant's message counter (shared across all queries of
 	// a multi-query tenant).
 	Counter comm.Counter
+	// Quarantined marks a tenant a panic has stopped. Its answers are not
+	// read (Answer and Queries stay empty); its events and counter are
+	// where the panic left them.
+	Quarantined bool
 	// MultiQuery marks composite tenants; their answers live in Queries,
 	// a single-query tenant's in Answer.
 	MultiQuery bool
@@ -69,12 +73,16 @@ func (n *Node) Report() *Report {
 		tr.Name = t.name
 		tr.Events = t.events
 		tr.Counter = *t.Counter()
+		tr.Quarantined = t.fault != ""
 		m, ok := t.backend.(*multi)
+		tr.MultiQuery = ok
+		if tr.Quarantined {
+			continue
+		}
 		if !ok {
 			tr.Answer = append([]stream.ID(nil), t.answer()...)
 			continue
 		}
-		tr.MultiQuery = true
 		tr.Queries = make([]QueryReport, m.QuerySlots())
 		for qi := range tr.Queries {
 			if !m.QueryAlive(qi) {
@@ -100,6 +108,10 @@ func (r *Report) Text() string {
 		t := &r.Tenants[ti]
 		if !t.Alive {
 			fmt.Fprintf(&b, "tenant %d removed\n", ti)
+			continue
+		}
+		if t.Quarantined {
+			fmt.Fprintf(&b, "tenant %s events=%d counter={%v} quarantined\n", t.Name, t.Events, &t.Counter)
 			continue
 		}
 		if t.MultiQuery {

@@ -60,6 +60,13 @@ func (n *Node) Snapshot() ([]byte, error) {
 	if err := n.drainLocked(); err != nil {
 		return nil, err
 	}
+	for ti, t := range n.tenants {
+		if t != nil {
+			if err := quarantined(ti, t); err != nil {
+				return nil, err
+			}
+		}
+	}
 	w := snapshot.NewWriter()
 	w.String(snapshotMagic)
 	w.Uint64(SnapshotVersion)

@@ -53,6 +53,9 @@ func (n *Node) ExportTenant(ti int) ([]byte, error) {
 	if err := n.drainLocked(); err != nil {
 		return nil, err
 	}
+	if err := quarantined(ti, t); err != nil {
+		return nil, err
+	}
 	w := snapshot.NewWriter()
 	w.String(tenantSnapshotMagic)
 	w.Uint64(TenantSnapshotVersion)

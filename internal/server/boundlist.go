@@ -80,6 +80,33 @@ func (b *boundList) quiet(lo, hi float64) bool {
 	return (at == 0 || l[at-1].v < lo) && (at == len(l) || hi < l[at].v)
 }
 
+// seek advances the finger from the current value u to v (neither NaN) and
+// returns its old and new positions: keys[min(from, to):max(from, to)] are
+// exactly the keys strictly between u and v. When u or v equals a key value
+// it reports ok=false and moves nothing; a move onto or off a closed bound is
+// left to move and the class check.
+func (b *boundList) seek(u, v float64) (from, to int, ok bool) {
+	l, at := b.keys, int(b.at)
+	if at < len(l) && l[at].v == u {
+		return at, at, false
+	}
+	from = at
+	if v >= u {
+		for at < len(l) && l[at].v < v {
+			at++
+		}
+	} else {
+		for at > 0 && l[at-1].v >= v {
+			at--
+		}
+	}
+	if at < len(l) && l[at].v == v {
+		return from, from, false
+	}
+	b.at = int32(at)
+	return from, at, true
+}
+
 // move advances the finger from the current value u to v (neither NaN) and
 // appends to out the class id of every key in [min(u, v), max(u, v)], in
 // ascending key order. It touches only the keys the move crosses, plus any

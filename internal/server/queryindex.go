@@ -38,6 +38,15 @@ import (
 //     search — instead of all M entries. A move that crosses none is seen
 //     from the two keys beside the finger.
 //
+// On a stream whose classes are all intervals with no NaN bound, no class is
+// evaluated at all. Such a class's side flips exactly once at each of its
+// finite keys, and a slot sits in one class per stream, so when neither u
+// nor v lies on a key the fired set is the XOR of the member bitmaps of the
+// keys strictly between them (a class with both keys crossed cancels, as it
+// should). A stream holding a band or a NaN-bounded interval, or a move that
+// starts or ends on a key, takes the class walk below, which stays the exact
+// rule.
+//
 // Three escape hatches keep the walk exactly equivalent to the scan:
 //
 //   - always: filter.None entries report every update; a plain count makes
@@ -111,6 +120,10 @@ type qstream struct {
 	classOf []int32  // per query slot: class id, catNone or catAlways
 	armed   []int32  // class ids to evaluate on every update
 	always  int      // live filter.None entries
+	// evalOnly counts the live classes the XOR walk cannot decide: bands,
+	// and intervals with a NaN bound (Contains is false on both sides of
+	// their one finite key).
+	evalOnly int
 
 	// recent ring-buffers the last classes classFor resolved. Protocol
 	// maintenance reinstalls a small working set of constraints over and
@@ -233,6 +246,9 @@ func (st *qstream) freeClass(cid int32) {
 		st.disarm(cid)
 		cl.armed = false
 	}
+	if evalOnly(cl.cons) {
+		st.evalOnly--
+	}
 	cl.live = false
 	cl.structural = false
 	cl.cons = filter.Constraint{}
@@ -272,6 +288,9 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 	cl := &st.classes[cid]
 	cl.cons = cons
 	cl.live = true
+	if evalOnly(cons) {
+		st.evalOnly++
+	}
 	// A class born inside a Deliver (a band fire created it) has already
 	// been accounted for this update; stamping it now prevents a recycled
 	// class id from being evaluated twice in one walk.
@@ -297,6 +316,12 @@ func sameConstraint(a, b filter.Constraint) bool {
 	return a.Kind == b.Kind &&
 		math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
 		math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+}
+
+// evalOnly reports whether a class with constraint cons is one the XOR walk
+// cannot decide.
+func evalOnly(cons filter.Constraint) bool {
+	return cons.Kind == filter.Band || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)
 }
 
 // structuralBand reports whether a band's fires are invisible to the
@@ -367,6 +392,13 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 	}
 	st := &x.streams[s]
 	all = st.always > 0
+	// The XOR walk: no band or NaN-bounded interval stands on the stream,
+	// and seek refuses a move that starts or ends on a key.
+	if st.evalOnly == 0 {
+		if from, to, ok := st.bounds.seek(u, v); ok {
+			return all || x.flip(st, min(from, to), max(from, to)), all
+		}
+	}
 	// Fast path: no key lies in the move's window, so the walk would find
 	// nothing and only armed classes (and the always count) can matter.
 	// With nothing armed this is the steady-state cost of every event that
@@ -394,6 +426,29 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		}
 	}
 	return crossed, all
+}
+
+// flip sets x.fired to the XOR of the member bitmaps of the classes keyed by
+// keys[lo:hi] — on an XOR-decidable stream, the keys a move crossed — and
+// reports whether any slot fired.
+func (x *queryIndex) flip(st *qstream, lo, hi int) bool {
+	if lo == hi {
+		return false
+	}
+	fired, w := x.fired, x.words
+	clear(fired)
+	for _, k := range st.bounds.keys[lo:hi] {
+		m := st.members[int(k.id>>1)*w:][:len(fired)]
+		for i, b := range m {
+			fired[i] ^= b
+		}
+	}
+	for _, b := range fired {
+		if b != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // evalClass applies one class's crossing semantics to the move u→v,
@@ -478,6 +533,7 @@ func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st.freeCls = st.freeCls[:0]
 	st.armed = st.armed[:0]
 	st.always = 0
+	st.evalOnly = 0
 	for qi := range st.classOf {
 		st.classOf[qi] = catNone
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,10 +27,16 @@ func (nopProto) ExportState(*snapshot.Writer)       {}
 func (nopProto) ImportState(*snapshot.Reader) error { return nil }
 
 // drivenProto is nopProto declaring CrossingDriven, so the dispatch
-// bookkeeping has both kinds of slot to file.
-type drivenProto struct{ nopProto }
+// bookkeeping has both kinds of slot to file. It keeps the contract: a
+// report costs its HandleUpdate one server op and changes nothing else.
+type drivenProto struct {
+	nopProto
+	h Host
+}
 
 func (drivenProto) CrossingDriven() {}
+
+func (p drivenProto) HandleUpdate(stream.ID, float64) { p.h.AddServerOps(1) }
 
 // checkSet fails unless b is a words(slots)-long bitmap with no bit at or
 // beyond slots.
@@ -126,6 +133,16 @@ func checkIndex(t *testing.T, c *Composite) {
 		}
 		if always != st.always {
 			t.Fatalf("stream %d: always = %d, want %d", s, st.always, always)
+		}
+		wantEval := 0
+		for cid := range st.classes {
+			if cl := &st.classes[cid]; cl.live && (cl.cons.Kind == filter.Band ||
+				math.IsNaN(cl.cons.Lo) || math.IsNaN(cl.cons.Hi)) {
+				wantEval++
+			}
+		}
+		if wantEval != st.evalOnly {
+			t.Fatalf("stream %d: evalOnly = %d, recount %d", s, st.evalOnly, wantEval)
 		}
 		var wantKeys []bkey
 		for cid := range st.classes {
@@ -227,6 +244,37 @@ func checkIndex(t *testing.T, c *Composite) {
 // keyLess is the boundary list's strict (value, id) order.
 func keyLess(a, b bkey) bool { return a.v < b.v || (a.v == b.v && a.id < b.id) }
 
+// paletteCons is entry k (0..11) of the adversarial install palette around
+// the stream value v with width w: unfiltered and silent entries, bands of
+// every degeneracy, inverted and NaN-bounded intervals, and constraints
+// shared across queries.
+func paletteCons(k int, v, w float64) filter.Constraint {
+	switch k {
+	case 0:
+		return filter.NoFilter()
+	case 1:
+		return filter.WideOpen()
+	case 2:
+		return filter.Shut()
+	case 3:
+		return filter.NewBand(v, w)
+	case 4:
+		return filter.NewBand(v, math.NaN())
+	case 5:
+		return filter.NewBand(math.Inf(1), w)
+	case 6:
+		return filter.NewInterval(v+w, v-w)
+	case 7:
+		return filter.NewInterval(math.NaN(), v)
+	case 8:
+		return filter.NewInterval(100, 200)
+	case 9:
+		return filter.NewBand(150, 25)
+	default:
+		return filter.NewInterval(v-w, v+w)
+	}
+}
+
 // TestQueryIndexInvariants churns the index through every mutation path —
 // installs from an adversarial palette (each expecting a random side, so
 // the handshake reports some), deliveries (including NaN and ±Inf
@@ -249,9 +297,9 @@ func TestQueryIndexInvariants(t *testing.T) {
 		t.Skip("query index disabled")
 	}
 	build := func(seedID int64) func(Host) Protocol {
-		return func(Host) Protocol {
+		return func(h Host) Protocol {
 			if seedID%2 == 0 {
-				return drivenProto{}
+				return drivenProto{h: h}
 			}
 			return nopProto{}
 		}
@@ -263,30 +311,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 	}
 	palette := func(v float64) filter.Constraint {
 		w := 5 + rng.Float64()*40
-		switch rng.Intn(12) {
-		case 0:
-			return filter.NoFilter()
-		case 1:
-			return filter.WideOpen()
-		case 2:
-			return filter.Shut()
-		case 3:
-			return filter.NewBand(v, w)
-		case 4:
-			return filter.NewBand(v, math.NaN())
-		case 5:
-			return filter.NewBand(math.Inf(1), w)
-		case 6:
-			return filter.NewInterval(v+w, v-w)
-		case 7:
-			return filter.NewInterval(math.NaN(), v)
-		case 8:
-			return filter.NewInterval(100, 200)
-		case 9:
-			return filter.NewBand(150, 25)
-		default:
-			return filter.NewInterval(v-w, v+w)
-		}
+		return paletteCons(rng.Intn(12), v, w)
 	}
 	// restore round-trips c through a snapshot. tamper flips one live
 	// slot's recorded side in the bytes instead, and the restore must be
@@ -422,4 +447,194 @@ func TestCompositeImportRefusesContradictingSide(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loggedProto is drivenProto appending its slot to log on every report.
+type loggedProto struct {
+	drivenProto
+	qi  int
+	log *[]int
+}
+
+func (p loggedProto) HandleUpdate(s stream.ID, v float64) {
+	p.drivenProto.HandleUpdate(s, v)
+	*p.log = append(*p.log, p.qi)
+}
+
+// firedDriven recounts, from every live entry of stream s of c, the
+// even-numbered (CrossingDriven) slots a delivery of v dispatches to, in
+// ascending order: those whose own entry fires, or all of them when an
+// unfiltered entry makes the report concern every slot or a NaN end sends
+// the move to the linear scan. A silent entry is never dispatched to.
+func firedDriven(c *Composite, s int, v float64, live []int) []int {
+	u := c.vals[s]
+	var fired, driven []int
+	unfiltered, crossed := false, false
+	for _, qi := range live {
+		cons := c.cons[s][qi]
+		unfiltered = unfiltered || cons.Kind == filter.None
+		fires := cons.Kind == filter.Band && !cons.Contains(v) ||
+			cons.Kind == filter.Interval && !cons.Silent() && cons.Contains(u) != cons.Contains(v)
+		crossed = crossed || fires
+		if qi%2 == 0 && !cons.Silent() {
+			driven = append(driven, qi)
+			if fires {
+				fired = append(fired, qi)
+			}
+		}
+	}
+	if unfiltered || crossed && (math.IsNaN(u) || math.IsNaN(v)) {
+		return driven
+	}
+	return fired
+}
+
+// FuzzCompositeDeliver replays a program of composite operations on a
+// linear and an indexed composite and requires the same ExportState bytes
+// and ServerOps after every op, auditing the index with checkIndex each
+// time. Each op is four bytes:
+//
+//	byte 0  op (low 4 bits: 0-5 install, 6-12 deliver, 13 add, 14-15
+//	        remove a query); bit 7 is an install's expected side
+//	byte 1  stream
+//	byte 2  install: the live slot; deliver: the value's source (0 NaN,
+//	        1 +Inf, 2 -Inf, 3-4 a bound of the slot byte 3 picks, else
+//	        the 2.5-grid); add: bit 0 initializes the query, and unless
+//	        bits 1-2 are clear it installs its standing interval
+//	byte 3  install: palette entry (low 5 bits) and width (high 3);
+//	        deliver: the slot whose bound to land on, or the grid point
+//
+// Installs draw from TestQueryIndexInvariants' palette; a delivery lands on
+// a bound of some entry, on ±Inf, NaN or a grid point. The composites start
+// with 60 slots, each with a standing interval on every stream (so streams
+// start XOR-decidable), and a few admissions cross a bitmap word. Only the
+// first 300 ops run.
+func FuzzCompositeDeliver(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for range 4 {
+		prog := make([]byte, 4*200)
+		rng.Read(prog)
+		f.Add(prog)
+	}
+	f.Add([]byte{0, 0, 0, 8, 3, 0, 3, 0, 3, 0, 4, 0, 6, 0, 1, 0, 7, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		const n, first, most = 4, 60, 140
+		initial := []float64{100, 150, 200, 250}
+		// The indexed composite's CrossingDriven slots log the reports
+		// dispatched to them: the fired set, which the linear composite
+		// never computes, is checked against a recount of every entry.
+		var dispatched []int
+		build := func(qi int, log *[]int) func(Host) Protocol {
+			return func(h Host) Protocol {
+				if qi%2 == 0 {
+					return loggedProto{drivenProto{h: h}, qi, log}
+				}
+				return nopProto{}
+			}
+		}
+		// A slot starts unfiltered at every stream, which makes every
+		// stream report; an admitted slot can install a 100-wide interval
+		// on the 10-grid everywhere instead.
+		standing := func(qi int) filter.Constraint {
+			lo := 50 + 10*float64(qi%20)
+			return filter.NewInterval(lo, lo+100)
+		}
+		compose := func(indexed bool, log *[]int) *Composite {
+			prev := SetQueryIndexEnabled(indexed)
+			defer SetQueryIndexEnabled(prev)
+			c := NewComposite(initial)
+			for qi := 0; qi < first; qi++ {
+				c.AddQuery("q", int64(qi), build(qi, log))
+				c.queries[qi].view.InstallAll(standing(qi))
+			}
+			c.Initialize()
+			return c
+		}
+		lin, idx := compose(false, new([]int)), compose(true, &dispatched)
+		live := make([]int, first)
+		for qi := range live {
+			live[qi] = qi
+		}
+		export := func(c *Composite) []byte {
+			w := snapshot.NewWriter()
+			c.ExportState(w)
+			return w.Bytes()
+		}
+		// Longer programs add little but audit time: each op costs a full
+		// checkIndex and two exports.
+		prog = prog[:min(len(prog), 4*300)]
+		for ; len(prog) >= 4; prog = prog[4:] {
+			op, s := prog[0], int(prog[1])%n
+			slot := live[int(prog[2])%len(live)]
+			switch op & 15 {
+			case 0, 1, 2, 3, 4, 5:
+				// Entries past the palette are its plain interval: an
+				// unfiltered entry makes its stream report every update, so
+				// it must stay rare for the fired set to matter.
+				k := min(int(prog[3]&31), 11)
+				cons := paletteCons(k, lin.vals[s], 5+5*float64(prog[3]>>5))
+				for _, c := range []*Composite{lin, idx} {
+					c.queries[slot].view.Install(stream.ID(s), cons, op&0x80 != 0)
+				}
+			case 6, 7, 8, 9, 10, 11, 12:
+				v := 2.5 * float64(prog[3])
+				switch prog[2] % 8 {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = math.Inf(1)
+				case 2:
+					v = math.Inf(-1)
+				case 3, 4:
+					lo, hi := lin.cons[s][live[int(prog[3])%len(live)]].Bounds()
+					v = lo
+					if prog[2]%8 == 4 {
+						v = hi
+					}
+				}
+				u, want := lin.vals[s], firedDriven(lin, s, v, live)
+				dispatched = dispatched[:0]
+				lin.Deliver(stream.ID(s), v)
+				idx.Deliver(stream.ID(s), v)
+				if !slices.Equal(dispatched, want) {
+					t.Fatalf("op %v: %v→%v dispatched to CrossingDriven slots %v, recount %v",
+						prog[:4], u, v, dispatched, want)
+				}
+			case 13:
+				if len(lin.queries) == most {
+					continue
+				}
+				qi := len(lin.queries)
+				admit := func(c *Composite, log *[]int) {
+					c.AddQuery("q", int64(qi), build(qi, log))
+					if prog[2]&1 != 0 {
+						c.InitializeQuery(qi)
+					}
+					if prog[2]&6 != 0 {
+						c.queries[qi].view.InstallAll(standing(qi))
+					}
+				}
+				admit(lin, new([]int))
+				admit(idx, &dispatched)
+				live = append(live, qi)
+			default:
+				if len(live) == 1 {
+					continue
+				}
+				for _, c := range []*Composite{lin, idx} {
+					if err := c.RemoveQuery(slot); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = slices.DeleteFunc(live, func(qi int) bool { return qi == slot })
+			}
+			checkIndex(t, idx)
+			if !bytes.Equal(export(lin), export(idx)) {
+				t.Fatalf("op %v: linear and indexed composites export different state", prog[:4])
+			}
+			if a, b := lin.Counter().ServerOps, idx.Counter().ServerOps; a != b {
+				t.Fatalf("op %v: ServerOps linear %d, indexed %d", prog[:4], a, b)
+			}
+		}
+	})
 }

@@ -27,6 +27,9 @@ type churner struct {
 	h       server.Host
 	seed    uint64
 	updates uint64
+	// grid makes it install only intervals whose finite bounds lie on the
+	// 5-grid: the population whose moves start and end on keys.
+	grid bool
 }
 
 func churnMix(x uint64) uint64 {
@@ -39,6 +42,9 @@ func churnMix(x uint64) uint64 {
 func (p *churner) Name() string { return "churner" }
 
 func (p *churner) pick(r uint64, v float64) filter.Constraint {
+	if p.grid {
+		return gridPick(r)
+	}
 	w := 10 + float64(r%97)
 	switch (r >> 32) % 16 {
 	case 0:
@@ -71,6 +77,34 @@ func (p *churner) pick(r uint64, v float64) filter.Constraint {
 		return filter.NewInterval(100, 200) // shared across queries
 	default:
 		return filter.NewBand(150, 25) // shared band
+	}
+}
+
+// gridPick draws an interval with bounds on the 5-grid, half-infinite and
+// NaN-bounded ones included, or an unfiltered or silent entry — never a
+// band, so a stream can be decided by the XOR walk.
+func gridPick(r uint64) filter.Constraint {
+	a := 50 + 5*float64(r%40)
+	b := a + 5*float64((r>>8)%20)
+	switch (r >> 32) % 10 {
+	case 0:
+		return filter.NewInterval(math.NaN(), a)
+	case 1:
+		return filter.NewInterval(a, math.NaN())
+	case 2:
+		return filter.NewInterval(math.Inf(-1), a)
+	case 3:
+		return filter.NewInterval(a, math.Inf(1))
+	case 4:
+		return filter.NewInterval(a, a)
+	case 5:
+		return filter.NoFilter()
+	case 6:
+		return filter.Shut()
+	case 7:
+		return filter.NewInterval(b, a) // inverted unless a == b
+	default:
+		return filter.NewInterval(a, b)
 	}
 }
 
@@ -111,17 +145,25 @@ func (p *churner) ImportState(r *snapshot.Reader) error { p.updates = r.Uint64()
 // function serves admission and restore, so a restored slot resumes the
 // same configuration), queries is how many stand at t0, and nan says whether
 // the schedule may deliver NaN (the rank tables of RTP and VB-kNN reject a
-// NaN key by design, so the mix that hosts them gets ±Inf only).
+// NaN key by design, so the mix that hosts them gets ±Inf only). grid, when
+// set, rounds every finite delivered value to a multiple of it.
 type population struct {
 	name    string
 	queries int
 	nan     bool
+	grid    float64
 	build   func(seedID int64) func(server.Host) server.Protocol
 }
 
 func churnerBuild(seedID int64) func(server.Host) server.Protocol {
 	return func(h server.Host) server.Protocol {
 		return &churner{h: h, seed: uint64(seedID)*0x9E3779B97F4A7C15 + 1}
+	}
+}
+
+func gridChurnerBuild(seedID int64) func(server.Host) server.Protocol {
+	return func(h server.Host) server.Protocol {
+		return &churner{h: h, seed: uint64(seedID)*0x9E3779B97F4A7C15 + 1, grid: true}
 	}
 }
 
@@ -184,6 +226,15 @@ func populations() []population {
 		{name: "wide", queries: 70, nan: true, build: func(seedID int64) func(server.Host) server.Protocol {
 			if seedID%10 == 4 {
 				return churnerBuild(seedID)
+			}
+			return rangeBuild(seedID)
+		}},
+		// Range queries and interval-only churners with every bound and
+		// every delivered value on the 5-grid: moves start and end on keys,
+		// so the XOR walk and the class walk it falls back to both run.
+		{name: "grid", queries: 12, nan: true, grid: 5, build: func(seedID int64) func(server.Host) server.Protocol {
+			if seedID%4 == 3 {
+				return gridChurnerBuild(seedID)
 			}
 			return rangeBuild(seedID)
 		}},
@@ -276,6 +327,9 @@ func genCompOps(seed int64, n, steps int, pop population) []compOp {
 			case 3, 4:
 				v = []float64{100, 200, 150, 125, 175}[rng.Intn(5)]
 			}
+			if pop.grid > 0 && !math.IsInf(v, 0) {
+				v = math.Round(v/pop.grid) * pop.grid
+			}
 			ops = append(ops, compOp{kind: opDeliver, s: rng.Intn(n), v: v})
 		}
 	}
@@ -290,12 +344,52 @@ type compCut struct {
 	serverOps uint64
 }
 
+// walkPaths counts the deliveries of a replay by the walk the index takes
+// for them, as read off the fabric before each one (see classifyMove).
+type walkPaths struct{ xor, onKey int }
+
+// classifyMove says which walk the index takes for delivering v to stream s
+// of c, from the fabric alone: xor when every live filtered entry is an
+// interval with no NaN bound and the move crosses a finite bound strictly
+// between its ends; onKey when such a stream's move starts or ends on a
+// bound, so the class walk decides it.
+func classifyMove(c *server.Composite, s stream.ID, v float64) (xor, onKey bool) {
+	u := c.TrueValue(s)
+	if math.IsNaN(u) || math.IsNaN(v) {
+		return false, false
+	}
+	crossed := false
+	for qi := 0; qi < c.QuerySlots(); qi++ {
+		if !c.QueryAlive(qi) {
+			continue
+		}
+		cons := c.Constraint(s, qi)
+		switch {
+		case cons.Kind == filter.None || cons.Kind == filter.Interval && cons.Silent():
+			continue
+		case cons.Kind == filter.Band || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi):
+			return false, false
+		}
+		for _, k := range []float64{cons.Lo, cons.Hi} {
+			if math.IsInf(k, 0) {
+				continue
+			}
+			if k == u || k == v {
+				onKey = true
+			}
+			crossed = crossed || min(u, v) < k && k < max(u, v)
+		}
+	}
+	return crossed && !onKey, onKey
+}
+
 // replayComposite runs one recorded schedule with the query index on or
 // off, returning the state at every cut plus the final one. Each cut
 // round-trips the fabric through ExportState/ImportState into a fresh
 // composite, so the restore-rebuild path is exercised mid-schedule, not
-// just compared at the end.
-func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp, pop population) []compCut {
+// just compared at the end. A non-nil paths counts the walks the
+// deliveries take.
+func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp, pop population, paths *walkPaths) []compCut {
 	t.Helper()
 	prev := server.SetQueryIndexEnabled(indexed)
 	defer server.SetQueryIndexEnabled(prev)
@@ -322,6 +416,14 @@ func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp
 	for _, op := range ops {
 		switch op.kind {
 		case opDeliver:
+			if paths != nil {
+				switch xor, onKey := classifyMove(comp, stream.ID(op.s), op.v); {
+				case xor:
+					paths.xor++
+				case onKey:
+					paths.onKey++
+				}
+			}
 			comp.Deliver(stream.ID(op.s), op.v)
 		case opAddQuery, opAddUnfiltered:
 			qi := comp.AddQuery(fmt.Sprintf("q%d", op.qi), int64(op.qi), pop.build(int64(op.qi)))
@@ -357,14 +459,19 @@ func replayComposite(t *testing.T, indexed bool, initial []float64, ops []compOp
 // random walk with Normal(0, 20) steps reflected into [0, 1000]. One op
 // replays the walk forward and back, so every stream ends where it started;
 // ns/event is the figure to compare, at 0 allocs/op.
-func BenchmarkCompositeDeliver(b *testing.B) { benchCompositeDeliver(b, 1) }
+func BenchmarkCompositeDeliver(b *testing.B) { benchCompositeDeliver(b, 1, 0) }
 
 // BenchmarkCompositeDeliverWide is the same walk under 256 standing
 // queries, four bitmap words: the 64-query mix four times over, each copy's
 // ranges 15 above the last one's.
-func BenchmarkCompositeDeliverWide(b *testing.B) { benchCompositeDeliver(b, 4) }
+func BenchmarkCompositeDeliverWide(b *testing.B) { benchCompositeDeliver(b, 4, 0) }
 
-func benchCompositeDeliver(b *testing.B, copies int) {
+// BenchmarkCompositeDeliverBands is BenchmarkCompositeDeliver's mix plus
+// four VB-kNN queries, whose value bands stand on every stream: no stream is
+// XOR-decidable, so it prices the class walk the bands fall back to.
+func BenchmarkCompositeDeliverBands(b *testing.B) { benchCompositeDeliver(b, 1, 4) }
+
+func benchCompositeDeliver(b *testing.B, copies, bands int) {
 	const n, steps, sigma = 64, 4096, 20.0
 	rng := rand.New(rand.NewSource(1))
 	reflect := func(v float64) float64 {
@@ -423,6 +530,12 @@ func benchCompositeDeliver(b *testing.B, copies int) {
 			id++
 		}
 	}
+	for i := 0; i < bands; i++ {
+		knn := query.NewKNN(query.At(125+250*float64(i)), 3)
+		c.AddQuery(fmt.Sprintf("vb-%d", i), int64(64*copies+i), func(h server.Host) server.Protocol {
+			return core.NewVBKNN(h, knn, 40)
+		})
+	}
 	c.Initialize()
 	replay := func() {
 		for _, m := range walk {
@@ -445,7 +558,9 @@ func benchCompositeDeliver(b *testing.B, copies int) {
 // state) and ServerOps compared at every snapshot cut and at the end. Four
 // populations: adversarial constraint churn; CrossingDriven range queries;
 // the serving mix of range queries, one RTP, one VB-kNN and a churner; and
-// 70 range queries and churners, two bitmap words wide — each with query
+// 70 range queries and churners, two bitmap words wide; and range queries
+// with interval-only churners on a value grid, whose schedules must take
+// both the XOR walk and its on-key fallback — each with query
 // admission/removal, a not-yet-filtered slot, ±Inf and (where the
 // protocols allow) NaN deliveries, and mid-schedule restores.
 func TestQueryIndexEquivalence(t *testing.T) {
@@ -469,8 +584,18 @@ func TestQueryIndexEquivalence(t *testing.T) {
 						t.Fatalf("seed %d: schedule has no op of kind %d; adjust the generator", seed, k)
 					}
 				}
-				linear := replayComposite(t, false, initial, ops, pop)
-				indexed := replayComposite(t, true, initial, ops, pop)
+				if pop.grid > 0 {
+					for s := range initial {
+						initial[s] = math.Round(initial[s]/pop.grid) * pop.grid
+					}
+				}
+				var paths walkPaths
+				linear := replayComposite(t, false, initial, ops, pop, nil)
+				indexed := replayComposite(t, true, initial, ops, pop, &paths)
+				if pop.grid > 0 && (paths.xor == 0 || paths.onKey == 0) {
+					t.Fatalf("seed %d: %d XOR walks and %d on-key fallbacks; the schedule must take both",
+						seed, paths.xor, paths.onKey)
+				}
 				if len(linear) != len(indexed) {
 					t.Fatalf("seed %d: %d cuts linear, %d indexed", seed, len(linear), len(indexed))
 				}

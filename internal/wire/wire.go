@@ -696,8 +696,9 @@ func (a Ack) Err() error {
 // --- Report ---
 
 const (
-	tenantAlive byte = 1 << 0
-	tenantMulti byte = 1 << 1
+	tenantAlive       byte = 1 << 0
+	tenantMulti       byte = 1 << 1
+	tenantQuarantined byte = 1 << 2
 )
 
 // EncodeReportReply writes a report reply. Pass a nil report with a
@@ -718,6 +719,9 @@ func EncodeReportReply(p *snapshot.Writer, seq uint64, status byte, msg string, 
 		if t.MultiQuery {
 			flags |= tenantMulti
 		}
+		if t.Quarantined {
+			flags |= tenantQuarantined
+		}
 		p.Uvarint(uint64(flags))
 		if !t.Alive {
 			continue
@@ -725,6 +729,9 @@ func EncodeReportReply(p *snapshot.Writer, seq uint64, status byte, msg string, 
 		p.String(t.Name)
 		p.Uvarint(t.Events)
 		t.Counter.ExportState(p)
+		if t.Quarantined {
+			continue // a quarantined tenant's answers are not read
+		}
 		if !t.MultiQuery {
 			encodeAnswer(p, t.Answer)
 			continue
@@ -796,28 +803,32 @@ func DecodeReportReply(r *snapshot.Reader) (*runtime.Report, Ack, error) {
 		if err := r.Err(); err != nil {
 			return nil, ack, err
 		}
-		if flags&^uint64(tenantAlive|tenantMulti) != 0 {
+		if flags&^uint64(tenantAlive|tenantMulti|tenantQuarantined) != 0 {
 			return nil, ack, fmt.Errorf("wire: unknown tenant flags %#x", flags)
 		}
 		if flags&uint64(tenantAlive) == 0 {
-			if flags&uint64(tenantMulti) != 0 {
-				return nil, ack, fmt.Errorf("wire: removed tenant %d carries the multi-query flag", i)
+			if flags != 0 {
+				return nil, ack, fmt.Errorf("wire: removed tenant %d carries flags %#x", i, flags)
 			}
 			continue
 		}
 		t.Alive = true
+		t.Quarantined = flags&uint64(tenantQuarantined) != 0
 		t.Name = r.String()
 		t.Events = r.Uvarint()
 		if err := t.Counter.ImportState(r); err != nil {
 			return nil, ack, err
 		}
-		if flags&uint64(tenantMulti) == 0 {
+		t.MultiQuery = flags&uint64(tenantMulti) != 0
+		if t.Quarantined {
+			continue
+		}
+		if !t.MultiQuery {
 			if t.Answer, err = decodeAnswer(r); err != nil {
 				return nil, ack, err
 			}
 			continue
 		}
-		t.MultiQuery = true
 		qcount := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return nil, ack, err

@@ -251,8 +251,8 @@ func TestAckRoundTrip(t *testing.T) {
 }
 
 // sampleReport builds a report with every structural case: an alive
-// single-query tenant, a removed slot, and a multi-query tenant with a
-// removed query slot.
+// single-query tenant, a removed slot, a multi-query tenant with a removed
+// query slot, and a quarantined multi-query tenant (no answers).
 func sampleReport() *runtime.Report {
 	var c1, c2, tot comm.Counter
 	c1.SetPhase(comm.Init)
@@ -273,6 +273,7 @@ func sampleReport() *runtime.Report {
 				{},
 				{Alive: true, Name: "qc", Answer: nil},
 			}},
+			{Alive: true, Name: "gamma", Events: 9, Counter: c1, MultiQuery: true, Quarantined: true},
 		},
 		Totals: tot,
 	}
