@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -19,15 +20,15 @@ var boundPalette = []float64{
 }
 
 // runBoundProgram interprets data as a sequence of 10-byte boundary-list
-// operations — insert, remove, move the finger from the current value to
-// this one, ask whether the window between them is quiet — and checks every
-// result, the list after every op and the finger against a reference kept
-// by append + sort.Slice. The current value is where the last move landed
-// (0 before any); insert and remove are told it, as the index tells them
-// the stream's value.
+// operations — insert, remove, seek the finger from the current value to
+// this one — and checks every result, the list after every op and the
+// finger against a reference kept by append + sort.Slice. The current value
+// is where the last seek landed (0 before any); insert and remove are told
+// it, as the index tells them the stream's value.
 //
-//	byte 0    op (low 2 bits) and value source (next 2 bits: 0 = the
-//	          float64 in bytes 1..8, otherwise palette[byte 1])
+//	byte 0    op (low 2 bits: 0 insert, 1 remove, 2 and 3 seek) and value
+//	          source (next 2 bits: 0 = the float64 in bytes 1..8,
+//	          otherwise palette[byte 1])
 //	byte 1-8  value bits (big endian)
 //	byte 9    key id: low 3 bits, or MaxInt32 minus them when bit 7 is set
 func runBoundProgram(t *testing.T, data []byte) {
@@ -57,16 +58,10 @@ func runBoundProgram(t *testing.T, data []byte) {
 		k := bkey{v: v, id: id}
 
 		if math.IsNaN(v) {
-			// The index never stores or walks a NaN: addBounds filters it,
-			// and a NaN move takes the scan and rebuilds the stream.
+			// The index never stores or walks a NaN: it files no interval
+			// with a NaN bound, and a NaN move takes the scan and rebuilds
+			// the stream.
 			continue
-		}
-		lo, hi := min(last, v), max(last, v)
-		var want []bkey
-		for _, r := range ref {
-			if lo <= r.v && r.v <= hi {
-				want = append(want, r)
-			}
 		}
 		switch op {
 		case 0:
@@ -83,21 +78,25 @@ func runBoundProgram(t *testing.T, data []byte) {
 			} else if got {
 				ref = append(ref[:i], ref[i+1:]...)
 			}
-		case 2:
-			got := list.move(last, v, nil)
-			if len(got) != len(want) {
-				t.Fatalf("move %v→%v: %d keys %v, want %d %v", last, v, len(got), got, len(want), want)
-			}
-			for i := range got {
-				if got[i] != want[i].id>>1 {
-					t.Fatalf("move %v→%v: class %d = %d, want %d (key %v)", last, v, i, got[i], want[i].id>>1, want[i])
+		default:
+			// The keys the move crosses: those with min(u, v) <= key.v <
+			// max(u, v), in order.
+			lo, hi := min(last, v), max(last, v)
+			var want []bkey
+			for _, r := range ref {
+				if lo <= r.v && r.v < hi {
+					want = append(want, r)
 				}
 			}
-			last = v
-		default:
-			if got := list.quiet(lo, hi); got != (len(want) == 0) {
-				t.Fatalf("quiet(%v, %v) = %v with keys %v in the window", lo, hi, got, want)
+			at := int(list.at)
+			from, to := list.seek(v)
+			if from != at {
+				t.Fatalf("seek %v→%v: from = %d, finger was at %d", last, v, from, at)
 			}
+			if got := list.keys[min(from, to):max(from, to)]; !slices.Equal(got, want) {
+				t.Fatalf("seek %v→%v: keys %v, want %v", last, v, got, want)
+			}
+			last = v
 		}
 		if len(list.keys) != len(ref) {
 			t.Fatalf("list holds %d keys, reference %d", len(list.keys), len(ref))
@@ -124,9 +123,8 @@ func runBoundProgram(t *testing.T, data []byte) {
 // programs against the sort.Slice reference (see runBoundProgram). The
 // checked-in corpus under testdata/fuzz/FuzzBoundList holds the hand-written
 // cases — equal values under different ids, the adjacent ±MaxFloat64
-// neighbours, moves landing exactly on a key and the quiet test refusing
-// the key the current value sits on, NaN and both zeros on a near-empty
-// list — and runs on every `go test`.
+// neighbours, seeks starting and landing exactly on a key, NaN and both
+// zeros on a near-empty list — and runs on every `go test`.
 func FuzzBoundList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runBoundProgram(t, data) })
 }

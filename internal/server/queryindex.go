@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"adaptivefilters/internal/filter"
 )
@@ -18,65 +19,51 @@ import (
 // trajectories stay bit-identical to the linear evaluation (pinned by the
 // equivalence tests and the runtime property harness).
 //
-// Two structures per stream:
+// Per stream, a planner groups the live entries into evaluation classes:
+// entries whose constraints are bit-identical share one class, whose
+// members are a slot bitmap, so M queries installing the same constraint
+// cost one check and a class that fires updates the fired set a word at a
+// time. Each class is decided by one of two rules:
 //
-//   - A planner groups that stream's live entries into evaluation classes:
-//     entries whose constraints are bit-identical share one class and are
-//     evaluated once per update instead of once per query. M queries
-//     installing the same band cost one check, not M. A class's members are
-//     a slot bitmap, so a class that fires updates the fired set a word at
-//     a time.
+//   - Intervals: the XOR walk. A closed interval [lo, hi] keys its finite
+//     bounds in a sorted flat list (boundList): hi as it is, lo one ulp low
+//     (lowerKey). With the list's key.v < x test, the interval contains x
+//     exactly when its lower key is below x and its upper key is not — the
+//     parity of its keys below x. The list keeps a finger at the stream's
+//     current value, so a move u→v walks from it over keys[min:max], the
+//     keys with min(u,v) <= key.v < max(u,v) — O(keys crossed), no search —
+//     and, since a slot sits in one class per stream, the fired set is the
+//     XOR of those keys' member bitmaps (a class with both keys crossed
+//     cancels, as it should). A move that crosses no key costs the two
+//     compares beside the finger.
 //
-//   - The finite boundaries of each class's inside region live in a sorted
-//     flat list (boundList) keyed by (boundary value, class id·2 + side).
-//     A value move u→v can only change Contains for a class with a boundary
-//     inside [min(u,v), max(u,v)] — an entry's side is, by definition,
-//     cons[s][q].Contains(vals[s]), so an interval crossing is exactly a
-//     sign change of Contains over the move.
-//     The list keeps a finger at the stream's current value, so Deliver
-//     walks from it over the keys the move crosses — O(keys crossed), no
-//     search — instead of all M entries. A move that crosses none is seen
-//     from the two keys beside the finger.
+//   - Bands: checked directly. A stream lists its live band classes, and
+//     every update applies the linear scan's own rule to each: fire when
+//     the band no longer contains v, then re-centre on v, merging into an
+//     identical band class if there is one. M same-width bands collapse to
+//     one class after their first shared fire.
 //
-// On a stream whose classes are all intervals with no NaN bound, no class is
-// evaluated at all. Such a class's side flips exactly once at each of its
-// finite keys, and a slot sits in one class per stream, so when neither u
-// nor v lies on a key the fired set is the XOR of the member bitmaps of the
-// keys strictly between them (a class with both keys crossed cancels, as it
-// should). A stream holding a band or a NaN-bounded interval, or a move that
-// starts or ends on a key, takes the class walk below, which stays the exact
-// rule.
+// Entries that can never report are left unfiled: silent intervals, and
+// intervals with a NaN bound, which contain no value. Two more cases stay
+// outside the classes:
 //
-// Three escape hatches keep the walk exactly equivalent to the scan:
+//   - filter.None entries report every update; a plain count makes the
+//     stream report unconditionally while any live unfiltered query exists.
 //
-//   - always: filter.None entries report every update; a plain count makes
-//     the stream report unconditionally while any live unfiltered query
-//     exists.
-//
-//   - armed: classes that must be evaluated on every update because the
-//     boundary walk cannot see their next fire. A band whose region
-//     excludes the current value fires on the next update wherever it
-//     lands ("stays outside on the same side" crosses no boundary), as do
-//     degenerate bands (NaN or inverted regions, ±Inf centers). Transient
-//     arming clears itself on first evaluation; structural arming
-//     (degenerate bands) persists until the class is rewritten.
-//
-//   - NaN updates: a NaN value admits no ordering, so the boundary walk is
+//   - NaN updates: a NaN value admits no ordering, so the finger is
 //     meaningless; Deliver falls back to the linear scan for that update
 //     and rebuilds the stream's index afterwards.
 //
 // Mutations funnel through set(): AddQuery, RemoveQuery, install and the
-// restore rebuild all re-categorize one (stream, slot)
-// entry; band re-centering inside Deliver moves whole classes at once
-// (rekeyBand), merging into an existing class when re-centering makes two
-// bands identical. ExportState/ImportState never encode the index — restore
-// rebuilds it from the restored constraint vectors, so the snapshot format
-// is unchanged and index state can never drift from fabric state across a
-// save/load cycle.
+// restore rebuild all re-categorize one (stream, slot) entry; a band
+// re-centre inside Deliver moves a whole class at once (fireBand).
+// ExportState/ImportState never encode the index — restore rebuilds it from
+// the restored constraint vectors, so the snapshot format is unchanged and
+// index state can never drift from fabric state across a save/load cycle.
 //
 // Everything on the Deliver path reuses scratch owned by the index (the
-// touched-class list, the fired bitmap, the boundary lists' own capacity),
-// keeping the steady-state ingest path at 0 allocs/op.
+// fired bitmap, the boundary lists' own capacity), keeping the steady-state
+// ingest path at 0 allocs/op.
 
 // enableQueryIndex gates the indexed Deliver path for composites built
 // after it changes. Production always runs indexed; equivalence tests
@@ -95,7 +82,7 @@ func SetQueryIndexEnabled(on bool) bool {
 
 // Slot categories recorded in qstream.classOf.
 const (
-	catNone   int32 = -1 // no index entry: removed slot or silent filter
+	catNone   int32 = -1 // unfiled: removed slot, or an entry that can never report
 	catAlways int32 = -2 // filter.None entry: reports every update
 )
 
@@ -103,27 +90,20 @@ const (
 // bit-identical constraint. Its members are a slot bitmap in its stream's
 // members array.
 type qclass struct {
-	cons       filter.Constraint
-	stamp      uint64 // last deliver generation this class was evaluated in
-	live       bool
-	armed      bool // on the always-evaluate list
-	structural bool // degenerate band: stays armed until rewritten
+	cons filter.Constraint
+	live bool
 }
 
 // qstream is one stream's index: its classes, their boundary list (with its
-// finger at the stream's current value), and the escape-hatch lists.
+// finger at the stream's current value) and its band classes.
 type qstream struct {
 	bounds  boundList
 	classes []qclass
 	members []uint64 // class cid's member bitmap is members[cid*words:][:words]
 	freeCls []int32  // recycled class ids, their member bitmaps all zero
 	classOf []int32  // per query slot: class id, catNone or catAlways
-	armed   []int32  // class ids to evaluate on every update
+	bands   []int32  // live band class ids, checked on every update
 	always  int      // live filter.None entries
-	// evalOnly counts the live classes the XOR walk cannot decide: bands,
-	// and intervals with a NaN bound (Contains is false on both sides of
-	// their one finite key).
-	evalOnly int
 
 	// recent ring-buffers the last classes classFor resolved. Protocol
 	// maintenance reinstalls a small working set of constraints over and
@@ -141,9 +121,7 @@ type qstream struct {
 type queryIndex struct {
 	streams []qstream
 	words   int     // stride of every stream's members array
-	touched []int32 // candidate class ids scratch
 	fired   slotSet // members of the classes the last deliver fired
-	gen     uint64  // deliver generation for class dedupe
 }
 
 func newQueryIndex(n int) *queryIndex {
@@ -209,7 +187,11 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	case cid == catAlways:
 		st.always--
 	case cid >= 0:
-		x.detach(st, cid, qi, c.vals[s])
+		m := x.members(st, cid)
+		m.put(qi, false)
+		if m.count() == 0 {
+			st.freeClass(cid, c.vals[s])
+		}
 	}
 	st.classOf[qi] = catNone
 	if !live {
@@ -219,8 +201,8 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	case cons.Kind == filter.None:
 		st.always++
 		st.classOf[qi] = catAlways
-	case cons.Silent():
-		// Can never cross.
+	case cons.Kind == filter.Interval && (cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)):
+		// Can never report.
 	default:
 		cid := x.classFor(c, st, s, cons)
 		x.members(st, cid).put(qi, true)
@@ -228,29 +210,24 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	}
 }
 
-// detach removes slot qi from class cid, freeing the class when it empties;
-// cur is the stream's current value.
-func (x *queryIndex) detach(st *qstream, cid int32, qi int, cur float64) {
-	m := x.members(st, cid)
-	m.put(qi, false)
-	if m.count() == 0 {
-		st.removeBounds(cid, st.classes[cid].cons, cur)
-		st.freeClass(cid)
-	}
-}
-
-// freeClass retires an already-detached, bounds-free class for reuse.
-func (st *qstream) freeClass(cid int32) {
+// freeClass retires class cid, whose members have all left, for reuse: a
+// band leaves the band list, an interval takes its keys out of the boundary
+// list (cur is the stream's current value).
+func (st *qstream) freeClass(cid int32, cur float64) {
 	cl := &st.classes[cid]
-	if cl.armed {
-		st.disarm(cid)
-		cl.armed = false
-	}
-	if evalOnly(cl.cons) {
-		st.evalOnly--
+	if cl.cons.Kind == filter.Band {
+		i := slices.Index(st.bands, cid)
+		st.bands[i] = st.bands[len(st.bands)-1]
+		st.bands = st.bands[:len(st.bands)-1]
+	} else {
+		if !math.IsInf(cl.cons.Lo, 0) {
+			st.bounds.remove(lowerKey(cl.cons.Lo), cid, cur)
+		}
+		if !math.IsInf(cl.cons.Hi, 0) {
+			st.bounds.remove(cl.cons.Hi, cid, cur)
+		}
 	}
 	cl.live = false
-	cl.structural = false
 	cl.cons = filter.Constraint{}
 	st.freeCls = append(st.freeCls, cid)
 }
@@ -285,29 +262,27 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 		st.members = append(st.members, make([]uint64, x.words)...)
 		cid = int32(len(st.classes) - 1)
 	}
-	cl := &st.classes[cid]
-	cl.cons = cons
-	cl.live = true
-	if evalOnly(cons) {
-		st.evalOnly++
-	}
-	// A class born inside a Deliver (a band fire created it) has already
-	// been accounted for this update; stamping it now prevents a recycled
-	// class id from being evaluated twice in one walk.
-	cl.stamp = x.gen
-	st.addBounds(cid, cons, c.vals[s])
-	// A band outside its region fires on the next update no matter where
-	// the value lands; the boundary walk cannot see that.
-	cl.structural = cons.Kind == filter.Band && structuralBand(cons)
-	armed := cl.structural || cons.Kind == filter.Band && !cons.Contains(c.vals[s])
-	if armed {
-		cl.armed = true
-		st.armed = append(st.armed, cid)
+	st.classes[cid] = qclass{cons: cons, live: true}
+	if cons.Kind == filter.Band {
+		st.bands = append(st.bands, cid)
+	} else {
+		// An infinite bound is never crossed and gets no key.
+		if !math.IsInf(cons.Lo, 0) {
+			st.bounds.insert(lowerKey(cons.Lo), cid, c.vals[s])
+		}
+		if !math.IsInf(cons.Hi, 0) {
+			st.bounds.insert(cons.Hi, cid, c.vals[s])
+		}
 	}
 	st.recent[st.recentN&7] = cid
 	st.recentN++
 	return cid
 }
+
+// lowerKey is the boundary key of an interval's lower bound lo: the float
+// just below it, so that key.v < x holds exactly when x >= lo. lo =
+// -MaxFloat64 keys at -Inf.
+func lowerKey(lo float64) float64 { return math.Nextafter(lo, math.Inf(-1)) }
 
 // sameConstraint is bit-exact constraint equality — the planner's grouping
 // key. Float64bits keeps NaN-carrying constraints groupable (NaN != NaN
@@ -316,65 +291,6 @@ func sameConstraint(a, b filter.Constraint) bool {
 	return a.Kind == b.Kind &&
 		math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
 		math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
-}
-
-// evalOnly reports whether a class with constraint cons is one the XOR walk
-// cannot decide.
-func evalOnly(cons filter.Constraint) bool {
-	return cons.Kind == filter.Band || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)
-}
-
-// structuralBand reports whether a band's fires are invisible to the
-// boundary walk even from inside its region: empty or NaN regions fire on
-// every update, and a ±Inf-centered region {±Inf} can stop containing the
-// value without crossing any finite boundary. Such classes stay armed.
-func structuralBand(cons filter.Constraint) bool {
-	lo, hi := cons.Bounds()
-	return math.IsNaN(lo) || math.IsNaN(hi) || lo > hi ||
-		math.IsInf(lo, 1) || math.IsInf(hi, -1)
-}
-
-// addBounds inserts class cid's finite region boundaries into the list,
-// keeping its finger at the stream's current value cur. Non-finite
-// boundaries are unindexable: an infinite interval end can never be crossed
-// into (half-open intervals transition only over their finite bound) and
-// degenerate bands are structurally armed instead.
-func (st *qstream) addBounds(cid int32, cons filter.Constraint, cur float64) {
-	lo, hi := cons.Bounds()
-	if lo > hi { // empty region: no transitions over these "boundaries"
-		return
-	}
-	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.insert(lo, cid*2, cur)
-	}
-	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.insert(hi, cid*2+1, cur)
-	}
-}
-
-// removeBounds undoes addBounds for class cid.
-func (st *qstream) removeBounds(cid int32, cons filter.Constraint, cur float64) {
-	lo, hi := cons.Bounds()
-	if lo > hi {
-		return
-	}
-	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.remove(lo, cid*2, cur)
-	}
-	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.remove(hi, cid*2+1, cur)
-	}
-}
-
-// disarm removes class cid from the always-evaluate list.
-func (st *qstream) disarm(cid int32) {
-	for i, a := range st.armed {
-		if a == cid {
-			st.armed[i] = st.armed[len(st.armed)-1]
-			st.armed = st.armed[:len(st.armed)-1]
-			return
-		}
-	}
 }
 
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
@@ -392,134 +308,64 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 	}
 	st := &x.streams[s]
 	all = st.always > 0
-	// The XOR walk: no band or NaN-bounded interval stands on the stream,
-	// and seek refuses a move that starts or ends on a key.
-	if st.evalOnly == 0 {
-		if from, to, ok := st.bounds.seek(u, v); ok {
-			return all || x.flip(st, min(from, to), max(from, to)), all
-		}
-	}
-	// Fast path: no key lies in the move's window, so the walk would find
-	// nothing and only armed classes (and the always count) can matter.
-	// With nothing armed this is the steady-state cost of every event that
-	// crosses no boundary: two compares beside the finger.
-	if len(st.armed) == 0 && st.bounds.quiet(min(u, v), max(u, v)) {
+	from, to := st.bounds.seek(v)
+	if from == to && len(st.bands) == 0 {
 		return all, all
 	}
-	x.gen++
-	clear(x.fired)
-	crossed = all
-	// The finger moves to v, and class ids are collected, before any class
-	// is evaluated: a band fire re-centres its class and so rewrites the
-	// list being walked, relative to the current value v.
-	touched := st.bounds.move(u, v, x.touched[:0])
-	touched = append(touched, st.armed...)
-	x.touched = touched
-	for _, cid := range touched {
-		cl := &st.classes[cid]
-		if !cl.live || cl.stamp == x.gen {
-			continue
-		}
-		cl.stamp = x.gen
-		if x.evalClass(c, st, s, cid, u, v) {
-			crossed = true
-		}
-	}
-	return crossed, all
-}
-
-// flip sets x.fired to the XOR of the member bitmaps of the classes keyed by
-// keys[lo:hi] — on an XOR-decidable stream, the keys a move crossed — and
-// reports whether any slot fired.
-func (x *queryIndex) flip(st *qstream, lo, hi int) bool {
-	if lo == hi {
-		return false
-	}
-	fired, w := x.fired, x.words
+	fired, members, stride := x.fired, st.members, x.words
 	clear(fired)
-	for _, k := range st.bounds.keys[lo:hi] {
-		m := st.members[int(k.id>>1)*w:][:len(fired)]
-		for i, b := range m {
-			fired[i] ^= b
+	for _, k := range st.bounds.keys[min(from, to):max(from, to)] {
+		for w, b := range members[int(k.id)*stride:][:len(fired)] {
+			fired[w] ^= b
 		}
 	}
-	for _, b := range fired {
-		if b != 0 {
-			return true
+	// Backwards, so a band that merges away (and is swapped out of the
+	// list by the last one, already checked) leaves nothing unchecked.
+	for i := len(st.bands) - 1; i >= 0; i-- {
+		if cid := st.bands[i]; !st.classes[cid].cons.Contains(v) {
+			x.fireBand(c, st, s, cid, v)
 		}
 	}
-	return false
+	if !all {
+		for _, b := range fired {
+			if b != 0 {
+				return true, false
+			}
+		}
+	}
+	return all, all
 }
 
-// evalClass applies one class's crossing semantics to the move u→v,
-// mirroring the linear scan's per-entry switch for every member at once. A
-// class that fires ORs its member bitmap into x.fired.
-func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, u, v float64) bool {
-	cl := &st.classes[cid]
+// fireBand applies the linear scan's band rule to every member of band
+// class cid at once: each fires, and its entry is re-centred on v. The
+// class follows, merging into an identical band class if the re-centre
+// made two bands converge.
+func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v float64) {
 	m := x.members(st, cid)
-	if cl.cons.Kind == filter.Band {
-		if cl.cons.Contains(v) {
-			if cl.armed && !cl.structural {
-				st.disarm(cid)
-				cl.armed = false
-			}
-			return false
-		}
-		nc := filter.NewBand(v, cl.cons.BandHalfWidth())
-		row := c.cons[s]
-		for w, b := range m {
-			x.fired[w] |= b
-			for ; b != 0; b &= b - 1 {
-				row[w<<6|bits.TrailingZeros64(b)] = nc
-			}
-		}
-		x.rekeyBand(st, cid, nc, v)
-		return true
-	}
-	if cl.cons.Contains(u) == cl.cons.Contains(v) {
-		return false
-	}
+	nc := filter.NewBand(v, st.classes[cid].cons.BandHalfWidth())
+	row := c.cons[s]
 	for w, b := range m {
 		x.fired[w] |= b
+		for ; b != 0; b &= b - 1 {
+			row[w<<6|bits.TrailingZeros64(b)] = nc
+		}
 	}
-	return true
-}
-
-// rekeyBand moves a fired band class to its re-centered constraint nc
-// (centered on v), merging into an existing identical class if the
-// re-centering made two bands converge — this is how M same-width bands
-// collapse to one class after their first shared fire.
-func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v float64) {
-	cl := &st.classes[cid]
-	st.removeBounds(cid, cl.cons, v)
-	for tid := range st.classes {
-		tgt := &st.classes[tid]
-		if int32(tid) == cid || !tgt.live || !sameConstraint(tgt.cons, nc) {
+	for _, tid := range st.bands {
+		if tid == cid || !sameConstraint(st.classes[tid].cons, nc) {
 			continue
 		}
-		tm, m := x.members(st, int32(tid)), x.members(st, cid)
+		tm := x.members(st, tid)
 		for w, b := range m {
 			tm[w] |= b
 			m[w] = 0
 			for ; b != 0; b &= b - 1 {
-				st.classOf[w<<6|bits.TrailingZeros64(b)] = int32(tid)
+				st.classOf[w<<6|bits.TrailingZeros64(b)] = tid
 			}
 		}
-		st.freeClass(cid)
+		st.freeClass(cid, v)
 		return
 	}
-	cl.cons = nc
-	st.addBounds(cid, nc, v)
-	cl.structural = structuralBand(nc)
-	armed := cl.structural || !nc.Contains(v)
-	if armed != cl.armed {
-		if armed {
-			st.armed = append(st.armed, cid)
-		} else {
-			st.disarm(cid)
-		}
-		cl.armed = armed
-	}
+	st.classes[cid].cons = nc
 }
 
 // rebuildStream recomputes one stream's index from the fabric's constraint
@@ -531,9 +377,8 @@ func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st.classes = st.classes[:0]
 	st.members = st.members[:0]
 	st.freeCls = st.freeCls[:0]
-	st.armed = st.armed[:0]
+	st.bands = st.bands[:0]
 	st.always = 0
-	st.evalOnly = 0
 	for qi := range st.classOf {
 		st.classOf[qi] = catNone
 	}

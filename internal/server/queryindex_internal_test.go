@@ -79,10 +79,11 @@ func checkDispatch(t *testing.T, c *Composite) {
 }
 
 // checkIndex verifies the full structural invariant set of the query index
-// against the fabric: bitmap sizes, slot categorization, class membership
-// and homogeneity, the exact boundary key list (sorted, duplicate-free) and
-// its finger, the armed list (no leaks, no duplicates, every must-evaluate
-// band present, no interval) and the dispatch bookkeeping.
+// against the fabric: bitmap sizes, slot categorization (entries that can
+// never report unfiled), class membership and homogeneity, the exact
+// boundary key list (sorted, duplicate-free, lower bounds at lowerKey) and
+// its finger, the band list (every live band class once, no interval) and
+// the dispatch bookkeeping.
 func checkIndex(t *testing.T, c *Composite) {
 	t.Helper()
 	x := c.idx
@@ -107,7 +108,8 @@ func checkIndex(t *testing.T, c *Composite) {
 			cons := c.cons[s][qi]
 			cid := st.classOf[qi]
 			switch {
-			case c.queries[qi] == nil || (cons.Kind == filter.Interval && cons.Silent()):
+			case c.queries[qi] == nil || cons.Kind == filter.Interval &&
+				(cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)):
 				if cid != catNone {
 					t.Fatalf("stream %d slot %d: category %d, want none", s, qi, cid)
 				}
@@ -134,17 +136,8 @@ func checkIndex(t *testing.T, c *Composite) {
 		if always != st.always {
 			t.Fatalf("stream %d: always = %d, want %d", s, st.always, always)
 		}
-		wantEval := 0
-		for cid := range st.classes {
-			if cl := &st.classes[cid]; cl.live && (cl.cons.Kind == filter.Band ||
-				math.IsNaN(cl.cons.Lo) || math.IsNaN(cl.cons.Hi)) {
-				wantEval++
-			}
-		}
-		if wantEval != st.evalOnly {
-			t.Fatalf("stream %d: evalOnly = %d, recount %d", s, st.evalOnly, wantEval)
-		}
 		var wantKeys []bkey
+		var wantBands []int32
 		for cid := range st.classes {
 			cl := &st.classes[cid]
 			m := x.members(st, int32(cid))
@@ -173,23 +166,15 @@ func checkIndex(t *testing.T, c *Composite) {
 			if len(got) == 0 {
 				t.Fatalf("stream %d: live class %d is empty", s, cid)
 			}
-			lo, hi := cl.cons.Bounds()
-			if !(lo > hi) {
-				if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-					wantKeys = append(wantKeys, bkey{v: lo, id: int32(cid) * 2})
-				}
-				if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-					wantKeys = append(wantKeys, bkey{v: hi, id: int32(cid)*2 + 1})
-				}
+			if cl.cons.Kind == filter.Band {
+				wantBands = append(wantBands, int32(cid))
+				continue
 			}
-			// Must-evaluate bands are armed; an interval's crossings are all
-			// boundary crossings, so it never is.
-			if cl.cons.Kind != filter.Band {
-				if cl.armed {
-					t.Fatalf("stream %d class %d (%v): interval armed", s, cid, cl.cons)
-				}
-			} else if (structuralBand(cl.cons) || !cl.cons.Contains(c.vals[s])) && !cl.armed {
-				t.Fatalf("stream %d class %d (%v): must-evaluate but not armed", s, cid, cl.cons)
+			if !math.IsInf(cl.cons.Lo, 0) {
+				wantKeys = append(wantKeys, bkey{v: lowerKey(cl.cons.Lo), id: int32(cid)})
+			}
+			if !math.IsInf(cl.cons.Hi, 0) {
+				wantKeys = append(wantKeys, bkey{v: cl.cons.Hi, id: int32(cid)})
 			}
 		}
 		sort.Slice(wantKeys, func(a, b int) bool { return keyLess(wantKeys[a], wantKeys[b]) })
@@ -222,21 +207,8 @@ func checkIndex(t *testing.T, c *Composite) {
 			t.Fatalf("stream %d: finger at %d, but %d keys lie below the value %v",
 				s, st.bounds.at, below, c.vals[s])
 		}
-		seen := map[int32]bool{}
-		for _, cid := range st.armed {
-			if seen[cid] {
-				t.Fatalf("stream %d: class %d armed twice", s, cid)
-			}
-			seen[cid] = true
-			cl := &st.classes[cid]
-			if !cl.live || !cl.armed {
-				t.Fatalf("stream %d: armed list holds dead/unflagged class %d", s, cid)
-			}
-		}
-		for cid := range st.classes {
-			if st.classes[cid].armed && !seen[int32(cid)] {
-				t.Fatalf("stream %d: class %d flagged armed but not listed", s, cid)
-			}
+		if gotBands := slices.Sorted(slices.Values(st.bands)); !slices.Equal(gotBands, wantBands) {
+			t.Fatalf("stream %d: band list %v, want the live band classes %v", s, st.bands, wantBands)
 		}
 	}
 }
@@ -283,8 +255,8 @@ func paletteCons(k int, v, w float64) filter.Constraint {
 // ImportState must refuse — and fully audits the structures after every
 // operation. The walk starts at 62 slots and grows past 64 and 128, so
 // every bitmap runs over several words. The black-box equivalence test proves behaviour; this one
-// catches silent structural leaks (stale boundary keys, leaked armed
-// entries) that would only show as performance decay.
+// catches silent structural leaks (stale boundary keys, leaked band
+// classes) that would only show as performance decay.
 func TestQueryIndexInvariants(t *testing.T) {
 	const n, first, most = 6, 62, 140
 	rng := rand.New(rand.NewSource(99))
@@ -507,8 +479,8 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 // Installs draw from TestQueryIndexInvariants' palette; a delivery lands on
 // a bound of some entry, on ±Inf, NaN or a grid point. The composites start
 // with 60 slots, each with a standing interval on every stream (so streams
-// start XOR-decidable), and a few admissions cross a bitmap word. Only the
-// first 300 ops run.
+// start with boundary keys to cross), and a few admissions cross a bitmap
+// word. Only the first 300 ops run.
 func FuzzCompositeDeliver(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for range 4 {
@@ -637,4 +609,95 @@ func FuzzCompositeDeliver(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestQueryIndexLowerKeyEdges pins the one-ulp lower key where it is
+// tightest: a point interval, bounds at both zeros delivered both zeros, a
+// lower bound of -MaxFloat64 (keyed at -Inf) delivered ±Inf, and
+// half-infinite intervals. Each walk moves onto, off and through every
+// finite bound of its row; after every delivery the indexed and linear
+// composites must dispatch the same fired set, export the same bytes and
+// charge the same ServerOps. Every constraint stands on two slots, the
+// even one CrossingDriven and logged.
+func TestQueryIndexLowerKeyEdges(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	up, down := func(v float64) float64 { return math.Nextafter(v, inf) },
+		func(v float64) float64 { return math.Nextafter(v, -inf) }
+	for _, row := range []struct {
+		name  string
+		start float64
+		cons  []filter.Constraint
+		walk  []float64
+	}{
+		{"point", 140, []filter.Constraint{filter.NewInterval(150, 150), filter.NewInterval(140, 150)},
+			[]float64{150, 160, 150, 150, 140, 160, down(150), 150, up(150), 140, down(140), 140, 150}},
+		{"zeros", 1, []filter.Constraint{
+			filter.NewInterval(negZero, 1), filter.NewInterval(-1, 0),
+			filter.NewInterval(0, 0), filter.NewInterval(negZero, negZero),
+		}, []float64{0, negZero, 1, negZero, -1, 0, 2, negZero, -2, 0,
+			-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, negZero, -1, up(1), 1}},
+		{"max-float", 0, []filter.Constraint{
+			filter.NewInterval(-math.MaxFloat64, 0),
+			filter.NewInterval(-math.MaxFloat64, -math.MaxFloat64),
+			filter.NewInterval(-inf, -math.MaxFloat64),
+		}, []float64{-inf, -math.MaxFloat64, inf, -inf, 0, -math.MaxFloat64, up(-math.MaxFloat64),
+			-inf, inf, math.MaxFloat64, -math.MaxFloat64, inf}},
+		{"half-infinite", 150, []filter.Constraint{
+			filter.NewInterval(-inf, 100), filter.NewInterval(100, inf),
+			filter.NewInterval(math.MaxFloat64, inf), filter.NewInterval(-inf, -math.MaxFloat64),
+		}, []float64{100, 50, 100, 150, 100, inf, -inf, 100, down(100), up(100), math.MaxFloat64,
+			inf, math.MaxFloat64, 150, -math.MaxFloat64, -inf, 0}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var dispatched []int
+			compose := func(indexed bool, log *[]int) *Composite {
+				prev := SetQueryIndexEnabled(indexed)
+				defer SetQueryIndexEnabled(prev)
+				c := NewComposite([]float64{row.start})
+				for qi := 0; qi < 2*len(row.cons); qi++ {
+					c.AddQuery("q", int64(qi), func(h Host) Protocol {
+						if qi%2 == 0 {
+							return loggedProto{drivenProto{h: h}, qi, log}
+						}
+						return nopProto{}
+					})
+					cons := row.cons[qi/2]
+					c.queries[qi].view.Install(0, cons, cons.Contains(row.start))
+				}
+				c.Initialize()
+				return c
+			}
+			lin, idx := compose(false, new([]int)), compose(true, &dispatched)
+			live := make([]int, 2*len(row.cons))
+			for qi := range live {
+				live[qi] = qi
+			}
+			export := func(c *Composite) []byte {
+				w := snapshot.NewWriter()
+				c.ExportState(w)
+				return w.Bytes()
+			}
+			fires := 0
+			for _, v := range row.walk {
+				u, want := lin.vals[0], firedDriven(lin, 0, v, live)
+				dispatched = dispatched[:0]
+				lin.Deliver(0, v)
+				idx.Deliver(0, v)
+				if !slices.Equal(dispatched, want) {
+					t.Fatalf("%v→%v dispatched to %v, recount %v", u, v, dispatched, want)
+				}
+				fires += len(want)
+				checkIndex(t, idx)
+				if !bytes.Equal(export(lin), export(idx)) {
+					t.Fatalf("%v→%v: linear and indexed composites export different state", u, v)
+				}
+				if a, b := lin.Counter().ServerOps, idx.Counter().ServerOps; a != b {
+					t.Fatalf("%v→%v: ServerOps linear %d, indexed %d", u, v, a, b)
+				}
+			}
+			if fires == 0 {
+				t.Fatal("no delivery fired; the walk checks nothing")
+			}
+		})
+	}
 }

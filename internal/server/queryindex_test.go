@@ -82,7 +82,7 @@ func (p *churner) pick(r uint64, v float64) filter.Constraint {
 
 // gridPick draws an interval with bounds on the 5-grid, half-infinite and
 // NaN-bounded ones included, or an unfiltered or silent entry — never a
-// band, so a stream can be decided by the XOR walk.
+// band, so every filed entry of the grid population holds boundary keys.
 func gridPick(r uint64) filter.Constraint {
 	a := 50 + 5*float64(r%40)
 	b := a + 5*float64((r>>8)%20)
@@ -230,8 +230,9 @@ func populations() []population {
 			return rangeBuild(seedID)
 		}},
 		// Range queries and interval-only churners with every bound and
-		// every delivered value on the 5-grid: moves start and end on keys,
-		// so the XOR walk and the class walk it falls back to both run.
+		// every delivered value on the 5-grid: moves start and end on
+		// bounds, whose lower keys sit one ulp below them, as well as
+		// crossing them.
 		{name: "grid", queries: 12, nan: true, grid: 5, build: func(seedID int64) func(server.Host) server.Protocol {
 			if seedID%4 == 3 {
 				return gridChurnerBuild(seedID)
@@ -344,15 +345,16 @@ type compCut struct {
 	serverOps uint64
 }
 
-// walkPaths counts the deliveries of a replay by the walk the index takes
-// for them, as read off the fabric before each one (see classifyMove).
+// walkPaths counts the deliveries of a replay by the kind of move, as read
+// off the fabric before each one (see classifyMove).
 type walkPaths struct{ xor, onKey int }
 
-// classifyMove says which walk the index takes for delivering v to stream s
-// of c, from the fabric alone: xor when every live filtered entry is an
-// interval with no NaN bound and the move crosses a finite bound strictly
-// between its ends; onKey when such a stream's move starts or ends on a
-// bound, so the class walk decides it.
+// classifyMove says what kind of move delivering v to stream s of c is for
+// the XOR walk, from the fabric alone: xor when it crosses a finite bound of
+// a live interval strictly between its ends; onKey when it starts or ends
+// on such a bound, the move whose lower key sits one ulp below the bound.
+// Entries that can never report, and bands, which are checked directly,
+// hold no bound here.
 func classifyMove(c *server.Composite, s stream.ID, v float64) (xor, onKey bool) {
 	u := c.TrueValue(s)
 	if math.IsNaN(u) || math.IsNaN(v) {
@@ -364,11 +366,8 @@ func classifyMove(c *server.Composite, s stream.ID, v float64) (xor, onKey bool)
 			continue
 		}
 		cons := c.Constraint(s, qi)
-		switch {
-		case cons.Kind == filter.None || cons.Kind == filter.Interval && cons.Silent():
+		if cons.Kind != filter.Interval || cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi) {
 			continue
-		case cons.Kind == filter.Band || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi):
-			return false, false
 		}
 		for _, k := range []float64{cons.Lo, cons.Hi} {
 			if math.IsInf(k, 0) {
@@ -467,8 +466,8 @@ func BenchmarkCompositeDeliver(b *testing.B) { benchCompositeDeliver(b, 1, 0) }
 func BenchmarkCompositeDeliverWide(b *testing.B) { benchCompositeDeliver(b, 4, 0) }
 
 // BenchmarkCompositeDeliverBands is BenchmarkCompositeDeliver's mix plus
-// four VB-kNN queries, whose value bands stand on every stream: no stream is
-// XOR-decidable, so it prices the class walk the bands fall back to.
+// four VB-kNN queries, whose value bands stand on every stream: it prices
+// the band check every update of a stream with a band class pays.
 func BenchmarkCompositeDeliverBands(b *testing.B) { benchCompositeDeliver(b, 1, 4) }
 
 func benchCompositeDeliver(b *testing.B, copies, bands int) {
@@ -555,12 +554,12 @@ func benchCompositeDeliver(b *testing.B, copies, bands int) {
 // and crossed-only dispatch — bit-identical to the linear reference, which
 // scans every entry and dispatches to every live query: full fabric
 // snapshots (constraint vectors, recorded sides, tables, counters, protocol
-// state) and ServerOps compared at every snapshot cut and at the end. Four
+// state) and ServerOps compared at every snapshot cut and at the end. Five
 // populations: adversarial constraint churn; CrossingDriven range queries;
-// the serving mix of range queries, one RTP, one VB-kNN and a churner; and
+// the serving mix of range queries, one RTP, one VB-kNN and a churner;
 // 70 range queries and churners, two bitmap words wide; and range queries
-// with interval-only churners on a value grid, whose schedules must take
-// both the XOR walk and its on-key fallback — each with query
+// with interval-only churners on a value grid, whose schedules must both
+// cross bounds and start or end on them — each with query
 // admission/removal, a not-yet-filtered slot, ±Inf and (where the
 // protocols allow) NaN deliveries, and mid-schedule restores.
 func TestQueryIndexEquivalence(t *testing.T) {
@@ -593,7 +592,7 @@ func TestQueryIndexEquivalence(t *testing.T) {
 				linear := replayComposite(t, false, initial, ops, pop, nil)
 				indexed := replayComposite(t, true, initial, ops, pop, &paths)
 				if pop.grid > 0 && (paths.xor == 0 || paths.onKey == 0) {
-					t.Fatalf("seed %d: %d XOR walks and %d on-key fallbacks; the schedule must take both",
+					t.Fatalf("seed %d: %d moves across a bound and %d onto or off one; the schedule must take both",
 						seed, paths.xor, paths.onKey)
 				}
 				if len(linear) != len(indexed) {
