@@ -9,8 +9,9 @@
 // unacknowledged. A background reader matches acks to sequence numbers as
 // they return and hands them to Options.OnIngestAck — the hook an
 // open-loop load generator uses to timestamp completions without ever
-// blocking the send path. Synchronous calls (Drain, Report, lifecycle,
-// Shutdown) flush the pipeline and wait for their own reply; because the
+// blocking the send path. A synchronous call (Do, one wire.Request per
+// control op; Drain, Report and Shutdown are Do with the op filled in)
+// flushes the pipeline and waits for its own reply; because the
 // server answers each connection in request order, a Drain ack also
 // proves every earlier ingest batch was accepted or shed.
 //
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"adaptivefilters/internal/runtime"
-	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/wire"
 )
 
@@ -51,8 +51,6 @@ var ErrClosed = errors.New("client: closed")
 
 // Options tunes a Client. The zero value is usable.
 type Options struct {
-	// MaxFrame bounds frame payloads both ways (0 = wire.DefaultMaxFrame).
-	MaxFrame int
 	// Inflight caps unacknowledged pipelined ingest batches; Ingest
 	// flushes and waits when the window is full (0 = 128).
 	Inflight int
@@ -83,11 +81,8 @@ func (o Options) retryWait() time.Duration {
 
 // result carries a synchronous call's reply.
 type result struct {
-	ack    wire.Ack
-	report *runtime.Report
-	snap   []byte     // OpExportTenant payload
-	stats  wire.Stats // OpStats payload
-	err    error
+	rep wire.Reply
+	err error
 }
 
 // call is one request awaiting its reply.
@@ -200,7 +195,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c.nc = nc
-	c.fw = wire.NewFrameWriter(nc, opts.MaxFrame)
+	c.fw = wire.NewFrameWriter(nc, wire.DefaultMaxFrame)
 	c.up = true
 	c.wg.Add(1)
 	go c.readLoop(fr)
@@ -213,8 +208,8 @@ func (c *Client) connect() (net.Conn, *wire.FrameReader, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fw := wire.NewFrameWriter(nc, c.opts.MaxFrame)
-	wire.EncodeHello(fw.Begin(), 0)
+	fw := wire.NewFrameWriter(nc, wire.DefaultMaxFrame)
+	wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpHello})
 	if err := fw.End(); err == nil {
 		err = fw.Flush()
 	}
@@ -222,7 +217,7 @@ func (c *Client) connect() (net.Conn, *wire.FrameReader, error) {
 		nc.Close()
 		return nil, nil, err
 	}
-	fr := wire.NewFrameReader(nc, c.opts.MaxFrame)
+	fr := wire.NewFrameReader(nc, wire.DefaultMaxFrame)
 	r, err := fr.Next()
 	if err != nil {
 		nc.Close()
@@ -233,9 +228,9 @@ func (c *Client) connect() (net.Conn, *wire.FrameReader, error) {
 		err = fmt.Errorf("client: handshake reply has op %d", hdr.Op)
 	}
 	if err == nil {
-		var ack wire.HelloAck
-		if ack, err = wire.DecodeHelloAck(r); err == nil && ack.Status != wire.StatusOK {
-			err = fmt.Errorf("client: server refused hello: %s", ack.Msg)
+		var rep wire.Reply
+		if rep, err = wire.DecodeReply(hdr, r); err == nil && rep.Status != wire.StatusOK {
+			err = fmt.Errorf("client: server refused hello: %s", rep.Msg)
 		}
 	}
 	if err != nil {
@@ -329,7 +324,7 @@ func (c *Client) readLoop(fr *wire.FrameReader) {
 			return
 		}
 		c.nc = nc
-		c.fw = wire.NewFrameWriter(nc, c.opts.MaxFrame)
+		c.fw = wire.NewFrameWriter(nc, wire.DefaultMaxFrame)
 		c.up = true
 		c.cond.Broadcast()
 		c.pmu.Unlock()
@@ -350,7 +345,7 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 		}
 		// Replies arrive in request order, so the reply must match the
 		// oldest pending call. A mismatch leaves the call in the ring for
-		// failPendingLocked, so a waiting roundTrip still gets its error.
+		// failPendingLocked, so a waiting Do still gets its error.
 		c.pmu.Lock()
 		cl, ok := c.pending.peek()
 		if ok && cl.seq == hdr.Seq && hdr.Op == wire.ReplyTo(cl.op) {
@@ -363,16 +358,7 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 			return fmt.Errorf("client: reply (op=%d seq=%d) matches no request", hdr.Op, hdr.Seq)
 		}
 		var res result
-		switch cl.op {
-		case wire.OpReport:
-			res.report, res.ack, res.err = wire.DecodeReportReply(r)
-		case wire.OpExportTenant:
-			res.snap, res.ack, res.err = wire.DecodeExportTenantReply(r)
-		case wire.OpStats:
-			res.stats, res.ack, res.err = wire.DecodeStatsReply(r)
-		default:
-			res.ack, res.err = wire.DecodeAck(r)
-		}
+		res.rep, res.err = wire.DecodeReply(hdr, r)
 		if res.err != nil {
 			if cl.ch != nil {
 				cl.ch <- res
@@ -385,7 +371,7 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 		}
 		c.pmu.Lock()
 		c.inflight--
-		switch res.ack.Status {
+		switch res.rep.Status {
 		case wire.StatusShed:
 			c.stats.Shed++
 		default:
@@ -394,7 +380,7 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 		c.cond.Signal()
 		c.pmu.Unlock()
 		if c.opts.OnIngestAck != nil {
-			c.opts.OnIngestAck(hdr.Seq, res.ack.Status)
+			c.opts.OnIngestAck(hdr.Seq, res.rep.Status)
 		}
 	}
 }
@@ -478,42 +464,46 @@ func (c *Client) Flush() error {
 	return c.fw.Flush()
 }
 
-// roundTrip performs one synchronous request.
-func (c *Client) roundTrip(op byte, encode func(p *snapshot.Writer, seq uint64)) (result, error) {
+// Do performs one synchronous control request — any op but OpIngest,
+// which pipelines through Ingest — and returns the server's reply. The
+// client assigns req.Seq; an error ack comes back as an error.
+func (c *Client) Do(req wire.Request) (wire.Reply, error) {
+	if req.Op == wire.OpIngest {
+		return wire.Reply{}, errors.New("client: ingest goes through Ingest, not Do")
+	}
 	ch := make(chan result, 1)
 	c.wmu.Lock()
-	seq, err := c.register(call{op: op, ch: ch}, false)
+	seq, err := c.register(call{op: req.Op, ch: ch}, false)
 	if err != nil {
 		c.wmu.Unlock()
-		return result{}, err
+		return wire.Reply{}, err
 	}
-	encode(c.fw.Begin(), seq)
+	req.Seq = seq
+	wire.EncodeRequest(c.fw.Begin(), req)
 	if err := c.fw.End(); err == nil {
 		err = c.fw.Flush()
 	}
 	if err != nil {
 		c.wmu.Unlock()
 		c.unregister(seq, false)
-		return result{}, err
+		return wire.Reply{}, err
 	}
 	c.wmu.Unlock()
 	res := <-ch
+	if res.err == nil {
+		res.err = res.rep.Err()
+	}
 	if res.err != nil {
-		return result{}, res.err
+		return wire.Reply{}, res.err
 	}
-	if err := res.ack.Err(); err != nil {
-		return result{}, err
-	}
-	return res, nil
+	return res.rep, nil
 }
 
 // Drain asks the server to apply everything ingested so far and waits for
 // the barrier ack; it also proves every earlier pipelined batch on this
 // connection was answered.
 func (c *Client) Drain() error {
-	_, err := c.roundTrip(wire.OpDrain, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeDrain(p, seq)
-	})
+	_, err := c.Do(wire.Request{Op: wire.OpDrain})
 	return err
 }
 
@@ -521,93 +511,14 @@ func (c *Client) Drain() error {
 // The decoded report renders (Report.Text) byte-identically to an
 // in-process run of the same node.
 func (c *Client) Report() (*runtime.Report, error) {
-	res, err := c.roundTrip(wire.OpReport, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeReportReq(p, seq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.report, nil
-}
-
-// AddTenant admits a tenant and returns its slot id.
-func (c *Client) AddTenant(spec wire.TenantSpec) (int, error) {
-	res, err := c.roundTrip(wire.OpAddTenant, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeAddTenant(p, seq, spec)
-	})
-	return int(res.ack.Value), err
-}
-
-// RemoveTenant evicts tenant slot ti.
-func (c *Client) RemoveTenant(ti int) error {
-	_, err := c.roundTrip(wire.OpRemoveTenant, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeRemoveTenant(p, seq, ti)
-	})
-	return err
-}
-
-// AddQuery admits a standing query onto multi-query tenant ti and returns
-// its slot id.
-func (c *Client) AddQuery(ti int, q wire.QuerySpec) (int, error) {
-	res, err := c.roundTrip(wire.OpAddQuery, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeAddQuery(p, seq, ti, q)
-	})
-	return int(res.ack.Value), err
-}
-
-// RemoveQuery evicts query slot qi of tenant ti.
-func (c *Client) RemoveQuery(ti, qi int) error {
-	_, err := c.roundTrip(wire.OpRemoveQuery, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeRemoveQuery(p, seq, ti, qi)
-	})
-	return err
-}
-
-// AddTenantLabeled admits a tenant under an explicit seed label and
-// returns its slot id — the cluster placement layer's admission, which
-// pins a tenant's randomness to its global id rather than the member's
-// local counter.
-func (c *Client) AddTenantLabeled(spec wire.TenantSpec, label int64) (int, error) {
-	res, err := c.roundTrip(wire.OpAddTenantLabeled, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeAddTenantLabeled(p, seq, label, spec)
-	})
-	return int(res.ack.Value), err
-}
-
-// ExportTenant captures tenant ti's migration snapshot (the node drains
-// first, so the bytes reflect every batch ingested before the call).
-func (c *Client) ExportTenant(ti int) ([]byte, error) {
-	res, err := c.roundTrip(wire.OpExportTenant, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeExportTenant(p, seq, ti)
-	})
-	return res.snap, err
-}
-
-// ImportTenant restores a tenant from an ExportTenant record and returns
-// its new local slot id; spec must describe the exported tenant (see
-// runtime.Node.ImportTenant).
-func (c *Client) ImportTenant(spec wire.TenantSpec, snap []byte) (int, error) {
-	res, err := c.roundTrip(wire.OpImportTenant, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeImportTenant(p, seq, spec, snap)
-	})
-	return int(res.ack.Value), err
-}
-
-// NodeStats returns the server node's load figures — the rebalancer's
-// placement signal.
-func (c *Client) NodeStats() (wire.Stats, error) {
-	res, err := c.roundTrip(wire.OpStats, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeStatsReq(p, seq)
-	})
-	return res.stats, err
+	rep, err := c.Do(wire.Request{Op: wire.OpReport})
+	return rep.Report, err
 }
 
 // Shutdown asks the server to stop, waits for the ack, then closes the
 // client (suppressing any redial).
 func (c *Client) Shutdown() error {
-	_, err := c.roundTrip(wire.OpShutdown, func(p *snapshot.Writer, seq uint64) {
-		wire.EncodeShutdown(p, seq)
-	})
+	_, err := c.Do(wire.Request{Op: wire.OpShutdown})
 	c.Close()
 	return err
 }

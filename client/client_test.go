@@ -3,7 +3,9 @@ package client_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,10 +151,11 @@ func TestPipelinedIngestMatchesInProcess(t *testing.T) {
 	// Lifecycle through the client, mirrored locally.
 	late := wire.TenantSpec{Name: "late", Initial: []float64{1, 2, 3, 4},
 		Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 2, Hi: 3}}
-	ti, err := c.AddTenant(late)
+	added, err := c.Do(wire.Request{Op: wire.OpAddTenant, Tenant: late})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ti := int(added.Value)
 	lspec, err := late.Runtime()
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +164,7 @@ func TestPipelinedIngestMatchesInProcess(t *testing.T) {
 	if err != nil || ti != lti {
 		t.Fatalf("admission slots: wire %d local %d (%v)", ti, lti, err)
 	}
-	if err := c.RemoveQuery(1, 0); err != nil {
+	if _, err := c.Do(wire.Request{Op: wire.OpRemoveQuery, TI: 1, QI: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := local.RemoveQuery(1, 0); err != nil {
@@ -182,7 +185,7 @@ func TestPipelinedIngestMatchesInProcess(t *testing.T) {
 	}
 
 	// Error surfaces as an error, connection stays usable.
-	if err := c.RemoveTenant(99); err == nil {
+	if _, err := c.Do(wire.Request{Op: wire.OpRemoveTenant, TI: 99}); err == nil {
 		t.Fatal("bad eviction succeeded")
 	}
 	if err := c.Drain(); err != nil {
@@ -304,5 +307,43 @@ func TestIngestWindowBackpressure(t *testing.T) {
 	}
 	if st := c.Stats(); st.Acked != 50 {
 		t.Fatalf("stats = %+v, want 50 acked", st)
+	}
+}
+
+// TestDialRefusesOtherVersion answers the handshake with a greeting that
+// speaks the next wire version: Dial must fail rather than talk on.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := wire.NewFrameReader(nc, 0).Next(); err != nil {
+			return
+		}
+		fw := wire.NewFrameWriter(nc, 0)
+		p := fw.Begin()
+		wire.EncodeAck(p, wire.OpHello, 0, wire.StatusOK, 0, "")
+		p.Uvarint(wire.Version + 1)
+		p.Uvarint(1)
+		p.Uvarint(0)
+		if fw.End() == nil {
+			fw.Flush()
+		}
+		io.Copy(io.Discard, nc) // hold the socket until the client hangs up
+	}()
+	c, err := client.Dial(ln.Addr().String(), client.Options{})
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server of another wire version")
+	}
+	if !strings.Contains(err.Error(), "version") {
+		t.Fatalf("Dial: %v, want a version refusal", err)
 	}
 }

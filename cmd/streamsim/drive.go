@@ -235,6 +235,11 @@ type target interface {
 	Report() (*runtime.Report, error)
 }
 
+// nodeTarget is a runtime.Node seen as a target.
+type nodeTarget struct{ *runtime.Node }
+
+func (t nodeTarget) Report() (*runtime.Report, error) { return t.Node.Report(), nil }
+
 // played is what one pass of the workload produced.
 type played struct {
 	events  uint64 // ingested by this run (a restored prefix excluded)

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 
-	"adaptivefilters/internal/cluster"
 	"adaptivefilters/internal/experiment"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/protospec"
@@ -240,7 +239,7 @@ func runNode(p simParams, stdout io.Writer) error {
 		}
 		return os.WriteFile(p.SnapFile, snap, 0o644)
 	})
-	res, err := p.play(lanes, cluster.NewLocalMember(node), ts, skip, snapshot)
+	res, err := p.play(lanes, nodeTarget{node}, ts, skip, snapshot)
 	if err != nil {
 		return err
 	}

@@ -35,9 +35,6 @@ import (
 
 // Config tunes a Cluster.
 type Config struct {
-	// Replicas is the consistent-hash ring's virtual-point count per
-	// member (0 = DefaultReplicas).
-	Replicas int
 	// Place, when set, overrides the ring for initial placement: tenant g
 	// is admitted on member Place(g). Out-of-range returns fall back to
 	// the ring. Property tests use it to randomize placements; production
@@ -83,7 +80,7 @@ func New(cfg Config, members []Member) (*Cluster, error) {
 	return &Cluster{
 		cfg:     cfg,
 		members: members,
-		ring:    NewRing(len(members), cfg.Replicas),
+		ring:    NewRing(len(members), DefaultReplicas),
 		route:   make([][]runtime.Event, len(members)),
 	}, nil
 }
@@ -131,11 +128,11 @@ func (c *Cluster) AddTenant(spec wire.TenantSpec) (int, error) {
 		spec.Name = fmt.Sprintf("tenant-%d", g)
 	}
 	m := c.place(int64(g))
-	slot, err := c.members[m].AddTenantLabeled(spec, int64(g))
+	rep, err := c.members[m].Do(wire.Request{Op: wire.OpAddTenantLabeled, Tenant: spec, Label: int64(g)})
 	if err != nil {
 		return 0, err
 	}
-	c.tenants = append(c.tenants, entry{spec: spec, member: m, slot: slot, alive: true})
+	c.tenants = append(c.tenants, entry{spec: spec, member: m, slot: int(rep.Value), alive: true})
 	return g, nil
 }
 
@@ -146,7 +143,7 @@ func (c *Cluster) RemoveTenant(g int) error {
 		return fmt.Errorf("cluster: no live tenant %d", g)
 	}
 	e := &c.tenants[g]
-	if err := c.members[e.member].RemoveTenant(e.slot); err != nil {
+	if _, err := c.members[e.member].Do(wire.Request{Op: wire.OpRemoveTenant, TI: e.slot}); err != nil {
 		return err
 	}
 	e.alive = false
@@ -161,12 +158,12 @@ func (c *Cluster) AddQuery(g int, q wire.QuerySpec) (int, error) {
 		return 0, fmt.Errorf("cluster: no live tenant %d", g)
 	}
 	e := &c.tenants[g]
-	qi, err := c.members[e.member].AddQuery(e.slot, q)
+	rep, err := c.members[e.member].Do(wire.Request{Op: wire.OpAddQuery, TI: e.slot, Query: q})
 	if err != nil {
 		return 0, err
 	}
 	e.spec.Queries = append(e.spec.Queries, q)
-	return qi, nil
+	return int(rep.Value), nil
 }
 
 // RemoveQuery evicts query slot qi of tenant g. The slot's spec stays in
@@ -176,7 +173,8 @@ func (c *Cluster) RemoveQuery(g, qi int) error {
 		return fmt.Errorf("cluster: no live tenant %d", g)
 	}
 	e := &c.tenants[g]
-	return c.members[e.member].RemoveQuery(e.slot, qi)
+	_, err := c.members[e.member].Do(wire.Request{Op: wire.OpRemoveQuery, TI: e.slot, QI: qi})
+	return err
 }
 
 // Ingest routes one batch to the owning members. Events carry global
@@ -213,10 +211,18 @@ func (c *Cluster) Ingest(events []runtime.Event) error {
 
 // Drain barriers every member: after it returns, all routed events are
 // applied and member state is quiescent.
-func (c *Cluster) Drain() error {
+func (c *Cluster) Drain() error { return c.doAll(wire.Request{Op: wire.OpDrain}, nil) }
+
+// doAll runs req on every member in turn, handing each reply to each when
+// it is set; it stops at the first refusal.
+func (c *Cluster) doAll(req wire.Request, each func(m int, rep wire.Reply)) error {
 	for m, mem := range c.members {
-		if err := mem.Drain(); err != nil {
+		rep, err := mem.Do(req)
+		if err != nil {
 			return fmt.Errorf("cluster: member %d: %w", m, err)
+		}
+		if each != nil {
+			each(m, rep)
 		}
 	}
 	return nil
@@ -232,12 +238,8 @@ func (c *Cluster) Report() (*runtime.Report, error) {
 		return nil, err
 	}
 	reps := make([]*runtime.Report, len(c.members))
-	for m, mem := range c.members {
-		rep, err := mem.Report()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: member %d: %w", m, err)
-		}
-		reps[m] = rep
+	if err := c.doAll(wire.Request{Op: wire.OpReport}, func(m int, rep wire.Reply) { reps[m] = rep.Report }); err != nil {
+		return nil, err
 	}
 	out := &runtime.Report{Tenants: make([]runtime.TenantReport, len(c.tenants))}
 	for g := range c.tenants {
@@ -288,17 +290,17 @@ func (c *Cluster) MigrateTenant(g, target int) error {
 		return nil
 	}
 	src := c.members[e.member]
-	snap, err := src.ExportTenant(e.slot)
+	exp, err := src.Do(wire.Request{Op: wire.OpExportTenant, TI: e.slot})
 	if err != nil {
 		return fmt.Errorf("cluster: export tenant %d from member %d: %w", g, e.member, err)
 	}
-	newSlot, err := c.members[target].ImportTenant(e.spec, snap)
+	imp, err := c.members[target].Do(wire.Request{Op: wire.OpImportTenant, Tenant: e.spec, Snap: exp.Snap})
 	if err != nil {
 		return fmt.Errorf("cluster: import tenant %d on member %d: %w", g, target, err)
 	}
 	oldMember, oldSlot := e.member, e.slot
-	e.member, e.slot = target, newSlot
-	if err := src.RemoveTenant(oldSlot); err != nil {
+	e.member, e.slot = target, int(imp.Value)
+	if _, err := src.Do(wire.Request{Op: wire.OpRemoveTenant, TI: oldSlot}); err != nil {
 		return fmt.Errorf("cluster: tenant %d cut over to member %d, but evicting source copy (member %d slot %d) failed: %w",
 			g, target, oldMember, oldSlot, err)
 	}
@@ -308,12 +310,8 @@ func (c *Cluster) MigrateTenant(g, target int) error {
 // MemberStats returns every member's load figures, indexed by member.
 func (c *Cluster) MemberStats() ([]wire.Stats, error) {
 	stats := make([]wire.Stats, len(c.members))
-	for m, mem := range c.members {
-		s, err := mem.Stats()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: member %d: %w", m, err)
-		}
-		stats[m] = s
+	if err := c.doAll(wire.Request{Op: wire.OpStats}, func(m int, rep wire.Reply) { stats[m] = rep.Stats }); err != nil {
+		return nil, err
 	}
 	return stats, nil
 }

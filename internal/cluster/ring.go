@@ -25,8 +25,8 @@ type ringPoint struct {
 	member int
 }
 
-// DefaultReplicas is the virtual-point count per member when Config leaves
-// it zero: enough to keep member shares within a few percent of even.
+// DefaultReplicas is the virtual-point count per member of a Cluster's
+// ring: enough to keep member shares within a few percent of even.
 const DefaultReplicas = 64
 
 // NewRing builds a ring of members × replicas virtual points.

@@ -129,8 +129,8 @@ func TestServerCostGoldenOnServingStack(t *testing.T) {
 		}
 		defer cl.Close()
 		for ti, ts := range tenants {
-			got, err := cl.AddTenant(ts)
-			if err != nil || got != ti {
+			rep, err := cl.Do(wire.Request{Op: wire.OpAddTenant, Tenant: ts})
+			if got := int(rep.Value); err != nil || got != ti {
 				t.Fatalf("AddTenant(%s) = %d, %v; want slot %d", ts.Name, got, err, ti)
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/sim"
-	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/stream"
 	"adaptivefilters/internal/wire"
 )
@@ -84,9 +83,9 @@ func burstScript(t *testing.T, cfg runtime.Config) ([]byte, []scriptOp, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire.EncodeAddTenant(fw.Begin(), seq, gone)
+	wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpAddTenant, Seq: seq, Tenant: gone})
 	add(wire.OpAddTenant, ackFor(nil, uint64(late)), "")
-	wire.EncodeRemoveTenant(fw.Begin(), seq, late)
+	wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpRemoveTenant, Seq: seq, TI: late})
 	add(wire.OpRemoveTenant, ackFor(local.RemoveTenant(late), 0), "")
 
 	for i := 0; i < 400; i++ {
@@ -119,12 +118,12 @@ func burstScript(t *testing.T, cfg runtime.Config) ([]byte, []scriptOp, string) 
 			}
 			ingest(events)
 		case k < 90:
-			wire.EncodeDrain(fw.Begin(), seq)
+			wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpDrain, Seq: seq})
 			add(wire.OpDrain, ackFor(local.Drain(), 0), "")
 		case k < 94:
-			wire.EncodeDrain(fw.Begin(), seq)
+			wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpDrain, Seq: seq})
 			add(wire.OpDrain, ackFor(local.Drain(), 0), "")
-			wire.EncodeReportReq(fw.Begin(), seq)
+			wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpReport, Seq: seq})
 			add(wire.OpReport, ackFor(nil, 0), local.Report().Text())
 		case k < 97:
 			q := wire.QuerySpec{Name: fmt.Sprintf("q%d", queries),
@@ -134,12 +133,12 @@ func burstScript(t *testing.T, cfg runtime.Config) ([]byte, []scriptOp, string) 
 				t.Fatal(err)
 			}
 			qi, err := local.AddQuery(2, runtime.QuerySpec{Name: q.Name, NewProtocol: build})
-			wire.EncodeAddQuery(fw.Begin(), seq, 2, q)
+			wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpAddQuery, Seq: seq, TI: 2, Query: q})
 			add(wire.OpAddQuery, ackFor(err, uint64(qi)), "")
 			queries++
 		default: // may name a slot already evicted: an error ack, same text
 			qi := rng.Intn(queries)
-			wire.EncodeRemoveQuery(fw.Begin(), seq, 2, qi)
+			wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpRemoveQuery, Seq: seq, TI: 2, QI: qi})
 			add(wire.OpRemoveQuery, ackFor(local.RemoveQuery(2, qi), 0), "")
 		}
 	}
@@ -220,20 +219,14 @@ func TestBurstEquivalence(t *testing.T) {
 				if hdr.Op != wire.ReplyTo(op.hdr.Op) || hdr.Seq != op.hdr.Seq {
 					t.Fatalf("reply %d: header %+v answers request %+v out of order", i, hdr, op.hdr)
 				}
-				var got wire.Ack
-				var err error
-				if op.hdr.Op == wire.OpReport {
-					var rep *runtime.Report
-					if rep, got, err = wire.DecodeReportReply(r); err == nil && rep.Text() != op.report {
-						t.Fatalf("reply %d: mid-stream report diverges:\n got:\n%s\nwant:\n%s", i, rep.Text(), op.report)
-					}
-				} else {
-					got, err = wire.DecodeAck(r)
-				}
+				rep, err := wire.DecodeReply(hdr, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != op.want {
+				if op.hdr.Op == wire.OpReport && rep.Report.Text() != op.report {
+					t.Fatalf("reply %d: mid-stream report diverges:\n got:\n%s\nwant:\n%s", i, rep.Report.Text(), op.report)
+				}
+				if got := rep.Ack; got != op.want {
 					t.Fatalf("reply %d (op %d): ack %+v, frame-at-a-time reference says %+v", i, op.hdr.Op, got, op.want)
 				}
 			}
@@ -312,8 +305,8 @@ func TestWriteTimeoutAbortsStalledPeer(t *testing.T) {
 		// Each round trip goes through the driver; a wedged driver fails the
 		// read deadline. (Stats rather than Report while the peer may still
 		// be ingesting: Node.Report wants a quiesced node.)
-		healthy.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
-		healthy.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeStatsReq(p, seq) })
+		healthy.mustOK(request(wire.Request{Op: wire.OpDrain}))
+		healthy.mustOK(request(wire.Request{Op: wire.OpStats}))
 	}
 }
 
@@ -344,7 +337,7 @@ func TestOversizeFrameClosesBurstBeforeIt(t *testing.T) {
 			t.Fatalf("ack %d: %+v %+v %v", i, hdr, a, err)
 		}
 	}
-	c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
+	c.mustOK(request(wire.Request{Op: wire.OpDrain}))
 	if st := s.Stats(); st.Frames != 3 || st.Bursts != 2 || st.Events != uint64(sizes[0]+sizes[1]+sizes[2]) {
 		t.Fatalf("server stats %+v, want 3 frames in 2 bursts", st)
 	}

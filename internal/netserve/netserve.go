@@ -79,11 +79,6 @@ import (
 
 // Options tunes a Server. The zero value is production-sane.
 type Options struct {
-	// MaxFrame bounds frame payloads both ways (0 = wire.DefaultMaxFrame).
-	MaxFrame int
-	// QueueDepth bounds the request queue feeding the driver; connections
-	// stall when it is full (0 = 64).
-	QueueDepth int
 	// ShedWatermark sheds ingest bursts while the node's deepest shard
 	// backlog (runtime.Node.PendingEvents) is at or above this many events.
 	// 0 means the node's mailbox capacity (runtime.Config.Queue) — shed
@@ -93,20 +88,6 @@ type Options struct {
 	// WriteTimeout bounds how long a connection may block writing replies
 	// to the socket before it is aborted (0 = 30s).
 	WriteTimeout time.Duration
-}
-
-func (o Options) maxFrame() int {
-	if o.MaxFrame <= 0 {
-		return wire.DefaultMaxFrame
-	}
-	return o.MaxFrame
-}
-
-func (o Options) queueDepth() int {
-	if o.QueueDepth <= 0 {
-		return 64
-	}
-	return o.QueueDepth
 }
 
 func (o Options) writeTimeout() time.Duration {
@@ -129,33 +110,9 @@ func (o Options) writeTimeout() time.Duration {
 // ingester's staging do grow with the cap) for nothing (DESIGN.md §9.2).
 const burstEvents = 512
 
-// request is one decoded control frame travelling from a connection to the
-// driver (OpIngest never becomes a request — connections serve it in place).
-type request struct {
-	c   *conn
-	hdr wire.Header
-	// tenant, query, ti, qi carry lifecycle bodies.
-	tenant wire.TenantSpec
-	query  wire.QuerySpec
-	ti, qi int
-	// label and snap carry the migration bodies (OpAddTenantLabeled,
-	// OpImportTenant).
-	label int64
-	snap  []byte
-}
-
-// reply is the driver's answer to one request, handed back to the
-// connection that asked; hdr.Op says which of the payloads it carries.
-type reply struct {
-	hdr             wire.Header // request header the reply answers
-	status          byte
-	value           uint64
-	msg             string
-	report          *runtime.Report // OpReport
-	shards, tenants int             // OpHello
-	snap            []byte          // OpExportTenant
-	stats           wire.Stats      // OpStats
-}
+// queueDepth bounds the queue of control ops waiting for the driver;
+// connections stall when it is full.
+const queueDepth = 64
 
 // staged is one ingest frame of the open burst: its header, the events it
 // brought (buf[lo:hi]) and, once the burst has closed, why they were
@@ -180,9 +137,10 @@ type conn struct {
 	frames []staged
 	// unflushed is set while the write buffer may hold reply bytes.
 	unflushed bool
-	// handled carries the driver's reply to the control op this connection
-	// forwarded and is waiting on.
-	handled chan reply
+	// req is the control op this connection forwarded to the driver and is
+	// waiting on; handled carries the driver's reply back.
+	req     wire.Request
+	handled chan wire.Reply
 }
 
 // Stats counts what the ingest path has served since Serve. Frames ÷
@@ -204,7 +162,7 @@ type Server struct {
 	opts Options
 	shed int
 
-	reqs chan request
+	reqs chan *conn // connections waiting on a control op
 	done chan struct{}
 	stop sync.Once
 	wg   sync.WaitGroup
@@ -223,7 +181,7 @@ func Serve(ln net.Listener, node *runtime.Node, opts Options) *Server {
 		ln:    ln,
 		opts:  opts,
 		shed:  opts.ShedWatermark,
-		reqs:  make(chan request, opts.queueDepth()),
+		reqs:  make(chan *conn, queueDepth),
 		done:  make(chan struct{}),
 		conns: make(map[*conn]struct{}),
 	}
@@ -277,10 +235,10 @@ func (s *Server) acceptLoop() {
 		}
 		c := &conn{
 			nc:      nc,
-			fr:      wire.NewFrameReader(nc, s.opts.maxFrame()),
-			fw:      wire.NewFrameWriter(nc, s.opts.maxFrame()),
+			fr:      wire.NewFrameReader(nc, wire.DefaultMaxFrame),
+			fw:      wire.NewFrameWriter(nc, wire.DefaultMaxFrame),
 			ing:     s.node.NewIngester(),
-			handled: make(chan reply),
+			handled: make(chan wire.Reply),
 		}
 		s.mu.Lock()
 		select {
@@ -341,31 +299,8 @@ func (s *Server) serveConn(c *conn) {
 			}
 			continue
 		}
-		req := request{c: c, hdr: hdr}
-		switch hdr.Op {
-		case wire.OpHello:
-			_, err = wire.DecodeHello(r)
-		case wire.OpDrain, wire.OpReport, wire.OpShutdown, wire.OpStats:
-			// Header-only bodies.
-		case wire.OpAddTenant:
-			req.tenant, err = wire.DecodeAddTenant(r)
-		case wire.OpAddTenantLabeled:
-			req.label, req.tenant, err = wire.DecodeAddTenantLabeled(r)
-		case wire.OpExportTenant:
-			req.ti, err = wire.DecodeExportTenant(r)
-		case wire.OpImportTenant:
-			req.tenant, req.snap, err = wire.DecodeImportTenant(r)
-		case wire.OpAddQuery:
-			req.ti, req.query, err = wire.DecodeAddQuery(r)
-		case wire.OpRemoveTenant:
-			req.ti, err = wire.DecodeRemoveTenant(r)
-		case wire.OpRemoveQuery:
-			req.ti, req.qi, err = wire.DecodeRemoveQuery(r)
-		default:
-			return
-		}
-		if err != nil || r.Done() != nil {
-			return // a malformed body, or trailing garbage inside the frame
+		if c.req, err = wire.DecodeRequest(hdr, r); err != nil {
+			return // an unknown op, a malformed body or trailing garbage
 		}
 		// The control op must see every earlier ingest applied, and the
 		// driver may take a while: acks already earned do not wait for it.
@@ -373,18 +308,19 @@ func (s *Server) serveConn(c *conn) {
 			return
 		}
 		select {
-		case s.reqs <- req: // stall here is the backpressure path
+		case s.reqs <- c: // stall here is the backpressure path
 		case <-s.done:
 			return
 		}
-		var rep reply
+		var rep wire.Reply
 		select {
 		case rep = <-c.handled:
 		case <-s.done:
 			return
 		}
 		s.arm(c)
-		if encodeReply(c.fw, rep) != nil {
+		wire.EncodeReply(c.fw.Begin(), rep)
+		if c.fw.End() != nil {
 			return
 		}
 		if hdr.Op == wire.OpShutdown {
@@ -471,35 +407,23 @@ func (s *Server) serveBurst(c *conn, frames []staged) error {
 	return nil
 }
 
-func encodeReply(fw *wire.FrameWriter, rep reply) error {
-	p := fw.Begin()
-	switch rep.hdr.Op {
-	case wire.OpHello:
-		wire.EncodeHelloAck(p, rep.hdr.Seq, rep.shards, rep.tenants)
-	case wire.OpReport:
-		wire.EncodeReportReply(p, rep.hdr.Seq, rep.status, rep.msg, rep.report)
-	case wire.OpExportTenant:
-		wire.EncodeExportTenantReply(p, rep.hdr.Seq, rep.status, rep.msg, rep.snap)
-	case wire.OpStats:
-		wire.EncodeStatsReply(p, rep.hdr.Seq, rep.stats)
-	default:
-		wire.EncodeAck(p, rep.hdr.Op, rep.hdr.Seq, rep.status, rep.value, rep.msg)
-	}
-	return fw.End()
-}
-
 // drive is the hub: the single goroutine that talks to the Node's control
 // side (connections ingest directly through their own handles). It never
 // touches a socket — each reply goes back to the connection that asked —
-// so no peer can wedge it.
+// so no peer can wedge it. A refused op is answered with an error ack
+// carrying the node's message.
 func (s *Server) drive() {
 	defer s.wg.Done()
 	for {
 		select {
-		case req := <-s.reqs:
-			rep := s.handle(req)
+		case c := <-s.reqs:
+			rep, err := Apply(s.node, c.req)
+			if err != nil {
+				rep = wire.Reply{Op: c.req.Op, Seq: c.req.Seq,
+					Ack: wire.Ack{Status: wire.StatusError, Msg: err.Error()}}
+			}
 			select {
-			case req.c.handled <- rep: // the connection is waiting right here
+			case c.handled <- rep: // the connection is waiting right here
 			case <-s.done:
 			}
 		case <-s.done:
@@ -508,65 +432,65 @@ func (s *Server) drive() {
 	}
 }
 
-// handle runs one control op against the node. A failed op is answered
-// with an error ack carrying the node's message; an admission's slot id
-// rides in the ack value.
-func (s *Server) handle(req request) reply {
-	rep := reply{hdr: req.hdr, status: wire.StatusOK}
+// Apply runs one control request against node: the one place an op meets
+// a runtime.Node, and where wire specs are compiled. It returns the reply
+// with the request's op and sequence number, an admission's slot id in its
+// Value, or the node's error when the op is refused. Apply drives the
+// node's control side, so its caller must be that side's single goroutine
+// (a Server's driver, or a cluster's router through a LocalMember).
+// OpShutdown is a no-op here; stopping is the server's business.
+func Apply(node *runtime.Node, req wire.Request) (wire.Reply, error) {
+	rep := wire.Reply{Op: req.Op, Seq: req.Seq}
 	var slot int
 	var err error
-	switch req.hdr.Op {
+	var spec runtime.TenantSpec
+	switch req.Op {
 	case wire.OpHello:
-		rep.shards, rep.tenants = s.node.Shards(), s.node.NumTenants()
+		rep.Shards, rep.Tenants = node.Shards(), node.NumTenants()
 	case wire.OpDrain:
-		err = s.node.Drain()
+		err = node.Drain()
 	case wire.OpReport:
-		rep.report = s.node.Report()
-	case wire.OpAddTenant, wire.OpAddTenantLabeled, wire.OpImportTenant:
-		var spec runtime.TenantSpec
-		if spec, err = req.tenant.Runtime(); err != nil {
-			break
+		rep.Report = node.Report()
+	case wire.OpShutdown:
+	case wire.OpAddTenant:
+		if spec, err = req.Tenant.Runtime(); err == nil {
+			slot, err = node.AddTenant(spec)
 		}
-		switch req.hdr.Op {
-		case wire.OpAddTenant:
-			slot, err = s.node.AddTenant(spec)
-		case wire.OpAddTenantLabeled:
-			slot, err = s.node.AddTenantLabeled(spec, req.label)
-		case wire.OpImportTenant:
-			slot, err = s.node.ImportTenant(spec, req.snap)
+	case wire.OpAddTenantLabeled:
+		if spec, err = req.Tenant.Runtime(); err == nil {
+			slot, err = node.AddTenantLabeled(spec, req.Label)
+		}
+	case wire.OpImportTenant:
+		if spec, err = req.Tenant.Runtime(); err == nil {
+			slot, err = node.ImportTenant(spec, req.Snap)
 		}
 	case wire.OpAddQuery:
-		var spec runtime.QuerySpec
-		if spec, err = wireQueryRuntime(s.node, req.ti, req.query); err == nil {
-			slot, err = s.node.AddQuery(req.ti, spec)
+		if req.TI < 0 || req.TI >= node.NumTenants() || !node.Alive(req.TI) {
+			return wire.Reply{}, fmt.Errorf("netserve: no live tenant %d", req.TI)
 		}
-	case wire.OpExportTenant:
-		rep.snap, err = s.node.ExportTenant(req.ti)
-	case wire.OpStats:
-		rep.stats = wire.Stats{
-			Pending:     s.node.PendingEvents(),
-			QueueCap:    s.node.QueueCap(),
-			TotalEvents: s.node.TotalEvents(),
-			Tenants:     s.node.NumTenants(),
+		var q runtime.QuerySpec
+		if q, err = req.Query.Runtime(node.StreamCount(req.TI)); err == nil {
+			slot, err = node.AddQuery(req.TI, q)
 		}
 	case wire.OpRemoveTenant:
-		err = s.node.RemoveTenant(req.ti)
+		err = node.RemoveTenant(req.TI)
 	case wire.OpRemoveQuery:
-		err = s.node.RemoveQuery(req.ti, req.qi)
+		err = node.RemoveQuery(req.TI, req.QI)
+	case wire.OpExportTenant:
+		rep.Snap, err = node.ExportTenant(req.TI)
+	case wire.OpStats:
+		rep.Stats = wire.Stats{
+			Pending:     node.PendingEvents(),
+			QueueCap:    node.QueueCap(),
+			TotalEvents: node.TotalEvents(),
+			Tenants:     node.NumTenants(),
+		}
+	default:
+		err = fmt.Errorf("netserve: op %d is not a control request", req.Op)
 	}
 	if err != nil {
-		rep.status, rep.msg = wire.StatusError, err.Error()
-	} else {
-		rep.value = uint64(slot)
+		return wire.Reply{}, err
 	}
-	return rep
-}
-
-// wireQueryRuntime validates and compiles a wire query spec against the
-// target tenant's partition size.
-func wireQueryRuntime(node *runtime.Node, ti int, q wire.QuerySpec) (runtime.QuerySpec, error) {
-	if ti < 0 || ti >= node.NumTenants() || !node.Alive(ti) {
-		return runtime.QuerySpec{}, fmt.Errorf("netserve: no live tenant %d", ti)
-	}
-	return q.Runtime(node.StreamCount(ti))
+	rep.Value = uint64(slot)
+	return rep, nil
 }

@@ -99,13 +99,13 @@ func dialT(t *testing.T, addr string) *tc {
 	c := &tc{t: t, nc: nc,
 		fw: wire.NewFrameWriter(nc, 0), fr: wire.NewFrameReader(nc, 0)}
 	t.Cleanup(func() { nc.Close() })
-	wire.EncodeHello(c.fw.Begin(), c.nextSeq())
+	wire.EncodeRequest(c.fw.Begin(), wire.Request{Op: wire.OpHello, Seq: c.nextSeq()})
 	c.end()
 	r, hdr := c.read()
 	if hdr.Op != wire.ReplyTo(wire.OpHello) {
 		t.Fatalf("hello reply op = %d", hdr.Op)
 	}
-	if h, err := wire.DecodeHelloAck(r); err != nil || h.Status != wire.StatusOK {
+	if h, err := wire.DecodeReply(hdr, r); err != nil || h.Status != wire.StatusOK {
 		t.Fatalf("hello ack = %+v, %v", h, err)
 	}
 	return c
@@ -136,8 +136,8 @@ func (c *tc) read() (*snapshot.Reader, wire.Header) {
 	return r, hdr
 }
 
-// ack sends one encoded request and reads its ack.
-func (c *tc) ack(encode func(p *snapshot.Writer, seq uint64)) wire.Ack {
+// ack sends one encoded request and reads its reply.
+func (c *tc) ack(encode func(p *snapshot.Writer, seq uint64)) wire.Reply {
 	c.t.Helper()
 	seq := c.nextSeq()
 	encode(c.fw.Begin(), seq)
@@ -146,14 +146,22 @@ func (c *tc) ack(encode func(p *snapshot.Writer, seq uint64)) wire.Ack {
 	if hdr.Seq != seq {
 		c.t.Fatalf("reply seq = %d, want %d", hdr.Seq, seq)
 	}
-	a, err := wire.DecodeAck(r)
+	a, err := wire.DecodeReply(hdr, r)
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	return a
 }
 
-func (c *tc) mustOK(encode func(p *snapshot.Writer, seq uint64)) wire.Ack {
+// request encodes a control op for ack under the sequence number it gets.
+func request(req wire.Request) func(p *snapshot.Writer, seq uint64) {
+	return func(p *snapshot.Writer, seq uint64) {
+		req.Seq = seq
+		wire.EncodeRequest(p, req)
+	}
+}
+
+func (c *tc) mustOK(encode func(p *snapshot.Writer, seq uint64)) wire.Reply {
 	c.t.Helper()
 	a := c.ack(encode)
 	if a.Status != wire.StatusOK {
@@ -165,19 +173,12 @@ func (c *tc) mustOK(encode func(p *snapshot.Writer, seq uint64)) wire.Ack {
 // report drains the node and fetches its report over the wire.
 func (c *tc) report() *runtime.Report {
 	c.t.Helper()
-	c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
-	seq := c.nextSeq()
-	wire.EncodeReportReq(c.fw.Begin(), seq)
-	c.end()
-	r, hdr := c.read()
-	if hdr.Op != wire.ReplyTo(wire.OpReport) || hdr.Seq != seq {
-		c.t.Fatalf("report reply header = %+v", hdr)
+	c.mustOK(request(wire.Request{Op: wire.OpDrain}))
+	a := c.mustOK(request(wire.Request{Op: wire.OpReport}))
+	if a.Op != wire.OpReport {
+		c.t.Fatalf("report reply answers op %d", a.Op)
 	}
-	rep, a, err := wire.DecodeReportReply(r)
-	if err != nil || a.Status != wire.StatusOK {
-		c.t.Fatalf("report reply: ack=%+v err=%v", a, err)
-	}
-	return rep
+	return a.Report
 }
 
 // workload yields deterministic ingest batches over the wireSpecs tenants.
@@ -261,7 +262,7 @@ func TestLoopbackByteIdentity(t *testing.T) {
 			// query, evict a tenant and a query, ingest more, compare again.
 			late := wire.TenantSpec{Name: "late", Initial: []float64{10, 20, 30, 40},
 				Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 15, Hi: 35}}
-			a := c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeAddTenant(p, seq, late) })
+			a := c.mustOK(request(wire.Request{Op: wire.OpAddTenant, Tenant: late}))
 			lateSpec, err := late.Runtime()
 			if err != nil {
 				t.Fatal(err)
@@ -275,7 +276,7 @@ func TestLoopbackByteIdentity(t *testing.T) {
 			}
 
 			lateQ := wire.QuerySpec{Name: "qc", Spec: protospec.Spec{Protocol: "rtp", Q: 500, K: 3, R: 2}}
-			a = c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeAddQuery(p, seq, 2, lateQ) })
+			a = c.mustOK(request(wire.Request{Op: wire.OpAddQuery, TI: 2, Query: lateQ}))
 			build, err := lateQ.Spec.Factory()
 			if err != nil {
 				t.Fatal(err)
@@ -288,11 +289,11 @@ func TestLoopbackByteIdentity(t *testing.T) {
 				t.Fatalf("wire query slot %d, local %d", a.Value, qi)
 			}
 
-			c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeRemoveTenant(p, seq, 1) })
+			c.mustOK(request(wire.Request{Op: wire.OpRemoveTenant, TI: 1}))
 			if err := local.RemoveTenant(1); err != nil {
 				t.Fatal(err)
 			}
-			c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeRemoveQuery(p, seq, 2, 0) })
+			c.mustOK(request(wire.Request{Op: wire.OpRemoveQuery, TI: 2, QI: 0}))
 			if err := local.RemoveQuery(2, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -451,18 +452,18 @@ func TestRequestErrorsKeepConnection(t *testing.T) {
 	s := startServer(t, runtime.Config{Shards: 1, Seed: 1}, compileSpecs(t, wireSpecs()), netserve.Options{})
 	c := dialT(t, s.Addr().String())
 
-	a := c.ack(func(p *snapshot.Writer, seq uint64) { wire.EncodeRemoveTenant(p, seq, 99) })
+	a := c.ack(request(wire.Request{Op: wire.OpRemoveTenant, TI: 99}))
 	if a.Status != wire.StatusError || a.Err() == nil {
 		t.Fatalf("bad eviction ack = %+v", a)
 	}
 	bad := wire.TenantSpec{Name: "bad", Initial: []float64{1, 2},
 		Spec: protospec.Spec{Protocol: "rtp", Q: 1, K: 5, R: 5}}
-	a = c.ack(func(p *snapshot.Writer, seq uint64) { wire.EncodeAddTenant(p, seq, bad) })
+	a = c.ack(request(wire.Request{Op: wire.OpAddTenant, Tenant: bad}))
 	if a.Status != wire.StatusError {
 		t.Fatalf("invalid spec ack = %+v", a)
 	}
 	// Still alive.
-	c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
+	c.mustOK(request(wire.Request{Op: wire.OpDrain}))
 }
 
 // TestShutdownOverWire checks a client-initiated shutdown: the ack arrives,
@@ -470,7 +471,7 @@ func TestRequestErrorsKeepConnection(t *testing.T) {
 func TestShutdownOverWire(t *testing.T) {
 	s := startServer(t, runtime.Config{Shards: 1, Seed: 1}, compileSpecs(t, wireSpecs()), netserve.Options{})
 	c := dialT(t, s.Addr().String())
-	c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeShutdown(p, seq) })
+	c.mustOK(request(wire.Request{Op: wire.OpShutdown}))
 	done := make(chan struct{})
 	go func() { s.Wait(); close(done) }()
 	select {
@@ -495,5 +496,5 @@ func TestCorruptFrameClosesConnection(t *testing.T) {
 	}
 	// The server itself is fine: a fresh connection works.
 	c2 := dialT(t, s.Addr().String())
-	c2.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
+	c2.mustOK(request(wire.Request{Op: wire.OpDrain}))
 }

@@ -97,7 +97,7 @@ func TestQuarantineOverWire(t *testing.T) {
 				t.Fatalf("round %d, tenant %d frame: ack %+v", round, ti, a)
 			}
 		}
-		c.mustOK(func(p *snapshot.Writer, seq uint64) { wire.EncodeDrain(p, seq) })
+		c.mustOK(request(wire.Request{Op: wire.OpDrain}))
 	}
 	if err := ref.Drain(); err != nil {
 		t.Fatal(err)

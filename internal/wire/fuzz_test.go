@@ -7,99 +7,44 @@ import (
 	"strings"
 	"testing"
 
-	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/wire"
 )
 
-// seedStream frames a sequence of representative payloads into one byte
-// stream — the shape an honest connection puts on the wire.
+// seedStream frames one payload of every op, request and reply, into one
+// byte stream — the shape an honest connection puts on the wire.
 func seedStream() []byte {
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf, 0)
-	wire.EncodeHello(fw.Begin(), 1)
-	fw.End()
-	wire.EncodeIngest(fw.Begin(), 2, []runtime.Event{{Tenant: 1, Stream: 3, Value: 42.5}})
-	fw.End()
-	wire.EncodeAddTenant(fw.Begin(), 3, wire.TenantSpec{
-		Name: "t", Initial: []float64{1, 2},
-		Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 0, Hi: 2},
-	})
-	fw.End()
-	wire.EncodeReportReply(fw.Begin(), 4, wire.StatusOK, "", sampleReport())
-	fw.End()
-	wire.EncodeAck(fw.Begin(), wire.OpIngest, 2, wire.StatusOK, 0, "")
-	fw.End()
-	wire.EncodeAddTenantLabeled(fw.Begin(), 5, 3, wire.TenantSpec{
-		Name: "m", Initial: []float64{3, 4},
-		Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 0, Hi: 4},
-	})
-	fw.End()
-	wire.EncodeExportTenant(fw.Begin(), 6, 1)
-	fw.End()
-	wire.EncodeExportTenantReply(fw.Begin(), 6, wire.StatusOK, "", []byte{1, 2, 3, 4})
-	fw.End()
-	wire.EncodeImportTenant(fw.Begin(), 7, wire.TenantSpec{
-		Name: "m", Initial: []float64{3, 4},
-		Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 0, Hi: 4},
-	}, []byte{9, 8, 7})
-	fw.End()
-	wire.EncodeStatsReply(fw.Begin(), 8, wire.Stats{Pending: 1, QueueCap: 8, TotalEvents: 99, Tenants: 2})
-	fw.End()
+	for _, c := range opCases() {
+		c.encode(fw.Begin())
+		fw.End()
+	}
 	fw.Flush()
 	return buf.Bytes()
 }
 
-// decodeAny drives every body decoder the header's op selects — the exact
-// dispatch a server or client performs on an incoming frame. Decoders must
-// return errors on garbage, never panic.
-func decodeAny(r *snapshot.Reader) {
+// decodePayload runs the dispatch the two ends run on an incoming payload:
+// a reply goes to DecodeReply, as the client reads it; an ingest batch to
+// DecodeIngestInto and any other request to DecodeRequest, as the server
+// reads them, and a decoded spec is compiled, as netserve.Apply compiles
+// it. Garbage must come back as errors, never panics.
+func decodePayload(r *snapshot.Reader) {
 	hdr, err := wire.DecodeHeader(r)
-	if err != nil {
-		return
-	}
-	switch hdr.Op {
-	case wire.OpHello:
-		wire.DecodeHello(r)
-	case wire.ReplyTo(wire.OpHello):
-		wire.DecodeHelloAck(r)
-	case wire.OpIngest:
+	switch {
+	case err != nil:
+	case wire.IsReply(hdr.Op):
+		wire.DecodeReply(hdr, r)
+	case hdr.Op == wire.OpIngest:
 		wire.DecodeIngestInto(r, nil)
-	case wire.OpAddTenant:
-		if spec, err := wire.DecodeAddTenant(r); err == nil {
-			spec.Runtime()
-		}
-	case wire.OpAddQuery:
-		if _, q, err := wire.DecodeAddQuery(r); err == nil {
-			_ = q
-		}
-	case wire.OpRemoveTenant:
-		wire.DecodeRemoveTenant(r)
-	case wire.OpRemoveQuery:
-		wire.DecodeRemoveQuery(r)
-	case wire.ReplyTo(wire.OpReport):
-		wire.DecodeReportReply(r)
-	case wire.OpAddTenantLabeled:
-		if _, spec, err := wire.DecodeAddTenantLabeled(r); err == nil {
-			spec.Runtime()
-		}
-	case wire.OpExportTenant:
-		wire.DecodeExportTenant(r)
-	case wire.ReplyTo(wire.OpExportTenant):
-		wire.DecodeExportTenantReply(r)
-	case wire.OpImportTenant:
-		if spec, _, err := wire.DecodeImportTenant(r); err == nil {
-			spec.Runtime()
-		}
-	case wire.ReplyTo(wire.OpStats):
-		wire.DecodeStatsReply(r)
+		r.Done()
 	default:
-		if wire.IsReply(hdr.Op) {
-			wire.DecodeAck(r)
+		if req, err := wire.DecodeRequest(hdr, r); err == nil {
+			req.Tenant.Runtime()
+			req.Query.Runtime(64)
 		}
 	}
-	r.Done()
 }
 
 // FuzzFrame feeds arbitrary byte streams through the frame reader and the
@@ -118,7 +63,7 @@ func FuzzFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			decodeAny(r)
+			decodePayload(r)
 		}
 		checkReady(t, data)
 	})
@@ -224,23 +169,17 @@ func FuzzDecodeIngest(f *testing.F) {
 
 // FuzzWireReader aims the payload decoders directly at arbitrary bytes,
 // bypassing the frame layer, so corruption inside an intact frame is
-// covered too.
+// covered too. Every op, request and reply, seeds it.
 func FuzzWireReader(f *testing.F) {
 	var payload snapshot.Writer
-	wire.EncodeIngest(&payload, 1, []runtime.Event{{Tenant: 1, Stream: 3, Value: 42.5}})
-	f.Add(payload.Bytes())
-	payload.Reset()
-	wire.EncodeReportReply(&payload, 2, wire.StatusOK, "", sampleReport())
-	f.Add(payload.Bytes())
-	payload.Reset()
-	wire.EncodeAddTenant(&payload, 3, wire.TenantSpec{
-		Name: "t", Initial: []float64{1, 2},
-		Spec: protospec.Spec{Protocol: "zt-nrp", Lo: 0, Hi: 2},
-	})
-	f.Add(payload.Bytes())
+	for _, c := range opCases() {
+		payload.Reset()
+		c.encode(&payload)
+		f.Add(append([]byte(nil), payload.Bytes()...))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeAny(snapshot.NewReader(data))
+		decodePayload(snapshot.NewReader(data))
 	})
 }

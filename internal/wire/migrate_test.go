@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/protospec"
-	"adaptivefilters/internal/snapshot"
 	"adaptivefilters/internal/wire"
 )
 
@@ -24,20 +23,14 @@ func migrateSpec() wire.TenantSpec {
 
 func TestAddTenantLabeledRoundTrip(t *testing.T) {
 	spec := migrateSpec()
-	r, hdr := frame(t, func(p *snapshot.Writer) {
-		wire.EncodeAddTenantLabeled(p, 21, 7, spec)
-	})
+	req, hdr, err := request(t, wire.Request{Op: wire.OpAddTenantLabeled, Seq: 21, Label: 7, Tenant: spec})
 	if hdr.Op != wire.OpAddTenantLabeled || hdr.Seq != 21 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	label, got, err := wire.DecodeAddTenantLabeled(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if label != 7 || !reflect.DeepEqual(got, spec) {
+	if label, got := req.Label, req.Tenant; label != 7 || !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip: label=%d got=%+v", label, got)
 	}
 
@@ -58,88 +51,77 @@ func TestAddTenantLabeledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.DecodeHeader(rr); err != nil {
+	hdr, err = wire.DecodeHeader(rr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.DecodeAddTenantLabeled(rr); err == nil {
+	if _, err := wire.DecodeRequest(hdr, rr); err == nil {
 		t.Fatal("label 1<<63 decoded without error")
 	}
 }
 
 func TestExportTenantRoundTrip(t *testing.T) {
-	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeExportTenant(p, 31, 4) })
+	req, hdr, err := request(t, wire.Request{Op: wire.OpExportTenant, Seq: 31, TI: 4})
 	if hdr.Op != wire.OpExportTenant || hdr.Seq != 31 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	if ti, err := wire.DecodeExportTenant(r); err != nil || ti != 4 {
-		t.Fatalf("round trip: ti=%d err=%v", ti, err)
+	if err != nil || req.TI != 4 {
+		t.Fatalf("round trip: ti=%d err=%v", req.TI, err)
 	}
 
 	snap := []byte{0x00, 0xff, 0x7e, 0x01, 0x80}
-	r, hdr = frame(t, func(p *snapshot.Writer) {
-		wire.EncodeExportTenantReply(p, 31, wire.StatusOK, "", snap)
-	})
+	rep, hdr, err := reply(t, wire.Reply{Op: wire.OpExportTenant, Seq: 31, Snap: snap})
 	if hdr.Op != wire.ReplyTo(wire.OpExportTenant) {
 		t.Fatalf("reply header = %+v", hdr)
 	}
-	got, ack, err := wire.DecodeExportTenantReply(r)
-	if err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("reply: ack=%+v err=%v", ack, err)
+	if err != nil || rep.Status != wire.StatusOK {
+		t.Fatalf("reply: ack=%+v err=%v", rep.Ack, err)
 	}
-	if !bytes.Equal(got, snap) {
-		t.Fatalf("snapshot bytes: got %x, want %x", got, snap)
+	if !bytes.Equal(rep.Snap, snap) {
+		t.Fatalf("snapshot bytes: got %x, want %x", rep.Snap, snap)
 	}
 
 	// An error reply carries no snapshot payload.
-	r, _ = frame(t, func(p *snapshot.Writer) {
-		wire.EncodeExportTenantReply(p, 32, wire.StatusError, "no such tenant", nil)
-	})
-	got, ack, err = wire.DecodeExportTenantReply(r)
-	if err != nil || ack.Status != wire.StatusError || ack.Msg != "no such tenant" || got != nil {
-		t.Fatalf("error reply: snap=%x ack=%+v err=%v", got, ack, err)
+	rep, _, err = reply(t, wire.Reply{Op: wire.OpExportTenant, Seq: 32,
+		Ack: wire.Ack{Status: wire.StatusError, Msg: "no such tenant"}, Snap: snap})
+	if err != nil || rep.Status != wire.StatusError || rep.Msg != "no such tenant" || rep.Snap != nil {
+		t.Fatalf("error reply: snap=%x ack=%+v err=%v", rep.Snap, rep.Ack, err)
 	}
 }
 
 func TestImportTenantRoundTrip(t *testing.T) {
 	spec := migrateSpec()
 	snap := bytes.Repeat([]byte{0xa5, 0x00, 0x5a}, 40)
-	r, hdr := frame(t, func(p *snapshot.Writer) {
-		wire.EncodeImportTenant(p, 41, spec, snap)
-	})
+	req, hdr, err := request(t, wire.Request{Op: wire.OpImportTenant, Seq: 41, Tenant: spec, Snap: snap})
 	if hdr.Op != wire.OpImportTenant || hdr.Seq != 41 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	got, gotSnap, err := wire.DecodeImportTenant(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, spec) || !bytes.Equal(gotSnap, snap) {
-		t.Fatalf("round trip: spec=%+v snap=%x", got, gotSnap)
+	if !reflect.DeepEqual(req.Tenant, spec) || !bytes.Equal(req.Snap, snap) {
+		t.Fatalf("round trip: spec=%+v snap=%x", req.Tenant, req.Snap)
 	}
 }
 
 func TestStatsRoundTrip(t *testing.T) {
-	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeStatsReq(p, 51) })
+	_, hdr, err := request(t, wire.Request{Op: wire.OpStats, Seq: 51})
 	if hdr.Op != wire.OpStats || hdr.Seq != 51 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	if err := r.Done(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	want := wire.Stats{Pending: 3, QueueCap: 64, TotalEvents: 123456, Tenants: 9}
-	r, hdr = frame(t, func(p *snapshot.Writer) { wire.EncodeStatsReply(p, 51, want) })
+	rep, hdr, err := reply(t, wire.Reply{Op: wire.OpStats, Seq: 51, Stats: want})
 	if hdr.Op != wire.ReplyTo(wire.OpStats) {
 		t.Fatalf("reply header = %+v", hdr)
 	}
-	got, ack, err := wire.DecodeStatsReply(r)
-	if err != nil || ack.Status != wire.StatusOK {
-		t.Fatalf("reply: ack=%+v err=%v", ack, err)
+	if err != nil || rep.Status != wire.StatusOK {
+		t.Fatalf("reply: ack=%+v err=%v", rep.Ack, err)
 	}
-	if got != want {
+	if got := rep.Stats; got != want {
 		t.Fatalf("stats: got %+v, want %+v", got, want)
 	}
 }

@@ -11,6 +11,12 @@
 // client may keep many requests in flight per connection and match acks
 // as they return.
 //
+// The op table lives here and nowhere else: a control op is one Request
+// (EncodeRequest, DecodeRequest) answered by one Reply (EncodeReply,
+// DecodeReply), and the server applies it in one place,
+// netserve.Apply. Ingest batches keep their own codec (EncodeIngest,
+// DecodeIngestInto, EncodeAck), the hot path.
+//
 // The codec is engineered as a hot path:
 //
 //   - FrameWriter and FrameReader own reusable payload buffers; encoding
@@ -155,70 +161,6 @@ func wireInt(r *snapshot.Reader, what string) (int, error) {
 	return int(v), nil
 }
 
-// --- Hello ---
-
-// EncodeHello writes the connection-opening request.
-func EncodeHello(p *snapshot.Writer, seq uint64) {
-	EncodeHeader(p, OpHello, seq)
-	p.String(Magic)
-	p.Uvarint(Version)
-}
-
-// DecodeHello validates a Hello body and returns the peer's version.
-func DecodeHello(r *snapshot.Reader) (uint64, error) {
-	magic := r.String()
-	version := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if magic != Magic {
-		return 0, fmt.Errorf("wire: bad magic %q", magic)
-	}
-	if version != Version {
-		return 0, fmt.Errorf("wire: peer speaks version %d, this build speaks %d", version, Version)
-	}
-	return version, nil
-}
-
-// HelloAck is the server's connection greeting.
-type HelloAck struct {
-	Ack
-	// Version is the server's wire version.
-	Version uint64
-	// Shards and Tenants describe the node behind the server.
-	Shards  int
-	Tenants int
-}
-
-// EncodeHelloAck writes the greeting reply.
-func EncodeHelloAck(p *snapshot.Writer, seq uint64, shards, tenants int) {
-	EncodeHeader(p, ReplyTo(OpHello), seq)
-	encodeAckBody(p, StatusOK, 0, "")
-	p.Uvarint(Version)
-	p.Uvarint(uint64(shards))
-	p.Uvarint(uint64(tenants))
-}
-
-// DecodeHelloAck reads the greeting reply body.
-func DecodeHelloAck(r *snapshot.Reader) (HelloAck, error) {
-	var h HelloAck
-	var err error
-	if h.Ack, err = DecodeAck(r); err != nil {
-		return HelloAck{}, err
-	}
-	if h.Ack.Status != StatusOK {
-		return h, nil
-	}
-	h.Version = r.Uvarint()
-	if h.Shards, err = wireInt(r, "shard count"); err != nil {
-		return HelloAck{}, err
-	}
-	if h.Tenants, err = wireInt(r, "tenant count"); err != nil {
-		return HelloAck{}, err
-	}
-	return h, nil
-}
-
 // --- Ingest ---
 
 // eventWireMin is the smallest encoded event (1-byte tenant, 1-byte
@@ -323,46 +265,6 @@ func decodeEventsChecked(r *snapshot.Reader, dst []runtime.Event, count uint64) 
 		dst = append(dst, runtime.Event{Tenant: tenant, Stream: stream.ID(strm), Value: v})
 	}
 	return dst, nil
-}
-
-// --- Simple requests ---
-
-// EncodeDrain writes a drain-barrier request.
-func EncodeDrain(p *snapshot.Writer, seq uint64) { EncodeHeader(p, OpDrain, seq) }
-
-// EncodeReportReq asks for the node's report.
-func EncodeReportReq(p *snapshot.Writer, seq uint64) { EncodeHeader(p, OpReport, seq) }
-
-// EncodeShutdown asks the server to stop serving.
-func EncodeShutdown(p *snapshot.Writer, seq uint64) { EncodeHeader(p, OpShutdown, seq) }
-
-// EncodeRemoveTenant writes a tenant-eviction request.
-func EncodeRemoveTenant(p *snapshot.Writer, seq uint64, ti int) {
-	EncodeHeader(p, OpRemoveTenant, seq)
-	p.Uvarint(uint64(ti))
-}
-
-// DecodeRemoveTenant reads the eviction body.
-func DecodeRemoveTenant(r *snapshot.Reader) (int, error) {
-	return wireInt(r, "tenant id")
-}
-
-// EncodeRemoveQuery writes a query-eviction request.
-func EncodeRemoveQuery(p *snapshot.Writer, seq uint64, ti, qi int) {
-	EncodeHeader(p, OpRemoveQuery, seq)
-	p.Uvarint(uint64(ti))
-	p.Uvarint(uint64(qi))
-}
-
-// DecodeRemoveQuery reads the query-eviction body.
-func DecodeRemoveQuery(r *snapshot.Reader) (ti, qi int, err error) {
-	if ti, err = wireInt(r, "tenant id"); err != nil {
-		return 0, 0, err
-	}
-	if qi, err = wireInt(r, "query slot"); err != nil {
-		return 0, 0, err
-	}
-	return ti, qi, nil
 }
 
 // --- Lifecycle specs ---
@@ -479,179 +381,138 @@ func decodeTenantSpec(r *snapshot.Reader) (TenantSpec, error) {
 	return t, nil
 }
 
-// EncodeAddTenant writes a tenant-admission request.
-func EncodeAddTenant(p *snapshot.Writer, seq uint64, t TenantSpec) {
-	EncodeHeader(p, OpAddTenant, seq)
-	encodeTenantSpec(p, t)
+// --- Requests ---
+
+// Request is one control op travelling client to server: every op but
+// OpIngest, whose batches take the EncodeIngest/DecodeIngestInto hot path.
+// Each op carries only its own body fields:
+//
+//	OpHello                                  magic and Version (implicit)
+//	OpDrain, OpReport, OpShutdown, OpStats   none
+//	OpAddTenant                              Tenant
+//	OpAddTenantLabeled                       Label, Tenant
+//	OpImportTenant                           Tenant, Snap (ExportTenant bytes)
+//	OpAddQuery                               TI, Query
+//	OpRemoveTenant, OpExportTenant           TI
+//	OpRemoveQuery                            TI, QI
+type Request struct {
+	Op  byte
+	Seq uint64
+	// Tenant is a declarative spec; the server compiles it (Runtime).
+	Tenant TenantSpec
+	Query  QuerySpec
+	// TI is a member-local tenant slot, QI a query slot of it.
+	TI, QI int
+	// Label is the seed label of a labeled admission — the cluster placement
+	// layer's, which pins a tenant's randomness to its global id rather than
+	// the member's local counter.
+	Label int64
+	Snap  []byte
 }
 
-// DecodeAddTenant reads a tenant-admission body.
-func DecodeAddTenant(r *snapshot.Reader) (TenantSpec, error) {
-	return decodeTenantSpec(r)
-}
-
-// EncodeAddTenantLabeled writes a labeled tenant-admission request.
-func EncodeAddTenantLabeled(p *snapshot.Writer, seq uint64, label int64, t TenantSpec) {
-	EncodeHeader(p, OpAddTenantLabeled, seq)
-	p.Uvarint(uint64(label))
-	encodeTenantSpec(p, t)
-}
-
-// DecodeAddTenantLabeled reads a labeled tenant-admission body. The label
-// is validated non-negative here so a hostile varint cannot smuggle a
-// negative seed label past the structural decode.
-func DecodeAddTenantLabeled(r *snapshot.Reader) (int64, TenantSpec, error) {
-	v := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, TenantSpec{}, err
+// EncodeRequest writes a control request.
+func EncodeRequest(p *snapshot.Writer, req Request) {
+	EncodeHeader(p, req.Op, req.Seq)
+	switch req.Op {
+	case OpHello:
+		p.String(Magic)
+		p.Uvarint(Version)
+	case OpAddTenant:
+		encodeTenantSpec(p, req.Tenant)
+	case OpAddTenantLabeled:
+		p.Uvarint(uint64(req.Label))
+		encodeTenantSpec(p, req.Tenant)
+	case OpImportTenant:
+		encodeTenantSpec(p, req.Tenant)
+		p.String(string(req.Snap))
+	case OpAddQuery:
+		p.Uvarint(uint64(req.TI))
+		p.String(req.Query.Name)
+		req.Query.Spec.Encode(p)
+	case OpRemoveTenant, OpExportTenant:
+		p.Uvarint(uint64(req.TI))
+	case OpRemoveQuery:
+		p.Uvarint(uint64(req.TI))
+		p.Uvarint(uint64(req.QI))
 	}
-	if v > math.MaxInt64 {
-		return 0, TenantSpec{}, fmt.Errorf("wire: seed label %d overflows int64", v)
+}
+
+// DecodeRequest reads the body of the control request hdr opens. It
+// refuses OpIngest, replies and unknown ops, a Hello with the wrong magic
+// or version, a malformed body and trailing bytes. The decode is
+// structural: the server compiles specs (TenantSpec.Runtime) when it
+// applies the request.
+func DecodeRequest(hdr Header, r *snapshot.Reader) (Request, error) {
+	req := Request{Op: hdr.Op, Seq: hdr.Seq}
+	var err error
+	switch hdr.Op {
+	case OpHello:
+		err = decodeHello(r)
+	case OpDrain, OpReport, OpShutdown, OpStats:
+	case OpAddTenant:
+		req.Tenant, err = decodeTenantSpec(r)
+	case OpAddTenantLabeled:
+		// The label is checked non-negative here so a hostile varint cannot
+		// smuggle a negative seed label past the structural decode.
+		v := r.Uvarint()
+		if v > math.MaxInt64 {
+			err = fmt.Errorf("wire: seed label %d overflows int64", v)
+			break
+		}
+		req.Label = int64(v)
+		req.Tenant, err = decodeTenantSpec(r)
+	case OpImportTenant:
+		if req.Tenant, err = decodeTenantSpec(r); err == nil {
+			req.Snap = []byte(r.String())
+		}
+	case OpAddQuery:
+		if req.TI, err = wireInt(r, "tenant id"); err == nil {
+			req.Query.Name = r.String()
+			req.Query.Spec = protospec.Decode(r)
+		}
+	case OpRemoveTenant, OpExportTenant:
+		req.TI, err = wireInt(r, "tenant id")
+	case OpRemoveQuery:
+		if req.TI, err = wireInt(r, "tenant id"); err == nil {
+			req.QI, err = wireInt(r, "query slot")
+		}
+	default:
+		return Request{}, fmt.Errorf("wire: op %d is not a control request", hdr.Op)
 	}
-	t, err := decodeTenantSpec(r)
-	return int64(v), t, err
-}
-
-// --- Migration ---
-
-// EncodeExportTenant writes a per-tenant snapshot request.
-func EncodeExportTenant(p *snapshot.Writer, seq uint64, ti int) {
-	EncodeHeader(p, OpExportTenant, seq)
-	p.Uvarint(uint64(ti))
-}
-
-// DecodeExportTenant reads the export body.
-func DecodeExportTenant(r *snapshot.Reader) (int, error) {
-	return wireInt(r, "tenant id")
-}
-
-// EncodeExportTenantReply writes an export reply: the ack, then (on OK)
-// the runtime.ExportTenant bytes.
-func EncodeExportTenantReply(p *snapshot.Writer, seq uint64, status byte, msg string, snap []byte) {
-	EncodeHeader(p, ReplyTo(OpExportTenant), seq)
-	encodeAckBody(p, status, 0, msg)
-	if status == StatusOK {
-		p.String(string(snap))
+	if err == nil {
+		err = r.Done()
 	}
-}
-
-// DecodeExportTenantReply reads an export reply; the snapshot is nil for
-// non-OK statuses.
-func DecodeExportTenantReply(r *snapshot.Reader) ([]byte, Ack, error) {
-	ack, err := DecodeAck(r)
 	if err != nil {
-		return nil, Ack{}, err
+		return Request{}, err
 	}
-	if ack.Status != StatusOK {
-		return nil, ack, nil
-	}
-	snap := r.String()
+	return req, nil
+}
+
+// decodeHello validates a Hello body: this protocol's magic and version.
+func decodeHello(r *snapshot.Reader) error {
+	magic := r.String()
+	version := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, ack, err
+		return err
 	}
-	return []byte(snap), ack, nil
+	if magic != Magic {
+		return fmt.Errorf("wire: bad magic %q", magic)
+	}
+	return checkVersion("peer", version)
 }
 
-// EncodeImportTenant writes a migration-restore request: the tenant's
-// declarative spec plus its ExportTenant bytes.
-func EncodeImportTenant(p *snapshot.Writer, seq uint64, t TenantSpec, snap []byte) {
-	EncodeHeader(p, OpImportTenant, seq)
-	encodeTenantSpec(p, t)
-	p.String(string(snap))
+func checkVersion(who string, version uint64) error {
+	if version != Version {
+		return fmt.Errorf("wire: %s speaks version %d, this build speaks %d", who, version, Version)
+	}
+	return nil
 }
 
-// DecodeImportTenant reads a migration-restore body.
-func DecodeImportTenant(r *snapshot.Reader) (TenantSpec, []byte, error) {
-	t, err := decodeTenantSpec(r)
-	if err != nil {
-		return TenantSpec{}, nil, err
-	}
-	snap := r.String()
-	if err := r.Err(); err != nil {
-		return TenantSpec{}, nil, err
-	}
-	return t, []byte(snap), nil
-}
+// --- Replies ---
 
-// --- Stats ---
-
-// Stats is a node's load figures — the rebalancer's placement signal.
-type Stats struct {
-	// Pending is the deepest per-shard backlog in events (instantaneous).
-	Pending int
-	// QueueCap is the per-shard mailbox capacity in events that Pending is
-	// judged against; consumers use only the ratio.
-	QueueCap int
-	// TotalEvents counts every event the node accepted over its life.
-	TotalEvents uint64
-	// Tenants is the node's tenant slot count (including evicted slots).
-	Tenants int
-}
-
-// EncodeStatsReq asks for the node's load figures.
-func EncodeStatsReq(p *snapshot.Writer, seq uint64) { EncodeHeader(p, OpStats, seq) }
-
-// EncodeStatsReply writes a stats reply.
-func EncodeStatsReply(p *snapshot.Writer, seq uint64, s Stats) {
-	EncodeHeader(p, ReplyTo(OpStats), seq)
-	encodeAckBody(p, StatusOK, 0, "")
-	p.Uvarint(uint64(s.Pending))
-	p.Uvarint(uint64(s.QueueCap))
-	p.Uvarint(s.TotalEvents)
-	p.Uvarint(uint64(s.Tenants))
-}
-
-// DecodeStatsReply reads a stats reply.
-func DecodeStatsReply(r *snapshot.Reader) (Stats, Ack, error) {
-	ack, err := DecodeAck(r)
-	if err != nil {
-		return Stats{}, Ack{}, err
-	}
-	if ack.Status != StatusOK {
-		return Stats{}, ack, nil
-	}
-	var s Stats
-	if s.Pending, err = wireInt(r, "pending events"); err != nil {
-		return Stats{}, ack, err
-	}
-	if s.QueueCap, err = wireInt(r, "queue capacity"); err != nil {
-		return Stats{}, ack, err
-	}
-	s.TotalEvents = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return Stats{}, ack, err
-	}
-	if s.Tenants, err = wireInt(r, "tenant count"); err != nil {
-		return Stats{}, ack, err
-	}
-	return s, ack, nil
-}
-
-// EncodeAddQuery writes a query-admission request for tenant ti.
-func EncodeAddQuery(p *snapshot.Writer, seq uint64, ti int, q QuerySpec) {
-	EncodeHeader(p, OpAddQuery, seq)
-	p.Uvarint(uint64(ti))
-	p.String(q.Name)
-	q.Spec.Encode(p)
-}
-
-// DecodeAddQuery reads a query-admission body.
-func DecodeAddQuery(r *snapshot.Reader) (int, QuerySpec, error) {
-	ti, err := wireInt(r, "tenant id")
-	if err != nil {
-		return 0, QuerySpec{}, err
-	}
-	var q QuerySpec
-	q.Name = r.String()
-	q.Spec = protospec.Decode(r)
-	return ti, q, r.Err()
-}
-
-// --- Acks ---
-
-// Ack is the generic reply body: a status, an op-specific value (the slot
-// id for admissions, 0 elsewhere) and an error message when Status is
-// StatusError.
+// Ack is the reply body every reply opens with: a status, an op-specific
+// value (the slot id for admissions, 0 elsewhere) and an error message
+// when Status is StatusError.
 type Ack struct {
 	Status byte
 	Value  uint64
@@ -671,7 +532,7 @@ func EncodeAck(p *snapshot.Writer, op byte, seq uint64, status byte, value uint6
 	encodeAckBody(p, status, value, msg)
 }
 
-// DecodeAck reads a generic reply body.
+// DecodeAck reads an ack body.
 func DecodeAck(r *snapshot.Reader) (Ack, error) {
 	status := r.Uvarint()
 	value := r.Uvarint()
@@ -693,6 +554,115 @@ func (a Ack) Err() error {
 	return nil
 }
 
+// Stats is a node's load figures — the rebalancer's placement signal.
+type Stats struct {
+	// Pending is the deepest per-shard backlog in events (instantaneous).
+	Pending int
+	// QueueCap is the per-shard mailbox capacity in events that Pending is
+	// judged against; consumers use only the ratio.
+	QueueCap int
+	// TotalEvents counts every event the node accepted over its life.
+	TotalEvents uint64
+	// Tenants is the node's tenant slot count (including evicted slots).
+	Tenants int
+}
+
+// Reply answers one request: the ack, then — on StatusOK only — the
+// payload of the op answered:
+//
+//	OpHello          Version (implicit), Shards, Tenants
+//	OpReport         Report
+//	OpExportTenant   Snap (runtime.ExportTenant bytes)
+//	OpStats          Stats
+//
+// Every other op, OpIngest included, replies with the ack alone.
+type Reply struct {
+	// Op is the request op answered; the frame carries ReplyTo(Op).
+	Op  byte
+	Seq uint64
+	Ack
+	// Shards and Tenants describe the node behind the server.
+	Shards, Tenants int
+	Report          *runtime.Report
+	Snap            []byte
+	Stats           Stats
+}
+
+// EncodeReply writes a reply.
+func EncodeReply(p *snapshot.Writer, rep Reply) {
+	EncodeAck(p, rep.Op, rep.Seq, rep.Status, rep.Value, rep.Msg)
+	if rep.Status != StatusOK {
+		return
+	}
+	switch rep.Op {
+	case OpHello:
+		p.Uvarint(Version)
+		p.Uvarint(uint64(rep.Shards))
+		p.Uvarint(uint64(rep.Tenants))
+	case OpReport:
+		encodeReport(p, rep.Report)
+	case OpExportTenant:
+		p.String(string(rep.Snap))
+	case OpStats:
+		p.Uvarint(uint64(rep.Stats.Pending))
+		p.Uvarint(uint64(rep.Stats.QueueCap))
+		p.Uvarint(rep.Stats.TotalEvents)
+		p.Uvarint(uint64(rep.Stats.Tenants))
+	}
+}
+
+// DecodeReply reads the body of the reply hdr opens. It refuses request
+// and unknown ops, a Hello reply from a server of another Version, a
+// malformed body and trailing bytes.
+func DecodeReply(hdr Header, r *snapshot.Reader) (Reply, error) {
+	rep := Reply{Op: RequestOf(hdr.Op), Seq: hdr.Seq}
+	if !IsReply(hdr.Op) || rep.Op == 0 || rep.Op > OpStats {
+		return Reply{}, fmt.Errorf("wire: op %d is not a reply", hdr.Op)
+	}
+	var err error
+	if rep.Ack, err = DecodeAck(r); err == nil && rep.Status == StatusOK {
+		switch rep.Op {
+		case OpHello:
+			version := r.Uvarint()
+			if rep.Shards, err = wireInt(r, "shard count"); err == nil {
+				rep.Tenants, err = wireInt(r, "tenant count")
+			}
+			if err == nil {
+				err = checkVersion("server", version)
+			}
+		case OpReport:
+			rep.Report, err = decodeReport(r)
+		case OpExportTenant:
+			rep.Snap = []byte(r.String())
+		case OpStats:
+			rep.Stats, err = decodeStats(r)
+		}
+	}
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return Reply{}, err
+	}
+	return rep, nil
+}
+
+func decodeStats(r *snapshot.Reader) (Stats, error) {
+	var s Stats
+	var err error
+	if s.Pending, err = wireInt(r, "pending events"); err != nil {
+		return Stats{}, err
+	}
+	if s.QueueCap, err = wireInt(r, "queue capacity"); err != nil {
+		return Stats{}, err
+	}
+	s.TotalEvents = r.Uvarint()
+	if s.Tenants, err = wireInt(r, "tenant count"); err != nil {
+		return Stats{}, err
+	}
+	return s, nil
+}
+
 // --- Report ---
 
 const (
@@ -701,14 +671,7 @@ const (
 	tenantQuarantined byte = 1 << 2
 )
 
-// EncodeReportReply writes a report reply. Pass a nil report with a
-// non-OK status for error replies.
-func EncodeReportReply(p *snapshot.Writer, seq uint64, status byte, msg string, rep *runtime.Report) {
-	EncodeHeader(p, ReplyTo(OpReport), seq)
-	encodeAckBody(p, status, 0, msg)
-	if status != StatusOK {
-		return
-	}
+func encodeReport(p *snapshot.Writer, rep *runtime.Report) {
 	p.Uvarint(uint64(len(rep.Tenants)))
 	for i := range rep.Tenants {
 		t := &rep.Tenants[i]
@@ -779,36 +742,28 @@ func decodeAnswer(r *snapshot.Reader) ([]stream.ID, error) {
 	return ids, nil
 }
 
-// DecodeReportReply reads a report reply. For non-OK statuses the report
-// is nil and the ack carries the story.
-func DecodeReportReply(r *snapshot.Reader) (*runtime.Report, Ack, error) {
-	ack, err := DecodeAck(r)
-	if err != nil {
-		return nil, Ack{}, err
-	}
-	if ack.Status != StatusOK {
-		return nil, ack, nil
-	}
+func decodeReport(r *snapshot.Reader) (*runtime.Report, error) {
 	count := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, ack, err
+		return nil, err
 	}
 	if count > uint64(r.Remaining()) {
-		return nil, ack, fmt.Errorf("wire: tenant count %d exceeds payload", count)
+		return nil, fmt.Errorf("wire: tenant count %d exceeds payload", count)
 	}
 	rep := &runtime.Report{Tenants: make([]runtime.TenantReport, count)}
+	var err error
 	for i := range rep.Tenants {
 		t := &rep.Tenants[i]
 		flags := r.Uvarint()
 		if err := r.Err(); err != nil {
-			return nil, ack, err
+			return nil, err
 		}
 		if flags&^uint64(tenantAlive|tenantMulti|tenantQuarantined) != 0 {
-			return nil, ack, fmt.Errorf("wire: unknown tenant flags %#x", flags)
+			return nil, fmt.Errorf("wire: unknown tenant flags %#x", flags)
 		}
 		if flags&uint64(tenantAlive) == 0 {
 			if flags != 0 {
-				return nil, ack, fmt.Errorf("wire: removed tenant %d carries flags %#x", i, flags)
+				return nil, fmt.Errorf("wire: removed tenant %d carries flags %#x", i, flags)
 			}
 			continue
 		}
@@ -817,7 +772,7 @@ func DecodeReportReply(r *snapshot.Reader) (*runtime.Report, Ack, error) {
 		t.Name = r.String()
 		t.Events = r.Uvarint()
 		if err := t.Counter.ImportState(r); err != nil {
-			return nil, ack, err
+			return nil, err
 		}
 		t.MultiQuery = flags&uint64(tenantMulti) != 0
 		if t.Quarantined {
@@ -825,35 +780,35 @@ func DecodeReportReply(r *snapshot.Reader) (*runtime.Report, Ack, error) {
 		}
 		if !t.MultiQuery {
 			if t.Answer, err = decodeAnswer(r); err != nil {
-				return nil, ack, err
+				return nil, err
 			}
 			continue
 		}
 		qcount := r.Uvarint()
 		if err := r.Err(); err != nil {
-			return nil, ack, err
+			return nil, err
 		}
 		if qcount > uint64(r.Remaining()) {
-			return nil, ack, fmt.Errorf("wire: query count %d exceeds payload", qcount)
+			return nil, fmt.Errorf("wire: query count %d exceeds payload", qcount)
 		}
 		t.Queries = make([]runtime.QueryReport, qcount)
 		for qi := range t.Queries {
 			q := &t.Queries[qi]
 			q.Alive = r.Bool()
 			if r.Err() != nil {
-				return nil, ack, r.Err()
+				return nil, r.Err()
 			}
 			if !q.Alive {
 				continue
 			}
 			q.Name = r.String()
 			if q.Answer, err = decodeAnswer(r); err != nil {
-				return nil, ack, err
+				return nil, err
 			}
 		}
 	}
 	if err := rep.Totals.ImportState(r); err != nil {
-		return nil, ack, err
+		return nil, err
 	}
-	return rep, ack, nil
+	return rep, nil
 }

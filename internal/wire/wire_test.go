@@ -54,48 +54,117 @@ func TestOpReplyBits(t *testing.T) {
 	}
 }
 
+// request frames req and decodes it back.
+func request(t *testing.T, req wire.Request) (wire.Request, wire.Header, error) {
+	t.Helper()
+	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeRequest(p, req) })
+	got, err := wire.DecodeRequest(hdr, r)
+	return got, hdr, err
+}
+
+// reply frames rep and decodes it back.
+func reply(t *testing.T, rep wire.Reply) (wire.Reply, wire.Header, error) {
+	t.Helper()
+	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeReply(p, rep) })
+	got, err := wire.DecodeReply(hdr, r)
+	return got, hdr, err
+}
+
 func TestHelloRoundTrip(t *testing.T) {
-	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeHello(p, 7) })
+	got, hdr, err := request(t, wire.Request{Op: wire.OpHello, Seq: 7})
 	if hdr.Op != wire.OpHello || hdr.Seq != 7 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	v, err := wire.DecodeHello(r)
-	if err != nil || v != wire.Version {
-		t.Fatalf("DecodeHello = %d, %v", v, err)
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
+	if err != nil || got.Op != wire.OpHello || got.Seq != 7 {
+		t.Fatalf("DecodeRequest = %+v, %v", got, err)
 	}
 
 	// Wrong magic and wrong version must be refused.
+	hello := wire.Header{Op: wire.OpHello, Seq: 1}
 	w := snapshot.NewWriter()
 	w.String("not/the/magic")
 	w.Uvarint(wire.Version)
-	if _, err := wire.DecodeHello(snapshot.NewReader(w.Bytes())); err == nil {
+	if _, err := wire.DecodeRequest(hello, snapshot.NewReader(w.Bytes())); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	w.Reset()
 	w.String(wire.Magic)
 	w.Uvarint(wire.Version + 1)
-	if _, err := wire.DecodeHello(snapshot.NewReader(w.Bytes())); err == nil {
+	if _, err := wire.DecodeRequest(hello, snapshot.NewReader(w.Bytes())); err == nil {
 		t.Fatal("future version accepted")
 	}
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeHelloAck(p, 7, 4, 12) })
+	h, hdr, err := reply(t, wire.Reply{Op: wire.OpHello, Seq: 7, Shards: 4, Tenants: 12})
 	if hdr.Op != wire.ReplyTo(wire.OpHello) || hdr.Seq != 7 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	h, err := wire.DecodeHelloAck(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != wire.StatusOK || h.Version != wire.Version || h.Shards != 4 || h.Tenants != 12 {
+	if h.Status != wire.StatusOK || h.Shards != 4 || h.Tenants != 12 {
 		t.Fatalf("hello ack = %+v", h)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
+}
+
+// TestHelloReplyVersionChecked hand-builds a server greeting that speaks
+// the next wire version: the client side must refuse it, not read on.
+func TestHelloReplyVersionChecked(t *testing.T) {
+	greeting := func(version uint64) *snapshot.Reader {
+		w := snapshot.NewWriter()
+		wire.EncodeAck(w, wire.OpHello, 1, wire.StatusOK, 0, "")
+		w.Uvarint(version)
+		w.Uvarint(4)
+		w.Uvarint(12)
+		return snapshot.NewReader(w.Bytes())
+	}
+	for _, version := range []uint64{wire.Version, wire.Version + 1} {
+		r := greeting(version)
+		hdr, err := wire.DecodeHeader(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wire.DecodeReply(hdr, r)
+		if version == wire.Version && err != nil {
+			t.Fatalf("version %d greeting refused: %v", version, err)
+		}
+		if version != wire.Version && (err == nil || !strings.Contains(err.Error(), "version")) {
+			t.Fatalf("version %d greeting: err = %v, want a version refusal", version, err)
+		}
+	}
+}
+
+// TestRequestReplyRefusals pins what the two decoders refuse outright: an
+// ingest or reply op offered as a request, a request op offered as a reply,
+// unknown ops, and trailing bytes after a well-formed body.
+func TestRequestReplyRefusals(t *testing.T) {
+	empty := snapshot.NewReader(nil)
+	for _, op := range []byte{wire.OpIngest, wire.ReplyTo(wire.OpDrain), wire.OpStats + 1, 0x7F} {
+		if _, err := wire.DecodeRequest(wire.Header{Op: op}, empty); err == nil {
+			t.Errorf("op %d decoded as a request", op)
+		}
+	}
+	for _, op := range []byte{wire.OpDrain, wire.ReplyTo(0), wire.ReplyTo(wire.OpStats + 1)} {
+		if _, err := wire.DecodeReply(wire.Header{Op: op}, empty); err == nil {
+			t.Errorf("op %d decoded as a reply", op)
+		}
+	}
+	w := snapshot.NewWriter()
+	wire.EncodeRequest(w, wire.Request{Op: wire.OpRemoveTenant, Seq: 1, TI: 3})
+	w.Uvarint(9)
+	r := snapshot.NewReader(w.Bytes())
+	hdr, _ := wire.DecodeHeader(r)
+	if _, err := wire.DecodeRequest(hdr, r); err == nil {
+		t.Error("request with trailing bytes accepted")
+	}
+	w.Reset()
+	wire.EncodeReply(w, wire.Reply{Op: wire.OpDrain, Seq: 1})
+	w.Uvarint(9)
+	r = snapshot.NewReader(w.Bytes())
+	hdr, _ = wire.DecodeHeader(r)
+	if _, err := wire.DecodeReply(hdr, r); err == nil {
+		t.Error("reply with trailing bytes accepted")
 	}
 }
 
@@ -148,17 +217,14 @@ func TestLifecycleRoundTrips(t *testing.T) {
 		},
 	}
 	for _, spec := range []wire.TenantSpec{single, multi} {
-		r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeAddTenant(p, 9, spec) })
+		req, hdr, err := request(t, wire.Request{Op: wire.OpAddTenant, Seq: 9, Tenant: spec})
 		if hdr.Op != wire.OpAddTenant || hdr.Seq != 9 {
 			t.Fatalf("header = %+v", hdr)
 		}
-		got, err := wire.DecodeAddTenant(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Done(); err != nil {
-			t.Fatal(err)
-		}
+		got := req.Tenant
 		if !reflect.DeepEqual(got, spec) {
 			t.Fatalf("round trip: got %+v, want %+v", got, spec)
 		}
@@ -168,22 +234,19 @@ func TestLifecycleRoundTrips(t *testing.T) {
 	}
 
 	q := wire.QuerySpec{Name: "late", Spec: protospec.Spec{Protocol: "zt-rp", Q: 6, K: 2}}
-	r, hdr := frame(t, func(p *snapshot.Writer) { wire.EncodeAddQuery(p, 10, 3, q) })
+	req, hdr, err := request(t, wire.Request{Op: wire.OpAddQuery, Seq: 10, TI: 3, Query: q})
 	if hdr.Op != wire.OpAddQuery {
 		t.Fatalf("header = %+v", hdr)
 	}
-	ti, gotQ, err := wire.DecodeAddQuery(r)
-	if err != nil || ti != 3 || !reflect.DeepEqual(gotQ, q) {
-		t.Fatalf("AddQuery round trip: ti=%d q=%+v err=%v", ti, gotQ, err)
+	if err != nil || req.TI != 3 || !reflect.DeepEqual(req.Query, q) {
+		t.Fatalf("AddQuery round trip: ti=%d q=%+v err=%v", req.TI, req.Query, err)
 	}
 
-	r, _ = frame(t, func(p *snapshot.Writer) { wire.EncodeRemoveTenant(p, 11, 5) })
-	if ti, err := wire.DecodeRemoveTenant(r); err != nil || ti != 5 {
-		t.Fatalf("RemoveTenant round trip: ti=%d err=%v", ti, err)
+	if req, _, err := request(t, wire.Request{Op: wire.OpRemoveTenant, Seq: 11, TI: 5}); err != nil || req.TI != 5 {
+		t.Fatalf("RemoveTenant round trip: ti=%d err=%v", req.TI, err)
 	}
-	r, _ = frame(t, func(p *snapshot.Writer) { wire.EncodeRemoveQuery(p, 12, 5, 2) })
-	if ti, qi, err := wire.DecodeRemoveQuery(r); err != nil || ti != 5 || qi != 2 {
-		t.Fatalf("RemoveQuery round trip: ti=%d qi=%d err=%v", ti, qi, err)
+	if req, _, err := request(t, wire.Request{Op: wire.OpRemoveQuery, Seq: 12, TI: 5, QI: 2}); err != nil || req.TI != 5 || req.QI != 2 {
+		t.Fatalf("RemoveQuery round trip: ti=%d qi=%d err=%v", req.TI, req.QI, err)
 	}
 }
 
@@ -281,22 +344,17 @@ func sampleReport() *runtime.Report {
 
 func TestReportRoundTrip(t *testing.T) {
 	want := sampleReport()
-	r, hdr := frame(t, func(p *snapshot.Writer) {
-		wire.EncodeReportReply(p, 21, wire.StatusOK, "", want)
-	})
+	rep, hdr, err := reply(t, wire.Reply{Op: wire.OpReport, Seq: 21, Report: want})
 	if hdr.Op != wire.ReplyTo(wire.OpReport) || hdr.Seq != 21 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	got, ack, err := wire.DecodeReportReply(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Status != wire.StatusOK {
-		t.Fatalf("ack = %+v", ack)
+	if rep.Status != wire.StatusOK {
+		t.Fatalf("ack = %+v", rep.Ack)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
+	got := rep.Report
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
@@ -306,12 +364,10 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 
 	// Error replies carry no report body.
-	r, _ = frame(t, func(p *snapshot.Writer) {
-		wire.EncodeReportReply(p, 22, wire.StatusError, "draining failed", nil)
-	})
-	got, ack, err = wire.DecodeReportReply(r)
-	if err != nil || got != nil || ack.Status != wire.StatusError || ack.Msg != "draining failed" {
-		t.Fatalf("error reply: report=%v ack=%+v err=%v", got, ack, err)
+	rep, _, err = reply(t, wire.Reply{Op: wire.OpReport, Seq: 22,
+		Ack: wire.Ack{Status: wire.StatusError, Msg: "draining failed"}})
+	if err != nil || rep.Report != nil || rep.Status != wire.StatusError || rep.Msg != "draining failed" {
+		t.Fatalf("error reply: report=%v ack=%+v err=%v", rep.Report, rep.Ack, err)
 	}
 }
 
@@ -319,16 +375,17 @@ func TestReportRoundTrip(t *testing.T) {
 // must decode to an error, never panic, never succeed.
 func TestReportTruncation(t *testing.T) {
 	w := snapshot.NewWriter()
-	wire.EncodeReportReply(w, 21, wire.StatusOK, "", sampleReport())
+	wire.EncodeReply(w, wire.Reply{Op: wire.OpReport, Seq: 21, Report: sampleReport()})
 	data := w.Bytes()
 	full := snapshot.NewReader(data)
-	if _, err := wire.DecodeHeader(full); err != nil {
+	hdr, err := wire.DecodeHeader(full)
+	if err != nil {
 		t.Fatal(err)
 	}
 	body := data[len(data)-full.Remaining():]
 	for cut := 0; cut < len(body); cut++ {
 		r := snapshot.NewReader(body[:cut])
-		rep, _, err := wire.DecodeReportReply(r)
+		rep, err := wire.DecodeReply(hdr, r)
 		if err == nil && r.Done() == nil {
 			t.Fatalf("truncation at %d bytes decoded cleanly: %+v", cut, rep)
 		}
@@ -339,11 +396,11 @@ func TestFrameBoundaries(t *testing.T) {
 	// A clean stream end is io.EOF; a cut inside a frame is ErrUnexpectedEOF.
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf, 0)
-	wire.EncodeDrain(fw.Begin(), 1)
+	wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpDrain, Seq: 1})
 	if err := fw.End(); err != nil {
 		t.Fatal(err)
 	}
-	wire.EncodeShutdown(fw.Begin(), 2)
+	wire.EncodeRequest(fw.Begin(), wire.Request{Op: wire.OpShutdown, Seq: 2})
 	if err := fw.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +439,13 @@ func TestFrameBoundaries(t *testing.T) {
 	// Oversized frames are refused on both sides.
 	small := wire.NewFrameWriter(io.Discard, 8)
 	p := small.Begin()
-	wire.EncodeHello(p, 1)
+	wire.EncodeRequest(p, wire.Request{Op: wire.OpHello, Seq: 1})
 	if err := small.End(); err == nil || !strings.Contains(err.Error(), "exceeds max") {
 		t.Fatalf("oversized write: err = %v", err)
 	}
 	var big bytes.Buffer
 	fw2 := wire.NewFrameWriter(&big, 0)
-	wire.EncodeHello(fw2.Begin(), 1)
+	wire.EncodeRequest(fw2.Begin(), wire.Request{Op: wire.OpHello, Seq: 1})
 	if err := fw2.End(); err != nil {
 		t.Fatal(err)
 	}
