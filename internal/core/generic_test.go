@@ -46,6 +46,12 @@ func (b ball3) Contains(v vec3) bool {
 	return dist3(b.c, v) <= b.r
 }
 
+func (b ball3) Sides(dst []bool, vals []vec3) {
+	for i, v := range vals {
+		dst[i] = b.Contains(v)
+	}
+}
+
 func (b ball3) Silent() bool                { return b.set && (b.r < 0 || math.IsInf(b.r, 1)) }
 func (b ball3) Unfiltered() bool            { return !b.set }
 func (b ball3) Recentre(vec3) (ball3, bool) { return b, false }

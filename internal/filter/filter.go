@@ -27,12 +27,14 @@ import (
 // Of is everything a stream source and its host need from a filter
 // constraint type C over stream values of type V. Constraint implements
 // Of[float64, Constraint] and Region implements Of[Point, Region]; the
-// source, host and cluster are written once against it (stream.Source,
+// sources, host and cluster are written once against it (stream.Sources,
 // server.HostOf, server.ClusterOf).
 //
 // A source reports when its value crosses the constraint boundary — the
 // side Contains puts it on changes — or on every update when Unfiltered,
-// which the zero C must be: a new source holds it.
+// which the zero C must be: a new source holds it. Sides is Contains over
+// a whole column: dst[i] = Contains(vals[i]) for every i < len(vals), in
+// one call, so a deploy over n streams pays one call and not n.
 // The single asymmetry between the kinds is Recentre: a constraint that
 // follows its stream (the 1-D Band) returns its replacement centered on v
 // and true, and the source then swaps it in locally instead of recording a
@@ -43,6 +45,7 @@ import (
 // float64 cannot carry methods, so its codec lives on its constraint type.
 type Of[V, C any] interface {
 	Contains(v V) bool
+	Sides(dst []bool, vals []V)
 	Silent() bool
 	Unfiltered() bool
 	Recentre(v V) (C, bool)
@@ -125,6 +128,35 @@ func (c Constraint) Contains(v float64) bool {
 	default:
 		return false
 	}
+}
+
+// Sides sets dst[i] = c.Contains(vals[i]) for every i < len(vals), with
+// Contains' arithmetic; dst must be at least as long as vals.
+func (c Constraint) Sides(dst []bool, vals []float64) {
+	dst = dst[:len(vals)]
+	lo, hi := c.Lo, c.Hi
+	switch c.Kind {
+	case Interval:
+	case Band:
+		lo, hi = c.Lo-c.Hi, c.Lo+c.Hi
+	default:
+		clear(dst)
+		return
+	}
+	for i, v := range vals {
+		dst[i] = bit(v >= lo)&bit(v <= hi) != 0
+	}
+}
+
+// bit is b as 0 or 1. The column kernels combine their comparisons with it
+// instead of &&, which compiles to a branch per comparison: across a
+// column of values on both sides of a constraint that branch is a coin
+// flip, and a mispredicted flip costs more than both comparisons.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Bounds returns the closed region [lo, hi] inside which Contains holds:

@@ -118,6 +118,35 @@ func (r Region) Contains(p Point) bool {
 	}
 }
 
+// Sides sets dst[i] = r.Contains(pts[i]) for every i < len(pts); dst must
+// be at least as long as pts. A point outside a disk's bounding square is
+// decided without math.Hypot, and exactly: Hypot(dx, dy) is computed as
+// m·√(1 + (min/m)²) with m = max(|dx|, |dy|), every factor at least 1 and
+// rounding monotone, so it is never below m, and m > r puts it outside
+// (a NaN beside an infinite or too-large coordinate is outside as well).
+// Every other point takes Contains' own Dist.
+func (r Region) Sides(dst []bool, pts []Point) {
+	dst = dst[:len(pts)]
+	switch {
+	case r.Kind == RegionDisk && r.A >= 0 && !math.IsInf(r.A, 1):
+		for i, p := range pts {
+			dx, dy := r.C.X-p.X, r.C.Y-p.Y
+			dst[i] = bit(math.Abs(dx) <= r.A)&bit(math.Abs(dy) <= r.A) != 0 && math.Hypot(dx, dy) <= r.A
+		}
+	case r.Kind == RegionRect && r.A >= 0 && r.B >= 0 && !(math.IsInf(r.A, 1) && math.IsInf(r.B, 1)):
+		for i, p := range pts {
+			dst[i] = bit(math.Abs(p.X-r.C.X) <= r.A)&bit(math.Abs(p.Y-r.C.Y) <= r.B) != 0
+		}
+	default:
+		// No filter, or a region that holds every point or none (a NaN
+		// extent holds none): the side does not depend on the point.
+		in := r.Contains(Point{})
+		for i := range dst {
+			dst[i] = in
+		}
+	}
+}
+
 // Silent reports whether the region can never be violated by any finite
 // point: either every finite point is inside, or none is.
 func (r Region) Silent() bool {

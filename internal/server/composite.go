@@ -318,7 +318,7 @@ func (c *Composite) endEpoch()   { c.inEpoch = false }
 // and the maintenance of every query the report concerns then runs against
 // the new value, in slot order, before any mismatch report that maintenance
 // raised. Each entry applies its own kind's source-side semantics, exactly
-// as stream.Source.Set does for a single filter: an interval entry reports
+// as stream.Sources.Set does for a single filter: an interval entry reports
 // when the move changes the side it puts the value on, a band entry
 // reports on deviation beyond its half-width and re-centers locally (no
 // install message — Olston-style), and a None entry — an unfiltered query —
@@ -454,7 +454,7 @@ func (c *Composite) refresh(s stream.ID) {
 }
 
 // install rewrites query qi's entry at stream s and runs the install
-// handshake on it, the rule stream.Source.Install applies to one filter:
+// handshake on it, the rule stream.Sources.Install applies to one filter:
 // when cons is a non-silent interval that puts the true value on the other
 // side than the server expects, the stream reports at once (one update; a
 // heard one refreshes the table and is queued for query qi). It says whether

@@ -64,7 +64,7 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 // configuration drift is an error, not silent divergence) before its own
 // ImportState runs. A side is derived, never stored, so a recorded side
 // that contradicts its entry and value is corruption, refused as
-// stream.Source.ImportState refuses one (as are lost updates bound for a
+// stream.Sources.ImportState refuses one (as are lost updates bound for a
 // reliable composite). Corrupted or mismatched input returns an error and
 // never panics.
 func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error {

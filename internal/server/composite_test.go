@@ -355,7 +355,7 @@ func TestCompositeViewHostSurface(t *testing.T) {
 }
 
 // TestCompositeKindSemanticsMatchCluster pins that a single-query composite
-// applies the same per-kind source semantics as a Cluster's stream.Source:
+// applies the same per-kind source semantics as a Cluster's stream.Sources:
 // an unfiltered (None) query sees every update, a band query reports on
 // deviation and re-centers locally, and answers and full counters match the
 // Cluster deployment of the same protocol bit-exactly.

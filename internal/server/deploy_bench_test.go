@@ -37,25 +37,34 @@ func staleCluster[V comparable, C filter.Of[V, C]](vals []V, cons C, move func(V
 	return c
 }
 
-// benchDeploy prices InstallAll, InstallBatch over every other stream and
-// ProbeAllInto on a fresh stale cluster each, alternating the two
-// constraints so every install replaces a filter, and reports ns/stream.
-// It fails if anything reported: the rows price the loops, not drains.
-func benchDeploy[V comparable, C filter.Of[V, C]](b *testing.B, vals []V, cons [2]C, move func(V) V) {
-	half := make([]stream.ID, 0, len(vals)/2)
-	for id := 0; id < len(vals); id += 2 {
+// deployRow is one per-stream loop of a rank rebuild: op runs it once on
+// c (i alternates the constraint), over streams streams.
+type deployRow[V comparable, C filter.Of[V, C]] struct {
+	name    string
+	streams int
+	op      func(c *server.ClusterOf[V, C], i int, buf *[]V)
+}
+
+// deployRows are InstallAll, InstallBatch over every other stream and
+// ProbeAllInto, alternating the two constraints so every install replaces
+// a filter.
+func deployRows[V comparable, C filter.Of[V, C]](n int, cons [2]C) []deployRow[V, C] {
+	half := make([]stream.ID, 0, n/2)
+	for id := 0; id < n; id += 2 {
 		half = append(half, id)
 	}
-	rows := []struct {
-		name    string
-		streams int
-		op      func(c *server.ClusterOf[V, C], i int, buf *[]V)
-	}{
-		{"install-all", len(vals), func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
+	return []deployRow[V, C]{
+		{"install-all", n, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
 		{"install-batch-half", len(half), func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallBatch(half, cons[i&1]) }},
-		{"probe-all-into", len(vals), func(c *server.ClusterOf[V, C], _ int, buf *[]V) { *buf = c.ProbeAllInto(*buf) }},
+		{"probe-all-into", n, func(c *server.ClusterOf[V, C], _ int, buf *[]V) { *buf = c.ProbeAllInto(*buf) }},
 	}
-	for _, row := range rows {
+}
+
+// benchDeploy prices each deploy row on a fresh stale cluster and reports
+// ns/stream. It fails if anything reported: the rows price the loops, not
+// drains.
+func benchDeploy[V comparable, C filter.Of[V, C]](b *testing.B, vals []V, cons [2]C, move func(V) V) {
+	for _, row := range deployRows[V, C](len(vals), cons) {
 		b.Run(row.name, func(b *testing.B) {
 			c := staleCluster(vals, cons[1], move)
 			buf := make([]V, 0, len(vals))
@@ -73,27 +82,55 @@ func benchDeploy[V comparable, C filter.Of[V, C]](b *testing.B, vals []V, cons [
 	}
 }
 
+// deployData is BenchmarkDeploy's population: n = 2000 values on the line
+// and in the plane, each with the two constraints its rows alternate and a
+// move that stays on a value's side of both.
+func deployData() (vals []float64, cons [2]filter.Constraint, move func(float64) float64,
+	pts []filter.Point, regions [2]filter.Region, movePt func(filter.Point) filter.Point) {
+	vals = make([]float64, deployStreams)
+	for i := range vals {
+		vals[i] = float64(i % 100) // integers: never within ¼ of a x.5 boundary
+	}
+	cons = [2]filter.Constraint{filter.NewInterval(20.5, 60.5), filter.NewInterval(30.5, 70.5)}
+	pts = make([]filter.Point, deployStreams)
+	for i := range pts {
+		pts[i] = filter.Point{X: float64(i % 50), Y: float64(i / 50)}
+	}
+	// Squared distances from an integer centre are integers, and the radii
+	// sit between consecutive square roots, clear of a 1e-9 move.
+	regions = [2]filter.Region{filter.NewDisk(filter.Point{X: 20, Y: 20}, 10.37), filter.NewDisk(filter.Point{X: 25, Y: 15}, 15.2)}
+	return vals, cons, func(v float64) float64 { return v + 0.25 },
+		pts, regions, func(p filter.Point) filter.Point { p.X += 1e-9; return p }
+}
+
 // BenchmarkDeploy prices a rank rebuild's per-stream loops — InstallAll,
 // InstallBatch over half the ids, ProbeAllInto — at n = 2000 with a
 // one-sixth stale table, in 1-D (intervals) and in the plane (disks).
-// Every row is 0 allocs/op.
+// Every row is 0 allocs/op (TestDeployAllocFree).
 func BenchmarkDeploy(b *testing.B) {
-	b.Run("1d", func(b *testing.B) {
-		vals := make([]float64, deployStreams)
-		for i := range vals {
-			vals[i] = float64(i % 100) // integers: never within ¼ of a x.5 boundary
-		}
-		cons := [2]filter.Constraint{filter.NewInterval(20.5, 60.5), filter.NewInterval(30.5, 70.5)}
-		benchDeploy(b, vals, cons, func(v float64) float64 { return v + 0.25 })
-	})
-	b.Run("2d", func(b *testing.B) {
-		pts := make([]filter.Point, deployStreams)
-		for i := range pts {
-			pts[i] = filter.Point{X: float64(i % 50), Y: float64(i / 50)}
-		}
-		// Squared distances from an integer centre are integers, and the
-		// radii sit between consecutive square roots, clear of a 1e-9 move.
-		cons := [2]filter.Region{filter.NewDisk(filter.Point{X: 20, Y: 20}, 10.37), filter.NewDisk(filter.Point{X: 25, Y: 15}, 15.2)}
-		benchDeploy(b, pts, cons, func(p filter.Point) filter.Point { p.X += 1e-9; return p })
-	})
+	vals, cons, move, pts, regions, movePt := deployData()
+	b.Run("1d", func(b *testing.B) { benchDeploy(b, vals, cons, move) })
+	b.Run("2d", func(b *testing.B) { benchDeploy(b, pts, regions, movePt) })
+}
+
+// TestDeployAllocFree pins every BenchmarkDeploy row at zero allocations:
+// the column kernels keep their scratch in the cluster, not on the heap
+// per call.
+func TestDeployAllocFree(t *testing.T) {
+	vals, cons, move, pts, regions, movePt := deployData()
+	t.Run("1d", func(t *testing.T) { checkDeployAllocs(t, vals, cons, move) })
+	t.Run("2d", func(t *testing.T) { checkDeployAllocs(t, pts, regions, movePt) })
+}
+
+func checkDeployAllocs[V comparable, C filter.Of[V, C]](t *testing.T, vals []V, cons [2]C, move func(V) V) {
+	for _, row := range deployRows[V, C](len(vals), cons) {
+		t.Run(row.name, func(t *testing.T) {
+			c := staleCluster(vals, cons[1], move)
+			buf := make([]V, 0, len(vals))
+			i := 0
+			if allocs := testing.AllocsPerRun(20, func() { row.op(c, i, &buf); i++ }); allocs != 0 {
+				t.Errorf("%s allocated %.1f objects per run, want 0", row.name, allocs)
+			}
+		})
+	}
 }

@@ -6,7 +6,7 @@ import "adaptivefilters/internal/stream"
 // report it owes queued, undrained, so a test can put several reports
 // before one drain.
 func (c *ClusterOf[V, C]) Queue(id stream.ID, v V) {
-	if c.sources[id].Set(v) {
+	if c.sources.Set(id, v) {
 		c.receive(id, v)
 	}
 }

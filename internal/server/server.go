@@ -144,7 +144,7 @@ func (q *reportQueue[R]) drain(h reportHandler[R]) {
 // message. It is the canonical HostOf implementation.
 type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	uplink
-	sources []stream.Source[V, C] // by value and pointer-free: plain data
+	sources stream.Sources[V, C]
 	proto   ProtocolOf[V]
 	// recv is receive, bound once so the batch installs hand their
 	// mismatch reports to it without allocating.
@@ -181,19 +181,16 @@ func NewSpatialCluster(initial []filter.Point) *SpatialCluster {
 // them before construction.
 func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V) *ClusterOf[V, C] {
 	c := &ClusterOf[V, C]{
-		table: make([]V, len(initial)),
-		known: make([]bool, len(initial)),
+		sources: stream.NewSources[V, C](initial),
+		table:   make([]V, len(initial)),
+		known:   make([]bool, len(initial)),
 	}
 	c.recv = c.receive
-	c.sources = make([]stream.Source[V, C], len(initial))
-	for i, v := range initial {
-		c.sources[i] = stream.NewSource[V, C](v)
-	}
 	return c
 }
 
 // N returns the number of streams.
-func (c *ClusterOf[V, C]) N() int { return len(c.sources) }
+func (c *ClusterOf[V, C]) N() int { return c.sources.Len() }
 
 // SetProtocol installs the hosted protocol. It must be called exactly once
 // before Initialize.
@@ -242,7 +239,7 @@ func (c *ClusterOf[V, C]) learn(id stream.ID, v V) { c.table[id], c.known[id] = 
 // install-mismatch reports). A filtered-out update queues nothing, so there
 // is nothing to drain.
 func (c *ClusterOf[V, C]) Deliver(id stream.ID, v V) {
-	if c.sources[id].Set(v) {
+	if c.sources.Set(id, v) {
 		c.receive(id, v)
 		c.reports.drain(c)
 	}
@@ -257,7 +254,7 @@ func (c *ClusterOf[V, C]) handle(u pendingUpdate[V]) { c.proto.HandleUpdate(u.id
 // ProbeReply message) and refreshes the server table.
 func (c *ClusterOf[V, C]) Probe(id stream.ID) V {
 	chargeProbes(&c.ctr, 1)
-	v := c.sources[id].Probe()
+	v := c.sources.Value(id)
 	c.learn(id, v)
 	return v
 }
@@ -269,7 +266,8 @@ func (c *ClusterOf[V, C]) ProbeAll() []V { return c.ProbeAllInto(nil) }
 
 // ProbeAllInto is ProbeAll writing into dst when cap(dst) >= n; protocols
 // that re-initialize on the maintenance path pass a reusable buffer so the
-// fan-out allocates nothing. The per-stream accounting is identical.
+// fan-out allocates nothing. The per-stream accounting is identical. It is
+// two copies of the value column, into the table and into dst.
 func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	n := c.N()
 	if cap(dst) < n {
@@ -277,11 +275,11 @@ func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	}
 	dst = dst[:n]
 	chargeProbes(&c.ctr, uint64(n))
-	for i := range c.sources {
-		v := c.sources[i].Probe()
-		c.learn(i, v)
-		dst[i] = v
+	copy(c.table, c.sources.Values())
+	for i := range c.known {
+		c.known[i] = true
 	}
+	copy(dst, c.table)
 	return dst
 }
 
@@ -293,8 +291,7 @@ func (c *ClusterOf[V, C]) ProbeBatch(ids []stream.ID) {
 	}
 	chargeProbes(&c.ctr, uint64(len(ids)))
 	for _, id := range ids {
-		v := c.sources[id].Probe()
-		c.learn(id, v)
+		c.learn(id, c.sources.Value(id))
 	}
 }
 
@@ -304,7 +301,7 @@ func (c *ClusterOf[V, C]) ProbeBatch(ids []stream.ID) {
 // reply — and the table refresh — happen only on a hit.
 func (c *ClusterOf[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 	chargeProbeRequest(&c.ctr)
-	v := c.sources[id].Probe() // the source evaluates the predicate locally
+	v := c.sources.Value(id) // the source evaluates the predicate locally
 	if !cons.Contains(v) {
 		var none V
 		return none, false
@@ -319,21 +316,22 @@ func (c *ClusterOf[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 // mismatch the source reports immediately (counted as an update and queued).
 func (c *ClusterOf[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 	chargeInstalls(&c.ctr, 1)
-	if s := &c.sources[id]; s.Install(cons, expectInside) {
-		c.receive(id, s.Value())
+	if c.sources.Install(id, cons, expectInside) {
+		c.receive(id, c.sources.Value(id))
 	}
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
 // InstallBatch deploys cons to every listed stream, classifying it once and
 // deriving each stream's expected side from the server table. It costs
-// len(ids) Install messages.
+// len(ids) Install messages. The ids must be distinct (Sources.InstallEach
+// decides a chunk's sides before any of its reports reach the table).
 func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 	if len(ids) == 0 {
 		return
 	}
 	chargeInstalls(&c.ctr, uint64(len(ids)))
-	stream.InstallEach(c.sources, ids, c.table, cons, c.recv)
+	c.sources.InstallEach(ids, c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
@@ -342,7 +340,7 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 // messages.
 func (c *ClusterOf[V, C]) InstallAll(cons C) {
 	chargeInstalls(&c.ctr, uint64(c.N()))
-	stream.InstallAll(c.sources, c.table, cons, c.recv)
+	c.sources.InstallAll(c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
@@ -360,7 +358,7 @@ func (c *ClusterOf[V, C]) TableValues(dst []V) []V {
 // Constraint returns the filter currently installed at stream id (the server
 // knows what it installed; this does not cost a message).
 func (c *ClusterOf[V, C]) Constraint(id stream.ID) C {
-	return c.sources[id].Constraint()
+	return c.sources.Constraint(id)
 }
 
 // AddServerOps records server-side ranking work for the computation metric.
@@ -370,10 +368,7 @@ func (c *ClusterOf[V, C]) AddServerOps(n int) { c.ctr.AddServerOps(uint64(n)) }
 
 // TrueValue returns the ground-truth value of stream id. Protocols must not
 // call this; it exists for the oracle and tests.
-func (c *ClusterOf[V, C]) TrueValue(id stream.ID) V { return c.sources[id].Value() }
-
-// Source exposes the underlying source for tests.
-func (c *ClusterOf[V, C]) Source(id stream.ID) *stream.Source[V, C] { return &c.sources[id] }
+func (c *ClusterOf[V, C]) TrueValue(id stream.ID) V { return c.sources.Value(id) }
 
 // String summarizes the cluster.
 func (c *ClusterOf[V, C]) String() string {

@@ -227,8 +227,8 @@ func TestTrueValueAndSourceInspection(t *testing.T) {
 	if c.TrueValue(0) != 42 {
 		t.Fatalf("TrueValue = %v", c.TrueValue(0))
 	}
-	if s := c.Source(0); s != c.Source(0) || s.Value() != 42 {
-		t.Fatal("Source accessor broken")
+	if s := c.Constraint(0); s.Kind != filter.None {
+		t.Fatalf("fresh source holds %v, want no filter", s)
 	}
 	if c.N() != 1 {
 		t.Fatalf("N() = %d", c.N())

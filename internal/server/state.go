@@ -60,9 +60,7 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 		w.Int(u.id)
 		codec.ExportValue(w, u.v)
 	}
-	for i := range c.sources {
-		c.sources[i].ExportState(w)
-	}
+	c.sources.ExportState(w)
 }
 
 // ImportState restores state written by ExportState into a freshly
@@ -129,10 +127,8 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	copy(c.table, table)
 	copy(c.known, known)
 	c.reports = reportQueue[pendingUpdate[V]]{pending: pending}
-	for i := range c.sources {
-		if err := c.sources[i].ImportState(r); err != nil {
-			return fmt.Errorf("server: source %d: %w", i, err)
-		}
+	if err := c.sources.ImportState(r); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return r.Err()
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adaptivefilters/internal/filter"
@@ -35,7 +36,7 @@ type loopReport[V any] struct {
 
 // loopHarness drives two copies of the same sources through one op
 // sequence. got takes every batch install through InstallAll or
-// InstallEach; ref takes it as a per-source Install(c, c.Contains(
+// InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
 // believed[id])) loop, the rule the batch loops shortcut. Reports must
 // match in id, value and order, and the sources field by field, after
 // every op — and every source must keep the crossing-side invariant.
@@ -44,11 +45,41 @@ type loopHarness[V comparable, C interface {
 	filter.Of[V, C]
 }] struct {
 	t        *testing.T
-	got, ref []Source[V, C]
+	n        int
+	got, ref Sources[V, C]
 	believed []V
 	gotRep   []loopReport[V]
 	refRep   []loopReport[V]
 	uplink   func(ID, V)
+}
+
+// sourceState is one source's full state, field by field.
+type sourceState[V, C any] struct {
+	val              V
+	cons             C
+	inside           bool
+	mode             mode
+	updates, reports uint64
+}
+
+func (s *Sources[V, C]) state(id ID) sourceState[V, C] {
+	return sourceState[V, C]{s.vals[id], s.cons[id], s.inside[id], s.modes[id], s.updates[id], s.reports[id]}
+}
+
+// loopSize reads the stream count: a first byte below 192 picks 1…16
+// sources whose values come from the fuzz bytes; one of 192 or above picks
+// 16…205 in steps of 3 — past InstallEach's chunk of 64 — whose values
+// come from a generator seeded by the next byte, so that a short input
+// still reaches its ops.
+func loopSize(r *byteReader) (n int, values *byteReader) {
+	b := r.next()
+	if b < 192 {
+		return 1 + int(b%16), r
+	}
+	n = 16 + 3*int(b-192)
+	data := make([]byte, 2*n)
+	rand.New(rand.NewSource(int64(r.next()))).Read(data)
+	return n, &byteReader{data: data}
 }
 
 func runLoops[V comparable, C interface {
@@ -56,22 +87,22 @@ func runLoops[V comparable, C interface {
 	filter.Of[V, C]
 }](t *testing.T, gen loopGen[V, C], data []byte) {
 	r := &byteReader{data: data}
-	n := 1 + int(r.next()%16)
-	h := &loopHarness[V, C]{t: t,
-		got: make([]Source[V, C], n), ref: make([]Source[V, C], n), believed: make([]V, n)}
-	h.uplink = func(id ID, v V) { h.gotRep = append(h.gotRep, loopReport[V]{id, v}) }
-	for i := range h.got {
-		h.got[i] = NewSource[V, C](gen.value(r.next()))
-		h.ref[i] = h.got[i]
-		h.believed[i] = gen.near(h.got[i].val, r.next())
+	n, init := loopSize(r)
+	initial, believed := make([]V, n), make([]V, n)
+	for i := range initial {
+		initial[i] = gen.value(init.next())
+		believed[i] = gen.near(initial[i], init.next())
 	}
+	h := &loopHarness[V, C]{t: t, n: n,
+		got: NewSources[V, C](initial), ref: NewSources[V, C](initial), believed: believed}
+	h.uplink = func(id ID, v V) { h.gotRep = append(h.gotRep, loopReport[V]{id, v}) }
 	for step := 0; len(r.data) > 0; step++ {
 		op := r.next() % 7
 		switch op {
 		case 0: // Set; a silent constraint never owes a report
 			id, v := int(r.next())%n, gen.value(r.next())
-			c := h.got[id].cons
-			if a, b := h.got[id].Set(v), h.ref[id].Set(v); a != b {
+			c := h.got.cons[id]
+			if a, b := h.got.Set(id, v), h.ref.Set(id, v); a != b {
 				t.Fatalf("step %d: Set(%v) on source %d: %v vs %v", step, v, id, a, b)
 			} else if a && c.Silent() {
 				t.Fatalf("step %d: Set(%v) on source %d reported through silent %v", step, v, id, c)
@@ -85,48 +116,58 @@ func runLoops[V comparable, C interface {
 			if r.next()%4 == 0 {
 				expect = !expect
 			}
-			want := owes(c, h.got[id].val, expect)
-			if h.got[id].Install(c, expect) {
-				h.uplink(id, h.got[id].val)
+			want := owes(c, h.got.vals[id], expect)
+			if h.got.Install(id, c, expect) {
+				h.uplink(id, h.got.vals[id])
 			}
 			h.refInstall(step, id, c, expect, want)
 		case 2: // InstallAll
 			c := gen.cons(r)
-			InstallAll(h.got, h.believed, c, h.uplink)
-			for id := range h.ref {
-				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref[id].val, c.Contains(h.believed[id])))
+			h.got.InstallAll(h.believed, c, h.uplink)
+			for id := range n {
+				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
 			}
-		case 3: // InstallEach over a subset, ascending or descending
-			mask, desc, c := int(r.next())|int(r.next())<<8, r.next()%2 == 1, gen.cons(r)
-			var ids []ID
-			for id := 0; id < n; id++ {
-				if mask&(1<<id) != 0 {
-					ids = append(ids, id)
-				}
-			}
-			if desc {
-				for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-					ids[i], ids[j] = ids[j], ids[i]
-				}
-			}
-			InstallEach(h.got, ids, h.believed, c, h.uplink)
+		case 3: // InstallEach over a subset, ascending, descending or rotated
+			ids, c := loopSubset(r, n), gen.cons(r)
+			h.got.InstallEach(ids, h.believed, c, h.uplink)
 			for _, id := range ids {
-				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref[id].val, c.Contains(h.believed[id])))
+				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
 			}
 		case 4: // Probe
 			id := int(r.next()) % n
-			if a, b := h.got[id].Probe(), h.ref[id].Probe(); a != b {
-				t.Fatalf("step %d: Probe(%d) = %v vs %v", step, id, a, b)
+			if a, b := h.got.Value(id), h.ref.Value(id); a != b {
+				t.Fatalf("step %d: Value(%d) = %v vs %v", step, id, a, b)
 			}
 		case 5: // export/import round trip
-			h.roundTrip(step, h.got)
-			h.roundTrip(step, h.ref)
+			h.roundTrip(step, &h.got)
+			h.roundTrip(step, &h.ref)
 		case 6: // the server's belief moves to the value or one step off it
 			id := int(r.next()) % n
-			h.believed[id] = gen.near(h.got[id].val, r.next())
+			h.believed[id] = gen.near(h.got.vals[id], r.next())
 		}
 		h.check(step, op)
 	}
+}
+
+// loopSubset reads an InstallEach list over n streams: two bytes are a
+// mask over id mod 16, and an order byte lists them ascending or
+// descending (bit 0), rotated by a third of their length (bit 1).
+func loopSubset(r *byteReader, n int) []ID {
+	mask, order := int(r.next())|int(r.next())<<8, r.next()
+	var ids []ID
+	for id := 0; id < n; id++ {
+		if mask&(1<<(id%16)) != 0 {
+			ids = append(ids, id)
+		}
+	}
+	if order&1 == 1 {
+		slices.Reverse(ids)
+	}
+	if order&2 != 0 {
+		k := len(ids) / 3
+		ids = append(ids[k:], ids[:k]...)
+	}
+	return ids
 }
 
 // owes is the install handshake's specification, written out independently
@@ -147,46 +188,45 @@ func owes[V any, C filter.Of[V, C]](c C, val V, expect bool) bool {
 // refInstall installs c on ref source id, checks the owed report against
 // the specification and queues it.
 func (h *loopHarness[V, C]) refInstall(step int, id ID, c C, expect, want bool) {
-	s := &h.ref[id]
-	got := s.Install(c, expect)
+	got := h.ref.Install(id, c, expect)
 	if got != want {
 		h.t.Fatalf("step %d: Install(%v, expect=%v) at value %v on source %d owed %v, want %v",
-			step, c, expect, s.val, id, got, want)
+			step, c, expect, h.ref.vals[id], id, got, want)
 	}
 	if got {
-		h.refRep = append(h.refRep, loopReport[V]{id, s.val})
+		h.refRep = append(h.refRep, loopReport[V]{id, h.ref.vals[id]})
 	}
 }
 
-// roundTrip exports every source and imports it into a fresh one, which
+// roundTrip exports every source and imports them into a fresh set, which
 // must succeed and change nothing; a crossing-mode record with its side
 // flipped must be refused.
-func (h *loopHarness[V, C]) roundTrip(step int, sources []Source[V, C]) {
-	for i := range sources {
-		w := snapshot.NewWriter()
-		sources[i].ExportState(w)
-		var back Source[V, C]
-		r := snapshot.NewReader(w.Bytes())
-		if err := back.ImportState(r); err != nil {
-			h.t.Fatalf("step %d: source %d round trip: %v", step, i, err)
+func (h *loopHarness[V, C]) roundTrip(step int, sources *Sources[V, C]) {
+	w := snapshot.NewWriter()
+	sources.ExportState(w)
+	back := NewSources[V, C](make([]V, h.n))
+	r := snapshot.NewReader(w.Bytes())
+	if err := back.ImportState(r); err != nil {
+		h.t.Fatalf("step %d: round trip: %v", step, err)
+	}
+	if err := r.Done(); err != nil {
+		h.t.Fatalf("step %d: round trip: %v", step, err)
+	}
+	for i := range h.n {
+		if back.state(i) != sources.state(i) {
+			h.t.Fatalf("step %d: source %d round trip %v, was %v", step, i, back.String(i), sources.String(i))
 		}
-		if err := r.Done(); err != nil {
-			h.t.Fatalf("step %d: source %d round trip: %v", step, i, err)
-		}
-		if back != sources[i] {
-			h.t.Fatalf("step %d: source %d round trip %v, was %v", step, i, &back, &sources[i])
-		}
-		if sources[i].mode == crossing {
-			flipped := sources[i]
-			flipped.inside = !flipped.inside
+		if sources.modes[i] == crossing {
+			flipped := NewSources[V, C](make([]V, 1))
+			flipped.vals[0], flipped.cons[0], flipped.inside[0] = sources.vals[i], sources.cons[i], !sources.inside[i]
 			w := snapshot.NewWriter()
 			flipped.ExportState(w)
-			if err := back.ImportState(snapshot.NewReader(w.Bytes())); err == nil {
+			if err := flipped.ImportState(snapshot.NewReader(w.Bytes())); err == nil {
 				h.t.Fatalf("step %d: source %d imported a contradicted side", step, i)
 			}
 		}
-		sources[i] = back
 	}
+	*sources = back
 }
 
 func (h *loopHarness[V, C]) check(step int, op byte) {
@@ -199,24 +239,24 @@ func (h *loopHarness[V, C]) check(step int, op byte) {
 			t.Fatalf("step %d (op %d): report %d is %v, reference %v", step, op, i, h.gotRep[i], h.refRep[i])
 		}
 	}
-	for i := range h.got {
-		if h.got[i] != h.ref[i] {
+	s := &h.got
+	for i := range h.n {
+		if got, ref := s.state(i), h.ref.state(i); got != ref {
 			t.Fatalf("step %d (op %d): source %d is %v, reference %v (updates %d/%d, reports %d/%d)",
-				step, op, i, &h.got[i], &h.ref[i], h.got[i].Updates, h.ref[i].Updates, h.got[i].Reports, h.ref[i].Reports)
+				step, op, i, s.String(i), h.ref.String(i), got.updates, ref.updates, got.reports, ref.reports)
 		}
-		s := &h.got[i]
-		switch s.mode {
+		switch s.modes[i] {
 		case crossing:
-			if s.inside != s.cons.Contains(s.val) {
+			if s.inside[i] != s.cons[i].Contains(s.vals[i]) {
 				t.Fatalf("step %d (op %d): source %d records inside=%v, but %v puts %v on the other side",
-					step, op, i, s.inside, s.cons, s.val)
+					step, op, i, s.inside[i], s.cons[i], s.vals[i])
 			}
 		case following:
-			if !s.inside || !s.cons.Contains(s.val) {
-				t.Fatalf("step %d (op %d): following source %d outside its band: %v", step, op, i, s)
+			if !s.inside[i] || !s.cons[i].Contains(s.vals[i]) {
+				t.Fatalf("step %d (op %d): following source %d outside its band: %v", step, op, i, s.String(i))
 			}
 		case unfiltered:
-			if s.inside {
+			if s.inside[i] {
 				t.Fatalf("step %d (op %d): unfiltered source %d records inside", step, op, i)
 			}
 		}
@@ -270,10 +310,10 @@ var scalarGen = loopGen[float64, filter.Constraint]{
 
 // FuzzInstallLoops checks the batch installs (InstallAll, InstallEach)
 // against a per-source Install loop, and Install against the handshake's
-// specification, over up to 16 sources on a ½-grid with ±Inf at its ends
-// and a believed table one step stale or exact, every 1-D constraint kind,
-// Set (never reporting through a silent constraint), Probe and snapshot
-// round trips.
+// specification, over 1…16 sources or up to 205 (past InstallEach's chunk)
+// on a ½-grid with ±Inf at its ends and a believed table one step stale or
+// exact, every 1-D constraint kind, Set (never reporting through a silent
+// constraint), probes and snapshot round trips.
 func FuzzInstallLoops(f *testing.F) {
 	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 2, 0, 8, 4, 3, 255, 0, 0, 6, 8, 2, 1, 2, 3, 5, 0, 1, 18})
 	f.Add([]byte{15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -285,6 +325,11 @@ func FuzzInstallLoops(f *testing.F) {
 	f.Add([]byte{0, 8, 1, 3, 1, 0, 0, 0, 9, 0})
 	// One source at 0 under Shut = [+∞, +∞] moving to +∞: no report.
 	f.Add([]byte{0, 8, 0, 1, 0, 4, 0, 0, 1, 0, 0, 18})
+	// 205 and 103 sources: InstallEach over every id (two full chunks and
+	// a tail), descending and rotated, and over half the ids; InstallAll;
+	// a stale belief; a round trip.
+	f.Add([]byte{255, 7, 3, 255, 255, 3, 0, 9, 4, 3, 255, 255, 0, 1, 12, 2, 2, 0, 6, 3, 6, 40, 1, 2, 0, 9, 5, 5})
+	f.Add([]byte{221, 1, 3, 85, 85, 0, 1, 8, 6, 2, 0, 12, 3, 0, 90, 19, 3, 170, 170, 2, 5, 0, 0, 5, 2, 1, 4, 3})
 	f.Fuzz(func(t *testing.T, data []byte) { runLoops(t, scalarGen, data) })
 }
 

@@ -15,28 +15,43 @@ func pt(x, y float64) filter.Point { return filter.Point{X: x, Y: y} }
 // report the source owes is appended to reports, as the cluster's Deliver
 // and Install do.
 type planar struct {
-	stream.Source[filter.Point, filter.Region]
+	src     stream.Sources[filter.Point, filter.Region]
 	reports []filter.Point
 }
 
 func newPlanar(initial filter.Point) *planar {
-	return &planar{Source: stream.NewSpatial(initial)}
+	return &planar{src: stream.NewSpatial(initial)}
 }
 
 func (p *planar) Set(v filter.Point) bool {
-	if !p.Source.Set(v) {
+	if !p.src.Set(0, v) {
 		return false
 	}
-	p.reports = append(p.reports, p.Value())
+	p.reports = append(p.reports, p.src.Value(0))
 	return true
 }
 
 func (p *planar) Install(c filter.Region, expectInside bool) bool {
-	if !p.Source.Install(c, expectInside) {
+	if !p.src.Install(0, c, expectInside) {
 		return false
 	}
-	p.reports = append(p.reports, p.Value())
+	p.reports = append(p.reports, p.src.Value(0))
 	return true
+}
+
+func (p *planar) Inside() bool { return p.src.Inside(0) }
+
+// planarState is one planar source's full state, read through the
+// accessors.
+type planarState struct {
+	v                filter.Point
+	c                filter.Region
+	inside           bool
+	updates, reports uint64
+}
+
+func stateOf(s *stream.Sources[filter.Point, filter.Region]) planarState {
+	return planarState{s.Value(0), s.Constraint(0), s.Inside(0), s.Updates(0), s.Reports(0)}
 }
 
 func TestSpatialSourceCrossingSemantics(t *testing.T) {
@@ -68,8 +83,8 @@ func TestSpatialSourceCrossingSemantics(t *testing.T) {
 	if got := len(s.reports) - n; got != 2 {
 		t.Fatalf("crossings sent %d reports, want 2", got)
 	}
-	if s.Updates != 6 || s.Reports != 4 {
-		t.Fatalf("counters Updates=%d Reports=%d, want 6/4", s.Updates, s.Reports)
+	if s.src.Updates(0) != 6 || s.src.Reports(0) != 4 {
+		t.Fatalf("counters Updates=%d Reports=%d, want 6/4", s.src.Updates(0), s.src.Reports(0))
 	}
 }
 
@@ -101,7 +116,7 @@ func TestSpatialSourceInstallMismatch(t *testing.T) {
 // TestSpatialSourceSilentInstallMismatch pins the satellite edge case: an
 // Install carrying a silent region with a wrong expected side must NOT
 // report — a silent filter can never be violated, so no convergence message
-// is owed. This mirrors stream.Source.Install's c.Silent() guard for
+// is owed. This mirrors Sources.Install's c.Silent() guard for
 // [+∞,+∞] / [−∞,+∞] interval constraints.
 func TestSpatialSourceSilentInstallMismatch(t *testing.T) {
 	s := newPlanar(pt(10, 0))
@@ -135,16 +150,16 @@ func TestSpatialSourceSilentInstallMismatch(t *testing.T) {
 
 func TestSpatialSourceProbeRefreshesSide(t *testing.T) {
 	s := stream.NewSpatial(pt(0, 0))
-	s.Install(filter.NewDisk(pt(0, 0), 5), true)
+	s.Install(0, filter.NewDisk(pt(0, 0), 5), true)
 	// Force a stale side without going through Set's report path.
-	s.Install(filter.NewDisk(pt(100, 100), 5), true) // actually outside → reports, side false
-	if s.Inside() {
+	s.Install(0, filter.NewDisk(pt(100, 100), 5), true) // actually outside → reports, side false
+	if s.Inside(0) {
 		t.Fatal("side not corrected by install")
 	}
-	if got := s.Probe(); got != pt(0, 0) {
+	if got := s.Value(0); got != pt(0, 0) {
 		t.Fatalf("Probe = %v, want (0,0)", got)
 	}
-	if s.Inside() {
+	if s.Inside(0) {
 		t.Fatal("probe flipped side wrongly")
 	}
 }
@@ -154,7 +169,7 @@ func TestSpatialSourceNaNPanics(t *testing.T) {
 		func() { stream.NewSpatial(pt(math.NaN(), 0)) },
 		func() {
 			s := stream.NewSpatial(pt(0, 0))
-			s.Set(pt(0, math.NaN()))
+			s.Set(0, pt(0, math.NaN()))
 		},
 	}
 	for i, fn := range cases {
@@ -171,8 +186,8 @@ func TestSpatialSourceNaNPanics(t *testing.T) {
 
 func TestSpatialSourceStateRoundTrip(t *testing.T) {
 	s := stream.NewSpatial(pt(3, 4))
-	s.Install(filter.NewDisk(pt(0, 0), 10), true)
-	s.Set(pt(20, 0)) // crossing: bumps Updates and Reports
+	s.Install(0, filter.NewDisk(pt(0, 0), 10), true)
+	s.Set(0, pt(20, 0)) // crossing: bumps Updates and Reports
 
 	w := snapshot.NewWriter()
 	s.ExportState(w)
@@ -181,10 +196,8 @@ func TestSpatialSourceStateRoundTrip(t *testing.T) {
 	if err := restored.ImportState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Value() != s.Value() || restored.Constraint() != s.Constraint() ||
-		restored.Inside() != s.Inside() || restored.Updates != s.Updates ||
-		restored.Reports != s.Reports {
-		t.Fatalf("round-trip mismatch: %v vs %v", restored, s)
+	if stateOf(&restored) != stateOf(&s) {
+		t.Fatalf("round-trip mismatch: %v vs %v", restored.String(0), s.String(0))
 	}
 
 	// NaN location in the snapshot is rejected, not adopted.
@@ -207,7 +220,7 @@ func TestSpatialSourceStateRoundTrip(t *testing.T) {
 func TestSpatialSourceImportRefusesContradictedSide(t *testing.T) {
 	for _, reg := range []filter.Region{filter.NewDisk(pt(0, 0), 5), filter.NewRect(pt(0, 0), 2, 3)} {
 		src := stream.NewSpatial(pt(1, 1))
-		src.Install(reg, true)
+		src.Install(0, reg, true)
 		w := snapshot.NewWriter()
 		src.ExportState(w)
 		good := w.Bytes()
@@ -219,16 +232,16 @@ func TestSpatialSourceImportRefusesContradictedSide(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[sideAt] = 0
 		target := stream.NewSpatial(pt(9, 9))
-		target.Install(reg, false)
-		before := target
+		target.Install(0, reg, false)
+		before := stateOf(&target)
 		if err := target.ImportState(snapshot.NewReader(bad)); err == nil {
 			t.Fatalf("%v: import of a side contradicting the point succeeded", reg)
 		}
-		if target != before {
-			t.Fatalf("%v: failed import changed the source: %v, was %v", reg, target, before)
+		if stateOf(&target) != before {
+			t.Fatalf("%v: failed import changed the source: %v, was %v", reg, target.String(0), before)
 		}
-		if err := target.ImportState(snapshot.NewReader(good)); err != nil || !target.Inside() {
-			t.Fatalf("%v: import of the true record: err=%v inside=%v", reg, err, target.Inside())
+		if err := target.ImportState(snapshot.NewReader(good)); err != nil || !target.Inside(0) {
+			t.Fatalf("%v: import of the true record: err=%v inside=%v", reg, err, target.Inside(0))
 		}
 	}
 }

@@ -7,10 +7,13 @@
 // installed. Sources also answer server probes and accept filter
 // installations.
 //
-// A source is plain data: it holds no identity and no uplink. Set and
-// Install return whether a report is owed, and the caller — the server's
-// cluster, which knows the stream's index — delivers it; the batch installs
-// (InstallAll, InstallEach) take that uplink once per batch.
+// A cluster's n sources are one Sources value: a column per field (values,
+// constraints, recorded sides, modes, counters), addressed by stream index.
+// A deploy scans one or two columns over every stream, so it reads them
+// contiguously and decides a whole column's sides in one filter.Of.Sides
+// call. Sources hold no uplink: Set and Install return whether a report is
+// owed, and the caller — the server's cluster — delivers it; the batch
+// installs (InstallAll, InstallEach) take that uplink once per batch.
 package stream
 
 import (
@@ -23,30 +26,40 @@ import (
 // ID identifies a stream source. IDs are dense indices 0..n-1.
 type ID = int
 
-// Source is one remote data stream with its adaptive filter, over values of
-// type V filtered by constraints of type C: float64 and filter.Constraint
-// for the paper's 1-D model, filter.Point and filter.Region for the §7
-// planar extension. V is comparable so that NaN — a value unequal to itself
-// — is recognised without knowing V's shape; a NaN reaching a source is a
-// caller bug and panics, because validation belongs to the trust boundaries
-// in front of it (runtime admission and ingest, snapshot restore).
+// Sources is n remote data streams with their adaptive filters, over values
+// of type V filtered by constraints of type C: float64 and
+// filter.Constraint for the paper's 1-D model, filter.Point and
+// filter.Region for the §7 planar extension. V is comparable so that NaN —
+// a value unequal to itself — is recognised without knowing V's shape; a
+// NaN reaching a source is a caller bug and panics, because validation
+// belongs to the trust boundaries in front of it (runtime admission and
+// ingest, snapshot restore).
 //
-// Under a crossing-mode constraint the recorded side always equals the side
-// the constraint puts the value on: Set and every install establish it, and
-// ImportState refuses a record that breaks it. So a probe is a plain read.
-type Source[V comparable, C filter.Of[V, C]] struct {
-	val    V
-	cons   C
-	inside bool // side of the constraint of the last value known to the server
-	mode   mode
-	// Updates counts value changes applied to the source (its raw stream
-	// rate); Reports counts how many were actually sent to the server.
-	Updates uint64
-	Reports uint64
+// Under a crossing-mode constraint a source's recorded side always equals
+// the side the constraint puts its value on: Set and every install
+// establish it, and ImportState refuses a record that breaks it. So a
+// probe is a plain read.
+type Sources[V comparable, C filter.Of[V, C]] struct {
+	vals   []V
+	cons   []C
+	inside []bool // side of the constraint of the last value known to the server
+	modes  []mode
+	// updates counts value changes applied to a source (its raw stream
+	// rate); reports counts how many were actually sent to the server.
+	updates []uint64
+	reports []uint64
+	// Scratch for the batch installs, kept here because a Sides call
+	// through a type parameter makes its arguments escape: InstallAll's
+	// sides of the n table values, and InstallEach's chunk of gathered
+	// table entries and moved values, their sides, and the moved values'
+	// places in the chunk.
+	sides  []bool // n + min(n, chunk)
+	gather []V    // 2·min(n, chunk)
+	at     []int  // min(n, chunk)
 }
 
 // mode is how a source reacts to its installed constraint, classified once
-// per Install so that Set and Probe do not ask the constraint again.
+// per install so that Set does not ask the constraint again.
 type mode uint8
 
 const (
@@ -69,50 +82,80 @@ func classify[V any, C filter.Of[V, C]](c C, v V) mode {
 	return crossing
 }
 
-// NewSource returns a source with the given initial value and no filter
+// chunk is how many listed streams InstallEach gathers per Sides call.
+const chunk = 64
+
+// NewSources returns one source per initial value, with no filter
 // installed. An unfiltered source reports every update (paper §3.1: "If no
 // filter is installed at a stream, all updates from the stream are
 // reported").
-func NewSource[V comparable, C filter.Of[V, C]](initial V) Source[V, C] {
-	if initial != initial {
-		panic("stream: NaN initial value")
+func NewSources[V comparable, C filter.Of[V, C]](initial []V) Sources[V, C] {
+	for _, v := range initial {
+		if v != v {
+			panic("stream: NaN initial value")
+		}
 	}
-	return Source[V, C]{val: initial}
+	n := len(initial)
+	return Sources[V, C]{
+		vals:    append([]V(nil), initial...),
+		cons:    make([]C, n),
+		inside:  make([]bool, n),
+		modes:   make([]mode, n),
+		updates: make([]uint64, n),
+		reports: make([]uint64, n),
+		sides:   make([]bool, n+min(n, chunk)),
+		gather:  make([]V, 2*min(n, chunk)),
+		at:      make([]int, min(n, chunk)),
+	}
 }
 
-// New returns a 1-D source (see NewSource).
-func New(initial float64) Source[float64, filter.Constraint] {
-	return NewSource[float64, filter.Constraint](initial)
+// New returns 1-D sources (see NewSources).
+func New(initial ...float64) Sources[float64, filter.Constraint] {
+	return NewSources[float64, filter.Constraint](initial)
 }
 
-// NewSpatial returns a planar source (see NewSource).
-func NewSpatial(initial filter.Point) Source[filter.Point, filter.Region] {
-	return NewSource[filter.Point, filter.Region](initial)
+// NewSpatial returns planar sources (see NewSources).
+func NewSpatial(initial ...filter.Point) Sources[filter.Point, filter.Region] {
+	return NewSources[filter.Point, filter.Region](initial)
 }
 
-// Value returns the true current value. Only the workload driver, probes and
-// the ground-truth oracle may call this; protocols must rely on reported
-// data.
-func (s *Source[V, C]) Value() V { return s.val }
+// Len returns the number of sources.
+func (s *Sources[V, C]) Len() int { return len(s.vals) }
 
-// Constraint returns the currently installed filter constraint.
-func (s *Source[V, C]) Constraint() C { return s.cons }
+// Value returns source id's true current value, modelling a server probe
+// and the stream's reply (the caller accounts the messages). Only the
+// workload driver, probes and the ground-truth oracle may call it;
+// protocols must rely on reported data.
+func (s *Sources[V, C]) Value(id ID) V { return s.vals[id] }
 
-// Inside reports the source's recorded side of its constraint — i.e. the
+// Values returns the value column itself, for a probe of every stream to
+// copy. The caller must not write it.
+func (s *Sources[V, C]) Values() []V { return s.vals }
+
+// Constraint returns the filter constraint installed at source id.
+func (s *Sources[V, C]) Constraint(id ID) C { return s.cons[id] }
+
+// Inside reports source id's recorded side of its constraint — i.e. the
 // side the server believes the stream is on.
-func (s *Source[V, C]) Inside() bool { return s.inside }
+func (s *Sources[V, C]) Inside(id ID) bool { return s.inside[id] }
 
-// Set applies a new value from the workload. It returns whether the server
-// is owed a report of the new value: when the filter is violated, or
-// always, when unfiltered. The caller delivers it; Reports already counts
-// it.
-func (s *Source[V, C]) Set(v V) bool {
+// Updates returns how many value changes source id has applied.
+func (s *Sources[V, C]) Updates(id ID) uint64 { return s.updates[id] }
+
+// Reports returns how many reports source id has owed the server.
+func (s *Sources[V, C]) Reports(id ID) uint64 { return s.reports[id] }
+
+// Set applies a new value from the workload to source id. It returns
+// whether the server is owed a report of the new value: when the filter is
+// violated, or always, when unfiltered. The caller delivers it; Reports
+// already counts it.
+func (s *Sources[V, C]) Set(id ID, v V) bool {
 	if v != v {
 		panic("stream: NaN value delivered to source")
 	}
-	s.Updates++
-	s.val = v
-	switch s.mode {
+	s.updates[id]++
+	s.vals[id] = v
+	switch s.modes[id] {
 	case unfiltered:
 	case silent:
 		// Shut is [+∞, +∞], so a value can reach it, but a silent
@@ -121,190 +164,217 @@ func (s *Source[V, C]) Set(v V) bool {
 	case following:
 		// Value-based filter: report on deviation beyond the half-width and
 		// re-center locally (no server round-trip; Olston-style).
-		if s.cons.Contains(v) {
+		if s.cons[id].Contains(v) {
 			return false
 		}
-		s.cons, _ = s.cons.Recentre(v)
+		s.cons[id], _ = s.cons[id].Recentre(v)
 	default:
-		nowInside := s.cons.Contains(v)
-		if nowInside == s.inside {
+		nowInside := s.cons[id].Contains(v)
+		if nowInside == s.inside[id] {
 			return false
 		}
-		s.inside = nowInside
+		s.inside[id] = nowInside
 	}
-	s.Reports++
+	s.reports[id]++
 	return true
 }
 
-// Install sets a new filter constraint. expectInside is the side of the new
-// constraint the server believes this stream is on (from its value table).
-// If the true side differs, the source owes the server an immediate report
-// of its value so the server's view converges — unless the constraint is
-// silent (wide-open and shut constraints never owe a report, here or in
-// Set); the report travels through the normal uplink and is counted as
-// an update message. Install returns whether such a mismatch report is
-// owed; the caller delivers it.
+// Install sets a new filter constraint at source id. expectInside is the
+// side of the new constraint the server believes this stream is on (from
+// its value table). If the true side differs, the source owes the server
+// an immediate report of its value so the server's view converges —
+// unless the constraint is silent (wide-open and shut constraints never
+// owe a report, here or in Set); the report travels through the normal
+// uplink and is counted as an update message. Install returns whether such
+// a mismatch report is owed; the caller delivers it.
 //
 // The paper's correctness argument assumes stream values do not change
 // during constraint resolution; this handshake is what makes the assumption
 // implementable when bounds are computed from partially stale values (see
 // DESIGN.md §3).
-func (s *Source[V, C]) Install(c C, expectInside bool) bool {
-	if m := classify(c, s.val); m != crossing {
-		return s.installOther(c, m)
+func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
+	if m := classify(c, s.vals[id]); m != crossing {
+		return s.installOther(id, c, m)
 	}
-	if !s.cross(c, expectInside, c.Contains(s.val)) {
+	actual := c.Contains(s.vals[id])
+	s.cons[id], s.modes[id], s.inside[id] = c, crossing, actual
+	if actual == expectInside {
 		return false
 	}
-	s.Reports++
+	s.reports[id]++
 	return true
 }
 
 // InstallAll installs c on every source, expecting source i on the side c
 // puts believed[i] — the server's table — and hands every owed mismatch
 // report to report, in source order. It is Install in a loop with c
-// classified once, which is most of what a broadcast deployment costs.
+// classified once.
 //
-// Under a crossing constraint each source costs one Contains, on its table
-// value: when the source's value equals it (NaN never reaches a source, so
-// == is exact) that side is also the true one, and only a stale source
-// pays a second Contains.
-func InstallAll[V comparable, C filter.Of[V, C]](sources []Source[V, C], believed []V, c C, report func(ID, V)) {
+// Under a crossing constraint it is two Sides calls — over the table
+// column into scratch and over the value column straight into the recorded
+// sides — a fill of the constraint and mode columns, and a scan that
+// reports each source whose two sides differ.
+func (s *Sources[V, C]) InstallAll(believed []V, c C, report func(ID, V)) {
 	var zero V
 	if m := classify(c, zero); m != crossing {
-		for i := range sources {
-			if sources[i].installOther(c, m) {
-				report(i, sources[i].val)
+		for i := range s.vals {
+			if s.installOther(i, c, m) {
+				report(i, s.vals[i])
 			}
 		}
 		return
 	}
-	believed = believed[:len(sources)]
-	for i := range sources {
-		s, b := &sources[i], believed[i]
-		expect := c.Contains(b)
-		actual := expect
-		if s.val != b {
-			actual = c.Contains(s.val)
-		}
-		if s.cross(c, expect, actual) {
-			s.Reports++
-			report(i, s.val)
+	expect := s.sides[:len(s.vals)]
+	c.Sides(expect, believed[:len(s.vals)])
+	c.Sides(s.inside, s.vals)
+	fill(s.cons, c)
+	fill(s.modes, crossing)
+	for i, in := range s.inside {
+		if in != expect[i] {
+			s.reports[i]++
+			report(i, s.vals[i])
 		}
 	}
 }
 
-// InstallEach is InstallAll restricted to the listed sources: source id
-// expects the side c puts believed[id] on, and c is classified once for
-// the whole batch.
-func InstallEach[V comparable, C filter.Of[V, C]](sources []Source[V, C], ids []ID, believed []V, c C, report func(ID, V)) {
+// fill sets every element of dst to v, doubling a copied prefix: a
+// memmove per doubling instead of a store per element.
+func fill[T any](dst []T, v T) {
+	if len(dst) == 0 {
+		return
+	}
+	dst[0] = v
+	for k := 1; k < len(dst); k *= 2 {
+		copy(dst[k:], dst[:k])
+	}
+}
+
+// InstallEach is InstallAll restricted to the listed sources, which must
+// be distinct: source id expects the side c puts believed[id] on, c is
+// classified once for the whole batch, and reports come in list order.
+//
+// Under a crossing constraint it works a chunk of listed ids at a time:
+// one Sides call over their gathered table entries decides the expected
+// sides, which are also the true sides of every source whose value is its
+// table entry (a batch follows a probe of every stream in each protocol
+// that deploys one, so that is nearly all of them); the sources that moved
+// off their entry are gathered and decided in one more Sides call.
+func (s *Sources[V, C]) InstallEach(ids []ID, believed []V, c C, report func(ID, V)) {
 	var zero V
 	if m := classify(c, zero); m != crossing {
 		for _, id := range ids {
-			if sources[id].installOther(c, m) {
-				report(id, sources[id].val)
+			if s.installOther(id, c, m) {
+				report(id, s.vals[id])
 			}
 		}
 		return
 	}
-	for _, id := range ids {
-		s, b := &sources[id], believed[id]
-		expect := c.Contains(b)
-		actual := expect
-		if s.val != b {
-			actual = c.Contains(s.val)
+	n := len(s.vals)
+	vals, table := s.vals, believed[:n]
+	cons, modes, inside := s.cons[:n], s.modes[:n], s.inside[:n]
+	for len(ids) > 0 {
+		part := ids[:min(len(ids), chunk)]
+		ids = ids[len(part):]
+		k := len(part)
+		want, moved := s.gather[:k], s.gather[k:2*k]
+		expect, sides := s.sides[:k], s.sides[k:2*k]
+		at, m := s.at[:k], 0
+		for j, id := range part {
+			w, v := table[id], vals[id]
+			want[j] = w
+			if v != w {
+				moved[m], at[m] = v, j
+				m++
+			}
+			cons[id], modes[id] = c, crossing
 		}
-		if s.cross(c, expect, actual) {
-			s.Reports++
-			report(id, s.val)
+		c.Sides(expect, want)
+		c.Sides(sides[:m], moved[:m])
+		for j, id := range part {
+			inside[id] = expect[j]
+		}
+		for i, j := range at[:m] {
+			if sides[i] != expect[j] {
+				id := part[j]
+				inside[id] = sides[i]
+				s.reports[id]++
+				report(id, moved[i])
+			}
 		}
 	}
 }
 
-// cross is the crossing-mode install rule, the one every install path
-// shares: install c, record actual — the side c puts the value on — and
-// say whether a report is owed to a server that expects expect. The rule
-// is small enough to inline into the batch loops; the caller counts the
-// report it owes.
-func (s *Source[V, C]) cross(c C, expect, actual bool) bool {
-	s.cons, s.mode, s.inside = c, crossing, actual
-	return actual != expect
-}
-
 // installOther installs an unfiltered, silent or following constraint c
-// (mode m) and says whether a report is owed.
-func (s *Source[V, C]) installOther(c C, m mode) bool {
-	s.cons = c
-	s.mode = m
+// (mode m) at source id and says whether a report is owed.
+func (s *Sources[V, C]) installOther(id ID, c C, m mode) bool {
+	s.cons[id] = c
+	s.modes[id] = m
 	switch m {
 	case unfiltered:
-		s.inside = false
+		s.inside[id] = false
 		return false
 	case silent:
-		s.inside = c.Contains(s.val)
+		s.inside[id] = c.Contains(s.vals[id])
 		return false
 	}
 	// Following: if the server centered the band on a stale value the
 	// stream is already outside it, so it reports and re-centers at once.
-	s.inside = true
-	if c.Contains(s.val) {
+	s.inside[id] = true
+	if c.Contains(s.vals[id]) {
 		return false
 	}
-	s.cons, _ = c.Recentre(s.val)
-	s.Reports++
+	s.cons[id], _ = c.Recentre(s.vals[id])
+	s.reports[id]++
 	return true
 }
 
-// Probe returns the current value, modelling a server probe request plus the
-// stream's reply. Message accounting is done by the caller (the cluster).
-// The recorded side needs no refresh: it already is the value's side.
-func (s *Source[V, C]) Probe() V { return s.val }
-
-// ExportState appends the source's full dynamic state — value, installed
-// constraint, recorded side, update/report counters — to a snapshot.
-func (s *Source[V, C]) ExportState(w *snapshot.Writer) {
-	s.cons.ExportValue(w, s.val)
-	s.cons.ExportState(w)
-	w.Bool(s.inside)
-	w.Uint64(s.Updates)
-	w.Uint64(s.Reports)
+// ExportState appends every source's full dynamic state to a snapshot, in
+// source order: value, installed constraint, recorded side, update and
+// report counters.
+func (s *Sources[V, C]) ExportState(w *snapshot.Writer) {
+	for i, c := range s.cons {
+		c.ExportValue(w, s.vals[i])
+		c.ExportState(w)
+		w.Bool(s.inside[i])
+		w.Uint64(s.updates[i])
+		w.Uint64(s.reports[i])
+	}
 }
 
-// ImportState restores state written by ExportState, overwriting the
-// source's value, constraint, side and counters. Restore is a trust
-// boundary, so it refuses a NaN value and, under a crossing constraint, a
-// recorded side that contradicts the value: the source would stay silent
-// on the crossing that fixes it. It returns an error on corrupted input,
-// leaving the source untouched, and never panics.
-func (s *Source[V, C]) ImportState(r *snapshot.Reader) error {
-	val := s.cons.ImportValue(r)
-	cons, err := s.cons.ImportState(r)
-	if err != nil {
-		return err
+// ImportState restores state written by ExportState from a set of as many
+// sources, one source at a time. Restore is a trust boundary, so it
+// refuses a NaN value and, under a crossing constraint, a recorded side
+// that contradicts the value: the source would stay silent on the crossing
+// that fixes it. It returns an error on corrupted input, leaving the
+// failing source and those after it untouched, and never panics.
+func (s *Sources[V, C]) ImportState(r *snapshot.Reader) error {
+	var codec C
+	for i := range s.vals {
+		val := codec.ImportValue(r)
+		cons, err := codec.ImportState(r)
+		if err != nil {
+			return fmt.Errorf("source %d: %w", i, err)
+		}
+		inside := r.Bool()
+		updates := r.Uint64()
+		reports := r.Uint64()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("source %d: %w", i, err)
+		}
+		if val != val {
+			return fmt.Errorf("source %d: stream: snapshot holds NaN value", i)
+		}
+		m := classify(cons, val)
+		if m == crossing && inside != cons.Contains(val) {
+			return fmt.Errorf("source %d: stream: snapshot records side inside=%v of %v for value %v", i, inside, cons, val)
+		}
+		s.vals[i], s.cons[i], s.modes[i], s.inside[i] = val, cons, m, inside
+		s.updates[i], s.reports[i] = updates, reports
 	}
-	inside := r.Bool()
-	updates := r.Uint64()
-	reports := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if val != val {
-		return fmt.Errorf("stream: snapshot holds NaN value")
-	}
-	m := classify(cons, val)
-	if m == crossing && inside != cons.Contains(val) {
-		return fmt.Errorf("stream: snapshot records side inside=%v of %v for value %v", inside, cons, val)
-	}
-	s.val = val
-	s.cons = cons
-	s.mode = m
-	s.inside = inside
-	s.Updates = updates
-	s.Reports = reports
 	return nil
 }
 
-// String renders the source state for debugging.
-func (s *Source[V, C]) String() string {
-	return fmt.Sprintf("S{v=%v cons=%v inside=%v}", s.val, s.cons, s.inside)
+// String renders source id's state for debugging.
+func (s *Sources[V, C]) String(id ID) string {
+	return fmt.Sprintf("S{v=%v cons=%v inside=%v}", s.vals[id], s.cons[id], s.inside[id])
 }

@@ -22,27 +22,27 @@ func (r *recorder) report(id ID, v float64) {
 
 // set applies v to source id (s) and hands the report it owes to the
 // recorder, as the cluster's Deliver does.
-func (r *recorder) set(s *Source[float64, filter.Constraint], id ID, v float64) bool {
-	if !s.Set(v) {
+func (r *recorder) set(s *Sources[float64, filter.Constraint], id ID, v float64) bool {
+	if !s.Set(id, v) {
 		return false
 	}
-	r.report(id, s.Value())
+	r.report(id, s.Value(id))
 	return true
 }
 
 // install is Install with the owed report handed to the recorder, as the
 // cluster's Install does.
-func (r *recorder) install(s *Source[float64, filter.Constraint], id ID, c filter.Constraint, expectInside bool) bool {
-	if !s.Install(c, expectInside) {
+func (r *recorder) install(s *Sources[float64, filter.Constraint], id ID, c filter.Constraint, expectInside bool) bool {
+	if !s.Install(id, c, expectInside) {
 		return false
 	}
-	r.report(id, s.Value())
+	r.report(id, s.Value(id))
 	return true
 }
 
 func TestUnfilteredReportsEverything(t *testing.T) {
 	var rec recorder
-	s := New(10)
+	s := New(0, 0, 0, 10)
 	for i, v := range []float64{11, 11, 12, -5} {
 		if !rec.set(&s, 3, v) {
 			t.Fatalf("Set #%d did not report without a filter", i)
@@ -54,14 +54,17 @@ func TestUnfilteredReportsEverything(t *testing.T) {
 	if rec.ids[0] != 3 || rec.vals[3] != -5 {
 		t.Fatalf("report content wrong: %+v", rec)
 	}
-	if s.Updates != 4 || s.Reports != 4 {
-		t.Fatalf("Updates/Reports = %d/%d, want 4/4", s.Updates, s.Reports)
+	if s.Updates(3) != 4 || s.Reports(3) != 4 {
+		t.Fatalf("Updates/Reports = %d/%d, want 4/4", s.Updates(3), s.Reports(3))
+	}
+	if s.Updates(0) != 0 || s.Reports(0) != 0 {
+		t.Fatalf("source 0 counted %d/%d, want 0/0", s.Updates(0), s.Reports(0))
 	}
 }
 
 func TestIntervalFilterReportsOnlyCrossings(t *testing.T) {
 	s := New(500)
-	s.Install(filter.NewInterval(400, 600), true)
+	s.Install(0, filter.NewInterval(400, 600), true)
 	steps := []struct {
 		v      float64
 		report bool
@@ -74,12 +77,12 @@ func TestIntervalFilterReportsOnlyCrossings(t *testing.T) {
 		{399, true},  // leaves by a hair
 	}
 	for i, st := range steps {
-		if got := s.Set(st.v); got != st.report {
+		if got := s.Set(0, st.v); got != st.report {
 			t.Fatalf("step %d (v=%v): reported=%v, want %v", i, st.v, got, st.report)
 		}
 	}
-	if s.Reports != 3 {
-		t.Fatalf("Reports = %d, want 3", s.Reports)
+	if s.Reports(0) != 3 {
+		t.Fatalf("Reports = %d, want 3", s.Reports(0))
 	}
 }
 
@@ -93,7 +96,7 @@ func TestInstallMismatchTriggersReport(t *testing.T) {
 		t.Fatalf("mismatch report = %+v, want value 700", rec)
 	}
 	// The recorded side is now correct; staying outside is silent.
-	if s.Set(800) {
+	if s.Set(0, 800) {
 		t.Fatal("reported while staying outside after mismatch sync")
 	}
 }
@@ -113,71 +116,71 @@ func TestSilentFiltersNeverReport(t *testing.T) {
 	s := New(500)
 	// A wide-open filter silences even though the expectation is wrong on
 	// purpose: silent filters must not generate mismatch reports.
-	if s.Install(filter.WideOpen(), false) {
+	if s.Install(0, filter.WideOpen(), false) {
 		t.Fatal("WideOpen install reported")
 	}
 	for _, v := range []float64{1, 1000, -1000} {
-		if s.Set(v) {
+		if s.Set(0, v) {
 			t.Fatalf("WideOpen filter reported on %v", v)
 		}
 	}
-	if s.Install(filter.Shut(), true) {
+	if s.Install(0, filter.Shut(), true) {
 		t.Fatal("Shut install reported")
 	}
 	for _, v := range []float64{1, 1000, -1000} {
-		if s.Set(v) {
+		if s.Set(0, v) {
 			t.Fatalf("Shut filter reported on %v", v)
 		}
 	}
-	if s.Reports != 0 {
-		t.Fatalf("Reports = %d, want 0", s.Reports)
+	if s.Reports(0) != 0 {
+		t.Fatalf("Reports = %d, want 0", s.Reports(0))
 	}
 }
 
 func TestProbeReturnsTruthAndResyncs(t *testing.T) {
 	s := New(500)
-	s.Install(filter.NewInterval(400, 600), true)
+	s.Install(0, filter.NewInterval(400, 600), true)
 	// Drifting outside silently is impossible with an interval filter, and
 	// every install records the true side, so a probe finds the recorded
 	// side already in sync with the value it returns.
-	s.Set(650) // reports (leaves)
-	if got := s.Probe(); got != 650 {
+	s.Set(0, 650) // reports (leaves)
+	if got := s.Value(0); got != 650 {
 		t.Fatalf("Probe() = %v, want 650", got)
 	}
-	if s.Inside() {
+	if s.Inside(0) {
 		t.Fatal("Inside() = true after probing an outside value")
 	}
 }
 
 func TestRemovingFilterRestoresReportEverything(t *testing.T) {
 	s := New(500)
-	s.Install(filter.NewInterval(0, 1000), true)
-	if s.Set(600) {
+	s.Install(0, filter.NewInterval(0, 1000), true)
+	if s.Set(0, 600) {
 		t.Fatal("reported while inside interval")
 	}
-	s.Install(filter.NoFilter(), false)
-	if !s.Set(601) {
+	s.Install(0, filter.NoFilter(), false)
+	if !s.Set(0, 601) {
 		t.Fatal("unfiltered stream did not report")
 	}
 }
 
 func TestValueAccessors(t *testing.T) {
 	s := New(123)
-	if s.Value() != 123 {
-		t.Fatalf("Value() = %v", s.Value())
+	if s.Value(0) != 123 {
+		t.Fatalf("Value() = %v", s.Value(0))
 	}
-	s.Set(456)
-	if s.Value() != 456 {
-		t.Fatalf("Value() = %v after Set", s.Value())
+	s.Set(0, 456)
+	if s.Value(0) != 456 {
+		t.Fatalf("Value() = %v after Set", s.Value(0))
 	}
-	if s.Constraint().Kind != filter.None {
-		t.Fatalf("initial constraint = %v, want none", s.Constraint())
+	if s.Constraint(0).Kind != filter.None {
+		t.Fatalf("initial constraint = %v, want none", s.Constraint(0))
 	}
 }
 
 func TestStringRendering(t *testing.T) {
 	s := New(5)
-	if got := s.String(); got == "" {
+	if got := s.String(0); got == "" {
 		t.Fatal("String() empty")
 	}
 }
@@ -192,13 +195,13 @@ func TestQuickReportIffMembershipChanges(t *testing.T) {
 		}
 		s := New(0)
 		cons := filter.NewInterval(lo, hi)
-		s.Install(cons, cons.Contains(0))
-		prevInside := cons.Contains(s.Value())
+		s.Install(0, cons, cons.Contains(0))
+		prevInside := cons.Contains(s.Value(0))
 		for _, v := range vals {
 			if v != v {
 				continue
 			}
-			reported := s.Set(v)
+			reported := s.Set(0, v)
 			nowInside := cons.Contains(v)
 			if reported != (nowInside != prevInside) {
 				return false
@@ -214,9 +217,9 @@ func TestQuickReportIffMembershipChanges(t *testing.T) {
 
 func TestSourceStateRoundTrip(t *testing.T) {
 	src := New(100)
-	src.Install(filter.NewInterval(50, 150), true)
-	src.Set(120)
-	src.Set(200) // crossing: reports
+	src.Install(0, filter.NewInterval(50, 150), true)
+	src.Set(0, 120)
+	src.Set(0, 200) // crossing: reports
 
 	w := snapshot.NewWriter()
 	src.ExportState(w)
@@ -229,15 +232,15 @@ func TestSourceStateRoundTrip(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Value() != src.Value() || restored.Constraint() != src.Constraint() ||
-		restored.Inside() != src.Inside() || restored.Updates != src.Updates ||
-		restored.Reports != src.Reports {
-		t.Fatalf("round-trip mismatch: %v vs %v", restored, src)
+	if restored.Value(0) != src.Value(0) || restored.Constraint(0) != src.Constraint(0) ||
+		restored.Inside(0) != src.Inside(0) || restored.Updates(0) != src.Updates(0) ||
+		restored.Reports(0) != src.Reports(0) {
+		t.Fatalf("round-trip mismatch: %v vs %v", restored.String(0), src.String(0))
 	}
 	// Continuation equivalence: the same next value triggers (or not) the
 	// same report on both.
-	a := src.Set(140)
-	b := restored.Set(140)
+	a := src.Set(0, 140)
+	b := restored.Set(0, 140)
 	if a != b {
 		t.Fatalf("post-restore Set diverged: %v vs %v", a, b)
 	}
@@ -268,7 +271,7 @@ func TestSourceImportRejects(t *testing.T) {
 // later leaves, so restore refuses it and leaves the target untouched.
 func TestSourceImportRefusesContradictedSide(t *testing.T) {
 	src := New(500)
-	src.Install(filter.NewInterval(400, 600), true)
+	src.Install(0, filter.NewInterval(400, 600), true)
 	w := snapshot.NewWriter()
 	src.ExportState(w)
 	good := w.Bytes()
@@ -279,20 +282,20 @@ func TestSourceImportRefusesContradictedSide(t *testing.T) {
 	}
 	for _, cons := range []filter.Constraint{filter.NewInterval(400, 600), filter.NewInterval(0, 100)} {
 		target := New(7)
-		target.Install(cons, cons.Contains(7))
-		before := target
+		target.Install(0, cons, cons.Contains(7))
+		before := target.state(0)
 		bad := append([]byte(nil), good...)
 		bad[sideAt] = 0
 		if err := target.ImportState(snapshot.NewReader(bad)); err == nil {
 			t.Fatal("import of a side contradicting the value succeeded")
 		}
-		if target != before {
-			t.Fatalf("failed import changed the source: %v, was %v", target, before)
+		if target.state(0) != before {
+			t.Fatalf("failed import changed the source: %v, was %v", target.String(0), before)
 		}
 	}
 	// The unmodified record still imports.
 	ok := New(0)
-	if err := ok.ImportState(snapshot.NewReader(good)); err != nil || !ok.Inside() {
-		t.Fatalf("import of the true record: err=%v inside=%v", err, ok.Inside())
+	if err := ok.ImportState(snapshot.NewReader(good)); err != nil || !ok.Inside(0) {
+		t.Fatalf("import of the true record: err=%v inside=%v", err, ok.Inside(0))
 	}
 }
