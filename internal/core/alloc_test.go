@@ -133,9 +133,8 @@ func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []
 // maintenance phase and every message it charges — allocates nothing. The
 // rank rows hold the selection kernel to it: RTP's k+r+1 nearest plus a
 // broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over
-// everything outside. The baselines hold the rank index to it: every
-// VB-kNN and no-filter k-NN update moves one key inside the index's ordered
-// slice. The planar group holds the generic bodies to the same bound in the
+// everything outside. The baselines hold their told-value columns to it:
+// every VB-kNN and no-filter k-NN update is one store. The planar group holds the generic bodies to the same bound in the
 // plane.
 func TestProtocolStepAllocFree(t *testing.T) {
 	check := func(t *testing.T, cases []stepCase) {
@@ -171,6 +170,52 @@ func BenchmarkProtocolStep(b *testing.B) {
 				pass()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepEvents), "ns/event")
+		})
+	}
+}
+
+// knnAnswerCases are the two k-NN baselines at node-rank's n = 2000 and
+// k = 20, hosted on a cluster over stepWalk's initial values and
+// initialized.
+func knnAnswerCases() map[string]server.Protocol {
+	initial, _, _ := stepWalk()
+	out := map[string]server.Protocol{}
+	for name, build := range map[string]func(server.Host) server.Protocol{
+		"vb-knn":        func(h server.Host) server.Protocol { return core.NewVBKNN(h, query.NewKNN(query.At(500), 20), 10) },
+		"no-filter-knn": func(h server.Host) server.Protocol { return core.NewNoFilterKNN(h, query.NewKNN(query.At(500), 20)) },
+	} {
+		c := server.NewCluster(append([]float64(nil), initial...))
+		p := build(c)
+		c.SetProtocol(p)
+		c.Initialize()
+		out[name] = p
+	}
+	return out
+}
+
+// TestKNNAnswerAllocs: once a first Answer has grown the ranking scratch,
+// an Answer allocates only the slice it returns.
+func TestKNNAnswerAllocs(t *testing.T) {
+	for name, p := range knnAnswerCases() {
+		p.Answer()
+		if allocs := testing.AllocsPerRun(20, func() { p.Answer() }); allocs != 1 {
+			t.Errorf("%s: a warm Answer allocated %.1f objects, want 1 (the answer)", name, allocs)
+		}
+	}
+}
+
+// BenchmarkKNNAnswer prices one Answer of each k-NN baseline at n = 2000,
+// k = 20: the ranking the baselines do when an answer is read.
+func BenchmarkKNNAnswer(b *testing.B) {
+	cases := knnAnswerCases()
+	for _, name := range []string{"vb-knn", "no-filter-knn"} {
+		b.Run(name, func(b *testing.B) {
+			p := cases[name]
+			p.Answer()
+			b.ReportAllocs()
+			for b.Loop() {
+				p.Answer()
+			}
 		})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"adaptivefilters/internal/query"
-	"adaptivefilters/internal/rankindex"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -50,36 +49,37 @@ func (p *NoFilterRange) HandleUpdate(id stream.ID, v float64) {
 // Answer implements server.Protocol.
 func (p *NoFilterRange) Answer() []stream.ID { return p.ans.sorted() }
 
-// NoFilterKNN is the no-filter baseline for k-NN / top-k queries. The server
-// maintains an exact order-statistic index over the fully reported values.
+// NoFilterKNN is the no-filter baseline for k-NN / top-k queries. Every
+// update reaches the server, which keeps the reported values and ranks
+// them exactly when an answer is read.
 type NoFilterKNN struct {
-	c  server.Host
-	q  query.KNN
-	ix *rankindex.Index
+	c    server.Host
+	q    query.KNN
+	told toldValues
 }
 
 // NewNoFilterKNN returns the baseline protocol for the given k-NN query.
 func NewNoFilterKNN(c server.Host, q query.KNN) *NoFilterKNN {
-	return &NoFilterKNN{c: c, q: q, ix: rankindex.New(c.N())}
+	return &NoFilterKNN{c: c, q: q, told: newToldValues(c.N())}
 }
 
 // Name implements server.Protocol.
 func (p *NoFilterKNN) Name() string { return "no-filter-knn" }
 
-// Initialize probes every stream and indexes the values.
+// Initialize probes every stream and records the values.
 func (p *NoFilterKNN) Initialize() {
-	p.ix.Load(p.c.ProbeAll(), nil)
+	p.told.load(p.c.ProbeAll())
 	p.c.AddServerOps(p.c.N())
 }
 
-// HandleUpdate moves the stream in the index.
+// HandleUpdate records the reported value.
 func (p *NoFilterKNN) HandleUpdate(id stream.ID, v float64) {
-	p.ix.Set(id, v)
+	p.told.set(id, v)
 	p.c.AddServerOps(1)
 }
 
 // Answer returns the exact k nearest streams.
 func (p *NoFilterKNN) Answer() []stream.ID {
 	p.c.AddServerOps(p.q.K)
-	return p.ix.KNearest(p.q.Q, p.q.K)
+	return p.told.nearest(p.q.Q, p.q.K)
 }

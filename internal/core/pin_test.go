@@ -65,10 +65,11 @@ func pinWalks() []pinWalk[float64, filter.Constraint] {
 		}},
 		{name: "ft-rp", n: 300, seed: 5, build: ftrpPin(core.SelectBoundaryNearest)},
 		{name: "ft-rp-random", n: 300, seed: 6, build: ftrpPin(core.SelectRandom)},
-		// The rank-index baselines: one VB-kNN walk per KNearest branch
-		// (two-pointer walk, top-k tie extension, bottom-k prefix), and the
-		// no-filter k-NN under redrawn values, whose every update moves a
-		// stream far through the index.
+		// The k-NN baselines, recorded when they kept a sorted rank index:
+		// one VB-kNN walk per branch of its KNearest (two-pointer walk,
+		// top-k tie extension, bottom-k prefix), and the no-filter k-NN
+		// under redrawn values, whose every update moved a stream far
+		// through that index.
 		{name: "vb-knn", n: 300, seed: 7, build: vbknnPin(query.At(500))},
 		{name: "vb-knn-top", n: 300, seed: 8, build: vbknnPin(query.Top())},
 		{name: "vb-knn-bottom", n: 300, seed: 9, build: vbknnPin(query.Bottom())},

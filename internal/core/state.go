@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/rankindex"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/snapshot"
@@ -92,48 +90,6 @@ func importSel(r *snapshot.Reader, sel *sim.RNG) error {
 		return err
 	}
 	return sel.Skip(pos)
-}
-
-// exportIndex writes a rankindex as (capacity, per-id presence and value).
-func exportIndex(w *snapshot.Writer, ix *rankindex.Index) {
-	n := ix.N()
-	w.Int(n)
-	for id := 0; id < n; id++ {
-		v, ok := ix.Value(id)
-		w.Bool(ok)
-		if ok {
-			w.Float64(v)
-		}
-	}
-}
-
-// importIndex rebuilds a rankindex written by exportIndex into an index of
-// the same capacity, replacing its contents in one bulk load.
-func importIndex(r *snapshot.Reader, ix *rankindex.Index) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != ix.N() {
-		return fmt.Errorf("core: snapshot index capacity %d, host has %d", n, ix.N())
-	}
-	vals, has := make([]float64, n), make([]bool, n)
-	for id := 0; id < n; id++ {
-		if has[id] = r.Bool(); has[id] {
-			vals[id] = r.Float64()
-			// The codec round-trips NaN bit-exactly, so a corrupt snapshot
-			// can carry one; rankindex.Load treats NaN as a caller bug
-			// (panic), so reject it here as the input error it is.
-			if math.IsNaN(vals[id]) {
-				return fmt.Errorf("core: snapshot index value for stream %d is NaN", id)
-			}
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	ix.Load(vals, has)
-	return nil
 }
 
 // --- FT-NRP and FT-RP: the shared Figure 7 prefix, then each one's tail --
@@ -283,19 +239,19 @@ func (p *NoFilterRange) ImportState(r *snapshot.Reader) error {
 }
 
 // ExportState implements server.StatefulProtocol.
-func (p *NoFilterKNN) ExportState(w *snapshot.Writer) { exportIndex(w, p.ix) }
+func (p *NoFilterKNN) ExportState(w *snapshot.Writer) { p.told.exportState(w) }
 
 // ImportState implements server.StatefulProtocol.
 func (p *NoFilterKNN) ImportState(r *snapshot.Reader) error {
-	return importIndex(r, p.ix)
+	return p.told.importState(r)
 }
 
 // --- value-based baseline ------------------------------------------------
 
 // ExportState implements server.StatefulProtocol.
-func (p *VBKNN) ExportState(w *snapshot.Writer) { exportIndex(w, p.ix) }
+func (p *VBKNN) ExportState(w *snapshot.Writer) { p.told.exportState(w) }
 
 // ImportState implements server.StatefulProtocol.
 func (p *VBKNN) ImportState(r *snapshot.Reader) error {
-	return importIndex(r, p.ix)
+	return p.told.importState(r)
 }

@@ -5,7 +5,6 @@ import (
 
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
-	"adaptivefilters/internal/rankindex"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -27,7 +26,7 @@ type VBKNN struct {
 	q query.KNN
 	// Width is the value tolerance ε_v (band width; filters use Width/2).
 	Width float64
-	ix    *rankindex.Index
+	told  toldValues
 }
 
 // NewVBKNN returns the value-based baseline with value tolerance width.
@@ -35,7 +34,7 @@ func NewVBKNN(c server.Host, q query.KNN, width float64) *VBKNN {
 	if width < 0 {
 		panic(fmt.Sprintf("core: vb-knn needs width >= 0, got %g", width))
 	}
-	return &VBKNN{c: c, q: q, Width: width, ix: rankindex.New(c.N())}
+	return &VBKNN{c: c, q: q, Width: width, told: newToldValues(c.N())}
 }
 
 // Name implements server.Protocol.
@@ -44,22 +43,22 @@ func (p *VBKNN) Name() string { return fmt.Sprintf("vb-knn(k=%d,εv=%g)", p.q.K,
 // Initialize probes every stream and installs the band filters.
 func (p *VBKNN) Initialize() {
 	vals := p.c.ProbeAll()
-	p.ix.Load(vals, nil)
+	p.told.load(vals)
 	for id, v := range vals {
 		p.c.Install(id, filter.NewBand(v, p.Width/2), true)
 	}
 	p.c.AddServerOps(len(vals))
 }
 
-// HandleUpdate refreshes the approximate table; the band re-centers at the
+// HandleUpdate records the reported value; the band re-centers at the
 // source, so no install message is needed.
 func (p *VBKNN) HandleUpdate(id stream.ID, v float64) {
-	p.ix.Set(id, v)
+	p.told.set(id, v)
 	p.c.AddServerOps(1)
 }
 
-// Answer returns the k nearest streams according to the approximate table.
+// Answer returns the k nearest streams according to the reported values.
 func (p *VBKNN) Answer() []stream.ID {
 	p.c.AddServerOps(p.q.K)
-	return p.ix.KNearest(p.q.Q, p.q.K)
+	return p.told.nearest(p.q.Q, p.q.K)
 }

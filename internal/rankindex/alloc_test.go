@@ -149,8 +149,8 @@ func BenchmarkSet(b *testing.B) {
 	})
 }
 
-// BenchmarkFromValues prices a bulk load, the path every VB-kNN and no-filter
-// k-NN initialization, oracle and snapshot restore takes.
+// BenchmarkFromValues prices a bulk load, the path every oracle takes when
+// it is built over a table.
 func BenchmarkFromValues(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	vals := make([]float64, 5000)

@@ -1,8 +1,10 @@
 // Package rankindex maintains a dynamic set of (stream id → value) pairs and
 // answers the ranking questions the paper's queries need: k nearest streams
 // to a query center, the rank of a stream, and range-membership counts. It
-// backs the ground-truth oracle and the server-side VB-kNN and no-filter
-// k-NN baselines.
+// backs the ground-truth oracle, which moves a stream on every event and
+// asks counts and ranks at every audit. (The server-side k-NN baselines,
+// read once per answer, keep unordered columns instead: internal/core's
+// toldValues.)
 //
 // Layout: beside the per-id value and presence arrays, the index keeps one
 // dense slice of (value, id) keys for the present streams, in ascending
@@ -312,9 +314,8 @@ func (ix *Index) KNearest(q query.Center, k int) []int {
 
 // sortByDistID orders ids ascending by (distance from q, id) through the
 // shared selection kernel over index-owned key scratch, so it allocates
-// nothing — which matters now that KNearest sits on the ingest hot path.
-// The candidate lists are k plus boundary ties, so the whole list is
-// ordered.
+// nothing. The candidate lists are k plus boundary ties, so the whole list
+// is ordered.
 func (ix *Index) sortByDistID(ids []int, q query.Center) {
 	keys := ix.skeys[:0]
 	for _, id := range ids {

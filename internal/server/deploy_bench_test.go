@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"adaptivefilters/internal/comm"
@@ -22,41 +23,50 @@ func (idle[V]) Answer() []stream.ID       { return nil }
 const deployStreams = 2000
 
 // staleCluster returns a cluster over vals with cons installed everywhere
-// and a table that is one-sixth stale: every sixth stream has moved to
-// move(v), which stays on v's side of every constraint the benchmark
-// deploys, so nothing reports and the table keeps the old value.
-func staleCluster[V comparable, C filter.Of[V, C]](vals []V, cons C, move func(V) V) *server.ClusterOf[V, C] {
+// and a table in which a seeded-random share stale of the streams is
+// stale: each has moved to move(v), which stays on v's side of every
+// constraint the benchmark deploys, so nothing reports and the table keeps
+// the old value.
+func staleCluster[V comparable, C filter.Of[V, C]](vals []V, cons C, move func(V) V, stale float64) *server.ClusterOf[V, C] {
 	c := server.NewClusterOf[V, C](append([]V(nil), vals...))
 	c.SetProtocol(idle[V]{})
 	c.Initialize()
 	c.ProbeAll()
 	c.InstallAll(cons)
-	for i := 0; i < len(vals); i += 6 {
-		c.Deliver(i, move(vals[i]))
+	rng := rand.New(rand.NewSource(2))
+	for i := range vals {
+		if rng.Float64() < stale {
+			c.Deliver(i, move(vals[i]))
+		}
 	}
 	return c
 }
 
 // deployRow is one per-stream loop of a rank rebuild: op runs it once on
-// c (i alternates the constraint), over streams streams.
+// c (i alternates the constraint), over streams streams, on a table whose
+// stale share is the one the rank protocols' walks meet there.
 type deployRow[V comparable, C filter.Of[V, C]] struct {
 	name    string
 	streams int
+	stale   float64
 	op      func(c *server.ClusterOf[V, C], i int, buf *[]V)
 }
 
 // deployRows are InstallAll, InstallBatch over every other stream and
 // ProbeAllInto, alternating the two constraints so every install replaces
-// a filter.
+// a filter. RTP's InstallAll meets a table 97.6 % stale on the step walks
+// (its values moved since the rank pass without reporting), FT-RP's and
+// FT-NRP's InstallBatch a fresh one; the probe fan-out reads the sources,
+// whatever the table holds.
 func deployRows[V comparable, C filter.Of[V, C]](n int, cons [2]C) []deployRow[V, C] {
 	half := make([]stream.ID, 0, n/2)
 	for id := 0; id < n; id += 2 {
 		half = append(half, id)
 	}
 	return []deployRow[V, C]{
-		{"install-all", n, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
-		{"install-batch-half", len(half), func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallBatch(half, cons[i&1]) }},
-		{"probe-all-into", n, func(c *server.ClusterOf[V, C], _ int, buf *[]V) { *buf = c.ProbeAllInto(*buf) }},
+		{"install-all", n, 0.976, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
+		{"install-batch-half", len(half), 0, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallBatch(half, cons[i&1]) }},
+		{"probe-all-into", n, 0.976, func(c *server.ClusterOf[V, C], _ int, buf *[]V) { *buf = c.ProbeAllInto(*buf) }},
 	}
 }
 
@@ -66,7 +76,7 @@ func deployRows[V comparable, C filter.Of[V, C]](n int, cons [2]C) []deployRow[V
 func benchDeploy[V comparable, C filter.Of[V, C]](b *testing.B, vals []V, cons [2]C, move func(V) V) {
 	for _, row := range deployRows[V, C](len(vals), cons) {
 		b.Run(row.name, func(b *testing.B) {
-			c := staleCluster(vals, cons[1], move)
+			c := staleCluster(vals, cons[1], move, row.stale)
 			buf := make([]V, 0, len(vals))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -82,19 +92,21 @@ func benchDeploy[V comparable, C filter.Of[V, C]](b *testing.B, vals []V, cons [
 	}
 }
 
-// deployData is BenchmarkDeploy's population: n = 2000 values on the line
-// and in the plane, each with the two constraints its rows alternate and a
-// move that stays on a value's side of both.
+// deployData is BenchmarkDeploy's population: n = 2000 seeded-random
+// values on the line and in the plane, so a value falls on either side of
+// a bound at random as in the real deploys, each with the two constraints
+// its rows alternate and a move that stays on a value's side of both.
 func deployData() (vals []float64, cons [2]filter.Constraint, move func(float64) float64,
 	pts []filter.Point, regions [2]filter.Region, movePt func(filter.Point) filter.Point) {
+	rng := rand.New(rand.NewSource(1))
 	vals = make([]float64, deployStreams)
 	for i := range vals {
-		vals[i] = float64(i % 100) // integers: never within ¼ of a x.5 boundary
+		vals[i] = float64(rng.Intn(100)) // integers: never within ¼ of a x.5 boundary
 	}
 	cons = [2]filter.Constraint{filter.NewInterval(20.5, 60.5), filter.NewInterval(30.5, 70.5)}
 	pts = make([]filter.Point, deployStreams)
 	for i := range pts {
-		pts[i] = filter.Point{X: float64(i % 50), Y: float64(i / 50)}
+		pts[i] = filter.Point{X: float64(rng.Intn(50)), Y: float64(rng.Intn(40))}
 	}
 	// Squared distances from an integer centre are integers, and the radii
 	// sit between consecutive square roots, clear of a 1e-9 move.
@@ -104,8 +116,9 @@ func deployData() (vals []float64, cons [2]filter.Constraint, move func(float64)
 }
 
 // BenchmarkDeploy prices a rank rebuild's per-stream loops — InstallAll,
-// InstallBatch over half the ids, ProbeAllInto — at n = 2000 with a
-// one-sixth stale table, in 1-D (intervals) and in the plane (disks).
+// InstallBatch over half the ids, ProbeAllInto — at n = 2000 over the
+// stale shares the rank protocols meet, in 1-D (intervals) and in the
+// plane (disks).
 // Every row is 0 allocs/op (TestDeployAllocFree).
 func BenchmarkDeploy(b *testing.B) {
 	vals, cons, move, pts, regions, movePt := deployData()
@@ -125,7 +138,7 @@ func TestDeployAllocFree(t *testing.T) {
 func checkDeployAllocs[V comparable, C filter.Of[V, C]](t *testing.T, vals []V, cons [2]C, move func(V) V) {
 	for _, row := range deployRows[V, C](len(vals), cons) {
 		t.Run(row.name, func(t *testing.T) {
-			c := staleCluster(vals, cons[1], move)
+			c := staleCluster(vals, cons[1], move, row.stale)
 			buf := make([]V, 0, len(vals))
 			i := 0
 			if allocs := testing.AllocsPerRun(20, func() { row.op(c, i, &buf); i++ }); allocs != 0 {
