@@ -18,30 +18,47 @@ type stepCase struct {
 	warm func() (pass func())
 }
 
-// stepCases are node-rank's 1-D rank tenants at k = 20 plus FT-NRP and the
+// oneDSteps are node-rank's 1-D rank tenants at k = 20 plus FT-NRP and the
 // no-filter k-NN baseline.
-var stepCases = []stepCase{
-	{"ft-nrp", step1D(func(h server.Host) server.Protocol {
+var oneDSteps = []struct {
+	name  string
+	build func(server.Host) server.Protocol
+}{
+	{"ft-nrp", func(h server.Host) server.Protocol {
 		return core.NewFTNRP(h, query.NewRange(400, 600), core.FTNRPConfig{
 			Tol:       core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3},
 			Selection: core.SelectBoundaryNearest,
 			Seed:      7,
 		})
-	})},
-	{"rtp", step1D(func(h server.Host) server.Protocol {
+	}},
+	{"rtp", func(h server.Host) server.Protocol {
 		return core.NewRTP(h, query.At(500), core.RankTolerance{K: 20, R: 5})
-	})},
-	{"ft-rp", step1D(func(h server.Host) server.Protocol {
+	}},
+	{"ft-rp", func(h server.Host) server.Protocol {
 		return core.NewFTRP(h, query.At(500), 20,
 			core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
-	})},
-	{"vb-knn", step1D(func(h server.Host) server.Protocol {
+	}},
+	{"vb-knn", func(h server.Host) server.Protocol {
 		return core.NewVBKNN(h, query.NewKNN(query.At(500), 20), 10)
-	})},
-	{"no-filter-knn", step1D(func(h server.Host) server.Protocol {
+	}},
+	{"no-filter-knn", func(h server.Host) server.Protocol {
 		return core.NewNoFilterKNN(h, query.NewKNN(query.At(500), 20))
-	})},
+	}},
 }
+
+// stepCases are the 1-D protocols on a cluster, then each as the one
+// query of a composite (composite-*): the same walk, so a row's ratio to
+// its twin is what hosting a query on the composite costs.
+var stepCases = func() []stepCase {
+	var cases []stepCase
+	for _, p := range oneDSteps {
+		cases = append(cases, stepCase{p.name, step1D(p.build)})
+	}
+	for _, p := range oneDSteps {
+		cases = append(cases, stepCase{"composite-" + p.name, stepComposite(p.build)})
+	}
+	return cases
+}()
 
 // planarStepCases are node-rank's planar rank tenants, around (500, 500).
 var planarStepCases = []stepCase{
@@ -103,6 +120,16 @@ func step1D(build func(server.Host) server.Protocol) func() (pass func()) {
 	}
 }
 
+func stepComposite(build func(server.Host) server.Protocol) func() (pass func()) {
+	return func() (pass func()) {
+		initial, ids, values := stepWalk()
+		c := server.NewComposite(initial)
+		c.AddQuery("q", 0, build)
+		c.Initialize()
+		return warmPass(ids, values, c.Deliver)
+	}
+}
+
 func stepPlanar(build func(server.SpatialHost) server.SpatialProtocol) func() (pass func()) {
 	return func() (pass func()) {
 		initial, ids, moves := stepWalkPlanar()
@@ -118,9 +145,15 @@ func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []
 	c := server.NewClusterOf[V, C](initial)
 	c.SetProtocol(build(c))
 	c.Initialize()
+	return warmPass(ids, values, c.Deliver)
+}
+
+// warmPass returns a pass delivering the whole walk to deliver, already
+// run once.
+func warmPass[V any](ids []int, values []V, deliver func(int, V)) (pass func()) {
 	pass = func() {
 		for i, id := range ids {
-			c.Deliver(id, values[i])
+			deliver(id, values[i])
 		}
 	}
 	pass()
@@ -128,8 +161,8 @@ func warmStep[V comparable, C filter.Of[V, C]](initial []V, ids []int, values []
 }
 
 // TestProtocolStepAllocFree pins the paper's server loop at zero
-// allocations: once one pass has warmed the protocol's scratch and the
-// cluster's pending queue, delivering a whole 20k-event walk — every
+// allocations, on a cluster and on a composite of one: once one pass has
+// warmed the protocol's scratch and the host's pending queue, delivering a whole 20k-event walk — every
 // maintenance phase and every message it charges — allocates nothing. The
 // rank rows hold the selection kernel to it: RTP's k+r+1 nearest plus a
 // broadcast, and FT-RP's k+1 nearest plus a boundary-nearest selection over

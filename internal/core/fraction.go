@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
@@ -23,6 +25,8 @@ type fraction struct {
 	fp    intSet // false-positive (wide-open) filter holders
 	fn    intSet // false-negative (shut) filter holders
 	count int    // net insertions since the last deployment (Figure 7)
+
+	skip []stream.ID // deploy's scratch: the silent filters' holders
 }
 
 func newFraction(selection Selection, faithful bool, seed, label int64) fraction {
@@ -104,10 +108,11 @@ func fixError[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], regi
 // and up to nMinus false-negative holders from outside (keys score each
 // id's distance to the region boundary; inside is picked first, which
 // fixes the selection stream's draw order), and installs open on the
-// first, region on the rest of inside, shut on the second and region on
-// the rest of outside: four batches. Both slices are reordered in place.
-// Every deploy follows a ProbeAll, so the table is the truth and the side
-// each batch claims is the true one: the install order is unobservable
+// first, shut on the second and region on every other stream: two batches
+// and one InstallAllExcept, which a composite files as the query's column
+// default. Both slices are reordered in place. Every deploy follows a
+// ProbeAll, so the table is the truth and the side each install claims is
+// the true one: the install order is unobservable
 // (TestFTNRPInstallsNeverMismatch, TestFTRPInstallsNeverMismatch).
 func deploy[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], inside, outside []int,
 	inKeys, outKeys []float64, nPlus, nMinus int, region, open, shut C) {
@@ -127,7 +132,8 @@ func deploy[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], inside
 		f.fn.add(id)
 	}
 	c.InstallBatch(fp, open)
-	c.InstallBatch(inside[len(fp):], region)
 	c.InstallBatch(fn, shut)
-	c.InstallBatch(outside[len(fn):], region)
+	f.skip = append(append(f.skip[:0], fp...), fn...)
+	slices.Sort(f.skip)
+	c.InstallAllExcept(f.skip, region)
 }

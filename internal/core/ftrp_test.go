@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adaptivefilters/internal/core"
@@ -340,6 +341,15 @@ func (h *installAuditHost[V, C]) InstallBatch(ids []int, cons C) {
 		h.audit(id, cons, cons.Contains(v))
 	}
 	h.ClusterOf.InstallBatch(ids, cons)
+}
+
+func (h *installAuditHost[V, C]) InstallAllExcept(skip []int, cons C) {
+	for id := range h.N() {
+		if v, _ := h.Table(id); !slices.Contains(skip, id) {
+			h.audit(id, cons, cons.Contains(v))
+		}
+	}
+	h.ClusterOf.InstallAllExcept(skip, cons)
 }
 
 func (h *installAuditHost[V, C]) audit(id int, cons C, expectInside bool) {

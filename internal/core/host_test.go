@@ -78,6 +78,11 @@ func (h *countingHost[V, C]) InstallAll(cons C) {
 	h.c.InstallAll(cons)
 }
 
+func (h *countingHost[V, C]) InstallAllExcept(skip []stream.ID, cons C) {
+	h.installs += uint64(h.c.N() - len(skip))
+	h.c.InstallAllExcept(skip, cons)
+}
+
 func (h *countingHost[V, C]) Table(id stream.ID) (V, bool) { return h.c.Table(id) }
 func (h *countingHost[V, C]) TableValues(dst []V) []V      { return h.c.TableValues(dst) }
 func (h *countingHost[V, C]) AddServerOps(n int)           { h.c.AddServerOps(n) }

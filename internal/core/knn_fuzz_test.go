@@ -91,7 +91,7 @@ func FuzzKNNBaselines(f *testing.F) {
 				for _, c := range clusters {
 					c.Initialize()
 				}
-				ref.Load(initial, nil)
+				ref.Load(initial)
 			} else {
 				id := int(op>>3) % n
 				for _, p := range protos {

@@ -75,11 +75,10 @@ func importSet(r *snapshot.Reader, s *intSet, n int) error {
 // position has grown past the bound Skip can replay — minting a snapshot
 // that no restore could accept would be worse than refusing to snapshot.
 func exportSel(w *snapshot.Writer, sel *sim.RNG) {
-	pos := sel.Pos()
-	if pos > sim.MaxSkip {
-		w.Fail(fmt.Errorf("core: selection RNG position %d exceeds the restorable bound %d", pos, uint64(sim.MaxSkip)))
+	if err := sel.Replayable(); err != nil {
+		w.Fail(fmt.Errorf("core: selection %w", err))
 	}
-	w.Uint64(pos)
+	w.Uint64(sel.Pos())
 }
 
 // importSel fast-forwards a freshly constructed selection RNG to its

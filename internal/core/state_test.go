@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaptivefilters/internal/filter"
@@ -221,8 +222,10 @@ func TestProtocolImportRejectsTruncation(t *testing.T) {
 
 // TestExportRejectsOverlongRNGPosition checks the export side of the
 // MaxSkip bound: a selection RNG that has consumed more steps than Skip
-// can replay must fail the export (an unrestorable snapshot is worse than
-// no snapshot), and stay exportable right at the bound.
+// can replay must fail the export with sim's error (an unrestorable
+// snapshot is worse than no snapshot), and stay exportable right at the
+// bound. Skip counts the steps it owes without taking them, so neither
+// position costs a replay.
 func TestExportRejectsOverlongRNGPosition(t *testing.T) {
 	cluster := server.NewCluster(make([]float64, 10))
 	p := NewFTNRP(cluster, query.NewRange(2, 8), FTNRPConfig{Selection: SelectRandom, Seed: 1})
@@ -235,10 +238,12 @@ func TestExportRejectsOverlongRNGPosition(t *testing.T) {
 	if err := w.Err(); err != nil {
 		t.Fatalf("export at exactly the bound failed: %v", err)
 	}
-	p.sel.Int63() // one step past the bound
+	if err := p.sel.Skip(1); err != nil { // one step past the bound
+		t.Fatal(err)
+	}
 	w2 := snapshot.NewWriter()
 	p.ExportState(w2)
-	if err := w2.Err(); err == nil {
-		t.Fatal("export past the replay bound succeeded; restore would reject this snapshot")
+	if err, want := w2.Err(), p.sel.Replayable(); err == nil || want == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("export past the replay bound failed with %v, want sim's %v", err, want)
 	}
 }

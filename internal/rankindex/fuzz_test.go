@@ -28,7 +28,8 @@ func fuzzValue(b []byte) float64 {
 
 // FuzzIndexOps decodes a sequence of 9-byte ops (an op byte, then a
 // big-endian float64) and plays it against a brute-force model: op%3 is
-// Set, Remove or a probe, op>>4 picks the stream, and a probe's value
+// Set, a reload of the model's values (Load: every stream present at its
+// model value) or a probe, op>>4 picks the stream, and a probe's value
 // becomes the point center and an extra count bound. After every op the
 // whole query surface is compared with a re-sort of the model. The
 // checked-in corpus (testdata/fuzz/FuzzIndexOps) includes a NaN Set — the
@@ -55,8 +56,10 @@ func FuzzIndexOps(f *testing.F) {
 				ix.Set(id, v)
 				vals[id], has[id] = v, true
 			case 1:
-				ix.Remove(id)
-				has[id] = false
+				ix.Load(vals)
+				for id := range has {
+					has[id] = true
+				}
 			default:
 				probe = v
 				if !math.IsNaN(v) && !math.IsInf(v, 0) {

@@ -97,60 +97,3 @@ func TestKNearestTable(t *testing.T) {
 		})
 	}
 }
-
-// TestSetRemoveLifecycle checks presence bookkeeping through moves and
-// removals.
-func TestSetRemoveLifecycle(t *testing.T) {
-	ix := New(4)
-	if ix.Len() != 0 || ix.N() != 4 {
-		t.Fatalf("fresh index Len=%d N=%d", ix.Len(), ix.N())
-	}
-	if ix.Has(2) {
-		t.Fatal("absent stream present")
-	}
-	ix.Set(2, 25)
-	ix.Set(2, 35) // move
-	if v, ok := ix.Value(2); !ok || v != 35 {
-		t.Fatalf("Value(2) = (%v, %v)", v, ok)
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d after move", ix.Len())
-	}
-	if got := ix.CountRange(30, 40); got != 1 {
-		t.Fatalf("CountRange after move = %d", got)
-	}
-	ix.Remove(2)
-	ix.Remove(2) // idempotent
-	if ix.Len() != 0 || ix.Has(2) {
-		t.Fatal("Remove left the stream behind")
-	}
-	if got := ix.KNearest(query.At(0), 3); got != nil {
-		t.Fatalf("KNearest on empty = %v", got)
-	}
-}
-
-// TestKthDistAndMaxDist covers the distance accessors.
-func TestKthDistAndMaxDist(t *testing.T) {
-	ix := newIndex()
-	q := query.At(35)
-	if d, ok := ix.KthDist(q, 2); !ok || d != 5 {
-		t.Fatalf("KthDist(2) = (%v, %v), want (5, true)", d, ok)
-	}
-	if _, ok := ix.KthDist(q, 7); ok {
-		t.Fatal("KthDist beyond size reported ok")
-	}
-	if _, ok := ix.KthDist(q, 0); ok {
-		t.Fatal("KthDist(0) reported ok")
-	}
-	if d, ok := ix.MaxDist(q, []int{0, 2, 4}); !ok || d != 25 {
-		t.Fatalf("MaxDist = (%v, %v), want (25, true)", d, ok)
-	}
-	if _, ok := ix.MaxDist(q, nil); ok {
-		t.Fatal("MaxDist of nothing reported ok")
-	}
-	part := New(3)
-	part.Set(1, 40)
-	if d, ok := part.MaxDist(q, []int{0, 1, 2}); !ok || d != 5 {
-		t.Fatalf("MaxDist skipping absent = (%v, %v), want (5, true)", d, ok)
-	}
-}

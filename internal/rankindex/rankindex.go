@@ -15,9 +15,9 @@
 // keys[i], so rank queries cost O(log n) and KNearest walks the slice by
 // index. Moving a present stream costs O(log n + d), where d is the number
 // of keys it passes: the key is found by binary search and the keys between
-// its old and new slot shift by one with a single copy. Adding and removing
-// a stream shift the tail, O(n) memory movement at worst. Bulk loads sort
-// once, O(n log n).
+// its old and new slot shift by one with a single copy. Adding a stream
+// shifts the tail, O(n) memory movement at worst. Bulk loads sort once,
+// O(n log n).
 //
 // Under the paper's random-walk workloads a stream steps a small distance
 // per update, so it passes only the few streams whose values lie within
@@ -83,7 +83,7 @@ func New(n int) *Index {
 // FromValues builds an index holding every stream at the given value.
 func FromValues(vals []float64) *Index {
 	ix := New(len(vals))
-	ix.Load(vals, nil)
+	ix.Load(vals)
 	return ix
 }
 
@@ -92,9 +92,6 @@ func (ix *Index) Len() int { return len(ix.keys) }
 
 // N returns the index capacity (total stream count).
 func (ix *Index) N() int { return len(ix.vals) }
-
-// Has reports whether stream id is present.
-func (ix *Index) Has(id int) bool { return ix.present[id] }
 
 // Value returns stream id's current value; the bool is false if absent.
 func (ix *Index) Value(id int) (float64, bool) { return ix.vals[id], ix.present[id] }
@@ -135,38 +132,20 @@ func (ix *Index) Set(id int, v float64) {
 	ks[j] = k
 }
 
-// Remove deletes stream id from the index if present.
-func (ix *Index) Remove(id int) {
-	if !ix.present[id] {
-		return
-	}
-	ks := ix.keys
-	i := search(ks, key{V: ix.vals[id], ID: id})
-	copy(ks[i:], ks[i+1:])
-	ix.keys = ks[:len(ks)-1]
-	ix.present[id] = false
-}
-
-// Load replaces the whole index in one sort: stream id is present at
-// vals[id] when has is nil or has[id] is set, and absent otherwise. It
-// panics, leaving the index untouched, if vals or has is not N long or a
-// present value is NaN.
-func (ix *Index) Load(vals []float64, has []bool) {
-	if len(vals) != len(ix.vals) || has != nil && len(has) != len(vals) {
+// Load replaces the whole index in one sort: every stream is present at
+// vals[id]. It panics, leaving the index untouched, if vals is not N long
+// or holds a NaN.
+func (ix *Index) Load(vals []float64) {
+	if len(vals) != len(ix.vals) {
 		panic("rankindex: Load size differs from the index capacity")
 	}
-	for id, v := range vals {
-		if (has == nil || has[id]) && math.IsNaN(v) {
-			panic("rankindex: Load with NaN value")
-		}
+	if slices.ContainsFunc(vals, math.IsNaN) {
+		panic("rankindex: Load with NaN value")
 	}
 	ks := ix.keys[:0]
 	for id, v := range vals {
-		p := has == nil || has[id]
-		ix.vals[id], ix.present[id] = v, p
-		if p {
-			ks = append(ks, key{V: v, ID: id})
-		}
+		ix.vals[id], ix.present[id] = v, true
+		ks = append(ks, key{V: v, ID: id})
 	}
 	slices.SortFunc(ks, func(a, b key) int {
 		if c := cmp.Compare(a.V, b.V); c != 0 {
@@ -333,22 +312,6 @@ func (ix *Index) KthDist(q query.Center, k int) (float64, bool) {
 		return 0, false
 	}
 	return q.Dist(ix.vals[ids[k-1]]), true
-}
-
-// MaxDist returns the largest distance from q over the given stream ids.
-// Absent ids are skipped; ok is false if none were present.
-func (ix *Index) MaxDist(q query.Center, ids []int) (float64, bool) {
-	best, ok := math.Inf(-1), false
-	for _, id := range ids {
-		if !ix.present[id] {
-			continue
-		}
-		if d := q.Dist(ix.vals[id]); d > best {
-			best = d
-		}
-		ok = true
-	}
-	return best, ok
 }
 
 const (

@@ -11,27 +11,30 @@ import (
 	"adaptivefilters/internal/query"
 )
 
-func TestSetRemoveHasValue(t *testing.T) {
+// TestSetValue checks presence and value bookkeeping through an insert
+// and a move.
+func TestSetValue(t *testing.T) {
 	ix := New(5)
 	if ix.Len() != 0 || ix.N() != 5 {
 		t.Fatalf("fresh index Len/N = %d/%d", ix.Len(), ix.N())
 	}
+	if _, ok := ix.Value(2); ok {
+		t.Fatal("absent stream present")
+	}
 	ix.Set(2, 7)
-	if !ix.Has(2) || ix.Len() != 1 {
-		t.Fatal("Set did not register")
+	if v, ok := ix.Value(2); !ok || v != 7 || ix.Len() != 1 {
+		t.Fatalf("Value(2) = %v,%v, Len %d", v, ok, ix.Len())
 	}
-	if v, ok := ix.Value(2); !ok || v != 7 {
-		t.Fatalf("Value(2) = %v,%v", v, ok)
-	}
-	ix.Set(2, 9) // move
-	if v, _ := ix.Value(2); v != 9 || ix.Len() != 1 {
+	ix.Set(2, 35) // move
+	if v, _ := ix.Value(2); v != 35 || ix.Len() != 1 {
 		t.Fatalf("move failed: v=%v len=%d", v, ix.Len())
 	}
-	ix.Remove(2)
-	if ix.Has(2) || ix.Len() != 0 {
-		t.Fatal("Remove did not unregister")
+	if got := ix.CountRange(30, 40); got != 1 {
+		t.Fatalf("CountRange after move = %d", got)
 	}
-	ix.Remove(2) // idempotent
+	if got := New(3).KNearest(query.At(0), 3); got != nil {
+		t.Fatalf("KNearest on empty = %v", got)
+	}
 }
 
 func TestFromValues(t *testing.T) {
@@ -45,29 +48,22 @@ func TestFromValues(t *testing.T) {
 }
 
 // TestLoad checks the bulk load against the same streams set one by one:
-// absent streams stay absent, and a reload replaces everything.
+// a load replaces everything, and a rejected one changes nothing.
 func TestLoad(t *testing.T) {
 	vals := []float64{5, 1, 5, -0.0, 0, 3}
-	has := []bool{true, false, true, true, true, false}
 	ix, ref := New(len(vals)), New(len(vals))
 	ix.Set(1, 99) // replaced by the load
-	ix.Load(vals, has)
-	for id, ok := range has {
-		if ok {
-			ref.Set(id, vals[id])
-		}
+	ix.Load(vals)
+	for id, v := range vals {
+		ref.Set(id, v)
 	}
 	if !reflect.DeepEqual(ix.keys, ref.keys) || !reflect.DeepEqual(ix.present, ref.present) {
 		t.Fatalf("Load keys %v present %v, Set gives %v %v", ix.keys, ix.present, ref.keys, ref.present)
 	}
-	mustPanic(t, "Load(NaN)", func() { ix.Load([]float64{0, 0, 0, math.NaN(), 0, 0}, nil) })
-	mustPanic(t, "Load(short)", func() { ix.Load(vals[:2], nil) })
+	mustPanic(t, "Load(NaN)", func() { ix.Load([]float64{0, 0, 0, math.NaN(), 0, 0}) })
+	mustPanic(t, "Load(short)", func() { ix.Load(vals[:2]) })
 	if !reflect.DeepEqual(ix.keys, ref.keys) {
 		t.Fatalf("a rejected Load changed the index: %v", ix.keys)
-	}
-	ix.Load(vals, nil)
-	if ix.Len() != len(vals) || !ix.Has(1) {
-		t.Fatalf("reload with has=nil left Len %d", ix.Len())
 	}
 }
 
@@ -207,20 +203,8 @@ func TestKthDist(t *testing.T) {
 	if _, ok := ix.KthDist(q, 0); ok {
 		t.Fatal("KthDist(0) returned ok")
 	}
-}
-
-func TestMaxDist(t *testing.T) {
-	ix := FromValues([]float64{0, 10, 20})
-	q := query.At(0)
-	if d, ok := ix.MaxDist(q, []int{0, 2}); !ok || d != 20 {
-		t.Fatalf("MaxDist = %v,%v", d, ok)
-	}
-	if _, ok := ix.MaxDist(q, nil); ok {
-		t.Fatal("MaxDist(nil) returned ok")
-	}
-	ix.Remove(2)
-	if d, _ := ix.MaxDist(q, []int{0, 2}); d != 0 {
-		t.Fatalf("MaxDist with absent id = %v, want 0", d)
+	if d, ok := newIndex().KthDist(query.At(35), 2); !ok || d != 5 {
+		t.Fatalf("KthDist(2) = (%v, %v), want (5, true)", d, ok)
 	}
 }
 

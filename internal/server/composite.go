@@ -68,8 +68,8 @@ type Composite struct {
 	probeGen   []uint64
 	installGen []uint64
 
-	// idx is the per-stream query index making Deliver sub-linear in the
-	// query count (see queryindex.go). nil runs the linear reference scan —
+	// idx is the query index making Deliver sub-linear in the query
+	// count (see queryindex.go). nil runs the linear reference scan —
 	// equivalence tests construct such composites via SetQueryIndexEnabled.
 	idx *queryIndex
 }
@@ -463,8 +463,14 @@ func (c *Composite) refresh(s stream.ID) {
 func (c *Composite) install(s stream.ID, qi int, cons filter.Constraint, expectInside bool) bool {
 	c.cons[s][qi] = cons
 	if c.idx != nil {
-		c.idx.set(c, int(s), qi, cons, true)
+		c.idx.set(c, int(s), qi, cons)
 	}
+	return c.handshake(s, qi, cons, expectInside)
+}
+
+// handshake runs the install handshake for query qi's new entry cons at
+// stream s and says whether the install costs a message (see install).
+func (c *Composite) handshake(s stream.ID, qi int, cons filter.Constraint, expectInside bool) bool {
 	if cons.Kind == filter.Interval && cons.Contains(c.vals[s]) != expectInside && !cons.Silent() &&
 		c.chargeUpdate(&c.ctr) {
 		c.refresh(s)
@@ -605,13 +611,46 @@ func (v *compositeView) InstallBatch(ids []stream.ID, cons filter.Constraint) {
 }
 
 // InstallAll implements Host as InstallBatch over every stream.
-func (v *compositeView) InstallAll(cons filter.Constraint) {
-	c := v.c
+func (v *compositeView) InstallAll(cons filter.Constraint) { v.c.installAll(v.qi, nil, cons) }
+
+// InstallAllExcept implements Host as InstallBatch over every stream not
+// in skip.
+func (v *compositeView) InstallAllExcept(skip []stream.ID, cons filter.Constraint) {
+	v.c.installAll(v.qi, skip, cons)
+}
+
+// installAll installs cons as query qi's entry at every stream not in skip
+// (strictly ascending), each stream expecting the side cons puts its table
+// value on. Indexed and not a band, cons becomes the query's column
+// default, filed once: the skipped streams are re-filed against it, the
+// others only when they held an exception, and the loop over the streams
+// is the handshake and the charge.
+func (c *Composite) installAll(qi int, skip []stream.ID, cons filter.Constraint) {
+	x := c.idx
+	shared := x != nil && cons.Kind != filter.Band
+	if shared {
+		x.setDefault(c, qi, cons)
+		for _, s := range skip {
+			x.set(c, s, qi, c.cons[s][qi])
+		}
+	}
 	var charged uint64
-	for s := range c.cons {
-		if c.install(s, v.qi, cons, cons.Contains(c.table[s])) {
+	next := 0
+	for s, row := range c.cons {
+		if next < len(skip) && skip[next] == s {
+			next++
+			continue
+		}
+		row[qi] = cons
+		if x != nil && (!shared || x.novr[qi] > 0 && x.overrides(s).has(qi)) {
+			x.set(c, s, qi, cons)
+		}
+		if c.handshake(s, qi, cons, cons.Contains(c.table[s])) {
 			charged++
 		}
+	}
+	if next != len(skip) {
+		panic("server: InstallAllExcept skip list is not strictly ascending")
 	}
 	chargeInstalls(&c.ctr, charged)
 	c.reports.drain(c)

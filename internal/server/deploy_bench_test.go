@@ -52,20 +52,29 @@ type deployRow[V comparable, C filter.Of[V, C]] struct {
 	op      func(c *server.ClusterOf[V, C], i int, buf *[]V)
 }
 
-// deployRows are InstallAll, InstallBatch over every other stream and
-// ProbeAllInto, alternating the two constraints so every install replaces
-// a filter. RTP's InstallAll meets a table 97.6 % stale on the step walks
-// (its values moved since the rank pass without reporting), FT-RP's and
-// FT-NRP's InstallBatch a fresh one; the probe fan-out reads the sources,
-// whatever the table holds.
+// deployRows are InstallAll, InstallBatch over every other stream,
+// InstallAllExcept skipping every 16th stream and ProbeAllInto,
+// alternating the two constraints so every install replaces a filter.
+// RTP's InstallAll meets a table 97.6 % stale on the step walks (its values
+// moved since the rank pass without reporting), FT-RP's and FT-NRP's
+// InstallBatch and InstallAllExcept (the silent filters' holders skipped)
+// a fresh one; the probe fan-out reads the sources, whatever the table
+// holds.
 func deployRows[V comparable, C filter.Of[V, C]](n int, cons [2]C) []deployRow[V, C] {
 	half := make([]stream.ID, 0, n/2)
 	for id := 0; id < n; id += 2 {
 		half = append(half, id)
 	}
+	var skip []stream.ID
+	for id := 0; id < n; id += 16 {
+		skip = append(skip, id)
+	}
 	return []deployRow[V, C]{
 		{"install-all", n, 0.976, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
 		{"install-batch-half", len(half), 0, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallBatch(half, cons[i&1]) }},
+		{"install-all-except", n - len(skip), 0, func(c *server.ClusterOf[V, C], i int, _ *[]V) {
+			c.InstallAllExcept(skip, cons[i&1])
+		}},
 		{"probe-all-into", n, 0.976, func(c *server.ClusterOf[V, C], _ int, buf *[]V) { *buf = c.ProbeAllInto(*buf) }},
 	}
 }
@@ -116,7 +125,8 @@ func deployData() (vals []float64, cons [2]filter.Constraint, move func(float64)
 }
 
 // BenchmarkDeploy prices a rank rebuild's per-stream loops — InstallAll,
-// InstallBatch over half the ids, ProbeAllInto — at n = 2000 over the
+// InstallBatch over half the ids, InstallAllExcept, ProbeAllInto — at
+// n = 2000 over the
 // stale shares the rank protocols meet, in 1-D (intervals) and in the
 // plane (disks).
 // Every row is 0 allocs/op (TestDeployAllocFree).

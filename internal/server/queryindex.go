@@ -19,47 +19,60 @@ import (
 // trajectories stay bit-identical to the linear evaluation (pinned by the
 // equivalence tests and the runtime property harness).
 //
-// Per stream, a planner groups the live entries into evaluation classes:
-// entries whose constraints are bit-identical share one class, whose
-// members are a slot bitmap, so M queries installing the same constraint
-// cost one check and a class that fires updates the fired set a word at a
-// time. Each class is decided by one of two rules:
+// The (stream × slot) constraint matrix is mostly one value per column — a
+// query installs one interval on every stream — plus a few exceptions, so
+// the index keeps it as a dense default plus sparse exceptions, in two
+// layers:
+//
+//   - The shared layer files each live slot's column default once per
+//     composite. InstallAll and InstallAllExcept set it; AddQuery's
+//     unfiltered start is a filter.None default; a band, which re-centres
+//     per stream, is never one.
+//   - The per-stream layer holds, per stream, a packed hot record (a
+//     finger into the shared boundary list and flag bits), an override
+//     bitmap (the slots whose entry here differs from their default) and
+//     the stream's exceptions, filed exactly as the shared layer files
+//     defaults. A stream that follows every default has an empty one.
+//
+// Within a layer, entries whose constraints are bit-identical share one
+// evaluation class, whose members are a slot bitmap, so M queries
+// installing the same constraint cost one check and a class that fires
+// updates the fired set a word at a time. Each class is decided by one of
+// two rules:
 //
 //   - Intervals: the XOR walk. A closed interval [lo, hi] keys its finite
-//     bounds in a sorted flat list (boundList): hi as it is, lo one ulp low
-//     (lowerKey). With the list's key.v < x test, the interval contains x
-//     exactly when its lower key is below x and its upper key is not — the
-//     parity of its keys below x. The list keeps a finger at the stream's
-//     current value, so a move u→v walks from it over keys[min:max], the
-//     keys with min(u,v) <= key.v < max(u,v) — O(keys crossed), no search —
-//     and, since a slot sits in one class per stream, the fired set is the
-//     XOR of those keys' member bitmaps (a class with both keys crossed
-//     cancels, as it should). A move that crosses no key costs the two
-//     compares beside the finger.
+//     bounds in a sorted flat list (keyList): hi as it is, lo one ulp low
+//     (lowerKey). With the key.v < x test, the interval contains x exactly
+//     when its lower key is below x and its upper key is not — the parity
+//     of its keys below x. A finger at the stream's current value makes a
+//     move u→v walk over keys[min:max], the keys with min(u,v) <= key.v <
+//     max(u,v) — O(keys crossed), no search — and, since a slot sits in one
+//     class per layer, the fired set is the XOR of those keys' member
+//     bitmaps (a class with both keys crossed cancels, as it should). The
+//     shared walk's result is masked by the stream's override bitmap, and
+//     the stream's own walk XORs in its exceptions. A move that crosses no
+//     key costs the two compares beside the finger.
 //
-//   - Bands: checked directly. A stream lists its live band classes, and
-//     every update applies the linear scan's own rule to each: fire when
-//     the band no longer contains v, then re-centre on v, merging into an
-//     identical band class if there is one. M same-width bands collapse to
-//     one class after their first shared fire.
+//   - Bands (always exceptions): checked directly. A stream lists its live
+//     band classes, and every update applies the linear scan's own rule to
+//     each: fire when the band no longer contains v, then re-centre on v,
+//     merging into an identical band class if there is one.
 //
 // Entries that can never report are left unfiled: silent intervals, and
-// intervals with a NaN bound, which contain no value. Two more cases stay
-// outside the classes:
+// intervals with a NaN bound, which contain no value. filter.None entries
+// report every update: a stream where one stands (a None default it does
+// not override, or a None exception) carries the hotAll flag. NaN updates
+// admit no ordering, so Deliver falls back to the linear scan for that
+// update and re-files the stream's exceptions and finger afterwards.
 //
-//   - filter.None entries report every update; a plain count makes the
-//     stream report unconditionally while any live unfiltered query exists.
-//
-//   - NaN updates: a NaN value admits no ordering, so the finger is
-//     meaningless; Deliver falls back to the linear scan for that update
-//     and rebuilds the stream's index afterwards.
-//
-// Mutations funnel through set(): AddQuery, RemoveQuery, install and the
-// restore rebuild all re-categorize one (stream, slot) entry; a band
-// re-centre inside Deliver moves a whole class at once (fireBand).
-// ExportState/ImportState never encode the index — restore rebuilds it from
-// the restored constraint vectors, so the snapshot format is unchanged and
-// index state can never drift from fabric state across a save/load cycle.
+// A default change moves at most four shared keys and fixes every stream's
+// finger in one pass over the value column; it re-files no stream but the
+// ones whose relation to the default changed. ExportState/ImportState never
+// encode the index — restore picks each column's default (a Boyer–Moore
+// majority) and rebuilds from the restored constraint vectors, so the
+// snapshot format is unchanged and index state can never drift from
+// fabric state across a save/load cycle. Which entry becomes the default
+// changes no fired set, only which layer files what.
 //
 // Everything on the Deliver path reuses scratch owned by the index (the
 // fired bitmap, the boundary lists' own capacity), keeping the steady-state
@@ -80,203 +93,438 @@ func SetQueryIndexEnabled(on bool) bool {
 	return prev
 }
 
-// Slot categories recorded in qstream.classOf.
+// Slot categories recorded in classes.classOf.
 const (
 	catNone   int32 = -1 // unfiled: removed slot, or an entry that can never report
 	catAlways int32 = -2 // filter.None entry: reports every update
 )
 
-// qclass is one evaluation class: the queries of one stream sharing a
-// bit-identical constraint. Its members are a slot bitmap in its stream's
-// members array.
+// Flag bits of a stream's hot record.
+const (
+	hotOvr   uint32 = 1 << iota // some slot overrides its default here
+	hotLocal                    // the stream files exception keys or bands
+	hotAll                      // an unfiltered entry stands here
+)
+
+// hot is a stream's packed record: all an event that crosses only shared
+// keys reads of the per-stream layer.
+type hot struct {
+	at    int32 // shared keys strictly below the stream's current value
+	flags uint32
+}
+
+// qclass is one evaluation class: the entries of one layer sharing a
+// bit-identical constraint.
 type qclass struct {
 	cons filter.Constraint
 	live bool
 }
 
-// qstream is one stream's index: its classes, their boundary list (with its
-// finger at the stream's current value) and its band classes.
-type qstream struct {
-	bounds  boundList
-	classes []qclass
-	members []uint64 // class cid's member bitmap is members[cid*words:][:words]
-	freeCls []int32  // recycled class ids, their member bitmaps all zero
-	classOf []int32  // per query slot: class id, catNone or catAlways
-	bands   []int32  // live band class ids, checked on every update
-	always  int      // live filter.None entries
+// classes is one layer's evaluation classes and its slots' categories.
+type classes struct {
+	cls     []qclass
+	mem     []uint64 // class cid's member bitmap is mem[cid*words:][:words]
+	free    []int32  // retired class ids, their member bitmaps all zero
+	classOf []int32  // per query slot: class id, catNone or catAlways; nil = all catNone
 
-	// recent ring-buffers the last classes classFor resolved. Protocol
+	// recent ring-buffers the last classes find resolved. Protocol
 	// maintenance reinstalls a small working set of constraints over and
 	// over (a range query's interval, a band at the new center), so the
-	// cache turns the usual classFor call into a handful of compares
-	// instead of a scan of every standing class. Entries are validated
-	// against the same match criteria as the full scan, so stale ids are
-	// harmless.
+	// cache turns the usual find into a handful of compares instead of a
+	// scan of every standing class. Entries are validated against the
+	// same match criteria as the full scan, so stale ids are harmless.
 	recent  [8]int32
 	recentN uint8
 }
 
-// queryIndex is the per-Composite index: one qstream per stream plus shared
-// deliver scratch.
+func (t *classes) members(cid int32, w int) slotSet { return t.mem[int(cid)*w:][:w] }
+
+// slot returns slot qi's category.
+func (t *classes) slot(qi int) int32 {
+	if t.classOf == nil {
+		return catNone
+	}
+	return t.classOf[qi]
+}
+
+// setSlot records slot qi's category, sizing classOf to slots on first use.
+func (t *classes) setSlot(qi int, cat int32, slots int) {
+	if t.classOf == nil {
+		if cat == catNone {
+			return
+		}
+		t.classOf = slices.Repeat([]int32{catNone}, slots)
+	}
+	t.classOf[qi] = cat
+}
+
+// find returns the live class holding cons. Class identity is bit-equality
+// of the constraint (math.Float64bits, so NaN bounds and ±0 group
+// deterministically).
+func (t *classes) find(cons filter.Constraint) (int32, bool) {
+	for _, cid := range t.recent {
+		if int(cid) < len(t.cls) && t.cls[cid].live && sameConstraint(t.cls[cid].cons, cons) {
+			return cid, true
+		}
+	}
+	for cid := range t.cls {
+		if cl := &t.cls[cid]; cl.live && sameConstraint(cl.cons, cons) {
+			t.remember(int32(cid))
+			return int32(cid), true
+		}
+	}
+	return 0, false
+}
+
+// open starts a class for cons, reusing a retired id, and returns it.
+func (t *classes) open(cons filter.Constraint, w int) int32 {
+	var cid int32
+	if k := len(t.free); k > 0 {
+		cid = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		t.cls = append(t.cls, qclass{})
+		t.mem = append(t.mem, make([]uint64, w)...)
+		cid = int32(len(t.cls) - 1)
+	}
+	t.cls[cid] = qclass{cons: cons, live: true}
+	t.remember(cid)
+	return cid
+}
+
+func (t *classes) remember(cid int32) {
+	t.recent[t.recentN&7] = cid
+	t.recentN++
+}
+
+// retire frees class cid, whose members have all left, for reuse.
+func (t *classes) retire(cid int32) {
+	t.cls[cid] = qclass{}
+	t.free = append(t.free, cid)
+}
+
+// leave takes slot qi, filed in class cid, out of it and says whether the
+// class is now empty.
+func (t *classes) leave(qi int, cid int32, w int) (empty bool) {
+	m := t.members(cid, w)
+	m.put(qi, false)
+	return m.count() == 0
+}
+
+// restride re-lays the member bitmaps from old to w words.
+func (t *classes) restride(old, w int) {
+	m := make([]uint64, len(t.cls)*w)
+	for cid := range t.cls {
+		copy(m[cid*w:], t.mem[cid*old:][:old])
+	}
+	t.mem = m
+}
+
+// unfiled says whether an entry can never report: a silent interval or
+// one with a NaN bound.
+func unfiled(cons filter.Constraint) bool {
+	return cons.Kind == filter.Interval && (cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi))
+}
+
+// keysOf calls key for each boundary key of an interval: its finite
+// bounds, the lower one at lowerKey. An infinite bound is never crossed
+// and gets no key.
+func keysOf(cons filter.Constraint, key func(float64)) {
+	if !math.IsInf(cons.Lo, 0) {
+		key(lowerKey(cons.Lo))
+	}
+	if !math.IsInf(cons.Hi, 0) {
+		key(cons.Hi)
+	}
+}
+
+// shared is the shared layer: every live slot's column default, filed
+// once per composite, its interval classes' keys in one list.
+type shared struct {
+	classes
+	cons   []filter.Constraint // per slot: the column default (removed: unfiled)
+	keys   keyList
+	always slotSet // live slots whose default is filter.None
+}
+
+// keyMoves collects the shared keys a default change retired and filed,
+// for the one pass that moves every stream's finger past them.
+type keyMoves struct {
+	out, in   [2]float64
+	nOut, nIn int
+}
+
+// unfile takes slot qi's default out of the shared layer.
+func (d *shared) unfile(qi, w int, mv *keyMoves) {
+	switch cid := d.classOf[qi]; {
+	case cid == catAlways:
+		d.always.put(qi, false)
+	case cid >= 0 && d.leave(qi, cid, w):
+		keysOf(d.cls[cid].cons, func(k float64) {
+			d.keys.remove(k, cid)
+			mv.out[mv.nOut] = k
+			mv.nOut++
+		})
+		d.retire(cid)
+	}
+	d.classOf[qi] = catNone
+}
+
+// file files cons (never a band) as slot qi's default.
+func (d *shared) file(qi int, cons filter.Constraint, w int, mv *keyMoves) {
+	d.cons[qi] = cons
+	switch {
+	case cons.Kind == filter.None:
+		d.always.put(qi, true)
+		d.classOf[qi] = catAlways
+	case unfiled(cons):
+	default:
+		cid, ok := d.find(cons)
+		if !ok {
+			cid = d.open(cons, w)
+			keysOf(cons, func(k float64) {
+				d.keys.insert(k, cid)
+				mv.in[mv.nIn] = k
+				mv.nIn++
+			})
+		}
+		d.members(cid, w).put(qi, true)
+		d.classOf[qi] = cid
+	}
+}
+
+// qstream is one stream's exceptions: its classes, their boundary list
+// (with its finger at the stream's current value), its band classes and
+// its count of unfiltered exceptions.
+type qstream struct {
+	classes
+	bounds boundList
+	bands  []int32 // live band class ids, checked on every update
+	always int     // filter.None exceptions
+}
+
+// file files exception cons for slot qi (cur is the stream's value).
+func (st *qstream) file(qi int, cons filter.Constraint, w, slots int, cur float64) {
+	switch {
+	case cons.Kind == filter.None:
+		st.always++
+		st.setSlot(qi, catAlways, slots)
+	case unfiled(cons):
+	default:
+		cid, ok := st.find(cons)
+		if !ok {
+			cid = st.open(cons, w)
+			if cons.Kind == filter.Band {
+				st.bands = append(st.bands, cid)
+			} else {
+				keysOf(cons, func(k float64) { st.bounds.insert(k, cid, cur) })
+			}
+		}
+		st.members(cid, w).put(qi, true)
+		st.setSlot(qi, cid, slots)
+	}
+}
+
+// drop unfiles slot qi's exception (cur is the stream's value).
+func (st *qstream) drop(qi, w int, cur float64) {
+	switch cid := st.slot(qi); {
+	case cid == catAlways:
+		st.always--
+	case cid >= 0 && st.leave(qi, cid, w):
+		st.close(cid, cur)
+	}
+	st.setSlot(qi, catNone, 0)
+}
+
+// close retires class cid, whose members have all left: a band leaves the
+// band list, an interval takes its keys out of the boundary list.
+func (st *qstream) close(cid int32, cur float64) {
+	if cons := st.cls[cid].cons; cons.Kind == filter.Band {
+		i := slices.Index(st.bands, cid)
+		st.bands[i] = st.bands[len(st.bands)-1]
+		st.bands = st.bands[:len(st.bands)-1]
+	} else {
+		keysOf(cons, func(k float64) { st.bounds.remove(k, cid, cur) })
+	}
+	st.retire(cid)
+}
+
+// queryIndex is the per-Composite index: the shared layer, the per-stream
+// layer and shared deliver scratch.
 type queryIndex struct {
+	def     shared
+	hot     []hot
+	ovr     []uint64 // stream s's override bitmap is ovr[s*words:][:words]
+	novr    []int32  // per slot: streams overriding its default
 	streams []qstream
-	words   int     // stride of every stream's members array
+	words   int     // stride of every bitmap
 	fired   slotSet // members of the classes the last deliver fired
 }
 
 func newQueryIndex(n int) *queryIndex {
-	return &queryIndex{streams: make([]qstream, n)}
+	return &queryIndex{hot: make([]hot, n), streams: make([]qstream, n)}
 }
 
-// members returns class cid's member bitmap on stream st.
-func (x *queryIndex) members(st *qstream, cid int32) slotSet {
-	return st.members[int(cid)*x.words:][:x.words]
-}
+// overrides returns stream s's override bitmap.
+func (x *queryIndex) overrides(s int) slotSet { return x.ovr[s*x.words:][:x.words] }
 
-// restride re-lays every stream's member bitmaps at the stride that holds
-// slots query slots, once the slot count crosses a multiple of 64.
+// restride re-lays every bitmap at the stride that holds slots query
+// slots, once the slot count crosses a multiple of 64.
 func (x *queryIndex) restride(slots int) {
 	w := words(slots)
 	if w == x.words {
 		return
 	}
+	x.def.restride(x.words, w)
 	for s := range x.streams {
-		st := &x.streams[s]
-		m := make([]uint64, len(st.classes)*w)
-		for cid := range st.classes {
-			copy(m[cid*w:], x.members(st, int32(cid)))
-		}
-		st.members = m
+		x.streams[s].restride(x.words, w)
 	}
+	ovr := make([]uint64, len(x.hot)*w)
+	for s := range x.hot {
+		copy(ovr[s*w:], x.overrides(s))
+	}
+	x.ovr = ovr
+	x.def.always = append(x.def.always, make(slotSet, w-x.words)...)
 	x.words = w
 	x.fired = make(slotSet, w)
 }
 
 // addSlot registers a freshly appended query slot (AddQuery just wrote a
-// live filter.None entry for it at every stream).
+// filter.None entry for it at every stream): a None default every stream
+// follows.
 func (x *queryIndex) addSlot(c *Composite) {
 	qi := len(c.queries) - 1
 	x.restride(len(c.queries))
+	d := &x.def
+	d.cons = append(d.cons, filter.Constraint{})
+	d.classOf = append(d.classOf, catNone)
+	d.file(qi, filter.NoFilter(), x.words, nil)
+	x.novr = append(x.novr, 0)
 	for s := range x.streams {
-		x.streams[s].classOf = append(x.streams[s].classOf, catNone)
-		x.set(c, s, qi, filter.NoFilter(), true)
+		if st := &x.streams[s]; st.classOf != nil {
+			st.classOf = append(st.classOf, catNone)
+		}
+		x.hot[s].flags |= hotAll
 	}
 }
 
-// removeSlot drops query slot qi from every stream (RemoveQuery already
+// removeSlot drops query slot qi from both layers (RemoveQuery already
 // cleared its entries).
 func (x *queryIndex) removeSlot(c *Composite, qi int) {
 	for s := range x.streams {
-		x.set(c, s, qi, filter.Constraint{}, false)
+		if x.novr[qi] == 0 {
+			break
+		}
+		if o := x.overrides(s); o.has(qi) {
+			x.streams[s].drop(qi, x.words, c.vals[s])
+			o.put(qi, false)
+			x.novr[qi]--
+			x.reflag(s)
+		}
+	}
+	x.unsetDefault(c, qi)
+}
+
+// setDefault makes cons, never a band, slot qi's column default. No
+// stream is re-filed: the caller re-files each stream whose entry's
+// relation to the default changed (set), so a stream that followed the old
+// default and keeps its entry becomes an exception.
+func (x *queryIndex) setDefault(c *Composite, qi int, cons filter.Constraint) {
+	if sameConstraint(x.def.cons[qi], cons) {
+		return
+	}
+	wasAll := x.def.always.has(qi)
+	var mv keyMoves
+	x.def.unfile(qi, x.words, &mv)
+	x.def.file(qi, cons, x.words, &mv)
+	x.moved(c, &mv, wasAll != x.def.always.has(qi))
+}
+
+// unsetDefault unfiles removed slot qi's default.
+func (x *queryIndex) unsetDefault(c *Composite, qi int) {
+	wasAll := x.def.always.has(qi)
+	var mv keyMoves
+	x.def.unfile(qi, x.words, &mv)
+	x.def.cons[qi] = filter.Constraint{}
+	x.moved(c, &mv, wasAll)
+}
+
+// moved finishes a default change: one pass over the value column moves
+// every stream's finger past the shared keys it retired and filed, and
+// when a None default came or went every stream's flags are recomputed.
+func (x *queryIndex) moved(c *Composite, mv *keyMoves, reflag bool) {
+	if mv.nOut+mv.nIn > 0 {
+		out, in := mv.out[:mv.nOut], mv.in[:mv.nIn]
+		for s, v := range c.vals {
+			at := x.hot[s].at
+			for _, k := range in {
+				if k < v {
+					at++
+				}
+			}
+			for _, k := range out {
+				if k < v {
+					at--
+				}
+			}
+			x.hot[s].at = at
+		}
+	}
+	if reflag {
+		for s := range x.hot {
+			x.reflag(s)
+		}
 	}
 }
 
-// set re-categorizes one (stream, slot) entry after its constraint changed
-// to cons; live is false when the slot was removed. This is the single
-// mutation point every fabric path funnels through, so index and fabric can
-// never disagree about one entry.
-func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live bool) {
+// set re-files stream s's entry for slot qi after it changed to cons. This
+// is the single per-stream mutation point every fabric path funnels
+// through: an entry equal to its default clears the stream's exception,
+// any other makes one.
+func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint) {
+	o, st := x.overrides(s), &x.streams[s]
+	follows := sameConstraint(cons, x.def.cons[qi])
+	if o.has(qi) {
+		// Reinstalling what is already filed — a maintenance round
+		// refreshing a query's standing constraint — must not churn the
+		// class or its boundary keys.
+		if cid := st.slot(qi); cid >= 0 && !follows && sameConstraint(st.cls[cid].cons, cons) {
+			return
+		}
+		st.drop(qi, x.words, c.vals[s])
+		o.put(qi, false)
+		x.novr[qi]--
+	} else if follows {
+		return
+	}
+	if !follows {
+		st.file(qi, cons, x.words, len(x.novr), c.vals[s])
+		o.put(qi, true)
+		x.novr[qi]++
+	}
+	x.reflag(s)
+}
+
+// reflag recomputes stream s's flags from its override bitmap and
+// exceptions.
+func (x *queryIndex) reflag(s int) {
 	st := &x.streams[s]
-	// Reinstalling what is already categorized — a maintenance round
-	// refreshing a query's standing constraint — must not churn the class
-	// or its boundary keys.
-	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
-		return
+	var f uint32
+	if st.always > 0 {
+		f |= hotAll
 	}
-	switch cid := st.classOf[qi]; {
-	case cid == catAlways:
-		st.always--
-	case cid >= 0:
-		m := x.members(st, cid)
-		m.put(qi, false)
-		if m.count() == 0 {
-			st.freeClass(cid, c.vals[s])
+	for w, b := range x.overrides(s) {
+		if b != 0 {
+			f |= hotOvr
+		}
+		if x.def.always[w]&^b != 0 {
+			f |= hotAll
 		}
 	}
-	st.classOf[qi] = catNone
-	if !live {
-		return
+	if len(st.bounds.keys) > 0 || len(st.bands) > 0 {
+		f |= hotLocal
 	}
-	switch {
-	case cons.Kind == filter.None:
-		st.always++
-		st.classOf[qi] = catAlways
-	case cons.Kind == filter.Interval && (cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)):
-		// Can never report.
-	default:
-		cid := x.classFor(c, st, s, cons)
-		x.members(st, cid).put(qi, true)
-		st.classOf[qi] = cid
-	}
-}
-
-// freeClass retires class cid, whose members have all left, for reuse: a
-// band leaves the band list, an interval takes its keys out of the boundary
-// list (cur is the stream's current value).
-func (st *qstream) freeClass(cid int32, cur float64) {
-	cl := &st.classes[cid]
-	if cl.cons.Kind == filter.Band {
-		i := slices.Index(st.bands, cid)
-		st.bands[i] = st.bands[len(st.bands)-1]
-		st.bands = st.bands[:len(st.bands)-1]
-	} else {
-		if !math.IsInf(cl.cons.Lo, 0) {
-			st.bounds.remove(lowerKey(cl.cons.Lo), cid, cur)
-		}
-		if !math.IsInf(cl.cons.Hi, 0) {
-			st.bounds.remove(cl.cons.Hi, cid, cur)
-		}
-	}
-	cl.live = false
-	cl.cons = filter.Constraint{}
-	st.freeCls = append(st.freeCls, cid)
-}
-
-// classFor returns the class for cons, creating it if no live class
-// matches. Class identity is bit-equality of the constraint
-// (math.Float64bits, so NaN bounds and ±0 group deterministically).
-func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Constraint) int32 {
-	for _, cid := range st.recent {
-		if int(cid) >= len(st.classes) {
-			continue
-		}
-		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) {
-			return cid
-		}
-	}
-	for cid := range st.classes {
-		cl := &st.classes[cid]
-		if cl.live && sameConstraint(cl.cons, cons) {
-			st.recent[st.recentN&7] = int32(cid)
-			st.recentN++
-			return int32(cid)
-		}
-	}
-	var cid int32
-	if k := len(st.freeCls); k > 0 {
-		cid = st.freeCls[k-1]
-		st.freeCls = st.freeCls[:k-1]
-	} else {
-		st.classes = append(st.classes, qclass{})
-		st.members = append(st.members, make([]uint64, x.words)...)
-		cid = int32(len(st.classes) - 1)
-	}
-	st.classes[cid] = qclass{cons: cons, live: true}
-	if cons.Kind == filter.Band {
-		st.bands = append(st.bands, cid)
-	} else {
-		// An infinite bound is never crossed and gets no key.
-		if !math.IsInf(cons.Lo, 0) {
-			st.bounds.insert(lowerKey(cons.Lo), cid, c.vals[s])
-		}
-		if !math.IsInf(cons.Hi, 0) {
-			st.bounds.insert(cons.Hi, cid, c.vals[s])
-		}
-	}
-	st.recent[st.recentN&7] = cid
-	st.recentN++
-	return cid
+	x.hot[s].flags = f
 }
 
 // lowerKey is the boundary key of an interval's lower bound lo: the float
@@ -306,24 +554,45 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		x.rebuildStream(c, s)
 		return crossed, true
 	}
-	st := &x.streams[s]
-	all = st.always > 0
-	from, to := st.bounds.seek(v)
-	if from == to && len(st.bands) == 0 {
+	h := &x.hot[s]
+	keys := x.def.keys
+	from := int(h.at)
+	to := keys.seek(from, v)
+	h.at = int32(to)
+	f := h.flags
+	all = f&hotAll != 0
+	if f&hotLocal == 0 && (from == to || all) {
 		return all, all
 	}
-	fired, members, stride := x.fired, st.members, x.words
+	fired, stride := x.fired, x.words
 	clear(fired)
-	for _, k := range st.bounds.keys[min(from, to):max(from, to)] {
+	members := x.def.mem
+	for _, k := range keys[min(from, to):max(from, to)] {
 		for w, b := range members[int(k.id)*stride:][:len(fired)] {
 			fired[w] ^= b
 		}
 	}
-	// Backwards, so a band that merges away (and is swapped out of the
-	// list by the last one, already checked) leaves nothing unchecked.
-	for i := len(st.bands) - 1; i >= 0; i-- {
-		if cid := st.bands[i]; !st.classes[cid].cons.Contains(v) {
-			x.fireBand(c, st, s, cid, v)
+	if f&hotOvr != 0 && from != to {
+		for w, b := range x.overrides(s) {
+			fired[w] &^= b
+		}
+	}
+	if f&hotLocal != 0 {
+		st := &x.streams[s]
+		from, to := st.bounds.seek(v)
+		members := st.mem
+		for _, k := range st.bounds.keys[min(from, to):max(from, to)] {
+			for w, b := range members[int(k.id)*stride:][:len(fired)] {
+				fired[w] ^= b
+			}
+		}
+		// Backwards, so a band that merges away (and is swapped out of
+		// the list by the last one, already checked) leaves nothing
+		// unchecked.
+		for i := len(st.bands) - 1; i >= 0; i-- {
+			if cid := st.bands[i]; !st.cls[cid].cons.Contains(v) {
+				x.fireBand(c, st, s, cid, v)
+			}
 		}
 	}
 	if !all {
@@ -341,8 +610,8 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 // class follows, merging into an identical band class if the re-centre
 // made two bands converge.
 func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v float64) {
-	m := x.members(st, cid)
-	nc := filter.NewBand(v, st.classes[cid].cons.BandHalfWidth())
+	m := st.members(cid, x.words)
+	nc := filter.NewBand(v, st.cls[cid].cons.BandHalfWidth())
 	row := c.cons[s]
 	for w, b := range m {
 		x.fired[w] |= b
@@ -351,10 +620,10 @@ func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v flo
 		}
 	}
 	for _, tid := range st.bands {
-		if tid == cid || !sameConstraint(st.classes[tid].cons, nc) {
+		if tid == cid || !sameConstraint(st.cls[tid].cons, nc) {
 			continue
 		}
-		tm := x.members(st, tid)
+		tm := st.members(tid, x.words)
 		for w, b := range m {
 			tm[w] |= b
 			m[w] = 0
@@ -362,46 +631,98 @@ func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v flo
 				st.classOf[w<<6|bits.TrailingZeros64(b)] = tid
 			}
 		}
-		st.freeClass(cid, v)
+		st.close(cid, v)
 		return
 	}
-	st.classes[cid].cons = nc
+	st.cls[cid].cons = nc
 }
 
-// rebuildStream recomputes one stream's index from the fabric's constraint
-// vector (used after a NaN fallback scan mutated entries behind the
-// index's back).
+// rebuildStream re-files stream s's exceptions against the defaults and
+// recomputes its finger (used after a NaN fallback scan mutated entries
+// behind the index's back, and by refile).
 func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st := &x.streams[s]
-	st.bounds = boundList{keys: st.bounds.keys[:0]}
-	st.classes = st.classes[:0]
-	st.members = st.members[:0]
-	st.freeCls = st.freeCls[:0]
-	st.bands = st.bands[:0]
-	st.always = 0
+	o := x.overrides(s)
+	for w, b := range o {
+		for ; b != 0; b &= b - 1 {
+			x.novr[w<<6|bits.TrailingZeros64(b)]--
+		}
+		o[w] = 0
+	}
+	*st = qstream{
+		classes: classes{cls: st.cls[:0], mem: st.mem[:0], free: st.free[:0], classOf: st.classOf},
+		bounds:  boundList{keys: st.bounds.keys[:0]},
+		bands:   st.bands[:0],
+	}
 	for qi := range st.classOf {
 		st.classOf[qi] = catNone
 	}
 	for qi, q := range c.queries {
+		if cons := c.cons[s][qi]; q != nil && !sameConstraint(cons, x.def.cons[qi]) {
+			st.file(qi, cons, x.words, len(c.queries), c.vals[s])
+			o.put(qi, true)
+			x.novr[qi]++
+		}
+	}
+	x.hot[s].at = int32(x.def.keys.below(c.vals[s]))
+	x.reflag(s)
+}
+
+// rebuild recomputes the whole index from the fabric — the restore path —
+// with each column's default its Boyer–Moore majority entry.
+func (x *queryIndex) rebuild(c *Composite) { x.refile(c, majorityDefault) }
+
+// refile rebuilds the index from the fabric, taking pick(c, qi) as live
+// slot qi's default (a band is never one: it becomes None). ImportState
+// never decodes index state: deriving it from the restored constraint
+// vectors is the invariant that keeps the snapshot encoding unchanged and
+// the index incapable of drifting across a save/load cycle.
+func (x *queryIndex) refile(c *Composite, pick func(c *Composite, qi int) filter.Constraint) {
+	slots := len(c.queries)
+	x.restride(slots)
+	x.def = shared{
+		classes: classes{classOf: slices.Repeat([]int32{catNone}, slots)},
+		cons:    make([]filter.Constraint, slots),
+		always:  make(slotSet, x.words),
+	}
+	x.novr = make([]int32, slots)
+	clear(x.ovr)
+	for s := range x.streams {
+		x.streams[s].classOf = nil
+	}
+	var mv keyMoves
+	for qi, q := range c.queries {
 		if q == nil {
 			continue
 		}
-		x.set(c, s, qi, c.cons[s][qi], true)
+		cons := pick(c, qi)
+		if cons.Kind == filter.Band {
+			cons = filter.NoFilter()
+		}
+		mv = keyMoves{}
+		x.def.file(qi, cons, x.words, &mv)
+	}
+	for s := range x.streams {
+		x.rebuildStream(c, s)
 	}
 }
 
-// rebuild recomputes the whole index from the fabric — the restore path.
-// ImportState never decodes index state: deriving it from the restored
-// constraint vectors is the invariant that keeps the snapshot encoding
-// unchanged and the index incapable of drifting across a save/load cycle.
-func (x *queryIndex) rebuild(c *Composite) {
-	x.restride(len(c.queries))
-	for s := range x.streams {
-		st := &x.streams[s]
-		st.classOf = st.classOf[:0]
-		for range c.queries {
-			st.classOf = append(st.classOf, catNone)
+// majorityDefault picks column qi's default by a Boyer–Moore majority vote
+// over its non-band entries (None when every entry is a band).
+func majorityDefault(c *Composite, qi int) filter.Constraint {
+	var cand filter.Constraint
+	votes := 0
+	for s := range c.cons {
+		e := c.cons[s][qi]
+		switch {
+		case e.Kind == filter.Band:
+		case votes == 0:
+			cand, votes = e, 1
+		case sameConstraint(cand, e):
+			votes++
+		default:
+			votes--
 		}
-		x.rebuildStream(c, s)
 	}
+	return cand
 }

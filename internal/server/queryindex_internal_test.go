@@ -79,11 +79,13 @@ func checkDispatch(t *testing.T, c *Composite) {
 }
 
 // checkIndex verifies the full structural invariant set of the query index
-// against the fabric: bitmap sizes, slot categorization (entries that can
-// never report unfiled), class membership and homogeneity, the exact
-// boundary key list (sorted, duplicate-free, lower bounds at lowerKey) and
-// its finger, the band list (every live band class once, no interval) and
-// the dispatch bookkeeping.
+// against the fabric, layer by layer. The shared layer: each live slot's
+// default is filed once (never a band), its classes are exact and its key
+// list is exact and sorted. The per-stream layer: the finger equals the
+// count of shared keys below the stream's value, an override bit is set
+// exactly when the entry differs from its default, the flags match, and
+// the stream files only its exceptions (classes, boundary keys and finger,
+// bands). Then the dispatch bookkeeping.
 func checkIndex(t *testing.T, c *Composite) {
 	t.Helper()
 	x := c.idx
@@ -91,126 +93,193 @@ func checkIndex(t *testing.T, c *Composite) {
 		t.Fatal("composite has no index")
 	}
 	checkDispatch(t, c)
-	if x.words != words(len(c.queries)) || len(x.fired) != x.words {
-		t.Fatalf("index stride %d, fired %d words, for %d slots", x.words, len(x.fired), len(c.queries))
+	slots := len(c.queries)
+	if x.words != words(slots) || len(x.fired) != x.words {
+		t.Fatalf("index stride %d, fired %d words, for %d slots", x.words, len(x.fired), slots)
 	}
+	d := &x.def
+	if len(d.cons) != slots || len(d.classOf) != slots || len(x.novr) != slots {
+		t.Fatalf("shared layer sized %d/%d/%d for %d slots", len(d.cons), len(d.classOf), len(x.novr), slots)
+	}
+	checkSet(t, "default always", d.always, slots)
+	alwaysDefault := make(slotSet, x.words)
+	for qi, q := range c.queries {
+		if q != nil && d.cons[qi].Kind == filter.Band {
+			t.Fatalf("slot %d: band default %v", qi, d.cons[qi])
+		}
+		if q != nil && d.cons[qi].Kind == filter.None {
+			alwaysDefault.put(qi, true)
+		}
+	}
+	if !slices.Equal(d.always, alwaysDefault) {
+		t.Fatalf("default always %b, want %b", d.always, alwaysDefault)
+	}
+	live := func(qi int) bool { return c.queries[qi] != nil }
+	sharedKeys := checkClasses(t, "shared layer", &d.classes, slots, x.words, live, d.cons)
+	checkKeys(t, "shared layer", d.keys, sharedKeys)
+	ovrCount := make([]int32, slots)
 	for s := range x.streams {
 		st := &x.streams[s]
-		if len(st.classOf) != len(c.queries) {
-			t.Fatalf("stream %d: classOf sized %d, want %d", s, len(st.classOf), len(c.queries))
-		}
-		if len(st.members) != len(st.classes)*x.words {
-			t.Fatalf("stream %d: %d member words for %d classes", s, len(st.members), len(st.classes))
-		}
-		always := 0
-		members := map[int32][]int32{}
+		where := fmt.Sprintf("stream %d", s)
+		o := x.overrides(s)
+		checkSet(t, where+" overrides", o, slots)
+		entries := make([]filter.Constraint, slots)
+		unfiltered := false
 		for qi := range c.queries {
 			cons := c.cons[s][qi]
-			cid := st.classOf[qi]
-			switch {
-			case c.queries[qi] == nil || cons.Kind == filter.Interval &&
-				(cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi)):
-				if cid != catNone {
-					t.Fatalf("stream %d slot %d: category %d, want none", s, qi, cid)
-				}
-			case cons.Kind == filter.None:
-				if cid != catAlways {
-					t.Fatalf("stream %d slot %d: category %d, want always", s, qi, cid)
-				}
+			differs := live(qi) && !sameConstraint(cons, d.cons[qi])
+			if o.has(qi) != differs {
+				t.Fatalf("%s slot %d: override bit %v, entry %v, default %v", where, qi, o.has(qi), cons, d.cons[qi])
+			}
+			if differs {
+				ovrCount[qi]++
+				entries[qi] = cons
+			}
+			unfiltered = unfiltered || live(qi) && cons.Kind == filter.None
+		}
+		if st.classOf != nil && len(st.classOf) != slots {
+			t.Fatalf("%s: classOf sized %d, want %d", where, len(st.classOf), slots)
+		}
+		own := checkClasses(t, where, &st.classes, slots, x.words, o.has, entries)
+		always, bands := 0, []int32(nil)
+		for qi := range c.queries {
+			if o.has(qi) && entries[qi].Kind == filter.None {
 				always++
-			default:
-				if cid < 0 || int(cid) >= len(st.classes) {
-					t.Fatalf("stream %d slot %d: class id %d out of range", s, qi, cid)
-				}
-				cl := &st.classes[cid]
-				if !cl.live {
-					t.Fatalf("stream %d slot %d: points at dead class %d", s, qi, cid)
-				}
-				if !sameConstraint(cl.cons, cons) {
-					t.Fatalf("stream %d slot %d: class %d holds %v, entry holds %v",
-						s, qi, cid, cl.cons, cons)
-				}
-				members[cid] = append(members[cid], int32(qi))
 			}
 		}
 		if always != st.always {
-			t.Fatalf("stream %d: always = %d, want %d", s, st.always, always)
+			t.Fatalf("%s: always = %d, want %d", where, st.always, always)
 		}
-		var wantKeys []bkey
-		var wantBands []int32
-		for cid := range st.classes {
-			cl := &st.classes[cid]
-			m := x.members(st, int32(cid))
-			checkSet(t, fmt.Sprintf("stream %d class %d members", s, cid), m, len(c.queries))
-			if !cl.live {
-				if len(members[int32(cid)]) != 0 || m.count() != 0 {
-					t.Fatalf("stream %d: dead class %d has members", s, cid)
-				}
-				continue
-			}
-			var got []int32
-			for qi := range c.queries {
-				if m.has(qi) {
-					got = append(got, int32(qi))
-				}
-			}
-			want := members[int32(cid)]
-			if len(got) != len(want) {
-				t.Fatalf("stream %d class %d: %d members, fabric implies %d", s, cid, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("stream %d class %d: members %v, fabric implies %v", s, cid, got, want)
-				}
-			}
-			if len(got) == 0 {
-				t.Fatalf("stream %d: live class %d is empty", s, cid)
-			}
-			if cl.cons.Kind == filter.Band {
-				wantBands = append(wantBands, int32(cid))
-				continue
-			}
-			if !math.IsInf(cl.cons.Lo, 0) {
-				wantKeys = append(wantKeys, bkey{v: lowerKey(cl.cons.Lo), id: int32(cid)})
-			}
-			if !math.IsInf(cl.cons.Hi, 0) {
-				wantKeys = append(wantKeys, bkey{v: cl.cons.Hi, id: int32(cid)})
+		var keys []bkey
+		for _, k := range own {
+			if k.id < 0 {
+				bands = append(bands, -1-k.id)
+			} else {
+				keys = append(keys, k)
 			}
 		}
-		sort.Slice(wantKeys, func(a, b int) bool { return keyLess(wantKeys[a], wantKeys[b]) })
-		gotKeys := st.bounds.keys
-		for i := 1; i < len(gotKeys); i++ {
-			if !keyLess(gotKeys[i-1], gotKeys[i]) {
-				t.Fatalf("stream %d: boundary keys %d,%d out of order or duplicated: %v, %v",
-					s, i-1, i, gotKeys[i-1], gotKeys[i])
-			}
+		checkKeys(t, where, st.bounds.keys, keys)
+		if gotBands := slices.Sorted(slices.Values(st.bands)); !slices.Equal(gotBands, bands) {
+			t.Fatalf("%s: band list %v, want the live band classes %v", where, st.bands, bands)
 		}
-		if len(gotKeys) != len(wantKeys) {
-			t.Fatalf("stream %d: %d boundary keys, want %d", s, len(gotKeys), len(wantKeys))
+		// The fingers: exactly the keys below the current value precede
+		// each (a NaN value lies above none). A drifted finger would
+		// silently skip real crossings — behaviorally invisible until a
+		// query misses an update, so it is audited structurally here.
+		if below := keysBelow(d.keys, c.vals[s]); int(x.hot[s].at) != below {
+			t.Fatalf("%s: shared finger at %d, but %d shared keys lie below the value %v",
+				where, x.hot[s].at, below, c.vals[s])
 		}
-		for i := range gotKeys {
-			if gotKeys[i] != wantKeys[i] {
-				t.Fatalf("stream %d: boundary key %d = %v, want %v", s, i, gotKeys[i], wantKeys[i])
-			}
+		if below := keysBelow(st.bounds.keys, c.vals[s]); int(st.bounds.at) != below {
+			t.Fatalf("%s: finger at %d, but %d keys lie below the value %v", where, st.bounds.at, below, c.vals[s])
 		}
-		// The finger: exactly the keys below the current value precede it
-		// (a NaN value lies above none). A drifted finger would silently
-		// skip real crossings — behaviorally invisible until a query misses
-		// an update, so it is audited structurally here.
-		below := 0
-		for _, k := range gotKeys {
-			if k.v < c.vals[s] {
-				below++
-			}
+		var flags uint32
+		if o.count() > 0 {
+			flags |= hotOvr
 		}
-		if int(st.bounds.at) != below {
-			t.Fatalf("stream %d: finger at %d, but %d keys lie below the value %v",
-				s, st.bounds.at, below, c.vals[s])
+		if len(keys) > 0 || len(bands) > 0 {
+			flags |= hotLocal
 		}
-		if gotBands := slices.Sorted(slices.Values(st.bands)); !slices.Equal(gotBands, wantBands) {
-			t.Fatalf("stream %d: band list %v, want the live band classes %v", s, st.bands, wantBands)
+		if unfiltered {
+			flags |= hotAll
+		}
+		if x.hot[s].flags != flags {
+			t.Fatalf("%s: flags %03b, want %03b", where, x.hot[s].flags, flags)
 		}
 	}
+	if !slices.Equal(x.novr, ovrCount) {
+		t.Fatalf("override counts %v, recount %v", x.novr, ovrCount)
+	}
+}
+
+// checkClasses audits one layer's classes against the entries it must
+// file — entry[qi] for every slot filed(qi) — and returns the boundary
+// keys its live interval classes own, plus a key of id -1-cid for each
+// live band class. Each filed slot must sit in exactly the class of its
+// constraint (a None entry counts as always, an entry that can never
+// report is unfiled), and each live class must hold exactly its members.
+func checkClasses(t *testing.T, where string, cl *classes, slots, w int, filed func(int) bool,
+	entry []filter.Constraint) []bkey {
+	t.Helper()
+	if len(cl.mem) != len(cl.cls)*w {
+		t.Fatalf("%s: %d member words for %d classes", where, len(cl.mem), len(cl.cls))
+	}
+	members := map[int32][]int32{}
+	for qi := 0; qi < slots; qi++ {
+		cid := cl.slot(qi)
+		cons := entry[qi]
+		switch {
+		case !filed(qi) || unfiled(cons):
+			if cid != catNone {
+				t.Fatalf("%s slot %d: category %d, want none", where, qi, cid)
+			}
+		case cons.Kind == filter.None:
+			if cid != catAlways {
+				t.Fatalf("%s slot %d: category %d, want always", where, qi, cid)
+			}
+		default:
+			if cid < 0 || int(cid) >= len(cl.cls) || !cl.cls[cid].live {
+				t.Fatalf("%s slot %d: class id %d out of range or dead", where, qi, cid)
+			}
+			if !sameConstraint(cl.cls[cid].cons, cons) {
+				t.Fatalf("%s slot %d: class %d holds %v, entry holds %v", where, qi, cid, cl.cls[cid].cons, cons)
+			}
+			members[cid] = append(members[cid], int32(qi))
+		}
+	}
+	var keys []bkey
+	for cid := range cl.cls {
+		m := cl.members(int32(cid), w)
+		checkSet(t, fmt.Sprintf("%s class %d members", where, cid), m, slots)
+		var got []int32
+		for qi := 0; qi < slots; qi++ {
+			if m.has(qi) {
+				got = append(got, int32(qi))
+			}
+		}
+		if !slices.Equal(got, members[int32(cid)]) {
+			t.Fatalf("%s class %d: members %v, entries imply %v", where, cid, got, members[int32(cid)])
+		}
+		cons := cl.cls[cid].cons
+		switch {
+		case !cl.cls[cid].live:
+			if !slices.Contains(cl.free, int32(cid)) {
+				t.Fatalf("%s: dead class %d is not free", where, cid)
+			}
+		case len(got) == 0:
+			t.Fatalf("%s: live class %d is empty", where, cid)
+		case cons.Kind == filter.Band:
+			keys = append(keys, bkey{id: -1 - int32(cid)})
+		default:
+			keysOf(cons, func(k float64) { keys = append(keys, bkey{v: k, id: int32(cid)}) })
+		}
+	}
+	return keys
+}
+
+// checkKeys fails unless got is strictly sorted and holds exactly want.
+func checkKeys(t *testing.T, where string, got keyList, want []bkey) {
+	t.Helper()
+	sort.Slice(want, func(a, b int) bool { return keyLess(want[a], want[b]) })
+	for i := 1; i < len(got); i++ {
+		if !keyLess(got[i-1], got[i]) {
+			t.Fatalf("%s: boundary keys %d,%d out of order or duplicated: %v, %v", where, i-1, i, got[i-1], got[i])
+		}
+	}
+	if !slices.Equal(got, keyList(want)) {
+		t.Fatalf("%s: boundary keys %v, want %v", where, got, want)
+	}
+}
+
+// keysBelow counts the keys strictly below v.
+func keysBelow(keys keyList, v float64) int {
+	n := 0
+	for _, k := range keys {
+		if k.v < v {
+			n++
+		}
+	}
+	return n
 }
 
 // keyLess is the boundary list's strict (value, id) order.
@@ -466,9 +535,10 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 // and ServerOps after every op, auditing the index with checkIndex each
 // time. Each op is four bytes:
 //
-//	byte 0  op (low 4 bits: 0-5 install, 6-12 deliver, 13 add, 14-15
-//	        remove a query); bit 7 is an install's expected side
-//	byte 1  stream
+//	byte 0  op (low 4 bits: 0-3 install, 4 InstallAll, 5 InstallAllExcept,
+//	        6-11 deliver, 12 restore, 13 add, 14-15 remove a query); bit 7
+//	        is an install's expected side
+//	byte 1  stream; InstallAllExcept: bits 4-7 are the streams it skips
 //	byte 2  install: the live slot; deliver: the value's source (0 NaN,
 //	        1 +Inf, 2 -Inf, 3-4 a bound of the slot byte 3 picks, else
 //	        the 2.5-grid); add: bit 0 initializes the query, and unless
@@ -476,11 +546,15 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 //	byte 3  install: palette entry (low 5 bits) and width (high 3);
 //	        deliver: the slot whose bound to land on, or the grid point
 //
-// Installs draw from TestQueryIndexInvariants' palette; a delivery lands on
-// a bound of some entry, on ±Inf, NaN or a grid point. The composites start
-// with 60 slots, each with a standing interval on every stream (so streams
-// start with boundary keys to cross), and a few admissions cross a bitmap
-// word. Only the first 300 ops run.
+// Installs draw from TestQueryIndexInvariants' palette, around the value
+// of the op's stream; an InstallAll or InstallAllExcept sets the slot's
+// column default (a band re-files every stream instead), and the skipped
+// streams keep their entries. A delivery lands on a bound of some entry,
+// on ±Inf, NaN or a grid point. A restore round-trips both composites
+// through their snapshot. The composites start with 60 slots, each with a
+// standing interval on every stream (so streams start with boundary keys
+// to cross), and a few admissions cross a bitmap word. Only the first 300
+// ops run.
 func FuzzCompositeDeliver(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for range 4 {
@@ -523,6 +597,21 @@ func FuzzCompositeDeliver(f *testing.F) {
 			return c
 		}
 		lin, idx := compose(false, new([]int)), compose(true, &dispatched)
+		// restore round-trips c through its snapshot into a fresh
+		// composite, indexed or not.
+		restore := func(c *Composite, indexed bool, log *[]int) *Composite {
+			prev := SetQueryIndexEnabled(indexed)
+			defer SetQueryIndexEnabled(prev)
+			w := snapshot.NewWriter()
+			c.ExportState(w)
+			r := NewComposite(initial)
+			if err := r.ImportState(snapshot.NewReader(w.Bytes()), func(qi int, _ string, _ int64, h Host) (Protocol, error) {
+				return build(qi, log)(h), nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
 		live := make([]int, first)
 		for qi := range live {
 			live[qi] = qi
@@ -545,10 +634,23 @@ func FuzzCompositeDeliver(f *testing.F) {
 				// it must stay rare for the fired set to matter.
 				k := min(int(prog[3]&31), 11)
 				cons := paletteCons(k, lin.vals[s], 5+5*float64(prog[3]>>5))
-				for _, c := range []*Composite{lin, idx} {
-					c.queries[slot].view.Install(stream.ID(s), cons, op&0x80 != 0)
+				var skip []stream.ID
+				for t := range n {
+					if prog[1]>>(4+t)&1 != 0 {
+						skip = append(skip, t)
+					}
 				}
-			case 6, 7, 8, 9, 10, 11, 12:
+				for _, c := range []*Composite{lin, idx} {
+					switch view := &c.queries[slot].view; op & 15 {
+					case 4:
+						view.InstallAll(cons)
+					case 5:
+						view.InstallAllExcept(skip, cons)
+					default:
+						view.Install(stream.ID(s), cons, op&0x80 != 0)
+					}
+				}
+			case 6, 7, 8, 9, 10, 11:
 				v := 2.5 * float64(prog[3])
 				switch prog[2] % 8 {
 				case 0:
@@ -572,6 +674,8 @@ func FuzzCompositeDeliver(f *testing.F) {
 					t.Fatalf("op %v: %v→%v dispatched to CrossingDriven slots %v, recount %v",
 						prog[:4], u, v, dispatched, want)
 				}
+			case 12:
+				lin, idx = restore(lin, false, new([]int)), restore(idx, true, &dispatched)
 			case 13:
 				if len(lin.queries) == most {
 					continue
@@ -699,5 +803,156 @@ func TestQueryIndexLowerKeyEdges(t *testing.T) {
 				t.Fatal("no delivery fired; the walk checks nothing")
 			}
 		})
+	}
+}
+
+// TestDefaultChoiceIsUnobservable re-files one composite's index under
+// several choices of column default — the majority a restore picks, the
+// first or the last stream's entry, None, an interval no stream holds, and
+// a stream's entry picked per column — and replays one schedule of
+// deliveries, installs, InstallAlls and InstallAllExcepts on each. Which
+// entry is the default decides which layer files what, never a fired set:
+// every delivery must dispatch to the same CrossingDriven slots, and every
+// op leave the same ServerOps and export bytes, with checkIndex passing
+// throughout.
+func TestDefaultChoiceIsUnobservable(t *testing.T) {
+	const n, slots, ops = 6, 66, 400
+	rng := rand.New(rand.NewSource(43))
+	initial := make([]float64, n)
+	for s := range initial {
+		initial[s] = rng.NormFloat64()*40 + 150
+	}
+	build := func(qi int, log *[]int) func(Host) Protocol {
+		return func(h Host) Protocol {
+			if qi%2 == 0 {
+				return loggedProto{drivenProto{h: h}, qi, log}
+			}
+			return nopProto{}
+		}
+	}
+	base := NewComposite(initial)
+	// An unfiltered entry makes its stream report every update, so, as in
+	// FuzzCompositeDeliver, palette entries past 11 are its plain interval
+	// and unfiltered ones stay rare.
+	palette := func(v float64) filter.Constraint {
+		return paletteCons(min(rng.Intn(32), 11), v, 5+rng.Float64()*30)
+	}
+	for qi := 0; qi < slots; qi++ {
+		base.AddQuery("q", int64(qi), build(qi, new([]int)))
+		lo := 60 + 10*float64(qi%16)
+		base.queries[qi].view.InstallAll(filter.NewInterval(lo, lo+80))
+	}
+	base.Initialize()
+	for range 300 {
+		s := rng.Intn(n)
+		base.queries[rng.Intn(slots)].view.Install(s, palette(base.vals[s]), rng.Intn(2) == 0)
+	}
+	w := snapshot.NewWriter()
+	base.ExportState(w)
+	picks := []struct {
+		name string
+		pick func(c *Composite, qi int) filter.Constraint
+	}{
+		{"majority", majorityDefault},
+		{"first", func(c *Composite, qi int) filter.Constraint { return c.cons[0][qi] }},
+		{"last", func(c *Composite, qi int) filter.Constraint { return c.cons[n-1][qi] }},
+		{"none", func(*Composite, int) filter.Constraint { return filter.NoFilter() }},
+		{"held-by-none", func(*Composite, int) filter.Constraint { return filter.NewInterval(-1e9, -1e8) }},
+		{"per-column", func(c *Composite, qi int) filter.Constraint { return c.cons[qi%n][qi] }},
+	}
+	type run struct {
+		c   *Composite
+		log []int
+	}
+	runs := make([]*run, len(picks))
+	for i, p := range picks {
+		r := &run{c: NewComposite(initial)}
+		if err := r.c.ImportState(snapshot.NewReader(w.Bytes()), func(qi int, _ string, _ int64, h Host) (Protocol, error) {
+			return build(qi, &r.log)(h), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		r.c.idx.refile(r.c, p.pick)
+		checkIndex(t, r.c)
+		runs[i] = r
+	}
+	export := func(c *Composite) []byte {
+		w := snapshot.NewWriter()
+		c.ExportState(w)
+		return w.Bytes()
+	}
+	fired := 0
+	for op := range ops {
+		s, qi, side := rng.Intn(n), rng.Intn(slots), rng.Intn(2) == 0
+		cons := palette(runs[0].c.vals[s])
+		var skip []stream.ID
+		for t := range n {
+			if rng.Intn(4) == 0 {
+				skip = append(skip, t)
+			}
+		}
+		v := rng.NormFloat64()*40 + 150
+		switch rng.Intn(40) {
+		case 0:
+			v = math.NaN()
+		case 1:
+			v = math.Inf(1)
+		case 2:
+			v = math.Inf(-1)
+		}
+		kind := rng.Intn(10)
+		for _, r := range runs {
+			r.log = r.log[:0]
+			view := &r.c.queries[qi].view
+			switch kind {
+			case 0, 1:
+				view.Install(s, cons, side)
+			case 2:
+				view.InstallAll(cons)
+			case 3:
+				view.InstallAllExcept(skip, cons)
+			default:
+				r.c.Deliver(s, v)
+			}
+			checkIndex(t, r.c)
+		}
+		fired += len(runs[0].log)
+		want := export(runs[0].c)
+		for i, r := range runs[1:] {
+			if !slices.Equal(r.log, runs[0].log) {
+				t.Fatalf("op %d: default %q dispatched to %v, %q to %v", op, picks[i+1].name, r.log, picks[0].name, runs[0].log)
+			}
+			if a, b := r.c.Counter().ServerOps, runs[0].c.Counter().ServerOps; a != b {
+				t.Fatalf("op %d: default %q charged %d server ops, %q %d", op, picks[i+1].name, a, picks[0].name, b)
+			}
+			if !bytes.Equal(export(r.c), want) {
+				t.Fatalf("op %d: default %q exports different state than %q", op, picks[i+1].name, picks[0].name)
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no delivery dispatched to a CrossingDriven slot; the schedule checks nothing")
+	}
+}
+
+// TestInstallAllExceptRefusesUnsortedSkip: on a composite, indexed or
+// linear, a skip list that is not strictly ascending panics, as on a
+// cluster.
+func TestInstallAllExceptRefusesUnsortedSkip(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		for _, skip := range [][]stream.ID{{3, 1}, {2, 2}} {
+			prev := SetQueryIndexEnabled(indexed)
+			c := NewComposite([]float64{0, 1, 2, 3, 4})
+			SetQueryIndexEnabled(prev)
+			c.AddQuery("q", 0, func(Host) Protocol { return nopProto{} })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("indexed %v: skip %v accepted", indexed, skip)
+					}
+				}()
+				c.queries[0].view.InstallAllExcept(skip, filter.NewInterval(1, 2))
+			}()
+		}
 	}
 }

@@ -60,6 +60,12 @@ type HostOf[V, C any] interface {
 	InstallBatch(ids []stream.ID, cons C)
 	// InstallAll deploys the same constraint to every stream.
 	InstallAll(cons C)
+	// InstallAllExcept deploys the same constraint to every stream not
+	// listed in skip (n − len(skip) Install messages; the listed ids must
+	// be strictly ascending), each expecting the side cons puts its table
+	// value on; a listed stream keeps its filter. A composite files cons
+	// once, as the query's column default.
+	InstallAllExcept(skip []stream.ID, cons C)
 	// Table returns the server's belief about stream id's value and whether
 	// the stream has ever been heard from.
 	Table(id stream.ID) (V, bool)
@@ -341,6 +347,15 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 func (c *ClusterOf[V, C]) InstallAll(cons C) {
 	chargeInstalls(&c.ctr, uint64(c.N()))
 	c.sources.InstallAll(c.table, cons, c.recv)
+	c.reports.drain(c) // no-op when already inside a delivery cycle
+}
+
+// InstallAllExcept deploys cons to every stream not listed in skip, which
+// must be strictly ascending, deriving each stream's expected side from
+// the server table. It costs n − len(skip) Install messages.
+func (c *ClusterOf[V, C]) InstallAllExcept(skip []stream.ID, cons C) {
+	chargeInstalls(&c.ctr, uint64(c.N()-len(skip)))
+	c.sources.InstallAllExcept(skip, c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 

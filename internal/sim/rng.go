@@ -39,25 +39,40 @@ const MaxSkip = 1 << 30
 // countingSource wraps a math/rand source and counts its steps. Both Int63
 // and Uint64 advance the wrapped generator exactly one step, so the count is
 // the exact number of state transitions regardless of which distribution
-// methods consumed them.
+// methods consumed them. The steps a Skip owes are counted at once and
+// taken from the generator before its next draw.
 type countingSource struct {
 	src rand.Source64
 	pos uint64
+	owe uint64 // steps counted in pos that the generator has not taken yet
 }
 
 func (c *countingSource) Int63() int64 {
 	c.pos++
+	if c.owe != 0 {
+		c.pay()
+	}
 	return c.src.Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
 	c.pos++
+	if c.owe != 0 {
+		c.pay()
+	}
 	return c.src.Uint64()
+}
+
+// pay takes the steps Skip owes the generator.
+func (c *countingSource) pay() {
+	for ; c.owe > 0; c.owe-- {
+		c.src.Uint64()
+	}
 }
 
 func (c *countingSource) Seed(seed int64) {
 	c.src.Seed(seed)
-	c.pos = 0
+	c.pos, c.owe = 0, 0
 }
 
 // NewRNG returns a deterministic RNG for the given seed.
@@ -74,12 +89,22 @@ func (r *RNG) Pos() uint64 { return r.src.pos }
 // restoring the state a freshly constructed RNG had after consuming n steps.
 // It returns an error (leaving the RNG unperturbed) when n exceeds MaxSkip,
 // so corrupted snapshot positions fail fast instead of replaying forever.
+// Pos counts the steps at once; the source takes them before its next draw,
+// so an RNG that is skipped and never drawn from again costs no replay.
 func (r *RNG) Skip(n uint64) error {
 	if n > MaxSkip {
 		return fmt.Errorf("sim: rng skip %d exceeds limit %d", n, uint64(MaxSkip))
 	}
-	for i := uint64(0); i < n; i++ {
-		r.src.Uint64()
+	r.src.pos += n
+	r.src.owe += n
+	return nil
+}
+
+// Replayable returns an error when the RNG has consumed more steps than one
+// Skip can replay, so a snapshot of its position could never be restored.
+func (r *RNG) Replayable() error {
+	if pos := r.Pos(); pos > MaxSkip {
+		return fmt.Errorf("sim: rng position %d exceeds the restorable bound %d", pos, uint64(MaxSkip))
 	}
 	return nil
 }

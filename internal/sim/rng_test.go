@@ -256,3 +256,42 @@ func TestSkipBound(t *testing.T) {
 		t.Fatalf("Pos = %d, want 10", rng.Pos())
 	}
 }
+
+// TestReplayableBound pins the export side of the MaxSkip bound: a
+// position Skip can replay is restorable — exactly at the bound too — and
+// one step past it is not. Skip only counts the steps it owes, so reaching
+// the bound replays nothing.
+func TestReplayableBound(t *testing.T) {
+	rng := NewRNG(3)
+	if err := rng.Skip(MaxSkip); err != nil {
+		t.Fatal(err)
+	}
+	if err := rng.Replayable(); err != nil {
+		t.Fatalf("position at exactly the bound: %v", err)
+	}
+	if err := rng.Skip(1); err != nil {
+		t.Fatal(err)
+	}
+	if rng.Replayable() == nil || rng.Pos() != MaxSkip+1 {
+		t.Fatalf("position %d, one step past the bound, reported restorable", rng.Pos())
+	}
+}
+
+// TestSkipOwedStepsAcrossSkips checks that steps owed by several Skips are
+// all taken before the next draw, in whichever draw comes first.
+func TestSkipOwedStepsAcrossSkips(t *testing.T) {
+	orig := NewRNG(55)
+	for range 40 {
+		orig.Uint64()
+	}
+	want := orig.Int63()
+	re := NewRNG(55)
+	for _, n := range []uint64{7, 0, 33} {
+		if err := re.Skip(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := re.Int63(); got != want || re.Pos() != orig.Pos() {
+		t.Fatalf("after skips: draw %v at %d, want %v at %d", got, re.Pos(), want, orig.Pos())
+	}
+}

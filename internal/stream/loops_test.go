@@ -35,8 +35,8 @@ type loopReport[V any] struct {
 }
 
 // loopHarness drives two copies of the same sources through one op
-// sequence. got takes every batch install through InstallAll or
-// InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
+// sequence. got takes every batch install through InstallAll,
+// InstallAllExcept or InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
 // believed[id])) loop, the rule the batch loops shortcut. Reports must
 // match in id, value and order, and the sources field by field, after
 // every op — and every source must keep the crossing-side invariant.
@@ -97,7 +97,7 @@ func runLoops[V comparable, C interface {
 		got: NewSources[V, C](initial), ref: NewSources[V, C](initial), believed: believed}
 	h.uplink = func(id ID, v V) { h.gotRep = append(h.gotRep, loopReport[V]{id, v}) }
 	for step := 0; len(r.data) > 0; step++ {
-		op := r.next() % 7
+		op := r.next() % 8
 		switch op {
 		case 0: // Set; a silent constraint never owes a report
 			id, v := int(r.next())%n, gen.value(r.next())
@@ -144,6 +144,15 @@ func runLoops[V comparable, C interface {
 		case 6: // the server's belief moves to the value or one step off it
 			id := int(r.next()) % n
 			h.believed[id] = gen.near(h.got.vals[id], r.next())
+		case 7: // InstallAllExcept, skipping a subset
+			skip, c := loopSubset(r, n), gen.cons(r)
+			slices.Sort(skip)
+			h.got.InstallAllExcept(skip, h.believed, c, h.uplink)
+			for id := range n {
+				if !slices.Contains(skip, id) {
+					h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
+				}
+			}
 		}
 		h.check(step, op)
 	}
@@ -308,8 +317,8 @@ var scalarGen = loopGen[float64, filter.Constraint]{
 	},
 }
 
-// FuzzInstallLoops checks the batch installs (InstallAll, InstallEach)
-// against a per-source Install loop, and Install against the handshake's
+// FuzzInstallLoops checks the batch installs (InstallAll,
+// InstallAllExcept, InstallEach) against a per-source Install loop, and Install against the handshake's
 // specification, over 1…16 sources or up to 205 (past InstallEach's chunk)
 // on a ½-grid with ±Inf at its ends and a believed table one step stale or
 // exact, every 1-D constraint kind, Set (never reporting through a silent
@@ -330,6 +339,9 @@ func FuzzInstallLoops(f *testing.F) {
 	// a stale belief; a round trip.
 	f.Add([]byte{255, 7, 3, 255, 255, 3, 0, 9, 4, 3, 255, 255, 0, 1, 12, 2, 2, 0, 6, 3, 6, 40, 1, 2, 0, 9, 5, 5})
 	f.Add([]byte{221, 1, 3, 85, 85, 0, 1, 8, 6, 2, 0, 12, 3, 0, 90, 19, 3, 170, 170, 2, 5, 0, 0, 5, 2, 1, 4, 3})
+	// 103 sources: InstallAllExcept skipping a quarter of the ids, under a
+	// stale belief, then skipping none.
+	f.Add([]byte{221, 4, 6, 7, 3, 7, 17, 17, 1, 0, 8, 6, 7, 0, 0, 0, 1, 9, 4})
 	f.Fuzz(func(t *testing.T, data []byte) { runLoops(t, scalarGen, data) })
 }
 
@@ -378,5 +390,24 @@ func TestInstallLoopsPlanar(t *testing.T) {
 		data := make([]byte, 32+rng.Intn(256))
 		rng.Read(data)
 		runLoops(t, planarGen, data)
+	}
+}
+
+// TestInstallAllExceptRefusesUnsortedSkip: a skip list that is not
+// strictly ascending — out of order, or with a repeat — is a caller bug,
+// and panics under a crossing constraint and under every other kind.
+func TestInstallAllExceptRefusesUnsortedSkip(t *testing.T) {
+	for _, c := range []filter.Constraint{filter.NewInterval(1, 2), filter.NoFilter(), filter.NewBand(0, 1)} {
+		for _, skip := range [][]ID{{3, 1}, {2, 2}} {
+			s := New(0, 1, 2, 3, 4)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: skip %v accepted", c, skip)
+					}
+				}()
+				s.InstallAllExcept(skip, s.vals, c, func(ID, float64) {})
+			}()
+		}
 	}
 }

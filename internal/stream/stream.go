@@ -13,7 +13,8 @@
 // contiguously and decides a whole column's sides in one filter.Of.Sides
 // call. Sources hold no uplink: Set and Install return whether a report is
 // owed, and the caller — the server's cluster — delivers it; the batch
-// installs (InstallAll, InstallEach) take that uplink once per batch.
+// installs (InstallAll, InstallAllExcept, InstallEach) take that uplink
+// once per batch.
 package stream
 
 import (
@@ -209,26 +210,55 @@ func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
 // puts believed[i] — the server's table — and hands every owed mismatch
 // report to report, in source order. It is Install in a loop with c
 // classified once.
+func (s *Sources[V, C]) InstallAll(believed []V, c C, report func(ID, V)) {
+	s.InstallAllExcept(nil, believed, c, report)
+}
+
+// InstallAllExcept is InstallAll leaving the listed sources, whose ids
+// must be strictly ascending, as they are.
 //
 // Under a crossing constraint it is two Sides calls — over the table
 // column into scratch and over the value column straight into the recorded
-// sides — a fill of the constraint and mode columns, and a scan that
-// reports each source whose two sides differ.
-func (s *Sources[V, C]) InstallAll(believed []V, c C, report func(ID, V)) {
+// sides, the listed sources' sides parked in the scratch meanwhile — the
+// constraint and mode columns written between the listed sources and
+// filled after the last, and a scan that reports each source whose two
+// sides differ.
+func (s *Sources[V, C]) InstallAllExcept(skip []ID, believed []V, c C, report func(ID, V)) {
+	n := len(s.vals)
 	var zero V
 	if m := classify(c, zero); m != crossing {
+		next := 0
 		for i := range s.vals {
-			if s.installOther(i, c, m) {
+			if next < len(skip) && skip[next] == i {
+				next++
+			} else if s.installOther(i, c, m) {
 				report(i, s.vals[i])
 			}
 		}
+		if next != len(skip) {
+			panic("stream: skip list is not strictly ascending")
+		}
 		return
 	}
-	expect := s.sides[:len(s.vals)]
-	c.Sides(expect, believed[:len(s.vals)])
+	expect := s.sides[:n]
+	c.Sides(expect, believed[:n])
+	for _, id := range skip {
+		expect[id] = s.inside[id]
+	}
 	c.Sides(s.inside, s.vals)
-	fill(s.cons, c)
-	fill(s.modes, crossing)
+	from := 0
+	for _, id := range skip {
+		if id < from {
+			panic("stream: skip list is not strictly ascending")
+		}
+		for i := from; i < id; i++ {
+			s.cons[i], s.modes[i] = c, crossing
+		}
+		s.inside[id] = expect[id]
+		from = id + 1
+	}
+	fill(s.cons[from:], c)
+	fill(s.modes[from:], crossing)
 	for i, in := range s.inside {
 		if in != expect[i] {
 			s.reports[i]++
