@@ -97,3 +97,45 @@ func TestKNearestTable(t *testing.T) {
 		})
 	}
 }
+
+// TestSetRemoveLifecycle checks presence bookkeeping through a move. (The
+// index no longer removes streams; the name is the test's original one.)
+func TestSetRemoveLifecycle(t *testing.T) {
+	ix := New(4)
+	if ix.Len() != 0 || ix.N() != 4 {
+		t.Fatalf("fresh index Len=%d N=%d", ix.Len(), ix.N())
+	}
+	if _, ok := ix.Value(2); ok {
+		t.Fatal("absent stream present")
+	}
+	ix.Set(2, 25)
+	ix.Set(2, 35) // move
+	if v, ok := ix.Value(2); !ok || v != 35 {
+		t.Fatalf("Value(2) = (%v, %v)", v, ok)
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len = %d after move", ix.Len())
+	}
+	if got := ix.CountRange(30, 40); got != 1 {
+		t.Fatalf("CountRange after move = %d", got)
+	}
+	if got := New(3).KNearest(query.At(0), 3); got != nil {
+		t.Fatalf("KNearest on empty = %v", got)
+	}
+}
+
+// TestKthDistAndMaxDist covers the distance accessor KthDist. (MaxDist had
+// no caller and is gone; the name is the test's original one.)
+func TestKthDistAndMaxDist(t *testing.T) {
+	ix := newIndex()
+	q := query.At(35)
+	if d, ok := ix.KthDist(q, 2); !ok || d != 5 {
+		t.Fatalf("KthDist(2) = (%v, %v), want (5, true)", d, ok)
+	}
+	if _, ok := ix.KthDist(q, 7); ok {
+		t.Fatal("KthDist beyond size reported ok")
+	}
+	if _, ok := ix.KthDist(q, 0); ok {
+		t.Fatal("KthDist(0) reported ok")
+	}
+}
