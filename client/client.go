@@ -5,7 +5,7 @@
 // # Pipelining
 //
 // Ingest is asynchronous: it frames the batch, returns its sequence
-// number, and lets up to Options.Inflight batches ride the connection
+// number, and lets up to Options.InflightEvents events ride the connection
 // unacknowledged. A background reader matches acks to sequence numbers as
 // they return and hands them to Options.OnIngestAck — the hook an
 // open-loop load generator uses to timestamp completions without ever
@@ -51,9 +51,11 @@ var ErrClosed = errors.New("client: closed")
 
 // Options tunes a Client. The zero value is usable.
 type Options struct {
-	// Inflight caps unacknowledged pipelined ingest batches; Ingest
-	// flushes and waits when the window is full (0 = 128).
-	Inflight int
+	// InflightEvents caps the events of unacknowledged pipelined ingest
+	// batches: Ingest flushes and waits while the events in flight plus
+	// its batch would pass it. A batch larger than the window goes out
+	// alone, once nothing else is in flight. 0 means DefaultInflightEvents.
+	InflightEvents int
 	// OnIngestAck, when set, observes every ingest batch's completion:
 	// the batch's sequence number and wire.StatusOK, wire.StatusShed,
 	// wire.StatusError or StatusLost. Called on the reader goroutine —
@@ -65,11 +67,29 @@ type Options struct {
 	RetryWait time.Duration
 }
 
-func (o Options) inflight() int {
-	if o.Inflight <= 0 {
-		return 128
+// DefaultInflightEvents is the ingest window when Options leaves it 0:
+// four of the runtime's default shard mailboxes (runtime.Config.Queue,
+// 4,096 events). A window of one mailbox stalls the pipeline whenever the
+// shard's mailbox fills: the server's connection goroutine blocks posting,
+// acks stop, and the client blocks on its window while the shard applies
+// (DESIGN.md §9.3).
+const DefaultInflightEvents = 4 * 4096
+
+// flushBacklog is the count of events in flight past which Flush leaves
+// the buffered frames to the client's flusher, which sends them once acks
+// bring the count back under it: one default shard mailbox. Behind that
+// much the server has work queued, and a paced sender that paid a socket
+// write per batch while it catches up would take the CPU it needs
+// (DESIGN.md §9.3). It must exceed what the 16 KiB write buffer can hold
+// (1,638 events at the smallest, 10 bytes), so a deferred Flush always
+// has frames on the wire whose acks will end the deferral.
+const flushBacklog = 4096
+
+func (o Options) inflightEvents() int {
+	if o.InflightEvents <= 0 {
+		return DefaultInflightEvents
 	}
-	return o.Inflight
+	return o.InflightEvents
 }
 
 func (o Options) retryWait() time.Duration {
@@ -87,9 +107,10 @@ type result struct {
 
 // call is one request awaiting its reply.
 type call struct {
-	seq uint64
-	op  byte
-	ch  chan result // nil for pipelined ingest
+	seq    uint64
+	op     byte
+	ch     chan result // nil for pipelined ingest
+	events int         // a pipelined batch's share of the ingest window
 }
 
 // pendingRing is the FIFO of requests awaiting replies. The server answers
@@ -97,7 +118,7 @@ type call struct {
 // control replies from the driver, never reordered), so the oldest pending
 // call is always the one the next reply matches — a ring buffer replaces
 // the seq→call map and its ever-growing-key rehash churn. The ring grows to
-// the high-water inflight window and is then allocation-free.
+// the high-water count of batches in flight and is then allocation-free.
 type pendingRing struct {
 	buf  []call
 	head int
@@ -138,19 +159,20 @@ func (r *pendingRing) pop() (call, bool) {
 }
 
 // dropTail rolls back the newest pending call if it carries seq — the
-// unregister path for a frame that never made it onto the socket. Reports
-// whether anything was removed (a disconnect may already have cleared it).
-func (r *pendingRing) dropTail(seq uint64) bool {
+// unregister path for a frame that never made it onto the socket — and
+// returns it. ok is false if nothing was removed (a disconnect may already
+// have cleared it).
+func (r *pendingRing) dropTail(seq uint64) (cl call, ok bool) {
 	if r.size == 0 {
-		return false
+		return call{}, false
 	}
 	i := (r.head + r.size - 1) % len(r.buf)
-	if r.buf[i].seq != seq {
-		return false
+	if cl = r.buf[i]; cl.seq != seq {
+		return call{}, false
 	}
 	r.buf[i] = call{}
 	r.size--
-	return true
+	return cl, true
 }
 
 // Stats counts ingest batch outcomes since Dial.
@@ -173,8 +195,9 @@ type Client struct {
 	fw  *wire.FrameWriter
 	seq uint64
 
-	// pmu guards the pending ring, the ingest window and link state;
-	// cond signals window space and state changes.
+	// pmu guards the pending ring, the ingest window (events of pipelined
+	// batches not yet answered) and link state; cond signals window space
+	// and state changes.
 	pmu      sync.Mutex
 	cond     *sync.Cond
 	pending  pendingRing
@@ -182,13 +205,20 @@ type Client struct {
 	up       bool
 	closed   bool
 	stats    Stats
+	// deferred is set while a Flush has left frames buffered; the reader
+	// clears it and wakes the flusher through kick once the backlog is
+	// back under flushBacklog. stopFlush ends the flusher with the reader.
+	deferred  bool
+	kick      chan struct{}
+	stopFlush chan struct{}
 
 	wg sync.WaitGroup
 }
 
-// Dial connects, performs the wire handshake and starts the reader.
+// Dial connects, performs the wire handshake and starts the reader and
+// the flusher.
 func Dial(addr string, opts Options) (*Client, error) {
-	c := &Client{addr: addr, opts: opts}
+	c := &Client{addr: addr, opts: opts, kick: make(chan struct{}, 1), stopFlush: make(chan struct{})}
 	c.cond = sync.NewCond(&c.pmu)
 	nc, fr, err := c.connect()
 	if err != nil {
@@ -197,9 +227,30 @@ func Dial(addr string, opts Options) (*Client, error) {
 	c.nc = nc
 	c.fw = wire.NewFrameWriter(nc, wire.DefaultMaxFrame)
 	c.up = true
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go c.readLoop(fr)
+	go c.flushLoop()
 	return c, nil
+}
+
+// flushLoop sends the frames a deferred Flush left buffered, each time the
+// reader says the backlog is back under flushBacklog. It writes, so the
+// reader never has to: a reader blocked on a write could stop reading the
+// acks the server is blocked writing.
+func (c *Client) flushLoop() {
+	defer c.wg.Done()
+	for {
+		select {
+		case <-c.kick:
+		case <-c.stopFlush:
+			return
+		}
+		// A failed write means a broken connection, which the reader
+		// reports by failing every pending call.
+		c.wmu.Lock()
+		_ = c.fw.Flush()
+		c.wmu.Unlock()
+	}
 }
 
 // connect dials and completes the Hello exchange on a fresh socket.
@@ -283,6 +334,7 @@ func (c *Client) failPendingLocked(err error) {
 		}
 	}
 	c.inflight = 0
+	c.deferred = false
 	c.up = false
 	c.cond.Broadcast()
 }
@@ -291,6 +343,7 @@ func (c *Client) failPendingLocked(err error) {
 // fails in-flight work and, when Reconnect is set, redials until Close.
 func (c *Client) readLoop(fr *wire.FrameReader) {
 	defer c.wg.Done()
+	defer close(c.stopFlush)
 	for {
 		err := c.readReplies(fr)
 		c.pmu.Lock()
@@ -370,7 +423,14 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 			continue
 		}
 		c.pmu.Lock()
-		c.inflight--
+		c.inflight -= cl.events
+		if c.deferred && c.inflight <= flushBacklog {
+			c.deferred = false
+			select {
+			case c.kick <- struct{}{}:
+			default: // the flusher is already due to run
+			}
+		}
 		switch res.rep.Status {
 		case wire.StatusShed:
 			c.stats.Shed++
@@ -385,10 +445,11 @@ func (c *Client) readReplies(fr *wire.FrameReader) error {
 	}
 }
 
-// register installs a pending call under a fresh sequence number. The
-// caller must hold wmu (so the frame goes out after registration, and no
-// reply can race ahead of it).
-func (c *Client) register(cl call, countInflight bool) (uint64, error) {
+// register installs a pending call under a fresh sequence number and
+// charges its events to the ingest window. The caller must hold wmu (so
+// the frame goes out after registration, and no reply can race ahead of
+// it).
+func (c *Client) register(cl call) (uint64, error) {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	if c.closed {
@@ -400,38 +461,38 @@ func (c *Client) register(cl call, countInflight bool) (uint64, error) {
 	c.seq++
 	cl.seq = c.seq
 	c.pending.push(cl)
-	if countInflight {
-		c.inflight++
-	}
+	c.inflight += cl.events
 	return c.seq, nil
 }
 
 // unregister rolls back a registration whose frame never made it out. The
 // caller still holds wmu, so the registration is necessarily the newest
 // pending call (nothing can have registered behind it).
-func (c *Client) unregister(seq uint64, countInflight bool) {
+func (c *Client) unregister(seq uint64) {
 	c.pmu.Lock()
-	if c.pending.dropTail(seq) && countInflight {
-		c.inflight--
+	if cl, ok := c.pending.dropTail(seq); ok {
+		c.inflight -= cl.events
 		c.cond.Signal()
 	}
 	c.pmu.Unlock()
 }
 
 // Ingest frames one event batch onto the pipeline and returns its
-// sequence number without waiting for the ack. When the inflight window
-// is full it flushes and blocks until space opens. The batch is encoded
-// before return; the caller may reuse the slice immediately.
+// sequence number without waiting for the ack. While the events in flight
+// plus this batch would pass the window it flushes and blocks until acks
+// open space; a batch larger than the whole window waits until nothing
+// else is in flight. The batch is encoded before return; the caller may
+// reuse the slice immediately.
 func (c *Client) Ingest(events []runtime.Event) (uint64, error) {
 	// Wait for window space outside wmu so acks can drain.
 	c.pmu.Lock()
-	for c.up && !c.closed && c.inflight >= c.opts.inflight() {
+	for c.windowFullLocked(len(events)) {
 		c.pmu.Unlock()
-		if err := c.Flush(); err != nil {
+		if err := c.flush(false); err != nil {
 			return 0, err
 		}
 		c.pmu.Lock()
-		if c.up && !c.closed && c.inflight >= c.opts.inflight() {
+		if c.windowFullLocked(len(events)) {
 			c.cond.Wait()
 		}
 	}
@@ -439,24 +500,45 @@ func (c *Client) Ingest(events []runtime.Event) (uint64, error) {
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	seq, err := c.register(call{op: wire.OpIngest}, true)
+	seq, err := c.register(call{op: wire.OpIngest, events: len(events)})
 	if err != nil {
 		return 0, err
 	}
 	wire.EncodeIngest(c.fw.Begin(), seq, events)
 	if err := c.fw.End(); err != nil {
-		c.unregister(seq, true)
+		c.unregister(seq)
 		return 0, err
 	}
 	return seq, nil
 }
 
-// Flush pushes buffered frames to the socket.
-func (c *Client) Flush() error {
+// windowFullLocked reports whether a batch of n events must wait: the link
+// is up and other events are in flight that, with these, would pass the
+// window. pmu held.
+func (c *Client) windowFullLocked(n int) bool {
+	return c.up && !c.closed && c.inflight > 0 && c.inflight+n > c.opts.inflightEvents()
+}
+
+// Flush pushes buffered frames to the socket. While more than one shard
+// mailbox of events (flushBacklog) is in flight it leaves them buffered
+// instead, and the client sends them as soon as acks bring the backlog
+// under that: the server has work queued either way.
+func (c *Client) Flush() error { return c.flush(true) }
+
+// flush is Flush; mayDefer lets it leave the frames to the flusher. Ingest
+// waiting on a full window flushes at once: it is about to block anyway,
+// and holding its frames back cost saturated `wire-range` 3 % of its
+// events/s.
+func (c *Client) flush(mayDefer bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pmu.Lock()
 	up := c.up && !c.closed
+	if up && mayDefer && c.inflight > flushBacklog {
+		c.deferred = true
+		c.pmu.Unlock()
+		return nil
+	}
 	c.pmu.Unlock()
 	if !up {
 		return ErrDisconnected
@@ -473,7 +555,7 @@ func (c *Client) Do(req wire.Request) (wire.Reply, error) {
 	}
 	ch := make(chan result, 1)
 	c.wmu.Lock()
-	seq, err := c.register(call{op: req.Op, ch: ch}, false)
+	seq, err := c.register(call{op: req.Op, ch: ch})
 	if err != nil {
 		c.wmu.Unlock()
 		return wire.Reply{}, err
@@ -485,7 +567,7 @@ func (c *Client) Do(req wire.Request) (wire.Reply, error) {
 	}
 	if err != nil {
 		c.wmu.Unlock()
-		c.unregister(seq, false)
+		c.unregister(seq)
 		return wire.Reply{}, err
 	}
 	c.wmu.Unlock()

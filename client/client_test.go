@@ -107,8 +107,8 @@ func TestPipelinedIngestMatchesInProcess(t *testing.T) {
 
 	var acks atomic.Uint64
 	c, err := client.Dial(s.Addr().String(), client.Options{
-		Inflight:    8,
-		OnIngestAck: func(seq uint64, status byte) { acks.Add(1) },
+		InflightEvents: 8 * 64, // eight of the 64-event batches below
+		OnIngestAck:    func(seq uint64, status byte) { acks.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestShutdown(t *testing.T) {
 // deadlocking.
 func TestIngestWindowBackpressure(t *testing.T) {
 	s, _ := startServer(t, 1)
-	c, err := client.Dial(s.Addr().String(), client.Options{Inflight: 2})
+	c, err := client.Dial(s.Addr().String(), client.Options{InflightEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

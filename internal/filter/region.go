@@ -104,7 +104,10 @@ func (r Region) Contains(p Point) bool {
 		if math.IsInf(r.A, 1) {
 			return true
 		}
-		return Dist(r.C, p) <= r.A
+		// Outside the bounding square is outside the disk, exactly (see
+		// Sides); only a point inside it pays for math.Hypot.
+		dx, dy := r.C.X-p.X, r.C.Y-p.Y
+		return math.Abs(dx) <= r.A && math.Abs(dy) <= r.A && math.Hypot(dx, dy) <= r.A
 	case RegionRect:
 		if r.A < 0 || r.B < 0 {
 			return false
@@ -124,7 +127,8 @@ func (r Region) Contains(p Point) bool {
 // m·√(1 + (min/m)²) with m = max(|dx|, |dy|), every factor at least 1 and
 // rounding monotone, so it is never below m, and m > r puts it outside
 // (a NaN beside an infinite or too-large coordinate is outside as well).
-// Every other point takes Contains' own Dist.
+// Every other point takes Dist's own math.Hypot. Contains decides a single
+// point the same way.
 func (r Region) Sides(dst []bool, pts []Point) {
 	dst = dst[:len(pts)]
 	switch {

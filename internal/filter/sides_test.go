@@ -109,6 +109,15 @@ func FuzzSides(f *testing.F) {
 				}
 			}
 			checkSides(t, r, pts)
+			if r.Kind == filter.RegionDisk && !math.IsInf(x, 1) {
+				// Contains' bounding-square shortcut decides every point
+				// as the plain distance test does.
+				for _, p := range pts {
+					if got, want := r.Contains(p), filter.Dist(r.C, p) <= r.A; got != want {
+						t.Fatalf("%v: Contains(%v) = %v, Dist says %v", r, p, got, want)
+					}
+				}
+			}
 		}
 	})
 }

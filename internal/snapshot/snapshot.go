@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer accumulates an encoded snapshot. The zero value is ready to use.
@@ -93,6 +94,18 @@ func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
+
+// Grow returns n bytes of free space past the end of the buffer, growing
+// its capacity if need be, for a codec that writes a run of fields with
+// encoding/binary's Put functions in one loop. Extend then appends the
+// first m ≤ n of them; nothing is appended until it does.
+func (w *Writer) Grow(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	return w.buf[len(w.buf) : len(w.buf)+n]
+}
+
+// Extend appends the first n bytes of the space Grow returned.
+func (w *Writer) Extend(n int) { w.buf = w.buf[:len(w.buf)+n] }
 
 // Varint appends a zigzag variable-width signed integer.
 func (w *Writer) Varint(v int64) {

@@ -233,6 +233,38 @@ func TestWriterReset(t *testing.T) {
 	}
 }
 
+// TestWriterGrowExtend checks that Grow appends nothing by itself, that
+// Extend appends exactly the prefix written into Grow's space behind what
+// the Writer held, and that a reused Writer grows without allocating.
+func TestWriterGrowExtend(t *testing.T) {
+	w := NewWriter()
+	w.Uvarint(300)
+	b := w.Grow(16)
+	if len(b) != 16 || w.Len() != 2 {
+		t.Fatalf("Grow(16) gave %d bytes and left Len %d, want 16 and 2", len(b), w.Len())
+	}
+	copy(b, "abcdef")
+	w.Extend(3)
+	w.Bool(true)
+	r := NewReader(w.Bytes())
+	if v := r.Uvarint(); v != 300 {
+		t.Fatalf("prefix read back as %d", v)
+	}
+	var got [3]byte
+	for i := range got {
+		got[i] = byte(r.Uvarint())
+	}
+	if string(got[:]) != "abc" || !r.Bool() || r.Done() != nil {
+		t.Fatalf("extended bytes read back as %q, err %v", got, r.Done())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Reset()
+		w.Extend(len(w.Grow(64)))
+	}); allocs != 0 {
+		t.Fatalf("Grow on a reused Writer allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestReaderReset checks Reset re-points a failed Reader at fresh data with
 // a clean error state, and that the pre-Reset failure was sticky.
 func TestReaderReset(t *testing.T) {

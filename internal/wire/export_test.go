@@ -15,3 +15,16 @@ func DecodeIngestChecked(r *snapshot.Reader, dst []runtime.Event) ([]runtime.Eve
 	}
 	return decodeEventsChecked(r, dst, count)
 }
+
+// EncodeIngestPerField is EncodeIngest a field at a time through the
+// Writer's own primitives. FuzzEncodeIngest uses it as the reference.
+func EncodeIngestPerField(p *snapshot.Writer, seq uint64, events []runtime.Event) {
+	EncodeHeader(p, OpIngest, seq)
+	p.Uvarint(uint64(len(events)))
+	for i := range events {
+		ev := &events[i]
+		p.Uvarint(uint64(ev.Tenant))
+		p.Uvarint(uint64(ev.Stream))
+		p.Float64(ev.Value)
+	}
+}
