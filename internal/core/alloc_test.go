@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -250,5 +251,69 @@ func BenchmarkKNNAnswer(b *testing.B) {
 				p.Answer()
 			}
 		})
+	}
+}
+
+// heapBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call.
+func heapBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestFTSelectionUnseeded pins what a selection stream nobody draws from
+// costs: building an FT-NRP or an FT-RP under the default selection,
+// boundary-nearest, allocates under 1 KiB, and deploying it on 64 streams
+// with silent filters to place allocates no ~5 KB source register either
+// (sim seeds one only on a first draw). Under SelectRandom the same deploy
+// draws its picks and must show the register, so the gauge can see one.
+func TestFTSelectionUnseeded(t *testing.T) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i * 1000 / len(vals))
+	}
+	builds := map[string]func(h server.Host, sel core.Selection) server.Protocol{
+		"ft-nrp": func(h server.Host, sel core.Selection) server.Protocol {
+			return core.NewFTNRP(h, query.NewRange(400, 600), core.FTNRPConfig{
+				Tol: core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}, Selection: sel, Seed: 7})
+		},
+		"ft-rp": func(h server.Host, sel core.Selection) server.Protocol {
+			cfg := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3})
+			cfg.Selection, cfg.Seed = sel, 7
+			return core.NewFTRP(h, query.At(500), 20, cfg)
+		},
+	}
+	const register = 4 << 10 // a source register is 607 words
+	for name, build := range builds {
+		var c *server.Cluster
+		host := heapBytes(50, func() { c = server.NewCluster(vals) })
+		built := heapBytes(50, func() {
+			c = server.NewCluster(vals)
+			build(c, core.SelectBoundaryNearest)
+		}) - host
+		if built >= 1<<10 {
+			t.Errorf("%s: construction allocated %d B, want under 1 KiB", name, built)
+		}
+		deploy := func(sel core.Selection) uint64 {
+			return heapBytes(50, func() {
+				c = server.NewCluster(vals)
+				p := build(c, sel)
+				c.SetProtocol(p)
+				c.Initialize()
+			}) - host
+		}
+		nearest, random := deploy(core.SelectBoundaryNearest), deploy(core.SelectRandom)
+		if nearest >= register {
+			t.Errorf("%s: construction and deploy allocated %d B, want under %d B (no register)", name, nearest, register)
+		}
+		if random < nearest+register {
+			t.Errorf("%s: a SelectRandom deploy allocated %d B, boundary-nearest %d B: no register seen", name, random, nearest)
+		}
 	}
 }

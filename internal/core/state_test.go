@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -245,5 +246,72 @@ func TestExportRejectsOverlongRNGPosition(t *testing.T) {
 	p.ExportState(w2)
 	if err, want := w2.Err(), p.sel.Replayable(); err == nil || want == nil || !strings.Contains(err.Error(), want.Error()) {
 		t.Fatalf("export past the replay bound failed with %v, want sim's %v", err, want)
+	}
+}
+
+// TestRestoredRandomSelectionContinues checks that a selection stream
+// restored from a snapshot — Skip only counts its position, so the
+// restored stream is not even seeded until it draws — makes the same
+// SelectRandom picks as the stream of a run that was never interrupted:
+// after every deploy the pools and the stream's position agree.
+func TestRestoredRandomSelectionContinues(t *testing.T) {
+	tol := FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}
+	builds := map[string]func(h server.Host) (server.Protocol, *fraction){
+		"ft-nrp": func(h server.Host) (server.Protocol, *fraction) {
+			p := NewFTNRP(h, query.NewRange(300, 700), FTNRPConfig{Tol: tol, Selection: SelectRandom, Seed: 11})
+			return p, &p.fraction
+		},
+		"ft-rp": func(h server.Host) (server.Protocol, *fraction) {
+			cfg := DefaultFTRPConfig(tol)
+			cfg.Selection, cfg.Seed = SelectRandom, 11
+			p := NewFTRP(h, query.At(500), 12, cfg)
+			return p, &p.fraction
+		},
+	}
+	g := rig1D(nil).(stateRig[float64, filter.Constraint])
+	initial := g.values(60, 21)
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			mk := func() (*server.Cluster, server.Protocol, *fraction, []float64) {
+				vals := append([]float64(nil), initial...)
+				c := server.NewCluster(vals)
+				p, f := build(c)
+				c.SetProtocol(p)
+				return c, p, f, vals
+			}
+			// picks walks the cluster and redeploys every 100 events,
+			// recording the stream's position and the pools each time.
+			picks := func(c *server.Cluster, f *fraction, vals []float64) (out []string) {
+				rng := sim.NewRNG(88)
+				for range 5 {
+					g.walk(c, rng, vals, 100)
+					c.Initialize()
+					out = append(out, fmt.Sprint(f.sel.Pos(), f.fp.sorted(), f.fn.sorted()))
+				}
+				return out
+			}
+			origC, origP, origF, origVals := mk()
+			origC.Initialize()
+			g.walk(origC, sim.NewRNG(77), origVals, 300)
+			data := exportAll(origC, origP)
+			cut, pos := append([]float64(nil), origVals...), origF.sel.Pos()
+			want := picks(origC, origF, origVals)
+			if origF.sel.Pos() == pos || origF.fp.len()+origF.fn.len() == 0 {
+				t.Fatalf("the deploys after the cut drew nothing (position %d) or placed no silent filter", pos)
+			}
+
+			restC, restP, restF, restVals := mk()
+			r := snapshot.NewReader(data)
+			if err := restC.ImportState(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := restP.(server.StatefulProtocol).ImportState(r); err != nil {
+				t.Fatal(err)
+			}
+			copy(restVals, cut)
+			if got := picks(restC, restF, restVals); !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored picks diverged:\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }

@@ -3,10 +3,19 @@
 // snapshot can resume a stream of draws exactly), and DeriveSeed, which
 // turns a base seed and a coordinate path into an independent seed — the
 // reason figure cells, tenants and queries can run in any order, on any
-// shard, and stay byte-identical. It replaces the randomness of the
-// commercial CSIM 19 simulator the paper used; that simulator's event
-// scheduler has no counterpart here, because a workload iterator already
-// yields its events in time order and runtime.Node applies them in it.
+// shard, and stay byte-identical.
+//
+// sim owns its source: a copy of math/rand's additive lagged Fibonacci
+// generator that draws exactly what rand.NewSource draws, seeded several
+// times faster, and seeded lazily — an RNG allocates and seeds its register
+// on its first draw, and a Split of an RNG not yet drawn from defers its
+// child's seed the same way. math/rand remains the distribution layer
+// (rand.Rand's NormFloat64, ExpFloat64, Shuffle, Intn) on top of it.
+//
+// It replaces the randomness of the commercial CSIM 19 simulator the paper
+// used; that simulator's event scheduler has no counterpart here, because a
+// workload iterator already yields its events in time order and
+// runtime.Node applies them in it.
 package sim
 
 import (
@@ -16,8 +25,9 @@ import (
 )
 
 // RNG bundles the random distributions the workload generators need on top
-// of a seeded math/rand source, so every component draws from an independent,
-// reproducible stream.
+// of sim's own seeded source, so every component draws from an independent,
+// reproducible stream. An RNG is used through its pointer and is not safe
+// for concurrent use; a Split child is independent of its parent.
 //
 // Every RNG counts the source steps it has consumed (Pos). Because each
 // top-level draw advances the underlying source a deterministic number of
@@ -25,9 +35,14 @@ import (
 // fast-forwards a freshly seeded RNG to any recorded position, which is how
 // snapshot restore resumes protocol randomness exactly where an interrupted
 // run left off.
+//
+// The source's ~5 KB register is allocated and seeded only when the RNG is
+// first drawn from, so an RNG nobody draws from — a selection stream under
+// a heuristic that never picks at random, or one restored by Skip — costs
+// a few words.
 type RNG struct {
 	*rand.Rand
-	src *countingSource
+	src countingSource
 }
 
 // MaxSkip bounds how far Skip will fast-forward (2^30 steps, well under a
@@ -36,15 +51,21 @@ type RNG struct {
 // in a stored position cannot turn a restore into an unbounded replay loop.
 const MaxSkip = 1 << 30
 
-// countingSource wraps a math/rand source and counts its steps. Both Int63
-// and Uint64 advance the wrapped generator exactly one step, so the count is
-// the exact number of state transitions regardless of which distribution
-// methods consumed them. The steps a Skip owes are counted at once and
-// taken from the generator before its next draw.
+// unseeded is the bit of countingSource.owe that marks a register not yet
+// allocated or seeded, so the draw path tests one word for both debts.
+const unseeded = 1 << 63
+
+// countingSource wraps the source register and counts its steps. Both Int63
+// and Uint64 advance the register exactly one step, so the count is the
+// exact number of state transitions regardless of which distribution
+// methods consumed them. What the register owes — its seeding and the steps
+// a Skip counted — it takes before its next draw.
 type countingSource struct {
-	src rand.Source64
-	pos uint64
-	owe uint64 // steps counted in pos that the generator has not taken yet
+	reg  *source    // nil until the first draw
+	seed int64      // the register's seed, unless from is set
+	from *splitSeed // the seed of a lazy Split child, not worked out yet
+	pos  uint64
+	owe  uint64 // steps counted in pos that the register has not taken yet, plus unseeded
 }
 
 func (c *countingSource) Int63() int64 {
@@ -52,7 +73,7 @@ func (c *countingSource) Int63() int64 {
 	if c.owe != 0 {
 		c.pay()
 	}
-	return c.src.Int63()
+	return c.reg.Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
@@ -60,25 +81,62 @@ func (c *countingSource) Uint64() uint64 {
 	if c.owe != 0 {
 		c.pay()
 	}
-	return c.src.Uint64()
+	return c.reg.Uint64()
 }
 
-// pay takes the steps Skip owes the generator.
+// pay seeds the register if it is not yet, then takes the steps Skip owes.
 func (c *countingSource) pay() {
+	if c.owe&unseeded != 0 {
+		c.owe &^= unseeded
+		if c.reg == nil {
+			c.reg = new(source)
+		}
+		if c.from != nil {
+			c.seed, c.from = c.from.resolve(c.reg), nil
+		}
+		c.reg.seed(c.seed)
+	}
 	for ; c.owe > 0; c.owe-- {
-		c.src.Uint64()
+		c.reg.Uint64()
 	}
 }
 
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.pos, c.owe = 0, 0
+	c.seed, c.from = seed, nil
+	c.pos, c.owe = 0, unseeded
 }
 
-// NewRNG returns a deterministic RNG for the given seed.
+// splitSeed is the seed of a Split child whose parent had not been drawn
+// from: mix64 of the first Int63 the parent's source yields, and the
+// child's id. The parent's seed is seed, or, when the parent was itself
+// such a child, its own splitSeed. A splitSeed is never changed once made,
+// so a child may work it out on another goroutine than its parent's.
+type splitSeed struct {
+	parent *splitSeed
+	seed   int64
+	id     int64
+}
+
+// resolve works out the seed, using reg as scratch.
+func (s *splitSeed) resolve(reg *source) int64 {
+	seed := s.seed
+	if s.parent != nil {
+		seed = s.parent.resolve(reg)
+	}
+	reg.seed(seed)
+	return int64(mix64(uint64(reg.Int63()), s.id))
+}
+
+// NewRNG returns a deterministic RNG for the given seed. It keeps only the
+// seed: the register is seeded on the first draw.
 func NewRNG(seed int64) *RNG {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{Rand: rand.New(src), src: src}
+	return newRNG(countingSource{seed: seed, owe: unseeded})
+}
+
+func newRNG(src countingSource) *RNG {
+	r := &RNG{src: src}
+	r.Rand = rand.New(&r.src)
+	return r
 }
 
 // Pos returns the number of source steps consumed so far. Together with the
@@ -90,7 +148,8 @@ func (r *RNG) Pos() uint64 { return r.src.pos }
 // It returns an error (leaving the RNG unperturbed) when n exceeds MaxSkip,
 // so corrupted snapshot positions fail fast instead of replaying forever.
 // Pos counts the steps at once; the source takes them before its next draw,
-// so an RNG that is skipped and never drawn from again costs no replay.
+// so an RNG that is skipped and never drawn from again costs no replay and
+// is never seeded.
 func (r *RNG) Skip(n uint64) error {
 	if n > MaxSkip {
 		return fmt.Errorf("sim: rng skip %d exceeds limit %d", n, uint64(MaxSkip))
@@ -112,8 +171,20 @@ func (r *RNG) Replayable() error {
 // Split derives an independent RNG from this one, labelled by id. Two Splits
 // with different ids produce uncorrelated streams; the parent is not
 // perturbed beyond a single Int63 draw per call.
+//
+// The child's seed is mix64(the parent's next Int63, id). When the parent
+// has not been drawn from, that Int63 is the first of its seed's stream:
+// the child records where its seed comes from and works it out on its own
+// first draw, and the parent counts the draw as a Skip(1). Neither is
+// seeded by the Split.
 func (r *RNG) Split(id int64) *RNG {
-	return NewRNG(int64(mix64(uint64(r.Int63()), id)))
+	c := &r.src
+	if c.pos != 0 {
+		return NewRNG(int64(mix64(uint64(r.Int63()), id)))
+	}
+	child := newRNG(countingSource{from: &splitSeed{parent: c.from, seed: c.seed, id: id}, owe: unseeded})
+	c.pos, c.owe = 1, c.owe+1
+	return child
 }
 
 // Exp draws an exponentially distributed value with the given mean.

@@ -1,6 +1,12 @@
 package workload
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+
+	"adaptivefilters/internal/sim"
+)
 
 // sliceIter returns a fresh Iterator over the given events.
 func sliceIter(events ...Event) Iterator {
@@ -130,6 +136,35 @@ func TestMergeIteratorsMatchesSequentialSort(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i].Event.Time < got[i-1].Event.Time {
 			t.Fatalf("out of order at %d: %v after %v", i, got[i], got[i-1])
+		}
+	}
+}
+
+// TestMergeHeapMatchesStableSort holds the typed heap to its definition
+// on seeded sources of 1 to 40 iterators whose times tie often: the merge
+// is every event stably sorted by time, then source, then arrival — as
+// the (Time, seq) order makes it under any correct priority queue.
+func TestMergeHeapMatchesStableSort(t *testing.T) {
+	rng := sim.NewRNG(46)
+	for round := 0; round < 200; round++ {
+		sources := 1 + rng.Intn(40)
+		its := make([]Iterator, sources)
+		var want []TaggedEvent
+		for s := range its {
+			var evs []Event
+			at := float64(rng.Intn(5))
+			for i := rng.Intn(12); i > 0; i-- {
+				at += float64(rng.Intn(3)) // ties within and across sources
+				evs = append(evs, Event{Time: at, Stream: s, Value: float64(len(evs))})
+				want = append(want, TaggedEvent{Source: s, Event: evs[len(evs)-1]})
+			}
+			its[s] = sliceIter(evs...)
+		}
+		slices.SortStableFunc(want, func(a, b TaggedEvent) int {
+			return cmp.Or(cmp.Compare(a.Event.Time, b.Event.Time), cmp.Compare(a.Source, b.Source))
+		})
+		if got := collect(t, MergeIterators(its)); !slices.Equal(got, want) {
+			t.Fatalf("round %d (%d sources): merged\n%v\nwant\n%v", round, sources, got, want)
 		}
 	}
 }

@@ -8,8 +8,6 @@
 // fully deterministic for a given seed.
 package workload
 
-import "container/heap"
-
 // Event is one stream value change at a simulation time strictly after t0.
 // For spatial workloads Value is the X coordinate and Y the second one; 1-D
 // generators leave Y zero, matching runtime.Event's convention.
@@ -51,30 +49,13 @@ type perStream struct {
 type streamGen func() (Event, bool)
 
 func newPerStream(gens []streamGen) *perStream {
-	ps := &perStream{}
-	for i, g := range gens {
-		if ev, ok := g(); ok {
-			ps.h = append(ps.h, mergeItem{ev: ev, gen: g, seq: i})
-		}
-	}
-	heap.Init(&ps.h)
-	return ps
+	return &perStream{h: newMergeHeap(gens)}
 }
 
 // Next implements Iterator.
 func (ps *perStream) Next() (Event, bool) {
-	if ps.h.Len() == 0 {
-		return Event{}, false
-	}
-	item := ps.h[0]
-	ev := item.ev
-	if nxt, ok := item.gen(); ok {
-		ps.h[0].ev = nxt
-		heap.Fix(&ps.h, 0)
-	} else {
-		ps.h.dropRoot()
-	}
-	return ev, true
+	ev, _, ok := ps.h.next()
+	return ev, ok
 }
 
 type mergeItem struct {
@@ -101,51 +82,90 @@ type TaggedIterator struct {
 // time-ordered stream over the same heap the random-walk model uses
 // internally, so both merge paths share one tie-break rule.
 func MergeIterators(its []Iterator) *TaggedIterator {
-	ti := &TaggedIterator{}
+	gens := make([]streamGen, len(its))
 	for i, it := range its {
-		it := it
-		gen := streamGen(it.Next)
-		if ev, ok := gen(); ok {
-			ti.h = append(ti.h, mergeItem{ev: ev, gen: gen, seq: i})
-		}
+		gens[i] = it.Next
 	}
-	heap.Init(&ti.h)
-	return ti
+	return &TaggedIterator{h: newMergeHeap(gens)}
 }
 
 // Next returns the globally earliest pending event and its source index;
 // ok is false when every source is exhausted.
-func (ti *TaggedIterator) Next() (ev TaggedEvent, ok bool) {
-	if ti.h.Len() == 0 {
-		return TaggedEvent{}, false
-	}
-	item := &ti.h[0]
-	out := TaggedEvent{Source: item.seq, Event: item.ev}
-	if nxt, more := item.gen(); more {
-		item.ev = nxt
-		heap.Fix(&ti.h, 0)
-	} else {
-		ti.h.dropRoot()
-	}
-	return out, true
+func (ti *TaggedIterator) Next() (TaggedEvent, bool) {
+	ev, src, ok := ti.h.next()
+	return TaggedEvent{Source: src, Event: ev}, ok
 }
 
+// mergeHeap is a binary min-heap of sources ordered by (ev.Time, seq). The
+// order is total — no two sources share a seq — so the merged sequence is
+// the same under any correct priority queue. A source's next event
+// replaces the root and sifts down: no interface calls, one move per level.
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].ev.Time != h[j].ev.Time {
-		return h[i].ev.Time < h[j].ev.Time
+// before reports whether a comes out of the merge ahead of b.
+func before(a, b *mergeItem) bool {
+	if a.ev.Time != b.ev.Time {
+		return a.ev.Time < b.ev.Time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// dropRoot removes the root without the heap.Pop any-boxing round trip (an
-// allocation per retired source on the merge hot path): move the last leaf
-// to the root, shrink, and restore the heap property.
+// newMergeHeap draws each generator's first event, retires the empty ones
+// and heapifies the rest; a source's seq is its index in gens.
+func newMergeHeap(gens []streamGen) mergeHeap {
+	var h mergeHeap
+	for i, g := range gens {
+		if ev, ok := g(); ok {
+			h = append(h, mergeItem{ev: ev, gen: g, seq: i})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// next returns the earliest pending event and its source's seq, and puts
+// that source's following event in its place (or retires the source); ok
+// is false when every source is exhausted.
+func (h *mergeHeap) next() (ev Event, seq int, ok bool) {
+	if len(*h) == 0 {
+		return Event{}, 0, false
+	}
+	top := &(*h)[0]
+	ev, seq = top.ev, top.seq
+	if nxt, more := top.gen(); more {
+		top.ev = nxt
+		h.down(0)
+	} else {
+		h.dropRoot()
+	}
+	return ev, seq, true
+}
+
+// down sifts item i toward the leaves until neither child comes before it.
+func (h mergeHeap) down(i int) {
+	n := len(h)
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(&h[r], &h[c]) {
+			c = r
+		}
+		if !before(&h[c], &it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+}
+
+// dropRoot removes a retired source: the last leaf moves to the root and
+// sifts down.
 func (h *mergeHeap) dropRoot() {
 	old := *h
 	n := len(old) - 1
@@ -153,6 +173,6 @@ func (h *mergeHeap) dropRoot() {
 	old[n] = mergeItem{}
 	*h = old[:n]
 	if n > 0 {
-		heap.Fix(h, 0)
+		h.down(0)
 	}
 }
