@@ -82,19 +82,18 @@ func TestVBKNNRankUnbounded(t *testing.T) {
 	c := server.NewCluster(vals)
 	p := core.NewVBKNN(c, query.TopK(1), 50)
 	c.SetProtocol(p)
-	chk := oracle.New(vals)
+	chk := oracle.NewAuditor(vals, oracle.ValueKNN(query.TopK(1), 50), 1)
 	c.Initialize()
 	// Drop the server-believed maximum (id 4) to the true minimum without
 	// leaving its band: no report, server still returns it as the top-1.
-	chk.Apply(4, 90)
+	chk.Apply(4, 90, 0)
 	c.Deliver(4, 90)
 	ans := p.Answer()
 	if len(ans) != 1 || ans[0] != 4 {
 		t.Fatalf("answer = %v, want stale [4]", ans)
 	}
-	rank, _ := chk.Index().RankOf(4, query.Top())
-	if rank != 5 {
-		t.Fatalf("stale answer's true rank = %d, want 5 (dead last)", rank)
+	if err := chk.Audit(1, ans); err != nil || chk.WorstRank != 5 {
+		t.Fatalf("stale answer audits %v with true rank %d, want a pass at rank 5 (dead last)", err, chk.WorstRank)
 	}
 }
 

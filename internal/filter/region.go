@@ -20,7 +20,7 @@ type Point struct {
 // IsNaN reports whether either coordinate is NaN. NaN points are rejected
 // at every trust boundary (ingest, delivery, snapshot restore) before they
 // can reach region geometry or distance ranking — the same discipline the
-// 1-D plane applies to values (see internal/rankindex).
+// 1-D plane applies to values (see internal/oracle).
 func (p Point) IsNaN() bool { return math.IsNaN(p.X) || math.IsNaN(p.Y) }
 
 // String renders the point for logs and tests.

@@ -16,7 +16,7 @@ type Guarantee struct {
 	// check judges an answer against the truth and folds its depth into t.
 	check func(o *Checker, answer []int, t *Tally) error
 	// planar guarantees rank streams by Euclidean distance from at, which is
-	// what the auditor then indexes.
+	// what the auditor then keeps in its column.
 	planar bool
 	at     filter.Point
 }
@@ -35,9 +35,9 @@ func Rank(q query.Center, tol core.RankTolerance) Guarantee {
 // demands the exact answer.
 func FractionRange(rng query.Range, tol core.FractionTolerance) Guarantee {
 	return Guarantee{check: func(o *Checker, answer []int, t *Tally) error {
-		fp, fm := o.FractionStats(answer, rng)
+		fp, fm, err := o.fractionRange(answer, rng, tol)
 		t.MaxFPlus, t.MaxFMinus = max(t.MaxFPlus, fp), max(t.MaxFMinus, fm)
-		return checkFractions(fp, fm, tol)
+		return err
 	}}
 }
 
@@ -58,13 +58,14 @@ func FractionKNN(q query.KNN, tol core.FractionTolerance) Guarantee {
 // worst true rank is the depth it records.
 func ValueKNN(q query.KNN, width float64) Guarantee {
 	return Guarantee{check: func(o *Checker, answer []int, t *Tally) error {
-		worst, err := o.worstRank(answer, q.Q, core.RankTolerance{K: q.K, R: o.ix.N()})
+		worst, err := o.worstRank(answer, q.Q, core.RankTolerance{K: q.K, R: len(o.vals)})
 		t.WorstRank = max(t.WorstRank, worst)
-		kth, _ := o.ix.KthDist(q.Q, q.K)
-		for _, id := range answer {
-			if d := q.Q.Dist(o.Value(id)); d > kth+width && err == nil {
+		kth, _ := o.kthDist(q.Q, q.K)
+		// No error yet: the members are distinct streams the oracle knows.
+		for i := 0; err == nil && i < len(answer); i++ {
+			if d := q.Q.Dist(o.vals[answer[i]]); d > kth+width {
 				err = &Violation{fmt.Sprintf("value-knn: stream %d at distance %g, beyond the true k-th distance %g plus width %g",
-					id, d, kth, width)}
+					answer[i], d, kth, width)}
 			}
 		}
 		return err
@@ -72,7 +73,7 @@ func ValueKNN(q query.KNN, width float64) Guarantee {
 }
 
 // RankAround is Rank for planar streams: points, ranked by their distance
-// from p — the axis the auditor then indexes, with the query at its origin.
+// from p — the axis the auditor then keeps, with the query at its origin.
 func RankAround(p filter.Point, tol core.RankTolerance) Guarantee {
 	g := Rank(query.At(0), tol)
 	g.planar, g.at = true, p
@@ -115,9 +116,9 @@ func (t *Tally) Add(o Tally) {
 
 // Auditor holds one standing query to its guarantee: it tracks the ground
 // truth it is fed and, whenever it is shown the served answer, checks the
-// guarantee and tallies rate and depth. Truth is kept in an order-statistic
-// index (for planar queries, over distance to the query point), so an audit
-// never rescans the streams.
+// guarantee and tallies rate and depth. Truth is one column of values (for
+// planar queries, of distances to the query point), ranked when an audit
+// asks; a warm audit that passes allocates nothing.
 type Auditor struct {
 	Tally
 	// Every is the sampling period, in events, the feeder is asked to

@@ -4,39 +4,58 @@
 // fraction-based tolerance.
 //
 // The oracle sees the true value of every stream (it sits beside the
-// workload driver, not the server) and uses an order-statistic index so a
-// check costs O((k + |A|) log n) rather than a full scan.
+// workload driver, not the server). It keeps them in one column, so an
+// update is a store, and ranks at check time: one distance pass and linear
+// counts, plus a topk selection for a k-NN check. A warm check that passes
+// allocates nothing.
+//
+// Ranks are favorable under ties: a stream's rank is 1 + the number of
+// streams strictly closer to the center by query.Center.Dist, so tied
+// streams share the better rank. New and Apply panic on a NaN value.
 package oracle
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/query"
-	"adaptivefilters/internal/rankindex"
+	"adaptivefilters/internal/topk"
 )
 
 // Checker tracks ground truth and validates answers.
 type Checker struct {
-	ix *rankindex.Index
+	vals []float64
+	// Check scratch: the distance ranking, the answer's distinct members
+	// and their marks (all false between checks).
+	r    topk.Ranking
+	ids  []int
+	seen []bool
 }
 
-// New returns a checker seeded with the true initial values.
+// New returns a checker seeded with the true initial values. It panics on a
+// NaN value.
 func New(initial []float64) *Checker {
-	return &Checker{ix: rankindex.FromValues(initial)}
+	if slices.ContainsFunc(initial, math.IsNaN) {
+		panic("oracle: NaN true value")
+	}
+	return &Checker{vals: slices.Clone(initial), seen: make([]bool, len(initial))}
 }
 
-// Apply records a true value change.
-func (o *Checker) Apply(id int, v float64) { o.ix.Set(id, v) }
+// Apply records a true value change. It panics on a NaN value, which no
+// order admits: paths that carry untrusted values (snapshot restore, wire
+// ingest) validate before the oracle sees them, so the panic marks a caller
+// bug.
+func (o *Checker) Apply(id int, v float64) {
+	if math.IsNaN(v) {
+		panic("oracle: Apply with NaN value")
+	}
+	o.vals[id] = v
+}
 
 // Value returns the true current value of a stream.
-func (o *Checker) Value(id int) float64 {
-	v, _ := o.ix.Value(id)
-	return v
-}
-
-// Index exposes the underlying index for read-only queries (tests).
-func (o *Checker) Index() *rankindex.Index { return o.ix }
+func (o *Checker) Value(id int) float64 { return o.vals[id] }
 
 // Violation describes a tolerance breach.
 type Violation struct {
@@ -46,93 +65,183 @@ type Violation struct {
 // Error implements error.
 func (v *Violation) Error() string { return "oracle: " + v.Reason }
 
+// members returns the streams answer names, each once and in answer order,
+// in scratch valid until the next check, and the first breach: err if it is
+// one, else a violation naming the first member that is out of range or
+// repeated, since an answer lists distinct streams.
+func (o *Checker) members(answer []int, what string, err error) ([]int, error) {
+	ids := o.ids[:0]
+	for _, id := range answer {
+		switch {
+		case id < 0 || id >= len(o.vals):
+			if err == nil {
+				err = &Violation{fmt.Sprintf("%s: answer stream %d unknown to oracle", what, id)}
+			}
+		case o.seen[id]:
+			if err == nil {
+				err = &Violation{fmt.Sprintf("%s: answer stream %d listed twice", what, id)}
+			}
+		default:
+			o.seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	for _, id := range ids {
+		o.seen[id] = false
+	}
+	o.ids = ids
+	return ids, err
+}
+
+// dists loads every stream's distance from q into the ranking and returns
+// the keys, by stream id until the ranking is ordered.
+func (o *Checker) dists(q query.Center) []float64 {
+	keys := o.r.Load(len(o.vals))
+	q.Dists(keys, o.vals)
+	return keys
+}
+
+// closer returns the number of keys below d.
+func closer(keys []float64, d float64) (c int) {
+	for _, k := range keys {
+		if k < d {
+			c++
+		}
+	}
+	return c
+}
+
+// within returns the number of keys at most d.
+func within(keys []float64, d float64) (c int) {
+	for _, k := range keys {
+		if k <= d {
+			c++
+		}
+	}
+	return c
+}
+
+// inRange returns the number of vals in rng, in one scan of two one-sided
+// compares, which compile without branches where Contains's && does not.
+func inRange(vals []float64, rng query.Range) int {
+	if !(rng.Lo <= rng.Hi) {
+		return 0
+	}
+	below, above := 0, 0
+	for _, v := range vals {
+		if v < rng.Lo {
+			below++
+		}
+		if v > rng.Hi {
+			above++
+		}
+	}
+	return len(vals) - below - above
+}
+
+// kthDist returns the distance from q of the k-th nearest stream, and every
+// stream's distance (in no particular order). A stream is among the
+// favorable k nearest, rank <= k, exactly when its distance is at most the
+// k-th: at most k−1 streams are strictly closer than it. With k >= n every
+// stream is among them, and the distance returned is +Inf; with k < 1 none
+// is, and it is NaN, which no distance is at most.
+func (o *Checker) kthDist(q query.Center, k int) (kth float64, keys []float64) {
+	keys = o.dists(q)
+	switch {
+	case k >= len(keys):
+		return math.Inf(1), keys
+	case k < 1:
+		return math.NaN(), keys
+	}
+	_, keys = o.r.Order(k)
+	return keys[k-1], keys
+}
+
 // CheckRank validates Definition 1: |A| = k and every member's true rank is
-// at most k+r. Ranks are favorable under ties (see rankindex).
+// at most k+r.
 func (o *Checker) CheckRank(answer []int, q query.Center, tol core.RankTolerance) error {
 	_, err := o.worstRank(answer, q, tol)
 	return err
 }
 
 // worstRank is Definition 1 with depth: the largest true rank among the
-// members, and the first breach of the definition.
+// members, and the first breach of the definition. Rank is monotone in
+// distance, so the worst rank is the farthest member's.
 func (o *Checker) worstRank(answer []int, q query.Center, tol core.RankTolerance) (worst int, err error) {
 	if len(answer) != tol.K {
 		err = &Violation{fmt.Sprintf("rank: |A|=%d, want exactly k=%d", len(answer), tol.K)}
 	}
-	for _, id := range answer {
-		rank, ok := o.ix.RankOf(id, q)
-		if !ok {
-			if err == nil {
-				err = &Violation{fmt.Sprintf("rank: answer stream %d unknown to oracle", id)}
+	ids, err := o.members(answer, "rank", err)
+	if len(ids) == 0 {
+		return 0, err
+	}
+	far := math.Inf(-1)
+	for _, id := range ids {
+		far = max(far, q.Dist(o.vals[id]))
+	}
+	keys := o.dists(q)
+	worst = 1 + closer(keys, far)
+	if worst > tol.Eps() && err == nil {
+		for _, id := range ids {
+			if rank := 1 + closer(keys, q.Dist(o.vals[id])); rank > tol.Eps() {
+				return worst, &Violation{fmt.Sprintf("rank: stream %d has true rank %d > ε=%d",
+					id, rank, tol.Eps())}
 			}
-			continue
-		}
-		worst = max(worst, rank)
-		if rank > tol.Eps() && err == nil {
-			err = &Violation{fmt.Sprintf("rank: stream %d has true rank %d > ε=%d",
-				id, rank, tol.Eps())}
 		}
 	}
 	return worst, err
 }
 
 // FractionStats computes the true false-positive and false-negative
-// fractions of an answer for a range query (Equations 1–2). When the answer
-// is empty both fractions are reported as 0 if nothing satisfies the query,
-// and F⁻ = 1 otherwise.
+// fractions of an answer for a range query (Equations 1–2). A member out of
+// range or repeated counts as a false positive. When the answer is empty
+// both fractions are reported as 0 if nothing satisfies the query, and
+// F⁻ = 1 otherwise.
 func (o *Checker) FractionStats(answer []int, rng query.Range) (fPlus, fMinus float64) {
-	ePlus := 0
-	for _, id := range answer {
-		if v, ok := o.ix.Value(id); !ok || !rng.Contains(v) {
-			ePlus++
-		}
-	}
-	satisfying := o.ix.CountRange(rng.Lo, rng.Hi)
-	truePos := len(answer) - ePlus
-	eMinus := satisfying - truePos
-	return fractions(len(answer), ePlus, eMinus)
+	fPlus, fMinus, _ = o.fractionRange(answer, rng, core.FractionTolerance{})
+	return fPlus, fMinus
 }
 
 // FractionStatsKNN computes F⁺ and F⁻ for a k-NN query: a stream satisfies
-// the query iff its favorable true rank is <= k.
+// the query iff its favorable true rank is <= k, so streams tied at the
+// k-th distance all satisfy it. Members count as in FractionStats.
 func (o *Checker) FractionStatsKNN(answer []int, q query.KNN) (fPlus, fMinus float64) {
-	ePlus := 0
-	for _, id := range answer {
-		rank, ok := o.ix.RankOf(id, q.Q)
-		if !ok || rank > q.K {
-			ePlus++
-		}
-	}
-	// Total satisfying streams: everyone within the k-th nearest distance
-	// (ties share rank k favorably, so this can exceed k).
-	satisfying := 0
-	if kd, ok := o.ix.KthDist(q.Q, q.K); ok {
-		satisfying = o.ix.CountWithin(q.Q, kd)
-	}
-	truePos := len(answer) - ePlus
-	eMinus := satisfying - truePos
-	return fractions(len(answer), ePlus, eMinus)
+	fPlus, fMinus, _ = o.fractionKNN(answer, q, core.FractionTolerance{})
+	return fPlus, fMinus
 }
 
-func fractions(aSize, ePlus, eMinus int) (fPlus, fMinus float64) {
-	if eMinus < 0 {
-		eMinus = 0
-	}
+// fractions is Equations 1–2 over an answer of aSize entries, truePos of
+// them distinct satisfying streams, out of satisfying in all.
+func fractions(aSize, truePos, satisfying int) (fPlus, fMinus float64) {
 	if aSize > 0 {
-		fPlus = float64(ePlus) / float64(aSize)
+		fPlus = float64(aSize-truePos) / float64(aSize)
 	}
-	if denom := aSize - ePlus + eMinus; denom > 0 {
-		fMinus = float64(eMinus) / float64(denom)
-	} else if eMinus > 0 {
-		fMinus = 1
+	if satisfying > 0 {
+		fMinus = float64(satisfying-truePos) / float64(satisfying)
 	}
 	return fPlus, fMinus
 }
 
 // CheckFractionRange validates Definition 3 for a range query.
 func (o *Checker) CheckFractionRange(answer []int, rng query.Range, tol core.FractionTolerance) error {
-	fp, fm := o.FractionStats(answer, rng)
-	return checkFractions(fp, fm, tol)
+	_, _, err := o.fractionRange(answer, rng, tol)
+	return err
+}
+
+// fractionRange is CheckFractionRange with depth: the fractions it judged.
+func (o *Checker) fractionRange(answer []int, rng query.Range, tol core.FractionTolerance) (fPlus, fMinus float64, err error) {
+	ids, err := o.members(answer, "fraction", nil)
+	truePos := 0
+	for _, id := range ids {
+		if rng.Contains(o.vals[id]) {
+			truePos++
+		}
+	}
+	fPlus, fMinus = fractions(len(answer), truePos, inRange(o.vals, rng))
+	if err == nil {
+		err = checkFractions(fPlus, fMinus, tol)
+	}
+	return fPlus, fMinus, err
 }
 
 // CheckFractionKNN validates Definition 3 for a k-NN query, including the
@@ -144,13 +253,22 @@ func (o *Checker) CheckFractionKNN(answer []int, q query.KNN, tol core.FractionT
 
 // fractionKNN is CheckFractionKNN with depth: the fractions it judged.
 func (o *Checker) fractionKNN(answer []int, q query.KNN, tol core.FractionTolerance) (fPlus, fMinus float64, err error) {
-	fPlus, fMinus = o.FractionStatsKNN(answer, q)
-	minA, maxA := tol.AnswerBounds(q.K)
-	if len(answer) < minA || len(answer) > maxA {
-		return fPlus, fMinus, &Violation{fmt.Sprintf("knn-fraction: |A|=%d outside [%d,%d]",
-			len(answer), minA, maxA)}
+	if minA, maxA := tol.AnswerBounds(q.K); len(answer) < minA || len(answer) > maxA {
+		err = &Violation{fmt.Sprintf("knn-fraction: |A|=%d outside [%d,%d]", len(answer), minA, maxA)}
 	}
-	return fPlus, fMinus, checkFractions(fPlus, fMinus, tol)
+	ids, err := o.members(answer, "knn-fraction", err)
+	kth, keys := o.kthDist(q.Q, q.K)
+	truePos := 0
+	for _, id := range ids {
+		if q.Q.Dist(o.vals[id]) <= kth {
+			truePos++
+		}
+	}
+	fPlus, fMinus = fractions(len(answer), truePos, within(keys, kth))
+	if err == nil {
+		err = checkFractions(fPlus, fMinus, tol)
+	}
+	return fPlus, fMinus, err
 }
 
 func checkFractions(fPlus, fMinus float64, tol core.FractionTolerance) error {

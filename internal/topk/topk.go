@@ -1,7 +1,7 @@
 // Package topk is the partial-selection kernel behind every distance
 // ranking in the repository: the rank protocols of internal/core, on the
-// line and in the plane, the k-NN baselines' answers, and the oracle's k-NN
-// index (internal/rankindex).
+// line and in the plane, the k-NN baselines' answers, and the oracle's
+// k-th distance at check time (internal/oracle).
 //
 // Figure 5's Deploy_bound needs the (k+r)-th and (k+r+1)-st distances and
 // nothing past them, so a rebuild asks for the m nearest of n streams, not

@@ -115,7 +115,7 @@ func TestSelectMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestSelectOnCallerSlices covers the raw form pickKeyed and rankindex use:
+// TestSelectOnCallerSlices covers the raw form pickKeyed uses:
 // caller-owned slices, a keys slice longer than ids, and extension of a
 // prefix by selecting on the tail.
 func TestSelectOnCallerSlices(t *testing.T) {
