@@ -101,15 +101,26 @@ func (o *Checker) dists(q query.Center) []float64 {
 	return keys
 }
 
-// closer returns the number of keys below d.
-func closer(keys []float64, d float64) (c int) {
-	for _, k := range keys {
+// RankOf returns the favorable true rank of stream id around q: 1 + the
+// number of streams strictly closer.
+func (o *Checker) RankOf(id int, q query.Center) int {
+	return 1 + o.CountCloser(q, q.Dist(o.vals[id]))
+}
+
+// CountCloser returns the number of streams strictly closer to q than d; a
+// NaN d counts none.
+func (o *Checker) CountCloser(q query.Center, d float64) (c int) {
+	for _, k := range o.dists(q) {
 		if k < d {
 			c++
 		}
 	}
 	return c
 }
+
+// CountWithin returns the number of streams at distance at most d from q;
+// a NaN d counts none.
+func (o *Checker) CountWithin(q query.Center, d float64) int { return within(o.dists(q), d) }
 
 // within returns the number of keys at most d.
 func within(keys []float64, d float64) (c int) {
@@ -121,14 +132,15 @@ func within(keys []float64, d float64) (c int) {
 	return c
 }
 
-// inRange returns the number of vals in rng, in one scan of two one-sided
-// compares, which compile without branches where Contains's && does not.
-func inRange(vals []float64, rng query.Range) int {
+// CountRange returns the number of streams whose value rng contains, in one
+// scan of two one-sided compares, which compile without branches where
+// Contains's && does not.
+func (o *Checker) CountRange(rng query.Range) int {
 	if !(rng.Lo <= rng.Hi) {
 		return 0
 	}
 	below, above := 0, 0
-	for _, v := range vals {
+	for _, v := range o.vals {
 		if v < rng.Lo {
 			below++
 		}
@@ -136,7 +148,7 @@ func inRange(vals []float64, rng query.Range) int {
 			above++
 		}
 	}
-	return len(vals) - below - above
+	return len(o.vals) - below - above
 }
 
 // kthDist returns the distance from q of the k-th nearest stream, and every
@@ -179,11 +191,10 @@ func (o *Checker) worstRank(answer []int, q query.Center, tol core.RankTolerance
 	for _, id := range ids {
 		far = max(far, q.Dist(o.vals[id]))
 	}
-	keys := o.dists(q)
-	worst = 1 + closer(keys, far)
+	worst = 1 + o.CountCloser(q, far)
 	if worst > tol.Eps() && err == nil {
 		for _, id := range ids {
-			if rank := 1 + closer(keys, q.Dist(o.vals[id])); rank > tol.Eps() {
+			if rank := o.RankOf(id, q); rank > tol.Eps() {
 				return worst, &Violation{fmt.Sprintf("rank: stream %d has true rank %d > ε=%d",
 					id, rank, tol.Eps())}
 			}
@@ -237,7 +248,7 @@ func (o *Checker) fractionRange(answer []int, rng query.Range, tol core.Fraction
 			truePos++
 		}
 	}
-	fPlus, fMinus = fractions(len(answer), truePos, inRange(o.vals, rng))
+	fPlus, fMinus = fractions(len(answer), truePos, o.CountRange(rng))
 	if err == nil {
 		err = checkFractions(fPlus, fMinus, tol)
 	}

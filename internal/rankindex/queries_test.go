@@ -1,39 +1,81 @@
+// Package rankindex holds the tests of the ranking rules (DESIGN.md §3.5):
+// favorable ties, the (distance, id) k-nearest order, and range and
+// distance counts. They run against the code that applies those rules:
+// oracle.Checker's ranks and counts, and the topk.Ranking order from which
+// k-NN answers and the oracle's k-th distance are taken. The package has
+// no code of its own, and nothing imports it.
 package rankindex
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/topk"
 )
 
 // fixture: streams 0..5 at 10, 20, 30, 40, 50, 60.
-func newIndex() *Index {
-	return FromValues([]float64{10, 20, 30, 40, 50, 60})
+func newChecker() *oracle.Checker {
+	return oracle.New([]float64{10, 20, 30, 40, 50, 60})
+}
+
+// nearest returns up to k stream ids in (distance from q, id) order, as a
+// topk.Ranking selects them: only the streams marked in present (every
+// stream when present is nil) are added. It returns nil when k <= 0 or no
+// stream is present.
+func nearest(vals []float64, present []bool, q query.Center, k int) []int {
+	var r topk.Ranking
+	for id, v := range vals {
+		if present == nil || present[id] {
+			r.Add(id, q.Dist(v))
+		}
+	}
+	ids, _ := r.Order(k)
+	if k = min(k, len(ids)); k <= 0 {
+		return nil
+	}
+	return ids[:k]
+}
+
+// kthDist returns the distance from q of the k-th nearest stream (1-based),
+// the k-th key of a topk.Ranking loaded with every distance and ordered to
+// k, as the oracle's k-NN checks read it. ok is false unless 1 <= k <= n.
+func kthDist(vals []float64, q query.Center, k int) (float64, bool) {
+	var r topk.Ranking
+	q.Dists(r.Load(len(vals)), vals)
+	if k < 1 || k > len(vals) {
+		return 0, false
+	}
+	_, keys := r.Order(k)
+	return keys[k-1], true
 }
 
 // TestCountsTable drives CountRange/CountCloser/CountWithin across the
 // three center kinds.
 func TestCountsTable(t *testing.T) {
-	ix := newIndex()
+	o := newChecker()
 	cases := []struct {
 		name string
 		got  int
 		want int
 	}{
-		{"range closed ends", ix.CountRange(20, 40), 3},
-		{"range half-open miss", ix.CountRange(21, 29), 0},
-		{"range everything", ix.CountRange(-1e18, 1e18), 6},
-		{"range empty (lo>hi)", ix.CountRange(40, 20), 0},
-		{"closer point", ix.CountCloser(query.At(35), 10), 2}, // 30, 40
-		{"closer point boundary", ix.CountCloser(query.At(35), 5), 0},
-		{"closer zero radius", ix.CountCloser(query.At(30), 0), 0},
-		{"within point", ix.CountWithin(query.At(35), 5), 2}, // 30, 40
-		{"within negative radius", ix.CountWithin(query.At(35), -1), 0},
-		{"closer top", ix.CountCloser(query.Top(), -45), 2},      // 50, 60 (dist -v < -45)
-		{"within top", ix.CountWithin(query.Top(), -50), 2},      // dist <= -50
-		{"closer bottom", ix.CountCloser(query.Bottom(), 25), 2}, // 10, 20
-		{"within bottom", ix.CountWithin(query.Bottom(), 20), 2},
+		{"range closed ends", o.CountRange(query.Range{Lo: 20, Hi: 40}), 3},
+		{"range half-open miss", o.CountRange(query.Range{Lo: 21, Hi: 29}), 0},
+		{"range everything", o.CountRange(query.Range{Lo: -1e18, Hi: 1e18}), 6},
+		{"range empty (lo>hi)", o.CountRange(query.Range{Lo: 40, Hi: 20}), 0},
+		{"closer point", o.CountCloser(query.At(35), 10), 2}, // 30, 40
+		{"closer point boundary", o.CountCloser(query.At(35), 5), 0},
+		{"closer zero radius", o.CountCloser(query.At(30), 0), 0},
+		{"within point", o.CountWithin(query.At(35), 5), 2}, // 30, 40
+		{"within negative radius", o.CountWithin(query.At(35), -1), 0},
+		{"closer top", o.CountCloser(query.Top(), -45), 2},      // 50, 60 (dist -v < -45)
+		{"within top", o.CountWithin(query.Top(), -50), 2},      // dist <= -50
+		{"closer bottom", o.CountCloser(query.Bottom(), 25), 2}, // 10, 20
+		{"within bottom", o.CountWithin(query.Bottom(), 20), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,28 +87,29 @@ func TestCountsTable(t *testing.T) {
 }
 
 // TestRankOfTies checks favorable tie ranking: equal distances share the
-// better rank.
+// better rank. A stream the oracle does not hold has no rank: an answer
+// naming it is a violation.
 func TestRankOfTies(t *testing.T) {
-	ix := FromValues([]float64{10, 30, 30, 50})
+	o := oracle.New([]float64{10, 30, 30, 50})
 	q := query.At(30)
 	cases := []struct {
 		id       int
 		wantRank int
-		wantOK   bool
 	}{
-		{1, 1, true}, // tied at distance 0
-		{2, 1, true}, // shares the better rank
-		{0, 3, true}, // two strictly closer
-		{3, 3, true},
+		{1, 1}, // tied at distance 0
+		{2, 1}, // shares the better rank
+		{0, 3}, // two strictly closer
+		{3, 3},
 	}
 	for _, tc := range cases {
-		rank, ok := ix.RankOf(tc.id, q)
-		if rank != tc.wantRank || ok != tc.wantOK {
-			t.Fatalf("RankOf(%d) = (%d, %v), want (%d, %v)", tc.id, rank, ok, tc.wantRank, tc.wantOK)
+		if rank := o.RankOf(tc.id, q); rank != tc.wantRank {
+			t.Fatalf("RankOf(%d) = %d, want %d", tc.id, rank, tc.wantRank)
 		}
 	}
-	if _, ok := New(3).RankOf(0, q); ok {
-		t.Fatal("RankOf on absent stream reported ok")
+	err := o.CheckRank([]int{4}, q, core.RankTolerance{K: 1, R: 3})
+	var v *oracle.Violation
+	if !errors.As(err, &v) || !strings.Contains(v.Reason, "unknown") {
+		t.Fatalf("CheckRank of a stream the oracle does not hold = %v, want an unknown-stream violation", err)
 	}
 }
 
@@ -90,7 +133,7 @@ func TestKNearestTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := FromValues(tc.vals).KNearest(tc.q, tc.k)
+			got := nearest(tc.vals, nil, tc.q, tc.k)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("KNearest = %v, want %v", got, tc.want)
 			}
@@ -98,44 +141,18 @@ func TestKNearestTable(t *testing.T) {
 	}
 }
 
-// TestSetRemoveLifecycle checks presence bookkeeping through a move. (The
-// index no longer removes streams; the name is the test's original one.)
-func TestSetRemoveLifecycle(t *testing.T) {
-	ix := New(4)
-	if ix.Len() != 0 || ix.N() != 4 {
-		t.Fatalf("fresh index Len=%d N=%d", ix.Len(), ix.N())
-	}
-	if _, ok := ix.Value(2); ok {
-		t.Fatal("absent stream present")
-	}
-	ix.Set(2, 25)
-	ix.Set(2, 35) // move
-	if v, ok := ix.Value(2); !ok || v != 35 {
-		t.Fatalf("Value(2) = (%v, %v)", v, ok)
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d after move", ix.Len())
-	}
-	if got := ix.CountRange(30, 40); got != 1 {
-		t.Fatalf("CountRange after move = %d", got)
-	}
-	if got := New(3).KNearest(query.At(0), 3); got != nil {
-		t.Fatalf("KNearest on empty = %v", got)
-	}
-}
-
-// TestKthDistAndMaxDist covers the distance accessor KthDist. (MaxDist had
-// no caller and is gone; the name is the test's original one.)
+// TestKthDistAndMaxDist covers the k-th distance. (MaxDist had no caller
+// and is gone; the name is the test's original one.)
 func TestKthDistAndMaxDist(t *testing.T) {
-	ix := newIndex()
+	vals := []float64{10, 20, 30, 40, 50, 60}
 	q := query.At(35)
-	if d, ok := ix.KthDist(q, 2); !ok || d != 5 {
+	if d, ok := kthDist(vals, q, 2); !ok || d != 5 {
 		t.Fatalf("KthDist(2) = (%v, %v), want (5, true)", d, ok)
 	}
-	if _, ok := ix.KthDist(q, 7); ok {
+	if _, ok := kthDist(vals, q, 7); ok {
 		t.Fatal("KthDist beyond size reported ok")
 	}
-	if _, ok := ix.KthDist(q, 0); ok {
+	if _, ok := kthDist(vals, q, 0); ok {
 		t.Fatal("KthDist(0) reported ok")
 	}
 }

@@ -1,70 +1,19 @@
 package rankindex
 
 import (
-	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 )
 
-// TestSetRemoveHasValue checks presence and value bookkeeping through an
-// insert and a move. (The index no longer removes streams; the name is the
-// test's original one.)
-func TestSetRemoveHasValue(t *testing.T) {
-	ix := New(5)
-	if ix.Len() != 0 || ix.N() != 5 {
-		t.Fatalf("fresh index Len/N = %d/%d", ix.Len(), ix.N())
-	}
-	if _, ok := ix.Value(2); ok {
-		t.Fatal("absent stream present")
-	}
-	ix.Set(2, 7)
-	if v, ok := ix.Value(2); !ok || v != 7 || ix.Len() != 1 {
-		t.Fatalf("Value(2) = %v,%v, Len %d", v, ok, ix.Len())
-	}
-	ix.Set(2, 9) // move
-	if v, _ := ix.Value(2); v != 9 || ix.Len() != 1 {
-		t.Fatalf("move failed: v=%v len=%d", v, ix.Len())
-	}
-}
-
-func TestFromValues(t *testing.T) {
-	ix := FromValues([]float64{3, 1, 2})
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	if got := ix.KNearest(query.Bottom(), 3); got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("KNearest(Bottom) = %v", got)
-	}
-}
-
-// TestLoad checks the bulk load against the same streams set one by one:
-// a load replaces everything, and a rejected one changes nothing.
-func TestLoad(t *testing.T) {
-	vals := []float64{5, 1, 5, -0.0, 0, 3}
-	ix, ref := New(len(vals)), New(len(vals))
-	ix.Set(1, 99) // replaced by the load
-	ix.Load(vals)
-	for id, v := range vals {
-		ref.Set(id, v)
-	}
-	if !reflect.DeepEqual(ix.keys, ref.keys) || !reflect.DeepEqual(ix.present, ref.present) {
-		t.Fatalf("Load keys %v present %v, Set gives %v %v", ix.keys, ix.present, ref.keys, ref.present)
-	}
-	mustPanic(t, "Load(NaN)", func() { ix.Load([]float64{0, 0, 0, math.NaN(), 0, 0}) })
-	mustPanic(t, "Load(short)", func() { ix.Load(vals[:2]) })
-	if !reflect.DeepEqual(ix.keys, ref.keys) {
-		t.Fatalf("a rejected Load changed the index: %v", ix.keys)
-	}
-}
-
 func TestCountRange(t *testing.T) {
-	ix := FromValues([]float64{100, 200, 300, 400, 500})
-	if got := ix.CountRange(150, 450); got != 3 {
+	o := oracle.New([]float64{100, 200, 300, 400, 500})
+	if got := o.CountRange(query.Range{Lo: 150, Hi: 450}); got != 3 {
 		t.Fatalf("CountRange = %d, want 3", got)
 	}
 }
@@ -111,10 +60,9 @@ func TestKNearestAgainstBruteForce(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(rng.Intn(20)) // force ties
 		}
-		ix := FromValues(vals)
 		for _, q := range centers() {
 			for _, k := range []int{1, 2, n / 2, n, n + 5} {
-				got := ix.KNearest(q, k)
+				got := nearest(vals, nil, q, k)
 				want := bruteKNearest(vals, nil, q, k)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d %v k=%d: len %d vs %d", trial, q, k, len(got), len(want))
@@ -138,13 +86,10 @@ func TestRankOfAgainstBruteForce(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(rng.Intn(15))
 		}
-		ix := FromValues(vals)
+		o := oracle.New(vals)
 		for _, q := range centers() {
 			for id := 0; id < n; id++ {
-				got, ok := ix.RankOf(id, q)
-				if !ok {
-					t.Fatalf("RankOf(%d) not ok", id)
-				}
+				got := o.RankOf(id, q)
 				want := 1
 				for j := 0; j < n; j++ {
 					if q.Dist(vals[j]) < q.Dist(vals[id]) {
@@ -161,54 +106,54 @@ func TestRankOfAgainstBruteForce(t *testing.T) {
 }
 
 func TestCountCloserAndWithin(t *testing.T) {
-	vals := []float64{0, 10, 20, 30, 40}
-	ix := FromValues(vals)
+	o := oracle.New([]float64{0, 10, 20, 30, 40})
 	q := query.At(20)
-	if got := ix.CountCloser(q, 10); got != 1 { // only 20 itself (dist 0)
+	if got := o.CountCloser(q, 10); got != 1 { // only 20 itself (dist 0)
 		t.Fatalf("CountCloser(10) = %d, want 1", got)
 	}
-	if got := ix.CountWithin(q, 10); got != 3 { // 10, 20, 30
+	if got := o.CountWithin(q, 10); got != 3 { // 10, 20, 30
 		t.Fatalf("CountWithin(10) = %d, want 3", got)
 	}
-	if got := ix.CountWithin(q, -1); got != 0 {
+	if got := o.CountWithin(q, -1); got != 0 {
 		t.Fatalf("CountWithin(-1) = %d, want 0", got)
 	}
 	top := query.Top()
-	if got := ix.CountCloser(top, top.Dist(20)); got != 2 { // 30, 40 strictly closer
+	if got := o.CountCloser(top, top.Dist(20)); got != 2 { // 30, 40 strictly closer
 		t.Fatalf("Top CountCloser = %d, want 2", got)
 	}
-	if got := ix.CountWithin(top, top.Dist(20)); got != 3 {
+	if got := o.CountWithin(top, top.Dist(20)); got != 3 {
 		t.Fatalf("Top CountWithin = %d, want 3", got)
 	}
 	bot := query.Bottom()
-	if got := ix.CountCloser(bot, bot.Dist(20)); got != 2 { // 0, 10
+	if got := o.CountCloser(bot, bot.Dist(20)); got != 2 { // 0, 10
 		t.Fatalf("Bottom CountCloser = %d, want 2", got)
 	}
 }
 
 func TestKthDist(t *testing.T) {
-	ix := FromValues([]float64{0, 10, 20, 30})
+	vals := []float64{0, 10, 20, 30}
 	q := query.At(0)
-	if d, ok := ix.KthDist(q, 3); !ok || d != 20 {
+	if d, ok := kthDist(vals, q, 3); !ok || d != 20 {
 		t.Fatalf("KthDist(3) = %v,%v; want 20,true", d, ok)
 	}
-	if _, ok := ix.KthDist(q, 5); ok {
+	if _, ok := kthDist(vals, q, 5); ok {
 		t.Fatal("KthDist beyond population returned ok")
 	}
-	if _, ok := ix.KthDist(q, 0); ok {
+	if _, ok := kthDist(vals, q, 0); ok {
 		t.Fatal("KthDist(0) returned ok")
 	}
 }
 
+// TestAbsentStreams checks that a stream not yet present takes no part in
+// an answer: a ranking over the present streams leaves it out, and the
+// oracle, which holds every stream, calls one beyond its n unknown.
 func TestAbsentStreams(t *testing.T) {
-	ix := New(3)
-	ix.Set(1, 5)
-	if _, ok := ix.RankOf(0, query.At(0)); ok {
-		t.Fatal("RankOf absent stream returned ok")
-	}
-	got := ix.KNearest(query.At(5), 3)
-	if len(got) != 1 || got[0] != 1 {
+	vals := []float64{0, 5, 0}
+	if got := nearest(vals, []bool{false, true, false}, query.At(5), 3); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("KNearest over partial index = %v", got)
+	}
+	if err := oracle.New(vals).CheckRank([]int{3}, query.At(0), core.RankTolerance{K: 1, R: 2}); err == nil {
+		t.Fatal("CheckRank of an absent stream returned ok")
 	}
 }
 
@@ -223,12 +168,11 @@ func TestQuickRankConsistentWithKNearest(t *testing.T) {
 		for i, r := range raw {
 			vals[i] = float64(r % 32)
 		}
-		ix := FromValues(vals)
+		o := oracle.New(vals)
 		q := centers()[int(qsel)%len(centers())]
-		order := ix.KNearest(q, len(vals))
+		order := nearest(vals, nil, q, len(vals))
 		for i, id := range order {
-			rank, ok := ix.RankOf(id, q)
-			if !ok || rank > i+1 {
+			if o.RankOf(id, q) > i+1 {
 				return false
 			}
 		}
