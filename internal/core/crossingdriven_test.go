@@ -77,11 +77,28 @@ func drivenWalks() []drivenWalk {
 	}
 }
 
+// handling hosts a CrossingDriven protocol as one that is not, so the
+// composite calls its HandleUpdate on every report.
+type handling struct{ server.Protocol }
+
+// splitting is handling with HandleUpdate played as its contract's split:
+// one server op, then Crossed.
+type splitting struct {
+	server.Protocol
+	h server.Host
+}
+
+func (p splitting) HandleUpdate(id stream.ID, v float64) {
+	p.h.AddServerOps(1)
+	p.Protocol.(server.CrossingDriven).Crossed(id, v)
+}
+
 // play runs the walk on one composite — indexed (reports skip the
-// CrossingDriven queries they do not concern, charging each one server op)
-// or linear (every live query's HandleUpdate is called) — and returns the
-// digest after every event.
-func (w drivenWalk) play(t *testing.T, indexed bool) (lines []string, reinits, fixProbes uint64) {
+// CrossingDriven queries they do not concern, and hand the others the
+// crossing through Crossed) or linear (every live query's maintenance runs)
+// — and returns the digest after every event. A non-nil host wraps each
+// instance in the protocol the composite sees.
+func (w drivenWalk) play(t *testing.T, indexed bool, host func(server.Host, server.CrossingDriven) server.Protocol) (lines []string, reinits, fixProbes uint64) {
 	t.Helper()
 	prev := server.SetQueryIndexEnabled(indexed)
 	defer server.SetQueryIndexEnabled(prev)
@@ -99,6 +116,9 @@ func (w drivenWalk) play(t *testing.T, indexed bool) (lines []string, reinits, f
 		c.AddQuery(w.name, int64(j), func(h server.Host) server.Protocol {
 			p := w.build(h, j)
 			subjects = append(subjects, p)
+			if host != nil {
+				return host(h, p)
+			}
 			return p
 		})
 	}
@@ -125,11 +145,15 @@ func (w drivenWalk) play(t *testing.T, indexed bool) (lines []string, reinits, f
 	return lines, reinits, c.Counter().Get(comm.Maintenance, comm.Probe)
 }
 
-// TestCrossingDrivenContract holds every protocol that declares
-// server.CrossingDriven to the contract: on a composite, replacing the
-// HandleUpdate of an update that did not cross the protocol's own entry by
-// one server op must leave the answer, every phase×kind message counter,
-// ServerOps and Reinits exactly as calling it does — after every event.
+// TestCrossingDrivenContract holds every protocol that implements
+// server.CrossingDriven to the contract, after every event of each walk:
+// the answers, every phase×kind message counter, ServerOps and Reinits are
+// the same on four composites. The linear one runs every live query's
+// maintenance on each report; the indexed one replaces the Crossed of an
+// update that did not cross the protocol's own entry by nothing; the
+// twins host each instance as a protocol that is not CrossingDriven, so
+// every report goes through HandleUpdate, which one twin calls and the
+// other plays as one server op followed by Crossed.
 //
 // (Fix_Error never probes the delivered stream itself: it consults streams
 // holding a silent filter, and a stream whose entry just fired holds the
@@ -139,11 +163,23 @@ func TestCrossingDrivenContract(t *testing.T) {
 	for _, w := range drivenWalks() {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
-			called, _, _ := w.play(t, false)
-			skipped, reinits, fixProbes := w.play(t, true)
+			called, _, _ := w.play(t, false, nil)
+			skipped, reinits, fixProbes := w.play(t, true, nil)
+			handled, _, _ := w.play(t, true, func(_ server.Host, p server.CrossingDriven) server.Protocol {
+				return handling{p}
+			})
+			split, _, _ := w.play(t, true, func(h server.Host, p server.CrossingDriven) server.Protocol {
+				return splitting{p, h}
+			})
 			for i := range called {
 				if skipped[i] != called[i] {
 					t.Fatalf("first differing event:\n skipping %s\n calling  %s", skipped[i], called[i])
+				}
+				if split[i] != handled[i] {
+					t.Fatalf("first differing event:\n split    %s\n handled  %s", split[i], handled[i])
+				}
+				if handled[i] != called[i] {
+					t.Fatalf("first differing event:\n handled  %s\n calling  %s", handled[i], called[i])
 				}
 			}
 			if w.wantReinit && reinits == 0 {
@@ -160,7 +196,7 @@ func TestCrossingDrivenContract(t *testing.T) {
 // every report: each of them reads reported values its own filter did not
 // cause (RTP tracks positions inside its bound, FT-RP runs checkWindow on
 // every update, ZT-RP re-ranks, VB-kNN and the no-filter baselines refresh
-// their tables), so declaring the marker would silently change answers.
+// their tables), so implementing Crossed would silently change answers.
 func TestCrossingDrivenNotDeclared(t *testing.T) {
 	c := server.NewCluster([]float64{100, 200, 300, 400, 500, 600})
 	ftrp := core.DefaultFTRPConfig(core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})

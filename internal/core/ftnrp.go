@@ -130,6 +130,15 @@ func (p *FTNRP) Initialize() {
 // HandleUpdate implements the Figure 7 Maintenance phase.
 func (p *FTNRP) HandleUpdate(id stream.ID, v float64) {
 	p.c.AddServerOps(1)
+	p.Crossed(id, v)
+}
+
+// Crossed implements server.CrossingDriven: HandleUpdate without its server
+// op. A stream holding the query interval is in ans exactly when its
+// recorded side is inside, so an update that stays on that side takes
+// step's "already an answer" / "not an answer" early return; streams
+// holding a silent filter are never dispatched at all.
+func (p *FTNRP) Crossed(id stream.ID, v float64) {
 	if p.step(id, p.rng.Contains(v)) {
 		fixError(&p.fraction, p.c, p.rng.Constraint())
 		p.maybeReinit()
@@ -152,10 +161,3 @@ func (p *FTNRP) maybeReinit() {
 	p.Reinits++
 	p.Initialize()
 }
-
-// CrossingDriven declares server.CrossingDriven: a stream holding the query
-// interval is in ans exactly when its recorded side is inside, so an update
-// that stays on that side takes HandleUpdate's "already an answer" / "not an
-// answer" early return after its one server op; streams holding a silent
-// filter are never dispatched at all.
-func (p *FTNRP) CrossingDriven() {}

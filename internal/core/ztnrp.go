@@ -40,19 +40,21 @@ func (p *ZTNRP) Initialize() {
 // HandleUpdate processes a boundary crossing: the stream either entered or
 // left the query range.
 func (p *ZTNRP) HandleUpdate(id stream.ID, v float64) {
-	if p.rng.Contains(v) {
-		p.ans.add(id)
-	} else {
-		p.ans.remove(id)
-	}
 	p.c.AddServerOps(1)
+	p.Crossed(id, v)
 }
 
 // Answer implements server.Protocol.
 func (p *ZTNRP) Answer() []stream.ID { return p.ans.sorted() }
 
-// CrossingDriven declares server.CrossingDriven: every stream holds the
-// query interval and is in ans exactly when its recorded side is inside, so
-// an update that stays on that side re-adds a member or re-removes a
-// non-member — one server op and nothing else.
-func (p *ZTNRP) CrossingDriven() {}
+// Crossed implements server.CrossingDriven: HandleUpdate without its server
+// op. Every stream holds the query interval and is in ans exactly when its
+// recorded side is inside, so an update that stays on that side re-adds a
+// member or re-removes a non-member and changes nothing.
+func (p *ZTNRP) Crossed(id stream.ID, v float64) {
+	if p.rng.Contains(v) {
+		p.ans.add(id)
+	} else {
+		p.ans.remove(id)
+	}
+}

@@ -52,10 +52,13 @@ type Composite struct {
 
 	// Dispatch bookkeeping for Deliver: drivenMask holds the live slots
 	// whose protocol is CrossingDriven, othersMask the live slots whose
-	// protocol is not and so must see every report. Both are derived from
-	// the slots — maintained by admit and RemoveQuery, never encoded.
+	// protocol is not and so must see every report, and crossers[qi] is
+	// slot qi's protocol when its drivenMask bit is set (else nil), so a
+	// dispatch is one indexed load and one call. All three are derived
+	// from the slots — maintained by admit and RemoveQuery, never encoded.
 	drivenMask slotSet
 	othersMask slotSet
+	crossers   []CrossingDriven
 
 	// Initialization-epoch bookkeeping (beginEpoch): during an epoch,
 	// sibling queries share probe results and composite install messages —
@@ -74,28 +77,29 @@ type Composite struct {
 	idx *queryIndex
 }
 
-// CrossingDriven is an optional marker a Protocol declares to let a
+// CrossingDriven is an optional interface a Protocol implements to let a
 // Composite skip it on reports its own filter did not cause. The contract:
 //
-//	A HandleUpdate(id, v) for an update that leaves the protocol's own
-//	installed entry at stream id on its recorded side does nothing but
-//	charge exactly one server op (Host.AddServerOps(1)) — no answer
-//	change, no probe, no install, no other state.
+//	HandleUpdate(id, v) is Host.AddServerOps(1) followed by Crossed(id, v),
+//	and a Crossed(id, v) for an update that leaves the protocol's own
+//	installed entry at stream id on its recorded side does nothing — no
+//	answer change, no probe, no install, no other state.
 //
 // That holds for a protocol whose answer membership is, stream by stream,
 // the recorded side of the non-silent interval it installed there (ZT-NRP,
 // FT-NRP): a report another query's filter caused tells it nothing new. It
 // does not hold for a protocol that reads every reported value (the rank
 // protocols track positions inside their bound; VB-kNN and the no-filter
-// baseline see every update) — those do not declare it and keep receiving
-// every report. Given the contract, Composite.Deliver replaces each skipped
-// call by its one server op, so counters, answers and protocol state are
-// those of dispatching to everyone (pinned by core's contract test and the
-// indexed-vs-linear equivalence tests).
+// baseline see every update) — those do not implement it and keep
+// receiving every report. Given the contract, Composite.Deliver charges
+// each live CrossingDriven slot its one server op per report and calls
+// Crossed only on the slots it dispatches to, so counters, answers and
+// protocol state are those of calling everyone's HandleUpdate (pinned by
+// core's contract test and the indexed-vs-linear equivalence tests).
 type CrossingDriven interface {
 	Protocol
-	// CrossingDriven is never called; declaring it asserts the contract.
-	CrossingDriven()
+	// Crossed is HandleUpdate without its one server op.
+	Crossed(id stream.ID, v float64)
 }
 
 // compositeQuery is one standing query slot: its protocol, its Host view,
@@ -242,9 +246,10 @@ func (c *Composite) AddQuery(name string, seedID int64, build func(h Host) Proto
 // size the masks first).
 func (c *Composite) admit(q *compositeQuery) {
 	qi := len(c.queries)
-	_, driven := q.proto.(CrossingDriven)
+	d, driven := q.proto.(CrossingDriven)
 	c.drivenMask.put(qi, driven)
 	c.othersMask.put(qi, !driven)
+	c.crossers = append(c.crossers, d)
 	c.queries = append(c.queries, q)
 }
 
@@ -261,6 +266,7 @@ func (c *Composite) RemoveQuery(qi int) error {
 	}
 	c.drivenMask.put(qi, false)
 	c.othersMask.put(qi, false)
+	c.crossers[qi] = nil
 	c.queries[qi] = nil
 	for s := range c.cons {
 		c.cons[s][qi] = filter.Constraint{}
@@ -325,7 +331,7 @@ func (c *Composite) endEpoch()   { c.inEpoch = false }
 // makes the stream report every update. Steady state allocates nothing.
 //
 // A report costs every live query one server op at least (the lookup of its
-// entry); which queries it costs a HandleUpdate is the dispatch set's
+// entry); which queries it costs maintenance is the dispatch set's
 // business: every live slot when all is set (an unfiltered entry stands on
 // the stream, the NaN fallback scan ran, or there is no index to say which
 // entries fired), otherwise the slots whose own entry fired plus the slots
@@ -345,12 +351,12 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 	c.table[s] = v
 	c.known[s] = true
 	row := c.cons[s]
-	// The set is walked a word at a time in ascending slot order. A
-	// CrossingDriven slot left out of it is charged its HandleUpdate's one
-	// server op instead. Maintenance may reinstall, and so regroup the
-	// index's classes, but it never touches the fired bitmap, the masks or
-	// another slot's entry; the reports its installs raise wait in the
-	// queue until the walk is done.
+	// The set is walked a word at a time in ascending slot order. Every
+	// live CrossingDriven slot is charged its one server op up front, so a
+	// dispatched one is handed the crossing through Crossed. Maintenance
+	// may reinstall, and so regroup the index's classes, but it never
+	// touches the fired bitmap, the masks or another slot's entry; the
+	// reports its installs raise wait in the queue until the walk is done.
 	c.reports.draining = true
 	ops := 0
 	for w, driven := range c.drivenMask {
@@ -360,20 +366,28 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 			fired = c.idx.fired[w]
 			set = fired | others
 		}
-		ops += bits.OnesCount64(driven &^ set)
+		ops += bits.OnesCount64(driven)
 		for ; set != 0; set &= set - 1 {
+			bit := set & -set
 			qi := w<<6 | bits.TrailingZeros64(set)
 			// Silent entries never generate reports, but the report may
 			// have been caused by another query's constraint; only run a
 			// query's maintenance when its own constraint is live (the
 			// paper's per-filter semantics). The skipped query still pays
-			// the lookup. A fired entry is a class member, so it is not
-			// silent, and only its own HandleUpdate can rewrite it.
-			if fired&(set&-set) == 0 && row[qi].Silent() {
-				ops++
+			// the lookup, a CrossingDriven one up front. A fired entry is
+			// a class member, so it is not silent, and only its own
+			// maintenance can rewrite it.
+			if fired&bit == 0 && row[qi].Silent() {
+				if others&bit != 0 {
+					ops++
+				}
 				continue
 			}
-			c.queries[qi].proto.HandleUpdate(s, v)
+			if driven&bit != 0 {
+				c.crossers[qi].Crossed(s, v)
+			} else {
+				c.queries[qi].proto.HandleUpdate(s, v)
+			}
 		}
 	}
 	c.ctr.AddServerOps(uint64(ops))

@@ -133,6 +133,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 		}
 		if !alive {
 			c.queries = append(c.queries, nil)
+			c.crossers = append(c.crossers, nil)
 			continue
 		}
 		name := r.String()

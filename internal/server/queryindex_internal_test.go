@@ -26,17 +26,20 @@ func (nopProto) Answer() []stream.ID             { return nil }
 func (nopProto) ExportState(*snapshot.Writer)       {}
 func (nopProto) ImportState(*snapshot.Reader) error { return nil }
 
-// drivenProto is nopProto declaring CrossingDriven, so the dispatch
-// bookkeeping has both kinds of slot to file. It keeps the contract: a
-// report costs its HandleUpdate one server op and changes nothing else.
+// drivenProto is nopProto implementing CrossingDriven, so the dispatch
+// bookkeeping has both kinds of slot to file. It keeps the contract: its
+// HandleUpdate is one server op and a Crossed that changes nothing.
 type drivenProto struct {
 	nopProto
 	h Host
 }
 
-func (drivenProto) CrossingDriven() {}
+func (p drivenProto) HandleUpdate(s stream.ID, v float64) {
+	p.h.AddServerOps(1)
+	p.Crossed(s, v)
+}
 
-func (p drivenProto) HandleUpdate(stream.ID, float64) { p.h.AddServerOps(1) }
+func (drivenProto) Crossed(stream.ID, float64) {}
 
 // checkSet fails unless b is a words(slots)-long bitmap with no bit at or
 // beyond slots.
@@ -53,24 +56,31 @@ func checkSet(t *testing.T, what string, b slotSet, slots int) {
 }
 
 // checkDispatch recounts the dispatch bookkeeping from the slots: the
-// CrossingDriven mask, the mask of every other live slot, and the
-// LiveQueries they add up to.
+// CrossingDriven mask, the mask of every other live slot, the dense
+// column of CrossingDriven protocols, and the LiveQueries they add up to.
 func checkDispatch(t *testing.T, c *Composite) {
 	t.Helper()
 	slots := len(c.queries)
 	checkSet(t, "drivenMask", c.drivenMask, slots)
 	checkSet(t, "othersMask", c.othersMask, slots)
+	if len(c.crossers) != slots {
+		t.Fatalf("crossers holds %d entries for %d slots", len(c.crossers), slots)
+	}
 	live := 0
 	for qi, q := range c.queries {
 		isDriven, isOther := false, false
+		var want CrossingDriven
 		if q != nil {
 			live++
-			_, isDriven = q.proto.(CrossingDriven)
+			want, isDriven = q.proto.(CrossingDriven)
 			isOther = !isDriven
 		}
 		if c.drivenMask.has(qi) != isDriven || c.othersMask.has(qi) != isOther {
 			t.Fatalf("slot %d: driven/others bits %v/%v, recount %v/%v",
 				qi, c.drivenMask.has(qi), c.othersMask.has(qi), isDriven, isOther)
+		}
+		if c.crossers[qi] != want {
+			t.Fatalf("slot %d: crossers entry %v, recount %v", qi, c.crossers[qi], want)
 		}
 	}
 	if c.LiveQueries() != live {
@@ -490,7 +500,9 @@ func TestCompositeImportRefusesContradictingSide(t *testing.T) {
 	}
 }
 
-// loggedProto is drivenProto appending its slot to log on every report.
+// loggedProto is drivenProto whose Crossed appends its slot to log, so a
+// report is logged whether Deliver hands it over through Crossed or a
+// queued report goes through HandleUpdate.
 type loggedProto struct {
 	drivenProto
 	qi  int
@@ -498,9 +510,11 @@ type loggedProto struct {
 }
 
 func (p loggedProto) HandleUpdate(s stream.ID, v float64) {
-	p.drivenProto.HandleUpdate(s, v)
-	*p.log = append(*p.log, p.qi)
+	p.h.AddServerOps(1)
+	p.Crossed(s, v)
 }
+
+func (p loggedProto) Crossed(stream.ID, float64) { *p.log = append(*p.log, p.qi) }
 
 // firedDriven recounts, from every live entry of stream s of c, the
 // even-numbered (CrossingDriven) slots a delivery of v dispatches to, in

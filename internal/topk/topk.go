@@ -106,6 +106,10 @@ type Ranking struct {
 	ids     []int
 	keys    []float64
 	ordered int
+	// ident is how many leading entries of ids' backing array hold their
+	// own index, so Load writes only the ids past it. Order and Add may
+	// move or overwrite ids, so they reset it.
+	ident int
 }
 
 // Reset empties the ranking, keeping its storage.
@@ -115,16 +119,19 @@ func (r *Ranking) Reset() {
 
 // Load resets the ranking to the ids 0..n−1 and returns their n keys,
 // aliasing the ranking, for the caller to fill in place: a rank pass over a
-// whole table is one key store per stream, with no append. The caller must
+// whole table is one key store per stream, with no append, and the ids are
+// rewritten only where an Order or Add since the last fill moved them (a
+// caller that only scans the keys pays for no id store). The caller must
 // refuse NaN keys as Add does.
 func (r *Ranking) Load(n int) []float64 {
 	if cap(r.ids) < n || cap(r.keys) < n {
-		r.ids, r.keys = make([]int, n), make([]float64, n)
+		r.ids, r.keys, r.ident = make([]int, n), make([]float64, n), 0
 	}
 	r.ids, r.keys, r.ordered = r.ids[:n], r.keys[:n], 0
-	for i := range r.ids {
+	for i := r.ident; i < n; i++ {
 		r.ids[i] = i
 	}
+	r.ident = max(r.ident, n)
 	return r.keys
 }
 
@@ -137,7 +144,7 @@ func (r *Ranking) Add(id int, key float64) {
 	}
 	r.ids = append(r.ids, id)
 	r.keys = append(r.keys, key)
-	r.ordered = 0
+	r.ordered, r.ident = 0, 0
 }
 
 // Ordered returns the length of the ordered prefix.
@@ -156,5 +163,6 @@ func (r *Ranking) Order(m int) (ids []int, keys []float64) {
 		Select(r.ids[r.ordered:], r.keys[r.ordered:], m-r.ordered)
 		r.ordered = m
 	}
+	r.ident = 0 // Select moves ids, and so may a caller through the slice
 	return r.ids, r.keys
 }

@@ -177,6 +177,45 @@ func TestLoadMatchesAdd(t *testing.T) {
 	}
 }
 
+// TestLoadRestoresIdentity fills one ranking through a sequence of Load,
+// Order and Add at growing and shrinking sizes, and after every Load
+// expects the ids to be exactly 0..n−1: Load → Load keeps them without a
+// rewrite, and Load → Order → Load or Add → Load must restore what the
+// Order or Add moved, also past the previous fill's length.
+func TestLoadRestoresIdentity(t *testing.T) {
+	const keep, order, add = 0, 1, 2
+	var r Ranking
+	for step, tc := range []struct{ n, then int }{
+		{12, keep}, {12, keep}, {3, add}, {9, order}, {9, keep},
+		{2, keep}, {16, keep}, {5, add}, {16, order}, {0, keep},
+	} {
+		n := tc.n
+		keys := r.Load(n)
+		if len(keys) != n || len(r.ids) != n || r.Ordered() != 0 {
+			t.Fatalf("step %d: Load(%d) gives %d keys, %d ids, %d ordered", step, n, len(keys), len(r.ids), r.Ordered())
+		}
+		for i, id := range r.ids {
+			if id != i {
+				t.Fatalf("step %d: after Load(%d) position %d holds id %d", step, n, i, id)
+			}
+		}
+		for i := range keys {
+			keys[i] = float64(n - i)
+		}
+		switch tc.then {
+		case order: // reversed keys, so the order moves every id
+			ids, _ := r.Order(n)
+			for i, id := range ids {
+				if id != n-1-i {
+					t.Fatalf("step %d: Order(%d) position %d holds id %d", step, n, i, id)
+				}
+			}
+		case add: // lands on position n, which the next, larger Load reuses
+			r.Add(n+1, 1)
+		}
+	}
+}
+
 // TestWarmRankingAllocatesNothing pins the reason the kernel is concrete:
 // a refill, a partial order, a growth step, a full order and a Load on
 // warmed buffers allocate nothing.
