@@ -68,12 +68,12 @@ type Options struct {
 }
 
 // DefaultInflightEvents is the ingest window when Options leaves it 0:
-// four of the runtime's default shard mailboxes (runtime.Config.Queue,
-// 4,096 events). A window of one mailbox stalls the pipeline whenever the
+// four of the runtime's default shard mailboxes (runtime.DefaultQueue
+// events each). A window of one mailbox stalls the pipeline whenever the
 // shard's mailbox fills: the server's connection goroutine blocks posting,
 // acks stop, and the client blocks on its window while the shard applies
 // (DESIGN.md §9.3).
-const DefaultInflightEvents = 4 * 4096
+const DefaultInflightEvents = 4 * runtime.DefaultQueue
 
 // flushBacklog is the count of events in flight past which Flush leaves
 // the buffered frames to the client's flusher, which sends them once acks
@@ -83,7 +83,7 @@ const DefaultInflightEvents = 4 * 4096
 // (DESIGN.md §9.3). It must exceed what the 16 KiB write buffer can hold
 // (1,638 events at the smallest, 10 bytes), so a deferred Flush always
 // has frames on the wire whose acks will end the deferral.
-const flushBacklog = 4096
+const flushBacklog = runtime.DefaultQueue
 
 func (o Options) inflightEvents() int {
 	if o.InflightEvents <= 0 {

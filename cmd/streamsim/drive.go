@@ -1,8 +1,8 @@
 // The driver: every mode compiles the flags into one tenant description
 // (buildTenants), plays it into a target through ingest lanes (play), and
-// renders the target's runtime.Report (finish). What differs between
-// -tenants, -cluster and -connect is only which existing types stand in as
-// lanes and target.
+// renders the target's runtime.Report (finish). What differs between a
+// local node, -cluster and -connect is only which existing types stand in
+// as lanes and target.
 package main
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/protospec"
@@ -156,18 +155,15 @@ func (ts tenantSet) check(pos uint64, rep *runtime.Report) {
 	}
 }
 
-// sampler is the mid-run audit as a per-flush hook: at the first batch
-// boundary after each multiple of the auditors' period (counted from the
-// first event played) it drains tgt and audits its report. Only a single
-// lane's position is the target's, so play installs it on one-lane runs only.
-func (ts tenantSet) sampler(tgt target, first uint64) func(pos uint64) error {
-	every := uint64(ts.audit[0][0].Every)
-	next := first + every
+// sampler is the mid-run audit as a per-flush hook: at each multiple of
+// every events after first, where playLane ends a batch, it drains tgt and
+// audits its report. Only a single lane's position is the target's, so play
+// installs it on one-lane runs only.
+func (ts tenantSet) sampler(tgt target, first, every uint64) func(pos uint64) error {
 	return func(pos uint64) error {
-		if pos < next {
+		if (pos-first)%every != 0 {
 			return nil
 		}
-		next = pos - pos%every + every
 		if err := tgt.Drain(); err != nil {
 			return err
 		}
@@ -260,7 +256,7 @@ type played struct {
 //
 // Under -check each lane feeds its tenants' auditors the truth as it plays
 // (the skipped prefix included); the final report is audited in every mode,
-// and a single lane is also sampled about every -check-every events.
+// and a single lane is also sampled every -check-every events.
 func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 	afterFlush func(pos uint64) error) (played, error) {
 
@@ -271,8 +267,10 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 		ids[i%n] = append(ids[i%n], i)
 		subs[i%n] = append(subs[i%n], it)
 	}
+	var cut uint64
 	if ts.audit != nil && n == 1 {
-		sample, then := ts.sampler(tgt, skip), afterFlush
+		cut = uint64(ts.audit[0][0].Every)
+		sample, then := ts.sampler(tgt, skip, cut), afterFlush
 		afterFlush = func(pos uint64) error {
 			if err := sample(pos); err != nil || then == nil {
 				return err
@@ -288,7 +286,7 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], ts.audit, p.Batch, skip, afterFlush)
+			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], ts.audit, p.Batch, skip, cut, afterFlush)
 		}(g)
 	}
 	wg.Wait()
@@ -312,8 +310,10 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 
 // playLane is the ingest loop: merge, batch, flush. ids[j] is the global
 // tenant id of iters[j]; audit, when non-nil, learns every event's truth.
+// A nonzero cut also ends a batch every cut events after skip, so no batch
+// crosses a sampling point.
 func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Auditor,
-	batch int, skip uint64, afterFlush func(pos uint64) error) (uint64, error) {
+	batch int, skip, cut uint64, afterFlush func(pos uint64) error) (uint64, error) {
 
 	merge := workload.MergeIterators(iters)
 	buf := make([]runtime.Event, 0, batch)
@@ -351,7 +351,7 @@ func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Au
 			continue
 		}
 		buf = append(buf, ev)
-		if len(buf) == batch {
+		if len(buf) == batch || cut > 0 && (pos-skip)%cut == 0 {
 			if err := flush(); err != nil {
 				return ingested, err
 			}
@@ -403,9 +403,8 @@ func (p simParams) finish(stdout io.Writer, rep *runtime.Report, ts tenantSet) e
 		total += maint
 		live++
 	}
-	fmt.Fprintf(stdout, "node totals: init=%d maintenance=%d serverOps=%d (worst tenant maint=%d, mean=%.1f)\n",
-		rep.Totals.PhaseTotal(comm.Init), rep.Totals.Maintenance(), rep.Totals.ServerOps,
-		worst, float64(total)/float64(live))
+	fmt.Fprintf(stdout, "node totals: %v (worst tenant maint=%d, mean=%.1f)\n",
+		&rep.Totals, worst, float64(total)/float64(live))
 	if ts.audit != nil {
 		var sum oracle.Tally
 		for i, qs := range ts.audit {

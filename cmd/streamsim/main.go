@@ -1,8 +1,8 @@
 // Command streamsim runs one configured simulation: a workload, a query, a
-// protocol and a tolerance, printing the message accounting and (optionally)
-// oracle verification. With -tenants it instead hosts many independent
-// instances of that configuration on a sharded runtime.Node and reports
-// per-tenant and node-level accounting plus ingest throughput.
+// protocol and a tolerance, hosted as tenants of a sharded runtime.Node —
+// one by default, many independent instances with -tenants — and prints
+// per-tenant and node-level message accounting (by message kind), ingest
+// throughput and, with -check, oracle verification.
 //
 // Examples:
 //
@@ -31,14 +31,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
-	"adaptivefilters/internal/experiment"
-	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/protospec"
 	"adaptivefilters/internal/runtime"
-	"adaptivefilters/internal/wire"
 )
 
 func main() {
@@ -76,17 +72,17 @@ func parseFlags(args []string, stderr io.Writer) (simParams, error) {
 	fs.StringVar(&p.Selection, "selection", "boundary", "silent filter selection: boundary | random")
 	fs.BoolVar(&p.Check, "check", false, "verify answers against the ground-truth oracle")
 	fs.IntVar(&p.CheckEvery, "check-every", 10, "oracle sampling period")
-	fs.BoolVar(&p.Verbose, "v", false, "print the final answer set")
+	fs.BoolVar(&p.Verbose, "v", false, "print every tenant's summary line (printed anyway for at most 8 tenants) and the per-shard stats")
 	fs.IntVar(&p.Tenants, "tenants", 1, "host this many independent (workload × query) tenants on one node")
 	fs.IntVar(&p.Queries, "queries", 1, "standing queries per tenant: with -queries M > 1 each tenant is a composite multi-query tenant whose M queries (shifted copies of the configured query) share one value table, one counter and composite filters")
-	fs.IntVar(&p.Shards, "shards", 1, "event-loop goroutines for -tenants mode (-1 = GOMAXPROCS)")
-	fs.IntVar(&p.Batch, "batch", 512, "ingest batch size for -tenants mode")
-	fs.IntVar(&p.Ingesters, "ingesters", 1, "concurrent ingest goroutines for -tenants mode, each with its own runtime.Ingester; tenant i's traffic flows through ingester i mod N, so answers stay byte-identical at any count")
+	fs.IntVar(&p.Shards, "shards", 1, "event-loop goroutines (-1 = GOMAXPROCS)")
+	fs.IntVar(&p.Batch, "batch", 512, "ingest batch size")
+	fs.IntVar(&p.Ingesters, "ingesters", 1, "concurrent ingest goroutines, each with its own runtime.Ingester; tenant i's traffic flows through ingester i mod N, so answers stay byte-identical at any count")
 	fs.IntVar(&p.Conns, "conns", 1, "TCP connections for -connect, each with its own pipeline; tenant i's traffic flows through connection i mod N")
-	fs.StringVar(&p.Answers, "answers", "", "write a timing-free per-tenant answer/counter dump to this file (-tenants mode); byte-identical at any -shards, the determinism matrix diffs it")
-	fs.IntVar(&p.SnapEvery, "snapshot-every", 0, "take a barrier-consistent node snapshot about every N ingested events (-tenants mode; 0 = off)")
+	fs.StringVar(&p.Answers, "answers", "", "write a timing-free per-tenant answer/counter dump to this file; byte-identical at any -shards, the determinism matrix diffs it")
+	fs.IntVar(&p.SnapEvery, "snapshot-every", 0, "take a barrier-consistent node snapshot about every N ingested events (0 = off)")
 	fs.StringVar(&p.SnapFile, "snapshot-file", "streamsim.snap", "file the latest -snapshot-every snapshot is written to")
-	fs.StringVar(&p.Restore, "restore", "", "resume from a node snapshot file instead of starting fresh (-tenants mode; pass the same workload/protocol flags as the snapshotting run)")
+	fs.StringVar(&p.Restore, "restore", "", "resume from a node snapshot file instead of starting fresh (pass the same workload/protocol flags as the snapshotting run)")
 	fs.IntVar(&p.Cluster, "cluster", 0, "host the tenants on this many in-process cluster members behind a consistent-hash router instead of one node (0 = off); answers stay byte-identical to a single node at any member count")
 	fs.IntVar(&p.MigrateEvery, "migrate-every", 0, "with -cluster, force a round-robin live tenant migration about every N ingested events (0 = no forced migrations)")
 	fs.StringVar(&p.ReadyFile, "ready-file", "", "with -listen, write the resolved listen address to this file once the server is accepting (scripts poll it instead of sleeping)")
@@ -116,10 +112,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := p.validate(); err != nil {
 		return fmt.Errorf("%w\nrun with -h for usage", err)
 	}
-	single := !p.wireMode() && !p.clusterMode() && !p.tenantsMode() && !p.spatialMode()
 	switch {
-	case single:
-		return runSingle(p, stdout)
 	case p.Listen != "":
 		return runListen(p, stdout)
 	case p.Connect != "":
@@ -129,52 +122,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return runNode(p, stdout)
 	}
-}
-
-// runSingle runs one 1-D simulation under the experiment harness, with
-// message accounting by kind and the optional oracle audit.
-func runSingle(p simParams, stdout io.Writer) error {
-	w, err := p.workload(p.Seed)
-	if err != nil {
-		return err
-	}
-	rs, err := wire.TenantSpec{Name: w.Name(), Initial: w.Initial(), Spec: p.spec(0)}.Runtime()
-	if err != nil {
-		return err
-	}
-	var check *oracle.Auditor
-	if p.Check {
-		g, err := p.spec(0).Guarantee()
-		if err != nil {
-			return err
-		}
-		check = oracle.NewAuditor(rs.Initial, g, p.CheckEvery)
-	}
-	res := experiment.Run(experiment.Config{Workload: w, Seed: p.Seed, NewProtocol: rs.NewProtocol, Check: check})
-
-	fmt.Fprintf(stdout, "workload:   %s\n", res.Workload)
-	fmt.Fprintf(stdout, "protocol:   %s\n", res.Protocol)
-	fmt.Fprintf(stdout, "events:     %d\n", res.Events)
-	fmt.Fprintf(stdout, "init msgs:  %d (excluded from the paper's metric)\n", res.InitMessages)
-	fmt.Fprintf(stdout, "maintenance messages: %d\n", res.MaintMessages)
-	kinds := make([]string, 0, len(res.ByKind))
-	for kind := range res.ByKind {
-		kinds = append(kinds, kind)
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		fmt.Fprintf(stdout, "  %-12s %d\n", kind, res.ByKind[kind])
-	}
-	fmt.Fprintf(stdout, "server ops: %d\n", res.ServerOps)
-	if check != nil {
-		printOracle(stdout, res.Tally)
-	}
-	if p.Verbose {
-		fmt.Fprintf(stdout, "answer (%d): %v\n", len(res.FinalAnswer), res.FinalAnswer)
-	} else {
-		fmt.Fprintf(stdout, "answer size: %d\n", len(res.FinalAnswer))
-	}
-	return nil
 }
 
 // startNode hosts the tenants on one started runtime.Node — fresh, or with

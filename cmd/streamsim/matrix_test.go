@@ -46,6 +46,17 @@ type matrixCheck struct {
 // history of a cluster, or on crossing the wire.
 var determinismMatrix = []matrixGroup{
 	{
+		// A lone 1-D tenant, no -tenants flag: it runs on the same node
+		// driver as every other mode, its seeds derived as tenant 0's.
+		name: "single", common: "-n 150 -events 5000 -protocol ft-nrp -selection random", ref: "-shards 1",
+		checks: []matrixCheck{
+			{name: "shards=2", flags: "-shards 2"},
+			{name: "ingesters=2", flags: "-shards 1 -ingesters 2"},
+			{name: "restore/2to1", flags: "-shards 2 -snapshot-every 2000", restore: "-shards 1"},
+			{name: "cluster=1", flags: "-shards 2 -cluster 1"},
+		},
+	},
+	{
 		name: "ft-nrp", common: "-tenants 8 -n 150 -events 5000 -protocol ft-nrp", ref: "-shards 1",
 		checks: []matrixCheck{
 			{name: "shards=4", flags: "-shards 4"},
@@ -129,10 +140,12 @@ var determinismMatrix = []matrixGroup{
 		},
 	},
 	{
+		// Over the wire a sample is a Drain and a Report round trip each, so
+		// the connectors audit once per default batch, not every 10 events.
 		name: "wire", common: "-tenants 8 -queries 2 -n 150 -events 4000 -protocol ft-nrp", ref: "-shards 1",
 		checks: []matrixCheck{
-			{name: "loopback/shards=1", flags: "-shards 1", connect: "-rate 150000"},
-			{name: "loopback/shards=4", flags: "-shards 4", connect: "-rate 150000"},
+			{name: "loopback/shards=1", flags: "-shards 1", connect: "-rate 150000 -check-every 512"},
+			{name: "loopback/shards=4", flags: "-shards 4", connect: "-rate 150000 -check-every 512"},
 			{name: "loopback/shards=4/conns=4", flags: "-shards 4", connect: "-rate 150000 -conns 4", wide: true},
 		},
 	},
@@ -245,8 +258,8 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestSingleSimulationCheck drives the protospec-compiled single-simulation
-// path under the oracle for every 1-D protocol.
+// TestSingleSimulationCheck drives a lone protospec-compiled 1-D tenant (no
+// -tenants flag) under the oracle for every 1-D protocol.
 func TestSingleSimulationCheck(t *testing.T) {
 	cases := []struct{ name, flags string }{
 		{"no-filter", "-protocol no-filter"},

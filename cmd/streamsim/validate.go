@@ -38,18 +38,13 @@ type simParams struct {
 	Shutdown                 bool
 }
 
-// tenantsMode reports whether the run hosts a runtime.Node: more than one
-// tenant, or at least one multi-query tenant.
-func (p simParams) tenantsMode() bool { return p.Tenants > 1 || p.Queries > 1 }
-
 // wireMode reports whether the run is a serving-plane endpoint.
 func (p simParams) wireMode() bool { return p.Listen != "" || p.Connect != "" }
 
 // clusterMode reports whether the run hosts a multi-member cluster.
 func (p simParams) clusterMode() bool { return p.Cluster > 0 }
 
-// spatialMode reports whether the run hosts 2-D spatial tenants (which
-// always run on a runtime.Node, even with -tenants 1).
+// spatialMode reports whether the run hosts 2-D spatial tenants.
 func (p simParams) spatialMode() bool { return p.spec(0).Spatial() }
 
 // spec is standing query j's declarative description — the only form in
@@ -88,8 +83,6 @@ func (p simParams) validate() error {
 		return fmt.Errorf("-check-every must be positive, got %d", p.CheckEvery)
 	case p.SnapEvery < 0:
 		return fmt.Errorf("-snapshot-every must be non-negative, got %d", p.SnapEvery)
-	case (p.SnapEvery > 0 || p.Restore != "") && !p.tenantsMode() && !p.spatialMode():
-		return fmt.Errorf("-snapshot-every and -restore need -tenants mode (pass -tenants > 1 or -queries > 1)")
 	}
 	switch {
 	case p.Cluster < 0:
@@ -124,8 +117,6 @@ func (p simParams) validate() error {
 		return fmt.Errorf("-ingesters fans out local node ingest; on the wire each connection already ingests concurrently (use -conns with -connect)")
 	case p.Ingesters > 1 && p.clusterMode():
 		return fmt.Errorf("-ingesters fans out local node ingest; -cluster routes through its own router (drop -ingesters)")
-	case p.Ingesters > 1 && !p.tenantsMode() && !p.spatialMode():
-		return fmt.Errorf("-ingesters needs -tenants mode (pass -tenants > 1 or -queries > 1)")
 	case p.Ingesters > 1 && (p.SnapEvery > 0 || p.Restore != ""):
 		return fmt.Errorf("-snapshot-every/-restore resume by replaying a sequential ingest prefix, which concurrent ingesters do not produce; they need -ingesters 1")
 	case p.Conns < 1:

@@ -66,6 +66,19 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A lone 1-D tenant is hosted on a node like any other run, so it takes
+	// snapshots, restores and concurrent ingesters.
+	for _, mut := range []func(*simParams){
+		func(p *simParams) { p.SnapEvery = 100 },
+		func(p *simParams) { p.Restore = "x.snap" },
+		func(p *simParams) { p.Ingesters = 2 },
+	} {
+		p = okParams()
+		mut(&p)
+		if err := p.validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p = okParams()
 	p.Tenants, p.Connect, p.Conns = 4, "localhost:7070", 4
 	if err := p.validate(); err != nil {
@@ -88,8 +101,6 @@ func TestValidateRejects(t *testing.T) {
 		{"zero-batch", func(p *simParams) { p.Batch = 0 }, "-batch"},
 		{"zero-check-every", func(p *simParams) { p.CheckEvery = 0 }, "-check-every"},
 		{"negative-snap-every", func(p *simParams) { p.SnapEvery = -1 }, "-snapshot-every"},
-		{"snapshot-outside-tenants-mode", func(p *simParams) { p.SnapEvery = 100 }, "-tenants mode"},
-		{"restore-outside-tenants-mode", func(p *simParams) { p.Restore = "x.snap" }, "-tenants mode"},
 		{"listen-and-connect", func(p *simParams) { p.Listen, p.Connect = ":1", ":2" }, "mutually exclusive"},
 		{"negative-rate", func(p *simParams) { p.Connect, p.Rate = ":1", -5 }, "-rate"},
 		{"rate-without-connect", func(p *simParams) { p.Rate = 100 }, "need -connect"},
@@ -106,7 +117,6 @@ func TestValidateRejects(t *testing.T) {
 		{"zero-ingesters", func(p *simParams) { p.Ingesters = 0 }, "-ingesters must"},
 		{"ingesters-over-wire", func(p *simParams) { p.Tenants, p.Listen, p.Ingesters = 2, ":1", 2 }, "use -conns"},
 		{"ingesters-with-cluster", func(p *simParams) { p.Tenants, p.Cluster, p.Ingesters = 2, 2, 2 }, "drop -ingesters"},
-		{"ingesters-outside-tenants-mode", func(p *simParams) { p.Ingesters = 2 }, "-tenants mode"},
 		{"ingesters-with-snapshot", func(p *simParams) { p.Tenants, p.SnapEvery, p.Ingesters = 2, 100, 2 }, "need -ingesters 1"},
 		{"ingesters-with-restore", func(p *simParams) { p.Tenants, p.Restore, p.Ingesters = 2, "x.snap", 2 }, "need -ingesters 1"},
 		{"zero-conns", func(p *simParams) { p.Conns = 0 }, "-conns must"},

@@ -83,14 +83,13 @@ func drive(node *runtime.Node, rng *sim.RNG, walks [][]float64, rounds int) erro
 
 func report(node *runtime.Node, headline string) {
 	fmt.Println(headline)
-	for ti := 0; ti < node.NumTenants(); ti++ {
-		if !node.Alive(ti) {
+	for ti, t := range node.Report().Tenants {
+		if !t.Alive {
 			fmt.Printf("  slot %d: (evicted)\n", ti)
 			continue
 		}
 		fmt.Printf("  slot %d %-12s events=%-5d maintenance=%-5d |answer|=%d\n",
-			ti, node.TenantName(ti), node.Events(ti), node.Counter(ti).Maintenance(),
-			len(node.Answer(ti)))
+			ti, t.Name, t.Events, t.Counter.Maintenance(), len(t.Answer))
 	}
 	fmt.Println()
 }
@@ -135,7 +134,7 @@ func main() {
 	if err := drive(node, traffic, walks, 20); err != nil {
 		panic(err)
 	}
-	report(node, fmt.Sprintf("admitted %q live into slot %d:", node.TenantName(ti), ti))
+	report(node, fmt.Sprintf("admitted %q live into slot %d:", specs[2].Name, ti))
 
 	// --- snapshot the node at a barrier ---------------------------------
 	snap, err := node.Snapshot()

@@ -130,7 +130,8 @@ func drones() {
 		if err := node.Drain(); err != nil {
 			panic(err)
 		}
-		return node.Answer(0), node.Counter(0).Maintenance()
+		t := node.Report().Tenants[0]
+		return t.Answer, t.Counter.Maintenance()
 	}
 
 	ans1, maint1 := run(1)

@@ -82,7 +82,8 @@ func main() {
 	check(err)
 	check(node.Start(context.Background()))
 	check(node.Drain()) // wait out t0 on the shard loops
-	init := node.Counter(0).PhaseTotal(0)
+	t := node.Report().Tenants[0]
+	init := t.Counter.PhaseTotal(0)
 	fmt.Printf("t0 for %d queries over %d streams: %d messages (2n+n = %d — independent clusters would pay %d)\n",
 		len(queries), n, init, 3*n, len(queries)*3*n)
 
@@ -95,26 +96,29 @@ func main() {
 	}
 	check(node.Ingest(moves[:2000]))
 	check(node.Drain())
+	t = node.Report().Tenants[0]
 	fmt.Printf("after 2000 events: maintenance=%d messages shared across %d queries\n",
-		node.Counter(0).Maintenance(), len(queries))
-	for qi := 0; qi < node.NumQueries(0); qi++ {
-		fmt.Printf("  %-12s answer size %d\n", node.QueryName(0, qi), len(node.QueryAnswer(0, qi)))
+		t.Counter.Maintenance(), len(queries))
+	for _, q := range t.Queries {
+		fmt.Printf("  %-12s answer size %d\n", q.Name, len(q.Answer))
 	}
 
 	// --- 2. live query lifecycle -----------------------------------------
-	before := node.Counter(0).Maintenance()
+	before := t.Counter.Maintenance()
 	qi, err := node.AddQuery(0, rangeQuery("alert-wide", 100, 900))
 	check(err)
+	t = node.Report().Tenants[0]
 	fmt.Printf("admitted %q as slot %d (its t0 charged to init, not maintenance: maintenance still %d)\n",
-		node.QueryName(0, qi), qi, node.Counter(0).Maintenance())
-	if node.Counter(0).Maintenance() != before {
+		t.Queries[qi].Name, qi, t.Counter.Maintenance())
+	if t.Counter.Maintenance() != before {
 		panic("admission leaked into the maintenance metric")
 	}
 	check(node.RemoveQuery(0, 1)) // the high band is decommissioned
 	fmt.Printf("removed slot 1; live queries now: ")
-	for q := 0; q < node.NumQueries(0); q++ {
-		if node.QueryAlive(0, q) {
-			fmt.Printf("%s ", node.QueryName(0, q))
+	t = node.Report().Tenants[0]
+	for _, q := range t.Queries {
+		if q.Alive {
+			fmt.Printf("%s ", q.Name)
 		}
 	}
 	fmt.Println()
@@ -123,7 +127,7 @@ func main() {
 	snap, err := node.Snapshot()
 	check(err)
 	fmt.Printf("snapshot: %d bytes (whole fabric: values, table, %d filter entries/stream, per-query state)\n",
-		len(snap), node.NumQueries(0))
+		len(snap), len(t.Queries))
 
 	check(node.Ingest(moves[2000:]))
 	check(node.Drain())

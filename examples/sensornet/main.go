@@ -76,7 +76,7 @@ func main() {
 	}
 	comp := server.NewComposite(initial)
 	for qi, c := range consoles {
-		// ReinitNever: a re-initialization would cost a per-query ProbeAll,
+		// ReinitNever: a re-initialization would cost a per-query ProbeAllInto,
 		// defeating the shared-probe economics; a depleted query degrades to
 		// ZT-NRP exactly as the single-query protocol would.
 		comp.AddQuery(fmt.Sprintf("console-%d", qi), int64(qi), func(h server.Host) server.Protocol {

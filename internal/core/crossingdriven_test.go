@@ -21,7 +21,7 @@ type pinger struct{ h server.Host }
 
 func (p *pinger) Name() string { return "pinger" }
 func (p *pinger) Initialize() {
-	for id, v := range p.h.ProbeAll() {
+	for id, v := range p.h.ProbeAllInto(nil) {
 		p.h.Install(id, filter.NewBand(v, 4), true)
 	}
 }
@@ -70,7 +70,7 @@ func drivenWalks() []drivenWalk {
 		ftnrpWalk("ft-nrp-strict", 0.2, false, core.ReinitNever, false),
 		ftnrpWalk("ft-nrp-faithful", 0.2, true, core.ReinitNever, false),
 		// A small tolerance drains both silent pools quickly, so ReinitAlways
-		// re-runs Initialize — a ProbeAll and an install on every stream, the
+		// re-runs Initialize — a ProbeAllInto and an install on every stream, the
 		// delivered one included — from inside the dispatch loop.
 		ftnrpWalk("ft-nrp-reinit", 0.1, false, core.ReinitAlways, true),
 		ftnrpWalk("ft-nrp-faithful-reinit", 0.1, true, core.ReinitAlways, true),

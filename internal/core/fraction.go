@@ -103,7 +103,7 @@ func fixError[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], regi
 	}
 }
 
-// deploy is Figure 7's Initialization after a ProbeAll: it resets the
+// deploy is Figure 7's Initialization after a ProbeAllInto: it resets the
 // answer to inside, picks up to nPlus false-positive holders from inside
 // and up to nMinus false-negative holders from outside (keys score each
 // id's distance to the region boundary; inside is picked first, which
@@ -111,7 +111,7 @@ func fixError[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], regi
 // first, shut on the second and region on every other stream: two batches
 // and one InstallAllExcept, which a composite files as the query's column
 // default. Both slices are reordered in place. Every deploy follows a
-// ProbeAll, so the table is the truth and the side each install claims is
+// ProbeAllInto, so the table is the truth and the side each install claims is
 // the true one: the install order is unobservable
 // (TestFTNRPInstallsNeverMismatch, TestFTRPInstallsNeverMismatch).
 func deploy[V any, C filter.Of[V, C]](f *fraction, c server.HostOf[V, C], inside, outside []int,

@@ -415,7 +415,7 @@ func TestZTNRPAlwaysExact(t *testing.T) {
 
 // TestFTNRPInstallsNeverMismatch is why FT-NRP's t0 and re-initialization
 // may deploy in four batches (silent holders first, then the interval on
-// the rest of each side): every deploy follows a ProbeAll, so the side a
+// the rest of each side): every deploy follows a ProbeAllInto, so the side a
 // batch claims — the side the constraint puts the table value on — is the
 // true side and no install draws a report. The population starts inside
 // [400, 600] and is redrawn over [0, 1000), so exits outrun entries and

@@ -401,7 +401,7 @@ func ftrpAudit[V comparable, C filter.Of[V, C]](q query.CenterOf[V, C]) func(ser
 }
 
 // TestFTRPInstallsNeverMismatch is why FTRP.rebuild may install in ranked
-// order, one batch per ranked slice: every rebuild follows a ProbeAll, the
+// order, one batch per ranked slice: every rebuild follows a ProbeAllInto, the
 // table is the truth, and an install whose claimed side is right draws no
 // report — so the only trace the installs leave is their count.
 // (TestProtocolPins' ft-rp walks pin the same thing end to end.)

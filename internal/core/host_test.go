@@ -48,8 +48,6 @@ func (h *countingHost[V, C]) ProbeIf(id stream.ID, cons C) (V, bool) {
 	return v, ok
 }
 
-func (h *countingHost[V, C]) ProbeAll() []V { return h.ProbeAllInto(nil) }
-
 func (h *countingHost[V, C]) ProbeAllInto(dst []V) []V {
 	n := uint64(h.c.N())
 	h.probes += n
@@ -71,11 +69,6 @@ func (h *countingHost[V, C]) Install(id stream.ID, cons C, expectInside bool) {
 func (h *countingHost[V, C]) InstallBatch(ids []stream.ID, cons C) {
 	h.installs += uint64(len(ids))
 	h.c.InstallBatch(ids, cons)
-}
-
-func (h *countingHost[V, C]) InstallAll(cons C) {
-	h.installs += uint64(h.c.N())
-	h.c.InstallAll(cons)
 }
 
 func (h *countingHost[V, C]) InstallAllExcept(skip []stream.ID, cons C) {
@@ -221,10 +214,11 @@ func facadeMatchesRuntime[V comparable, C filter.Of[V, C]](t *testing.T, draw fu
 			node.Stop()
 			t.Fatal(err)
 		}
-		if got := node.Answer(0); !reflect.DeepEqual(got, wantAnswer) {
+		tr := node.Report().Tenants[0]
+		if got := tr.Answer; !reflect.DeepEqual(got, wantAnswer) {
 			t.Errorf("shards=%d: answer = %v, cluster = %v", shards, got, wantAnswer)
 		}
-		if got := fmt.Sprintf("%+v", *node.Counter(0)); got != wantCounter {
+		if got := fmt.Sprintf("%+v", tr.Counter); got != wantCounter {
 			t.Errorf("shards=%d: counter = %s, cluster = %s", shards, got, wantCounter)
 		}
 		node.Stop()

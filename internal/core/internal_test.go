@@ -165,7 +165,7 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 	c := server.NewCluster([]float64{10, 30, 20, 30})
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
-	c.ProbeAll()
+	c.ProbeAllInto(nil)
 	r := ranker[float64, filter.Constraint]{c: c, q: query.At(25)}
 	got, dists := r.rankNearest(c.N())
 	// dists: id0=15, id1=5, id2=5, id3=5 → order [1 2 3 0]... ids 1,3 share
@@ -251,7 +251,7 @@ func TestSortByTableDist(t *testing.T) {
 	c := server.NewCluster([]float64{100, 400, 250})
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
-	c.ProbeAll()
+	c.ProbeAllInto(nil)
 	ids := []int{0, 1, 2}
 	r := ranker[float64, filter.Constraint]{c: c, q: query.At(300)}
 	keys := r.nearestOf(ids, len(ids))

@@ -27,7 +27,7 @@ func (p *NoFilterRange) Name() string { return "no-filter-range" }
 // Initialize probes every stream once and computes the exact answer. No
 // filters are installed, so all subsequent updates flow to the server.
 func (p *NoFilterRange) Initialize() {
-	vals := p.c.ProbeAll()
+	vals := p.c.ProbeAllInto(nil)
 	for id, v := range vals {
 		if p.rng.Contains(v) {
 			p.ans.add(id)
@@ -68,7 +68,7 @@ func (p *NoFilterKNN) Name() string { return "no-filter-knn" }
 
 // Initialize probes every stream and records the values.
 func (p *NoFilterKNN) Initialize() {
-	p.told.load(p.c.ProbeAll())
+	p.told.load(p.c.ProbeAllInto(nil))
 	p.c.AddServerOps(p.c.N())
 }
 

@@ -101,7 +101,7 @@ func (p *RTPOf[V, C]) rebuildFromRanking() {
 func (p *RTPOf[V, C]) install(d float64) {
 	p.d = d
 	p.cur = p.q.BallConstraint(d)
-	p.c.InstallAll(p.cur)
+	p.c.InstallAllExcept(nil, p.cur)
 	p.Deploys++
 }
 

@@ -42,7 +42,7 @@ func (p *VBKNN) Name() string { return fmt.Sprintf("vb-knn(k=%d,εv=%g)", p.q.K,
 
 // Initialize probes every stream and installs the band filters.
 func (p *VBKNN) Initialize() {
-	vals := p.c.ProbeAll()
+	vals := p.c.ProbeAllInto(nil)
 	p.told.load(vals)
 	for id, v := range vals {
 		p.c.Install(id, filter.NewBand(v, p.Width/2), true)

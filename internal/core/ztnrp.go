@@ -27,14 +27,14 @@ func (p *ZTNRP) Name() string { return "zt-nrp" }
 // Initialize probes all streams, computes the exact answer and installs the
 // query interval as every stream's filter constraint.
 func (p *ZTNRP) Initialize() {
-	vals := p.c.ProbeAll()
+	vals := p.c.ProbeAllInto(nil)
 	for id, v := range vals {
 		if p.rng.Contains(v) {
 			p.ans.add(id)
 		}
 	}
 	p.c.AddServerOps(len(vals))
-	p.c.InstallAll(p.rng.Constraint())
+	p.c.InstallAllExcept(nil, p.rng.Constraint())
 }
 
 // HandleUpdate processes a boundary crossing: the stream either entered or

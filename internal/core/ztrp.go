@@ -58,7 +58,7 @@ func (p *ZTRP) rebuild() {
 	}
 	p.d = midpoint(dists[p.k-1], dists[p.k])
 	p.cur = p.q.BallConstraint(p.d)
-	p.c.InstallAll(p.cur)
+	p.c.InstallAllExcept(nil, p.cur)
 	p.Recomputes++
 }
 

@@ -102,13 +102,16 @@ func Run(cfg Config) Result {
 		}
 		if due {
 			must(node.Drain())
-			aud.Audit(uint64(res.Events), node.Answer(0))
+			aud.Audit(uint64(res.Events), node.Report().Tenants[0].Answer)
 		}
 	}
 	must(node.Ingest(buf))
 	must(node.Drain())
 
-	ctr := node.Counter(0)
+	// The report's counter is taken before its answer, which for a k-NN
+	// baseline charges server ops of its own.
+	tr := node.Report().Tenants[0]
+	ctr := &tr.Counter
 	res.InitMessages = ctr.PhaseTotal(comm.Init)
 	res.MaintMessages = ctr.Maintenance()
 	res.ServerOps = ctr.ServerOps
@@ -116,7 +119,7 @@ func Run(cfg Config) Result {
 	for _, k := range comm.Kinds() {
 		res.ByKind[k.String()] = ctr.Get(comm.Maintenance, k)
 	}
-	res.FinalAnswer = node.Answer(0)
+	res.FinalAnswer = tr.Answer
 	if aud != nil {
 		res.Tally = aud.Tally
 	}

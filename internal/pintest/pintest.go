@@ -1,7 +1,8 @@
 // Package pintest is the digest half of internal/core's protocol pin
 // tests: a running digest of everything a hosted protocol lets an observer
-// see, and the golden-file comparison of its checkpoints. The walks
-// themselves (hosts, protocols, event laws) stay with the tests.
+// see, and the golden-file comparison of its checkpoints (which the
+// runtime's report pin uses too). The walks themselves (hosts, protocols,
+// event laws) stay with the tests.
 package pintest
 
 import (

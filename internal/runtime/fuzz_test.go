@@ -115,21 +115,11 @@ func FuzzRestoreNode(f *testing.F) {
 			t.Fatalf("restored node failed to start: %v", err)
 		}
 		defer node.Stop()
+		_ = node.Report() // every live answer, before any churn
 		for ti := 0; ti < node.NumTenants(); ti++ {
-			if !node.Alive(ti) {
-				continue
+			if node.Alive(ti) {
+				churn(t, node, ti, len(specs[ti].SpatialInitial) > 0)
 			}
-			if node.MultiQuery(ti) {
-				for qi := 0; qi < node.NumQueries(ti); qi++ {
-					if node.QueryAlive(ti, qi) {
-						_ = node.QueryAnswer(ti, qi)
-					}
-				}
-			} else {
-				_ = node.Answer(ti)
-			}
-			_ = node.Counter(ti)
-			churn(t, node, ti, len(specs[ti].SpatialInitial) > 0)
 		}
 		if _, err := node.Snapshot(); err != nil {
 			t.Fatalf("restored node failed to re-snapshot: %v", err)

@@ -21,31 +21,17 @@ func ingestAll(t *testing.T, node *Node, batches [][]Event) {
 	}
 }
 
-// compareLive asserts two quiesced nodes agree on every live slot: name,
-// events, answer, full counter.
+// compareLive asserts two quiesced nodes report the same slots: liveness,
+// name, events, answers, full counter.
 func compareLive(t *testing.T, got, want *Node) {
 	t.Helper()
-	if got.NumTenants() != want.NumTenants() {
-		t.Fatalf("NumTenants = %d, want %d", got.NumTenants(), want.NumTenants())
+	g, w := got.Report(), want.Report()
+	if len(g.Tenants) != len(w.Tenants) {
+		t.Fatalf("%d tenant slots, want %d", len(g.Tenants), len(w.Tenants))
 	}
-	for ti := 0; ti < want.NumTenants(); ti++ {
-		if got.Alive(ti) != want.Alive(ti) {
-			t.Fatalf("tenant %d alive = %v, want %v", ti, got.Alive(ti), want.Alive(ti))
-		}
-		if !want.Alive(ti) {
-			continue
-		}
-		if g, w := got.TenantName(ti), want.TenantName(ti); g != w {
-			t.Errorf("tenant %d name = %q, want %q", ti, g, w)
-		}
-		if g, w := got.Events(ti), want.Events(ti); g != w {
-			t.Errorf("tenant %d events = %d, want %d", ti, g, w)
-		}
-		if g, w := got.Answer(ti), want.Answer(ti); !reflect.DeepEqual(g, w) {
-			t.Errorf("tenant %d answer = %v, want %v", ti, g, w)
-		}
-		if g, w := *got.Counter(ti), *want.Counter(ti); !reflect.DeepEqual(g, w) {
-			t.Errorf("tenant %d counter = %+v, want %+v", ti, g, w)
+	for ti := range w.Tenants {
+		if !reflect.DeepEqual(g.Tenants[ti], w.Tenants[ti]) {
+			t.Errorf("tenant %d = %+v, want %+v", ti, g.Tenants[ti], w.Tenants[ti])
 		}
 	}
 }
@@ -284,14 +270,15 @@ func TestLifecycleMatchesIndependentClusters(t *testing.T) {
 			if node.Alive(1) {
 				t.Fatal("tenant 1 still alive after RemoveTenant")
 			}
+			rep := node.Report()
 			for slot, want := range refs {
 				if slot == 1 {
 					continue // evicted; state intentionally unreachable
 				}
-				if got := node.Answer(slot); !reflect.DeepEqual(got, want.answer) {
+				if got := rep.Tenants[slot].Answer; !reflect.DeepEqual(got, want.answer) {
 					t.Errorf("slot %d answer = %v, want %v", slot, got, want.answer)
 				}
-				if got := *node.Counter(slot); !reflect.DeepEqual(got, want.counter) {
+				if got := rep.Tenants[slot].Counter; !reflect.DeepEqual(got, want.counter) {
 					t.Errorf("slot %d counter = %+v, want %+v", slot, got, want.counter)
 				}
 			}
@@ -372,8 +359,8 @@ func TestLifecycleAcrossRestore(t *testing.T) {
 }
 
 // TestRemoveTenantIsolation checks eviction semantics: events for the
-// removed slot are rejected, accessors panic, re-removal errors, and slot
-// ids are not reused.
+// removed slot are rejected, Report shows it removed and leaves its counter
+// out of the totals, re-removal errors, and slot ids are not reused.
 func TestRemoveTenantIsolation(t *testing.T) {
 	specs := testSpecs(3, 15)
 	node, err := NewNode(Config{Shards: 2, Seed: 7}, specs)
@@ -396,14 +383,6 @@ func TestRemoveTenantIsolation(t *testing.T) {
 	if err := node.Ingest([]Event{{Tenant: 1}}); err == nil {
 		t.Fatal("Ingest for removed tenant succeeded")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Answer on removed tenant did not panic")
-			}
-		}()
-		node.Answer(1)
-	}()
 	ti, err := node.AddTenant(specs[1])
 	if err != nil {
 		t.Fatal(err)
@@ -411,9 +390,15 @@ func TestRemoveTenantIsolation(t *testing.T) {
 	if ti != 3 {
 		t.Fatalf("AddTenant reused slot: got %d, want 3", ti)
 	}
-	total := node.Totals()
-	if got := node.Counter(0).Total() + node.Counter(2).Total() + node.Counter(3).Total(); total.Total() != got {
-		t.Fatalf("Totals %d includes removed tenant (live sum %d)", total.Total(), got)
+	if err := node.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	rep := node.Report()
+	if !reflect.DeepEqual(rep.Tenants[1], TenantReport{}) {
+		t.Errorf("removed slot reports %+v", rep.Tenants[1])
+	}
+	if got := rep.Tenants[0].Counter.Total() + rep.Tenants[2].Counter.Total() + rep.Tenants[3].Counter.Total(); rep.Totals.Total() != got {
+		t.Fatalf("Totals %d includes removed tenant (live sum %d)", rep.Totals.Total(), got)
 	}
 }
 

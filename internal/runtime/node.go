@@ -120,9 +120,9 @@ type Config struct {
 	// Seed is the node's base determinism seed; tenant i's protocol and
 	// uplink-loss seed is sim.DeriveSeed(Seed, tenantSeedStream, i).
 	Seed int64
-	// Queue is the per-shard mailbox capacity in events (default 4096): a
-	// routed batch is admitted whenever fewer than that many events wait on
-	// its shard, and is never split.
+	// Queue is the per-shard mailbox capacity in events (default
+	// DefaultQueue): a routed batch is admitted whenever fewer than that
+	// many events wait on its shard, and is never split.
 	Queue int
 }
 
@@ -137,11 +137,15 @@ func (c Config) shards() int {
 	}
 }
 
+// DefaultQueue is the per-shard mailbox capacity, in events, of a Config
+// that leaves Queue unset.
+const DefaultQueue = 4096
+
 func (c Config) queue() int {
 	if c.Queue > 0 {
 		return c.Queue
 	}
-	return 4096
+	return DefaultQueue
 }
 
 // tenant is one hosted serving instance, owned by exactly one shard after
@@ -186,9 +190,9 @@ type backend interface {
 	Counter() *comm.Counter
 	// SetUplinkLoss injects update loss (see TenantSpec.UplinkLoss).
 	SetUplinkLoss(rate float64, seed int64)
-	// answer returns a single-protocol backend's answer set; a composite
-	// panics (its answers are per query).
-	answer() []stream.ID
+	// report copies the backend's answers into tr: a single-protocol
+	// backend's answer set, or a composite's query slots.
+	report(tr *TenantReport)
 	// kind returns the snapshot kind discriminator.
 	kind() int64
 	// export appends the tenant record's body — everything after the kind,
@@ -215,7 +219,9 @@ func newHosted[V comparable, C filter.Of[V, C]](initial []V,
 	return hosted[V, C]{c, p}
 }
 
-func (h *hosted[V, C]) answer() []stream.ID { return h.proto.Answer() }
+func (h *hosted[V, C]) report(tr *TenantReport) {
+	tr.Answer = append([]stream.ID(nil), h.proto.Answer()...)
+}
 
 // export writes protocol name, event count, cluster state, protocol state —
 // one layout for both kinds.
@@ -281,8 +287,18 @@ type multi struct {
 func (m *multi) Deliver(s stream.ID, v, _ float64) { m.Composite.Deliver(s, v) }
 func (*multi) kind() int64                         { return tenantKindMulti }
 
-func (m *multi) answer() []stream.ID {
-	panic(fmt.Sprintf("runtime: tenant hosts %d queries; use QueryAnswer", m.QuerySlots()))
+// report fills one QueryReport per query slot, removed slots included.
+func (m *multi) report(tr *TenantReport) {
+	tr.Queries = make([]QueryReport, m.QuerySlots())
+	for qi := range tr.Queries {
+		if m.QueryAlive(qi) {
+			tr.Queries[qi] = QueryReport{
+				Alive:  true,
+				Name:   m.QueryName(qi),
+				Answer: append([]stream.ID(nil), m.Answer(qi)...),
+			}
+		}
+	}
 }
 
 // addQuery appends one query slot, running the protocol factory (on the
@@ -339,8 +355,8 @@ func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
 // RemoveTenant, AddQuery, RemoveQuery, Snapshot, ExportTenant, ImportTenant
 // — must still be driven from a single goroutine; each control call is a
 // barrier that first quiesces every in-flight Ingest (the ingestMu write
-// side) and every shard loop (the drain protocol). Tenant state accessors
-// (Answer, Counter, Totals, Events) are race-free after a Drain or Stop.
+// side) and every shard loop (the drain protocol). Tenant state is read
+// through Report, which is race-free after a Drain or Stop.
 type Node struct {
 	cfg Config
 	// tenants is indexed by tenant id. Slots are never reused: RemoveTenant
@@ -541,27 +557,19 @@ func (n *Node) Alive(ti int) bool {
 	return ti >= 0 && ti < len(n.tenants) && n.tenants[ti] != nil
 }
 
-// live returns tenant ti or panics with a precise message — state accessors
-// on an evicted slot are caller bugs, matching the out-of-range panics a
-// bad index already produced.
-func (n *Node) live(ti int) *tenant {
-	t := n.tenants[ti]
-	if t == nil {
-		panic(fmt.Sprintf("runtime: tenant %d was removed", ti))
-	}
-	return t
-}
-
 // Shards returns the event-loop count.
 func (n *Node) Shards() int { return len(n.shards) }
 
-// TenantName returns tenant ti's label.
-func (n *Node) TenantName(ti int) string { return n.live(ti).name }
-
 // StreamCount returns the size of tenant ti's stream partition — the n
 // protocol parameters are validated against when a query is admitted onto
-// an already-running tenant (netserve's OpAddQuery path).
-func (n *Node) StreamCount(ti int) int { return n.live(ti).N() }
+// an already-running tenant (netserve's OpAddQuery path) — or 0 when slot
+// ti hosts no tenant.
+func (n *Node) StreamCount(ti int) int {
+	if !n.Alive(ti) {
+		return 0
+	}
+	return n.tenants[ti].N()
+}
 
 // Start launches the shard loops. Each loop first runs the initialization
 // phase of every tenant pinned to it (so t0 setup parallelizes across
@@ -750,8 +758,8 @@ func (n *Node) QueueCap() int { return n.cfg.queue() }
 // quiesces the ingesters (the ingestMu write side waits out every in-flight
 // Ingest batch and holds new ones back), then it flushes the shard loops
 // (an acknowledged marker batch per shard). After Drain returns, tenant
-// state read through Answer, Counter, Totals or Events is consistent and
-// race-free until the next Ingest.
+// state read through Report is consistent and race-free until the next
+// Ingest.
 func (n *Node) Drain() error {
 	n.ingestMu.Lock()
 	defer n.ingestMu.Unlock()
@@ -816,59 +824,6 @@ func (n *Node) Stop() {
 	n.stopped = true
 	n.ingestMu.Unlock()
 	n.wg.Wait()
-}
-
-// Answer returns a single-query tenant ti's current answer set. Only call
-// quiesced (after Drain or Stop). For multi-query tenants use QueryAnswer.
-func (n *Node) Answer(ti int) []stream.ID {
-	return n.live(ti).answer()
-}
-
-// Counter returns tenant ti's message counter — for a multi-query tenant,
-// the single counter its whole composite fabric shares. Only call quiesced.
-func (n *Node) Counter(ti int) *comm.Counter { return n.live(ti).Counter() }
-
-// MultiQuery reports whether tenant ti is served by a composite fabric.
-func (n *Node) MultiQuery(ti int) bool { return n.live(ti).kind() == tenantKindMulti }
-
-// comp returns tenant ti's composite fabric or panics — query-plane calls
-// on a single-query tenant are caller bugs, matching live's semantics.
-func (n *Node) comp(ti int) *multi {
-	m, ok := n.live(ti).backend.(*multi)
-	if !ok {
-		panic(fmt.Sprintf("runtime: tenant %d is single-query; build it with Queries", ti))
-	}
-	return m
-}
-
-// NumQueries returns tenant ti's query slot count, including removed slots
-// (slot ids stay stable for the tenant's lifetime; see QueryAlive).
-func (n *Node) NumQueries(ti int) int { return n.comp(ti).QuerySlots() }
-
-// QueryAlive reports whether query slot qi of tenant ti hosts a query.
-func (n *Node) QueryAlive(ti, qi int) bool { return n.comp(ti).QueryAlive(qi) }
-
-// QueryName returns query qi of tenant ti's label.
-func (n *Node) QueryName(ti, qi int) string { return n.comp(ti).QueryName(qi) }
-
-// QueryAnswer returns query qi of tenant ti's current answer set. Only call
-// quiesced.
-func (n *Node) QueryAnswer(ti, qi int) []stream.ID { return n.comp(ti).Answer(qi) }
-
-// Events returns how many events tenant ti has applied. Only call quiesced.
-func (n *Node) Events(ti int) uint64 { return n.live(ti).events }
-
-// Totals merges every live tenant's counter into one node-level counter.
-// Only call quiesced. Counters of evicted tenants leave the totals with
-// them: an eviction hands the tenant's accounting to whoever evicted it.
-func (n *Node) Totals() comm.Counter {
-	var total comm.Counter
-	for _, t := range n.tenants {
-		if t != nil {
-			total.Merge(t.Counter())
-		}
-	}
-	return total
 }
 
 // AddTenant admits a tenant onto the live node and returns its slot id. The
@@ -986,8 +941,8 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 // RemoveQuery evicts query slot qi from live multi-query tenant ti. A drain
 // barrier first applies every event ingested so far (so sibling answers and
 // the shared counter are exact), then the slot is cleared on the quiescent
-// fabric: its filter entries become inert, its state accessors panic, and
-// slot ids are never reused. Must be called from the single control-side
+// fabric: its filter entries become inert, Report shows the slot removed,
+// and slot ids are never reused. Must be called from the single control-side
 // goroutine.
 func (n *Node) RemoveQuery(ti, qi int) error {
 	n.ingestMu.Lock()
@@ -1018,7 +973,7 @@ func (n *Node) RemoveQuery(ti, qi int) error {
 // RemoveTenant evicts tenant ti from the live node. A drain barrier first
 // applies every event ingested for it (so its final answer and counters are
 // exact), then the slot is cleared; subsequent events for the slot are
-// rejected by Ingest and its state accessors panic. Slot ids are never
+// rejected by Ingest and Report shows the slot removed. Slot ids are never
 // reused. Like all lifecycle calls, RemoveTenant must be called from the
 // single control-side goroutine; its barrier quiesces concurrent ingesters
 // first.

@@ -142,11 +142,12 @@ func TestNodeMatchesIndependentClusters(t *testing.T) {
 			if got := node.Shards(); got != shards {
 				t.Fatalf("Shards() = %d, want %d", got, shards)
 			}
+			rep := node.Report()
 			for i := range specs {
-				if got := node.Answer(i); !reflect.DeepEqual(got, refs[i].answer) {
+				if got := rep.Tenants[i].Answer; !reflect.DeepEqual(got, refs[i].answer) {
 					t.Errorf("tenant %d answer = %v, want %v", i, got, refs[i].answer)
 				}
-				if got := *node.Counter(i); !reflect.DeepEqual(got, refs[i].counter) {
+				if got := rep.Tenants[i].Counter; !reflect.DeepEqual(got, refs[i].counter) {
 					t.Errorf("tenant %d counter = %+v, want %+v", i, got, refs[i].counter)
 				}
 			}
@@ -161,18 +162,19 @@ func TestTotalsMergePerTenantCounters(t *testing.T) {
 	batches := testEvents(specs, 200, 64)
 	node := runNode(t, 3, specs, batches)
 
-	total := node.Totals()
+	rep := node.Report()
+	total := rep.Totals
 	var wantMaint, wantInit, wantOps uint64
 	var wantEvents uint64
 	for i := range specs {
-		c := node.Counter(i)
+		c := &rep.Tenants[i].Counter
 		wantMaint += c.Maintenance()
 		wantInit += c.PhaseTotal(0)
 		wantOps += c.ServerOps
-		wantEvents += node.Events(i)
+		wantEvents += rep.Tenants[i].Events
 	}
 	if total.Maintenance() != wantMaint || total.PhaseTotal(0) != wantInit || total.ServerOps != wantOps {
-		t.Fatalf("Totals() = %v; want maint=%d init=%d ops=%d", &total, wantMaint, wantInit, wantOps)
+		t.Fatalf("Totals = %v; want maint=%d init=%d ops=%d", &total, wantMaint, wantInit, wantOps)
 	}
 	if wantEvents != uint64(4*200) {
 		t.Fatalf("delivered events = %d, want %d", wantEvents, 4*200)
@@ -209,9 +211,7 @@ func TestCancellationStopsIngest(t *testing.T) {
 	if err := node.Drain(); err == nil {
 		t.Fatal("Drain after Stop succeeded")
 	}
-	for i := range specs {
-		_ = node.Answer(i) // must not panic or race after Stop
-	}
+	_ = node.Report() // must not panic or race after Stop
 }
 
 // TestValidation covers constructor and router error paths.
@@ -249,8 +249,8 @@ func TestValidation(t *testing.T) {
 	if err := node.Ingest([]Event{{Tenant: 0, Stream: -1}}); err == nil {
 		t.Fatal("negative stream accepted")
 	}
-	if name := node.TenantName(0); name != "q0" {
-		t.Fatalf("TenantName = %q", name)
+	if name := node.Report().Tenants[0].Name; name != "q0" {
+		t.Fatalf("tenant name = %q", name)
 	}
 	if node.NumTenants() != 1 {
 		t.Fatalf("NumTenants = %d", node.NumTenants())

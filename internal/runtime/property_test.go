@@ -397,25 +397,13 @@ func execOps(t *testing.T, node *Node, ops []schedOp, from int) [][]byte {
 // node — for multi-query tenants, every query slot's answer.
 func fingerprint(node *Node) string {
 	var b strings.Builder
-	for ti := 0; ti < node.NumTenants(); ti++ {
-		if !node.Alive(ti) {
+	rep := node.Report()
+	for ti := range rep.Tenants {
+		if !rep.Tenants[ti].Alive {
 			fmt.Fprintf(&b, "slot %d: removed\n", ti)
 			continue
 		}
-		if node.MultiQuery(ti) {
-			fmt.Fprintf(&b, "slot %d: %s events=%d counter=%+v\n",
-				ti, node.TenantName(ti), node.Events(ti), *node.Counter(ti))
-			for qi := 0; qi < node.NumQueries(ti); qi++ {
-				if !node.QueryAlive(ti, qi) {
-					fmt.Fprintf(&b, "  query %d: removed\n", qi)
-					continue
-				}
-				fmt.Fprintf(&b, "  query %d: %s answer=%v\n", qi, node.QueryName(ti, qi), node.QueryAnswer(ti, qi))
-			}
-			continue
-		}
-		fmt.Fprintf(&b, "slot %d: %s events=%d answer=%v counter=%+v\n",
-			ti, node.TenantName(ti), node.Events(ti), node.Answer(ti), *node.Counter(ti))
+		fmt.Fprintf(&b, "slot %d: %s", ti, tenantState(&rep.Tenants[ti]))
 	}
 	return b.String()
 }

@@ -71,21 +71,6 @@ func qpMoves(initial []float64, steps int, seed int64) []Event {
 	return moves
 }
 
-// qpFingerprint renders the observable query-plane state of one composite
-// tenant on a quiesced node.
-func qpFingerprint(node *Node, ti int) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "tenant %s events=%d counter={%v}\n", node.TenantName(ti), node.Events(ti), node.Counter(ti))
-	for qi := 0; qi < node.NumQueries(ti); qi++ {
-		if !node.QueryAlive(ti, qi) {
-			fmt.Fprintf(&b, "  query %d removed\n", qi)
-			continue
-		}
-		fmt.Fprintf(&b, "  query %s answer=%v\n", node.QueryName(ti, qi), node.QueryAnswer(ti, qi))
-	}
-	return b.String()
-}
-
 // TestMultiQueryMatchesSynchronousComposite is the routing acceptance
 // check: a multi-query tenant on the sharded runtime must produce, for
 // every query, the same answers and the same shared counter as the same
@@ -133,15 +118,16 @@ func TestMultiQueryMatchesSynchronousComposite(t *testing.T) {
 			if err := node.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if !node.MultiQuery(0) {
+			tr := node.Report().Tenants[0]
+			if !tr.MultiQuery {
 				t.Fatal("tenant 0 not multi-query")
 			}
 			for qi := 0; qi < m; qi++ {
-				if got, want := node.QueryAnswer(0, qi), ref.Answer(qi); !reflect.DeepEqual(got, want) {
+				if got, want := tr.Queries[qi].Answer, ref.Answer(qi); !reflect.DeepEqual(got, want) {
 					t.Errorf("query %d answer = %v, want %v", qi, got, want)
 				}
 			}
-			if got, want := *node.Counter(0), *ref.Counter(); !reflect.DeepEqual(got, want) {
+			if got, want := tr.Counter, *ref.Counter(); !reflect.DeepEqual(got, want) {
 				t.Errorf("counter = %+v, want %+v", got, want)
 			}
 		})
@@ -183,7 +169,7 @@ func TestQueryLifecycle(t *testing.T) {
 		if err := node.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return qpFingerprint(node, 0)
+		return node.Report().Text()
 	}
 
 	var refFP string
@@ -228,22 +214,9 @@ func TestQueryLifecycle(t *testing.T) {
 	if _, err := node.AddQuery(99, extra[0]); err == nil {
 		t.Fatal("AddQuery on unknown tenant succeeded")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("QueryAnswer on removed slot did not panic")
-			}
-		}()
-		node.QueryAnswer(0, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Answer on a multi-query tenant did not panic")
-			}
-		}()
-		node.Answer(0)
-	}()
+	if tr := node.Report().Tenants[0]; !reflect.DeepEqual(tr.Queries[1], QueryReport{}) || tr.Answer != nil {
+		t.Errorf("removed query slot or multi-query answer reported: %+v", tr)
+	}
 
 	// Single-query tenants reject query-plane lifecycle calls.
 	single := testSpecs(1, 10)
@@ -311,7 +284,7 @@ func TestMultiQuerySnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := qpFingerprint(node, 0) + fingerprint(node)
+		fp := fingerprint(node)
 		return fp, snap
 	}
 
@@ -474,21 +447,9 @@ func TestMultiQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.NumQueries(0) != 2 {
-		t.Fatalf("NumQueries = %d, want 2", node.NumQueries(0))
+	if got := len(node.Report().Tenants[0].Queries); got != 2 {
+		t.Fatalf("%d query slots, want 2", got)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NumQueries on a single-query tenant did not panic")
-			}
-		}()
-		sn, err := NewNode(Config{}, testSpecs(1, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn.NumQueries(0)
-	}()
 }
 
 // TestCounterSharedAcrossQueries checks node-level accounting: a composite
@@ -510,16 +471,16 @@ func TestCounterSharedAcrossQueries(t *testing.T) {
 	if err := node.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	total := node.Totals()
+	rep := node.Report()
 	var want comm.Counter
-	want.Merge(node.Counter(0))
-	want.Merge(node.Counter(1))
-	if !reflect.DeepEqual(total, want) {
-		t.Fatalf("Totals = %+v, want %+v", total, want)
+	want.Merge(&rep.Tenants[0].Counter)
+	want.Merge(&rep.Tenants[1].Counter)
+	if !reflect.DeepEqual(rep.Totals, want) {
+		t.Fatalf("Totals = %+v, want %+v", rep.Totals, want)
 	}
 	// t0 of M queries over n streams costs 2n+n shared messages.
 	n := uint64(len(spec.Initial))
-	if got := node.Counter(0).PhaseTotal(comm.Init); got != 3*n {
+	if got := rep.Tenants[0].Counter.PhaseTotal(comm.Init); got != 3*n {
 		t.Fatalf("composite init total = %d, want %d", got, 3*n)
 	}
 }

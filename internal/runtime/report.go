@@ -20,7 +20,9 @@ type Report struct {
 	// Tenants has one entry per tenant slot, evicted slots included
 	// (Alive=false), in slot order.
 	Tenants []TenantReport
-	// Totals merges every live tenant's counter (Node.Totals).
+	// Totals merges every live tenant's counter. Counters of evicted tenants
+	// leave the totals with them: an eviction hands the tenant's accounting
+	// to whoever evicted it.
 	Totals comm.Counter
 }
 
@@ -59,9 +61,10 @@ type QueryReport struct {
 	Answer []stream.ID
 }
 
-// Report captures the node's current observable state. Like the other
-// state accessors it must only be called quiesced (after Drain or Stop);
-// the returned report shares nothing with the node.
+// Report captures the node's current observable state; it is the one way
+// to read a tenant's answers, events and messages. It must only be called
+// quiesced (after Drain or Stop); the returned report shares nothing with
+// the node.
 func (n *Node) Report() *Report {
 	rep := &Report{Tenants: make([]TenantReport, len(n.tenants))}
 	for ti, t := range n.tenants {
@@ -74,28 +77,14 @@ func (n *Node) Report() *Report {
 		tr.Events = t.events
 		tr.Counter = *t.Counter()
 		tr.Quarantined = t.fault != ""
-		m, ok := t.backend.(*multi)
-		tr.MultiQuery = ok
-		if tr.Quarantined {
-			continue
+		tr.MultiQuery = t.kind() == tenantKindMulti
+		if !tr.Quarantined {
+			t.report(tr)
 		}
-		if !ok {
-			tr.Answer = append([]stream.ID(nil), t.answer()...)
-			continue
-		}
-		tr.Queries = make([]QueryReport, m.QuerySlots())
-		for qi := range tr.Queries {
-			if !m.QueryAlive(qi) {
-				continue
-			}
-			tr.Queries[qi] = QueryReport{
-				Alive:  true,
-				Name:   m.QueryName(qi),
-				Answer: append([]stream.ID(nil), m.Answer(qi)...),
-			}
-		}
+		// After report: a VB-kNN answer charges server ops, which the
+		// totals count and the tenant's own copy, taken before, does not.
+		rep.Totals.Merge(t.Counter())
 	}
-	rep.Totals = n.Totals()
 	return rep
 }
 

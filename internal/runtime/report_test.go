@@ -2,11 +2,14 @@ package runtime_test
 
 import (
 	"context"
-	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/pintest"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/runtime"
 	"adaptivefilters/internal/server"
@@ -45,75 +48,53 @@ func reportSpecs() []runtime.TenantSpec {
 	}
 }
 
-// legacyDump renders the node's state through the public accessors with the
-// exact fmt logic cmd/streamsim's -answers flag used before Report existed —
-// the format the CI determinism jobs have been diffing since PR 2.
-func legacyDump(node *runtime.Node) string {
-	var b strings.Builder
-	for i := 0; i < node.NumTenants(); i++ {
-		if !node.Alive(i) {
-			fmt.Fprintf(&b, "tenant %d removed\n", i)
-			continue
-		}
-		if node.MultiQuery(i) {
-			fmt.Fprintf(&b, "tenant %s events=%d counter={%v}\n",
-				node.TenantName(i), node.Events(i), node.Counter(i))
-			for qi := 0; qi < node.NumQueries(i); qi++ {
-				if !node.QueryAlive(i, qi) {
-					fmt.Fprintf(&b, "  query %d removed\n", qi)
-					continue
-				}
-				fmt.Fprintf(&b, "  query %s answer=%v\n", node.QueryName(i, qi), node.QueryAnswer(i, qi))
-			}
-			continue
-		}
-		fmt.Fprintf(&b, "tenant %s events=%d counter={%v} answer=%v\n",
-			node.TenantName(i), node.Events(i), node.Counter(i), node.Answer(i))
-	}
-	totals := node.Totals()
-	fmt.Fprintf(&b, "totals {%v}\n", &totals)
-	return b.String()
-}
-
-// TestReportTextMatchesLegacyDump pins Report.Text to the historical answer
-// dump format, through tenant and query lifecycle churn: the wire's
-// byte-identity invariant leans on this renderer being the single source of
-// the canonical dump.
-func TestReportTextMatchesLegacyDump(t *testing.T) {
-	specs := reportSpecs()
-	node, err := runtime.NewNode(runtime.Config{Shards: 2, Seed: 11}, specs)
+// startReportNode starts a two-shard node over reportSpecs, stopped when
+// the test ends.
+func startReportNode(t *testing.T) *runtime.Node {
+	t.Helper()
+	node, err := runtime.NewNode(runtime.Config{Shards: 2, Seed: 11}, reportSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := node.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer node.Stop()
+	t.Cleanup(node.Stop)
+	return node
+}
 
-	rng := sim.NewRNG(77)
+// playReport ingests 600 seeded events spread over every reportSpecs
+// tenant, in batches of 64, and drains.
+func playReport(t *testing.T, node *runtime.Node, seed int64) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
 	batch := make([]runtime.Event, 0, 64)
 	for i := 0; i < 600; i++ {
-		ti := rng.Intn(len(specs))
+		ti := rng.Intn(node.NumTenants())
 		s := rng.Intn(40)
 		batch = append(batch, runtime.Event{Tenant: ti, Stream: s, Value: rng.Uniform(0, 1000)})
-		if len(batch) == cap(batch) {
+		if len(batch) == cap(batch) || i == 599 {
 			if err := node.Ingest(batch); err != nil {
 				t.Fatal(err)
 			}
 			batch = batch[:0]
 		}
 	}
-	if len(batch) > 0 {
-		if err := node.Ingest(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := node.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := node.Report().Text(), legacyDump(node); got != want {
-		t.Fatalf("Report.Text diverges from the legacy dump:\n got:\n%s\nwant:\n%s", got, want)
-	}
+}
+
+// TestReportTextMatchesLegacyDump pins Report.Text byte for byte to
+// testdata/report.golden, through tenant and query lifecycle churn. The file
+// was recorded from the historical answer-dump format cmd/streamsim's
+// -answers flag wrote before Report existed, the format the determinism
+// matrix has diffed since; Report is the single source of that dump, so a
+// mismatch is a format change, not a re-record.
+func TestReportTextMatchesLegacyDump(t *testing.T) {
+	node := startReportNode(t)
+	playReport(t, node, 77)
+	text := "# drained\n" + node.Report().Text()
 
 	// Lifecycle churn: evict a tenant and a query slot, then re-check — the
 	// removed-slot lines must render identically too.
@@ -123,8 +104,60 @@ func TestReportTextMatchesLegacyDump(t *testing.T) {
 	if err := node.RemoveQuery(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := node.Report().Text(), legacyDump(node); got != want {
-		t.Fatalf("Report.Text diverges after lifecycle churn:\n got:\n%s\nwant:\n%s", got, want)
+	text += "# after RemoveTenant(1), RemoveQuery(2, 0)\n" + node.Report().Text()
+	pintest.Check(t, "testdata/report.golden", strings.Split(strings.TrimSuffix(text, "\n"), "\n"), false)
+}
+
+// cloneReport deep-copies a report.
+func cloneReport(r *runtime.Report) *runtime.Report {
+	c := &runtime.Report{Tenants: slices.Clone(r.Tenants), Totals: r.Totals}
+	for i := range c.Tenants {
+		t := &c.Tenants[i]
+		t.Answer = slices.Clone(t.Answer)
+		t.Queries = slices.Clone(t.Queries)
+		for j := range t.Queries {
+			t.Queries[j].Answer = slices.Clone(t.Queries[j].Answer)
+		}
+	}
+	return c
+}
+
+// TestReportSharesNothing holds Report, the node's only read path, to its
+// promise: a caller may write anywhere in a report without touching the
+// node, and the node moving on does not touch the report. A twin node
+// that is never read stands for the untouched state.
+func TestReportSharesNothing(t *testing.T) {
+	node, twin := startReportNode(t), startReportNode(t)
+	playReport(t, node, 77)
+	playReport(t, twin, 77)
+
+	rep := node.Report()
+	for i := range rep.Tenants {
+		tr := &rep.Tenants[i]
+		for k := range tr.Answer {
+			tr.Answer[k] = -1
+		}
+		for _, q := range tr.Queries {
+			for k := range q.Answer {
+				q.Answer[k] = -1
+			}
+		}
+		tr.Counter.Add(comm.Update, 1000)
+		tr.Counter.AddServerOps(1000)
+	}
+	rep.Totals.Reset()
+	written := cloneReport(rep)
+	if !strings.Contains(written.Text(), "-1") {
+		t.Fatalf("no answer was written into:\n%s", written.Text())
+	}
+
+	playReport(t, node, 78)
+	playReport(t, twin, 78)
+	if got, want := node.Report().Text(), twin.Report().Text(); got != want {
+		t.Errorf("writes into a report reached the node:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if !reflect.DeepEqual(rep, written) {
+		t.Errorf("the node moved a report it had handed out:\n got:\n%s\nwant:\n%s", rep.Text(), written.Text())
 	}
 }
 

@@ -172,7 +172,7 @@ func TestCompositeSharingBeatsIndependentTenants(t *testing.T) {
 			m := len(row.queries)
 			shared := startedNode(t, []TenantSpec{{Name: "mq", Initial: row.initial, Queries: row.queries}})
 			ingestDrained(t, shared, batched(row.moves, 512))
-			comp := shared.Counter(0).Maintenance()
+			comp := shared.Report().Totals.Maintenance()
 			if comp != row.comp {
 				t.Errorf("composite: %d maintenance messages, want %d", comp, row.comp)
 			}
@@ -193,8 +193,7 @@ func TestCompositeSharingBeatsIndependentTenants(t *testing.T) {
 			}
 			ind := startedNode(t, indSpecs)
 			ingestDrained(t, ind, batched(fanout, 512))
-			indTotals := ind.Totals()
-			indMaint := indTotals.Maintenance()
+			indMaint := ind.Report().Totals.Maintenance()
 			if indMaint != row.ind {
 				t.Errorf("independent: %d maintenance messages, want %d", indMaint, row.ind)
 			}

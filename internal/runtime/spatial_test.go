@@ -61,20 +61,17 @@ func TestSpatialTenantOnNode(t *testing.T) {
 	if err := node.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := node.Answer(0); len(got) != 3 {
-		t.Fatalf("spatial answer = %v, want 3 members", got)
-	}
-	if node.MultiQuery(0) {
-		t.Fatal("spatial tenant reported as multi-query")
-	}
 	rep := node.Report()
 	if !rep.Tenants[0].Alive || len(rep.Tenants[0].Answer) != 3 {
-		t.Fatalf("report entry: %+v", rep.Tenants[0])
+		t.Fatalf("report entry: %+v, want 3 members", rep.Tenants[0])
+	}
+	if rep.Tenants[0].MultiQuery {
+		t.Fatal("spatial tenant reported as multi-query")
 	}
 	if !strings.Contains(rep.Text(), "tenant fleet") {
 		t.Fatal("report text misses the spatial tenant")
 	}
-	if node.Counter(0).Maintenance() == 0 {
+	if rep.Tenants[0].Counter.Maintenance() == 0 {
 		t.Fatal("spatial tenant counted no maintenance messages")
 	}
 }

@@ -10,24 +10,23 @@ import (
 	"adaptivefilters/internal/sim"
 )
 
-// tenantState renders one tenant's full observable state without its slot
-// number, so a migrated tenant (living at a different slot on its new node)
-// can be compared against the reference run.
-func tenantState(n *Node, ti int) string {
+// tenantState renders one live tenant's full observable state without its
+// slot number, so a migrated tenant (living at a different slot on its new
+// node) can be compared against the reference run.
+func tenantState(t *TenantReport) string {
 	var b strings.Builder
-	if n.MultiQuery(ti) {
-		fmt.Fprintf(&b, "%s events=%d counter=%+v\n", n.TenantName(ti), n.Events(ti), *n.Counter(ti))
-		for qi := 0; qi < n.NumQueries(ti); qi++ {
-			if !n.QueryAlive(ti, qi) {
-				fmt.Fprintf(&b, "  query %d: removed\n", qi)
-				continue
-			}
-			fmt.Fprintf(&b, "  query %d: %s answer=%v\n", qi, n.QueryName(ti, qi), n.QueryAnswer(ti, qi))
-		}
+	if !t.MultiQuery {
+		fmt.Fprintf(&b, "%s events=%d answer=%v counter=%+v\n", t.Name, t.Events, t.Answer, t.Counter)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%s events=%d answer=%v counter=%+v\n",
-		n.TenantName(ti), n.Events(ti), n.Answer(ti), *n.Counter(ti))
+	fmt.Fprintf(&b, "%s events=%d counter=%+v\n", t.Name, t.Events, t.Counter)
+	for qi, q := range t.Queries {
+		if !q.Alive {
+			fmt.Fprintf(&b, "  query %d: removed\n", qi)
+			continue
+		}
+		fmt.Fprintf(&b, "  query %d: %s answer=%v\n", qi, q.Name, q.Answer)
+	}
 	return b.String()
 }
 
@@ -98,8 +97,9 @@ func TestTenantMigrationBitIdentity(t *testing.T) {
 	}
 	refState := make([]string, len(specs))
 	refSnaps := make([][]byte, len(specs))
+	refRep := ref.Report()
 	for ti := range specs {
-		refState[ti] = tenantState(ref, ti)
+		refState[ti] = tenantState(&refRep.Tenants[ti])
 		if refSnaps[ti], err = ref.ExportTenant(ti); err != nil {
 			t.Fatalf("reference export %d: %v", ti, err)
 		}
@@ -169,14 +169,15 @@ func TestTenantMigrationBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if got := tenantState(dst, slot); got != refState[migrate] {
+			if got := tenantState(&dst.Report().Tenants[slot]); got != refState[migrate] {
 				t.Errorf("migrated tenant %d diverged:\n%swant:\n%s", migrate, got, refState[migrate])
 			}
+			srcRep := src.Report()
 			for ti := range specs {
 				if ti == migrate {
 					continue
 				}
-				if got := tenantState(src, ti); got != refState[ti] {
+				if got := tenantState(&srcRep.Tenants[ti]); got != refState[ti] {
 					t.Errorf("left-behind tenant %d diverged:\n%swant:\n%s", ti, got, refState[ti])
 				}
 			}

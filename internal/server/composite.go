@@ -554,11 +554,9 @@ func (v *compositeView) ProbeIf(id stream.ID, cons filter.Constraint) (float64, 
 	return c.vals[id], true
 }
 
-// ProbeAll implements Host (2n messages on the shared counter; streams a
-// sibling already probed this epoch are free).
-func (v *compositeView) ProbeAll() []float64 { return v.ProbeAllInto(nil) }
-
-// ProbeAllInto implements Host reusing dst for the table snapshot.
+// ProbeAllInto implements Host (2n messages on the shared counter; streams
+// a sibling already probed this epoch are free), reusing dst for the table
+// snapshot.
 func (v *compositeView) ProbeAllInto(dst []float64) []float64 {
 	v.c.probeAll()
 	return v.TableValues(dst)
@@ -623,9 +621,6 @@ func (v *compositeView) InstallBatch(ids []stream.ID, cons filter.Constraint) {
 	chargeInstalls(&c.ctr, charged)
 	c.reports.drain(c)
 }
-
-// InstallAll implements Host as InstallBatch over every stream.
-func (v *compositeView) InstallAll(cons filter.Constraint) { v.c.installAll(v.qi, nil, cons) }
 
 // InstallAllExcept implements Host as InstallBatch over every stream not
 // in skip.

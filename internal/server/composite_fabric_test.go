@@ -27,7 +27,7 @@ func fabricQueries() []rangeQuery {
 
 // rangeFabric builds and initializes a composite serving one FT-NRP query
 // per entry of qs. ReinitNever: a re-initialization would cost a per-query
-// ProbeAll, defeating the shared-probe economics the tests below measure.
+// ProbeAllInto, defeating the shared-probe economics the tests below measure.
 func rangeFabric(initial []float64, qs []rangeQuery, seed int64) *server.Composite {
 	comp := server.NewComposite(initial)
 	for qi, q := range qs {

@@ -252,12 +252,12 @@ type hostProbe struct {
 
 func (p *hostProbe) Name() string { return "host-probe" }
 func (p *hostProbe) Initialize() {
-	p.h.ProbeAll()
+	p.h.ProbeAllInto(nil)
 	p.h.ProbeBatch([]int{0, 1})
 	p.h.Probe(0)
 	p.h.ProbeIf(1, filter.WideOpen())
 	p.h.InstallBatch([]int{0, 1, 0}, filter.NewInterval(100, 500))
-	p.h.InstallAll(filter.NewInterval(100, 500))
+	p.h.InstallAllExcept(nil, filter.NewInterval(100, 500))
 	p.h.Install(0, filter.NewInterval(100, 500), true)
 	p.h.AddServerOps(1)
 }
@@ -287,7 +287,7 @@ func TestCompositeViewHostSurface(t *testing.T) {
 		t.Errorf("init probes = %d, want %d (epoch must dedupe every probe variant)", got, want)
 	}
 	if got, want := ctr.Get(comm.Init, comm.Install), n; got != want {
-		t.Errorf("init installs = %d, want %d (epoch must dedupe InstallBatch, InstallAll and Install)", got, want)
+		t.Errorf("init installs = %d, want %d (epoch must dedupe InstallBatch, InstallAllExcept and Install)", got, want)
 	}
 	if ctr.ServerOps != 2 {
 		t.Errorf("server ops = %d, want 2", ctr.ServerOps)
@@ -326,8 +326,8 @@ func TestCompositeViewHostSurface(t *testing.T) {
 		t.Fatal("ProbeIf missed through a wide-open filter")
 	}
 	v.ProbeBatch([]int{1, 2})
-	v.ProbeAll()
-	v.InstallAll(filter.NewInterval(0, 1000))
+	v.ProbeAllInto(nil)
+	v.InstallAllExcept(nil, filter.NewInterval(0, 1000))
 	v.Install(2, filter.NewInterval(0, 1000), true)
 	v.InstallBatch([]int{0, 2}, filter.NewInterval(0, 1000))
 	v.InstallBatch(nil, filter.NewInterval(0, 1000))

@@ -31,8 +31,8 @@ func staleCluster[V comparable, C filter.Of[V, C]](vals []V, cons C, move func(V
 	c := server.NewClusterOf[V, C](append([]V(nil), vals...))
 	c.SetProtocol(idle[V]{})
 	c.Initialize()
-	c.ProbeAll()
-	c.InstallAll(cons)
+	c.ProbeAllInto(nil)
+	c.InstallAllExcept(nil, cons)
 	rng := rand.New(rand.NewSource(2))
 	for i := range vals {
 		if rng.Float64() < stale {
@@ -52,11 +52,12 @@ type deployRow[V comparable, C filter.Of[V, C]] struct {
 	op      func(c *server.ClusterOf[V, C], i int, buf *[]V)
 }
 
-// deployRows are InstallAll, InstallBatch over every other stream,
-// InstallAllExcept skipping every 16th stream and ProbeAllInto,
-// alternating the two constraints so every install replaces a filter.
-// RTP's InstallAll meets a table 97.6 % stale on the step walks (its values
-// moved since the rank pass without reporting), FT-RP's and FT-NRP's
+// deployRows are InstallAllExcept over every stream, InstallBatch over
+// every other stream, InstallAllExcept skipping every 16th stream and
+// ProbeAllInto, alternating the two constraints so every install replaces
+// a filter. RTP's install on every stream meets a table 97.6 % stale on
+// the step walks (its values moved since the rank pass without
+// reporting), FT-RP's and FT-NRP's
 // InstallBatch and InstallAllExcept (the silent filters' holders skipped)
 // a fresh one; the probe fan-out reads the sources, whatever the table
 // holds.
@@ -70,7 +71,7 @@ func deployRows[V comparable, C filter.Of[V, C]](n int, cons [2]C) []deployRow[V
 		skip = append(skip, id)
 	}
 	return []deployRow[V, C]{
-		{"install-all", n, 0.976, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAll(cons[i&1]) }},
+		{"install-all", n, 0.976, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallAllExcept(nil, cons[i&1]) }},
 		{"install-batch-half", len(half), 0, func(c *server.ClusterOf[V, C], i int, _ *[]V) { c.InstallBatch(half, cons[i&1]) }},
 		{"install-all-except", n - len(skip), 0, func(c *server.ClusterOf[V, C], i int, _ *[]V) {
 			c.InstallAllExcept(skip, cons[i&1])
@@ -124,7 +125,7 @@ func deployData() (vals []float64, cons [2]filter.Constraint, move func(float64)
 		pts, regions, func(p filter.Point) filter.Point { p.X += 1e-9; return p }
 }
 
-// BenchmarkDeploy prices a rank rebuild's per-stream loops — InstallAll,
+// BenchmarkDeploy prices a rank rebuild's per-stream loops — InstallAllExcept(nil, …),
 // InstallBatch over half the ids, InstallAllExcept, ProbeAllInto — at
 // n = 2000 over the
 // stale shares the rank protocols meet, in 1-D (intervals) and in the

@@ -25,7 +25,7 @@ import (
 // layers:
 //
 //   - The shared layer files each live slot's column default once per
-//     composite. InstallAll and InstallAllExcept set it; AddQuery's
+//     composite. InstallAllExcept sets it; AddQuery's
 //     unfiltered start is a filter.None default; a band, which re-centres
 //     per stream, is never one.
 //   - The per-stream layer holds, per stream, a packed hot record (a

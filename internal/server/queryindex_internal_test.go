@@ -475,7 +475,7 @@ func TestCompositeImportRefusesContradictingSide(t *testing.T) {
 			c := NewComposite([]float64{tc.v})
 			for qi := 0; qi < 2; qi++ {
 				c.AddQuery("q", int64(qi), build)
-				c.queries[qi].view.InstallAll(filter.NewInterval(100, 200))
+				c.queries[qi].view.InstallAllExcept(nil, filter.NewInterval(100, 200))
 			}
 			w := snapshot.NewWriter()
 			c.ExportState(w)
@@ -549,7 +549,7 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 // and ServerOps after every op, auditing the index with checkIndex each
 // time. Each op is four bytes:
 //
-//	byte 0  op (low 4 bits: 0-3 install, 4 InstallAll, 5 InstallAllExcept,
+//	byte 0  op (low 4 bits: 0-3 install, 4 InstallAllExcept(nil, …), 5 InstallAllExcept,
 //	        6-11 deliver, 12 restore, 13 add, 14-15 remove a query); bit 7
 //	        is an install's expected side
 //	byte 1  stream; InstallAllExcept: bits 4-7 are the streams it skips
@@ -561,7 +561,7 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 //	        deliver: the slot whose bound to land on, or the grid point
 //
 // Installs draw from TestQueryIndexInvariants' palette, around the value
-// of the op's stream; an InstallAll or InstallAllExcept sets the slot's
+// of the op's stream; an InstallAllExcept sets the slot's
 // column default (a band re-files every stream instead), and the skipped
 // streams keep their entries. A delivery lands on a bound of some entry,
 // on ±Inf, NaN or a grid point. A restore round-trips both composites
@@ -605,7 +605,7 @@ func FuzzCompositeDeliver(f *testing.F) {
 			c := NewComposite(initial)
 			for qi := 0; qi < first; qi++ {
 				c.AddQuery("q", int64(qi), build(qi, log))
-				c.queries[qi].view.InstallAll(standing(qi))
+				c.queries[qi].view.InstallAllExcept(nil, standing(qi))
 			}
 			c.Initialize()
 			return c
@@ -657,7 +657,7 @@ func FuzzCompositeDeliver(f *testing.F) {
 				for _, c := range []*Composite{lin, idx} {
 					switch view := &c.queries[slot].view; op & 15 {
 					case 4:
-						view.InstallAll(cons)
+						view.InstallAllExcept(nil, cons)
 					case 5:
 						view.InstallAllExcept(skip, cons)
 					default:
@@ -701,7 +701,7 @@ func FuzzCompositeDeliver(f *testing.F) {
 						c.InitializeQuery(qi)
 					}
 					if prog[2]&6 != 0 {
-						c.queries[qi].view.InstallAll(standing(qi))
+						c.queries[qi].view.InstallAllExcept(nil, standing(qi))
 					}
 				}
 				admit(lin, new([]int))
@@ -854,7 +854,7 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 	for qi := 0; qi < slots; qi++ {
 		base.AddQuery("q", int64(qi), build(qi, new([]int)))
 		lo := 60 + 10*float64(qi%16)
-		base.queries[qi].view.InstallAll(filter.NewInterval(lo, lo+80))
+		base.queries[qi].view.InstallAllExcept(nil, filter.NewInterval(lo, lo+80))
 	}
 	base.Initialize()
 	for range 300 {
@@ -922,7 +922,7 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 			case 0, 1:
 				view.Install(s, cons, side)
 			case 2:
-				view.InstallAll(cons)
+				view.InstallAllExcept(nil, cons)
 			case 3:
 				view.InstallAllExcept(skip, cons)
 			default:

@@ -35,13 +35,10 @@ type HostOf[V, C any] interface {
 	// ProbeIf asks stream id to reply only when its value lies inside cons;
 	// the probe is always counted, the reply only on a hit.
 	ProbeIf(id stream.ID, cons C) (V, bool)
-	// ProbeAll probes every stream (2n messages) and returns the refreshed
-	// table.
-	ProbeAll() []V
-	// ProbeAllInto is ProbeAll writing into dst when its capacity suffices
+	// ProbeAllInto probes every stream (2n messages) and returns the
+	// refreshed table, written into dst when its capacity suffices
 	// (allocating only otherwise), so periodic re-initializations inside the
-	// ingest hot path can reuse one buffer. The message accounting is
-	// identical to ProbeAll.
+	// ingest hot path can reuse one buffer.
 	ProbeAllInto(dst []V) []V
 	// ProbeBatch probes every listed stream (2·len(ids) messages, counted in
 	// one batched counter update) and refreshes the table; callers read the
@@ -58,13 +55,12 @@ type HostOf[V, C any] interface {
 	// table value on. It is the batch twin of Install, as ProbeBatch is of
 	// Probe.
 	InstallBatch(ids []stream.ID, cons C)
-	// InstallAll deploys the same constraint to every stream.
-	InstallAll(cons C)
 	// InstallAllExcept deploys the same constraint to every stream not
 	// listed in skip (n − len(skip) Install messages; the listed ids must
-	// be strictly ascending), each expecting the side cons puts its table
-	// value on; a listed stream keeps its filter. A composite files cons
-	// once, as the query's column default.
+	// be strictly ascending; a nil skip deploys to every stream), each
+	// expecting the side cons puts its table value on; a listed stream
+	// keeps its filter. A composite files cons once, as the query's column
+	// default.
 	InstallAllExcept(skip []stream.ID, cons C)
 	// Table returns the server's belief about stream id's value and whether
 	// the stream has ever been heard from.
@@ -265,15 +261,12 @@ func (c *ClusterOf[V, C]) Probe(id stream.ID) V {
 	return v
 }
 
-// ProbeAll probes every stream (2n messages) and returns a copy of the
-// refreshed table. This is the paper's "request all streams to send their
-// values" initialization step.
-func (c *ClusterOf[V, C]) ProbeAll() []V { return c.ProbeAllInto(nil) }
-
-// ProbeAllInto is ProbeAll writing into dst when cap(dst) >= n; protocols
-// that re-initialize on the maintenance path pass a reusable buffer so the
-// fan-out allocates nothing. The per-stream accounting is identical. It is
-// two copies of the value column, into the table and into dst.
+// ProbeAllInto probes every stream (2n messages) and returns a copy of the
+// refreshed table, the paper's "request all streams to send their values"
+// initialization step. The copy is written into dst when cap(dst) >= n;
+// protocols that re-initialize on the maintenance path pass a reusable
+// buffer so the fan-out allocates nothing. It is two copies of the value
+// column, into the table and into dst.
 func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	n := c.N()
 	if cap(dst) < n {
@@ -338,15 +331,6 @@ func (c *ClusterOf[V, C]) InstallBatch(ids []stream.ID, cons C) {
 	}
 	chargeInstalls(&c.ctr, uint64(len(ids)))
 	c.sources.InstallEach(ids, c.table, cons, c.recv)
-	c.reports.drain(c) // no-op when already inside a delivery cycle
-}
-
-// InstallAll deploys the same constraint to every stream, deriving each
-// stream's expected side from the server table. It costs n Install
-// messages.
-func (c *ClusterOf[V, C]) InstallAll(cons C) {
-	chargeInstalls(&c.ctr, uint64(c.N()))
-	c.sources.InstallAll(c.table, cons, c.recv)
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 

@@ -69,9 +69,9 @@ func TestProbeCountsTwoMessagesAndRefreshesTable(t *testing.T) {
 func TestProbeAll(t *testing.T) {
 	c, _ := newTestCluster([]float64{10, 20, 30})
 	c.Initialize()
-	vals := c.ProbeAll()
+	vals := c.ProbeAllInto(nil)
 	if len(vals) != 3 || vals[2] != 30 {
-		t.Fatalf("ProbeAll = %v", vals)
+		t.Fatalf("ProbeAllInto(nil) = %v", vals)
 	}
 	if got := c.Counter().Get(comm.Maintenance, comm.Probe); got != 3 {
 		t.Fatalf("probe count = %d, want 3", got)
@@ -148,7 +148,7 @@ func TestInstallMismatchQueuesUpdateForLater(t *testing.T) {
 func TestInstallAllCountsPerStream(t *testing.T) {
 	c, _ := newTestCluster(make([]float64, 5))
 	c.Initialize()
-	c.InstallAll(filter.NewInterval(0, 1))
+	c.InstallAllExcept(nil, filter.NewInterval(0, 1))
 	if got := c.Counter().Get(comm.Maintenance, comm.Install); got != 5 {
 		t.Fatalf("install count = %d, want 5", got)
 	}
@@ -178,7 +178,7 @@ func TestInstallBatchCharges(t *testing.T) {
 	}
 }
 
-// TestInstallBatchUsesTableForExpectations is InstallAll's table rule for
+// TestInstallBatchUsesTableForExpectations is InstallAllExcept's table rule for
 // a batch: stream 1 was never heard from (table 0, inside [0,10]) but
 // truly sits at 700, so it reports; the unlisted stream 0 does not.
 func TestInstallBatchUsesTableForExpectations(t *testing.T) {
@@ -192,11 +192,11 @@ func TestInstallBatchUsesTableForExpectations(t *testing.T) {
 
 func TestInstallAllUsesTableForExpectations(t *testing.T) {
 	// Stream 0's true value is outside [0,10] but the server never heard
-	// from it (table zero value 0 is inside), so InstallAll must trigger a
+	// from it (table zero value 0 is inside), so InstallAllExcept must trigger a
 	// mismatch report.
 	c, p := newTestCluster([]float64{700})
 	c.Initialize()
-	c.InstallAll(filter.NewInterval(0, 10))
+	c.InstallAllExcept(nil, filter.NewInterval(0, 10))
 	if len(p.updates) != 1 {
 		t.Fatalf("mismatch updates = %d, want 1", len(p.updates))
 	}

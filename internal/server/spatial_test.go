@@ -85,10 +85,10 @@ func TestSpatialClusterCharges(t *testing.T) {
 		t.Fatalf("ProbeIf hit charged %d/%d, want 3/2", get(comm.Probe), get(comm.ProbeReply))
 	}
 
-	// ProbeAll: 2n messages, whole table refreshed.
-	c.ProbeAll()
+	// ProbeAllInto: 2n messages, whole table refreshed.
+	c.ProbeAllInto(nil)
 	if get(comm.Probe) != 6 || get(comm.ProbeReply) != 5 {
-		t.Fatalf("ProbeAll charged %d/%d, want 6/5", get(comm.Probe), get(comm.ProbeReply))
+		t.Fatalf("ProbeAllInto charged %d/%d, want 6/5", get(comm.Probe), get(comm.ProbeReply))
 	}
 
 	// ProbeBatch: 2·len(ids).
@@ -97,14 +97,14 @@ func TestSpatialClusterCharges(t *testing.T) {
 		t.Fatalf("ProbeBatch charged %d/%d, want 8/7", get(comm.Probe), get(comm.ProbeReply))
 	}
 
-	// Install / InstallAll prices.
+	// Install / InstallAllExcept prices.
 	c.Install(0, filter.WideOpenRegion(filter.Point{}), true)
 	if get(comm.Install) != 1 {
 		t.Fatalf("Install charged %d, want 1", get(comm.Install))
 	}
-	c.InstallAll(filter.WideOpenRegion(filter.Point{}))
+	c.InstallAllExcept(nil, filter.WideOpenRegion(filter.Point{}))
 	if get(comm.Install) != 4 {
-		t.Fatalf("InstallAll charged %d, want 1+n=4", get(comm.Install))
+		t.Fatalf("InstallAllExcept charged %d, want 1+n=4", get(comm.Install))
 	}
 	c.InstallBatch([]stream.ID{0, 2}, filter.NewDisk(filter.Point{}, 15))
 	if get(comm.Install) != 6 {
@@ -152,8 +152,8 @@ func TestSpatialClusterStateRoundTrip(t *testing.T) {
 	c := server.NewSpatialCluster(pts(0, 0, 10, 0, 20, 0))
 	c.SetProtocol(&recorderProto{host: c})
 	c.Initialize()
-	c.ProbeAll()
-	c.InstallAll(filter.NewDisk(filter.Point{X: 5}, 8))
+	c.ProbeAllInto(nil)
+	c.InstallAllExcept(nil, filter.NewDisk(filter.Point{X: 5}, 8))
 	c.Deliver(1, filter.Point{X: 30, Y: 0}) // crossing: report + table refresh
 
 	w := snapshot.NewWriter()

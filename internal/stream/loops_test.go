@@ -35,8 +35,8 @@ type loopReport[V any] struct {
 }
 
 // loopHarness drives two copies of the same sources through one op
-// sequence. got takes every batch install through InstallAll,
-// InstallAllExcept or InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
+// sequence. got takes every batch install through InstallAllExcept
+// or InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
 // believed[id])) loop, the rule the batch loops shortcut. Reports must
 // match in id, value and order, and the sources field by field, after
 // every op — and every source must keep the crossing-side invariant.
@@ -121,9 +121,9 @@ func runLoops[V comparable, C interface {
 				h.uplink(id, h.got.vals[id])
 			}
 			h.refInstall(step, id, c, expect, want)
-		case 2: // InstallAll
+		case 2: // InstallAllExcept, skipping nothing
 			c := gen.cons(r)
-			h.got.InstallAll(h.believed, c, h.uplink)
+			h.got.InstallAllExcept(nil, h.believed, c, h.uplink)
 			for id := range n {
 				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
 			}
@@ -317,8 +317,8 @@ var scalarGen = loopGen[float64, filter.Constraint]{
 	},
 }
 
-// FuzzInstallLoops checks the batch installs (InstallAll,
-// InstallAllExcept, InstallEach) against a per-source Install loop, and Install against the handshake's
+// FuzzInstallLoops checks the batch installs
+// (InstallAllExcept, InstallEach) against a per-source Install loop, and Install against the handshake's
 // specification, over 1…16 sources or up to 205 (past InstallEach's chunk)
 // on a ½-grid with ±Inf at its ends and a believed table one step stale or
 // exact, every 1-D constraint kind, Set (never reporting through a silent
@@ -329,13 +329,13 @@ func FuzzInstallLoops(f *testing.F) {
 		10, 11, 2, 0, 9, 4, 2, 4, 0, 0, 2, 3, 0, 0, 0, 18, 2, 0, 3, 6, 1, 3, 1, 0, 10, 2, 1, 5, 3, 7, 255, 1, 0, 8, 3})
 	f.Add([]byte{3, 17, 1, 8, 0, 25, 2, 1, 4, 0, 8, 0, 2, 5, 0, 0, 0, 0, 18, 3, 7, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0})
 	// One source at 0 that the server believes at 0.5, handed [0.5, 0.5]
-	// by InstallAll and by InstallEach: the stale side owes a report.
+	// by InstallAllExcept and by InstallEach: the stale side owes a report.
 	f.Add([]byte{0, 8, 1, 2, 0, 9, 0})
 	f.Add([]byte{0, 8, 1, 3, 1, 0, 0, 0, 9, 0})
 	// One source at 0 under Shut = [+∞, +∞] moving to +∞: no report.
 	f.Add([]byte{0, 8, 0, 1, 0, 4, 0, 0, 1, 0, 0, 18})
 	// 205 and 103 sources: InstallEach over every id (two full chunks and
-	// a tail), descending and rotated, and over half the ids; InstallAll;
+	// a tail), descending and rotated, and over half the ids; InstallAllExcept;
 	// a stale belief; a round trip.
 	f.Add([]byte{255, 7, 3, 255, 255, 3, 0, 9, 4, 3, 255, 255, 0, 1, 12, 2, 2, 0, 6, 3, 6, 40, 1, 2, 0, 9, 5, 5})
 	f.Add([]byte{221, 1, 3, 85, 85, 0, 1, 8, 6, 2, 0, 12, 3, 0, 90, 19, 3, 170, 170, 2, 5, 0, 0, 5, 2, 1, 4, 3})

@@ -13,7 +13,7 @@
 // contiguously and decides a whole column's sides in one filter.Of.Sides
 // call. Sources hold no uplink: Set and Install return whether a report is
 // owed, and the caller — the server's cluster — delivers it; the batch
-// installs (InstallAll, InstallAllExcept, InstallEach) take that uplink
+// installs (InstallAllExcept, InstallEach) take that uplink
 // once per batch.
 package stream
 
@@ -50,7 +50,7 @@ type Sources[V comparable, C filter.Of[V, C]] struct {
 	updates []uint64
 	reports []uint64
 	// Scratch for the batch installs, kept here because a Sides call
-	// through a type parameter makes its arguments escape: InstallAll's
+	// through a type parameter makes its arguments escape: InstallAllExcept's
 	// sides of the n table values, and InstallEach's chunk of gathered
 	// table entries and moved values, their sides, and the moved values'
 	// places in the chunk.
@@ -206,16 +206,11 @@ func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
 	return true
 }
 
-// InstallAll installs c on every source, expecting source i on the side c
-// puts believed[i] — the server's table — and hands every owed mismatch
-// report to report, in source order. It is Install in a loop with c
-// classified once.
-func (s *Sources[V, C]) InstallAll(believed []V, c C, report func(ID, V)) {
-	s.InstallAllExcept(nil, believed, c, report)
-}
-
-// InstallAllExcept is InstallAll leaving the listed sources, whose ids
-// must be strictly ascending, as they are.
+// InstallAllExcept installs c on every source not listed in skip, whose
+// ids must be strictly ascending, expecting source i on the side c puts
+// believed[i] — the server's table — and hands every owed mismatch report
+// to report, in source order. It is Install in a loop with c classified
+// once; a listed source keeps its constraint.
 //
 // Under a crossing constraint it is two Sides calls — over the table
 // column into scratch and over the value column straight into the recorded
@@ -279,8 +274,8 @@ func fill[T any](dst []T, v T) {
 	}
 }
 
-// InstallEach is InstallAll restricted to the listed sources, which must
-// be distinct: source id expects the side c puts believed[id] on, c is
+// InstallEach is InstallAllExcept restricted to the listed sources, which
+// must be distinct: source id expects the side c puts believed[id] on, c is
 // classified once for the whole batch, and reports come in list order.
 //
 // Under a crossing constraint it works a chunk of listed ids at a time:

@@ -66,7 +66,7 @@ type mergeItem struct {
 
 // TaggedEvent is an Event plus the index of the source iterator that
 // produced it, for consumers merging several workloads (one per tenant in
-// cmd/streamsim's -tenants mode).
+// cmd/streamsim's driver).
 type TaggedEvent struct {
 	Source int
 	Event  Event
