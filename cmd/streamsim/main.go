@@ -67,8 +67,8 @@ func parseFlags(args []string, stderr io.Writer) (simParams, error) {
 	fs.BoolVar(&p.Top, "top", false, "use the top-k (q=+inf) transform")
 	eps := fs.Float64("eps", 0.2, "symmetric fraction tolerance ε⁺=ε⁻")
 	fs.Float64Var(&p.Width, "width", 100, "value tolerance ε_v for vb-knn")
-	fs.Float64Var(&p.EpsPlus, "eps-plus", -1, "explicit ε⁺ (overrides -eps)")
-	fs.Float64Var(&p.EpsMinus, "eps-minus", -1, "explicit ε⁻ (overrides -eps)")
+	fs.Float64Var(&p.EpsPlus, "eps-plus", 0, "explicit ε⁺ (default: the -eps value)")
+	fs.Float64Var(&p.EpsMinus, "eps-minus", 0, "explicit ε⁻ (default: the -eps value)")
 	fs.StringVar(&p.Selection, "selection", "boundary", "silent filter selection: boundary | random")
 	fs.BoolVar(&p.Check, "check", false, "verify answers against the ground-truth oracle")
 	fs.IntVar(&p.CheckEvery, "check-every", 10, "oracle sampling period")
@@ -93,12 +93,18 @@ func parseFlags(args []string, stderr io.Writer) (simParams, error) {
 	if err := fs.Parse(args); err != nil {
 		return p, err
 	}
-	if p.EpsPlus < 0 {
-		p.EpsPlus = *eps
-	}
-	if p.EpsMinus < 0 {
-		p.EpsMinus = *eps
-	}
+	// -eps fills only the sides the command line left unset, so a negative
+	// -eps-plus or -eps-minus reaches validation instead of a default.
+	plus, minus := *eps, *eps
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "eps-plus":
+			plus = p.EpsPlus
+		case "eps-minus":
+			minus = p.EpsMinus
+		}
+	})
+	p.EpsPlus, p.EpsMinus = plus, minus
 	return p, nil
 }
 

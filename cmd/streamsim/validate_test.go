@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -150,5 +151,21 @@ func TestValidateRejects(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestEpsFlags: -eps fills only the tolerance sides the command line left
+// unset, and a negative -eps-plus or -eps-minus is refused by the run, not
+// replaced by -eps.
+func TestEpsFlags(t *testing.T) {
+	p, err := parseFlags([]string{"-eps", "0.3", "-eps-plus", "0.1"}, io.Discard)
+	if err != nil || p.EpsPlus != 0.1 || p.EpsMinus != 0.3 {
+		t.Fatalf("-eps 0.3 -eps-plus 0.1: ε⁺/ε⁻ = %v/%v (err %v), want 0.1/0.3", p.EpsPlus, p.EpsMinus, err)
+	}
+	for _, side := range []string{"-eps-plus", "-eps-minus"} {
+		err := run([]string{"-protocol", "ft-nrp", "-n", "50", "-events", "500", side, "-0.3"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "fraction tolerance") {
+			t.Errorf("%s -0.3: err = %v, want a fraction-tolerance refusal", side, err)
+		}
 	}
 }

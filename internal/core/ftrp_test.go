@@ -337,16 +337,15 @@ func (h *installAuditHost[V, C]) Install(id int, cons C, expectInside bool) {
 
 func (h *installAuditHost[V, C]) InstallBatch(ids []int, cons C) {
 	for _, id := range ids {
-		v, _ := h.Table(id)
-		h.audit(id, cons, cons.Contains(v))
+		h.audit(id, cons, cons.Contains(h.Table(id)))
 	}
 	h.ClusterOf.InstallBatch(ids, cons)
 }
 
 func (h *installAuditHost[V, C]) InstallAllExcept(skip []int, cons C) {
 	for id := range h.N() {
-		if v, _ := h.Table(id); !slices.Contains(skip, id) {
-			h.audit(id, cons, cons.Contains(v))
+		if !slices.Contains(skip, id) {
+			h.audit(id, cons, cons.Contains(h.Table(id)))
 		}
 	}
 	h.ClusterOf.InstallAllExcept(skip, cons)

@@ -76,9 +76,9 @@ func (h *countingHost[V, C]) InstallAllExcept(skip []stream.ID, cons C) {
 	h.c.InstallAllExcept(skip, cons)
 }
 
-func (h *countingHost[V, C]) Table(id stream.ID) (V, bool) { return h.c.Table(id) }
-func (h *countingHost[V, C]) TableValues(dst []V) []V      { return h.c.TableValues(dst) }
-func (h *countingHost[V, C]) AddServerOps(n int)           { h.c.AddServerOps(n) }
+func (h *countingHost[V, C]) Table(id stream.ID) V    { return h.c.Table(id) }
+func (h *countingHost[V, C]) TableValues(dst []V) []V { return h.c.TableValues(dst) }
+func (h *countingHost[V, C]) AddServerOps(n int)      { h.c.AddServerOps(n) }
 
 // chargeParity runs build behind a countingHost through a churn-heavy walk
 // of 30 streams — draw places a value, step moves one — and asserts the

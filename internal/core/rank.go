@@ -67,8 +67,7 @@ func (r *ranker[V, C]) nearestOf(ids []int, m int) []float64 {
 func (r *ranker[V, C]) tableDists(ids []int) []float64 {
 	vals := r.pickBuf[:0]
 	for _, id := range ids {
-		v, _ := r.c.Table(id)
-		vals = append(vals, v)
+		vals = append(vals, r.c.Table(id))
 	}
 	r.pickBuf = vals
 	r.keyBuf = slices.Grow(r.keyBuf[:0], len(ids))

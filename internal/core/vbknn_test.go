@@ -67,7 +67,7 @@ func TestVBKNNValueErrorBounded(t *testing.T) {
 		id := rng.Intn(n)
 		cur[id] += rng.NormFloat64() * 30
 		c.Deliver(id, cur[id])
-		if tv, _ := c.Table(id); abs(tv-cur[id]) > width/2 {
+		if tv := c.Table(id); abs(tv-cur[id]) > width/2 {
 			t.Fatalf("step %d: table error %g exceeds half-width %g",
 				step, abs(tv-cur[id]), width/2)
 		}

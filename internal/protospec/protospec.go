@@ -102,12 +102,17 @@ func (s Spec) Validate(n int) error {
 	if !slices.Contains(Protocols, s.Protocol) {
 		return fmt.Errorf("protospec: unknown protocol %q", s.Protocol)
 	}
-	for name, v := range map[string]float64{
-		"lo": s.Lo, "hi": s.Hi, "q": s.Q, "qx": s.QX, "qy": s.QY,
-		"eps-plus": s.EpsPlus, "eps-minus": s.EpsMinus, "width": s.Width,
+	// In a fixed order, so a spec with several bad parameters is always
+	// refused under the same name.
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"lo", s.Lo}, {"hi", s.Hi}, {"q", s.Q}, {"qx", s.QX}, {"qy", s.QY},
+		{"eps-plus", s.EpsPlus}, {"eps-minus", s.EpsMinus}, {"width", s.Width},
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("protospec: %s: parameter %s is not finite (%g)", s.Protocol, name, v)
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("protospec: %s: parameter %s is not finite (%g)", s.Protocol, p.name, p.v)
 		}
 	}
 	switch s.Selection {

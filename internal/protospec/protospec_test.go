@@ -127,6 +127,20 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstBadParameter: a spec with two non-finite
+// parameters is refused under the first in Validate's fixed order, on
+// every call, so error texts do not vary from run to run.
+func TestValidateNamesFirstBadParameter(t *testing.T) {
+	s := valid()["ft-nrp"]
+	s.Lo, s.Width = math.NaN(), math.NaN()
+	for i := 0; i < 100; i++ {
+		err := s.Validate(100)
+		if err == nil || !strings.Contains(err.Error(), "parameter lo ") {
+			t.Fatalf("call %d: err = %v, want it to name lo", i, err)
+		}
+	}
+}
+
 // TestFactoryBuilds compiles each canonical spec, runs the protocol's t0
 // phase on a real cluster and checks the protocol reports its own (name,
 // parameters) label — the factory must wire parameters through, not just

@@ -97,7 +97,7 @@ func FuzzRestoreNode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:7])
 	f.Add([]byte{})
-	for i := 0; i < len(valid); i += 101 {
+	for i := 0; i < len(valid); i += 89 {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x5A
 		f.Add(mut)
@@ -164,7 +164,7 @@ func FuzzImportTenant(f *testing.F) {
 		f.Add(uint8(ti), valid)
 		f.Add(uint8(ti), valid[:len(valid)-8])
 		f.Add(uint8(ti), valid[:len(valid)/2])
-		for i := 0; i < len(valid); i += 101 {
+		for i := 0; i < len(valid); i += 89 {
 			mut := append([]byte(nil), valid...)
 			mut[i] ^= 0x5A
 			f.Add(uint8(ti), mut)

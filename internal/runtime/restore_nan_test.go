@@ -33,7 +33,7 @@ func TestRestoreRefusesNaN(t *testing.T) {
 			},
 			"source": func() []byte {
 				out := append([]byte(nil), rec...)
-				copy(out[len(rec)-49*(n-5):], nan) // source 5's value
+				copy(out[len(rec)-33*(n-5):], nan) // source 5's value
 				return out
 			},
 		}
@@ -49,7 +49,7 @@ func TestRestoreRefusesContradictedSide(t *testing.T) {
 		return map[string]func() []byte{
 			"source": func() []byte {
 				out := append([]byte(nil), rec...)
-				out[len(rec)-49*(n-5)+32] ^= 1 // source 5's side, after value and interval
+				out[len(rec)-33*(n-5)+32] ^= 1 // source 5's side, after value and interval
 				return out
 			},
 		}
@@ -83,7 +83,7 @@ func checkRestoreRefuses(t *testing.T, want string, pokes func(rec []byte, n, pe
 	}
 	// The tenant's cluster record as it sits inside both snapshots. Its
 	// layout is fixed: stream count, length-prefixed table, …, pending
-	// count, then 49 bytes per source starting with the source's value.
+	// count, then 33 bytes per source starting with the source's value.
 	w := snapshot.NewWriter()
 	node.tenants[1].backend.(*scalar).ExportState(w)
 	rec := w.Bytes()
@@ -102,7 +102,7 @@ func checkRestoreRefuses(t *testing.T, want string, pokes func(rec []byte, n, pe
 	if _, err := RestoreNode(Config{}, specs, splice(nodeSnap, rec)); err != nil {
 		t.Fatalf("splicing the unpoked record broke the snapshot: %v", err)
 	}
-	for name, poke := range pokes(rec, n, len(rec)-49*n-8) {
+	for name, poke := range pokes(rec, n, len(rec)-33*n-8) {
 		t.Run(name, func(t *testing.T) {
 			_, err := RestoreNode(Config{}, specs, splice(nodeSnap, poke()))
 			if err == nil || !strings.Contains(err.Error(), want) {

@@ -17,11 +17,12 @@ const (
 	// SnapshotVersion is the current encoding version, the only one
 	// RestoreNode accepts: every tenant record opens with an integer kind
 	// discriminator, single-query and spatial records share one layout,
-	// planar RTP and FT-RP write the 1-D protocols' state, and every host
-	// writes one uplink word, its dropped-update count (DESIGN.md §6.3).
-	// No snapshot was ever deployed at an earlier version, so they are
-	// refused rather than decoded.
-	SnapshotVersion = 6
+	// planar RTP and FT-RP write the 1-D protocols' state, every host
+	// writes one uplink word, its dropped-update count, and a source writes
+	// only its value, constraint and side (DESIGN.md §6.3). No snapshot was
+	// ever deployed at an earlier version, so they are refused rather than
+	// decoded.
+	SnapshotVersion = 7
 )
 
 // Per-tenant kind discriminators.

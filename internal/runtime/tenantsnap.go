@@ -18,7 +18,7 @@ const (
 	// TenantSnapshotVersion is the current single-tenant encoding version,
 	// the only one ImportTenant accepts; it moves with SnapshotVersion, whose
 	// per-tenant record layout it shares.
-	TenantSnapshotVersion = 5
+	TenantSnapshotVersion = 6
 )
 
 // ExportTenant captures a barrier-consistent, versioned encoding of one

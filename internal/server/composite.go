@@ -39,7 +39,6 @@ type Composite struct {
 	uplink
 	vals  []float64 // ground truth (driven by Deliver)
 	table []float64 // server view
-	known []bool
 
 	// cons[s][q] is stream s's constraint entry for query slot q. Its side
 	// is cons[s][q].Contains(vals[s]).
@@ -152,7 +151,6 @@ func NewComposite(initial []float64) *Composite {
 	c := &Composite{
 		vals:       append([]float64(nil), initial...),
 		table:      make([]float64, n),
-		known:      make([]bool, n),
 		cons:       make([][]filter.Constraint, n),
 		probeGen:   make([]uint64, n),
 		installGen: make([]uint64, n),
@@ -349,7 +347,6 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 		return
 	}
 	c.table[s] = v
-	c.known[s] = true
 	row := c.cons[s]
 	// The set is walked a word at a time in ascending slot order. Every
 	// live CrossingDriven slot is charged its one server op up front, so a
@@ -462,10 +459,7 @@ func (c *Composite) TrueValue(s stream.ID) float64 { return c.vals[s] }
 
 // refresh records stream s's exact value in the server table — what a
 // stream's answer to the server does.
-func (c *Composite) refresh(s stream.ID) {
-	c.table[s] = c.vals[s]
-	c.known[s] = true
-}
+func (c *Composite) refresh(s stream.ID) { c.table[s] = c.vals[s] }
 
 // install rewrites query qi's entry at stream s and runs the install
 // handshake on it, the rule stream.Sources.Install applies to one filter:
@@ -666,7 +660,7 @@ func (c *Composite) installAll(qi int, skip []stream.ID, cons filter.Constraint)
 }
 
 // Table implements Host.
-func (v *compositeView) Table(id stream.ID) (float64, bool) { return v.c.table[id], v.c.known[id] }
+func (v *compositeView) Table(id stream.ID) float64 { return v.c.table[id] }
 
 // TableValues implements Host reusing dst for the table copy.
 func (v *compositeView) TableValues(dst []float64) []float64 {

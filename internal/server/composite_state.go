@@ -28,7 +28,6 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 	w.Int(len(c.queries))
 	w.Float64s(c.vals)
 	w.Float64s(c.table)
-	w.Bools(c.known)
 	for s := range c.cons {
 		filter.ExportConstraints(w, c.cons[s])
 		// The bytes of w.Bools over one bool per slot.
@@ -86,13 +85,12 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 	}
 	vals := r.Float64s()
 	table := r.Float64s()
-	known := r.Bools()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(vals) != n || len(table) != n || len(known) != n {
-		return fmt.Errorf("server: snapshot tables sized %d/%d/%d, want %d",
-			len(vals), len(table), len(known), n)
+	if len(vals) != n || len(table) != n {
+		return fmt.Errorf("server: snapshot tables sized %d/%d, want %d",
+			len(vals), len(table), n)
 	}
 	cons := make([][]filter.Constraint, n)
 	for s := 0; s < n; s++ {
@@ -123,7 +121,6 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 	// factories and ImportState observe the restored table through the Host.
 	c.vals = vals
 	c.table = table
-	c.known = known
 	c.cons = cons
 	c.drivenMask, c.othersMask = make(slotSet, words(slots)), make(slotSet, words(slots))
 	for slot := 0; slot < slots; slot++ {

@@ -343,8 +343,8 @@ func TestCompositeViewHostSurface(t *testing.T) {
 	if got := ctr.Get(comm.Maintenance, comm.Install); got != wantInstall {
 		t.Errorf("maintenance installs = %d, want %d", got, wantInstall)
 	}
-	if val, known := v.Table(0); !known || val != 200 {
-		t.Errorf("Table(0) = %g/%v", val, known)
+	if val := v.Table(0); val != 200 {
+		t.Errorf("Table(0) = %g, want 200", val)
 	}
 	if got := v.TableValues(nil); len(got) != len(initial) || got[2] != 800 {
 		t.Errorf("TableValues = %v", got)

@@ -449,7 +449,6 @@ func sideOffset(c *Composite, s, qi int) int {
 	w.Int(len(c.queries))
 	w.Float64s(c.vals)
 	w.Float64s(c.table)
-	w.Bools(c.known)
 	for t := 0; t < s; t++ {
 		filter.ExportConstraints(w, c.cons[t])
 		w.Bools(make([]bool, len(c.queries)))

@@ -111,7 +111,7 @@ func gridPick(r uint64) filter.Constraint {
 func (p *churner) Initialize() {
 	p.h.ProbeAllInto(nil)
 	for id := 0; id < p.h.N(); id++ {
-		v, _ := p.h.Table(stream.ID(id))
+		v := p.h.Table(stream.ID(id))
 		p.h.Install(stream.ID(id), p.pick(churnMix(p.seed^uint64(id)), v), false)
 	}
 }

@@ -62,9 +62,9 @@ type HostOf[V, C any] interface {
 	// keeps its filter. A composite files cons once, as the query's column
 	// default.
 	InstallAllExcept(skip []stream.ID, cons C)
-	// Table returns the server's belief about stream id's value and whether
-	// the stream has ever been heard from.
-	Table(id stream.ID) (V, bool)
+	// Table returns the server's belief about stream id's value: zero until
+	// the stream is first heard from.
+	Table(id stream.ID) V
 	// TableValues copies the server value table into dst, growing it only
 	// when it is too short, and returns the n values (the ProbeAllInto
 	// idiom: a rank pass reuses one buffer).
@@ -153,9 +153,8 @@ type ClusterOf[V comparable, C filter.Of[V, C]] struct {
 	recv func(stream.ID, V)
 
 	// table is the server's last known value per stream (V̂): updated by
-	// reports and probes. known marks streams heard from at least once.
+	// reports and probes.
 	table []V
-	known []bool
 
 	ctr comm.Counter
 	// reports holds the updates receive queued for the protocol.
@@ -185,7 +184,6 @@ func NewClusterOf[V comparable, C filter.Of[V, C]](initial []V) *ClusterOf[V, C]
 	c := &ClusterOf[V, C]{
 		sources: stream.NewSources[V, C](initial),
 		table:   make([]V, len(initial)),
-		known:   make([]bool, len(initial)),
 	}
 	c.recv = c.receive
 	return c
@@ -234,7 +232,7 @@ func (c *ClusterOf[V, C]) receive(id stream.ID, v V) {
 }
 
 // learn records v as stream id's value in the server table.
-func (c *ClusterOf[V, C]) learn(id stream.ID, v V) { c.table[id], c.known[id] = v, true }
+func (c *ClusterOf[V, C]) learn(id stream.ID, v V) { c.table[id] = v }
 
 // Deliver applies a workload value change to stream id and, when the source
 // reported it, drains all resulting protocol work (including cascaded
@@ -275,9 +273,6 @@ func (c *ClusterOf[V, C]) ProbeAllInto(dst []V) []V {
 	dst = dst[:n]
 	chargeProbes(&c.ctr, uint64(n))
 	copy(c.table, c.sources.Values())
-	for i := range c.known {
-		c.known[i] = true
-	}
 	copy(dst, c.table)
 	return dst
 }
@@ -343,13 +338,12 @@ func (c *ClusterOf[V, C]) InstallAllExcept(skip []stream.ID, cons C) {
 	c.reports.drain(c) // no-op when already inside a delivery cycle
 }
 
-// Table returns the server's current belief about stream id's value and
-// whether the stream has ever been heard from.
-func (c *ClusterOf[V, C]) Table(id stream.ID) (V, bool) { return c.table[id], c.known[id] }
+// Table returns the server's current belief about stream id's value: zero
+// until the stream is first heard from.
+func (c *ClusterOf[V, C]) Table(id stream.ID) V { return c.table[id] }
 
 // TableValues copies the server value table into dst, allocating only when
-// cap(dst) < n, and returns it. Entries for never-heard streams are zero;
-// see Table for the known flag.
+// cap(dst) < n, and returns it. Entries for never-heard streams are zero.
 func (c *ClusterOf[V, C]) TableValues(dst []V) []V {
 	return append(dst[:0], c.table...)
 }

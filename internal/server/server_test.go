@@ -58,11 +58,11 @@ func TestProbeCountsTwoMessagesAndRefreshesTable(t *testing.T) {
 	if got := ctr.Get(comm.Maintenance, comm.ProbeReply); got != 1 {
 		t.Fatalf("probe-reply count = %d, want 1", got)
 	}
-	if v, known := c.Table(1); !known || v != 20 {
-		t.Fatalf("Table(1) = %v,%v; want 20,true", v, known)
+	if v := c.Table(1); v != 20 {
+		t.Fatalf("Table(1) = %v, want 20", v)
 	}
-	if _, known := c.Table(0); known {
-		t.Fatal("Table(0) known without any contact")
+	if v := c.Table(0); v != 0 {
+		t.Fatalf("Table(0) = %v without any contact, want 0", v)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestProbeIfCountsReplyOnlyOnHit(t *testing.T) {
 		t.Fatalf("probe-reply count = %d, want 1 (miss must not reply)", got)
 	}
 	// A miss must not refresh the table.
-	if _, known := c.Table(0); known {
-		t.Fatal("table refreshed by a conditional-probe miss")
+	if v := c.Table(0); v != 0 {
+		t.Fatalf("table refreshed to %v by a conditional-probe miss", v)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestDeliverRoutesFilterViolationsToProtocol(t *testing.T) {
 	if got := c.Counter().Get(comm.Maintenance, comm.Update); got != 1 {
 		t.Fatalf("update count = %d, want 1", got)
 	}
-	if v, known := c.Table(0); !known || v != 700 {
-		t.Fatalf("Table(0) = %v,%v after update", v, known)
+	if v := c.Table(0); v != 700 {
+		t.Fatalf("Table(0) = %v after update, want 700", v)
 	}
 }
 
@@ -251,7 +251,7 @@ func TestTableValuesSnapshotIsCopy(t *testing.T) {
 	c.Probe(0)
 	snap := c.TableValues(nil)
 	snap[0] = 999
-	if v, _ := c.Table(0); v != 5 {
+	if c.Table(0) != 5 {
 		t.Fatal("TableValues returned a live reference")
 	}
 	// A long enough buffer is reused, not reallocated.

@@ -62,8 +62,8 @@ func TestSpatialClusterCharges(t *testing.T) {
 	if get(comm.Probe) != 1 || get(comm.ProbeReply) != 1 {
 		t.Fatalf("probe charged %d/%d, want 1/1", get(comm.Probe), get(comm.ProbeReply))
 	}
-	if tp, known := c.Table(1); !known || tp != (filter.Point{X: 10}) {
-		t.Fatalf("table not refreshed: %v %v", tp, known)
+	if tp := c.Table(1); tp != (filter.Point{X: 10}) {
+		t.Fatalf("table not refreshed: %v", tp)
 	}
 
 	// ProbeIf miss: request paid, no reply, no table refresh.
@@ -73,8 +73,8 @@ func TestSpatialClusterCharges(t *testing.T) {
 	if get(comm.Probe) != 2 || get(comm.ProbeReply) != 1 {
 		t.Fatalf("ProbeIf miss charged %d/%d, want 2/1", get(comm.Probe), get(comm.ProbeReply))
 	}
-	if _, known := c.Table(2); known {
-		t.Fatal("ProbeIf miss refreshed the table")
+	if tp := c.Table(2); tp != (filter.Point{}) {
+		t.Fatalf("ProbeIf miss refreshed the table to %v", tp)
 	}
 
 	// ProbeIf hit: request and reply paid, table refreshed.
@@ -174,9 +174,7 @@ func TestSpatialClusterStateRoundTrip(t *testing.T) {
 		if restored.TrueValue(i) != c.TrueValue(i) || restored.Constraint(i) != c.Constraint(i) {
 			t.Fatalf("stream %d state mismatch after restore", i)
 		}
-		tp1, k1 := c.Table(i)
-		tp2, k2 := restored.Table(i)
-		if tp1 != tp2 || k1 != k2 {
+		if c.Table(i) != restored.Table(i) {
 			t.Fatalf("stream %d table mismatch after restore", i)
 		}
 	}

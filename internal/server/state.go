@@ -51,7 +51,6 @@ func (c *ClusterOf[V, C]) ExportState(w *snapshot.Writer) {
 	for _, v := range c.table {
 		codec.ExportValue(w, v)
 	}
-	w.Bools(c.known)
 	c.ctr.ExportState(w)
 	w.Uint64(c.dropped)
 	pend := c.reports.pending[c.reports.head:]
@@ -89,16 +88,12 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 			return fmt.Errorf("server: snapshot holds NaN table value for stream %d", i)
 		}
 	}
-	known := r.Bools()
 	if err := c.importCounter(r, &c.ctr); err != nil {
 		return err
 	}
 	pendLen := r.Int()
 	if err := r.Err(); err != nil {
 		return err
-	}
-	if len(known) != n {
-		return fmt.Errorf("server: snapshot known vector sized %d, want %d", len(known), n)
 	}
 	if pendLen < 0 || pendLen > r.Remaining()/16 {
 		// Each entry is at least 16 encoded bytes; a length beyond the
@@ -125,7 +120,6 @@ func (c *ClusterOf[V, C]) ImportState(r *snapshot.Reader) error {
 	// All scalars decoded; restore sources last so a failure midway leaves
 	// at worst a partially restored cluster that the caller discards.
 	copy(c.table, table)
-	copy(c.known, known)
 	c.reports = reportQueue[pendingUpdate[V]]{pending: pending}
 	if err := c.sources.ImportState(r); err != nil {
 		return fmt.Errorf("server: %w", err)

@@ -55,15 +55,14 @@ type loopHarness[V comparable, C interface {
 
 // sourceState is one source's full state, field by field.
 type sourceState[V, C any] struct {
-	val              V
-	cons             C
-	inside           bool
-	mode             mode
-	updates, reports uint64
+	val    V
+	cons   C
+	inside bool
+	mode   mode
 }
 
 func (s *Sources[V, C]) state(id ID) sourceState[V, C] {
-	return sourceState[V, C]{s.vals[id], s.cons[id], s.inside[id], s.modes[id], s.updates[id], s.reports[id]}
+	return sourceState[V, C]{s.vals[id], s.cons[id], s.inside[id], s.modes[id]}
 }
 
 // loopSize reads the stream count: a first byte below 192 picks 1…16
@@ -251,8 +250,8 @@ func (h *loopHarness[V, C]) check(step int, op byte) {
 	s := &h.got
 	for i := range h.n {
 		if got, ref := s.state(i), h.ref.state(i); got != ref {
-			t.Fatalf("step %d (op %d): source %d is %v, reference %v (updates %d/%d, reports %d/%d)",
-				step, op, i, s.String(i), h.ref.String(i), got.updates, ref.updates, got.reports, ref.reports)
+			t.Fatalf("step %d (op %d): source %d is %v (mode %d), reference %v (mode %d)",
+				step, op, i, s.String(i), got.mode, h.ref.String(i), ref.mode)
 		}
 		switch s.modes[i] {
 		case crossing:

@@ -8,7 +8,7 @@
 // installations.
 //
 // A cluster's n sources are one Sources value: a column per field (values,
-// constraints, recorded sides, modes, counters), addressed by stream index.
+// constraints, recorded sides, modes), addressed by stream index.
 // A deploy scans one or two columns over every stream, so it reads them
 // contiguously and decides a whole column's sides in one filter.Of.Sides
 // call. Sources hold no uplink: Set and Install return whether a report is
@@ -45,10 +45,6 @@ type Sources[V comparable, C filter.Of[V, C]] struct {
 	cons   []C
 	inside []bool // side of the constraint of the last value known to the server
 	modes  []mode
-	// updates counts value changes applied to a source (its raw stream
-	// rate); reports counts how many were actually sent to the server.
-	updates []uint64
-	reports []uint64
 	// Scratch for the batch installs, kept here because a Sides call
 	// through a type parameter makes its arguments escape: InstallAllExcept's
 	// sides of the n table values, and InstallEach's chunk of gathered
@@ -98,15 +94,13 @@ func NewSources[V comparable, C filter.Of[V, C]](initial []V) Sources[V, C] {
 	}
 	n := len(initial)
 	return Sources[V, C]{
-		vals:    append([]V(nil), initial...),
-		cons:    make([]C, n),
-		inside:  make([]bool, n),
-		modes:   make([]mode, n),
-		updates: make([]uint64, n),
-		reports: make([]uint64, n),
-		sides:   make([]bool, n+min(n, chunk)),
-		gather:  make([]V, 2*min(n, chunk)),
-		at:      make([]int, min(n, chunk)),
+		vals:   append([]V(nil), initial...),
+		cons:   make([]C, n),
+		inside: make([]bool, n),
+		modes:  make([]mode, n),
+		sides:  make([]bool, n+min(n, chunk)),
+		gather: make([]V, 2*min(n, chunk)),
+		at:     make([]int, min(n, chunk)),
 	}
 }
 
@@ -140,21 +134,13 @@ func (s *Sources[V, C]) Constraint(id ID) C { return s.cons[id] }
 // side the server believes the stream is on.
 func (s *Sources[V, C]) Inside(id ID) bool { return s.inside[id] }
 
-// Updates returns how many value changes source id has applied.
-func (s *Sources[V, C]) Updates(id ID) uint64 { return s.updates[id] }
-
-// Reports returns how many reports source id has owed the server.
-func (s *Sources[V, C]) Reports(id ID) uint64 { return s.reports[id] }
-
 // Set applies a new value from the workload to source id. It returns
 // whether the server is owed a report of the new value: when the filter is
-// violated, or always, when unfiltered. The caller delivers it; Reports
-// already counts it.
+// violated, or always, when unfiltered. The caller delivers it.
 func (s *Sources[V, C]) Set(id ID, v V) bool {
 	if v != v {
 		panic("stream: NaN value delivered to source")
 	}
-	s.updates[id]++
 	s.vals[id] = v
 	switch s.modes[id] {
 	case unfiltered:
@@ -176,7 +162,6 @@ func (s *Sources[V, C]) Set(id ID, v V) bool {
 		}
 		s.inside[id] = nowInside
 	}
-	s.reports[id]++
 	return true
 }
 
@@ -199,11 +184,7 @@ func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
 	}
 	actual := c.Contains(s.vals[id])
 	s.cons[id], s.modes[id], s.inside[id] = c, crossing, actual
-	if actual == expectInside {
-		return false
-	}
-	s.reports[id]++
-	return true
+	return actual != expectInside
 }
 
 // InstallAllExcept installs c on every source not listed in skip, whose
@@ -256,7 +237,6 @@ func (s *Sources[V, C]) InstallAllExcept(skip []ID, believed []V, c C, report fu
 	fill(s.modes[from:], crossing)
 	for i, in := range s.inside {
 		if in != expect[i] {
-			s.reports[i]++
 			report(i, s.vals[i])
 		}
 	}
@@ -322,7 +302,6 @@ func (s *Sources[V, C]) InstallEach(ids []ID, believed []V, c C, report func(ID,
 			if sides[i] != expect[j] {
 				id := part[j]
 				inside[id] = sides[i]
-				s.reports[id]++
 				report(id, moved[i])
 			}
 		}
@@ -349,20 +328,16 @@ func (s *Sources[V, C]) installOther(id ID, c C, m mode) bool {
 		return false
 	}
 	s.cons[id], _ = c.Recentre(s.vals[id])
-	s.reports[id]++
 	return true
 }
 
 // ExportState appends every source's full dynamic state to a snapshot, in
-// source order: value, installed constraint, recorded side, update and
-// report counters.
+// source order: value, installed constraint and recorded side.
 func (s *Sources[V, C]) ExportState(w *snapshot.Writer) {
 	for i, c := range s.cons {
 		c.ExportValue(w, s.vals[i])
 		c.ExportState(w)
 		w.Bool(s.inside[i])
-		w.Uint64(s.updates[i])
-		w.Uint64(s.reports[i])
 	}
 }
 
@@ -381,8 +356,6 @@ func (s *Sources[V, C]) ImportState(r *snapshot.Reader) error {
 			return fmt.Errorf("source %d: %w", i, err)
 		}
 		inside := r.Bool()
-		updates := r.Uint64()
-		reports := r.Uint64()
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("source %d: %w", i, err)
 		}
@@ -394,7 +367,6 @@ func (s *Sources[V, C]) ImportState(r *snapshot.Reader) error {
 			return fmt.Errorf("source %d: stream: snapshot records side inside=%v of %v for value %v", i, inside, cons, val)
 		}
 		s.vals[i], s.cons[i], s.modes[i], s.inside[i] = val, cons, m, inside
-		s.updates[i], s.reports[i] = updates, reports
 	}
 	return nil
 }

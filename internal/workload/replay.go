@@ -44,7 +44,8 @@ func NewReplay(name string, initial []float64, events []Event) (*Replay, error) 
 // ParseCSV reads a `time,stream,value` trace. The initial value of each
 // stream is its first event's value (streams never seen start at 0); the
 // remaining events become the update sequence. n fixes the stream-id space;
-// pass 0 to size it from the largest id seen.
+// pass 0 to size it from the largest id seen. A negative id, or one outside
+// a given n, is refused with its line number.
 func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -72,6 +73,12 @@ func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 		id, err := strconv.Atoi(strings.TrimSpace(parts[1]))
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s line %d: stream: %w", name, lineNo, err)
+		}
+		if id < 0 {
+			return nil, fmt.Errorf("workload: %s line %d: stream %d is negative", name, lineNo, id)
+		}
+		if n > 0 && id >= n {
+			return nil, fmt.Errorf("workload: %s line %d: stream %d of %d", name, lineNo, id, n)
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
 		if err != nil {

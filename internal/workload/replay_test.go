@@ -81,17 +81,27 @@ func TestParseCSVExplicitN(t *testing.T) {
 }
 
 func TestParseCSVErrors(t *testing.T) {
-	cases := []string{
-		"1,0\n",               // short row
-		"x,0,5\n",             // bad time
-		"1,zero,5\n",          // bad stream
-		"1,0,five\n",          // bad value
-		"",                    // empty with no n
-		"time,stream,value\n", // header only, no n
+	cases := []struct {
+		in   string
+		n    int
+		want string // in the error, when set
+	}{
+		{"1,0\n", 0, ""},               // short row
+		{"x,0,5\n", 0, ""},             // bad time
+		{"1,zero,5\n", 0, ""},          // bad stream
+		{"1,0,five\n", 0, ""},          // bad value
+		{"", 0, ""},                    // empty with no n
+		{"time,stream,value\n", 0, ""}, // header only, no n
+		{"1,0,5\n2,-1,6\n", 0, "line 2: stream -1"},
+		{"1,0,5\n2,2,6\n", 2, "line 2: stream 2"},
 	}
-	for i, in := range cases {
-		if _, err := ParseCSV("t", strings.NewReader(in), 0); err == nil {
-			t.Fatalf("case %d accepted: %q", i, in)
+	for i, c := range cases {
+		_, err := ParseCSV("t", strings.NewReader(c.in), c.n)
+		if err == nil {
+			t.Fatalf("case %d accepted: %q (n=%d)", i, c.in, c.n)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("case %d: err = %v, want it to name %q", i, err, c.want)
 		}
 	}
 }
