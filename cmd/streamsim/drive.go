@@ -28,14 +28,17 @@ import (
 const tenantWorkloadStream int64 = 0x7EA1
 
 // tenantSet is the flags' tenant description: declarative specs plus the
-// workload iterator that drives each tenant.
+// workload trace that drives each tenant.
 type tenantSet struct {
 	specs []wire.TenantSpec
 	// points holds a spatial tenant's initial positions, which the wire form
 	// does not carry (validate keeps spatial tenants in-process); nil for
 	// 1-D runs.
 	points [][]filter.Point
-	iters  []workload.Iterator
+	// traces[i] yields tenant i's trace, generated on the first call: play
+	// calls it before its clock starts, and a -listen run, which never
+	// plays, never generates one.
+	traces []func() []workload.Event
 	// audit is -check (nil without it): audit[i] holds one auditor per
 	// standing query of tenant i, each over its own copy of the tenant's
 	// ground truth.
@@ -72,8 +75,8 @@ func (p simParams) workload(seed int64) (workload.Workload, error) {
 // tenants walk the plane instead of the line.
 func (p simParams) buildTenants() (tenantSet, error) {
 	ts := tenantSet{
-		specs: make([]wire.TenantSpec, p.Tenants),
-		iters: make([]workload.Iterator, p.Tenants),
+		specs:  make([]wire.TenantSpec, p.Tenants),
+		traces: make([]func() []workload.Event, p.Tenants),
 	}
 	if p.spatialMode() {
 		ts.points = make([][]filter.Point, p.Tenants)
@@ -90,13 +93,13 @@ func (p simParams) buildTenants() (tenantSet, error) {
 			if err != nil {
 				return tenantSet{}, err
 			}
-			name, ts.points[i], ts.iters[i] = w.Name(), w.InitialPoints(), w.Events()
+			name, ts.points[i], ts.traces[i] = w.Name(), w.InitialPoints(), w.Events
 		} else {
 			w, err := p.workload(seed)
 			if err != nil {
 				return tenantSet{}, err
 			}
-			name, spec.Initial, ts.iters[i] = w.Name(), w.Initial(), w.Events()
+			name, spec.Initial, ts.traces[i] = w.Name(), w.Initial(), w.Events
 		}
 		spec.Name = fmt.Sprintf("%s/%s-%d", p.Proto, name, i)
 		if p.Queries == 1 {
@@ -244,15 +247,16 @@ type played struct {
 }
 
 // play drives the tenants' workloads into tgt. Tenant i plays on lane
-// i mod len(lanes): each lane merges its own tenants on event time (ties by
-// tenant index) and ingests them in batches, so every tenant's events reach
-// the target in order through exactly one lane — the schedule under which
-// answers are byte-identical at any lane count — while lanes run
-// concurrently. The first skip merged events are dropped (a restored
+// i mod len(lanes): each lane merges its own tenants' traces on event time
+// (ties by tenant index) and ingests them in batches, so every tenant's
+// events reach the target in order through exactly one lane — the
+// schedule under which answers are byte-identical at any lane count —
+// while lanes run concurrently. The first skip merged events are dropped (a restored
 // snapshot already holds them); afterFlush, if set, runs after every
 // ingested batch with the lane's position in its merged stream. Both
-// presume a single lane, whose order is the global one. The clock covers
-// ingest and the final drain.
+// presume a single lane, whose order is the global one. The traces are
+// generated and merged before the clock starts; it covers ingest and the
+// final drain.
 //
 // Under -check each lane feeds its tenants' auditors the truth as it plays
 // (the skipped prefix included); the final report is audited in every mode,
@@ -262,10 +266,14 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 
 	n := len(lanes)
 	ids := make([][]int, n)
-	subs := make([][]workload.Iterator, n)
-	for i, it := range ts.iters {
+	traces := make([][][]workload.Event, n)
+	for i, trace := range ts.traces {
 		ids[i%n] = append(ids[i%n], i)
-		subs[i%n] = append(subs[i%n], it)
+		traces[i%n] = append(traces[i%n], trace())
+	}
+	orders := make([][]int, n)
+	for g := range orders {
+		orders[g] = workload.Merge(traces[g])
 	}
 	var cut uint64
 	if ts.audit != nil && n == 1 {
@@ -286,7 +294,7 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			counts[g], errs[g] = playLane(lanes[g], ids[g], subs[g], ts.audit, p.Batch, skip, cut, afterFlush)
+			counts[g], errs[g] = playLane(lanes[g], ids[g], traces[g], orders[g], ts.audit, p.Batch, skip, cut, afterFlush)
 		}(g)
 	}
 	wg.Wait()
@@ -308,14 +316,13 @@ func (p simParams) play(lanes []lane, tgt target, ts tenantSet, skip uint64,
 	return res, err
 }
 
-// playLane is the ingest loop: merge, batch, flush. ids[j] is the global
-// tenant id of iters[j]; audit, when non-nil, learns every event's truth.
-// A nonzero cut also ends a batch every cut events after skip, so no batch
-// crosses a sampling point.
-func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Auditor,
+// playLane is the ingest loop: batch, flush. ids[j] is the global tenant
+// id of traces[j], and order is the traces' workload.Merge; audit, when
+// non-nil, learns every event's truth. A nonzero cut also ends a batch
+// every cut events after skip, so no batch crosses a sampling point.
+func playLane(l lane, ids []int, traces [][]workload.Event, order []int, audit [][]*oracle.Auditor,
 	batch int, skip, cut uint64, afterFlush func(pos uint64) error) (uint64, error) {
 
-	merge := workload.MergeIterators(iters)
 	buf := make([]runtime.Event, 0, batch)
 	var pos, ingested uint64
 	flush := func() error {
@@ -332,16 +339,11 @@ func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Au
 		}
 		return nil
 	}
-	for {
-		tev, ok := merge.Next()
-		if !ok {
-			err := flush()
-			return ingested, err
-		}
-		ev := runtime.Event{
-			Tenant: ids[tev.Source], Stream: tev.Event.Stream,
-			Value: tev.Event.Value, Y: tev.Event.Y,
-		}
+	next := make([]int, len(traces))
+	for _, src := range order {
+		e := traces[src][next[src]]
+		next[src]++
+		ev := runtime.Event{Tenant: ids[src], Stream: e.Stream, Value: e.Value, Y: e.Y}
 		if audit != nil {
 			for _, a := range audit[ev.Tenant] {
 				a.Apply(ev.Stream, ev.Value, ev.Y)
@@ -357,6 +359,8 @@ func playLane(l lane, ids []int, iters []workload.Iterator, audit [][]*oracle.Au
 			}
 		}
 	}
+	err := flush()
+	return ingested, err
 }
 
 // periodically is the per-flush hook behind -snapshot-every and

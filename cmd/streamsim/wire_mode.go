@@ -87,8 +87,8 @@ type ackRec struct {
 // the ack bookkeeping its reader goroutine and sender goroutine share.
 type wireConn struct {
 	cl *client.Client
-	// Open-loop pacing (-rate): batch i is due at start + i·gap; gap 0 is
-	// unpaced.
+	// Open-loop pacing (-rate): batch i is due at start + i·gap, start
+	// being the first send; gap 0 is unpaced.
 	gap   time.Duration
 	start time.Time
 
@@ -154,6 +154,9 @@ func (wc *wireConn) settle(rec sendRec, at time.Time, status byte) {
 func (wc *wireConn) Ingest(events []runtime.Event) error {
 	due := time.Now()
 	if wc.gap > 0 {
+		if wc.batches == 0 {
+			wc.start = due
+		}
 		due = wc.start.Add(time.Duration(wc.batches) * wc.gap)
 		time.Sleep(time.Until(due))
 	}
@@ -214,7 +217,7 @@ func (cs wireConns) Close() {
 // runConnect plays the configured workload against a remote -listen process
 // over -conns pipelined connections, concurrently against the server's
 // per-connection readers. The remote process, started with the same flags,
-// owns the node; only the iterators are used here. The open-loop rate
+// owns the node; only the traces are used here. The open-loop rate
 // budget is global: each connection paces at rate/conns.
 func runConnect(p simParams, stdout io.Writer) error {
 	ts, err := p.buildTenants()
@@ -244,9 +247,7 @@ func runConnect(p simParams, stdout io.Writer) error {
 		p.Connect, p.Tenants, p.Queries, p.Batch, nconn, rateLabel)
 
 	lanes := make([]lane, nconn)
-	start := time.Now()
 	for c, wc := range conns {
-		wc.start = start
 		lanes[c] = wc
 	}
 	res, err := p.play(lanes, conns, ts, 0, nil)

@@ -60,14 +60,10 @@ func main() {
 		out := bufio.NewWriter(os.Stdout)
 		defer out.Flush()
 		fmt.Fprintln(out, "time,stream,value")
-		it := w.Events()
-		for {
-			ev, ok := it.Next()
-			if !ok {
-				return
-			}
+		for _, ev := range w.Events() {
 			fmt.Fprintf(out, "%g,%d,%g\n", ev.Time, ev.Stream, ev.Value)
 		}
+		return
 	}
 
 	printStats(w, query.NewRange(*lo, *hi))
@@ -79,16 +75,11 @@ func printStats(w workload.Workload, rng query.Range) {
 	counts := make([]int, w.N())
 	crossings := 0
 	inRange := 0
-	var values []float64
-	it := w.Events()
-	total := 0
+	evs := w.Events()
+	total := len(evs)
+	values := make([]float64, 0, total)
 	var lastTime float64
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
-		total++
+	for _, ev := range evs {
 		counts[ev.Stream]++
 		if rng.Contains(last[ev.Stream]) != rng.Contains(ev.Value) {
 			crossings++

@@ -51,15 +51,10 @@ func main() {
 	fmt.Printf("  sensors shut down by silent filters at t0: %d (%.1f%% battery saved)\n",
 		silent, 100*float64(silent)/float64(cfg.N))
 
-	it := w.Events()
-	events := 0
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
+	evs := w.Events()
+	events := len(evs)
+	for _, ev := range evs {
 		cluster.Deliver(ev.Stream, ev.Value)
-		events++
 	}
 	fmt.Printf("  %d sensor updates → %d maintenance messages (%.1f%% suppressed)\n\n",
 		events, cluster.Counter().Maintenance(),
@@ -86,12 +81,7 @@ func main() {
 		})
 	}
 	comp.Initialize()
-	it = w.Events()
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, ev := range evs {
 		comp.Deliver(ev.Stream, ev.Value)
 	}
 	fmt.Printf("three consoles sharing composite filters (multi-query extension):\n")

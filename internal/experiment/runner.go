@@ -83,18 +83,16 @@ func Run(cfg Config) Result {
 	res := Result{Protocol: proto.Name(), Workload: cfg.Workload.Name()}
 	aud := cfg.Check
 	buf := make([]runtime.Event, 0, runBatch)
-	it := cfg.Workload.Events()
-	for cfg.MaxEvents == 0 || res.Events < cfg.MaxEvents {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
-		res.Events++
+	evs := cfg.Workload.Events()
+	if cfg.MaxEvents > 0 && cfg.MaxEvents < len(evs) {
+		evs = evs[:cfg.MaxEvents]
+	}
+	for i, ev := range evs {
 		buf = append(buf, runtime.Event{Stream: ev.Stream, Value: ev.Value})
 		due := false
 		if aud != nil {
 			aud.Apply(ev.Stream, ev.Value, 0)
-			due = aud.Every > 0 && res.Events%aud.Every == 0
+			due = aud.Every > 0 && (i+1)%aud.Every == 0
 		}
 		if due || len(buf) == runBatch {
 			must(node.Ingest(buf))
@@ -102,9 +100,10 @@ func Run(cfg Config) Result {
 		}
 		if due {
 			must(node.Drain())
-			aud.Audit(uint64(res.Events), node.Report().Tenants[0].Answer)
+			aud.Audit(uint64(i+1), node.Report().Tenants[0].Answer)
 		}
 	}
+	res.Events = len(evs)
 	must(node.Ingest(buf))
 	must(node.Drain())
 

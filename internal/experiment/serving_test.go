@@ -36,11 +36,7 @@ func playTenant(t *testing.T, w workload.Workload, ti int, ingest func([]runtime
 		}
 		buf = buf[:0]
 	}
-	for it := w.Events(); ; {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, ev := range w.Events() {
 		if buf = append(buf, runtime.Event{Tenant: ti, Stream: ev.Stream, Value: ev.Value}); len(buf) == runBatch {
 			flush()
 		}

@@ -8,42 +8,57 @@ import (
 	"adaptivefilters/internal/sim"
 )
 
-// sliceIter returns a fresh Iterator over the given events.
-func sliceIter(events ...Event) Iterator {
-	i := 0
-	return iteratorFunc(func() (Event, bool) {
-		if i >= len(events) {
-			return Event{}, false
-		}
-		ev := events[i]
-		i++
-		return ev, true
-	})
+// TaggedEvent is a merged event and the index of its trace.
+type TaggedEvent struct {
+	Source int
+	Event  Event
 }
 
-func collect(t *testing.T, ti *TaggedIterator) []TaggedEvent {
-	t.Helper()
+// scanMerge is Merge's reference, by another algorithm: it repeatedly takes
+// the head of the source whose next event is earliest, the lowest source
+// index among equal times.
+func scanMerge(traces [][]Event) []TaggedEvent {
+	at := make([]int, len(traces))
 	var out []TaggedEvent
 	for {
-		ev, ok := ti.Next()
-		if !ok {
-			// Exhaustion must be stable: further calls keep returning !ok.
-			if _, again := ti.Next(); again {
-				t.Fatal("exhausted iterator yielded another event")
+		best := -1
+		for s, tr := range traces {
+			if at[s] < len(tr) && (best < 0 || tr[at[s]].Time < traces[best][at[best]].Time) {
+				best = s
 			}
+		}
+		if best < 0 {
 			return out
 		}
-		out = append(out, ev)
+		out = append(out, TaggedEvent{Source: best, Event: traces[best][at[best]]})
+		at[best]++
 	}
+}
+
+// merge runs Merge, replays its order over the traces, and checks the
+// result against scanMerge.
+func merge(t *testing.T, traces ...[]Event) []TaggedEvent {
+	t.Helper()
+	order := Merge(traces)
+	at := make([]int, len(traces))
+	got := make([]TaggedEvent, len(order))
+	for i, s := range order {
+		got[i] = TaggedEvent{Source: s, Event: traces[s][at[s]]}
+		at[s]++
+	}
+	if want := scanMerge(traces); !slices.Equal(got, want) {
+		t.Fatalf("Merge\n%v\ndiffers from the scan merge\n%v", got, want)
+	}
+	return got
 }
 
 func TestMergeIteratorsEmptySet(t *testing.T) {
-	if got := collect(t, MergeIterators(nil)); len(got) != 0 {
-		t.Fatalf("merge of no iterators yielded %v", got)
+	if got := merge(t); len(got) != 0 {
+		t.Fatalf("merge of no traces yielded %v", got)
 	}
 	// Present-but-empty sources behave the same as none.
-	if got := collect(t, MergeIterators([]Iterator{sliceIter(), sliceIter()})); len(got) != 0 {
-		t.Fatalf("merge of empty iterators yielded %v", got)
+	if got := merge(t, nil, []Event{}); len(got) != 0 {
+		t.Fatalf("merge of empty traces yielded %v", got)
 	}
 }
 
@@ -53,9 +68,9 @@ func TestMergeIteratorsSingleIterator(t *testing.T) {
 		{Time: 2, Stream: 1, Value: 20},
 		{Time: 3, Stream: 0, Value: 30},
 	}
-	got := collect(t, MergeIterators([]Iterator{sliceIter(events...)}))
+	got := merge(t, events)
 	if len(got) != len(events) {
-		t.Fatalf("single-iterator merge yielded %d events, want %d", len(got), len(events))
+		t.Fatalf("single-trace merge yielded %d events, want %d", len(got), len(events))
 	}
 	for i, ev := range got {
 		if ev.Source != 0 || ev.Event != events[i] {
@@ -68,12 +83,11 @@ func TestMergeIteratorsSingleIterator(t *testing.T) {
 // equal times drain in source-index order, regardless of the order the
 // ties become visible in.
 func TestMergeIteratorsEqualTimestamps(t *testing.T) {
-	its := []Iterator{
-		sliceIter(Event{Time: 5, Stream: 0, Value: 1}, Event{Time: 7, Stream: 0, Value: 4}),
-		sliceIter(Event{Time: 5, Stream: 1, Value: 2}, Event{Time: 5, Stream: 1, Value: 3}),
-		sliceIter(Event{Time: 5, Stream: 2, Value: 5}),
-	}
-	got := collect(t, MergeIterators(its))
+	got := merge(t,
+		[]Event{{Time: 5, Stream: 0, Value: 1}, {Time: 7, Stream: 0, Value: 4}},
+		[]Event{{Time: 5, Stream: 1, Value: 2}, {Time: 5, Stream: 1, Value: 3}},
+		[]Event{{Time: 5, Stream: 2, Value: 5}},
+	)
 	wantSources := []int{0, 1, 1, 2, 0}
 	if len(got) != len(wantSources) {
 		t.Fatalf("merged %d events, want %d (%v)", len(got), len(wantSources), got)
@@ -89,16 +103,14 @@ func TestMergeIteratorsEqualTimestamps(t *testing.T) {
 	}
 }
 
-// TestMergeIteratorsExhaustionMidMerge retires sources at different points
-// and checks the remaining sources keep merging in time order (covering the
-// heap's root-drop path).
+// TestMergeIteratorsExhaustionMidMerge ends sources at different points
+// and checks the remaining sources keep merging in time order.
 func TestMergeIteratorsExhaustionMidMerge(t *testing.T) {
-	its := []Iterator{
-		sliceIter(Event{Time: 1}, Event{Time: 9}),
-		sliceIter(Event{Time: 2}), // retires first
-		sliceIter(Event{Time: 3}, Event{Time: 4}, Event{Time: 8}),
-	}
-	got := collect(t, MergeIterators(its))
+	got := merge(t,
+		[]Event{{Time: 1}, {Time: 9}},
+		[]Event{{Time: 2}}, // ends first
+		[]Event{{Time: 3}, {Time: 4}, {Time: 8}},
+	)
 	wantTimes := []float64{1, 2, 3, 4, 8, 9}
 	wantSources := []int{0, 1, 2, 2, 2, 0}
 	if len(got) != len(wantTimes) {
@@ -112,24 +124,22 @@ func TestMergeIteratorsExhaustionMidMerge(t *testing.T) {
 	}
 }
 
-// TestMergeIteratorsMatchesSequentialSort cross-checks the heap merge
-// against a reference: interleaving many sources with unique times must
-// yield a globally sorted sequence containing every event exactly once.
+// TestMergeIteratorsMatchesSequentialSort cross-checks the merge: many
+// interleaved sources with unique times must yield a globally sorted
+// sequence containing every event exactly once.
 func TestMergeIteratorsMatchesSequentialSort(t *testing.T) {
 	const sources = 7
-	its := make([]Iterator, sources)
+	traces := make([][]Event, sources)
 	total := 0
-	for s := 0; s < sources; s++ {
-		var evs []Event
+	for s := range traces {
 		// Source s emits times s, s+sources, s+2·sources, … — fully
 		// interleaved across sources, length varying per source.
 		for i := 0; i < 5+s; i++ {
-			evs = append(evs, Event{Time: float64(s + i*sources), Stream: s})
+			traces[s] = append(traces[s], Event{Time: float64(s + i*sources), Stream: s})
 		}
-		total += len(evs)
-		its[s] = sliceIter(evs...)
+		total += len(traces[s])
 	}
-	got := collect(t, MergeIterators(its))
+	got := merge(t, traces...)
 	if len(got) != total {
 		t.Fatalf("merged %d events, want %d", len(got), total)
 	}
@@ -140,31 +150,29 @@ func TestMergeIteratorsMatchesSequentialSort(t *testing.T) {
 	}
 }
 
-// TestMergeHeapMatchesStableSort holds the typed heap to its definition
-// on seeded sources of 1 to 40 iterators whose times tie often: the merge
-// is every event stably sorted by time, then source, then arrival — as
-// the (Time, seq) order makes it under any correct priority queue.
+// TestMergeHeapMatchesStableSort holds the merge to its definition on
+// seeded sources of 1 to 40 traces whose times tie often: the merge is
+// every event stably sorted by time, then source, then arrival, and it
+// agrees with the scan merge.
 func TestMergeHeapMatchesStableSort(t *testing.T) {
 	rng := sim.NewRNG(46)
 	for round := 0; round < 200; round++ {
-		sources := 1 + rng.Intn(40)
-		its := make([]Iterator, sources)
+		traces := make([][]Event, 1+rng.Intn(40))
 		var want []TaggedEvent
-		for s := range its {
-			var evs []Event
+		for s := range traces {
 			at := float64(rng.Intn(5))
 			for i := rng.Intn(12); i > 0; i-- {
 				at += float64(rng.Intn(3)) // ties within and across sources
-				evs = append(evs, Event{Time: at, Stream: s, Value: float64(len(evs))})
-				want = append(want, TaggedEvent{Source: s, Event: evs[len(evs)-1]})
+				ev := Event{Time: at, Stream: s, Value: float64(len(traces[s]))}
+				traces[s] = append(traces[s], ev)
+				want = append(want, TaggedEvent{Source: s, Event: ev})
 			}
-			its[s] = sliceIter(evs...)
 		}
 		slices.SortStableFunc(want, func(a, b TaggedEvent) int {
 			return cmp.Or(cmp.Compare(a.Event.Time, b.Event.Time), cmp.Compare(a.Source, b.Source))
 		})
-		if got := collect(t, MergeIterators(its)); !slices.Equal(got, want) {
-			t.Fatalf("round %d (%d sources): merged\n%v\nwant\n%v", round, sources, got, want)
+		if got := merge(t, traces...); !slices.Equal(got, want) {
+			t.Fatalf("round %d (%d sources): merged\n%v\nwant\n%v", round, len(traces), got, want)
 		}
 	}
 }

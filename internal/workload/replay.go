@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,8 +46,8 @@ func NewReplay(name string, initial []float64, events []Event) (*Replay, error) 
 // ParseCSV reads a `time,stream,value` trace. The initial value of each
 // stream is its first event's value (streams never seen start at 0); the
 // remaining events become the update sequence. n fixes the stream-id space;
-// pass 0 to size it from the largest id seen. A negative id, or one outside
-// a given n, is refused with its line number.
+// pass 0 to size it from the largest id seen. A NaN time or value, a
+// negative id, or one outside a given n, is refused with its line number.
 func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -66,7 +68,7 @@ func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 			return nil, fmt.Errorf("workload: %s line %d: want 3 fields, got %d",
 				name, lineNo, len(parts))
 		}
-		t, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		t, err := parseNumber(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s line %d: time: %w", name, lineNo, err)
 		}
@@ -80,7 +82,7 @@ func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 		if n > 0 && id >= n {
 			return nil, fmt.Errorf("workload: %s line %d: stream %d of %d", name, lineNo, id, n)
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
+		v, err := parseNumber(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s line %d: value: %w", name, lineNo, err)
 		}
@@ -116,6 +118,16 @@ func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 	return NewReplay(name, initial, updates)
 }
 
+// parseNumber parses a time or value field, refusing NaN: no stream may
+// hold one, and no time order can place one.
+func parseNumber(field string) (float64, error) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+	if err == nil && math.IsNaN(f) {
+		err = errors.New("NaN")
+	}
+	return f, err
+}
+
 // Name implements Workload.
 func (r *Replay) Name() string { return fmt.Sprintf("replay(%s,n=%d)", r.name, len(r.initial)) }
 
@@ -125,18 +137,5 @@ func (r *Replay) N() int { return len(r.initial) }
 // Initial implements Workload.
 func (r *Replay) Initial() []float64 { return append([]float64(nil), r.initial...) }
 
-// Len returns the number of replayable update events.
-func (r *Replay) Len() int { return len(r.events) }
-
-// Events implements Workload.
-func (r *Replay) Events() Iterator {
-	i := 0
-	return iteratorFunc(func() (Event, bool) {
-		if i >= len(r.events) {
-			return Event{}, false
-		}
-		ev := r.events[i]
-		i++
-		return ev, true
-	})
-}
+// Events implements Workload: the parsed or given events, sorted on load.
+func (r *Replay) Events() []Event { return r.events }

@@ -29,7 +29,7 @@ func TestNewReplaySortsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(r.Events(), 10)
+	got := r.Events()
 	wantVals := []float64{10, 20, 21, 30}
 	for i, v := range wantVals {
 		if got[i].Value != v {
@@ -57,16 +57,16 @@ func TestParseCSVBasics(t *testing.T) {
 	if init[0] != 100 || init[1] != 200 {
 		t.Fatalf("initial = %v, want first observations [100 200]", init)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 updates after seeding", r.Len())
+	if len(r.Events()) != 3 {
+		t.Fatalf("len(Events) = %d, want 3 updates after seeding", len(r.Events()))
 	}
-	evs := drain(r.Events(), 10)
+	evs := r.Events()
 	if evs[0].Value != 150 || evs[1].Value != 250 || evs[2].Value != 175 {
 		t.Fatalf("updates = %v", evs)
 	}
-	// Iterator restarts deterministically.
-	if again := drain(r.Events(), 10); len(again) != 3 || again[0] != evs[0] {
-		t.Fatal("Events() did not restart")
+	// Every call returns the same trace.
+	if again := r.Events(); len(again) != 3 || &again[0] != &evs[0] {
+		t.Fatal("Events() did not return the same trace")
 	}
 }
 
@@ -94,6 +94,9 @@ func TestParseCSVErrors(t *testing.T) {
 		{"time,stream,value\n", 0, ""}, // header only, no n
 		{"1,0,5\n2,-1,6\n", 0, "line 2: stream -1"},
 		{"1,0,5\n2,2,6\n", 2, "line 2: stream 2"},
+		{"0,0,NaN\n", 0, "line 1: value: NaN"},        // would seed a NaN initial value
+		{"0,0,1\n1,0,NaN\n", 0, "line 2: value: NaN"}, // would be a NaN update
+		{"NaN,0,1\n", 0, "line 1: time: NaN"},         // would sort anywhere
 	}
 	for i, c := range cases {
 		_, err := ParseCSV("t", strings.NewReader(c.in), c.n)
@@ -111,8 +114,8 @@ func TestParseCSVHeaderOnlyWithN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.N() != 4 || r.Len() != 0 {
-		t.Fatalf("N/Len = %d/%d", r.N(), r.Len())
+	if r.N() != 4 || len(r.Events()) != 0 {
+		t.Fatalf("N/len(Events) = %d/%d", r.N(), len(r.Events()))
 	}
 }
 
@@ -126,7 +129,7 @@ func TestReplayRoundTripsTracegenOutput(t *testing.T) {
 	}
 	var b strings.Builder
 	b.WriteString("time,stream,value\n")
-	orig := drain(w.Events(), 1<<20)
+	orig := w.Events()
 	for _, ev := range orig {
 		b.WriteString(formatCSV(ev))
 	}
@@ -134,7 +137,7 @@ func TestReplayRoundTripsTracegenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := drain(r.Events(), 1<<20)
+	replayed := r.Events()
 	// Each stream's first event seeds Initial; verify counts reconcile.
 	firsts := map[int]bool{}
 	var expected []Event

@@ -49,12 +49,13 @@ func (c Spatial2DConfig) Validate() error {
 }
 
 // Spatial2D is the planar random-walk workload. It is not a Workload — its
-// streams carry points, not scalars — but its Events iterator speaks the
-// same Event type (Value holds X, Y holds Y) and merges through the same
-// heap, so streamsim and the runtime ingest it like any other generator.
+// streams carry points, not scalars — but its trace speaks the same Event
+// type (Value holds X, Y holds Y), so streamsim and the runtime ingest it
+// like any other generator's.
 type Spatial2D struct {
 	cfg     Spatial2DConfig
 	initial []filter.Point
+	trace   trace
 }
 
 // NewSpatial2D builds the workload (drawing the initial points). It returns
@@ -89,25 +90,24 @@ func (s *Spatial2D) InitialPoints() []filter.Point {
 	return append([]filter.Point(nil), s.initial...)
 }
 
-// Events returns a fresh deterministic iterator over the merged per-object
-// planar walks; each Event carries the object's new location as (Value, Y).
-func (s *Spatial2D) Events() Iterator {
-	base := sim.NewRNG(s.cfg.Seed)
-	gens := make([]streamGen, s.cfg.N)
-	for i := range gens {
-		id := i
+// Events returns the merged per-object planar walks, generated on the
+// first call and shared read-only as Workload.Events is; each Event
+// carries the object's new location as (Value, Y).
+func (s *Spatial2D) Events() []Event { return s.trace.get(s.generate) }
+
+func (s *Spatial2D) generate() []Event {
+	c := s.cfg
+	base := sim.NewRNG(c.Seed)
+	evs := make([]Event, 0, walkCap(c.N, c.Horizon, c.MeanGap))
+	ends := make([]int, c.N)
+	for id, p := range s.initial {
 		rng := base.Split(int64(id) + 1)
-		t := 0.0
-		p := s.initial[id]
-		gens[i] = func() (Event, bool) {
-			t += rng.Exp(s.cfg.MeanGap)
-			if t > s.cfg.Horizon {
-				return Event{}, false
-			}
-			p.X = reflect(p.X+rng.Normal(0, s.cfg.Sigma), s.cfg.Lo, s.cfg.Hi)
-			p.Y = reflect(p.Y+rng.Normal(0, s.cfg.Sigma), s.cfg.Lo, s.cfg.Hi)
-			return Event{Time: t, Stream: id, Value: p.X, Y: p.Y}, true
+		for t := rng.Exp(c.MeanGap); t <= c.Horizon; t += rng.Exp(c.MeanGap) {
+			p.X = reflect(p.X+rng.Normal(0, c.Sigma), c.Lo, c.Hi)
+			p.Y = reflect(p.Y+rng.Normal(0, c.Sigma), c.Lo, c.Hi)
+			evs = append(evs, Event{Time: t, Stream: id, Value: p.X, Y: p.Y})
 		}
+		ends[id] = len(evs)
 	}
-	return newPerStream(gens)
+	return mergeRuns(evs, ends, eventTime)
 }

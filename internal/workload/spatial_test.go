@@ -26,23 +26,16 @@ func TestSpatial2DDeterminism(t *testing.T) {
 			t.Fatalf("initial point %d differs: %v vs %v", i, pa[i], pb[i])
 		}
 	}
-	ia, ib := a.Events(), b.Events()
-	n := 0
-	for {
-		ea, oka := ia.Next()
-		eb, okb := ib.Next()
-		if oka != okb {
-			t.Fatal("iterators ended at different lengths")
-		}
-		if !oka {
-			break
-		}
-		if ea != eb {
-			t.Fatalf("event %d differs: %+v vs %+v", n, ea, eb)
-		}
-		n++
+	ea, eb := a.Events(), b.Events()
+	if len(ea) != len(eb) {
+		t.Fatal("traces have different lengths")
 	}
-	if n == 0 {
+	for n := range ea {
+		if ea[n] != eb[n] {
+			t.Fatalf("event %d differs: %+v vs %+v", n, ea[n], eb[n])
+		}
+	}
+	if len(ea) == 0 {
 		t.Fatal("no events generated")
 	}
 }
@@ -60,13 +53,8 @@ func TestSpatial2DStaysInDomain(t *testing.T) {
 			t.Fatalf("initial point out of domain: %v", p)
 		}
 	}
-	it := w.Events()
 	prev := -1.0
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, ev := range w.Events() {
 		if ev.Time < prev {
 			t.Fatalf("time went backwards: %g after %g", ev.Time, prev)
 		}
@@ -107,12 +95,7 @@ func TestSyntheticEventsLeaveYZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := w.Events()
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			return
-		}
+	for _, ev := range w.Events() {
 		if ev.Y != 0 {
 			t.Fatalf("synthetic event carries Y: %+v", ev)
 		}

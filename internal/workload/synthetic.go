@@ -51,6 +51,7 @@ func (c SyntheticConfig) Validate() error {
 type Synthetic struct {
 	cfg     SyntheticConfig
 	initial []float64
+	trace   trace
 }
 
 // NewSynthetic builds the workload (drawing the initial values). It returns
@@ -78,29 +79,27 @@ func (s *Synthetic) N() int { return s.cfg.N }
 // Initial implements Workload.
 func (s *Synthetic) Initial() []float64 { return append([]float64(nil), s.initial...) }
 
-// Events implements Workload: a fresh deterministic iterator over the merged
-// per-stream random walks.
-func (s *Synthetic) Events() Iterator {
-	base := sim.NewRNG(s.cfg.Seed)
-	gens := make([]streamGen, s.cfg.N)
-	for i := range gens {
-		id := i
+// Events implements Workload: the per-stream random walks, each drawn from
+// its own split of the seed, merged on time.
+func (s *Synthetic) Events() []Event { return s.trace.get(s.generate) }
+
+func (s *Synthetic) generate() []Event {
+	c := s.cfg
+	base := sim.NewRNG(c.Seed)
+	evs := make([]Event, 0, walkCap(c.N, c.Horizon, c.MeanGap))
+	ends := make([]int, c.N)
+	for id, v := range s.initial {
 		rng := base.Split(int64(id) + 1)
-		t := 0.0
-		v := s.initial[id]
-		gens[i] = func() (Event, bool) {
-			t += rng.Exp(s.cfg.MeanGap)
-			if t > s.cfg.Horizon {
-				return Event{}, false
+		for t := rng.Exp(c.MeanGap); t <= c.Horizon; t += rng.Exp(c.MeanGap) {
+			v += rng.Normal(0, c.Sigma)
+			if !c.ClampOff {
+				v = reflect(v, c.Lo, c.Hi)
 			}
-			v += rng.Normal(0, s.cfg.Sigma)
-			if !s.cfg.ClampOff {
-				v = reflect(v, s.cfg.Lo, s.cfg.Hi)
-			}
-			return Event{Time: t, Stream: id, Value: v}, true
+			evs = append(evs, Event{Time: t, Stream: id, Value: v})
 		}
+		ends[id] = len(evs)
 	}
-	return newPerStream(gens)
+	return mergeRuns(evs, ends, eventTime)
 }
 
 // reflect folds v back into [lo, hi] by mirroring at the boundaries.

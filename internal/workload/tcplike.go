@@ -74,6 +74,7 @@ type TCPLike struct {
 	levels  []float64 // per-subnet base log level
 	x0      []float64 // per-subnet initial AR(1) deviation
 	initial []float64
+	trace   trace
 }
 
 // NewTCPLike builds the workload.
@@ -127,7 +128,9 @@ func (w *TCPLike) Weights() []float64 { return append([]float64(nil), w.weights.
 // arrival process is Poisson with the configured total count spread over the
 // duration; each arrival lands on a subnet drawn by popularity weight, whose
 // AR(1) log-value state advances by one step.
-func (w *TCPLike) Events() Iterator {
+func (w *TCPLike) Events() []Event { return w.trace.get(w.generate) }
+
+func (w *TCPLike) generate() []Event {
 	rng := sim.NewRNG(w.cfg.Seed).Split(0xE0E0)
 	cum := make([]float64, len(w.weights))
 	acc := 0.0
@@ -139,19 +142,16 @@ func (w *TCPLike) Events() Iterator {
 	// Innovation deviation keeping the stationary variance at SigmaW².
 	innov := w.cfg.SigmaW * math.Sqrt(1-w.cfg.Phi*w.cfg.Phi)
 	meanGap := w.cfg.Duration / math.Max(float64(w.cfg.Conns), 1)
-	remaining := w.cfg.Conns
+	evs := make([]Event, w.cfg.Conns)
 	t := 0.0
-	return iteratorFunc(func() (Event, bool) {
-		if remaining <= 0 {
-			return Event{}, false
-		}
-		remaining--
+	for i := range evs {
 		t += rng.Exp(meanGap)
 		u := rng.Float64() * acc
 		sub := searchCum(cum, u)
 		state[sub] = w.cfg.Phi*state[sub] + rng.Normal(0, innov)
-		return Event{Time: t, Stream: sub, Value: w.bytes(w.levels[sub], state[sub])}, true
-	})
+		evs[i] = Event{Time: t, Stream: sub, Value: w.bytes(w.levels[sub], state[sub])}
+	}
+	return evs
 }
 
 // searchCum returns the first index whose cumulative weight exceeds u.
@@ -167,9 +167,3 @@ func searchCum(cum []float64, u float64) int {
 	}
 	return lo
 }
-
-// iteratorFunc adapts a closure to the Iterator interface.
-type iteratorFunc func() (Event, bool)
-
-// Next implements Iterator.
-func (f iteratorFunc) Next() (Event, bool) { return f() }

@@ -3,10 +3,16 @@
 // TCP-trace-like model substituting for the LBL Internet Traffic Archive
 // traces of §6.1 (see DESIGN.md §3 for the substitution rationale).
 //
-// A workload exposes the number of streams, their initial values at time t0,
-// and a time-ordered iterator of value-change events. All generators are
-// fully deterministic for a given seed.
+// A workload exposes the number of streams, their initial values at time
+// t0, and its trace: the time-ordered slice of value-change events,
+// generated once on first use and shared read-only by every caller. All
+// generators are fully deterministic for a given seed.
 package workload
+
+import (
+	"math"
+	"sync"
+)
 
 // Event is one stream value change at a simulation time strictly after t0.
 // For spatial workloads Value is the X coordinate and Y the second one; 1-D
@@ -18,12 +24,6 @@ type Event struct {
 	Y      float64
 }
 
-// Iterator yields events in non-decreasing time order.
-type Iterator interface {
-	// Next returns the next event; ok is false when the workload ends.
-	Next() (ev Event, ok bool)
-}
-
 // Workload describes a reproducible stream update sequence.
 type Workload interface {
 	// Name identifies the workload in reports.
@@ -33,146 +33,100 @@ type Workload interface {
 	// Initial returns the true stream values at time t0. The slice is owned
 	// by the caller.
 	Initial() []float64
-	// Events returns a fresh iterator over the update sequence. Each call
-	// restarts the same deterministic sequence.
-	Events() Iterator
+	// Events returns the update sequence in non-decreasing time order. The
+	// first call generates it; every call returns the same slice, which
+	// callers must not modify. Safe for concurrent use.
+	Events() []Event
 }
 
-// perStream is a lazily merged iterator over independent per-stream event
-// generators, used by the random-walk model: each stream proposes its next
-// event and a binary heap picks the globally earliest.
-type perStream struct {
-	h mergeHeap
+// trace is a workload's event slice, generated on first use.
+type trace struct {
+	once   sync.Once
+	events []Event
 }
 
-// streamGen produces the next event for one stream; ok=false retires it.
-type streamGen func() (Event, bool)
-
-func newPerStream(gens []streamGen) *perStream {
-	return &perStream{h: newMergeHeap(gens)}
+func (tr *trace) get(gen func() []Event) []Event {
+	tr.once.Do(func() { tr.events = gen() })
+	return tr.events
 }
 
-// Next implements Iterator.
-func (ps *perStream) Next() (Event, bool) {
-	ev, _, ok := ps.h.next()
-	return ev, ok
-}
-
-type mergeItem struct {
-	ev  Event
-	gen streamGen
-	seq int
-}
-
-// TaggedEvent is an Event plus the index of the source iterator that
-// produced it, for consumers merging several workloads (one per tenant in
-// cmd/streamsim's driver).
-type TaggedEvent struct {
-	Source int
-	Event  Event
-}
-
-// TaggedIterator yields tagged events in non-decreasing time order, ties
-// broken by source index.
-type TaggedIterator struct {
-	h mergeHeap
-}
-
-// MergeIterators merges per-source event iterators into one globally
-// time-ordered stream over the same heap the random-walk model uses
-// internally, so both merge paths share one tie-break rule.
-func MergeIterators(its []Iterator) *TaggedIterator {
-	gens := make([]streamGen, len(its))
-	for i, it := range its {
-		gens[i] = it.Next
+// mergeRuns merges time-ordered runs into one time-ordered slice, ties
+// going to the earlier run, then to arrival within it. Run i is
+// s[ends[i-1]:ends[i]] (run 0 starts at 0). Adjacent runs merge pairwise,
+// so k runs take log2(k) linear passes between s and one scratch slice;
+// the result is one of the two.
+func mergeRuns[T any](s []T, ends []int, time func(*T) float64) []T {
+	if len(ends) < 2 {
+		return s
 	}
-	return &TaggedIterator{h: newMergeHeap(gens)}
-}
-
-// Next returns the globally earliest pending event and its source index;
-// ok is false when every source is exhausted.
-func (ti *TaggedIterator) Next() (TaggedEvent, bool) {
-	ev, src, ok := ti.h.next()
-	return TaggedEvent{Source: src, Event: ev}, ok
-}
-
-// mergeHeap is a binary min-heap of sources ordered by (ev.Time, seq). The
-// order is total — no two sources share a seq — so the merged sequence is
-// the same under any correct priority queue. A source's next event
-// replaces the root and sifts down: no interface calls, one move per level.
-type mergeHeap []mergeItem
-
-// before reports whether a comes out of the merge ahead of b.
-func before(a, b *mergeItem) bool {
-	if a.ev.Time != b.ev.Time {
-		return a.ev.Time < b.ev.Time
-	}
-	return a.seq < b.seq
-}
-
-// newMergeHeap draws each generator's first event, retires the empty ones
-// and heapifies the rest; a source's seq is its index in gens.
-func newMergeHeap(gens []streamGen) mergeHeap {
-	var h mergeHeap
-	for i, g := range gens {
-		if ev, ok := g(); ok {
-			h = append(h, mergeItem{ev: ev, gen: g, seq: i})
+	buf := make([]T, len(s))
+	for len(ends) > 1 {
+		next, lo := ends[:0], 0
+		for i := 0; i < len(ends); i += 2 {
+			hi := ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
+				merge2(buf[lo:hi], s[lo:ends[i]], s[ends[i]:hi], time)
+			} else {
+				copy(buf[lo:hi], s[lo:hi])
+			}
+			next, lo = append(next, hi), hi
 		}
+		ends, s, buf = next, buf, s
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	return h
+	return s
 }
 
-// next returns the earliest pending event and its source's seq, and puts
-// that source's following event in its place (or retires the source); ok
-// is false when every source is exhausted.
-func (h *mergeHeap) next() (ev Event, seq int, ok bool) {
-	if len(*h) == 0 {
-		return Event{}, 0, false
+// merge2 merges time-ordered a and b into dst, ties to a.
+func merge2[T any](dst, a, b []T, time func(*T) float64) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if time(&b[0]) < time(&a[0]) {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
+		}
+		k++
 	}
-	top := &(*h)[0]
-	ev, seq = top.ev, top.seq
-	if nxt, more := top.gen(); more {
-		top.ev = nxt
-		h.down(0)
-	} else {
-		h.dropRoot()
-	}
-	return ev, seq, true
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
-// down sifts item i toward the leaves until neither child comes before it.
-func (h mergeHeap) down(i int) {
-	n := len(h)
-	it := h[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && before(&h[r], &h[c]) {
-			c = r
-		}
-		if !before(&h[c], &it) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+func eventTime(ev *Event) float64 { return ev.Time }
+
+// Merge merges per-source traces, each in time order, into one globally
+// time-ordered sequence — ties go to the lower source index, then to
+// arrival within the source, the rule the generators' own per-stream walks
+// follow — and returns it as sources: the i-th merged event is the next
+// unread event of traces[order[i]]. cmd/streamsim merges its tenants so.
+func Merge(traces [][]Event) (order []int) {
+	type key struct {
+		time   float64
+		source int
 	}
-	h[i] = it
+	n := 0
+	for _, tr := range traces {
+		n += len(tr)
+	}
+	keys := make([]key, 0, n)
+	ends := make([]int, len(traces))
+	for s, tr := range traces {
+		for _, ev := range tr {
+			keys = append(keys, key{ev.Time, s})
+		}
+		ends[s] = len(keys)
+	}
+	order = make([]int, n)
+	for i, k := range mergeRuns(keys, ends, func(k *key) float64 { return k.time }) {
+		order[i] = k.source
+	}
+	return order
 }
 
-// dropRoot removes a retired source: the last leaf moves to the root and
-// sifts down.
-func (h *mergeHeap) dropRoot() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = mergeItem{}
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
+// walkCap is the capacity to reserve for n per-stream walks of mean gap
+// meanGap up to horizon: the expected count plus a margin of a few
+// standard deviations, so the trace is rarely regrown.
+func walkCap(n int, horizon, meanGap float64) int {
+	want := float64(n) * horizon / meanGap
+	return int(min(want+4*math.Sqrt(want)+16, 1<<24))
 }

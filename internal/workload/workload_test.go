@@ -2,20 +2,9 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
-
-func drain(it Iterator, cap int) []Event {
-	var out []Event
-	for len(out) < cap {
-		ev, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, ev)
-	}
-	return out
-}
 
 func assertTimeOrdered(t *testing.T, evs []Event) {
 	t.Helper()
@@ -73,8 +62,10 @@ func TestSyntheticEventsOrderedAndDeterministic(t *testing.T) {
 	cfg := DefaultSynthetic(40, 7)
 	cfg.N = 200
 	w, _ := NewSynthetic(cfg)
-	a := drain(w.Events(), 1<<20)
-	b := drain(w.Events(), 1<<20)
+	a := w.Events()
+	// A second workload of the same config generates its own trace.
+	w2, _ := NewSynthetic(cfg)
+	b := w2.Events()
 	if len(a) == 0 {
 		t.Fatal("no events generated")
 	}
@@ -89,11 +80,36 @@ func TestSyntheticEventsOrderedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestEventsGeneratedOnce holds every generator to the shared-trace
+// contract: concurrent first calls all get the one slice.
+func TestEventsGeneratedOnce(t *testing.T) {
+	syn, _ := NewSynthetic(DefaultSynthetic(10, 1))
+	tcp, _ := NewTCPLike(DefaultTCPLike(1000, 1))
+	sp, _ := NewSpatial2D(DefaultSpatial2D(10, 1))
+	for _, events := range []func() []Event{syn.Events, tcp.Events, sp.Events} {
+		var wg sync.WaitGroup
+		got := make([][]Event, 8)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = events()
+			}()
+		}
+		wg.Wait()
+		for _, evs := range got {
+			if len(evs) == 0 || &evs[0] != &got[0][0] || len(evs) != len(got[0]) {
+				t.Fatal("concurrent Events calls returned different traces")
+			}
+		}
+	}
+}
+
 func TestSyntheticInterArrivalMean(t *testing.T) {
 	cfg := DefaultSynthetic(200, 3)
 	cfg.N = 500
 	w, _ := NewSynthetic(cfg)
-	evs := drain(w.Events(), 1<<22)
+	evs := w.Events()
 	// Expected events ≈ N * Horizon / MeanGap = 500*200/20 = 5000.
 	want := float64(cfg.N) * cfg.Horizon / cfg.MeanGap
 	if math.Abs(float64(len(evs))-want)/want > 0.1 {
@@ -114,7 +130,7 @@ func TestSyntheticValuesStayInDomain(t *testing.T) {
 	cfg.N = 100
 	cfg.Sigma = 100 // aggressive steps exercise reflection
 	w, _ := NewSynthetic(cfg)
-	for _, ev := range drain(w.Events(), 1<<20) {
+	for _, ev := range w.Events() {
 		if ev.Value < 0 || ev.Value > 1000 {
 			t.Fatalf("value %v escaped [0,1000]", ev.Value)
 		}
@@ -128,7 +144,7 @@ func TestSyntheticUnboundedWalk(t *testing.T) {
 	cfg.ClampOff = true
 	w, _ := NewSynthetic(cfg)
 	escaped := false
-	for _, ev := range drain(w.Events(), 1<<20) {
+	for _, ev := range w.Events() {
 		if ev.Value < 0 || ev.Value > 1000 {
 			escaped = true
 			break
@@ -150,7 +166,7 @@ func TestSyntheticStepDeviation(t *testing.T) {
 		last[i] = v
 	}
 	sumSq, n := 0.0, 0
-	for _, ev := range drain(w.Events(), 1<<20) {
+	for _, ev := range w.Events() {
 		d := ev.Value - last[ev.Stream]
 		last[ev.Stream] = ev.Value
 		sumSq += d * d
@@ -201,7 +217,7 @@ func TestTCPLikeEventCountAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := drain(w.Events(), 1<<20)
+	evs := w.Events()
 	if len(evs) != 5000 {
 		t.Fatalf("event count = %d, want 5000", len(evs))
 	}
@@ -218,15 +234,16 @@ func TestTCPLikeEventCountAndOrder(t *testing.T) {
 
 func TestTCPLikeDeterminism(t *testing.T) {
 	w, _ := NewTCPLike(DefaultTCPLike(2000, 3))
-	a := drain(w.Events(), 1<<20)
-	b := drain(w.Events(), 1<<20)
+	a := w.Events()
+	w1, _ := NewTCPLike(DefaultTCPLike(2000, 3))
+	b := w1.Events()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("reruns diverge at %d", i)
 		}
 	}
 	w2, _ := NewTCPLike(DefaultTCPLike(2000, 4))
-	c := drain(w2.Events(), 1<<20)
+	c := w2.Events()
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -241,7 +258,7 @@ func TestTCPLikeDeterminism(t *testing.T) {
 func TestTCPLikeActivityIsSkewed(t *testing.T) {
 	w, _ := NewTCPLike(DefaultTCPLike(50000, 1))
 	counts := make([]int, w.N())
-	for _, ev := range drain(w.Events(), 1<<20) {
+	for _, ev := range w.Events() {
 		counts[ev.Stream]++
 	}
 	// The busiest 10% of subnets should carry well over 10% of events.
@@ -281,7 +298,7 @@ func TestTCPLikeTemporalCorrelation(t *testing.T) {
 	w, _ := NewTCPLike(cfg)
 	last := make(map[int]float64)
 	var xs, ys []float64
-	for _, ev := range drain(w.Events(), 1<<20) {
+	for _, ev := range w.Events() {
 		lv := math.Log(ev.Value)
 		if prev, ok := last[ev.Stream]; ok {
 			xs = append(xs, prev)
@@ -312,7 +329,7 @@ func correlation(xs, ys []float64) float64 {
 
 func TestTCPLikeZeroConns(t *testing.T) {
 	w, _ := NewTCPLike(DefaultTCPLike(0, 1))
-	if evs := drain(w.Events(), 10); len(evs) != 0 {
+	if evs := w.Events(); len(evs) != 0 {
 		t.Fatalf("zero-conn workload produced %d events", len(evs))
 	}
 }
