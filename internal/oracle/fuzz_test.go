@@ -12,8 +12,9 @@ import (
 	"adaptivefilters/internal/query"
 )
 
-// fuzzStreams is the stream count FuzzChecker plays over: small, so values
-// tie and answers repeat members.
+// fuzzStreams is the stream count FuzzChecker and FuzzIndexOps play over:
+// small, so values tie, answers repeat members and every op moves a stream
+// that already has a value.
 const fuzzStreams = 16
 
 // FuzzChecker decodes a sequence of 9-byte ops (an op byte, then a

@@ -22,6 +22,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math"
 	goruntime "runtime"
 	"slices"
 	"sync"
@@ -325,7 +326,10 @@ func (m *multi) export(w *snapshot.Writer, events uint64) error {
 // restore decodes a multi-query record: the event count, the
 // query-admission counter, then the whole composite fabric, rebuilding each
 // live query slot from the spec's QuerySpec at that slot with its recorded
-// seed label.
+// seed label. A NaN value or table entry is refused, as a cluster record's
+// is: the node admits none (checkInitial, the ingester), and one would
+// reach a rank query's probe and ranking kernel. A composite outside a node
+// takes NaN deliveries, so its own ImportState round-trips them.
 func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
 	events := r.Uint64()
 	nextQuerySeed := r.Int64()
@@ -336,7 +340,7 @@ func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
 		return 0, fmt.Errorf("query admission counter %d negative", nextQuerySeed)
 	}
 	m.nextQuerySeed = nextQuerySeed
-	return events, m.ImportState(r,
+	err := m.ImportState(r,
 		func(slot int, name string, seedID int64, h server.Host) (server.Protocol, error) {
 			if slot >= len(spec.Queries) {
 				return nil, fmt.Errorf("snapshot holds query slot %d, spec lists %d queries", slot, len(spec.Queries))
@@ -346,6 +350,15 @@ func (m *multi) restore(r *snapshot.Reader, spec TenantSpec) (uint64, error) {
 			}
 			return spec.Queries[slot].NewProtocol(h, m.querySeed(seedID)), nil
 		})
+	if err != nil {
+		return 0, err
+	}
+	for s := range m.N() {
+		if math.IsNaN(m.TrueValue(s)) || math.IsNaN(m.Table(s)) {
+			return 0, fmt.Errorf("composite snapshot holds NaN value for stream %d", s)
+		}
+	}
+	return events, nil
 }
 
 // Node hosts tenants on sharded event loops. Ingest is concurrent: any

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"adaptivefilters/internal/comm"
@@ -23,8 +24,8 @@ import (
 // not re-implemented here: every query is an ordinary protocol programming
 // against a Host view whose probes refresh the shared value table and whose
 // installs rewrite that query's entry in the composite filter. Only the
-// composite fabric — the per-stream constraint vectors, the shared table
-// and the single message counter — lives in the Composite.
+// composite fabric — the constraint entries, the shared table and the
+// single message counter — lives in the Composite.
 //
 // The stream rule and the uplink are Cluster's: an entry's side is the side
 // its constraint puts the stream's true value on, never stored, and an
@@ -32,17 +33,17 @@ import (
 // on the wrong side of a new interval reports at once, and the installing
 // query handles that report after its current handler returns.
 //
-// Query slots are never reused: RemoveQuery nils the slot and clears its
-// constraint entries, AddQuery appends. All methods must be driven from a
-// single goroutine (in the runtime, the owning shard loop).
+// Query slots are never reused: RemoveQuery nils the slot and resets its
+// constraint entries to the zero constraint, AddQuery appends. All methods
+// must be driven from a single goroutine (in the runtime, the owning shard
+// loop).
 type Composite struct {
 	uplink
 	vals  []float64 // ground truth (driven by Deliver)
 	table []float64 // server view
-
-	// cons[s][q] is stream s's constraint entry for query slot q. Its side
-	// is cons[s][q].Contains(vals[s]).
-	cons [][]filter.Constraint
+	// scan makes Deliver decide crossings with the linear reference scan
+	// instead of the index (SetQueryIndexEnabled, for equivalence tests).
+	scan bool
 
 	queries []*compositeQuery // nil = removed slot
 	ctr     comm.Counter
@@ -70,10 +71,10 @@ type Composite struct {
 	probeGen   []uint64
 	installGen []uint64
 
-	// idx is the query index making Deliver sub-linear in the query
-	// count (see queryindex.go). nil runs the linear reference scan —
-	// equivalence tests construct such composites via SetQueryIndexEnabled.
-	idx *queryIndex
+	// idx holds every constraint entry — stream s's for slot qi is
+	// idx.entry(s, qi), its side that entry's Contains(vals[s]) — and makes
+	// Deliver sub-linear in the query count (see queryindex.go).
+	idx queryIndex
 }
 
 // CrossingDriven is an optional interface a Protocol implements to let a
@@ -148,17 +149,14 @@ func words(slots int) int { return (slots + 63) >> 6 }
 // The server table starts unknown: queries learn values by probing.
 func NewComposite(initial []float64) *Composite {
 	n := len(initial)
-	c := &Composite{
+	return &Composite{
 		vals:       append([]float64(nil), initial...),
 		table:      make([]float64, n),
-		cons:       make([][]filter.Constraint, n),
+		idx:        newQueryIndex(n),
+		scan:       !enableQueryIndex,
 		probeGen:   make([]uint64, n),
 		installGen: make([]uint64, n),
 	}
-	if enableQueryIndex {
-		c.idx = newQueryIndex(n)
-	}
-	return c
 }
 
 // N returns the stream count.
@@ -230,12 +228,7 @@ func (c *Composite) AddQuery(name string, seedID int64, build func(h Host) Proto
 		c.othersMask = append(c.othersMask, 0)
 	}
 	c.admit(q)
-	for s := range c.cons {
-		c.cons[s] = append(c.cons[s], filter.Constraint{})
-	}
-	if c.idx != nil {
-		c.idx.addSlot(c)
-	}
+	c.idx.addSlot(c)
 	return qi
 }
 
@@ -252,9 +245,10 @@ func (c *Composite) admit(q *compositeQuery) {
 }
 
 // RemoveQuery evicts query slot qi: the slot is cleared and its constraint
-// entries become inert (they can neither cross nor silence a stream). No
-// messages are charged — like runtime.Node.RemoveTenant, an eviction hands
-// the cleanup to whoever evicted it. Slot ids are never reused.
+// entries become the inert zero constraint (they can neither cross nor
+// silence a stream). No messages are charged — like
+// runtime.Node.RemoveTenant, an eviction hands the cleanup to whoever
+// evicted it. Slot ids are never reused.
 func (c *Composite) RemoveQuery(qi int) error {
 	if qi < 0 || qi >= len(c.queries) {
 		return fmt.Errorf("server: no query %d", qi)
@@ -266,12 +260,7 @@ func (c *Composite) RemoveQuery(qi int) error {
 	c.othersMask.put(qi, false)
 	c.crossers[qi] = nil
 	c.queries[qi] = nil
-	for s := range c.cons {
-		c.cons[s][qi] = filter.Constraint{}
-	}
-	if c.idx != nil {
-		c.idx.removeSlot(c, qi)
-	}
+	c.idx.removeSlot(c, qi)
 	return nil
 }
 
@@ -331,23 +320,25 @@ func (c *Composite) endEpoch()   { c.inEpoch = false }
 // A report costs every live query one server op at least (the lookup of its
 // entry); which queries it costs maintenance is the dispatch set's
 // business: every live slot when all is set (an unfiltered entry stands on
-// the stream, the NaN fallback scan ran, or there is no index to say which
-// entries fired), otherwise the slots whose own entry fired plus the slots
-// whose protocol is not CrossingDriven — see CrossingDriven.
+// the stream, or the linear scan decided the move and so says nothing of
+// which entries fired), otherwise the slots whose own entry fired plus the
+// slots whose protocol is not CrossingDriven — see CrossingDriven. The
+// scan decides every move of a composite built with the index disabled,
+// and a move from or to NaN, which the index cannot order.
 func (c *Composite) Deliver(s stream.ID, v float64) {
 	u := c.vals[s]
 	c.vals[s] = v
 	crossed, all := false, true
-	if c.idx != nil {
-		crossed, all = c.idx.deliver(c, int(s), u, v)
-	} else {
+	if c.scan || math.IsNaN(u) || math.IsNaN(v) {
 		crossed = c.deliverScan(s, u, v)
+		c.idx.refinger(int(s), v)
+	} else {
+		crossed, all = c.idx.deliver(c, int(s), u, v)
 	}
 	if !crossed || !c.chargeUpdate(&c.ctr) {
 		return
 	}
 	c.table[s] = v
-	row := c.cons[s]
 	// The set is walked a word at a time in ascending slot order. Every
 	// live CrossingDriven slot is charged its one server op up front, so a
 	// dispatched one is handed the crossing through Crossed. Maintenance
@@ -374,7 +365,7 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 			// the lookup, a CrossingDriven one up front. A fired entry is
 			// a class member, so it is not silent, and only its own
 			// maintenance can rewrite it.
-			if fired&bit == 0 && row[qi].Silent() {
+			if fired&bit == 0 && c.idx.entry(int(s), qi).Silent() {
 				if others&bit != 0 {
 					ops++
 				}
@@ -396,25 +387,24 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 func (c *Composite) handle(r queryReport) { c.queries[r.qi].proto.HandleUpdate(r.s, r.v) }
 
 // deliverScan is the linear crossing-detection reference for the move u→v:
-// it walks every entry of stream s's constraint vector, applies each
-// kind's source-side semantics, and reports whether the stream reports. The
-// indexed path (queryindex.go) must make exactly the decisions and side
-// effects of this loop; it also falls back to it for NaN values, which the
-// boundary index cannot order.
+// it walks every live entry of stream s, applies each kind's source-side
+// semantics, and reports whether the stream reports. The indexed path
+// (queryindex.go) must make exactly the decisions and side effects of this
+// loop. A band re-centres through the index's set, which leaves the
+// fingers alone; the caller recomputes them.
 func (c *Composite) deliverScan(s stream.ID, u, v float64) bool {
-	row := c.cons[s]
 	crossed := false
-	for qi := range row {
-		if c.queries[qi] == nil {
+	for qi, q := range c.queries {
+		if q == nil {
 			continue
 		}
-		cons := row[qi]
+		cons := c.idx.entry(int(s), qi)
 		switch cons.Kind {
 		case filter.None:
 			crossed = true
 		case filter.Band:
 			if !cons.Contains(v) {
-				row[qi] = filter.NewBand(v, cons.BandHalfWidth())
+				c.idx.set(c, int(s), qi, filter.NewBand(v, cons.BandHalfWidth()))
 				crossed = true
 			}
 		default:
@@ -431,13 +421,13 @@ func (c *Composite) deliverScan(s stream.ID, u, v float64) bool {
 // every stream is vacuously silent.
 func (c *Composite) SilentStreams() int {
 	n := 0
-	for s := range c.cons {
+	for s := range c.vals {
 		all := true
 		for qi, q := range c.queries {
 			if q == nil {
 				continue
 			}
-			if !c.cons[s][qi].Silent() {
+			if !c.idx.entry(s, qi).Silent() {
 				all = false
 				break
 			}
@@ -451,11 +441,15 @@ func (c *Composite) SilentStreams() int {
 
 // Constraint returns the filter entry installed at stream s for query qi
 // (the server knows what it installed; this does not cost a message).
-func (c *Composite) Constraint(s stream.ID, qi int) filter.Constraint { return c.cons[s][qi] }
+func (c *Composite) Constraint(s stream.ID, qi int) filter.Constraint { return c.idx.entry(int(s), qi) }
 
 // TrueValue returns the ground-truth value of stream s. Protocols must not
 // call this; it exists for the oracle and tests.
 func (c *Composite) TrueValue(s stream.ID) float64 { return c.vals[s] }
+
+// Table returns the server's copy of stream s's value: what the last probe
+// or report told it.
+func (c *Composite) Table(s stream.ID) float64 { return c.table[s] }
 
 // refresh records stream s's exact value in the server table — what a
 // stream's answer to the server does.
@@ -469,10 +463,7 @@ func (c *Composite) refresh(s stream.ID) { c.table[s] = c.vals[s] }
 // the install costs a message: inside an init epoch only a stream's first
 // install does, and every sibling's entry rides in that composite install.
 func (c *Composite) install(s stream.ID, qi int, cons filter.Constraint, expectInside bool) bool {
-	c.cons[s][qi] = cons
-	if c.idx != nil {
-		c.idx.set(c, int(s), qi, cons)
-	}
+	c.idx.set(c, int(s), qi, cons)
 	return c.handshake(s, qi, cons, expectInside)
 }
 
@@ -624,28 +615,33 @@ func (v *compositeView) InstallAllExcept(skip []stream.ID, cons filter.Constrain
 
 // installAll installs cons as query qi's entry at every stream not in skip
 // (strictly ascending), each stream expecting the side cons puts its table
-// value on. Indexed and not a band, cons becomes the query's column
-// default, filed once: the skipped streams are re-filed against it, the
-// others only when they held an exception, and the loop over the streams
-// is the handshake and the charge.
+// value on. Unless it is a band, cons becomes the query's column default,
+// filed once: each skipped stream keeps its entry, read before the default
+// moves under it and re-filed against the new one, the others are re-filed
+// only when they held an exception, and the loop over the streams is the
+// handshake and the charge.
 func (c *Composite) installAll(qi int, skip []stream.ID, cons filter.Constraint) {
-	x := c.idx
-	shared := x != nil && cons.Kind != filter.Band
+	x := &c.idx
+	shared := cons.Kind != filter.Band
 	if shared {
+		old := x.def.cons[qi]
 		x.setDefault(c, qi, cons)
 		for _, s := range skip {
-			x.set(c, s, qi, c.cons[s][qi])
+			e := old
+			if x.overrides(s).has(qi) {
+				e = x.entry(s, qi)
+			}
+			x.set(c, s, qi, e)
 		}
 	}
 	var charged uint64
 	next := 0
-	for s, row := range c.cons {
+	for s := range c.vals {
 		if next < len(skip) && skip[next] == s {
 			next++
 			continue
 		}
-		row[qi] = cons
-		if x != nil && (!shared || x.novr[qi] > 0 && x.overrides(s).has(qi)) {
+		if !shared || x.novr[qi] > 0 && x.overrides(s).has(qi) {
 			x.set(c, s, qi, cons)
 		}
 		if c.handshake(s, qi, cons, cons.Contains(c.table[s])) {

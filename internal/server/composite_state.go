@@ -16,9 +16,10 @@ type QueryFactory func(slot int, name string, seedID int64, h Host) (Protocol, e
 
 // ExportState appends the composite fabric's full dynamic state to a
 // snapshot: ground truth, the shared table, every stream's constraint
-// vector and the sides it puts the stream's value on, the shared counter
-// and dropped count, and every query slot (liveness, name, seed label,
-// protocol name and the protocol's own state).
+// entries (one per slot, expanded from the query index) and the sides they
+// put the stream's value on, the shared counter and dropped count, and
+// every query slot (liveness, name, seed label, protocol name and the
+// protocol's own state).
 // The encoding is canonical and placement-free, so CI can byte-diff
 // composite snapshots taken at different shard counts. Every live query's
 // protocol must implement StatefulProtocol; one that does not fails the
@@ -28,12 +29,16 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 	w.Int(len(c.queries))
 	w.Float64s(c.vals)
 	w.Float64s(c.table)
-	for s := range c.cons {
-		filter.ExportConstraints(w, c.cons[s])
+	row := make([]filter.Constraint, len(c.queries))
+	for s, v := range c.vals {
+		for qi := range row {
+			row[qi] = c.idx.entry(s, qi)
+		}
+		filter.ExportConstraints(w, row)
 		// The bytes of w.Bools over one bool per slot.
-		w.Uint64(uint64(len(c.queries)))
-		for _, cons := range c.cons[s] {
-			w.Bool(cons.Contains(c.vals[s]))
+		w.Uint64(uint64(len(row)))
+		for _, cons := range row {
+			w.Bool(cons.Contains(v))
 		}
 	}
 	c.ctr.ExportState(w)
@@ -65,7 +70,7 @@ func (c *Composite) ExportState(w *snapshot.Writer) {
 // that contradicts its entry and value is corruption, refused as
 // stream.Sources.ImportState refuses one (as are lost updates bound for a
 // reliable composite). Corrupted or mismatched input returns an error and
-// never panics.
+// never panics. The query index is re-filed from the entries decoded.
 func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error {
 	if len(c.queries) != 0 {
 		return fmt.Errorf("server: ImportState on a composite that already has queries")
@@ -92,7 +97,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 		return fmt.Errorf("server: snapshot tables sized %d/%d, want %d",
 			len(vals), len(table), n)
 	}
-	cons := make([][]filter.Constraint, n)
+	rows := make([][]filter.Constraint, n)
 	for s := 0; s < n; s++ {
 		cs, err := filter.ImportConstraints(r)
 		if err != nil {
@@ -112,7 +117,7 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 					s, in, cs[qi], vals[s])
 			}
 		}
-		cons[s] = cs
+		rows[s] = cs
 	}
 	if err := c.importCounter(r, &c.ctr); err != nil {
 		return err
@@ -121,7 +126,6 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 	// factories and ImportState observe the restored table through the Host.
 	c.vals = vals
 	c.table = table
-	c.cons = cons
 	c.drivenMask, c.othersMask = make(slotSet, words(slots)), make(slotSet, words(slots))
 	for slot := 0; slot < slots; slot++ {
 		alive := r.Bool()
@@ -164,11 +168,8 @@ func (c *Composite) ImportState(r *snapshot.Reader, rebuild QueryFactory) error 
 		return err
 	}
 	// The index is never encoded (nor is the dispatch bookkeeping admit
-	// just refiled): rebuild it from the restored constraint vectors so it
-	// cannot drift from fabric state across a save/load cycle (and the
-	// snapshot format predating the index keeps working).
-	if c.idx != nil {
-		c.idx.rebuild(c)
-	}
+	// just refiled): it is filed from the decoded rows, so the snapshot
+	// format predating it keeps working.
+	c.idx.refile(c, rows, majorityDefault)
 	return nil
 }

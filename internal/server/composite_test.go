@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -516,5 +517,49 @@ func TestCompositeOfOneIsCluster(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompositeHeapFlatInQueries pins what a composite's filter entries
+// cost: one bit per (stream, slot), the override bitmap. It hosts n = 1,000
+// streams under M = 1, 64, 256 and 1,024 ZT-NRP queries, each broadcasting
+// its interval as its column default, and measures the heap each composite
+// retains beyond one over a single stream with the same queries, per extra
+// stream (so per-query state cancels). From M = 1 to M that may grow by at
+// most ⌈M/64⌉·8 bytes plus a small constant: a dense matrix of entries
+// would add 24 bytes per slot, 24 KiB per stream at M = 1,024. The
+// interval lies above every value, so no protocol holds an answer bitmap.
+func TestCompositeHeapFlatInQueries(t *testing.T) {
+	const n, slack = 1000, 32
+	rg := query.NewRange(1e6, 2e6)
+	retained := func(streams, m int) int64 {
+		initial := make([]float64, streams)
+		for s := range initial {
+			initial[s] = float64(s % 100)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := server.NewComposite(initial)
+		for qi := 0; qi < m; qi++ {
+			c.AddQuery(fmt.Sprintf("q%d", qi), int64(qi), func(h server.Host) server.Protocol {
+				return core.NewZTNRP(h, rg)
+			})
+		}
+		c.Initialize()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	perStream := func(m int) int64 { return (retained(n, m) - retained(1, m)) / (n - 1) }
+	retained(1, 1) // the first measurement also sees the test binary's warm-up freed
+	base := perStream(1)
+	for _, m := range []int{64, 256, 1024} {
+		got, bound := perStream(m)-base, int64((m+63)/64*8+slack)
+		t.Logf("M = %d: %d bytes per stream more than at M = 1 (bound %d)", m, got, bound)
+		if got > bound {
+			t.Errorf("M = %d: each stream retains %d bytes more than at M = 1, want at most %d", m, got, bound)
+		}
 	}
 }

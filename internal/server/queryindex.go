@@ -22,17 +22,20 @@ import (
 // The (stream × slot) constraint matrix is mostly one value per column — a
 // query installs one interval on every stream — plus a few exceptions, so
 // the index keeps it as a dense default plus sparse exceptions, in two
-// layers:
+// layers. The index is the one store of a composite's entries: entry
+// (s, qi) is slot qi's column default unless stream s's override bit for
+// qi is set, in which case it is the stream's exception (entry reads it
+// back bit-exact).
 //
 //   - The shared layer files each live slot's column default once per
-//     composite. InstallAllExcept sets it; AddQuery's
-//     unfiltered start is a filter.None default; a band, which re-centres
-//     per stream, is never one.
+//     composite. InstallAllExcept sets it; AddQuery's unfiltered start is
+//     a filter.None default; a removed slot's is the zero constraint; a
+//     band, which re-centres per stream, is never one.
 //   - The per-stream layer holds, per stream, a packed hot record (a
 //     finger into the shared boundary list and flag bits), an override
 //     bitmap (the slots whose entry here differs from their default) and
-//     the stream's exceptions, filed exactly as the shared layer files
-//     defaults. A stream that follows every default has an empty one.
+//     the stream's exceptions, each filed in a class with its exact bits.
+//     A stream that follows every default has an empty one.
 //
 // Within a layer, entries whose constraints are bit-identical share one
 // evaluation class, whose members are a slot bitmap, so M queries
@@ -58,45 +61,49 @@ import (
 //     each: fire when the band no longer contains v, then re-centre on v,
 //     merging into an identical band class if there is one.
 //
-// Entries that can never report are left unfiled: silent intervals, and
-// intervals with a NaN bound, which contain no value. filter.None entries
-// report every update: a stream where one stands (a None default it does
-// not override, or a None exception) carries the hotAll flag. NaN updates
-// admit no ordering, so Deliver falls back to the linear scan for that
-// update and re-files the stream's exceptions and finger afterwards.
+// Entries that can never report — silent intervals, and intervals with a
+// NaN bound, which contain no value — file no keys: a default of that kind
+// is in no class, an exception sits in a class that only keeps its bits.
+// filter.None entries report every update: a stream where one stands (a
+// None default it does not override, or a None exception) carries the
+// hotAll flag. NaN updates admit no ordering, so Deliver decides them with
+// the linear scan, which re-centres bands through set, and then recomputes
+// the stream's two fingers.
 //
 // A default change moves at most four shared keys and fixes every stream's
 // finger in one pass over the value column; it re-files no stream but the
-// ones whose relation to the default changed. ExportState/ImportState never
-// encode the index — restore picks each column's default (a Boyer–Moore
-// majority) and rebuilds from the restored constraint vectors, so the
-// snapshot format is unchanged and index state can never drift from
-// fabric state across a save/load cycle. Which entry becomes the default
-// changes no fired set, only which layer files what.
+// ones whose relation to the default changed. ExportState expands the
+// entries into the per-stream rows the snapshot has always held, and
+// ImportState re-files both layers from the rows it decodes, each column's
+// default a Boyer–Moore majority: the index is never encoded, so the
+// snapshot format is unchanged. Which entry becomes the default changes no
+// fired set, only which layer files what.
 //
 // Everything on the Deliver path reuses scratch owned by the index (the
 // fired bitmap, the boundary lists' own capacity), keeping the steady-state
 // ingest path at 0 allocs/op.
 
-// enableQueryIndex gates the indexed Deliver path for composites built
-// after it changes. Production always runs indexed; equivalence tests
+// enableQueryIndex says whether composites built after it changes decide
+// crossings with the index. Production always does; equivalence tests
 // toggle it to pin indexed against linear evaluation.
 var enableQueryIndex = true
 
-// SetQueryIndexEnabled toggles whether newly constructed Composites build
-// the per-stream query index, returning the previous setting. It exists
-// for tests that compare the indexed Deliver against the linear reference
-// scan; production code never calls it.
+// SetQueryIndexEnabled toggles whether newly constructed Composites'
+// Deliver decides crossings with the query index or with the linear
+// reference scan, returning the previous setting. Both keep their entries
+// in the index. It exists for tests that compare the two; production code
+// never calls it.
 func SetQueryIndexEnabled(on bool) bool {
 	prev := enableQueryIndex
 	enableQueryIndex = on
 	return prev
 }
 
-// Slot categories recorded in classes.classOf.
+// Slot categories recorded in classes.classOf. A stream files every
+// exception in a class, so only the shared layer records catAlways.
 const (
-	catNone   int32 = -1 // unfiled: removed slot, or an entry that can never report
-	catAlways int32 = -2 // filter.None entry: reports every update
+	catNone   int32 = -1 // not filed here, or a default that can never report
+	catAlways int32 = -2 // filter.None default: reports every update
 )
 
 // Flag bits of a stream's hot record.
@@ -138,25 +145,6 @@ type classes struct {
 }
 
 func (t *classes) members(cid int32, w int) slotSet { return t.mem[int(cid)*w:][:w] }
-
-// slot returns slot qi's category.
-func (t *classes) slot(qi int) int32 {
-	if t.classOf == nil {
-		return catNone
-	}
-	return t.classOf[qi]
-}
-
-// setSlot records slot qi's category, sizing classOf to slots on first use.
-func (t *classes) setSlot(qi int, cat int32, slots int) {
-	if t.classOf == nil {
-		if cat == catNone {
-			return
-		}
-		t.classOf = slices.Repeat([]int32{catNone}, slots)
-	}
-	t.classOf[qi] = cat
-}
 
 // find returns the live class holding cons. Class identity is bit-equality
 // of the constraint (math.Float64bits, so NaN bounds and ±0 group
@@ -220,8 +208,8 @@ func (t *classes) restride(old, w int) {
 	t.mem = m
 }
 
-// unfiled says whether an entry can never report: a silent interval or
-// one with a NaN bound.
+// unfiled says whether an entry can never report, and so files no keys: a
+// silent interval or one with a NaN bound.
 func unfiled(cons filter.Constraint) bool {
 	return cons.Kind == filter.Interval && (cons.Silent() || math.IsNaN(cons.Lo) || math.IsNaN(cons.Hi))
 }
@@ -242,7 +230,7 @@ func keysOf(cons filter.Constraint, key func(float64)) {
 // once per composite, its interval classes' keys in one list.
 type shared struct {
 	classes
-	cons   []filter.Constraint // per slot: the column default (removed: unfiled)
+	cons   []filter.Constraint // per slot: the column default (removed: the zero constraint)
 	keys   keyList
 	always slotSet // live slots whose default is filter.None
 }
@@ -293,9 +281,9 @@ func (d *shared) file(qi int, cons filter.Constraint, w int, mv *keyMoves) {
 	}
 }
 
-// qstream is one stream's exceptions: its classes, their boundary list
-// (with its finger at the stream's current value), its band classes and
-// its count of unfiltered exceptions.
+// qstream is one stream's exceptions: its classes, which hold every
+// exception's bits, their boundary list (with its finger at the stream's
+// current value), its band classes and its count of unfiltered exceptions.
 type qstream struct {
 	classes
 	bounds boundList
@@ -303,47 +291,51 @@ type qstream struct {
 	always int     // filter.None exceptions
 }
 
-// file files exception cons for slot qi (cur is the stream's value).
+// file files exception cons for slot qi (cur is the stream's value), sizing
+// classOf to slots on first use. A band joins the band list and a filed
+// interval keys its bounds; any other entry only keeps its bits.
 func (st *qstream) file(qi int, cons filter.Constraint, w, slots int, cur float64) {
-	switch {
-	case cons.Kind == filter.None:
-		st.always++
-		st.setSlot(qi, catAlways, slots)
-	case unfiled(cons):
-	default:
-		cid, ok := st.find(cons)
-		if !ok {
-			cid = st.open(cons, w)
-			if cons.Kind == filter.Band {
-				st.bands = append(st.bands, cid)
-			} else {
-				keysOf(cons, func(k float64) { st.bounds.insert(k, cid, cur) })
-			}
+	cid, ok := st.find(cons)
+	if !ok {
+		cid = st.open(cons, w)
+		switch {
+		case cons.Kind == filter.Band:
+			st.bands = append(st.bands, cid)
+		case cons.Kind == filter.Interval && !unfiled(cons):
+			keysOf(cons, func(k float64) { st.bounds.insert(k, cid, cur) })
 		}
-		st.members(cid, w).put(qi, true)
-		st.setSlot(qi, cid, slots)
 	}
+	if cons.Kind == filter.None {
+		st.always++
+	}
+	st.members(cid, w).put(qi, true)
+	if st.classOf == nil {
+		st.classOf = slices.Repeat([]int32{catNone}, slots)
+	}
+	st.classOf[qi] = cid
 }
 
 // drop unfiles slot qi's exception (cur is the stream's value).
 func (st *qstream) drop(qi, w int, cur float64) {
-	switch cid := st.slot(qi); {
-	case cid == catAlways:
+	cid := st.classOf[qi]
+	if st.cls[cid].cons.Kind == filter.None {
 		st.always--
-	case cid >= 0 && st.leave(qi, cid, w):
+	}
+	if st.leave(qi, cid, w) {
 		st.close(cid, cur)
 	}
-	st.setSlot(qi, catNone, 0)
+	st.classOf[qi] = catNone
 }
 
 // close retires class cid, whose members have all left: a band leaves the
-// band list, an interval takes its keys out of the boundary list.
+// band list, a filed interval takes its keys out of the boundary list.
 func (st *qstream) close(cid int32, cur float64) {
-	if cons := st.cls[cid].cons; cons.Kind == filter.Band {
+	switch cons := st.cls[cid].cons; {
+	case cons.Kind == filter.Band:
 		i := slices.Index(st.bands, cid)
 		st.bands[i] = st.bands[len(st.bands)-1]
 		st.bands = st.bands[:len(st.bands)-1]
-	} else {
+	case cons.Kind == filter.Interval && !unfiled(cons):
 		keysOf(cons, func(k float64) { st.bounds.remove(k, cid, cur) })
 	}
 	st.retire(cid)
@@ -361,12 +353,22 @@ type queryIndex struct {
 	fired   slotSet // members of the classes the last deliver fired
 }
 
-func newQueryIndex(n int) *queryIndex {
-	return &queryIndex{hot: make([]hot, n), streams: make([]qstream, n)}
+func newQueryIndex(n int) queryIndex {
+	return queryIndex{hot: make([]hot, n), streams: make([]qstream, n)}
 }
 
 // overrides returns stream s's override bitmap.
 func (x *queryIndex) overrides(s int) slotSet { return x.ovr[s*x.words:][:x.words] }
+
+// entry returns stream s's entry for slot qi, bit-exact: its exception
+// when it overrides the column default, else the default.
+func (x *queryIndex) entry(s, qi int) filter.Constraint {
+	if x.overrides(s).has(qi) {
+		st := &x.streams[s]
+		return st.cls[st.classOf[qi]].cons
+	}
+	return x.def.cons[qi]
+}
 
 // restride re-lays every bitmap at the stride that holds slots query
 // slots, once the slot count crosses a multiple of 64.
@@ -389,9 +391,8 @@ func (x *queryIndex) restride(slots int) {
 	x.fired = make(slotSet, w)
 }
 
-// addSlot registers a freshly appended query slot (AddQuery just wrote a
-// filter.None entry for it at every stream): a None default every stream
-// follows.
+// addSlot registers a freshly appended query slot: a filter.None default
+// every stream follows.
 func (x *queryIndex) addSlot(c *Composite) {
 	qi := len(c.queries) - 1
 	x.restride(len(c.queries))
@@ -408,8 +409,8 @@ func (x *queryIndex) addSlot(c *Composite) {
 	}
 }
 
-// removeSlot drops query slot qi from both layers (RemoveQuery already
-// cleared its entries).
+// removeSlot drops query slot qi from both layers, leaving the zero
+// constraint as its entry at every stream.
 func (x *queryIndex) removeSlot(c *Composite, qi int) {
 	for s := range x.streams {
 		if x.novr[qi] == 0 {
@@ -477,10 +478,9 @@ func (x *queryIndex) moved(c *Composite, mv *keyMoves, reflag bool) {
 	}
 }
 
-// set re-files stream s's entry for slot qi after it changed to cons. This
-// is the single per-stream mutation point every fabric path funnels
-// through: an entry equal to its default clears the stream's exception,
-// any other makes one.
+// set makes cons stream s's entry for slot qi. This is the single
+// per-stream mutation point every fabric path funnels through: an entry
+// equal to its default clears the stream's exception, any other makes one.
 func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint) {
 	o, st := x.overrides(s), &x.streams[s]
 	follows := sameConstraint(cons, x.def.cons[qi])
@@ -488,7 +488,7 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint) {
 		// Reinstalling what is already filed — a maintenance round
 		// refreshing a query's standing constraint — must not churn the
 		// class or its boundary keys.
-		if cid := st.slot(qi); cid >= 0 && !follows && sameConstraint(st.cls[cid].cons, cons) {
+		if !follows && sameConstraint(st.cls[st.classOf[qi]].cons, cons) {
 			return
 		}
 		st.drop(qi, x.words, c.vals[s])
@@ -542,18 +542,12 @@ func sameConstraint(a, b filter.Constraint) bool {
 }
 
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
-// the value move u→v on stream s (c.vals[s] already holds v). It reports
-// whether the stream reports — with decisions and side effects (band
-// re-centering) exactly matching the linear scan's — and whether
-// the report concerns every live slot (all: an unfiltered entry stands, or
-// the scan ran). When it does not, x.fired is the bitmap of the slots whose
-// own entry fired.
+// the value move u→v on stream s, neither NaN (c.vals[s] already holds v).
+// It reports whether the stream reports — with decisions and side effects
+// (band re-centering) exactly matching the linear scan's — and whether the
+// report concerns every live slot (all: an unfiltered entry stands). When
+// it does not, x.fired is the bitmap of the slots whose own entry fired.
 func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bool) {
-	if math.IsNaN(u) || math.IsNaN(v) {
-		crossed = c.deliverScan(s, u, v)
-		x.rebuildStream(c, s)
-		return crossed, true
-	}
 	h := &x.hot[s]
 	keys := x.def.keys
 	from := int(h.at)
@@ -591,7 +585,7 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 		// unchecked.
 		for i := len(st.bands) - 1; i >= 0; i-- {
 			if cid := st.bands[i]; !st.cls[cid].cons.Contains(v) {
-				x.fireBand(c, st, s, cid, v)
+				x.fireBand(st, cid, v)
 			}
 		}
 	}
@@ -606,18 +600,14 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) (crossed, all bo
 }
 
 // fireBand applies the linear scan's band rule to every member of band
-// class cid at once: each fires, and its entry is re-centred on v. The
-// class follows, merging into an identical band class if the re-centre
-// made two bands converge.
-func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v float64) {
+// class cid at once: each fires, and the class, which holds their entry,
+// is re-centred on v, merging into an identical band class if the
+// re-centre made two bands converge.
+func (x *queryIndex) fireBand(st *qstream, cid int32, v float64) {
 	m := st.members(cid, x.words)
 	nc := filter.NewBand(v, st.cls[cid].cons.BandHalfWidth())
-	row := c.cons[s]
 	for w, b := range m {
 		x.fired[w] |= b
-		for ; b != 0; b &= b - 1 {
-			row[w<<6|bits.TrailingZeros64(b)] = nc
-		}
 	}
 	for _, tid := range st.bands {
 		if tid == cid || !sameConstraint(st.cls[tid].cons, nc) {
@@ -637,47 +627,20 @@ func (x *queryIndex) fireBand(c *Composite, st *qstream, s int, cid int32, v flo
 	st.cls[cid].cons = nc
 }
 
-// rebuildStream re-files stream s's exceptions against the defaults and
-// recomputes its finger (used after a NaN fallback scan mutated entries
-// behind the index's back, and by refile).
-func (x *queryIndex) rebuildStream(c *Composite, s int) {
+// refinger recomputes stream s's two fingers at its value v, after the
+// linear scan decided a move the index did not walk.
+func (x *queryIndex) refinger(s int, v float64) {
+	x.hot[s].at = int32(x.def.keys.below(v))
 	st := &x.streams[s]
-	o := x.overrides(s)
-	for w, b := range o {
-		for ; b != 0; b &= b - 1 {
-			x.novr[w<<6|bits.TrailingZeros64(b)]--
-		}
-		o[w] = 0
-	}
-	*st = qstream{
-		classes: classes{cls: st.cls[:0], mem: st.mem[:0], free: st.free[:0], classOf: st.classOf},
-		bounds:  boundList{keys: st.bounds.keys[:0]},
-		bands:   st.bands[:0],
-	}
-	for qi := range st.classOf {
-		st.classOf[qi] = catNone
-	}
-	for qi, q := range c.queries {
-		if cons := c.cons[s][qi]; q != nil && !sameConstraint(cons, x.def.cons[qi]) {
-			st.file(qi, cons, x.words, len(c.queries), c.vals[s])
-			o.put(qi, true)
-			x.novr[qi]++
-		}
-	}
-	x.hot[s].at = int32(x.def.keys.below(c.vals[s]))
-	x.reflag(s)
+	st.bounds.at = int32(st.bounds.keys.below(v))
 }
 
-// rebuild recomputes the whole index from the fabric — the restore path —
-// with each column's default its Boyer–Moore majority entry.
-func (x *queryIndex) rebuild(c *Composite) { x.refile(c, majorityDefault) }
-
-// refile rebuilds the index from the fabric, taking pick(c, qi) as live
-// slot qi's default (a band is never one: it becomes None). ImportState
-// never decodes index state: deriving it from the restored constraint
-// vectors is the invariant that keeps the snapshot encoding unchanged and
-// the index incapable of drifting across a save/load cycle.
-func (x *queryIndex) refile(c *Composite, pick func(c *Composite, qi int) filter.Constraint) {
+// refile rebuilds the index from rows, the entries of every stream (rows[s]
+// holds one per slot), taking pick(rows, qi) as live slot qi's default (a
+// band is never one: it becomes None). It is ImportState's path: the index
+// is never encoded, so it is re-filed from the rows the snapshot decodes.
+func (x *queryIndex) refile(c *Composite, rows [][]filter.Constraint,
+	pick func(rows [][]filter.Constraint, qi int) filter.Constraint) {
 	slots := len(c.queries)
 	x.restride(slots)
 	x.def = shared{
@@ -687,33 +650,38 @@ func (x *queryIndex) refile(c *Composite, pick func(c *Composite, qi int) filter
 	}
 	x.novr = make([]int32, slots)
 	clear(x.ovr)
-	for s := range x.streams {
-		x.streams[s].classOf = nil
-	}
-	var mv keyMoves
+	clear(x.streams)
 	for qi, q := range c.queries {
 		if q == nil {
 			continue
 		}
-		cons := pick(c, qi)
+		cons := pick(rows, qi)
 		if cons.Kind == filter.Band {
 			cons = filter.NoFilter()
 		}
-		mv = keyMoves{}
-		x.def.file(qi, cons, x.words, &mv)
+		x.def.file(qi, cons, x.words, &keyMoves{})
 	}
-	for s := range x.streams {
-		x.rebuildStream(c, s)
+	for s, row := range rows {
+		st, o := &x.streams[s], x.overrides(s)
+		for qi, q := range c.queries {
+			if q != nil && !sameConstraint(row[qi], x.def.cons[qi]) {
+				st.file(qi, row[qi], x.words, slots, c.vals[s])
+				o.put(qi, true)
+				x.novr[qi]++
+			}
+		}
+		x.hot[s].at = int32(x.def.keys.below(c.vals[s]))
+		x.reflag(s)
 	}
 }
 
 // majorityDefault picks column qi's default by a Boyer–Moore majority vote
 // over its non-band entries (None when every entry is a band).
-func majorityDefault(c *Composite, qi int) filter.Constraint {
+func majorityDefault(rows [][]filter.Constraint, qi int) filter.Constraint {
 	var cand filter.Constraint
 	votes := 0
-	for s := range c.cons {
-		e := c.cons[s][qi]
+	for _, row := range rows {
+		e := row[qi]
 		switch {
 		case e.Kind == filter.Band:
 		case votes == 0:

@@ -88,24 +88,87 @@ func checkDispatch(t *testing.T, c *Composite) {
 	}
 }
 
-// checkIndex verifies the full structural invariant set of the query index
-// against the fabric, layer by layer. The shared layer: each live slot's
-// default is filed once (never a band), its classes are exact and its key
-// list is exact and sorted. The per-stream layer: the finger equals the
-// count of shared keys below the stream's value, an override bit is set
-// exactly when the entry differs from its default, the flags match, and
-// the stream files only its exceptions (classes, boundary keys and finger,
-// bands). Then the dispatch bookkeeping.
-func checkIndex(t *testing.T, c *Composite) {
-	t.Helper()
-	x := c.idx
-	if x == nil {
-		t.Fatal("composite has no index")
+// shadow is a dense copy of every entry a test installed in a composite:
+// sh[s][qi] is what stream s's entry for slot qi must read back as. Its
+// methods mirror the composite's ops as documented — a band re-centres by
+// the linear scan's own rule — so checkIndex audits the query index, the
+// composite's one store of entries, against a matrix kept apart from it.
+// The test protocols never install from maintenance, so the ops a test
+// drives are all the installs there are.
+type shadow [][]filter.Constraint
+
+// addSlot mirrors AddQuery: an unfiltered entry at every stream.
+func (sh shadow) addSlot() {
+	for s := range sh {
+		sh[s] = append(sh[s], filter.NoFilter())
 	}
+}
+
+// removeSlot mirrors RemoveQuery: the zero constraint at every stream.
+func (sh shadow) removeSlot(qi int) {
+	for s := range sh {
+		sh[s][qi] = filter.Constraint{}
+	}
+}
+
+// installAll mirrors InstallAllExcept.
+func (sh shadow) installAll(qi int, skip []stream.ID, cons filter.Constraint) {
+	for s := range sh {
+		if !slices.Contains(skip, s) {
+			sh[s][qi] = cons
+		}
+	}
+}
+
+// deliver mirrors Deliver's band rule for a move of stream s to v: a band
+// that no longer contains v is re-centred on it.
+func (sh shadow) deliver(s int, v float64) {
+	for qi, e := range sh[s] {
+		if e.Kind == filter.Band && !e.Contains(v) {
+			sh[s][qi] = filter.NewBand(v, e.BandHalfWidth())
+		}
+	}
+}
+
+// category returns slot qi's category in one layer (an unsized classOf
+// files nothing).
+func category(cl *classes, qi int) int32 {
+	if cl.classOf == nil {
+		return catNone
+	}
+	return cl.classOf[qi]
+}
+
+// checkIndex verifies the query index against sh, the entries the test
+// installed, and its full structural invariant set, layer by layer. The
+// store: every entry reads back bit-exact through Constraint. The shared
+// layer: each live slot's default is filed once (never a band), its
+// classes are exact and its key list is exact and sorted. The per-stream
+// layer: the finger equals the count of shared keys below the stream's
+// value, an override bit is set exactly when the entry differs from its
+// default, the flags match, and the stream files only its exceptions, each
+// in the class of its bits (classes, boundary keys and finger, bands).
+// Then the dispatch bookkeeping.
+func checkIndex(t *testing.T, c *Composite, sh shadow) {
+	t.Helper()
+	x := &c.idx
 	checkDispatch(t, c)
 	slots := len(c.queries)
 	if x.words != words(slots) || len(x.fired) != x.words {
 		t.Fatalf("index stride %d, fired %d words, for %d slots", x.words, len(x.fired), slots)
+	}
+	if len(sh) != c.N() {
+		t.Fatalf("shadow holds %d streams, composite %d", len(sh), c.N())
+	}
+	for s, row := range sh {
+		if len(row) != slots {
+			t.Fatalf("shadow stream %d holds %d entries for %d slots", s, len(row), slots)
+		}
+		for qi, want := range row {
+			if got := c.Constraint(s, qi); !sameConstraint(got, want) {
+				t.Fatalf("stream %d slot %d: entry %v, installed %v", s, qi, got, want)
+			}
+		}
 	}
 	d := &x.def
 	if len(d.cons) != slots || len(d.classOf) != slots || len(x.novr) != slots {
@@ -125,7 +188,7 @@ func checkIndex(t *testing.T, c *Composite) {
 		t.Fatalf("default always %b, want %b", d.always, alwaysDefault)
 	}
 	live := func(qi int) bool { return c.queries[qi] != nil }
-	sharedKeys := checkClasses(t, "shared layer", &d.classes, slots, x.words, live, d.cons)
+	sharedKeys := checkClasses(t, "shared layer", &d.classes, slots, x.words, live, d.cons, false)
 	checkKeys(t, "shared layer", d.keys, sharedKeys)
 	ovrCount := make([]int32, slots)
 	for s := range x.streams {
@@ -136,7 +199,7 @@ func checkIndex(t *testing.T, c *Composite) {
 		entries := make([]filter.Constraint, slots)
 		unfiltered := false
 		for qi := range c.queries {
-			cons := c.cons[s][qi]
+			cons := sh[s][qi]
 			differs := live(qi) && !sameConstraint(cons, d.cons[qi])
 			if o.has(qi) != differs {
 				t.Fatalf("%s slot %d: override bit %v, entry %v, default %v", where, qi, o.has(qi), cons, d.cons[qi])
@@ -150,7 +213,7 @@ func checkIndex(t *testing.T, c *Composite) {
 		if st.classOf != nil && len(st.classOf) != slots {
 			t.Fatalf("%s: classOf sized %d, want %d", where, len(st.classOf), slots)
 		}
-		own := checkClasses(t, where, &st.classes, slots, x.words, o.has, entries)
+		own := checkClasses(t, where, &st.classes, slots, x.words, o.has, entries, true)
 		always, bands := 0, []int32(nil)
 		for qi := range c.queries {
 			if o.has(qi) && entries[qi].Kind == filter.None {
@@ -206,24 +269,25 @@ func checkIndex(t *testing.T, c *Composite) {
 // file — entry[qi] for every slot filed(qi) — and returns the boundary
 // keys its live interval classes own, plus a key of id -1-cid for each
 // live band class. Each filed slot must sit in exactly the class of its
-// constraint (a None entry counts as always, an entry that can never
-// report is unfiled), and each live class must hold exactly its members.
+// constraint, and each live class must hold exactly its members; in the
+// shared layer (exceptions false) a None entry counts as always and an
+// entry that can never report is in no class.
 func checkClasses(t *testing.T, where string, cl *classes, slots, w int, filed func(int) bool,
-	entry []filter.Constraint) []bkey {
+	entry []filter.Constraint, exceptions bool) []bkey {
 	t.Helper()
 	if len(cl.mem) != len(cl.cls)*w {
 		t.Fatalf("%s: %d member words for %d classes", where, len(cl.mem), len(cl.cls))
 	}
 	members := map[int32][]int32{}
 	for qi := 0; qi < slots; qi++ {
-		cid := cl.slot(qi)
+		cid := category(cl, qi)
 		cons := entry[qi]
 		switch {
-		case !filed(qi) || unfiled(cons):
+		case !filed(qi) || !exceptions && unfiled(cons):
 			if cid != catNone {
 				t.Fatalf("%s slot %d: category %d, want none", where, qi, cid)
 			}
-		case cons.Kind == filter.None:
+		case !exceptions && cons.Kind == filter.None:
 			if cid != catAlways {
 				t.Fatalf("%s slot %d: category %d, want always", where, qi, cid)
 			}
@@ -260,7 +324,7 @@ func checkClasses(t *testing.T, where string, cl *classes, slots, w int, filed f
 			t.Fatalf("%s: live class %d is empty", where, cid)
 		case cons.Kind == filter.Band:
 			keys = append(keys, bkey{id: -1 - int32(cid)})
-		default:
+		case cons.Kind == filter.Interval && !unfiled(cons):
 			keysOf(cons, func(k float64) { keys = append(keys, bkey{v: k, id: int32(cid)}) })
 		}
 	}
@@ -344,9 +408,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 		initial[s] = rng.NormFloat64()*40 + 150
 	}
 	c := NewComposite(initial)
-	if c.idx == nil {
-		t.Skip("query index disabled")
-	}
+	sh := make(shadow, n)
 	build := func(seedID int64) func(Host) Protocol {
 		return func(h Host) Protocol {
 			if seedID%2 == 0 {
@@ -358,6 +420,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 	var live []int
 	for qi := 0; qi < first; qi++ {
 		c.AddQuery("q", int64(qi), build(int64(qi)))
+		sh.addSlot()
 		live = append(live, qi)
 	}
 	palette := func(v float64) filter.Constraint {
@@ -394,10 +457,13 @@ func TestQueryIndexInvariants(t *testing.T) {
 	for op := 0; op < 4000; op++ {
 		switch r := rng.Intn(100); {
 		case r < 35:
-			s := stream.ID(rng.Intn(n))
-			c.queries[live[rng.Intn(len(live))]].view.Install(s, palette(c.vals[s]), rng.Intn(2) == 0)
+			s, qi := stream.ID(rng.Intn(n)), live[rng.Intn(len(live))]
+			cons := palette(c.vals[s])
+			c.queries[qi].view.Install(s, cons, rng.Intn(2) == 0)
+			sh[s][qi] = cons
 		case r < 40 && slots < most:
 			c.AddQuery("q", int64(slots), build(int64(slots)))
+			sh.addSlot()
 			live = append(live, slots)
 			slots++
 		case r < 43 && len(live) > 1:
@@ -405,6 +471,7 @@ func TestQueryIndexInvariants(t *testing.T) {
 			if err := c.RemoveQuery(live[j]); err != nil {
 				t.Fatal(err)
 			}
+			sh.removeSlot(live[j])
 			removedLow = removedLow || live[j] < 64
 			removedHigh = removedHigh || live[j] >= 64
 			live = append(live[:j], live[j+1:]...)
@@ -431,9 +498,11 @@ func TestQueryIndexInvariants(t *testing.T) {
 			case 2:
 				v = math.Inf(-1)
 			}
-			c.Deliver(stream.ID(rng.Intn(n)), v)
+			s := rng.Intn(n)
+			c.Deliver(s, v)
+			sh.deliver(s, v)
 		}
-		checkIndex(t, c)
+		checkIndex(t, c, sh)
 	}
 	if slots <= 128 || !removedLow || !removedHigh || !wideRestore || !tampered {
 		t.Fatalf("walk ended at %d slots (removed <64: %v, >=64: %v; restored past 64: %v, tampered: %v); adjust it",
@@ -442,18 +511,20 @@ func TestQueryIndexInvariants(t *testing.T) {
 }
 
 // sideOffset is the offset, in c's snapshot, of the side stream s records
-// for slot qi: the bytes ExportState writes before that bool.
+// for slot qi: the bytes ExportState writes before that bool (a row of
+// entries takes as many bytes whatever the entries are).
 func sideOffset(c *Composite, s, qi int) int {
 	w := snapshot.NewWriter()
 	w.Int(c.N())
 	w.Int(len(c.queries))
 	w.Float64s(c.vals)
 	w.Float64s(c.table)
+	row := make([]filter.Constraint, len(c.queries))
 	for t := 0; t < s; t++ {
-		filter.ExportConstraints(w, c.cons[t])
+		filter.ExportConstraints(w, row)
 		w.Bools(make([]bool, len(c.queries)))
 	}
-	filter.ExportConstraints(w, c.cons[s])
+	filter.ExportConstraints(w, row)
 	w.Uint64(uint64(len(c.queries)))
 	return w.Len() + qi
 }
@@ -499,6 +570,54 @@ func TestCompositeImportRefusesContradictingSide(t *testing.T) {
 	}
 }
 
+// TestExceptionsKeepTheirBits gives one slot a column default plus, one
+// per stream, exceptions that can never report or report every update —
+// WideOpen, Shut, an inverted interval, a NaN-bounded one and an
+// unfiltered entry — and a band. None of them files a boundary key, so
+// only the index's store remembers them: every entry must read back
+// bit-exact through Constraint, and a composite restored from the snapshot
+// must read back the same entries and export the same bytes. Equivalence
+// between two composites cannot catch an exception the store forgot, since
+// both would forget it alike.
+func TestExceptionsKeepTheirBits(t *testing.T) {
+	initial := []float64{150, 150, 150, 150, 150, 150, 150}
+	entries := []filter.Constraint{
+		filter.NewInterval(100, 200),
+		filter.WideOpen(),
+		filter.Shut(),
+		filter.NewInterval(200, 100),
+		filter.NewInterval(math.NaN(), 120),
+		filter.NoFilter(),
+		filter.NewBand(150, 10),
+	}
+	build := func(Host) Protocol { return nopProto{} }
+	c := NewComposite(initial)
+	c.AddQuery("q", 0, build)
+	c.queries[0].view.InstallAllExcept(nil, entries[0])
+	sh := shadow{{entries[0]}, {entries[0]}, {entries[0]}, {entries[0]}, {entries[0]}, {entries[0]}, {entries[0]}}
+	for s, cons := range entries[1:] {
+		c.queries[0].view.Install(s+1, cons, cons.Contains(150))
+		sh[s+1][0] = cons
+	}
+	checkIndex(t, c, sh)
+	w := snapshot.NewWriter()
+	c.ExportState(w)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewComposite(initial)
+	if err := restored.ImportState(snapshot.NewReader(w.Bytes()),
+		func(int, string, int64, Host) (Protocol, error) { return nopProto{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, restored, sh)
+	again := snapshot.NewWriter()
+	restored.ExportState(again)
+	if !bytes.Equal(again.Bytes(), w.Bytes()) {
+		t.Fatal("a restored composite exports different bytes")
+	}
+}
+
 // loggedProto is drivenProto whose Crossed appends its slot to log, so a
 // report is logged whether Deliver hands it over through Crossed or a
 // queued report goes through HandleUpdate.
@@ -515,17 +634,17 @@ func (p loggedProto) HandleUpdate(s stream.ID, v float64) {
 
 func (p loggedProto) Crossed(stream.ID, float64) { *p.log = append(*p.log, p.qi) }
 
-// firedDriven recounts, from every live entry of stream s of c, the
-// even-numbered (CrossingDriven) slots a delivery of v dispatches to, in
-// ascending order: those whose own entry fires, or all of them when an
-// unfiltered entry makes the report concern every slot or a NaN end sends
-// the move to the linear scan. A silent entry is never dispatched to.
-func firedDriven(c *Composite, s int, v float64, live []int) []int {
-	u := c.vals[s]
+// firedDriven recounts, from every live entry of a stream (row, its
+// installed entries), the even-numbered (CrossingDriven) slots its move
+// u→v dispatches to, in ascending order: those whose own entry fires, or
+// all of them when an unfiltered entry makes the report concern every slot
+// or a NaN end sends the move to the linear scan. A silent entry is never
+// dispatched to.
+func firedDriven(row []filter.Constraint, u, v float64, live []int) []int {
 	var fired, driven []int
 	unfiltered, crossed := false, false
 	for _, qi := range live {
-		cons := c.cons[s][qi]
+		cons := row[qi]
 		unfiltered = unfiltered || cons.Kind == filter.None
 		fires := cons.Kind == filter.Band && !cons.Contains(v) ||
 			cons.Kind == filter.Interval && !cons.Silent() && cons.Contains(u) != cons.Contains(v)
@@ -545,8 +664,8 @@ func firedDriven(c *Composite, s int, v float64, live []int) []int {
 
 // FuzzCompositeDeliver replays a program of composite operations on a
 // linear and an indexed composite and requires the same ExportState bytes
-// and ServerOps after every op, auditing the index with checkIndex each
-// time. Each op is four bytes:
+// and ServerOps after every op, auditing both composites' index with
+// checkIndex against the program's shadow of its installs each time. Each op is four bytes:
 //
 //	byte 0  op (low 4 bits: 0-3 install, 4 InstallAllExcept(nil, …), 5 InstallAllExcept,
 //	        6-11 deliver, 12 restore, 13 add, 14-15 remove a query); bit 7
@@ -610,6 +729,11 @@ func FuzzCompositeDeliver(f *testing.F) {
 			return c
 		}
 		lin, idx := compose(false, new([]int)), compose(true, &dispatched)
+		sh := make(shadow, n)
+		for qi := 0; qi < first; qi++ {
+			sh.addSlot()
+			sh.installAll(qi, nil, standing(qi))
+		}
 		// restore round-trips c through its snapshot into a fresh
 		// composite, indexed or not.
 		restore := func(c *Composite, indexed bool, log *[]int) *Composite {
@@ -663,6 +787,14 @@ func FuzzCompositeDeliver(f *testing.F) {
 						view.Install(stream.ID(s), cons, op&0x80 != 0)
 					}
 				}
+				switch op & 15 {
+				case 4:
+					sh.installAll(slot, nil, cons)
+				case 5:
+					sh.installAll(slot, skip, cons)
+				default:
+					sh[s][slot] = cons
+				}
 			case 6, 7, 8, 9, 10, 11:
 				v := 2.5 * float64(prog[3])
 				switch prog[2] % 8 {
@@ -673,16 +805,18 @@ func FuzzCompositeDeliver(f *testing.F) {
 				case 2:
 					v = math.Inf(-1)
 				case 3, 4:
-					lo, hi := lin.cons[s][live[int(prog[3])%len(live)]].Bounds()
+					lo, hi := sh[s][live[int(prog[3])%len(live)]].Bounds()
 					v = lo
 					if prog[2]%8 == 4 {
 						v = hi
 					}
 				}
-				u, want := lin.vals[s], firedDriven(lin, s, v, live)
+				u := lin.vals[s]
+				want := firedDriven(sh[s], u, v, live)
 				dispatched = dispatched[:0]
 				lin.Deliver(stream.ID(s), v)
 				idx.Deliver(stream.ID(s), v)
+				sh.deliver(s, v)
 				if !slices.Equal(dispatched, want) {
 					t.Fatalf("op %v: %v→%v dispatched to CrossingDriven slots %v, recount %v",
 						prog[:4], u, v, dispatched, want)
@@ -705,6 +839,10 @@ func FuzzCompositeDeliver(f *testing.F) {
 				}
 				admit(lin, new([]int))
 				admit(idx, &dispatched)
+				sh.addSlot()
+				if prog[2]&6 != 0 {
+					sh.installAll(qi, nil, standing(qi))
+				}
 				live = append(live, qi)
 			default:
 				if len(live) == 1 {
@@ -715,9 +853,11 @@ func FuzzCompositeDeliver(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
+				sh.removeSlot(slot)
 				live = slices.DeleteFunc(live, func(qi int) bool { return qi == slot })
 			}
-			checkIndex(t, idx)
+			checkIndex(t, lin, sh)
+			checkIndex(t, idx, sh)
 			if !bytes.Equal(export(lin), export(idx)) {
 				t.Fatalf("op %v: linear and indexed composites export different state", prog[:4])
 			}
@@ -786,8 +926,11 @@ func TestQueryIndexLowerKeyEdges(t *testing.T) {
 			}
 			lin, idx := compose(false, new([]int)), compose(true, &dispatched)
 			live := make([]int, 2*len(row.cons))
+			sh := make(shadow, 1)
 			for qi := range live {
 				live[qi] = qi
+				sh.addSlot()
+				sh[0][qi] = row.cons[qi/2]
 			}
 			export := func(c *Composite) []byte {
 				w := snapshot.NewWriter()
@@ -796,15 +939,18 @@ func TestQueryIndexLowerKeyEdges(t *testing.T) {
 			}
 			fires := 0
 			for _, v := range row.walk {
-				u, want := lin.vals[0], firedDriven(lin, 0, v, live)
+				u := lin.vals[0]
+				want := firedDriven(sh[0], u, v, live)
 				dispatched = dispatched[:0]
 				lin.Deliver(0, v)
 				idx.Deliver(0, v)
+				sh.deliver(0, v)
 				if !slices.Equal(dispatched, want) {
 					t.Fatalf("%v→%v dispatched to %v, recount %v", u, v, dispatched, want)
 				}
 				fires += len(want)
-				checkIndex(t, idx)
+				checkIndex(t, lin, sh)
+				checkIndex(t, idx, sh)
 				if !bytes.Equal(export(lin), export(idx)) {
 					t.Fatalf("%v→%v: linear and indexed composites export different state", u, v)
 				}
@@ -844,6 +990,7 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 		}
 	}
 	base := NewComposite(initial)
+	sh := make(shadow, n)
 	// An unfiltered entry makes its stream report every update, so, as in
 	// FuzzCompositeDeliver, palette entries past 11 are its plain interval
 	// and unfiltered ones stay rare.
@@ -854,24 +1001,29 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 		base.AddQuery("q", int64(qi), build(qi, new([]int)))
 		lo := 60 + 10*float64(qi%16)
 		base.queries[qi].view.InstallAllExcept(nil, filter.NewInterval(lo, lo+80))
+		sh.addSlot()
+		sh.installAll(qi, nil, filter.NewInterval(lo, lo+80))
 	}
 	base.Initialize()
 	for range 300 {
-		s := rng.Intn(n)
-		base.queries[rng.Intn(slots)].view.Install(s, palette(base.vals[s]), rng.Intn(2) == 0)
+		s, qi := rng.Intn(n), rng.Intn(slots)
+		cons := palette(base.vals[s])
+		base.queries[qi].view.Install(s, cons, rng.Intn(2) == 0)
+		sh[s][qi] = cons
 	}
 	w := snapshot.NewWriter()
 	base.ExportState(w)
+	type rows = [][]filter.Constraint
 	picks := []struct {
 		name string
-		pick func(c *Composite, qi int) filter.Constraint
+		pick func(rows rows, qi int) filter.Constraint
 	}{
 		{"majority", majorityDefault},
-		{"first", func(c *Composite, qi int) filter.Constraint { return c.cons[0][qi] }},
-		{"last", func(c *Composite, qi int) filter.Constraint { return c.cons[n-1][qi] }},
-		{"none", func(*Composite, int) filter.Constraint { return filter.NoFilter() }},
-		{"held-by-none", func(*Composite, int) filter.Constraint { return filter.NewInterval(-1e9, -1e8) }},
-		{"per-column", func(c *Composite, qi int) filter.Constraint { return c.cons[qi%n][qi] }},
+		{"first", func(rows rows, qi int) filter.Constraint { return rows[0][qi] }},
+		{"last", func(rows rows, qi int) filter.Constraint { return rows[n-1][qi] }},
+		{"none", func(rows, int) filter.Constraint { return filter.NoFilter() }},
+		{"held-by-none", func(rows, int) filter.Constraint { return filter.NewInterval(-1e9, -1e8) }},
+		{"per-column", func(rows rows, qi int) filter.Constraint { return rows[qi%n][qi] }},
 	}
 	type run struct {
 		c   *Composite
@@ -885,8 +1037,8 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		r.c.idx.refile(r.c, p.pick)
-		checkIndex(t, r.c)
+		r.c.idx.refile(r.c, sh, p.pick)
+		checkIndex(t, r.c, sh)
 		runs[i] = r
 	}
 	export := func(c *Composite) []byte {
@@ -914,6 +1066,16 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 			v = math.Inf(-1)
 		}
 		kind := rng.Intn(10)
+		switch kind {
+		case 0, 1:
+			sh[s][qi] = cons
+		case 2:
+			sh.installAll(qi, nil, cons)
+		case 3:
+			sh.installAll(qi, skip, cons)
+		default:
+			sh.deliver(s, v)
+		}
 		for _, r := range runs {
 			r.log = r.log[:0]
 			view := &r.c.queries[qi].view
@@ -927,7 +1089,7 @@ func TestDefaultChoiceIsUnobservable(t *testing.T) {
 			default:
 				r.c.Deliver(s, v)
 			}
-			checkIndex(t, r.c)
+			checkIndex(t, r.c, sh)
 		}
 		fired += len(runs[0].log)
 		want := export(runs[0].c)

@@ -14,8 +14,8 @@
 //
 // It replaces the randomness of the commercial CSIM 19 simulator the paper
 // used; that simulator's event scheduler has no counterpart here, because a
-// workload iterator already yields its events in time order and
-// runtime.Node applies them in it.
+// workload's trace (Workload.Events) already holds its events in time order
+// and runtime.Node applies them in it.
 package sim
 
 import (

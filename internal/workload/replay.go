@@ -24,7 +24,8 @@ type Replay struct {
 }
 
 // NewReplay builds a replay workload over explicit initial values and
-// events. Events are sorted by (time, original position).
+// events. Events are sorted by (time, original position); a negative,
+// infinite or NaN time is refused.
 func NewReplay(name string, initial []float64, events []Event) (*Replay, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("workload: replay needs at least one stream")
@@ -34,7 +35,7 @@ func NewReplay(name string, initial []float64, events []Event) (*Replay, error) 
 			return nil, fmt.Errorf("workload: replay event %d references stream %d of %d",
 				i, ev.Stream, len(initial))
 		}
-		if ev.Time < 0 || ev.Time != ev.Time {
+		if !validTime(ev.Time) {
 			return nil, fmt.Errorf("workload: replay event %d has invalid time %v", i, ev.Time)
 		}
 	}
@@ -46,8 +47,11 @@ func NewReplay(name string, initial []float64, events []Event) (*Replay, error) 
 // ParseCSV reads a `time,stream,value` trace. The initial value of each
 // stream is its first event's value (streams never seen start at 0); the
 // remaining events become the update sequence. n fixes the stream-id space;
-// pass 0 to size it from the largest id seen. A NaN time or value, a
-// negative id, or one outside a given n, is refused with its line number.
+// pass 0 to size it from the largest id seen. A NaN value, a time that is
+// NaN, negative or infinite, a negative id, or one outside a given n, is
+// refused with its line number — a row seeding an initial value included.
+// An infinite value is accepted: the runtime takes ±Inf updates, and a
+// filter decides them like any other value.
 func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -71,6 +75,9 @@ func ParseCSV(name string, r io.Reader, n int) (*Replay, error) {
 		t, err := parseNumber(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s line %d: time: %w", name, lineNo, err)
+		}
+		if !validTime(t) {
+			return nil, fmt.Errorf("workload: %s line %d: time %v is negative or infinite", name, lineNo, t)
 		}
 		id, err := strconv.Atoi(strings.TrimSpace(parts[1]))
 		if err != nil {
@@ -127,6 +134,9 @@ func parseNumber(field string) (float64, error) {
 	}
 	return f, err
 }
+
+// validTime says whether t can be an event time: finite and not negative.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
 
 // Name implements Workload.
 func (r *Replay) Name() string { return fmt.Sprintf("replay(%s,n=%d)", r.name, len(r.initial)) }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,11 @@ func TestNewReplayValidation(t *testing.T) {
 	}
 	if _, err := NewReplay("x", []float64{1}, []Event{{Stream: 1}}); err == nil {
 		t.Fatal("out-of-range stream accepted")
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1)} {
+		if _, err := NewReplay("x", []float64{1}, []Event{{Time: bad}}); err == nil {
+			t.Fatalf("time %v accepted", bad)
+		}
 	}
 	if _, err := NewReplay("x", []float64{1}, []Event{{Time: -1}}); err == nil {
 		t.Fatal("negative time accepted")
@@ -97,6 +103,10 @@ func TestParseCSVErrors(t *testing.T) {
 		{"0,0,NaN\n", 0, "line 1: value: NaN"},        // would seed a NaN initial value
 		{"0,0,1\n1,0,NaN\n", 0, "line 2: value: NaN"}, // would be a NaN update
 		{"NaN,0,1\n", 0, "line 1: time: NaN"},         // would sort anywhere
+		{"-1,0,5\n2,0,6\n", 0, "line 1: time -1"},     // would seed stream 0's initial value
+		{"0,0,5\n-2,0,6\n", 0, "line 2: time -2"},
+		{"Inf,0,1\n", 0, "line 1: time +Inf"},
+		{"0,0,1\n-Inf,0,2\n", 0, "line 2: time -Inf"},
 	}
 	for i, c := range cases {
 		_, err := ParseCSV("t", strings.NewReader(c.in), c.n)
@@ -106,6 +116,18 @@ func TestParseCSVErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("case %d: err = %v, want it to name %q", i, err, c.want)
 		}
+	}
+}
+
+// TestParseCSVTakesInfiniteValues pins that an infinite value parses, as
+// an initial value and as an update: the runtime takes ±Inf updates.
+func TestParseCSVTakesInfiniteValues(t *testing.T) {
+	r, err := ParseCSV("t", strings.NewReader("0,0,Inf\n1,0,-Inf\n"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init, evs := r.Initial(), r.Events(); !math.IsInf(init[0], 1) || len(evs) != 1 || !math.IsInf(evs[0].Value, -1) {
+		t.Fatalf("Initial/Events = %v/%v, want [+Inf]/one -Inf update", init, evs)
 	}
 }
 
