@@ -33,23 +33,19 @@ func (r *ranker[V, C]) probeAll() { r.valsBuf = r.c.ProbeAllInto(r.valsBuf) }
 // ranking scores kept by the server" the protocols consult — into rk and
 // orders the m nearest by (distance, id) at the front; the rest follow
 // unordered. The table is copied once into valsBuf and the keys are filled
-// from it in one Dists call; a NaN distance panics, as topk.Ranking.Add
-// does. A rebuild asks for exactly the prefix it reads (k+r+1 for
-// Deploy_bound, k+1 for the k-NN-as-range protocols); rk.Order can extend
-// the prefix later over the same snapshot. The returned slices alias rk and
-// are valid until its next fill. The pass is charged to the server
-// computation metric as one touch per stream, whatever m is.
+// from it in one Dists call; a NaN distance panics in rk.Order's pass, as
+// topk.Ranking.Add would. A rebuild asks for exactly the prefix it reads
+// (k+r+1 for Deploy_bound, k+1 for the k-NN-as-range protocols); rk.Order
+// can extend the prefix later over the same snapshot. The returned slices
+// alias rk and are valid until its next fill. The pass is charged to the
+// server computation metric as one touch per stream, whatever m is.
 func (r *ranker[V, C]) rankNearest(m int) (ids []int, dists []float64) {
 	r.valsBuf = r.c.TableValues(r.valsBuf)
 	keys := r.rk.Load(len(r.valsBuf))
 	r.q.Dists(keys, r.valsBuf)
-	for _, d := range keys {
-		if d != d {
-			panic("topk: NaN key in rank table")
-		}
-	}
+	ids, dists = r.rk.Order(m)
 	r.c.AddServerOps(len(keys))
-	return r.rk.Order(m)
+	return ids, dists
 }
 
 // nearestOf reorders ids in place so its m nearest by (table distance from

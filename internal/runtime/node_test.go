@@ -249,6 +249,11 @@ func TestValidation(t *testing.T) {
 	if err := node.Ingest([]Event{{Tenant: 0, Stream: -1}}); err == nil {
 		t.Fatal("negative stream accepted")
 	}
+	// Report wants a quiesced node: the shard loops may still be running
+	// the tenants' t0 Initialize.
+	if err := node.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	if name := node.Report().Tenants[0].Name; name != "q0" {
 		t.Fatalf("tenant name = %q", name)
 	}

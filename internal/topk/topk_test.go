@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -37,24 +38,38 @@ func checkRanking(t *testing.T, r *Ranking, want []pair, prefix int) {
 	if r.Ordered() != prefix {
 		t.Fatalf("Ordered() = %d, want %d", r.Ordered(), prefix)
 	}
+	checkSelected(t, ids, keys, want, prefix)
+}
+
+// checkSelected asserts the first prefix pairs of ids and keys are the
+// reference's, bit for bit, and that all of them are still a permutation
+// of the input pairs.
+func checkSelected(t *testing.T, ids []int, keys []float64, want []pair, prefix int) {
+	t.Helper()
 	if len(ids) != len(want) || len(keys) != len(want) {
 		t.Fatalf("ranking holds %d ids / %d keys, want %d", len(ids), len(keys), len(want))
 	}
 	for i := 0; i < prefix; i++ {
-		if ids[i] != want[i].id || keys[i] != want[i].key {
+		if ids[i] != want[i].id || math.Float64bits(keys[i]) != math.Float64bits(want[i].key) {
 			t.Fatalf("prefix[%d] = (%v, id %d), want (%v, id %d)", i, keys[i], ids[i], want[i].key, want[i].id)
 		}
 	}
-	// Ids are distinct, so "each id once, still with its own key" is the
-	// permutation check.
-	keyOf := make(map[int]float64, len(want))
+	checkPermutation(t, ids, keys, want)
+}
+
+// checkPermutation asserts ids and keys hold each input pair exactly once.
+// Ids are distinct, so "each id once, still with its own key bits" is the
+// check, and it holds for NaN keys too.
+func checkPermutation(t *testing.T, ids []int, keys []float64, want []pair) {
+	t.Helper()
+	keyOf := make(map[int]uint64, len(want))
 	for _, p := range want {
-		keyOf[p.id] = p.key
+		keyOf[p.id] = math.Float64bits(p.key)
 	}
 	seen := make(map[int]bool, len(want))
 	for i, id := range ids {
 		k, ok := keyOf[id]
-		if !ok || seen[id] || k != keys[i] {
+		if !ok || seen[id] || k != math.Float64bits(keys[i]) {
 			t.Fatalf("position %d holds (%v, id %d): not a permutation of the input", i, keys[i], id)
 		}
 		seen[id] = true
@@ -134,6 +149,106 @@ func TestSelectOnCallerSlices(t *testing.T) {
 	}
 	Select(nil, nil, 3) // empty input is a no-op
 	Select(ids, keys, -1)
+}
+
+// layout is one n-pair input the threshold pass is held to the reference
+// on; set fills ids (already 0..n−1) and keys.
+type layout struct {
+	name string
+	set  func(ids []int, keys []float64)
+}
+
+// layouts returns random keys, ascending and descending keys, all-equal
+// keys with descending ids (so every tie resolves by id), a mix of ±Inf
+// and ±0 keys, and "stride", which gives the positions the sample reads
+// the smallest keys so that few others fall at or below the threshold.
+func layouts(n int, rng *rand.Rand) []layout {
+	return []layout{
+		{"random", func(ids []int, keys []float64) {
+			fill(keys, func(int) float64 { return rng.Float64() })
+		}},
+		{"ascending", func(ids []int, keys []float64) { fill(keys, func(i int) float64 { return float64(i) }) }},
+		{"descending", func(ids []int, keys []float64) { fill(keys, func(i int) float64 { return float64(n - i) }) }},
+		{"equal", func(ids []int, keys []float64) {
+			fill(keys, func(int) float64 { return 1 })
+			for i := range ids {
+				ids[i] = n - 1 - i
+			}
+		}},
+		{"inf-zero", func(ids []int, keys []float64) {
+			specials := []float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1)}
+			fill(keys, func(int) float64 { return specials[rng.Intn(len(specials))] })
+		}},
+		{"stride", func(ids []int, keys []float64) {
+			fill(keys, func(i int) float64 { return float64(sampleSize + i) })
+			for j := range sampleSize {
+				keys[j*(n/sampleSize)] = float64(j)
+			}
+		}},
+	}
+}
+
+func fill(keys []float64, key func(i int) float64) {
+	for i := range keys {
+		keys[i] = key(i)
+	}
+}
+
+// TestSelectLayouts holds Select to the sort.Slice reference at sizes the
+// threshold pass runs at, for every layout and for m at the benchmark's
+// prefixes, at the n/8 edge of the pruned regime and at a full sort: the
+// ordered prefix must be the reference's and the rest a permutation. It
+// also checks which path each case takes: the random layouts are pruned
+// (at least m candidates), the stride layout falls back to the heap over
+// all n once m passes its few candidates, and m past n/8 is not pruned.
+func TestSelectLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1000, 2000, 4096} {
+		for _, m := range []int{1, 11, 21, 26, 52, n / 8, n/8 + 1, n} {
+			for _, l := range layouts(n, rng) {
+				ids, keys := make([]int, n), make([]float64, n)
+				for i := range ids {
+					ids[i] = i
+				}
+				l.set(ids, keys)
+				name := l.name
+				want := reference(ids, keys)
+				c := prune(slices.Clone(ids), slices.Clone(keys), m)
+				switch {
+				case 8*m > n:
+					if c != 0 {
+						t.Errorf("n=%d m=%d %s: pruned to %d candidates past n/8", n, m, name, c)
+					}
+				case name == "random" && c < m:
+					t.Errorf("n=%d m=%d random: %d candidates, want the pruned path (at least m)", n, m, c)
+				case name == "stride" && m > 1 && c >= m:
+					t.Errorf("n=%d m=%d stride: %d candidates, want the fallback (fewer than m)", n, m, c)
+				}
+				Select(ids, keys, m)
+				checkSelected(t, ids, keys, want, min(m, n))
+			}
+		}
+	}
+}
+
+// TestOrderPanicsOnLoadedNaN: a NaN key that a Load fill put past Add's
+// check panics the first Order over it, on the heap path (small n) and on
+// the pruned path, with the NaN between the sample points or on one.
+func TestOrderPanicsOnLoadedNaN(t *testing.T) {
+	for _, tc := range []struct{ n, at int }{{3, 1}, {1000, 7}, {1000, 15 * 3}, {2000, 1999}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "topk: NaN key in rank table" {
+					t.Errorf("n=%d NaN at %d: Order panicked with %v", tc.n, tc.at, r)
+				}
+			}()
+			var r Ranking
+			keys := r.Load(tc.n)
+			fill(keys, func(i int) float64 { return float64(i % 17) })
+			keys[tc.at] = math.NaN()
+			r.Order(1)
+		}()
+	}
 }
 
 func TestAddPanicsOnNaN(t *testing.T) {
@@ -245,21 +360,31 @@ func TestWarmRankingAllocatesNothing(t *testing.T) {
 }
 
 // FuzzSelectTop decodes (n, a ladder of growth steps, then per-pair key
-// bytes) and checks the prefix against the sort.Slice reference at every
-// step, that the slices stay a permutation, and that a NaN key panics the
-// fill. Keys are drawn from a small alphabet so duplicate keys and ±Inf
-// are the common case, not the rare one.
+// bytes, tiled to n) and checks the prefix against the sort.Slice
+// reference at every step, that the slices stay a permutation, that
+// Select reports a NaN key, and that a NaN key panics the fill. Keys are
+// drawn from a small alphabet so duplicate keys and ±Inf are the common
+// case, not the rare one. A first byte of 96 or more means n = pruneMin +
+// 8·(byte − 96), which puts the small steps in the pruned regime, and the
+// tiled bytes make periodic layouts that can hide the smallest keys
+// between the sample points.
 func FuzzSelectTop(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 4, 5, 10, 3, 3, 1, 0, 2})
 	f.Add([]byte{8, 2, 2, 9, 0, 200, 7, 7, 7, 7, 251, 252, 7, 7})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 253})
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{3, 1, 2, 3, 255, 1, 254, 2})
+	f.Add([]byte{96, 1, 21, 26, 52, 64, 5, 3, 6, 0, 2, 4, 1, 6})
+	f.Add([]byte{200, 16, 40, 2, 9, 130, 253, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 0})
+	f.Add([]byte{97, 1, 3, 30, 5, 7, 255, 4, 4, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		n := int(data[0]) % 96
+		n := int(data[0])
+		if n >= 96 {
+			n = pruneMin + 8*(n-96)
+		}
 		data = data[1:]
 		var steps []int
 		for i := 0; i < 5 && len(data) > 0; i++ {
@@ -272,8 +397,10 @@ func FuzzSelectTop(f *testing.F) {
 		for i := range ids {
 			ids[i] = n - 1 - i // descending ids: ties must still resolve ascending
 			var b byte
-			if i < len(data) {
-				b = data[i]
+			j := 0
+			if len(data) > 0 {
+				j = i % len(data)
+				b = data[j]
 			}
 			switch {
 			case b == 255:
@@ -283,15 +410,23 @@ func FuzzSelectTop(f *testing.F) {
 				keys[i] = math.Inf(1)
 			case b == 253:
 				keys[i] = math.Inf(-1)
-			case b >= 248 && i+8 < len(data):
+			case b >= 248 && j+8 < len(data):
 				// Raw bits for the occasional arbitrary float.
-				keys[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i+1:]))
+				keys[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[j+1:]))
 				hasNaN = hasNaN || keys[i] != keys[i]
 			default:
 				keys[i] = float64(b % 7)
 			}
 		}
 		if hasNaN {
+			want := reference(ids, keys) // a NaN scrambles its order; only the pairs matter
+			for _, m := range append(steps, edgeSteps(n)...) {
+				sids, skeys := slices.Clone(ids), slices.Clone(keys)
+				if got := Select(sids, skeys, m); got != (m >= 1) {
+					t.Fatalf("Select(m=%d) reported NaN %v, want %v", m, got, m >= 1)
+				}
+				checkPermutation(t, sids, skeys, want)
+			}
 			defer func() {
 				if recover() == nil {
 					t.Fatal("NaN key did not panic the fill")
