@@ -56,6 +56,18 @@ func (b ball3) Silent() bool                { return b.set && (b.r < 0 || math.I
 func (b ball3) Unfiltered() bool            { return !b.set }
 func (b ball3) Recentre(vec3) (ball3, bool) { return b, false }
 
+func (b ball3) Same(o ball3) bool {
+	if b.set != o.set || math.Float64bits(b.r) != math.Float64bits(o.r) {
+		return false
+	}
+	for i := range b.c {
+		if math.Float64bits(b.c[i]) != math.Float64bits(o.c[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (b ball3) ExportState(w *snapshot.Writer) {
 	w.Bool(b.set)
 	b.ExportValue(w, b.c)

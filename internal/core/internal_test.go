@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,24 @@ func TestIntSetBasics(t *testing.T) {
 	}
 	if _, ok := s.min(); ok {
 		t.Fatal("min of cleared set returned ok")
+	}
+}
+
+// TestSelectionPickBoundaryNearestInfiniteRange is FT-NRP's selection over
+// [0, +∞]: a stream at +∞ is on the boundary, at distance 0 and not NaN,
+// so it ties with the stream at 0 and the tie goes to the lower id.
+func TestSelectionPickBoundaryNearestInfiniteRange(t *testing.T) {
+	rng := query.NewRange(0, math.Inf(1))
+	vals := []float64{0, math.Inf(1), 1, 5}
+	score := func(id int) float64 { return rng.BoundaryDist(vals[id]) }
+	for n, want := range [][]int{1: {0}, 2: {0, 1}, 3: {0, 1, 2}} {
+		if want == nil {
+			continue
+		}
+		got := pickScored(SelectBoundaryNearest, []int{1, 3, 2, 0}, score, n, nil)
+		if !slices.Equal(got, want) {
+			t.Errorf("pick %d = %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -145,6 +145,20 @@ func pinStepPlanar(rng *rand.Rand, p filter.Point) filter.Point {
 // run plays the walk — draw places a value, step moves one — and returns
 // one line per checkpoint.
 func (w pinWalk[V, C]) run(draw func(*rand.Rand) V, step func(*rand.Rand, V) V) (lines []string) {
+	d := pintest.NewDigest()
+	w.play(draw, step, func(ev int, c *server.ClusterOf[V, C], p server.ProtocolOf[V], stats [2]uint64) {
+		d.Event(p.Answer(), c.Counter(), stats[0], stats[1])
+		if ev%pinEvery == 0 {
+			lines = append(lines, d.Checkpoint(w.name, ev, c.Counter(), stats[0], stats[1]))
+		}
+	})
+	return lines
+}
+
+// play plays the walk and hands visit the host, the protocol and its
+// rebuild counters after every event.
+func (w pinWalk[V, C]) play(draw func(*rand.Rand) V, step func(*rand.Rand, V) V,
+	visit func(ev int, c *server.ClusterOf[V, C], p server.ProtocolOf[V], stats [2]uint64)) {
 	rng := rand.New(rand.NewSource(w.seed))
 	vals := make([]V, w.n)
 	for i := range vals {
@@ -155,7 +169,6 @@ func (w pinWalk[V, C]) run(draw func(*rand.Rand) V, step func(*rand.Rand, V) V) 
 	c.SetProtocol(p)
 	c.Initialize()
 
-	d := pintest.NewDigest()
 	for ev := 1; ev <= pinEvents; ev++ {
 		id := rng.Intn(w.n)
 		if w.jumpy {
@@ -164,13 +177,8 @@ func (w pinWalk[V, C]) run(draw func(*rand.Rand) V, step func(*rand.Rand, V) V) 
 			vals[id] = step(rng, vals[id])
 		}
 		c.Deliver(id, vals[id])
-		stats := st()
-		d.Event(p.Answer(), c.Counter(), stats[0], stats[1])
-		if ev%pinEvery == 0 {
-			lines = append(lines, d.Checkpoint(w.name, ev, c.Counter(), stats[0], stats[1]))
-		}
+		visit(ev, c, p, st())
 	}
-	return lines
 }
 
 // TestProtocolPins replays every walk and compares its checkpoints with

@@ -38,7 +38,10 @@ import (
 // The single asymmetry between the kinds is Recentre: a constraint that
 // follows its stream (the 1-D Band) returns its replacement centered on v
 // and true, and the source then swaps it in locally instead of recording a
-// side. Every other constraint returns false.
+// side. Every other constraint returns false. Same is bit-exact equality
+// (Float64bits on every field, so NaN fields match themselves and −0 is
+// not +0): a host that stores one constraint for many streams stores it
+// only when a stream's own is the same bits, so its record cannot move.
 //
 // The snapshot half encodes constraints and values. ImportState,
 // ExportValue and ImportValue ignore their receiver: a value type such as
@@ -49,6 +52,7 @@ type Of[V, C any] interface {
 	Silent() bool
 	Unfiltered() bool
 	Recentre(v V) (C, bool)
+	Same(o C) bool
 	ExportState(w *snapshot.Writer)
 	ImportState(r *snapshot.Reader) (C, error)
 	ExportValue(w *snapshot.Writer, v V)
@@ -128,6 +132,13 @@ func (c Constraint) Contains(v float64) bool {
 	default:
 		return false
 	}
+}
+
+// Same reports whether c and o are the same constraint, bit for bit.
+func (c Constraint) Same(o Constraint) bool {
+	return c.Kind == o.Kind &&
+		math.Float64bits(c.Lo) == math.Float64bits(o.Lo) &&
+		math.Float64bits(c.Hi) == math.Float64bits(o.Hi)
 }
 
 // Sides sets dst[i] = c.Contains(vals[i]) for every i < len(vals), with

@@ -151,6 +151,15 @@ func (r Region) Sides(dst []bool, pts []Point) {
 	}
 }
 
+// Same reports whether r and o are the same region, bit for bit.
+func (r Region) Same(o Region) bool {
+	return r.Kind == o.Kind &&
+		math.Float64bits(r.C.X) == math.Float64bits(o.C.X) &&
+		math.Float64bits(r.C.Y) == math.Float64bits(o.C.Y) &&
+		math.Float64bits(r.A) == math.Float64bits(o.A) &&
+		math.Float64bits(r.B) == math.Float64bits(o.B)
+}
+
 // Silent reports whether the region can never be violated by any finite
 // point: either every finite point is inside, or none is.
 func (r Region) Silent() bool {

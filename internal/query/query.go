@@ -39,6 +39,9 @@ func (r Range) Constraint() filter.Constraint { return filter.NewInterval(r.Lo, 
 // The boundary-nearest selection heuristic (paper §6.2, Figure 14) prefers
 // streams with small BoundaryDist.
 func (r Range) BoundaryDist(v float64) float64 {
+	if v == r.Lo || v == r.Hi {
+		return 0 // also at an infinite endpoint, where v − Lo or Hi − v is NaN
+	}
 	return math.Min(math.Abs(v-r.Lo), math.Abs(v-r.Hi))
 }
 

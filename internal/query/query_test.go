@@ -47,6 +47,36 @@ func TestRangeBoundaryDist(t *testing.T) {
 	}
 }
 
+// TestRangeBoundaryDistInfinite: a value at an infinite endpoint is at
+// distance 0, never NaN, and an infinite value or bound otherwise gives an
+// infinite distance.
+func TestRangeBoundaryDistInfinite(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		r       Range
+		v, want float64
+	}{
+		{NewRange(0, inf), inf, 0},
+		{NewRange(0, inf), 0, 0},
+		{NewRange(0, inf), 5, 5},
+		{NewRange(0, inf), -inf, inf},
+		{NewRange(-inf, 10), -inf, 0},
+		{NewRange(-inf, 10), 4, 6},
+		{NewRange(-inf, 10), inf, inf},
+		{NewRange(-inf, inf), inf, 0},
+		{NewRange(-inf, inf), -inf, 0},
+		{NewRange(-inf, inf), 3, inf},
+		{NewRange(400, 600), inf, inf},
+		{NewRange(400, 600), -inf, inf},
+		{NewRange(inf, inf), inf, 0},
+	}
+	for _, c := range cases {
+		if got := c.r.BoundaryDist(c.v); got != c.want {
+			t.Errorf("%v.BoundaryDist(%v) = %v, want %v", c.r, c.v, got, c.want)
+		}
+	}
+}
+
 func TestFiniteCenterDist(t *testing.T) {
 	q := At(100)
 	if q.Dist(110) != 10 || q.Dist(90) != 10 || q.Dist(100) != 0 {

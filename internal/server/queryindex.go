@@ -146,17 +146,17 @@ type classes struct {
 
 func (t *classes) members(cid int32, w int) slotSet { return t.mem[int(cid)*w:][:w] }
 
-// find returns the live class holding cons. Class identity is bit-equality
-// of the constraint (math.Float64bits, so NaN bounds and ±0 group
-// deterministically).
+// find returns the live class holding cons. Class identity is
+// Constraint.Same, bit-equality, so NaN bounds and ±0 group
+// deterministically.
 func (t *classes) find(cons filter.Constraint) (int32, bool) {
 	for _, cid := range t.recent {
-		if int(cid) < len(t.cls) && t.cls[cid].live && sameConstraint(t.cls[cid].cons, cons) {
+		if int(cid) < len(t.cls) && t.cls[cid].live && t.cls[cid].cons.Same(cons) {
 			return cid, true
 		}
 	}
 	for cid := range t.cls {
-		if cl := &t.cls[cid]; cl.live && sameConstraint(cl.cons, cons) {
+		if cl := &t.cls[cid]; cl.live && cl.cons.Same(cons) {
 			t.remember(int32(cid))
 			return int32(cid), true
 		}
@@ -431,7 +431,7 @@ func (x *queryIndex) removeSlot(c *Composite, qi int) {
 // relation to the default changed (set), so a stream that followed the old
 // default and keeps its entry becomes an exception.
 func (x *queryIndex) setDefault(c *Composite, qi int, cons filter.Constraint) {
-	if sameConstraint(x.def.cons[qi], cons) {
+	if x.def.cons[qi].Same(cons) {
 		return
 	}
 	wasAll := x.def.always.has(qi)
@@ -483,12 +483,12 @@ func (x *queryIndex) moved(c *Composite, mv *keyMoves, reflag bool) {
 // equal to its default clears the stream's exception, any other makes one.
 func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint) {
 	o, st := x.overrides(s), &x.streams[s]
-	follows := sameConstraint(cons, x.def.cons[qi])
+	follows := cons.Same(x.def.cons[qi])
 	if o.has(qi) {
 		// Reinstalling what is already filed — a maintenance round
 		// refreshing a query's standing constraint — must not churn the
 		// class or its boundary keys.
-		if !follows && sameConstraint(st.cls[st.classOf[qi]].cons, cons) {
+		if !follows && st.cls[st.classOf[qi]].cons.Same(cons) {
 			return
 		}
 		st.drop(qi, x.words, c.vals[s])
@@ -531,15 +531,6 @@ func (x *queryIndex) reflag(s int) {
 // just below it, so that key.v < x holds exactly when x >= lo. lo =
 // -MaxFloat64 keys at -Inf.
 func lowerKey(lo float64) float64 { return math.Nextafter(lo, math.Inf(-1)) }
-
-// sameConstraint is bit-exact constraint equality — the planner's grouping
-// key. Float64bits keeps NaN-carrying constraints groupable (NaN != NaN
-// would otherwise split them into unbounded fresh classes).
-func sameConstraint(a, b filter.Constraint) bool {
-	return a.Kind == b.Kind &&
-		math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
-		math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
-}
 
 // deliver is the indexed crossing-detection phase of Composite.Deliver for
 // the value move u→v on stream s, neither NaN (c.vals[s] already holds v).
@@ -610,7 +601,7 @@ func (x *queryIndex) fireBand(st *qstream, cid int32, v float64) {
 		x.fired[w] |= b
 	}
 	for _, tid := range st.bands {
-		if tid == cid || !sameConstraint(st.cls[tid].cons, nc) {
+		if tid == cid || !st.cls[tid].cons.Same(nc) {
 			continue
 		}
 		tm := st.members(tid, x.words)
@@ -664,7 +655,7 @@ func (x *queryIndex) refile(c *Composite, rows [][]filter.Constraint,
 	for s, row := range rows {
 		st, o := &x.streams[s], x.overrides(s)
 		for qi, q := range c.queries {
-			if q != nil && !sameConstraint(row[qi], x.def.cons[qi]) {
+			if q != nil && !row[qi].Same(x.def.cons[qi]) {
 				st.file(qi, row[qi], x.words, slots, c.vals[s])
 				o.put(qi, true)
 				x.novr[qi]++
@@ -686,7 +677,7 @@ func majorityDefault(rows [][]filter.Constraint, qi int) filter.Constraint {
 		case e.Kind == filter.Band:
 		case votes == 0:
 			cand, votes = e, 1
-		case sameConstraint(cand, e):
+		case cand.Same(e):
 			votes++
 		default:
 			votes--

@@ -165,7 +165,7 @@ func checkIndex(t *testing.T, c *Composite, sh shadow) {
 			t.Fatalf("shadow stream %d holds %d entries for %d slots", s, len(row), slots)
 		}
 		for qi, want := range row {
-			if got := c.Constraint(s, qi); !sameConstraint(got, want) {
+			if got := c.Constraint(s, qi); !got.Same(want) {
 				t.Fatalf("stream %d slot %d: entry %v, installed %v", s, qi, got, want)
 			}
 		}
@@ -200,7 +200,7 @@ func checkIndex(t *testing.T, c *Composite, sh shadow) {
 		unfiltered := false
 		for qi := range c.queries {
 			cons := sh[s][qi]
-			differs := live(qi) && !sameConstraint(cons, d.cons[qi])
+			differs := live(qi) && !cons.Same(d.cons[qi])
 			if o.has(qi) != differs {
 				t.Fatalf("%s slot %d: override bit %v, entry %v, default %v", where, qi, o.has(qi), cons, d.cons[qi])
 			}
@@ -295,7 +295,7 @@ func checkClasses(t *testing.T, where string, cl *classes, slots, w int, filed f
 			if cid < 0 || int(cid) >= len(cl.cls) || !cl.cls[cid].live {
 				t.Fatalf("%s slot %d: class id %d out of range or dead", where, qi, cid)
 			}
-			if !sameConstraint(cl.cls[cid].cons, cons) {
+			if !cl.cls[cid].cons.Same(cons) {
 				t.Fatalf("%s slot %d: class %d holds %v, entry holds %v", where, qi, cid, cl.cls[cid].cons, cons)
 			}
 			members[cid] = append(members[cid], int32(qi))

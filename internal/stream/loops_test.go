@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -38,12 +39,12 @@ type loopReport[V any] struct {
 // sequence. got takes every batch install through InstallAllExcept
 // or InstallEach; ref takes it as a per-source Install(id, c, c.Contains(
 // believed[id])) loop, the rule the batch loops shortcut. Reports must
-// match in id, value and order, and the sources field by field, after
-// every op — and every source must keep the crossing-side invariant.
-type loopHarness[V comparable, C interface {
-	comparable
-	filter.Of[V, C]
-}] struct {
+// match in id, value and order, and the sources in what each one means
+// (sourceState) after every op — and every source must keep the
+// crossing-side invariant. How a source is stored (the broadcast
+// constraint or an exception) is not compared: got's broadcasts are
+// stored once, ref's never.
+type loopHarness[V comparable, C filter.Of[V, C]] struct {
 	t        *testing.T
 	n        int
 	got, ref Sources[V, C]
@@ -53,8 +54,10 @@ type loopHarness[V comparable, C interface {
 	uplink   func(ID, V)
 }
 
-// sourceState is one source's full state, field by field.
-type sourceState[V, C any] struct {
+// sourceState is what one source means: its value, its constraint, its
+// recorded side and how it reacts to an update (a broadcast source reacts
+// as a crossing one).
+type sourceState[V comparable, C filter.Of[V, C]] struct {
 	val    V
 	cons   C
 	inside bool
@@ -62,7 +65,16 @@ type sourceState[V, C any] struct {
 }
 
 func (s *Sources[V, C]) state(id ID) sourceState[V, C] {
-	return sourceState[V, C]{s.vals[id], s.cons[id], s.inside[id], s.modes[id]}
+	m := s.modes[id]
+	if m == broadcast {
+		m = crossing
+	}
+	return sourceState[V, C]{s.vals[id], s.Constraint(id), s.inside[id], m}
+}
+
+// same compares two states, the constraints bit for bit.
+func (a sourceState[V, C]) same(b sourceState[V, C]) bool {
+	return a.val == b.val && a.cons.Same(b.cons) && a.inside == b.inside && a.mode == b.mode
 }
 
 // loopSize reads the stream count: a first byte below 192 picks 1…16
@@ -81,10 +93,7 @@ func loopSize(r *byteReader) (n int, values *byteReader) {
 	return n, &byteReader{data: data}
 }
 
-func runLoops[V comparable, C interface {
-	comparable
-	filter.Of[V, C]
-}](t *testing.T, gen loopGen[V, C], data []byte) {
+func runLoops[V comparable, C filter.Of[V, C]](t *testing.T, gen loopGen[V, C], data []byte) {
 	r := &byteReader{data: data}
 	n, init := loopSize(r)
 	initial, believed := make([]V, n), make([]V, n)
@@ -96,11 +105,21 @@ func runLoops[V comparable, C interface {
 		got: NewSources[V, C](initial), ref: NewSources[V, C](initial), believed: believed}
 	h.uplink = func(id ID, v V) { h.gotRep = append(h.gotRep, loopReport[V]{id, v}) }
 	for step := 0; len(r.data) > 0; step++ {
-		op := r.next() % 8
+		b := r.next()
+		op := b % 8
+		// An op byte of 128 or more makes Install and InstallEach hand
+		// out got's broadcast constraint instead of one read from the
+		// bytes: Fix_Error's re-install of the deployed region.
+		cons := func() C {
+			if b >= 128 {
+				return h.got.def
+			}
+			return gen.cons(r)
+		}
 		switch op {
 		case 0: // Set; a silent constraint never owes a report
 			id, v := int(r.next())%n, gen.value(r.next())
-			c := h.got.cons[id]
+			c := h.got.Constraint(id)
 			if a, b := h.got.Set(id, v), h.ref.Set(id, v); a != b {
 				t.Fatalf("step %d: Set(%v) on source %d: %v vs %v", step, v, id, a, b)
 			} else if a && c.Silent() {
@@ -110,7 +129,7 @@ func runLoops[V comparable, C interface {
 				h.refRep = append(h.refRep, loopReport[V]{id, v})
 			}
 		case 1: // Install, sometimes with a wrong expectation
-			id, c := int(r.next())%n, gen.cons(r)
+			id, c := int(r.next())%n, cons()
 			expect := c.Contains(h.believed[id])
 			if r.next()%4 == 0 {
 				expect = !expect
@@ -127,7 +146,7 @@ func runLoops[V comparable, C interface {
 				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
 			}
 		case 3: // InstallEach over a subset, ascending, descending or rotated
-			ids, c := loopSubset(r, n), gen.cons(r)
+			ids, c := loopSubset(r, n), cons()
 			h.got.InstallEach(ids, h.believed, c, h.uplink)
 			for _, id := range ids {
 				h.refInstall(step, id, c, c.Contains(h.believed[id]), owes(c, h.ref.vals[id], c.Contains(h.believed[id])))
@@ -137,7 +156,10 @@ func runLoops[V comparable, C interface {
 			if a, b := h.got.Value(id), h.ref.Value(id); a != b {
 				t.Fatalf("step %d: Value(%d) = %v vs %v", step, id, a, b)
 			}
-		case 5: // export/import round trip
+		case 5: // export/import round trip: the same bytes from both
+			if got, ref := export(&h.got), export(&h.ref); !bytes.Equal(got, ref) {
+				t.Fatalf("step %d: got exports %x, reference %x", step, got, ref)
+			}
 			h.roundTrip(step, &h.got)
 			h.roundTrip(step, &h.ref)
 		case 6: // the server's belief moves to the value or one step off it
@@ -206,29 +228,39 @@ func (h *loopHarness[V, C]) refInstall(step int, id ID, c C, expect, want bool) 
 	}
 }
 
-// roundTrip exports every source and imports them into a fresh set, which
-// must succeed and change nothing; a crossing-mode record with its side
-// flipped must be refused.
-func (h *loopHarness[V, C]) roundTrip(step int, sources *Sources[V, C]) {
+func export[V comparable, C filter.Of[V, C]](s *Sources[V, C]) []byte {
 	w := snapshot.NewWriter()
-	sources.ExportState(w)
+	s.ExportState(w)
+	return w.Bytes()
+}
+
+// roundTrip exports every source and imports them into a fresh set, which
+// must succeed, change nothing and export the same bytes; a crossing-mode
+// record with its side flipped must be refused.
+func (h *loopHarness[V, C]) roundTrip(step int, sources *Sources[V, C]) {
+	data := export(sources)
 	back := NewSources[V, C](make([]V, h.n))
-	r := snapshot.NewReader(w.Bytes())
+	r := snapshot.NewReader(data)
 	if err := back.ImportState(r); err != nil {
 		h.t.Fatalf("step %d: round trip: %v", step, err)
 	}
 	if err := r.Done(); err != nil {
 		h.t.Fatalf("step %d: round trip: %v", step, err)
 	}
+	if again := export(&back); !bytes.Equal(again, data) {
+		h.t.Fatalf("step %d: round trip exports %x, was %x", step, again, data)
+	}
 	for i := range h.n {
-		if back.state(i) != sources.state(i) {
+		st := sources.state(i)
+		if !back.state(i).same(st) {
 			h.t.Fatalf("step %d: source %d round trip %v, was %v", step, i, back.String(i), sources.String(i))
 		}
-		if sources.modes[i] == crossing {
-			flipped := NewSources[V, C](make([]V, 1))
-			flipped.vals[0], flipped.cons[0], flipped.inside[0] = sources.vals[i], sources.cons[i], !sources.inside[i]
+		if st.mode == crossing {
 			w := snapshot.NewWriter()
-			flipped.ExportState(w)
+			st.cons.ExportValue(w, st.val)
+			st.cons.ExportState(w)
+			w.Bool(!st.inside)
+			flipped := NewSources[V, C](make([]V, 1))
 			if err := flipped.ImportState(snapshot.NewReader(w.Bytes())); err == nil {
 				h.t.Fatalf("step %d: source %d imported a contradicted side", step, i)
 			}
@@ -249,22 +281,23 @@ func (h *loopHarness[V, C]) check(step int, op byte) {
 	}
 	s := &h.got
 	for i := range h.n {
-		if got, ref := s.state(i), h.ref.state(i); got != ref {
+		got, ref := s.state(i), h.ref.state(i)
+		if !got.same(ref) {
 			t.Fatalf("step %d (op %d): source %d is %v (mode %d), reference %v (mode %d)",
 				step, op, i, s.String(i), got.mode, h.ref.String(i), ref.mode)
 		}
-		switch s.modes[i] {
+		switch got.mode {
 		case crossing:
-			if s.inside[i] != s.cons[i].Contains(s.vals[i]) {
+			if got.inside != got.cons.Contains(got.val) {
 				t.Fatalf("step %d (op %d): source %d records inside=%v, but %v puts %v on the other side",
-					step, op, i, s.inside[i], s.cons[i], s.vals[i])
+					step, op, i, got.inside, got.cons, got.val)
 			}
 		case following:
-			if !s.inside[i] || !s.cons[i].Contains(s.vals[i]) {
+			if !got.inside || !got.cons.Contains(got.val) {
 				t.Fatalf("step %d (op %d): following source %d outside its band: %v", step, op, i, s.String(i))
 			}
 		case unfiltered:
-			if s.inside[i] {
+			if got.inside {
 				t.Fatalf("step %d (op %d): unfiltered source %d records inside", step, op, i)
 			}
 		}
@@ -316,12 +349,14 @@ var scalarGen = loopGen[float64, filter.Constraint]{
 	},
 }
 
-// FuzzInstallLoops checks the batch installs
-// (InstallAllExcept, InstallEach) against a per-source Install loop, and Install against the handshake's
-// specification, over 1…16 sources or up to 205 (past InstallEach's chunk)
-// on a ½-grid with ±Inf at its ends and a believed table one step stale or
-// exact, every 1-D constraint kind, Set (never reporting through a silent
-// constraint), probes and snapshot round trips.
+// FuzzInstallLoops checks the batch installs (InstallAllExcept,
+// InstallEach) against a per-source Install loop, and Install against the
+// handshake's specification, over 1…16 sources or up to 205 (past
+// InstallEach's chunk) on a ½-grid with ±Inf at its ends and a believed
+// table one step stale or exact, every 1-D constraint kind, re-installs of
+// the broadcast constraint, skip lists naming sources under it, Set (never
+// reporting through a silent constraint), probes and snapshot round trips
+// whose bytes equal the reference's.
 func FuzzInstallLoops(f *testing.F) {
 	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 2, 0, 8, 4, 3, 255, 0, 0, 6, 8, 2, 1, 2, 3, 5, 0, 1, 18})
 	f.Add([]byte{15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -341,6 +376,21 @@ func FuzzInstallLoops(f *testing.F) {
 	// 103 sources: InstallAllExcept skipping a quarter of the ids, under a
 	// stale belief, then skipping none.
 	f.Add([]byte{221, 4, 6, 7, 3, 7, 17, 17, 1, 0, 8, 6, 7, 0, 0, 0, 1, 9, 4})
+	// Six sources broadcast [0, 2], then [1, 2] skipping 1, 3 and 5, which
+	// stay under [0, 2]: source 1 leaves it, source 3 stays inside; a round
+	// trip; [-1, 0.5] skipping 0 and 1; a round trip.
+	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 7, 0, 2, 0, 8, 4, 7, 42, 0, 0, 0, 10, 2,
+		0, 1, 4, 0, 3, 12, 5, 7, 3, 0, 1, 0, 6, 3, 5})
+	// [0, 2] broadcast, then re-installed by Install (once with a wrong
+	// expectation) and by InstallEach over every source; a Set; [2, 2.5]
+	// skipping 0 and 2; a round trip.
+	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 7, 0, 2, 0, 8, 4, 129, 2, 1, 129, 3, 0,
+		131, 255, 0, 2, 0, 2, 3, 7, 5, 0, 0, 0, 12, 1, 5})
+	// A broadcast beside a band and two Shut exceptions, round-tripped mid
+	// sequence; a Set, a new broadcast and a round trip; a stale belief, a
+	// broadcast skipping 1 and 2 and another round trip.
+	f.Add([]byte{5, 8, 0, 9, 1, 10, 2, 11, 0, 12, 1, 7, 0, 2, 0, 8, 4, 1, 4, 1, 9, 6, 1,
+		3, 9, 0, 0, 4, 0, 0, 5, 0, 0, 5, 2, 0, 7, 3, 5, 6, 2, 1, 7, 6, 0, 1, 0, 8, 6, 5})
 	f.Fuzz(func(t *testing.T, data []byte) { runLoops(t, scalarGen, data) })
 }
 

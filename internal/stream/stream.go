@@ -8,13 +8,15 @@
 // installations.
 //
 // A cluster's n sources are one Sources value: a column per field (values,
-// constraints, recorded sides, modes), addressed by stream index.
-// A deploy scans one or two columns over every stream, so it reads them
-// contiguously and decides a whole column's sides in one filter.Of.Sides
-// call. Sources hold no uplink: Set and Install return whether a report is
-// owed, and the caller — the server's cluster — delivers it; the batch
-// installs (InstallAllExcept, InstallEach) take that uplink
-// once per batch.
+// recorded sides, modes), addressed by stream index, and their constraints
+// stored as one broadcast constraint plus a column of exceptions. The rank
+// protocols deploy one region to every stream, so a deploy stores it once
+// and writes only the one-byte mode column; it scans one or two columns
+// over every stream, contiguously, and decides a whole column's sides in
+// one filter.Of.Sides call. Sources hold no uplink: Set and Install return
+// whether a report is owed, and the caller — the server's cluster —
+// delivers it; the batch installs (InstallAllExcept, InstallEach) take
+// that uplink once per batch.
 package stream
 
 import (
@@ -40,11 +42,19 @@ type ID = int
 // the side the constraint puts its value on: Set and every install
 // establish it, and ImportState refuses a record that breaks it. So a
 // probe is a plain read.
+//
+// A source in mode broadcast holds def, the last crossing constraint
+// InstallAllExcept deployed; every other source holds its own constraint
+// in cons, its exception. An install files an exception only for a
+// constraint that is not def's bits (filter.Of.Same), so re-installing the
+// broadcast stays on it. cons is nil, every exception the zero C, until a
+// source first holds a constraint that is neither def nor the zero C.
 type Sources[V comparable, C filter.Of[V, C]] struct {
 	vals   []V
-	cons   []C
 	inside []bool // side of the constraint of the last value known to the server
 	modes  []mode
+	def    C
+	cons   []C
 	// Scratch for the batch installs, kept here because a Sides call
 	// through a type parameter makes its arguments escape: InstallAllExcept's
 	// sides of the n table values, and InstallEach's chunk of gathered
@@ -64,6 +74,7 @@ const (
 	crossing               // report when the recorded side flips
 	following              // report a deviation and re-centre (filter.Of.Recentre)
 	silent                 // never report: a wide-open or shut constraint
+	broadcast              // crossing under def
 )
 
 func classify[V any, C filter.Of[V, C]](c C, v V) mode {
@@ -95,7 +106,6 @@ func NewSources[V comparable, C filter.Of[V, C]](initial []V) Sources[V, C] {
 	n := len(initial)
 	return Sources[V, C]{
 		vals:   append([]V(nil), initial...),
-		cons:   make([]C, n),
 		inside: make([]bool, n),
 		modes:  make([]mode, n),
 		sides:  make([]bool, n+min(n, chunk)),
@@ -128,7 +138,29 @@ func (s *Sources[V, C]) Value(id ID) V { return s.vals[id] }
 func (s *Sources[V, C]) Values() []V { return s.vals }
 
 // Constraint returns the filter constraint installed at source id.
-func (s *Sources[V, C]) Constraint(id ID) C { return s.cons[id] }
+func (s *Sources[V, C]) Constraint(id ID) C {
+	if s.modes[id] == broadcast {
+		return s.def
+	}
+	if s.cons == nil {
+		var zero C
+		return zero
+	}
+	return s.cons[id]
+}
+
+// keep files c as source id's exception, allocating the exception column
+// for the first one that is not the zero C.
+func (s *Sources[V, C]) keep(id ID, c C) {
+	if s.cons == nil {
+		var zero C
+		if c.Same(zero) {
+			return
+		}
+		s.cons = make([]C, len(s.vals))
+	}
+	s.cons[id] = c
+}
 
 // Inside reports source id's recorded side of its constraint — i.e. the
 // side the server believes the stream is on.
@@ -142,8 +174,10 @@ func (s *Sources[V, C]) Set(id ID, v V) bool {
 		panic("stream: NaN value delivered to source")
 	}
 	s.vals[id] = v
+	var c C
 	switch s.modes[id] {
 	case unfiltered:
+		return true
 	case silent:
 		// Shut is [+∞, +∞], so a value can reach it, but a silent
 		// constraint owes no report.
@@ -155,13 +189,17 @@ func (s *Sources[V, C]) Set(id ID, v V) bool {
 			return false
 		}
 		s.cons[id], _ = s.cons[id].Recentre(v)
+		return true
+	case crossing:
+		c = s.cons[id]
 	default:
-		nowInside := s.cons[id].Contains(v)
-		if nowInside == s.inside[id] {
-			return false
-		}
-		s.inside[id] = nowInside
+		c = s.def
 	}
+	nowInside := c.Contains(v)
+	if nowInside == s.inside[id] {
+		return false
+	}
+	s.inside[id] = nowInside
 	return true
 }
 
@@ -182,8 +220,13 @@ func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
 	if m := classify(c, s.vals[id]); m != crossing {
 		return s.installOther(id, c, m)
 	}
+	m := broadcast
+	if !c.Same(s.def) {
+		s.keep(id, c)
+		m = crossing
+	}
 	actual := c.Contains(s.vals[id])
-	s.cons[id], s.modes[id], s.inside[id] = c, crossing, actual
+	s.modes[id], s.inside[id] = m, actual
 	return actual != expectInside
 }
 
@@ -193,12 +236,13 @@ func (s *Sources[V, C]) Install(id ID, c C, expectInside bool) bool {
 // to report, in source order. It is Install in a loop with c classified
 // once; a listed source keeps its constraint.
 //
-// Under a crossing constraint it is two Sides calls — over the table
-// column into scratch and over the value column straight into the recorded
-// sides, the listed sources' sides parked in the scratch meanwhile — the
-// constraint and mode columns written between the listed sources and
-// filled after the last, and a scan that reports each source whose two
-// sides differ.
+// Under a crossing constraint c becomes the broadcast constraint def, and
+// a listed source still on the old one keeps it as its exception. The
+// rest is two Sides calls — over the table column into scratch and over
+// the value column straight into the recorded sides, the listed sources'
+// sides parked in the scratch meanwhile — the mode column filled between
+// the listed sources, and a scan that reports each source whose two sides
+// differ. No constraint is written per source.
 func (s *Sources[V, C]) InstallAllExcept(skip []ID, believed []V, c C, report func(ID, V)) {
 	n := len(s.vals)
 	var zero V
@@ -216,6 +260,15 @@ func (s *Sources[V, C]) InstallAllExcept(skip []ID, believed []V, c C, report fu
 		}
 		return
 	}
+	if !c.Same(s.def) {
+		for _, id := range skip {
+			if s.modes[id] == broadcast {
+				s.keep(id, s.def)
+				s.modes[id] = crossing
+			}
+		}
+		s.def = c
+	}
 	expect := s.sides[:n]
 	c.Sides(expect, believed[:n])
 	for _, id := range skip {
@@ -227,14 +280,11 @@ func (s *Sources[V, C]) InstallAllExcept(skip []ID, believed []V, c C, report fu
 		if id < from {
 			panic("stream: skip list is not strictly ascending")
 		}
-		for i := from; i < id; i++ {
-			s.cons[i], s.modes[i] = c, crossing
-		}
+		fill(s.modes[from:id], broadcast)
 		s.inside[id] = expect[id]
 		from = id + 1
 	}
-	fill(s.cons[from:], c)
-	fill(s.modes[from:], crossing)
+	fill(s.modes[from:], broadcast)
 	for i, in := range s.inside {
 		if in != expect[i] {
 			report(i, s.vals[i])
@@ -256,7 +306,9 @@ func fill[T any](dst []T, v T) {
 
 // InstallEach is InstallAllExcept restricted to the listed sources, which
 // must be distinct: source id expects the side c puts believed[id] on, c is
-// classified once for the whole batch, and reports come in list order.
+// classified once for the whole batch, and reports come in list order. It
+// leaves def alone: a listed source holds c as its exception unless c is
+// def.
 //
 // Under a crossing constraint it works a chunk of listed ids at a time:
 // one Sides call over their gathered table entries decides the expected
@@ -275,30 +327,40 @@ func (s *Sources[V, C]) InstallEach(ids []ID, believed []V, c C, report func(ID,
 		return
 	}
 	n := len(s.vals)
+	m := broadcast
+	if !c.Same(s.def) {
+		m = crossing
+		if s.cons == nil {
+			s.cons = make([]C, n)
+		}
+	}
 	vals, table := s.vals, believed[:n]
-	cons, modes, inside := s.cons[:n], s.modes[:n], s.inside[:n]
+	cons, modes, inside := s.cons, s.modes[:n], s.inside[:n]
 	for len(ids) > 0 {
 		part := ids[:min(len(ids), chunk)]
 		ids = ids[len(part):]
 		k := len(part)
 		want, moved := s.gather[:k], s.gather[k:2*k]
 		expect, sides := s.sides[:k], s.sides[k:2*k]
-		at, m := s.at[:k], 0
+		at, mv := s.at[:k], 0
 		for j, id := range part {
 			w, v := table[id], vals[id]
 			want[j] = w
 			if v != w {
-				moved[m], at[m] = v, j
-				m++
+				moved[mv], at[mv] = v, j
+				mv++
 			}
-			cons[id], modes[id] = c, crossing
+			modes[id] = m
+			if m == crossing {
+				cons[id] = c
+			}
 		}
 		c.Sides(expect, want)
-		c.Sides(sides[:m], moved[:m])
+		c.Sides(sides[:mv], moved[:mv])
 		for j, id := range part {
 			inside[id] = expect[j]
 		}
-		for i, j := range at[:m] {
+		for i, j := range at[:mv] {
 			if sides[i] != expect[j] {
 				id := part[j]
 				inside[id] = sides[i]
@@ -311,7 +373,7 @@ func (s *Sources[V, C]) InstallEach(ids []ID, believed []V, c C, report func(ID,
 // installOther installs an unfiltered, silent or following constraint c
 // (mode m) at source id and says whether a report is owed.
 func (s *Sources[V, C]) installOther(id ID, c C, m mode) bool {
-	s.cons[id] = c
+	s.keep(id, c)
 	s.modes[id] = m
 	switch m {
 	case unfiltered:
@@ -327,51 +389,89 @@ func (s *Sources[V, C]) installOther(id ID, c C, m mode) bool {
 	if c.Contains(s.vals[id]) {
 		return false
 	}
-	s.cons[id], _ = c.Recentre(s.vals[id])
+	c, _ = c.Recentre(s.vals[id])
+	s.cons[id] = c
 	return true
 }
 
 // ExportState appends every source's full dynamic state to a snapshot, in
-// source order: value, installed constraint and recorded side.
+// source order: value, installed constraint and recorded side. A broadcast
+// source writes def, so the record does not say how constraints are
+// stored.
 func (s *Sources[V, C]) ExportState(w *snapshot.Writer) {
-	for i, c := range s.cons {
-		c.ExportValue(w, s.vals[i])
+	for i, v := range s.vals {
+		c := s.Constraint(i)
+		c.ExportValue(w, v)
 		c.ExportState(w)
 		w.Bool(s.inside[i])
 	}
 }
 
 // ImportState restores state written by ExportState from a set of as many
-// sources, one source at a time. Restore is a trust boundary, so it
-// refuses a NaN value and, under a crossing constraint, a recorded side
-// that contradicts the value: the source would stay silent on the crossing
-// that fixes it. It returns an error on corrupted input, leaving the
-// failing source and those after it untouched, and never panics.
+// sources. Restore is a trust boundary, so it refuses a NaN value and,
+// under a crossing constraint, a recorded side that contradicts the value:
+// the source would stay silent on the crossing that fixes it. It returns
+// an error on corrupted input, leaving every source untouched, and never
+// panics. It decodes every record first, then takes as def the majority
+// crossing constraint (a Boyer–Moore vote under Same) and files only the
+// rest as exceptions, so a restored broadcast is stored once again.
 func (s *Sources[V, C]) ImportState(r *snapshot.Reader) error {
+	n := len(s.vals)
+	vals, cons := make([]V, n), make([]C, n)
+	inside, modes := make([]bool, n), make([]mode, n)
 	var codec C
-	for i := range s.vals {
+	for i := range n {
 		val := codec.ImportValue(r)
-		cons, err := codec.ImportState(r)
+		c, err := codec.ImportState(r)
 		if err != nil {
 			return fmt.Errorf("source %d: %w", i, err)
 		}
-		inside := r.Bool()
+		in := r.Bool()
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("source %d: %w", i, err)
 		}
 		if val != val {
 			return fmt.Errorf("source %d: stream: snapshot holds NaN value", i)
 		}
-		m := classify(cons, val)
-		if m == crossing && inside != cons.Contains(val) {
-			return fmt.Errorf("source %d: stream: snapshot records side inside=%v of %v for value %v", i, inside, cons, val)
+		m := classify(c, val)
+		if m == crossing && in != c.Contains(val) {
+			return fmt.Errorf("source %d: stream: snapshot records side inside=%v of %v for value %v", i, in, c, val)
 		}
-		s.vals[i], s.cons[i], s.modes[i], s.inside[i] = val, cons, m, inside
+		vals[i], cons[i], modes[i], inside[i] = val, c, m, in
 	}
+	var def C
+	votes := 0
+	for i, c := range cons {
+		switch {
+		case modes[i] != crossing:
+		case votes == 0:
+			def, votes = c, 1
+		case c.Same(def):
+			votes++
+		default:
+			votes--
+		}
+	}
+	var zero C
+	exceptions := false
+	for i, c := range cons {
+		if modes[i] == crossing && c.Same(def) {
+			modes[i] = broadcast
+		} else if !c.Same(zero) {
+			exceptions = true
+		}
+	}
+	if !exceptions {
+		cons = nil
+	}
+	copy(s.vals, vals)
+	copy(s.inside, inside)
+	copy(s.modes, modes)
+	s.def, s.cons = def, cons
 	return nil
 }
 
 // String renders source id's state for debugging.
 func (s *Sources[V, C]) String(id ID) string {
-	return fmt.Sprintf("S{v=%v cons=%v inside=%v}", s.vals[id], s.cons[id], s.inside[id])
+	return fmt.Sprintf("S{v=%v cons=%v inside=%v}", s.vals[id], s.Constraint(id), s.inside[id])
 }

@@ -289,7 +289,7 @@ func TestSourceImportRefusesContradictedSide(t *testing.T) {
 		if err := target.ImportState(snapshot.NewReader(bad)); err == nil {
 			t.Fatal("import of a side contradicting the value succeeded")
 		}
-		if target.state(0) != before {
+		if !target.state(0).same(before) {
 			t.Fatalf("failed import changed the source: %v, was %v", target.String(0), before)
 		}
 	}
